@@ -170,7 +170,8 @@ bench-all: bench-metrics bench-perf bench-timeline bench-nvariant bench-slo benc
 bench-ring:
 	$(GO) test -bench . -benchmem ./internal/ringbuf/
 
-# Scheduler hot-path microbenchmarks: dispatch, enqueue, timer fire,
+# Scheduler hot-path microbenchmarks: dispatch, enqueue, task
+# spawn/exit, timer fire,
 # plus the sharded epoch barrier and cross-shard send
 # (docs/PERFORMANCE.md "Sharded runtime").
 bench-sched:

@@ -44,6 +44,24 @@ func BenchmarkEnqueueDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkSpawnExit measures a task's whole life with nothing in it:
+// create, one dispatch, exit. A coroutine costs more objects to set up
+// than the goroutine and channel it replaced (iter.Pull's state is a
+// dozen small heap cells), which is the price of the allocation-free
+// dispatches above; short-lived tasks — one per cross-shard message —
+// pay it, and this benchmark keeps it visible.
+func BenchmarkSpawnExit(b *testing.B) {
+	s := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		s.Go("child", func(*Task) {})
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTimerFire measures the timer heap: push on Sleep, pop on
 // fire, one of each per iteration.
 func BenchmarkTimerFire(b *testing.B) {

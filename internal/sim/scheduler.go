@@ -8,11 +8,17 @@
 // charges work with Advance, or when every task is blocked and the scheduler
 // jumps to the earliest pending timer. Runs are therefore bit-for-bit
 // reproducible, which the divergence-detection tests rely on.
+//
+// Every task is a runtime coroutine (iter.Pull, see coro.go): the goroutine
+// that called Run resumes the next task with one coroswitch and the task
+// parks with another, so a dispatch never passes through the Go scheduler,
+// a channel or a futex, and allocates nothing. The package therefore needs
+// a Go >= 1.23 toolchain.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 )
@@ -77,11 +83,10 @@ type Scheduler struct {
 	nextSeq int64
 	shard   int // index within a ShardedScheduler; 0 for standalone use
 
-	runq   []*Task
+	runq   taskFIFO
 	timers timerHeap
-	live   int // tasks not yet done
+	tasks  []*Task // the live tasks (not yet done), indexed by Task.slot
 
-	parked  chan struct{} // task -> scheduler handoff
 	current *Task
 
 	// OnCrash, if non-nil, is invoked (in scheduler context) whenever a
@@ -106,7 +111,6 @@ type Scheduler struct {
 	traceCap     int
 	traceStart   int   // oldest slot once the trace wrapped
 	traceDropped int64 // trace lines evicted from the circular tail
-	blocked      map[*Task]struct{}
 	dispatches   int64
 }
 
@@ -115,13 +119,20 @@ type Scheduler struct {
 // counted, mirroring the recorder's hot ring and the mve event log.
 const DefaultTraceCap = 1 << 16
 
+// goschedEvery is how many dispatches pass between runtime.Gosched
+// calls in dispatch. A coroutine switch never enters the Go scheduler,
+// so at GOMAXPROCS=1 a dispatch loop would leave the background GC mark
+// worker to run only when sysmon preempts the loop: the heap overshoots
+// its goal and the tasks pay for the mark in allocation assists. One
+// Gosched per 64 dispatches (~10 µs of dispatching) keeps the collector
+// on pace even for tasks that allocate megabytes per slice, and at
+// GOMAXPROCS=1 is too rare to measure. With an idle P each one wakes
+// that P (≈ 4.5 µs); docs/PERFORMANCE.md "Dispatch path" has both
+// measurements.
+const goschedEvery = 64
+
 // New returns an empty scheduler with the clock at zero.
-func New() *Scheduler {
-	return &Scheduler{
-		parked:  make(chan struct{}),
-		blocked: make(map[*Task]struct{}),
-	}
-}
+func New() *Scheduler { return &Scheduler{} }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.clock }
@@ -186,53 +197,46 @@ func (s *Scheduler) TraceDropped() int64 { return s.traceDropped }
 func (s *Scheduler) Go(name string, fn func(*Task)) *Task {
 	s.nextID++
 	t := &Task{
-		id:     s.nextID,
-		name:   name,
-		s:      s,
-		resume: make(chan struct{}),
-		state:  StateNew,
+		id:    s.nextID,
+		name:  name,
+		s:     s,
+		state: StateNew,
+		slot:  len(s.tasks),
 	}
-	s.live++
-	go func() {
-		<-t.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isKill := r.(killedPanic); !isKill {
-					t.crashed = true
-					t.crashVal = r
-				}
-			}
-			t.state = StateDone
-			s.live--
-			// Wake any tasks joined on this one.
-			t.joiners.wakeAll(s)
-			s.parked <- struct{}{}
-		}()
-		t.state = StateRunning
-		fn(t)
-	}()
+	s.tasks = append(s.tasks, t)
+	t.start(fn)
 	s.enqueue(t)
 	return t
 }
 
 func (s *Scheduler) enqueue(t *Task) {
 	t.state = StateRunnable
-	s.runq = append(s.runq, t)
+	s.runq.push(t)
+}
+
+// forget drops a finished task from the registry, moving the last
+// entry into its slot.
+func (s *Scheduler) forget(t *Task) {
+	last := len(s.tasks) - 1
+	moved := s.tasks[last]
+	s.tasks[t.slot] = moved
+	moved.slot = t.slot
+	s.tasks[last] = nil
+	s.tasks = s.tasks[:last]
 }
 
 // Run executes tasks until none remain, returning nil, or until no task can
 // make progress, returning a *DeadlockError.
 func (s *Scheduler) Run() error {
-	for s.live > 0 {
-		if len(s.runq) == 0 {
-			if s.timers.Len() == 0 {
+	for len(s.tasks) > 0 {
+		if s.runq.len() == 0 {
+			if len(s.timers) == 0 {
 				return s.deadlock()
 			}
 			s.fireNextTimer()
 			continue
 		}
-		t := s.runq[0]
-		s.runq = s.runq[1:]
+		t := s.runq.pop()
 		if t.state == StateDone {
 			continue
 		}
@@ -246,9 +250,9 @@ func (s *Scheduler) Run() error {
 // called again to continue. It returns a *DeadlockError on deadlock.
 func (s *Scheduler) RunFor(d time.Duration) error {
 	deadline := s.clock + d
-	for s.live > 0 && s.clock < deadline {
-		if len(s.runq) == 0 {
-			if s.timers.Len() == 0 {
+	for len(s.tasks) > 0 && s.clock < deadline {
+		if s.runq.len() == 0 {
+			if len(s.timers) == 0 {
 				return s.deadlock()
 			}
 			if s.timers[0].when > deadline {
@@ -258,14 +262,13 @@ func (s *Scheduler) RunFor(d time.Duration) error {
 			s.fireNextTimer()
 			continue
 		}
-		t := s.runq[0]
-		s.runq = s.runq[1:]
+		t := s.runq.pop()
 		if t.state == StateDone {
 			continue
 		}
 		s.dispatch(t)
 	}
-	if s.clock < deadline && s.live == 0 {
+	if s.clock < deadline && len(s.tasks) == 0 {
 		s.clock = deadline
 	}
 	return nil
@@ -276,11 +279,17 @@ func (s *Scheduler) deadlock() error {
 }
 
 // blockedNames returns the names of the tasks parked on wait queues,
-// sorted so the report is deterministic.
+// sorted so the report is deterministic. It runs only when a deadlock
+// is being reported — the run queue and the timer heap are both empty,
+// so no BlockTimeout is pending and the parked tasks are exactly those
+// in StateBlocked — which is why Block and WakeOne keep no set of their
+// own to maintain.
 func (s *Scheduler) blockedNames() []string {
 	var names []string
-	for t := range s.blocked { // maporder: ok — names are sorted below
-		names = append(names, t.name)
+	for _, t := range s.tasks {
+		if t.state == StateBlocked {
+			names = append(names, t.name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -290,23 +299,26 @@ func (s *Scheduler) blockedNames() []string {
 // Done tasks still queued count (dispatch skips them), so a true result
 // means at most that the next run step is cheap, never that it is
 // missing — which is what the sharded epoch loop needs.
-func (s *Scheduler) hasRunnable() bool { return len(s.runq) > 0 }
+func (s *Scheduler) hasRunnable() bool { return s.runq.len() > 0 }
 
 // nextTimer returns the earliest pending timer deadline. Stale timers
 // (task killed or woken early) are included, so the returned time is a
 // lower bound on the next real event.
 func (s *Scheduler) nextTimer() (time.Duration, bool) {
-	if s.timers.Len() == 0 {
+	if len(s.timers) == 0 {
 		return 0, false
 	}
 	return s.timers[0].when, true
 }
 
 // liveTasks returns the number of tasks not yet done.
-func (s *Scheduler) liveTasks() int { return s.live }
+func (s *Scheduler) liveTasks() int { return len(s.tasks) }
 
 func (s *Scheduler) dispatch(t *Task) {
 	s.dispatches++
+	if s.dispatches%goschedEvery == 0 {
+		runtime.Gosched()
+	}
 	s.current = t
 	t.state = StateRunning
 	if s.tracing {
@@ -323,8 +335,11 @@ func (s *Scheduler) dispatch(t *Task) {
 	if s.profiler != nil {
 		s.segStart = sliceStart
 	}
-	t.resume <- struct{}{}
-	<-s.parked
+	if _, parked := t.next(); !parked {
+		// The task is done. Stale timers can keep the Task reachable;
+		// they must not keep its coroutine and stack with it.
+		t.next, t.yield = nil, nil
+	}
 	if s.profiler != nil {
 		s.flushSegment(t)
 	}
@@ -348,9 +363,8 @@ func (s *Scheduler) advanceTo(when time.Duration) {
 	if when > s.clock {
 		s.clock = when
 	}
-	for s.timers.Len() > 0 && s.timers[0].when <= s.clock {
-		tm := heap.Pop(&s.timers).(*timer)
-		if tm.task.state == StateSleeping {
+	for len(s.timers) > 0 && s.timers[0].when <= s.clock {
+		if tm := s.timers.pop(); tm.task.state == StateSleeping {
 			s.enqueue(tm.task)
 		}
 	}
@@ -359,22 +373,21 @@ func (s *Scheduler) advanceTo(when time.Duration) {
 func (s *Scheduler) fireNextTimer() {
 	// Discard stale timers (task killed or woken early) without advancing
 	// the clock: a dead task's deadline must not distort the timeline.
-	for s.timers.Len() > 0 && s.timers[0].task.state != StateSleeping {
-		heap.Pop(&s.timers)
+	for len(s.timers) > 0 && s.timers[0].task.state != StateSleeping {
+		s.timers.pop()
 	}
-	if s.timers.Len() == 0 {
+	if len(s.timers) == 0 {
 		return
 	}
-	tm := heap.Pop(&s.timers).(*timer)
+	tm := s.timers.pop()
 	if tm.when > s.clock {
 		s.clock = tm.when
 	}
 	s.enqueue(tm.task)
 	// Also release any other timers that share this instant so FIFO order
 	// among equal deadlines is preserved by seq ordering in the heap.
-	for s.timers.Len() > 0 && s.timers[0].when <= s.clock {
-		next := heap.Pop(&s.timers).(*timer)
-		if next.task.state == StateSleeping {
+	for len(s.timers) > 0 && s.timers[0].when <= s.clock {
+		if next := s.timers.pop(); next.task.state == StateSleeping {
 			s.enqueue(next.task)
 		}
 	}
@@ -386,21 +399,56 @@ type timer struct {
 	task *Task
 }
 
-type timerHeap []*timer
+// timerHeap is a binary min-heap of timers by (when, seq), held by
+// value: arming a timer writes a slot of the backing array and boxes
+// nothing. seq is unique, so the order is total and any correct heap
+// pops the same sequence.
+type timerHeap []timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// push adds tm and sifts it up to its place.
+func (h *timerHeap) push(tm timer) {
+	*h = append(*h, tm)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !a.less(i, parent) {
+			break
+		}
+		a[i], a[parent] = a[parent], a[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest timer; the heap must not be
+// empty.
+func (h *timerHeap) pop() timer {
+	a := *h
+	top := a[0]
+	n := len(a) - 1
+	a[0] = a[n]
+	a[n] = timer{} // do not keep the task reachable from the spare slot
+	a = a[:n]
+	*h = a
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && a.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && a.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		a[i], a[least] = a[least], a[i]
+		i = least
+	}
+	return top
 }

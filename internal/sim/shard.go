@@ -27,8 +27,10 @@ import (
 //
 // Epoch mechanics: all shards run concurrently for one quantum of
 // virtual time (RunFor to a shared boundary), then rendezvous. At the
-// barrier the coordinator — always a single goroutine — collects each
-// shard's outbox, merges the messages into the total order, and
+// barrier the coordinator — the goroutine that called Run or RunFor,
+// which also runs shard 0; shard i > 0 runs on a worker goroutine that
+// lives for that call and parks between epochs — collects each shard's
+// outbox, merges the messages into the total order, and
 // delivers each as a fresh task on its target shard. A message sent in
 // epoch E is therefore visible on the target no earlier than the E/E+1
 // boundary: cross-shard latency is bounded by one quantum, which is the
@@ -54,6 +56,12 @@ type ShardedScheduler struct {
 	inflight []crossMsg    // merged messages awaiting delivery
 	postSeq  int64
 	running  bool
+
+	// Epoch barrier, live only inside a Run/RunFor call (startWorkers):
+	// epochStart[i-1] hands shard i's worker the next boundary, epochDone
+	// counts the workers still running the current epoch.
+	epochStart []chan time.Duration
+	epochDone  sync.WaitGroup
 
 	flowLog bool        // set by SetFlowLog; records cross-shard deliveries
 	flows   []CrossFlow // delivery-ordered flow records
@@ -218,12 +226,12 @@ func (ss *ShardedScheduler) Post(to int, at time.Duration, name string, fn func(
 // with shard-qualified task names — when live tasks remain but no shard
 // can make progress and no message can ever arrive.
 func (ss *ShardedScheduler) Run() error {
+	defer ss.startWorkers()()
 	for {
-		advanced, done, err := ss.epoch(0)
+		_, done, err := ss.epoch(0)
 		if err != nil || done {
 			return err
 		}
-		_ = advanced
 	}
 }
 
@@ -232,6 +240,7 @@ func (ss *ShardedScheduler) Run() error {
 // Scheduler.RunFor, tasks still live at the horizon stay parked and a
 // later Run/RunFor continues them.
 func (ss *ShardedScheduler) RunFor(d time.Duration) error {
+	defer ss.startWorkers()()
 	target := ss.boundary + d
 	for ss.boundary < target {
 		_, done, err := ss.epoch(target)
@@ -332,35 +341,80 @@ func (ss *ShardedScheduler) epoch(target time.Duration) (advanced, done bool, er
 	return true, false, nil
 }
 
-// runEpoch runs every shard with pending work to the boundary, one OS
-// thread per shard. Shards share no state during the epoch; the only
-// cross-goroutine edges are the fork/join around the barrier, so the
-// epoch body is race-free by construction (and the property tests run
-// under -race to keep it that way).
-func (ss *ShardedScheduler) runEpoch(next time.Duration) {
-	ss.running = true
-	var wg sync.WaitGroup
-	for _, sh := range ss.shards {
-		d := next - sh.sched.Now()
-		if d <= 0 {
-			continue // overshot the boundary in an earlier epoch; let it catch up
-		}
-		wg.Add(1)
-		go func(sh *shardState, d time.Duration) {
-			defer wg.Done()
+// startWorkers starts one goroutine per shard other than shard 0 for
+// the duration of a Run/RunFor call; each parks on its epochStart
+// channel between epochs. The returned stop function ends them and
+// returns once they have exited, so a call leaves no goroutine behind
+// however it ends (a re-raised shard panic included).
+func (ss *ShardedScheduler) startWorkers() (stop func()) {
+	workers := ss.shards[1:]
+	ss.epochStart = make([]chan time.Duration, len(workers))
+	for i, sh := range workers {
+		start := make(chan time.Duration)
+		ss.epochStart[i] = start
+		go func() {
+			stopped := false
 			defer func() {
-				// A crash with no OnCrash handler panics out of RunFor;
-				// capture it so the coordinator can re-raise it on the
-				// caller's goroutine like a standalone Scheduler would.
-				if r := recover(); r != nil {
-					sh.runPanic = r
+				// runTo recovers panics, so only a runtime.Goexit inside
+				// a task (t.Fatal called from a task body) unwinds to
+				// here. It has already ended this worker; crash with the
+				// reason instead of leaving the coordinator parked on
+				// the barrier forever.
+				if !stopped {
+					panic(fmt.Sprintf("sim: runtime.Goexit in a task on shard %d", sh.id))
 				}
 			}()
-			sh.runErr = sh.sched.RunFor(d)
-		}(sh, d)
+			for next := range start {
+				sh.runTo(next)
+				ss.epochDone.Done()
+			}
+			stopped = true
+			ss.epochDone.Done()
+		}()
 	}
-	wg.Wait()
+	return func() {
+		ss.epochDone.Add(len(workers))
+		for _, start := range ss.epochStart {
+			close(start)
+		}
+		ss.epochDone.Wait()
+		ss.epochStart = nil
+	}
+}
+
+// runEpoch runs every shard with pending work to the boundary, shard 0
+// on the calling goroutine and the others on their workers. Shards
+// share no state during the epoch; the only cross-goroutine edges are
+// the release and the rendezvous around the barrier, so the epoch body
+// is race-free by construction (and the property tests run under -race
+// to keep it that way).
+func (ss *ShardedScheduler) runEpoch(next time.Duration) {
+	ss.running = true
+	ss.epochDone.Add(len(ss.epochStart))
+	for _, start := range ss.epochStart {
+		start <- next
+	}
+	ss.shards[0].runTo(next)
+	ss.epochDone.Wait()
 	ss.running = false
+}
+
+// runTo runs the shard up to the epoch boundary, leaving a deadlock or
+// other error in runErr and a panic in runPanic for the coordinator.
+func (sh *shardState) runTo(next time.Duration) {
+	d := next - sh.sched.Now()
+	if d <= 0 {
+		return // overshot the boundary in an earlier epoch; let it catch up
+	}
+	defer func() {
+		// A crash with no OnCrash handler panics out of RunFor; capture
+		// it so the coordinator can re-raise it on the caller's
+		// goroutine like a standalone Scheduler would.
+		if r := recover(); r != nil {
+			sh.runPanic = r
+		}
+	}()
+	sh.runErr = sh.sched.RunFor(d)
 }
 
 // alignClocks advances every lagging shard clock to the boundary so

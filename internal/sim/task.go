@@ -1,24 +1,27 @@
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // killedPanic is the sentinel used to unwind a task that was killed while
-// blocked or yielding. It is recovered by the task wrapper in Scheduler.Go
-// and never escapes the scheduler.
+// blocked or yielding. It is recovered by the task wrapper (Task.exit) and
+// never escapes the scheduler.
 type killedPanic struct{}
 
 // Task is a cooperative thread of execution inside a Scheduler. All Task
 // methods must be called from the task's own function (except Kill and
 // Done, which may be called from any task).
 type Task struct {
-	id     int
-	name   string
-	s      *Scheduler
-	resume chan struct{}
-	state  State
+	id    int
+	name  string
+	s     *Scheduler
+	state State
+	slot  int // index in s.tasks while the task is live
+
+	// The task's coroutine (see Task.start): dispatch calls next to run
+	// the task until it parks, park calls yield to hand the CPU back.
+	// Both are nil once the task is done.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	killed   bool
 	crashed  bool
@@ -61,12 +64,26 @@ func (t *Task) Now() time.Duration { return t.s.clock }
 // resume, if the task was killed in the meantime, it unwinds via
 // killedPanic so deferred cleanup still runs.
 func (t *Task) park() {
-	t.s.parked <- struct{}{}
-	<-t.resume
+	t.yield(struct{}{})
 	t.state = StateRunning
 	if t.killed {
 		panic(killedPanic{})
 	}
+}
+
+// exit is the deferred tail of the task's coroutine: it classifies how
+// the body ended (return, kill, or an application panic that dispatch
+// will report as a CrashInfo), retires the task and wakes its joiners.
+func (t *Task) exit() {
+	if r := recover(); r != nil {
+		if _, isKill := r.(killedPanic); !isKill {
+			t.crashed = true
+			t.crashVal = r
+		}
+	}
+	t.state = StateDone
+	t.s.forget(t)
+	t.joiners.WakeAll(t.s)
 }
 
 // Yield places the task at the back of the run queue and lets other
@@ -97,7 +114,7 @@ func (t *Task) Sleep(d time.Duration) {
 	}
 	t.state = StateSleeping
 	t.s.nextSeq++
-	heap.Push(&t.s.timers, &timer{when: t.s.clock + d, seq: t.s.nextSeq, task: t})
+	t.s.timers.push(timer{when: t.s.clock + d, seq: t.s.nextSeq, task: t})
 	t.park()
 }
 
@@ -108,8 +125,7 @@ func (t *Task) Block(q *WaitQueue) {
 	t.checkCurrent("Block")
 	t.state = StateBlocked
 	t.waitingOn = q
-	q.tasks = append(q.tasks, t)
-	t.s.blocked[t] = struct{}{}
+	q.tasks.push(t)
 	t.park()
 }
 
@@ -119,18 +135,16 @@ func (t *Task) BlockTimeout(q *WaitQueue, d time.Duration) bool {
 	t.checkCurrent("BlockTimeout")
 	t.state = StateBlocked
 	t.waitingOn = q
-	q.tasks = append(q.tasks, t)
-	t.s.blocked[t] = struct{}{}
+	q.tasks.push(t)
 	t.s.nextSeq++
-	heap.Push(&t.s.timers, &timer{when: t.s.clock + d, seq: t.s.nextSeq, task: t})
+	t.s.timers.push(timer{when: t.s.clock + d, seq: t.s.nextSeq, task: t})
 	// The timer fires only if the task is still StateSleeping; blocked
 	// tasks need the sleeping state for the timer to wake them, so use a
 	// dedicated state transition: mark as sleeping-with-queue.
 	t.state = StateSleeping
 	t.park()
 	// Determine outcome: if still on the queue, it was a timeout.
-	timedOut := q.remove(t)
-	delete(t.s.blocked, t)
+	timedOut := q.tasks.remove(t)
 	t.waitingOn = nil
 	return !timedOut
 }
@@ -153,21 +167,13 @@ func (t *Task) Kill() {
 	}
 	t.killed = true
 	switch t.state {
-	case StateBlocked:
+	case StateBlocked, StateSleeping:
+		// A sleeper's timer stays in the heap: it will find the task not
+		// sleeping and do nothing. Schedule the task now.
 		if t.waitingOn != nil {
-			t.waitingOn.remove(t)
+			t.waitingOn.tasks.remove(t)
 			t.waitingOn = nil
 		}
-		delete(t.s.blocked, t)
-		t.s.enqueue(t)
-	case StateSleeping:
-		// Leave the timer in the heap (it will find the task not
-		// sleeping and do nothing); schedule the task now.
-		if t.waitingOn != nil {
-			t.waitingOn.remove(t)
-			t.waitingOn = nil
-		}
-		delete(t.s.blocked, t)
 		t.s.enqueue(t)
 	}
 }
@@ -186,23 +192,20 @@ func (t *Task) checkCurrent(op string) {
 // WaitQueue is an ordered set of tasks blocked on a condition. The zero
 // value is ready to use.
 type WaitQueue struct {
-	tasks []*Task
+	tasks taskFIFO
 }
 
 // Len returns the number of tasks parked on the queue.
-func (q *WaitQueue) Len() int { return len(q.tasks) }
+func (q *WaitQueue) Len() int { return q.tasks.len() }
 
 // WakeOne makes the oldest parked task runnable. It reports whether a task
 // was woken.
 func (q *WaitQueue) WakeOne(s *Scheduler) bool {
-	for len(q.tasks) > 0 {
-		t := q.tasks[0]
-		q.tasks = q.tasks[1:]
+	for q.tasks.len() > 0 {
+		t := q.tasks.pop()
 		if t.state == StateBlocked || t.state == StateSleeping {
-			delete(s.blocked, t)
 			t.waitingOn = nil
-			t.state = StateRunnable
-			s.runq = append(s.runq, t)
+			s.enqueue(t)
 			return true
 		}
 	}
@@ -216,17 +219,4 @@ func (q *WaitQueue) WakeAll(s *Scheduler) int {
 		n++
 	}
 	return n
-}
-
-func (q *WaitQueue) wakeAll(s *Scheduler) { q.WakeAll(s) }
-
-// remove deletes t from the queue if present, reporting whether it was.
-func (q *WaitQueue) remove(t *Task) bool {
-	for i, x := range q.tasks {
-		if x == t {
-			q.tasks = append(q.tasks[:i], q.tasks[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
