@@ -2,7 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check check lint-maps metrics-smoke perf-smoke timeline-smoke nvariant-smoke slo-smoke train-smoke profile-smoke shard-determinism bench bench-metrics bench-perf bench-timeline bench-nvariant bench-slo bench-train bench-profile bench-all bench-ring bench-sched experiments examples clean
+# The committed BENCH_<name>.json artifacts, one benchtool experiment
+# each, and the subset whose smoke check is a plain byte diff.
+ARTIFACTS := metrics perf timeline nvariant slo train profile
+BYTE_DIFF_ARTIFACTS := nvariant slo train profile
+
+.PHONY: all build test vet fmt-check check lint-maps $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-sched experiments examples clean
 
 all: check
 
@@ -28,14 +33,7 @@ test:
 check: vet fmt-check lint-maps
 	$(GO) test -race ./...
 	$(GO) test -bench . -benchtime=1x ./internal/ringbuf/...
-	$(MAKE) metrics-smoke
-	$(MAKE) perf-smoke
-	$(MAKE) timeline-smoke
-	$(MAKE) nvariant-smoke
-	$(MAKE) slo-smoke
-	$(MAKE) train-smoke
-	$(MAKE) profile-smoke
-	$(MAKE) shard-determinism
+	$(MAKE) $(ARTIFACTS:%=%-smoke) shard-determinism
 
 # Map-iteration determinism sweep: flag `for range` over maps in the
 # determinism-critical packages unless the site carries a `maporder:`
@@ -77,51 +75,19 @@ timeline-smoke:
 		{ echo "BENCH_timeline.json is stale; run 'make bench-timeline' to regenerate"; rm -f .bench_timeline_smoke.json .bench_perfetto_smoke.json; exit 1; }
 	rm -f .bench_timeline_smoke.json .bench_perfetto_smoke.json
 
-# Same contract for the N-variant fleet artifact. The duo experiments
-# above double as the K=1 byte-identity gate: the fleet refactor must
-# leave BENCH_metrics.json, BENCH_perf.json and BENCH_timeline.json
-# (all produced by the duo controller/monitor path) byte-for-byte
-# unchanged, and this target pins the fleet scenarios themselves.
-nvariant-smoke:
-	$(GO) run ./cmd/benchtool -experiment nvariant -json .bench_nvariant_smoke.json >/dev/null
-	diff -u BENCH_nvariant.json .bench_nvariant_smoke.json || \
-		{ echo "BENCH_nvariant.json is stale; run 'make bench-nvariant' to regenerate"; rm -f .bench_nvariant_smoke.json; exit 1; }
-	rm -f .bench_nvariant_smoke.json
-
-# Same contract for the availability ledger: the three SLO scenarios
-# (update-under-load, fault-and-recover, canary-rollback) run in
-# deterministic virtual time and must reproduce BENCH_slo.json
-# byte-for-byte (regenerate with `make bench-slo`; see
-# docs/OBSERVABILITY.md for how to read the ledger).
-slo-smoke:
-	$(GO) run ./cmd/benchtool -experiment slo -json .bench_slo_smoke.json >/dev/null
-	diff -u BENCH_slo.json .bench_slo_smoke.json || \
-		{ echo "BENCH_slo.json is stale; run 'make bench-slo' to regenerate"; rm -f .bench_slo_smoke.json; exit 1; }
-	rm -f .bench_slo_smoke.json
-
-# Same contract for the update-train artifact: the eager-vs-lazy
-# transformation sweep and the train scenarios (chain, mid-chain
-# rollback, update-during-update) run in deterministic virtual time and
-# must reproduce BENCH_train.json byte-for-byte (regenerate with
-# `make bench-train`; see docs/OBSERVABILITY.md for the lazy-transform
-# counter vocabulary).
-train-smoke:
-	$(GO) run ./cmd/benchtool -experiment train -json .bench_train_smoke.json >/dev/null
-	diff -u BENCH_train.json .bench_train_smoke.json || \
-		{ echo "BENCH_train.json is stale; run 'make bench-train' to regenerate"; rm -f .bench_train_smoke.json; exit 1; }
-	rm -f .bench_train_smoke.json
-
-# Same contract for the virtual-clock profiler artifact: the duo /
-# fleet / sweep attribution scenarios charge every scheduler slice to a
-# label stack in virtual time, so BENCH_profile.json must reproduce
-# byte-for-byte (regenerate with `make bench-profile`; see
-# docs/OBSERVABILITY.md for the profiler vocabulary and
-# docs/PERFORMANCE.md for how to read the tables).
-profile-smoke:
-	$(GO) run ./cmd/benchtool -experiment profile -json .bench_profile_smoke.json >/dev/null
-	diff -u BENCH_profile.json .bench_profile_smoke.json || \
-		{ echo "BENCH_profile.json is stale; run 'make bench-profile' to regenerate"; rm -f .bench_profile_smoke.json; exit 1; }
-	rm -f .bench_profile_smoke.json
+# Same contract for the artifacts that are deterministic end to end, one
+# static pattern rule over BYTE_DIFF_ARTIFACTS: the experiment must
+# reproduce BENCH_<name>.json byte-for-byte (regenerate with
+# `make bench-<name>`; `benchtool -list` says what each experiment pins,
+# docs/OBSERVABILITY.md and docs/PERFORMANCE.md how to read it). The duo
+# experiments above double as the K=1 byte-identity gate: fleet and ring
+# refactors must leave BENCH_metrics.json, BENCH_perf.json and
+# BENCH_timeline.json byte-for-byte unchanged.
+$(BYTE_DIFF_ARTIFACTS:%=%-smoke): %-smoke:
+	$(GO) run ./cmd/benchtool -experiment $* -json .bench_$*_smoke.json >/dev/null
+	diff -u BENCH_$*.json .bench_$*_smoke.json || \
+		{ echo "BENCH_$*.json is stale; run 'make bench-$*' to regenerate"; rm -f .bench_$*_smoke.json; exit 1; }
+	rm -f .bench_$*_smoke.json
 
 # Sharded-runtime determinism smoke: the sharddet experiment runs two
 # duo-update lifecycles on two parallel shards with a cross-shard
@@ -135,36 +101,12 @@ shard-determinism:
 		{ echo "sharded runtime is nondeterministic across runs"; rm -f .bench_sharddet_a.json .bench_sharddet_b.json; exit 1; }
 	rm -f .bench_sharddet_a.json .bench_sharddet_b.json
 
-# Regenerate the committed flight-recorder artifact.
-bench-metrics:
-	$(GO) run ./cmd/benchtool -experiment metrics -json BENCH_metrics.json >/dev/null
+# Regenerate one committed BENCH_<name>.json artifact (bench-metrics,
+# bench-perf, ...), or every one in a single sweep.
+$(ARTIFACTS:%=bench-%): bench-%:
+	$(GO) run ./cmd/benchtool -experiment $* -json BENCH_$*.json >/dev/null
 
-# Regenerate the committed perf-trajectory baseline.
-bench-perf:
-	$(GO) run ./cmd/benchtool -experiment perf -json BENCH_perf.json >/dev/null
-
-# Regenerate the committed span-tracing baseline.
-bench-timeline:
-	$(GO) run ./cmd/benchtool -experiment timeline -json BENCH_timeline.json >/dev/null
-
-# Regenerate the committed N-variant fleet baseline.
-bench-nvariant:
-	$(GO) run ./cmd/benchtool -experiment nvariant -json BENCH_nvariant.json >/dev/null
-
-# Regenerate the committed availability-ledger baseline.
-bench-slo:
-	$(GO) run ./cmd/benchtool -experiment slo -json BENCH_slo.json >/dev/null
-
-# Regenerate the committed update-train baseline.
-bench-train:
-	$(GO) run ./cmd/benchtool -experiment train -json BENCH_train.json >/dev/null
-
-# Regenerate the committed virtual-clock profiler baseline.
-bench-profile:
-	$(GO) run ./cmd/benchtool -experiment profile -json BENCH_profile.json >/dev/null
-
-# Regenerate every committed BENCH_*.json artifact in one sweep.
-bench-all: bench-metrics bench-perf bench-timeline bench-nvariant bench-slo bench-train bench-profile
+bench-all: $(ARTIFACTS:%=bench-%)
 
 # Ring microbenchmarks with allocation accounting (docs/PERFORMANCE.md).
 bench-ring:

@@ -1,24 +1,9 @@
-// Command benchtool regenerates the paper's evaluation artifacts (§6):
+// Command benchtool regenerates the paper's evaluation artifacts (§6)
+// and the repo's committed BENCH_*.json reports:
 //
-//	benchtool -experiment table1   # Vsftpd rewrite-rule counts
-//	benchtool -experiment table2   # steady-state throughput/overhead
-//	benchtool -experiment fig6     # throughput while updating
-//	benchtool -experiment fig7     # update pause vs ring-buffer size
-//	benchtool -experiment faults   # §6.2 fault-tolerance runs
-//	benchtool -experiment chaos    # seeded fault matrix (§6.2 extended)
-//	benchtool -experiment rolling  # rolling-upgrade comparison (§1.1 extension)
-//	benchtool -experiment metrics  # flight-recorder export (docs/OBSERVABILITY.md)
-//	benchtool -experiment perf     # perf-trajectory baseline (docs/PERFORMANCE.md)
-//	benchtool -experiment timeline # span tracing + request latency attribution
-//	benchtool -experiment nvariant # N-variant fleet: quorum verdicts + canary gates
-//	benchtool -experiment slo      # availability ledger: SLO windows, MTTR, pause attribution
-//	benchtool -experiment train    # update trains: eager vs lazy state transformation
-//	benchtool -experiment profile  # virtual-clock profiler: exact time attribution
-//	benchtool -experiment sharddet # sharded runtime determinism smoke (run twice, diff)
-//	benchtool -experiment all      # everything
-//
-// benchtool -list enumerates the experiments with one-line
-// descriptions.
+//	benchtool -list                # every experiment with a one-line description
+//	benchtool -experiment fig6     # run one
+//	benchtool -experiment all      # run everything, in -list order
 //
 // The metrics experiment emits a machine-readable report; -json writes
 // it to a file and -validate checks an existing report against the
@@ -54,19 +39,140 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"mvedsua/internal/bench"
 	"mvedsua/internal/rolling"
 )
 
+// experiment is one row of the catalogue that drives dispatch, -list and
+// the -experiment flag's help.
+type experiment struct {
+	name, desc string
+	// run executes the experiment and returns the text to print and, for
+	// experiments with a machine-readable artifact, the report -json
+	// serialises.
+	run func() (report any, text string, err error)
+	// schema labels the report in the "wrote" line; empty means the
+	// experiment has no -json output.
+	schema string
+	// post, if set, runs once the text is printed and the JSON (if
+	// requested) is on disk; data is nil when no JSON was written.
+	post func(data []byte) error
+}
+
+// reporting adapts a Run/Format pair to experiment.run.
+func reporting[R any](run func() (R, error), format func(R) string) func() (any, string, error) {
+	return func() (any, string, error) {
+		r, err := run()
+		if err != nil {
+			return nil, "", err
+		}
+		return r, format(r), nil
+	}
+}
+
+// printing adapts an experiment that cannot fail and only prints.
+func printing(run func() string) func() (any, string, error) {
+	return func() (any, string, error) { return nil, run(), nil }
+}
+
+// catalogue lists the experiments in the order "all" runs them.
+func catalogue(window *time.Duration, full *bool, perfettoOut *string) []experiment {
+	var perfetto []byte // the timeline run's Chrome trace, for its post hook
+	return []experiment{
+		{name: "table1", desc: "Vsftpd rewrite-rule counts (paper Table 1)",
+			run: printing(func() string { return bench.FormatTable1(bench.Table1()) })},
+		{name: "table2", desc: "steady-state throughput and MVE overhead (paper Table 2)",
+			run: reporting(func() ([]bench.Table2Cell, error) {
+				cfg := bench.DefaultTable2Config
+				cfg.Window = *window
+				return bench.Table2(cfg)
+			}, bench.FormatTable2)},
+		{name: "fig6", desc: "throughput timeline while updating (paper Figure 6)",
+			run: reporting(func() ([]bench.Fig6Result, error) { return bench.Fig6(bench.DefaultFig6Config) }, bench.FormatFig6)},
+		{name: "fig7", desc: "update pause vs ring-buffer size (paper Figure 7)",
+			run: func() (any, string, error) {
+				cfg := bench.DefaultFig7Config
+				if *full {
+					cfg = bench.Fig7Config{Entries: 1 << 20, PostUpdate: 20 * time.Second}
+				}
+				results, err := bench.Fig7(cfg)
+				if err != nil {
+					return nil, "", err
+				}
+				return nil, bench.FormatFig7(results, cfg), nil
+			}},
+		{name: "faults", desc: "fault-tolerance runs: divergence, rollback, retry (paper 6.2)",
+			run: printing(func() string { return bench.FormatFaults(bench.Faults()) })},
+		{name: "chaos", desc: "seeded fault-injection matrix across syscalls and kinds",
+			run: printing(func() string { return bench.FormatChaos(bench.ChaosSweep()) })},
+		{name: "rolling", desc: "rolling-upgrade comparison vs MVEDSUA (paper 1.1 extension)",
+			run: reporting(func() ([]rolling.ComparisonResult, error) { return rolling.Compare(4, 20000, "2.0.0", "2.0.1") },
+				rolling.FormatComparison)},
+		{name: "metrics", desc: "flight-recorder export -> BENCH_metrics.json",
+			run:    reporting(bench.RunMetricsReport, bench.FormatMetricsReport),
+			schema: "schema-valid " + bench.MetricsSchemaID,
+			post: func(data []byte) error {
+				if data == nil {
+					return nil
+				}
+				if err := bench.ValidateMetricsReport(data, bench.MetricsSchemaJSON); err != nil {
+					return fmt.Errorf("emitted report failed schema validation: %w", err)
+				}
+				return nil
+			}},
+		{name: "perf", desc: "perf-trajectory baseline + shard speedup curve -> BENCH_perf.json",
+			run: reporting(bench.RunPerfReport, bench.FormatPerfReport), schema: bench.PerfSchemaID},
+		{name: "timeline", desc: "span tracing + request latency attribution -> BENCH_timeline.json",
+			run: func() (any, string, error) {
+				r, trace, err := bench.RunTimelineReport()
+				if err != nil {
+					return nil, "", err
+				}
+				perfetto = trace
+				return r, bench.FormatTimelineReport(r), nil
+			},
+			schema: bench.TimelineSchemaID,
+			post: func([]byte) error {
+				if *perfettoOut == "" {
+					return nil
+				}
+				if err := bench.ValidateChromeTrace(perfetto); err != nil {
+					return err
+				}
+				if err := os.WriteFile(*perfettoOut, perfetto, 0o644); err != nil {
+					return err
+				}
+				fmt.Fprintf(os.Stderr, "wrote %s (Chrome trace_event, load in Perfetto)\n", *perfettoOut)
+				return nil
+			}},
+		{name: "nvariant", desc: "N-variant fleet: quorum verdicts + canary gates -> BENCH_nvariant.json",
+			run: reporting(bench.RunNVariantReport, bench.FormatNVariantReport), schema: bench.NVariantSchemaID},
+		{name: "slo", desc: "availability ledger: SLO windows, MTTR, pause attribution -> BENCH_slo.json",
+			run: reporting(bench.RunSLOReport, bench.FormatSLOReport), schema: bench.SLOSchemaID},
+		{name: "train", desc: "update trains: eager vs lazy state transformation -> BENCH_train.json",
+			run: reporting(bench.RunTrainReport, bench.FormatTrainReport), schema: bench.TrainSchemaID},
+		{name: "profile", desc: "virtual-clock profiler: exact duo/fleet/sweep time attribution -> BENCH_profile.json",
+			run: reporting(bench.RunProfileReport, bench.FormatProfileReport), schema: bench.ProfileSchemaID},
+		{name: "sharddet", desc: "sharded-runtime determinism smoke: parallel shards, cross-shard update trigger",
+			run: reporting(bench.RunShardDetReport, bench.FormatShardDetReport), schema: bench.ShardDetSchemaID},
+	}
+}
+
 func main() {
-	experiment := flag.String("experiment", "all", "table1|table2|fig6|fig7|faults|chaos|rolling|metrics|perf|timeline|nvariant|slo|train|profile|sharddet|all")
-	list := flag.Bool("list", false, "list the experiments with one-line descriptions and exit")
 	window := flag.Duration("window", bench.DefaultTable2Config.Window, "table2 measurement window (virtual time)")
 	full := flag.Bool("full", false, "run fig7 at paper scale (1M entries, 2^24 buffer; slow)")
-	jsonOut := flag.String("json", "", "write the metrics report as JSON to this file")
 	perfettoOut := flag.String("perfetto", "", "timeline: write the Chrome trace_event export to this file")
+	experiments := catalogue(window, full, perfettoOut)
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	selected := flag.String("experiment", "all", strings.Join(append(names, "all"), "|"))
+	list := flag.Bool("list", false, "list the experiments with one-line descriptions and exit")
+	jsonOut := flag.String("json", "", "write the selected experiment's report as JSON to this file")
 	validate := flag.String("validate", "", "validate a metrics-report JSON file against the golden schema and exit")
 	perfdiff := flag.Bool("perfdiff", false, "compare two perf-report JSON files (args) on deterministic fields and exit")
 	flag.Parse()
@@ -75,6 +181,7 @@ func main() {
 		for _, e := range experiments {
 			fmt.Printf("  %-10s %s\n", e.name, e.desc)
 		}
+		fmt.Printf("  %-10s %s\n", "all", "every experiment above, in order")
 		return
 	}
 
@@ -110,232 +217,38 @@ func main() {
 		return
 	}
 
-	run := func(name string) bool { return *experiment == name || *experiment == "all" }
 	start := time.Now()
-
-	if run("table1") {
-		fmt.Println(bench.FormatTable1(bench.Table1()))
-	}
-	if run("table2") {
-		cfg := bench.DefaultTable2Config
-		cfg.Window = *window
-		cells, err := bench.Table2(cfg)
+	for _, e := range experiments {
+		if *selected != e.name && *selected != "all" {
+			continue
+		}
+		report, text, err := e.run()
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println(bench.FormatTable2(cells))
-	}
-	if run("fig6") {
-		results, err := bench.Fig6(bench.DefaultFig6Config)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatFig6(results))
-	}
-	if run("fig7") {
-		cfg := bench.DefaultFig7Config
-		if *full {
-			cfg = bench.Fig7Config{Entries: 1 << 20, PostUpdate: 20 * time.Second}
-		}
-		results, err := bench.Fig7(cfg)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatFig7(results, cfg))
-	}
-	if run("faults") {
-		fmt.Println(bench.FormatFaults(bench.Faults()))
-	}
-	if run("chaos") {
-		fmt.Println(bench.FormatChaos(bench.ChaosSweep()))
-	}
-	if run("rolling") {
-		results, err := rolling.Compare(4, 20000, "2.0.0", "2.0.1")
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rolling.FormatComparison(results))
-	}
-	if run("metrics") {
-		report, err := bench.RunMetricsReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatMetricsReport(report))
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			if err := bench.ValidateMetricsReport(data, bench.MetricsSchemaJSON); err != nil {
-				fail(fmt.Errorf("emitted report failed schema validation: %w", err))
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (schema-valid %s)\n", *jsonOut, bench.MetricsSchemaID)
-		}
-	}
-	if run("perf") {
-		report, err := bench.RunPerfReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatPerfReport(report))
+		fmt.Println(text)
 		// -json targets the selected experiment; when running "all" the
 		// metrics report owns the flag.
-		if *jsonOut != "" && *experiment == "perf" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
+		var data []byte
+		if *jsonOut != "" && e.schema != "" && (*selected == e.name || e.name == "metrics") {
+			if data, err = json.MarshalIndent(report, "", "  "); err != nil {
 				fail(err)
 			}
 			data = append(data, '\n')
 			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
 				fail(err)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.PerfSchemaID)
 		}
-	}
-	if run("timeline") {
-		report, perfetto, err := bench.RunTimelineReport()
-		if err != nil {
-			fail(err)
+		if e.post != nil {
+			if err := e.post(data); err != nil {
+				fail(err)
+			}
 		}
-		fmt.Println(bench.FormatTimelineReport(report))
-		if *jsonOut != "" && *experiment == "timeline" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.TimelineSchemaID)
-		}
-		if *perfettoOut != "" {
-			if err := bench.ValidateChromeTrace(perfetto); err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*perfettoOut, perfetto, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (Chrome trace_event, load in Perfetto)\n", *perfettoOut)
-		}
-	}
-	if run("nvariant") {
-		report, err := bench.RunNVariantReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatNVariantReport(report))
-		if *jsonOut != "" && *experiment == "nvariant" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.NVariantSchemaID)
-		}
-	}
-	if run("slo") {
-		report, err := bench.RunSLOReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatSLOReport(report))
-		if *jsonOut != "" && *experiment == "slo" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.SLOSchemaID)
-		}
-	}
-	if run("train") {
-		report, err := bench.RunTrainReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatTrainReport(report))
-		if *jsonOut != "" && *experiment == "train" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.TrainSchemaID)
-		}
-	}
-	if run("profile") {
-		report, err := bench.RunProfileReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatProfileReport(report))
-		if *jsonOut != "" && *experiment == "profile" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.ProfileSchemaID)
-		}
-	}
-	if run("sharddet") {
-		report, err := bench.RunShardDetReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatShardDetReport(report))
-		if *jsonOut != "" && *experiment == "sharddet" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.ShardDetSchemaID)
+		if data != nil {
+			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, e.schema)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "(completed in %.1fs wall-clock)\n", time.Since(start).Seconds())
-}
-
-// experiments is the -list catalogue; keep entries in the order the
-// main dispatch runs them.
-var experiments = []struct{ name, desc string }{
-	{"table1", "Vsftpd rewrite-rule counts (paper Table 1)"},
-	{"table2", "steady-state throughput and MVE overhead (paper Table 2)"},
-	{"fig6", "throughput timeline while updating (paper Figure 6)"},
-	{"fig7", "update pause vs ring-buffer size (paper Figure 7)"},
-	{"faults", "fault-tolerance runs: divergence, rollback, retry (paper 6.2)"},
-	{"chaos", "seeded fault-injection matrix across syscalls and kinds"},
-	{"rolling", "rolling-upgrade comparison vs MVEDSUA (paper 1.1 extension)"},
-	{"metrics", "flight-recorder export -> BENCH_metrics.json"},
-	{"perf", "perf-trajectory baseline + shard speedup curve -> BENCH_perf.json"},
-	{"timeline", "span tracing + request latency attribution -> BENCH_timeline.json"},
-	{"nvariant", "N-variant fleet: quorum verdicts + canary gates -> BENCH_nvariant.json"},
-	{"slo", "availability ledger: SLO windows, MTTR, pause attribution -> BENCH_slo.json"},
-	{"train", "update trains: eager vs lazy state transformation -> BENCH_train.json"},
-	{"profile", "virtual-clock profiler: exact duo/fleet/sweep time attribution -> BENCH_profile.json"},
-	{"sharddet", "sharded-runtime determinism smoke: parallel shards, cross-shard update trigger"},
-	{"all", "every experiment above, in order"},
 }
 
 func fail(err error) {

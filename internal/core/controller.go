@@ -545,6 +545,16 @@ func (c *Controller) Commit() bool {
 	if c.stage != StageUpdatedLeader {
 		return false
 	}
+	c.commit("update committed")
+	return true
+}
+
+// commit ends the updated-leader stage with the new version in charge,
+// whether the operator asked (Commit) or the outdated follower stalled,
+// diverged or crashed and left nothing to validate against: the whole
+// follower process is reaped, the updated version continues as single
+// leader, and the next train hop, if any, is armed.
+func (c *Controller) commit(note string) {
 	if c.otherRT != nil {
 		c.otherRT.KillAll()
 	}
@@ -555,9 +565,8 @@ func (c *Controller) Commit() bool {
 	c.scope.Inc(obs.CCoreCommits)
 	// The promoted runtime now leads: future updates must fork again.
 	c.leaderRT.SetUpdateHooks(c.takeUpdate, c.updateOutcome, false)
-	c.transition(StageSingleLeader, "update committed")
+	c.transition(StageSingleLeader, note)
 	c.armNext()
-	return true
 }
 
 // Rollback abandons the update (any time before Commit): the follower is
@@ -601,14 +610,7 @@ func (c *Controller) handleStall(st mve.Stall) {
 	case StageOutdatedLeader, StagePromoting:
 		c.Rollback("stall: " + st.String())
 	case StageUpdatedLeader:
-		if c.otherRT != nil {
-			c.otherRT.KillAll()
-		}
-		c.mon.DropFollower()
-		c.otherRT = nil
-		c.pending = nil
-		c.transition(StageSingleLeader, "outdated follower stalled ("+st.Reason+"); committed")
-		c.armNext()
+		c.commit("outdated follower stalled (" + st.Reason + "); committed")
 	}
 }
 
@@ -621,14 +623,7 @@ func (c *Controller) handleDivergence(d mve.Divergence) {
 	case StageOutdatedLeader, StagePromoting:
 		c.Rollback("divergence: " + d.Reason)
 	case StageUpdatedLeader:
-		if c.otherRT != nil {
-			c.otherRT.KillAll()
-		}
-		c.mon.DropFollower()
-		c.otherRT = nil
-		c.pending = nil
-		c.transition(StageSingleLeader, "outdated follower diverged; committed "+d.Proc)
-		c.armNext()
+		c.commit("outdated follower diverged; committed " + d.Proc)
 	}
 }
 
@@ -656,22 +651,19 @@ func (c *Controller) reapCrashed(t *sim.Task, rt *dsu.Runtime) {
 // whether this controller owned the crashed task.
 func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 	handled := false
-	mine := c.taskBelongs(c.leaderRT, info) || c.taskBelongs(c.otherRT, info)
+	mine := runtimeOwns(c.leaderRT, info) || runtimeOwns(c.otherRT, info)
 	switch {
-	case c.taskBelongs(c.otherRT, info) && (c.stage == StageOutdatedLeader || c.stage == StagePromoting):
+	case runtimeOwns(c.otherRT, info) && (c.stage == StageOutdatedLeader || c.stage == StagePromoting):
 		// The updated follower crashed (new-code or state-transform
 		// error): roll back, clients never notice (§6.2).
 		c.Rollback(fmt.Sprintf("follower crashed: %v", info.Value))
 		handled = true
-	case c.taskBelongs(c.otherRT, info) && c.stage == StageUpdatedLeader:
-		// The outdated follower crashed after promotion: drop it.
-		c.mon.DropFollower()
-		c.otherRT = nil
-		c.pending = nil
-		c.transition(StageSingleLeader, "outdated follower crashed; committed")
-		c.armNext()
+	case runtimeOwns(c.otherRT, info) && c.stage == StageUpdatedLeader:
+		// The outdated follower crashed after promotion: drop it, its
+		// surviving threads included.
+		c.commit("outdated follower crashed; committed")
 		handled = true
-	case c.taskBelongs(c.leaderRT, info) && c.stage == StageOutdatedLeader:
+	case runtimeOwns(c.leaderRT, info) && c.stage == StageOutdatedLeader:
 		// The old version crashed while leading — likely an old-version
 		// bug fixed by the update: promote the new version (§3.2
 		// "handling old-version errors"). The crashed leader's stream may
@@ -685,7 +677,7 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 		})
 		c.transition(StagePromoting, fmt.Sprintf("leader crashed (%v); promoting follower", info.Value))
 		handled = true
-	case c.taskBelongs(c.leaderRT, info) && c.stage == StageUpdatedLeader:
+	case runtimeOwns(c.leaderRT, info) && c.stage == StageUpdatedLeader:
 		// The new version crashed while leading, before the operator
 		// committed: the outdated follower is still warm and in sync,
 		// so promote it back — the update is effectively rolled back
@@ -708,15 +700,4 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 		c.OnCrash(info, handled)
 	}
 	return mine
-}
-
-func (c *Controller) taskBelongs(rt *dsu.Runtime, info sim.CrashInfo) bool {
-	if rt == nil {
-		return false
-	}
-	// Runtime tasks are named "<cfgname>/<thread>@<version>"; crashed
-	// tasks are matched by name prefix since the task may already be
-	// deregistered by the time the crash is reported.
-	name := rt.Config().Name + "/"
-	return len(info.Task) >= len(name) && info.Task[:len(name)] == name
 }

@@ -10,6 +10,7 @@ import (
 	"mvedsua/internal/dsl"
 	"mvedsua/internal/dsu"
 	"mvedsua/internal/mve"
+	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
 	"mvedsua/internal/vos"
@@ -982,5 +983,85 @@ func TestChaosStallWithDiscardPolicy(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("timeline missing buffer-full rollback: %+v", h.c.Timeline())
+	}
+}
+
+// The outdated follower is a whole process. When one of its threads
+// crashes after promotion, the implicit commit must reap the sibling
+// threads too; a survivor parked off any syscall is never scheduled
+// again and Run ends in a deadlock error.
+func TestOutdatedFollowerCrashReapsSiblingThreads(t *testing.T) {
+	h := newHarness(Config{})
+	var lock sim.WaitQueue
+	// v1 has a latent bug at count 7, which it reaches as the outdated
+	// follower; its worker thread is parked on the lock at that moment.
+	h.c.Start(&srv{version: "v1", crashOn: 7, blockedWorker: &lock})
+	h.s.Go("lock-releaser", func(tk *sim.Task) {
+		// The worker must reach update points for the update and the
+		// promotion barrier to quiesce; after that it stays parked.
+		for h.c.Stage() != StageUpdatedLeader {
+			lock.WakeAll(h.s)
+			tk.Sleep(time.Millisecond)
+		}
+	})
+	h.client(9, map[int]func(*sim.Task){
+		1: func(tk *sim.Task) { h.c.Update(upgrade(nil, nil)) },
+		3: func(tk *sim.Task) { h.c.Promote() },
+	})
+	h.run(t)
+	want := []string{"1", "2", "3", "4", "v2:5", "v2:6", "v2:7", "v2:8", "v2:9"}
+	if strings.Join(h.replies, ",") != strings.Join(want, ",") {
+		t.Fatalf("replies = %v\nwant %v\ntimeline: %+v", h.replies, want, h.c.Timeline())
+	}
+	if h.c.Stage() != StageSingleLeader || h.c.LeaderRuntime().App().Version() != "v2" {
+		t.Fatalf("stage=%v version=%s", h.c.Stage(), h.c.LeaderRuntime().App().Version())
+	}
+	if last := h.c.Timeline()[len(h.c.Timeline())-1]; last.Note != "outdated follower crashed; committed" {
+		t.Fatalf("last timeline note = %q", last.Note)
+	}
+}
+
+// An implicit commit is a commit: when the outdated follower crashes
+// with a train hop queued, the promoted leader must fork a follower for
+// the next hop like any single leader would — not apply it in place,
+// unvalidated — and the controller must accept updates afterwards.
+func TestImplicitCommitForksNextTrainHop(t *testing.T) {
+	rec := obs.New(nil, obs.Options{})
+	h := newHarness(Config{Recorder: rec})
+	h.c.Start(&srv{version: "v1", crashOn: 7})
+	v3 := upgradeFromV2("v3")
+	h.client(12, map[int]func(*sim.Task){
+		1: func(tk *sim.Task) {
+			h.c.QueueUpdate(upgrade(nil, nil))
+			h.c.QueueUpdate(v3)
+		},
+		3: func(tk *sim.Task) { h.c.Promote() },
+		// v1 crashes as outdated follower replaying request 7; v3 is
+		// armed by that implicit commit and forks at the next quiescence.
+		9:  func(tk *sim.Task) { h.c.Promote() },
+		10: func(tk *sim.Task) { h.c.Commit() },
+		11: func(tk *sim.Task) {
+			if !h.c.Update(upgradeFromV2("v4")) {
+				t.Error("Update refused after the train finished: pending never cleared")
+			}
+		},
+	})
+	h.run(t)
+	want := []string{"1", "2", "3", "4", "v2:5", "v2:6", "v2:7", "v2:8", "v2:9", "v2:10", "v3:11", "v3:12"}
+	if strings.Join(h.replies, ",") != strings.Join(want, ",") {
+		t.Fatalf("replies = %v\nwant %v\ntimeline: %+v", h.replies, want, h.c.Timeline())
+	}
+	var notes []string
+	for _, ev := range h.c.Timeline() {
+		notes = append(notes, ev.Note)
+	}
+	all := strings.Join(notes, "\n")
+	for _, note := range []string{"outdated follower crashed; committed", "train: requesting v3 (0 more queued)", "forked follower for v3"} {
+		if !strings.Contains(all, note) {
+			t.Errorf("timeline missing %q:\n%s", note, all)
+		}
+	}
+	if got := rec.Counter(obs.CCoreCommits); got != 2 {
+		t.Errorf("core.commits = %d, want 2 (the implicit commit of v2 and the operator's of v3)", got)
 	}
 }

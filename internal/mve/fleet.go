@@ -2,10 +2,10 @@
 //
 // Instead of the paper's single validating follower, the monitor can
 // supervise a variant set of size K >= 1. The leader records each
-// syscall once into a multi-cursor ring (internal/ringbuf.MultiBuffer);
-// every variant validates through its own cursor, reusing the duo's
-// entire follower machinery — TID demux, rewrite engine, global-order
-// retirement, per-variant watchdog — via the stream interface.
+// syscall once into the ring (internal/ringbuf.MultiBuffer); every
+// variant validates through its own cursor, exactly as the duo follower
+// does, so the entire follower machinery — TID demux, rewrite engine,
+// global-order retirement, per-consumer watchdog — is shared.
 //
 // Failure handling follows the MVEE literature (Volckaert et al., dMVX)
 // rather than the duo's binary keep-or-rollback: when a variant
@@ -81,10 +81,10 @@ func (v Verdict) String() string {
 
 // AttachVariant adds a validating variant to the fleet. The first
 // attach switches the leader from single-leader interception to
-// recording into the multi-cursor ring; each variant gets a private
-// cursor positioned at the stream's current end, a clone of the
-// leader's tracked kernel state (as a forked process would), and its
-// own liveness watchdog. rules may be nil for identity validation
+// recording into the ring; each variant gets a private cursor
+// positioned at the stream's current end, a clone of the leader's
+// tracked kernel state (as a forked process would), and its own
+// liveness watchdog. rules may be nil for identity validation
 // (same-version replicas).
 func (m *Monitor) AttachVariant(name string, rules *dsl.RuleSet) *Proc {
 	if m.leader == nil {
@@ -93,20 +93,12 @@ func (m *Monitor) AttachVariant(name string, rules *dsl.RuleSet) *Proc {
 	if m.follower != nil {
 		panic("mve: duo follower and fleet variants are exclusive")
 	}
-	if m.mbuf == nil {
-		m.mbuf = ringbuf.NewMulti(m.sched, m.buf.Cap())
-		m.mbuf.Rec = m.rec
-	} else if m.mbuf.Closed() && len(m.variants) == 0 {
-		m.mbuf.Reset() // reuse after an abort
+	if m.ring.Closed() && len(m.variants) == 0 {
+		m.ring.Reset() // reuse after an abort
 	}
-	v := newProc(m, name, RoleFollower)
-	v.engine = dsl.NewEngine(rules)
-	v.kstate = m.leader.kstate.Clone()
-	v.cursor = m.mbuf.OpenCursor(name)
-	v.src = v.cursor
-	v.globalNext = m.mbuf.NextSeq()
+	v := m.attach(name, rules)
+	v.variant = true
 	m.variants = append(m.variants, v)
-	m.snk = m.mbuf
 	if m.leader.role == RoleSingleLeader {
 		m.leader.role = RoleLeader
 		m.leader.setRoleSpan("leader")
@@ -152,18 +144,19 @@ func (m *Monitor) VariantByName(name string) *Proc {
 	return nil
 }
 
-// MultiBuffer exposes the fleet's multi-cursor ring (read-only use:
-// occupancy metrics), or nil before the first AttachVariant.
-func (m *Monitor) MultiBuffer() *ringbuf.MultiBuffer { return m.mbuf }
+// MultiBuffer always returns nil: Buffer() is the monitor's one ring,
+// in fleet mode too. The stub remains only for the frozen benchmark
+// adapter, which adds MultiBuffer()'s counters to Buffer()'s — returning
+// the ring from both would double them. Drop it at the next benchmark
+// revision.
+func (m *Monitor) MultiBuffer() *ringbuf.MultiBuffer { return nil }
 
-// laggiest returns the attached variant with the largest cursor lag
-// (ties to the earliest-attached), or nil with no variants.
+// laggiest returns the consumer with the largest cursor lag — the duo
+// follower, or among fleet variants the laggiest (ties to the
+// earliest-attached) — or nil with no consumer attached.
 func (m *Monitor) laggiest() *Proc {
-	var worst *Proc
+	worst := m.follower
 	for _, v := range m.variants {
-		if v.cursor == nil {
-			continue
-		}
 		if worst == nil || v.cursor.Lag() > worst.cursor.Lag() {
 			worst = v
 		}
@@ -222,9 +215,7 @@ func (m *Monitor) EjectVariant(p *Proc, reason string) {
 		m.canary = nil
 	}
 	p.endRoleSpan()
-	if p.cursor != nil {
-		p.cursor.Close()
-	}
+	p.cursor.Close()
 	m.logf("variant %s ejected (%s); %d remain", p.name, reason, len(m.variants))
 	m.rec.Inc(obs.CFleetEjects)
 	m.rec.Emitf(obs.KindRole, p.name, "variant ejected (%s); %d remain", reason, len(m.variants))
@@ -232,18 +223,16 @@ func (m *Monitor) EjectVariant(p *Proc, reason string) {
 }
 
 // AbortFleet tears the whole fleet down after a majority verdict (or an
-// operator abort): every variant is ejected, the multi-cursor ring is
-// closed, and the leader reverts to single-leader interception — it
-// kept serving clients throughout, exactly like a duo rollback. The
-// controller reaps the variants' tasks.
+// operator abort): every variant is ejected, the ring is closed, and the
+// leader reverts to single-leader interception — it kept serving clients
+// throughout, exactly like a duo rollback. The controller reaps the
+// variants' tasks.
 func (m *Monitor) AbortFleet(reason string) {
 	for len(m.variants) > 0 {
 		m.EjectVariant(m.variants[0], "fleet abort")
 	}
 	m.canary = nil
-	if m.mbuf != nil {
-		m.mbuf.Close()
-	}
+	m.ring.Close()
 	if m.leader != nil && m.leader.role == RoleLeader {
 		m.leader.role = RoleSingleLeader
 		m.leader.promoteSeen = false
@@ -276,7 +265,7 @@ func (m *Monitor) PromoteFleet(t *sim.Task) bool {
 		m.leader.role = RoleRetired
 		m.leader.setRoleSpan("retired")
 	}
-	m.mbuf.Put(t, ringbuf.Entry{Kind: ringbuf.KindPromote})
+	m.ring.Put(t, ringbuf.Entry{Kind: ringbuf.KindPromote})
 	m.logf("canary promotion event injected for %s", c.name)
 	m.rec.Emitf(obs.KindRole, c.name, "canary promotion event injected")
 	return true
@@ -301,19 +290,15 @@ func (p *Proc) becomeFleetLeader() {
 	m.follower = nil
 	m.variants = nil
 	m.canary = nil
-	cur := p.cursor
-	p.cursor = nil
-	p.src = nil
+	p.variant = false
 	p.role = RoleSingleLeader
 	p.promoteSeen = false
 	p.crashPromote = false
 	p.failed = false
 	p.setRoleSpan("single-leader")
-	if cur != nil {
-		cur.Close()
-	}
+	p.cursor.Close()
 	// Clean slate for the fleet the controller respawns from this leader.
-	m.mbuf.Reset()
+	m.ring.Reset()
 	m.rec.SetGauge(obs.GFleetVariants, 0)
 	p.wakeAllTIDs()
 	m.promoWait.WakeAll(m.sched)
@@ -331,7 +316,7 @@ func (p *Proc) VariantDivergences() int { return p.divergeCount }
 // VariantLag returns how many recorded entries this variant has not yet
 // consumed (0 for non-fleet procs).
 func (p *Proc) VariantLag() int {
-	if p.cursor == nil {
+	if !p.variant {
 		return 0
 	}
 	return p.cursor.Lag()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
 )
@@ -74,8 +75,8 @@ func TestFleetSteadyStateValidation(t *testing.T) {
 	if m.Stats.Replayed != 3*8 {
 		t.Fatalf("Replayed = %d, want 24", m.Stats.Replayed)
 	}
-	if m.MultiBuffer().Len() != 0 {
-		t.Fatalf("ring not drained: %d pending", m.MultiBuffer().Len())
+	if m.Buffer().Len() != 0 {
+		t.Fatalf("ring not drained: %d pending", m.Buffer().Len())
 	}
 }
 
@@ -563,7 +564,7 @@ func TestFleetEjectFreesBlockedLeader(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if m.MultiBuffer().ProducerBlocked == 0 {
+	if m.Buffer().ProducerBlocked == 0 {
 		t.Fatal("leader never blocked; scenario did not exercise the rescue")
 	}
 	if strings.Join(replies, "") != "wxyz" {
@@ -607,5 +608,64 @@ func TestVerdictStrings(t *testing.T) {
 	if got := v.String(); !strings.Contains(got, "r2") || !strings.Contains(got, "eject") ||
 		!strings.Contains(got, "1/3") {
 		t.Fatalf("Verdict.String = %q", got)
+	}
+}
+
+// TestFleetDiscardPolicyLeavesATrace: under FullDiscard a fleet's leader
+// never blocks behind a stuck variant, and the entry it could not record
+// is not lost silently — it is counted in Dropped, carried by the stall
+// raised for the laggiest variant, and visible as a ring.discard
+// milestone in the timeline.
+func TestFleetDiscardPolicyLeavesATrace(t *testing.T) {
+	s, k, m := world(2, Costs{})
+	rec := obs.New(s.Now, obs.Options{})
+	m.SetRecorder(rec)
+	m.FullPolicy = FullDiscard
+	leader := m.StartSingleLeader("v0")
+	stuck := m.AttachVariant("r1", nil)
+	healthy := m.AttachVariant("r2", nil)
+
+	var stall Stall
+	var tasks []*sim.Task
+	m.OnStall = func(st Stall) {
+		stall = st
+		// The dropped entry is missing from every variant's stream.
+		m.AbortFleet("entry dropped under the discard policy")
+		for _, tk := range tasks {
+			tk.Kill()
+		}
+	}
+	tasks = append(tasks, s.Go("r1", stallingFollower(stuck, 0))) // never consumes
+	tasks = append(tasks, s.Go("r2", followerEcho(healthy, 4)))
+
+	var replies []string
+	s.Go("leader", leaderEcho(k, leader, 4))
+	s.Go("client", client(k, []string{"p", "q", "r", "s"}, &replies))
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if stall.Reason != "buffer-full" || stall.Proc != "r1" || stall.Pending != 2 || stall.Dropped != 1 {
+		t.Fatalf("stall = %+v; want buffer-full for r1 with 2 pending, 1 dropped", stall)
+	}
+	if b := m.Buffer(); b.Dropped != 1 || b.ProducerBlocked != 0 {
+		t.Fatalf("Dropped = %d, ProducerBlocked = %d; want 1, 0", b.Dropped, b.ProducerBlocked)
+	}
+	if got := rec.Counter(obs.CRingDropped); got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.CRingDropped, got)
+	}
+	discards := 0
+	for _, e := range rec.Milestones() {
+		if e.Kind == obs.KindRingDiscard {
+			discards++
+			if !strings.Contains(e.Detail, "dropped (1 total, occ 2/2)") {
+				t.Errorf("ring.discard detail = %q", e.Detail)
+			}
+		}
+	}
+	if discards != 1 {
+		t.Fatalf("timeline has %d ring.discard milestones, want 1:\n%s", discards, rec.FormatTimeline(true))
+	}
+	if strings.Join(replies, "") != "pqrs" {
+		t.Fatalf("replies = %v", replies)
 	}
 }

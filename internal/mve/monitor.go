@@ -63,32 +63,6 @@ func (r Role) String() string {
 	}
 }
 
-// stream is the consumer-side surface a follower validates from: the
-// shared duo ring buffer (the K=1 special case) or a fleet variant's
-// private cursor over the multi-cursor ring. Both implementations have
-// identical method semantics, so the entire follower machinery — TID
-// demux, rewrite lookahead, global-order retirement, watchdog sampling —
-// runs unchanged against either.
-type stream interface {
-	DrainUpTo(t *sim.Task, dst []ringbuf.Entry, max int) []ringbuf.Entry
-	DrainInto(t *sim.Task, dst []ringbuf.Entry) []ringbuf.Entry
-	Closed() bool
-	Empty() bool
-	Len() int
-}
-
-// sink is the producer-side surface the leader records into: the duo
-// buffer or the fleet's multi-cursor ring.
-type sink interface {
-	Put(t *sim.Task, e ringbuf.Entry) bool
-	PutBatch(t *sim.Task, batch []ringbuf.Entry) (int, bool)
-	TryAppend(e ringbuf.Entry) bool
-	WaitDrained(t *sim.Task)
-	Closed() bool
-	Len() int
-	NextSeq() uint64
-}
-
 // Costs models the virtual-time overheads of the monitor's machinery.
 // Zero values make monitoring free, which functional tests use; the
 // benchmark harness installs constants calibrated against the paper's
@@ -204,19 +178,15 @@ type Monitor struct {
 	kernel *vos.Kernel
 	costs  Costs
 
-	buf      *ringbuf.Buffer
+	// ring is the one recorded stream: the leader appends, and every
+	// consumer proc (duo follower, demoted leader, fleet variant, canary)
+	// reads through its own cursor.
+	ring     *ringbuf.MultiBuffer
 	leader   *Proc
 	follower *Proc
 
-	// snk is the leader's record target: the duo buffer until a fleet is
-	// attached, then the multi-cursor ring. Duo behaviour is unchanged —
-	// the interface dispatches to the same *ringbuf.Buffer methods.
-	snk sink
-
-	// Fleet mode (K>=1 variants, see fleet.go): each variant validates
-	// through its own cursor over mbuf; failures are judged by majority
-	// quorum instead of the duo's binary keep-or-rollback.
-	mbuf     *ringbuf.MultiBuffer
+	// Fleet mode (K>=1 variants, see fleet.go): failures are judged by
+	// majority quorum instead of the duo's binary keep-or-rollback.
 	variants []*Proc
 	canary   *Proc
 
@@ -299,28 +269,23 @@ type Monitor struct {
 // New returns a monitor bound to the scheduler and kernel, with the given
 // ring-buffer capacity for leader/follower phases.
 func New(kernel *vos.Kernel, bufCap int, costs Costs) *Monitor {
-	m := &Monitor{
+	return &Monitor{
 		sched:  kernel.Scheduler(),
 		kernel: kernel,
 		costs:  costs,
-		buf:    ringbuf.New(kernel.Scheduler(), bufCap),
+		ring:   ringbuf.NewMulti(kernel.Scheduler(), bufCap),
 	}
-	m.snk = m.buf
-	return m
 }
 
 // Buffer exposes the ring buffer (read-only use: occupancy metrics).
-func (m *Monitor) Buffer() *ringbuf.Buffer { return m.buf }
+func (m *Monitor) Buffer() *ringbuf.MultiBuffer { return m.ring }
 
 // SetRecorder attaches a flight recorder to the monitor and its ring
 // buffer. A nil recorder detaches (the default: zero hot-path cost
 // beyond one pointer check).
 func (m *Monitor) SetRecorder(rec *obs.Recorder) {
 	m.rec = rec
-	m.buf.Rec = rec
-	if m.mbuf != nil {
-		m.mbuf.Rec = rec
-	}
+	m.ring.Rec = rec
 }
 
 // Recorder returns the attached flight recorder, or nil.
@@ -417,14 +382,15 @@ type Proc struct {
 	diverged bool
 	kstate   KernelState
 
-	// src is the stream this proc validates from while following: the
-	// shared duo buffer, or this variant's private fleet cursor. Set
-	// whenever the proc enters RoleFollower.
-	src stream
-
-	// cursor is non-nil for fleet variants: the proc's position in the
-	// multi-cursor ring. Closing it (eject) frees its retention.
+	// cursor is this proc's position in the ring while it follows,
+	// opened whenever the proc enters RoleFollower. Closing it (eject,
+	// promotion) frees its retention.
 	cursor *ringbuf.Cursor
+
+	// variant marks a fleet variant (AttachVariant): its failures go to
+	// the quorum and its promotion commits at once, where the duo
+	// follower's raise OnDivergence and demote the old leader.
+	variant bool
 
 	// failed marks a fleet variant that diverged, crashed or stalled;
 	// quorum verdicts count failed vs attached variants.
@@ -606,19 +572,35 @@ func (m *Monitor) AttachFollower(name string, rules *dsl.RuleSet) *Proc {
 	if len(m.variants) > 0 {
 		panic("mve: duo follower and fleet variants are exclusive")
 	}
-	m.buf.Reset()
-	f := newProc(m, name, RoleFollower)
-	f.engine = dsl.NewEngine(rules)
-	f.kstate = m.leader.kstate.Clone()
-	f.src = m.buf
+	m.ring.Reset()
+	f := m.attach(name, rules)
 	m.follower = f
 	m.leader.role = RoleLeader
-	m.logf("%s attached as follower of %s (buffer %d entries)", name, m.leader.name, m.buf.Cap())
-	m.rec.Emitf(obs.KindRole, name, "attached as follower of %s (buffer %d entries)", m.leader.name, m.buf.Cap())
+	m.logf("%s attached as follower of %s (buffer %d entries)", name, m.leader.name, m.ring.Cap())
+	m.rec.Emitf(obs.KindRole, name, "attached as follower of %s (buffer %d entries)", m.leader.name, m.ring.Cap())
 	m.leader.setRoleSpan("leader")
 	f.setRoleSpan("follower")
 	m.startWatchdog(f)
 	return f
+}
+
+// attach builds a consumer proc for AttachFollower and AttachVariant: a
+// cursor at the stream's current end, validation starting at the next
+// recorded event, and a clone of the leader's tracked kernel state, as a
+// forked process would have.
+func (m *Monitor) attach(name string, rules *dsl.RuleSet) *Proc {
+	p := newProc(m, name, RoleFollower)
+	p.engine = dsl.NewEngine(rules)
+	p.kstate = m.leader.kstate.Clone()
+	p.follow()
+	return p
+}
+
+// follow opens p's cursor at the stream's current end; p validates from
+// the next recorded event on.
+func (p *Proc) follow() {
+	p.cursor = p.m.ring.OpenCursor(p.name)
+	p.globalNext = p.m.ring.NextSeq()
 }
 
 // startWatchdog arms a liveness watchdog over consumer f: if f consumes
@@ -647,20 +629,20 @@ func (m *Monitor) startWatchdog(f *Proc) {
 		lastAt := t.Now()
 		for {
 			t.Sleep(poll)
-			if !m.watching(f) || f.src == nil || f.src.Closed() {
+			if f.role != RoleFollower || f.cursor.Closed() {
 				return
 			}
 			if f.progress != last {
 				last, lastAt = f.progress, t.Now()
 				continue
 			}
-			if f.src.Empty() && f.queuesEmpty() {
+			if f.cursor.Empty() && f.queuesEmpty() {
 				// Nothing to consume: an idle follower is not stalled.
 				lastAt = t.Now()
 				continue
 			}
-			if stalled := t.Now() - lastAt; m.judgeStall(f.name, stalled, f.src.Len(), deadline) {
-				m.raiseStall(Stall{Proc: f.name, Reason: "no-progress", Stalled: stalled, Pending: f.src.Len()})
+			if stalled := t.Now() - lastAt; m.judgeStall(f.name, stalled, f.cursor.Len(), deadline) {
+				m.raiseStall(Stall{Proc: f.name, Reason: "no-progress", Stalled: stalled, Pending: f.cursor.Len()})
 				return
 			}
 		}
@@ -675,23 +657,6 @@ func (m *Monitor) judgeStall(proc string, stalledFor time.Duration, pending int,
 		return m.StallJudge(proc, stalledFor, pending)
 	}
 	return stalledFor >= deadline
-}
-
-// watching reports whether f is still a validating consumer this monitor
-// supervises: the duo follower, or an attached fleet variant.
-func (m *Monitor) watching(f *Proc) bool {
-	if f.role != RoleFollower {
-		return false
-	}
-	if m.follower == f {
-		return true
-	}
-	for _, v := range m.variants {
-		if v == f {
-			return true
-		}
-	}
-	return false
 }
 
 // raiseStall records and dispatches a follower stall.
@@ -742,16 +707,19 @@ func (m *Monitor) PromoteNow(t *sim.Task) {
 		return
 	}
 	m.promoteRequested = false
-	if m.leader != nil {
-		m.leader.role = RoleFollower
-		m.leader.src = m.buf
-		// The demoted process starts validating at the new leader's
-		// first recorded event.
-		m.leader.globalNext = m.buf.NextSeq()
-		m.leader.setRoleSpan("follower")
-	}
-	m.buf.Put(t, ringbuf.Entry{Kind: ringbuf.KindPromote})
+	m.leader.setRoleSpan("follower")
+	m.leader.demote(t)
 	m.logf("promotion event injected")
+}
+
+// demote turns the leader into a follower (§3.2 t4): it appends the
+// promotion event and then opens its cursor, so the demoted process
+// starts validating at the new leader's first recorded event and can
+// never read the pre-promotion tail meant for the process taking over.
+func (p *Proc) demote(t *sim.Task) {
+	p.role = RoleFollower
+	p.m.ring.Put(t, ringbuf.Entry{Kind: ringbuf.KindPromote})
+	p.follow()
 }
 
 // DropFollower terminates leader/follower mode, discarding the follower.
@@ -763,11 +731,11 @@ func (m *Monitor) DropFollower() {
 		return
 	}
 	m.logf("follower %s dropped", m.follower.name)
-	m.rec.Emitf(obs.KindRole, m.follower.name, "follower dropped (%d events dropped by discard policy)", m.buf.Dropped)
+	m.rec.Emitf(obs.KindRole, m.follower.name, "follower dropped (%d events dropped by discard policy)", m.ring.Dropped)
 	m.follower.endRoleSpan()
 	m.follower = nil
 	m.promoteRequested = false
-	m.buf.Close()
+	m.ring.Close()
 	if m.leader != nil {
 		m.leader.role = RoleSingleLeader
 		m.leader.promoteSeen = false
@@ -801,10 +769,7 @@ func (p *Proc) Invoke(t *sim.Task, call sysabi.Call) sysabi.Result {
 				// Demote: register the promotion event and become a
 				// follower before processing this call (§3.2 t4).
 				p.m.promoteRequested = false
-				p.role = RoleFollower
-				p.src = p.m.buf
-				p.globalNext = p.m.buf.NextSeq()
-				p.m.buf.Put(t, ringbuf.Entry{Kind: ringbuf.KindPromote})
+				p.demote(t)
 				p.m.logf("%s demoted itself; awaiting new leader", p.name)
 				p.m.rec.Emit(obs.KindRole, p.name, "demoted itself; awaiting new leader")
 				p.setRoleSpan("follower")
@@ -946,18 +911,16 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 		p.trackRequest(t, call, res, &ev)
 	}
 	if p.m.FullPolicy == FullDiscard {
-		if !p.m.snk.TryAppend(ringbuf.Entry{Kind: ringbuf.KindSyscall, Event: ev}) {
+		ring := p.m.ring
+		if !ring.TryAppend(ringbuf.Entry{Kind: ringbuf.KindSyscall, Event: ev}) {
 			// A consumer lags too far behind: degrade the update, not
 			// the service. The stall handler (controller) drops the duo
 			// follower — or, in fleet mode, ejects the laggiest variant,
 			// whose pinned retention is what filled the ring. The leader
 			// proceeds with its result regardless.
-			if lag := p.m.laggiest(); len(p.m.variants) > 0 && lag != nil && !p.m.mbuf.Closed() {
+			if lag := p.m.laggiest(); lag != nil && !ring.Closed() {
 				p.m.raiseStall(Stall{Proc: lag.name, Reason: "buffer-full",
-					Pending: p.m.mbuf.Len(), Dropped: p.m.mbuf.Dropped})
-			} else if p.m.follower != nil && !p.m.buf.Closed() {
-				p.m.raiseStall(Stall{Proc: p.m.follower.name, Reason: "buffer-full",
-					Pending: p.m.buf.Len(), Dropped: p.m.buf.Dropped})
+					Pending: ring.Len(), Dropped: ring.Dropped})
 			}
 			return res
 		}
@@ -974,7 +937,7 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 	// blocked behind a hung follower — in which case the tail is dropped
 	// along with the follower.
 	p.recq = append(p.recq[:0], ringbuf.Entry{Kind: ringbuf.KindSyscall, Event: ev})
-	n, _ := p.m.snk.PutBatch(t, p.recq)
+	n, _ := p.m.ring.PutBatch(t, p.recq)
 	if n == 0 {
 		return res
 	}
@@ -990,7 +953,7 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 		// that empties the buffer, or teardown closing it), but without
 		// burning a dispatch per poll while the follower catches up.
 		if p.m.follower != nil || len(p.m.variants) > 0 {
-			p.m.snk.WaitDrained(t)
+			p.m.ring.WaitDrained(t)
 		}
 	}
 	return res
@@ -1092,7 +1055,7 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 		p.m.rec.Inc(obs.CMVEDivergences)
 		p.m.rec.Emit(obs.KindDivergence, p.name, d.String())
 		p.scoped().Inc(obs.CMVEDivergences)
-		if p.cursor != nil {
+		if p.variant {
 			// Fleet variant: count it, and let a canary inside its budget
 			// absorb the mismatch — it adopts the leader's recorded result
 			// below and keeps validating, so the gate can measure a
@@ -1201,7 +1164,7 @@ func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
 			}
 		}
 		p.pulling = true
-		p.drain = p.src.DrainUpTo(t, p.drain[:0], want)
+		p.drain = p.cursor.DrainUpTo(t, p.drain[:0], want)
 		p.pulling = false
 		p.progress += int64(len(p.drain))
 		if len(p.drain) == 0 {
@@ -1238,12 +1201,12 @@ func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
 }
 
 // discardTail drops everything still queued for validation and then
-// consumes (and discards) buffer entries up to the promotion event.
-// Only meaningful during a crash promotion: the entries past the crash
-// point are garbage, but they must be drained — an entry left behind
-// would be misread by the demoted process once roles swap. Respects the
-// one-puller discipline, so it composes with sibling follower threads
-// blocked in fillExpected.
+// consumes (and discards) ring entries up to the promotion event. Only
+// meaningful during a crash promotion: the entries past the crash point
+// are garbage, but this proc must still reach the promotion event to
+// take over. (The demoted process cannot misread them: its cursor opens
+// past the promotion event.) Respects the one-puller discipline, so it
+// composes with sibling follower threads blocked in fillExpected.
 func (p *Proc) discardTail(t *sim.Task, tid int) {
 	for !p.promoteSeen {
 		if p.role != RoleFollower {
@@ -1259,7 +1222,7 @@ func (p *Proc) discardTail(t *sim.Task, tid int) {
 		// one-at-a-time loop would (consecutive non-blocking pulls never
 		// yield between entries).
 		p.pulling = true
-		p.drain = p.src.DrainInto(t, p.drain[:0])
+		p.drain = p.cursor.DrainInto(t, p.drain[:0])
 		p.pulling = false
 		if len(p.drain) == 0 {
 			// Buffer closed underneath us: rollback/teardown won the race.
@@ -1281,7 +1244,7 @@ func (p *Proc) discardTail(t *sim.Task, tid int) {
 }
 
 func (p *Proc) becomeLeader() {
-	if p.cursor != nil {
+	if p.variant {
 		p.becomeFleetLeader()
 		return
 	}
@@ -1294,6 +1257,9 @@ func (p *Proc) becomeLeader() {
 	m.leader = p
 	m.follower = old
 	p.role = RoleLeader
+	// Fully drained; from here the demoted process's cursor alone
+	// decides retention.
+	p.cursor.Close()
 	p.promoteSeen = false
 	p.crashPromote = false
 	p.wakeAllTIDs()

@@ -1,11 +1,14 @@
 package mve
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"mvedsua/internal/dsl"
+	"mvedsua/internal/obs"
+	"mvedsua/internal/ringbuf"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
 	"mvedsua/internal/vos"
@@ -623,4 +626,130 @@ func TestEventLogRecordsLifecycle(t *testing.T) {
 			t.Errorf("event log missing %q:\n%s", want, log)
 		}
 	}
+}
+
+// TestDemotedLeaderCursorOpensPastPromotion: at t4 the demoted leader's
+// cursor opens behind the promotion entry, so the tail the process
+// taking over still has to drain — a lagging follower's backlog, or the
+// garbage a crashed leader left behind — is invisible to it: every entry
+// it can take was recorded by the new leader.
+func TestDemotedLeaderCursorOpensPastPromotion(t *testing.T) {
+	t.Run("self-demotion", func(t *testing.T) {
+		s, k, m := world(64, Costs{})
+		rec := obs.New(s.Now, obs.Options{})
+		m.SetRecorder(rec)
+		leader := m.StartSingleLeader("v0")
+		follower := m.AttachFollower("v1", nil)
+		var replies []string
+		var gate sim.WaitQueue
+		atGate := false
+		s.Go("old", leaderEcho(k, leader, 4))
+		s.Go("new", variantEcho(follower, 4, 2*time.Millisecond)) // lags the leader
+		s.Go("client", gatedClient(k, []string{"1", "2"}, []string{"3", "4"}, &replies, &gate, &atGate))
+		s.Go("orchestrator", func(tk *sim.Task) {
+			for !atGate {
+				tk.Sleep(time.Millisecond)
+			}
+			m.RequestPromote()
+			gate.WakeAll(s)
+			for len(replies) < 4 {
+				tk.Sleep(time.Millisecond)
+			}
+			m.DropFollower()
+		})
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if strings.Join(replies, "") != "1234" || m.Leader() != follower || len(m.Divergences()) != 0 {
+			t.Fatalf("replies = %v, leader = %s, divergences = %v", replies, m.Leader().Name(), m.Divergences())
+		}
+		// Replay the ring's own trace: promoSeq counts the syscall entries
+		// appended before the promotion entry; the demoted process ("old")
+		// may only ever take entries numbered from there on.
+		promoSeq, promoted, taken := uint64(0), false, 0
+		for _, e := range rec.Trace() {
+			switch {
+			case e.Kind == obs.KindRingPut && e.Actor == "promote":
+				promoted = true
+				var backlog int
+				fmt.Sscanf(e.Detail, "promote (occ %d/", &backlog)
+				if backlog < 2 {
+					t.Fatalf("no backlog behind the promotion entry (%q): scenario does not exercise the window", e.Detail)
+				}
+			case e.Kind == obs.KindRingPut && !promoted:
+				promoSeq++
+			case e.Kind == obs.KindRingGet && e.Actor == "old":
+				taken++
+				var seq uint64
+				if n, _ := fmt.Sscanf(e.Detail, "#%d ", &seq); n != 1 || seq < promoSeq {
+					t.Errorf("demoted leader took %q; want only syscall entries from #%d on", e.Detail, promoSeq)
+				}
+			}
+		}
+		if !promoted || taken == 0 {
+			t.Fatalf("promoted = %v, demoted leader took %d entries; scenario incomplete", promoted, taken)
+		}
+	})
+
+	t.Run("leader-crash", func(t *testing.T) {
+		s, k, m := world(64, Costs{})
+		m.EnableEventLog(0)
+		leader := m.StartSingleLeader("v0")
+		follower := m.AttachFollower("v1", nil)
+		var replies []string
+		crashed := false
+		s.OnCrash = func(sim.CrashInfo) {
+			crashed = true
+			m.MarkLeaderCrashed()
+		}
+		// The old version serves two echoes, reads the third request,
+		// then wanders off into a syscall the new version never makes
+		// and dies: the recorded stream ends in garbage.
+		s.Go("old", func(tk *sim.Task) {
+			lfd := int(leader.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{7, 0}}).Ret)
+			fd := int(leader.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
+			for i := 0; ; i++ {
+				r := leader.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{128, 0}})
+				if i == 2 {
+					leader.Invoke(tk, sysabi.Call{Op: sysabi.OpGetPID})
+					panic("old-version bug")
+				}
+				leader.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: r.Data})
+			}
+		})
+		s.Go("new", variantEcho(follower, 4, 2*time.Millisecond))
+		s.Go("client", client(k, []string{"1", "2", "3", "4"}, &replies))
+		s.Go("orchestrator", func(tk *sim.Task) {
+			for !crashed {
+				tk.Sleep(time.Millisecond)
+			}
+			m.PromoteNow(tk)
+			if m.Buffer().Len() < 2 {
+				t.Errorf("ring holds %d entries at t4; scenario needs a tail behind the promotion entry", m.Buffer().Len())
+			}
+			if lag := leader.cursor.Lag(); lag != 0 {
+				t.Errorf("demoted leader's cursor opened %d entries behind the stream's end", lag)
+			}
+			promoSeq := m.Buffer().NextSeq()
+			for len(replies) < 4 {
+				tk.Sleep(time.Millisecond)
+			}
+			// The dead process never reads, so its cursor still holds
+			// everything it could ever have seen: the new leader's stream,
+			// from its first recorded event.
+			if e, ok := leader.cursor.Peek(); !ok || e.Kind != ringbuf.KindSyscall || e.Event.Seq != promoSeq {
+				t.Errorf("demoted leader's next entry = %+v (ok=%v); want the new leader's first event #%d", e, ok, promoSeq)
+			}
+			m.DropFollower()
+		})
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if strings.Join(replies, "") != "1234" || m.Leader() != follower || len(m.Divergences()) != 0 {
+			t.Fatalf("replies = %v, leader = %s, divergences = %v", replies, m.Leader().Name(), m.Divergences())
+		}
+		if log := strings.Join(m.EventLog(), "\n"); !strings.Contains(log, "crashed leader's stream truncated") {
+			t.Fatalf("the garbage tail was never discarded; scenario incomplete:\n%s", log)
+		}
+	})
 }

@@ -1,20 +1,3 @@
-// Multi-cursor ring: one producer, K independent consumers over a single
-// recorded stream. This is the storage layer of N-variant execution
-// (internal/mve's fleet mode): the leader appends each syscall event
-// once, and every variant replica validates through its own Cursor, so
-// adding a variant costs no extra copies of the stream.
-//
-// Retention follows the slowest cursor: an entry is reclaimed only once
-// every open cursor has consumed it, so a lagging variant sees the full
-// stream while fast siblings run ahead. Closing a cursor (variant eject)
-// releases its retention immediately — the leader parked behind a dead
-// variant's backlog resumes as soon as the eject lands, which is what
-// makes eject-and-respawn invisible to client traffic.
-//
-// The consumer-side API deliberately mirrors Buffer's batch calls
-// (DrainUpTo/DrainInto plus the Closed/Empty/Len observables), so the
-// mve follower machinery can run unchanged against either a Buffer (the
-// paper's duo, the K=1 special case) or a Cursor (fleet mode).
 package ringbuf
 
 import (
@@ -24,8 +7,13 @@ import (
 	"mvedsua/internal/sim"
 )
 
-// MultiBuffer is a single-producer ring readable through any number of
-// independent Cursors.
+// minStorage is the initial backing-array size (entries). Small so tiny
+// test buffers stay tiny; doubling reaches any capacity quickly.
+const minStorage = 8
+
+// MultiBuffer is the ring: a single-producer stream readable through any
+// number of independent Cursors, with cooperative blocking semantics on
+// the sim scheduler.
 type MultiBuffer struct {
 	sched    *sim.Scheduler
 	capacity int
@@ -37,18 +25,24 @@ type MultiBuffer struct {
 	cursors []*Cursor // open cursors, attach order
 
 	notFull sim.WaitQueue // producer parked on a full buffer
-	drained sim.WaitQueue // WaitAllDrained callers parked until all cursors drain
+	drained sim.WaitQueue // WaitDrained callers parked until all cursors drain
 
 	closed bool
 
-	// HighWater tracks the maximum retained occupancy ever reached.
+	// HighWater tracks the maximum retained occupancy ever reached, for
+	// reporting.
 	HighWater int
-	// ProducerBlocked counts producer waits on a full buffer.
+	// ProducerBlocked counts how many times the producer had to wait on a
+	// full buffer (the visible service pause of Figure 7).
 	ProducerBlocked int
-	// Dropped counts entries TryAppend refused on a full buffer.
+	// Dropped counts entries TryAppend refused on a full buffer — the
+	// discard-policy path. A discarded consumer shows Dropped > 0 while a
+	// merely stalled one shows ProducerBlocked > 0; the two failure
+	// shapes are distinguishable in the trace and in reports.
 	Dropped int
 
-	// Rec, if non-nil, receives ring metrics and trace events.
+	// Rec, if non-nil, receives ring-buffer metrics and trace events
+	// (the flight recorder). Nil costs one pointer check per operation.
 	Rec *obs.Recorder
 }
 
@@ -62,9 +56,9 @@ type Cursor struct {
 	closed   bool
 }
 
-// NewMulti returns a multi-cursor buffer with the given capacity
-// (minimum 1). Capacity bounds retention: the producer blocks (or
-// TryAppend fails) once the slowest open cursor lags that far behind.
+// NewMulti returns a ring with the given capacity (minimum 1). Capacity
+// bounds retention: the producer blocks (or TryAppend fails) once the
+// slowest open cursor lags that far behind.
 func NewMulti(sched *sim.Scheduler, capacity int) *MultiBuffer {
 	if capacity < 1 {
 		capacity = 1
@@ -78,6 +72,9 @@ func (mb *MultiBuffer) Cap() int { return mb.capacity }
 // Len returns the retained occupancy (entries not yet consumed by the
 // slowest open cursor; zero when no cursors are open).
 func (mb *MultiBuffer) Len() int { return int(mb.next - mb.base) }
+
+// Empty reports whether every open cursor has consumed every entry.
+func (mb *MultiBuffer) Empty() bool { return mb.next == mb.base }
 
 // Full reports whether retention has no free slot.
 func (mb *MultiBuffer) Full() bool { return mb.Len() >= mb.capacity }
@@ -95,10 +92,15 @@ func (mb *MultiBuffer) Cursors() int { return len(mb.cursors) }
 // entry: the new consumer sees only events recorded from now on, the
 // fork point of a freshly attached variant.
 func (mb *MultiBuffer) OpenCursor(name string) *Cursor {
-	c := &Cursor{mb: mb, name: name, pos: mb.next}
-	mb.cursors = append(mb.cursors, c)
-	mb.Rec.Emitf(obs.KindRingPut, name, "cursor opened at #%d (%d open)", c.pos, len(mb.cursors))
+	c := &Cursor{mb: mb, name: name}
+	mb.attach(c)
 	return c
+}
+
+// attach (re)opens c at the stream's current end.
+func (mb *MultiBuffer) attach(c *Cursor) {
+	c.pos, c.closed = mb.next, false
+	mb.cursors = append(mb.cursors, c)
 }
 
 // slot returns the storage slot for absolute index i.
@@ -152,6 +154,7 @@ func (mb *MultiBuffer) reclaim() {
 		mb.Rec.SetGauge(obs.GRingOccupancy, int64(mb.Len()))
 	}
 	if wasFull && !mb.Full() {
+		// full→not-full: the only edge a producer can be parked behind.
 		mb.notFull.WakeAll(mb.sched)
 	}
 	if mb.Len() == 0 {
@@ -159,7 +162,8 @@ func (mb *MultiBuffer) reclaim() {
 	}
 }
 
-// append stores one entry (capacity already checked).
+// append stores one entry (capacity already checked) and updates the
+// occupancy accounting shared by Put, PutBatch and TryAppend.
 func (mb *MultiBuffer) append(e Entry) {
 	if e.Kind == KindSyscall {
 		e.Event.Seq = mb.seq
@@ -176,16 +180,19 @@ func (mb *MultiBuffer) append(e Entry) {
 		// buffer cannot wedge its producer (and never counts as occupancy).
 		mb.reclaim()
 	}
-	if occ := mb.Len(); occ > mb.HighWater {
+	occ := mb.Len()
+	if occ > mb.HighWater {
 		mb.HighWater = occ
 	}
 	if mb.Rec.Enabled() {
 		mb.Rec.Inc(obs.CRingPut)
-		mb.Rec.SetGauge(obs.GRingOccupancy, int64(mb.Len()))
+		mb.Rec.SetGauge(obs.GRingOccupancy, int64(occ))
 		mb.Rec.MaxGauge(obs.GRingHighWater, int64(mb.HighWater))
+		mb.Rec.Emitf(obs.KindRingPut, e.Kind.String(), "%s (occ %d/%d)", entryDetail(e), occ, mb.capacity)
 	}
-	// empty→non-empty per cursor: wake consumers that were waiting for
-	// exactly this entry.
+	// empty→non-empty per cursor: the only edge a consumer can be parked
+	// behind, so only cursors that were waiting for exactly this entry
+	// are woken.
 	for _, c := range mb.cursors {
 		if c.pos+1 == mb.next {
 			c.notEmpty.WakeAll(mb.sched)
@@ -194,7 +201,8 @@ func (mb *MultiBuffer) append(e Entry) {
 }
 
 // blockUntilNotFull parks the producer until retention frees a slot, a
-// cursor closes, or the buffer closes. Reports false if closed.
+// cursor closes, or the buffer closes, charging the per-episode
+// accounting Put and PutBatch share. It reports false if closed.
 func (mb *MultiBuffer) blockUntilNotFull(t *sim.Task) bool {
 	for mb.Full() {
 		if mb.closed {
@@ -203,8 +211,7 @@ func (mb *MultiBuffer) blockUntilNotFull(t *sim.Task) bool {
 		mb.ProducerBlocked++
 		mb.Rec.Inc(obs.CRingBlocked)
 		if mb.Rec.Enabled() {
-			mb.Rec.Emitf(obs.KindRingBlock, t.Name(), "multibuf full (%d/%d, %d cursors)",
-				mb.Len(), mb.capacity, len(mb.cursors))
+			mb.Rec.Emitf(obs.KindRingBlock, t.Name(), "buffer full (%d/%d)", mb.Len(), mb.capacity)
 			blockedAt := t.Now()
 			t.Block(&mb.notFull)
 			mb.Rec.Observe(obs.HRingBlockWait, t.Now()-blockedAt)
@@ -218,8 +225,8 @@ func (mb *MultiBuffer) blockUntilNotFull(t *sim.Task) bool {
 	return !mb.closed
 }
 
-// Put appends one entry, blocking the producer while retention is full.
-// Reports false if the buffer was closed.
+// Put appends one entry, blocking the producer task while retention is
+// full. It reports false if the buffer was closed.
 func (mb *MultiBuffer) Put(t *sim.Task, e Entry) bool {
 	if !mb.blockUntilNotFull(t) {
 		return false
@@ -229,8 +236,11 @@ func (mb *MultiBuffer) Put(t *sim.Task, e Entry) bool {
 }
 
 // PutBatch appends every entry in order, blocking whenever retention is
-// full, and returns how many entries were appended (the tail is dropped
-// and ok is false only if the buffer closes mid-batch).
+// full, and returns how many entries were appended. Appended ==
+// len(batch) unless the buffer closes mid-batch, in which case the tail
+// is dropped and ok is false. Occupancy accounting and sequence
+// numbering are per-entry, exactly as if each entry had been Put
+// individually.
 func (mb *MultiBuffer) PutBatch(t *sim.Task, batch []Entry) (appended int, ok bool) {
 	for _, e := range batch {
 		if !mb.blockUntilNotFull(t) {
@@ -242,14 +252,20 @@ func (mb *MultiBuffer) PutBatch(t *sim.Task, batch []Entry) (appended int, ok bo
 	return appended, true
 }
 
-// TryAppend appends without blocking: it reports false if retention is
-// full or the buffer closed (the discard-policy path — the monitor reads
-// a failed append as "the slowest variant lags too far").
+// TryAppend appends an entry without ever blocking: it reports false if
+// retention is full or the buffer closed, leaving the entry unrecorded.
+// This is the producer side of the discard policy — instead of parking
+// the leader behind a lagging consumer, the monitor observes the failed
+// append and drops the laggard (the dMVX-style degradation path).
 func (mb *MultiBuffer) TryAppend(e Entry) bool {
 	if mb.closed || mb.Full() {
 		if !mb.closed {
 			mb.Dropped++
 			mb.Rec.Inc(obs.CRingDropped)
+			if mb.Rec.Enabled() {
+				mb.Rec.Emitf(obs.KindRingDiscard, e.Kind.String(), "%s dropped (%d total, occ %d/%d)",
+					entryDetail(e), mb.Dropped, mb.Len(), mb.capacity)
+			}
 		}
 		return false
 	}
@@ -258,8 +274,9 @@ func (mb *MultiBuffer) TryAppend(e Entry) bool {
 }
 
 // WaitDrained blocks until every open cursor has consumed every
-// appended entry (or the buffer closed), mirroring Buffer.WaitDrained
-// for the lockstep leader.
+// appended entry, or the buffer closed. The lockstep leader uses this to
+// wait for its consumers after each recorded event without burning a
+// scheduler dispatch per poll.
 func (mb *MultiBuffer) WaitDrained(t *sim.Task) {
 	if mb.Rec.ProfilingEnabled() && mb.Len() > 0 && !mb.closed {
 		blockedAt := t.Now()
@@ -274,24 +291,32 @@ func (mb *MultiBuffer) WaitDrained(t *sim.Task) {
 	}
 }
 
-// Close marks the buffer closed and wakes everything: the producer, all
-// cursor consumers, and drain waiters. Cursors can still drain what is
-// retained.
+// Close marks the buffer closed and wakes all waiters: cursor consumers,
+// the producer, and drain waiters. Cursors can still drain what is
+// retained; Put fails afterwards.
 func (mb *MultiBuffer) Close() {
 	if mb.closed {
 		return
 	}
 	mb.closed = true
-	mb.notFull.WakeAll(mb.sched)
-	mb.drained.WakeAll(mb.sched)
 	for _, c := range mb.cursors {
 		c.notEmpty.WakeAll(mb.sched)
 	}
+	mb.notFull.WakeAll(mb.sched)
+	mb.drained.WakeAll(mb.sched)
 }
 
 // Reset discards all retained entries, detaches every cursor, reopens
-// the buffer, and restarts sequence numbering. Used when a fleet is torn
-// down and rebuilt (e.g. after a promotion installs a new leader).
+// the buffer, and restarts sequence numbering at zero: the next attached
+// consumer validates a fresh stream. Used when an update rolls back and
+// later retries, and when a fleet is torn down and rebuilt.
+//
+// All wait queues are woken: a producer parked on a full buffer at the
+// moment of a reset must re-check its condition (the buffer is now
+// empty, so it proceeds), and a consumer parked on an empty cursor must
+// observe the detach rather than sleep through the reopen. Without the
+// wakeups such a task stays wedged forever — no future append can reach
+// a queue nobody ever wakes.
 func (mb *MultiBuffer) Reset() {
 	for i := mb.base; i < mb.next; i++ {
 		*mb.slot(i) = Entry{}
@@ -302,15 +327,15 @@ func (mb *MultiBuffer) Reset() {
 	mb.HighWater = 0
 	mb.ProducerBlocked = 0
 	mb.Dropped = 0
+	mb.Rec.Inc(obs.CRingResets)
+	mb.Rec.SetGauge(obs.GRingOccupancy, 0)
+	mb.Rec.Emit(obs.KindRingReset, "ringbuf", "reset: entries discarded, seq restarted at 0")
+	mb.notFull.WakeAll(mb.sched)
 	for _, c := range mb.cursors {
 		c.closed = true
 		c.notEmpty.WakeAll(mb.sched)
 	}
 	mb.cursors = nil
-	mb.Rec.Inc(obs.CRingResets)
-	mb.Rec.SetGauge(obs.GRingOccupancy, 0)
-	mb.Rec.Emit(obs.KindRingReset, "multibuf", "reset: entries discarded, cursors detached, seq restarted")
-	mb.notFull.WakeAll(mb.sched)
 	mb.drained.WakeAll(mb.sched)
 }
 
@@ -333,8 +358,7 @@ func (c *Cursor) Len() int { return c.Lag() }
 func (c *Cursor) Empty() bool { return c.pos == c.mb.next }
 
 // Closed reports whether the cursor was released (or its buffer closed):
-// the consumer-side teardown signal, mirroring Buffer.Closed for the
-// shared follower machinery.
+// the consumer-side teardown signal.
 func (c *Cursor) Closed() bool { return c.closed || c.mb.closed }
 
 // Close releases the cursor: its retention is reclaimed immediately, a
@@ -345,7 +369,6 @@ func (c *Cursor) Close() {
 	if c.closed {
 		return
 	}
-	lag := c.Lag()
 	c.closed = true
 	mb := c.mb
 	for i, oc := range mb.cursors {
@@ -354,7 +377,6 @@ func (c *Cursor) Close() {
 			break
 		}
 	}
-	mb.Rec.Emitf(obs.KindRingGet, c.name, "cursor closed at #%d lag %d (%d open)", c.pos, lag, len(mb.cursors))
 	c.notEmpty.WakeAll(mb.sched)
 	mb.reclaim()
 	if len(mb.cursors) == 0 && mb.Len() == 0 {
@@ -363,22 +385,28 @@ func (c *Cursor) Close() {
 }
 
 // take consumes the entry at the cursor position (bounds already
-// checked), charging the shared per-entry accounting.
+// checked), charging the per-entry accounting Get and the drain calls
+// share.
 func (c *Cursor) take(t *sim.Task) Entry {
-	e := *c.mb.slot(c.pos)
+	mb := c.mb
+	e := *mb.slot(c.pos)
+	// Only a cursor sitting on the oldest retained entry can free it.
+	oldest := c.pos == mb.base
 	c.pos++
-	if c.mb.Rec.Enabled() {
-		c.mb.Rec.Inc(obs.CRingGet)
-		c.mb.Rec.Emitf(obs.KindRingGet, c.name, "%s (lag %d)", entryDetail(e), c.Lag())
+	if oldest {
+		mb.reclaim()
+	}
+	if mb.Rec.Enabled() {
+		mb.Rec.Inc(obs.CRingGet)
+		mb.Rec.Emitf(obs.KindRingGet, t.Name(), "%s (occ %d/%d)", entryDetail(e), mb.Len(), mb.capacity)
 	}
 	return e
 }
 
-// Get removes and returns the cursor's oldest pending entry, blocking
-// while its view is empty. Reports false once the cursor (or buffer) is
-// closed and drained.
-// blockEmpty parks a consumer on the cursor's empty view, charging the
-// blocked interval to the ring_wait dimension when profiling is on.
+// blockEmpty parks a consumer on the cursor's empty view, attributing
+// the blocked interval to the ring_wait profiling dimension when
+// profiling is on (one episode per park, charged under the task's
+// current label stack).
 func (c *Cursor) blockEmpty(t *sim.Task) {
 	if c.mb.Rec.ProfilingEnabled() {
 		blockedAt := t.Now()
@@ -389,6 +417,9 @@ func (c *Cursor) blockEmpty(t *sim.Task) {
 	}
 }
 
+// Get removes and returns the cursor's oldest pending entry, blocking
+// the consumer task while its view is empty. It reports false once the
+// cursor (or buffer) is closed and drained.
 func (c *Cursor) Get(t *sim.Task) (Entry, bool) {
 	for c.Empty() {
 		if c.Closed() {
@@ -399,16 +430,25 @@ func (c *Cursor) Get(t *sim.Task) (Entry, bool) {
 	if c.closed {
 		return Entry{}, false
 	}
-	e := c.take(t)
-	c.mb.reclaim()
-	return e, true
+	return c.take(t), true
+}
+
+// Peek returns the cursor's oldest pending entry without consuming it,
+// if one is available.
+func (c *Cursor) Peek() (Entry, bool) {
+	if c.closed || c.Empty() {
+		return Entry{}, false
+	}
+	return *c.mb.slot(c.pos), true
 }
 
 // DrainUpTo removes up to max pending entries (all of them when max <= 0)
-// in one call, appending to dst. It blocks while the cursor's view is
-// empty; a return with nothing appended means the cursor or buffer
-// closed. The whole batch transfers in one scheduler round-trip, with
-// per-entry accounting, mirroring Buffer.DrainUpTo.
+// in one call, appending them to dst and returning the extended slice.
+// It blocks while the cursor's view is empty; a return with no entries
+// appended means the cursor or buffer closed. Unlike repeated Get calls,
+// the whole batch transfers in a single scheduler round-trip, but
+// occupancy accounting stays per-entry (the occupancy gauge and the
+// put/get counters are indistinguishable from a Get loop).
 func (c *Cursor) DrainUpTo(t *sim.Task, dst []Entry, max int) []Entry {
 	for c.Empty() {
 		if c.Closed() {
@@ -426,7 +466,6 @@ func (c *Cursor) DrainUpTo(t *sim.Task, dst []Entry, max int) []Entry {
 	for i := 0; i < n; i++ {
 		dst = append(dst, c.take(t))
 	}
-	c.mb.reclaim()
 	return dst
 }
 

@@ -120,26 +120,134 @@ func entryEq(a, b Entry) bool {
 		a.Event.Call.TID == b.Event.Call.TID && a.Event.Call.Op == b.Event.Call.Op
 }
 
+// consumerK1 is the consumer side of a one-cursor ring as driveOps uses
+// it. Reset is part of it because the consumer must survive one: the
+// Buffer view re-attaches its cursor, bareK1 opens a fresh one.
+type consumerK1 interface {
+	Get(t *sim.Task) (Entry, bool)
+	Peek() (Entry, bool)
+	DrainUpTo(t *sim.Task, dst []Entry, max int) []Entry
+	Reset()
+}
+
+// bareK1 is the ring used with no view in between, the way mve uses it:
+// NewMulti plus one OpenCursor, and a new cursor after every Reset.
+type bareK1 struct {
+	mb *MultiBuffer
+	*Cursor
+}
+
+func (b *bareK1) Reset() {
+	b.mb.Reset()
+	b.Cursor = b.mb.OpenCursor("consumer")
+}
+
+// buildK1 builds a one-cursor ring on a scheduler, returning its
+// producer side and its consumer side.
+type buildK1 func(s *sim.Scheduler, capacity int) (*MultiBuffer, consumerK1)
+
+func viewK1(s *sim.Scheduler, capacity int) (*MultiBuffer, consumerK1) {
+	b := New(s, capacity)
+	return b.MultiBuffer, b
+}
+
+func bareRingK1(s *sim.Scheduler, capacity int) (*MultiBuffer, consumerK1) {
+	mb := NewMulti(s, capacity)
+	return mb, &bareK1{mb: mb, Cursor: mb.OpenCursor("consumer")}
+}
+
+// TestPropertyMatchesReferenceQueue drives the same op script through
+// the Buffer view and through a bare one-cursor ring. Each must match
+// the reference queue after every step, and the two must end with the
+// same counters after the same number of scheduler dispatches: the view
+// adds no behaviour of its own.
 func TestPropertyMatchesReferenceQueue(t *testing.T) {
 	for _, capacity := range []int{1, 2, 5, 8, 64} {
 		for seed := int64(1); seed <= 4; seed++ {
 			capacity, seed := capacity, seed
 			t.Run(fmt.Sprintf("cap%d_seed%d", capacity, seed), func(t *testing.T) {
-				s := sim.New()
-				buf := New(s, capacity)
-				ref := newRef(capacity)
-				var failure error
-				s.Go("driver", func(tk *sim.Task) {
-					failure = driveOps(tk, buf, ref, rand.New(rand.NewSource(seed)), 2500)
-				})
-				if err := s.Run(); err != nil {
-					t.Fatal(err)
+				drive := func(name string, build buildK1) (*MultiBuffer, int64) {
+					s := sim.New()
+					mb, c := build(s, capacity)
+					var failure error
+					s.Go("driver", func(tk *sim.Task) {
+						failure = driveOps(tk, mb, c, newRef(capacity), rand.New(rand.NewSource(seed)), 2500)
+					})
+					if err := s.Run(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if failure != nil {
+						t.Fatalf("%s: %v", name, failure)
+					}
+					return mb, s.Dispatches()
 				}
-				if failure != nil {
-					t.Fatal(failure)
+				view, viewDispatches := drive("view", viewK1)
+				bare, bareDispatches := drive("bare", bareRingK1)
+				if view.HighWater != bare.HighWater || view.ProducerBlocked != bare.ProducerBlocked ||
+					view.Dropped != bare.Dropped || view.NextSeq() != bare.NextSeq() || view.Len() != bare.Len() {
+					t.Errorf("view ends at hw=%d blocked=%d dropped=%d seq=%d len=%d, bare ring at hw=%d blocked=%d dropped=%d seq=%d len=%d",
+						view.HighWater, view.ProducerBlocked, view.Dropped, view.NextSeq(), view.Len(),
+						bare.HighWater, bare.ProducerBlocked, bare.Dropped, bare.NextSeq(), bare.Len())
+				}
+				if viewDispatches != bareDispatches {
+					t.Errorf("view took %d dispatches, bare ring %d", viewDispatches, bareDispatches)
 				}
 			})
 		}
+	}
+}
+
+// TestViewAndBareRingBlockAlike is the blocking counterpart of the op
+// script above (which never parks): a producer pushes through a 2-entry
+// ring while the consumer alternates Get and bounded drains, so both
+// sides park and wake repeatedly. The view and the bare ring must hand
+// over the same stream with the same number of producer blocks and
+// scheduler dispatches.
+func TestViewAndBareRingBlockAlike(t *testing.T) {
+	const total = 60
+	drive := func(build buildK1) (seqs []uint64, blocked int, dispatches int64) {
+		s := sim.New()
+		mb, c := build(s, 2)
+		s.Go("producer", func(tk *sim.Task) {
+			for i := 0; i < total; i++ {
+				mb.Put(tk, Entry{Kind: KindSyscall})
+				if i%7 == 0 {
+					tk.Yield()
+				}
+			}
+			mb.Close()
+		})
+		s.Go("consumer", func(tk *sim.Task) {
+			var scratch []Entry
+			for i := 0; ; i++ {
+				if i%3 == 0 {
+					scratch = c.DrainUpTo(tk, scratch[:0], 2)
+				} else if e, ok := c.Get(tk); ok {
+					scratch = append(scratch[:0], e)
+				} else {
+					scratch = scratch[:0]
+				}
+				if len(scratch) == 0 {
+					return
+				}
+				for _, e := range scratch {
+					seqs = append(seqs, e.Event.Seq)
+				}
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return seqs, mb.ProducerBlocked, s.Dispatches()
+	}
+	vSeqs, vBlocked, vDispatches := drive(viewK1)
+	bSeqs, bBlocked, bDispatches := drive(bareRingK1)
+	if len(vSeqs) != total || fmt.Sprint(vSeqs) != fmt.Sprint(bSeqs) {
+		t.Fatalf("view delivered %v\nbare ring   %v", vSeqs, bSeqs)
+	}
+	if vBlocked == 0 || vBlocked != bBlocked || vDispatches != bDispatches {
+		t.Fatalf("view: %d producer blocks, %d dispatches; bare ring: %d, %d (blocks must be > 0)",
+			vBlocked, vDispatches, bBlocked, bDispatches)
 	}
 }
 
@@ -147,7 +255,7 @@ func TestPropertyMatchesReferenceQueue(t *testing.T) {
 // compares every observable after each one. Blocking is avoided by
 // construction: puts are only issued when a slot is free or the buffer
 // is closed (fail-fast), gets/drains only when non-empty or closed.
-func driveOps(tk *sim.Task, buf *Buffer, ref *refQueue, rng *rand.Rand, n int) error {
+func driveOps(tk *sim.Task, buf *MultiBuffer, c consumerK1, ref *refQueue, rng *rand.Rand, n int) error {
 	nextTID := 0
 	mkEntry := func() Entry {
 		nextTID++
@@ -176,7 +284,7 @@ func driveOps(tk *sim.Task, buf *Buffer, ref *refQueue, rng *rand.Rand, n int) e
 		if buf.Dropped != ref.dropped {
 			return fmt.Errorf("%s: Dropped = %d, ref %d", op, buf.Dropped, ref.dropped)
 		}
-		be, bok := buf.Peek()
+		be, bok := c.Peek()
 		re, rok := ref.peek()
 		if bok != rok || (bok && !entryEq(be, re)) {
 			return fmt.Errorf("%s: Peek = (%+v,%v), ref (%+v,%v)", op, be, bok, re, rok)
@@ -219,7 +327,7 @@ func driveOps(tk *sim.Task, buf *Buffer, ref *refQueue, rng *rand.Rand, n int) e
 			}
 		case op < 15: // Get (guarded against blocking)
 			if !buf.Empty() || buf.Closed() {
-				ge, gok := buf.Get(tk)
+				ge, gok := c.Get(tk)
 				re, rok := ref.get()
 				if gok != rok || (gok && !entryEq(ge, re)) {
 					return fmt.Errorf("op %d: Get = (%+v,%v), ref (%+v,%v)", i, ge, gok, re, rok)
@@ -228,7 +336,7 @@ func driveOps(tk *sim.Task, buf *Buffer, ref *refQueue, rng *rand.Rand, n int) e
 		case op < 17: // DrainUpTo (guarded against blocking)
 			if !buf.Empty() || buf.Closed() {
 				max := rng.Intn(buf.Cap() + 1)
-				scratch = buf.DrainUpTo(tk, scratch[:0], max)
+				scratch = c.DrainUpTo(tk, scratch[:0], max)
 				want := ref.drain(max)
 				if len(scratch) != len(want) {
 					return fmt.Errorf("op %d: DrainUpTo(%d) = %d entries, ref %d", i, max, len(scratch), len(want))
@@ -243,7 +351,7 @@ func driveOps(tk *sim.Task, buf *Buffer, ref *refQueue, rng *rand.Rand, n int) e
 			buf.Close()
 			ref.closed = true
 		default: // Reset (reopens, renumbers from 0)
-			buf.Reset()
+			c.Reset()
 			ref.reset()
 		}
 		if err := check(fmt.Sprintf("after op %d", i)); err != nil {
