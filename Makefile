@@ -7,7 +7,7 @@ GO ?= go
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 BYTE_DIFF_ARTIFACTS := nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-sched experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-sched experiments examples clean
 
 all: check
 
@@ -32,7 +32,7 @@ test:
 # benchtool smoke runs.
 check: vet fmt-check lint-maps
 	$(GO) test -race ./...
-	$(GO) test -bench . -benchtime=1x ./internal/ringbuf/...
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/ringbuf/ ./internal/mve/
 	$(MAKE) $(ARTIFACTS:%=%-smoke) shard-determinism
 
 # Map-iteration determinism sweep: flag `for range` over maps in the
@@ -111,6 +111,13 @@ bench-all: $(ARTIFACTS:%=bench-%)
 # Ring microbenchmarks with allocation accounting (docs/PERFORMANCE.md).
 bench-ring:
 	$(GO) test -bench . -benchmem ./internal/ringbuf/
+
+# Record/replay microbenchmarks: one leader syscall recorded and
+# validated by every follower, plus the per-thread event queue under a
+# backlog; the B/op and allocs/op columns are the point
+# (docs/PERFORMANCE.md "Record/replay path").
+bench-replay:
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/mve/
 
 # Scheduler hot-path microbenchmarks: dispatch, enqueue, task
 # spawn/exit, timer fire,

@@ -42,34 +42,35 @@ func (e *Engine) MaxLookahead() int {
 	return n
 }
 
-// NeedsLookahead reports whether any rule's match sequence could begin
-// with ev, i.e. whether the monitor should try to buffer more leader
-// events before transforming. This keeps the follower from blocking on a
-// quiescent leader when no multi-event rule could possibly apply.
-func (e *Engine) NeedsLookahead(ev sysabi.Event) int {
+// NeedsLookahead reports how many pending leader events the monitor
+// should try to buffer before transforming a window that starts with a
+// call of the given op: the longest match sequence of any rule that could
+// begin there. This keeps the follower from blocking on a quiescent
+// leader when no multi-event rule could possibly apply.
+func (e *Engine) NeedsLookahead(op sysabi.Op) int {
 	need := 1
 	for _, r := range e.rules.Rules {
-		if len(r.Match) > need && patternHeadMatches(r.Match[0], ev) {
+		if len(r.Match) > need && r.Match[0].Op == op {
 			need = len(r.Match)
 		}
 	}
 	return need
 }
 
-func patternHeadMatches(p Pattern, ev sysabi.Event) bool {
-	return p.Op == ev.Call.Op
-}
-
 // Transform examines the front of the pending leader-event window. If a
 // rule matches, it returns the emitted expected events, the number of
 // leader events consumed, and the rule that fired. Otherwise it returns
-// the first event unchanged with consumed = 1.
+// the first event unchanged with consumed = 1 — as window[:1], so the
+// common no-rule outcome allocates nothing.
 func (e *Engine) Transform(window []sysabi.Event) (expected []sysabi.Event, consumed int, fired *Rule) {
 	if len(window) == 0 {
 		return nil, 0, nil
 	}
+	head := window[0].Call.Op
 	for _, r := range e.rules.Rules {
-		if len(r.Match) > len(window) {
+		// A rule that cannot start at this op is skipped before any
+		// binding environment is built for it.
+		if n := len(r.Match); n == 0 || n > len(window) || r.Match[0].Op != head {
 			continue
 		}
 		env, ok := matchSeq(r.Match, window[:len(r.Match)])
@@ -91,7 +92,7 @@ func (e *Engine) Transform(window []sysabi.Event) (expected []sysabi.Event, cons
 		e.Applied[r.Name]++
 		return out, len(r.Match), r
 	}
-	return []sysabi.Event{window[0]}, 1, nil
+	return window[:1:1], 1, nil
 }
 
 // matchSeq binds the pattern sequence against the events.

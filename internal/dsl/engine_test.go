@@ -236,10 +236,10 @@ func TestEngineNeedsLookahead(t *testing.T) {
 rule "pair" { match read(a, b, c), write(d, e, f) { emit read(a, b, c); } }
 `)
 	e := NewEngine(rs)
-	if n := e.NeedsLookahead(readEv(1, "x")); n != 2 {
+	if n := e.NeedsLookahead(sysabi.OpRead); n != 2 {
 		t.Fatalf("NeedsLookahead(read) = %d, want 2", n)
 	}
-	if n := e.NeedsLookahead(writeEv(1, "x")); n != 1 {
+	if n := e.NeedsLookahead(sysabi.OpWrite); n != 1 {
 		t.Fatalf("NeedsLookahead(write) = %d, want 1", n)
 	}
 	if e.MaxLookahead() != 2 {

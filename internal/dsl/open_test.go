@@ -82,7 +82,7 @@ func TestOpenLookahead(t *testing.T) {
 rule "pair" { match open(p, fl, fd), close(c) { emit close(c); } }
 `)
 	e := NewEngine(rs)
-	if got := e.NeedsLookahead(openEv("/x", 0, 3)); got != 2 {
+	if got := e.NeedsLookahead(sysabi.OpOpen); got != 2 {
 		t.Fatalf("NeedsLookahead(open) = %d", got)
 	}
 	// Suppression: open+close collapses to just the close.

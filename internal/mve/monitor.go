@@ -21,11 +21,19 @@
 // takes over as leader. Any mismatch between a follower syscall and the
 // (rewritten) recorded stream raises a Divergence, which MVEDSUA's
 // controller turns into a rollback or a promotion.
+//
+// Recording and replaying an event allocates nothing in steady state.
+// Payload bytes move under the ring's rule that the taker owns what it
+// takes (see internal/ringbuf): the leader hands its live call and result
+// to the ring, which copies them only if it appends; a follower owns the
+// event it drained, passes the result's data on to its application
+// without another copy, and gives the call's payload — needed only for
+// the comparison — back to the ring when the event retires. Whatever
+// outlives that moment (a Divergence report) holds bytes of its own.
 package mve
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mvedsua/internal/dsl"
@@ -352,10 +360,8 @@ type Proc struct {
 	role   Role
 	engine *dsl.Engine
 
-	// Follower-side per-logical-thread queues. The leader's recorded
-	// events are demultiplexed by TID; each follower thread validates
-	// against (and is fed from) its own stream, the way Varan matches
-	// per-thread event streams in multithreaded programs.
+	// Follower-side replay state, one stream per logical thread, indexed
+	// by TID (see tidStream).
 	//
 	// Cross-thread ordering: follower threads additionally validate in
 	// the leader's *global* event order (each group's first raw
@@ -365,14 +371,11 @@ type Proc struct {
 	// reproduces its shared-state interleaving — the mechanism that
 	// lets MVE handle multithreaded programs (§3.1, "with some
 	// limitations").
-	rawByTID    map[int][]sysabi.Event // pulled from the buffer, pre-rewrite
-	expByTID    map[int][]*expGroup    // rewritten, awaiting validation
-	tidWait     map[int]*sim.WaitQueue // follower threads awaiting their events
-	wakeScratch []int                  // reused by wakeAllTIDs for sorted wake order
-	pulling     bool                   // one thread pulls from the buffer at a time
-	promoteSeen bool                   // promotion entry seen; drain then switch
-	globalNext  uint64                 // next raw seq to retire (leader order)
-	retired     map[uint64]bool        // raw seqs retired ahead of globalNext
+	streams     []*tidStream
+	pulling     bool     // one thread pulls from the buffer at a time
+	promoteSeen bool     // promotion entry seen; drain then switch
+	globalNext  uint64   // next raw seq to retire (leader order)
+	ahead       []uint64 // raw seqs retired ahead of globalNext (see retire)
 
 	// crashPromote marks a promotion forced by a leader crash: the
 	// recorded stream is trusted only up to the crash point, so the
@@ -412,18 +415,15 @@ type Proc struct {
 	// events) while this proc follows; the liveness watchdog samples it.
 	progress int64
 
-	// drain and recq are reusable scratch slices for the batched ring
-	// operations (consumer drains and the leader's record path), keeping
-	// the per-syscall hot paths allocation-free in steady state.
+	// drain is the reusable scratch slice of the consumer's batched ring
+	// drains.
 	drain []ringbuf.Entry
-	recq  []ringbuf.Entry
 
 	// Per-request latency attribution (span mode only — every use is
-	// gated on obs.Recorder.SpansEnabled): reqStart tracks, per logical
-	// thread, the in-flight tagged client request this proc is serving;
-	// reqDrainAt maps a tagged response event's request id to the
-	// instant the follower drained it from the ring.
-	reqStart   map[int]reqOpen
+	// gated on obs.Recorder.SpansEnabled): reqDrainAt maps a tagged
+	// response event's request id to the instant the follower drained it
+	// from the ring. (The in-flight request a serving thread has open is
+	// in its tidStream.)
 	reqDrainAt map[uint64]time.Duration
 
 	// roleSpanID/roleSpanName track this proc's open role-epoch async
@@ -439,60 +439,6 @@ type Proc struct {
 
 	// Syscalls counts calls dispatched through this proc.
 	Syscalls int
-}
-
-// expGroup is the result of one rule transformation (or an identity
-// pass-through): the expected events plus the raw sequence numbers they
-// consumed, used for global-order retirement.
-type expGroup struct {
-	events []sysabi.Event
-	seqs   []uint64
-	idx    int // next event to validate
-}
-
-func (p *Proc) waitFor(tid int) *sim.WaitQueue {
-	q, ok := p.tidWait[tid]
-	if !ok {
-		q = &sim.WaitQueue{}
-		p.tidWait[tid] = q
-	}
-	return q
-}
-
-// wakeAllTIDs wakes every thread parked on a per-TID queue, in ascending
-// TID order. The order matters: this runs on the validation hot path
-// (group retirement), and waking in Go's randomized map order made
-// multithreaded-follower interleavings differ from run to run, breaking
-// the bit-reproducibility the divergence tests and golden artifacts rely
-// on. The sorted scratch slice is reused across calls to keep the path
-// allocation-free in steady state.
-func (p *Proc) wakeAllTIDs() {
-	tids := p.wakeScratch[:0]
-	for tid := range p.tidWait { // maporder: ok — tids are sorted below
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	p.wakeScratch = tids
-	for _, tid := range tids {
-		p.tidWait[tid].WakeAll(p.m.sched)
-	}
-}
-
-func (p *Proc) queuesEmpty() bool {
-	// maporder: ok — pure existence checks; the answer is the same in
-	// any iteration order.
-	for _, evs := range p.rawByTID {
-		if len(evs) > 0 {
-			return false
-		}
-	}
-	// maporder: ok — same existence check as above.
-	for _, groups := range p.expByTID {
-		if len(groups) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // KernelState is the kernel-side state Varan tracks during single-leader
@@ -538,11 +484,6 @@ func newProc(m *Monitor, name string, role Role) *Proc {
 		name:       name,
 		role:       role,
 		kstate:     newKernelState(),
-		rawByTID:   make(map[int][]sysabi.Event),
-		expByTID:   make(map[int][]*expGroup),
-		tidWait:    make(map[int]*sim.WaitQueue),
-		retired:    make(map[uint64]bool),
-		reqStart:   make(map[int]reqOpen),
 		reqDrainAt: make(map[uint64]time.Duration),
 	}
 }
@@ -904,15 +845,18 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 		}
 	}
 	p.trackKernelState(call, res)
-	ev := sysabi.Event{Call: call.Clone(), Result: res.Clone()}
+	// The entry shares the live call's and result's payloads: the ring
+	// copies them when (and only when) it really appends, so nothing is
+	// copied for an event it refuses.
+	e := ringbuf.Entry{Kind: ringbuf.KindSyscall, Event: sysabi.Event{Call: call, Result: res}}
 	if rec.SpansEnabled() {
 		// Stamps the recorded event's call with the request id (the live
 		// call is untouched, so validation semantics cannot change).
-		p.trackRequest(t, call, res, &ev)
+		p.trackRequest(t, call, res, &e.Event)
 	}
+	ring := p.m.ring
 	if p.m.FullPolicy == FullDiscard {
-		ring := p.m.ring
-		if !ring.TryAppend(ringbuf.Entry{Kind: ringbuf.KindSyscall, Event: ev}) {
+		if !ring.TryAppend(e) {
 			// A consumer lags too far behind: degrade the update, not
 			// the service. The stall handler (controller) drops the duo
 			// follower — or, in fleet mode, ejects the laggiest variant,
@@ -928,21 +872,15 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 		p.m.rec.Inc(obs.CMVERecorded)
 		return res
 	}
-	// Blocking policy: the record path goes through the batch API — every
-	// event this dispatch emits is appended in one PutBatch call (today a
-	// dispatch produces exactly one syscall event, so the batch has one
-	// entry; the plumbing is shared with multi-event producers). PutBatch
-	// parks the leader on a full buffer; it appends fewer entries only if
-	// the buffer was closed underneath us — the watchdog rescued a leader
-	// blocked behind a hung follower — in which case the tail is dropped
-	// along with the follower.
-	p.recq = append(p.recq[:0], ringbuf.Entry{Kind: ringbuf.KindSyscall, Event: ev})
-	n, _ := p.m.ring.PutBatch(t, p.recq)
-	if n == 0 {
+	// Blocking policy: Put parks the leader on a full buffer. It fails
+	// only if the buffer was closed underneath us — the watchdog rescued
+	// a leader blocked behind a hung follower — in which case the event is
+	// dropped along with the follower.
+	if !ring.Put(t, e) {
 		return res
 	}
-	p.m.Stats.Recorded += int64(n)
-	p.m.rec.Add(obs.CMVERecorded, int64(n))
+	p.m.Stats.Recorded++
+	p.m.rec.Inc(obs.CMVERecorded)
 	if p.m.Lockstep {
 		if p.m.costs.LockstepSync > 0 {
 			t.Advance(p.m.costs.LockstepSync)
@@ -992,25 +930,30 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 			t.Sleep(p.m.costs.Replay)
 		}
 	}
-	tid := call.TID
+	st := p.stream(call.TID)
 	var exp sysabi.Event
+	var identity bool
 	for {
-		for len(p.expByTID[tid]) == 0 {
-			if roleChanged := p.fillExpected(t, tid); roleChanged || p.role != RoleFollower {
+		for st.exp.len() == 0 {
+			if roleChanged := p.fillExpected(t, call.TID, st); roleChanged || p.role != RoleFollower {
 				return sysabi.Result{}, true
 			}
 		}
-		g := p.expByTID[tid][0]
+		g := st.exp.front()
 		// Honour the leader's global interleaving: a new group may only
 		// start when its first raw event is the oldest unretired one.
-		if g.idx == 0 && len(g.seqs) > 0 && g.seqs[0] != p.globalNext {
-			t.Block(p.waitFor(tid))
+		if g.idx == 0 && g.seq != p.globalNext {
+			t.Block(&st.wait)
 			if p.role != RoleFollower {
 				return sysabi.Result{}, true
 			}
 			continue
 		}
-		exp = g.events[g.idx]
+		if identity = g.events == nil; identity {
+			exp = g.one
+		} else {
+			exp = g.events[g.idx]
+		}
 		g.idx++
 		p.m.Stats.Replayed++
 		p.progress++
@@ -1023,15 +966,9 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 				sc.Inc(obs.CSyscallsFollower)
 			}
 		}
-		if g.idx >= len(g.events) {
-			p.expByTID[tid] = p.expByTID[tid][1:]
-			for _, s := range g.seqs {
-				p.retired[s] = true
-			}
-			for p.retired[p.globalNext] {
-				delete(p.retired, p.globalNext)
-				p.globalNext++
-			}
+		if identity || g.idx >= len(g.events) {
+			p.retire(g)
+			st.exp.pop(1)
 			p.wakeAllTIDs()
 		}
 		break
@@ -1043,13 +980,16 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 			// bites. Discard the garbage tail, complete the promotion, and
 			// re-dispatch the in-flight call natively.
 			p.m.logf("%s: crashed leader's stream truncated at #%d (%s); promoting", p.name, exp.Seq, reason)
-			p.discardTail(t, tid)
+			p.discardTail(t, st)
 			if p.role == RoleFollower {
 				p.becomeLeader()
 			}
 			return sysabi.Result{}, true
 		}
-		d := Divergence{Proc: p.name, Seq: exp.Seq, Expected: exp, Got: call.Clone(), Reason: reason}
+		// The report outlives this event — a canary inside its budget goes
+		// on to retire it — so it owns its bytes.
+		d := Divergence{Proc: p.name, Seq: exp.Seq, Got: call.Clone(), Reason: reason,
+			Expected: sysabi.Event{Seq: exp.Seq, Call: exp.Call.Clone(), Result: exp.Result.Clone()}}
 		p.m.divergences = append(p.m.divergences, d)
 		p.m.logf("%s diverged: %s", p.name, d)
 		p.m.rec.Inc(obs.CMVEDivergences)
@@ -1095,14 +1035,22 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 	if p.promoteSeen && p.queuesEmpty() {
 		p.becomeLeader()
 	}
-	return exp.Result.Clone(), false
+	// The event is retired. This proc was its taker and owns its bytes:
+	// the result's payloads pass to the application as they are, and the
+	// call's payload, needed only for the comparison above, goes back to
+	// the ring. (A rule-emitted event carries buffers of its own.)
+	if identity {
+		p.m.ring.RecycleBytes(exp.Call.Buf)
+	}
+	return exp.Result, false
 }
 
-// fillExpected makes progress towards having an expected event for tid:
-// it transforms buffered raw events or pulls more entries from the ring
-// buffer (demultiplexing them to the owning threads). It reports true if
-// the proc's role changed (promotion consumed).
-func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
+// fillExpected makes progress towards having an expected event for tid
+// (whose stream is st): it transforms buffered raw events or pulls more
+// entries from the ring buffer (demultiplexing them to the owning
+// threads). It reports true if the proc's role changed (promotion
+// consumed).
+func (p *Proc) fillExpected(t *sim.Task, tid int, st *tidStream) bool {
 	for {
 		if p.role != RoleFollower {
 			return true
@@ -1113,36 +1061,18 @@ func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
 			return true
 		}
 		// Transform this thread's raw stream if we have enough of it.
-		if raw := p.rawByTID[tid]; len(raw) > 0 {
-			need := p.engine.NeedsLookahead(raw[0])
+		need := 1
+		if raw := st.raw.window(); len(raw) > 0 {
+			need = p.engine.NeedsLookahead(raw[0].Call.Op)
 			if len(raw) >= need || p.promoteSeen {
-				expected, consumed, fired := p.engine.Transform(raw)
-				if p.m.rec.SpansEnabled() {
-					carryReqIDs(raw[:consumed], expected)
-				}
-				if fired != nil {
-					p.m.Stats.Rewritten++
-					p.m.logf("rule %q rewrote %d event(s) into %d for tid %d", fired.Name, consumed, len(expected), tid)
-					p.m.rec.Inc(obs.CRuleHits)
-					p.m.rec.Emitf(obs.KindRuleHit, p.name, "rule %q rewrote %d event(s) into %d for tid %d",
-						fired.Name, consumed, len(expected), tid)
-				}
-				seqs := make([]uint64, consumed)
-				for i := 0; i < consumed; i++ {
-					seqs[i] = raw[i].Seq
-				}
-				for i := range expected {
-					expected[i].Seq = raw[0].Seq
-				}
-				p.rawByTID[tid] = raw[consumed:]
-				p.expByTID[tid] = append(p.expByTID[tid], &expGroup{events: expected, seqs: seqs})
+				p.transform(tid, st, raw)
 				return false
 			}
 		}
 		if p.promoteSeen {
 			// Nothing buffered for this thread and no more pulls: wait
 			// for the global switch performed by the last drainer.
-			t.Block(p.waitFor(tid))
+			t.Block(&st.wait)
 			continue
 		}
 		// Pull more entries from the buffer — up to this thread's
@@ -1154,14 +1084,12 @@ func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
 		// timeline the golden artifacts pin down. Only one thread pulls
 		// at a time; the others wait to be fed.
 		if p.pulling {
-			t.Block(p.waitFor(tid))
+			t.Block(&st.wait)
 			continue
 		}
 		want := 1
-		if raw := p.rawByTID[tid]; len(raw) > 0 {
-			if need := p.engine.NeedsLookahead(raw[0]); need > len(raw) {
-				want = need - len(raw)
-			}
+		if n := st.raw.len(); n > 0 {
+			want = need - n
 		}
 		p.pulling = true
 		p.drain = p.cursor.DrainUpTo(t, p.drain[:0], want)
@@ -1176,7 +1104,8 @@ func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
 			p.wakeAllTIDs()
 			p.parkForever(t)
 		}
-		for _, e := range p.drain {
+		for i := range p.drain {
+			e := &p.drain[i]
 			switch e.Kind {
 			case ringbuf.KindPromote:
 				p.promoteSeen = true
@@ -1191,13 +1120,47 @@ func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
 					rec.Observe(obs.HReqRingWait, t.Now()-e.PutAt)
 					p.reqDrainAt[e.Event.Call.ReqID] = t.Now()
 				}
-				p.rawByTID[etid] = append(p.rawByTID[etid], e.Event)
+				est := p.stream(etid)
+				est.raw.push(e.Event)
 				if etid != tid {
-					p.waitFor(etid).WakeAll(p.m.sched)
+					est.wait.WakeAll(p.m.sched)
 				}
 			}
 		}
 	}
+}
+
+// transform rewrites the front of tid's raw window (non-empty, and long
+// enough for every rule that could start there) into one expected group.
+func (p *Proc) transform(tid int, st *tidStream, raw []sysabi.Event) {
+	expected, consumed, fired := p.engine.Transform(raw)
+	g := expGroup{seq: raw[0].Seq}
+	if fired == nil {
+		g.one = raw[0]
+	} else {
+		if p.m.rec.SpansEnabled() {
+			carryReqIDs(raw[:consumed], expected)
+		}
+		p.m.Stats.Rewritten++
+		p.m.logf("rule %q rewrote %d event(s) into %d for tid %d", fired.Name, consumed, len(expected), tid)
+		p.m.rec.Inc(obs.CRuleHits)
+		p.m.rec.Emitf(obs.KindRuleHit, p.name, "rule %q rewrote %d event(s) into %d for tid %d",
+			fired.Name, consumed, len(expected), tid)
+		for i := range expected {
+			expected[i].Seq = g.seq
+		}
+		g.events = expected
+		for i := 1; i < consumed; i++ {
+			g.more = append(g.more, raw[i].Seq)
+		}
+		// The emitted events carry bytes of their own, so the consumed
+		// ones, which no application will see, go back to the ring.
+		for i := 0; i < consumed; i++ {
+			p.m.ring.Recycle(&raw[i])
+		}
+	}
+	st.raw.pop(consumed)
+	st.exp.push(g)
 }
 
 // discardTail drops everything still queued for validation and then
@@ -1207,13 +1170,13 @@ func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
 // take over. (The demoted process cannot misread them: its cursor opens
 // past the promotion event.) Respects the one-puller discipline, so it
 // composes with sibling follower threads blocked in fillExpected.
-func (p *Proc) discardTail(t *sim.Task, tid int) {
+func (p *Proc) discardTail(t *sim.Task, st *tidStream) {
 	for !p.promoteSeen {
 		if p.role != RoleFollower {
 			return // a sibling completed the switch already
 		}
 		if p.pulling {
-			t.Block(p.waitFor(tid))
+			t.Block(&st.wait)
 			continue
 		}
 		// Unlike fillExpected, the drain here is unbounded: everything
@@ -1229,16 +1192,15 @@ func (p *Proc) discardTail(t *sim.Task, tid int) {
 			p.wakeAllTIDs()
 			p.parkForever(t)
 		}
-		for _, e := range p.drain {
-			if e.Kind == ringbuf.KindPromote {
+		for i := range p.drain {
+			if p.drain[i].Kind == ringbuf.KindPromote {
 				p.promoteSeen = true
 			}
 			// Raw syscall events past the crash point are dropped unreplayed.
+			p.m.ring.Recycle(&p.drain[i].Event)
 		}
 	}
-	p.rawByTID = make(map[int][]sysabi.Event)
-	p.expByTID = make(map[int][]*expGroup)
-	p.retired = make(map[uint64]bool)
+	p.dropQueued()
 	p.reqDrainAt = make(map[uint64]time.Duration)
 	p.wakeAllTIDs()
 }
@@ -1282,7 +1244,8 @@ func (p *Proc) becomeLeader() {
 }
 
 // reqOpen tracks an in-flight tagged client request on one logical
-// thread of the serving leader (span mode only).
+// thread of the serving leader (span mode only). Request ids are never
+// zero, so the zero value means no request is open.
 type reqOpen struct {
 	id uint64
 	at time.Duration
@@ -1329,18 +1292,19 @@ func carryReqIDs(raw, expected []sysabi.Event) {
 func (p *Proc) trackRequest(t *sim.Task, call sysabi.Call, res sysabi.Result, ev *sysabi.Event) {
 	rec := p.m.rec
 	if res.ReqID != 0 && call.IsInput() {
-		p.reqStart[call.TID] = reqOpen{id: res.ReqID, at: t.Now()}
+		p.stream(call.TID).req = reqOpen{id: res.ReqID, at: t.Now()}
 		rec.BeginAsyncID("request", reqSpanName(res.ReqID), "", res.ReqID)
 		return
 	}
 	if !call.HasOutput() {
 		return
 	}
-	open, ok := p.reqStart[call.TID]
-	if !ok {
+	st := p.stream(call.TID)
+	open := st.req
+	if open.id == 0 {
 		return
 	}
-	delete(p.reqStart, call.TID)
+	st.req = reqOpen{}
 	rec.Inc(obs.CReqTracked)
 	rec.Observe(obs.HReqService, t.Now()-open.at)
 	if ev != nil {

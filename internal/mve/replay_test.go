@@ -1,0 +1,289 @@
+package mve
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"mvedsua/internal/obs"
+	"mvedsua/internal/sim"
+	"mvedsua/internal/sysabi"
+)
+
+// TestReplayZeroAllocs pins the record/replay path's allocation budget
+// without timing anything: a recorded-and-replayed call whose payload is
+// only compared allocates nothing, and one that returns data allocates
+// exactly the buffers the applications end up owning.
+func TestReplayZeroAllocs(t *testing.T) {
+	cases := []struct {
+		name      string
+		followers int
+		threads   int
+		call      sysabi.Call
+		want      float64
+	}{
+		{name: "clock", followers: 1, threads: 1, call: sysabi.Call{Op: sysabi.OpClock}},
+		{name: "write64", followers: 1, threads: 1, call: writeCall(64)},
+		{name: "write4K", followers: 1, threads: 1, call: writeCall(4096)},
+		// The leader application's buffer (from the kernel) and the
+		// follower application's (the ring's copy, handed over).
+		{name: "fread4K", followers: 1, threads: 1, call: freadCall(4096), want: 2},
+		{name: "K3/write64", followers: 3, threads: 1, call: writeCall(64)},
+		{name: "K3/write4K", followers: 3, threads: 1, call: writeCall(4096)},
+		// One buffer per application: the leader's and each variant's.
+		{name: "K3/fread4K", followers: 3, threads: 1, call: freadCall(4096), want: 4},
+		{name: "threaded/write64", followers: 1, threads: 4, call: writeCall(64)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newReplayRig(t, tc.followers, tc.threads, tc.call)
+			replayed := r.m.Stats.Replayed
+			const runs = 100
+			got := testing.AllocsPerRun(runs, func() { r.step(t) })
+			if got != tc.want {
+				t.Errorf("%v allocations per round trip, want %v", got, tc.want)
+			}
+			// AllocsPerRun makes one warm-up call on top of runs.
+			if n, want := r.m.Stats.Replayed-replayed, int64((runs+1)*tc.followers*tc.threads); n != want {
+				t.Errorf("replayed %d events, want %d: a step is not one round trip", n, want)
+			}
+			if len(r.m.Divergences()) != 0 {
+				t.Errorf("divergences: %v", r.m.Divergences())
+			}
+		})
+	}
+}
+
+// TestRefusedAppendCopiesNothing: under FullDiscard an event the full
+// ring refuses must cost the serving path nothing — the leader used to
+// clone call and result before asking. The drop is still counted and
+// traced exactly as before.
+func TestRefusedAppendCopiesNothing(t *testing.T) {
+	s, _, m := world(2, Costs{})
+	rec := obs.New(s.Now, obs.Options{})
+	m.FullPolicy = FullDiscard
+	leader := m.StartSingleLeader("v0")
+	m.AttachFollower("v1", nil) // never consumes
+	stalls := 0
+	m.OnStall = func(st Stall) {
+		stalls++
+		if st.Reason != "buffer-full" || st.Proc != "v1" || st.Pending != 2 || st.Dropped != stalls {
+			t.Errorf("stall %d = %+v", stalls, st)
+		}
+	}
+	const refused = 200
+	var perCall uint64
+	s.Go("leader", func(tk *sim.Task) {
+		call := writeCall(4096)
+		leader.Invoke(tk, call)
+		leader.Invoke(tk, call) // the ring is full from here on
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < refused; i++ {
+			leader.Invoke(tk, call)
+		}
+		runtime.ReadMemStats(&after)
+		perCall = (after.TotalAlloc - before.TotalAlloc) / refused
+		// One more with the recorder attached, for the trace text.
+		m.SetRecorder(rec)
+		leader.Invoke(tk, call)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// The stall report itself is a few dozen bytes; a copied payload
+	// would be 4 096 and more.
+	if perCall >= 512 {
+		t.Errorf("a refused append allocates %d bytes, want none for the 4 KiB payload", perCall)
+	}
+	if b := m.Buffer(); b.Dropped != refused+1 || b.Len() != 2 || m.Stats.Recorded != 2 {
+		t.Errorf("Dropped = %d, Len = %d, Recorded = %d; want %d, 2, 2", b.Dropped, b.Len(), m.Stats.Recorded, refused+1)
+	}
+	var discards []string
+	for _, e := range rec.Milestones() {
+		if e.Kind == obs.KindRingDiscard {
+			discards = append(discards, e.Detail)
+		}
+	}
+	if len(discards) != 1 || !strings.Contains(discards[0], fmt.Sprintf("dropped (%d total, occ 2/2)", refused+1)) ||
+		!strings.HasPrefix(discards[0], "#0 write(fd=99, ") {
+		t.Errorf("ring.discard trace = %q", discards)
+	}
+}
+
+// ownerEcho is the echo server run by an application that treats every
+// buffer as its own the moment the syscall returns. With scribble it
+// overwrites the data it was handed and, after the write, the buffer it
+// wrote from; without, it holds both across the write and checks that
+// nobody else wrote to them. It logs every request it served.
+func ownerEcho(p *Proc, scribble bool, delay time.Duration, log *[]string) func(*sim.Task) {
+	fill := func(b []byte, c byte) {
+		for i := range b {
+			b[i] = c
+		}
+	}
+	return func(tk *sim.Task) {
+		lfd := int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{7, 0}}).Ret)
+		fd := int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
+		for {
+			if delay > 0 {
+				tk.Sleep(delay)
+			}
+			r := p.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{128, 0}})
+			if r.Ret == 0 {
+				return
+			}
+			in := string(r.Data)
+			out := append([]byte("echo:"), r.Data...)
+			if scribble {
+				fill(r.Data, '!')
+			}
+			p.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: out})
+			if scribble {
+				fill(out, '?')
+			} else if string(r.Data) != in || string(out) != "echo:"+in {
+				in = fmt.Sprintf("%q: buffers changed while held: data %q, out %q", in, r.Data, out)
+			}
+			*log = append(*log, in)
+		}
+	}
+}
+
+// runScribbleWorld serves msgs through a leader and k followers (duo
+// follower for k == 1, fleet variants otherwise) on a four-entry ring, so
+// slots and pooled buffers are reused constantly, and returns the client's
+// replies, every process's reply log and the divergences.
+func runScribbleWorld(t *testing.T, k int, scribble bool, msgs []string) (replies []string, logs [][]string, divs []Divergence) {
+	t.Helper()
+	s, kern, m := world(4, Costs{})
+	procs := []*Proc{m.StartSingleLeader("v0")}
+	if k == 1 {
+		procs = append(procs, m.AttachFollower("v1", nil))
+	} else {
+		for i := 1; i <= k; i++ {
+			procs = append(procs, m.AttachVariant(fmt.Sprintf("r%d", i), nil))
+		}
+	}
+	logs = make([][]string, len(procs))
+	for i, p := range procs {
+		// Followers run at different paces, so both hand-over and copy
+		// happen on the takers' side.
+		s.Go(p.Name(), ownerEcho(p, scribble, time.Duration(i)*time.Microsecond, &logs[i]))
+	}
+	s.Go("client", client(kern, msgs, &replies))
+	s.Go("teardown", func(tk *sim.Task) {
+		for i := 0; i < len(logs); i++ {
+			for len(logs[i]) < len(msgs) {
+				tk.Sleep(time.Millisecond)
+			}
+		}
+		// The leader reads EOF next and exits; the followers are reaped.
+		if k == 1 {
+			m.DropFollower()
+		} else {
+			m.AbortFleet("test teardown")
+		}
+	})
+	if err := s.RunFor(time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return replies, logs, m.Divergences()
+}
+
+// TestApplicationsOwnTheirBuffers: the leader application overwrites its
+// write buffer and the data it was handed right after each syscall
+// returns, and so does every follower application; nobody diverges, and
+// the client and every process see exactly what a run that leaves the
+// buffers alone (and checks that nobody else touches them) sees.
+func TestApplicationsOwnTheirBuffers(t *testing.T) {
+	var msgs, echoes []string
+	for i := 0; i < 300; i++ {
+		msgs = append(msgs, strings.Repeat(string(rune('a'+i%26)), 1+i%100))
+		echoes = append(echoes, "echo:"+msgs[i])
+	}
+	for _, k := range []int{1, 3} {
+		for _, scribble := range []bool{false, true} {
+			t.Run(fmt.Sprintf("K%d/scribble=%v", k, scribble), func(t *testing.T) {
+				replies, logs, divs := runScribbleWorld(t, k, scribble, msgs)
+				if len(divs) != 0 {
+					t.Fatalf("diverged: %v", divs[0])
+				}
+				if strings.Join(replies, "|") != strings.Join(echoes, "|") {
+					t.Fatalf("client replies = %q...", replies[:min(len(replies), 3)])
+				}
+				for i := range logs {
+					if strings.Join(logs[i], "|") != strings.Join(msgs, "|") {
+						t.Fatalf("process %d served %d requests: %q...", i, len(logs[i]), logs[i][:min(len(logs[i]), 3)])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDivergenceReportOwnsItsBytes: a canary absorbs a divergence inside
+// its budget, retires the event — its write payload goes back to the
+// ring — and validates a thousand more events through the recycled
+// buffers. The report must still show the bytes the leader wrote.
+func TestDivergenceReportOwnsItsBytes(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("K%d", k), func(t *testing.T) {
+			s, kern, m := world(4, Costs{})
+			leader := m.StartSingleLeader("v0")
+			var canary *Proc
+			for i := 1; i <= k; i++ {
+				canary = m.AttachVariant(fmt.Sprintf("r%d", i), nil)
+			}
+			m.MarkCanary(canary, 1)
+
+			const events = 1001
+			msgs := make([]string, events)
+			for i := range msgs {
+				msgs[i] = fmt.Sprintf("msg-%04d", i)
+			}
+			var replies []string
+			done := 0
+			s.Go("leader", leaderEcho(kern, leader, events))
+			for _, v := range m.Variants() {
+				v := v
+				first := true
+				s.Go(v.Name(), func(tk *sim.Task) {
+					leaderEchoLike(v, events, func(b []byte) []byte {
+						if v == canary && first {
+							first = false
+							return bytes.ToUpper(b) // the one disagreement
+						}
+						return b
+					})(tk)
+					done++
+				})
+			}
+			s.Go("client", client(kern, msgs, &replies))
+			s.Go("teardown", func(tk *sim.Task) {
+				for done < k {
+					tk.Sleep(time.Millisecond)
+				}
+				m.AbortFleet("test teardown")
+			})
+			if err := s.RunFor(time.Second); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			divs := m.Divergences()
+			if len(divs) != 1 || canary.Failed() || done != k {
+				t.Fatalf("divergences = %v, canary failed = %v, done = %d", divs, canary.Failed(), done)
+			}
+			if got := string(divs[0].Expected.Call.Buf); got != "msg-0000" {
+				t.Errorf("Expected.Call.Buf = %q after %d recycled events, want %q", got, events-1, "msg-0000")
+			}
+			if got := string(divs[0].Got.Buf); got != "MSG-0000" {
+				t.Errorf("Got.Buf = %q, want %q", got, "MSG-0000")
+			}
+			if replies[events-1] != msgs[events-1] {
+				t.Errorf("last reply = %q", replies[events-1])
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
+	"mvedsua/internal/sysabi"
 )
 
 // minStorage is the initial backing-array size (entries). Small so tiny
@@ -23,6 +24,11 @@ type MultiBuffer struct {
 	seq      uint64  // sequence numbers assigned to syscall events
 
 	cursors []*Cursor // open cursors, attach order
+
+	// pool recycles payload buffers: append copies an entry's payloads
+	// into buffers from it, and Recycle/RecycleBytes (and the reclaim of
+	// entries nobody took) give them back.
+	pool payloadPool
 
 	notFull sim.WaitQueue // producer parked on a full buffer
 	drained sim.WaitQueue // WaitDrained callers parked until all cursors drain
@@ -132,23 +138,39 @@ func (mb *MultiBuffer) grow() {
 	}
 }
 
-// reclaim advances base to the slowest open cursor (or to next when no
-// cursor is open), clearing freed slots and waking the producer and
-// drain waiters on the relevant transitions.
-func (mb *MultiBuffer) reclaim() {
+// minPos returns the position of the slowest open cursor (next when no
+// cursor is open): every entry below it has been taken by everyone.
+func (mb *MultiBuffer) minPos() uint64 {
 	min := mb.next
 	for _, c := range mb.cursors {
 		if c.pos < min {
 			min = c.pos
 		}
 	}
+	return min
+}
+
+// reclaim advances base to the slowest open cursor.
+func (mb *MultiBuffer) reclaim() { mb.reclaimTo(mb.minPos()) }
+
+// reclaimTo frees the slots below min — entries no cursor will take, whose
+// payloads go back to the pool — and advances base to it.
+func (mb *MultiBuffer) reclaimTo(min uint64) {
+	for i := mb.base; i < min; i++ {
+		s := mb.slot(i)
+		mb.pool.recycle(&s.Event)
+		*s = Entry{} // release the remaining references promptly
+	}
+	mb.advance(min)
+}
+
+// advance moves base up to min over slots already emptied, waking the
+// producer and drain waiters on the relevant transitions.
+func (mb *MultiBuffer) advance(min uint64) {
 	if min == mb.base {
 		return
 	}
 	wasFull := mb.Full()
-	for i := mb.base; i < min; i++ {
-		*mb.slot(i) = Entry{} // release payload references promptly
-	}
 	mb.base = min
 	if mb.Rec.Enabled() {
 		mb.Rec.SetGauge(obs.GRingOccupancy, int64(mb.Len()))
@@ -163,12 +185,16 @@ func (mb *MultiBuffer) reclaim() {
 }
 
 // append stores one entry (capacity already checked) and updates the
-// occupancy accounting shared by Put, PutBatch and TryAppend.
+// occupancy accounting shared by Put, PutBatch and TryAppend. This is the
+// one place payload bytes enter the ring: they are copied here, once,
+// into recycled buffers, so the producer keeps its own buffers and a
+// refused append has copied nothing.
 func (mb *MultiBuffer) append(e Entry) {
 	if e.Kind == KindSyscall {
 		e.Event.Seq = mb.seq
 		mb.seq++
 	}
+	mb.pool.adopt(&e.Event)
 	e.PutAt = mb.sched.Now()
 	if mb.Len() == len(mb.buf) {
 		mb.grow()
@@ -273,6 +299,17 @@ func (mb *MultiBuffer) TryAppend(e Entry) bool {
 	return true
 }
 
+// Recycle gives the payload buffers of a taken event back to the ring
+// and clears ev's references to them. Optional — an event that is never
+// recycled costs an allocation later, nothing else — but the caller must
+// hold the only references: the next append may overwrite the bytes.
+func (mb *MultiBuffer) Recycle(ev *sysabi.Event) { mb.pool.recycle(ev) }
+
+// RecycleBytes is Recycle for a single byte payload, for a taker that
+// keeps the rest of the event (a follower hands Result.Data to its
+// application and gives back only the compared Call.Buf).
+func (mb *MultiBuffer) RecycleBytes(b []byte) { mb.pool.bytes.put(b) }
+
 // WaitDrained blocks until every open cursor has consumed every
 // appended entry, or the buffer closed. The lockstep leader uses this to
 // wait for its consumers after each recorded event without burning a
@@ -319,7 +356,9 @@ func (mb *MultiBuffer) Close() {
 // a queue nobody ever wakes.
 func (mb *MultiBuffer) Reset() {
 	for i := mb.base; i < mb.next; i++ {
-		*mb.slot(i) = Entry{}
+		s := mb.slot(i)
+		mb.pool.recycle(&s.Event)
+		*s = Entry{}
 	}
 	mb.base, mb.next = 0, 0
 	mb.seq = 0
@@ -386,15 +425,21 @@ func (c *Cursor) Close() {
 
 // take consumes the entry at the cursor position (bounds already
 // checked), charging the per-entry accounting Get and the drain calls
-// share.
+// share. The taker owns what it takes: the last cursor to take an entry
+// receives the ring's own payload buffers, an earlier one a copy, so the
+// returned entry never aliases storage the producer will write again.
 func (c *Cursor) take(t *sim.Task) Entry {
 	mb := c.mb
-	e := *mb.slot(c.pos)
-	// Only a cursor sitting on the oldest retained entry can free it.
-	oldest := c.pos == mb.base
+	s := mb.slot(c.pos)
+	e := *s
 	c.pos++
-	if oldest {
-		mb.reclaim()
+	// Only a cursor that sat on the oldest retained entry can be its last
+	// taker (and only then is the O(K) scan paid).
+	if c.pos-1 == mb.base && mb.minPos() == c.pos {
+		*s = Entry{} // handed over, payloads included
+		mb.advance(c.pos)
+	} else {
+		mb.pool.adopt(&e.Event)
 	}
 	if mb.Rec.Enabled() {
 		mb.Rec.Inc(obs.CRingGet)
@@ -434,7 +479,8 @@ func (c *Cursor) Get(t *sim.Task) (Entry, bool) {
 }
 
 // Peek returns the cursor's oldest pending entry without consuming it,
-// if one is available.
+// if one is available. The entry is a view of the slot: its payloads
+// stay valid only until the entry is taken.
 func (c *Cursor) Peek() (Entry, bool) {
 	if c.closed || c.Empty() {
 		return Entry{}, false

@@ -25,6 +25,27 @@
 // Besides syscall events the ring carries control entries: promotion
 // (the leader demotes itself, §3.2 t4) and termination.
 //
+// Payload bytes (Call.Buf, Result.Data, Result.Ready) are copied once per
+// hop, into buffers the ring recycles, under one ownership rule — the
+// taker owns what it takes:
+//
+//   - The producer keeps its buffers. An append copies the entry's
+//     payloads into the ring's own buffers, and only an append that really
+//     happens copies anything: TryAppend on a full ring costs nothing.
+//   - An entry returned by Get or a drain belongs to the caller for good.
+//     The last cursor to take an entry receives the ring's buffers
+//     themselves, an earlier one a copy; either way nothing the ring will
+//     write again is aliased, however long the entry is held. (Peek does
+//     alias the slot, until the entry is taken.)
+//   - Giving buffers back is explicit and optional: Recycle/RecycleBytes,
+//     called by a taker that holds the only reference. A forgotten buffer
+//     costs a later allocation, never a corruption. Entries nobody will
+//     take (their cursor closed, the ring was reset) recycle themselves.
+//
+// The pool of recycled buffers is a field of the ring — one scheduler, no
+// lock, nothing shared between the rings of different shards — and never
+// holds more than was once in flight.
+//
 // Storage is a true circular buffer: absolute base/next indexes over a
 // power-of-two backing array, so append and take are O(1) with no slice
 // shifting and no steady-state allocation, and only the cursor sitting
