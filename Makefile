@@ -7,7 +7,7 @@ GO ?= go
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 BYTE_DIFF_ARTIFACTS := nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-sched experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-sched bench-floor experiments examples clean
 
 all: check
 
@@ -32,7 +32,7 @@ test:
 # benchtool smoke runs.
 check: vet fmt-check lint-maps
 	$(GO) test -race ./...
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/ringbuf/ ./internal/mve/
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/ringbuf/ ./internal/mve/ ./internal/vos/ ./internal/apps/kvstore/
 	$(MAKE) $(ARTIFACTS:%=%-smoke) shard-determinism
 
 # Map-iteration determinism sweep: flag `for range` over maps in the
@@ -118,6 +118,13 @@ bench-ring:
 # (docs/PERFORMANCE.md "Record/replay path").
 bench-replay:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/mve/
+
+# Syscall-floor microbenchmarks: one intercepted call (echo, file chunk,
+# epoll_wait) and one kvstore request under a single-leader monitor over
+# a real kernel; the B/op and allocs/op columns are the point
+# (docs/PERFORMANCE.md "Syscall floor").
+bench-floor:
+	$(GO) test -bench SyscallFloor -benchmem -run '^$$' ./internal/vos/ ./internal/apps/kvstore/
 
 # Scheduler hot-path microbenchmarks: dispatch, enqueue, task
 # spawn/exit, timer fire,

@@ -157,6 +157,11 @@ type Server struct {
 
 	stouCounter int
 
+	// rbuf is the buffer offered to every read: a control read is fed to
+	// the session's line buffer, and a file chunk written out, before the
+	// next one. Each instance has its own (Fork does not copy it).
+	rbuf [ChunkSize]byte
+
 	// Ops counts executed commands, for benchmarks.
 	Ops int64
 	// CmdCPU is the user-space CPU charged per command (benchmark cost
@@ -241,7 +246,7 @@ func (s *Server) serveConn(env *dsu.Env, fd int) {
 	if !ok {
 		return
 	}
-	r := env.Sys(sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{4096, 0}})
+	r := env.Sys(sysabi.Call{Op: sysabi.OpRead, FD: fd, Buf: s.rbuf[:0], Args: [2]int64{4096, 0}})
 	if !r.OK() || r.Ret == 0 {
 		s.closeConn(env, fd)
 		return
@@ -412,13 +417,17 @@ func (s *Server) retr(env *dsu.Env, fd int, sess *session, name string) {
 	file := int(r.Ret)
 	s.reply(env, fd, fmt.Sprintf("150 Opening %s mode data connection for %s.", sess.xferType, name))
 	for {
-		r = env.Sys(sysabi.Call{Op: sysabi.OpFRead, FD: file, Args: [2]int64{ChunkSize, 0}})
+		r = env.Sys(sysabi.Call{Op: sysabi.OpFRead, FD: file, Buf: s.rbuf[:0], Args: [2]int64{ChunkSize, 0}})
 		if !r.OK() || r.Ret == 0 {
 			break
 		}
 		env.Sys(sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: r.Data})
 	}
 	env.Sys(sysabi.Call{Op: sysabi.OpClose, FD: file})
+	if !r.OK() {
+		s.reply(env, fd, "451 Failure reading local file.")
+		return
+	}
 	s.reply(env, fd, "226 Transfer complete.")
 }
 
@@ -448,8 +457,12 @@ func (s *Server) stor(env *dsu.Env, fd int, sess *session, arg string, unique bo
 		return
 	}
 	file := int(r.Ret)
-	env.Sys(sysabi.Call{Op: sysabi.OpFWrite, FD: file, Buf: []byte(content)})
+	r = env.Sys(sysabi.Call{Op: sysabi.OpFWrite, FD: file, Buf: []byte(content)})
 	env.Sys(sysabi.Call{Op: sysabi.OpClose, FD: file})
+	if !r.OK() {
+		s.reply(env, fd, "451 Failure writing to local file.")
+		return
+	}
 	if unique {
 		s.reply(env, fd, fmt.Sprintf("226 Transfer complete. Unique file: %s", name))
 	} else {

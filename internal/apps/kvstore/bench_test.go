@@ -1,0 +1,92 @@
+package kvstore
+
+import (
+	"testing"
+	"time"
+
+	"mvedsua/internal/dsu"
+	"mvedsua/internal/mve"
+	"mvedsua/internal/sim"
+	"mvedsua/internal/sysabi"
+	"mvedsua/internal/vos"
+)
+
+// Syscall-floor microbenchmarks for the request path: one iteration is
+// one client request served by the epoll loop under a single-leader
+// monitor over a real kernel — epoll_wait, read, parse, execute, clock,
+// write. The allocation column is the point (TestServeLoopAllocations
+// pins it in tier-1); `make bench-floor` runs them with the kernel's.
+
+// floorRig is a 2.0.0 server with a few preloaded keys and one client
+// that repeats a request for ever; step serves exactly one.
+type floorRig struct {
+	s      *sim.Scheduler
+	srv    *Server
+	rt     *dsu.Runtime
+	client *sim.Task
+	bad    int // replies that were not the expected one
+}
+
+// floorTick is the client's think time; RunFor of one tick is one
+// request.
+const floorTick = time.Microsecond
+
+func newFloorRig(tb testing.TB, cmd, want string) *floorRig {
+	tb.Helper()
+	s := sim.New()
+	k := vos.NewKernel(s)
+	m := mve.New(k, 16, mve.Costs{})
+	r := &floorRig{s: s, srv: New(SpecFor("2.0.0", false))}
+	r.srv.Preload(16)
+	r.rt = dsu.NewRuntime(s, r.srv, dsu.Config{Name: "leader", Dispatcher: m.StartSingleLeader("leader")})
+	r.rt.Start()
+	r.client = s.Go("client", func(tk *sim.Task) {
+		fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{Port, 0}}).Ret)
+		req, reply := []byte(cmd+"\r\n"), make([]byte, 0, 256)
+		for {
+			k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: req})
+			res := k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Buf: reply, Args: [2]int64{256, 0}})
+			if string(res.Data) != want {
+				r.bad++
+			}
+			tk.Sleep(floorTick)
+		}
+	})
+	for i := 0; i < 32; i++ { // buffers and tables reach their steady size
+		r.step(tb)
+	}
+	tb.Cleanup(func() {
+		r.client.Kill()
+		r.rt.KillAll()
+		s.Run()
+	})
+	return r
+}
+
+func (r *floorRig) step(tb testing.TB) {
+	if err := r.s.RunFor(floorTick); err != nil {
+		tb.Fatalf("RunFor: %v", err)
+	}
+}
+
+const (
+	floorGet, floorGetReply = "GET key:00000003", "$12\r\nval:00000003\r\n"
+	floorSet, floorSetReply = "SET key:00000005 fresh-value", "+OK\r\n"
+)
+
+func benchFloor(b *testing.B, cmd, want string) {
+	r := newFloorRig(b, cmd, want)
+	ops := r.srv.Ops
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.step(b)
+	}
+	b.StopTimer()
+	if got := r.srv.Ops - ops; got != int64(b.N) || r.bad != 0 {
+		b.Fatalf("served %d requests in %d steps, %d wrong replies", got, b.N, r.bad)
+	}
+}
+
+func BenchmarkSyscallFloorKVGet(b *testing.B) { benchFloor(b, floorGet, floorGetReply) }
+func BenchmarkSyscallFloorKVSet(b *testing.B) { benchFloor(b, floorSet, floorSetReply) }

@@ -123,6 +123,14 @@ type Server struct {
 	conns    map[int]*connState
 	db       map[string]*entry
 
+	// Per-request scratch — the buffer offered to read, the command's
+	// tokens, the encoded reply — reused by every request. Each instance
+	// has its own (Fork copies none of it): a leader parked in a write on
+	// a full ring still has the reply in here when its fork starts serving.
+	rbuf  [4096]byte
+	args  []string
+	reply []byte
+
 	// xformGen counts the lazy version hops this instance has absorbed;
 	// entries at a lower generation still owe migration steps.
 	xformGen int
@@ -300,14 +308,19 @@ func (s *Server) discard(e *entry) {
 }
 
 // put installs a fresh entry (already at the current generation),
-// retiring any lagging entry it replaces.
-func (s *Server) put(key string, e *entry) *entry {
+// retiring any lagging entry it replaces — in place, so overwriting a key
+// allocates nothing.
+func (s *Server) put(key string, e entry) *entry {
+	e.gen = s.xformGen
 	if old, ok := s.db[key]; ok {
 		s.discard(old)
+		*old = e
+		return old
 	}
-	e.gen = s.xformGen
-	s.db[key] = e
-	return e
+	fresh := new(entry) // not &e: that would heap-allocate e on the overwrite path too
+	*fresh = e
+	s.db[key] = fresh
+	return fresh
 }
 
 // maybeFinishLazy drops the migration bookkeeping once nothing lags,
@@ -415,7 +428,7 @@ func (s *Server) serveConn(env *dsu.Env, fd int) bool {
 	if !ok {
 		return false
 	}
-	r := env.Sys(sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{4096, 0}})
+	r := env.Sys(sysabi.Call{Op: sysabi.OpRead, FD: fd, Buf: s.rbuf[:0], Args: [2]int64{4096, 0}})
 	if !r.OK() || r.Ret == 0 {
 		s.closeConn(env, fd)
 		return false
@@ -483,11 +496,30 @@ func (s *Server) lookup(now time.Duration, key string) (*entry, bool) {
 	return e, true
 }
 
+// Replies that never vary are encoded once; nobody writes to them.
+var (
+	replyOK   = proto.SimpleString("OK")
+	replyNull = proto.NullBulk()
+)
+
+// bulk and integer encode a reply into the instance's reply scratch: it
+// is valid until the next command executes.
+func (s *Server) bulk(v string) []byte {
+	s.reply = proto.AppendBulk(s.reply[:0], v)
+	return s.reply
+}
+
+func (s *Server) integer(n int64) []byte {
+	s.reply = proto.AppendInteger(s.reply[:0], n)
+	return s.reply
+}
+
 // executeAt runs one command line and returns the encoded reply; now is
 // the pre-sampled clock for expiry decisions (0 before 2.1.0).
 func (s *Server) executeAt(now time.Duration, line string) []byte {
 	s.Ops++
-	args := proto.Fields(line)
+	s.args = proto.AppendFields(s.args[:0], line)
+	args := s.args
 	if len(args) == 0 {
 		return proto.ErrorReply("empty command")
 	}
@@ -499,20 +531,20 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) < 3 {
 			return proto.ErrorReply("wrong number of arguments for 'set' command")
 		}
-		s.put(args[1], &entry{typ: typeString, str: args[2]})
-		return proto.SimpleString("OK")
+		s.put(args[1], entry{typ: typeString, str: args[2]})
+		return replyOK
 	case "GET", "get":
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'get' command")
 		}
 		e, ok := s.lookup(now, args[1])
 		if !ok {
-			return proto.NullBulk()
+			return replyNull
 		}
 		if e.typ != typeString {
 			return proto.WrongTypeReply()
 		}
-		return proto.Bulk(e.str)
+		return s.bulk(e.str)
 	case "DEL", "del":
 		if len(args) < 2 {
 			return proto.ErrorReply("wrong number of arguments for 'del' command")
@@ -525,22 +557,22 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 				n++
 			}
 		}
-		return proto.Integer(n)
+		return s.integer(n)
 	case "EXISTS", "exists":
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'exists' command")
 		}
 		if _, ok := s.lookup(now, args[1]); ok {
-			return proto.Integer(1)
+			return s.integer(1)
 		}
-		return proto.Integer(0)
+		return s.integer(0)
 	case "INCR", "incr":
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'incr' command")
 		}
 		e, ok := s.lookup(now, args[1])
 		if !ok {
-			e = s.put(args[1], &entry{typ: typeString, str: "0"})
+			e = s.put(args[1], entry{typ: typeString, str: "0"})
 		}
 		if e.typ != typeString {
 			return proto.WrongTypeReply()
@@ -551,7 +583,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		}
 		n++
 		e.str = strconv.FormatInt(n, 10)
-		return proto.Integer(n)
+		return s.integer(n)
 	case "HSET", "hset":
 		if len(args) != 4 {
 			return proto.ErrorReply("wrong number of arguments for 'hset' command")
@@ -560,7 +592,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if ok {
 			s.touch(e)
 		} else {
-			e = s.put(args[1], &entry{typ: typeHash, hash: make(map[string]string)})
+			e = s.put(args[1], entry{typ: typeHash, hash: make(map[string]string)})
 		}
 		if e.typ != typeHash {
 			return proto.WrongTypeReply()
@@ -568,9 +600,9 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		_, existed := e.hash[args[2]]
 		e.hash[args[2]] = args[3]
 		if existed {
-			return proto.Integer(0)
+			return s.integer(0)
 		}
-		return proto.Integer(1)
+		return s.integer(1)
 	case "HGET", "hget":
 		if len(args) != 3 {
 			return proto.ErrorReply("wrong number of arguments for 'hget' command")
@@ -583,13 +615,13 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 			if ok && e.typ != typeHash {
 				return proto.WrongTypeReply()
 			}
-			return proto.NullBulk()
+			return replyNull
 		}
 		v, ok := e.hash[args[2]]
 		if !ok {
-			return proto.NullBulk()
+			return replyNull
 		}
-		return proto.Bulk(v)
+		return s.bulk(v)
 	case "HMGET", "hmget":
 		if len(args) < 3 {
 			return proto.ErrorReply("wrong number of arguments for 'hmget' command")
@@ -632,7 +664,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		}
 		return proto.SimpleString("string")
 	case "DBSIZE", "dbsize":
-		return proto.Integer(int64(len(s.db)))
+		return s.integer(int64(len(s.db)))
 	case "KEYS", "keys":
 		keys := make([]string, 0, len(s.db))
 		for k := range s.db { // maporder: ok — keys are sorted below
@@ -649,7 +681,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if s.lazy != nil {
 			s.lazy.pending = 0 // nothing left to migrate
 		}
-		return proto.SimpleString("OK")
+		return replyOK
 	case "APPEND", "append":
 		if !s.spec.HasAppend {
 			return proto.ErrorReply(fmt.Sprintf("unknown command '%s'", cmd))
@@ -661,13 +693,13 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if ok {
 			s.touch(e)
 		} else {
-			e = s.put(args[1], &entry{typ: typeString})
+			e = s.put(args[1], entry{typ: typeString})
 		}
 		if e.typ != typeString {
 			return proto.WrongTypeReply()
 		}
 		e.str += args[2]
-		return proto.Integer(int64(len(e.str)))
+		return s.integer(int64(len(e.str)))
 	case "GETSET", "getset":
 		if !s.spec.HasGetSet {
 			return proto.ErrorReply(fmt.Sprintf("unknown command '%s'", cmd))
@@ -676,15 +708,15 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 			return proto.ErrorReply("wrong number of arguments for 'getset' command")
 		}
 		e, ok := s.db[args[1]]
-		old := proto.NullBulk()
+		old := replyNull
 		if ok {
 			s.touch(e)
 			if e.typ != typeString {
 				return proto.WrongTypeReply()
 			}
-			old = proto.Bulk(e.str)
+			old = s.bulk(e.str)
 		}
-		s.put(args[1], &entry{typ: typeString, str: args[2]})
+		s.put(args[1], entry{typ: typeString, str: args[2]})
 		return old
 	case "EXPIRE", "expire":
 		if !s.spec.HasExpire {
@@ -699,10 +731,10 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		}
 		e, ok := s.lookup(now, args[1])
 		if !ok {
-			return proto.Integer(0)
+			return s.integer(0)
 		}
 		e.expireAt = now + time.Duration(secs)*time.Second
-		return proto.Integer(1)
+		return s.integer(1)
 	case "PERSIST", "persist":
 		if !s.spec.HasExpire {
 			return proto.ErrorReply(fmt.Sprintf("unknown command '%s'", cmd))
@@ -712,10 +744,10 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		}
 		e, ok := s.lookup(now, args[1])
 		if !ok || e.expireAt == 0 {
-			return proto.Integer(0)
+			return s.integer(0)
 		}
 		e.expireAt = 0
-		return proto.Integer(1)
+		return s.integer(1)
 	case "TTL", "ttl":
 		if !s.spec.HasExpire {
 			return proto.ErrorReply(fmt.Sprintf("unknown command '%s'", cmd))
@@ -725,12 +757,12 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		}
 		e, ok := s.lookup(now, args[1])
 		if !ok {
-			return proto.Integer(-2)
+			return s.integer(-2)
 		}
 		if e.expireAt == 0 {
-			return proto.Integer(-1)
+			return s.integer(-1)
 		}
-		return proto.Integer(int64((e.expireAt - now) / time.Second))
+		return s.integer(int64((e.expireAt - now) / time.Second))
 	default:
 		return proto.ErrorReply(fmt.Sprintf("unknown command '%s'", cmd))
 	}

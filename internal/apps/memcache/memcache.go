@@ -92,6 +92,12 @@ func (c *mcConn) clone() *mcConn {
 type worker struct {
 	base  *libevent.Base
 	conns map[int]*mcConn
+
+	// Per-request scratch: the buffer offered to read and the command's
+	// tokens. It belongs to this worker's thread — a sibling may be parked
+	// mid-request — and clone copies none of it.
+	rbuf [4096]byte
+	args []string
 }
 
 func (w *worker) clone() *worker {
@@ -278,7 +284,7 @@ func (s *Server) handleConn(env *dsu.Env, w *worker, fd int) {
 	if !ok {
 		return
 	}
-	r := env.Sys(sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{4096, 0}})
+	r := env.Sys(sysabi.Call{Op: sysabi.OpRead, FD: fd, Buf: w.rbuf[:0], Args: [2]int64{4096, 0}})
 	if !r.OK() || r.Ret == 0 {
 		w.base.Unregister(env, fd)
 		env.Sys(sysabi.Call{Op: sysabi.OpClose, FD: fd})
@@ -291,7 +297,7 @@ func (s *Server) handleConn(env *dsu.Env, w *worker, fd int) {
 		if !ok {
 			break
 		}
-		for _, reply := range s.executeLine(env, conn, line) {
+		for _, reply := range s.executeLine(env, w, conn, line) {
 			env.Sys(sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: reply})
 		}
 	}
@@ -299,13 +305,14 @@ func (s *Server) handleConn(env *dsu.Env, w *worker, fd int) {
 
 // executeLine consumes one protocol line; storage commands span two
 // lines (header + data block).
-func (s *Server) executeLine(env *dsu.Env, conn *mcConn, line string) [][]byte {
+func (s *Server) executeLine(env *dsu.Env, w *worker, conn *mcConn, line string) [][]byte {
 	if conn.pendingSet != nil {
 		h := conn.pendingSet
 		conn.pendingSet = nil
 		return [][]byte{s.store(h, line)}
 	}
-	args := proto.Fields(line)
+	w.args = proto.AppendFields(w.args[:0], line)
+	args := w.args
 	if len(args) == 0 {
 		return [][]byte{proto.McError()}
 	}

@@ -45,6 +45,11 @@ type Server struct {
 	connFD   int
 	table    map[string]entry
 
+	// Per-request scratch: the buffer offered to read and the command's
+	// tokens. Each instance has its own (Fork copies none of it).
+	rbuf [1024]byte
+	args []string
+
 	// Ops counts executed commands.
 	Ops int64
 }
@@ -111,7 +116,7 @@ func (s *Server) Main(env *dsu.Env) {
 		if env.UpdatePoint("main_loop") == dsu.Exit {
 			return
 		}
-		r := env.Sys(sysabi.Call{Op: sysabi.OpRead, FD: s.connFD, Args: [2]int64{1024, 0}})
+		r := env.Sys(sysabi.Call{Op: sysabi.OpRead, FD: s.connFD, Buf: s.rbuf[:0], Args: [2]int64{1024, 0}})
 		if !r.OK() || r.Ret == 0 {
 			env.Sys(sysabi.Call{Op: sysabi.OpClose, FD: s.connFD})
 			s.connFD = -1
@@ -131,7 +136,8 @@ func (s *Server) Main(env *dsu.Env) {
 
 func (s *Server) execute(line string) string {
 	s.Ops++
-	args := proto.Fields(line)
+	s.args = proto.AppendFields(s.args[:0], line)
+	args := s.args
 	if len(args) == 0 {
 		return "ERR bad command"
 	}

@@ -4,10 +4,14 @@
 package apptest
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
 	"mvedsua/internal/core"
+	"mvedsua/internal/dsu"
+	"mvedsua/internal/mve"
 	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
@@ -236,4 +240,149 @@ func (c *Client) RecvUntil(tk *sim.Task, marker string) string {
 // Close shuts the connection.
 func (c *Client) Close(tk *sim.Task) {
 	c.k.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: c.fd})
+}
+
+// CheckOwnership runs the buffer-ownership scenario of an application
+// and reports the first thing wrong with it. newApp's instance leads k
+// cold-started replicas of itself (the duo follower for k = 1, three
+// fleet variants for k = 3) on a four-entry ring, so slots and pooled
+// buffers are reused constantly; driver plays the clients and returns
+// everything they read. Each configuration runs twice. The second time
+// every instance behaves like an application that treats its scratch as
+// its own the moment a write returns: it overwrites every buffer scratch
+// names for the issuing thread (the read buffer is dead by then — every
+// server feeds a line buffer, or writes the chunk out, before its next
+// syscall — and so is the reply just written). Nobody may diverge, every
+// instance must write the same bytes to its sockets, as many as the
+// clients read, and the overwriting run must be indistinguishable from
+// the one that leaves the buffers alone.
+func CheckOwnership(
+	newApp func() dsu.App,
+	scratch func(app dsu.App, tid int) [][]byte,
+	prepare func(k *vos.Kernel),
+	driver func(k *vos.Kernel, tk *sim.Task) string,
+) error {
+	for _, k := range []int{1, 3} {
+		var calm ownershipRun
+		for _, scribble := range []bool{false, true} {
+			run, err := runOwnership(newApp(), k, scribble, scratch, prepare, driver)
+			if err == nil {
+				err = run.check()
+			}
+			if err == nil && scribble && (run.read != calm.read || run.written[0] != calm.written[0]) {
+				err = fmt.Errorf("the streams differ from the run that leaves the buffers alone")
+			}
+			if err != nil {
+				return fmt.Errorf("K=%d scribble=%v: %w", k, scribble, err)
+			}
+			calm = run
+		}
+	}
+	return nil
+}
+
+// ownershipRun is what one run of the scenario produced: the bytes the
+// clients read, the bytes each instance (leader first) wrote to sockets,
+// and the divergences.
+type ownershipRun struct {
+	read    string
+	written []string
+	divs    []mve.Divergence
+}
+
+func (r ownershipRun) check() error {
+	if len(r.divs) != 0 {
+		return fmt.Errorf("diverged: %v", r.divs[0])
+	}
+	if len(r.read) == 0 || len(r.read) != len(r.written[0]) {
+		return fmt.Errorf("the clients read %d bytes, the leader wrote %d", len(r.read), len(r.written[0]))
+	}
+	for i, w := range r.written[1:] {
+		if w != r.written[0] {
+			return fmt.Errorf("replica %d wrote %d bytes that differ from the leader's %d", i+1, len(w), len(r.written[0]))
+		}
+	}
+	return nil
+}
+
+func runOwnership(
+	app dsu.App, k int, scribble bool,
+	scratch func(app dsu.App, tid int) [][]byte,
+	prepare func(k *vos.Kernel),
+	driver func(k *vos.Kernel, tk *sim.Task) string,
+) (ownershipRun, error) {
+	s := sim.New()
+	kern := vos.NewKernel(s)
+	if prepare != nil {
+		prepare(kern)
+	}
+	m := mve.New(kern, 4, mve.Costs{})
+	procs := []*mve.Proc{m.StartSingleLeader("leader")}
+	apps := []dsu.App{app}
+	for i := 1; i <= k; i++ {
+		name := "replica" + strconv.Itoa(i)
+		if k == 1 {
+			procs = append(procs, m.AttachFollower(name, nil))
+		} else {
+			procs = append(procs, m.AttachVariant(name, nil))
+		}
+		apps = append(apps, app.Fork())
+	}
+	var rts []*dsu.Runtime
+	var taps []*scribbler
+	for i, p := range procs {
+		tap := &scribbler{inner: p, app: apps[i], scratch: scratch, scribble: scribble}
+		taps = append(taps, tap)
+		rt := dsu.NewRuntime(s, apps[i], dsu.Config{Name: p.Name(), Dispatcher: tap})
+		rt.Start()
+		rts = append(rts, rt)
+	}
+	var run ownershipRun
+	s.Go("apptest/driver", func(tk *sim.Task) {
+		run.read = driver(kern, tk)
+		tk.Sleep(100 * time.Millisecond) // the replicas validate the tail
+		for _, rt := range rts[1:] {
+			rt.KillAll()
+		}
+		if k == 1 {
+			m.DropFollower()
+		} else {
+			m.AbortFleet("test teardown")
+		}
+		rts[0].KillAll()
+	})
+	err := s.Run()
+	for _, tap := range taps {
+		run.written = append(run.written, string(tap.written))
+	}
+	run.divs = m.Divergences()
+	return run, err
+}
+
+// scribbler sits between an application and its monitor process: it
+// keeps what the application writes to sockets and, when scribbling,
+// overwrites the issuing thread's scratch after every write returns.
+type scribbler struct {
+	inner    sysabi.Dispatcher
+	app      dsu.App
+	scratch  func(app dsu.App, tid int) [][]byte
+	scribble bool
+	written  []byte
+}
+
+// Invoke implements sysabi.Dispatcher.
+func (d *scribbler) Invoke(t *sim.Task, c sysabi.Call) sysabi.Result {
+	if c.Op == sysabi.OpWrite {
+		d.written = append(d.written, c.Buf...)
+	}
+	r := d.inner.Invoke(t, c)
+	if d.scribble && c.HasOutput() {
+		for _, b := range d.scratch(d.app, c.TID) {
+			b = b[:cap(b)]
+			for i := range b {
+				b[i] = '!'
+			}
+		}
+	}
+	return r
 }

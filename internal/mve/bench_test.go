@@ -30,26 +30,33 @@ type replayRig struct {
 	m     *Monitor
 	procs []*Proc // leader first
 	tasks []*sim.Task
+	short int // OpFRead results that were not a full, intact chunk
 }
 
 // rigTick is the leader application's think time between calls; RunFor
 // of one tick is therefore one round trip.
 const rigTick = time.Microsecond
 
-// rigFile is what an OpFRead rig reads: long enough for a thousand 4 KiB
-// reads before EOF.
-const rigFile, rigFileSize = "/bulk", 4 << 20
+// rigFile is what an OpFRead rig reads: long enough for two thousand
+// 4 KiB reads before EOF, each chunk filled with its own byte.
+const rigFile, rigFileSize = "/bulk", 8 << 20
 
 // newReplayRig builds the rig: followers == 1 attaches the duo follower,
 // more attach that many fleet variants. Each of threads logical threads
 // per process loops on call through a buffer of its own; an OpFRead call
-// first opens rigFile and reads from that descriptor.
-func newReplayRig(tb testing.TB, followers, threads int, call sysabi.Call) *replayRig {
+// first opens rigFile and reads from that descriptor, into a buffer of
+// offer bytes the thread offers (none for offer == 0), and checks what
+// it gets.
+func newReplayRig(tb testing.TB, followers, threads int, call sysabi.Call, offer int) *replayRig {
 	tb.Helper()
 	s := sim.New()
 	k := vos.NewKernel(s)
 	if call.Op == sysabi.OpFRead {
-		k.WriteFile(rigFile, make([]byte, rigFileSize))
+		file := make([]byte, rigFileSize)
+		for i := range file {
+			file[i] = byte(i / int(call.Args[0]))
+		}
+		k.WriteFile(rigFile, file)
 	}
 	r := &replayRig{s: s, m: New(k, 256, Costs{})}
 	r.procs = []*Proc{r.m.StartSingleLeader("leader")}
@@ -68,9 +75,16 @@ func newReplayRig(tb testing.TB, followers, threads int, call sysabi.Call) *repl
 				c.TID = tid
 				if c.Op == sysabi.OpFRead {
 					c.FD = int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpOpen, Path: rigFile, TID: tid}).Ret)
+					if offer > 0 {
+						c.Buf = make([]byte, 0, offer)
+					}
 				}
-				for {
-					p.Invoke(tk, c)
+				for n := 0; ; n++ {
+					res := p.Invoke(tk, c)
+					if d := res.Data; c.Op == sysabi.OpFRead &&
+						(int64(len(d)) != c.Args[0] || d[0] != byte(n) || d[len(d)-1] != byte(n)) {
+						r.short++
+					}
 					if pi == 0 {
 						tk.Sleep(rigTick)
 					}
@@ -112,7 +126,7 @@ func freadCall(size int64) sysabi.Call {
 }
 
 func benchRecordReplay(b *testing.B, followers, threads int, call sysabi.Call) {
-	r := newReplayRig(b, followers, threads, call)
+	r := newReplayRig(b, followers, threads, call, 0)
 	recorded := r.m.Stats.Recorded
 	b.ReportAllocs()
 	b.ResetTimer()

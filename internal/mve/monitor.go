@@ -1036,11 +1036,19 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 		p.becomeLeader()
 	}
 	// The event is retired. This proc was its taker and owns its bytes:
-	// the result's payloads pass to the application as they are, and the
-	// call's payload, needed only for the comparison above, goes back to
-	// the ring. (A rule-emitted event carries buffers of its own.)
+	// the call's payload, needed only for the comparison above, goes back
+	// to the ring, and so does a read's data once it is copied into the
+	// buffer the application offered (sysabi.Call.Buf) — a follower's
+	// read(2) fills the follower's own memory. With no offer, or one too
+	// small for what the leader read, the data passes to the application
+	// as it is. (A rule-emitted event carries buffers of its own.)
 	if identity {
 		p.m.ring.RecycleBytes(exp.Call.Buf)
+		if d := exp.Result.Data; len(d) > 0 && cap(call.Buf) >= len(d) &&
+			(call.Op == sysabi.OpRead || call.Op == sysabi.OpFRead) {
+			exp.Result.Data = append(call.Buf[:0], d...)
+			p.m.ring.RecycleBytes(d)
+		}
 	}
 	return exp.Result, false
 }

@@ -15,31 +15,40 @@ import (
 
 // TestReplayZeroAllocs pins the record/replay path's allocation budget
 // without timing anything: a recorded-and-replayed call whose payload is
-// only compared allocates nothing, and one that returns data allocates
-// exactly the buffers the applications end up owning.
+// only compared allocates nothing, and neither does a read into a buffer
+// the application offers; a read that offers none, or too little,
+// allocates exactly the buffers the applications end up owning.
 func TestReplayZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name      string
 		followers int
 		threads   int
 		call      sysabi.Call
+		offer     int
 		want      float64
 	}{
 		{name: "clock", followers: 1, threads: 1, call: sysabi.Call{Op: sysabi.OpClock}},
 		{name: "write64", followers: 1, threads: 1, call: writeCall(64)},
 		{name: "write4K", followers: 1, threads: 1, call: writeCall(4096)},
-		// The leader application's buffer (from the kernel) and the
-		// follower application's (the ring's copy, handed over).
-		{name: "fread4K", followers: 1, threads: 1, call: freadCall(4096), want: 2},
+		// The kernel fills the leader's buffer, the follower's monitor
+		// the follower's, and the ring's copy goes back to the pool.
+		{name: "fread4K", followers: 1, threads: 1, call: freadCall(4096), offer: 4096},
+		// No offer: the leader application's buffer comes from the kernel
+		// and the follower application's is the ring's copy, handed over.
+		{name: "fread4K/no-offer", followers: 1, threads: 1, call: freadCall(4096), want: 2},
+		// An offer too small for what the leader read is no offer.
+		{name: "fread4K/small-offer", followers: 1, threads: 1, call: freadCall(4096), offer: 1024, want: 2},
 		{name: "K3/write64", followers: 3, threads: 1, call: writeCall(64)},
 		{name: "K3/write4K", followers: 3, threads: 1, call: writeCall(4096)},
+		{name: "K3/fread4K", followers: 3, threads: 1, call: freadCall(4096), offer: 4096},
 		// One buffer per application: the leader's and each variant's.
-		{name: "K3/fread4K", followers: 3, threads: 1, call: freadCall(4096), want: 4},
+		{name: "K3/fread4K/no-offer", followers: 3, threads: 1, call: freadCall(4096), want: 4},
+		{name: "K3/fread4K/small-offer", followers: 3, threads: 1, call: freadCall(4096), offer: 1024, want: 4},
 		{name: "threaded/write64", followers: 1, threads: 4, call: writeCall(64)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newReplayRig(t, tc.followers, tc.threads, tc.call)
+			r := newReplayRig(t, tc.followers, tc.threads, tc.call, tc.offer)
 			replayed := r.m.Stats.Replayed
 			const runs = 100
 			got := testing.AllocsPerRun(runs, func() { r.step(t) })
@@ -52,6 +61,37 @@ func TestReplayZeroAllocs(t *testing.T) {
 			}
 			if len(r.m.Divergences()) != 0 {
 				t.Errorf("divergences: %v", r.m.Divergences())
+			}
+			if r.short != 0 {
+				t.Errorf("%d reads returned something other than the full chunk", r.short)
+			}
+		})
+	}
+}
+
+// TestReplayedReadsRecycleRingBuffers: a thousand replayed 4 KiB reads
+// draw the ring's copy of their data from the payload pool. Before reads
+// filled the follower's own buffer, the follower's application kept each
+// buffer it took, so the pool never had one to give and every read
+// allocated a new one.
+func TestReplayedReadsRecycleRingBuffers(t *testing.T) {
+	for _, followers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("K%d", followers), func(t *testing.T) {
+			r := newReplayRig(t, followers, 1, freadCall(4096), 4096)
+			const reads = 1000
+			replayed := r.m.Stats.Replayed
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < reads; i++ {
+				r.step(t)
+			}
+			runtime.ReadMemStats(&after)
+			if n := r.m.Stats.Replayed - replayed; n != int64(reads*followers) || r.short != 0 {
+				t.Fatalf("replayed %d reads, %d of them short; want %d and none", n, r.short, reads*followers)
+			}
+			// One buffer each would be 4 MiB and more.
+			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+				t.Errorf("%d replayed reads allocated %d bytes: the ring's buffers are not recycled", reads*followers, got)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ package proto
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -43,8 +44,30 @@ func (b *LineBuffer) Clone() *LineBuffer {
 	return out
 }
 
-// Fields splits a command line into whitespace-separated tokens.
-func Fields(line string) []string { return strings.Fields(line) }
+// AppendFields appends the whitespace-separated tokens of a command line
+// to dst — strings.Fields into a slice the caller reuses. The tokens are
+// substrings of line. Lines with a byte outside ASCII go through
+// strings.Fields itself, so Unicode white space splits as it does there.
+func AppendFields(dst []string, line string) []string {
+	base, start := len(dst), -1
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case c >= 0x80:
+			return append(dst[:base], strings.Fields(line)...)
+		case c == ' ' || '\t' <= c && c <= '\r':
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
 
 // RESP-style encoders (the kvstore's reply format).
 
@@ -60,10 +83,26 @@ func WrongTypeReply() []byte {
 }
 
 // Integer encodes ":n\r\n".
-func Integer(n int64) []byte { return []byte(fmt.Sprintf(":%d\r\n", n)) }
+func Integer(n int64) []byte { return AppendInteger(nil, n) }
+
+// AppendInteger appends ":n\r\n" to dst.
+func AppendInteger(dst []byte, n int64) []byte {
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, n, 10)
+	return append(dst, '\r', '\n')
+}
 
 // Bulk encodes "$len\r\ndata\r\n".
-func Bulk(s string) []byte { return []byte(fmt.Sprintf("$%d\r\n%s\r\n", len(s), s)) }
+func Bulk(s string) []byte { return AppendBulk(nil, s) }
+
+// AppendBulk appends "$len\r\ndata\r\n" to dst.
+func AppendBulk(dst []byte, s string) []byte {
+	dst = append(dst, '$')
+	dst = strconv.AppendInt(dst, int64(len(s)), 10)
+	dst = append(dst, '\r', '\n')
+	dst = append(dst, s...)
+	return append(dst, '\r', '\n')
+}
 
 // NullBulk encodes the RESP null bulk "$-1\r\n".
 func NullBulk() []byte { return []byte("$-1\r\n") }

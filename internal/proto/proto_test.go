@@ -147,7 +147,7 @@ func TestParseFTPCommand(t *testing.T) {
 }
 
 func TestFields(t *testing.T) {
-	got := Fields("SET  key   value")
+	got := AppendFields(nil, "SET  key   value")
 	if len(got) != 3 || got[0] != "SET" || got[1] != "key" || got[2] != "value" {
 		t.Fatalf("Fields = %v", got)
 	}

@@ -306,8 +306,9 @@ func (mb *MultiBuffer) TryAppend(e Entry) bool {
 func (mb *MultiBuffer) Recycle(ev *sysabi.Event) { mb.pool.recycle(ev) }
 
 // RecycleBytes is Recycle for a single byte payload, for a taker that
-// keeps the rest of the event (a follower hands Result.Data to its
-// application and gives back only the compared Call.Buf).
+// keeps the rest of the event (a follower gives back the compared
+// Call.Buf, and a read's Result.Data once it is copied into the buffer
+// its application offered; data nobody offered room for it hands over).
 func (mb *MultiBuffer) RecycleBytes(b []byte) { mb.pool.bytes.put(b) }
 
 // WaitDrained blocks until every open cursor has consumed every

@@ -133,9 +133,17 @@ func (e Errno) Error() string {
 
 // Call is one virtual system call as issued by an application.
 type Call struct {
-	Op   Op
-	FD   int
-	Buf  []byte   // payload for writes
+	Op Op
+	FD int
+	// Buf is the payload of a write. A read or fread may instead offer
+	// its destination here as buf[:0]: capacity is the offer, and length
+	// must stay 0 — the ring copies, the cost model charges and Equal
+	// compares len(Buf) bytes, and the kernel answers EINVAL otherwise.
+	// Whoever executes the call (the kernel; a follower's monitor, from
+	// the recorded bytes) fills the offer and returns it as Result.Data;
+	// with no offer, or one too small, Result.Data is a fresh slice. Either
+	// way the caller owns Result.Data once the call returns.
+	Buf  []byte
 	Args [2]int64 // numeric arguments (port, max bytes, flags, ...)
 	Path string   // for file ops
 

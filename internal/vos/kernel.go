@@ -3,6 +3,14 @@
 // clock, and logical process ids. It executes the virtual syscall ABI
 // defined in internal/sysabi and stands in for the Linux kernel of the
 // paper's testbed (see DESIGN.md §1 for the substitution rationale).
+//
+// Reads have read(2) semantics: a read or fread may offer its
+// destination as Call.Buf[:0] — capacity is the offer, length stays 0 —
+// and the kernel fills it and returns it as Result.Data. A call that
+// offers nothing, or less than the bytes available, gets a fresh slice it
+// owns. File descriptors are never reused: the table is a slice indexed
+// by fd that only grows, and an epoll set is a sorted slice of fds, so
+// nothing on the per-call path touches a map.
 package vos
 
 import (
@@ -19,8 +27,8 @@ import (
 // at a time, so no locking is needed.
 type Kernel struct {
 	sched   *sim.Scheduler
-	fds     map[int]object
-	nextFD  int
+	fds     []object // indexed by fd; nil = never opened, or closed (fds are never reused)
+	nopen   int      // live entries of fds
 	ports   map[int64]*listener
 	fs      map[string]*file
 	pids    map[int]int64 // task id -> logical pid
@@ -36,7 +44,7 @@ type Kernel struct {
 	BaseCost func(sysabi.Call) time.Duration
 
 	// Stats counts executed syscalls by op.
-	Stats map[sysabi.Op]int
+	Stats [sysabi.OpExit + 1]int
 
 	// Rec, if non-nil, receives kernel-level observability (byte traffic
 	// and open-fd gauges). Recording is additionally gated on
@@ -52,13 +60,11 @@ type object interface{ isObject() }
 // NewKernel returns an empty kernel bound to the scheduler.
 func NewKernel(s *sim.Scheduler) *Kernel {
 	return &Kernel{
-		sched:  s,
-		fds:    make(map[int]object),
-		nextFD: 3, // 0-2 reserved, as tradition demands
-		ports:  make(map[int64]*listener),
-		fs:     make(map[string]*file),
-		pids:   make(map[int]int64),
-		Stats:  make(map[sysabi.Op]int),
+		sched: s,
+		fds:   make([]object, 3), // 0-2 reserved, as tradition demands
+		ports: make(map[int64]*listener),
+		fs:    make(map[string]*file),
+		pids:  make(map[int]int64),
 	}
 }
 
@@ -105,21 +111,32 @@ type openFile struct {
 func (*openFile) isObject() {}
 
 type epoll struct {
-	watched map[int]bool
+	watched []int // ascending
 }
 
 func (*epoll) isObject() {}
 
 func (k *Kernel) allocFD(o object) int {
-	fd := k.nextFD
-	k.nextFD++
-	k.fds[fd] = o
-	return fd
+	k.fds = append(k.fds, o)
+	k.nopen++
+	return len(k.fds) - 1
+}
+
+// object returns what fd refers to, nil for a closed, negative or
+// never-allocated fd.
+func (k *Kernel) object(fd int) object {
+	if uint(fd) < uint(len(k.fds)) {
+		return k.fds[fd]
+	}
+	return nil
 }
 
 // Invoke implements sysabi.Dispatcher: it executes the call natively.
 func (k *Kernel) Invoke(t *sim.Task, c sysabi.Call) sysabi.Result {
-	k.Stats[c.Op]++
+	// Op comes from the caller: an unknown one is EINVAL below, uncounted.
+	if uint(c.Op) < uint(len(k.Stats)) {
+		k.Stats[c.Op]++
+	}
 	if k.BaseCost != nil {
 		if d := k.BaseCost(c); d > 0 {
 			t.Advance(d)
@@ -145,7 +162,7 @@ func (k *Kernel) observe(c sysabi.Call, res sysabi.Result) {
 			k.Rec.Add(obs.CVOSFSBytes, res.Ret)
 		}
 	}
-	k.Rec.SetGauge(obs.GVOSOpenFDs, int64(len(k.fds)))
+	k.Rec.SetGauge(obs.GVOSOpenFDs, int64(k.nopen))
 }
 
 func (k *Kernel) dispatch(t *sim.Task, c sysabi.Call) sysabi.Result {
@@ -175,7 +192,7 @@ func (k *Kernel) dispatch(t *sim.Task, c sysabi.Call) sysabi.Result {
 	case sysabi.OpListDir:
 		return k.listDir(c)
 	case sysabi.OpEpollCreate:
-		return sysabi.Result{Ret: int64(k.allocFD(&epoll{watched: make(map[int]bool)}))}
+		return sysabi.Result{Ret: int64(k.allocFD(&epoll{}))}
 	case sysabi.OpEpollCtl:
 		return k.epollCtl(c)
 	case sysabi.OpEpollWait:
@@ -202,7 +219,7 @@ func (k *Kernel) socket(c sysabi.Call) sysabi.Result {
 }
 
 func (k *Kernel) accept(t *sim.Task, c sysabi.Call) sysabi.Result {
-	l, ok := k.fds[c.FD].(*listener)
+	l, ok := k.object(c.FD).(*listener)
 	if !ok {
 		return sysabi.Result{Err: sysabi.EBADF}
 	}
@@ -232,13 +249,26 @@ func (k *Kernel) connect(c sysabi.Call) sysabi.Result {
 	return sysabi.Result{Ret: int64(k.allocFD(client))}
 }
 
+// filled returns a read's data, src, in the buffer the caller offered
+// (see sysabi.Call.Buf) when that holds it, in a fresh slice the caller
+// comes to own otherwise (make then copy, so that the runtime does not
+// zero what the copy is about to overwrite).
+func filled(c sysabi.Call, src []byte) []byte {
+	if cap(c.Buf) >= len(src) {
+		return append(c.Buf[:0], src...)
+	}
+	data := make([]byte, len(src))
+	copy(data, src)
+	return data
+}
+
 func (k *Kernel) read(t *sim.Task, c sysabi.Call) sysabi.Result {
-	ep, ok := k.fds[c.FD].(*endpoint)
+	ep, ok := k.object(c.FD).(*endpoint)
 	if !ok {
 		return sysabi.Result{Err: sysabi.EBADF}
 	}
 	max := int(c.Args[0])
-	if max <= 0 {
+	if max <= 0 || len(c.Buf) != 0 {
 		return sysabi.Result{Err: sysabi.EINVAL}
 	}
 	for ep.inbox.Len() == 0 {
@@ -254,15 +284,16 @@ func (k *Kernel) read(t *sim.Task, c sysabi.Call) sysabi.Result {
 	if n > max {
 		n = max
 	}
-	data := make([]byte, n)
-	_, _ = ep.inbox.Read(data)
-	res := sysabi.Result{Ret: int64(n), Data: data, ReqID: ep.reqID}
+	res := sysabi.Result{Ret: int64(n), Data: filled(c, ep.inbox.Next(n)), ReqID: ep.reqID}
+	if ep.inbox.Len() == 0 {
+		ep.inbox.Reset() // as Buffer.Read does: the next write starts at the front
+	}
 	ep.reqID = 0
 	return res
 }
 
 func (k *Kernel) write(c sysabi.Call) sysabi.Result {
-	ep, ok := k.fds[c.FD].(*endpoint)
+	ep, ok := k.object(c.FD).(*endpoint)
 	if !ok {
 		return sysabi.Result{Err: sysabi.EBADF}
 	}
@@ -282,11 +313,12 @@ func (k *Kernel) write(c sysabi.Call) sysabi.Result {
 }
 
 func (k *Kernel) closeFD(c sysabi.Call) sysabi.Result {
-	o, ok := k.fds[c.FD]
-	if !ok {
+	o := k.object(c.FD)
+	if o == nil {
 		return sysabi.Result{Err: sysabi.EBADF}
 	}
-	delete(k.fds, c.FD)
+	k.fds[c.FD] = nil
+	k.nopen--
 	switch v := o.(type) {
 	case *endpoint:
 		v.closed = true
@@ -323,12 +355,12 @@ func (k *Kernel) open(c sysabi.Call) sysabi.Result {
 }
 
 func (k *Kernel) fread(c sysabi.Call) sysabi.Result {
-	of, ok := k.fds[c.FD].(*openFile)
+	of, ok := k.object(c.FD).(*openFile)
 	if !ok {
 		return sysabi.Result{Err: sysabi.EBADF}
 	}
 	max := int(c.Args[0])
-	if max <= 0 {
+	if max <= 0 || len(c.Buf) != 0 {
 		return sysabi.Result{Err: sysabi.EINVAL}
 	}
 	rem := len(of.f.data) - of.offset
@@ -339,14 +371,13 @@ func (k *Kernel) fread(c sysabi.Call) sysabi.Result {
 	if n > max {
 		n = max
 	}
-	data := make([]byte, n)
-	copy(data, of.f.data[of.offset:of.offset+n])
+	data := filled(c, of.f.data[of.offset:of.offset+n])
 	of.offset += n
 	return sysabi.Result{Ret: int64(n), Data: data}
 }
 
 func (k *Kernel) fwrite(c sysabi.Call) sysabi.Result {
-	of, ok := k.fds[c.FD].(*openFile)
+	of, ok := k.object(c.FD).(*openFile)
 	if !ok {
 		return sysabi.Result{Err: sysabi.EBADF}
 	}
@@ -402,25 +433,29 @@ func (k *Kernel) listDir(c sysabi.Call) sysabi.Result {
 }
 
 func (k *Kernel) epollCtl(c sysabi.Call) sysabi.Result {
-	ep, ok := k.fds[c.FD].(*epoll)
+	ep, ok := k.object(c.FD).(*epoll)
 	if !ok {
 		return sysabi.Result{Err: sysabi.EBADF}
 	}
 	target := int(c.Args[0])
-	if c.Args[1] == 1 {
-		if _, exists := k.fds[target]; !exists {
-			return sysabi.Result{Err: sysabi.EBADF}
-		}
-		ep.watched[target] = true
-	} else {
-		delete(ep.watched, target)
+	i := sort.SearchInts(ep.watched, target)
+	found := i < len(ep.watched) && ep.watched[i] == target
+	switch {
+	case c.Args[1] == 1 && k.object(target) == nil:
+		return sysabi.Result{Err: sysabi.EBADF}
+	case c.Args[1] == 1 && !found:
+		ep.watched = append(ep.watched, 0)
+		copy(ep.watched[i+1:], ep.watched[i:])
+		ep.watched[i] = target
+	case c.Args[1] != 1 && found:
+		ep.watched = append(ep.watched[:i], ep.watched[i+1:]...)
 	}
 	return sysabi.Result{}
 }
 
 // ready reports whether fd has a pending readable event.
 func (k *Kernel) ready(fd int) bool {
-	switch v := k.fds[fd].(type) {
+	switch v := k.object(fd).(type) {
 	case *endpoint:
 		return v.inbox.Len() > 0 || v.peer.closed || v.closed
 	case *listener:
@@ -433,7 +468,7 @@ func (k *Kernel) ready(fd int) bool {
 }
 
 func (k *Kernel) epollWait(t *sim.Task, c sysabi.Call) sysabi.Result {
-	ep, ok := k.fds[c.FD].(*epoll)
+	ep, ok := k.object(c.FD).(*epoll)
 	if !ok {
 		return sysabi.Result{Err: sysabi.EBADF}
 	}
@@ -446,22 +481,31 @@ func (k *Kernel) epollWait(t *sim.Task, c sysabi.Call) sysabi.Result {
 	timeout := time.Duration(c.Args[1])
 	deadline := k.sched.Now() + timeout
 	for {
-		var fds []int
-		for fd := range ep.watched { // maporder: ok — fds are sorted below; stale-fd deletes are order-independent
-			if _, exists := k.fds[fd]; !exists {
-				delete(ep.watched, fd)
+		// One ascending walk drops the fds closed while watched and counts
+		// the ready ones, so Ready — the first max of them, in fd order — is
+		// the only allocation.
+		live, n := ep.watched[:0], 0
+		for _, fd := range ep.watched {
+			if k.fds[fd] == nil {
 				continue
 			}
-			if k.ready(fd) {
-				fds = append(fds, fd)
+			live = append(live, fd)
+			if n < max && k.ready(fd) {
+				n++
 			}
 		}
-		if len(fds) > 0 {
-			sort.Ints(fds)
-			if len(fds) > max {
-				fds = fds[:max]
+		ep.watched = live
+		if n > 0 {
+			fds := make([]int, 0, n)
+			for _, fd := range live {
+				if len(fds) == n {
+					break
+				}
+				if k.ready(fd) {
+					fds = append(fds, fd)
+				}
 			}
-			return sysabi.Result{Ret: int64(len(fds)), Ready: fds}
+			return sysabi.Result{Ret: int64(n), Ready: fds}
 		}
 		if timeout > 0 {
 			remaining := deadline - k.sched.Now()
@@ -499,4 +543,4 @@ func (k *Kernel) WriteFile(path string, data []byte) {
 }
 
 // OpenFDs returns the number of live file descriptors, for leak tests.
-func (k *Kernel) OpenFDs() int { return len(k.fds) }
+func (k *Kernel) OpenFDs() int { return k.nopen }

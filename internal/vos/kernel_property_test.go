@@ -3,6 +3,9 @@ package vos
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -182,5 +185,258 @@ func TestEpollWaitTimeout(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// refKernel is the reference model of the descriptor table and the epoll
+// sets: maps keyed by fd and a sort of the ready list, the way the kernel
+// kept them before it moved to slices. It models what a script can
+// observe without blocking.
+type refKernel struct {
+	fds    map[int]*refObj
+	nextFD int
+	ports  map[int64]*refObj
+}
+
+type refObj struct {
+	kind    byte         // 'l'istener, 'e'ndpoint, e'p'oll
+	port    int64        // listener
+	pending []*refObj    // listener: connections awaiting accept
+	inbox   []byte       // endpoint
+	closed  bool         // endpoint, listener
+	peer    *refObj      // endpoint
+	watched map[int]bool // epoll
+}
+
+func newRefKernel() *refKernel {
+	return &refKernel{fds: map[int]*refObj{}, nextFD: 3, ports: map[int64]*refObj{}}
+}
+
+func (m *refKernel) alloc(o *refObj) int64 {
+	fd := m.nextFD
+	m.nextFD++
+	m.fds[fd] = o
+	return int64(fd)
+}
+
+func (m *refKernel) ready(fd int) bool {
+	switch o := m.fds[fd]; {
+	case o == nil:
+		return false
+	case o.kind == 'e':
+		return len(o.inbox) > 0 || o.peer.closed || o.closed
+	case o.kind == 'l':
+		return len(o.pending) > 0
+	}
+	return false
+}
+
+// wouldBlock reports whether the kernel would park the caller on c.
+func (m *refKernel) wouldBlock(c sysabi.Call) bool {
+	o := m.fds[c.FD]
+	switch {
+	case o == nil:
+		return false
+	case c.Op == sysabi.OpAccept && o.kind == 'l':
+		return len(o.pending) == 0
+	case c.Op == sysabi.OpRead && o.kind == 'e':
+		return c.Args[0] > 0 && len(o.inbox) == 0 && !o.peer.closed
+	}
+	return false
+}
+
+// invoke executes c on the model. epoll_wait is always issued with a
+// timeout, so an empty ready list comes back as Ret 0.
+func (m *refKernel) invoke(c sysabi.Call) sysabi.Result {
+	bad := sysabi.Result{Err: sysabi.EBADF}
+	o := m.fds[c.FD]
+	switch c.Op {
+	case sysabi.OpSocket:
+		if m.ports[c.Args[0]] != nil {
+			return sysabi.Result{Err: sysabi.EINVAL}
+		}
+		l := &refObj{kind: 'l', port: c.Args[0]}
+		m.ports[c.Args[0]] = l
+		return sysabi.Result{Ret: m.alloc(l)}
+	case sysabi.OpConnect:
+		l := m.ports[c.Args[0]]
+		if l == nil {
+			return sysabi.Result{Err: sysabi.ENOENT}
+		}
+		server, client := &refObj{kind: 'e'}, &refObj{kind: 'e'}
+		server.peer, client.peer = client, server
+		l.pending = append(l.pending, server)
+		return sysabi.Result{Ret: m.alloc(client)}
+	case sysabi.OpAccept:
+		if o == nil || o.kind != 'l' {
+			return bad
+		}
+		ep := o.pending[0]
+		o.pending = o.pending[1:]
+		return sysabi.Result{Ret: m.alloc(ep)}
+	case sysabi.OpWrite:
+		if o == nil || o.kind != 'e' {
+			return bad
+		}
+		if o.peer.closed {
+			return sysabi.Result{Err: sysabi.EPIPE}
+		}
+		o.peer.inbox = append(o.peer.inbox, c.Buf...)
+		return sysabi.Result{Ret: int64(len(c.Buf))}
+	case sysabi.OpRead:
+		if o == nil || o.kind != 'e' {
+			return bad
+		}
+		if c.Args[0] <= 0 {
+			return sysabi.Result{Err: sysabi.EINVAL}
+		}
+		if len(o.inbox) == 0 {
+			return sysabi.Result{} // EOF: the peer closed
+		}
+		n := min(len(o.inbox), int(c.Args[0]))
+		data := append([]byte(nil), o.inbox[:n]...)
+		o.inbox = o.inbox[n:]
+		return sysabi.Result{Ret: int64(n), Data: data}
+	case sysabi.OpClose:
+		if o == nil {
+			return bad
+		}
+		delete(m.fds, c.FD)
+		o.closed = true
+		if o.kind == 'l' {
+			delete(m.ports, o.port)
+		}
+		return sysabi.Result{}
+	case sysabi.OpEpollCreate:
+		return sysabi.Result{Ret: m.alloc(&refObj{kind: 'p', watched: map[int]bool{}})}
+	case sysabi.OpEpollCtl:
+		if o == nil || o.kind != 'p' {
+			return bad
+		}
+		target := int(c.Args[0])
+		if c.Args[1] == 1 {
+			if m.fds[target] == nil {
+				return bad
+			}
+			o.watched[target] = true
+		} else {
+			delete(o.watched, target)
+		}
+		return sysabi.Result{}
+	case sysabi.OpEpollWait:
+		if o == nil || o.kind != 'p' {
+			return bad
+		}
+		max := int(c.Args[0])
+		if max <= 0 {
+			max = 64
+		}
+		var fds []int
+		for fd := range o.watched {
+			if m.fds[fd] == nil {
+				delete(o.watched, fd)
+			} else if m.ready(fd) {
+				fds = append(fds, fd)
+			}
+		}
+		if len(fds) == 0 {
+			return sysabi.Result{}
+		}
+		sort.Ints(fds)
+		if len(fds) > max {
+			fds = fds[:max]
+		}
+		return sysabi.Result{Ret: int64(len(fds)), Ready: fds}
+	}
+	return sysabi.Result{Err: sysabi.EINVAL}
+}
+
+// Model-based test of the descriptor table and the epoll sets: random
+// scripts run against the kernel and against refKernel, and every step
+// must agree on the result — fd numbers, errnos, data, the Ready list
+// with its order and max truncation — and on the number of open fds.
+// Scripts reach double adds, dels of unwatched fds, fds closed while
+// watched, negative and out-of-range fds, and ops outside the table.
+func TestDescriptorTablesMatchReferenceModel(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := sim.New()
+		k := NewKernel(s)
+		ref := newRefKernel()
+		var trace []string
+		s.Go("script", func(tk *sim.Task) {
+			offer := make([]byte, 0, 64)
+			// anyFD is mostly a descriptor the script has seen — open,
+			// closed or of the wrong kind — and sometimes one that never
+			// existed; epollFD and sockFD aim at the kind an op wants, so
+			// the sets fill up and several fds are ready at once.
+			var epolls, socks []int
+			anyFD := func() int {
+				if rng.Intn(8) == 0 {
+					return []int{-1, 0, 2, ref.nextFD, ref.nextFD + 7, 1 << 40, -1 << 40}[rng.Intn(7)]
+				}
+				return 3 + rng.Intn(ref.nextFD-2)
+			}
+			oneOf := func(fds []int) int {
+				if len(fds) == 0 || rng.Intn(6) == 0 {
+					return anyFD()
+				}
+				return fds[rng.Intn(len(fds))]
+			}
+			for step := 0; step < 600; step++ {
+				var c sysabi.Call
+				switch rng.Intn(16) {
+				case 0:
+					c = sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{int64(1 + rng.Intn(3)), 0}}
+				case 1, 2:
+					c = sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{int64(1 + rng.Intn(3)), 0}}
+				case 3, 4:
+					c = sysabi.Call{Op: sysabi.OpAccept, FD: oneOf(socks)}
+				case 5, 6:
+					buf := make([]byte, 1+rng.Intn(40))
+					rng.Read(buf)
+					c = sysabi.Call{Op: sysabi.OpWrite, FD: oneOf(socks), Buf: buf}
+				case 7:
+					c = sysabi.Call{Op: sysabi.OpRead, FD: oneOf(socks), Args: [2]int64{int64(rng.Intn(50) - 2), 0}}
+					if rng.Intn(2) == 0 {
+						c.Buf = offer
+					}
+				case 8:
+					c = sysabi.Call{Op: sysabi.OpClose, FD: anyFD()}
+				case 9:
+					c = sysabi.Call{Op: sysabi.OpEpollCreate}
+				case 10, 11, 12:
+					c = sysabi.Call{Op: sysabi.OpEpollCtl, FD: oneOf(epolls), Args: [2]int64{int64(oneOf(socks)), int64(rng.Intn(4))}}
+				case 13, 14:
+					c = sysabi.Call{Op: sysabi.OpEpollWait, FD: oneOf(epolls), Args: [2]int64{int64(rng.Intn(6) - 1), 1}}
+				case 15:
+					c = sysabi.Call{Op: []sysabi.Op{-1, sysabi.OpExit + 1, 1 << 30, sysabi.OpInvalid}[rng.Intn(4)], FD: anyFD()}
+				}
+				if ref.wouldBlock(c) {
+					continue
+				}
+				want, got := ref.invoke(c), k.Invoke(tk, c)
+				switch {
+				case !want.OK():
+				case c.Op == sysabi.OpEpollCreate:
+					epolls = append(epolls, int(want.Ret))
+				case c.Op == sysabi.OpSocket || c.Op == sysabi.OpConnect || c.Op == sysabi.OpAccept:
+					socks = append(socks, int(want.Ret))
+				}
+				trace = append(trace, fmt.Sprintf("%v fd=%d args=%v", c.Op, c.FD, c.Args))
+				if got.Ret != want.Ret || got.Err != want.Err || !bytes.Equal(got.Data, want.Data) ||
+					(got.Data == nil) != (want.Data == nil) || !reflect.DeepEqual(got.Ready, want.Ready) || k.OpenFDs() != len(ref.fds) {
+					t.Errorf("seed %d step %d: %s = %+v with %d fds open, the model says %+v with %d\nscript: %v",
+						seed, step, trace[len(trace)-1], got, k.OpenFDs(), want, len(ref.fds), trace)
+					return
+				}
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if t.Failed() {
+			return
+		}
 	}
 }

@@ -2,6 +2,7 @@ package vos
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -453,4 +454,80 @@ func TestFDLeakAccounting(t *testing.T) {
 			t.Fatal("close did not remove the fd")
 		}
 	})
+}
+
+// TestSyscallFloorAllocations pins the kernel's allocation budget without
+// timing anything: a read fills the buffer its caller offers, and the
+// tables behind every call are slices, so the only allocations left are
+// the ones a caller comes to own.
+func TestSyscallFloorAllocations(t *testing.T) {
+	s := sim.New()
+	k := NewKernel(s)
+	k.WriteFile("/bulk", make([]byte, 1<<20))
+	s.Go("t", func(tk *sim.Task) {
+		lfd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{1, 0}}).Ret)
+		cfd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{1, 0}}).Ret)
+		sfd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
+		efd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpEpollCreate}).Ret)
+		k.Invoke(tk, sysabi.Call{Op: sysabi.OpEpollCtl, FD: efd, Args: [2]int64{int64(lfd), 1}})
+		k.Invoke(tk, sysabi.Call{Op: sysabi.OpEpollCtl, FD: efd, Args: [2]int64{int64(sfd), 1}})
+		file := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpOpen, Path: "/bulk"}).Ret)
+		msg, buf := make([]byte, 64), make([]byte, 4096)
+		bad := ""
+		check := func(what string, r sysabi.Result, n int, filled bool) {
+			if !r.OK() || int(r.Ret) != n || len(r.Data) != n || (&r.Data[0] == &buf[0]) != filled {
+				bad = fmt.Sprintf("%s = %d/%v, %d bytes, in the offered buffer: %v", what, r.Ret, r.Err, len(r.Data), &r.Data[0] == &buf[0])
+			}
+		}
+		cases := []struct {
+			name string
+			want float64
+			step func()
+		}{
+			{"write64+read-offered", 0, func() {
+				k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: cfd, Buf: msg})
+				check("read", k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: sfd, Buf: buf[:0], Args: [2]int64{4096, 0}}), 64, true)
+			}},
+			{"fread4K-offered", 0, func() {
+				check("fread", k.Invoke(tk, sysabi.Call{Op: sysabi.OpFRead, FD: file, Buf: buf[:0], Args: [2]int64{4096, 0}}), 4096, true)
+			}},
+			// Today's behaviour for a caller that offers nothing (the frozen
+			// benchmark client, apptest, rolling): a fresh slice it owns.
+			{"write64+read-no-offer", 1, func() {
+				k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: cfd, Buf: msg})
+				check("read", k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: sfd, Args: [2]int64{4096, 0}}), 64, false)
+			}},
+			// An offer smaller than what is there is no offer.
+			{"write64+read-small-offer", 1, func() {
+				k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: cfd, Buf: msg})
+				check("read", k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: sfd, Buf: buf[:0:32], Args: [2]int64{4096, 0}}), 64, false)
+			}},
+			{"epoll_wait-1-ready", 1, func() {
+				k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: cfd, Buf: msg})
+				r := k.Invoke(tk, sysabi.Call{Op: sysabi.OpEpollWait, FD: efd, Args: [2]int64{64, 0}})
+				if len(r.Ready) != 1 || r.Ready[0] != sfd {
+					bad = fmt.Sprintf("epoll_wait = %v, want [%d]", r.Ready, sfd)
+				}
+				k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: sfd, Buf: buf[:0], Args: [2]int64{4096, 0}})
+			}},
+		}
+		for _, tc := range cases {
+			tc.step() // stream buffers reach their steady size
+			if got := testing.AllocsPerRun(100, tc.step); got != tc.want || bad != "" {
+				t.Errorf("%s: %v allocations per call, want %v %s", tc.name, got, tc.want, bad)
+				bad = ""
+			}
+		}
+		// The offer is capacity only: a read whose Buf has length is a
+		// caller bug (the ring would copy it, the cost model charge it).
+		for _, c := range []sysabi.Call{{Op: sysabi.OpRead, FD: sfd}, {Op: sysabi.OpFRead, FD: file}} {
+			c.Buf, c.Args = buf[:8], [2]int64{4096, 0}
+			if r := k.Invoke(tk, c); r.Err != sysabi.EINVAL {
+				t.Errorf("%v with len(Buf) = 8: %v, want EINVAL", c.Op, r.Err)
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 }
