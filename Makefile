@@ -7,7 +7,7 @@ GO ?= go
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 BYTE_DIFF_ARTIFACTS := nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-sched bench-floor experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-sched bench-floor experiments examples clean
 
 all: check
 
@@ -30,7 +30,7 @@ test:
 # runtime's parallel epoch paths (shards run on real OS threads; the
 # run-twice property tests execute under -race here) — then the
 # benchtool smoke runs.
-check: vet fmt-check lint-maps
+check: vet fmt-check lint-maps adapter-compat
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/ringbuf/ ./internal/mve/ ./internal/vos/ ./internal/apps/kvstore/
 	$(MAKE) $(ARTIFACTS:%=%-smoke) shard-determinism
@@ -40,6 +40,13 @@ check: vet fmt-check lint-maps
 # comment explaining why its order cannot leak into execution.
 lint-maps:
 	$(GO) test -run TestMapRangeDeterminism ./internal/detlint/
+
+# The frozen benchmark adapter (benchmark/adapter.go) is a nested module
+# `go build ./...` never sees: vet and test it here, so a rename that
+# breaks it fails tier-1 locally instead of in the pipeline's benchmark
+# step. Reads benchmark/, changes nothing there.
+adapter-compat:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Smoke-run the flight recorder: emit a metrics report, validate it
 # against the golden schema, and require it to be bit-identical to the

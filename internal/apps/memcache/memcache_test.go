@@ -9,6 +9,7 @@ import (
 	"mvedsua/internal/apptest"
 	"mvedsua/internal/core"
 	"mvedsua/internal/dsu"
+	"mvedsua/internal/mve"
 	"mvedsua/internal/sim"
 )
 
@@ -351,6 +352,52 @@ func TestLibEventResetPreventsTimingError(t *testing.T) {
 		}
 		if w.C.Stage() != core.StageOutdatedLeader {
 			t.Errorf("stage = %v, want outdated-leader", w.C.Stage())
+		}
+		a.Close(tk)
+		b.Close(tk)
+		w.Finish()
+	})
+	if err := w.Run(time.Hour); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// A fleet takes updates through the duo's fork path, abort hook
+// included — but the §5.3 reset only brings the *leader* in line with the
+// rebuilt canary. Replicas replay the recorded stream and never see it:
+// were it run under them, the next simultaneous pair would diverge on
+// every replica at once and the quorum would abort the fleet. So with
+// replicas attached the hook is skipped; the canary's dispatch-order
+// mismatch is the timing error its own gate rolls back.
+func TestFleetUpdateKeepsReplicasInSync(t *testing.T) {
+	w := apptest.NewFleetWorld(core.FleetConfig{
+		Config:   mcConfig(), // includes AbortReset
+		Variants: []string{"r1", "r2"},
+		Canary:   core.CanaryGate{Window: 300 * time.Millisecond},
+	})
+	w.C.OnVerdict = func(v mve.Verdict) {
+		if v.Action != mve.VerdictRollbackCanary {
+			t.Errorf("a replica failed: %v", v)
+		}
+	}
+	w.C.Start(New(SpecFor("1.2.2", 1)))
+	w.S.Go("driver", func(tk *sim.Task) {
+		a := apptest.Connect(w.K, tk, Port)
+		b := apptest.Connect(w.K, tk, Port)
+		for w.C.LeaderRuntime().App().(*Server).workers[0].base.RROffset()%2 == 0 {
+			a.Send(tk, "get j\r\n")
+			a.RecvUntil(tk, "END\r\n")
+		}
+		w.C.Update(Update("1.2.2", "1.2.3", UpdateOpts{PerItemXform: time.Microsecond}))
+		for round := 0; round < 20; round++ {
+			a.Send(tk, "get j\r\n")
+			b.Send(tk, "get j\r\n")
+			a.RecvUntil(tk, "END\r\n")
+			b.RecvUntil(tk, "END\r\n")
+			tk.Sleep(20 * time.Millisecond)
+		}
+		if w.C.Stage() == core.StageAborted || len(w.C.LiveVariants()) != 2 {
+			t.Errorf("fleet ended %v with variants %v\ntimeline: %+v", w.C.Stage(), w.C.LiveVariants(), w.C.Timeline())
 		}
 		a.Close(tk)
 		b.Close(tk)

@@ -28,6 +28,11 @@ type World struct {
 	Rec *obs.Recorder
 
 	done bool
+	// settle is how long Run waits between the scenario finishing and
+	// the teardown, so in-flight verdicts and respawns land and the
+	// post-run fleet state is the scenario's true outcome. Zero (duo
+	// worlds) tears down at once.
+	settle time.Duration
 }
 
 // NewWorld builds a fresh world with the given controller config. Unless
@@ -36,13 +41,27 @@ type World struct {
 // monitor and ring buffer. The recorder observes but never advances
 // virtual time, so instrumented runs stay bit-identical to bare ones.
 func NewWorld(cfg core.Config) *World {
+	return NewWorldOn(sim.New(), cfg)
+}
+
+// NewFleetWorld builds a fresh world around an N-variant fleet
+// (core.NewFleet), creating and wiring a flight recorder exactly like
+// NewWorld.
+func NewFleetWorld(cfg core.FleetConfig) *World {
 	s := sim.New()
 	k := vos.NewKernel(s)
-	if cfg.Recorder == nil {
-		cfg.Recorder = obs.New(s.Now, obs.Options{})
+	cfg.Recorder = wireRecorder(s, cfg.Recorder)
+	return &World{S: s, K: k, C: core.NewFleet(k, cfg), Rec: cfg.Recorder, settle: 100 * time.Millisecond}
+}
+
+// wireRecorder returns rec — or, when nil, a fresh flight recorder on
+// s's clock — reporting s's trace drops.
+func wireRecorder(s *sim.Scheduler, rec *obs.Recorder) *obs.Recorder {
+	if rec == nil {
+		rec = obs.New(s.Now, obs.Options{})
 	}
-	cfg.Recorder.SetTraceDropSource(s)
-	return &World{S: s, K: k, C: core.New(k, cfg), Rec: cfg.Recorder}
+	rec.SetTraceDropSource(s)
+	return rec
 }
 
 // EnableSpanTracing opts the world into causal span tracing: the
@@ -82,87 +101,26 @@ func (w *World) Finish() { w.done = true }
 func (w *World) Done() bool { return w.done }
 
 // Run executes the world until the driver calls Finish (or hard timeout
-// in virtual time), then tears the service down. It returns any
+// in virtual time), then shuts the service down. It returns any
 // scheduler error.
 func (w *World) Run(maxVirtual time.Duration) error {
-	if maxVirtual <= 0 {
-		maxVirtual = time.Hour
-	}
-	w.S.Go("apptest/teardown", func(tk *sim.Task) {
-		deadline := tk.Now() + maxVirtual
-		for !w.done && tk.Now() < deadline {
-			tk.Sleep(20 * time.Millisecond)
-		}
-		if rt := w.C.FollowerRuntime(); rt != nil {
-			rt.KillAll()
-		}
-		w.C.Monitor().DropFollower()
-		if rt := w.C.LeaderRuntime(); rt != nil {
-			rt.KillAll()
-		}
-	})
+	w.S.Go("apptest/teardown", func(tk *sim.Task) { w.teardown(tk, maxVirtual) })
 	return w.S.Run()
 }
 
-// FleetWorld bundles a scheduler, kernel and N-variant fleet controller
-// (core.FleetController) for a scenario run — the fleet-mode sibling of
-// World.
-type FleetWorld struct {
-	S *sim.Scheduler
-	K *vos.Kernel
-	C *core.FleetController
-	// Rec is the flight recorder every layer of the world reports into.
-	Rec *obs.Recorder
-
-	done bool
-}
-
-// NewFleetWorld builds a fresh fleet world with the given config,
-// creating and wiring a flight recorder exactly like NewWorld.
-func NewFleetWorld(cfg core.FleetConfig) *FleetWorld {
-	s := sim.New()
-	k := vos.NewKernel(s)
-	if cfg.Recorder == nil {
-		cfg.Recorder = obs.New(s.Now, obs.Options{})
-	}
-	cfg.Recorder.SetTraceDropSource(s)
-	return &FleetWorld{S: s, K: k, C: core.NewFleet(k, cfg), Rec: cfg.Recorder}
-}
-
-// EnableProfiling opts the fleet world into exact virtual-clock
-// profiling, exactly like World.EnableProfiling.
-func (w *FleetWorld) EnableProfiling() *obs.Profiler {
-	w.Rec.EnableProfiling()
-	p := obs.NewProfiler()
-	w.S.SetProfiler(p.ShardSink(w.S.ShardID(), w.S.Now))
-	return p
-}
-
-// Finish marks the scenario complete; the teardown task then reaps the
-// whole fleet so the scheduler can drain.
-func (w *FleetWorld) Finish() { w.done = true }
-
-// Done reports whether Finish was called.
-func (w *FleetWorld) Done() bool { return w.done }
-
-// Run executes the world until the driver calls Finish (or hard timeout
-// in virtual time), then shuts the fleet down. It returns any scheduler
-// error.
-func (w *FleetWorld) Run(maxVirtual time.Duration) error {
+// teardown is the body of the world's teardown task.
+func (w *World) teardown(tk *sim.Task, maxVirtual time.Duration) {
 	if maxVirtual <= 0 {
 		maxVirtual = time.Hour
 	}
-	w.S.Go("apptest/teardown", func(tk *sim.Task) {
-		deadline := tk.Now() + maxVirtual
-		for !w.done && tk.Now() < deadline {
-			tk.Sleep(20 * time.Millisecond)
-		}
-		// Give in-flight verdicts and respawns a beat to settle so the
-		// post-run fleet state is the scenario's true outcome.
-		tk.Sleep(100 * time.Millisecond)
-		w.C.Shutdown()
-	})
-	return w.S.Run()
+	deadline := tk.Now() + maxVirtual
+	for !w.done && tk.Now() < deadline {
+		tk.Sleep(20 * time.Millisecond)
+	}
+	if w.settle > 0 {
+		tk.Sleep(w.settle)
+	}
+	w.C.Shutdown()
 }
 
 // Client is a blocking text-protocol client speaking over the virtual

@@ -23,10 +23,7 @@ import (
 // — its own flight recorder bound to that scheduler's clock.
 func NewWorldOn(s *sim.Scheduler, cfg core.Config) *World {
 	k := vos.NewKernel(s)
-	if cfg.Recorder == nil {
-		cfg.Recorder = obs.New(s.Now, obs.Options{})
-	}
-	cfg.Recorder.SetTraceDropSource(s)
+	cfg.Recorder = wireRecorder(s, cfg.Recorder)
 	return &World{S: s, K: k, C: core.New(k, cfg), Rec: cfg.Recorder}
 }
 
@@ -84,24 +81,9 @@ func (sw *ShardedWorld) Finish(tk *sim.Task) {
 // virtual-time limit), installing the same teardown task World.Run
 // uses, one per group, then drives the sharded runtime to drain.
 func (sw *ShardedWorld) Run(maxVirtual time.Duration) error {
-	if maxVirtual <= 0 {
-		maxVirtual = time.Hour
-	}
 	for g, w := range sw.Worlds {
 		w := w
-		w.S.Go(fmt.Sprintf("apptest/teardown%d", g), func(tk *sim.Task) {
-			deadline := tk.Now() + maxVirtual
-			for !w.done && tk.Now() < deadline {
-				tk.Sleep(20 * time.Millisecond)
-			}
-			if rt := w.C.FollowerRuntime(); rt != nil {
-				rt.KillAll()
-			}
-			w.C.Monitor().DropFollower()
-			if rt := w.C.LeaderRuntime(); rt != nil {
-				rt.KillAll()
-			}
-		})
+		w.S.Go(fmt.Sprintf("apptest/teardown%d", g), func(tk *sim.Task) { w.teardown(tk, maxVirtual) })
 	}
 	return sw.SS.Run()
 }

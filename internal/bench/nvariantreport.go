@@ -15,13 +15,13 @@ import (
 	"mvedsua/internal/sysabi"
 )
 
-// The nvariant experiment exercises the N-variant fleet controller
-// (core.FleetController) end-to-end on the kvstore target: steady-state
-// overhead as the fleet grows, quorum verdicts under single- and
-// multi-variant failures, canary-staged updates with gate-driven
-// promotion and rollback, and canary-phase chaos. Every scenario runs
-// in deterministic virtual time, so BENCH_nvariant.json is a
-// byte-stable artifact `make check` can diff.
+// The nvariant experiment exercises the N-variant fleet (core.NewFleet)
+// end-to-end on the kvstore target: steady-state overhead as the fleet
+// grows, quorum verdicts under single- and multi-variant failures,
+// canary-staged updates with gate-driven promotion and rollback, a
+// canaried train, and canary-phase chaos. Every scenario runs in
+// deterministic virtual time, so BENCH_nvariant.json is a byte-stable
+// artifact `make check` can diff.
 
 // NVariantSchemaID is the report format identifier.
 const NVariantSchemaID = "mvedsua-nvariant/v1"
@@ -73,7 +73,7 @@ type nvariantScenario struct {
 	plan     *chaos.Plan
 	requests int
 	// hooks run before the request with that index (0-based).
-	hooks func(w *apptest.FleetWorld) map[int]func(tk *sim.Task)
+	hooks func(w *apptest.World) map[int]func(tk *sim.Task)
 	// ok judges the finished row (failures are checked separately).
 	ok func(row NVariantScenarioRow) bool
 }
@@ -87,8 +87,8 @@ var fleetIDs = []string{"r1", "r2", "r3"}
 var defaultGate = core.CanaryGate{Window: 150 * time.Millisecond, MaxDivergences: 2}
 
 func nvariantScenarios() []nvariantScenario {
-	update := func(opts kvstore.UpdateOpts) func(w *apptest.FleetWorld) map[int]func(tk *sim.Task) {
-		return func(w *apptest.FleetWorld) map[int]func(tk *sim.Task) {
+	update := func(opts kvstore.UpdateOpts) func(w *apptest.World) map[int]func(tk *sim.Task) {
+		return func(w *apptest.World) map[int]func(tk *sim.Task) {
 			return map[int]func(tk *sim.Task){
 				5: func(tk *sim.Task) { w.C.Update(kvstore.Update("2.0.0", "2.0.1", opts)) },
 			}
@@ -216,6 +216,27 @@ func nvariantScenarios() []nvariantScenario {
 			ok: func(r NVariantScenarioRow) bool {
 				return r.FinalPhase == "steady" && r.LeaderVersion == "2.0.1" &&
 					r.Ejects >= 1 && r.CanaryPromotions == 1 && r.FleetSize == 3
+			},
+		},
+		{
+			// A train through the fleet: the first hop promotes on a clean
+			// gate, the second loses the store and storms its window, and
+			// its rollback flushes the third — the fleet stays on 2.0.1 at
+			// full strength.
+			name: "canary-train-midchain-rollback", requests: 80,
+			hooks: func(w *apptest.World) map[int]func(tk *sim.Task) {
+				return map[int]func(tk *sim.Task){
+					5: func(tk *sim.Task) {
+						w.C.QueueUpdate(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+						w.C.QueueUpdate(kvstore.Update("2.0.1", "2.0.2", kvstore.UpdateOpts{ForgetTable: true}))
+						w.C.QueueUpdate(kvstore.Update("2.0.2", "2.0.3", kvstore.UpdateOpts{}))
+					},
+				}
+			},
+			ok: func(r NVariantScenarioRow) bool {
+				return r.FinalPhase == "steady" && r.LeaderVersion == "2.0.1" &&
+					r.CanaryPromotions == 1 && r.CanaryRollbacks == 1 && r.FleetSize == 3 &&
+					len(r.Verdicts) == 1 && strings.Contains(r.Verdicts[0], "canary#2@2.0.2 (divergence): rollback-canary")
 			},
 		},
 		{

@@ -229,13 +229,7 @@ func (w *world) teardown() {
 		t.Kill()
 	}
 	if w.ctl != nil {
-		if rt := w.ctl.FollowerRuntime(); rt != nil {
-			rt.KillAll()
-		}
-		w.ctl.Monitor().DropFollower()
-		if rt := w.ctl.LeaderRuntime(); rt != nil {
-			rt.KillAll()
-		}
+		w.ctl.Shutdown()
 		return
 	}
 	if w.follow != nil {

@@ -3,20 +3,42 @@
 // monitor (internal/mve, the Varan counterpart) to deliver low-latency,
 // error-tolerant dynamic updates (§3 of the paper).
 //
-// The controller drives the paper's Figure 2 stage machine:
+// One Controller drives the paper's Figure 2 stage machine over a
+// variant set: a leader, K >= 0 same-version replicas, and at most one
+// candidate — the one process on the other version (the updated
+// follower or canary before promotion, the demoted old leader after it).
 //
-//	SingleLeader ──Update()──▶ OutdatedLeader ──Promote()──▶ UpdatedLeader ──Commit()──▶ SingleLeader
-//	      ▲                         │ divergence/crash/Rollback()                │ old-version divergence
-//	      └─────────────────────────┴──────────────────────────────────────────┘
+//	SingleLeader ──Update()──▶ OutdatedLeader ──promote──▶ UpdatedLeader ──Commit()──▶ SingleLeader
+//	      ▲                         │ divergence/crash/Rollback()               │ old-version divergence
+//	      └─────────────────────────┴─────────────────────────────────────────┘
 //
-// Updates are applied on a forked follower while the leader keeps
-// serving; the follower catches up through the ring buffer; divergences
-// and crashes of the updated version roll the update back with no state
-// loss; crashes of the old version promote the new one.
+// Updates are applied on a candidate forked while the leader keeps
+// serving; the candidate catches up through the ring buffer; errors of
+// the updated version roll the update back with no state loss; crashes
+// of the old version promote the new one.
+//
+// Replicas (NewFleet, K >= 1) validate the leader continuously. A failed
+// one is judged by quorum: a minority is ejected and respawned from the
+// leader at its next quiescence, touching neither client traffic nor an
+// update in flight; a majority indicts the leader's own stream and
+// aborts the fleet (StageAborted: the leader serves solo from then on).
+// A crash of a leader that has replicas is only recorded (failing over
+// mid-request needs the duo's crash-truncation replay generalized to N
+// consumers), so K = 0 remains the recovery story for leader crashes.
+//
+// The gate decides who promotes. New builds the operator's: Promote and
+// Commit are called, and between them the old version validates the new
+// one in reverse. NewFleet builds the timed canary gate: the candidate
+// is observed for CanaryGate.Window, then promoted if its divergence
+// count, lag and validation latency pass, else rolled back; a promotion
+// commits at once and K fresh replicas respawn from the new leader.
+// Trains, retries and the rest of the lifecycle are shared.
 package core
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"mvedsua/internal/dsu"
@@ -32,10 +54,11 @@ type Stage int
 
 // Stages.
 const (
-	StageSingleLeader   Stage = iota // t0-t1, t6-: one version, light interception
-	StageOutdatedLeader              // t1-t4: old version leads, new follows
-	StagePromoting                   // t4-t5: demotion written, buffer draining
+	StageSingleLeader   Stage = iota // t0-t1, t6-: one version; replicas, if any, validate it
+	StageOutdatedLeader              // t1-t4: old version leads, the candidate validates
+	StagePromoting                   // t4-t5: promotion requested, buffer draining
 	StageUpdatedLeader               // t5-t6: new version leads, old follows
+	StageAborted                     // majority verdict: the leader serves solo, for good
 )
 
 // String names the stage.
@@ -49,14 +72,16 @@ func (s Stage) String() string {
 		return "promoting"
 	case StageUpdatedLeader:
 		return "updated-leader"
+	case StageAborted:
+		return "aborted"
 	default:
 		return fmt.Sprintf("stage(%d)", int(s))
 	}
 }
 
 // Event is one entry of the controller's timeline (stage changes,
-// rollbacks, retries); the Figure 6 experiment annotates throughput
-// curves with these.
+// rollbacks, retries, ejects, respawns); the Figure 6 experiment
+// annotates throughput curves with these.
 type Event struct {
 	At    time.Duration
 	Stage Stage
@@ -106,9 +131,10 @@ type Config struct {
 	BufferFullPolicy mve.FullPolicy
 	// WrapDispatcher, if non-nil, wraps each process's syscall
 	// dispatcher as the process is created, with its role at creation
-	// time ("leader" or "follower") and its proc name. This is the
-	// sysabi chokepoint hook the chaos layer (internal/chaos) uses to
-	// inject faults without the controller knowing about it.
+	// time ("leader", "follower", "variant" or "canary") and its proc
+	// name. This is the sysabi chokepoint hook the chaos layer
+	// (internal/chaos) uses to inject faults without the controller
+	// knowing about it.
 	WrapDispatcher func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher
 	// Recorder, if non-nil, is the flight recorder every layer of this
 	// controller's pipeline (monitor, ring buffer, stage machine) emits
@@ -155,25 +181,44 @@ func (cfg Config) validate() {
 	}
 }
 
+// variant is the bookkeeping of one replica or of the candidate.
+type variant struct {
+	id   string // respawn slot (config id), or the candidate's role
+	name string // unique proc name ("r1#2@2.0.0", "proc2@2.0.1")
+	proc *mve.Proc
+	rt   *dsu.Runtime
+}
+
 // Controller is the MVEDSUA orchestrator for one service.
 type Controller struct {
-	sched  *sim.Scheduler
-	kernel *vos.Kernel
-	cfg    Config
-	mon    *mve.Monitor
+	sched *sim.Scheduler
+	cfg   FleetConfig
+	mon   *mve.Monitor
 
-	stage      Stage
-	leaderRT   *dsu.Runtime // runtime of the process currently leading
-	otherRT    *dsu.Runtime // runtime of the follower process (either stage)
-	pending    *dsu.Version
-	queued     []*dsu.Version // update train: hops waiting behind pending
-	retries    int
-	nextProcID int
+	// gated is the one thing the constructor decides: NewFleet's timed
+	// canary gate over the monitor's variant protocol, or New's operator
+	// gate over its follower protocol. It selects presentation (names,
+	// notes, counters) and the promotion policy, nothing else.
+	gated bool
+
+	stage     Stage
+	leaderRT  *dsu.Runtime        // runtime of the process currently leading
+	live      map[string]*variant // attached replicas and candidate, by proc name
+	candidate *variant            // the one process on the other version, or nil
+	pending   *dsu.Version
+	queued    []*dsu.Version // update train: hops waiting behind pending
+	retries   int
+	closed    bool // Shutdown ran; every helper task winds down
+
+	spawned  map[string]int // incarnations per slot id
+	respawnQ []string       // slot ids awaiting the next leader barrier
+	rearming bool
+	gateGen  int // invalidates stale gate timers
 
 	timeline []Event
 	rec      *obs.Recorder
 	scope    *obs.Registry // Config.Scope child; nil when unscoped
-	health   *HealthEngine // follower-liveness rules behind the watchdog
+	health   *HealthEngine // see Health
 
 	// Open async spans (span mode only): the current stage's arc on the
 	// "controller" track, and the fork→promote update window.
@@ -183,15 +228,25 @@ type Controller struct {
 	updateSpanName string
 
 	// OnCrash, if non-nil, observes crashes the controller already
-	// handled (rollbacks/promotions) as well as unhandled ones.
+	// handled (rollbacks/promotions/verdicts) as well as unhandled ones.
 	OnCrash func(sim.CrashInfo, bool)
-	// OnStage, if non-nil, observes stage transitions.
+	// OnStage, if non-nil, observes every timeline entry as written.
 	OnStage func(Event)
+	// OnVerdict, if non-nil, observes every quorum verdict after the
+	// controller has acted on it (never fires without replicas).
+	OnVerdict func(mve.Verdict)
 }
 
-// New builds a controller on the kernel's scheduler.
+// New builds a controller with no replicas and the operator as the
+// gate (the paper's leader/follower duo) on the kernel's scheduler.
 func New(kernel *vos.Kernel, cfg Config) *Controller {
 	cfg.validate()
+	return newController(kernel, FleetConfig{Config: cfg}, "core")
+}
+
+// newController builds the state machine for a validated config; scope
+// labels its health engines.
+func newController(kernel *vos.Kernel, cfg FleetConfig, scope string) *Controller {
 	if cfg.BufferEntries == 0 {
 		cfg.BufferEntries = 256
 	}
@@ -202,12 +257,13 @@ func New(kernel *vos.Kernel, cfg Config) *Controller {
 		cfg.RetryMaxInterval = 8 * cfg.RetryInterval
 	}
 	c := &Controller{
-		sched:  kernel.Scheduler(),
-		kernel: kernel,
-		cfg:    cfg,
-		mon:    mve.New(kernel, cfg.BufferEntries, cfg.Costs),
-		stage:  StageSingleLeader,
-		rec:    cfg.Recorder,
+		sched:   kernel.Scheduler(),
+		cfg:     cfg,
+		mon:     mve.New(kernel, cfg.BufferEntries, cfg.Costs),
+		gated:   len(cfg.Variants) > 0,
+		live:    make(map[string]*variant),
+		spawned: make(map[string]int),
+		rec:     cfg.Recorder,
 	}
 	if cfg.Scope != "" {
 		c.scope = cfg.Recorder.Child(cfg.Scope)
@@ -216,12 +272,13 @@ func New(kernel *vos.Kernel, cfg Config) *Controller {
 	c.mon.Lockstep = cfg.Lockstep
 	c.mon.WatchdogDeadline = cfg.WatchdogDeadline
 	if cfg.WatchdogDeadline > 0 {
-		c.health = NewHealthEngine("core", c.rec,
+		c.health = NewHealthEngine(scope, c.rec,
 			[]HealthRule{FollowerLivenessRule(cfg.WatchdogDeadline)})
 		c.mon.StallJudge = c.health.StallJudge()
 	}
 	c.mon.FullPolicy = cfg.BufferFullPolicy
 	c.mon.OnDivergence = c.handleDivergence
+	c.mon.OnVerdict = c.applyVerdict
 	c.mon.OnPromoted = c.handlePromoted
 	c.mon.OnStall = c.handleStall
 	// Chain with any previously installed crash handler so several
@@ -235,25 +292,13 @@ func New(kernel *vos.Kernel, cfg Config) *Controller {
 	return c
 }
 
-// wrapDispatcher applies the configured dispatcher hook (chaos layer)
-// around a freshly created proc. The role reflects the process's role at
-// creation time; it does not change if the process is later promoted.
-func (c *Controller) wrapDispatcher(role string, proc *mve.Proc) sysabi.Dispatcher {
-	if c.cfg.WrapDispatcher == nil {
-		return proc
-	}
-	return c.cfg.WrapDispatcher(role, proc.Name(), proc)
-}
-
 // Monitor exposes the underlying MVE monitor.
 func (c *Controller) Monitor() *mve.Monitor { return c.mon }
 
-// Health exposes the controller's health engine (nil when no watchdog
-// is armed). SLO scenarios enable verdict emission on it.
+// Health exposes the controller's health engine: the canary gate's on a
+// gated controller, otherwise the follower-liveness watchdog's (nil
+// when none is armed). SLO scenarios enable verdict emission on it.
 func (c *Controller) Health() *HealthEngine { return c.health }
-
-// Recorder returns the attached flight recorder, or nil.
-func (c *Controller) Recorder() *obs.Recorder { return c.rec }
 
 // Stage returns the current lifecycle stage.
 func (c *Controller) Stage() Stage { return c.stage }
@@ -261,10 +306,16 @@ func (c *Controller) Stage() Stage { return c.stage }
 // LeaderRuntime returns the DSU runtime of the current leader process.
 func (c *Controller) LeaderRuntime() *dsu.Runtime { return c.leaderRT }
 
-// FollowerRuntime returns the DSU runtime of the follower process, or nil.
-func (c *Controller) FollowerRuntime() *dsu.Runtime { return c.otherRT }
+// FollowerRuntime returns the DSU runtime of the candidate (the updated
+// follower or canary, after promotion the demoted old leader), or nil.
+func (c *Controller) FollowerRuntime() *dsu.Runtime {
+	if c.candidate == nil {
+		return nil
+	}
+	return c.candidate.rt
+}
 
-// Timeline returns the stage-transition history.
+// Timeline returns the controller's history.
 func (c *Controller) Timeline() []Event { return c.timeline }
 
 func (c *Controller) transition(stage Stage, note string) {
@@ -273,8 +324,12 @@ func (c *Controller) transition(stage Stage, note string) {
 	c.timeline = append(c.timeline, ev)
 	c.rec.Inc(obs.CCoreTransitions)
 	c.scope.Inc(obs.CCoreTransitions)
-	c.rec.Emit(obs.KindStage, stage.String(), note)
-	if c.rec.SpansEnabled() {
+	name := stage.String()
+	if c.gated {
+		name = "fleet:" + FleetPhase(stage).String()
+	}
+	c.rec.Emit(obs.KindStage, name, note)
+	if c.spans() {
 		// Roll the Figure 2 stage machine's async arc over to the new
 		// stage, so the controller track shows each stage end to end.
 		if c.stageSpanID != 0 {
@@ -288,10 +343,15 @@ func (c *Controller) transition(stage Stage, note string) {
 	}
 }
 
+// spans reports whether the controller draws its own track in span
+// mode; a gated controller's story is told by its verdict and role
+// events instead.
+func (c *Controller) spans() bool { return !c.gated && c.rec.SpansEnabled() }
+
 // beginUpdateSpan opens the fork→promote window arc for version name
 // (span mode only).
 func (c *Controller) beginUpdateSpan(name string) {
-	if !c.rec.SpansEnabled() {
+	if !c.spans() {
 		return
 	}
 	c.endUpdateSpan()
@@ -302,60 +362,145 @@ func (c *Controller) beginUpdateSpan(name string) {
 // endUpdateSpan closes the open fork→promote window arc, if any
 // (promotion completed, or the update rolled back first).
 func (c *Controller) endUpdateSpan() {
-	if !c.rec.SpansEnabled() || c.updateSpanID == 0 {
+	if !c.spans() || c.updateSpanID == 0 {
 		return
 	}
 	c.rec.EndAsync("controller", c.updateSpanName, c.updateSpanID)
 	c.updateSpanID = 0
 }
 
-// Start deploys app in single-leader mode (Figure 2, t0) and returns the
-// leader's DSU runtime.
-func (c *Controller) Start(app dsu.App) *dsu.Runtime {
-	proc := c.mon.StartSingleLeader(c.procName(app.Version()))
+// procName mints the next proc name for slot id.
+func (c *Controller) procName(id, version string) string {
+	format := "%s#%d@%s"
+	if !c.gated {
+		id, format = "proc", "%s%d@%s"
+	}
+	c.spawned[id]++
+	return fmt.Sprintf(format, id, c.spawned[id], version)
+}
+
+// newRuntime builds the DSU runtime of a freshly created proc: the
+// dispatcher wrapped by the configured hook (chaos layer) with the
+// process's role at creation time, which a later promotion does not
+// change, and no update hooks (the leading runtime gets SetUpdateHooks).
+// Task names and crash ownership hang off the runtime's name: the role,
+// or the proc name for roles several processes hold at once.
+func (c *Controller) newRuntime(role string, proc *mve.Proc, app dsu.App, parallelXform bool) *dsu.Runtime {
 	cfg := c.cfg.DSU
-	cfg.Name = "leader"
-	cfg.Dispatcher = c.wrapDispatcher("leader", proc)
-	cfg.ParallelXform = false
-	cfg.TakeUpdate = c.takeUpdate
-	cfg.OnOutcome = c.updateOutcome
+	cfg.Name = role
+	if role == "variant" || role == "canary" {
+		cfg.Name = proc.Name()
+	}
+	cfg.Dispatcher = proc
+	if c.cfg.WrapDispatcher != nil {
+		cfg.Dispatcher = c.cfg.WrapDispatcher(role, proc.Name(), proc)
+	}
+	cfg.ParallelXform = parallelXform
+	cfg.TakeUpdate = nil
+	cfg.OnOutcome = nil
+	if reset := cfg.OnAbort; reset != nil {
+		// The hook aligns the leader with its fresh candidate. Replicas
+		// replay the stream and never see it: with any attached it would
+		// trade the candidate's divergence for theirs, so it is skipped.
+		cfg.OnAbort = func(app dsu.App) {
+			if len(c.mon.Variants()) < 2 {
+				reset(app)
+			}
+		}
+	}
 	cfg.Rec = c.rec
-	c.leaderRT = dsu.NewRuntime(c.sched, app, cfg)
+	return dsu.NewRuntime(c.sched, app, cfg)
+}
+
+// Start deploys app as the single leader (Figure 2, t0) plus one
+// cold-started replica per configured variant id, and returns the
+// leader's DSU runtime. The replicas attach before the leader's first
+// syscall, so each one validates the leader's entire execution from the
+// top (the Mx-style cold duo, generalized to K cursors over one recorded
+// stream).
+func (c *Controller) Start(app dsu.App) *dsu.Runtime {
+	proc := c.mon.StartSingleLeader(c.procName("leader", app.Version()))
+	var replicas []*variant
+	for _, id := range c.cfg.Variants {
+		replicas = append(replicas, c.attachReplica(id, app.Version()))
+	}
+	c.leaderRT = c.newRuntime("leader", proc, app, false)
+	c.leaderRT.SetUpdateHooks(c.takeUpdate, c.updateOutcome, false)
 	c.leaderRT.Start()
-	c.transition(StageSingleLeader, "deployed "+app.Version())
+	note := "deployed " + app.Version()
+	for _, fv := range replicas {
+		fv.rt = c.newRuntime("variant", fv.proc, app.Fork(), false)
+		fv.rt.Start()
+	}
+	if k := len(replicas); k > 0 {
+		note += fmt.Sprintf(" with %d variants", k)
+	}
+	c.transition(StageSingleLeader, note)
 	return c.leaderRT
 }
 
-func (c *Controller) procName(version string) string {
-	c.nextProcID++
-	return fmt.Sprintf("proc%d@%s", c.nextProcID, version)
-}
-
 // Update requests a dynamic update to v (Figure 2, t1). The update is
-// taken at the leader's next full quiescence: MVEDSUA forks a follower,
+// taken at the leader's next full quiescence: MVEDSUA forks a candidate,
 // applies the update there, and begins validating it. Returns false if
 // another update is already pending or the controller is mid-update;
 // callers shipping a version train should use QueueUpdate instead.
 func (c *Controller) Update(v *dsu.Version) bool {
-	if c.stage != StageSingleLeader || c.pending != nil {
+	if c.closed || c.stage != StageSingleLeader || c.pending != nil {
 		return false
 	}
+	c.arm(v)
+	return true
+}
+
+// arm makes v the pending update and asks the leader to take it.
+func (c *Controller) arm(v *dsu.Version) {
 	c.pending = v
 	c.retries = 0
 	c.rec.Inc(obs.CCoreUpdates)
 	c.scope.Inc(obs.CCoreUpdates)
-	return c.leaderRT.RequestUpdate(v)
+	c.requestUpdate(v)
+}
+
+// requestUpdate hands v to the leader runtime — unless v stopped being
+// the pending update while the request waited for the attempt slot.
+func (c *Controller) requestUpdate(v *dsu.Version) {
+	c.whenSlotFree("canary-fork@"+v.Name, func() bool {
+		return c.pending != v || c.leaderRT.RequestUpdate(v)
+	})
+}
+
+// atBarrier requests fn at the current leader's quiescence.
+func (c *Controller) atBarrier(name string, fn func(t *sim.Task)) {
+	c.whenSlotFree(name, func() bool { return c.leaderRT.RequestBarrier(fn) })
+}
+
+// whenSlotFree runs try once per virtual millisecond until it succeeds:
+// the leader runtime holds one attempt or barrier at a time, and a
+// respawn barrier may hold the slot when an update or promotion asks.
+func (c *Controller) whenSlotFree(name string, try func() bool) {
+	if try() {
+		return
+	}
+	c.sched.Go("barrier-wait:"+name, func(t *sim.Task) {
+		for !c.closed && !try() {
+			t.Sleep(time.Millisecond)
+		}
+	})
 }
 
 // QueueUpdate requests v, queueing it behind any in-flight update
 // instead of dropping it: versions form a train and each hop starts the
 // moment the previous one commits. Returns 0 when v was requested
-// immediately, otherwise v's position in the train (1 = next up). A
+// immediately, otherwise v's position in the train (1 = next up), or -1
+// when the controller takes no more updates (aborted or shut down). A
 // rollback or abandoned hop flushes the rest of the train — later hops
 // assume the earlier ones' state shape, so skipping one is never safe.
 func (c *Controller) QueueUpdate(v *dsu.Version) int {
 	if c.Update(v) {
 		return 0
+	}
+	if c.closed || c.stage == StageAborted {
+		return -1
 	}
 	c.queued = append(c.queued, v)
 	c.transition(c.stage, fmt.Sprintf("queued update %s (train depth %d)", v.Name, len(c.queued)))
@@ -374,12 +519,8 @@ func (c *Controller) armNext() {
 	}
 	v := c.queued[0]
 	c.queued = c.queued[1:]
-	c.pending = v
-	c.retries = 0
-	c.rec.Inc(obs.CCoreUpdates)
-	c.scope.Inc(obs.CCoreUpdates)
 	c.transition(c.stage, fmt.Sprintf("train: requesting %s (%d more queued)", v.Name, len(c.queued)))
-	c.leaderRT.RequestUpdate(v)
+	c.arm(v)
 }
 
 // flushTrain drops every queued train hop after a failed one. Later
@@ -396,7 +537,12 @@ func (c *Controller) flushTrain(why string) {
 
 // takeUpdate is the leader's DSU consultation hook: fork and abort.
 func (c *Controller) takeUpdate(t *sim.Task, rt *dsu.Runtime, v *dsu.Version) dsu.TakeAction {
-	// Runs in the leader's task at quiescence: the fork + follower
+	if c.stage != StageSingleLeader || c.pending != v {
+		// Superseded (abort, abandoned hop, Shutdown) between the request
+		// and this quiescence: decline without forking.
+		return dsu.TakeAbort
+	}
+	// Runs in the leader's task at quiescence: the fork + candidate
 	// launch is the update's in-band moment, so attribute it to the
 	// xform dimension when profiling is on.
 	if c.rec.ProfilingEnabled() {
@@ -405,36 +551,46 @@ func (c *Controller) takeUpdate(t *sim.Task, rt *dsu.Runtime, v *dsu.Version) ds
 	}
 	// The update was requested when the leader runtime armed it, not
 	// when quiescence finally decided it here; thread the real request
-	// time into the follower's update record.
-	reqAt, ok := rt.PendingSince()
-	if !ok {
-		reqAt = c.sched.Now()
-	}
+	// time into the candidate's update record.
+	reqAt, _ := rt.PendingSince()
 	forked := rt.App().Fork()
-	proc := c.mon.AttachFollower(c.procName(v.Name), v.Rules)
+	fv, note := c.attachCandidate(v)
 	c.beginUpdateSpan(v.Name)
-	cfg := c.cfg.DSU
-	cfg.Name = "follower"
-	cfg.Dispatcher = c.wrapDispatcher("follower", proc)
-	cfg.ParallelXform = true
-	cfg.TakeUpdate = nil
-	cfg.OnOutcome = c.followerOutcome
-	cfg.Rec = c.rec
-	c.otherRT = dsu.NewRuntime(c.sched, forked, cfg)
-	c.otherRT.StartUpdatedFromAt(forked, v, reqAt)
-	c.transition(StageOutdatedLeader, "forked follower for "+v.Name)
+	fv.rt = c.newRuntime(fv.id, fv.proc, forked, true)
+	// A failed state transformation surfaces as OutcomeFailed on the
+	// candidate's runtime; it is rolled back like any other new-version
+	// error instead of the transform error crashing the whole scheduler.
+	fv.rt.SetUpdateHooks(nil, func(rec dsu.UpdateRecord) {
+		if rec.Outcome == dsu.OutcomeFailed && c.candidate == fv {
+			c.Rollback(fmt.Sprintf("state transformation to %s failed: %v", rec.Version, rec.Err))
+		}
+	}, true)
+	fv.rt.StartUpdatedFromAt(forked, v, reqAt)
+	c.live[fv.name] = fv
+	c.candidate = fv
+	c.transition(StageOutdatedLeader, note)
+	if c.gated {
+		c.gateGen++
+		gen := c.gateGen
+		c.sched.Go("canary-gate@"+v.Name, func(t *sim.Task) {
+			t.Sleep(c.cfg.Canary.Window)
+			c.evaluateGate(gen)
+		})
+	}
 	return dsu.TakeAbort
 }
 
-// followerOutcome observes the forked follower runtime's update records.
-// A failed state transformation surfaces here as OutcomeFailed — the MVE
-// rollback path then sees a failed follower and reverts to the leader,
-// instead of the transform error crashing the whole scheduler.
-func (c *Controller) followerOutcome(rec dsu.UpdateRecord) {
-	if rec.Outcome != dsu.OutcomeFailed {
-		return
+// attachCandidate opens the monitor-side slot for the process that will
+// run v, under the gate's protocol, and words its timeline entry.
+func (c *Controller) attachCandidate(v *dsu.Version) (*variant, string) {
+	if !c.gated {
+		name := c.procName("follower", v.Name)
+		return &variant{id: "follower", name: name, proc: c.mon.AttachFollower(name, v.Rules)}, "forked follower for " + v.Name
 	}
-	c.Rollback(fmt.Sprintf("state transformation to %s failed: %v", rec.Version, rec.Err))
+	name := c.procName("canary", v.Name)
+	fv := &variant{id: "canary", name: name, proc: c.mon.AttachVariant(name, v.Rules)}
+	c.mon.MarkCanary(fv.proc, c.cfg.Canary.MaxDivergences)
+	return fv, fmt.Sprintf("canary %s forked; observing for %v", name, c.cfg.Canary.Window)
 }
 
 // updateOutcome observes the leader runtime's update records to retry
@@ -486,16 +642,13 @@ func (c *Controller) scheduleRetry(v *dsu.Version, n int, why string) {
 	c.transition(c.stage, fmt.Sprintf("%s; retry %d of %s in %v", why, n, v.Name, delay))
 	c.sched.Go(fmt.Sprintf("retry%d@%s", n, v.Name), func(t *sim.Task) {
 		t.Sleep(delay)
-		if c.stage != StageSingleLeader {
+		if c.closed || c.stage != StageSingleLeader {
 			return
 		}
 		if c.pending == nil {
 			c.pending = v // reclaim after a rollback cleared it
 		}
-		if c.pending != v {
-			return // a different update superseded this one
-		}
-		c.leaderRT.RequestUpdate(v)
+		c.requestUpdate(v) // a no-op if a different update superseded this one
 	})
 }
 
@@ -509,14 +662,12 @@ func (c *Controller) Retries() int { return c.retries }
 // follower" too — so no leader thread is mid-syscall when the promotion
 // event is written, and both processes switch at equivalent program
 // points. Reverse rules from the pending version are installed on the
-// to-be-demoted leader.
+// to-be-demoted leader. A gated controller refuses: its window decides.
 func (c *Controller) Promote() bool {
-	if c.stage != StageOutdatedLeader {
+	if c.gated || c.closed || c.stage != StageOutdatedLeader {
 		return false
 	}
-	if c.pending != nil {
-		c.mon.SetReverseRules(c.pending.ReverseRules)
-	}
+	c.mon.SetReverseRules(c.pending.ReverseRules)
 	if !c.leaderRT.RequestBarrier(func(t *sim.Task) {
 		c.mon.PromoteNow(t)
 	}) {
@@ -526,17 +677,44 @@ func (c *Controller) Promote() bool {
 	return true
 }
 
-// handlePromoted fires when the updated version has taken over (t5).
+// handlePromoted fires when the candidate has taken over (t5). Under
+// the operator's gate the old leader stays on as the new candidate,
+// validating in reverse until Commit. The canary gate has done its
+// validating: the promotion commits at once, the retired leader and the
+// replicas PromoteFleet ejected are reaped, and K fresh ones respawn.
 func (c *Controller) handlePromoted(newLeader *mve.Proc) {
-	c.leaderRT, c.otherRT = c.otherRT, c.leaderRT
-	c.endUpdateSpan()
-	c.transition(StageUpdatedLeader, newLeader.Name()+" now leads")
-	// If the demoted process is already dead (promotion after an
-	// old-version crash), there is nothing left to validate against:
-	// commit immediately so the buffer does not fill up unconsumed.
-	if c.otherRT == nil || c.otherRT.LiveThreads() == 0 {
-		c.Commit()
+	fv := c.candidate
+	if fv == nil || fv.proc != newLeader {
+		return
 	}
+	retired := c.leaderRT
+	c.leaderRT = fv.rt
+	delete(c.live, fv.name)
+	c.endUpdateSpan()
+	if !c.gated {
+		old := c.mon.Follower()
+		c.candidate = &variant{name: old.Name(), proc: old, rt: retired}
+		c.live[old.Name()] = c.candidate
+		c.transition(StageUpdatedLeader, newLeader.Name()+" now leads")
+		// If the demoted process is already dead (promotion after an
+		// old-version crash), there is nothing left to validate against:
+		// commit immediately so the buffer does not fill up unconsumed.
+		if retired.LiveThreads() == 0 {
+			c.Commit()
+		}
+		return
+	}
+	c.candidate = nil
+	stale := c.live
+	c.live = make(map[string]*variant)
+	c.rec.Inc(obs.CCanaryPromotions)
+	c.commit(newLeader.Name() + " promoted; respawning fleet")
+	c.sched.Go("reap-retired", func(t *sim.Task) {
+		killAll(stale)
+		reap(t, retired)
+		c.respawnQ = append(c.respawnQ, c.cfg.Variants...)
+		c.armRespawn()
+	})
 }
 
 // Commit finalizes the update (Figure 2, t6): the outdated follower is
@@ -549,17 +727,13 @@ func (c *Controller) Commit() bool {
 	return true
 }
 
-// commit ends the updated-leader stage with the new version in charge,
-// whether the operator asked (Commit) or the outdated follower stalled,
-// diverged or crashed and left nothing to validate against: the whole
-// follower process is reaped, the updated version continues as single
-// leader, and the next train hop, if any, is armed.
+// commit ends the update with the new version in charge, whether the
+// operator asked (Commit), the canary gate promoted, or the outdated
+// follower stalled, diverged or crashed and left nothing to validate
+// against: the candidate, if any, is reaped, the updated version
+// continues as single leader, and the next train hop is armed.
 func (c *Controller) commit(note string) {
-	if c.otherRT != nil {
-		c.otherRT.KillAll()
-	}
-	c.mon.DropFollower()
-	c.otherRT = nil
+	c.dropCandidate(note)
 	c.pending = nil
 	c.rec.Inc(obs.CCoreCommits)
 	c.scope.Inc(obs.CCoreCommits)
@@ -569,135 +743,222 @@ func (c *Controller) commit(note string) {
 	c.armNext()
 }
 
-// Rollback abandons the update (any time before Commit): the follower is
-// terminated and the leader reverts to single-leader mode. No state is
-// lost — the leader kept serving throughout (§3.2 "handling new-version
-// errors").
+// Rollback abandons the update (any time before promotion completes):
+// the candidate is terminated and the leader carries on as if the update
+// had never been requested. No state is lost — the leader kept serving
+// throughout (§3.2 "handling new-version errors").
 func (c *Controller) Rollback(reason string) bool {
-	if c.stage != StageOutdatedLeader && c.stage != StagePromoting {
+	if c.closed || (c.stage != StageOutdatedLeader && c.stage != StagePromoting) {
 		return false
 	}
-	if c.otherRT != nil {
-		c.otherRT.KillAll()
-	}
-	c.mon.DropFollower()
-	c.otherRT = nil
+	c.dropCandidate(reason)
 	v := c.pending
 	c.pending = nil
-	c.rec.Inc(obs.CCoreRollbacks)
-	c.scope.Inc(obs.CCoreRollbacks)
-	c.endUpdateSpan()
-	c.transition(StageSingleLeader, "rolled back: "+reason)
-	flushed := "rollback"
-	if v != nil {
-		flushed = "rollback of " + v.Name
+	c.gateGen++ // cancel any open window
+	counter, note := obs.CCoreRollbacks, "rolled back: "
+	if c.gated {
+		counter, note = obs.CCanaryRollbacks, "canary rolled back: "
 	}
-	c.flushTrain(flushed)
-	if c.cfg.RetryOnRollback && v != nil && c.cfg.RetryInterval > 0 && c.retries < c.cfg.MaxRetries {
+	c.rec.Inc(counter)
+	c.scope.Inc(counter)
+	c.endUpdateSpan()
+	c.transition(StageSingleLeader, note+reason)
+	c.flushTrain("rollback of " + v.Name)
+	if c.cfg.RetryOnRollback && c.retries < c.cfg.MaxRetries {
 		c.retries++
 		c.scheduleRetry(v, c.retries, "rollback")
 	}
 	return true
 }
 
-// handleStall reacts to the monitor's liveness signals. A follower that
-// stopped consuming events — hung (watchdog) or hopelessly lagging
-// (discard policy) — is as unusable as one that produced wrong ones, so
-// the stall is handled exactly like a divergence in the same stage, and
-// the outcome lands in the timeline.
+// dropCandidate detaches the candidate from the monitor, under the
+// protocol it was attached with, and kills its process.
+func (c *Controller) dropCandidate(reason string) {
+	fv := c.candidate
+	if fv == nil {
+		return
+	}
+	c.candidate = nil
+	delete(c.live, fv.name)
+	if !c.gated {
+		fv.rt.KillAll()
+		c.mon.DropFollower()
+		return
+	}
+	if c.mon.VariantByName(fv.name) != nil {
+		c.mon.EjectVariant(fv.proc, reason)
+	}
+	fv.rt.KillAll()
+}
+
+// failFollower is §3.2's pair of error rules for the follower protocol:
+// a failing updated version is dropped; a failing outdated one leaves
+// the update nothing to validate against, so it commits. A follower
+// that stopped — hung (watchdog) or hopelessly lagging (discard policy)
+// — is as unusable as one that diverged or crashed: all three land here.
+func (c *Controller) failFollower(rollbackNote, commitNote string) bool {
+	switch c.stage {
+	case StageOutdatedLeader, StagePromoting:
+		return c.Rollback(rollbackNote)
+	case StageUpdatedLeader:
+		c.commit(commitNote)
+		return true
+	}
+	return false
+}
+
+// handleStall reacts to the monitor's liveness signals: the follower's
+// stall is a follower failure; a replica's or canary's goes to the
+// quorum like a divergence, unless that variant is already ejected.
 func (c *Controller) handleStall(st mve.Stall) {
-	switch c.stage {
-	case StageOutdatedLeader, StagePromoting:
-		c.Rollback("stall: " + st.String())
-	case StageUpdatedLeader:
-		c.commit("outdated follower stalled (" + st.Reason + "); committed")
+	if c.mon.Follower() != nil {
+		c.failFollower("stall: "+st.String(), "outdated follower stalled ("+st.Reason+"); committed")
+	} else if p := c.mon.VariantByName(st.Proc); p != nil && !p.Failed() {
+		c.applyVerdict(c.mon.FailVariant(p, "stall"))
 	}
 }
 
-// handleDivergence reacts to MVE divergences according to the stage:
-//   - outdated leader stage: the updated follower is wrong → roll back.
-//   - updated leader stage: the outdated follower disagrees with the new
-//     version's exposed semantics → terminate the outdated follower.
+// handleDivergence reacts to a follower's divergence (replicas and
+// canaries raise verdicts instead, see applyVerdict).
 func (c *Controller) handleDivergence(d mve.Divergence) {
-	switch c.stage {
-	case StageOutdatedLeader, StagePromoting:
-		c.Rollback("divergence: " + d.Reason)
-	case StageUpdatedLeader:
-		c.commit("outdated follower diverged; committed " + d.Proc)
-	}
-}
-
-// reapCrashed finishes off a crashed-but-promoted-away runtime: a crash
-// is process-fatal, so threads that survived the crashing one (e.g. a
-// multithreaded server losing one worker) die with the process. Once
-// nothing of it is left to validate against, the promotion commits —
-// without this, the demoted remnant wedges validation behind its dead
-// threads' events and eventually stalls the new leader on a full
-// buffer.
-func (c *Controller) reapCrashed(t *sim.Task, rt *dsu.Runtime) {
-	rt.KillAll()
-	// Killed tasks unwind when next scheduled; wait until the runtime is
-	// really empty so the commit check (here or in handlePromoted,
-	// whichever runs second) sees the truth.
-	for rt.LiveThreads() > 0 {
-		t.Yield()
-	}
-	if c.stage == StageUpdatedLeader && c.otherRT == rt {
-		c.Commit()
-	}
+	c.failFollower("divergence: "+d.Reason, "outdated follower diverged; committed "+d.Proc)
 }
 
 // handleCrash classifies a task crash by owner and stage, reporting
 // whether this controller owned the crashed task.
 func (c *Controller) handleCrash(info sim.CrashInfo) bool {
+	fv, mine := c.owner(info)
+	if !mine {
+		return false
+	}
 	handled := false
-	mine := runtimeOwns(c.leaderRT, info) || runtimeOwns(c.otherRT, info)
 	switch {
-	case runtimeOwns(c.otherRT, info) && (c.stage == StageOutdatedLeader || c.stage == StagePromoting):
+	case fv != nil && fv.proc == c.mon.Follower():
 		// The updated follower crashed (new-code or state-transform
-		// error): roll back, clients never notice (§6.2).
-		c.Rollback(fmt.Sprintf("follower crashed: %v", info.Value))
+		// error): roll back, clients never notice (§6.2). The outdated
+		// one crashed after promotion: drop it, surviving threads too.
+		handled = c.failFollower(fmt.Sprintf("follower crashed: %v", info.Value), "outdated follower crashed; committed")
+	case fv != nil:
+		// A replica or the canary: the quorum decides.
+		if !fv.proc.Failed() {
+			c.applyVerdict(c.mon.FailVariant(fv.proc, "crash"))
+		}
 		handled = true
-	case runtimeOwns(c.otherRT, info) && c.stage == StageUpdatedLeader:
-		// The outdated follower crashed after promotion: drop it, its
-		// surviving threads included.
-		c.commit("outdated follower crashed; committed")
-		handled = true
-	case runtimeOwns(c.leaderRT, info) && c.stage == StageOutdatedLeader:
+	case c.gated:
+		c.transition(c.stage, fmt.Sprintf("leader crashed (%v); fleet leader failover not implemented", info.Value))
+	case c.stage == StageOutdatedLeader:
 		// The old version crashed while leading — likely an old-version
 		// bug fixed by the update: promote the new version (§3.2
 		// "handling old-version errors"). The crashed leader's stream may
 		// be truncated mid-request; the monitor must not read the cut as
 		// a divergence and roll back to a corpse.
-		c.mon.MarkLeaderCrashed()
-		rt := c.leaderRT
-		c.sched.Go("promote-on-crash", func(t *sim.Task) {
-			c.mon.PromoteNow(t)
-			c.reapCrashed(t, rt)
-		})
-		c.transition(StagePromoting, fmt.Sprintf("leader crashed (%v); promoting follower", info.Value))
+		c.promoteOnCrash("promote-on-crash", fmt.Sprintf("leader crashed (%v); promoting follower", info.Value))
 		handled = true
-	case runtimeOwns(c.leaderRT, info) && c.stage == StageUpdatedLeader:
+	case c.stage == StageUpdatedLeader:
 		// The new version crashed while leading, before the operator
 		// committed: the outdated follower is still warm and in sync,
 		// so promote it back — the update is effectively rolled back
 		// with no state loss (the symmetric case of §3.2's old-version
-		// recovery).
-		// The train, if any, dies with the update: the revert puts the
-		// old version back in charge, and later hops transform from the
-		// crashed version's state shape.
+		// recovery). The train, if any, dies with the update: the revert
+		// puts the old version back in charge, and later hops transform
+		// from the crashed version's state shape.
 		c.flushTrain("new-leader crash")
-		c.mon.MarkLeaderCrashed()
-		rt := c.leaderRT
-		c.sched.Go("revert-on-crash", func(t *sim.Task) {
-			c.mon.PromoteNow(t)
-			c.reapCrashed(t, rt)
-		})
-		c.transition(StagePromoting, fmt.Sprintf("new leader crashed (%v); reverting to old version", info.Value))
+		c.promoteOnCrash("revert-on-crash", fmt.Sprintf("new leader crashed (%v); reverting to old version", info.Value))
 		handled = true
 	}
-	if mine && c.OnCrash != nil {
+	if c.OnCrash != nil {
 		c.OnCrash(info, handled)
 	}
-	return mine
+	return true
+}
+
+// promoteOnCrash hands leadership to the follower on behalf of a leader
+// that just crashed, then finishes the crashed process off: a crash is
+// process-fatal, so threads that survived the crashing one (a
+// multithreaded server losing one worker) die with it. Once nothing of
+// it is left to validate against, the promotion commits (here or in
+// handlePromoted, whichever runs second) — otherwise the demoted remnant
+// wedges validation behind its dead threads' events and eventually
+// stalls the new leader on a full buffer.
+func (c *Controller) promoteOnCrash(task, note string) {
+	c.mon.MarkLeaderCrashed()
+	rt := c.leaderRT
+	c.sched.Go(task, func(t *sim.Task) {
+		c.mon.PromoteNow(t)
+		reap(t, rt)
+		if c.stage == StageUpdatedLeader && c.FollowerRuntime() == rt {
+			c.Commit()
+		}
+	})
+	c.transition(StagePromoting, note)
+}
+
+// reap kills rt and waits until it is really empty: killed tasks unwind
+// when next scheduled.
+func reap(t *sim.Task, rt *dsu.Runtime) {
+	rt.KillAll()
+	for rt.LiveThreads() > 0 {
+		t.Yield()
+	}
+}
+
+// owner finds the attached process a crashed task belonged to: a live
+// variant (the candidate is one), or — nil, true — the leader.
+func (c *Controller) owner(info sim.CrashInfo) (*variant, bool) {
+	// maporder: ok — at most one variant owns the crashed task, so the
+	// search result does not depend on iteration order.
+	for _, fv := range c.live {
+		if runtimeOwns(fv.rt, info) {
+			return fv, true
+		}
+	}
+	return nil, runtimeOwns(c.leaderRT, info)
+}
+
+// runtimeOwns reports whether a crashed task belongs to rt. Runtime
+// tasks are named "<cfgname>/<thread>@<version>"; crashed tasks are
+// matched by name prefix since the task may already be deregistered by
+// the time the crash is reported.
+func runtimeOwns(rt *dsu.Runtime, info sim.CrashInfo) bool {
+	return rt != nil && strings.HasPrefix(info.Task, rt.Config().Name+"/")
+}
+
+// Shutdown tears the service down for harness teardown: replicas and
+// candidate are detached from the monitor (releasing ring cursors and
+// stopping watchdogs), every runtime, the leader's included, is killed,
+// and every task the controller spawned ends at its next wake-up. This
+// is not a lifecycle operation — no verdicts are put to the quorum,
+// nothing is respawned, and the stage stays what it was.
+func (c *Controller) Shutdown() {
+	c.closed = true
+	c.gateGen++
+	c.pending = nil
+	c.queued = nil
+	c.respawnQ = nil
+	for _, p := range c.mon.Variants() {
+		c.mon.EjectVariant(p, "shutdown")
+	}
+	killAll(c.live)
+	c.mon.DropFollower()
+	c.candidate = nil
+	c.live = make(map[string]*variant)
+	if c.leaderRT != nil {
+		c.leaderRT.KillAll()
+	}
+}
+
+// killAll kills the runtimes of vars in name order. Kill moves blocked
+// tasks straight onto the run queue, so any loop that kills runtimes
+// must iterate deterministically — killing in map-iteration order would
+// make the post-teardown dispatch order differ run to run (the same
+// discipline as dsu.Runtime.KillAll).
+func killAll(vars map[string]*variant) {
+	names := make([]string, 0, len(vars))
+	for name := range vars { // maporder: ok — names are sorted below
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		vars[name].rt.KillAll()
+	}
 }

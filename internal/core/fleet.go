@@ -1,31 +1,9 @@
-// Fleet controller: N-variant execution with quorum verdicts, staged
-// canary updates, and variant eject-and-respawn.
-//
-// Where Controller runs the paper's leader/follower duo (one update in
-// flight, binary keep-or-rollback), FleetController keeps a leader plus
-// K same-version replica variants validating continuously, and stages
-// updates through a canary: one variant is updated first, observed for
-// a configurable window, and the fleet is promoted to the new version
-// only if the canary's divergence rate and validation latency pass the
-// gate. A failed gate — or a canary divergence storm mid-window — rolls
-// back just the canary; clients never leave the old version. Failed
-// replicas are quarantined by quorum verdict and respawned from the
-// leader at its next quiescence barrier, so transient variant loss
-// neither aborts an in-flight update nor touches client traffic.
-//
-// A fleet-leader crash is out of scope here: promoting a replica into a
-// serving leader mid-request requires the crash-truncation replay the
-// duo implements, generalized to N consumers, and is left to a future
-// change. The duo controller remains the recovery story for leader
-// crashes.
 package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"mvedsua/internal/dsu"
 	"mvedsua/internal/mve"
 	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
@@ -54,10 +32,11 @@ type CanaryGate struct {
 	MaxValidateLagP99 time.Duration
 }
 
-// FleetConfig configures a FleetController. The embedded Config fields
-// retain their duo meanings where applicable (buffer size, costs, DSU
-// template, watchdog, full policy, dispatcher wrapping, recorder);
-// retry fields are unused — fleet updates wait at barriers instead.
+// FleetConfig configures a controller with replicas and the canary
+// gate. Every embedded Config field keeps its meaning: fleet updates
+// take the duo's fork path, so they are requested, time out and are
+// retried (RetryInterval, MaxRetries, RetryOnRollback) exactly like the
+// duo's. DSU.OnAbort runs only while no replica is attached to miss it.
 type FleetConfig struct {
 	Config
 	// Variants are the replica variant ids, K = len(Variants) >= 1.
@@ -100,15 +79,20 @@ func (cfg FleetConfig) validate() {
 	}
 }
 
-// FleetPhase is the fleet controller's lifecycle position.
+// FleetController is the controller NewFleet builds. The alias remains
+// for the frozen benchmark adapter; drop it at benchmark revision 2.
+type FleetController = Controller
+
+// FleetPhase is the fleet operator's reading of the stage: the same
+// position in the lifecycle, named for what the canary is doing.
 type FleetPhase int
 
 // Fleet phases.
 const (
-	FleetSteady    FleetPhase = iota // leader + K replicas validating
-	FleetCanary                      // canary attached, window open
-	FleetPromoting                   // gate passed, promotion pending
-	FleetAborted                     // majority verdict; leader serves solo
+	FleetSteady    = FleetPhase(StageSingleLeader)   // leader + K replicas validating
+	FleetCanary    = FleetPhase(StageOutdatedLeader) // canary attached, window open
+	FleetPromoting = FleetPhase(StagePromoting)      // gate passed, promotion pending
+	FleetAborted   = FleetPhase(StageAborted)        // majority verdict; leader serves solo
 )
 
 // String names the phase.
@@ -120,358 +104,87 @@ func (p FleetPhase) String() string {
 		return "canary"
 	case FleetPromoting:
 		return "promoting"
-	case FleetAborted:
-		return "aborted"
 	default:
-		return fmt.Sprintf("phase(%d)", int(p))
+		return Stage(p).String()
 	}
 }
 
-// FleetEvent is one entry of the fleet controller's timeline.
-type FleetEvent struct {
-	At    time.Duration
-	Phase FleetPhase
-	Note  string
-}
-
-// fleetVar is one attached variant's bookkeeping.
-type fleetVar struct {
-	id   string // respawn slot (config id, or "canary")
-	name string // unique proc name ("r1#2@2.0.0")
-	proc *mve.Proc
-	rt   *dsu.Runtime
-}
-
-// FleetController orchestrates one service under N-variant execution.
-type FleetController struct {
-	sched  *sim.Scheduler
-	kernel *vos.Kernel
-	cfg    FleetConfig
-	mon    *mve.Monitor
-	rec    *obs.Recorder
-
-	phase     FleetPhase
-	leaderRT  *dsu.Runtime
-	live      map[string]*fleetVar // attached replicas+canary, by proc name
-	canary    *fleetVar
-	pending   *dsu.Version
-	pendingAt time.Duration // when the staged update was requested
-
-	spawned  map[string]int // incarnations per slot id
-	respawnQ []string       // slot ids awaiting the next leader barrier
-	rearming bool
-	gateGen  int // invalidates stale gate timers
-
-	health *HealthEngine // canary-gate + watchdog thresholds as rules
-
-	timeline []FleetEvent
-
-	// OnVerdict, if non-nil, observes every quorum verdict after the
-	// controller has acted on it.
-	OnVerdict func(mve.Verdict)
-	// OnPhase, if non-nil, observes phase transitions.
-	OnPhase func(FleetEvent)
-}
-
-// NewFleet builds a fleet controller on the kernel's scheduler.
-func NewFleet(kernel *vos.Kernel, cfg FleetConfig) *FleetController {
+// NewFleet builds a controller with K = len(cfg.Variants) replicas and
+// the timed canary gate on the kernel's scheduler.
+func NewFleet(kernel *vos.Kernel, cfg FleetConfig) *Controller {
 	cfg.validate()
-	if cfg.BufferEntries == 0 {
-		cfg.BufferEntries = 256
-	}
-	fc := &FleetController{
-		sched:   kernel.Scheduler(),
-		kernel:  kernel,
-		cfg:     cfg,
-		mon:     mve.New(kernel, cfg.BufferEntries, cfg.Costs),
-		rec:     cfg.Recorder,
-		phase:   FleetSteady,
-		live:    make(map[string]*fleetVar),
-		spawned: make(map[string]int),
-	}
-	fc.mon.SetRecorder(cfg.Recorder)
-	fc.mon.Lockstep = cfg.Lockstep
-	fc.mon.WatchdogDeadline = cfg.WatchdogDeadline
-	fc.health = NewHealthEngine("fleet", fc.rec, cfg.Canary.Rules())
-	if cfg.WatchdogDeadline > 0 {
-		watchdog := NewHealthEngine("fleet", fc.rec,
-			[]HealthRule{FollowerLivenessRule(cfg.WatchdogDeadline)})
-		fc.mon.StallJudge = watchdog.StallJudge()
-	}
-	fc.mon.FullPolicy = cfg.BufferFullPolicy
-	fc.mon.OnVerdict = fc.applyVerdict
-	fc.mon.OnStall = fc.handleStall
-	fc.mon.OnPromoted = fc.handlePromoted
-	prev := fc.sched.OnCrash
-	fc.sched.OnCrash = func(info sim.CrashInfo) {
-		if !fc.handleCrash(info) && prev != nil {
-			prev(info)
-		}
-	}
-	return fc
+	c := newController(kernel, cfg, "fleet")
+	c.health = NewHealthEngine("fleet", c.rec, cfg.Canary.Rules())
+	return c
 }
 
-// Monitor exposes the underlying MVE monitor.
-func (fc *FleetController) Monitor() *mve.Monitor { return fc.mon }
-
-// Health exposes the fleet's canary-gate health engine. SLO scenarios
-// enable verdict emission on it to capture the gate's verdict stream.
-func (fc *FleetController) Health() *HealthEngine { return fc.health }
-
-// Phase returns the current fleet lifecycle phase.
-func (fc *FleetController) Phase() FleetPhase { return fc.phase }
-
-// LeaderRuntime returns the DSU runtime of the current leader process.
-func (fc *FleetController) LeaderRuntime() *dsu.Runtime { return fc.leaderRT }
-
-// Timeline returns the phase-transition history.
-func (fc *FleetController) Timeline() []FleetEvent { return fc.timeline }
+// Phase returns the current stage in fleet vocabulary.
+func (c *Controller) Phase() FleetPhase { return FleetPhase(c.stage) }
 
 // LiveVariants returns the proc names of the currently attached
 // variants (replicas and canary), in attach order.
-func (fc *FleetController) LiveVariants() []string {
+func (c *Controller) LiveVariants() []string {
 	var out []string
-	for _, p := range fc.mon.Variants() {
+	for _, p := range c.mon.Variants() {
 		out = append(out, p.Name())
 	}
 	return out
 }
 
-func (fc *FleetController) transition(phase FleetPhase, note string) {
-	fc.phase = phase
-	ev := FleetEvent{At: fc.sched.Now(), Phase: phase, Note: note}
-	fc.timeline = append(fc.timeline, ev)
-	fc.rec.Inc(obs.CCoreTransitions)
-	fc.rec.Emit(obs.KindStage, "fleet:"+phase.String(), note)
-	if fc.OnPhase != nil {
-		fc.OnPhase(ev)
-	}
-}
-
-func (fc *FleetController) procName(id, version string) string {
-	fc.spawned[id]++
-	return fmt.Sprintf("%s#%d@%s", id, fc.spawned[id], version)
-}
-
-// dsuCfg builds a variant runtime config: wrapped dispatcher, no update
-// hooks (fleet updates go through barriers, not RequestUpdate).
-func (fc *FleetController) dsuCfg(role, name string, proc *mve.Proc, parallelXform bool) dsu.Config {
-	cfg := fc.cfg.DSU
-	cfg.Name = name
-	cfg.Dispatcher = proc
-	if fc.cfg.WrapDispatcher != nil {
-		cfg.Dispatcher = fc.cfg.WrapDispatcher(role, name, proc)
-	}
-	cfg.ParallelXform = parallelXform
-	cfg.TakeUpdate = nil
-	cfg.OnOutcome = nil
-	cfg.Rec = fc.rec
-	return cfg
-}
-
-// Start deploys app as leader plus K cold-started replica variants.
-// The variants attach before the leader's first syscall, so each one
-// validates the leader's entire execution from the top (the Mx-style
-// cold duo, generalized to K cursors over one recorded stream).
-func (fc *FleetController) Start(app dsu.App) *dsu.Runtime {
-	proc := fc.mon.StartSingleLeader(fc.procName("leader", app.Version()))
-	var vars []*fleetVar
-	for _, id := range fc.cfg.Variants {
-		vars = append(vars, fc.attachVariant(id, app.Version()))
-	}
-	fc.leaderRT = dsu.NewRuntime(fc.sched, app, fc.dsuCfg("leader", "leader", proc, false))
-	fc.leaderRT.Start()
-	for _, fv := range vars {
-		fv.rt = dsu.NewRuntime(fc.sched, app.Fork(), fc.dsuCfg("variant", fv.name, fv.proc, false))
-		fv.rt.Start()
-	}
-	fc.transition(FleetSteady, fmt.Sprintf("deployed %s with %d variants", app.Version(), len(vars)))
-	return fc.leaderRT
-}
-
-// attachVariant opens the monitor-side slot for a same-version replica
-// of id (no adaptation rules); the caller starts the runtime.
-func (fc *FleetController) attachVariant(id, version string) *fleetVar {
-	name := fc.procName(id, version)
-	fv := &fleetVar{id: id, name: name, proc: fc.mon.AttachVariant(name, nil)}
-	fc.live[name] = fv
+// attachReplica opens the monitor-side slot for a same-version replica
+// of id (no adaptation rules); the caller forks and starts the process.
+func (c *Controller) attachReplica(id, version string) *variant {
+	name := c.procName(id, version)
+	fv := &variant{id: id, name: name, proc: c.mon.AttachVariant(name, nil)}
+	c.live[name] = fv
 	return fv
-}
-
-// Update stages v through a canary: at the leader's next quiescence
-// barrier a variant is forked, transformed to v, and observed for the
-// configured window before the promotion decision. Returns false if a
-// canary is already in flight or the fleet has been aborted.
-func (fc *FleetController) Update(v *dsu.Version) bool {
-	if fc.phase != FleetSteady || fc.pending != nil {
-		return false
-	}
-	fc.pending = v
-	fc.pendingAt = fc.sched.Now()
-	fc.rec.Inc(obs.CCoreUpdates)
-	fc.atBarrier("canary-fork@"+v.Name, func(t *sim.Task) {
-		// The fork + transform of the canary runs inside the leader's
-		// quiescence barrier: attribute it to the xform dimension so a
-		// profile shows the update's in-band cost, not just its outcome.
-		if fc.rec.ProfilingEnabled() {
-			t.PushLabel(obs.LblXform)
-			defer t.PopLabel()
-		}
-		fc.startCanary(v)
-	})
-	return true
-}
-
-// startCanary runs at a leader barrier: fork, attach as canary, apply
-// the update on the fork, open the observation window.
-func (fc *FleetController) startCanary(v *dsu.Version) {
-	if fc.phase != FleetSteady || fc.pending != v {
-		return // superseded (abort, rollback) while waiting for the barrier
-	}
-	forked := fc.leaderRT.App().Fork()
-	name := fc.procName("canary", v.Name)
-	proc := fc.mon.AttachVariant(name, v.Rules)
-	fc.mon.MarkCanary(proc, fc.cfg.Canary.MaxDivergences)
-	fv := &fleetVar{id: "canary", name: name, proc: proc}
-	cfg := fc.dsuCfg("canary", name, proc, true)
-	// A canary whose state transformation fails is rolled back like one
-	// that failed its gate — the fleet must not inherit the dsu panic.
-	cfg.OnOutcome = func(rec dsu.UpdateRecord) {
-		if rec.Outcome == dsu.OutcomeFailed && fc.canary == fv {
-			fc.rollbackCanary(fmt.Sprintf("state transformation to %s failed: %v", rec.Version, rec.Err))
-		}
-	}
-	fv.rt = dsu.NewRuntime(fc.sched, forked, cfg)
-	fv.rt.StartUpdatedFromAt(forked, v, fc.pendingAt)
-	fc.live[name] = fv
-	fc.canary = fv
-	fc.transition(FleetCanary, fmt.Sprintf("canary %s forked; observing for %v", name, fc.cfg.Canary.Window))
-	fc.gateGen++
-	gen := fc.gateGen
-	fc.sched.Go("canary-gate@"+v.Name, func(t *sim.Task) {
-		t.Sleep(fc.cfg.Canary.Window)
-		fc.evaluateGate(gen)
-	})
 }
 
 // evaluateGate closes the observation window: promote on a clean gate,
 // roll the canary back otherwise. A stale generation means the canary
 // this timer was armed for is already gone (storm rollback, abort).
-func (fc *FleetController) evaluateGate(gen int) {
-	if gen != fc.gateGen || fc.phase != FleetCanary || fc.canary == nil {
+// The thresholds live in the health engine (CanaryGate.Rules); the
+// validate-lag signal is only sampled when span tracing is on, which
+// keeps that check conditional.
+func (c *Controller) evaluateGate(gen int) {
+	if gen != c.gateGen || c.stage != StageOutdatedLeader || c.candidate == nil {
 		return
 	}
-	p := fc.canary.proc
+	p := c.candidate.proc
 	divs, lag := p.VariantDivergences(), p.VariantLag()
-	if fail := fc.gateFailure(divs, lag); fail != "" {
-		fc.rollbackCanary("gate failed: " + fail)
-		return
-	}
-	fc.transition(FleetPromoting, fmt.Sprintf("gate passed (%d/%d divergences, lag %d); promoting at next barrier",
-		divs, fc.cfg.Canary.MaxDivergences, lag))
-	fc.atBarrier("promote@"+fc.canary.name, func(t *sim.Task) {
-		if fc.phase != FleetPromoting || !fc.mon.PromoteFleet(t) {
-			if fc.phase == FleetPromoting {
-				fc.rollbackCanary("canary unhealthy at promotion barrier")
-			}
-		}
-	})
-}
-
-// gateFailure returns a non-empty reason if the gate's thresholds are
-// violated at window close. The thresholds live in the health engine
-// (CanaryGate.Rules); the validate-lag signal is only sampled when span
-// tracing is on, which keeps that check conditional exactly as before.
-func (fc *FleetController) gateFailure(divs, lag int) string {
 	sample := HealthSample{
 		SignalDivergences: float64(divs),
 		SignalRingLag:     float64(lag),
 	}
-	if fc.cfg.Canary.MaxValidateLagP99 > 0 && fc.rec.SpansEnabled() {
-		sample[SignalValidateLagP99] = float64(fc.rec.Hist(obs.HReqValidateLag).Quantile(0.99))
+	if c.cfg.Canary.MaxValidateLagP99 > 0 && c.rec.SpansEnabled() {
+		sample[SignalValidateLagP99] = float64(c.rec.Hist(obs.HReqValidateLag).Quantile(0.99))
 	}
-	if v := fc.health.Evaluate("canary-gate", sample); v != nil {
-		return v.Reason
-	}
-	return ""
-}
-
-// rollbackCanary abandons the staged update: the canary is ejected and
-// reaped; the old-version fleet continues untouched.
-func (fc *FleetController) rollbackCanary(reason string) {
-	fv := fc.canary
-	if fv == nil {
+	if v := c.health.Evaluate("canary-gate", sample); v != nil {
+		c.Rollback("gate failed: " + v.Reason)
 		return
 	}
-	fc.canary = nil
-	fc.pending = nil
-	fc.gateGen++ // cancel any open window
-	if fc.mon.VariantByName(fv.name) != nil {
-		fc.mon.EjectVariant(fv.proc, reason)
-	}
-	if fv.rt != nil {
-		fv.rt.KillAll()
-	}
-	delete(fc.live, fv.name)
-	fc.rec.Inc(obs.CCanaryRollbacks)
-	fc.transition(FleetSteady, "canary rolled back: "+reason)
-}
-
-// Shutdown tears the whole fleet down for harness teardown: every
-// variant is ejected from the monitor (releasing ring cursors and
-// stopping watchdogs) and every runtime, leader included, is killed.
-// This is not a lifecycle operation — no verdicts are put to the
-// quorum and nothing is respawned.
-func (fc *FleetController) Shutdown() {
-	fc.gateGen++
-	fc.pending = nil
-	fc.canary = nil
-	fc.respawnQ = nil
-	for _, p := range fc.mon.Variants() {
-		fc.mon.EjectVariant(p, "shutdown")
-	}
-	for _, fv := range sortedVars(fc.live) {
-		if fv.rt != nil {
-			fv.rt.KillAll()
+	c.transition(StagePromoting, fmt.Sprintf("gate passed (%d/%d divergences, lag %d); promoting at next barrier",
+		divs, c.cfg.Canary.MaxDivergences, lag))
+	c.atBarrier("promote@"+c.candidate.name, func(t *sim.Task) {
+		if c.stage == StagePromoting && !c.mon.PromoteFleet(t) {
+			c.Rollback("canary unhealthy at promotion barrier")
 		}
-	}
-	fc.live = make(map[string]*fleetVar)
-	if fc.leaderRT != nil {
-		fc.leaderRT.KillAll()
-	}
-}
-
-// sortedVars returns a variant map's values in name order. Kill moves
-// blocked tasks straight onto the run queue, so any loop that kills
-// runtimes must iterate deterministically — killing in map-iteration
-// order would make the post-teardown dispatch order differ run to run
-// (the same discipline as dsu.Runtime.KillAll).
-func sortedVars(m map[string]*fleetVar) []*fleetVar {
-	names := make([]string, 0, len(m))
-	for name := range m { // maporder: ok — names are sorted below
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]*fleetVar, 0, len(names))
-	for _, name := range names {
-		out = append(out, m[name])
-	}
-	return out
+	})
 }
 
 // applyVerdict is the monitor's divergence-verdict hook and the shared
 // consequence path for crash and stall verdicts.
-func (fc *FleetController) applyVerdict(v mve.Verdict) {
+func (c *Controller) applyVerdict(v mve.Verdict) {
 	switch v.Action {
 	case mve.VerdictEject:
-		fc.ejectAndQueue(v)
+		c.ejectAndQueue(v)
 	case mve.VerdictAbort:
-		fc.abortFleet(v)
+		c.abortFleet(v)
 	case mve.VerdictRollbackCanary:
-		fc.rollbackCanary(v.Cause)
+		c.Rollback(v.Cause)
 	}
-	if fc.OnVerdict != nil {
-		fc.OnVerdict(v)
+	if c.OnVerdict != nil {
+		c.OnVerdict(v)
 	}
 }
 
@@ -481,163 +194,65 @@ func (fc *FleetController) applyVerdict(v mve.Verdict) {
 // counted against the quorum for the instant it failed in, so a second
 // failure landing in the same event batch is judged 2-of-N (abort), not
 // 1-of-(N-1) after a premature eject.
-func (fc *FleetController) ejectAndQueue(v mve.Verdict) {
-	fv := fc.live[v.Proc]
+func (c *Controller) ejectAndQueue(v mve.Verdict) {
+	fv := c.live[v.Proc]
 	if fv == nil {
 		return
 	}
-	fc.transition(fc.phase, fmt.Sprintf("variant %s ejected (%s); respawn queued", fv.name, v.Cause))
-	fc.sched.Go("eject:"+fv.name, func(t *sim.Task) {
-		if fc.live[fv.name] != fv {
-			return // an abort or promotion already swept it up
+	c.transition(c.stage, fmt.Sprintf("variant %s ejected (%s); respawn queued", fv.name, v.Cause))
+	c.sched.Go("eject:"+fv.name, func(t *sim.Task) {
+		if c.live[fv.name] != fv {
+			return // an abort, promotion or Shutdown already swept it up
 		}
-		fc.mon.EjectVariant(fv.proc, v.Cause)
-		if fv.rt != nil {
-			fv.rt.KillAll()
-		}
-		delete(fc.live, fv.name)
-		fc.respawnQ = append(fc.respawnQ, fv.id)
-		fc.armRespawn()
+		c.mon.EjectVariant(fv.proc, v.Cause)
+		fv.rt.KillAll()
+		delete(c.live, fv.name)
+		c.respawnQ = append(c.respawnQ, fv.id)
+		c.armRespawn()
 	})
 }
 
 // abortFleet tears the fleet down after a majority verdict: the leader
-// keeps serving solo; nothing is respawned.
-func (fc *FleetController) abortFleet(v mve.Verdict) {
-	for _, fv := range sortedVars(fc.live) {
-		if fv.rt != nil {
-			fv.rt.KillAll()
-		}
-	}
-	fc.live = make(map[string]*fleetVar)
-	fc.canary = nil
-	fc.pending = nil
-	fc.respawnQ = nil
-	fc.gateGen++
-	fc.mon.AbortFleet(v.String())
-	fc.transition(FleetAborted, "fleet aborted: "+v.String())
+// keeps serving solo; nothing is respawned, and no update is taken
+// again.
+func (c *Controller) abortFleet(v mve.Verdict) {
+	killAll(c.live)
+	c.live = make(map[string]*variant)
+	c.candidate = nil
+	c.pending = nil
+	c.respawnQ = nil
+	c.gateGen++
+	c.mon.AbortFleet(v.String())
+	c.transition(StageAborted, "fleet aborted: "+v.String())
+	c.flushTrain("fleet abort")
 }
 
 // armRespawn schedules the queued slots to be refilled at the leader's
 // next quiescence. One armed barrier drains the whole queue.
-func (fc *FleetController) armRespawn() {
-	if fc.rearming || len(fc.respawnQ) == 0 {
+func (c *Controller) armRespawn() {
+	if c.rearming || len(c.respawnQ) == 0 {
 		return
 	}
-	fc.rearming = true
-	fc.atBarrier("fleet-respawn", func(t *sim.Task) { fc.respawnQueued() })
+	c.rearming = true
+	c.atBarrier("fleet-respawn", func(t *sim.Task) { c.respawnQueued() })
 }
 
 // respawnQueued runs at a leader barrier: every queued slot gets a
 // fresh fork of the leader. The fork resumes mid-service (its state,
 // descriptors and tables came with the fork), and its cursor opens at
 // the quiescent stream end, so validation aligns from the first event.
-func (fc *FleetController) respawnQueued() {
-	fc.rearming = false
-	if fc.phase == FleetAborted {
-		fc.respawnQ = nil
+func (c *Controller) respawnQueued() {
+	c.rearming = false
+	q := c.respawnQ
+	c.respawnQ = nil
+	if c.stage == StageAborted {
 		return
 	}
-	q := fc.respawnQ
-	fc.respawnQ = nil
 	for _, id := range q {
-		fv := fc.attachVariant(id, fc.leaderRT.App().Version())
-		fv.rt = dsu.NewRuntime(fc.sched, fc.leaderRT.App().Fork(), fc.dsuCfg("variant", fv.name, fv.proc, false))
+		fv := c.attachReplica(id, c.leaderRT.App().Version())
+		fv.rt = c.newRuntime("variant", fv.proc, c.leaderRT.App().Fork(), false)
 		fv.rt.StartForked(fv.rt.App())
-		fc.rec.Inc(obs.CFleetRespawns)
-		fc.transition(fc.phase, "respawned variant "+fv.name)
+		c.rec.Inc(obs.CFleetRespawns)
+		c.transition(c.stage, "respawned variant "+fv.name)
 	}
-}
-
-// atBarrier requests fn at the current leader's quiescence, retrying
-// while another barrier or update attempt holds the slot.
-func (fc *FleetController) atBarrier(name string, fn func(t *sim.Task)) {
-	if fc.leaderRT.RequestBarrier(fn) {
-		return
-	}
-	fc.sched.Go("barrier-wait:"+name, func(t *sim.Task) {
-		for !fc.leaderRT.RequestBarrier(fn) {
-			t.Sleep(time.Millisecond)
-		}
-	})
-}
-
-// handlePromoted fires when the canary has taken over as leader: the
-// retired old leader and the superseded replicas are reaped, and a
-// fresh fleet of K variants is respawned from the new leader.
-func (fc *FleetController) handlePromoted(newLeader *mve.Proc) {
-	fv := fc.canary
-	if fv == nil || fv.proc != newLeader {
-		return // duo-style promotion cannot happen under the fleet controller
-	}
-	oldRT := fc.leaderRT
-	fc.leaderRT = fv.rt
-	fc.canary = nil
-	fc.pending = nil
-	delete(fc.live, fv.name)
-	// Replicas ejected by PromoteFleet: their runtimes park on closed
-	// cursors; reap them with the retired leader.
-	stale := fc.live
-	fc.live = make(map[string]*fleetVar)
-	fc.rec.Inc(obs.CCanaryPromotions)
-	fc.rec.Inc(obs.CCoreCommits)
-	fc.transition(FleetSteady, newLeader.Name()+" promoted; respawning fleet")
-	fc.sched.Go("reap-retired", func(t *sim.Task) {
-		for _, sv := range sortedVars(stale) {
-			if sv.rt != nil {
-				sv.rt.KillAll()
-			}
-		}
-		if oldRT != nil {
-			oldRT.KillAll()
-			for oldRT.LiveThreads() > 0 {
-				t.Yield()
-			}
-		}
-		fc.respawnQ = append(fc.respawnQ, fc.cfg.Variants...)
-		fc.armRespawn()
-	})
-}
-
-// handleStall maps a liveness signal to its variant and puts the
-// failure to the quorum, like a divergence.
-func (fc *FleetController) handleStall(st mve.Stall) {
-	p := fc.mon.VariantByName(st.Proc)
-	if p == nil || p.Failed() {
-		return
-	}
-	fc.applyVerdict(fc.mon.FailVariant(p, "stall"))
-}
-
-// handleCrash classifies a task crash by owner: variant crashes go to
-// the quorum; a leader crash is out of scope for the fleet controller
-// (see the package comment) and is only recorded.
-func (fc *FleetController) handleCrash(info sim.CrashInfo) bool {
-	// maporder: ok — at most one variant owns the crashed task, so the
-	// search result does not depend on iteration order.
-	for _, fv := range fc.live {
-		if runtimeOwns(fv.rt, info) {
-			if !fv.proc.Failed() {
-				fc.applyVerdict(fc.mon.FailVariant(fv.proc, "crash"))
-			}
-			return true
-		}
-	}
-	if runtimeOwns(fc.leaderRT, info) {
-		fc.transition(fc.phase, fmt.Sprintf("leader crashed (%v); fleet leader failover not implemented", info.Value))
-		return true
-	}
-	return false
-}
-
-// runtimeOwns reports whether a crashed task belongs to rt. Runtime
-// tasks are named "<cfgname>/<thread>@<version>"; crashed tasks are
-// matched by name prefix since the task may already be deregistered by
-// the time the crash is reported.
-func runtimeOwns(rt *dsu.Runtime, info sim.CrashInfo) bool {
-	if rt == nil {
-		return false
-	}
-	name := rt.Config().Name + "/"
-	return len(info.Task) >= len(name) && info.Task[:len(name)] == name
 }

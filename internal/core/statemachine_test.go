@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"mvedsua/internal/chaos"
 	"mvedsua/internal/dsu"
+	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
 )
@@ -26,6 +29,132 @@ func TestRandomizedOperatorSequences(t *testing.T) {
 		t.Run(strings.Repeat("s", int(seed)), func(t *testing.T) {
 			runRandomized(t, seed)
 		})
+	}
+	for k := 1; k <= 3; k++ {
+		for seed := int64(1); seed <= 20; seed++ {
+			k, seed := k, seed
+			t.Run(fmt.Sprintf("fleet/K=%d/seed=%d", k, seed), func(t *testing.T) {
+				runRandomizedFleet(t, k, seed)
+			})
+		}
+	}
+}
+
+// runRandomizedFleet is the fleet's operator: random Update / QueueUpdate
+// / Rollback under continuous traffic, plus one replica crash at a random
+// point of the run. Whatever the interleaving of windows, promotions,
+// rollbacks, ejects and respawns:
+//
+//   - every reply's counter component is exactly the request index
+//     (nothing lost or duplicated), and versions never go backwards;
+//   - the run ends in single-leader or, after a majority verdict, aborted;
+//   - a fleet that was not aborted is back at K live variants with no
+//     update pending and the train empty;
+//   - nothing runs after Shutdown.
+func runRandomizedFleet(t *testing.T, k int, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	const steps = 30
+	cfg := fleetCfg()
+	cfg.Variants = []string{"r1", "r2", "r3"}[:k]
+	cfg.Canary.Window = time.Duration(20+r.Intn(40)) * time.Millisecond
+	plan := chaos.NewPlan(&chaos.Injection{
+		Role: "variant", Op: sysabi.OpWrite, AfterCalls: 1 + r.Intn(2*steps*k), Kind: chaos.KindCrash,
+	})
+	cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
+		return chaos.WrapProc(role, name, d, plan)
+	}
+	h := newFleetHarness(cfg)
+	h.fc.Start(&srv{version: "v1"})
+
+	// next is the hop that extends the train: it starts from the version
+	// the fleet will be on once everything in flight has committed.
+	next := func() *dsu.Version {
+		from := h.fc.LeaderRuntime().App().Version()
+		if h.fc.pending != nil {
+			from = h.fc.pending.Name
+		}
+		if n := len(h.fc.queued); n > 0 {
+			from = h.fc.queued[n-1].Name
+		}
+		if from == "v9" {
+			return nil // two-character version names only
+		}
+		return hop(from, fmt.Sprintf("v%d", int(from[1]-'0')+1), nil)
+	}
+	operate := func() {
+		before, aborted := h.fc.Stage(), h.fc.Stage() == StageAborted
+		switch r.Intn(5) {
+		case 0:
+			if v := next(); v != nil {
+				ok := h.fc.Update(v)
+				if ok != (before == StageSingleLeader && h.fc.pending == v) {
+					t.Errorf("Update = %v in %v", ok, before)
+				}
+			}
+		case 1:
+			if v := next(); v != nil {
+				if pos := h.fc.QueueUpdate(v); (pos == -1) != aborted {
+					t.Errorf("QueueUpdate = %d in %v", pos, before)
+				}
+			}
+		case 2:
+			ok := h.fc.Rollback("random")
+			if ok != (before == StageOutdatedLeader || before == StagePromoting) {
+				t.Errorf("Rollback = %v in %v", ok, before)
+			}
+			if ok && (h.fc.Stage() != StageSingleLeader || h.fc.QueuedUpdates() != 0 || h.fc.Monitor().Canary() != nil) {
+				t.Errorf("after Rollback: %v, %d queued, canary %v", h.fc.Stage(), h.fc.QueuedUpdates(), h.fc.Monitor().Canary())
+			}
+		}
+	}
+	// settled: nothing in flight any more, so the invariants below are
+	// about where the fleet came to rest, not about where the client
+	// happened to stop.
+	settled := func() bool {
+		if h.fc.Stage() == StageAborted {
+			return true
+		}
+		return h.fc.Stage() == StageSingleLeader && h.fc.pending == nil &&
+			h.fc.QueuedUpdates() == 0 && len(h.fc.LiveVariants()) == k
+	}
+	h.s.Go("client", func(tk *sim.Task) {
+		defer func() { h.done = true }()
+		fd := int(h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{9000, 0}}).Ret)
+		defer h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: fd})
+		for i := 0; i < 2*steps || !settled(); i++ {
+			if i >= 2*steps+100 {
+				t.Errorf("fleet never settled: %v, pending %v, %d queued, live %v", h.fc.Stage(), h.fc.pending, h.fc.QueuedUpdates(), h.fc.LiveVariants())
+				return
+			}
+			if i < 2*steps && i%2 == 0 {
+				operate()
+			}
+			h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte("ping")})
+			r := h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{64, 0}})
+			h.replies = append(h.replies, string(r.Data))
+			tk.Sleep(10 * time.Millisecond)
+		}
+	})
+	shutdownAndDrain(t, h.s, h.fc, &h.done, 200*time.Millisecond)
+
+	seen := versionsSeen(t, h.replies)
+	for i := 1; i < len(seen); i++ {
+		if seen[i] <= seen[i-1] {
+			t.Fatalf("versions went backwards: %v", seen)
+		}
+	}
+	if n := len(h.fc.Monitor().Divergences()); n != 0 {
+		t.Errorf("%d divergences under correct rules: %v", n, h.fc.Monitor().Divergences()[0])
+	}
+	if st := h.fc.Stage(); st != StageSingleLeader && st != StageAborted {
+		t.Fatalf("ended in %v: %+v", st, h.fc.Timeline())
+	}
+	version := h.fc.LeaderRuntime().App().Version()
+	t.Logf("%v on %s after %d requests: %d promotion(s), %d rollback(s), %d respawn(s), crash fired %d",
+		h.fc.Stage(), version, len(h.replies), h.rec.Counter(obs.CCanaryPromotions),
+		h.rec.Counter(obs.CCanaryRollbacks), h.rec.Counter(obs.CFleetRespawns), plan.Fired())
+	if seen[len(seen)-1] != version {
+		t.Errorf("last reply from %s, leader on %s", seen[len(seen)-1], version)
 	}
 }
 

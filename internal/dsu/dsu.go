@@ -283,7 +283,7 @@ func (rt *Runtime) Start() *sim.Task {
 // state is already current — but the main loop enters with
 // Updating() == true, as any process resuming from transferred state
 // does (its descriptors and tables came with the fork; a cold Main
-// would recreate them). This is how the fleet controller respawns an
+// would recreate them). This is how the core controller respawns an
 // ejected variant from the leader at a quiescence barrier.
 func (rt *Runtime) StartForked(app App) *sim.Task {
 	rt.app = app

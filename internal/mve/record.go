@@ -1,0 +1,174 @@
+package mve
+
+import (
+	"mvedsua/internal/obs"
+	"mvedsua/internal/ringbuf"
+	"mvedsua/internal/sim"
+	"mvedsua/internal/sysabi"
+)
+
+// KernelState is the kernel-side state Varan tracks during single-leader
+// mode so that a follower can be attached later (§4: logical PIDs,
+// event-poll descriptors, and the fd table).
+type KernelState struct {
+	LogicalPID int64
+	OpenFDs    map[int]bool
+	EpollFDs   map[int]bool
+	Listeners  map[int]int64 // fd -> port
+}
+
+// Clone deep-copies the tracked kernel state (given to a fork).
+func (ks KernelState) Clone() KernelState {
+	// maporder: ok — map-to-map copies; the result is order-independent.
+	out := KernelState{LogicalPID: ks.LogicalPID}
+	out.OpenFDs = make(map[int]bool, len(ks.OpenFDs))
+	for fd := range ks.OpenFDs { // maporder: ok — map copy
+		out.OpenFDs[fd] = true
+	}
+	out.EpollFDs = make(map[int]bool, len(ks.EpollFDs))
+	for fd := range ks.EpollFDs { // maporder: ok — map copy
+		out.EpollFDs[fd] = true
+	}
+	out.Listeners = make(map[int]int64, len(ks.Listeners))
+	for fd, port := range ks.Listeners { // maporder: ok — map copy
+		out.Listeners[fd] = port
+	}
+	return out
+}
+
+func newKernelState() KernelState {
+	return KernelState{
+		OpenFDs:   make(map[int]bool),
+		EpollFDs:  make(map[int]bool),
+		Listeners: make(map[int]int64),
+	}
+}
+
+func (p *Proc) trackKernelState(call sysabi.Call, res sysabi.Result) {
+	if !res.OK() {
+		return
+	}
+	switch call.Op {
+	case sysabi.OpGetPID:
+		p.kstate.LogicalPID = res.Ret
+	case sysabi.OpSocket:
+		p.kstate.OpenFDs[int(res.Ret)] = true
+		p.kstate.Listeners[int(res.Ret)] = call.Args[0]
+	case sysabi.OpAccept, sysabi.OpConnect, sysabi.OpOpen:
+		p.kstate.OpenFDs[int(res.Ret)] = true
+	case sysabi.OpEpollCreate:
+		p.kstate.OpenFDs[int(res.Ret)] = true
+		p.kstate.EpollFDs[int(res.Ret)] = true
+	case sysabi.OpClose:
+		delete(p.kstate.OpenFDs, call.FD)
+		delete(p.kstate.EpollFDs, call.FD)
+		delete(p.kstate.Listeners, call.FD)
+	}
+}
+
+func (p *Proc) invokeSingle(t *sim.Task, call sysabi.Call) sysabi.Result {
+	if p.profiling() {
+		t.PushLabel(obs.LblLeader)
+		t.PushLabel(obs.LblService)
+		defer t.PopLabel()
+		defer t.PopLabel()
+	}
+	p.m.Stats.Intercepted++
+	if p.m.costs.Intercept > 0 {
+		t.Advance(p.m.costs.Intercept)
+	}
+	if rec := p.m.rec; rec.Enabled() {
+		rec.Inc(obs.CSyscallsSingle)
+		start := t.Now()
+		res := p.m.kernel.Invoke(t, call)
+		rec.Observe(obs.HSyscallSingle, t.Now()-start)
+		if sc := p.scoped(); sc != nil {
+			sc.Inc(obs.CSyscallsSingle)
+			sc.Observe(obs.HSyscallSingle, t.Now()-start)
+		}
+		rec.Emitf(obs.KindSyscall, p.name, "%s = %d/%v", call, res.Ret, res.Err)
+		p.trackKernelState(call, res)
+		if rec.SpansEnabled() {
+			p.trackRequest(t, call, res, nil)
+		}
+		return res
+	}
+	res := p.m.kernel.Invoke(t, call)
+	p.trackKernelState(call, res)
+	return res
+}
+
+func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
+	if p.profiling() {
+		t.PushLabel(obs.LblLeader)
+		t.PushLabel(obs.LblService)
+		defer t.PopLabel()
+		defer t.PopLabel()
+	}
+	if p.m.costs.Record > 0 {
+		t.Advance(p.m.costs.Record)
+	}
+	rec := p.m.rec
+	start := t.Now()
+	res := p.m.kernel.Invoke(t, call)
+	if rec.Enabled() {
+		rec.Inc(obs.CSyscallsLeader)
+		rec.Observe(obs.HSyscallLeader, t.Now()-start)
+		rec.Emitf(obs.KindSyscall, p.name, "%s = %d/%v", call, res.Ret, res.Err)
+		if sc := p.scoped(); sc != nil {
+			sc.Inc(obs.CSyscallsLeader)
+			sc.Observe(obs.HSyscallLeader, t.Now()-start)
+		}
+	}
+	p.trackKernelState(call, res)
+	// The entry shares the live call's and result's payloads: the ring
+	// copies them when (and only when) it really appends, so nothing is
+	// copied for an event it refuses.
+	e := ringbuf.Entry{Kind: ringbuf.KindSyscall, Event: sysabi.Event{Call: call, Result: res}}
+	if rec.SpansEnabled() {
+		// Stamps the recorded event's call with the request id (the live
+		// call is untouched, so validation semantics cannot change).
+		p.trackRequest(t, call, res, &e.Event)
+	}
+	ring := p.m.ring
+	if p.m.FullPolicy == FullDiscard {
+		if !ring.TryAppend(e) {
+			// A consumer lags too far behind: degrade the update, not
+			// the service. The stall handler (controller) drops the duo
+			// follower — or, in fleet mode, ejects the laggiest variant,
+			// whose pinned retention is what filled the ring. The leader
+			// proceeds with its result regardless.
+			if lag := p.m.laggiest(); lag != nil && !ring.Closed() {
+				p.m.raiseStall(Stall{Proc: lag.name, Reason: "buffer-full",
+					Pending: ring.Len(), Dropped: ring.Dropped})
+			}
+			return res
+		}
+		p.m.Stats.Recorded++
+		p.m.rec.Inc(obs.CMVERecorded)
+		return res
+	}
+	// Blocking policy: Put parks the leader on a full buffer. It fails
+	// only if the buffer was closed underneath us — the watchdog rescued
+	// a leader blocked behind a hung follower — in which case the event is
+	// dropped along with the follower.
+	if !ring.Put(t, e) {
+		return res
+	}
+	p.m.Stats.Recorded++
+	p.m.rec.Inc(obs.CMVERecorded)
+	if p.m.Lockstep {
+		if p.m.costs.LockstepSync > 0 {
+			t.Advance(p.m.costs.LockstepSync)
+		}
+		// Wait for every consumer to drain this event (MUC/Mx model). The
+		// blocking wait replaces a yield-per-scheduler-round poll: the
+		// leader still resumes at the same virtual instant (the drain
+		// that empties the buffer, or teardown closing it), but without
+		// burning a dispatch per poll while the follower catches up.
+		if p.m.follower != nil || len(p.m.variants) > 0 {
+			p.m.ring.WaitDrained(t)
+		}
+	}
+	return res
+}

@@ -280,8 +280,8 @@ func (t *SLOTracker) faultTimes() []time.Duration {
 type interval struct{ start, end time.Duration }
 
 // updateIntervals derives "update activity" intervals from controller
-// stage milestones: the duo controller is mid-update whenever its stage
-// is not single-leader, the fleet controller whenever its phase is not
+// stage milestones: a duo's controller is mid-update whenever its stage
+// is not single-leader, a fleet's whenever its phase is not
 // steady (an aborted canary also ends the update). Xform spans on the
 // dsu track (recorded when spans are enabled) are folded in as well, so
 // state-transfer pauses attribute even without a stage change.

@@ -254,11 +254,7 @@ func (c *Cluster) upgradeMVEDSUA(t *sim.Task, node *Node, from, to string) error
 func (c *Cluster) Teardown() {
 	for _, node := range c.nodes {
 		if node.ctl != nil {
-			if rt := node.ctl.FollowerRuntime(); rt != nil {
-				rt.KillAll()
-			}
-			node.ctl.Monitor().DropFollower()
-			node.ctl.LeaderRuntime().KillAll()
+			node.ctl.Shutdown()
 		} else if node.rt != nil {
 			node.rt.KillAll()
 		}
