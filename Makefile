@@ -7,7 +7,7 @@ GO ?= go
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 BYTE_DIFF_ARTIFACTS := nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-sched bench-floor experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-sched bench-floor bench-fork experiments examples clean
 
 all: check
 
@@ -132,6 +132,13 @@ bench-replay:
 # (docs/PERFORMANCE.md "Syscall floor").
 bench-floor:
 	$(GO) test -bench SyscallFloor -benchmem -run '^$$' ./internal/vos/ ./internal/apps/kvstore/
+
+# kvstore's store at 5 k, 50 k and 500 k keys: Fork must read flat down
+# the column in time and bytes; Get, PutNew and Preload are what the
+# request path and set-up pay for that (docs/PERFORMANCE.md "Fork: shared
+# until written").
+bench-fork:
+	$(GO) test -bench 'Fork|Preload|Store' -benchmem -run '^$$' ./internal/apps/kvstore/
 
 # Scheduler hot-path microbenchmarks: dispatch, enqueue, task
 # spawn/exit, timer fire,

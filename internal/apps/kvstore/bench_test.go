@@ -1,6 +1,10 @@
 package kvstore
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -90,3 +94,94 @@ func benchFloor(b *testing.B, cmd, want string) {
 
 func BenchmarkSyscallFloorKVGet(b *testing.B) { benchFloor(b, floorGet, floorGetReply) }
 func BenchmarkSyscallFloorKVSet(b *testing.B) { benchFloor(b, floorSet, floorSetReply) }
+
+// Store microbenchmarks at three sizes (`make bench-fork`). Fork is the
+// point: its time and bytes must not depend on how much the store holds.
+// Get and PutNew are the tax the trie charges the request path for that;
+// Preload is kv_update_cycle's set-up.
+var storeSizes = []int{5_000, 50_000, 500_000}
+
+func benchSizes(b *testing.B, run func(b *testing.B, n int)) {
+	for _, n := range storeSizes {
+		b.Run(fmt.Sprintf("keys%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			run(b, n)
+		})
+	}
+}
+
+func preloaded(n int) *Server {
+	s := New(SpecFor("2.0.0", false))
+	s.Preload(n)
+	return s
+}
+
+var forkSink dsu.App
+
+func BenchmarkFork(b *testing.B) {
+	benchSizes(b, func(b *testing.B, n int) {
+		s := preloaded(n)
+		// What the collector charges per allocated byte grows with the
+		// live heap whoever allocates; it runs off the clock here so the
+		// time column is Fork's own.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%8192 == 8191 {
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
+			}
+			forkSink = s.Fork()
+		}
+	})
+}
+
+func BenchmarkPreload(b *testing.B) {
+	benchSizes(b, func(b *testing.B, n int) {
+		for i := 0; i < b.N; i++ {
+			forkSink = preloaded(n)
+		}
+	})
+}
+
+// BenchmarkStoreGet reads every key once per pass, in an order unrelated
+// to the trie's.
+func BenchmarkStoreGet(b *testing.B) {
+	benchSizes(b, func(b *testing.B, n int) {
+		s := preloaded(n)
+		keys := make([]string, 0, n)
+		s.db.each(func(k string, _ *entry) { keys = append(keys, k) })
+		rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if s.db.get(keys[i%n]) == nil {
+				b.Fatalf("lost %s", keys[i%n])
+			}
+		}
+	})
+}
+
+// BenchmarkStorePutNew inserts keys the store does not hold yet, in
+// batches that are deleted again off the clock so the size stays put.
+func BenchmarkStorePutNew(b *testing.B) {
+	benchSizes(b, func(b *testing.B, n int) {
+		s := preloaded(n)
+		fresh := make([]string, 4096)
+		for i := range fresh {
+			fresh[i] = fmt.Sprintf("new:%08d", i)
+		}
+		b.ResetTimer()
+		for done := 0; done < b.N; done += len(fresh) {
+			batch := fresh[:min(len(fresh), b.N-done)]
+			for _, k := range batch {
+				s.db.put(k, entry{typ: typeString, str: k})
+			}
+			b.StopTimer()
+			for _, k := range batch {
+				s.db.del(k)
+			}
+			b.StartTimer()
+		}
+	})
+}

@@ -187,3 +187,42 @@ func TestExpiryConsistentDuringValidation(t *testing.T) {
 		}
 	})
 }
+
+// Every command sees an expired key as gone, not only GET/EXISTS/TTL:
+// APPEND, GETSET, HSET, HGET, HMGET and DEL used to read the table
+// directly and answered from the dead entry.
+func TestExpiredKeyIsGoneForEveryCommand(t *testing.T) {
+	serve(t, SpecFor("2.1.0", false), core.Config{}, func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+		for _, tc := range []struct{ setup, cmd, want string }{
+			{"SET k hello", "APPEND k x", ":1\r\n"},
+			{"SET k hello", "GETSET k y", "$-1\r\n"},
+			{"HSET k f old", "HSET k f new", ":1\r\n"},
+			{"HSET k f old", "HGET k f", "$-1\r\n"},
+			{"HSET k f old", "HMGET k f g", "*2\r\n$-1\r\n$-1\r\n"},
+			{"SET k hello", "HSET k f v", ":1\r\n"}, // not WRONGTYPE: the string is gone
+			{"SET k hello", "DEL k", ":0\r\n"},
+			{"SET k hello", "GET k", "$-1\r\n"},
+			{"SET k hello", "EXISTS k", ":0\r\n"},
+			{"SET k hello", "TTL k", ":-2\r\n"},
+		} {
+			c.Do(tk, "DEL k")
+			c.Do(tk, tc.setup)
+			if got := c.Do(tk, "EXPIRE k 1"); got != ":1\r\n" {
+				t.Fatalf("EXPIRE after %s = %q", tc.setup, got)
+			}
+			tk.Sleep(5 * time.Second)
+			if got := c.Do(tk, tc.cmd); got != tc.want {
+				t.Errorf("%s · EXPIRE k 1 · 5 s · %s = %q, want %q", tc.setup, tc.cmd, got, tc.want)
+			}
+		}
+		// What the writers left behind is a fresh key with no deadline.
+		c.Do(tk, "DEL k")
+		c.Do(tk, "SET k hello")
+		c.Do(tk, "EXPIRE k 1")
+		tk.Sleep(5 * time.Second)
+		c.Do(tk, "APPEND k x")
+		if got := c.Do(tk, "GET k") + c.Do(tk, "TTL k"); got != "$1\r\nx\r\n:-1\r\n" {
+			t.Errorf("after APPEND to an expired key: GET k, TTL k = %q", got)
+		}
+	})
+}

@@ -99,15 +99,17 @@ type entry struct {
 	gen int
 }
 
-func (e *entry) clone() *entry {
-	out := &entry{typ: e.typ, str: e.str, expireAt: e.expireAt, gen: e.gen}
+// cloneEntry is what unsharing an entry takes: the hash map is a
+// reference, so a field-by-field copy would still share it.
+func cloneEntry(e entry) entry {
 	if e.hash != nil {
-		out.hash = make(map[string]string, len(e.hash))
-		for k, v := range e.hash { // maporder: ok — map-to-map clone, order unobservable
-			out.hash[k] = v
+		shared := e.hash
+		e.hash = make(map[string]string, len(shared))
+		for k, v := range shared { // maporder: ok — map-to-map clone, order unobservable
+			e.hash[k] = v
 		}
 	}
-	return out
+	return e
 }
 
 type connState struct {
@@ -121,7 +123,7 @@ type Server struct {
 	listenFD int
 	epollFD  int
 	conns    map[int]*connState
-	db       map[string]*entry
+	db       store
 
 	// Per-request scratch — the buffer offered to read, the command's
 	// tokens, the encoded reply — reused by every request. Each instance
@@ -155,7 +157,7 @@ type Server struct {
 type lazyState struct {
 	perEntry time.Duration
 	pending  int      // entries in the db still below xformGen
-	keys     []string // sorted snapshot of lagging keys at begin time
+	keys     []string // sorted snapshot of lagging keys at begin time; never written, so forks share it
 	cursor   int      // sweep position in keys
 
 	chargeSteps int // generation steps applied by the current command
@@ -167,7 +169,6 @@ func New(spec Spec) *Server {
 	return &Server{
 		spec:  spec,
 		conns: make(map[int]*connState),
-		db:    make(map[string]*entry),
 	}
 }
 
@@ -178,21 +179,40 @@ func (s *Server) Version() string { return s.spec.Version }
 func (s *Server) Spec() Spec { return s.spec }
 
 // DBSize returns the number of keys (state-size hook for benchmarks).
-func (s *Server) DBSize() int { return len(s.db) }
+func (s *Server) DBSize() int { return s.db.len() }
 
 // Preload inserts n synthetic string entries directly into the store
 // (Figure 7's 1M-entry initial state).
 func (s *Server) Preload(n int) {
+	var scratch []byte
 	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key:%08d", i)
-		s.db[k] = &entry{typ: typeString, str: fmt.Sprintf("val:%08d", i)}
+		var k, v string
+		k, v, scratch = preloadPair(scratch, i)
+		s.db.put(k, entry{typ: typeString, str: v})
 	}
+}
+
+// preloadPair builds entry i's "key:%08d" and "val:%08d" in scratch and
+// returns them as the two halves of one string.
+func preloadPair(scratch []byte, i int) (key, val string, _ []byte) {
+	scratch = appendPadded(append(scratch[:0], "key:"...), i)
+	scratch = appendPadded(append(scratch, "val:"...), i)
+	pair := string(scratch)
+	return pair[:len(pair)/2], pair[len(pair)/2:], scratch
+}
+
+// appendPadded appends i (non-negative) as %08d does.
+func appendPadded(b []byte, i int) []byte {
+	for width := 10_000_000; width > i && width > 1; width /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(i), 10)
 }
 
 // Get returns a key's string value, for tests.
 func (s *Server) Get(key string) (string, bool) {
-	e, ok := s.db[key]
-	if !ok || e.typ != typeString {
+	e := s.db.get(key)
+	if e == nil || e.typ != typeString {
 		return "", false
 	}
 	return e.str, true
@@ -221,17 +241,19 @@ func (s *Server) ResetSessions() {
 // checkpoint restore).
 func (s *Server) AdoptState(from *Server) {
 	s.db = from.db
-	from.db = make(map[string]*entry)
+	from.db = store{}
 }
 
-// Fork implements dsu.App with a deep copy.
+// Fork implements dsu.App. What is per-process is copied; the store is
+// shared until either side writes (see store), so a fork costs the same
+// whatever the store holds.
 func (s *Server) Fork() dsu.App {
 	out := &Server{
 		spec:       s.spec,
 		listenFD:   s.listenFD,
 		epollFD:    s.epollFD,
 		conns:      make(map[int]*connState, len(s.conns)),
-		db:         make(map[string]*entry, len(s.db)),
+		db:         s.db.fork(),
 		xformGen:   s.xformGen,
 		Ops:        s.Ops,
 		CmdCPU:     s.CmdCPU,
@@ -239,14 +261,10 @@ func (s *Server) Fork() dsu.App {
 	}
 	if s.lazy != nil {
 		l := *s.lazy
-		l.keys = append([]string(nil), s.lazy.keys...)
 		out.lazy = &l
 	}
 	for fd, cs := range s.conns { // maporder: ok — map-to-map clone, order unobservable
 		out.conns[fd] = &connState{in: cs.in.Clone()}
-	}
-	for k, e := range s.db { // maporder: ok — map-to-map clone, order unobservable
-		out.db[k] = e.clone()
 	}
 	return out
 }
@@ -260,12 +278,12 @@ func (s *Server) beginLazyMigration(perEntry time.Duration) {
 	if s.lazy != nil && s.lazy.perEntry > perEntry {
 		perEntry = s.lazy.perEntry // keep the dearest outstanding rate
 	}
-	keys := make([]string, 0, len(s.db))
-	for k, e := range s.db { // maporder: ok — keys are sorted below
+	keys := make([]string, 0, s.db.len())
+	s.db.each(func(k string, e *entry) {
 		if e.gen < s.xformGen {
 			keys = append(keys, k)
 		}
-	}
+	})
 	sort.Strings(keys)
 	if len(keys) == 0 {
 		s.lazy = nil
@@ -275,28 +293,31 @@ func (s *Server) beginLazyMigration(perEntry time.Duration) {
 }
 
 // finishLazyEagerly absorbs any outstanding lazy debt during an eager
-// whole-heap transformation, which rewrites every entry anyway.
+// whole-heap transformation, which rewrites every entry anyway. Every
+// lagging entry is in the snapshot, so one unbounded sweep writes exactly
+// those — and unshares nothing that has already caught up.
 func (s *Server) finishLazyEagerly() {
 	if s.lazy == nil {
 		return
 	}
-	for _, e := range s.db { // maporder: ok — same assignment to every entry
-		e.gen = s.xformGen
-	}
+	s.SweepLazy(len(s.lazy.keys))
 	s.lazy = nil
 }
 
 // touch migrates a just-accessed entry to the current generation,
-// accruing the skipped hops' work against the current command.
-func (s *Server) touch(e *entry) {
+// accruing the skipped hops' work against the current command. Migrating
+// is a write: the entry returned replaces e.
+func (s *Server) touch(key string, e *entry) *entry {
 	if s.lazy == nil || e.gen >= s.xformGen {
-		return
+		return e
 	}
 	steps := s.xformGen - e.gen
+	e = s.db.mut(key)
 	e.gen = s.xformGen
 	s.lazy.pending--
 	s.lazy.chargeSteps += steps
 	s.lazy.chargeCost += time.Duration(steps) * s.lazy.perEntry
+	return e
 }
 
 // discard notes that a lagging entry left the db unread (deleted,
@@ -307,20 +328,23 @@ func (s *Server) discard(e *entry) {
 	}
 }
 
+// drop removes a live entry from the db, debt included.
+func (s *Server) drop(key string, e *entry) {
+	s.discard(e)
+	s.db.del(key)
+}
+
 // put installs a fresh entry (already at the current generation),
-// retiring any lagging entry it replaces — in place, so overwriting a key
-// allocates nothing.
+// retiring any lagging entry it replaces, and returns it for writing.
+// Overwriting a key this instance has written before allocates nothing.
 func (s *Server) put(key string, e entry) *entry {
 	e.gen = s.xformGen
-	if old, ok := s.db[key]; ok {
-		s.discard(old)
-		*old = e
-		return old
+	if s.lazy != nil {
+		if old := s.db.get(key); old != nil {
+			s.discard(old)
+		}
 	}
-	fresh := new(entry) // not &e: that would heap-allocate e on the overwrite path too
-	*fresh = e
-	s.db[key] = fresh
-	return fresh
+	return s.db.put(key, e)
 }
 
 // maybeFinishLazy drops the migration bookkeeping once nothing lags,
@@ -362,12 +386,12 @@ func (s *Server) SweepLazy(max int) (int, time.Duration) {
 	for migrated < max && la.cursor < len(la.keys) {
 		k := la.keys[la.cursor]
 		la.cursor++
-		e, ok := s.db[k]
-		if !ok || e.gen >= s.xformGen {
+		e := s.db.get(k)
+		if e == nil || e.gen >= s.xformGen {
 			continue
 		}
 		cost += time.Duration(s.xformGen-e.gen) * la.perEntry
-		e.gen = s.xformGen
+		s.db.mut(k).gen = s.xformGen
 		la.pending--
 		migrated++
 	}
@@ -480,20 +504,28 @@ func (s *Server) respond(env *dsu.Env, fd int, reply []byte) {
 // execute runs one command line with no time context (pre-2.1.0).
 func (s *Server) execute(line string) []byte { return s.executeAt(0, line) }
 
-// lookup returns the live entry for key, lazily deleting it if expired
-// as of now (the 2.1.0 expiry semantics; now==0 disables expiry).
-func (s *Server) lookup(now time.Duration, key string) (*entry, bool) {
-	e, ok := s.db[key]
-	if !ok {
-		return nil, false
+// live returns key's entry for reading, nil if there is none — deleting
+// it first if it expired as of now (the 2.1.0 expiry semantics; now==0
+// disables expiry).
+func (s *Server) live(now time.Duration, key string) *entry {
+	e := s.db.get(key)
+	if e != nil && now > 0 && e.expireAt > 0 && now >= e.expireAt {
+		s.drop(key, e)
+		return nil
 	}
-	if now > 0 && e.expireAt > 0 && now >= e.expireAt {
-		s.discard(e)
-		delete(s.db, key)
-		return nil, false
+	return e
+}
+
+// lookup is the one way a command reads a key: expiry, then lazy
+// migration. The entry is for reading only; a command that goes on to
+// change it asks s.db.mut for the writable one just before it does, and
+// keeps neither across a write to the same key.
+func (s *Server) lookup(now time.Duration, key string) *entry {
+	e := s.live(now, key)
+	if e != nil {
+		e = s.touch(key, e)
 	}
-	s.touch(e)
-	return e, true
+	return e
 }
 
 // Replies that never vary are encoded once; nobody writes to them.
@@ -537,8 +569,8 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'get' command")
 		}
-		e, ok := s.lookup(now, args[1])
-		if !ok {
+		e := s.lookup(now, args[1])
+		if e == nil {
 			return replyNull
 		}
 		if e.typ != typeString {
@@ -551,9 +583,9 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		}
 		n := int64(0)
 		for _, k := range args[1:] {
-			if e, ok := s.db[k]; ok {
-				s.discard(e)
-				delete(s.db, k)
+			// Not lookup: a lagging entry's debt dies with it, unpaid.
+			if e := s.live(now, k); e != nil {
+				s.drop(k, e)
 				n++
 			}
 		}
@@ -562,7 +594,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'exists' command")
 		}
-		if _, ok := s.lookup(now, args[1]); ok {
+		if s.lookup(now, args[1]) != nil {
 			return s.integer(1)
 		}
 		return s.integer(0)
@@ -570,8 +602,8 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'incr' command")
 		}
-		e, ok := s.lookup(now, args[1])
-		if !ok {
+		e := s.lookup(now, args[1])
+		if e == nil {
 			e = s.put(args[1], entry{typ: typeString, str: "0"})
 		}
 		if e.typ != typeString {
@@ -582,23 +614,21 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 			return proto.ErrorReply("value is not an integer or out of range")
 		}
 		n++
-		e.str = strconv.FormatInt(n, 10)
+		s.db.mut(args[1]).str = strconv.FormatInt(n, 10)
 		return s.integer(n)
 	case "HSET", "hset":
 		if len(args) != 4 {
 			return proto.ErrorReply("wrong number of arguments for 'hset' command")
 		}
-		e, ok := s.db[args[1]]
-		if ok {
-			s.touch(e)
-		} else {
+		e := s.lookup(now, args[1])
+		if e == nil {
 			e = s.put(args[1], entry{typ: typeHash, hash: make(map[string]string)})
 		}
 		if e.typ != typeHash {
 			return proto.WrongTypeReply()
 		}
 		_, existed := e.hash[args[2]]
-		e.hash[args[2]] = args[3]
+		s.db.mut(args[1]).hash[args[2]] = args[3]
 		if existed {
 			return s.integer(0)
 		}
@@ -607,15 +637,12 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 3 {
 			return proto.ErrorReply("wrong number of arguments for 'hget' command")
 		}
-		e, ok := s.db[args[1]]
-		if ok {
-			s.touch(e)
-		}
-		if !ok || e.typ != typeHash {
-			if ok && e.typ != typeHash {
-				return proto.WrongTypeReply()
-			}
+		e := s.lookup(now, args[1])
+		if e == nil {
 			return replyNull
+		}
+		if e.typ != typeHash {
+			return proto.WrongTypeReply()
 		}
 		v, ok := e.hash[args[2]]
 		if !ok {
@@ -626,11 +653,8 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) < 3 {
 			return proto.ErrorReply("wrong number of arguments for 'hmget' command")
 		}
-		e, ok := s.db[args[1]]
-		if ok {
-			s.touch(e)
-		}
-		if ok && e.typ != typeHash {
+		e := s.lookup(now, args[1])
+		if e != nil && e.typ != typeHash {
 			if s.spec.BugHMGET {
 				// Revision 7fb16bac: the wrong-type check is missing and
 				// the hash accessor dereferences a string entry.
@@ -641,7 +665,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		}
 		items := make([]*string, 0, len(args)-2)
 		for _, f := range args[2:] {
-			if ok {
+			if e != nil {
 				if v, has := e.hash[f]; has {
 					v := v
 					items = append(items, &v)
@@ -655,8 +679,8 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'type' command")
 		}
-		e, ok := s.lookup(now, args[1])
-		if !ok {
+		e := s.lookup(now, args[1])
+		if e == nil {
 			return proto.SimpleString("none")
 		}
 		if e.typ == typeHash {
@@ -664,12 +688,10 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		}
 		return proto.SimpleString("string")
 	case "DBSIZE", "dbsize":
-		return s.integer(int64(len(s.db)))
+		return s.integer(int64(s.db.len()))
 	case "KEYS", "keys":
-		keys := make([]string, 0, len(s.db))
-		for k := range s.db { // maporder: ok — keys are sorted below
-			keys = append(keys, k)
-		}
+		keys := make([]string, 0, s.db.len())
+		s.db.each(func(k string, _ *entry) { keys = append(keys, k) })
 		sort.Strings(keys)
 		items := make([]*string, len(keys))
 		for i := range keys {
@@ -677,7 +699,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		}
 		return proto.Array(items)
 	case "FLUSHDB", "flushdb":
-		s.db = make(map[string]*entry)
+		s.db = store{}
 		if s.lazy != nil {
 			s.lazy.pending = 0 // nothing left to migrate
 		}
@@ -689,15 +711,14 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 3 {
 			return proto.ErrorReply("wrong number of arguments for 'append' command")
 		}
-		e, ok := s.db[args[1]]
-		if ok {
-			s.touch(e)
-		} else {
+		e := s.lookup(now, args[1])
+		if e == nil {
 			e = s.put(args[1], entry{typ: typeString})
 		}
 		if e.typ != typeString {
 			return proto.WrongTypeReply()
 		}
+		e = s.db.mut(args[1])
 		e.str += args[2]
 		return s.integer(int64(len(e.str)))
 	case "GETSET", "getset":
@@ -707,10 +728,8 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 3 {
 			return proto.ErrorReply("wrong number of arguments for 'getset' command")
 		}
-		e, ok := s.db[args[1]]
 		old := replyNull
-		if ok {
-			s.touch(e)
+		if e := s.lookup(now, args[1]); e != nil {
 			if e.typ != typeString {
 				return proto.WrongTypeReply()
 			}
@@ -729,11 +748,10 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if err != nil || secs < 0 {
 			return proto.ErrorReply("value is not an integer or out of range")
 		}
-		e, ok := s.lookup(now, args[1])
-		if !ok {
+		if s.lookup(now, args[1]) == nil {
 			return s.integer(0)
 		}
-		e.expireAt = now + time.Duration(secs)*time.Second
+		s.db.mut(args[1]).expireAt = now + time.Duration(secs)*time.Second
 		return s.integer(1)
 	case "PERSIST", "persist":
 		if !s.spec.HasExpire {
@@ -742,11 +760,10 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'persist' command")
 		}
-		e, ok := s.lookup(now, args[1])
-		if !ok || e.expireAt == 0 {
+		if e := s.lookup(now, args[1]); e == nil || e.expireAt == 0 {
 			return s.integer(0)
 		}
-		e.expireAt = 0
+		s.db.mut(args[1]).expireAt = 0
 		return s.integer(1)
 	case "TTL", "ttl":
 		if !s.spec.HasExpire {
@@ -755,8 +772,8 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'ttl' command")
 		}
-		e, ok := s.lookup(now, args[1])
-		if !ok {
+		e := s.lookup(now, args[1])
+		if e == nil {
 			return s.integer(-2)
 		}
 		if e.expireAt == 0 {

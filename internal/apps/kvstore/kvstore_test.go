@@ -139,14 +139,14 @@ func TestMultipleClients(t *testing.T) {
 func TestForkIsDeep(t *testing.T) {
 	s := New(SpecFor("2.0.0", false))
 	s.Preload(10)
-	s.db["h"] = &entry{typ: typeHash, hash: map[string]string{"f": "v"}}
+	s.db.put("h", entry{typ: typeHash, hash: map[string]string{"f": "v"}})
 	f := s.Fork().(*Server)
-	f.db["key:00000001"].str = "mutated"
-	f.db["h"].hash["f"] = "mutated"
+	f.db.mut("key:00000001").str = "mutated"
+	f.db.mut("h").hash["f"] = "mutated"
 	if v, _ := s.Get("key:00000001"); v != "val:00000001" {
 		t.Fatal("fork shares string entries")
 	}
-	if s.db["h"].hash["f"] != "v" {
+	if s.db.get("h").hash["f"] != "v" {
 		t.Fatal("fork shares hash maps")
 	}
 }
@@ -393,23 +393,24 @@ func TestXformPreservesStateProperty(t *testing.T) {
 			if i < len(vals) {
 				val = vals[i]
 			}
-			old.db[k] = &entry{typ: typeString, str: val}
+			old.db.put(k, entry{typ: typeString, str: val})
 		}
 		newApp, err := v.Xform(old)
 		if err != nil {
 			return false
 		}
 		n := newApp.(*Server)
-		if len(n.db) != len(old.db) {
+		if n.db.len() != old.db.len() {
 			return false
 		}
-		for k, e := range old.db {
-			ne, ok := n.db[k]
-			if !ok || ne.str != e.str || ne.typ != e.typ {
-				return false
+		same := true
+		old.db.each(func(k string, e *entry) {
+			ne := n.db.get(k)
+			if ne == nil || ne.str != e.str || ne.typ != e.typ {
+				same = false
 			}
-		}
-		return n.spec.Version == "2.0.1"
+		})
+		return same && n.spec.Version == "2.0.1"
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -528,11 +529,11 @@ func TestEagerUpdateSettlesLazyDebt(t *testing.T) {
 	if s2.PendingLazy() != 0 || s2.lazy != nil {
 		t.Fatal("eager hop left lazy debt behind")
 	}
-	for k, e := range s2.db {
+	s2.db.each(func(k string, e *entry) {
 		if e.gen != s2.xformGen {
 			t.Fatalf("entry %s at gen %d, want %d", k, e.gen, s2.xformGen)
 		}
-	}
+	})
 }
 
 // Deleting or overwriting a lagging entry retires its migration debt
@@ -618,5 +619,19 @@ func TestXformCostLinearProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Preload builds its keys and values without fmt; they are byte-equal to
+// the %08d forms every client and test spells out, also where the number
+// outgrows its padding.
+func TestPreloadPairMatchesSprintf(t *testing.T) {
+	var scratch []byte
+	for _, i := range []int{0, 9, 10, 99_999_999, 100_000_000} {
+		var k, v string
+		k, v, scratch = preloadPair(scratch, i)
+		if wantK, wantV := fmt.Sprintf("key:%08d", i), fmt.Sprintf("val:%08d", i); k != wantK || v != wantV {
+			t.Errorf("preloadPair(%d) = %q, %q; want %q, %q", i, k, v, wantK, wantV)
+		}
 	}
 }

@@ -165,7 +165,7 @@ func Update(from, to string, opts UpdateOpts) *dsu.Version {
 				// The §2.4 bug: the transformer forgets to carry the
 				// table over; the new version starts with an empty
 				// store while believing it updated correctly.
-				n.db = make(map[string]*entry)
+				n.db = store{}
 			}
 			if opts.Lazy {
 				n.beginLazyMigration(perEntry)
@@ -188,7 +188,7 @@ func Update(from, to string, opts UpdateOpts) *dsu.Version {
 			}
 			// Traversing and rewriting every entry, as Kitsune's heap
 			// transformation does.
-			return time.Duration(len(o.db)) * perEntry
+			return time.Duration(o.db.len()) * perEntry
 		},
 		LazyXform:    opts.Lazy,
 		Rules:        fwd,

@@ -45,8 +45,11 @@ type App interface {
 	// with env.Updating() == true, in which case it must skip
 	// initialization that already happened (control migration).
 	Main(env *Env)
-	// Fork returns a deep copy of the application's state. It is the
-	// process-fork substitute used when MVEDSUA splits execution.
+	// Fork returns a copy of the application's state that nothing the
+	// original does afterwards can change, nor the other way round — a
+	// deep copy, or one whose parts are shared until either side writes
+	// them. It is the process-fork substitute used when MVEDSUA splits
+	// execution.
 	Fork() App
 }
 
