@@ -3,9 +3,9 @@
 GO ?= go
 
 # The committed BENCH_<name>.json artifacts, one benchtool experiment
-# each, and the subset whose smoke check is a plain byte diff.
+# each (`benchtool -list` says which, bench.Catalogue how each is
+# compared).
 ARTIFACTS := metrics perf timeline nvariant slo train profile
-BYTE_DIFF_ARTIFACTS := nvariant slo train profile
 
 .PHONY: all build test vet fmt-check check lint-maps adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-sched bench-floor bench-fork experiments examples clean
 
@@ -19,7 +19,7 @@ vet:
 
 # Source-formatting gate: gofmt must have nothing to rewrite.
 fmt-check:
-	@out="$$(gofmt -l cmd internal examples)"; \
+	@out="$$(gofmt -l *.go cmd internal examples)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
@@ -29,11 +29,11 @@ test:
 # — which exercises the watchdog/monitor task interplay AND the sharded
 # runtime's parallel epoch paths (shards run on real OS threads; the
 # run-twice property tests execute under -race here) — then the
-# benchtool smoke runs.
+# artifact gate.
 check: vet fmt-check lint-maps adapter-compat
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/ringbuf/ ./internal/mve/ ./internal/vos/ ./internal/apps/kvstore/
-	$(MAKE) $(ARTIFACTS:%=%-smoke) shard-determinism
+	$(GO) run ./cmd/benchtool -check .
 
 # Map-iteration determinism sweep: flag `for range` over maps in the
 # determinism-critical packages unless the site carries a `maporder:`
@@ -48,65 +48,22 @@ lint-maps:
 adapter-compat:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# Smoke-run the flight recorder: emit a metrics report, validate it
-# against the golden schema, and require it to be bit-identical to the
-# committed BENCH_metrics.json artifact (the runs are virtual-time
-# deterministic; regenerate with `make bench-metrics` after intentional
-# instrumentation changes).
-metrics-smoke:
-	$(GO) run ./cmd/benchtool -experiment metrics -json .bench_metrics_smoke.json >/dev/null
-	$(GO) run ./cmd/benchtool -validate .bench_metrics_smoke.json
-	diff -u BENCH_metrics.json .bench_metrics_smoke.json || \
-		{ echo "BENCH_metrics.json is stale; run 'make bench-metrics' to regenerate"; rm -f .bench_metrics_smoke.json; exit 1; }
-	rm -f .bench_metrics_smoke.json
-
-# Same contract for the perf baseline, with one twist: the speedup
-# section mixes deterministic virtual-time columns with measured
-# wall-clock columns, so the comparison is semantic (`benchtool
-# -perfdiff`: deterministic fields must match exactly, wall-clock fields
-# are ignored) instead of a byte diff. Regenerate with `make bench-perf`
-# after intentional pipeline-cost changes; see docs/PERFORMANCE.md.
-perf-smoke:
-	$(GO) run ./cmd/benchtool -experiment perf -json .bench_perf_smoke.json >/dev/null
-	$(GO) run ./cmd/benchtool -perfdiff BENCH_perf.json .bench_perf_smoke.json || \
-		{ echo "BENCH_perf.json is stale; run 'make bench-perf' to regenerate"; rm -f .bench_perf_smoke.json; exit 1; }
-	rm -f .bench_perf_smoke.json
-
-# Same contract for the span-tracing artifact: the traced runs must
-# reproduce BENCH_timeline.json byte-for-byte, and the Chrome
-# trace_event export must parse and be time-ordered per track (the
-# benchtool validates it before writing; see docs/OBSERVABILITY.md).
-timeline-smoke:
-	$(GO) run ./cmd/benchtool -experiment timeline -json .bench_timeline_smoke.json -perfetto .bench_perfetto_smoke.json >/dev/null
-	diff -u BENCH_timeline.json .bench_timeline_smoke.json || \
-		{ echo "BENCH_timeline.json is stale; run 'make bench-timeline' to regenerate"; rm -f .bench_timeline_smoke.json .bench_perfetto_smoke.json; exit 1; }
-	rm -f .bench_timeline_smoke.json .bench_perfetto_smoke.json
-
-# Same contract for the artifacts that are deterministic end to end, one
-# static pattern rule over BYTE_DIFF_ARTIFACTS: the experiment must
-# reproduce BENCH_<name>.json byte-for-byte (regenerate with
-# `make bench-<name>`; `benchtool -list` says what each experiment pins,
-# docs/OBSERVABILITY.md and docs/PERFORMANCE.md how to read it). The duo
-# experiments above double as the K=1 byte-identity gate: fleet and ring
-# refactors must leave BENCH_metrics.json, BENCH_perf.json and
-# BENCH_timeline.json byte-for-byte unchanged.
-$(BYTE_DIFF_ARTIFACTS:%=%-smoke): %-smoke:
-	$(GO) run ./cmd/benchtool -experiment $* -json .bench_$*_smoke.json >/dev/null
-	diff -u BENCH_$*.json .bench_$*_smoke.json || \
-		{ echo "BENCH_$*.json is stale; run 'make bench-$*' to regenerate"; rm -f .bench_$*_smoke.json; exit 1; }
-	rm -f .bench_$*_smoke.json
-
-# Sharded-runtime determinism smoke: the sharddet experiment runs two
-# duo-update lifecycles on two parallel shards with a cross-shard
-# trigger; two full runs must serialize byte-identically. This is the
-# OS-interleaving-independence gate for the parallel runtime (the same
-# property the sim run-twice tests pin under -race above).
+# The artifact gate (bench.Experiment.Check, also tier-1's
+# TestCommittedArtifacts): every experiment with a report is run in
+# deterministic virtual time and must reproduce its committed
+# BENCH_<name>.json — byte for byte, except perf's runner-dependent
+# wall-clock columns; metrics is also validated against the golden
+# schema and timeline's Chrome trace export must parse and be
+# time-ordered per track. The duo experiments double as the K=1
+# byte-identity gate for fleet and ring refactors. sharddet commits
+# nothing: its two parallel-shard lifecycles with a cross-shard trigger
+# are run twice and must serialize identically, the
+# OS-interleaving-independence gate for the parallel runtime. `check`
+# runs the whole gate once; these are its per-experiment aliases.
+$(ARTIFACTS:%=%-smoke): %-smoke:
+	$(GO) run ./cmd/benchtool -check . -experiment $*
 shard-determinism:
-	$(GO) run ./cmd/benchtool -experiment sharddet -json .bench_sharddet_a.json >/dev/null
-	$(GO) run ./cmd/benchtool -experiment sharddet -json .bench_sharddet_b.json >/dev/null
-	diff -u .bench_sharddet_a.json .bench_sharddet_b.json || \
-		{ echo "sharded runtime is nondeterministic across runs"; rm -f .bench_sharddet_a.json .bench_sharddet_b.json; exit 1; }
-	rm -f .bench_sharddet_a.json .bench_sharddet_b.json
+	$(GO) run ./cmd/benchtool -check . -experiment sharddet
 
 # Regenerate one committed BENCH_<name>.json artifact (bench-metrics,
 # bench-perf, ...), or every one in a single sweep.

@@ -44,7 +44,6 @@ import (
 	"mvedsua/internal/obs"
 	"mvedsua/internal/rolling"
 	"mvedsua/internal/sim"
-	"mvedsua/internal/sysabi"
 )
 
 var (
@@ -214,9 +213,7 @@ func demoRedis(fault string) error {
 		plan = chaos.NewPlan(&chaos.Injection{
 			Role: "follower", AfterCalls: 3, Kind: chaos.KindStall,
 		})
-		cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-			return chaos.Wrap(role, d, plan)
-		}
+		cfg.WrapDispatcher = plan.Wrap
 	case "":
 	default:
 		return fmt.Errorf("redis supports faults: newcode, xform, stall")

@@ -38,9 +38,7 @@ func TestRetrReadFailureIs451(t *testing.T) {
 				&chaos.Injection{Role: "leader", Op: sysabi.OpFRead, AfterCalls: okChunks + 1, Kind: chaos.KindErrno, Errno: sysabi.EFAULT},
 				&chaos.Injection{Role: "follower", Op: sysabi.OpFRead, AfterCalls: okChunks + 1, Kind: chaos.KindErrno, Errno: sysabi.EFAULT},
 			)
-			w := apptest.NewWorld(core.Config{WrapDispatcher: func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-				return chaos.Wrap(role, d, plan)
-			}})
+			w := apptest.NewWorld(core.Config{WrapDispatcher: plan.Wrap})
 			w.K.WriteFile(Root+"/big.bin", data)
 			w.C.Start(New(SpecFor("2.0.5")))
 			w.S.Go("driver", func(tk *sim.Task) {
@@ -92,9 +90,7 @@ func TestRetrReadFailureIs451(t *testing.T) {
 // The same for an upload whose file write fails.
 func TestStorWriteFailureIs451(t *testing.T) {
 	plan := chaos.NewPlan(&chaos.Injection{Op: sysabi.OpFWrite, Kind: chaos.KindErrno, Errno: sysabi.ENOMEM})
-	w := apptest.NewWorld(core.Config{WrapDispatcher: func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-		return chaos.Wrap(role, d, plan)
-	}})
+	w := apptest.NewWorld(core.Config{WrapDispatcher: plan.Wrap})
 	w.C.Start(New(SpecFor("2.0.5")))
 	w.S.Go("driver", func(tk *sim.Task) {
 		defer w.Finish()

@@ -135,11 +135,7 @@ func chaosAppFor(name string) chaosApp {
 			port:       kvstore.Port,
 			oldVersion: "2.0.0",
 			newVersion: "2.0.1",
-			makeApp: func() dsu.App {
-				s := kvstore.New(kvstore.SpecFor("2.0.0", false))
-				s.CmdCPU = KVStoreCmdCPU
-				return s
-			},
+			makeApp:    func() dsu.App { return redis() },
 			makeUpdate: func(breakXform bool) *dsu.Version {
 				return kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{BreakXform: breakXform})
 			},
@@ -195,47 +191,47 @@ func ChaosRun(sc ChaosScenario) ChaosResult {
 	// a leader crash before the follower exists has nothing to recover
 	// to, and would be a plain §2 outage, not an update fault.
 	var ctl *core.Controller
-	duringUpdate := func() bool { return ctl != nil && ctl.Stage() == core.StageOutdatedLeader }
+	duringUpdate := func() bool { return ctl.Stage() == core.StageOutdatedLeader }
 
 	cfg := core.Config{DSU: app.dsu}
 	errnos := []sysabi.Errno{sysabi.EAGAIN, sysabi.EPIPE, sysabi.ECONNRESET}
 	delay := time.Duration(20+rng.Intn(41)) * time.Millisecond
-	var plan *chaos.Plan
+	var faults []*chaos.Injection
 	switch sc.Kind {
 	case "follower-errno":
-		plan = chaos.NewPlan(&chaos.Injection{
+		faults = []*chaos.Injection{{
 			Role: "follower", Op: sysabi.OpWrite, AfterCalls: 1 + rng.Intn(5),
 			Kind: chaos.KindErrno, Errno: errnos[rng.Intn(len(errnos))],
-		})
+		}}
 	case "follower-crash":
-		plan = chaos.NewPlan(&chaos.Injection{
+		faults = []*chaos.Injection{{
 			Role: "follower", AfterCalls: 2 + rng.Intn(10), Kind: chaos.KindCrash,
-		})
+		}}
 	case "follower-stall":
 		cfg.WatchdogDeadline = 60 * time.Millisecond
-		plan = chaos.NewPlan(&chaos.Injection{
+		faults = []*chaos.Injection{{
 			Role: "follower", AfterCalls: 1 + rng.Intn(8), Kind: chaos.KindStall,
-		})
+		}}
 	case "follower-stall-discard":
 		cfg.BufferEntries = 8
 		cfg.BufferFullPolicy = mve.FullDiscard
-		plan = chaos.NewPlan(&chaos.Injection{
+		faults = []*chaos.Injection{{
 			Role: "follower", AfterCalls: 1 + rng.Intn(4), Kind: chaos.KindStall,
-		})
+		}}
 	case "follower-delay":
-		plan = chaos.NewPlan(&chaos.Injection{
+		faults = []*chaos.Injection{{
 			Role: "follower", AfterCalls: 1 + rng.Intn(8), Kind: chaos.KindDelay, Delay: delay,
-		})
+		}}
 	case "leader-crash":
-		plan = chaos.NewPlan(&chaos.Injection{
+		faults = []*chaos.Injection{{
 			Role: "leader", Op: sysabi.OpWrite, AfterCalls: 1 + rng.Intn(5),
 			When: duringUpdate, Kind: chaos.KindCrash,
-		})
+		}}
 	case "leader-delay":
-		plan = chaos.NewPlan(&chaos.Injection{
+		faults = []*chaos.Injection{{
 			Role: "leader", Op: sysabi.OpWrite, AfterCalls: 1 + rng.Intn(5),
 			When: duringUpdate, Kind: chaos.KindDelay, Delay: delay,
-		})
+		}}
 	case "xform-error":
 		// The fault lives in the update itself (broken transformation);
 		// no syscall-level injection.
@@ -243,43 +239,36 @@ func ChaosRun(sc ChaosScenario) ChaosResult {
 		res.Detail = "unknown fault kind"
 		return res
 	}
-	if plan != nil {
-		cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-			return chaos.Wrap(role, d, plan)
-		}
-	}
 
-	w := apptest.NewWorld(cfg)
-	ctl = w.C
-	w.C.Start(app.makeApp())
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, app.port)
-		defer c.Close(tk)
-		if app.prime != nil && !app.prime(tk, c) {
-			res.Failures++
-		}
-		n := 0
-		do := func() {
-			n++
-			res.Requests++
-			if got, ok := app.request(tk, c, n); !ok {
+	w, plan, err := scenario{
+		cfg: duo(cfg), faults: faults, app: app.makeApp(), port: app.port,
+		setup: func(w *apptest.World) { ctl = w.C },
+		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+			if app.prime != nil && !app.prime(tk, c) {
 				res.Failures++
-				if res.Detail == "" {
-					res.Detail = fmt.Sprintf("request %d got %q", n, got)
-				}
 			}
-			tk.Sleep(10 * time.Millisecond)
-		}
-		for i := 0; i < 3; i++ {
-			do()
-		}
-		w.C.Update(app.makeUpdate(sc.Kind == "xform-error"))
-		for i := 0; i < 40; i++ {
-			do()
-		}
-	})
-	if err := w.Run(time.Hour); err != nil {
+			n := 0
+			do := func() {
+				n++
+				res.Requests++
+				if got, ok := app.request(tk, c, n); !ok {
+					res.Failures++
+					if res.Detail == "" {
+						res.Detail = fmt.Sprintf("request %d got %q", n, got)
+					}
+				}
+				tk.Sleep(10 * time.Millisecond)
+			}
+			for i := 0; i < 3; i++ {
+				do()
+			}
+			w.C.Update(app.makeUpdate(sc.Kind == "xform-error"))
+			for i := 0; i < 40; i++ {
+				do()
+			}
+		},
+	}.run()
+	if err != nil {
 		res.Detail = "scheduler: " + err.Error()
 		return res
 	}
@@ -320,7 +309,7 @@ func ChaosRun(sc ChaosScenario) ChaosResult {
 		res.Outcome = "old leader crashed; follower promoted"
 		outcomeOK = has("promoting follower") && leaderVer == app.newVersion
 	}
-	fired := plan == nil || plan.Fired() >= 1
+	fired := plan.Fired() == len(faults)
 	res.Tolerated = outcomeOK && fired && res.Failures == 0
 	if !res.Tolerated && res.Detail == "" {
 		var notes []string

@@ -15,23 +15,19 @@ import (
 // order, which let duo-mode benchmark results jitter run to run.
 func TestMemcachedDuoSchedulingDeterministic(t *testing.T) {
 	run := func() []string {
-		target := MemcachedTarget()
-		w := build(target, ModeVaran2, 0)
+		s := sim.New()
 		// This run produces ~308k dispatches; raise the trace cap so the
 		// full interleaving stays pinned, not just the newest window.
-		w.s.SetTraceCapacity(1 << 19)
-		w.s.SetTracing(true)
-		m := NewMetrics(0)
-		m.SetCollecting(false)
-		w.spawnClients(target, m)
-		w.s.Go("driver", func(tk *sim.Task) {
+		s.SetTraceCapacity(1 << 19)
+		s.SetTracing(true)
+		err := measure(s, MemcachedTarget(), ModeVaran2, 0, nil, NewMetrics(0), func(_ *world, tk *sim.Task) error {
 			tk.Sleep(250 * time.Millisecond)
-			w.teardown()
+			return nil
 		})
-		if err := w.s.Run(); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
-		return w.s.Trace()
+		return s.Trace()
 	}
 	a := run()
 	b := run()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mvedsua/internal/apps/ftpd"
-	"mvedsua/internal/apps/kvstore"
 	"mvedsua/internal/core"
 	"mvedsua/internal/dsu"
 	"mvedsua/internal/sim"
@@ -154,21 +153,16 @@ func Fig6(cfg Fig6Config) ([]Fig6Result, error) {
 
 func fig6One(target Target, cfg Fig6Config) (Fig6Result, error) {
 	bucket := cfg.Total / time.Duration(cfg.Buckets)
-	w := build(target, ModeMvedsua2, 256)
 	m := NewMetrics(bucket)
-	w.spawnClients(target, m)
 	res := Fig6Result{Target: target.Name, BucketSize: bucket}
-	var runErr error
-	w.s.Go("driver", func(tk *sim.Task) {
-		t0 := tk.Now()
-		m.Reset(t0)
+	err := measure(sim.New(), target, ModeMvedsua2, 256, nil, m, func(w *world, tk *sim.Task) error {
+		// The bucket epoch, not a no-op: a driver's first slice is not at
+		// t = 0 (the servers' start-up syscalls come first).
+		m.Reset(tk.Now())
 		tk.Sleep(cfg.Total / 3) // t1: update
 		w.ctl.Update(target.MakeUpdate())
 		tk.Sleep(cfg.Total / 6) // t4: promote
-		if w.ctl.Stage() != core.StageOutdatedLeader {
-			runErr = fmt.Errorf("fig6 %s: update not installed (stage %v, %v)",
-				target.Name, w.ctl.Stage(), w.ctl.Monitor().Divergences())
-		}
+		err := w.validating("update not installed")
 		w.ctl.Promote()
 		tk.Sleep(cfg.Total / 6) // t6: commit
 		w.ctl.Commit()
@@ -180,12 +174,9 @@ func fig6One(target Target, cfg Fig6Config) (Fig6Result, error) {
 			res.OpsPerSec = append(res.OpsPerSec, float64(n)/bucket.Seconds())
 		}
 		res.Events = w.ctl.Timeline()
-		w.teardown()
+		return err
 	})
-	if err := w.s.Run(); err != nil {
-		return res, err
-	}
-	return res, runErr
+	return res, err
 }
 
 // FormatFig6 renders the throughput series with stage annotations.
@@ -303,23 +294,17 @@ func Fig7PointImmediate(bufCap int, cfg Fig7Config, immediate bool) (Fig7Result,
 func fig7One(name string, mode Mode, bufCap int, update, immediate bool, cfg Fig7Config) (Fig7Result, error) {
 	target := RedisTarget()
 	target.MakeApp = func() dsu.App {
-		s := kvstore.New(kvstore.SpecFor("2.0.0", false))
-		s.CmdCPU = KVStoreCmdCPU
+		s := redis()
 		s.Preload(cfg.Entries)
 		return s
 	}
-	w := build(target, mode, bufCap)
 	m := NewMetrics(0)
-	m.SetCollecting(false)
-	w.spawnClients(target, m)
 	res := Fig7Result{Config: name}
-	var runErr error
-	w.s.Go("driver", func(tk *sim.Task) {
+	err := measure(sim.New(), target, mode, bufCap, nil, m, func(w *world, tk *sim.Task) error {
 		tk.Sleep(500 * time.Millisecond) // warmup
 		m.Reset(tk.Now())
-		m.SetCollecting(true)
 		if update {
-			v := kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{})
+			v := target.MakeUpdate()
 			switch mode {
 			case ModeKitsune:
 				w.leader.RequestUpdate(v)
@@ -343,14 +328,10 @@ func fig7One(name string, mode Mode, bufCap int, update, immediate bool, cfg Fig
 			}
 		}
 		tk.Sleep(cfg.PostUpdate)
-		m.SetCollecting(false)
 		res.MaxLatency = m.MaxLatency
-		w.teardown()
+		return nil
 	})
-	if err := w.s.Run(); err != nil {
-		return res, err
-	}
-	return res, runErr
+	return res, err
 }
 
 // FormatFig7 renders the pause comparison.

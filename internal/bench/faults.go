@@ -46,22 +46,33 @@ func FormatFaults(results []FaultResult) string {
 	return b.String()
 }
 
+// faultRun runs one §6.2 experiment; a scheduler error replaces whatever
+// the driver concluded.
+func faultRun(name string, sc scenario, drive func(res *FaultResult, w *apptest.World, tk *sim.Task, c *apptest.Client)) FaultResult {
+	res := FaultResult{Name: name}
+	sc.drive = func(w *apptest.World, tk *sim.Task, c *apptest.Client) { drive(&res, w, tk, c) }
+	if _, _, err := sc.run(); err != nil {
+		res.Detail = err.Error()
+	}
+	return res
+}
+
+// memcachedScenario deploys single-worker Memcached 1.2.2 under cfg with
+// the 5ms epoll update points the §6.2 Memcached faults use.
+func memcachedScenario(cfg core.Config, onAbort func(dsu.App)) scenario {
+	cfg.DSU = dsu.Config{EpollWaitIsUpdatePoint: true, EpollUpdateInterval: 5 * time.Millisecond, OnAbort: onAbort}
+	srv := memcache.New(memcache.SpecFor("1.2.2", 1))
+	srv.CmdCPU = MemcacheCmdCPU
+	return scenario{cfg: duo(cfg), app: srv, port: memcache.Port}
+}
+
 // faultNewCode: Redis 2.0.0 (without the bug) updated to 2.0.1 carrying
 // revision 7fb16bac; a bad HMGET crashes the follower; MVEDSUA reverts
 // to the old version and clients proceed without incident.
 func faultNewCode() FaultResult {
-	res := FaultResult{Name: "error in the new code"}
-	w := apptest.NewWorld(core.Config{})
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
-	w.C.Start(srv)
-	v := kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{BugHMGET: true})
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
+	return faultRun("error in the new code", scenario{}, func(res *FaultResult, w *apptest.World, tk *sim.Task, c *apptest.Client) {
 		c.Do(tk, "SET plain stringvalue")
-		w.C.Update(v)
+		w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{BugHMGET: true}))
 		for i := 0; i < 5; i++ {
 			c.Do(tk, "INCR warm")
 			tk.Sleep(10 * time.Millisecond)
@@ -83,35 +94,26 @@ func faultNewCode() FaultResult {
 			res.Detail = fmt.Sprintf("stage=%v reply=%q after=%q", w.C.Stage(), reply, after)
 		}
 	})
-	if err := w.Run(time.Hour); err != nil {
-		res.Detail = err.Error()
-	}
-	return res
 }
 
 // faultStateXform: the Memcached update's transformation frees LibEvent
 // state still in use; the follower crashes under load; the leader is
 // untouched.
 func faultStateXform() FaultResult {
-	res := FaultResult{Name: "error in the state xform"}
-	w := apptest.NewWorld(core.Config{DSU: dsu.Config{
-		EpollWaitIsUpdatePoint: true,
-		EpollUpdateInterval:    5 * time.Millisecond,
-		OnAbort:                memcache.AbortReset,
-	}})
-	srv := memcache.New(memcache.SpecFor("1.2.2", 1))
-	srv.CmdCPU = MemcacheCmdCPU
-	w.C.Start(srv)
-	v := memcache.Update("1.2.2", "1.2.3", memcache.UpdateOpts{UseAfterFree: true})
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		clients := make([]*apptest.Client, 3)
+	sc := memcachedScenario(core.Config{}, memcache.AbortReset)
+	return faultRun("error in the state xform", sc, func(res *FaultResult, w *apptest.World, tk *sim.Task, c *apptest.Client) {
+		// Connect order is replay order: the runner's client is client 0,
+		// the others connect after it, each warming before the next.
+		clients := []*apptest.Client{c, nil, nil}
 		for i := range clients {
-			clients[i] = apptest.Connect(w.K, tk, memcache.Port)
+			if i > 0 {
+				clients[i] = apptest.Connect(w.K, tk, memcache.Port)
+				defer clients[i].Close(tk)
+			}
 			clients[i].Send(tk, "set warm 0 0 1\r\nx\r\n")
 			clients[i].RecvUntil(tk, "\r\n")
 		}
-		w.C.Update(v)
+		w.C.Update(memcache.Update("1.2.2", "1.2.3", memcache.UpdateOpts{UseAfterFree: true}))
 		for round := 0; round < 20; round++ {
 			for _, c := range clients {
 				c.Send(tk, "get warm\r\n")
@@ -119,9 +121,8 @@ func faultStateXform() FaultResult {
 			}
 			tk.Sleep(15 * time.Millisecond)
 		}
-		got := ""
-		clients[0].Send(tk, "get warm\r\n")
-		got = clients[0].RecvUntil(tk, "END\r\n")
+		c.Send(tk, "get warm\r\n")
+		got := c.RecvUntil(tk, "END\r\n")
 		ok := w.C.Stage() == core.StageSingleLeader &&
 			w.C.LeaderRuntime().App().Version() == "1.2.2" &&
 			strings.Contains(got, "VALUE warm")
@@ -131,42 +132,22 @@ func faultStateXform() FaultResult {
 			res.Detail = fmt.Sprintf("stage=%v version=%s reply=%q",
 				w.C.Stage(), w.C.LeaderRuntime().App().Version(), got)
 		}
-		for _, c := range clients {
-			c.Close(tk)
-		}
 	})
-	if err := w.Run(time.Hour); err != nil {
-		res.Detail = err.Error()
-	}
-	return res
 }
 
 // faultTiming: the LibEvent reset callback is omitted; dispatch-order
 // divergences abort the update, which is retried every 500ms until it
 // installs (paper: max 8 retries, median 2).
 func faultTiming() FaultResult {
-	res := FaultResult{Name: "timing error"}
-	w := apptest.NewWorld(core.Config{
+	sc := memcachedScenario(core.Config{
 		RetryOnRollback: true,
 		RetryInterval:   500 * time.Millisecond,
 		// The paper retries on a fixed timer; cap == base disables the
 		// exponential backoff so all 8 retries fit the drive window.
 		RetryMaxInterval: 500 * time.Millisecond,
-		DSU: dsu.Config{
-			EpollWaitIsUpdatePoint: true,
-			EpollUpdateInterval:    5 * time.Millisecond,
-			// OnAbort deliberately omitted: the injected timing error.
-		},
-	})
-	srv := memcache.New(memcache.SpecFor("1.2.2", 1))
-	srv.CmdCPU = MemcacheCmdCPU
-	w.C.Start(srv)
-	v := memcache.Update("1.2.2", "1.2.3", memcache.UpdateOpts{})
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		a := apptest.Connect(w.K, tk, memcache.Port)
+	}, nil) // no OnAbort: the injected timing error
+	return faultRun("timing error", sc, func(res *FaultResult, w *apptest.World, tk *sim.Task, a *apptest.Client) {
 		b := apptest.Connect(w.K, tk, memcache.Port)
-		defer a.Close(tk)
 		defer b.Close(tk)
 		single := func() {
 			a.Send(tk, "get j\r\n")
@@ -175,7 +156,7 @@ func faultTiming() FaultResult {
 		for w.C.LeaderRuntime().App().(*memcache.Server).WorkerBases()[0].RROffset()%2 == 0 {
 			single()
 		}
-		w.C.Update(v)
+		w.C.Update(memcache.Update("1.2.2", "1.2.3", memcache.UpdateOpts{}))
 		sawDivergence := false
 		for round := 0; round < 80; round++ {
 			a.Send(tk, "get j\r\n")
@@ -197,8 +178,4 @@ func faultTiming() FaultResult {
 			res.Detail = fmt.Sprintf("divergence=%v installed=%v retries=%d", sawDivergence, installed, w.C.Retries())
 		}
 	})
-	if err := w.Run(time.Hour); err != nil {
-		res.Detail = err.Error()
-	}
-	return res
 }

@@ -1,33 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"testing"
-)
-
-// TestNVariantReportDeterministic runs the full nvariant experiment
-// twice and requires byte-identical JSON — the property that lets
-// `make check` diff the committed BENCH_nvariant.json against a fresh
-// run. Fleet scheduling adds K validator tasks plus eject/respawn and
-// canary machinery on top of the duo, so this also pins their task
-// ordering.
-func TestNVariantReportDeterministic(t *testing.T) {
-	run := func() []byte {
-		report, err := RunNVariantReport()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	a, b := run(), run()
-	if string(a) != string(b) {
-		t.Fatalf("nvariant report not deterministic:\nrun1:\n%s\nrun2:\n%s", a, b)
-	}
-}
+import "testing"
 
 // TestNVariantScenariosTolerated requires every fleet scenario to reach
 // its expected outcome with zero client-visible failures — the paper's
@@ -35,10 +8,7 @@ func TestNVariantReportDeterministic(t *testing.T) {
 // crashes, divergences, quorum aborts, canary rollbacks and promotions
 // must all be invisible to clients.
 func TestNVariantScenariosTolerated(t *testing.T) {
-	report, err := RunNVariantReport()
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := decodeFresh[NVariantReport](t, "nvariant")
 	if len(report.Scenarios) < 8 {
 		t.Fatalf("only %d scenarios ran", len(report.Scenarios))
 	}

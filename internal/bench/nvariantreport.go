@@ -64,35 +64,38 @@ type NVariantReport struct {
 	Scenarios []NVariantScenarioRow `json:"scenarios"`
 }
 
-// nvariantScenario is one fleet run's configuration, fault plan, driver
-// and outcome check.
+// nvariantScenario is one fleet run's fault plan, staged update and
+// outcome check; every run is a 3-replica fleet under the calibrated
+// Varan-2 cost model.
 type nvariantScenario struct {
 	name     string
-	variants []string
-	gate     core.CanaryGate
-	plan     *chaos.Plan
+	faults   []*chaos.Injection
 	requests int
-	// hooks run before the request with that index (0-based).
-	hooks func(w *apptest.World) map[int]func(tk *sim.Task)
+	// stage, if set, runs before request nvariantStageAt.
+	stage func(c *core.Controller)
 	// ok judges the finished row (failures are checked separately).
 	ok func(row NVariantScenarioRow) bool
 }
 
-// fleetIDs are the replica slots every scenario uses; chaos injections
-// target the derived proc names (e.g. "r2#1@2.0.0", "canary#1@2.0.1").
-var fleetIDs = []string{"r1", "r2", "r3"}
+const nvariantStageAt = 5
 
-// defaultGate keeps the canary window comfortably shorter than the
-// scenarios' client sessions so promotion decisions land mid-run.
-var defaultGate = core.CanaryGate{Window: 150 * time.Millisecond, MaxDivergences: 2}
+// fleetConfig is the K-replica fleet the fleet experiments share: slots
+// r1..rK (chaos injections target the derived proc names, e.g.
+// "r2#1@2.0.0", "canary#1@2.0.1"), the Varan-2 cost model, and a canary
+// window comfortably shorter than the scenarios' client sessions so
+// promotion decisions land mid-run.
+func fleetConfig(k int) core.FleetConfig {
+	cfg := core.FleetConfig{Canary: core.CanaryGate{Window: 150 * time.Millisecond, MaxDivergences: 2}}
+	for i := 1; i <= k; i++ {
+		cfg.Variants = append(cfg.Variants, fmt.Sprintf("r%d", i))
+	}
+	cfg.Costs = MVECosts(ModeVaran2)
+	return cfg
+}
 
 func nvariantScenarios() []nvariantScenario {
-	update := func(opts kvstore.UpdateOpts) func(w *apptest.World) map[int]func(tk *sim.Task) {
-		return func(w *apptest.World) map[int]func(tk *sim.Task) {
-			return map[int]func(tk *sim.Task){
-				5: func(tk *sim.Task) { w.C.Update(kvstore.Update("2.0.0", "2.0.1", opts)) },
-			}
-		}
+	update := func(opts kvstore.UpdateOpts) func(c *core.Controller) {
+		return func(c *core.Controller) { c.Update(kvstore.Update("2.0.0", "2.0.1", opts)) }
 	}
 	steady := func(row NVariantScenarioRow) bool {
 		return row.FinalPhase == "steady" && row.LeaderVersion == "2.0.0"
@@ -109,9 +112,9 @@ func nvariantScenarios() []nvariantScenario {
 			// A replica crashes mid-run: the 1/3 minority verdict ejects
 			// it and the slot respawns from the leader at quiescence.
 			name: "crash-minority", requests: 25,
-			plan: chaos.NewPlan(&chaos.Injection{
+			faults: []*chaos.Injection{{
 				Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindCrash,
-			}),
+			}},
 			ok: func(r NVariantScenarioRow) bool {
 				return steady(r) && r.Ejects == 1 && r.Respawns == 1 && r.FleetSize == 3 &&
 					len(r.Verdicts) == 1 && strings.Contains(r.Verdicts[0], "eject")
@@ -122,10 +125,10 @@ func nvariantScenarios() []nvariantScenario {
 			// results stop matching the leader's recorded stream and the
 			// divergence goes to the quorum — still a minority.
 			name: "diverge-minority", requests: 25,
-			plan: chaos.NewPlan(&chaos.Injection{
+			faults: []*chaos.Injection{{
 				Proc: "r3#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5,
 				Kind: chaos.KindErrno, Errno: sysabi.EPIPE,
-			}),
+			}},
 			ok: func(r NVariantScenarioRow) bool {
 				return steady(r) && r.Ejects == 1 && r.Respawns == 1 && r.FleetSize == 3
 			},
@@ -135,16 +138,10 @@ func nvariantScenarios() []nvariantScenario {
 			// failure is a majority (1 of 2) — the fleet aborts and the
 			// leader serves solo rather than trusting a minority quorum.
 			name: "diverge-majority-abort", requests: 25,
-			plan: chaos.NewPlan(
-				&chaos.Injection{
-					Proc: "r1#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5,
-					Kind: chaos.KindErrno, Errno: sysabi.EPIPE,
-				},
-				&chaos.Injection{
-					Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5,
-					Kind: chaos.KindErrno, Errno: sysabi.EPIPE,
-				},
-			),
+			faults: []*chaos.Injection{
+				{Proc: "r1#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
+				{Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
+			},
 			ok: func(r NVariantScenarioRow) bool {
 				return r.FinalPhase == "aborted" && r.LeaderVersion == "2.0.0" &&
 					r.FleetSize == 0 && len(r.Verdicts) == 2 &&
@@ -157,7 +154,7 @@ func nvariantScenarios() []nvariantScenario {
 			// the canary's replies diverge on every request, blow the
 			// divergence budget mid-window, and only the canary dies.
 			name: "canary-storm-rollback", requests: 30,
-			hooks: update(kvstore.UpdateOpts{ForgetTable: true}),
+			stage: update(kvstore.UpdateOpts{ForgetTable: true}),
 			ok: func(r NVariantScenarioRow) bool {
 				return steady(r) && r.CanaryRollbacks == 1 && r.CanaryPromotions == 0 &&
 					r.FleetSize == 3
@@ -168,7 +165,7 @@ func nvariantScenarios() []nvariantScenario {
 			// window, the gate passes, the fleet promotes and respawns at
 			// full strength from the new leader.
 			name: "canary-clean-promote", requests: 40,
-			hooks: update(kvstore.UpdateOpts{}),
+			stage: update(kvstore.UpdateOpts{}),
 			ok: func(r NVariantScenarioRow) bool {
 				return r.FinalPhase == "steady" && r.LeaderVersion == "2.0.1" &&
 					r.CanaryPromotions == 1 && r.CanaryRollbacks == 0 && r.FleetSize == 3
@@ -179,10 +176,10 @@ func nvariantScenarios() []nvariantScenario {
 			// Canary failures bypass the quorum — the verdict is always
 			// rollback, and the old-version fleet is untouched.
 			name: "canary-crash", requests: 30,
-			plan: chaos.NewPlan(&chaos.Injection{
+			faults: []*chaos.Injection{{
 				Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 4, Kind: chaos.KindCrash,
-			}),
-			hooks: update(kvstore.UpdateOpts{}),
+			}},
+			stage: update(kvstore.UpdateOpts{}),
 			ok: func(r NVariantScenarioRow) bool {
 				return steady(r) && r.CanaryRollbacks == 1 && r.CanaryPromotions == 0 &&
 					r.FleetSize == 3 && len(r.Verdicts) == 1 &&
@@ -194,12 +191,12 @@ func nvariantScenarios() []nvariantScenario {
 			// the canary past its divergence budget — a chaos-driven storm
 			// instead of a transformation bug.
 			name: "canary-divergence-storm", requests: 30,
-			plan: chaos.NewPlan(
-				&chaos.Injection{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 2, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
-				&chaos.Injection{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 4, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
-				&chaos.Injection{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 6, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
-			),
-			hooks: update(kvstore.UpdateOpts{}),
+			faults: []*chaos.Injection{
+				{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 2, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
+				{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 4, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
+				{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 6, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
+			},
+			stage: update(kvstore.UpdateOpts{}),
 			ok: func(r NVariantScenarioRow) bool {
 				return steady(r) && r.CanaryRollbacks == 1 && r.FleetSize == 3
 			},
@@ -209,10 +206,10 @@ func nvariantScenarios() []nvariantScenario {
 			// and respawn proceed under the in-flight update, and the
 			// canary still promotes on a clean gate.
 			name: "replica-crash-during-canary", requests: 40,
-			plan: chaos.NewPlan(&chaos.Injection{
+			faults: []*chaos.Injection{{
 				Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 10, Kind: chaos.KindCrash,
-			}),
-			hooks: update(kvstore.UpdateOpts{}),
+			}},
+			stage: update(kvstore.UpdateOpts{}),
 			ok: func(r NVariantScenarioRow) bool {
 				return r.FinalPhase == "steady" && r.LeaderVersion == "2.0.1" &&
 					r.Ejects >= 1 && r.CanaryPromotions == 1 && r.FleetSize == 3
@@ -224,14 +221,10 @@ func nvariantScenarios() []nvariantScenario {
 			// its rollback flushes the third — the fleet stays on 2.0.1 at
 			// full strength.
 			name: "canary-train-midchain-rollback", requests: 80,
-			hooks: func(w *apptest.World) map[int]func(tk *sim.Task) {
-				return map[int]func(tk *sim.Task){
-					5: func(tk *sim.Task) {
-						w.C.QueueUpdate(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
-						w.C.QueueUpdate(kvstore.Update("2.0.1", "2.0.2", kvstore.UpdateOpts{ForgetTable: true}))
-						w.C.QueueUpdate(kvstore.Update("2.0.2", "2.0.3", kvstore.UpdateOpts{}))
-					},
-				}
+			stage: func(c *core.Controller) {
+				c.QueueUpdate(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+				c.QueueUpdate(kvstore.Update("2.0.1", "2.0.2", kvstore.UpdateOpts{ForgetTable: true}))
+				c.QueueUpdate(kvstore.Update("2.0.2", "2.0.3", kvstore.UpdateOpts{}))
 			},
 			ok: func(r NVariantScenarioRow) bool {
 				return r.FinalPhase == "steady" && r.LeaderVersion == "2.0.1" &&
@@ -244,10 +237,10 @@ func nvariantScenarios() []nvariantScenario {
 			// slot crashes too; the quorum ejects it again and the slot
 			// respawns a third time. Clients never notice either failure.
 			name: "respawn-crashes-again", requests: 30,
-			plan: chaos.NewPlan(
-				&chaos.Injection{Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindCrash},
-				&chaos.Injection{Proc: "r2#2@2.0.0", Op: sysabi.OpWrite, AfterCalls: 3, Kind: chaos.KindCrash},
-			),
+			faults: []*chaos.Injection{
+				{Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindCrash},
+				{Proc: "r2#2@2.0.0", Op: sysabi.OpWrite, AfterCalls: 3, Kind: chaos.KindCrash},
+			},
 			ok: func(r NVariantScenarioRow) bool {
 				return steady(r) && r.Ejects == 2 && r.Respawns == 2 && r.FleetSize == 3
 			},
@@ -257,98 +250,61 @@ func nvariantScenarios() []nvariantScenario {
 
 // runNVariantScenario executes one fleet scenario and scores it.
 func runNVariantScenario(sc nvariantScenario) (NVariantScenarioRow, error) {
-	variants := sc.variants
-	if variants == nil {
-		variants = fleetIDs
-	}
-	gate := sc.gate
-	if gate.Window == 0 {
-		gate = defaultGate
-	}
-	cfg := core.FleetConfig{Variants: variants, Canary: gate}
-	cfg.Costs = MVECosts(ModeVaran2)
-	if sc.plan != nil {
-		plan := sc.plan
-		cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-			return chaos.WrapProc(role, name, d, plan)
-		}
-	}
-	w := apptest.NewFleetWorld(cfg)
-	if sc.plan != nil {
-		sc.plan.Rec = w.Rec
-	}
-	row := NVariantScenarioRow{Name: sc.name, K: len(variants)}
-	w.C.OnVerdict = func(v mve.Verdict) { row.Verdicts = append(row.Verdicts, v.String()) }
-
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
-	w.C.Start(srv)
-
-	var hooks map[int]func(tk *sim.Task)
-	if sc.hooks != nil {
-		hooks = sc.hooks(w)
-	}
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		for i := 0; i < sc.requests; i++ {
-			if hook := hooks[i]; hook != nil {
-				hook(tk)
+	cfg := fleetConfig(3)
+	row := NVariantScenarioRow{Name: sc.name, K: len(cfg.Variants)}
+	_, plan, err := scenario{
+		cfg: cfg, faults: sc.faults,
+		setup: func(w *apptest.World) {
+			w.C.OnVerdict = func(v mve.Verdict) { row.Verdicts = append(row.Verdicts, v.String()) }
+		},
+		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+			for i := 0; i < sc.requests; i++ {
+				if i == nvariantStageAt && sc.stage != nil {
+					sc.stage(w.C)
+				}
+				if got := c.Do(tk, "INCR nv"); got != fmt.Sprintf(":%d\r\n", i+1) {
+					row.ClientFailures++
+				}
+				tk.Sleep(10 * time.Millisecond)
 			}
-			if got := c.Do(tk, "INCR nv"); got != fmt.Sprintf(":%d\r\n", i+1) {
-				row.ClientFailures++
-			}
-			tk.Sleep(10 * time.Millisecond)
-		}
-		// Let trailing verdicts/respawns land, then record the fleet
-		// state and counters before teardown's Shutdown (which ejects
-		// every variant and would inflate the eject counter).
-		tk.Sleep(200 * time.Millisecond)
-		row.FinalPhase = w.C.Phase().String()
-		row.LeaderVersion = w.C.LeaderRuntime().App().Version()
-		row.FleetSize = len(w.C.LiveVariants())
-		row.Ejects = w.Rec.Counter(obs.CFleetEjects)
-		row.Respawns = w.Rec.Counter(obs.CFleetRespawns)
-		row.CanaryRollbacks = w.Rec.Counter(obs.CCanaryRollbacks)
-		row.CanaryPromotions = w.Rec.Counter(obs.CCanaryPromotions)
-	})
-	if err := w.Run(time.Hour); err != nil {
+			// Let trailing verdicts/respawns land, then record the fleet
+			// state and counters before teardown's Shutdown (which ejects
+			// every variant and would inflate the eject counter).
+			tk.Sleep(200 * time.Millisecond)
+			row.FinalPhase = w.C.Phase().String()
+			row.LeaderVersion = w.C.LeaderRuntime().App().Version()
+			row.FleetSize = len(w.C.LiveVariants())
+			row.Ejects = w.Rec.Counter(obs.CFleetEjects)
+			row.Respawns = w.Rec.Counter(obs.CFleetRespawns)
+			row.CanaryRollbacks = w.Rec.Counter(obs.CCanaryRollbacks)
+			row.CanaryPromotions = w.Rec.Counter(obs.CCanaryPromotions)
+		},
+	}.run()
+	if err != nil {
 		return row, err
 	}
-	if sc.plan != nil {
-		for _, rec := range sc.plan.Log {
-			row.Injected = append(row.Injected, rec.Inj)
-		}
+	for _, rec := range plan.Log {
+		row.Injected = append(row.Injected, rec.Inj)
 	}
-	row.Tolerated = row.ClientFailures == 0 && (sc.ok == nil || sc.ok(row)) &&
-		(sc.plan == nil || sc.plan.Fired() >= 1)
+	row.Tolerated = row.ClientFailures == 0 && sc.ok(row) &&
+		(len(sc.faults) == 0 || plan.Fired() >= 1)
 	return row, nil
 }
 
 // runNVariantOverhead measures a closed-loop kvstore session with K
-// replica variants attached, under the calibrated Varan-2 cost model.
+// replica variants attached, under the calibrated Varan-2 cost model and
+// kernel cost.
 func runNVariantOverhead(k, requests int) (NVariantOverheadRow, error) {
-	variants := make([]string, k)
-	for i := range variants {
-		variants[i] = fmt.Sprintf("r%d", i+1)
-	}
-	cfg := core.FleetConfig{Variants: variants, Canary: defaultGate}
-	cfg.Costs = MVECosts(ModeVaran2)
-	w := apptest.NewFleetWorld(cfg)
-	w.K.BaseCost = KernelCost
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
-	w.C.Start(srv)
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		for i := 0; i < requests; i++ {
-			c.Do(tk, "INCR nv")
-		}
-	})
-	if err := w.Run(time.Hour); err != nil {
+	w, _, err := scenario{
+		cfg:   fleetConfig(k),
+		setup: func(w *apptest.World) { w.K.BaseCost = KernelCost },
+		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+			for i := 0; i < requests; i++ {
+				c.Do(tk, "INCR nv")
+			}
+		},
+	}.run()
+	if err != nil {
 		return NVariantOverheadRow{}, err
 	}
 	elapsed := w.S.Now()

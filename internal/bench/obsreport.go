@@ -27,8 +27,8 @@ import (
 // gauge and histogram in internal/obs/names.go, which is what the
 // golden schema (testdata/metrics_schema.json) asserts.
 
-// MetricsSchemaJSON is the golden schema benchtool -validate checks
-// reports against. A test keeps it in sync with obs's name vocabulary.
+// MetricsSchemaJSON is the golden schema metrics reports are checked
+// against (the catalogue row's Valid). A test keeps it in sync with obs's name vocabulary.
 //
 //go:embed testdata/metrics_schema.json
 var MetricsSchemaJSON []byte
@@ -54,92 +54,78 @@ type MetricsReport struct {
 	Runs   []MetricsRun `json:"runs"`
 }
 
-// RunMetricsReport executes every observed scenario and assembles the
-// report.
+// RunMetricsReport executes every observed scenario with the flight
+// recorder attached and exports each run's registry and milestone
+// timeline.
 func RunMetricsReport() (MetricsReport, error) {
 	report := MetricsReport{Schema: MetricsSchemaID}
 	for _, sc := range metricsScenarios() {
-		run, err := runObserved(sc)
+		w, _, err := sc.run()
 		if err != nil {
 			return report, fmt.Errorf("metrics %s: %w", sc.name, err)
+		}
+		run := MetricsRun{
+			Name:           sc.name,
+			Target:         "Redis",
+			Outcome:        fmt.Sprintf("%v leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version()),
+			VirtualSeconds: w.S.Now().Seconds(),
+			Metrics:        w.Rec.Snapshot(),
+		}
+		for _, e := range w.Rec.Milestones() {
+			run.Timeline = append(run.Timeline, e.String())
 		}
 		report.Runs = append(report.Runs, run)
 	}
 	return report, nil
 }
 
-// metricsScenario is one observed run's configuration and driver.
-type metricsScenario struct {
-	name string
-	cfg  core.Config
-	plan *chaos.Plan
-	// drive issues client traffic and steers the lifecycle. It runs in a
-	// sim task with a connected client; Finish is called by the wrapper.
-	drive func(w *apptest.World, tk *sim.Task, c *apptest.Client)
-}
-
-func metricsScenarios() []metricsScenario {
-	incr := func(w *apptest.World, tk *sim.Task, c *apptest.Client, n int) {
-		for i := 0; i < n; i++ {
-			c.Do(tk, "INCR counter")
-			tk.Sleep(10 * time.Millisecond)
-		}
+// metricsScenarios lists the observed runs. Each driver issues client
+// traffic and steers the lifecycle.
+func metricsScenarios() []scenario {
+	update := func(w *apptest.World) {
+		w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
 	}
-	return []metricsScenario{
+	return []scenario{
 		{
 			// The Figure 6 story: update, validate, promote, commit.
 			name: "lifecycle",
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-				incr(w, tk, c, 3)
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
-				incr(w, tk, c, 5)
-				w.C.Promote()
-				incr(w, tk, c, 5)
-				w.C.Commit()
-				incr(w, tk, c, 2)
+				lifecycle(w.C, func(n int) { incr(tk, c, n) })
 			},
 		},
 		{
 			// §6.2's timing-error shape: a silent follower hang caught by
 			// the liveness watchdog, rolled back, and retried to success.
 			name: "stall-watchdog-retry",
-			cfg: core.Config{
+			cfg: duo(core.Config{
 				WatchdogDeadline: 50 * time.Millisecond,
 				RetryOnRollback:  true,
 				RetryInterval:    100 * time.Millisecond,
 				MaxRetries:       3,
-			},
-			plan: chaos.NewPlan(&chaos.Injection{
-				Role: "follower", AfterCalls: 3, Kind: chaos.KindStall,
 			}),
+			faults: []*chaos.Injection{{Role: "follower", AfterCalls: 3, Kind: chaos.KindStall}},
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+				update(w)
 				for i := 0; i < 60; i++ {
-					c.Do(tk, "INCR counter")
-					tk.Sleep(10 * time.Millisecond)
+					incr(tk, c, 1)
 					if w.C.Retries() > 0 && w.C.Stage() == core.StageOutdatedLeader {
 						break
 					}
 				}
-				incr(w, tk, c, 3)
-				if w.C.Stage() == core.StageOutdatedLeader {
-					w.C.Promote()
-					incr(w, tk, c, 3)
-					w.C.Commit()
-				}
+				promoteIfInstalled(w.C, func(n int) { incr(tk, c, n) })
 			},
 		},
 		{
 			// An injected syscall error desynchronizes the follower; the
 			// monitor reports the divergence and the controller rolls back.
 			name: "divergence-rollback",
-			plan: chaos.NewPlan(&chaos.Injection{
+			faults: []*chaos.Injection{{
 				Role: "follower", Op: sysabi.OpWrite, AfterCalls: 2,
 				Kind: chaos.KindErrno, Errno: sysabi.EPIPE,
-			}),
+			}},
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
-				incr(w, tk, c, 10)
+				update(w)
+				incr(tk, c, 10)
 			},
 		},
 		{
@@ -147,23 +133,18 @@ func metricsScenarios() []metricsScenario {
 			// policy: the leader parks on the full ring (Figure 7's pause)
 			// and the block-wait histogram records how long.
 			name: "backpressure-block",
-			cfg:  core.Config{BufferEntries: 8},
-			plan: chaos.NewPlan(&chaos.Injection{
+			cfg:  duo(core.Config{BufferEntries: 8}),
+			faults: []*chaos.Injection{{
 				Role: "follower", AfterCalls: 2,
 				Kind: chaos.KindDelay, Delay: 50 * time.Millisecond,
-			}),
+			}},
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+				update(w)
 				for i := 0; i < 20; i++ {
 					c.Do(tk, "INCR counter")
 					tk.Sleep(time.Millisecond)
 				}
-				incr(w, tk, c, 3)
-				if w.C.Stage() == core.StageOutdatedLeader {
-					w.C.Promote()
-					incr(w, tk, c, 3)
-					w.C.Commit()
-				}
+				promoteIfInstalled(w.C, func(n int) { incr(tk, c, n) })
 			},
 		},
 		{
@@ -171,58 +152,17 @@ func metricsScenarios() []metricsScenario {
 			// blocks, drops events past the lagging follower, and the
 			// buffer-full stall sacrifices the follower instead.
 			name: "discard-follower",
-			cfg: core.Config{
+			cfg: duo(core.Config{
 				BufferEntries:    8,
 				BufferFullPolicy: mve.FullDiscard,
-			},
-			plan: chaos.NewPlan(&chaos.Injection{
-				Role: "follower", AfterCalls: 2, Kind: chaos.KindStall,
 			}),
+			faults: []*chaos.Injection{{Role: "follower", AfterCalls: 2, Kind: chaos.KindStall}},
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
-				incr(w, tk, c, 15)
+				update(w)
+				incr(tk, c, 15)
 			},
 		},
 	}
-}
-
-// runObserved executes one scenario with the flight recorder attached
-// and exports its registry and milestone timeline.
-func runObserved(sc metricsScenario) (MetricsRun, error) {
-	cfg := sc.cfg
-	if sc.plan != nil {
-		plan := sc.plan
-		cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-			return chaos.Wrap(role, d, plan)
-		}
-	}
-	w := apptest.NewWorld(cfg)
-	if sc.plan != nil {
-		sc.plan.Rec = w.Rec
-	}
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
-	w.C.Start(srv)
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		sc.drive(w, tk, c)
-	})
-	if err := w.Run(time.Hour); err != nil {
-		return MetricsRun{}, err
-	}
-	run := MetricsRun{
-		Name:           sc.name,
-		Target:         "Redis",
-		Outcome:        fmt.Sprintf("%v leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version()),
-		VirtualSeconds: w.S.Now().Seconds(),
-		Metrics:        w.Rec.Snapshot(),
-	}
-	for _, e := range w.Rec.Milestones() {
-		run.Timeline = append(run.Timeline, e.String())
-	}
-	return run, nil
 }
 
 // metricsSchema is the golden schema's JSON shape.

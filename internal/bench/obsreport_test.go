@@ -35,22 +35,15 @@ func TestSchemaMatchesObsVocabulary(t *testing.T) {
 	check("histogram", append(schema.RequiredHistograms, schema.OptionalHistograms...), obs.HistogramNames)
 }
 
-// TestMetricsReportValidates runs the full observed-scenario suite and
-// checks the emitted report against the golden schema — the same check
-// `make check` performs via the benchtool, kept in-process here so `go
-// test ./...` alone catches a vocabulary regression.
+// TestMetricsReportValidates checks the observed-scenario suite's report
+// against the golden schema — what the catalogue row's Valid does in the
+// artifact gate — and that every scenario told its story.
 func TestMetricsReportValidates(t *testing.T) {
-	report, err := RunMetricsReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, data := fresh(t, "metrics")
 	if err := ValidateMetricsReport(data, MetricsSchemaJSON); err != nil {
 		t.Fatal(err)
 	}
+	report := decodeFresh[MetricsReport](t, "metrics")
 	// Every scenario must reach its intended terminal state.
 	want := map[string]string{
 		"lifecycle":            "single-leader leader=2.0.1",
@@ -92,10 +85,7 @@ func TestMetricsReportValidates(t *testing.T) {
 // modes: wrong schema id, a missing required metric, and an unknown
 // (renamed) metric.
 func TestValidateMetricsReportRejects(t *testing.T) {
-	report, err := RunMetricsReport()
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := decodeFresh[MetricsReport](t, "metrics")
 	marshal := func(r MetricsReport) []byte {
 		data, err := json.Marshal(r)
 		if err != nil {
@@ -122,7 +112,7 @@ func TestValidateMetricsReportRejects(t *testing.T) {
 			run.Metrics.Counters["ringbuf.puts"] = v
 		}
 	}
-	err = ValidateMetricsReport(marshal(renamed), MetricsSchemaJSON)
+	err := ValidateMetricsReport(marshal(renamed), MetricsSchemaJSON)
 	if err == nil {
 		t.Error("renamed counter accepted")
 	} else if !strings.Contains(err.Error(), "ringbuf.put") {

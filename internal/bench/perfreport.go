@@ -59,8 +59,8 @@ type PerfScenario struct {
 // PerfReport is the serialized artifact (BENCH_perf.json). Scenarios
 // are fully deterministic (virtual-time quantities only); Speedup mixes
 // deterministic workload accounting with measured wall-clock columns,
-// which is why the perf smoke compares artifacts with ComparePerfReports
-// instead of a byte diff.
+// which is why its catalogue row compares artifacts with
+// ComparePerfReports instead of a byte diff.
 type PerfReport struct {
 	Schema    string         `json:"schema"`
 	Scenarios []PerfScenario `json:"scenarios"`
@@ -117,7 +117,7 @@ func RunPerfReport() (*PerfReport, error) {
 // deterministic columns must match exactly, while the measured
 // wall-clock fields (WallMS, WallOpsPerSec, SpeedupX, MaxProcs) are
 // ignored — they differ run to run and machine to machine by design.
-// This is what `make perf-smoke` runs against the committed artifact.
+// It is the perf catalogue row's Same.
 func ComparePerfReports(a, b []byte) error {
 	parse := func(data []byte) (*PerfReport, error) {
 		var r PerfReport
@@ -158,31 +158,23 @@ var perfCounterNames = []string{
 }
 
 func runPerfScenario(name string, mode Mode, bufCap int) (PerfScenario, error) {
-	target := RedisTarget()
-	w := build(target, mode, bufCap)
-	rec := obs.New(w.s.Now, obs.Options{})
-	if w.mon != nil {
-		w.mon.SetRecorder(rec)
-	}
-	m := NewMetrics(0)
-	m.SetCollecting(false)
-	w.spawnClients(target, m)
-
+	s := sim.New()
+	rec := obs.New(s.Now, obs.Options{})
 	res := PerfScenario{
 		Name:        name,
 		Mode:        mode.String(),
 		RingEntries: bufCap,
 		WindowMS:    int64(perfWindow / time.Millisecond),
 	}
-	w.s.Go("driver", func(tk *sim.Task) {
+	err := measure(s, RedisTarget(), mode, bufCap, rec, NewMetrics(0), func(w *world, tk *sim.Task) error {
 		tk.Sleep(perfWarmup)
-		d0 := w.s.Dispatches()
+		d0 := s.Dispatches()
 		c0 := map[string]int64{}
 		for _, n := range perfCounterNames {
 			c0[n] = rec.Counter(n)
 		}
 		tk.Sleep(perfWindow)
-		res.Dispatches = w.s.Dispatches() - d0
+		res.Dispatches = s.Dispatches() - d0
 		res.SyscallsSingle = rec.Counter(obs.CSyscallsSingle) - c0[obs.CSyscallsSingle]
 		res.SyscallsLeader = rec.Counter(obs.CSyscallsLeader) - c0[obs.CSyscallsLeader]
 		res.SyscallsFollower = rec.Counter(obs.CSyscallsFollower) - c0[obs.CSyscallsFollower]
@@ -203,12 +195,9 @@ func runPerfScenario(name string, mode Mode, bufCap int) (PerfScenario, error) {
 		if total := res.SyscallsSingle + res.SyscallsLeader + res.SyscallsFollower; total > 0 {
 			res.DispatchesPer1kSyscalls = res.Dispatches * 1000 / total
 		}
-		w.teardown()
+		return nil
 	})
-	if err := w.s.Run(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, err
 }
 
 // FormatPerfReport renders the report as text.

@@ -88,21 +88,16 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 			prof := obs.NewProfiler()
 			s.SetProfiler(prof.ShardSink(0, s.Now))
 		}
-		target := RedisTarget()
-		w := buildOn(s, target, ModeVaran2, 256, buildOpts{rec: rec})
-		w.s.SetTraceCapacity(1 << 18)
-		w.s.SetTracing(true)
-		m := NewMetrics(0)
-		m.SetCollecting(false)
-		w.spawnClients(target, m)
-		w.s.Go("driver", func(tk *sim.Task) {
+		s.SetTraceCapacity(1 << 18)
+		s.SetTracing(true)
+		err := measure(s, RedisTarget(), ModeVaran2, 256, rec, NewMetrics(0), func(_ *world, tk *sim.Task) error {
 			tk.Sleep(100 * time.Millisecond)
-			w.teardown()
+			return nil
 		})
-		if err := w.s.Run(); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
-		return w.s.Trace(), w.s.Dispatches(), w.s.Now()
+		return s.Trace(), s.Dispatches(), s.Now()
 	}
 	bareTrace, bareDisp, bareEnd := run(false)
 	profTrace, profDisp, profEnd := run(true)
@@ -123,35 +118,13 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 	}
 }
 
-// TestProfileReportDeterministic runs the whole profile experiment
-// twice and requires byte-identical JSON — the property `make check`
-// relies on when diffing BENCH_profile.json.
-func TestProfileReportDeterministic(t *testing.T) {
+// TestProfileReportClaims spot-checks the claims the profile experiment
+// exists to demonstrate, on the run TestCommittedArtifacts pins.
+func TestProfileReportClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full profile experiment; skipped with -short")
 	}
-	encode := func() []byte {
-		r, err := RunProfileReport()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	a := encode()
-	b := encode()
-	if string(a) != string(b) {
-		t.Fatal("BENCH_profile.json content differs between identical runs")
-	}
-
-	// Spot-check the claims the experiment exists to demonstrate.
-	var r ProfileReport
-	if err := json.Unmarshal(a, &r); err != nil {
-		t.Fatal(err)
-	}
+	r := decodeFresh[ProfileReport](t, "profile")
 	if !r.FoldedCPUInvariant {
 		t.Error("cpu fold not placement-invariant")
 	}

@@ -9,7 +9,6 @@ import (
 
 	"mvedsua/internal/apps/kvstore"
 	"mvedsua/internal/apptest"
-	"mvedsua/internal/core"
 	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 )
@@ -158,47 +157,24 @@ const (
 )
 
 // runProfileDuo profiles the Memcached record/replay duo in one
-// synchronization mode; withUpdate installs the 1.2.2 -> 1.2.3 update
-// mid-warmup (ModeMvedsua2 only), so the state transformation and the
-// outdated-leader validation phase land in the profile.
-func runProfileDuo(name string, mode Mode, withUpdate bool) (ProfileScenario, error) {
+// synchronization mode under the Table 2 protocol: in ModeMvedsua2 the
+// 1.2.2 -> 1.2.3 update installs mid-warmup, so the state transformation
+// and the outdated-leader validation phase land in the profile.
+func runProfileDuo(name string, mode Mode) (ProfileScenario, error) {
 	s := sim.New()
 	rec := obs.New(s.Now, obs.Options{})
 	rec.EnableProfiling()
 	prof := obs.NewProfiler()
 	s.SetProfiler(prof.ShardSink(0, s.Now))
-
-	target := MemcachedTarget()
-	w := buildOn(s, target, mode, 256, buildOpts{rec: rec})
-	w.k.BaseCost = KernelCost
-	m := NewMetrics(0)
-	m.SetCollecting(false)
-	w.spawnClients(target, m)
-	var runErr error
-	s.Go("driver", func(tk *sim.Task) {
-		if withUpdate {
-			tk.Sleep(profileDuoWarmup / 2)
-			w.ctl.Update(target.MakeUpdate())
-			tk.Sleep(profileDuoWarmup / 2)
-			if w.ctl.Stage() != core.StageOutdatedLeader {
-				runErr = fmt.Errorf("duo %s: update not installed by end of warmup (stage %v)", name, w.ctl.Stage())
-				w.teardown()
-				return
-			}
-		} else {
-			tk.Sleep(profileDuoWarmup)
+	err := measure(s, MemcachedTarget(), mode, 256, rec, NewMetrics(0), func(w *world, tk *sim.Task) error {
+		if err := w.warmUp(tk, profileDuoWarmup); err != nil {
+			return err
 		}
 		tk.Sleep(profileDuoWindow)
-		if withUpdate && w.ctl.Stage() != core.StageOutdatedLeader {
-			runErr = fmt.Errorf("duo %s: duo did not survive the window (stage %v)", name, w.ctl.Stage())
-		}
-		w.teardown()
+		return w.validating("duo did not survive the window")
 	})
-	if err := s.Run(); err != nil {
+	if err != nil {
 		return ProfileScenario{}, err
-	}
-	if runErr != nil {
-		return ProfileScenario{}, runErr
 	}
 	sc := profileScenario(name, prof)
 	sc.Mode = mode.String()
@@ -209,40 +185,33 @@ func runProfileDuo(name string, mode Mode, withUpdate bool) (ProfileScenario, er
 // updateAt >= 0 a canary-staged update is installed before that
 // request (and must promote cleanly).
 func runProfileFleet(name string, k, requests, updateAt int) (ProfileScenario, error) {
-	variants := make([]string, k)
-	for i := range variants {
-		variants[i] = fmt.Sprintf("r%d", i+1)
-	}
-	cfg := core.FleetConfig{Variants: variants, Canary: defaultGate}
-	cfg.Costs = MVECosts(ModeVaran2)
-	w := apptest.NewFleetWorld(cfg)
-	w.K.BaseCost = KernelCost
-	prof := w.EnableProfiling()
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
-	w.C.Start(srv)
+	var prof *obs.Profiler
 	var runErr error
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		for i := 0; i < requests; i++ {
-			if i == updateAt {
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+	_, _, err := scenario{
+		cfg: fleetConfig(k),
+		setup: func(w *apptest.World) {
+			w.K.BaseCost = KernelCost
+			prof = w.EnableProfiling()
+		},
+		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+			for i := 0; i < requests; i++ {
+				if i == updateAt {
+					w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+				}
+				c.Do(tk, "INCR prof")
+				tk.Sleep(5 * time.Millisecond)
 			}
-			c.Do(tk, "INCR prof")
-			tk.Sleep(5 * time.Millisecond)
-		}
-		tk.Sleep(200 * time.Millisecond)
-		if updateAt >= 0 && w.Rec.Counter(obs.CCanaryPromotions) != 1 {
-			runErr = fmt.Errorf("fleet %s: canary did not promote", name)
-		}
-	})
-	if err := w.Run(time.Hour); err != nil {
-		return ProfileScenario{}, err
+			tk.Sleep(200 * time.Millisecond)
+			if updateAt >= 0 && w.Rec.Counter(obs.CCanaryPromotions) != 1 {
+				runErr = fmt.Errorf("fleet %s: canary did not promote", name)
+			}
+		},
+	}.run()
+	if err == nil {
+		err = runErr
 	}
-	if runErr != nil {
-		return ProfileScenario{}, runErr
+	if err != nil {
+		return ProfileScenario{}, err
 	}
 	sc := profileScenario(name, prof)
 	sc.K = k
@@ -267,41 +236,7 @@ func runProfileSweep(shards int) (ProfileScenario, *obs.Profiler, error) {
 		sh := ss.Shard(i)
 		sh.SetProfiler(prof.ShardSink(i, sh.Now))
 	}
-	target := RedisTarget()
-
-	type group struct {
-		w    *world
-		left int
-	}
-	groups := make([]*group, profileSweepGroups)
-	for g := 0; g < profileSweepGroups; g++ {
-		g := g
-		s := ss.Shard(g % shards)
-		rec := obs.New(s.Now, obs.Options{})
-		rec.EnableProfiling()
-		gr := &group{left: profileSweepClients}
-		gr.w = buildOn(s, target, ModeVaran2, 256, buildOpts{rec: rec})
-		groups[g] = gr
-		for i := 0; i < profileSweepClients; i++ {
-			i := i
-			t := s.Go(fmt.Sprintf("g%d-client%d", g, i), func(tk *sim.Task) {
-				defer func() { gr.left-- }()
-				KVWorkload{
-					Port:   kvstore.Port,
-					Flavor: FlavorRESP,
-					Seed:   int64(1000*g + i),
-					MaxOps: profileSweepOps,
-				}.Run(gr.w.k, tk, NewMetrics(0), &gr.w.stop)
-			})
-			gr.w.clients = append(gr.w.clients, t)
-		}
-		s.Go(fmt.Sprintf("g%d-driver", g), func(tk *sim.Task) {
-			for gr.left > 0 {
-				tk.Sleep(time.Millisecond)
-			}
-			gr.w.teardown()
-		})
-	}
+	placeGroups(ss, profileSweepGroups, profileSweepClients, profileSweepOps, (*obs.Recorder).EnableProfiling)
 	if err := ss.Run(); err != nil {
 		return ProfileScenario{}, nil, err
 	}
@@ -317,16 +252,15 @@ func RunProfileReport() (*ProfileReport, error) {
 	report := &ProfileReport{Schema: ProfileSchemaID}
 
 	duos := []struct {
-		name       string
-		mode       Mode
-		withUpdate bool
+		name string
+		mode Mode
 	}{
-		{"memcached-lockstep", ModeLockstep, false},
-		{"memcached-ring", ModeVaran2, false},
-		{"memcached-update", ModeMvedsua2, true},
+		{"memcached-lockstep", ModeLockstep},
+		{"memcached-ring", ModeVaran2},
+		{"memcached-update", ModeMvedsua2},
 	}
 	for _, d := range duos {
-		sc, err := runProfileDuo(d.name, d.mode, d.withUpdate)
+		sc, err := runProfileDuo(d.name, d.mode)
 		if err != nil {
 			return nil, fmt.Errorf("profile duo %s: %w", d.name, err)
 		}

@@ -35,17 +35,21 @@ type Target struct {
 	SpawnClient func(k *vos.Kernel, tk *sim.Task, m *Metrics, stop *bool, id int)
 }
 
+// redis is the server nearly every experiment deploys: kvstore 2.0.0
+// with the calibrated per-command CPU cost.
+func redis() *kvstore.Server {
+	s := kvstore.New(kvstore.SpecFor("2.0.0", false))
+	s.CmdCPU = KVStoreCmdCPU
+	return s
+}
+
 // RedisTarget is the kvstore under the Memtier-like load.
 func RedisTarget() Target {
 	return Target{
 		Name:    "Redis",
 		Port:    kvstore.Port,
 		Clients: 2,
-		MakeApp: func() dsu.App {
-			s := kvstore.New(kvstore.SpecFor("2.0.0", false))
-			s.CmdCPU = KVStoreCmdCPU
-			return s
-		},
+		MakeApp: func() dsu.App { return redis() },
 		MakeUpdate: func() *dsu.Version {
 			return kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{})
 		},
@@ -114,10 +118,17 @@ func Table2Targets() []Target {
 	}
 }
 
-// world assembles scheduler, kernel and the mode-specific plumbing.
+// world assembles scheduler, kernel and the mode-specific plumbing of
+// one Table 2 cell. The Varan modes wire the monitor by hand instead of
+// through a controller on purpose: they are the baseline the
+// controller's overhead is measured against, and a baseline built by the
+// thing under test could no longer show that thing's cost
+// (TestBaselinesCostWhatTheControllerCosts pins that the two agree).
 type world struct {
 	s       *sim.Scheduler
 	k       *vos.Kernel
+	target  Target
+	mode    Mode
 	mon     *mve.Monitor
 	ctl     *core.Controller
 	leader  *dsu.Runtime
@@ -126,36 +137,20 @@ type world struct {
 	stop    bool
 }
 
-// buildOpts carries the optional observation wiring for a world.
-type buildOpts struct {
-	// rec, if non-nil, is attached to the monitor (MVE modes) or the
-	// controller config (MVEDSUA modes), so per-world recorders can
-	// coexist on a shared scheduler — one ledger per connection group.
-	rec *obs.Recorder
-	// scope labels the controller's scoped lifecycle registry
-	// (core.Config.Scope); empty disables scoping. MVE-only modes have
-	// no controller, so scope is meaningful only with rec in a MVEDSUA
-	// mode.
-	scope string
-}
-
-// build wires a target in the given mode and starts the server on a
-// fresh scheduler.
-func build(target Target, mode Mode, bufCap int) *world {
-	return buildOn(sim.New(), target, mode, bufCap, buildOpts{})
-}
-
-// buildOn wires a target on an existing scheduler — the shard-placement
-// variant of build. Several worlds may share one scheduler (each gets
-// its own kernel, so ports never collide); placing each on a shard of a
-// sim.ShardedScheduler is what the speedup sweep does.
-func buildOn(s *sim.Scheduler, target Target, mode Mode, bufCap int, opts buildOpts) *world {
+// buildOn wires target in mode on s and starts the server. Several
+// worlds may share one scheduler (each gets its own kernel, so ports
+// never collide); placing each on a shard of a sim.ShardedScheduler is
+// what the sharded sweeps do. rec, if non-nil, is attached to the
+// monitor (MVE modes) or the controller config (MVEDSUA modes), so
+// per-world recorders can coexist on a shared scheduler — one ledger per
+// connection group. bufCap 0 means the default 256-entry ring.
+func buildOn(s *sim.Scheduler, target Target, mode Mode, bufCap int, rec *obs.Recorder) *world {
 	k := vos.NewKernel(s)
 	k.BaseCost = KernelCost
 	if target.Setup != nil {
 		target.Setup(k)
 	}
-	w := &world{s: s, k: k}
+	w := &world{s: s, k: k, target: target, mode: mode}
 	app := target.MakeApp()
 	dsuCfg := target.DSU
 	dsuCfg.UpdateCheckCost = DSUCheckCost(mode)
@@ -171,7 +166,7 @@ func buildOn(s *sim.Scheduler, target Target, mode Mode, bufCap int, opts buildO
 		w.leader.Start()
 	case ModeVaran1:
 		w.mon = mve.New(k, bufCap, MVECosts(mode))
-		w.mon.SetRecorder(opts.rec)
+		w.mon.SetRecorder(rec)
 		proc := w.mon.StartSingleLeader("v0")
 		dsuCfg.Name = "leader"
 		dsuCfg.Dispatcher = proc
@@ -181,7 +176,7 @@ func buildOn(s *sim.Scheduler, target Target, mode Mode, bufCap int, opts buildO
 		// Mx-style: two identical versions from the start; the follower
 		// replays the leader's entire execution.
 		w.mon = mve.New(k, bufCap, MVECosts(mode))
-		w.mon.SetRecorder(opts.rec)
+		w.mon.SetRecorder(rec)
 		w.mon.Lockstep = mode == ModeLockstep
 		lproc := w.mon.StartSingleLeader("v0")
 		fproc := w.mon.AttachFollower("v0-follower", nil)
@@ -199,27 +194,11 @@ func buildOn(s *sim.Scheduler, target Target, mode Mode, bufCap int, opts buildO
 			BufferEntries: bufCap,
 			Costs:         MVECosts(mode),
 			DSU:           dsuCfg,
-			Recorder:      opts.rec,
-			Scope:         opts.scope,
+			Recorder:      rec,
 		})
 		w.ctl.Start(app)
 	}
 	return w
-}
-
-// spawnClients launches the workload.
-func (w *world) spawnClients(target Target, m *Metrics) {
-	n := target.Clients
-	if n <= 0 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		t := w.s.Go(fmt.Sprintf("client%d", i), func(tk *sim.Task) {
-			target.SpawnClient(w.k, tk, m, &w.stop, i)
-		})
-		w.clients = append(w.clients, t)
-	}
 }
 
 // teardown kills every task so the scheduler drains.
@@ -243,6 +222,60 @@ func (w *world) teardown() {
 	}
 }
 
+// measure is the one runner behind every Table 2-style cell: build
+// target in mode on s, then load the world and run drive in it.
+func measure(s *sim.Scheduler, target Target, mode Mode, bufCap int, rec *obs.Recorder, m *Metrics,
+	drive func(w *world, tk *sim.Task) error) error {
+	return buildOn(s, target, mode, bufCap, rec).load(m, drive)
+}
+
+// load starts the target's closed-loop clients recording into m, runs
+// drive in the driver task, tears the world down when it returns, and
+// runs the scheduler dry. It returns the scheduler's error, or else
+// drive's.
+func (w *world) load(m *Metrics, drive func(w *world, tk *sim.Task) error) error {
+	for i := 0; i < max(w.target.Clients, 1); i++ {
+		i := i
+		w.clients = append(w.clients, w.s.Go(fmt.Sprintf("client%d", i), func(tk *sim.Task) {
+			w.target.SpawnClient(w.k, tk, m, &w.stop, i)
+		}))
+	}
+	var driveErr error
+	w.s.Go("driver", func(tk *sim.Task) {
+		driveErr = drive(w, tk)
+		w.teardown()
+	})
+	if err := w.s.Run(); err != nil {
+		return err
+	}
+	return driveErr
+}
+
+// warmUp is the opening of the Table 2 protocol: let the service warm
+// for d — and, in ModeMvedsua2, install the target's update halfway
+// through and keep both versions running, so what follows measures the
+// outdated-leader (validation) stage as Table 2's Mvedsua-2 row does.
+func (w *world) warmUp(tk *sim.Task, d time.Duration) error {
+	if w.mode != ModeMvedsua2 {
+		tk.Sleep(d)
+		return nil
+	}
+	tk.Sleep(d / 2)
+	w.ctl.Update(w.target.MakeUpdate())
+	tk.Sleep(d / 2)
+	return w.validating("update not installed by end of warmup")
+}
+
+// validating closes the protocol: in ModeMvedsua2 the duo must still be
+// in the outdated-leader stage, or the cell measured something else.
+func (w *world) validating(otherwise string) error {
+	if w.mode != ModeMvedsua2 || w.ctl.Stage() == core.StageOutdatedLeader {
+		return nil
+	}
+	return fmt.Errorf("%s/%v: %s (stage %v, divergences %v)",
+		w.target.Name, w.mode, otherwise, w.ctl.Stage(), w.ctl.Monitor().Divergences())
+}
+
 // SteadyStateResult is one Table 2 cell.
 type SteadyStateResult struct {
 	Target string
@@ -251,47 +284,19 @@ type SteadyStateResult struct {
 	OpsPerSec float64
 }
 
-// RunSteadyState measures a target in a mode: warmup, then a measurement
-// window. For ModeMvedsua2 the update is installed during warmup so the
-// window measures the outdated-leader (validation) stage, as Table 2's
-// Mvedsua-2 row does.
+// RunSteadyState measures a target in a mode: warmup (see warmUp), then
+// a measurement window.
 func RunSteadyState(target Target, mode Mode, warmup, window time.Duration) (SteadyStateResult, error) {
-	w := build(target, mode, 0)
-	m := NewMetrics(0)
-	m.SetCollecting(false)
-	w.spawnClients(target, m)
-
 	res := SteadyStateResult{Target: target.Name, Mode: mode}
-	var runErr error
-	w.s.Go("driver", func(tk *sim.Task) {
-		if mode == ModeMvedsua2 {
-			// Let the service warm briefly, then install the update and
-			// keep both versions running for the whole window.
-			tk.Sleep(warmup / 2)
-			w.ctl.Update(target.MakeUpdate())
-			tk.Sleep(warmup / 2)
-			if w.ctl.Stage() != core.StageOutdatedLeader {
-				runErr = fmt.Errorf("%s/%v: update not installed by end of warmup (stage %v, divergences %v)",
-					target.Name, mode, w.ctl.Stage(), w.ctl.Monitor().Divergences())
-				w.teardown()
-				return
-			}
-		} else {
-			tk.Sleep(warmup)
+	m := NewMetrics(0)
+	err := measure(sim.New(), target, mode, 0, nil, m, func(w *world, tk *sim.Task) error {
+		if err := w.warmUp(tk, warmup); err != nil {
+			return err
 		}
 		m.Reset(tk.Now())
-		m.SetCollecting(true)
 		tk.Sleep(window)
-		m.SetCollecting(false)
 		res.OpsPerSec = m.Throughput(window)
-		if mode == ModeMvedsua2 && w.ctl.Stage() != core.StageOutdatedLeader {
-			runErr = fmt.Errorf("%s/%v: duo did not survive the window (stage %v, divergences %v)",
-				target.Name, mode, w.ctl.Stage(), w.ctl.Monitor().Divergences())
-		}
-		w.teardown()
+		return w.validating("duo did not survive the window")
 	})
-	if err := w.s.Run(); err != nil {
-		return res, err
-	}
-	return res, runErr
+	return res, err
 }

@@ -1,0 +1,181 @@
+package bench
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"mvedsua/internal/apps/kvstore"
+	"mvedsua/internal/apptest"
+	"mvedsua/internal/chaos"
+	"mvedsua/internal/core"
+	"mvedsua/internal/obs"
+	"mvedsua/internal/sim"
+	"mvedsua/internal/sysabi"
+	"mvedsua/internal/vos"
+)
+
+// TestScenarioRunBindsThePlan: a Role-only injection on a duo and a
+// Proc-only injection on a fleet both fire through scenario.run, and the
+// plan reports into the world's recorder.
+func TestScenarioRunBindsThePlan(t *testing.T) {
+	for _, sc := range []scenario{
+		{
+			name:   "role-only",
+			faults: []*chaos.Injection{{Role: "follower", Op: sysabi.OpWrite, AfterCalls: 2, Kind: chaos.KindErrno, Errno: sysabi.EPIPE}},
+			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+				incr(tk, c, 6)
+			},
+		},
+		{
+			name:   "proc-only",
+			cfg:    fleetConfig(2),
+			faults: []*chaos.Injection{{Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 3, Kind: chaos.KindCrash}},
+			drive:  func(w *apptest.World, tk *sim.Task, c *apptest.Client) { incr(tk, c, 6) },
+		},
+	} {
+		w, plan, err := sc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		if plan.Fired() != 1 || len(plan.Log) != 1 {
+			t.Errorf("%s: fired %d, log %v; want the one injection", sc.name, plan.Fired(), plan.Log)
+		}
+		if plan.Rec != w.Rec || w.Rec.Counter(obs.CChaosFired) != 1 {
+			t.Errorf("%s: plan.Rec is not the world's recorder (chaos.fired = %d)", sc.name, w.Rec.Counter(obs.CChaosFired))
+		}
+	}
+}
+
+// TestScenarioRunOrder pins the runner's sequence: setup sees the built
+// world before the server starts, so a When gate bound there reads the
+// live controller; when drive returns the client is closed and the world
+// finished; and a fleet world — not a duo — waits out the settle delay
+// before tearing down.
+func TestScenarioRunOrder(t *testing.T) {
+	gated := &chaos.Injection{Role: "follower", Kind: chaos.KindDelay, Delay: time.Millisecond}
+	var startedAtSetup bool
+	var updatedAt, doneAt time.Duration
+	var client *apptest.Client
+	sc := scenario{
+		faults: []*chaos.Injection{gated},
+		setup: func(w *apptest.World) {
+			startedAtSetup = w.C.LeaderRuntime() != nil
+			gated.When = func() bool { return w.C.Stage() == core.StageOutdatedLeader }
+		},
+		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+			client = c
+			incr(tk, c, 2)
+			updatedAt = tk.Now()
+			w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+			incr(tk, c, 4)
+			doneAt = tk.Now()
+		},
+	}
+	w, plan, err := sc.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if startedAtSetup {
+		t.Error("setup ran after the server started")
+	}
+	if !gated.Fired() || plan.Log[0].At < updatedAt {
+		t.Errorf("When gate bound in setup did not hold the fault until the update (log %v, update at %v)", plan.Log, updatedAt)
+	}
+	if !w.Done() {
+		t.Error("world not finished after drive returned")
+	}
+	var again sysabi.Result
+	w.S.Go("probe", func(tk *sim.Task) {
+		again = w.K.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: client.FD()})
+	})
+	if err := w.S.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if again.Err != sysabi.EBADF {
+		t.Errorf("closing the driver's client again: %v, want EBADF (the runner closes it)", again.Err)
+	}
+	const settle = 100 * time.Millisecond
+	if tail := w.S.Now() - doneAt; tail >= settle {
+		t.Errorf("duo world waited %v after the driver; only fleets settle", tail)
+	}
+
+	sc = scenario{cfg: fleetConfig(1), drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+		incr(tk, c, 2)
+		doneAt = tk.Now()
+	}}
+	if w, _, err = sc.run(); err != nil {
+		t.Fatal(err)
+	}
+	if tail := w.S.Now() - doneAt; tail < settle {
+		t.Errorf("fleet world tore down %v after the driver, want >= the %v settle delay", tail, settle)
+	}
+}
+
+// TestScenarioRunReturnsSchedulerError: a task left blocked forever
+// deadlocks the drained scheduler, and run hands the error back.
+func TestScenarioRunReturnsSchedulerError(t *testing.T) {
+	_, _, err := scenario{
+		setup: func(w *apptest.World) {
+			w.S.Go("stuck", func(tk *sim.Task) {
+				var q sim.WaitQueue
+				tk.Block(&q)
+			})
+		},
+		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) { incr(tk, c, 1) },
+	}.run()
+	var deadlock *sim.DeadlockError
+	if !errors.As(err, &deadlock) {
+		t.Fatalf("err = %v, want a *sim.DeadlockError", err)
+	}
+}
+
+// TestBaselinesCostWhatTheControllerCosts is the differential behind
+// keeping bench.world's hand-wired Varan modes: they are the baseline
+// the controller's overhead is measured against, so they must not be
+// built by the controller — but today a steady-state cell under the bare
+// monitor completes, op for op, what the same target completes under
+// core.New (zero check cost) or a K=1 core.NewFleet. The day the
+// controller adds virtual cost over a bare monitor, this names it.
+func TestBaselinesCostWhatTheControllerCosts(t *testing.T) {
+	const warmup, window = 10 * time.Millisecond, 50 * time.Millisecond
+	ops := func(w *world) int64 {
+		m := NewMetrics(0)
+		var n int64
+		err := w.load(m, func(_ *world, tk *sim.Task) error {
+			tk.Sleep(warmup)
+			m.Reset(tk.Now())
+			tk.Sleep(window)
+			n = m.Ops
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s/%v: %v", w.target.Name, w.mode, err)
+		}
+		return n
+	}
+	underController := func(target Target, mode Mode) *world {
+		s := sim.New()
+		k := vos.NewKernel(s)
+		k.BaseCost = KernelCost
+		cfg := core.Config{BufferEntries: 256, Costs: MVECosts(mode), DSU: target.DSU, Lockstep: mode == ModeLockstep}
+		ctl := core.New(k, cfg)
+		if mode != ModeVaran1 {
+			ctl = core.NewFleet(k, core.FleetConfig{Config: cfg, Variants: []string{"follower"}, Canary: core.CanaryGate{Window: time.Second}})
+		}
+		ctl.Start(target.MakeApp())
+		return &world{s: s, k: k, target: target, mode: mode, ctl: ctl}
+	}
+	for _, target := range []Target{RedisTarget(), MemcachedTarget()} {
+		for _, mode := range []Mode{ModeVaran1, ModeVaran2, ModeLockstep} {
+			bare := ops(buildOn(sim.New(), target, mode, 256, nil))
+			ctl := ops(underController(target, mode))
+			if bare == 0 || bare != ctl {
+				t.Errorf("%s/%v: %d ops under the bare monitor, %d under the controller", target.Name, mode, bare, ctl)
+			} else {
+				t.Logf("%s/%v: %d ops either way", target.Name, mode, bare)
+			}
+		}
+	}
+}

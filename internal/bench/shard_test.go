@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 )
@@ -68,33 +67,10 @@ func TestSpeedupPointRunTwiceDeterministic(t *testing.T) {
 	}
 }
 
-// The sharddet experiment is the byte-determinism contract `make check`
-// leans on: two full runs must serialize identically.
-func TestShardDetReportByteDeterministic(t *testing.T) {
-	run := func() []byte {
-		r, err := RunShardDetReport()
-		if err != nil {
-			t.Fatalf("RunShardDetReport: %v", err)
-		}
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		return data
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("sharddet reports differ:\n--- first\n%s\n--- second\n%s", a, b)
-	}
-}
-
 // The sharddet scenario must actually exercise the machinery it claims
 // to: both groups commit their update, and the scoped ledgers record it.
 func TestShardDetReportOutcomes(t *testing.T) {
-	r, err := RunShardDetReport()
-	if err != nil {
-		t.Fatalf("RunShardDetReport: %v", err)
-	}
+	r := decodeFresh[ShardDetReport](t, "sharddet")
 	if len(r.Groups) != 2 {
 		t.Fatalf("groups = %d, want 2", len(r.Groups))
 	}

@@ -16,8 +16,8 @@ import (
 // This file is the sharded-runtime side of the perf experiment: a
 // strong-scaling speedup sweep over sim.ShardedScheduler (the curve in
 // BENCH_perf.json's "speedup" section) and the `benchtool -experiment
-// sharddet` determinism smoke that `make check` runs twice and
-// byte-diffs.
+// sharddet` determinism smoke that the artifact gate runs twice and
+// compares byte for byte.
 
 // SpeedupPoint is one shard count's measurement of the fixed workload.
 // The deterministic fields depend only on virtual time and seeds — two
@@ -105,51 +105,58 @@ func RunSpeedupCurve() (*SpeedupCurve, error) {
 	return curve, nil
 }
 
-// runSpeedupPoint executes the fixed workload at one shard count:
-// speedupGroups record/replay-duo kvstore worlds placed round-robin on
-// the shards, each loaded by bounded closed-loop clients. Groups never
-// interact, so the sweep measures pure shard-parallel throughput; the
-// deterministic fields must come out identical at every shard count.
-func runSpeedupPoint(shards int) (SpeedupPoint, error) {
-	ss := sim.NewSharded(shards, speedupQuantum)
-	target := RedisTarget()
+// shardGroup is one connection group of a sharded sweep: a
+// record/replay-duo kvstore world with its own recorder and client
+// metrics.
+type shardGroup struct {
+	w   *world
+	rec *obs.Recorder
+	m   *Metrics
+}
 
-	type group struct {
-		w    *world
-		rec  *obs.Recorder
-		m    *Metrics
-		left int
-	}
-	groups := make([]*group, speedupGroups)
-	for g := 0; g < speedupGroups; g++ {
-		g := g
-		s := ss.Shard(g % shards)
-		rec := obs.New(s.Now, obs.Options{})
-		gr := &group{rec: rec, m: NewMetrics(0), left: speedupClients}
-		gr.w = buildOn(s, target, ModeVaran2, 256, buildOpts{rec: rec})
-		groups[g] = gr
-		for i := 0; i < speedupClients; i++ {
-			i := i
-			t := s.Go(fmt.Sprintf("g%d-client%d", g, i), func(tk *sim.Task) {
-				defer func() { gr.left-- }()
-				KVWorkload{
-					Port:   kvstore.Port,
-					Flavor: FlavorRESP,
-					Seed:   int64(1000*g + i),
-					MaxOps: speedupOps,
-				}.Run(gr.w.k, tk, gr.m, &gr.w.stop)
-			})
-			gr.w.clients = append(gr.w.clients, t)
+// placeGroups builds the fixed workload of a sharded sweep without
+// running it (callers time ss.Run alone): groups Varan-2 kvstore worlds
+// placed round-robin on ss's shards, each loaded by clients bounded
+// closed-loop clients of ops operations and torn down by its own driver
+// once they finish. Groups never interact, so a sweep measures pure
+// shard-parallel throughput. instrument, if non-nil, prepares each
+// group's recorder before its world is built.
+func placeGroups(ss *sim.ShardedScheduler, groups, clients, ops int, instrument func(*obs.Recorder)) []*shardGroup {
+	target := RedisTarget()
+	out := make([]*shardGroup, groups)
+	for g := range out {
+		s := ss.Shard(g % ss.Shards())
+		gr := &shardGroup{rec: obs.New(s.Now, obs.Options{}), m: NewMetrics(0)}
+		if instrument != nil {
+			instrument(gr.rec)
+		}
+		gr.w = buildOn(s, target, ModeVaran2, 256, gr.rec)
+		out[g] = gr
+		// left is only touched from this shard's scheduler, so the
+		// driver's poll is shard-local state, not cross-thread sharing.
+		left := clients
+		for i := 0; i < clients; i++ {
+			seed := int64(1000*g + i)
+			gr.w.clients = append(gr.w.clients, s.Go(fmt.Sprintf("g%d-client%d", g, i), func(tk *sim.Task) {
+				defer func() { left-- }()
+				KVWorkload{Port: kvstore.Port, Flavor: FlavorRESP, Seed: seed, MaxOps: ops}.Run(gr.w.k, tk, gr.m, &gr.w.stop)
+			}))
 		}
 		s.Go(fmt.Sprintf("g%d-driver", g), func(tk *sim.Task) {
-			// left is only touched from this shard's scheduler, so the
-			// poll is shard-local state, not cross-thread sharing.
-			for gr.left > 0 {
+			for left > 0 {
 				tk.Sleep(time.Millisecond)
 			}
 			gr.w.teardown()
 		})
 	}
+	return out
+}
+
+// runSpeedupPoint executes the fixed workload at one shard count; the
+// deterministic fields must come out identical at every shard count.
+func runSpeedupPoint(shards int) (SpeedupPoint, error) {
+	ss := sim.NewSharded(shards, speedupQuantum)
+	groups := placeGroups(ss, speedupGroups, speedupClients, speedupOps, nil)
 
 	start := time.Now()
 	err := ss.Run()
@@ -198,7 +205,7 @@ type ShardDetGroup struct {
 // exercises every determinism-critical path at once — parallel shards,
 // a cross-shard Send steering a remote update, scoped registries merged
 // into one aggregate, and the merged scheduling trace — and is
-// byte-identical across runs; `make check` runs it twice and diffs.
+// byte-identical across runs; the artifact gate runs it twice and compares.
 type ShardDetReport struct {
 	Schema     string          `json:"schema"`
 	Shards     int             `json:"shards"`
@@ -224,48 +231,34 @@ func RunShardDetReport() (*ShardDetReport, error) {
 	sw.SS.SetTraceCapacity(64)
 
 	for _, w := range sw.Worlds {
-		srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-		srv.CmdCPU = KVStoreCmdCPU
-		w.C.Start(srv)
+		w.C.Start(redis())
 	}
-
-	lifecycle := func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-		incr := func(n int) {
-			for i := 0; i < n; i++ {
-				c.Do(tk, "INCR counter")
-				tk.Sleep(10 * time.Millisecond)
-			}
-		}
-		incr(3)
-		w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
-		incr(5)
-		w.C.Promote()
-		incr(5)
-		w.C.Commit()
-		incr(2)
+	// drive spawns group g's driver with a connected client.
+	drive := func(g int, body func(w *apptest.World, tk *sim.Task, c *apptest.Client)) {
+		w := sw.Worlds[g]
+		w.S.Go(fmt.Sprintf("g%d-driver", g), func(tk *sim.Task) {
+			defer w.Finish()
+			c := apptest.Connect(w.K, tk, kvstore.Port)
+			defer c.Close(tk)
+			body(w, tk, c)
+		})
+	}
+	update := func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+		lifecycle(w.C, func(n int) { incr(tk, c, n) })
 	}
 
 	// Group 1 waits for the cross-shard trigger; the flag is only ever
 	// touched from shard 1's scheduler.
 	var triggered bool
-	w1 := sw.Worlds[1]
-	w1.S.Go("g1-driver", func(tk *sim.Task) {
-		defer w1.Finish()
-		c := apptest.Connect(w1.K, tk, kvstore.Port)
-		defer c.Close(tk)
+	drive(1, func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 		for !triggered {
 			c.Do(tk, "INCR warm")
 			tk.Sleep(10 * time.Millisecond)
 		}
-		lifecycle(w1, tk, c)
+		update(w, tk, c)
 	})
-
-	w0 := sw.Worlds[0]
-	w0.S.Go("g0-driver", func(tk *sim.Task) {
-		defer w0.Finish()
-		c := apptest.Connect(w0.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		lifecycle(w0, tk, c)
+	drive(0, func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+		update(w, tk, c)
 		sw.SS.Send(tk, 1, "g0-trigger", func(*sim.Task) { triggered = true })
 	})
 

@@ -95,12 +95,49 @@ type SLOBenchReport struct {
 	Runs   []SLORunRow `json:"runs"`
 }
 
-// sloDo issues one tracked request: latency is the client-observed
-// round trip, success is an exact reply match.
-func sloDo(tr *obs.SLOTracker, c *apptest.Client, tk *sim.Task, cmd, want string) {
-	start := tk.Now()
-	got := c.Do(tk, cmd)
-	tr.Request(got == want, tk.Now()-start)
+// tracked is a scenario whose requests feed an availability ledger
+// (obs.SLOTracker) — the shape the slo and train experiments share.
+type tracked struct {
+	name, desc string
+	cfg        core.FleetConfig
+	faults     []*chaos.Injection
+	// setup adds instruments beyond the tracker: spans, scoped
+	// registries, verdict streams.
+	setup func(w *apptest.World)
+	// load issues the run's requests through do, steers the lifecycle,
+	// and returns the row's outcome line.
+	load func(w *apptest.World, do doFunc) string
+}
+
+// doFunc issues one tracked request — a round trip scored against the
+// exact reply want — then pauses.
+type doFunc func(cmd, want string, pause time.Duration)
+
+// run executes the scenario and calls row inside the driver, once the
+// load is done and the ledger's windows are closed: the figures must be
+// read before teardown mutates the world.
+func (t tracked) run(row func(w *apptest.World, tr *obs.SLOTracker, outcome string)) error {
+	var tr *obs.SLOTracker
+	_, _, err := scenario{
+		cfg: t.cfg, faults: t.faults,
+		setup: func(w *apptest.World) {
+			tr = obs.NewSLOTracker(w.Rec, sloOpts())
+			t.setup(w)
+		},
+		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+			outcome := t.load(w, func(cmd, want string, pause time.Duration) {
+				start := tk.Now()
+				got := c.Do(tk, cmd)
+				tr.Request(got == want, tk.Now()-start)
+				if pause > 0 { // Sleep(0) still yields: one more dispatch
+					tk.Sleep(pause)
+				}
+			})
+			w.Rec.CloseWindows()
+			row(w, tr, outcome)
+		},
+	}.run()
+	return err
 }
 
 // sloFloorEngine installs the success-rate floor rule on a scenario
@@ -182,190 +219,120 @@ func sloScopeRows(rec *obs.Recorder) ([]SLOScopeRow, *SLOScopeRow) {
 	return rows, &m
 }
 
-// finishSLORow computes the run row fields that must be read inside the
-// driver, before teardown mutates the world.
-func finishSLORow(row *SLORunRow, rec *obs.Recorder, tr *obs.SLOTracker, started time.Duration, engines ...*core.HealthEngine) {
-	rec.CloseWindows()
-	row.Requests = rec.Counter(obs.CSLORequestsOK) + rec.Counter(obs.CSLORequestsFail)
-	row.VirtualMillis = float64(rec.Now()-started) / float64(time.Millisecond)
-	opts := tr.Options()
-	row.WindowNS = int64(opts.Window)
-	row.StallThresholdNS = int64(opts.StallThreshold)
-	row.BudgetP99NS = int64(opts.LatencyBudgetP99)
-	row.Ledger = tr.Report()
-	row.Verdicts = sloVerdicts(engines...)
-	row.Scopes, row.ScopesMerged = sloScopeRows(rec)
-}
-
-// runSLOUpdateUnderLoad measures availability through a staged update
-// whose state transformation is long enough to fill the ring: the
-// leader serves in parallel with the transformation (MVEDSUA's core
-// win) until FullBlock backpressure parks it, and the resulting gap is
-// attributed to the update via stage milestones and the xform span.
-func runSLOUpdateUnderLoad() (SLORunRow, error) {
-	cfg := core.Config{BufferEntries: 64}
-	cfg.Costs = MVECosts(ModeVaran2)
-	w := apptest.NewWorld(cfg)
-	w.EnableSpanTracing() // xform spans feed the ledger's update attribution
-	tr := obs.NewSLOTracker(w.Rec, sloOpts())
-	floor := sloFloorEngine(w.Rec)
-
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
-	w.C.Start(srv)
-
-	row := SLORunRow{
-		Name:        "update-under-load",
-		Description: "staged update with a 150us-per-entry state transformation under closed-loop load",
+// sloScenarios lists the availability scenarios. A row's verdict stream
+// is the success-rate floor engine's plus the controller's own health
+// engine's (the watchdog's or the canary gate's, where one is armed).
+func sloScenarios() []tracked {
+	update := func(w *apptest.World, opts kvstore.UpdateOpts) {
+		w.C.Update(kvstore.Update("2.0.0", "2.0.1", opts))
 	}
-	started := w.Rec.Now()
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		// Seed the table so the per-entry transformation has real work.
-		for i := 0; i < 150; i++ {
-			sloDo(tr, c, tk, fmt.Sprintf("SET k%03d v", i), "+OK\r\n")
-			tk.Sleep(100 * time.Microsecond)
-		}
-		promoted, committed := false, false
-		for i := 0; i < 400; i++ {
-			switch {
-			case i == 50:
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{
-					PerEntryXform: 150 * time.Microsecond,
-				}))
-			case i >= 300 && !promoted && w.C.Stage() == core.StageOutdatedLeader:
-				promoted = w.C.Promote()
-			case i >= 360 && !committed && w.C.Stage() == core.StageUpdatedLeader:
-				committed = w.C.Commit()
-			}
-			sloDo(tr, c, tk, "INCR load", fmt.Sprintf(":%d\r\n", i+1))
-			tk.Sleep(200 * time.Microsecond)
-		}
-		row.Outcome = fmt.Sprintf("stage=%s leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version())
-		finishSLORow(&row, w.Rec, tr, started, floor)
-	})
-	if err := w.Run(time.Hour); err != nil {
-		return row, err
+	emitVerdicts := func(w *apptest.World) { w.C.Health().EmitVerdicts(true) }
+	canary := fleetConfig(2)
+	canary.Canary.MaxLag = 64
+	canary.BufferEntries = 128
+	return []tracked{
+		{
+			// A staged update whose state transformation is long enough to
+			// fill the ring: the leader serves in parallel with the
+			// transformation (MVEDSUA's core win) until FullBlock
+			// backpressure parks it, and the resulting gap is attributed to
+			// the update via stage milestones and the xform span.
+			name:  "update-under-load",
+			desc:  "staged update with a 150us-per-entry state transformation under closed-loop load",
+			cfg:   duo(core.Config{BufferEntries: 64, Costs: MVECosts(ModeVaran2)}),
+			setup: (*apptest.World).EnableSpanTracing, // xform spans feed the ledger's update attribution
+			load: func(w *apptest.World, do doFunc) string {
+				// Seed the table so the per-entry transformation has real work.
+				for i := 0; i < 150; i++ {
+					do(fmt.Sprintf("SET k%03d v", i), "+OK\r\n", 100*time.Microsecond)
+				}
+				promoted, committed := false, false
+				for i := 0; i < 400; i++ {
+					switch {
+					case i == 50:
+						update(w, kvstore.UpdateOpts{PerEntryXform: 150 * time.Microsecond})
+					case i >= 300 && !promoted && w.C.Stage() == core.StageOutdatedLeader:
+						promoted = w.C.Promote()
+					case i >= 360 && !committed && w.C.Stage() == core.StageUpdatedLeader:
+						committed = w.C.Commit()
+					}
+					do("INCR load", fmt.Sprintf(":%d\r\n", i+1), 200*time.Microsecond)
+				}
+				return fmt.Sprintf("stage=%s leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version())
+			},
+		},
+		{
+			// MTTR through an injected follower stall mid-update: the leader
+			// parks on the full ring until the watchdog's follower-liveness
+			// health rule fires and the controller rolls the update back.
+			// The chaos fault milestone attributes the gap.
+			name:   "fault-and-recover",
+			desc:   "injected follower stall mid-update; watchdog health rule rolls back and frees the leader",
+			cfg:    duo(core.Config{BufferEntries: 16, WatchdogDeadline: 30 * time.Millisecond, Costs: MVECosts(ModeVaran2)}),
+			faults: []*chaos.Injection{{Role: "follower", Op: sysabi.OpWrite, AfterCalls: 40, Kind: chaos.KindStall}},
+			setup:  emitVerdicts,
+			load: func(w *apptest.World, do doFunc) string {
+				for i := 0; i < 400; i++ {
+					if i == 40 {
+						update(w, kvstore.UpdateOpts{})
+					}
+					do("INCR load", fmt.Sprintf(":%d\r\n", i+1), 200*time.Microsecond)
+				}
+				return fmt.Sprintf("stage=%s leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version())
+			},
+		},
+		{
+			// A fleet canary failure: the canary stalls mid-window, pins the
+			// shared ring until backpressure parks the leader, and the
+			// canary gate's ring-lag health rule rolls it back at window
+			// close. Scoped registries are on, so the row also carries
+			// per-process metric summaries and their deterministic merge.
+			name:   "canary-rollback",
+			desc:   "fleet canary stalls mid-window; the gate's ring-lag rule rolls it back at window close",
+			cfg:    canary,
+			faults: []*chaos.Injection{{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 8, Kind: chaos.KindStall}},
+			setup: func(w *apptest.World) {
+				w.Rec.EnableScopes()
+				emitVerdicts(w)
+			},
+			load: func(w *apptest.World, do doFunc) string {
+				for i := 0; i < 600; i++ {
+					if i == 30 {
+						update(w, kvstore.UpdateOpts{})
+					}
+					do("INCR load", fmt.Sprintf(":%d\r\n", i+1), 300*time.Microsecond)
+				}
+				return fmt.Sprintf("phase=%s leader=%s rollbacks=%d",
+					w.C.Phase(), w.C.LeaderRuntime().App().Version(), w.Rec.Counter(obs.CCanaryRollbacks))
+			},
+		},
 	}
-	return row, nil
-}
-
-// runSLOFaultRecover measures MTTR through an injected follower stall
-// mid-update: the leader parks on the full ring until the watchdog's
-// follower-liveness health rule fires and the controller rolls the
-// update back. The chaos fault milestone attributes the gap.
-func runSLOFaultRecover() (SLORunRow, error) {
-	cfg := core.Config{BufferEntries: 16, WatchdogDeadline: 30 * time.Millisecond}
-	cfg.Costs = MVECosts(ModeVaran2)
-	plan := chaos.NewPlan(&chaos.Injection{
-		Role: "follower", Op: sysabi.OpWrite, AfterCalls: 40, Kind: chaos.KindStall,
-	})
-	cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-		return chaos.WrapProc(role, name, d, plan)
-	}
-	w := apptest.NewWorld(cfg)
-	plan.Rec = w.Rec
-	tr := obs.NewSLOTracker(w.Rec, sloOpts())
-	floor := sloFloorEngine(w.Rec)
-	w.C.Health().EmitVerdicts(true)
-
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
-	w.C.Start(srv)
-
-	row := SLORunRow{
-		Name:        "fault-and-recover",
-		Description: "injected follower stall mid-update; watchdog health rule rolls back and frees the leader",
-	}
-	started := w.Rec.Now()
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		for i := 0; i < 400; i++ {
-			if i == 40 {
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
-			}
-			sloDo(tr, c, tk, "INCR load", fmt.Sprintf(":%d\r\n", i+1))
-			tk.Sleep(200 * time.Microsecond)
-		}
-		row.Outcome = fmt.Sprintf("stage=%s leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version())
-		finishSLORow(&row, w.Rec, tr, started, floor, w.C.Health())
-	})
-	if err := w.Run(time.Hour); err != nil {
-		return row, err
-	}
-	return row, nil
-}
-
-// runSLOCanaryRollback measures a fleet canary failure: the canary
-// stalls mid-window, pins the shared ring until backpressure parks the
-// leader, and the canary gate's ring-lag health rule rolls it back at
-// window close. Scoped registries are on, so the row also carries
-// per-process metric summaries and their deterministic merge.
-func runSLOCanaryRollback() (SLORunRow, error) {
-	cfg := core.FleetConfig{
-		Variants: []string{"r1", "r2"},
-		Canary:   core.CanaryGate{Window: 150 * time.Millisecond, MaxDivergences: 2, MaxLag: 64},
-	}
-	cfg.BufferEntries = 128
-	cfg.Costs = MVECosts(ModeVaran2)
-	plan := chaos.NewPlan(&chaos.Injection{
-		Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 8, Kind: chaos.KindStall,
-	})
-	cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-		return chaos.WrapProc(role, name, d, plan)
-	}
-	w := apptest.NewFleetWorld(cfg)
-	plan.Rec = w.Rec
-	w.Rec.EnableScopes()
-	tr := obs.NewSLOTracker(w.Rec, sloOpts())
-	floor := sloFloorEngine(w.Rec)
-	w.C.Health().EmitVerdicts(true)
-
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
-	w.C.Start(srv)
-
-	row := SLORunRow{
-		Name:        "canary-rollback",
-		Description: "fleet canary stalls mid-window; the gate's ring-lag rule rolls it back at window close",
-	}
-	started := w.Rec.Now()
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		for i := 0; i < 600; i++ {
-			if i == 30 {
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
-			}
-			sloDo(tr, c, tk, "INCR load", fmt.Sprintf(":%d\r\n", i+1))
-			tk.Sleep(300 * time.Microsecond)
-		}
-		row.Outcome = fmt.Sprintf("phase=%s leader=%s rollbacks=%d",
-			w.C.Phase(), w.C.LeaderRuntime().App().Version(), w.Rec.Counter(obs.CCanaryRollbacks))
-		finishSLORow(&row, w.Rec, tr, started, floor, w.C.Health())
-	})
-	if err := w.Run(time.Hour); err != nil {
-		return row, err
-	}
-	return row, nil
 }
 
 // RunSLOReport executes every availability scenario and assembles the
 // report.
 func RunSLOReport() (SLOBenchReport, error) {
 	report := SLOBenchReport{Schema: SLOSchemaID, Floor: sloSuccessFloor}
-	runners := []func() (SLORunRow, error){
-		runSLOUpdateUnderLoad,
-		runSLOFaultRecover,
-		runSLOCanaryRollback,
-	}
-	for _, run := range runners {
-		row, err := run()
+	for _, sc := range sloScenarios() {
+		row := SLORunRow{Name: sc.name, Description: sc.desc}
+		var floor *core.HealthEngine
+		instruments := sc.setup
+		sc.setup = func(w *apptest.World) {
+			instruments(w)
+			floor = sloFloorEngine(w.Rec)
+		}
+		err := sc.run(func(w *apptest.World, tr *obs.SLOTracker, outcome string) {
+			row.Outcome = outcome
+			row.Requests = w.Rec.Counter(obs.CSLORequestsOK) + w.Rec.Counter(obs.CSLORequestsFail)
+			row.VirtualMillis = float64(w.Rec.Now()) / float64(time.Millisecond)
+			opts := tr.Options()
+			row.WindowNS = int64(opts.Window)
+			row.StallThresholdNS = int64(opts.StallThreshold)
+			row.BudgetP99NS = int64(opts.LatencyBudgetP99)
+			row.Ledger = tr.Report()
+			row.Verdicts = sloVerdicts(floor, w.C.Health())
+			row.Scopes, row.ScopesMerged = sloScopeRows(w.Rec)
+		})
 		if err != nil {
 			return report, fmt.Errorf("slo %s: %w", row.Name, err)
 		}

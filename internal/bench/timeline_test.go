@@ -13,26 +13,20 @@ import (
 	"mvedsua/internal/sim"
 )
 
-// TestTimelineReportDeterministic runs the traced scenarios twice and
-// requires byte-identical report JSON and Chrome trace exports — the
-// contract the committed BENCH_timeline.json relies on.
+// TestTimelineReportDeterministic runs the traced scenarios again and
+// requires the report and — the reason this run-twice test stays, no
+// artifact commits it — the Chrome trace export to be byte-identical to
+// the shared run's.
 func TestTimelineReportDeterministic(t *testing.T) {
-	run := func() ([]byte, []byte) {
-		report, perfetto, err := RunTimelineReport()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data, perfetto
+	first, r1 := fresh(t, "timeline")
+	second, r2, err := experiment(t, "timeline").encoded()
+	if err != nil {
+		t.Fatal(err)
 	}
-	r1, p1 := run()
-	r2, p2 := run()
 	if string(r1) != string(r2) {
 		t.Fatal("timeline reports differ between identical runs")
 	}
+	p1, p2 := first.(TimelineReport).ChromeTrace, second.(TimelineReport).ChromeTrace
 	if string(p1) != string(p2) {
 		t.Fatal("Chrome trace exports differ between identical runs")
 	}
@@ -45,10 +39,8 @@ func TestTimelineReportDeterministic(t *testing.T) {
 // attributes latency: every scenario tracks requests, and the duo
 // phases populate all three decomposition components.
 func TestTimelineReportDecomposesRequests(t *testing.T) {
-	report, perfetto, err := RunTimelineReport()
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared, _ := fresh(t, "timeline")
+	report := shared.(TimelineReport)
 	if report.Schema != TimelineSchemaID {
 		t.Fatalf("schema = %q, want %q", report.Schema, TimelineSchemaID)
 	}
@@ -81,7 +73,7 @@ func TestTimelineReportDecomposesRequests(t *testing.T) {
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(perfetto, &trace); err != nil {
+	if err := json.Unmarshal(report.ChromeTrace, &trace); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]bool{

@@ -56,44 +56,40 @@ type TimelineRun struct {
 type TimelineReport struct {
 	Schema string        `json:"schema"`
 	Runs   []TimelineRun `json:"runs"`
+	// ChromeTrace is the Chrome trace_event export (Perfetto-loadable) of
+	// the last (chaos-recovery) run; `benchtool -perfetto` writes it. No
+	// artifact commits it.
+	ChromeTrace []byte `json:"-"`
 }
 
-// timelineScenario is one traced run's configuration and driver. The
-// plan hook builds the chaos schedule after the world exists, so
-// injections can gate on controller state.
-type timelineScenario struct {
-	name  string
-	cfg   core.Config
-	plan  func(w *apptest.World) *chaos.Plan
-	drive func(w *apptest.World, tk *sim.Task, c *apptest.Client)
-}
-
-// taggedIncr issues n tagged INCR requests, advancing *next for each.
-func taggedIncr(tk *sim.Task, c *apptest.Client, next *uint64, n int) {
-	for i := 0; i < n; i++ {
-		c.DoTagged(tk, *next, "INCR counter")
-		*next++
-		tk.Sleep(10 * time.Millisecond)
+// timelineScenarios lists the traced runs: span tracing on, every client
+// request tagged, counting up from 1.
+func timelineScenarios() []scenario {
+	// tagged returns the run's traffic source: n tagged INCRs 10ms apart.
+	tagged := func(tk *sim.Task, c *apptest.Client) func(n int) {
+		next := uint64(1)
+		return func(n int) {
+			for i := 0; i < n; i++ {
+				c.DoTagged(tk, next, "INCR counter")
+				next++
+				tk.Sleep(10 * time.Millisecond)
+			}
+		}
 	}
-}
-
-func timelineScenarios() []timelineScenario {
-	return []timelineScenario{
+	afterRetry := &chaos.Injection{
+		Role: "follower", Op: sysabi.OpWrite, AfterCalls: 2,
+		Kind: chaos.KindErrno, Errno: sysabi.EPIPE,
+	}
+	return []scenario{
 		{
 			// The clean Figure 6 lifecycle with every request tagged:
 			// single-leader, duo validation, promotion, commit. The
 			// request histograms cover all three decomposition
 			// components.
-			name: "lifecycle",
+			name:  "lifecycle",
+			setup: (*apptest.World).EnableSpanTracing,
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-				next := uint64(1)
-				taggedIncr(tk, c, &next, 3)
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
-				taggedIncr(tk, c, &next, 5)
-				w.C.Promote()
-				taggedIncr(tk, c, &next, 5)
-				w.C.Commit()
-				taggedIncr(tk, c, &next, 2)
+				lifecycle(w.C, tagged(tk, c))
 			},
 		},
 		{
@@ -104,122 +100,74 @@ func timelineScenarios() []timelineScenario {
 			// whose Chrome trace export carries the fault, stall and
 			// divergence instants.
 			name: "chaos-recovery",
-			cfg: core.Config{
+			cfg: duo(core.Config{
 				WatchdogDeadline: 50 * time.Millisecond,
 				RetryOnRollback:  true,
 				RetryInterval:    100 * time.Millisecond,
 				MaxRetries:       3,
+			}),
+			faults: []*chaos.Injection{
+				{Role: "follower", AfterCalls: 3, Kind: chaos.KindStall},
+				afterRetry,
 			},
-			plan: func(w *apptest.World) *chaos.Plan {
-				return chaos.NewPlan(
-					&chaos.Injection{
-						Role: "follower", AfterCalls: 3, Kind: chaos.KindStall,
-					},
-					&chaos.Injection{
-						Role: "follower", Op: sysabi.OpWrite, AfterCalls: 2,
-						Kind: chaos.KindErrno, Errno: sysabi.EPIPE,
-						When: func() bool { return w.C.Retries() > 0 },
-					},
-				)
+			setup: func(w *apptest.World) {
+				w.EnableSpanTracing()
+				afterRetry.When = func() bool { return w.C.Retries() > 0 }
 			},
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-				next := uint64(1)
+				traffic := tagged(tk, c)
 				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
 				for i := 0; i < 120; i++ {
-					c.DoTagged(tk, next, "INCR counter")
-					next++
-					tk.Sleep(10 * time.Millisecond)
+					traffic(1)
 					if w.C.Retries() >= 2 && w.C.Stage() == core.StageOutdatedLeader {
 						break
 					}
 				}
-				taggedIncr(tk, c, &next, 3)
-				if w.C.Stage() == core.StageOutdatedLeader {
-					w.C.Promote()
-					taggedIncr(tk, c, &next, 3)
-					w.C.Commit()
-				}
+				promoteIfInstalled(w.C, traffic)
 			},
 		},
 	}
 }
 
-// RunTimelineReport executes every traced scenario and assembles the
-// report, returning alongside it the Chrome trace_event JSON export of
-// the final (chaos-recovery) run.
-func RunTimelineReport() (TimelineReport, []byte, error) {
+// RunTimelineReport executes every traced scenario and summarizes each
+// run's request decomposition.
+func RunTimelineReport() (TimelineReport, error) {
 	report := TimelineReport{Schema: TimelineSchemaID}
-	var perfetto []byte
 	for _, sc := range timelineScenarios() {
-		run, trace, err := runTraced(sc)
+		w, _, err := sc.run()
 		if err != nil {
-			return report, nil, fmt.Errorf("timeline %s: %w", sc.name, err)
+			return report, fmt.Errorf("timeline %s: %w", sc.name, err)
+		}
+		run := TimelineRun{
+			Name:           sc.name,
+			Outcome:        fmt.Sprintf("%v leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version()),
+			VirtualSeconds: w.S.Now().Seconds(),
+			Requests:       w.Rec.Counter(obs.CReqTracked),
+			Components:     map[string]LatencyComponent{},
+			Spans:          len(w.Rec.Spans()),
+			SpansDropped:   w.Rec.SpansDropped(),
+		}
+		for _, name := range []string{obs.HReqService, obs.HReqRingWait, obs.HReqValidateLag} {
+			h := w.Rec.Hist(name)
+			if h == nil {
+				run.Components[name] = LatencyComponent{}
+				continue
+			}
+			run.Components[name] = LatencyComponent{
+				Count:  h.Count,
+				MeanNS: int64(h.Mean()),
+				P50NS:  int64(h.Quantile(0.50)),
+				P95NS:  int64(h.Quantile(0.95)),
+				P99NS:  int64(h.Quantile(0.99)),
+				MaxNS:  int64(h.Max),
+			}
 		}
 		report.Runs = append(report.Runs, run)
-		perfetto = trace
-	}
-	return report, perfetto, nil
-}
-
-// runTraced executes one scenario with span tracing fully enabled and
-// summarizes its request decomposition.
-func runTraced(sc timelineScenario) (TimelineRun, []byte, error) {
-	cfg := sc.cfg
-	var plan *chaos.Plan
-	planHook := sc.plan
-	cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-		if plan == nil {
-			return d
-		}
-		return chaos.Wrap(role, d, plan)
-	}
-	w := apptest.NewWorld(cfg)
-	if planHook != nil {
-		plan = planHook(w)
-		plan.Rec = w.Rec
-	}
-	w.EnableSpanTracing()
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
-	w.C.Start(srv)
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		sc.drive(w, tk, c)
-	})
-	if err := w.Run(time.Hour); err != nil {
-		return TimelineRun{}, nil, err
-	}
-	run := TimelineRun{
-		Name:           sc.name,
-		Outcome:        fmt.Sprintf("%v leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version()),
-		VirtualSeconds: w.S.Now().Seconds(),
-		Requests:       w.Rec.Counter(obs.CReqTracked),
-		Components:     map[string]LatencyComponent{},
-		Spans:          len(w.Rec.Spans()),
-		SpansDropped:   w.Rec.SpansDropped(),
-	}
-	for _, name := range []string{obs.HReqService, obs.HReqRingWait, obs.HReqValidateLag} {
-		h := w.Rec.Hist(name)
-		if h == nil {
-			run.Components[name] = LatencyComponent{}
-			continue
-		}
-		run.Components[name] = LatencyComponent{
-			Count:  h.Count,
-			MeanNS: int64(h.Mean()),
-			P50NS:  int64(h.Quantile(0.50)),
-			P95NS:  int64(h.Quantile(0.95)),
-			P99NS:  int64(h.Quantile(0.99)),
-			MaxNS:  int64(h.Max),
+		if report.ChromeTrace, err = w.Rec.ExportChromeTrace(); err != nil {
+			return report, fmt.Errorf("timeline %s: %w", sc.name, err)
 		}
 	}
-	trace, err := w.Rec.ExportChromeTrace()
-	if err != nil {
-		return TimelineRun{}, nil, err
-	}
-	return run, trace, nil
+	return report, nil
 }
 
 // ValidateChromeTrace checks that data is a well-formed Chrome

@@ -1,39 +1,9 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
-
-// TestTrainReportDeterministic runs the full train experiment twice and
-// requires byte-identical JSON — the contract `make check` enforces on
-// the committed BENCH_train.json.
-func TestTrainReportDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full train scenarios in -short mode")
-	}
-	r1, err := RunTrainReport()
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	r2, err := RunTrainReport()
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	j1, err := json.Marshal(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := json.Marshal(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Fatal("train report not byte-stable across runs")
-	}
-}
 
 // TestTrainSweepLazyBoundedEagerGrows is the tentpole's acceptance
 // check: across a 10x keyspace spread the eager update pause (and the
@@ -43,10 +13,7 @@ func TestTrainSweepLazyBoundedEagerGrows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full train scenarios in -short mode")
 	}
-	report, err := RunTrainReport()
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := decodeFresh[TrainBenchReport](t, "train")
 	if report.Schema != TrainSchemaID {
 		t.Fatalf("schema = %q", report.Schema)
 	}
@@ -101,10 +68,7 @@ func TestTrainRunsOutcomes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full train scenarios in -short mode")
 	}
-	report, err := RunTrainReport()
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := decodeFresh[TrainBenchReport](t, "train")
 	byName := map[string]TrainRunRow{}
 	for _, run := range report.Runs {
 		byName[run.Name] = run

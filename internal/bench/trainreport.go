@@ -107,8 +107,7 @@ func trainSweepOne(keyspace int, lazy bool) (TrainSweepRow, error) {
 	rec.EnableSpans() // xform spans feed the ledger's update attribution
 	tr := obs.NewSLOTracker(rec, sloOpts())
 
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
+	srv := redis()
 	srv.Preload(keyspace)
 	rt := dsu.NewRuntime(s, srv, dsu.Config{Name: "kitsune", Dispatcher: k, Rec: rec})
 	rt.Start()
@@ -187,44 +186,20 @@ func trainEvents(timeline []core.Event) []TrainEventRow {
 	return out
 }
 
-// finishTrainRow computes the run-row fields that must be read inside
-// the driver, before teardown mutates the world.
-func finishTrainRow(row *TrainRunRow, w *apptest.World, tr *obs.SLOTracker, started time.Duration) {
-	w.Rec.CloseWindows()
-	row.Requests = w.Rec.Counter(obs.CSLORequestsOK) + w.Rec.Counter(obs.CSLORequestsFail)
-	row.VirtualMillis = float64(w.Rec.Now()-started) / float64(time.Millisecond)
-	row.Ledger = tr.Report()
-	row.Events = trainEvents(w.C.Timeline())
-}
-
-// trainWorld wires the standard duo world the controller scenarios
-// share.
-func trainWorld() (*apptest.World, *obs.SLOTracker) {
-	cfg := core.Config{BufferEntries: 128}
-	cfg.Costs = MVECosts(ModeVaran2)
-	w := apptest.NewWorld(cfg)
-	w.EnableSpanTracing()
-	tr := obs.NewSLOTracker(w.Rec, sloOpts())
-	srv := kvstore.New(kvstore.SpecFor("2.0.0", false))
-	srv.CmdCPU = KVStoreCmdCPU
-	w.C.Start(srv)
-	return w, tr
-}
-
 // trainStep advances the controller's lifecycle one notch when it has
 // lingered in a stage long enough for validation traffic to accumulate.
-func trainStep(w *apptest.World, lingered *int) {
-	switch w.C.Stage() {
+func trainStep(c *core.Controller, lingered *int) {
+	switch c.Stage() {
 	case core.StageOutdatedLeader:
 		*lingered++
 		if *lingered >= 8 {
-			w.C.Promote()
+			c.Promote()
 			*lingered = 0
 		}
 	case core.StageUpdatedLeader:
 		*lingered++
 		if *lingered >= 8 {
-			w.C.Commit()
+			c.Commit()
 			*lingered = 0
 		}
 	default:
@@ -232,130 +207,96 @@ func trainStep(w *apptest.World, lingered *int) {
 	}
 }
 
-// runTrainChain queues the whole lineage 2.0.0 -> 2.1.0 up front and
-// drains it hop by hop under sustained traffic, every hop lazy.
-func runTrainChain() (TrainRunRow, error) {
-	w, tr := trainWorld()
-	row := TrainRunRow{
-		Name:        "train-chain",
-		Description: "four lazy hops 2.0.0 -> 2.1.0 queued up front, drained FIFO under load",
+// trainScenarios lists the controller scenarios; RunTrainReport runs
+// each on the same 128-entry-ring duo with span tracing on.
+func trainScenarios() []tracked {
+	const pause = 500 * time.Microsecond
+	hop := func(from, to string, opts kvstore.UpdateOpts) *dsu.Version {
+		opts.PerEntryXform = time.Microsecond
+		return kvstore.Update(from, to, opts)
 	}
-	started := w.Rec.Now()
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		for i := 0; i < 40; i++ {
-			sloDo(tr, c, tk, fmt.Sprintf("SET cold:%02d v", i), "+OK\r\n")
-			tk.Sleep(100 * time.Microsecond)
-		}
-		var positions []int
-		for i := 0; i+1 < len(kvstore.Versions); i++ {
-			v := kvstore.Update(kvstore.Versions[i], kvstore.Versions[i+1], kvstore.UpdateOpts{
-				Lazy: true, PerEntryXform: time.Microsecond,
-			})
-			positions = append(positions, w.C.QueueUpdate(v))
-		}
-		lingered := 0
-		for i := 0; i < 600; i++ {
-			trainStep(w, &lingered)
-			sloDo(tr, c, tk, "INCR load", fmt.Sprintf(":%d\r\n", i+1))
-			tk.Sleep(500 * time.Microsecond)
-		}
-		row.Outcome = fmt.Sprintf("stage=%s leader=%s queued=%d positions=%v",
-			w.C.Stage(), w.C.LeaderRuntime().App().Version(), w.C.QueuedUpdates(), positions)
-		finishTrainRow(&row, w, tr, started)
-	})
-	if err := w.Run(time.Hour); err != nil {
-		return row, err
+	outcome := func(c *core.Controller) string {
+		return fmt.Sprintf("stage=%s leader=%s queued=%d", c.Stage(), c.LeaderRuntime().App().Version(), c.QueuedUpdates())
 	}
-	return row, nil
-}
-
-// runTrainRollback queues three hops; the middle one forgets to copy
-// the table (the 2.4 bug), diverges on the first GET, rolls back and
-// takes the queued remainder with it — the last committed version keeps
-// leading.
-func runTrainRollback() (TrainRunRow, error) {
-	w, tr := trainWorld()
-	row := TrainRunRow{
-		Name:        "train-rollback",
-		Description: "mid-chain divergence rolls the hop back and flushes the queued remainder",
+	return []tracked{
+		{
+			// The whole lineage 2.0.0 -> 2.1.0 queued up front and drained
+			// hop by hop under sustained traffic, every hop lazy.
+			name: "train-chain",
+			desc: "four lazy hops 2.0.0 -> 2.1.0 queued up front, drained FIFO under load",
+			load: func(w *apptest.World, do doFunc) string {
+				for i := 0; i < 40; i++ {
+					do(fmt.Sprintf("SET cold:%02d v", i), "+OK\r\n", 100*time.Microsecond)
+				}
+				var positions []int
+				for i := 0; i+1 < len(kvstore.Versions); i++ {
+					v := hop(kvstore.Versions[i], kvstore.Versions[i+1], kvstore.UpdateOpts{Lazy: true})
+					positions = append(positions, w.C.QueueUpdate(v))
+				}
+				lingered := 0
+				for i := 0; i < 600; i++ {
+					trainStep(w.C, &lingered)
+					do("INCR load", fmt.Sprintf(":%d\r\n", i+1), pause)
+				}
+				return fmt.Sprintf("%s positions=%v", outcome(w.C), positions)
+			},
+		},
+		{
+			// Three hops queued; the middle one forgets to copy the table
+			// (the 2.4 bug), diverges on the first GET, rolls back and takes
+			// the queued remainder with it — the last committed version
+			// keeps leading.
+			name: "train-rollback",
+			desc: "mid-chain divergence rolls the hop back and flushes the queued remainder",
+			load: func(w *apptest.World, do doFunc) string {
+				do("SET balance 1000", "+OK\r\n", 0)
+				var positions []int
+				for _, v := range []*dsu.Version{
+					hop("2.0.0", "2.0.1", kvstore.UpdateOpts{Lazy: true}),
+					hop("2.0.1", "2.0.2", kvstore.UpdateOpts{ForgetTable: true}),
+					hop("2.0.2", "2.0.3", kvstore.UpdateOpts{}),
+				} {
+					positions = append(positions, w.C.QueueUpdate(v))
+				}
+				lingered := 0
+				for i := 0; i < 400; i++ {
+					trainStep(w.C, &lingered)
+					if i%4 == 3 {
+						// The probe that exposes the forgotten table copy.
+						do("GET balance", "$4\r\n1000\r\n", pause)
+					} else {
+						do("INCR load", fmt.Sprintf(":%d\r\n", i+1-(i+1)/4), pause)
+					}
+				}
+				return fmt.Sprintf("%s positions=%v", outcome(w.C), positions)
+			},
+		},
+		{
+			// A second update requested while the first is mid-flight: the
+			// plain request is rejected, the queued one waits its turn, and
+			// both end up committed.
+			name: "update-during-update",
+			desc: "a second update mid-flight queues instead of being dropped; both commit",
+			load: func(w *apptest.World, do doFunc) string {
+				rejected, queuedAt := false, -1
+				lingered := 0
+				for i := 0; i < 400; i++ {
+					switch i {
+					case 20:
+						w.C.Update(hop("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+					case 24:
+						v := hop("2.0.1", "2.0.2", kvstore.UpdateOpts{Lazy: true})
+						rejected = !w.C.Update(v)
+						queuedAt = w.C.QueueUpdate(v)
+					default:
+						trainStep(w.C, &lingered)
+					}
+					do("INCR load", fmt.Sprintf(":%d\r\n", i+1), pause)
+				}
+				return fmt.Sprintf("%s second_rejected=%v second_queued_at=%d", outcome(w.C), rejected, queuedAt)
+			},
+		},
 	}
-	started := w.Rec.Now()
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		sloDo(tr, c, tk, "SET balance 1000", "+OK\r\n")
-		hops := []*dsu.Version{
-			kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{Lazy: true, PerEntryXform: time.Microsecond}),
-			kvstore.Update("2.0.1", "2.0.2", kvstore.UpdateOpts{ForgetTable: true, PerEntryXform: time.Microsecond}),
-			kvstore.Update("2.0.2", "2.0.3", kvstore.UpdateOpts{PerEntryXform: time.Microsecond}),
-		}
-		var positions []int
-		for _, v := range hops {
-			positions = append(positions, w.C.QueueUpdate(v))
-		}
-		lingered := 0
-		for i := 0; i < 400; i++ {
-			trainStep(w, &lingered)
-			if i%4 == 3 {
-				// The probe that exposes the forgotten table copy.
-				sloDo(tr, c, tk, "GET balance", "$4\r\n1000\r\n")
-			} else {
-				sloDo(tr, c, tk, "INCR load", fmt.Sprintf(":%d\r\n", i+1-(i+1)/4))
-			}
-			tk.Sleep(500 * time.Microsecond)
-		}
-		row.Outcome = fmt.Sprintf("stage=%s leader=%s queued=%d positions=%v",
-			w.C.Stage(), w.C.LeaderRuntime().App().Version(), w.C.QueuedUpdates(), positions)
-		finishTrainRow(&row, w, tr, started)
-	})
-	if err := w.Run(time.Hour); err != nil {
-		return row, err
-	}
-	return row, nil
-}
-
-// runTrainUpdateDuringUpdate requests a second update while the first
-// is mid-flight: the plain request is rejected, the queued one waits
-// its turn, and both end up committed.
-func runTrainUpdateDuringUpdate() (TrainRunRow, error) {
-	w, tr := trainWorld()
-	row := TrainRunRow{
-		Name:        "update-during-update",
-		Description: "a second update mid-flight queues instead of being dropped; both commit",
-	}
-	started := w.Rec.Now()
-	w.S.Go("driver", func(tk *sim.Task) {
-		defer w.Finish()
-		c := apptest.Connect(w.K, tk, kvstore.Port)
-		defer c.Close(tk)
-		rejected, queuedAt := false, -1
-		lingered := 0
-		for i := 0; i < 400; i++ {
-			switch i {
-			case 20:
-				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{PerEntryXform: time.Microsecond}))
-			case 24:
-				v := kvstore.Update("2.0.1", "2.0.2", kvstore.UpdateOpts{Lazy: true, PerEntryXform: time.Microsecond})
-				rejected = !w.C.Update(v)
-				queuedAt = w.C.QueueUpdate(v)
-			default:
-				trainStep(w, &lingered)
-			}
-			sloDo(tr, c, tk, "INCR load", fmt.Sprintf(":%d\r\n", i+1))
-			tk.Sleep(500 * time.Microsecond)
-		}
-		row.Outcome = fmt.Sprintf("stage=%s leader=%s queued=%d second_rejected=%v second_queued_at=%d",
-			w.C.Stage(), w.C.LeaderRuntime().App().Version(), w.C.QueuedUpdates(), rejected, queuedAt)
-		finishTrainRow(&row, w, tr, started)
-	})
-	if err := w.Run(time.Hour); err != nil {
-		return row, err
-	}
-	return row, nil
 }
 
 // RunTrainReport executes the sweep and every train scenario and
@@ -376,13 +317,17 @@ func RunTrainReport() (TrainBenchReport, error) {
 			report.Sweep = append(report.Sweep, row)
 		}
 	}
-	runners := []func() (TrainRunRow, error){
-		runTrainChain,
-		runTrainRollback,
-		runTrainUpdateDuringUpdate,
-	}
-	for _, run := range runners {
-		row, err := run()
+	for _, sc := range trainScenarios() {
+		sc.cfg = duo(core.Config{BufferEntries: 128, Costs: MVECosts(ModeVaran2)})
+		sc.setup = (*apptest.World).EnableSpanTracing
+		row := TrainRunRow{Name: sc.name, Description: sc.desc}
+		err := sc.run(func(w *apptest.World, tr *obs.SLOTracker, outcome string) {
+			row.Outcome = outcome
+			row.Requests = w.Rec.Counter(obs.CSLORequestsOK) + w.Rec.Counter(obs.CSLORequestsFail)
+			row.VirtualMillis = float64(w.Rec.Now()) / float64(time.Millisecond)
+			row.Ledger = tr.Report()
+			row.Events = trainEvents(w.C.Timeline())
+		})
 		if err != nil {
 			return report, fmt.Errorf("train %s: %w", row.Name, err)
 		}

@@ -19,14 +19,13 @@ type Metrics struct {
 	MaxLatency time.Duration
 	BucketSize time.Duration
 	buckets    map[int]int64
-	collecting bool
 	epoch      time.Duration
 }
 
 // NewMetrics returns a metrics sink with the given throughput bucket
 // width (0 disables bucketing).
 func NewMetrics(bucket time.Duration) *Metrics {
-	return &Metrics{BucketSize: bucket, buckets: make(map[int]int64), collecting: true}
+	return &Metrics{BucketSize: bucket, buckets: make(map[int]int64)}
 }
 
 // Reset clears counters and restarts the bucket epoch at now (end of
@@ -38,14 +37,8 @@ func (m *Metrics) Reset(now time.Duration) {
 	m.epoch = now
 }
 
-// SetCollecting toggles recording (used to exclude warmup).
-func (m *Metrics) SetCollecting(on bool) { m.collecting = on }
-
 // Record accounts one completed operation.
 func (m *Metrics) Record(start, end time.Duration) {
-	if !m.collecting {
-		return
-	}
 	m.Ops++
 	if d := end - start; d > m.MaxLatency {
 		m.MaxLatency = d
@@ -90,15 +83,19 @@ const (
 	FlavorMemcached                 // memcache text protocol
 )
 
-// KVWorkload is a Memtier-like closed-loop client: a 90/10 read/write
-// mix over a bounded key space, starting from an empty store (§6.1).
+// The Memtier-like mix (§6.1): 90/10 reads/writes of 32-byte values over
+// a 10 000-key space, starting from an empty store.
+const (
+	kvKeys     = 10000
+	kvReadPct  = 90
+	kvValueLen = 32
+)
+
+// KVWorkload is a Memtier-like closed-loop client.
 type KVWorkload struct {
-	Port     int64
-	Flavor   KVFlavor
-	Keys     int
-	ReadPct  int
-	ValueLen int
-	Seed     int64
+	Port   int64
+	Flavor KVFlavor
+	Seed   int64
 	// MaxOps, when positive, bounds the run to that many operations —
 	// the fixed-work (strong-scaling) shape the shard speedup sweep
 	// needs, where every shard count must execute the same total load.
@@ -109,26 +106,14 @@ type KVWorkload struct {
 // Run drives the workload inside a sim task until *stop (or MaxOps
 // operations, when bounded), recording into metrics.
 func (wl KVWorkload) Run(k *vos.Kernel, tk *sim.Task, m *Metrics, stop *bool) {
-	keys := wl.Keys
-	if keys <= 0 {
-		keys = 10000
-	}
-	readPct := wl.ReadPct
-	if readPct <= 0 {
-		readPct = 90
-	}
-	vlen := wl.ValueLen
-	if vlen <= 0 {
-		vlen = 32
-	}
 	rng := rand.New(rand.NewSource(wl.Seed))
-	value := strings.Repeat("x", vlen)
+	value := strings.Repeat("x", kvValueLen)
 	c := apptest.Connect(k, tk, wl.Port)
 	defer c.Close(tk)
 	for n := 0; !*stop && (wl.MaxOps <= 0 || n < wl.MaxOps); n++ {
-		key := fmt.Sprintf("memtier-%08d", rng.Intn(keys))
+		key := fmt.Sprintf("memtier-%08d", rng.Intn(kvKeys))
 		start := tk.Now()
-		if rng.Intn(100) < readPct {
+		if rng.Intn(100) < kvReadPct {
 			switch wl.Flavor {
 			case FlavorMemcached:
 				c.Send(tk, "get "+key+"\r\n")
@@ -140,7 +125,7 @@ func (wl KVWorkload) Run(k *vos.Kernel, tk *sim.Task, m *Metrics, stop *bool) {
 		} else {
 			switch wl.Flavor {
 			case FlavorMemcached:
-				c.Send(tk, fmt.Sprintf("set %s 0 0 %d\r\n%s\r\n", key, vlen, value))
+				c.Send(tk, fmt.Sprintf("set %s 0 0 %d\r\n%s\r\n", key, kvValueLen, value))
 				c.RecvUntil(tk, "\r\n")
 			default:
 				c.Send(tk, fmt.Sprintf("SET %s %s\r\n", key, value))

@@ -68,8 +68,7 @@ type Injection struct {
 	Role string
 	// Proc targets the fault at one named process (the proc name the
 	// controller passes to WrapDispatcher, e.g. a specific fleet variant
-	// or the canary); empty matches every process. Only dispatchers
-	// wrapped with WrapProc carry a name to match against.
+	// or the canary); empty matches every process.
 	Proc string
 	// Op restricts the trigger to one syscall; OpInvalid matches any.
 	Op sysabi.Op
@@ -170,25 +169,20 @@ type Dispatcher struct {
 	Calls int
 }
 
-// Wrap returns a dispatcher that injects plan's faults targeted at role
-// into the syscall stream of inner. Injections with a Proc target never
-// match a dispatcher wrapped this way; use WrapProc to carry the name.
-func Wrap(role string, inner sysabi.Dispatcher, plan *Plan) *Dispatcher {
-	return &Dispatcher{role: role, inner: inner, plan: plan}
-}
-
-// WrapProc is Wrap with a process name, so injections can single out one
-// process among several sharing a role — a specific variant of an
-// N-variant fleet, or the canary — via Injection.Proc.
-func WrapProc(role, name string, inner sysabi.Dispatcher, plan *Plan) *Dispatcher {
-	return &Dispatcher{role: role, name: name, inner: inner, plan: plan}
+// Wrap returns inner with p's faults injected into its syscall stream.
+// It has the signature of core.Config.WrapDispatcher, so binding a plan
+// to a controller is `cfg.WrapDispatcher = plan.Wrap`. role matches
+// Injection.Role; name is the process name Injection.Proc singles out
+// among several sharing a role (a specific fleet variant, the canary) —
+// Proc injections never match a dispatcher wrapped with an empty name.
+func (p *Plan) Wrap(role, name string, inner sysabi.Dispatcher) sysabi.Dispatcher {
+	return &Dispatcher{role: role, name: name, inner: inner, plan: p}
 }
 
 // Role returns the role this dispatcher was wrapped with.
 func (d *Dispatcher) Role() string { return d.role }
 
-// Proc returns the process name this dispatcher was wrapped with (empty
-// for Wrap).
+// Proc returns the process name this dispatcher was wrapped with.
 func (d *Dispatcher) Proc() string { return d.name }
 
 // Invoke implements sysabi.Dispatcher: it checks the plan for a due

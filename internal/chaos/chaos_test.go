@@ -35,8 +35,8 @@ func TestErrnoInjectionFiltersRoleOpAndCount(t *testing.T) {
 		Role: "follower", Op: sysabi.OpWrite, AfterCalls: 2,
 		Kind: KindErrno, Errno: sysabi.EAGAIN,
 	})
-	leader := Wrap("leader", inner, plan)
-	follower := Wrap("follower", inner, plan)
+	leader := plan.Wrap("leader", "", inner)
+	follower := plan.Wrap("follower", "", inner)
 
 	run(t, func(tk *sim.Task) {
 		w := sysabi.Call{Op: sysabi.OpWrite, FD: 3, Buf: []byte("x")}
@@ -81,7 +81,7 @@ func TestErrnoInjectionFiltersRoleOpAndCount(t *testing.T) {
 func TestDelayInjectionAddsLatencyThenForwards(t *testing.T) {
 	inner := &fakeDispatcher{}
 	plan := NewPlan(&Injection{Kind: KindDelay, Delay: 25 * time.Millisecond})
-	d := Wrap("leader", inner, plan)
+	d := plan.Wrap("leader", "", inner)
 
 	var before, after time.Duration
 	run(t, func(tk *sim.Task) {
@@ -104,7 +104,7 @@ func TestDelayInjectionAddsLatencyThenForwards(t *testing.T) {
 func TestCrashInjectionBecomesCrashInfo(t *testing.T) {
 	inner := &fakeDispatcher{}
 	plan := NewPlan(&Injection{Role: "follower", AfterCalls: 3, Kind: KindCrash})
-	d := Wrap("follower", inner, plan)
+	d := plan.Wrap("follower", "", inner)
 
 	s := sim.New()
 	var crash sim.CrashInfo
@@ -132,7 +132,7 @@ func TestCrashInjectionBecomesCrashInfo(t *testing.T) {
 func TestStallInjectionParksUntilKilled(t *testing.T) {
 	inner := &fakeDispatcher{}
 	plan := NewPlan(&Injection{Kind: KindStall, AfterCalls: 2})
-	d := Wrap("follower", inner, plan)
+	d := plan.Wrap("follower", "", inner)
 
 	s := sim.New()
 	returned := false
@@ -167,7 +167,7 @@ func TestWhenGatesArmingAndCounting(t *testing.T) {
 		AfterCalls: 2, Kind: KindErrno, Errno: sysabi.EPIPE,
 		When: func() bool { return gate },
 	})
-	d := Wrap("leader", inner, plan)
+	d := plan.Wrap("leader", "", inner)
 
 	run(t, func(tk *sim.Task) {
 		c := sysabi.Call{Op: sysabi.OpWrite, FD: 1, Buf: []byte("y")}
@@ -230,9 +230,9 @@ func TestProcTargetingSinglesOutOneProcess(t *testing.T) {
 		Role: "variant", Proc: "r2#1@v1", Op: sysabi.OpWrite,
 		Kind: KindErrno, Errno: sysabi.EAGAIN,
 	})
-	r1 := WrapProc("variant", "r1#1@v1", inner, plan)
-	r2 := WrapProc("variant", "r2#1@v1", inner, plan)
-	anon := Wrap("variant", inner, plan) // no name: Proc injections skip it
+	r1 := plan.Wrap("variant", "r1#1@v1", inner)
+	r2 := plan.Wrap("variant", "r2#1@v1", inner)
+	anon := plan.Wrap("variant", "", inner) // no name: Proc injections skip it
 
 	run(t, func(tk *sim.Task) {
 		w := sysabi.Call{Op: sysabi.OpWrite, FD: 3, Buf: []byte("x")}
@@ -256,7 +256,7 @@ func TestProcTargetingSinglesOutOneProcess(t *testing.T) {
 	if got := plan.Injections[0].String(); !strings.Contains(got, "variant(r2#1@v1)") {
 		t.Fatalf("Injection.String = %q (proc target missing)", got)
 	}
-	if r2.Proc() != "r2#1@v1" || anon.Proc() != "" {
-		t.Fatalf("Proc() = %q / %q", r2.Proc(), anon.Proc())
+	if got, none := r2.(*Dispatcher).Proc(), anon.(*Dispatcher).Proc(); got != "r2#1@v1" || none != "" {
+		t.Fatalf("Proc() = %q / %q", got, none)
 	}
 }

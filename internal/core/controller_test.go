@@ -912,9 +912,7 @@ func TestChaosStallRollsBackViaWatchdog(t *testing.T) {
 	plan := chaos.NewPlan(&chaos.Injection{Role: "follower", AfterCalls: 3, Kind: chaos.KindStall})
 	h := newHarness(Config{
 		WatchdogDeadline: 40 * time.Millisecond,
-		WrapDispatcher: func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-			return chaos.Wrap(role, d, plan)
-		},
+		WrapDispatcher:   plan.Wrap,
 	})
 	h.c.Start(&srv{version: "v1"})
 	v2 := upgrade(nil, nil)
@@ -955,9 +953,7 @@ func TestChaosStallWithDiscardPolicy(t *testing.T) {
 	h := newHarness(Config{
 		BufferEntries:    4,
 		BufferFullPolicy: mve.FullDiscard,
-		WrapDispatcher: func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-			return chaos.Wrap(role, d, plan)
-		},
+		WrapDispatcher:   plan.Wrap,
 	})
 	h.c.Start(&srv{version: "v1"})
 	v2 := upgrade(nil, nil)

@@ -162,9 +162,7 @@ func TestFleetEjectAndRespawn(t *testing.T) {
 	plan := chaos.NewPlan(&chaos.Injection{
 		Proc: "r2#1@v1", Op: sysabi.OpWrite, AfterCalls: 2, Kind: chaos.KindCrash,
 	})
-	cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-		return chaos.WrapProc(role, name, d, plan)
-	}
+	cfg.WrapDispatcher = plan.Wrap
 	h := newFleetHarness(cfg)
 	var verdicts []string
 	h.fc.OnVerdict = func(v mve.Verdict) { verdicts = append(verdicts, v.String()) }
@@ -304,9 +302,7 @@ func TestCanaryRollbackOnFailedGate(t *testing.T) {
 	plan := chaos.NewPlan(&chaos.Injection{
 		Proc: "canary#1@v2", AfterCalls: 1, Kind: chaos.KindStall,
 	})
-	cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-		return chaos.WrapProc(role, name, d, plan)
-	}
+	cfg.WrapDispatcher = plan.Wrap
 	h := newFleetHarness(cfg)
 	h.fc.Start(&srv{version: "v1"})
 	v2 := upgrade(nil, nil)

@@ -258,9 +258,7 @@ func crashedReplicaHarness(crashAt int) *fleetHarness {
 	plan := chaos.NewPlan(&chaos.Injection{
 		Proc: "r2#1@v1", Op: sysabi.OpWrite, AfterCalls: crashAt, Kind: chaos.KindCrash,
 	})
-	cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-		return chaos.WrapProc(role, name, d, plan)
-	}
+	cfg.WrapDispatcher = plan.Wrap
 	h := newFleetHarness(cfg)
 	h.fc.Start(&srv{version: "v1"})
 	return h

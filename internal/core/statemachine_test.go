@@ -60,9 +60,7 @@ func runRandomizedFleet(t *testing.T, k int, seed int64) {
 	plan := chaos.NewPlan(&chaos.Injection{
 		Role: "variant", Op: sysabi.OpWrite, AfterCalls: 1 + r.Intn(2*steps*k), Kind: chaos.KindCrash,
 	})
-	cfg.WrapDispatcher = func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
-		return chaos.WrapProc(role, name, d, plan)
-	}
+	cfg.WrapDispatcher = plan.Wrap
 	h := newFleetHarness(cfg)
 	h.fc.Start(&srv{version: "v1"})
 
