@@ -7,7 +7,7 @@ GO ?= go
 # compared).
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-sched bench-floor bench-fork experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
 
 all: check
 
@@ -32,7 +32,7 @@ test:
 # artifact gate.
 check: vet fmt-check lint-maps adapter-compat
 	$(GO) test -race ./...
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/ringbuf/ ./internal/mve/ ./internal/vos/ ./internal/apps/kvstore/
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/ringbuf/ ./internal/mve/ ./internal/dsl/ ./internal/vos/ ./internal/apps/kvstore/
 	$(GO) run ./cmd/benchtool -check .
 
 # Map-iteration determinism sweep: flag `for range` over maps in the
@@ -82,6 +82,15 @@ bench-ring:
 # (docs/PERFORMANCE.md "Record/replay path").
 bench-replay:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/mve/
+
+# Rule-path microbenchmarks: one Transform of a kvstore command's window
+# — a hit that forwards, a bind-then-where miss, a hit that emits
+# literals, a miss at the first op — and one recorded-and-rewritten round
+# trip through the monitor; the B/op and allocs/op columns are the point
+# (docs/PERFORMANCE.md "Rule hits: views, a frame, moves").
+bench-rules:
+	$(GO) test -bench Transform -benchmem -run '^$$' ./internal/dsl/
+	$(GO) test -bench RecordReplayRewritten -benchmem -run '^$$' ./internal/mve/
 
 # Syscall-floor microbenchmarks: one intercepted call (echo, file chunk,
 # epoll_wait) and one kvstore request under a single-leader monitor over

@@ -42,8 +42,20 @@ func TestServeLoopAllocations(t *testing.T) {
 // read buffer and reply scratch as soon as a write returns, and nothing
 // changes — nothing downstream of Sys still refers to them.
 func TestServerOwnsItsScratch(t *testing.T) {
+	err := apptest.CheckOwnership(
+		func() dsu.App { return New(SpecFor("2.0.0", false)) },
+		serverScratch, nil, playCommands(ownershipCommands(200)))
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ownershipCommands is a mix of n commands whose replies run from five
+// bytes to a hundred, so pooled buffers of several size classes are in
+// flight at once.
+func ownershipCommands(n int) []string {
 	var cmds []string
-	for i := 0; i < 200; i++ {
+	for i := 0; i < n; i++ {
 		switch i % 5 {
 		case 0:
 			cmds = append(cmds, fmt.Sprintf("SET k%d %s", i%7, strings.Repeat(string(rune('a'+i%26)), 1+i%90)))
@@ -55,24 +67,63 @@ func TestServerOwnsItsScratch(t *testing.T) {
 			cmds = append(cmds, fmt.Sprintf("GET k%d", i%7))
 		}
 	}
-	err := apptest.CheckOwnership(
-		func() dsu.App { return New(SpecFor("2.0.0", false)) },
-		func(app dsu.App, tid int) [][]byte {
-			s := app.(*Server)
-			return [][]byte{s.rbuf[:], s.reply}
-		},
-		nil,
-		func(k *vos.Kernel, tk *sim.Task) string {
-			var read strings.Builder
-			c := apptest.Connect(k, tk, Port)
-			for _, cmd := range cmds {
-				read.WriteString(c.Do(tk, cmd))
+	return cmds
+}
+
+func serverScratch(app dsu.App, tid int) [][]byte {
+	s := app.(*Server)
+	return [][]byte{s.rbuf[:], s.reply}
+}
+
+// playCommands is the driver that sends cmds over one connection and
+// returns every reply.
+func playCommands(cmds []string) func(k *vos.Kernel, tk *sim.Task) string {
+	return func(k *vos.Kernel, tk *sim.Task) string {
+		var read strings.Builder
+		c := apptest.Connect(k, tk, Port)
+		for _, cmd := range cmds {
+			read.WriteString(c.Do(tk, cmd))
+		}
+		c.Close(tk)
+		return read.String()
+	}
+}
+
+// TestRuleHitsOwnTheirPayloads: the same, with a rule firing on every
+// command — the replicas run the next (or previous) version, which orders
+// its clock read and its reply the other way round, and each validates a
+// stream the shipped rules rewrite: the two pairs that carry rules, in the
+// outdated-leader stage (forward rules) and the updated-leader stage
+// (reverse rules), 10 000 commands each. On 2.0.3 <-> 2.1.0 the
+// three-event rule for the new commands also binds every command's read
+// and reply, and misses. EXPIRE, TTL and PERSIST stay out of the mix: the
+// versions answer them with different bytes, by design.
+func TestRuleHitsOwnTheirPayloads(t *testing.T) {
+	const perRun = 2500 // CheckOwnership makes four runs
+	cmds := ownershipCommands(perRun)
+	for _, tc := range []struct {
+		from, to string
+		reverse  bool
+	}{
+		{"2.0.0", "2.0.1", false},
+		{"2.0.0", "2.0.1", true},
+		{"2.0.3", "2.1.0", false},
+		{"2.0.3", "2.1.0", true},
+	} {
+		leader, replica := tc.from, tc.to
+		rules, rev := RulesFor(tc.from, tc.to)
+		if tc.reverse {
+			leader, replica, rules = tc.to, tc.from, rev
+		}
+		t.Run(fmt.Sprintf("leader-%s/replicas-%s", leader, replica), func(t *testing.T) {
+			err := apptest.CheckOwnershipAcross(
+				func() dsu.App { return New(SpecFor(leader, false)) },
+				func() dsu.App { return New(SpecFor(replica, false)) },
+				rules, serverScratch, nil, playCommands(cmds))
+			if err != nil {
+				t.Fatal(err)
 			}
-			c.Close(tk)
-			return read.String()
 		})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mvedsua/internal/core"
+	"mvedsua/internal/dsl"
 	"mvedsua/internal/dsu"
 	"mvedsua/internal/mve"
 	"mvedsua/internal/obs"
@@ -220,10 +221,34 @@ func CheckOwnership(
 	prepare func(k *vos.Kernel),
 	driver func(k *vos.Kernel, tk *sim.Task) string,
 ) error {
+	return CheckOwnershipAcross(newApp, nil, nil, scratch, prepare, driver)
+}
+
+// CheckOwnershipAcross is CheckOwnership across versions: the replicas
+// are newReplica's instances (forks of the leader's when nil), and each
+// validates the leader's stream as rules rewrite it — so with rules that
+// fire on every command, every payload an application sees or is compared
+// with went through a rule hit: bound as a view, moved into an emitted
+// event or dropped, and given back to the ring. A buffer given back twice,
+// or kept by two events, shows here as a corrupted payload: a divergence,
+// or bytes that differ from the leader's. The versions must write the
+// same bytes to their sockets.
+func CheckOwnershipAcross(
+	newApp, newReplica func() dsu.App,
+	rules *dsl.RuleSet,
+	scratch func(app dsu.App, tid int) [][]byte,
+	prepare func(k *vos.Kernel),
+	driver func(k *vos.Kernel, tk *sim.Task) string,
+) error {
 	for _, k := range []int{1, 3} {
 		var calm ownershipRun
 		for _, scribble := range []bool{false, true} {
-			run, err := runOwnership(newApp(), k, scribble, scratch, prepare, driver)
+			app := newApp()
+			replica := app.Fork
+			if newReplica != nil {
+				replica = newReplica
+			}
+			run, err := runOwnership(app, replica, rules, k, scribble, scratch, prepare, driver)
 			if err == nil {
 				err = run.check()
 			}
@@ -264,7 +289,7 @@ func (r ownershipRun) check() error {
 }
 
 func runOwnership(
-	app dsu.App, k int, scribble bool,
+	app dsu.App, replica func() dsu.App, rules *dsl.RuleSet, k int, scribble bool,
 	scratch func(app dsu.App, tid int) [][]byte,
 	prepare func(k *vos.Kernel),
 	driver func(k *vos.Kernel, tk *sim.Task) string,
@@ -280,11 +305,11 @@ func runOwnership(
 	for i := 1; i <= k; i++ {
 		name := "replica" + strconv.Itoa(i)
 		if k == 1 {
-			procs = append(procs, m.AttachFollower(name, nil))
+			procs = append(procs, m.AttachFollower(name, rules))
 		} else {
-			procs = append(procs, m.AttachVariant(name, nil))
+			procs = append(procs, m.AttachVariant(name, rules))
 		}
-		apps = append(apps, app.Fork())
+		apps = append(apps, replica())
 	}
 	var rts []*dsu.Runtime
 	var taps []*scribbler

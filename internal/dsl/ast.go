@@ -134,8 +134,13 @@ type Expr interface {
 	isExpr()
 }
 
-// StringLit is a quoted string literal.
-type StringLit struct{ Value string }
+// StringLit is a quoted string literal. The parser also stores the
+// literal as bytes, once, so that evaluating it converts nothing; a
+// literal built by hand is converted each time.
+type StringLit struct {
+	Value string
+	bytes []byte
+}
 
 // IntLit is an integer literal.
 type IntLit struct{ Value int64 }
@@ -264,20 +269,9 @@ func (t Template) String() string {
 	return fmt.Sprintf("%s(%s)", opName(t.Op), strings.Join(parts, ", "))
 }
 
-// MaxMatchLen returns the longest match sequence across the rules; the
-// engine uses it to bound lookahead.
-func (rs *RuleSet) MaxMatchLen() int {
-	max := 0
-	for _, r := range rs.Rules {
-		if len(r.Match) > max {
-			max = len(r.Match)
-		}
-	}
-	return max
-}
-
 // Validate checks structural invariants: ops supported, arities correct,
-// every variable used in Where/Emit bound by Match, no duplicate binds.
+// every variable used in Where/Emit bound by Match, no duplicate binds,
+// every function known and called with the number of arguments it takes.
 func (rs *RuleSet) Validate() error {
 	for _, r := range rs.Rules {
 		if err := r.Validate(); err != nil {
@@ -314,7 +308,7 @@ func (r *Rule) Validate() error {
 			bound[v] = true
 		}
 	}
-	check := func(e Expr) error { return checkVars(r.Name, e, bound) }
+	check := func(e Expr) error { return checkExpr(r.Name, e, bound) }
 	if r.Where != nil {
 		if err := check(r.Where); err != nil {
 			return err
@@ -337,22 +331,25 @@ func (r *Rule) Validate() error {
 	return nil
 }
 
-func checkVars(rule string, e Expr, bound map[string]bool) error {
+func checkExpr(rule string, e Expr, bound map[string]bool) error {
 	switch v := e.(type) {
 	case *VarRef:
 		if !bound[v.Name] {
 			return fmt.Errorf("rule %q: unbound variable %q", rule, v.Name)
 		}
 	case *BinOp:
-		if err := checkVars(rule, v.L, bound); err != nil {
+		if err := checkExpr(rule, v.L, bound); err != nil {
 			return err
 		}
-		return checkVars(rule, v.R, bound)
+		return checkExpr(rule, v.R, bound)
 	case *NotOp:
-		return checkVars(rule, v.X, bound)
+		return checkExpr(rule, v.X, bound)
 	case *CallFn:
+		if _, bad := checkCall(v); bad != "" {
+			return fmt.Errorf("rule %q: %s", rule, bad)
+		}
 		for _, a := range v.Args {
-			if err := checkVars(rule, a, bound); err != nil {
+			if err := checkExpr(rule, a, bound); err != nil {
 				return err
 			}
 		}

@@ -1,7 +1,7 @@
 package dsl
 
 import (
-	"fmt"
+	"slices"
 
 	"mvedsua/internal/sysabi"
 )
@@ -13,11 +13,30 @@ import (
 // rewrites the front of that window whenever a rule matches. Rules are
 // attempted in order; the first match wins; emitted events are not
 // re-matched (no rule cascading, which also rules out rewrite loops).
+//
+// A rule hit allocates nothing unless a template builds or quotes text: a
+// pattern binds an event's payload as a view of it, into a frame the
+// engine owns; a template that forwards such a variable as it is moves
+// the payload into the emitted event; the emitted events live in storage
+// the engine reuses. An engine therefore serves one stream at a time.
 type Engine struct {
 	rules *RuleSet
+	// plans[i] is what the engine worked out about rules.Rules[i]. It
+	// stays out of the RuleSet, which engines on different shards share.
+	plans []plan
+	look  [sysabi.OpExit + 1]int // NeedsLookahead, by op; 0 reads as 1
 
-	// Applied counts rule firings by rule name, for reporting.
-	Applied map[string]int
+	env   Env            // the binding frame, refilled per attempt
+	out   []sysabi.Event // the events of the last hit
+	moved []int          // slots whose payload the templates so far have taken
+}
+
+// plan lays a rule's variables out in the frame.
+type plan struct {
+	names []string // slot -> variable
+	binds [][]int  // pattern -> field -> slot, -1 for "_"
+	from  []int    // slot -> the matched event whose payload it views, -1 for none
+	fwd   []int    // template -> the slot its payload argument names bare, -1 for none
 }
 
 // NewEngine returns an engine over the given rules. A nil rule set behaves
@@ -26,20 +45,79 @@ func NewEngine(rules *RuleSet) *Engine {
 	if rules == nil {
 		rules = &RuleSet{}
 	}
-	return &Engine{rules: rules, Applied: make(map[string]int)}
+	e := &Engine{rules: rules, plans: make([]plan, len(rules.Rules))}
+	frame := 0
+	for i, r := range rules.Rules {
+		e.plans[i] = planRule(r)
+		frame = max(frame, len(e.plans[i].names))
+		if len(r.Match) > 0 {
+			if op := r.Match[0].Op; op >= 0 && int(op) < len(e.look) {
+				e.look[op] = max(e.look[op], len(r.Match))
+			}
+		}
+	}
+	e.env.vals = make([]Value, frame)
+	return e
 }
 
-// Rules returns the engine's rule set.
-func (e *Engine) Rules() *RuleSet { return e.rules }
-
-// MaxLookahead returns how many leader events the engine may need to see
-// at once to decide whether a rule fires.
-func (e *Engine) MaxLookahead() int {
-	n := e.rules.MaxMatchLen()
-	if n < 1 {
-		n = 1
+func planRule(r *Rule) plan {
+	var p plan
+	slot := func(name string) int {
+		for i, n := range p.names {
+			if n == name {
+				return i
+			}
+		}
+		p.names = append(p.names, name)
+		p.from = append(p.from, -1)
+		return len(p.names) - 1
 	}
-	return n
+	for i, pat := range r.Match {
+		slots := make([]int, len(pat.Binds))
+		for j, name := range pat.Binds {
+			slots[j] = -1
+			if name != "_" {
+				s := slot(name)
+				slots[j], p.from[s] = s, -1
+				if j == 1 && hasData(pat.Op) {
+					p.from[s] = i
+				}
+			}
+		}
+		p.binds = append(p.binds, slots)
+	}
+	for _, t := range r.Emit {
+		fwd := -1
+		if hasData(t.Op) && len(t.Args) > 1 {
+			if v, ok := t.Args[1].(*VarRef); ok {
+				for s, name := range p.names {
+					if name == v.Name && p.from[s] >= 0 {
+						fwd = s
+					}
+				}
+			}
+		}
+		p.fwd = append(p.fwd, fwd)
+	}
+	return p
+}
+
+// hasData reports whether events of op carry the bytes the DSL calls
+// their data — what a read delivered, what a write wrote — as field 1.
+func hasData(op sysabi.Op) bool {
+	switch op {
+	case sysabi.OpRead, sysabi.OpFRead, sysabi.OpWrite, sysabi.OpFWrite:
+		return true
+	}
+	return false
+}
+
+// dataOf returns the field of ev, an event with data, that holds it.
+func dataOf(ev *sysabi.Event) *[]byte {
+	if ev.Call.Op == sysabi.OpRead || ev.Call.Op == sysabi.OpFRead {
+		return &ev.Result.Data
+	}
+	return &ev.Call.Buf
 }
 
 // NeedsLookahead reports how many pending leader events the monitor
@@ -48,217 +126,173 @@ func (e *Engine) MaxLookahead() int {
 // begin there. This keeps the follower from blocking on a quiescent
 // leader when no multi-event rule could possibly apply.
 func (e *Engine) NeedsLookahead(op sysabi.Op) int {
-	need := 1
-	for _, r := range e.rules.Rules {
-		if len(r.Match) > need && r.Match[0].Op == op {
-			need = len(r.Match)
-		}
+	if op < 0 || int(op) >= len(e.look) {
+		return 1
 	}
-	return need
+	return max(1, e.look[op])
 }
 
 // Transform examines the front of the pending leader-event window. If a
 // rule matches, it returns the emitted expected events, the number of
 // leader events consumed, and the rule that fired. Otherwise it returns
-// the first event unchanged with consumed = 1 — as window[:1], so the
-// common no-rule outcome allocates nothing.
+// the first event unchanged with consumed = 1, as window[:1].
+//
+// Two contracts. The returned events are valid until the next Transform:
+// a hit's live in storage the engine reuses. And a hit consumes
+// window[:consumed]: a payload a template forwarded as the bare variable
+// a pattern bound it to now belongs to the emitted event and is nil in
+// the window, every other payload of an emitted event is a copy of its
+// own, and what the window still holds is the caller's to dispose of. A
+// miss leaves the window as it was.
 func (e *Engine) Transform(window []sysabi.Event) (expected []sysabi.Event, consumed int, fired *Rule) {
 	if len(window) == 0 {
 		return nil, 0, nil
 	}
 	head := window[0].Call.Op
-	for _, r := range e.rules.Rules {
-		// A rule that cannot start at this op is skipped before any
-		// binding environment is built for it.
+	for i, r := range e.rules.Rules {
+		// A rule that cannot start at this op is skipped before anything
+		// is bound for it.
 		if n := len(r.Match); n == 0 || n > len(window) || r.Match[0].Op != head {
 			continue
 		}
-		env, ok := matchSeq(r.Match, window[:len(r.Match)])
-		if !ok {
+		p := &e.plans[i]
+		e.env.names, e.env.args = p.names, e.env.args[:0]
+		if !e.match(r, p, window) {
 			continue
 		}
 		if r.Where != nil {
-			v, err := Eval(r.Where, env)
-			if err != nil || !v.IsBool() || !v.AsBool() {
+			v, err := Eval(r.Where, &e.env)
+			if err != nil || !v.AsBool() {
 				continue
 			}
 		}
-		out, err := emitSeq(r.Emit, env)
-		if err != nil {
-			// A failing emit is a rule-authoring bug; treat the rule
-			// as non-matching rather than corrupting the stream.
+		// A failing emit is a rule-authoring bug; treat the rule as
+		// non-matching rather than corrupting the stream. Nothing has
+		// left the window until every template evaluated.
+		if !e.emit(r, p) {
 			continue
 		}
-		e.Applied[r.Name]++
-		return out, len(r.Match), r
+		for _, s := range e.moved {
+			*dataOf(&window[p.from[s]]) = nil
+		}
+		return e.out, len(r.Match), r
 	}
 	return window[:1:1], 1, nil
 }
 
-// matchSeq binds the pattern sequence against the events.
-func matchSeq(pats []Pattern, evs []sysabi.Event) (Env, bool) {
-	env := Env{}
-	for i, p := range pats {
-		if !bindPattern(p, evs[i], env) {
-			return nil, false
+// match binds the pattern sequence against the front of the window: each
+// event's DSL-visible fields, in the order declared by Arity, into the
+// slots the plan gave them.
+func (e *Engine) match(r *Rule, p *plan, window []sysabi.Event) bool {
+	for i, pat := range r.Match {
+		ev := &window[i]
+		if pat.Op != ev.Call.Op {
+			return false
 		}
-	}
-	return env, true
-}
-
-// fieldValues extracts the DSL-visible fields of an event, in the order
-// declared by Arity.
-func fieldValues(ev sysabi.Event) []Value {
-	switch ev.Call.Op {
-	case sysabi.OpRead, sysabi.OpFRead:
-		return []Value{
-			Int(int64(ev.Call.FD)),
-			Str(string(ev.Result.Data)),
-			Int(ev.Result.Ret),
+		var f [3]Value
+		n := 0
+		switch pat.Op {
+		case sysabi.OpRead, sysabi.OpFRead:
+			f, n = [3]Value{Int(int64(ev.Call.FD)), view(ev.Result.Data), Int(ev.Result.Ret)}, 3
+		case sysabi.OpWrite, sysabi.OpFWrite:
+			f, n = [3]Value{Int(int64(ev.Call.FD)), view(ev.Call.Buf), Int(int64(len(ev.Call.Buf)))}, 3
+		case sysabi.OpAccept:
+			f, n = [3]Value{Int(int64(ev.Call.FD)), Int(ev.Result.Ret)}, 2
+		case sysabi.OpOpen:
+			f, n = [3]Value{Str(ev.Call.Path), Int(ev.Call.Args[0]), Int(ev.Result.Ret)}, 3
+		case sysabi.OpClose:
+			f, n = [3]Value{Int(int64(ev.Call.FD))}, 1
+		case sysabi.OpClock:
+			f, n = [3]Value{Int(ev.Result.Ret)}, 1
 		}
-	case sysabi.OpWrite, sysabi.OpFWrite:
-		return []Value{
-			Int(int64(ev.Call.FD)),
-			Str(string(ev.Call.Buf)),
-			Int(int64(len(ev.Call.Buf))),
+		if n == 0 || n != len(pat.Binds) {
+			return false
 		}
-	case sysabi.OpAccept:
-		return []Value{Int(int64(ev.Call.FD)), Int(ev.Result.Ret)}
-	case sysabi.OpOpen:
-		return []Value{Str(ev.Call.Path), Int(ev.Call.Args[0]), Int(ev.Result.Ret)}
-	case sysabi.OpClose:
-		return []Value{Int(int64(ev.Call.FD))}
-	case sysabi.OpClock:
-		return []Value{Int(ev.Result.Ret)}
-	default:
-		return nil
-	}
-}
-
-func bindPattern(p Pattern, ev sysabi.Event, env Env) bool {
-	if p.Op != ev.Call.Op {
-		return false
-	}
-	vals := fieldValues(ev)
-	if vals == nil || len(vals) != len(p.Binds) {
-		return false
-	}
-	for i, name := range p.Binds {
-		if name == "_" {
-			continue
+		for j, s := range p.binds[i] {
+			if s >= 0 {
+				e.env.vals[s] = f[j]
+			}
 		}
-		env[name] = vals[i]
 	}
 	return true
 }
 
-// emitSeq builds the expected events from the templates.
-func emitSeq(tpls []Template, env Env) ([]sysabi.Event, error) {
-	out := make([]sysabi.Event, 0, len(tpls))
-	for _, t := range tpls {
-		ev, err := emitOne(t, env)
-		if err != nil {
-			return nil, err
+// emit builds the expected events from the templates into e.out, and
+// lists in e.moved the slots whose payloads they took.
+func (e *Engine) emit(r *Rule, p *plan) bool {
+	e.out, e.moved = e.out[:0], e.moved[:0]
+	for i := range r.Emit {
+		if err := e.emitOne(&r.Emit[i], p.fwd[i]); err != nil {
+			return false
 		}
-		out = append(out, ev)
 	}
-	return out, nil
+	return true
 }
 
-func emitOne(t Template, env Env) (sysabi.Event, error) {
-	vals := make([]Value, len(t.Args))
+// emitOne appends one expected event to e.out. Its payload, if it has
+// one, is the matched event's own buffer when the template forwards the
+// variable bound to it (slot >= 0) and no earlier template took it, and
+// otherwise a copy: every payload of an emitted event belongs to that
+// event alone. An emitted payload is never nil, as a quoted "" never was.
+func (e *Engine) emitOne(t *Template, slot int) error {
+	if n, ok := Arity(t.Op); !ok || len(t.Args) != n {
+		return evalErrf("emit %s: unsupported op or wrong argument count %d", opName(t.Op), len(t.Args))
+	}
+	var vals [3]Value
 	for i, a := range t.Args {
-		v, err := Eval(a, env)
+		v, err := Eval(a, &e.env)
 		if err != nil {
-			return sysabi.Event{}, err
+			return err
 		}
 		vals[i] = v
 	}
 	bad := func(i int, want string) error {
 		return evalErrf("emit %s arg %d: want %s, got %s", opName(t.Op), i, want, vals[i])
 	}
+	ev := sysabi.Event{Call: sysabi.Call{Op: t.Op}}
 	switch t.Op {
-	case sysabi.OpRead, sysabi.OpFRead:
+	case sysabi.OpRead, sysabi.OpFRead, sysabi.OpWrite, sysabi.OpFWrite:
 		if !vals[0].IsInt() {
-			return sysabi.Event{}, bad(0, "int fd")
+			return bad(0, "int fd")
 		}
 		if !vals[1].IsString() {
-			return sysabi.Event{}, bad(1, "string data")
+			return bad(1, "string data")
 		}
 		if !vals[2].IsInt() {
-			return sysabi.Event{}, bad(2, "int count")
+			return bad(2, "int count")
 		}
-		return sysabi.Event{
-			Call:   sysabi.Call{Op: t.Op, FD: int(vals[0].AsInt())},
-			Result: sysabi.Result{Ret: vals[2].AsInt(), Data: []byte(vals[1].AsString())},
-		}, nil
-	case sysabi.OpWrite, sysabi.OpFWrite:
-		if !vals[0].IsInt() {
-			return sysabi.Event{}, bad(0, "int fd")
+		ev.Call.FD, ev.Result.Ret = int(vals[0].i), vals[2].i
+		data := vals[1].s
+		if slot >= 0 && !slices.Contains(e.moved, slot) {
+			e.moved = append(e.moved, slot)
+			if data == nil {
+				data = []byte{}
+			}
+		} else {
+			data = append([]byte{}, data...)
 		}
-		if !vals[1].IsString() {
-			return sysabi.Event{}, bad(1, "string data")
-		}
-		if !vals[2].IsInt() {
-			return sysabi.Event{}, bad(2, "int count")
-		}
-		return sysabi.Event{
-			Call:   sysabi.Call{Op: t.Op, FD: int(vals[0].AsInt()), Buf: []byte(vals[1].AsString())},
-			Result: sysabi.Result{Ret: vals[2].AsInt()},
-		}, nil
+		*dataOf(&ev) = data
 	case sysabi.OpAccept:
 		if !vals[0].IsInt() || !vals[1].IsInt() {
-			return sysabi.Event{}, evalErrf("emit accept wants (int, int)")
+			return evalErrf("emit accept wants (int, int)")
 		}
-		return sysabi.Event{
-			Call:   sysabi.Call{Op: t.Op, FD: int(vals[0].AsInt())},
-			Result: sysabi.Result{Ret: vals[1].AsInt()},
-		}, nil
+		ev.Call.FD, ev.Result.Ret = int(vals[0].i), vals[1].i
 	case sysabi.OpOpen:
 		if !vals[0].IsString() || !vals[1].IsInt() || !vals[2].IsInt() {
-			return sysabi.Event{}, evalErrf("emit open wants (string, int, int)")
+			return evalErrf("emit open wants (string, int, int)")
 		}
-		return sysabi.Event{
-			Call:   sysabi.Call{Op: t.Op, Path: vals[0].AsString(), Args: [2]int64{vals[1].AsInt(), 0}},
-			Result: sysabi.Result{Ret: vals[2].AsInt()},
-		}, nil
+		ev.Call.Path, ev.Call.Args[0], ev.Result.Ret = string(vals[0].s), vals[1].i, vals[2].i
 	case sysabi.OpClose:
 		if !vals[0].IsInt() {
-			return sysabi.Event{}, bad(0, "int fd")
+			return bad(0, "int fd")
 		}
-		return sysabi.Event{Call: sysabi.Call{Op: t.Op, FD: int(vals[0].AsInt())}}, nil
+		ev.Call.FD = int(vals[0].i)
 	case sysabi.OpClock:
 		if !vals[0].IsInt() {
-			return sysabi.Event{}, bad(0, "int time")
+			return bad(0, "int time")
 		}
-		return sysabi.Event{Call: sysabi.Call{Op: t.Op}, Result: sysabi.Result{Ret: vals[0].AsInt()}}, nil
-	default:
-		return sysabi.Event{}, evalErrf("emit: unsupported op %v", t.Op)
+		ev.Result.Ret = vals[0].i
 	}
-}
-
-// TotalApplied returns the total number of rule firings.
-func (e *Engine) TotalApplied() int {
-	n := 0
-	for _, c := range e.Applied {
-		n += c
-	}
-	return n
-}
-
-// DescribeApplied formats rule-firing counts for reports.
-func (e *Engine) DescribeApplied() string {
-	if len(e.Applied) == 0 {
-		return "no rules fired"
-	}
-	s := ""
-	for _, r := range e.rules.Rules {
-		if c := e.Applied[r.Name]; c > 0 {
-			if s != "" {
-				s += ", "
-			}
-			s += fmt.Sprintf("%s×%d", r.Name, c)
-		}
-	}
-	return s
+	e.out = append(e.out, ev)
+	return nil
 }

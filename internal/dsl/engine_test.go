@@ -210,27 +210,6 @@ rule "explodes" { match read(fd, s, n) { emit read(fd, sub(s, 0, 9999), n); } }
 	}
 }
 
-func TestEngineAppliedCounting(t *testing.T) {
-	rs := MustParse(`rule "c" { match clock(x) { emit clock(x); } }`)
-	e := NewEngine(rs)
-	for i := 0; i < 3; i++ {
-		e.Transform([]sysabi.Event{clockEv(int64(i))})
-	}
-	if e.Applied["c"] != 3 || e.TotalApplied() != 3 {
-		t.Fatalf("Applied = %v", e.Applied)
-	}
-	if e.DescribeApplied() != "c×3" {
-		t.Fatalf("DescribeApplied = %q", e.DescribeApplied())
-	}
-}
-
-func TestEngineDescribeAppliedEmpty(t *testing.T) {
-	e := NewEngine(nil)
-	if e.DescribeApplied() != "no rules fired" {
-		t.Fatalf("DescribeApplied = %q", e.DescribeApplied())
-	}
-}
-
 func TestEngineNeedsLookahead(t *testing.T) {
 	rs := MustParse(`
 rule "pair" { match read(a, b, c), write(d, e, f) { emit read(a, b, c); } }
@@ -241,9 +220,6 @@ rule "pair" { match read(a, b, c), write(d, e, f) { emit read(a, b, c); } }
 	}
 	if n := e.NeedsLookahead(sysabi.OpWrite); n != 1 {
 		t.Fatalf("NeedsLookahead(write) = %d, want 1", n)
-	}
-	if e.MaxLookahead() != 2 {
-		t.Fatalf("MaxLookahead = %d", e.MaxLookahead())
 	}
 }
 

@@ -1,16 +1,18 @@
 package dsl
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 )
 
-// Value is a DSL runtime value: string, int64, or bool.
+// Value is a DSL runtime value: string, int64, or bool. A string is a
+// byte view — of the event payload a pattern bound, of a literal's bytes,
+// or of a buffer a builtin built — and nothing in the evaluator writes
+// through one, so taking a substring, or binding a payload, copies nothing.
 type Value struct {
 	kind valueKind
-	s    string
-	i    int64
-	b    bool
+	s    []byte
+	i    int64 // the integer; a bool is 0 or 1
 }
 
 type valueKind int
@@ -21,14 +23,22 @@ const (
 	valBool
 )
 
-// Str makes a string value.
-func Str(s string) Value { return Value{kind: valString, s: s} }
+// Str makes a string value (a copy of s).
+func Str(s string) Value { return Value{kind: valString, s: []byte(s)} }
+
+// view makes a string value that aliases b.
+func view(b []byte) Value { return Value{kind: valString, s: b} }
 
 // Int makes an integer value.
 func Int(i int64) Value { return Value{kind: valInt, i: i} }
 
 // Bool makes a boolean value.
-func Bool(b bool) Value { return Value{kind: valBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: valBool, i: 1}
+	}
+	return Value{kind: valBool}
+}
 
 // IsString reports whether the value is a string.
 func (v Value) IsString() bool { return v.kind == valString }
@@ -39,14 +49,14 @@ func (v Value) IsInt() bool { return v.kind == valInt }
 // IsBool reports whether the value is a boolean.
 func (v Value) IsBool() bool { return v.kind == valBool }
 
-// AsString returns the string payload (zero if not a string).
-func (v Value) AsString() string { return v.s }
+// AsString returns a copy of the string payload (empty if not a string).
+func (v Value) AsString() string { return string(v.s) }
 
 // AsInt returns the integer payload (zero if not an int).
 func (v Value) AsInt() int64 { return v.i }
 
 // AsBool returns the boolean payload (false if not a bool).
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.kind == valBool && v.i != 0 }
 
 // String formats the value for diagnostics.
 func (v Value) String() string {
@@ -56,7 +66,7 @@ func (v Value) String() string {
 	case valInt:
 		return fmt.Sprintf("%d", v.i)
 	default:
-		return fmt.Sprintf("%t", v.b)
+		return fmt.Sprintf("%t", v.i != 0)
 	}
 }
 
@@ -71,22 +81,33 @@ func evalErrf(format string, args ...interface{}) error {
 	return &EvalError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// Env binds pattern variables to values.
-type Env map[string]Value
+// Env binds pattern variables to values: a frame of one slot per name,
+// which its owner refills for every evaluation instead of building a new
+// one. A rule binds at most a handful of names, so a variable is found by
+// scanning them.
+type Env struct {
+	names []string
+	vals  []Value // vals[i] is bound to names[i]
+	args  []Value // the arguments of the builtin calls being evaluated, innermost last
+}
 
 // Eval evaluates an expression under the environment.
-func Eval(e Expr, env Env) (Value, error) {
+func Eval(e Expr, env *Env) (Value, error) {
 	switch v := e.(type) {
 	case *StringLit:
-		return Str(v.Value), nil
+		if v.bytes == nil { // not built by the parser
+			return Str(v.Value), nil
+		}
+		return view(v.bytes), nil
 	case *IntLit:
 		return Int(v.Value), nil
 	case *VarRef:
-		val, ok := env[v.Name]
-		if !ok {
-			return Value{}, evalErrf("unbound variable %q", v.Name)
+		for i, name := range env.names {
+			if name == v.Name {
+				return env.vals[i], nil
+			}
 		}
-		return val, nil
+		return Value{}, evalErrf("unbound variable %q", v.Name)
 	case *NotOp:
 		x, err := Eval(v.X, env)
 		if err != nil {
@@ -105,7 +126,7 @@ func Eval(e Expr, env Env) (Value, error) {
 	}
 }
 
-func evalBinOp(v *BinOp, env Env) (Value, error) {
+func evalBinOp(v *BinOp, env *Env) (Value, error) {
 	// Short-circuit logical operators.
 	if v.Op == "&&" || v.Op == "||" {
 		l, err := Eval(v.L, env)
@@ -143,37 +164,32 @@ func evalBinOp(v *BinOp, env Env) (Value, error) {
 		var eq bool
 		switch {
 		case l.IsString() && r.IsString():
-			eq = l.AsString() == r.AsString()
-		case l.IsInt() && r.IsInt():
-			eq = l.AsInt() == r.AsInt()
-		case l.IsBool() && r.IsBool():
-			eq = l.AsBool() == r.AsBool()
+			eq = bytes.Equal(l.s, r.s)
+		case l.kind == r.kind:
+			eq = l.i == r.i
 		default:
 			return Value{}, evalErrf("cannot compare %s and %s", l, r)
 		}
-		if v.Op == "!=" {
-			eq = !eq
-		}
-		return Bool(eq), nil
+		return Bool(eq == (v.Op == "==")), nil
 	case "+":
 		switch {
 		case l.IsInt() && r.IsInt():
-			return Int(l.AsInt() + r.AsInt()), nil
+			return Int(l.i + r.i), nil
 		case l.IsString() && r.IsString():
-			return Str(l.AsString() + r.AsString()), nil
+			return view(append(append(make([]byte, 0, len(l.s)+len(r.s)), l.s...), r.s...)), nil
 		default:
 			return Value{}, evalErrf("cannot add %s and %s", l, r)
 		}
 	case "-":
 		if l.IsInt() && r.IsInt() {
-			return Int(l.AsInt() - r.AsInt()), nil
+			return Int(l.i - r.i), nil
 		}
 		return Value{}, evalErrf("cannot subtract %s and %s", l, r)
 	case "<", "<=", ">", ">=":
 		if !l.IsInt() || !r.IsInt() {
 			return Value{}, evalErrf("cannot order %s and %s", l, r)
 		}
-		a, b := l.AsInt(), r.AsInt()
+		a, b := l.i, r.i
 		switch v.Op {
 		case "<":
 			return Bool(a < b), nil
@@ -197,25 +213,27 @@ type builtin struct {
 
 // builtins is the DSL's function library. Text-processing helpers mirror
 // the paper's examples: parse-like accessors (cmd, arg, typ) plus general
-// string surgery.
+// string surgery. The accessors and predicates return views of their
+// arguments; only what builds new text (replace, concat, upper, lower)
+// allocates.
 var builtins = map[string]builtin{
 	"prefix": {2, func(a []Value) (Value, error) {
 		if err := wantStrings(a, "prefix"); err != nil {
 			return Value{}, err
 		}
-		return Bool(strings.HasPrefix(a[0].AsString(), a[1].AsString())), nil
+		return Bool(bytes.HasPrefix(a[0].s, a[1].s)), nil
 	}},
 	"suffix": {2, func(a []Value) (Value, error) {
 		if err := wantStrings(a, "suffix"); err != nil {
 			return Value{}, err
 		}
-		return Bool(strings.HasSuffix(a[0].AsString(), a[1].AsString())), nil
+		return Bool(bytes.HasSuffix(a[0].s, a[1].s)), nil
 	}},
 	"contains": {2, func(a []Value) (Value, error) {
 		if err := wantStrings(a, "contains"); err != nil {
 			return Value{}, err
 		}
-		return Bool(strings.Contains(a[0].AsString(), a[1].AsString())), nil
+		return Bool(bytes.Contains(a[0].s, a[1].s)), nil
 	}},
 	// cmd returns the first whitespace-delimited token with trailing
 	// CR/LF stripped: cmd("PUT k v\r\n") == "PUT".
@@ -223,11 +241,7 @@ var builtins = map[string]builtin{
 		if err := wantStrings(a, "cmd"); err != nil {
 			return Value{}, err
 		}
-		fields := strings.Fields(strings.TrimRight(a[0].AsString(), "\r\n"))
-		if len(fields) == 0 {
-			return Str(""), nil
-		}
-		return Str(fields[0]), nil
+		return view(field(a[0].s, 0)), nil
 	}},
 	// arg returns the i-th (1-based) token after the command:
 	// arg("PUT k v", 1) == "k".
@@ -235,12 +249,10 @@ var builtins = map[string]builtin{
 		if !a[0].IsString() || !a[1].IsInt() {
 			return Value{}, evalErrf("arg wants (string, int)")
 		}
-		fields := strings.Fields(strings.TrimRight(a[0].AsString(), "\r\n"))
-		i := int(a[1].AsInt())
-		if i < 1 || i >= len(fields) {
-			return Str(""), nil
+		if a[1].i < 1 {
+			return view(nil), nil
 		}
-		return Str(fields[i]), nil
+		return view(field(a[0].s, a[1].i)), nil
 	}},
 	// typ extracts the paper's "-type" suffix from a command token:
 	// typ("PUT-number") == "number", typ("PUT") == "".
@@ -248,73 +260,73 @@ var builtins = map[string]builtin{
 		if err := wantStrings(a, "typ"); err != nil {
 			return Value{}, err
 		}
-		tok := a[0].AsString()
-		if i := strings.IndexByte(tok, '-'); i >= 0 {
-			return Str(tok[i+1:]), nil
+		tok := a[0].s
+		if i := bytes.IndexByte(tok, '-'); i >= 0 {
+			return view(tok[i+1:]), nil
 		}
-		return Str(""), nil
+		return view(nil), nil
 	}},
 	// base strips a "-type" suffix: base("PUT-number") == "PUT".
 	"base": {1, func(a []Value) (Value, error) {
 		if err := wantStrings(a, "base"); err != nil {
 			return Value{}, err
 		}
-		tok := a[0].AsString()
-		if i := strings.IndexByte(tok, '-'); i >= 0 {
-			return Str(tok[:i]), nil
+		tok := a[0].s
+		if i := bytes.IndexByte(tok, '-'); i >= 0 {
+			return view(tok[:i]), nil
 		}
-		return Str(tok), nil
+		return view(tok), nil
 	}},
 	"replace": {3, func(a []Value) (Value, error) {
 		if err := wantStrings(a, "replace"); err != nil {
 			return Value{}, err
 		}
-		return Str(strings.Replace(a[0].AsString(), a[1].AsString(), a[2].AsString(), 1)), nil
+		return view(bytes.Replace(a[0].s, a[1].s, a[2].s, 1)), nil
 	}},
 	"concat": {-1, func(a []Value) (Value, error) {
-		var b strings.Builder
+		var b []byte
 		for _, v := range a {
 			if !v.IsString() {
 				return Value{}, evalErrf("concat wants strings, got %s", v)
 			}
-			b.WriteString(v.AsString())
+			b = append(b, v.s...)
 		}
-		return Str(b.String()), nil
+		return view(b), nil
 	}},
 	"len": {1, func(a []Value) (Value, error) {
 		if err := wantStrings(a, "len"); err != nil {
 			return Value{}, err
 		}
-		return Int(int64(len(a[0].AsString()))), nil
+		return Int(int64(len(a[0].s))), nil
 	}},
 	"sub": {3, func(a []Value) (Value, error) {
 		if !a[0].IsString() || !a[1].IsInt() || !a[2].IsInt() {
 			return Value{}, evalErrf("sub wants (string, int, int)")
 		}
-		s := a[0].AsString()
-		i, j := int(a[1].AsInt()), int(a[2].AsInt())
+		s := a[0].s
+		i, j := int(a[1].i), int(a[2].i)
 		if i < 0 || j > len(s) || i > j {
 			return Value{}, evalErrf("sub bounds [%d:%d] out of range for %d bytes", i, j, len(s))
 		}
-		return Str(s[i:j]), nil
+		return view(s[i:j]), nil
 	}},
 	"upper": {1, func(a []Value) (Value, error) {
 		if err := wantStrings(a, "upper"); err != nil {
 			return Value{}, err
 		}
-		return Str(strings.ToUpper(a[0].AsString())), nil
+		return view(bytes.ToUpper(a[0].s)), nil
 	}},
 	"lower": {1, func(a []Value) (Value, error) {
 		if err := wantStrings(a, "lower"); err != nil {
 			return Value{}, err
 		}
-		return Str(strings.ToLower(a[0].AsString())), nil
+		return view(bytes.ToLower(a[0].s)), nil
 	}},
 	"trim": {1, func(a []Value) (Value, error) {
 		if err := wantStrings(a, "trim"); err != nil {
 			return Value{}, err
 		}
-		return Str(strings.TrimSpace(a[0].AsString())), nil
+		return view(bytes.TrimSpace(a[0].s)), nil
 	}},
 }
 
@@ -327,24 +339,73 @@ func wantStrings(a []Value, fn string) error {
 	return nil
 }
 
-func evalCall(v *CallFn, env Env) (Value, error) {
+// field returns the i-th (0-based) whitespace-separated token of s, nil
+// when there are fewer — strings.Fields(s)[i] as a view of s, found by
+// scanning in place. (A trailing CR/LF is white space, so the stripping
+// cmd and arg promise needs no step of its own.) A line with a byte
+// outside ASCII goes through bytes.Fields, so Unicode white space splits
+// as it does there; proto.AppendFields draws the same line.
+func field(s []byte, i int64) []byte {
+	start, left := -1, i
+	for j, c := range s {
+		switch {
+		case c >= 0x80:
+			if f := bytes.Fields(s); i < int64(len(f)) {
+				return f[i]
+			}
+			return nil
+		case c == ' ' || '\t' <= c && c <= '\r':
+			if start >= 0 {
+				if left == 0 {
+					return s[start:j]
+				}
+				left--
+				start = -1
+			}
+		case start < 0:
+			start = j
+		}
+	}
+	if start >= 0 && left == 0 {
+		return s[start:]
+	}
+	return nil
+}
+
+// checkCall reports what is wrong with a call's shape — an unknown
+// function or the wrong number of arguments — as text, "" for nothing.
+// Rule.Validate and the evaluator share it.
+func checkCall(v *CallFn) (builtin, string) {
 	b, ok := builtins[v.Name]
-	if !ok {
-		return Value{}, evalErrf("unknown function %q", v.Name)
+	switch {
+	case !ok:
+		return b, fmt.Sprintf("unknown function %q", v.Name)
+	case b.arity >= 0 && len(v.Args) != b.arity:
+		return b, fmt.Sprintf("%s wants %d args, got %d", v.Name, b.arity, len(v.Args))
+	case b.arity < 0 && len(v.Args) == 0:
+		return b, fmt.Sprintf("%s wants at least one arg", v.Name)
 	}
-	if b.arity >= 0 && len(v.Args) != b.arity {
-		return Value{}, evalErrf("%s wants %d args, got %d", v.Name, b.arity, len(v.Args))
+	return b, ""
+}
+
+// evalCall evaluates the arguments onto env's argument stack — above
+// those of the calls it is nested in — and pops them when the builtin
+// returns, so a call allocates no argument slice of its own.
+func evalCall(v *CallFn, env *Env) (Value, error) {
+	b, bad := checkCall(v)
+	if bad != "" {
+		return Value{}, &EvalError{Msg: bad}
 	}
-	if b.arity < 0 && len(v.Args) == 0 {
-		return Value{}, evalErrf("%s wants at least one arg", v.Name)
-	}
-	args := make([]Value, len(v.Args))
-	for i, a := range v.Args {
+	base := len(env.args)
+	for _, a := range v.Args {
 		val, err := Eval(a, env)
 		if err != nil {
+			env.args = env.args[:base]
 			return Value{}, err
 		}
-		args[i] = val
+		env.args = append(env.args, val)
 	}
-	return b.fn(args)
+	res, err := b.fn(env.args[base:])
+	env.args = env.args[:base]
+	return res, err
 }

@@ -1,13 +1,15 @@
 package dsl
 
 import (
+	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
 
 // evalStr parses and evaluates a standalone expression by wrapping it in a
 // throwaway rule's where clause.
-func evalExpr(t *testing.T, expr string, env Env) (Value, error) {
+func evalExpr(t *testing.T, expr string, env *Env) (Value, error) {
 	t.Helper()
 	toks, err := lexAll(expr)
 	if err != nil {
@@ -18,10 +20,29 @@ func evalExpr(t *testing.T, expr string, env Env) (Value, error) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", expr, err)
 	}
+	if env == nil {
+		env = &Env{}
+	}
 	return Eval(e, env)
 }
 
-func mustEval(t *testing.T, expr string, env Env) Value {
+// bind makes a frame of the given names and values: bind("x", Int(3)).
+func bind(pairs ...interface{}) *Env {
+	env := &Env{}
+	for i := 0; i < len(pairs); i += 2 {
+		env.names = append(env.names, pairs[i].(string))
+		env.vals = append(env.vals, pairs[i+1].(Value))
+	}
+	return env
+}
+
+// same reports whether two values are the same kind and content; a Value
+// holds a byte slice and so is not comparable with ==.
+func same(a, b Value) bool {
+	return a.kind == b.kind && a.i == b.i && bytes.Equal(a.s, b.s)
+}
+
+func mustEval(t *testing.T, expr string, env *Env) Value {
 	t.Helper()
 	v, err := evalExpr(t, expr, env)
 	if err != nil {
@@ -43,14 +64,14 @@ func TestEvalLiterals(t *testing.T) {
 }
 
 func TestEvalVariables(t *testing.T) {
-	env := Env{"x": Int(3), "s": Str("hi")}
+	env := bind("x", Int(3), "s", Str("hi"))
 	if v := mustEval(t, "x + 1", env); v.AsInt() != 4 {
 		t.Errorf("x+1 = %v", v)
 	}
 	if v := mustEval(t, `s == "hi"`, env); !v.AsBool() {
 		t.Errorf("s==hi = %v", v)
 	}
-	if _, err := evalExpr(t, "missing", Env{}); err == nil {
+	if _, err := evalExpr(t, "missing", nil); err == nil {
 		t.Error("unbound variable did not error")
 	}
 }
@@ -72,7 +93,7 @@ func TestEvalArithmeticAndComparison(t *testing.T) {
 	}
 	for expr, want := range cases {
 		got := mustEval(t, expr, nil)
-		if got != want {
+		if !same(got, want) {
 			t.Errorf("%s = %v, want %v", expr, got, want)
 		}
 	}
@@ -141,7 +162,7 @@ func TestBuiltinStringFunctions(t *testing.T) {
 	}
 	for expr, want := range cases {
 		got := mustEval(t, expr, nil)
-		if got != want {
+		if !same(got, want) {
 			t.Errorf("%s = %v, want %v", expr, got, want)
 		}
 	}
@@ -181,7 +202,7 @@ func TestValueString(t *testing.T) {
 // The paper's Rule 2 expression logic: rewrite "PUT k v" to
 // "PUT-string k v" and extend the length by 7.
 func TestPaperRule2Expressions(t *testing.T) {
-	env := Env{"s": Str("PUT balance 100\r\n"), "n": Int(17)}
+	env := bind("s", Str("PUT balance 100\r\n"), "n", Int(17))
 	s2 := mustEval(t, `replace(s, "PUT", "PUT-string")`, env)
 	if s2.AsString() != "PUT-string balance 100\r\n" {
 		t.Fatalf("rewritten = %q", s2.AsString())
@@ -192,5 +213,34 @@ func TestPaperRule2Expressions(t *testing.T) {
 	}
 	if int(n2.AsInt()) != len(s2.AsString()) {
 		t.Fatal("length bookkeeping does not line up")
+	}
+}
+
+// TestFieldMatchesStringsFields: field, which cmd and arg scan with, is
+// strings.Fields(strings.TrimRight(s, "\r\n"))[i] — what they were
+// written as — on ASCII lines, which it scans in place, and on lines with
+// Unicode white space, invalid UTF-8 and whatever else lies outside ASCII.
+func TestFieldMatchesStringsFields(t *testing.T) {
+	alphabets := [][]string{
+		{"a", "b", " ", "\t", "\r", "\n", "\v", "\f", "-"},
+		{"a", " ", "\r", "\n", " ", "", " ", "é", "\xff", "\xc2"},
+	}
+	r := rand.New(rand.NewSource(5))
+	for n := 0; n < 20000; n++ {
+		alphabet := alphabets[n%2]
+		var line []byte
+		for i := r.Intn(12); i > 0; i-- {
+			line = append(line, alphabet[r.Intn(len(alphabet))]...)
+		}
+		want := strings.Fields(strings.TrimRight(string(line), "\r\n"))
+		for i := 0; i <= len(want)+1; i++ {
+			got := field(line, int64(i))
+			switch {
+			case i < len(want) && string(got) != want[i]:
+				t.Fatalf("field(%q, %d) = %q, want %q", line, i, got, want[i])
+			case i >= len(want) && got != nil:
+				t.Fatalf("field(%q, %d) = %q, want none of %d", line, i, got, len(want))
+			}
+		}
 	}
 }

@@ -124,7 +124,9 @@ func genRule(r *rand.Rand, name string) *Rule {
 				op == sysabi.OpFRead || op == sysabi.OpFWrite) && j == 1 ||
 				op == sysabi.OpOpen && j == 0
 			if isStr {
-				args = append(args, genExpr(r, 1, strVars, intVars, "string"))
+				// Depth 0 is a literal or a bare variable: the payload a
+				// template forwards whole, which the engine moves.
+				args = append(args, genExpr(r, r.Intn(2), strVars, intVars, "string"))
 			} else {
 				args = append(args, genExpr(r, 1, strVars, intVars, "int"))
 			}

@@ -314,7 +314,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch p.cur().kind {
 	case tokString:
 		t := p.advance()
-		return &StringLit{Value: t.text}, nil
+		return &StringLit{Value: t.text, bytes: append([]byte{}, t.text...)}, nil
 	case tokInt:
 		t := p.advance()
 		v, err := strconv.ParseInt(t.text, 10, 64)

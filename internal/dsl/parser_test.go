@@ -203,13 +203,3 @@ func TestValidateDetectsLongEmitArity(t *testing.T) {
 		t.Fatal("Validate accepted wrong emit arity")
 	}
 }
-
-func TestMaxMatchLen(t *testing.T) {
-	rs := MustParse(`
-rule "one" { match clock(t) { emit clock(t); } }
-rule "two" { match read(a,b,c), write(d,e,f) { emit read(a,b,c); } }
-`)
-	if rs.MaxMatchLen() != 2 {
-		t.Fatalf("MaxMatchLen = %d", rs.MaxMatchLen())
-	}
-}

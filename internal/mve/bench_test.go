@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"mvedsua/internal/apps/kvstore"
+	"mvedsua/internal/dsl"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
 	"mvedsua/internal/vos"
@@ -23,8 +25,8 @@ import (
 // cannot silently rot.
 
 // replayRig is a leader and its followers, each an application that
-// issues the same call for ever; step runs exactly one round trip (one
-// call recorded, one replay per follower and thread).
+// issues the same calls for ever; step runs exactly one round trip (one
+// round recorded, one replay of it per follower and thread).
 type replayRig struct {
 	s     *sim.Scheduler
 	m     *Monitor
@@ -41,49 +43,89 @@ const rigTick = time.Microsecond
 // 4 KiB reads before EOF, each chunk filled with its own byte.
 const rigFile, rigFileSize = "/bulk", 8 << 20
 
-// newReplayRig builds the rig: followers == 1 attaches the duo follower,
-// more attach that many fleet variants. Each of threads logical threads
-// per process loops on call through a buffer of its own; an OpFRead call
-// first opens rigFile and reads from that descriptor, into a buffer of
-// offer bytes the thread offers (none for offer == 0), and checks what
-// it gets.
-func newReplayRig(tb testing.TB, followers, threads int, call sysabi.Call, offer int) *replayRig {
+// rigSpec says what a replay rig runs. followers == 1 attaches the duo
+// follower, more attach that many fleet variants. Each of threads logical
+// threads per process loops for ever, through buffers of its own, on
+// round; a follower's threads issue replay instead when it is set — the
+// same calls as another version orders them, which rules reconcile. An
+// OpFRead call first opens rigFile and reads from that descriptor, into a
+// buffer of offer bytes the thread offers (none for offer == 0), and
+// checks what it gets.
+type rigSpec struct {
+	followers, threads int
+	round, replay      []sysabi.Call
+	rules              *dsl.RuleSet
+	offer              int
+}
+
+// oneCall is the spec of a rule-less rig whose round is one call.
+func oneCall(followers, threads int, call sysabi.Call, offer int) rigSpec {
+	return rigSpec{followers: followers, threads: threads, round: []sysabi.Call{call}, offer: offer}
+}
+
+// rewritten is the spec of a rig in which every event pair is rewritten:
+// kvstore 2.0.0 samples the clock and then writes its reply, 2.0.1 writes
+// and then samples, and the shipped rule for the pair swaps the two for
+// the follower — forward with a 2.0.0 leader, reverse with a 2.0.1 one.
+func rewritten(followers int, reverse bool, reply sysabi.Call) rigSpec {
+	fwd, rev := kvstore.RulesFor("2.0.0", "2.0.1")
+	old := []sysabi.Call{{Op: sysabi.OpClock}, reply}
+	updated := []sysabi.Call{reply, {Op: sysabi.OpClock}}
+	if reverse {
+		return rigSpec{followers: followers, threads: 1, round: updated, replay: old, rules: rev}
+	}
+	return rigSpec{followers: followers, threads: 1, round: old, replay: updated, rules: fwd}
+}
+
+func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 	tb.Helper()
 	s := sim.New()
 	k := vos.NewKernel(s)
-	if call.Op == sysabi.OpFRead {
-		file := make([]byte, rigFileSize)
-		for i := range file {
-			file[i] = byte(i / int(call.Args[0]))
+	for _, call := range spec.round {
+		if call.Op == sysabi.OpFRead {
+			file := make([]byte, rigFileSize)
+			for i := range file {
+				file[i] = byte(i / int(call.Args[0]))
+			}
+			k.WriteFile(rigFile, file)
 		}
-		k.WriteFile(rigFile, file)
 	}
 	r := &replayRig{s: s, m: New(k, 256, Costs{})}
 	r.procs = []*Proc{r.m.StartSingleLeader("leader")}
-	if followers == 1 {
-		r.procs = append(r.procs, r.m.AttachFollower("follower", nil))
+	if spec.followers == 1 {
+		r.procs = append(r.procs, r.m.AttachFollower("follower", spec.rules))
 	} else {
-		for i := 1; i <= followers; i++ {
-			r.procs = append(r.procs, r.m.AttachVariant(fmt.Sprintf("v%d", i), nil))
+		for i := 1; i <= spec.followers; i++ {
+			r.procs = append(r.procs, r.m.AttachVariant(fmt.Sprintf("v%d", i), spec.rules))
 		}
 	}
 	for pi, p := range r.procs {
-		for tid := 0; tid < threads; tid++ {
+		round := spec.round
+		if pi > 0 && spec.replay != nil {
+			round = spec.replay
+		}
+		for tid := 0; tid < spec.threads; tid++ {
 			pi, p, tid := pi, p, tid
 			r.tasks = append(r.tasks, s.Go(fmt.Sprintf("%s/t%d", p.Name(), tid), func(tk *sim.Task) {
-				c := call.Clone()
-				c.TID = tid
-				if c.Op == sysabi.OpFRead {
-					c.FD = int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpOpen, Path: rigFile, TID: tid}).Ret)
-					if offer > 0 {
-						c.Buf = make([]byte, 0, offer)
+				calls := make([]sysabi.Call, len(round))
+				for i, call := range round {
+					c := call.Clone()
+					c.TID = tid
+					if c.Op == sysabi.OpFRead {
+						c.FD = int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpOpen, Path: rigFile, TID: tid}).Ret)
+						if spec.offer > 0 {
+							c.Buf = make([]byte, 0, spec.offer)
+						}
 					}
+					calls[i] = c
 				}
 				for n := 0; ; n++ {
-					res := p.Invoke(tk, c)
-					if d := res.Data; c.Op == sysabi.OpFRead &&
-						(int64(len(d)) != c.Args[0] || d[0] != byte(n) || d[len(d)-1] != byte(n)) {
-						r.short++
+					for _, c := range calls {
+						res := p.Invoke(tk, c)
+						if d := res.Data; c.Op == sysabi.OpFRead &&
+							(int64(len(d)) != c.Args[0] || d[0] != byte(n) || d[len(d)-1] != byte(n)) {
+							r.short++
+						}
 					}
 					if pi == 0 {
 						tk.Sleep(rigTick)
@@ -125,8 +167,8 @@ func freadCall(size int64) sysabi.Call {
 	return sysabi.Call{Op: sysabi.OpFRead, Args: [2]int64{size, 0}}
 }
 
-func benchRecordReplay(b *testing.B, followers, threads int, call sysabi.Call) {
-	r := newReplayRig(b, followers, threads, call, 0)
+func benchRecordReplay(b *testing.B, spec rigSpec) {
+	r := newReplayRig(b, spec)
 	recorded := r.m.Stats.Recorded
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -134,19 +176,33 @@ func benchRecordReplay(b *testing.B, followers, threads int, call sysabi.Call) {
 		r.step(b)
 	}
 	b.StopTimer()
-	if got, want := r.m.Stats.Recorded-recorded, int64(b.N*threads); got != want {
+	if got, want := r.m.Stats.Recorded-recorded, int64(b.N*spec.threads*len(spec.round)); got != want {
 		b.Fatalf("recorded %d events in %d steps, want %d", got, b.N, want)
 	}
 }
 
 func BenchmarkRecordReplayClock(b *testing.B) {
-	benchRecordReplay(b, 1, 1, sysabi.Call{Op: sysabi.OpClock})
+	benchRecordReplay(b, oneCall(1, 1, sysabi.Call{Op: sysabi.OpClock}, 0))
 }
-func BenchmarkRecordReplayWrite64(b *testing.B) { benchRecordReplay(b, 1, 1, writeCall(64)) }
-func BenchmarkRecordReplayBulk4K(b *testing.B)  { benchRecordReplay(b, 1, 1, writeCall(4096)) }
-func BenchmarkRecordReplayK3(b *testing.B)      { benchRecordReplay(b, 3, 1, writeCall(64)) }
+func BenchmarkRecordReplayWrite64(b *testing.B) {
+	benchRecordReplay(b, oneCall(1, 1, writeCall(64), 0))
+}
+func BenchmarkRecordReplayBulk4K(b *testing.B) {
+	benchRecordReplay(b, oneCall(1, 1, writeCall(4096), 0))
+}
+func BenchmarkRecordReplayK3(b *testing.B) { benchRecordReplay(b, oneCall(3, 1, writeCall(64), 0)) }
 
 // BenchmarkRecordReplayThreaded is four leader threads against four
 // follower threads: one step is four events, demultiplexed by TID and
 // validated in the leader's global order.
-func BenchmarkRecordReplayThreaded(b *testing.B) { benchRecordReplay(b, 1, 4, writeCall(64)) }
+func BenchmarkRecordReplayThreaded(b *testing.B) {
+	benchRecordReplay(b, oneCall(1, 4, writeCall(64), 0))
+}
+
+// BenchmarkRecordReplayRewritten is the steady state of a duo held in
+// the outdated-leader stage of kvstore 2.0.0 -> 2.0.1: one step is a
+// clock read and a 64-byte reply recorded, and a rule hit that swaps
+// them before the follower validates its write and its clock read.
+func BenchmarkRecordReplayRewritten(b *testing.B) {
+	benchRecordReplay(b, rewritten(1, false, writeCall(64)))
+}

@@ -28,8 +28,11 @@
 // to the ring, which copies them only if it appends; a follower owns the
 // event it drained, passes the result's data on to its application
 // without another copy, and gives the call's payload — needed only for
-// the comparison — back to the ring when the event retires. Whatever
-// outlives that moment (a Divergence report) holds bytes of its own.
+// the comparison — back to the ring when the event retires. A rewrite
+// rule moves the payloads it forwards into the events it emits (see
+// internal/dsl), so the follower owns an emitted event's bytes the same
+// way. Whatever outlives that moment (a Divergence report) holds bytes of
+// its own.
 package mve
 
 import (

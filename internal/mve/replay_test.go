@@ -20,50 +20,95 @@ import (
 // allocates exactly the buffers the applications end up owning.
 func TestReplayZeroAllocs(t *testing.T) {
 	cases := []struct {
-		name      string
-		followers int
-		threads   int
-		call      sysabi.Call
-		offer     int
-		want      float64
+		name string
+		spec rigSpec
+		want float64
 	}{
-		{name: "clock", followers: 1, threads: 1, call: sysabi.Call{Op: sysabi.OpClock}},
-		{name: "write64", followers: 1, threads: 1, call: writeCall(64)},
-		{name: "write4K", followers: 1, threads: 1, call: writeCall(4096)},
+		{name: "clock", spec: oneCall(1, 1, sysabi.Call{Op: sysabi.OpClock}, 0)},
+		{name: "write64", spec: oneCall(1, 1, writeCall(64), 0)},
+		{name: "write4K", spec: oneCall(1, 1, writeCall(4096), 0)},
 		// The kernel fills the leader's buffer, the follower's monitor
 		// the follower's, and the ring's copy goes back to the pool.
-		{name: "fread4K", followers: 1, threads: 1, call: freadCall(4096), offer: 4096},
+		{name: "fread4K", spec: oneCall(1, 1, freadCall(4096), 4096)},
 		// No offer: the leader application's buffer comes from the kernel
 		// and the follower application's is the ring's copy, handed over.
-		{name: "fread4K/no-offer", followers: 1, threads: 1, call: freadCall(4096), want: 2},
+		{name: "fread4K/no-offer", spec: oneCall(1, 1, freadCall(4096), 0), want: 2},
 		// An offer too small for what the leader read is no offer.
-		{name: "fread4K/small-offer", followers: 1, threads: 1, call: freadCall(4096), offer: 1024, want: 2},
-		{name: "K3/write64", followers: 3, threads: 1, call: writeCall(64)},
-		{name: "K3/write4K", followers: 3, threads: 1, call: writeCall(4096)},
-		{name: "K3/fread4K", followers: 3, threads: 1, call: freadCall(4096), offer: 4096},
+		{name: "fread4K/small-offer", spec: oneCall(1, 1, freadCall(4096), 1024), want: 2},
+		{name: "K3/write64", spec: oneCall(3, 1, writeCall(64), 0)},
+		{name: "K3/write4K", spec: oneCall(3, 1, writeCall(4096), 0)},
+		{name: "K3/fread4K", spec: oneCall(3, 1, freadCall(4096), 4096)},
 		// One buffer per application: the leader's and each variant's.
-		{name: "K3/fread4K/no-offer", followers: 3, threads: 1, call: freadCall(4096), want: 4},
-		{name: "K3/fread4K/small-offer", followers: 3, threads: 1, call: freadCall(4096), offer: 1024, want: 4},
-		{name: "threaded/write64", followers: 1, threads: 4, call: writeCall(64)},
+		{name: "K3/fread4K/no-offer", spec: oneCall(3, 1, freadCall(4096), 0), want: 4},
+		{name: "K3/fread4K/small-offer", spec: oneCall(3, 1, freadCall(4096), 1024), want: 4},
+		{name: "threaded/write64", spec: oneCall(1, 4, writeCall(64), 0)},
+		// Every event pair rewritten: the rule binds the reply as a view,
+		// the emitted write takes the recorded buffer, and retiring it
+		// gives that buffer back to the ring.
+		{name: "rewritten/write64", spec: rewritten(1, false, writeCall(64))},
+		{name: "rewritten/write4K", spec: rewritten(1, false, writeCall(4096))},
+		{name: "rewritten-reverse/write64", spec: rewritten(1, true, writeCall(64))},
+		{name: "K3/rewritten/write64", spec: rewritten(3, false, writeCall(64))},
+		{name: "K3/rewritten-reverse/write4K", spec: rewritten(3, true, writeCall(4096))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newReplayRig(t, tc.followers, tc.threads, tc.call, tc.offer)
-			replayed := r.m.Stats.Replayed
+			r := newReplayRig(t, tc.spec)
+			replayed, rewritten := r.m.Stats.Replayed, r.m.Stats.Rewritten
 			const runs = 100
 			got := testing.AllocsPerRun(runs, func() { r.step(t) })
 			if got != tc.want {
 				t.Errorf("%v allocations per round trip, want %v", got, tc.want)
 			}
 			// AllocsPerRun makes one warm-up call on top of runs.
-			if n, want := r.m.Stats.Replayed-replayed, int64((runs+1)*tc.followers*tc.threads); n != want {
+			trips := int64((runs + 1) * tc.spec.followers * tc.spec.threads)
+			if n, want := r.m.Stats.Replayed-replayed, trips*int64(len(tc.spec.round)); n != want {
 				t.Errorf("replayed %d events, want %d: a step is not one round trip", n, want)
+			}
+			if n := r.m.Stats.Rewritten - rewritten; tc.spec.rules != nil && n != trips {
+				t.Errorf("%d rule hits in %d round trips", n, trips)
 			}
 			if len(r.m.Divergences()) != 0 {
 				t.Errorf("divergences: %v", r.m.Divergences())
 			}
 			if r.short != 0 {
 				t.Errorf("%d reads returned something other than the full chunk", r.short)
+			}
+		})
+	}
+}
+
+// TestRewrittenWritesRecycleRingBuffers: AllocsPerRun rounds down, so a
+// pool that made a new buffer every few round trips would still read 0
+// above. A thousand rewritten 4 KiB replies must come to (next to) no
+// bytes at all: the buffer a rule hit moves into its emitted event is the
+// one retirement gives back, and the ring's pool makes no new one after
+// warm-up. One each would be 4 MiB and more.
+func TestRewrittenWritesRecycleRingBuffers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec rigSpec
+	}{
+		{"forward", rewritten(1, false, writeCall(4096))},
+		{"reverse", rewritten(1, true, writeCall(4096))},
+		{"K3/forward", rewritten(3, false, writeCall(4096))},
+		{"K3/reverse", rewritten(3, true, writeCall(4096))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newReplayRig(t, tc.spec)
+			const trips = 1000
+			hits := r.m.Stats.Rewritten
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < trips; i++ {
+				r.step(t)
+			}
+			runtime.ReadMemStats(&after)
+			if n := r.m.Stats.Rewritten - hits; n != int64(trips*tc.spec.followers) || len(r.m.Divergences()) != 0 {
+				t.Fatalf("%d rule hits, divergences %v; want %d and none", n, r.m.Divergences(), trips*tc.spec.followers)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+				t.Errorf("%d rewritten replies allocated %d bytes: the moved buffers are not recycled", trips*tc.spec.followers, got)
 			}
 		})
 	}
@@ -77,7 +122,7 @@ func TestReplayZeroAllocs(t *testing.T) {
 func TestReplayedReadsRecycleRingBuffers(t *testing.T) {
 	for _, followers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("K%d", followers), func(t *testing.T) {
-			r := newReplayRig(t, followers, 1, freadCall(4096), 4096)
+			r := newReplayRig(t, oneCall(followers, 1, freadCall(4096), 4096))
 			const reads = 1000
 			replayed := r.m.Stats.Replayed
 			var before, after runtime.MemStats

@@ -44,17 +44,17 @@ func (q *queue[T]) pop(n int) {
 	}
 }
 
-// expGroup is the result of one rule transformation — the events the
-// follower is expected to issue, plus the raw sequence numbers they
-// consumed, used for global-order retirement — or, when no rule fired, of
-// an identity pass-through: then the one expected event is held inline
-// (events stays nil) and consumed exactly its own sequence number.
+// expGroup is the result of one transformation of the front of a thread's
+// raw window: a rule's rewrite, or the identity pass-through of one event
+// when no rule fired. The events the follower is expected to issue and the
+// raw sequence numbers consumed besides the first (used for global-order
+// retirement; only a multi-event rule match has any) wait in the stream's
+// evs and seqs queues, in group order; the group holds the counts.
 type expGroup struct {
-	one    sysabi.Event   // identity: the expected event
-	events []sysabi.Event // rule fired: the emitted events
-	seq    uint64         // first raw sequence number consumed
-	more   []uint64       // rule fired: the other raw sequence numbers consumed
-	idx    int            // next of events to validate
+	seq  uint64 // first raw sequence number consumed
+	n    int    // events expected, at the front of evs once this group is the oldest
+	more int    // other raw sequence numbers consumed, likewise in seqs
+	idx  int    // events validated so far
 }
 
 // tidStream is one logical thread's share of a proc's state. While the
@@ -65,6 +65,8 @@ type expGroup struct {
 type tidStream struct {
 	raw  queue[sysabi.Event] // pulled from the ring, pre-rewrite
 	exp  queue[expGroup]     // rewritten, awaiting validation
+	evs  queue[sysabi.Event] // the expected events of exp's groups, each owning its payloads
+	seqs queue[uint64]       // the extra sequence numbers of exp's groups
 	wait sim.WaitQueue       // the thread, awaiting its events or its turn
 	req  reqOpen             // while serving: the thread's open tagged request (span mode only)
 }
@@ -104,14 +106,16 @@ func (p *Proc) queuesEmpty() bool {
 	return true
 }
 
-// retire marks every raw event g consumed as validated and advances
-// globalNext over them. A group starts only once its first sequence
-// number is globalNext, so that one retires in order; only a multi-event
-// rule match can reach ahead, past other threads' events, and those
-// sequence numbers wait in p.ahead until globalNext catches up.
-func (p *Proc) retire(g *expGroup) {
+// retire marks every raw event g, the oldest group of st, consumed as
+// validated and advances globalNext over them. A group starts only once
+// its first sequence number is globalNext, so that one retires in order;
+// only a multi-event rule match can reach ahead, past other threads'
+// events, and those sequence numbers wait in p.ahead until globalNext
+// catches up.
+func (p *Proc) retire(st *tidStream, g *expGroup) {
 	p.globalNext = g.seq + 1
-	p.ahead = append(p.ahead, g.more...)
+	p.ahead = append(p.ahead, st.seqs.window()[:g.more]...)
+	st.seqs.pop(g.more)
 	for i := 0; i < len(p.ahead); {
 		if p.ahead[i] != p.globalNext {
 			i++
@@ -129,23 +133,21 @@ func (p *Proc) retire(g *expGroup) {
 // payloads no application ever saw back to the ring. Parked threads stay
 // parked on their streams.
 func (p *Proc) dropQueued() {
-	ring := p.m.ring
+	drop := func(q *queue[sysabi.Event]) {
+		evs := q.window()
+		for i := range evs {
+			p.m.ring.Recycle(&evs[i])
+		}
+		q.pop(len(evs))
+	}
 	for _, st := range p.streams {
 		if st == nil {
 			continue
 		}
-		raw := st.raw.window()
-		for i := range raw {
-			ring.Recycle(&raw[i])
-		}
-		st.raw.pop(len(raw))
-		exp := st.exp.window()
-		for i := range exp {
-			if exp[i].events == nil {
-				ring.Recycle(&exp[i].one)
-			}
-		}
-		st.exp.pop(len(exp))
+		drop(&st.raw)
+		drop(&st.evs)
+		st.exp.pop(st.exp.len())
+		st.seqs.pop(st.seqs.len())
 	}
 	p.ahead = p.ahead[:0]
 }

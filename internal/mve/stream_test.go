@@ -209,18 +209,29 @@ var benchSink uint64
 // and 7; globalNext must stop at 6, and jump over 8 and 9 once 7 retires.
 func TestRetireCatchesUpWithSeqsRetiredAhead(t *testing.T) {
 	p := &Proc{globalNext: 5}
+	st := &tidStream{}
 	for _, step := range []struct {
-		g    expGroup
+		seq  uint64
+		more []uint64
 		next uint64
 	}{
-		{expGroup{seq: 5, more: []uint64{9, 8}}, 6},
-		{expGroup{seq: 6}, 7},
-		{expGroup{seq: 7}, 10},
-		{expGroup{seq: 10, more: []uint64{11}}, 12},
+		{5, []uint64{9, 8}, 6},
+		{6, nil, 7},
+		{7, nil, 10},
+		{10, []uint64{11}, 12},
 	} {
-		p.retire(&step.g)
+		// As transform queues a group: its extra sequence numbers go onto
+		// the stream's queue, the group keeps their count.
+		for _, seq := range step.more {
+			st.seqs.push(seq)
+		}
+		g := expGroup{seq: step.seq, n: 1, more: len(step.more)}
+		p.retire(st, &g)
 		if p.globalNext != step.next {
-			t.Fatalf("after retiring #%d%v: globalNext = %d, want %d", step.g.seq, step.g.more, p.globalNext, step.next)
+			t.Fatalf("after retiring #%d%v: globalNext = %d, want %d", step.seq, step.more, p.globalNext, step.next)
+		}
+		if st.seqs.len() != 0 {
+			t.Fatalf("after retiring #%d: %d sequence numbers left on the stream", step.seq, st.seqs.len())
 		}
 	}
 	if len(p.ahead) != 0 {

@@ -45,7 +45,6 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 	}
 	st := p.stream(call.TID)
 	var exp sysabi.Event
-	var identity bool
 	for {
 		for st.exp.len() == 0 {
 			if roleChanged := p.fillExpected(t, call.TID, st); roleChanged || p.role != RoleFollower {
@@ -62,11 +61,8 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 			}
 			continue
 		}
-		if identity = g.events == nil; identity {
-			exp = g.one
-		} else {
-			exp = g.events[g.idx]
-		}
+		exp = *st.evs.front()
+		st.evs.pop(1)
 		g.idx++
 		p.m.Stats.Replayed++
 		p.progress++
@@ -79,8 +75,8 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 				sc.Inc(obs.CSyscallsFollower)
 			}
 		}
-		if identity || g.idx >= len(g.events) {
-			p.retire(g)
+		if g.idx >= g.n {
+			p.retire(st, g)
 			st.exp.pop(1)
 			p.wakeAllTIDs()
 		}
@@ -148,20 +144,19 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 	if p.promoteSeen && p.queuesEmpty() {
 		p.becomeLeader()
 	}
-	// The event is retired. This proc was its taker and owns its bytes:
-	// the call's payload, needed only for the comparison above, goes back
-	// to the ring, and so does a read's data once it is copied into the
-	// buffer the application offered (sysabi.Call.Buf) — a follower's
+	// The event is retired, and this proc owns its bytes — it took them
+	// from the ring, or a rule moved or copied them into an event of its
+	// own: the call's payload, needed only for the comparison above, goes
+	// back to the ring, and so does a read's data once it is copied into
+	// the buffer the application offered (sysabi.Call.Buf) — a follower's
 	// read(2) fills the follower's own memory. With no offer, or one too
 	// small for what the leader read, the data passes to the application
-	// as it is. (A rule-emitted event carries buffers of its own.)
-	if identity {
-		p.m.ring.RecycleBytes(exp.Call.Buf)
-		if d := exp.Result.Data; len(d) > 0 && cap(call.Buf) >= len(d) &&
-			(call.Op == sysabi.OpRead || call.Op == sysabi.OpFRead) {
-			exp.Result.Data = append(call.Buf[:0], d...)
-			p.m.ring.RecycleBytes(d)
-		}
+	// as it is.
+	p.m.ring.RecycleBytes(exp.Call.Buf)
+	if d := exp.Result.Data; len(d) > 0 && cap(call.Buf) >= len(d) &&
+		(call.Op == sysabi.OpRead || call.Op == sysabi.OpFRead) {
+		exp.Result.Data = append(call.Buf[:0], d...)
+		p.m.ring.RecycleBytes(d)
 	}
 	return exp.Result, false
 }
@@ -253,32 +248,40 @@ func (p *Proc) fillExpected(t *sim.Task, tid int, st *tidStream) bool {
 
 // transform rewrites the front of tid's raw window (non-empty, and long
 // enough for every rule that could start there) into one expected group.
+// The engine's result is good until its next call, so the events move to
+// the stream's queue here; with no rule fired that is the raw event as it
+// is, payloads and all.
 func (p *Proc) transform(tid int, st *tidStream, raw []sysabi.Event) {
 	expected, consumed, fired := p.engine.Transform(raw)
-	g := expGroup{seq: raw[0].Seq}
-	if fired == nil {
-		g.one = raw[0]
-	} else {
+	g := expGroup{seq: raw[0].Seq, n: len(expected), more: consumed - 1}
+	if fired != nil {
 		if p.m.rec.SpansEnabled() {
 			carryReqIDs(raw[:consumed], expected)
 		}
 		p.m.Stats.Rewritten++
-		p.m.logf("rule %q rewrote %d event(s) into %d for tid %d", fired.Name, consumed, len(expected), tid)
+		if p.m.logEnabled {
+			p.m.logf("rule %q rewrote %d event(s) into %d for tid %d", fired.Name, consumed, len(expected), tid)
+		}
 		p.m.rec.Inc(obs.CRuleHits)
-		p.m.rec.Emitf(obs.KindRuleHit, p.name, "rule %q rewrote %d event(s) into %d for tid %d",
-			fired.Name, consumed, len(expected), tid)
+		if rec := p.m.rec; rec.Enabled() {
+			rec.Emitf(obs.KindRuleHit, p.name, "rule %q rewrote %d event(s) into %d for tid %d",
+				fired.Name, consumed, len(expected), tid)
+		}
 		for i := range expected {
 			expected[i].Seq = g.seq
 		}
-		g.events = expected
-		for i := 1; i < consumed; i++ {
-			g.more = append(g.more, raw[i].Seq)
-		}
-		// The emitted events carry bytes of their own, so the consumed
-		// ones, which no application will see, go back to the ring.
+		// What the rule forwarded has moved to the emitted events; what it
+		// read, dropped or copied no application will see, and goes back
+		// to the ring.
 		for i := 0; i < consumed; i++ {
 			p.m.ring.Recycle(&raw[i])
 		}
+	}
+	for i := range expected {
+		st.evs.push(expected[i])
+	}
+	for i := 1; i < consumed; i++ {
+		st.seqs.push(raw[i].Seq)
 	}
 	st.raw.pop(consumed)
 	st.exp.push(g)
@@ -342,24 +345,19 @@ func reqSpanName(id uint64) string { return fmt.Sprintf("req-%d", id) }
 // ReqID field; pairing the Nth tagged output in with the Nth untagged
 // output out keeps per-request attribution intact across rewrites.
 func carryReqIDs(raw, expected []sysabi.Event) {
-	var ids []uint64
-	for _, e := range raw {
-		if e.Call.HasOutput() && e.Call.ReqID != 0 {
-			ids = append(ids, e.Call.ReqID)
-		}
-	}
-	if len(ids) == 0 {
-		return
-	}
 	j := 0
-	for i := range expected {
-		if j >= len(ids) {
-			return
+	for i := range raw {
+		if !raw[i].Call.HasOutput() || raw[i].Call.ReqID == 0 {
+			continue
 		}
-		if expected[i].Call.HasOutput() && expected[i].Call.ReqID == 0 {
-			expected[i].Call.ReqID = ids[j]
+		for j < len(expected) && !(expected[j].Call.HasOutput() && expected[j].Call.ReqID == 0) {
 			j++
 		}
+		if j == len(expected) {
+			return
+		}
+		expected[j].Call.ReqID = raw[i].Call.ReqID
+		j++
 	}
 }
 
