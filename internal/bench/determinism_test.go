@@ -48,3 +48,34 @@ func TestMemcachedDuoSchedulingDeterministic(t *testing.T) {
 	}
 	t.Logf("traces identical for %d entries", len(a))
 }
+
+// TestMemcachedDuoSettledShare pins the census behind ROADMAP item 7:
+// of every 100 scheduler dispatches the 4-worker Memcached duo makes in
+// the outdated-leader stage (Table 2's Mvedsua-2 row, the benchmark's
+// mc_duo shape), how many are a follower thread woken by another
+// thread's retirement while still out of turn — dispatches the scheduler
+// settles by parking the thread again without switching into it
+// (sim.Task.BlockWhile; its one caller is mve's turn wait). Everything
+// else is a real switch. The run is deterministic, so the numbers are
+// exact; if they move, the schedule moved.
+func TestMemcachedDuoSettledShare(t *testing.T) {
+	s := sim.New()
+	var settled, dispatches int64
+	err := measure(s, MemcachedTarget(), ModeMvedsua2, 0, nil, NewMetrics(0), func(w *world, tk *sim.Task) error {
+		if err := w.warmUp(tk, 20*time.Millisecond); err != nil {
+			return err
+		}
+		s0, d0 := s.Settled(), s.Dispatches()
+		tk.Sleep(100 * time.Millisecond)
+		settled, dispatches = s.Settled()-s0, s.Dispatches()-d0
+		return w.validating("duo did not survive the window")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSettled, wantDispatches = 84526, 132146
+	if settled != wantSettled || dispatches != wantDispatches {
+		t.Fatalf("settled %d of %d dispatches (%.1f%%), want %d of %d",
+			settled, dispatches, 100*float64(settled)/float64(dispatches), wantSettled, wantDispatches)
+	}
+}

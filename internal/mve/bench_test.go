@@ -32,7 +32,8 @@ type replayRig struct {
 	m     *Monitor
 	procs []*Proc // leader first
 	tasks []*sim.Task
-	short int // OpFRead results that were not a full, intact chunk
+	gates []sim.WaitQueue // per TID: follower threads held until the next step (rigSpec.descending)
+	short int             // OpFRead results that were not a full, intact chunk
 }
 
 // rigTick is the leader application's think time between calls; RunFor
@@ -50,12 +51,16 @@ const rigFile, rigFileSize = "/bulk", 8 << 20
 // same calls as another version orders them, which rules reconcile. An
 // OpFRead call first opens rigFile and reads from that descriptor, into a
 // buffer of offer bytes the thread offers (none for offer == 0), and
-// checks what it gets.
+// checks what it gets. With descending set the leader's threads record
+// every round in descending TID order, and a follower's start on it only
+// then, in ascending order (step releases them): all but one of them are
+// out of turn at once.
 type rigSpec struct {
 	followers, threads int
 	round, replay      []sysabi.Call
 	rules              *dsl.RuleSet
 	offer              int
+	descending         bool
 }
 
 // oneCall is the spec of a rule-less rig whose round is one call.
@@ -92,6 +97,9 @@ func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 	}
 	r := &replayRig{s: s, m: New(k, 256, Costs{})}
 	r.procs = []*Proc{r.m.StartSingleLeader("leader")}
+	if spec.descending {
+		r.gates = make([]sim.WaitQueue, spec.threads)
+	}
 	if spec.followers == 1 {
 		r.procs = append(r.procs, r.m.AttachFollower("follower", spec.rules))
 	} else {
@@ -104,8 +112,11 @@ func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 		if pi > 0 && spec.replay != nil {
 			round = spec.replay
 		}
-		for tid := 0; tid < spec.threads; tid++ {
-			pi, p, tid := pi, p, tid
+		for i := 0; i < spec.threads; i++ {
+			pi, p, tid := pi, p, i
+			if pi == 0 && spec.descending {
+				tid = spec.threads - 1 - i
+			}
 			r.tasks = append(r.tasks, s.Go(fmt.Sprintf("%s/t%d", p.Name(), tid), func(tk *sim.Task) {
 				calls := make([]sysabi.Call, len(round))
 				for i, call := range round {
@@ -129,6 +140,8 @@ func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 					}
 					if pi == 0 {
 						tk.Sleep(rigTick)
+					} else if spec.descending {
+						tk.Block(&r.gates[tid])
 					}
 				}
 			}))
@@ -144,6 +157,9 @@ func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 }
 
 func (r *replayRig) step(tb testing.TB) {
+	for i := range r.gates {
+		r.gates[i].WakeAll(r.s)
+	}
 	if err := r.s.RunFor(rigTick); err != nil {
 		tb.Fatalf("RunFor: %v", err)
 	}
@@ -168,7 +184,10 @@ func freadCall(size int64) sysabi.Call {
 }
 
 func benchRecordReplay(b *testing.B, spec rigSpec) {
-	r := newReplayRig(b, spec)
+	benchRecordReplayRig(b, newReplayRig(b, spec), spec)
+}
+
+func benchRecordReplayRig(b *testing.B, r *replayRig, spec rigSpec) {
 	recorded := r.m.Stats.Recorded
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -197,6 +216,21 @@ func BenchmarkRecordReplayK3(b *testing.B) { benchRecordReplay(b, oneCall(3, 1, 
 // validated in the leader's global order.
 func BenchmarkRecordReplayThreaded(b *testing.B) {
 	benchRecordReplay(b, oneCall(1, 4, writeCall(64), 0))
+}
+
+// BenchmarkRecordReplayOutOfTurn is the same four events a step with
+// the leader's order reversed, memcache's steady state in small: every
+// retirement wakes three follower threads of which at most one is in
+// turn, and the scheduler parks the others again without switching to
+// them (sim.Task.BlockWhile; settled/op counts them).
+func BenchmarkRecordReplayOutOfTurn(b *testing.B) {
+	spec := oneCall(1, 4, writeCall(64), 0)
+	spec.descending = true
+	r := newReplayRig(b, spec)
+	settled, dispatches := r.s.Settled(), r.s.Dispatches()
+	benchRecordReplayRig(b, r, spec)
+	b.ReportMetric(float64(r.s.Settled()-settled)/float64(b.N), "settled/op")
+	b.ReportMetric(float64(r.s.Dispatches()-dispatches)/float64(b.N), "dispatches/op")
 }
 
 // BenchmarkRecordReplayRewritten is the steady state of a duo held in

@@ -63,6 +63,7 @@ type expGroup struct {
 // stream, the way Varan matches per-thread event streams in multithreaded
 // programs.
 type tidStream struct {
+	p    *Proc               // the proc the stream belongs to
 	raw  queue[sysabi.Event] // pulled from the ring, pre-rewrite
 	exp  queue[expGroup]     // rewritten, awaiting validation
 	evs  queue[sysabi.Event] // the expected events of exp's groups, each owning its payloads
@@ -80,9 +81,20 @@ func (p *Proc) stream(tid int) *tidStream {
 		p.streams = append(p.streams, nil)
 	}
 	if p.streams[tid] == nil {
-		p.streams[tid] = &tidStream{}
+		p.streams[tid] = &tidStream{p: p}
 	}
 	return p.streams[tid]
+}
+
+// StillWaiting is the turn wait's re-check in invokeFollower, as its
+// sim.Waiter: false on the thread's turn and on anything else — a role
+// change, a stream dropQueued emptied — that the thread must wake to see.
+func (st *tidStream) StillWaiting() bool {
+	if st.p.role != RoleFollower || st.exp.len() == 0 {
+		return false
+	}
+	g := st.exp.front()
+	return g.idx == 0 && g.seq != st.p.globalNext
 }
 
 // wakeAllTIDs wakes every thread parked on its stream, in ascending TID

@@ -53,9 +53,10 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 		}
 		g := st.exp.front()
 		// Honour the leader's global interleaving: a new group may only
-		// start when its first raw event is the oldest unretired one.
+		// start when its first raw event is the oldest unretired one. Every
+		// retirement wakes every thread; sim settles those still out of turn.
 		if g.idx == 0 && g.seq != p.globalNext {
-			t.Block(&st.wait)
+			t.BlockWhile(&st.wait, st)
 			if p.role != RoleFollower {
 				return sysabi.Result{}, true
 			}

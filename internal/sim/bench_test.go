@@ -28,6 +28,34 @@ func BenchmarkDispatchYield(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockWhileSettled is BenchmarkDispatchYield with one of the
+// two dispatches settled: a waker wakes a BlockWhile waiter whose
+// predicate still holds and yields, so each iteration is one dispatch
+// that parks the waiter again without switching to it and one real
+// switch into the waker.
+func BenchmarkBlockWhileSettled(b *testing.B) {
+	s := New()
+	var q WaitQueue
+	turn := 1
+	s.Go("waiter", func(tk *Task) { tk.BlockWhile(&q, oddWaiter{&turn}) })
+	s.Go("waker", func(tk *Task) {
+		for n := 0; n < b.N; n++ {
+			q.WakeAll(s)
+			tk.Yield()
+		}
+		turn = 2
+		q.WakeAll(s)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if s.Settled() != int64(b.N) {
+		b.Fatalf("settled %d dispatches in %d iterations", s.Settled(), b.N)
+	}
+}
+
 // BenchmarkEnqueueDispatch measures a single task re-enqueueing itself:
 // one enqueue and one dispatch per iteration, no contention.
 func BenchmarkEnqueueDispatch(b *testing.B) {

@@ -112,6 +112,7 @@ type Scheduler struct {
 	traceStart   int   // oldest slot once the trace wrapped
 	traceDropped int64 // trace lines evicted from the circular tail
 	dispatches   int64
+	settled      int64 // dispatches that re-parked a BlockWhile waiter
 }
 
 // DefaultTraceCap bounds the scheduling trace unless SetTraceCapacity
@@ -150,6 +151,10 @@ func (s *Scheduler) Crashes() []CrashInfo { return s.crashes }
 // count measures scheduling churn, not task count. It never advances the
 // virtual clock and is safe to read at any point.
 func (s *Scheduler) Dispatches() int64 { return s.dispatches }
+
+// Settled returns how many of those dispatches found a BlockWhile waiter
+// whose predicate still held and parked it again without resuming it.
+func (s *Scheduler) Settled() int64 { return s.settled }
 
 // SetTracing enables or disables recording of a scheduling trace, useful in
 // tests that assert deterministic interleavings. The trace is bounded (the
@@ -335,7 +340,11 @@ func (s *Scheduler) dispatch(t *Task) {
 	if s.profiler != nil {
 		s.segStart = sliceStart
 	}
-	if _, parked := t.next(); !parked {
+	if t.still != nil && !t.killed && t.still.StillWaiting() {
+		// What resuming the waiter would do, without the two switches.
+		s.settled++
+		t.waitOn(t.whileQ)
+	} else if _, parked := t.next(); !parked {
 		// The task is done. Stale timers can keep the Task reachable;
 		// they must not keep its coroutine and stack with it.
 		t.next, t.yield = nil, nil

@@ -157,10 +157,15 @@ func (ss *ShardedScheduler) Go(i int, name string, fn func(*Task)) *Task {
 func (ss *ShardedScheduler) Now() time.Duration { return ss.boundary }
 
 // Dispatches returns the total context switches across all shards.
-func (ss *ShardedScheduler) Dispatches() int64 {
+func (ss *ShardedScheduler) Dispatches() int64 { return ss.sum((*Scheduler).Dispatches) }
+
+// Settled returns the total settled dispatches across all shards.
+func (ss *ShardedScheduler) Settled() int64 { return ss.sum((*Scheduler).Settled) }
+
+func (ss *ShardedScheduler) sum(count func(*Scheduler) int64) int64 {
 	var n int64
 	for _, sh := range ss.shards {
-		n += sh.sched.Dispatches()
+		n += count(sh.sched)
 	}
 	return n
 }

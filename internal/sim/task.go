@@ -30,6 +30,8 @@ type Task struct {
 	// queue the task is currently blocked on, for removal on Kill.
 	waitingOn *WaitQueue
 	joiners   WaitQueue
+	still     Waiter     // while parked by BlockWhile: its predicate, and
+	whileQ    *WaitQueue // the queue dispatch puts the task back on
 
 	// labels is the profiling attribution stack (see PushLabel). Always
 	// empty unless a SliceProfiler is attached to the scheduler.
@@ -82,6 +84,7 @@ func (t *Task) exit() {
 		}
 	}
 	t.state = StateDone
+	t.still, t.whileQ = nil, nil // a killed BlockWhile waiter left them set
 	t.s.forget(t)
 	t.joiners.WakeAll(t.s)
 }
@@ -123,19 +126,43 @@ func (t *Task) Sleep(d time.Duration) {
 // collective (WakeAll).
 func (t *Task) Block(q *WaitQueue) {
 	t.checkCurrent("Block")
+	t.waitOn(q)
+	t.park()
+}
+
+// waitOn queues the task at the back of q as blocked.
+func (t *Task) waitOn(q *WaitQueue) {
 	t.state = StateBlocked
 	t.waitingOn = q
 	q.tasks.push(t)
+}
+
+// Waiter is BlockWhile's predicate. The scheduler calls it between slices:
+// it may only read state of the task's own scheduler, and never block.
+type Waiter interface {
+	StillWaiting() bool
+}
+
+// BlockWhile parks the task on q until a wake finds w.StillWaiting()
+// false: dispatch for dispatch the schedule of
+// `for { t.Block(q); if !w.StillWaiting() { break } }`, but a wake that
+// finds it true is settled by Scheduler.dispatch, which puts the task
+// back on q itself — counted, traced, profiled and reported to OnSlice as
+// the loop's empty slice would be, without the two coroutine switches.
+// A kill always resumes the task, which unwinds through its defers.
+func (t *Task) BlockWhile(q *WaitQueue, w Waiter) {
+	t.checkCurrent("BlockWhile")
+	t.still, t.whileQ = w, q
+	t.waitOn(q)
 	t.park()
+	t.still, t.whileQ = nil, nil
 }
 
 // BlockTimeout parks the task on q until woken or until d elapses. It
 // reports whether the task was woken (true) or timed out (false).
 func (t *Task) BlockTimeout(q *WaitQueue, d time.Duration) bool {
 	t.checkCurrent("BlockTimeout")
-	t.state = StateBlocked
-	t.waitingOn = q
-	q.tasks.push(t)
+	t.waitOn(q)
 	t.s.nextSeq++
 	t.s.timers.push(timer{when: t.s.clock + d, seq: t.s.nextSeq, task: t})
 	// The timer fires only if the task is still StateSleeping; blocked
