@@ -73,7 +73,7 @@ func TestMemcachedDuoSettledShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantSettled, wantDispatches = 84526, 132146
+	const wantSettled, wantDispatches = 84528, 132148
 	if settled != wantSettled || dispatches != wantDispatches {
 		t.Fatalf("settled %d of %d dispatches (%.1f%%), want %d of %d",
 			settled, dispatches, 100*float64(settled)/float64(dispatches), wantSettled, wantDispatches)

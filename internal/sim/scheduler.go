@@ -373,7 +373,7 @@ func (s *Scheduler) advanceTo(when time.Duration) {
 		s.clock = when
 	}
 	for len(s.timers) > 0 && s.timers[0].when <= s.clock {
-		if tm := s.timers.pop(); tm.task.state == StateSleeping {
+		if tm := s.timers.pop(); tm.live() {
 			s.enqueue(tm.task)
 		}
 	}
@@ -382,7 +382,7 @@ func (s *Scheduler) advanceTo(when time.Duration) {
 func (s *Scheduler) fireNextTimer() {
 	// Discard stale timers (task killed or woken early) without advancing
 	// the clock: a dead task's deadline must not distort the timeline.
-	for len(s.timers) > 0 && s.timers[0].task.state != StateSleeping {
+	for len(s.timers) > 0 && !s.timers[0].live() {
 		s.timers.pop()
 	}
 	if len(s.timers) == 0 {
@@ -396,7 +396,7 @@ func (s *Scheduler) fireNextTimer() {
 	// Also release any other timers that share this instant so FIFO order
 	// among equal deadlines is preserved by seq ordering in the heap.
 	for len(s.timers) > 0 && s.timers[0].when <= s.clock {
-		if next := s.timers.pop(); next.task.state == StateSleeping {
+		if next := s.timers.pop(); next.live() {
 			s.enqueue(next.task)
 		}
 	}
@@ -407,6 +407,10 @@ type timer struct {
 	seq  int64
 	task *Task
 }
+
+// live reports whether tm is the timer its task sleeps on: a task killed
+// or woken early leaves a stale one behind, even once it sleeps again.
+func (tm timer) live() bool { return tm.task.state == StateSleeping && tm.task.timerSeq == tm.seq }
 
 // timerHeap is a binary min-heap of timers by (when, seq), held by
 // value: arming a timer writes a slot of the backing array and boxes

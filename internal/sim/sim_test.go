@@ -335,6 +335,73 @@ func TestBlockTimeoutWoken(t *testing.T) {
 	}
 }
 
+// TestStaleTimerDoesNotEndALaterSleep: a BlockTimeout woken early leaves
+// its timer in the heap. That deadline belongs to a wait that is over; it
+// must not end whatever the task sleeps on next.
+func TestStaleTimerDoesNotEndALaterSleep(t *testing.T) {
+	s := New()
+	var q WaitQueue
+	var woke time.Duration
+	s.Go("a", func(tk *Task) {
+		if !tk.BlockTimeout(&q, 10*time.Millisecond) {
+			t.Error("first wait timed out, want woken at 1ms")
+		}
+		tk.Sleep(100 * time.Millisecond)
+		woke = tk.Now()
+	})
+	s.Go("b", func(tk *Task) {
+		tk.Sleep(time.Millisecond)
+		q.WakeOne(s)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := 101 * time.Millisecond; woke != want {
+		t.Fatalf("Sleep(100ms) begun at 1ms ended at %v, want %v", woke, want)
+	}
+}
+
+// TestStaleTimerDoesNotEndALaterBlockTimeout: the same stale deadline
+// must not time a later BlockTimeout out early either — that wait reports
+// woken or timed out for its own deadline.
+func TestStaleTimerDoesNotEndALaterBlockTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		wakeAt time.Duration // second wake; 0 for none
+		woken  bool
+		end    time.Duration
+	}{
+		{"times-out-at-its-own-deadline", 0, false, 101 * time.Millisecond},
+		{"woken-after-the-stale-deadline", 50 * time.Millisecond, true, 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			var q WaitQueue
+			var woken bool
+			var end time.Duration
+			s.Go("a", func(tk *Task) {
+				tk.BlockTimeout(&q, 10*time.Millisecond)
+				woken = tk.BlockTimeout(&q, 100*time.Millisecond)
+				end = tk.Now()
+			})
+			s.Go("b", func(tk *Task) {
+				tk.Sleep(time.Millisecond)
+				q.WakeOne(s)
+				if tc.wakeAt > 0 {
+					tk.Sleep(tc.wakeAt - tk.Now())
+					q.WakeOne(s)
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if woken != tc.woken || end != tc.end {
+				t.Fatalf("second wait: woken=%v at %v, want woken=%v at %v", woken, end, tc.woken, tc.end)
+			}
+		})
+	}
+}
+
 func TestMutexMutualExclusion(t *testing.T) {
 	s := New()
 	var mu Mutex

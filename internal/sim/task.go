@@ -32,6 +32,7 @@ type Task struct {
 	joiners   WaitQueue
 	still     Waiter     // while parked by BlockWhile: its predicate, and
 	whileQ    *WaitQueue // the queue dispatch puts the task back on
+	timerSeq  int64      // the timer the task sleeps on; any other of its timers is stale
 
 	// labels is the profiling attribution stack (see PushLabel). Always
 	// empty unless a SliceProfiler is attached to the scheduler.
@@ -115,10 +116,16 @@ func (t *Task) Sleep(d time.Duration) {
 		t.Yield()
 		return
 	}
+	t.arm(d)
+	t.park()
+}
+
+// arm puts the task to sleep on a new timer d from now.
+func (t *Task) arm(d time.Duration) {
 	t.state = StateSleeping
 	t.s.nextSeq++
-	t.s.timers.push(timer{when: t.s.clock + d, seq: t.s.nextSeq, task: t})
-	t.park()
+	t.timerSeq = t.s.nextSeq
+	t.s.timers.push(timer{when: t.s.clock + d, seq: t.timerSeq, task: t})
 }
 
 // Block parks the task on q until another task wakes it. The caller must
@@ -163,12 +170,7 @@ func (t *Task) BlockWhile(q *WaitQueue, w Waiter) {
 func (t *Task) BlockTimeout(q *WaitQueue, d time.Duration) bool {
 	t.checkCurrent("BlockTimeout")
 	t.waitOn(q)
-	t.s.nextSeq++
-	t.s.timers.push(timer{when: t.s.clock + d, seq: t.s.nextSeq, task: t})
-	// The timer fires only if the task is still StateSleeping; blocked
-	// tasks need the sleeping state for the timer to wake them, so use a
-	// dedicated state transition: mark as sleeping-with-queue.
-	t.state = StateSleeping
+	t.arm(d) // asleep, but on q: a wake or the timer ends the wait
 	t.park()
 	// Determine outcome: if still on the queue, it was a timeout.
 	timedOut := q.tasks.remove(t)
