@@ -38,8 +38,9 @@ func recordDescending(tk *sim.Task, leader *Proc, rounds int, order *[]string) {
 }
 
 // followThreads starts the follower's four threads, each issuing rounds
-// writes and logging the order in which they were validated.
-func followThreads(s *sim.Scheduler, follower *Proc, rounds int, order *[]string) []*sim.Task {
+// writes and logging the order in which they were validated, and a task
+// that drops the follower once all four are through.
+func followThreads(s *sim.Scheduler, m *Monitor, follower *Proc, rounds int, order *[]string) {
 	var tasks []*sim.Task
 	for tid := 0; tid < 4; tid++ {
 		tid := tid
@@ -50,7 +51,12 @@ func followThreads(s *sim.Scheduler, follower *Proc, rounds int, order *[]string
 			}
 		}))
 	}
-	return tasks
+	s.Go("teardown", func(tk *sim.Task) {
+		for _, ft := range tasks {
+			tk.Join(ft)
+		}
+		m.DropFollower()
+	})
 }
 
 // TestOutOfTurnThreadsSettleInScheduler: the follower validates the
@@ -64,13 +70,7 @@ func TestOutOfTurnThreadsSettleInScheduler(t *testing.T) {
 	follower := m.AttachFollower("v1", nil)
 	var leaderOrder, followerOrder []string
 	s.Go("leader", func(tk *sim.Task) { recordDescending(tk, leader, rounds, &leaderOrder) })
-	tasks := followThreads(s, follower, rounds, &followerOrder)
-	s.Go("teardown", func(tk *sim.Task) {
-		for _, ft := range tasks {
-			tk.Join(ft)
-		}
-		m.DropFollower()
-	})
+	followThreads(s, m, follower, rounds, &followerOrder)
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -113,13 +113,7 @@ func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 		m.MarkLeaderCrashed()
 		m.PromoteNow(tk)
 	})
-	tasks := followThreads(s, follower, 2, &followerOrder)
-	s.Go("teardown", func(tk *sim.Task) {
-		for _, ft := range tasks {
-			tk.Join(ft)
-		}
-		m.DropFollower()
-	})
+	followThreads(s, m, follower, 2, &followerOrder)
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -19,9 +19,11 @@ type Task struct {
 
 	// The task's coroutine (see Task.start): dispatch calls next to run
 	// the task until it parks, park calls yield to hand the CPU back.
-	// Both are nil once the task is done.
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
+	// Those two are nil once the task is done.
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
+	still  Waiter     // while parked by BlockWhile: its predicate, and
+	whileQ *WaitQueue // the queue dispatch puts the task back on
 
 	killed   bool
 	crashed  bool
@@ -30,9 +32,7 @@ type Task struct {
 	// queue the task is currently blocked on, for removal on Kill.
 	waitingOn *WaitQueue
 	joiners   WaitQueue
-	still     Waiter     // while parked by BlockWhile: its predicate, and
-	whileQ    *WaitQueue // the queue dispatch puts the task back on
-	timerSeq  int64      // the timer the task sleeps on; any other of its timers is stale
+	timerSeq  int64 // the timer the task sleeps on; any other of its timers is stale
 
 	// labels is the profiling attribution stack (see PushLabel). Always
 	// empty unless a SliceProfiler is attached to the scheduler.
