@@ -7,7 +7,7 @@ GO ?= go
 # compared).
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps lint-exports adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
 
 all: check
 
@@ -30,7 +30,7 @@ test:
 # runtime's parallel epoch paths (shards run on real OS threads; the
 # run-twice property tests execute under -race here) — then the
 # artifact gate.
-check: vet fmt-check lint-maps adapter-compat
+check: vet fmt-check lint-maps lint-exports adapter-compat
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/sim/ ./internal/ringbuf/ ./internal/mve/ ./internal/dsl/ ./internal/vos/ ./internal/apps/kvstore/
 	$(GO) run ./cmd/benchtool -check .
@@ -40,6 +40,13 @@ check: vet fmt-check lint-maps adapter-compat
 # comment explaining why its order cannot leak into execution.
 lint-maps:
 	$(GO) test -run TestMapRangeDeterminism ./internal/detlint/
+
+# Test-only export sweep: an exported identifier of the swept packages
+# (internal/mve and internal/core today) that no non-test file of the
+# repo references — the nested benchmark module included — fails unless
+# the allowlist in the test names it with a reason.
+lint-exports:
+	$(GO) test -run TestNoTestOnlyExports ./internal/detlint/
 
 # The frozen benchmark adapter (benchmark/adapter.go) is a nested module
 # `go build ./...` never sees: vet and test it here, so a rename that

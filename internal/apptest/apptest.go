@@ -303,12 +303,7 @@ func runOwnership(
 	procs := []*mve.Proc{m.StartSingleLeader("leader")}
 	apps := []dsu.App{app}
 	for i := 1; i <= k; i++ {
-		name := "replica" + strconv.Itoa(i)
-		if k == 1 {
-			procs = append(procs, m.AttachFollower(name, rules))
-		} else {
-			procs = append(procs, m.AttachVariant(name, rules))
-		}
+		procs = append(procs, m.AttachVariant("replica"+strconv.Itoa(i), rules))
 		apps = append(apps, replica())
 	}
 	var rts []*dsu.Runtime
@@ -327,10 +322,8 @@ func runOwnership(
 		for _, rt := range rts[1:] {
 			rt.KillAll()
 		}
-		if k == 1 {
-			m.DropFollower()
-		} else {
-			m.AbortFleet("test teardown")
+		for _, p := range procs[1:] {
+			m.EjectVariant(p, "test teardown")
 		}
 		rts[0].KillAll()
 	})

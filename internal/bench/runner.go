@@ -179,7 +179,7 @@ func buildOn(s *sim.Scheduler, target Target, mode Mode, bufCap int, rec *obs.Re
 		w.mon.SetRecorder(rec)
 		w.mon.Lockstep = mode == ModeLockstep
 		lproc := w.mon.StartSingleLeader("v0")
-		fproc := w.mon.AttachFollower("v0-follower", nil)
+		fproc := w.mon.AttachVariant("v0-follower", nil)
 		dsuCfg.Name = "leader"
 		dsuCfg.Dispatcher = lproc
 		w.leader = dsu.NewRuntime(s, app, dsuCfg)
@@ -213,9 +213,7 @@ func (w *world) teardown() {
 	}
 	if w.follow != nil {
 		w.follow.KillAll()
-	}
-	if w.mon != nil {
-		w.mon.DropFollower()
+		w.mon.EjectVariant(w.mon.VariantByName("v0-follower"), "teardown")
 	}
 	if w.leader != nil {
 		w.leader.KillAll()

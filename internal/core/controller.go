@@ -26,13 +26,15 @@
 // mid-request needs the duo's crash-truncation replay generalized to N
 // consumers), so K = 0 remains the recovery story for leader crashes.
 //
-// The gate decides who promotes. New builds the operator's: Promote and
-// Commit are called, and between them the old version validates the new
-// one in reverse. NewFleet builds the timed canary gate: the candidate
-// is observed for CanaryGate.Window, then promoted if its divergence
-// count, lag and validation latency pass, else rolled back; a promotion
-// commits at once and K fresh replicas respawn from the new leader.
-// Trains, retries and the rest of the lifecycle are shared.
+// The gate decides who promotes, and with it what promotion makes of the
+// old leader (mve.PromotePolicy). New builds the operator's: Promote and
+// Commit are called, and between them the demoted old version validates
+// the new one in reverse. NewFleet builds the timed canary gate: the
+// candidate is observed for CanaryGate.Window, then promoted if its
+// divergence count, lag and validation latency pass, else rolled back;
+// the old leader retires, the promotion commits at once and K fresh
+// replicas respawn from the new leader. Everything else — attach, detach,
+// failure verdicts, trains, retries — is one path.
 package core
 
 import (
@@ -41,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"mvedsua/internal/dsl"
 	"mvedsua/internal/dsu"
 	"mvedsua/internal/mve"
 	"mvedsua/internal/obs"
@@ -196,9 +199,9 @@ type Controller struct {
 	mon   *mve.Monitor
 
 	// gated is the one thing the constructor decides: NewFleet's timed
-	// canary gate over the monitor's variant protocol, or New's operator
-	// gate over its follower protocol. It selects presentation (names,
-	// notes, counters) and the promotion policy, nothing else.
+	// canary gate, which retires the old leader, or New's operator gate,
+	// which demotes it. Besides the gate it selects presentation (names,
+	// notes, the fleet's counters), nothing else.
 	gated bool
 
 	stage     Stage
@@ -232,8 +235,8 @@ type Controller struct {
 	OnCrash func(sim.CrashInfo, bool)
 	// OnStage, if non-nil, observes every timeline entry as written.
 	OnStage func(Event)
-	// OnVerdict, if non-nil, observes every quorum verdict after the
-	// controller has acted on it (never fires without replicas).
+	// OnVerdict, if non-nil, observes every verdict after the controller
+	// has acted on it.
 	OnVerdict func(mve.Verdict)
 }
 
@@ -260,7 +263,7 @@ func newController(kernel *vos.Kernel, cfg FleetConfig, scope string) *Controlle
 		sched:   kernel.Scheduler(),
 		cfg:     cfg,
 		mon:     mve.New(kernel, cfg.BufferEntries, cfg.Costs),
-		gated:   len(cfg.Variants) > 0,
+		gated:   cfg.Canary.Window > 0,
 		live:    make(map[string]*variant),
 		spawned: make(map[string]int),
 		rec:     cfg.Recorder,
@@ -277,8 +280,9 @@ func newController(kernel *vos.Kernel, cfg FleetConfig, scope string) *Controlle
 		c.mon.StallJudge = c.health.StallJudge()
 	}
 	c.mon.FullPolicy = cfg.BufferFullPolicy
-	c.mon.OnDivergence = c.handleDivergence
-	c.mon.OnVerdict = c.applyVerdict
+	c.mon.OnVerdict = func(v mve.Verdict) {
+		c.applyVerdict(v, "divergence: "+v.Div.Reason, "outdated follower diverged; committed "+v.Proc)
+	}
 	c.mon.OnPromoted = c.handlePromoted
 	c.mon.OnStall = c.handleStall
 	// Chain with any previously installed crash handler so several
@@ -422,7 +426,7 @@ func (c *Controller) Start(app dsu.App) *dsu.Runtime {
 	proc := c.mon.StartSingleLeader(c.procName("leader", app.Version()))
 	var replicas []*variant
 	for _, id := range c.cfg.Variants {
-		replicas = append(replicas, c.attachReplica(id, app.Version()))
+		replicas = append(replicas, c.attach(id, app.Version(), nil, false))
 	}
 	c.leaderRT = c.newRuntime("leader", proc, app, false)
 	c.leaderRT.SetUpdateHooks(c.takeUpdate, c.updateOutcome, false)
@@ -554,7 +558,11 @@ func (c *Controller) takeUpdate(t *sim.Task, rt *dsu.Runtime, v *dsu.Version) ds
 	// time into the candidate's update record.
 	reqAt, _ := rt.PendingSince()
 	forked := rt.App().Fork()
-	fv, note := c.attachCandidate(v)
+	id := "follower"
+	if c.gated {
+		id = "canary"
+	}
+	fv := c.attach(id, v.Name, v.Rules, true)
 	c.beginUpdateSpan(v.Name)
 	fv.rt = c.newRuntime(fv.id, fv.proc, forked, true)
 	// A failed state transformation surfaces as OutcomeFailed on the
@@ -566,10 +574,11 @@ func (c *Controller) takeUpdate(t *sim.Task, rt *dsu.Runtime, v *dsu.Version) ds
 		}
 	}, true)
 	fv.rt.StartUpdatedFromAt(forked, v, reqAt)
-	c.live[fv.name] = fv
 	c.candidate = fv
-	c.transition(StageOutdatedLeader, note)
-	if c.gated {
+	if !c.gated {
+		c.transition(StageOutdatedLeader, "forked follower for "+v.Name)
+	} else {
+		c.transition(StageOutdatedLeader, fmt.Sprintf("canary %s forked; observing for %v", fv.name, c.cfg.Canary.Window))
 		c.gateGen++
 		gen := c.gateGen
 		c.sched.Go("canary-gate@"+v.Name, func(t *sim.Task) {
@@ -580,17 +589,39 @@ func (c *Controller) takeUpdate(t *sim.Task, rt *dsu.Runtime, v *dsu.Version) ds
 	return dsu.TakeAbort
 }
 
-// attachCandidate opens the monitor-side slot for the process that will
-// run v, under the gate's protocol, and words its timeline entry.
-func (c *Controller) attachCandidate(v *dsu.Version) (*variant, string) {
-	if !c.gated {
-		name := c.procName("follower", v.Name)
-		return &variant{id: "follower", name: name, proc: c.mon.AttachFollower(name, v.Rules)}, "forked follower for " + v.Name
+// attach opens the monitor-side slot for a new process of slot id — a
+// same-version replica, or the candidate that will run the update with
+// its adaptation rules; the caller forks and starts the process.
+func (c *Controller) attach(id, version string, rules *dsl.RuleSet, candidate bool) *variant {
+	fv := &variant{id: id, name: c.procName(id, version)}
+	if candidate {
+		fv.proc = c.mon.AttachCandidate(fv.name, rules, c.cfg.Canary.MaxDivergences)
+	} else {
+		fv.proc = c.mon.AttachVariant(fv.name, rules)
 	}
-	name := c.procName("canary", v.Name)
-	fv := &variant{id: "canary", name: name, proc: c.mon.AttachVariant(name, v.Rules)}
-	c.mon.MarkCanary(fv.proc, c.cfg.Canary.MaxDivergences)
-	return fv, fmt.Sprintf("canary %s forked; observing for %v", name, c.cfg.Canary.Window)
+	c.live[fv.name] = fv
+	c.fleetSize(false)
+	return fv
+}
+
+// detach ejects p from the monitor's consumer set, if it is still in it;
+// the caller kills the process.
+func (c *Controller) detach(p *mve.Proc, reason string) {
+	if c.mon.EjectVariant(p, reason) {
+		c.fleetSize(true)
+	}
+}
+
+// fleetSize publishes the fleet's size after an attach, an eject (which
+// it counts) or a takeover.
+func (c *Controller) fleetSize(ejected bool) {
+	if !c.gated {
+		return
+	}
+	if ejected {
+		c.rec.Inc(obs.CFleetEjects)
+	}
+	c.rec.SetGauge(obs.GFleetVariants, int64(len(c.mon.Variants())))
 }
 
 // updateOutcome observes the leader runtime's update records to retry
@@ -669,7 +700,7 @@ func (c *Controller) Promote() bool {
 	}
 	c.mon.SetReverseRules(c.pending.ReverseRules)
 	if !c.leaderRT.RequestBarrier(func(t *sim.Task) {
-		c.mon.PromoteNow(t)
+		c.mon.Promote(t, mve.PromoteDemote)
 	}) {
 		return false
 	}
@@ -677,11 +708,12 @@ func (c *Controller) Promote() bool {
 	return true
 }
 
-// handlePromoted fires when the candidate has taken over (t5). Under
-// the operator's gate the old leader stays on as the new candidate,
-// validating in reverse until Commit. The canary gate has done its
-// validating: the promotion commits at once, the retired leader and the
-// replicas PromoteFleet ejected are reaped, and K fresh ones respawn.
+// handlePromoted fires when the candidate has taken over (t5). A demoted
+// old leader stays on as the new candidate, validating in reverse until
+// Commit. A retired one has nothing left to do: the gate did the
+// validating, so the promotion commits at once, the retired leader and
+// the replicas superseded at the promotion barrier are reaped, and K
+// fresh ones respawn.
 func (c *Controller) handlePromoted(newLeader *mve.Proc) {
 	fv := c.candidate
 	if fv == nil || fv.proc != newLeader {
@@ -691,8 +723,7 @@ func (c *Controller) handlePromoted(newLeader *mve.Proc) {
 	c.leaderRT = fv.rt
 	delete(c.live, fv.name)
 	c.endUpdateSpan()
-	if !c.gated {
-		old := c.mon.Follower()
+	if old := c.mon.Candidate(); old != nil {
 		c.candidate = &variant{name: old.Name(), proc: old, rt: retired}
 		c.live[old.Name()] = c.candidate
 		c.transition(StageUpdatedLeader, newLeader.Name()+" now leads")
@@ -707,6 +738,7 @@ func (c *Controller) handlePromoted(newLeader *mve.Proc) {
 	c.candidate = nil
 	stale := c.live
 	c.live = make(map[string]*variant)
+	c.fleetSize(false)
 	c.rec.Inc(obs.CCanaryPromotions)
 	c.commit(newLeader.Name() + " promoted; respawning fleet")
 	c.sched.Go("reap-retired", func(t *sim.Task) {
@@ -728,8 +760,8 @@ func (c *Controller) Commit() bool {
 }
 
 // commit ends the update with the new version in charge, whether the
-// operator asked (Commit), the canary gate promoted, or the outdated
-// follower stalled, diverged or crashed and left nothing to validate
+// operator asked (Commit), the canary gate promoted, or the demoted
+// leader stalled, diverged or crashed and left nothing to validate
 // against: the candidate, if any, is reaped, the updated version
 // continues as single leader, and the next train hop is armed.
 func (c *Controller) commit(note string) {
@@ -752,6 +784,7 @@ func (c *Controller) Rollback(reason string) bool {
 		return false
 	}
 	c.dropCandidate(reason)
+	c.requeueSuperseded()
 	v := c.pending
 	c.pending = nil
 	c.gateGen++ // cancel any open window
@@ -771,8 +804,9 @@ func (c *Controller) Rollback(reason string) bool {
 	return true
 }
 
-// dropCandidate detaches the candidate from the monitor, under the
-// protocol it was attached with, and kills its process.
+// dropCandidate kills the candidate's process and detaches it from the
+// monitor. If it was the last consumer the leader serves alone again —
+// even one that had retired for it.
 func (c *Controller) dropCandidate(reason string) {
 	fv := c.candidate
 	if fv == nil {
@@ -780,48 +814,37 @@ func (c *Controller) dropCandidate(reason string) {
 	}
 	c.candidate = nil
 	delete(c.live, fv.name)
-	if !c.gated {
-		fv.rt.KillAll()
-		c.mon.DropFollower()
-		return
-	}
-	if c.mon.VariantByName(fv.name) != nil {
-		c.mon.EjectVariant(fv.proc, reason)
-	}
 	fv.rt.KillAll()
+	c.detach(fv.proc, reason)
 }
 
-// failFollower is §3.2's pair of error rules for the follower protocol:
-// a failing updated version is dropped; a failing outdated one leaves
-// the update nothing to validate against, so it commits. A follower
-// that stopped — hung (watchdog) or hopelessly lagging (discard policy)
-// — is as unusable as one that diverged or crashed: all three land here.
-func (c *Controller) failFollower(rollbackNote, commitNote string) bool {
-	switch c.stage {
-	case StageOutdatedLeader, StagePromoting:
-		return c.Rollback(rollbackNote)
-	case StageUpdatedLeader:
-		c.commit(commitNote)
-		return true
+// requeueSuperseded reaps the replicas a retiring promotion ejected at
+// its barrier, when the candidate then failed before taking over, and
+// queues their slots for the leader that carries on.
+func (c *Controller) requeueSuperseded() {
+	var names []string
+	for name := range c.live { // maporder: ok — names are sorted below
+		if c.mon.VariantByName(name) == nil {
+			names = append(names, name)
+		}
 	}
-	return false
+	sort.Strings(names)
+	for _, name := range names {
+		c.live[name].rt.KillAll()
+		c.respawnQ = append(c.respawnQ, c.live[name].id)
+		delete(c.live, name)
+	}
+	c.armRespawn()
 }
 
-// handleStall reacts to the monitor's liveness signals: the follower's
-// stall is a follower failure; a replica's or canary's goes to the
-// quorum like a divergence, unless that variant is already ejected.
+// handleStall reacts to the monitor's liveness signals — a consumer hung
+// (watchdog) or hopelessly lagging (discard policy) is as unusable as
+// one that diverged or crashed — unless it is already failed or gone.
 func (c *Controller) handleStall(st mve.Stall) {
-	if c.mon.Follower() != nil {
-		c.failFollower("stall: "+st.String(), "outdated follower stalled ("+st.Reason+"); committed")
-	} else if p := c.mon.VariantByName(st.Proc); p != nil && !p.Failed() {
-		c.applyVerdict(c.mon.FailVariant(p, "stall"))
+	if p := c.mon.VariantByName(st.Proc); p != nil && !p.Failed() {
+		c.applyVerdict(c.mon.FailVariant(p, "stall"),
+			"stall: "+st.String(), "outdated follower stalled ("+st.Reason+"); committed")
 	}
-}
-
-// handleDivergence reacts to a follower's divergence (replicas and
-// canaries raise verdicts instead, see applyVerdict).
-func (c *Controller) handleDivergence(d mve.Divergence) {
-	c.failFollower("divergence: "+d.Reason, "outdated follower diverged; committed "+d.Proc)
 }
 
 // handleCrash classifies a task crash by owner and stage, reporting
@@ -833,15 +856,13 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 	}
 	handled := false
 	switch {
-	case fv != nil && fv.proc == c.mon.Follower():
-		// The updated follower crashed (new-code or state-transform
-		// error): roll back, clients never notice (§6.2). The outdated
-		// one crashed after promotion: drop it, surviving threads too.
-		handled = c.failFollower(fmt.Sprintf("follower crashed: %v", info.Value), "outdated follower crashed; committed")
 	case fv != nil:
-		// A replica or the canary: the quorum decides.
+		// A replica: the quorum decides. The candidate before promotion
+		// (new-code or state-transform error): roll back, clients never
+		// notice (§6.2). After it: drop it, surviving threads too.
 		if !fv.proc.Failed() {
-			c.applyVerdict(c.mon.FailVariant(fv.proc, "crash"))
+			c.applyVerdict(c.mon.FailVariant(fv.proc, "crash"),
+				fmt.Sprintf("follower crashed: %v", info.Value), "outdated follower crashed; committed")
 		}
 		handled = true
 	case c.gated:
@@ -884,7 +905,7 @@ func (c *Controller) promoteOnCrash(task, note string) {
 	c.mon.MarkLeaderCrashed()
 	rt := c.leaderRT
 	c.sched.Go(task, func(t *sim.Task) {
-		c.mon.PromoteNow(t)
+		c.mon.Promote(t, mve.PromoteDemote)
 		reap(t, rt)
 		if c.stage == StageUpdatedLeader && c.FollowerRuntime() == rt {
 			c.Commit()
@@ -936,10 +957,9 @@ func (c *Controller) Shutdown() {
 	c.queued = nil
 	c.respawnQ = nil
 	for _, p := range c.mon.Variants() {
-		c.mon.EjectVariant(p, "shutdown")
+		c.detach(p, "shutdown")
 	}
 	killAll(c.live)
-	c.mon.DropFollower()
 	c.candidate = nil
 	c.live = make(map[string]*variant)
 	if c.leaderRT != nil {

@@ -174,13 +174,7 @@ func (h *harness) run(t *testing.T) {
 				break
 			}
 		}
-		if rt := h.c.FollowerRuntime(); rt != nil {
-			rt.KillAll()
-		}
-		h.c.Monitor().DropFollower()
-		if rt := h.c.LeaderRuntime(); rt != nil {
-			rt.KillAll()
-		}
+		h.c.Shutdown()
 	})
 	if err := h.s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

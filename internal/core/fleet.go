@@ -32,17 +32,17 @@ type CanaryGate struct {
 	MaxValidateLagP99 time.Duration
 }
 
-// FleetConfig configures a controller with replicas and the canary
-// gate. Every embedded Config field keeps its meaning: fleet updates
+// FleetConfig configures a controller with the canary gate and K
+// replicas. Every embedded Config field keeps its meaning: fleet updates
 // take the duo's fork path, so they are requested, time out and are
 // retried (RetryInterval, MaxRetries, RetryOnRollback) exactly like the
 // duo's. DSU.OnAbort runs only while no replica is attached to miss it.
 type FleetConfig struct {
 	Config
-	// Variants are the replica variant ids, K = len(Variants) >= 1.
-	// Each id names one validation slot: the variant attached for it is
-	// respawned under the same id (with a new incarnation) after an
-	// eject.
+	// Variants are the replica variant ids, K = len(Variants) >= 0 (the
+	// gate needs no replicas). Each id names one validation slot: the
+	// variant attached for it is respawned under the same id (with a new
+	// incarnation) after an eject.
 	Variants []string
 	// Canary gates staged updates.
 	Canary CanaryGate
@@ -52,9 +52,6 @@ type FleetConfig struct {
 // caller intended, mirroring Config.validate's deploy-time strictness.
 func (cfg FleetConfig) validate() {
 	cfg.Config.validate()
-	if len(cfg.Variants) < 1 {
-		panic(fmt.Sprintf("core.FleetConfig: fleet size K = %d; must be >= 1 (the duo is the K=1 special case, not K=0)", len(cfg.Variants)))
-	}
 	seen := make(map[string]bool, len(cfg.Variants))
 	for i, id := range cfg.Variants {
 		if id == "" {
@@ -92,7 +89,6 @@ const (
 	FleetSteady    = FleetPhase(StageSingleLeader)   // leader + K replicas validating
 	FleetCanary    = FleetPhase(StageOutdatedLeader) // canary attached, window open
 	FleetPromoting = FleetPhase(StagePromoting)      // gate passed, promotion pending
-	FleetAborted   = FleetPhase(StageAborted)        // majority verdict; leader serves solo
 )
 
 // String names the phase.
@@ -131,15 +127,6 @@ func (c *Controller) LiveVariants() []string {
 	return out
 }
 
-// attachReplica opens the monitor-side slot for a same-version replica
-// of id (no adaptation rules); the caller forks and starts the process.
-func (c *Controller) attachReplica(id, version string) *variant {
-	name := c.procName(id, version)
-	fv := &variant{id: id, name: name, proc: c.mon.AttachVariant(name, nil)}
-	c.live[name] = fv
-	return fv
-}
-
 // evaluateGate closes the observation window: promote on a clean gate,
 // roll the canary back otherwise. A stale generation means the canary
 // this timer was armed for is already gone (storm rollback, abort).
@@ -166,22 +153,48 @@ func (c *Controller) evaluateGate(gen int) {
 	c.transition(StagePromoting, fmt.Sprintf("gate passed (%d/%d divergences, lag %d); promoting at next barrier",
 		divs, c.cfg.Canary.MaxDivergences, lag))
 	c.atBarrier("promote@"+c.candidate.name, func(t *sim.Task) {
-		if c.stage == StagePromoting && !c.mon.PromoteFleet(t) {
-			c.Rollback("canary unhealthy at promotion barrier")
+		if c.stage != StagePromoting {
+			return
 		}
+		canary := c.candidate.proc
+		if canary.Failed() {
+			c.Rollback("canary unhealthy at promotion barrier")
+			return
+		}
+		// The replicas validated the old version: the canary alone consumes
+		// the stream's tail, and K fresh ones respawn from it once it leads.
+		for _, p := range c.mon.Variants() {
+			if p != canary {
+				c.detach(p, "superseded by canary promotion")
+			}
+		}
+		c.mon.Promote(t, mve.PromoteRetire)
 	})
 }
 
-// applyVerdict is the monitor's divergence-verdict hook and the shared
-// consequence path for crash and stall verdicts.
-func (c *Controller) applyVerdict(v mve.Verdict) {
+// applyVerdict is the one consequence path of every consumer failure:
+// the monitor's divergence verdicts, and the crash and stall verdicts
+// the controller asks it for. What a failed candidate means depends on
+// the stage (§3.2's pair of error rules): a failing updated version is
+// dropped; a failing outdated one leaves the update nothing to validate
+// against, so it commits. The two notes word those outcomes on the
+// operator's timeline.
+func (c *Controller) applyVerdict(v mve.Verdict, rollbackNote, commitNote string) {
+	if c.gated {
+		c.rec.Emit(obs.KindVerdict, v.Proc, v.String())
+		rollbackNote = v.Cause
+	}
 	switch v.Action {
 	case mve.VerdictEject:
 		c.ejectAndQueue(v)
 	case mve.VerdictAbort:
 		c.abortFleet(v)
 	case mve.VerdictRollbackCanary:
-		c.Rollback(v.Cause)
+		if c.stage == StageUpdatedLeader {
+			c.commit(commitNote)
+		} else {
+			c.Rollback(rollbackNote)
+		}
 	}
 	if c.OnVerdict != nil {
 		c.OnVerdict(v)
@@ -204,7 +217,7 @@ func (c *Controller) ejectAndQueue(v mve.Verdict) {
 		if c.live[fv.name] != fv {
 			return // an abort, promotion or Shutdown already swept it up
 		}
-		c.mon.EjectVariant(fv.proc, v.Cause)
+		c.detach(fv.proc, v.Cause)
 		fv.rt.KillAll()
 		delete(c.live, fv.name)
 		c.respawnQ = append(c.respawnQ, fv.id)
@@ -217,12 +230,15 @@ func (c *Controller) ejectAndQueue(v mve.Verdict) {
 // again.
 func (c *Controller) abortFleet(v mve.Verdict) {
 	killAll(c.live)
+	for _, p := range c.mon.Variants() {
+		c.detach(p, "fleet abort")
+	}
 	c.live = make(map[string]*variant)
 	c.candidate = nil
 	c.pending = nil
 	c.respawnQ = nil
 	c.gateGen++
-	c.mon.AbortFleet(v.String())
+	c.rec.Inc(obs.CFleetAborts)
 	c.transition(StageAborted, "fleet aborted: "+v.String())
 	c.flushTrain("fleet abort")
 }
@@ -249,7 +265,7 @@ func (c *Controller) respawnQueued() {
 		return
 	}
 	for _, id := range q {
-		fv := c.attachReplica(id, c.leaderRT.App().Version())
+		fv := c.attach(id, c.leaderRT.App().Version(), nil, false)
 		fv.rt = c.newRuntime("variant", fv.proc, c.leaderRT.App().Fork(), false)
 		fv.rt.StartForked(fv.rt.App())
 		c.rec.Inc(obs.CFleetRespawns)

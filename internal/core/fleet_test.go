@@ -34,7 +34,7 @@ func TestFleetConfigValidate(t *testing.T) {
 	}{
 		{"valid K=1", func(cfg *FleetConfig) {}, ""},
 		{"valid K=3", func(cfg *FleetConfig) { cfg.Variants = []string{"r1", "r2", "r3"} }, ""},
-		{"no variants", func(cfg *FleetConfig) { cfg.Variants = nil }, "K = 0"},
+		{"no variants", func(cfg *FleetConfig) { cfg.Variants = nil }, ""}, // the gate alone, K = 0
 		{"empty id", func(cfg *FleetConfig) { cfg.Variants = []string{"r1", ""} }, "Variants[1] is empty"},
 		{"duplicate id", func(cfg *FleetConfig) { cfg.Variants = []string{"r1", "r2", "r1"} }, `duplicate variant id "r1"`},
 		{"zero window", func(cfg *FleetConfig) { cfg.Canary.Window = 0 }, "Canary.Window"},
@@ -102,7 +102,9 @@ func (h *fleetHarness) client(n int, hooks map[int]func(tk *sim.Task)) {
 func (h *fleetHarness) run(t *testing.T) {
 	t.Helper()
 	h.s.Go("teardown", func(tk *sim.Task) {
-		for !h.done {
+		// A client still waiting after 5 s is wedged: tear down anyway, and
+		// Run reports it as the deadlock it is.
+		for i := 0; !h.done && i < 100; i++ {
 			tk.Sleep(50 * time.Millisecond)
 		}
 		// Let in-flight verdict/respawn machinery settle before the axe.
@@ -283,7 +285,7 @@ func TestCanaryRollbackOnDivergenceStorm(t *testing.T) {
 	if !h.timelineHas("canary rolled back") {
 		t.Fatalf("timeline missing rollback: %+v", h.fc.Timeline())
 	}
-	if h.fc.Monitor().Canary() != nil {
+	if h.fc.Monitor().Candidate() != nil {
 		t.Fatal("canary still attached after rollback")
 	}
 	// The same-version replica was untouched throughout.
@@ -356,5 +358,90 @@ func TestFleetUpdateGuards(t *testing.T) {
 	}
 	if got := h.rec.Counter(obs.CCoreUpdates); got != 1 {
 		t.Fatalf("updates counter = %d", got)
+	}
+}
+
+// TestCanaryFailsAfterPromotionBarrierLeaderResumes: the canary's replay
+// is slow enough that it passes the gate with a backlog, and diverges in
+// that backlog after the promotion entry is written — the old leader has
+// already retired for it. Ejecting the canary must put the old leader
+// back in charge, and the replicas superseded at the barrier must be
+// respawned from it.
+func TestCanaryFailsAfterPromotionBarrierLeaderResumes(t *testing.T) {
+	cfg := fleetCfg("r1")
+	cfg.Canary.Window = 40 * time.Millisecond
+	cfg.Costs.Replay = 12 * time.Millisecond
+	h := newFleetHarness(cfg)
+	h.fc.Start(&srv{version: "v1"})
+	var atRollback []string
+	h.fc.OnStage = func(ev Event) {
+		if strings.Contains(ev.Note, "canary rolled back") {
+			atRollback = append(atRollback, fmt.Sprintf("%v after %v: leader %v",
+				ev.Note, h.fc.Timeline()[len(h.fc.Timeline())-2].Stage, h.fc.Monitor().Leader().Role()))
+		}
+	}
+	v2 := upgrade(nil, func(n *srv) { n.misformatAfter = 5 })
+	h.client(12, map[int]func(*sim.Task){
+		2: func(tk *sim.Task) { h.fc.Update(v2) },
+	})
+	h.run(t)
+	if want := "canary rolled back: divergence after promoting: leader single-leader"; len(atRollback) != 1 || atRollback[0] != want {
+		t.Fatalf("rollbacks = %q, want one: %q\ntimeline: %+v", atRollback, want, h.fc.Timeline())
+	}
+	want := []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12"}
+	if strings.Join(h.replies, ",") != strings.Join(want, ",") {
+		t.Fatalf("replies = %v: the service did not survive the canary", h.replies)
+	}
+	if got := h.fc.LeaderRuntime().App().Version(); got != "v1" || h.fc.Phase() != FleetSteady {
+		t.Fatalf("leader version = %s, phase = %v", got, h.fc.Phase())
+	}
+	if live := strings.Join(h.fc.LiveVariants(), ","); live != "r1#2@v1" {
+		t.Fatalf("live variants = %q, want the superseded replica's slot respawned", live)
+	}
+	if role := h.fc.Monitor().Leader().Role(); role != mve.RoleLeader {
+		t.Fatalf("leader role = %v with a replica validating it", role)
+	}
+}
+
+// TestCanaryGateWithoutReplicas: the timed gate needs no replicas. At
+// K = 0 a clean update walks window → promote → commit and a divergence
+// storm rolls back, each with the reply stream clients see at K = 2.
+func TestCanaryGateWithoutReplicas(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		mutate               func(*srv)
+		version, note        string
+		promotions, rollback int64
+	}{
+		{"clean gate", nil, "v2", "promoted; respawning fleet", 1, 0},
+		{"storm", func(n *srv) { n.misformatAfter = 4 }, "v1", "canary rolled back: divergence", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var streams []string
+			for _, variants := range [][]string{nil, {"r1", "r2"}} {
+				cfg := FleetConfig{Variants: variants, Canary: CanaryGate{Window: 40 * time.Millisecond, MaxDivergences: 1}}
+				h := newFleetHarness(cfg)
+				h.fc.Start(&srv{version: "v1"})
+				v2 := upgrade(nil, tc.mutate)
+				h.client(10, map[int]func(*sim.Task){
+					2: func(tk *sim.Task) { h.fc.Update(v2) },
+				})
+				h.run(t)
+				k := len(variants)
+				if got := h.fc.LeaderRuntime().App().Version(); got != tc.version || h.fc.Phase() != FleetSteady || !h.timelineHas(tc.note) {
+					t.Fatalf("K=%d: leader %s in %v, want %s steady after %q\ntimeline: %+v", k, got, h.fc.Phase(), tc.version, tc.note, h.fc.Timeline())
+				}
+				if p, r := h.rec.Counter(obs.CCanaryPromotions), h.rec.Counter(obs.CCanaryRollbacks); p != tc.promotions || r != tc.rollback {
+					t.Fatalf("K=%d: %d promotions, %d rollbacks", k, p, r)
+				}
+				if live := h.fc.LiveVariants(); len(live) != k || h.fc.Monitor().Candidate() != nil {
+					t.Fatalf("K=%d: live variants = %v, candidate %v", k, live, h.fc.Monitor().Candidate())
+				}
+				streams = append(streams, strings.Join(h.replies, ","))
+			}
+			if streams[0] != streams[1] || strings.Count(streams[0], ",") != 9 {
+				t.Fatalf("reply streams differ:\nK=0: %s\nK=2: %s", streams[0], streams[1])
+			}
+		})
 	}
 }

@@ -148,22 +148,6 @@ func (e *HealthEngine) Scope() string {
 	return e.scope
 }
 
-// Rules returns the engine's rule set.
-func (e *HealthEngine) Rules() []HealthRule {
-	if e == nil {
-		return nil
-	}
-	return append([]HealthRule(nil), e.rules...)
-}
-
-// AddRule appends a rule (evaluated after the existing ones).
-func (e *HealthEngine) AddRule(r HealthRule) {
-	if e == nil {
-		return
-	}
-	e.rules = append(e.rules, r)
-}
-
 // Verdicts returns the retained violation log in evaluation order.
 func (e *HealthEngine) Verdicts() []HealthVerdict {
 	if e == nil {

@@ -40,7 +40,7 @@ func TestCanaryGateRulesLegacyReasons(t *testing.T) {
 		MaxValidateLagP99: 5 * time.Millisecond,
 	}
 	eng := NewHealthEngine("gate", nil, gate.Rules())
-	if n := len(eng.Rules()); n != 3 {
+	if n := len(eng.rules); n != 3 {
 		t.Fatalf("rules = %d, want 3", n)
 	}
 	for _, tc := range []struct {
@@ -142,8 +142,7 @@ func TestHealthEngineVerdictLogAndEmission(t *testing.T) {
 func TestHealthEngineNilSafe(t *testing.T) {
 	var eng *HealthEngine
 	eng.EmitVerdicts(true)
-	eng.AddRule(HealthRule{})
-	if eng.Scope() != "" || eng.Rules() != nil || eng.Verdicts() != nil {
+	if eng.Scope() != "" || eng.Verdicts() != nil {
 		t.Fatal("nil engine returned state")
 	}
 	if v := eng.Evaluate("x", HealthSample{"s": 1}); v != nil {
@@ -158,7 +157,7 @@ func TestControllerInstallsWatchdogEngine(t *testing.T) {
 	if h.c.Health() == nil {
 		t.Fatal("controller with watchdog has no health engine")
 	}
-	rules := h.c.Health().Rules()
+	rules := h.c.Health().rules
 	if len(rules) != 1 || rules[0].Name != "follower-liveness" {
 		t.Fatalf("rules = %+v", rules)
 	}

@@ -239,7 +239,7 @@ func TestDuoShutdownFromEveryStage(t *testing.T) {
 			if h.c.Stage() != want {
 				t.Fatalf("shut down in %v, want %v: %+v", h.c.Stage(), want, h.c.Timeline())
 			}
-			if h.c.FollowerRuntime() != nil || h.c.Monitor().Follower() != nil {
+			if h.c.FollowerRuntime() != nil || h.c.Monitor().Candidate() != nil {
 				t.Fatal("follower still attached after Shutdown")
 			}
 			if h.c.Update(upgrade(nil, nil)) || h.c.QueueUpdate(upgrade(nil, nil)) != -1 {

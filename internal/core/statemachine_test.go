@@ -100,8 +100,8 @@ func runRandomizedFleet(t *testing.T, k int, seed int64) {
 			if ok != (before == StageOutdatedLeader || before == StagePromoting) {
 				t.Errorf("Rollback = %v in %v", ok, before)
 			}
-			if ok && (h.fc.Stage() != StageSingleLeader || h.fc.QueuedUpdates() != 0 || h.fc.Monitor().Canary() != nil) {
-				t.Errorf("after Rollback: %v, %d queued, canary %v", h.fc.Stage(), h.fc.QueuedUpdates(), h.fc.Monitor().Canary())
+			if ok && (h.fc.Stage() != StageSingleLeader || h.fc.QueuedUpdates() != 0 || h.fc.Monitor().Candidate() != nil) {
+				t.Errorf("after Rollback: %v, %d queued, canary %v", h.fc.Stage(), h.fc.QueuedUpdates(), h.fc.Monitor().Candidate())
 			}
 		}
 	}

@@ -8,6 +8,9 @@
 // rewritten (sorted keys, slice of entries) or carry a `maporder:`
 // comment on the statement (or the line above) explaining why its order
 // cannot be observed.
+//
+// A second sweep over the same type-checked packages (TestOnlyExports)
+// lists exported identifiers nothing but tests references.
 package detlint
 
 import (
@@ -114,7 +117,7 @@ func (sw *Sweeper) parseDir(dir string) ([]*ast.File, []string, error) {
 
 // check type-checks files as package path, tolerating errors.
 func (sw *Sweeper) check(path string, files []*ast.File) (*types.Package, *types.Info) {
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{
 		Importer: sw,
 		Error:    func(error) {}, // tolerate; resolution is fail-open
@@ -220,4 +223,126 @@ func exprString(e ast.Expr) string {
 		return exprString(x.Fun) + "(...)"
 	}
 	return "<expr>"
+}
+
+// Export is one exported identifier no non-test file references.
+type Export struct {
+	Pos  string // file:line of the declaration
+	Name string // "mve.Monitor.RequestPromote", "core.FleetAborted"
+}
+
+func (e Export) String() string { return fmt.Sprintf("%s: %s", e.Pos, e.Name) }
+
+// TestOnlyExports lists the exported identifiers — functions, methods and
+// fields of exported types, types, constants, variables — declared in the
+// rels package directories that no non-test Go file under the root
+// references: production code kept alive by its own tests, or by nothing.
+// Every directory under the root is a user, nested modules included
+// (their imports of this module resolve against the tree); directories
+// whose name starts with "." or is "testdata" are skipped. Declarations
+// and uses are matched by source position, so an identifier counts as
+// used from its own package too. Resolution is fail-open like the map
+// sweep's: a use the checker cannot resolve marks nothing, which can
+// only add findings, never hide one — each is then settled by hand in
+// the caller's allowlist.
+func (sw *Sweeper) TestOnlyExports(rels []string) ([]Export, error) {
+	used := map[string]bool{}
+	err := filepath.WalkDir(sw.root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != sw.root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		files, _, err := sw.parseDir(dir)
+		if err != nil || len(files) == 0 {
+			return err
+		}
+		_, info := sw.check(sw.module+"/"+filepath.ToSlash(relPath(sw.root, dir)), files)
+		for _, obj := range info.Uses { // maporder: ok — fills a set
+			if obj.Pos().IsValid() {
+				used[sw.fset.Position(obj.Pos()).String()] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []Export
+	for _, rel := range rels {
+		files, _, err := sw.parseDir(filepath.Join(sw.root, rel))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", rel, err)
+		}
+		for _, f := range files {
+			for _, id := range exportedDecls(f) {
+				pos := sw.fset.Position(id.ident.Pos())
+				if !used[pos.String()] {
+					out = append(out, Export{
+						Pos:  fmt.Sprintf("%s:%d", relPath(sw.root, pos.Filename), pos.Line),
+						Name: f.Name.Name + "." + id.qualified,
+					})
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
+}
+
+type exportedDecl struct {
+	ident     *ast.Ident
+	qualified string // "Type.Method", "Type.Field" or the bare name
+}
+
+// exportedDecls collects a file's exported package-level identifiers and
+// the exported methods and fields of its exported types.
+func exportedDecls(f *ast.File) []exportedDecl {
+	var out []exportedDecl
+	add := func(id *ast.Ident, owner string) {
+		if id.IsExported() {
+			out = append(out, exportedDecl{id, owner + id.Name})
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			owner := ""
+			if d.Recv != nil && len(d.Recv.List) == 1 {
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if idx, ok := recv.(*ast.IndexExpr); ok {
+					recv = idx.X
+				}
+				id, ok := recv.(*ast.Ident)
+				if !ok || !id.IsExported() {
+					continue
+				}
+				owner = id.Name + "."
+			}
+			add(d.Name, owner)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						add(id, "")
+					}
+				case *ast.TypeSpec:
+					add(s.Name, "")
+					if st, ok := s.Type.(*ast.StructType); ok && s.Name.IsExported() {
+						for _, field := range st.Fields.List {
+							for _, id := range field.Names {
+								add(id, s.Name.Name+".")
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
 }

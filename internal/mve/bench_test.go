@@ -101,7 +101,7 @@ func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 		r.gates = make([]sim.WaitQueue, spec.threads)
 	}
 	if spec.followers == 1 {
-		r.procs = append(r.procs, r.m.AttachFollower("follower", spec.rules))
+		r.procs = append(r.procs, r.m.AttachCandidate("follower", spec.rules, 0))
 	} else {
 		for i := 1; i <= spec.followers; i++ {
 			r.procs = append(r.procs, r.m.AttachVariant(fmt.Sprintf("v%d", i), spec.rules))

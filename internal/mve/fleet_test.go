@@ -57,9 +57,7 @@ func TestFleetSteadyStateValidation(t *testing.T) {
 		for done < len(procs) {
 			tk.Sleep(time.Millisecond)
 		}
-		for _, v := range m.Variants() {
-			m.EjectVariant(v, "test teardown")
-		}
+		ejectAll(m, "test teardown")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -116,9 +114,7 @@ func TestFleetMinorityDivergenceEjected(t *testing.T) {
 		for done < 2 {
 			tk.Sleep(time.Millisecond)
 		}
-		for _, v := range m.Variants() {
-			m.EjectVariant(v, "test teardown")
-		}
+		ejectAll(m, "test teardown")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -161,7 +157,7 @@ func TestFleetMajorityDivergenceAborts(t *testing.T) {
 		// barrier: the first failed variant stays attached (parked), so the
 		// second failure sees 2 of 3 failed and the quorum flips to abort.
 		if v.Action == VerdictAbort {
-			m.AbortFleet(v.String())
+			ejectAll(m, v.String())
 			for _, tk := range badTasks {
 				tk.Kill()
 			}
@@ -243,9 +239,7 @@ func TestFleetCrashedVariantEjected(t *testing.T) {
 		for !done {
 			tk.Sleep(time.Millisecond)
 		}
-		for _, v := range m.Variants() {
-			m.EjectVariant(v, "test teardown")
-		}
+		ejectAll(m, "test teardown")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -269,8 +263,7 @@ func TestCanaryBudgetAbsorbsDivergences(t *testing.T) {
 	s, k, m := world(256, Costs{})
 	leader := m.StartSingleLeader("v0")
 	replica := m.AttachVariant("r1", nil)
-	canary := m.AttachVariant("canary", nil)
-	m.MarkCanary(canary, 3)
+	canary := m.AttachCandidate("canary", nil, 3)
 
 	verdicts := 0
 	m.OnVerdict = func(Verdict) { verdicts++ }
@@ -295,9 +288,7 @@ func TestCanaryBudgetAbsorbsDivergences(t *testing.T) {
 		for done < 2 {
 			tk.Sleep(time.Millisecond)
 		}
-		for _, v := range m.Variants() {
-			m.EjectVariant(v, "test teardown")
-		}
+		ejectAll(m, "test teardown")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -321,8 +312,7 @@ func TestCanaryDivergenceStormRollsBack(t *testing.T) {
 	s, k, m := world(256, Costs{})
 	leader := m.StartSingleLeader("v0")
 	replica := m.AttachVariant("r1", nil)
-	canary := m.AttachVariant("canary", nil)
-	m.MarkCanary(canary, 1)
+	canary := m.AttachCandidate("canary", nil, 1)
 
 	var verdicts []Verdict
 	var canaryTask *sim.Task
@@ -350,9 +340,7 @@ func TestCanaryDivergenceStormRollsBack(t *testing.T) {
 		for !done {
 			tk.Sleep(time.Millisecond)
 		}
-		for _, v := range m.Variants() {
-			m.EjectVariant(v, "test teardown")
-		}
+		ejectAll(m, "test teardown")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -369,7 +357,7 @@ func TestCanaryDivergenceStormRollsBack(t *testing.T) {
 	if canary.VariantDivergences() != 2 {
 		t.Fatalf("canary divergences = %d, want 2 (1 absorbed + 1 fatal)", canary.VariantDivergences())
 	}
-	if m.Canary() != nil {
+	if m.Candidate() != nil {
 		t.Fatal("canary designation survived rollback")
 	}
 	// The old-version fleet is intact and clients never noticed.
@@ -378,12 +366,11 @@ func TestCanaryDivergenceStormRollsBack(t *testing.T) {
 	}
 }
 
-func TestPromoteFleetCanaryTakesOver(t *testing.T) {
+func TestRetiringPromotionCanaryTakesOver(t *testing.T) {
 	s, k, m := world(256, Costs{})
 	leader := m.StartSingleLeader("v0")
 	replica := m.AttachVariant("r1", nil)
-	canary := m.AttachVariant("canary", nil)
-	m.MarkCanary(canary, 0)
+	canary := m.AttachCandidate("canary", nil, 0)
 
 	var replies []string
 	var gate sim.WaitQueue
@@ -404,8 +391,11 @@ func TestPromoteFleetCanaryTakesOver(t *testing.T) {
 		for !atGate || !replicaDone || canary.VariantLag() > 0 {
 			tk.Sleep(time.Millisecond)
 		}
-		if !m.PromoteFleet(tk) {
-			t.Error("PromoteFleet refused a healthy canary")
+		// The replicas validated the old version: the canary alone consumes
+		// the tail.
+		m.EjectVariant(replica, "superseded by canary promotion")
+		if !m.Promote(tk, PromoteRetire) {
+			t.Error("Promote refused a healthy canary")
 		}
 		gate.WakeAll(s)
 	})
@@ -423,7 +413,7 @@ func TestPromoteFleetCanaryTakesOver(t *testing.T) {
 	if leader.Role() != RoleRetired {
 		t.Fatalf("old leader role = %v, want retired", leader.Role())
 	}
-	if len(m.Variants()) != 0 || m.Canary() != nil {
+	if len(m.Variants()) != 0 || m.Candidate() != nil {
 		t.Fatal("fleet not cleared after promotion")
 	}
 	if m.Stats.Promotions != 1 {
@@ -434,20 +424,23 @@ func TestPromoteFleetCanaryTakesOver(t *testing.T) {
 	}
 }
 
-func TestPromoteFleetRefusesFailedOrMissingCanary(t *testing.T) {
+func TestPromoteRefusesFailedOrMissingCandidate(t *testing.T) {
 	s, _, m := world(64, Costs{})
 	m.StartSingleLeader("v0")
-	v := m.AttachVariant("r1", nil)
+	m.AttachVariant("r1", nil)
 	s.Go("driver", func(tk *sim.Task) {
-		if m.PromoteFleet(tk) {
-			t.Error("PromoteFleet succeeded without a canary")
+		for _, policy := range []PromotePolicy{PromoteDemote, PromoteRetire} {
+			if m.Promote(tk, policy) {
+				t.Errorf("Promote(%d) succeeded without a candidate", policy)
+			}
 		}
-		m.MarkCanary(v, 0)
-		m.FailVariant(v, "divergence")
-		if m.PromoteFleet(tk) {
-			t.Error("PromoteFleet succeeded with a failed canary")
+		m.FailVariant(m.AttachCandidate("canary", nil, 0), "divergence")
+		for _, policy := range []PromotePolicy{PromoteDemote, PromoteRetire} {
+			if m.Promote(tk, policy) {
+				t.Errorf("Promote(%d) succeeded with a failed candidate", policy)
+			}
 		}
-		m.EjectVariant(v, "teardown")
+		ejectAll(m, "teardown")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -504,9 +497,7 @@ func TestFleetWatchdogIsolatesStalledVariant(t *testing.T) {
 		for !slowDone {
 			tk.Sleep(time.Millisecond)
 		}
-		for _, v := range m.Variants() {
-			m.EjectVariant(v, "test teardown")
-		}
+		ejectAll(m, "test teardown")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -557,9 +548,7 @@ func TestFleetEjectFreesBlockedLeader(t *testing.T) {
 		for !healthyDone {
 			tk.Sleep(time.Millisecond)
 		}
-		for _, v := range m.Variants() {
-			m.EjectVariant(v, "test teardown")
-		}
+		ejectAll(m, "test teardown")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -587,13 +576,12 @@ func TestAttachVariantGuards(t *testing.T) {
 	_, _, m := world(16, Costs{})
 	mustPanic("no leader", func() { m.AttachVariant("r1", nil) })
 	m.StartSingleLeader("v0")
-	m.AttachFollower("v1", nil)
-	mustPanic("duo follower attached", func() { m.AttachVariant("r1", nil) })
-
-	_, _, m2 := world(16, Costs{})
-	m2.StartSingleLeader("v0")
-	m2.AttachVariant("r1", nil)
-	mustPanic("fleet active", func() { m2.AttachFollower("v1", nil) })
+	m.AttachCandidate("v1", nil, 0)
+	m.AttachVariant("r1", nil) // replicas and a candidate share the one set
+	mustPanic("second candidate", func() { m.AttachCandidate("v2", nil, 0) })
+	if got := len(m.Variants()); got != 2 {
+		t.Fatalf("%d attached, want 2", got)
+	}
 }
 
 func TestVerdictStrings(t *testing.T) {
@@ -630,7 +618,7 @@ func TestFleetDiscardPolicyLeavesATrace(t *testing.T) {
 	m.OnStall = func(st Stall) {
 		stall = st
 		// The dropped entry is missing from every variant's stream.
-		m.AbortFleet("entry dropped under the discard policy")
+		ejectAll(m, "entry dropped under the discard policy")
 		for _, tk := range tasks {
 			tk.Kill()
 		}

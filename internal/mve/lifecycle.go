@@ -1,6 +1,7 @@
 package mve
 
 import (
+	"slices"
 	"time"
 
 	"mvedsua/internal/dsl"
@@ -20,42 +21,57 @@ func (m *Monitor) StartSingleLeader(name string) *Proc {
 	return p
 }
 
-// AttachFollower switches to leader/follower mode: the current leader
-// starts recording and the returned Proc validates against the rules in
-// rules (which may be nil for identity). The follower inherits a clone of
-// the leader's tracked kernel state, as a forked process would.
-func (m *Monitor) AttachFollower(name string, rules *dsl.RuleSet) *Proc {
+// AttachVariant adds a validating consumer. The first one in switches
+// the leader from single-leader interception to recording, on a freshly
+// reset ring; each consumer gets a private cursor positioned at the
+// stream's current end, a clone of the leader's tracked kernel state (as
+// a forked process would) and its own liveness watchdog. rules may be
+// nil for identity validation (same-version replicas).
+func (m *Monitor) AttachVariant(name string, rules *dsl.RuleSet) *Proc {
 	if m.leader == nil {
-		panic("mve: AttachFollower without a leader")
+		panic("mve: attach without a leader")
 	}
-	if m.follower != nil {
-		panic("mve: follower already attached")
+	first := len(m.variants) == 0
+	if first {
+		m.ring.Reset()
+		m.leader.role = RoleLeader
 	}
-	if len(m.variants) > 0 {
-		panic("mve: duo follower and fleet variants are exclusive")
-	}
-	m.ring.Reset()
-	f := m.attach(name, rules)
-	m.follower = f
-	m.leader.role = RoleLeader
-	m.logf("%s attached as follower of %s (buffer %d entries)", name, m.leader.name, m.ring.Cap())
-	m.rec.Emitf(obs.KindRole, name, "attached as follower of %s (buffer %d entries)", m.leader.name, m.ring.Cap())
-	m.leader.setRoleSpan("leader")
-	f.setRoleSpan("follower")
-	m.startWatchdog(f)
-	return f
-}
-
-// attach builds a consumer proc for AttachFollower and AttachVariant: a
-// cursor at the stream's current end, validation starting at the next
-// recorded event, and a clone of the leader's tracked kernel state, as a
-// forked process would have.
-func (m *Monitor) attach(name string, rules *dsl.RuleSet) *Proc {
 	p := newProc(m, name, RoleFollower)
 	p.engine = dsl.NewEngine(rules)
 	p.kstate = m.leader.kstate.Clone()
 	p.follow()
+	m.variants = append(m.variants, p)
+	m.logf("%s attached as follower of %s (%d attached, buffer %d entries)", name, m.leader.name, len(m.variants), m.ring.Cap())
+	m.rec.Emitf(obs.KindRole, name, "attached as follower of %s (%d attached, buffer %d entries)", m.leader.name, len(m.variants), m.ring.Cap())
+	if first {
+		m.leader.setRoleSpan("leader")
+	}
+	p.setRoleSpan("follower")
+	m.startWatchdog(p)
 	return p
+}
+
+// AttachCandidate attaches the one consumer on the other version — the
+// paper's updated follower, a fleet's canary. It may absorb up to budget
+// divergences (adopting the leader's recorded result each time) before
+// one becomes fatal, its failures always render a verdict about the
+// update instead of entering the quorum, and Promote hands it the lead.
+func (m *Monitor) AttachCandidate(name string, rules *dsl.RuleSet, budget int) *Proc {
+	if m.candidate != nil {
+		panic("mve: candidate already attached")
+	}
+	p := m.AttachVariant(name, rules)
+	p.budget = budget
+	p.canary = len(m.variants) > 1
+	m.candidate = p
+	m.logf("%s is the candidate (divergence budget %d)", name, budget)
+	return p
+}
+
+// AttachFollower is AttachCandidate with no budget, kept for the frozen
+// benchmark adapter; drop at benchmark revision 2.
+func (m *Monitor) AttachFollower(name string, rules *dsl.RuleSet) *Proc {
+	return m.AttachCandidate(name, rules, 0)
 }
 
 // follow opens p's cursor at the stream's current end; p validates from
@@ -64,6 +80,103 @@ func (p *Proc) follow() {
 	p.cursor = p.m.ring.OpenCursor(p.name)
 	p.globalNext = p.m.ring.NextSeq()
 }
+
+// Candidate returns the attached candidate, or nil.
+func (m *Monitor) Candidate() *Proc { return m.candidate }
+
+// Variants returns the attached consumers in attach order (a copy).
+func (m *Monitor) Variants() []*Proc {
+	return append([]*Proc(nil), m.variants...)
+}
+
+// VariantByName returns the attached consumer with the given proc name,
+// or nil.
+func (m *Monitor) VariantByName(name string) *Proc {
+	for _, v := range m.variants {
+		if v.name == name {
+			return v
+		}
+	}
+	return nil
+}
+
+// MultiBuffer always returns nil: Buffer() is the monitor's one ring.
+// The stub remains only for the frozen benchmark adapter, which adds
+// MultiBuffer()'s counters to Buffer()'s — returning the ring from both
+// would double them. Drop at benchmark revision 2.
+func (m *Monitor) MultiBuffer() *ringbuf.MultiBuffer { return nil }
+
+// laggiest returns the consumer with the largest cursor lag (ties to the
+// earliest-attached), or nil with none attached.
+func (m *Monitor) laggiest() *Proc {
+	var worst *Proc
+	for _, v := range m.variants {
+		if worst == nil || v.cursor.Lag() > worst.cursor.Lag() {
+			worst = v
+		}
+	}
+	return worst
+}
+
+// EjectVariant detaches a consumer: it leaves the set, its role span
+// ends, and its cursor is closed — releasing its retention, so a leader
+// parked behind its backlog resumes immediately. Its tasks observe the
+// closed cursor and park; killing them (and respawning a replacement) is
+// the controller's job. The last consumer out closes the ring instead,
+// tail and all, and the leader reverts to single-leader interception. A
+// candidate ejected mid-promotion leaves the old leader leading, demoted
+// or retired as it was — which is how an update that fails before taking
+// over leaves the old version in charge. Reports false if p was not
+// attached.
+func (m *Monitor) EjectVariant(p *Proc, reason string) bool {
+	candidate := m.candidate == p
+	if !m.leave(p) {
+		return false
+	}
+	m.logf("%s ejected (%s); %d remain", p.name, reason, len(m.variants))
+	m.rec.Emitf(obs.KindRole, p.name, "ejected (%s); %d remain (%d events dropped by discard policy)", reason, len(m.variants), m.ring.Dropped)
+	p.endRoleSpan()
+	l := m.leader
+	switch {
+	case len(m.variants) == 0:
+		m.ring.Close()
+		l.role = RoleSingleLeader
+		l.setRoleSpan("single-leader")
+	case candidate && l.role != RoleLeader:
+		// Mid-promotion, with others still validating: the old leader
+		// records for them again (they skip the promotion entry).
+		p.cursor.Close()
+		if l.role == RoleFollower {
+			l.cursor.Close()
+		}
+		l.role = RoleLeader
+		l.setRoleSpan("leader")
+	default:
+		p.cursor.Close()
+		return true
+	}
+	l.promoteSeen = false
+	m.promoWait.WakeAll(m.sched)
+	return true
+}
+
+// leave takes p out of the consumer set (and the candidacy), reporting
+// whether it was in it.
+func (m *Monitor) leave(p *Proc) bool {
+	i := slices.Index(m.variants, p)
+	if i < 0 {
+		return false
+	}
+	m.variants = slices.Delete(m.variants, i, i+1)
+	if m.candidate == p {
+		m.candidate = nil
+	}
+	return true
+}
+
+// DropFollower ejects the candidate, if any, kept for the frozen
+// benchmark adapter; drop at benchmark revision 2.
+func (m *Monitor) DropFollower() { m.EjectVariant(m.candidate, "dropped") }
 
 // startWatchdog arms a liveness watchdog over consumer f: if f consumes
 // no events for WatchdogDeadline of virtual time while entries are
@@ -132,106 +245,102 @@ func (m *Monitor) raiseStall(st Stall) {
 	}
 }
 
-// RequestPromote asks the leader to demote itself at its next syscall:
-// it appends a promotion event and becomes the follower; the old follower
-// becomes leader when it consumes that event (§3.2, t4-t5).
-func (m *Monitor) RequestPromote() {
-	if m.follower == nil {
-		return
-	}
-	m.promoteRequested = true
-	m.logf("promotion requested")
-}
-
 // MarkLeaderCrashed flags the pending promotion as crash-driven: the
-// dead leader's recorded stream may end mid-request, so the follower
+// dead leader's recorded stream may end mid-request, so the candidate
 // replays the matching prefix for state catch-up and treats the first
 // mismatch as the truncation point instead of a divergence (§3.2,
 // "handling old-version errors"). Call synchronously from the crash
-// handler, before scheduling PromoteNow, so the follower cannot observe
+// handler, before scheduling Promote, so the candidate cannot observe
 // the truncated tail first.
 func (m *Monitor) MarkLeaderCrashed() {
-	if m.follower != nil {
-		m.follower.crashPromote = true
+	if m.candidate != nil {
+		m.candidate.crashPromote = true
 	}
 }
 
-// PromoteNow appends the promotion event on behalf of a leader that can
-// no longer do it itself (e.g. it crashed). Must run from a sim task.
-func (m *Monitor) PromoteNow(t *sim.Task) {
-	if m.follower == nil {
-		return
+// PromotePolicy is what a promotion makes of the old leader.
+type PromotePolicy int
+
+// Promotion policies.
+const (
+	// PromoteDemote turns the old leader into a follower of the new one:
+	// it validates in reverse, as the new candidate, until ejected.
+	PromoteDemote PromotePolicy = iota
+	// PromoteRetire parks the old leader until it is reaped: the
+	// candidate was validated before the promotion, not after it.
+	PromoteRetire
+)
+
+// Promote hands the lead to the candidate (§3.2 t4): it appends the
+// promotion entry on the leader's behalf — at the leader's full
+// quiescence, or for a leader that crashed — and the candidate takes
+// over when it has drained the stream up to it. A demoted leader opens
+// its cursor only after the entry, so it starts validating at the new
+// leader's first recorded event and can never read the tail meant for
+// the process taking over. Consumers that should not validate the next
+// leader's stream are the caller's to eject first. Must run from a sim
+// task; reports false without a healthy candidate.
+func (m *Monitor) Promote(t *sim.Task, policy PromotePolicy) bool {
+	if m.candidate == nil || m.candidate.failed {
+		return false
 	}
-	m.promoteRequested = false
-	m.leader.setRoleSpan("follower")
-	m.leader.demote(t)
-	m.logf("promotion event injected")
+	old := m.leader
+	old.role = RoleFollower
+	if policy == PromoteRetire {
+		old.role = RoleRetired
+	}
+	old.setRoleSpan(old.role.String())
+	m.ring.Put(t, ringbuf.Entry{Kind: ringbuf.KindPromote})
+	if policy == PromoteDemote {
+		old.follow()
+	}
+	m.logf("promotion event injected for %s", m.candidate.name)
+	return true
 }
 
-// demote turns the leader into a follower (§3.2 t4): it appends the
-// promotion event and then opens its cursor, so the demoted process
-// starts validating at the new leader's first recorded event and can
-// never read the pre-promotion tail meant for the process taking over.
-func (p *Proc) demote(t *sim.Task) {
-	p.role = RoleFollower
-	p.m.ring.Put(t, ringbuf.Entry{Kind: ringbuf.KindPromote})
-	p.follow()
-}
-
-// DropFollower terminates leader/follower mode, discarding the follower.
-// The caller is responsible for killing the follower's tasks. The leader
-// reverts to single-leader interception. Used for rollback (§3.2) and for
-// dropping the outdated follower at t6.
-func (m *Monitor) DropFollower() {
-	if m.follower == nil {
-		return
-	}
-	m.logf("follower %s dropped", m.follower.name)
-	m.rec.Emitf(obs.KindRole, m.follower.name, "follower dropped (%d events dropped by discard policy)", m.ring.Dropped)
-	m.follower.endRoleSpan()
-	m.follower = nil
-	m.promoteRequested = false
-	m.ring.Close()
-	if m.leader != nil {
-		m.leader.role = RoleSingleLeader
-		m.leader.promoteSeen = false
-		m.leader.setRoleSpan("single-leader")
-	}
-	// A leader parked mid-promotion resumes as single leader.
-	m.promoWait.WakeAll(m.sched)
-}
-
+// becomeLeader completes a promotion from inside the candidate's own
+// validation path: it has drained its cursor up to the promotion entry,
+// so it leaves the consumer set and serves natively — recording, if
+// anyone is left to validate it. A demoted old leader is: it joins the
+// set as the new candidate.
 func (p *Proc) becomeLeader() {
-	if p.variant {
-		p.becomeFleetLeader()
-		return
-	}
 	m := p.m
 	m.logf("%s promoted to leader", p.name)
 	m.rec.Inc(obs.CMVEPromotions)
 	m.rec.Emit(obs.KindRole, p.name, "promoted to leader")
-	p.setRoleSpan("leader")
 	old := m.leader
 	m.leader = p
-	m.follower = old
-	p.role = RoleLeader
-	// Fully drained; from here the demoted process's cursor alone
-	// decides retention.
+	m.leave(p)
+	// Fully drained; from here the remaining cursors alone decide
+	// retention.
 	p.cursor.Close()
-	p.promoteSeen = false
-	p.crashPromote = false
-	p.wakeAllTIDs()
-	// The demoted process validates the new leader's stream with no
-	// rewrite rules unless the controller installed a reverse set.
-	if old != nil && old.engine == nil {
-		old.engine = dsl.NewEngine(nil)
+	p.promoteSeen, p.crashPromote, p.failed = false, false, false
+	demoted := old.role == RoleFollower
+	if demoted {
+		m.variants = append(m.variants, old)
+		m.candidate = old
+	} else {
+		old.endRoleSpan()
 	}
-	m.promoWait.WakeAll(m.sched)
+	if len(m.variants) > 0 {
+		p.role = RoleLeader
+		p.setRoleSpan("leader")
+	} else {
+		p.role = RoleSingleLeader
+		p.setRoleSpan("single-leader")
+		m.ring.Close()
+	}
+	p.wakeAllTIDs()
 	m.Stats.Promotions++
-	// The demoted process now consumes the stream; it gets its own
-	// liveness watchdog (the previous one retires when it observes the
-	// role swap).
-	if old != nil {
+	if demoted {
+		// The demoted process validates the new leader's stream with no
+		// rewrite rules unless the controller installed a reverse set, and
+		// gets its own liveness watchdog (the previous one retires when it
+		// observes the role swap).
+		if old.engine == nil {
+			old.engine = dsl.NewEngine(nil)
+		}
+		m.promoWait.WakeAll(m.sched)
 		m.startWatchdog(old)
 	}
 	if m.OnPromoted != nil {
@@ -254,8 +363,8 @@ func (p *Proc) setRoleSpan(role string) {
 	p.roleSpanID = rec.BeginAsync(p.name, p.roleSpanName, "")
 }
 
-// endRoleSpan closes p's open role epoch (e.g. the follower was
-// dropped).
+// endRoleSpan closes p's open role epoch (e.g. the consumer was
+// ejected).
 func (p *Proc) endRoleSpan() {
 	rec := p.m.rec
 	if !rec.SpansEnabled() || p.roleSpanID == 0 {
@@ -266,7 +375,7 @@ func (p *Proc) endRoleSpan() {
 }
 
 // SetReverseRules installs the updated-leader-stage rule set on the
-// demoted follower (§3.3.2). Call before RequestPromote.
+// leader about to be demoted (§3.3.2). Call before Promote.
 func (m *Monitor) SetReverseRules(rules *dsl.RuleSet) {
 	if m.leader != nil {
 		m.leader.engine = dsl.NewEngine(rules)

@@ -2,25 +2,38 @@
 // reproduction's counterpart of Varan (Hosek & Cadar, ASPLOS'15) as
 // extended by MVEDSUA (§3.1, §4 of the paper).
 //
-// One Monitor supervises up to two processes (version instances):
+// One Monitor supervises a leader and the set of processes consuming its
+// recorded stream (Volckaert et al.'s one replication buffer with N
+// symmetric consumers):
 //
-//   - In single-leader mode the sole process runs against the virtual OS
-//     with lightweight interception: every syscall is observed (and
-//     charged an interception cost) and kernel state relevant to a later
-//     fork is tracked, but nothing is recorded.
+//   - With the set empty the leader runs against the virtual OS with
+//     lightweight interception (single-leader mode): every syscall is
+//     observed (and charged an interception cost) and kernel state
+//     relevant to a later fork is tracked, but nothing is recorded and
+//     the ring is closed.
 //
-//   - In leader/follower mode the leader executes syscalls natively and
-//     records (call, result) events into the ring buffer; the follower
-//     validates its own syscall stream against those events — after the
+//   - The first consumer attached (AttachVariant, AttachCandidate) resets
+//     the ring and switches the leader to recording (call, result) events
+//     into it; every consumer validates its own syscall stream against
+//     those events through a cursor of its own — after its
 //     divergence-rewrite rules have been applied — and receives the
-//     leader's recorded results instead of touching the OS.
+//     leader's recorded results instead of touching the OS. The last
+//     consumer detached (EjectVariant) closes the ring and reverts the
+//     leader to single-leader interception.
 //
-// Promotion (§3.2, t4-t5) is initiated with RequestPromote: the leader
-// appends a promotion control event and immediately becomes a follower;
-// when the updated follower drains the buffer and reaches that event, it
-// takes over as leader. Any mismatch between a follower syscall and the
-// (rewritten) recorded stream raises a Divergence, which MVEDSUA's
-// controller turns into a rollback or a promotion.
+// At most one consumer is the candidate: the one process on the other
+// version — the paper's updated follower, a fleet's canary, and after a
+// demoting promotion the old leader. Promote (§3.2, t4-t5) appends a
+// promotion control entry on the leader's behalf; when the candidate has
+// drained the stream up to it, it leaves the set and takes over. The
+// policy decides what becomes of the old leader: demoted, it joins the
+// set behind the promotion entry as the new candidate and validates the
+// new leader in reverse; retired, it parks until reaped — or until the
+// candidate is detached first and leadership falls back to it.
+//
+// Every consumer failure — a mismatch between its syscall and the
+// (rewritten) recorded stream, a crash, a stall — renders a Verdict
+// (quorum.go); MVEDSUA's controller owns the consequences.
 //
 // Recording and replaying an event allocates nothing in steady state.
 // Payload bytes move under the ring's rule that the taker owns what it
@@ -55,7 +68,7 @@ const (
 	RoleSingleLeader Role = iota // alone, lightweight interception
 	RoleLeader                   // executing natively, recording
 	RoleFollower                 // replaying and validating
-	RoleRetired                  // handed leadership to a promoted canary; parked until reaped
+	RoleRetired                  // handing leadership to the candidate; parked until reaped, or until it is detached first
 )
 
 // String returns the role name.
@@ -183,23 +196,22 @@ type Stats struct {
 	Stalls int64
 }
 
-// Monitor coordinates the two version processes.
+// Monitor coordinates the leader and the consumers of its stream.
 type Monitor struct {
 	sched  *sim.Scheduler
 	kernel *vos.Kernel
 	costs  Costs
 
 	// ring is the one recorded stream: the leader appends, and every
-	// consumer proc (duo follower, demoted leader, fleet variant, canary)
-	// reads through its own cursor.
-	ring     *ringbuf.MultiBuffer
-	leader   *Proc
-	follower *Proc
+	// consumer reads through its own cursor. It is open exactly while
+	// variants is non-empty.
+	ring   *ringbuf.MultiBuffer
+	leader *Proc
 
-	// Fleet mode (K>=1 variants, see fleet.go): failures are judged by
-	// majority quorum instead of the duo's binary keep-or-rollback.
-	variants []*Proc
-	canary   *Proc
+	// variants are the attached consumers, in attach order; candidate is
+	// the one of them on the other version, or nil (see lifecycle.go).
+	variants  []*Proc
+	candidate *Proc
 
 	// Lockstep forces the leader to wait for the follower after every
 	// recorded event, reproducing the MUC/Mx baseline's behaviour.
@@ -231,37 +243,31 @@ type Monitor struct {
 	// the stall is only logged and counted.
 	OnStall func(Stall)
 
-	// OnDivergence is invoked (from the follower's task) when the
-	// follower diverges. The follower then parks until killed; the
-	// handler decides whether to roll back or promote.
-	OnDivergence func(Divergence)
-
-	// OnPromoted is invoked when a promotion completes: the old follower
+	// OnPromoted is invoked when a promotion completes: the candidate
 	// has drained the buffer and taken over as leader (§3.2 t5).
 	OnPromoted func(newLeader *Proc)
 
-	// OnVerdict is invoked when a fleet variant fails (divergence or
-	// stall raised from inside the monitor) with the quorum's decision.
-	// Crash verdicts are computed by FailVariant at the caller's request
-	// instead, since crash detection lives outside the monitor. The
-	// handler owns the consequences (eject-and-respawn, canary rollback,
-	// or fleet abort); with no handler the verdict is only logged.
+	// OnVerdict is invoked (from the consumer's task) when a consumer
+	// diverges fatally, with the quorum's decision; the consumer then
+	// parks until killed. Crash and stall verdicts are computed by
+	// FailVariant at the caller's request instead, since their detection
+	// reaches the monitor from outside. The handler owns the consequences
+	// (rollback or commit, eject-and-respawn, fleet abort); with no
+	// handler the verdict is only logged.
 	OnVerdict func(Verdict)
 
-	promoteRequested bool
-	divergences      []Divergence
+	divergences []Divergence
 
 	// Coarse monitor event log. Disabled by default: logf formats (and
 	// retains) nothing unless EnableEventLog was called, mirroring the
 	// obs.Recorder.Enabled gate, so hot paths that narrate (divergences,
 	// promotions, rule hits) don't pay fmt.Sprintf for a log nobody
 	// reads. When enabled, retention is bounded: the newest logCap lines
-	// are kept and older ones are counted in eventsDropped.
-	logEnabled    bool
-	logCap        int
-	events        []string // circular once len == logCap
-	eventsStart   int      // index of the oldest retained line
-	eventsDropped int64
+	// are kept.
+	logEnabled  bool
+	logCap      int
+	events      []string // circular once len == logCap
+	eventsStart int      // index of the oldest retained line
 
 	// Stats aggregates monitor activity for reporting.
 	Stats Stats
@@ -270,22 +276,26 @@ type Monitor struct {
 	// per instrumented operation. Set via SetRecorder.
 	rec *obs.Recorder
 
-	// promoWait parks a demoted leader between writing the promotion
-	// event (t4) and the new leader taking over (t5): during that window
-	// the buffer still holds events meant for the old follower, and the
-	// demoted process must not steal them.
+	// promoWait parks the old leader between the promotion entry (t4)
+	// and the candidate taking over (t5): during that window the buffer
+	// still holds events meant for the candidate, which a demoted process
+	// must not steal and a retired one has no business serving. The
+	// takeover wakes a demoted leader; detaching the candidate first
+	// wakes either, to lead again.
 	promoWait sim.WaitQueue
 }
 
 // New returns a monitor bound to the scheduler and kernel, with the given
-// ring-buffer capacity for leader/follower phases.
+// ring-buffer capacity. The ring starts closed: nobody consumes it yet.
 func New(kernel *vos.Kernel, bufCap int, costs Costs) *Monitor {
-	return &Monitor{
+	m := &Monitor{
 		sched:  kernel.Scheduler(),
 		kernel: kernel,
 		costs:  costs,
 		ring:   ringbuf.NewMulti(kernel.Scheduler(), bufCap),
 	}
+	m.ring.Close()
+	return m
 }
 
 // Buffer exposes the ring buffer (read-only use: occupancy metrics).
@@ -299,9 +309,6 @@ func (m *Monitor) SetRecorder(rec *obs.Recorder) {
 	m.ring.Rec = rec
 }
 
-// Recorder returns the attached flight recorder, or nil.
-func (m *Monitor) Recorder() *obs.Recorder { return m.rec }
-
 // Divergences returns the divergences observed so far.
 func (m *Monitor) Divergences() []Divergence { return m.divergences }
 
@@ -311,8 +318,8 @@ const DefaultEventLogCap = 512
 
 // EnableEventLog turns the coarse monitor event log on, retaining at
 // most capacity lines (DefaultEventLogCap when <= 0). When the log
-// overflows, the oldest lines are discarded and counted; EventLog always
-// returns the newest tail. Call before starting procs to capture the
+// overflows, the oldest lines are discarded; EventLog always returns the
+// newest tail. Call before starting procs to capture the
 // full lifecycle.
 func (m *Monitor) EnableEventLog(capacity int) {
 	if capacity <= 0 {
@@ -321,9 +328,6 @@ func (m *Monitor) EnableEventLog(capacity int) {
 	m.logEnabled = true
 	m.logCap = capacity
 }
-
-// EventLogEnabled reports whether logf currently retains anything.
-func (m *Monitor) EventLogEnabled() bool { return m.logEnabled }
 
 // EventLog returns the retained tail of the monitor event log, oldest
 // first.
@@ -337,9 +341,6 @@ func (m *Monitor) EventLog() []string {
 	return out
 }
 
-// EventLogDropped returns how many log lines were evicted by the cap.
-func (m *Monitor) EventLogDropped() int64 { return m.eventsDropped }
-
 func (m *Monitor) logf(format string, args ...interface{}) {
 	if !m.logEnabled {
 		return
@@ -352,7 +353,6 @@ func (m *Monitor) logf(format string, args ...interface{}) {
 	// Overwrite the oldest line, keeping the newest logCap.
 	m.events[m.eventsStart] = line
 	m.eventsStart = (m.eventsStart + 1) % m.logCap
-	m.eventsDropped++
 }
 
 // Proc is one version instance's view of the system: it implements
@@ -393,26 +393,26 @@ type Proc struct {
 	// promotion) frees its retention.
 	cursor *ringbuf.Cursor
 
-	// variant marks a fleet variant (AttachVariant): its failures go to
-	// the quorum and its promotion commits at once, where the duo
-	// follower's raise OnDivergence and demote the old leader.
-	variant bool
-
-	// failed marks a fleet variant that diverged, crashed or stalled;
-	// quorum verdicts count failed vs attached variants.
+	// failed marks a consumer that diverged, crashed or stalled; quorum
+	// verdicts count failed vs attached consumers.
 	failed bool
 
-	// divergeCount counts this variant's divergences. A canary with
-	// DivergenceBudget > 0 absorbs that many divergences (adopting the
-	// leader's recorded result and continuing) before one becomes fatal;
-	// the canary gate reads the count at the end of the window.
+	// divergeCount counts this consumer's divergences. A candidate with a
+	// budget absorbs that many (adopting the leader's recorded result and
+	// continuing) before one becomes fatal; the canary gate reads the
+	// count at the end of its window.
 	divergeCount int
 
-	// DivergenceBudget is the number of divergences a canary variant may
-	// absorb before the monitor raises a rollback verdict. Zero (the
-	// default, and always for non-canary variants) makes the first
-	// divergence fatal.
-	DivergenceBudget int
+	// budget is the number of divergences this proc may absorb while it
+	// is the candidate (AttachCandidate). Zero makes the first one fatal,
+	// as every other consumer's is.
+	budget int
+
+	// canary marks a candidate attached beside replicas: it validates
+	// under a profiler label of its own, so fleet profiles separate
+	// canary validation from replica validation. Alone there is nothing
+	// to tell it apart from.
+	canary bool
 
 	// progress counts consumption steps (buffer pulls and validated
 	// events) while this proc follows; the liveness watchdog samples it.
@@ -457,20 +457,11 @@ func newProc(m *Monitor, name string, role Role) *Proc {
 // Leader returns the current leader proc.
 func (m *Monitor) Leader() *Proc { return m.leader }
 
-// Follower returns the current follower proc, or nil.
-func (m *Monitor) Follower() *Proc { return m.follower }
-
 // Role returns p's current role.
 func (p *Proc) Role() Role { return p.role }
 
 // Name returns the proc's name.
 func (p *Proc) Name() string { return p.name }
-
-// Diverged reports whether this proc has raised a divergence.
-func (p *Proc) Diverged() bool { return p.diverged }
-
-// KernelStateSnapshot returns a copy of the tracked kernel state.
-func (p *Proc) KernelStateSnapshot() KernelState { return p.kstate.Clone() }
 
 // Invoke implements sysabi.Dispatcher, routing by role.
 func (p *Proc) Invoke(t *sim.Task, call sysabi.Call) sysabi.Result {
@@ -480,16 +471,6 @@ func (p *Proc) Invoke(t *sim.Task, call sysabi.Call) sysabi.Result {
 		case RoleSingleLeader:
 			return p.invokeSingle(t, call)
 		case RoleLeader:
-			if p.m.promoteRequested && p.m.follower != nil {
-				// Demote: register the promotion event and become a
-				// follower before processing this call (§3.2 t4).
-				p.m.promoteRequested = false
-				p.demote(t)
-				p.m.logf("%s demoted itself; awaiting new leader", p.name)
-				p.m.rec.Emit(obs.KindRole, p.name, "demoted itself; awaiting new leader")
-				p.setRoleSpan("follower")
-				continue
-			}
 			return p.invokeLeader(t, call)
 		case RoleFollower:
 			res, again := p.invokeFollower(t, call)
@@ -498,9 +479,10 @@ func (p *Proc) Invoke(t *sim.Task, call sysabi.Call) sysabi.Result {
 			}
 			return res
 		case RoleRetired:
-			// Leadership moved to a promoted canary; this process is done —
-			// it parks until the controller reaps it.
-			p.parkForever(t)
+			// Leadership is moving to the candidate: this process parks
+			// until the controller reaps it — or until the candidate is
+			// detached before taking over, and it leads again.
+			t.Block(&p.m.promoWait)
 		default:
 			panic("mve: bad role")
 		}
@@ -524,16 +506,13 @@ func (p *Proc) scoped() *obs.Registry {
 // off by default: golden runs never reach the label pushes below).
 func (p *Proc) profiling() bool { return p.m.rec.ProfilingEnabled() }
 
-// roleLabel maps the proc onto the profiler's role vocabulary. The
-// canary is a follower whose divergences are budgeted; it gets its own
-// label so fleet profiles separate canary validation from replica
-// validation.
+// roleLabel maps the proc onto the profiler's role vocabulary.
 func (p *Proc) roleLabel() string {
-	if p == p.m.canary {
-		return obs.LblCanary
-	}
 	switch p.role {
 	case RoleFollower:
+		if p.canary {
+			return obs.LblCanary
+		}
 		return obs.LblFollower
 	case RoleRetired:
 		return obs.LblRetired

@@ -24,6 +24,33 @@ func world(bufCap int, costs Costs) (*sim.Scheduler, *vos.Kernel, *Monitor) {
 
 func inv(p *Proc, t *sim.Task, c sysabi.Call) sysabi.Result { return p.Invoke(t, c) }
 
+// ejectAll detaches every consumer: a test's teardown, and what a
+// controller does to abort a fleet.
+func ejectAll(m *Monitor, reason string) {
+	for _, v := range m.Variants() {
+		m.EjectVariant(v, reason)
+	}
+}
+
+// atBarrier stands in for the DSU barrier the controller promotes at: the
+// leader's program issues its syscalls through it, and once policy is set
+// the promotion entry is appended between two of them, at the leader's
+// quiescence.
+type atBarrier struct {
+	*Proc
+	policy *PromotePolicy
+}
+
+func (b *atBarrier) Invoke(t *sim.Task, c sysabi.Call) sysabi.Result {
+	if b.policy != nil {
+		b.m.Promote(t, *b.policy)
+		b.policy = nil
+	}
+	return b.Proc.Invoke(t, c)
+}
+
+func (b *atBarrier) promote(policy PromotePolicy) { b.policy = &policy }
+
 func TestSingleLeaderPassesThrough(t *testing.T) {
 	s, _, m := world(16, Costs{})
 	p := m.StartSingleLeader("v0")
@@ -68,7 +95,7 @@ func TestKernelStateTracking(t *testing.T) {
 		inv(p, tk, sysabi.Call{Op: sysabi.OpGetPID})
 		lfd := int(inv(p, tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{80, 0}}).Ret)
 		efd := int(inv(p, tk, sysabi.Call{Op: sysabi.OpEpollCreate}).Ret)
-		ks := p.KernelStateSnapshot()
+		ks := p.kstate
 		if ks.LogicalPID == 0 {
 			t.Error("pid not tracked")
 		}
@@ -82,7 +109,7 @@ func TestKernelStateTracking(t *testing.T) {
 			t.Errorf("listener port = %d", ks.Listeners[lfd])
 		}
 		inv(p, tk, sysabi.Call{Op: sysabi.OpClose, FD: efd})
-		ks = p.KernelStateSnapshot()
+		ks = p.kstate
 		if ks.OpenFDs[efd] || ks.EpollFDs[efd] {
 			t.Error("close not tracked")
 		}
@@ -104,7 +131,7 @@ func TestKernelStateCloneIsDeep(t *testing.T) {
 
 // leaderEcho runs a tiny echo server loop through proc p: accept once,
 // then read/write n times.
-func leaderEcho(k *vos.Kernel, p *Proc, iterations int) func(*sim.Task) {
+func leaderEcho(k *vos.Kernel, p sysabi.Dispatcher, iterations int) func(*sim.Task) {
 	return func(tk *sim.Task) {
 		lfd := int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{7, 0}}).Ret)
 		fd := int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
@@ -140,7 +167,7 @@ func followerEcho(p *Proc, iterations int) func(*sim.Task) {
 // leaderEchoLike is the follower's program: same syscall sequence, with an
 // optional transform applied to each echoed payload (to provoke or model
 // version differences).
-func leaderEchoLike(p *Proc, iterations int, mutate func([]byte) []byte) func(*sim.Task) {
+func leaderEchoLike(p sysabi.Dispatcher, iterations int, mutate func([]byte) []byte) func(*sim.Task) {
 	return func(tk *sim.Task) {
 		lfd := int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{7, 0}}).Ret)
 		fd := int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
@@ -161,7 +188,7 @@ func leaderEchoLike(p *Proc, iterations int, mutate func([]byte) []byte) func(*s
 func TestLeaderFollowerAgreement(t *testing.T) {
 	s, k, m := world(64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 
 	var replies []string
 	s.Go("leader", leaderEcho(k, leader, 3))
@@ -172,7 +199,7 @@ func TestLeaderFollowerAgreement(t *testing.T) {
 		for len(replies) < 3 {
 			tk.Sleep(time.Millisecond)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 		fTask.Kill()
 	})
 	if err := s.Run(); err != nil {
@@ -192,13 +219,13 @@ func TestLeaderFollowerAgreement(t *testing.T) {
 func TestFollowerOutputMismatchDiverges(t *testing.T) {
 	s, k, m := world(64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 
 	var got Divergence
 	var fTask *sim.Task
-	m.OnDivergence = func(d Divergence) {
-		got = d
-		m.DropFollower()
+	m.OnVerdict = func(v Verdict) {
+		got = *v.Div
+		ejectAll(m, "dropped")
 		fTask.Kill()
 	}
 	var replies []string
@@ -225,12 +252,12 @@ func TestFollowerOutputMismatchDiverges(t *testing.T) {
 func TestFollowerSyscallKindMismatchDiverges(t *testing.T) {
 	s, k, m := world(64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var fTask *sim.Task
 	diverged := false
-	m.OnDivergence = func(d Divergence) {
+	m.OnVerdict = func(Verdict) {
 		diverged = true
-		m.DropFollower()
+		ejectAll(m, "dropped")
 		fTask.Kill()
 	}
 	var replies []string
@@ -261,7 +288,7 @@ rule "upper" {
 `)
 	s, k, m := world(64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", rules)
+	follower := m.AttachCandidate("v1", rules, 0)
 	var replies []string
 	var fTask *sim.Task
 	s.Go("leader", leaderEcho(k, leader, 2))
@@ -273,7 +300,7 @@ rule "upper" {
 		for len(replies) < 2 {
 			tk.Sleep(time.Millisecond)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 		fTask.Kill()
 	})
 	if err := s.Run(); err != nil {
@@ -291,7 +318,7 @@ rule "upper" {
 func TestFollowerReceivesLeaderData(t *testing.T) {
 	s, k, m := world(64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var followerSaw []string
 	var fTask *sim.Task
 	var replies []string
@@ -310,7 +337,7 @@ func TestFollowerReceivesLeaderData(t *testing.T) {
 		for len(followerSaw) < 2 {
 			tk.Sleep(time.Millisecond)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 		fTask.Kill()
 	})
 	if err := s.Run(); err != nil {
@@ -343,28 +370,29 @@ func gatedClient(k *vos.Kernel, first, second []string, replies *[]string, gate 
 func TestPromotionSwapsRoles(t *testing.T) {
 	s, k, m := world(64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var replies []string
 	var gate sim.WaitQueue
 	atGate := false
-	s.Go("leader", leaderEcho(k, leader, 4))
+	barrier := &atBarrier{Proc: leader}
+	s.Go("leader", leaderEcho(k, barrier, 4))
 	s.Go("follower", followerEcho(follower, 4))
 	s.Go("client", gatedClient(k, []string{"1", "2"}, []string{"3", "4"}, &replies, &gate, &atGate))
 	s.Go("orchestrator", func(tk *sim.Task) {
 		for !atGate {
 			tk.Sleep(time.Millisecond)
 		}
-		m.RequestPromote()
+		barrier.promote(PromoteDemote)
 		gate.WakeAll(s)
 		for len(replies) < 4 {
 			tk.Sleep(time.Millisecond)
 		}
 		// Drop the demoted follower (old version): t6.
-		old := m.Follower()
+		old := m.Candidate()
 		if old != leader {
 			t.Errorf("demoted follower = %v, want original leader", old)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -385,13 +413,13 @@ func TestPromotionValidatesOldVersionAfterSwap(t *testing.T) {
 	// stream; a mismatch must be attributed to the old version.
 	s, k, m := world(64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var replies []string
 	var diverged *Divergence
 	var oldTask *sim.Task
-	m.OnDivergence = func(d Divergence) {
-		diverged = &d
-		m.DropFollower()
+	m.OnVerdict = func(v Verdict) {
+		diverged = v.Div
+		ejectAll(m, "dropped")
 		// Kill the diverged demoted follower (the old version).
 		oldTask.Kill()
 	}
@@ -400,7 +428,8 @@ func TestPromotionValidatesOldVersionAfterSwap(t *testing.T) {
 	// Old version echoes payloads verbatim for the first 2 rounds but
 	// would echo "OLD" afterwards; new version echoes verbatim always.
 	n := 0
-	oldTask = s.Go("v0", leaderEchoLike(leader, 4, func(b []byte) []byte {
+	barrier := &atBarrier{Proc: leader}
+	oldTask = s.Go("v0", leaderEchoLike(barrier, 4, func(b []byte) []byte {
 		n++
 		if n > 2 {
 			return []byte("OLD")
@@ -413,7 +442,7 @@ func TestPromotionValidatesOldVersionAfterSwap(t *testing.T) {
 		for !atGate {
 			tk.Sleep(time.Millisecond)
 		}
-		m.RequestPromote()
+		barrier.promote(PromoteDemote)
 		gate.WakeAll(s)
 	})
 	if err := s.Run(); err != nil {
@@ -434,7 +463,7 @@ func TestPromotionValidatesOldVersionAfterSwap(t *testing.T) {
 func TestPromoteNowWithDeadLeader(t *testing.T) {
 	s, k, m := world(64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var replies []string
 	crashed := make([]sim.CrashInfo, 0)
 	s.OnCrash = func(c sim.CrashInfo) { crashed = append(crashed, c) }
@@ -455,11 +484,11 @@ func TestPromoteNowWithDeadLeader(t *testing.T) {
 			tk.Sleep(time.Millisecond)
 		}
 		// Old version died: promote the new version (jump to t6).
-		m.PromoteNow(tk)
+		m.Promote(tk, PromoteDemote)
 		for len(replies) < 4 {
 			tk.Sleep(time.Millisecond)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -477,7 +506,7 @@ func TestPromoteNowWithDeadLeader(t *testing.T) {
 func TestLeaderBlocksOnFullBufferUntilDrained(t *testing.T) {
 	s, k, m := world(2, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var replies []string
 	var fTask *sim.Task
 	s.Go("leader", leaderEcho(k, leader, 4))
@@ -491,7 +520,7 @@ func TestLeaderBlocksOnFullBufferUntilDrained(t *testing.T) {
 		for len(replies) < 4 {
 			tk.Sleep(time.Millisecond)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 		fTask.Kill()
 	})
 	if err := s.Run(); err != nil {
@@ -508,7 +537,7 @@ func TestLeaderBlocksOnFullBufferUntilDrained(t *testing.T) {
 func TestRecordCostCharged(t *testing.T) {
 	s, k, m := world(64, Costs{Record: time.Microsecond})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	_ = follower
 	var fTask *sim.Task
 	var replies []string
@@ -519,7 +548,7 @@ func TestRecordCostCharged(t *testing.T) {
 		for len(replies) < 1 {
 			tk.Sleep(time.Millisecond)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 		fTask.Kill()
 	})
 	if err := s.Run(); err != nil {
@@ -535,7 +564,7 @@ func TestLockstepLeaderWaitsForFollower(t *testing.T) {
 	s, k, m := world(64, Costs{})
 	m.Lockstep = true
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var replies []string
 	var fTask *sim.Task
 	maxLag := 0
@@ -556,7 +585,7 @@ func TestLockstepLeaderWaitsForFollower(t *testing.T) {
 		for len(replies) < 3 {
 			tk.Sleep(time.Millisecond)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 		fTask.Kill()
 	})
 	if err := s.Run(); err != nil {
@@ -614,11 +643,11 @@ func TestEventLogRecordsLifecycle(t *testing.T) {
 	s, k, m := world(8, Costs{})
 	m.EnableEventLog(0)
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	_ = leader
 	_ = k
 	_ = follower
-	m.DropFollower()
+	ejectAll(m, "dropped")
 	_ = s
 	log := strings.Join(m.EventLog(), "\n")
 	for _, want := range []string{"single leader", "attached as follower", "dropped"} {
@@ -634,28 +663,29 @@ func TestEventLogRecordsLifecycle(t *testing.T) {
 // garbage a crashed leader left behind — is invisible to it: every entry
 // it can take was recorded by the new leader.
 func TestDemotedLeaderCursorOpensPastPromotion(t *testing.T) {
-	t.Run("self-demotion", func(t *testing.T) {
+	t.Run("at the barrier", func(t *testing.T) {
 		s, k, m := world(64, Costs{})
 		rec := obs.New(s.Now, obs.Options{})
 		m.SetRecorder(rec)
 		leader := m.StartSingleLeader("v0")
-		follower := m.AttachFollower("v1", nil)
+		follower := m.AttachCandidate("v1", nil, 0)
 		var replies []string
 		var gate sim.WaitQueue
 		atGate := false
-		s.Go("old", leaderEcho(k, leader, 4))
+		barrier := &atBarrier{Proc: leader}
+		s.Go("old", leaderEcho(k, barrier, 4))
 		s.Go("new", variantEcho(follower, 4, 2*time.Millisecond)) // lags the leader
 		s.Go("client", gatedClient(k, []string{"1", "2"}, []string{"3", "4"}, &replies, &gate, &atGate))
 		s.Go("orchestrator", func(tk *sim.Task) {
 			for !atGate {
 				tk.Sleep(time.Millisecond)
 			}
-			m.RequestPromote()
+			barrier.promote(PromoteDemote)
 			gate.WakeAll(s)
 			for len(replies) < 4 {
 				tk.Sleep(time.Millisecond)
 			}
-			m.DropFollower()
+			ejectAll(m, "dropped")
 		})
 		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
@@ -695,7 +725,7 @@ func TestDemotedLeaderCursorOpensPastPromotion(t *testing.T) {
 		s, k, m := world(64, Costs{})
 		m.EnableEventLog(0)
 		leader := m.StartSingleLeader("v0")
-		follower := m.AttachFollower("v1", nil)
+		follower := m.AttachCandidate("v1", nil, 0)
 		var replies []string
 		crashed := false
 		s.OnCrash = func(sim.CrashInfo) {
@@ -723,7 +753,7 @@ func TestDemotedLeaderCursorOpensPastPromotion(t *testing.T) {
 			for !crashed {
 				tk.Sleep(time.Millisecond)
 			}
-			m.PromoteNow(tk)
+			m.Promote(tk, PromoteDemote)
 			if m.Buffer().Len() < 2 {
 				t.Errorf("ring holds %d entries at t4; scenario needs a tail behind the promotion entry", m.Buffer().Len())
 			}
@@ -740,7 +770,7 @@ func TestDemotedLeaderCursorOpensPastPromotion(t *testing.T) {
 			if e, ok := leader.cursor.Peek(); !ok || e.Kind != ringbuf.KindSyscall || e.Event.Seq != promoSeq {
 				t.Errorf("demoted leader's next entry = %+v (ok=%v); want the new leader's first event #%d", e, ok, promoSeq)
 			}
-			m.DropFollower()
+			ejectAll(m, "dropped")
 		})
 		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)

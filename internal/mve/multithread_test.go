@@ -51,7 +51,7 @@ func TestGlobalOrderEnforcedAcrossThreads(t *testing.T) {
 	k := vos.NewKernel(s)
 	m := New(k, 64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 
 	// A journal connection both versions write to (fd from the leader's
 	// native accept; the follower sees the same fd via replay).
@@ -81,7 +81,7 @@ func TestGlobalOrderEnforcedAcrossThreads(t *testing.T) {
 				break
 			}
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -106,12 +106,12 @@ func TestCrossThreadMismatchDetected(t *testing.T) {
 	k := vos.NewKernel(s)
 	m := New(k, 64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var diverged *Divergence
 	var ftasks []*sim.Task
-	m.OnDivergence = func(d Divergence) {
-		diverged = &d
-		m.DropFollower()
+	m.OnVerdict = func(v Verdict) {
+		diverged = v.Div
+		ejectAll(m, "dropped")
 	}
 	var jfd int
 	s.Go("leader", func(tk *sim.Task) {
@@ -180,7 +180,7 @@ rule "upper-t" {
 	k := vos.NewKernel(s)
 	m := New(k, 64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", rules)
+	follower := m.AttachCandidate("v1", rules, 0)
 	var jfd int
 	done := 0
 	s.Go("leader", func(tk *sim.Task) {
@@ -219,7 +219,7 @@ rule "upper-t" {
 		for done < 4 && tk.Now() < 5*time.Second {
 			tk.Sleep(time.Millisecond)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -134,10 +134,10 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 	if p.m.FullPolicy == FullDiscard {
 		if !ring.TryAppend(e) {
 			// A consumer lags too far behind: degrade the update, not
-			// the service. The stall handler (controller) drops the duo
-			// follower — or, in fleet mode, ejects the laggiest variant,
-			// whose pinned retention is what filled the ring. The leader
-			// proceeds with its result regardless.
+			// the service. The stall names the laggiest consumer, whose
+			// pinned retention is what filled the ring, for the stall
+			// handler (controller) to fail. The leader proceeds with its
+			// result regardless.
 			if lag := p.m.laggiest(); lag != nil && !ring.Closed() {
 				p.m.raiseStall(Stall{Proc: lag.name, Reason: "buffer-full",
 					Pending: ring.Len(), Dropped: ring.Dropped})
@@ -166,9 +166,7 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 		// leader still resumes at the same virtual instant (the drain
 		// that empties the buffer, or teardown closing it), but without
 		// burning a dispatch per poll while the follower catches up.
-		if p.m.follower != nil || len(p.m.variants) > 0 {
-			p.m.ring.WaitDrained(t)
-		}
+		p.m.ring.WaitDrained(t)
 	}
 	return res
 }

@@ -151,7 +151,7 @@ func TestRefusedAppendCopiesNothing(t *testing.T) {
 	rec := obs.New(s.Now, obs.Options{})
 	m.FullPolicy = FullDiscard
 	leader := m.StartSingleLeader("v0")
-	m.AttachFollower("v1", nil) // never consumes
+	m.AttachCandidate("v1", nil, 0) // never consumes
 	stalls := 0
 	m.OnStall = func(st Stall) {
 		stalls++
@@ -237,8 +237,8 @@ func ownerEcho(p *Proc, scribble bool, delay time.Duration, log *[]string) func(
 	}
 }
 
-// runScribbleWorld serves msgs through a leader and k followers (duo
-// follower for k == 1, fleet variants otherwise) on a four-entry ring, so
+// runScribbleWorld serves msgs through a leader and k followers (a lone
+// candidate for k == 1, replicas otherwise) on a four-entry ring, so
 // slots and pooled buffers are reused constantly, and returns the client's
 // replies, every process's reply log and the divergences.
 func runScribbleWorld(t *testing.T, k int, scribble bool, msgs []string) (replies []string, logs [][]string, divs []Divergence) {
@@ -246,7 +246,7 @@ func runScribbleWorld(t *testing.T, k int, scribble bool, msgs []string) (replie
 	s, kern, m := world(4, Costs{})
 	procs := []*Proc{m.StartSingleLeader("v0")}
 	if k == 1 {
-		procs = append(procs, m.AttachFollower("v1", nil))
+		procs = append(procs, m.AttachCandidate("v1", nil, 0))
 	} else {
 		for i := 1; i <= k; i++ {
 			procs = append(procs, m.AttachVariant(fmt.Sprintf("r%d", i), nil))
@@ -266,11 +266,7 @@ func runScribbleWorld(t *testing.T, k int, scribble bool, msgs []string) (replie
 			}
 		}
 		// The leader reads EOF next and exits; the followers are reaped.
-		if k == 1 {
-			m.DropFollower()
-		} else {
-			m.AbortFleet("test teardown")
-		}
+		ejectAll(m, "test teardown")
 	})
 	if err := s.RunFor(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -318,11 +314,10 @@ func TestDivergenceReportOwnsItsBytes(t *testing.T) {
 		t.Run(fmt.Sprintf("K%d", k), func(t *testing.T) {
 			s, kern, m := world(4, Costs{})
 			leader := m.StartSingleLeader("v0")
-			var canary *Proc
-			for i := 1; i <= k; i++ {
-				canary = m.AttachVariant(fmt.Sprintf("r%d", i), nil)
+			for i := 1; i < k; i++ {
+				m.AttachVariant(fmt.Sprintf("r%d", i), nil)
 			}
-			m.MarkCanary(canary, 1)
+			canary := m.AttachCandidate(fmt.Sprintf("r%d", k), nil, 1)
 
 			const events = 1001
 			msgs := make([]string, events)
@@ -351,7 +346,7 @@ func TestDivergenceReportOwnsItsBytes(t *testing.T) {
 				for done < k {
 					tk.Sleep(time.Millisecond)
 				}
-				m.AbortFleet("test teardown")
+				ejectAll(m, "test teardown")
 			})
 			if err := s.RunFor(time.Second); err != nil {
 				t.Fatalf("Run: %v", err)

@@ -55,7 +55,7 @@ func followThreads(s *sim.Scheduler, m *Monitor, follower *Proc, rounds int, ord
 		for _, ft := range tasks {
 			tk.Join(ft)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 	})
 }
 
@@ -67,7 +67,7 @@ func TestOutOfTurnThreadsSettleInScheduler(t *testing.T) {
 	const rounds = 6
 	s, _, m := world(64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var leaderOrder, followerOrder []string
 	s.Go("leader", func(tk *sim.Task) { recordDescending(tk, leader, rounds, &leaderOrder) })
 	followThreads(s, m, follower, rounds, &followerOrder)
@@ -100,7 +100,7 @@ func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 	s, _, m := world(64, Costs{})
 	m.EnableEventLog(0)
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var leaderOrder, followerOrder []string
 	s.Go("leader", func(tk *sim.Task) {
 		recordDescending(tk, leader, 1, &leaderOrder)
@@ -111,7 +111,7 @@ func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 			leader.Invoke(tk, turnWrite(tid, 1))
 		}
 		m.MarkLeaderCrashed()
-		m.PromoteNow(tk)
+		m.Promote(tk, PromoteDemote)
 	})
 	followThreads(s, m, follower, 2, &followerOrder)
 	if err := s.Run(); err != nil {
@@ -140,7 +140,7 @@ func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 func TestShutdownLeavesTurnWaitersParked(t *testing.T) {
 	s, _, m := world(64, Costs{})
 	leader := m.StartSingleLeader("v0")
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	var validated []string
 	s.Go("leader", func(tk *sim.Task) {
 		for tid := 0; tid < 4; tid++ {
@@ -175,7 +175,7 @@ func TestShutdownLeavesTurnWaitersParked(t *testing.T) {
 			}
 			ft.Kill()
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -96,8 +96,8 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 			}
 			return sysabi.Result{}, true
 		}
-		// The report outlives this event — a canary inside its budget goes
-		// on to retire it — so it owns its bytes.
+		// The report outlives this event — a candidate inside its budget
+		// goes on to retire it — so it owns its bytes.
 		d := Divergence{Proc: p.name, Seq: exp.Seq, Got: call.Clone(), Reason: reason,
 			Expected: sysabi.Event{Seq: exp.Seq, Call: exp.Call.Clone(), Result: exp.Result.Clone()}}
 		p.m.divergences = append(p.m.divergences, d)
@@ -105,27 +105,19 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 		p.m.rec.Inc(obs.CMVEDivergences)
 		p.m.rec.Emit(obs.KindDivergence, p.name, d.String())
 		p.scoped().Inc(obs.CMVEDivergences)
-		if p.variant {
-			// Fleet variant: count it, and let a canary inside its budget
-			// absorb the mismatch — it adopts the leader's recorded result
-			// below and keeps validating, so the gate can measure a
-			// divergence *rate* instead of dying on the first disagreement.
-			p.divergeCount++
-			if p == p.m.canary && p.divergeCount <= p.DivergenceBudget {
-				p.m.rec.Inc(obs.CFleetDivsTolerated)
-				p.m.logf("%s: divergence %d/%d absorbed by canary budget", p.name, p.divergeCount, p.DivergenceBudget)
-			} else {
-				p.diverged = true
-				v := p.m.failVariant(p, "divergence", &d)
-				if p.m.OnVerdict != nil {
-					p.m.OnVerdict(v)
-				}
-				p.parkForever(t)
-			}
+		// Count it, and let a candidate inside its budget absorb the
+		// mismatch — it adopts the leader's recorded result below and keeps
+		// validating, so the gate can measure a divergence *rate* instead of
+		// dying on the first disagreement.
+		p.divergeCount++
+		if p == p.m.candidate && p.divergeCount <= p.budget {
+			p.m.rec.Inc(obs.CFleetDivsTolerated)
+			p.m.logf("%s: divergence %d/%d absorbed by candidate budget", p.name, p.divergeCount, p.budget)
 		} else {
 			p.diverged = true
-			if p.m.OnDivergence != nil {
-				p.m.OnDivergence(d)
+			v := p.m.failVariant(p, "divergence", &d)
+			if p.m.OnVerdict != nil {
+				p.m.OnVerdict(v)
 			}
 			p.parkForever(t)
 		}
@@ -213,7 +205,7 @@ func (p *Proc) fillExpected(t *sim.Task, tid int, st *tidStream) bool {
 		p.pulling = false
 		p.progress += int64(len(p.drain))
 		if len(p.drain) == 0 {
-			// Buffer closed: the duo is being torn down. Wake peers so
+			// Cursor closed: this consumer is being ejected. Wake peers so
 			// they observe the teardown too, then park. (The progress
 			// tick mirrors the per-pull accounting of the unbatched
 			// path, which charged the failed pull too.)
@@ -225,8 +217,12 @@ func (p *Proc) fillExpected(t *sim.Task, tid int, st *tidStream) bool {
 			e := &p.drain[i]
 			switch e.Kind {
 			case ringbuf.KindPromote:
-				p.promoteSeen = true
-				p.wakeAllTIDs()
+				// The candidate's cue; anyone else keeps validating whoever
+				// leads next.
+				if p == p.m.candidate {
+					p.promoteSeen = true
+					p.wakeAllTIDs()
+				}
 			case ringbuf.KindShutdown:
 				p.wakeAllTIDs()
 				p.parkForever(t)

@@ -50,9 +50,9 @@ func TestWatchdogDetectsStalledFollower(t *testing.T) {
 		stall = st
 		stallAt = s.Now()
 		fTask.Kill()
-		m.DropFollower()
+		ejectAll(m, "dropped")
 	}
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	fTask = s.Go("follower", stallingFollower(follower, 4))
 
 	var replies []string
@@ -111,9 +111,9 @@ func TestWatchdogFreesLeaderBlockedOnFullBuffer(t *testing.T) {
 	m.OnStall = func(st Stall) {
 		stalled = true
 		fTask.Kill()
-		m.DropFollower()
+		ejectAll(m, "dropped")
 	}
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	fTask = s.Go("follower", stallingFollower(follower, 0)) // never consumes
 
 	var replies []string
@@ -143,9 +143,9 @@ func TestDiscardPolicyDropsLaggingFollower(t *testing.T) {
 	m.OnStall = func(st Stall) {
 		stall = st
 		fTask.Kill()
-		m.DropFollower()
+		ejectAll(m, "dropped")
 	}
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	fTask = s.Go("follower", stallingFollower(follower, 0)) // never consumes
 
 	var replies []string
@@ -179,7 +179,7 @@ func TestWatchdogIgnoresIdleFollower(t *testing.T) {
 
 	stalls := 0
 	m.OnStall = func(Stall) { stalls++ }
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	fTask := s.Go("follower", followerEcho(follower, 3))
 
 	var replies []string
@@ -192,7 +192,7 @@ func TestWatchdogIgnoresIdleFollower(t *testing.T) {
 			tk.Sleep(time.Millisecond)
 		}
 		tk.Sleep(500 * time.Millisecond)
-		m.DropFollower()
+		ejectAll(m, "dropped")
 		fTask.Kill()
 	})
 	if err := s.Run(); err != nil {
@@ -212,7 +212,7 @@ func TestWatchdogRetiresOnCleanDrop(t *testing.T) {
 	leader := m.StartSingleLeader("v0")
 	stalls := 0
 	m.OnStall = func(Stall) { stalls++ }
-	follower := m.AttachFollower("v1", nil)
+	follower := m.AttachCandidate("v1", nil, 0)
 	fTask := s.Go("follower", followerEcho(follower, 2))
 	var replies []string
 	s.Go("leader", leaderEcho(k, leader, 2))
@@ -221,7 +221,7 @@ func TestWatchdogRetiresOnCleanDrop(t *testing.T) {
 		for len(replies) < 2 {
 			tk.Sleep(time.Millisecond)
 		}
-		m.DropFollower()
+		ejectAll(m, "dropped")
 		fTask.Kill()
 	})
 	// Run must terminate: the watchdog task exits once the duo is gone
