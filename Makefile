@@ -7,7 +7,7 @@ GO ?= go
 # compared).
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps lint-exports adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps lint-exports lines adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
 
 all: check
 
@@ -41,12 +41,25 @@ check: vet fmt-check lint-maps lint-exports adapter-compat
 lint-maps:
 	$(GO) test -run TestMapRangeDeterminism ./internal/detlint/
 
-# Test-only export sweep: an exported identifier of the swept packages
-# (internal/mve and internal/core today) that no non-test file of the
-# repo references — the nested benchmark module included — fails unless
-# the allowlist in the test names it with a reason.
+# Test-only code sweep: a function, method or exported identifier of any
+# package under internal/ (apptest, detlint and integration aside) that
+# no non-test file of the repo references — the nested benchmark module
+# included — and that implements no interface method production calls,
+# fails unless the allowlist in the test names it with a reason.
 lint-exports:
 	$(GO) test -run TestNoTestOnlyExports ./internal/detlint/
+
+# Non-test and test lines of Go per package directory: the table a
+# simplicity PR quotes before and after. Reads benchmark/, changes
+# nothing there.
+lines:
+	@printf '%-24s %8s %8s\n' package non-test test; \
+	for d in . cmd/* internal/* internal/apps/* benchmark; do \
+		ls $$d/*.go >/dev/null 2>&1 || continue; \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs -r cat | wc -l); \
+		t=$$(ls $$d/*_test.go 2>/dev/null | xargs -r cat | wc -l); \
+		printf '%-24s %8d %8d\n' $$d $$n $$t; \
+	done | awk '{ print; n += $$2; t += $$3 } END { printf "%-24s %8d %8d\n", "total", n, t }'
 
 # The frozen benchmark adapter (benchmark/adapter.go) is a nested module
 # `go build ./...` never sees: vet and test it here, so a rename that

@@ -177,12 +177,6 @@ func New(spec Spec) *Server {
 // Version implements dsu.App.
 func (s *Server) Version() string { return s.spec.Version }
 
-// Spec returns the behaviour table.
-func (s *Server) Spec() Spec { return s.spec }
-
-// Sessions returns the number of live control connections.
-func (s *Server) Sessions() int { return len(s.sessions) }
-
 // Fork implements dsu.App with a deep copy.
 func (s *Server) Fork() dsu.App {
 	out := &Server{

@@ -117,7 +117,7 @@ func TestForkIsolation(t *testing.T) {
 		{"SweepLazy-partial", []base{lazy}, func(_ *testing.T, s *Server) *Server { s.SweepLazy(7); return s }},
 		{"FLUSHDB", both, cmds(isoNow, "FLUSHDB", "SET key:00000001 after")},
 		{"AdoptState", both, func(_ *testing.T, s *Server) *Server {
-			n := New(s.Spec())
+			n := New(s.spec)
 			n.AdoptState(s)
 			return run(n, isoNow, "SET key:00000001 adopted", "HSET h f1 adopted", "DEL ctr")
 		}},

@@ -175,9 +175,6 @@ func New(spec Spec) *Server {
 // Version implements dsu.App.
 func (s *Server) Version() string { return s.spec.Version }
 
-// Spec returns the server's version spec.
-func (s *Server) Spec() Spec { return s.spec }
-
 // DBSize returns the number of keys (state-size hook for benchmarks).
 func (s *Server) DBSize() int { return s.db.len() }
 
@@ -207,15 +204,6 @@ func appendPadded(b []byte, i int) []byte {
 		b = append(b, '0')
 	}
 	return strconv.AppendInt(b, int64(i), 10)
-}
-
-// Get returns a key's string value, for tests.
-func (s *Server) Get(key string) (string, bool) {
-	e := s.db.get(key)
-	if e == nil || e.typ != typeString {
-		return "", false
-	}
-	return e.str, true
 }
 
 // NetworkFDs returns every kernel descriptor the server holds (listener,

@@ -143,7 +143,7 @@ func TestForkIsDeep(t *testing.T) {
 	f := s.Fork().(*Server)
 	f.db.mut("key:00000001").str = "mutated"
 	f.db.mut("h").hash["f"] = "mutated"
-	if v, _ := s.Get("key:00000001"); v != "val:00000001" {
+	if s.db.get("key:00000001").str != "val:00000001" {
 		t.Fatal("fork shares string entries")
 	}
 	if s.db.get("h").hash["f"] != "v" {
@@ -157,8 +157,8 @@ func TestPreloadAndDBSize(t *testing.T) {
 	if s.DBSize() != 1000 {
 		t.Fatalf("DBSize = %d", s.DBSize())
 	}
-	if v, ok := s.Get("key:00000500"); !ok || v != "val:00000500" {
-		t.Fatalf("preload entry = %q %v", v, ok)
+	if e := s.db.get("key:00000500"); e == nil || e.typ != typeString || e.str != "val:00000500" {
+		t.Fatalf("preload entry = %+v", e)
 	}
 }
 

@@ -180,7 +180,7 @@ func TestForkSharesNoScratch(t *testing.T) {
 	if f.args != nil || f.reply != nil {
 		t.Errorf("fork carries scratch: args cap %d, reply cap %d", cap(f.args), cap(f.reply))
 	}
-	if v, ok := f.Get("k"); !ok || v != "v" {
-		t.Errorf("fork lost the store: %q %v", v, ok)
+	if e := f.db.get("k"); e == nil || e.str != "v" {
+		t.Errorf("fork lost the store: %+v", e)
 	}
 }

@@ -317,7 +317,7 @@ func TestForksRunOnDifferentThreads(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < keys; i++ {
 			k := fmt.Sprintf("key:%08d", i)
-			if _, ok := s.Get(k); !ok {
+			if s.db.get(k) == nil {
 				t.Errorf("holder %d lost %s", id, k)
 			}
 			switch i % 5 {
@@ -420,7 +420,7 @@ func TestForkCostIsFlat(t *testing.T) {
 	if writes*20 > deepCopy {
 		t.Errorf("100 first writes after a fork allocate %d bytes, a deep copy %d: want under 5%%", writes, deepCopy)
 	}
-	if v, _ := big.Get("key:00000997"); v != "val:00000997" {
+	if v := big.db.get("key:00000997").str; v != "val:00000997" {
 		t.Errorf("the parent sees the child's write: %q", v)
 	}
 }

@@ -70,12 +70,6 @@ func (b *Base) Init(env *dsu.Env) {
 // and again after forks or updates (callbacks do not survive copies).
 func (b *Base) Bind(fn DispatchFunc) { b.dispatch = fn }
 
-// EpollFD returns the loop's epoll descriptor.
-func (b *Base) EpollFD() int { return b.epollFD }
-
-// Handlers returns the number of registered descriptors.
-func (b *Base) Handlers() int { return len(b.handlers) }
-
 // Register watches fd and associates the handler class.
 func (b *Base) Register(env *dsu.Env, fd int, class HandlerClass) {
 	b.handlers[fd] = class

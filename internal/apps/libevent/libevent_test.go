@@ -129,7 +129,7 @@ func TestRebuildLosesMemoryResetRestores(t *testing.T) {
 	if r.RROffset() != 0 {
 		t.Fatalf("Rebuild kept rrOffset = %d", r.RROffset())
 	}
-	if r.Handlers() != 1 {
+	if len(r.handlers) != 1 {
 		t.Fatal("Rebuild lost registrations")
 	}
 	c := b.Clone()
@@ -147,7 +147,7 @@ func TestCloneIsDeep(t *testing.T) {
 	b.handlers[1] = HandlerConn
 	c := b.Clone()
 	c.handlers[2] = HandlerConn
-	if b.Handlers() != 1 {
+	if len(b.handlers) != 1 {
 		t.Fatal("Clone shares handler map")
 	}
 }
@@ -219,11 +219,11 @@ func TestUnregisterStopsDispatch(t *testing.T) {
 		b.Init(env)
 		lfd := int(env.Sys(sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{1, 0}}).Ret)
 		b.Register(env, lfd, HandlerListener)
-		if b.Handlers() != 1 {
+		if len(b.handlers) != 1 {
 			t.Fatal("Register did not record handler")
 		}
 		b.Unregister(env, lfd)
-		if b.Handlers() != 0 {
+		if len(b.handlers) != 0 {
 			t.Fatal("Unregister did not remove handler")
 		}
 	})

@@ -137,28 +137,6 @@ func New(spec Spec) *Server {
 // Version implements dsu.App.
 func (s *Server) Version() string { return s.spec.Version }
 
-// Spec returns the version spec.
-func (s *Server) Spec() Spec { return s.spec }
-
-// DBSize returns the number of cached items.
-func (s *Server) DBSize() int { return len(s.db) }
-
-// Get looks up a key, for tests.
-func (s *Server) Get(key string) (string, bool) {
-	it, ok := s.db[key]
-	return it.data, ok
-}
-
-// Preload inserts n synthetic items directly.
-func (s *Server) Preload(n int) {
-	for i := 0; i < n; i++ {
-		s.db[fmt.Sprintf("key:%08d", i)] = item{data: fmt.Sprintf("val:%08d", i)}
-	}
-}
-
-// Workers exposes the worker loops, for tests and fault injection.
-func (s *Server) Workers() []*worker { return s.workers }
-
 // WorkerBases returns each worker's event loop.
 func (s *Server) WorkerBases() []*libevent.Base {
 	out := make([]*libevent.Base, len(s.workers))

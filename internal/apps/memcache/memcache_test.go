@@ -1,6 +1,7 @@
 package memcache
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -152,14 +153,21 @@ func TestMultipleWorkersServeClients(t *testing.T) {
 	}
 }
 
+// preload inserts n synthetic items directly.
+func preload(s *Server, n int) {
+	for i := 0; i < n; i++ {
+		s.db[fmt.Sprintf("key:%08d", i)] = item{data: fmt.Sprintf("val:%08d", i)}
+	}
+}
+
 func TestForkIsDeep(t *testing.T) {
 	s := New(SpecFor("1.2.2", 2))
-	s.Preload(5)
+	preload(s, 5)
 	s.mainBase = libevent.NewBase()
 	s.workers = []*worker{{base: libevent.NewBase(), conns: map[int]*mcConn{}}}
 	f := s.Fork().(*Server)
 	f.db["key:00000001"] = item{data: "mutated"}
-	if v, _ := s.Get("key:00000001"); v != "val:00000001" {
+	if v := s.db["key:00000001"].data; v != "val:00000001" {
 		t.Fatal("fork shares the item map")
 	}
 }
@@ -473,7 +481,7 @@ func TestUpdateRejectsNonAdjacent(t *testing.T) {
 func TestXformPreservesItems(t *testing.T) {
 	v := Update("1.2.2", "1.2.3", UpdateOpts{})
 	old := New(SpecFor("1.2.2", 2))
-	old.Preload(100)
+	preload(old, 100)
 	old.mainBase = libevent.NewBase()
 	old.workers = []*worker{{base: libevent.NewBase(), conns: map[int]*mcConn{}}}
 	newApp, err := v.Xform(old)
@@ -481,8 +489,8 @@ func TestXformPreservesItems(t *testing.T) {
 		t.Fatalf("Xform: %v", err)
 	}
 	n := newApp.(*Server)
-	if n.DBSize() != 100 || n.Version() != "1.2.3" {
-		t.Fatalf("size=%d version=%s", n.DBSize(), n.Version())
+	if len(n.db) != 100 || n.Version() != "1.2.3" {
+		t.Fatalf("size=%d version=%s", len(n.db), n.Version())
 	}
 	if v.XformCost(old) != 100*DefaultPerItemXform {
 		t.Fatalf("XformCost = %v", v.XformCost(old))

@@ -63,21 +63,6 @@ func New(version string, strict bool) *Server {
 // Version implements dsu.App.
 func (s *Server) Version() string { return s.version }
 
-// Table returns a copy of the store, for tests.
-func (s *Server) Table() map[string]entry {
-	out := make(map[string]entry, len(s.table))
-	for k, v := range s.table { // maporder: ok — map-to-map copy, order unobservable
-		out[k] = v
-	}
-	return out
-}
-
-// Lookup returns an entry, for tests.
-func (s *Server) Lookup(key string) (val, typ string, ok bool) {
-	e, ok := s.table[key]
-	return e.Val, e.Type, ok
-}
-
 // Fork implements dsu.App.
 func (s *Server) Fork() dsu.App {
 	out := &Server{

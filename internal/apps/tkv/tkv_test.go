@@ -221,8 +221,8 @@ func TestXformSetsDefaultType(t *testing.T) {
 		t.Fatalf("Xform: %v", err)
 	}
 	n := newApp.(*Server)
-	if val, typ, ok := n.Lookup("k"); !ok || val != "v" || typ != "string" {
-		t.Fatalf("migrated entry = %q %q %v", val, typ, ok)
+	if e := n.table["k"]; e.Val != "v" || e.Type != "string" {
+		t.Fatalf("migrated entry = %+v", e)
 	}
 }
 
@@ -231,7 +231,7 @@ func TestXformUninitializedTypeBug(t *testing.T) {
 	old.table["k"] = entry{Val: "v"}
 	v := Update(UpdateOpts{UninitializedType: true})
 	newApp, _ := v.Xform(old)
-	if _, typ, _ := newApp.(*Server).Lookup("k"); typ != "" {
+	if typ := newApp.(*Server).table["k"].Type; typ != "" {
 		t.Fatalf("bug injection failed: type = %q", typ)
 	}
 }
@@ -305,7 +305,7 @@ func TestStateRelationCommutesProperty(t *testing.T) {
 			b.execute(cmdFor(o.Key, o.Val))
 		}
 		// The two states must be identical.
-		ta, tb := xa.(*Server).Table(), b.Table()
+		ta, tb := xa.(*Server).table, b.table
 		if len(ta) != len(tb) {
 			return false
 		}
@@ -381,8 +381,7 @@ func TestCommutingSquareCatchesUninitializedType(t *testing.T) {
 	emptyX, _ := v.Xform(New("v1", false))
 	b := emptyX.(*Server)
 	b.execute("PUT k 1")
-	_, typA, _ := xa.(*Server).Lookup("k")
-	_, typB, _ := b.Lookup("k")
+	typA, typB := xa.(*Server).table["k"].Type, b.table["k"].Type
 	if typA == typB {
 		t.Fatalf("square commutes (%q == %q): bug injection broken", typA, typB)
 	}

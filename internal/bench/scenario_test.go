@@ -80,7 +80,7 @@ func TestScenarioRunOrder(t *testing.T) {
 	if startedAtSetup {
 		t.Error("setup ran after the server started")
 	}
-	if !gated.Fired() || plan.Log[0].At < updatedAt {
+	if plan.Fired() != 1 || plan.Log[0].At < updatedAt {
 		t.Errorf("When gate bound in setup did not hold the fault until the update (log %v, update at %v)", plan.Log, updatedAt)
 	}
 	if !w.Done() {

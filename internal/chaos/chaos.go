@@ -90,9 +90,6 @@ type Injection struct {
 	fired bool
 }
 
-// Fired reports whether the injection has triggered.
-func (inj *Injection) Fired() bool { return inj.fired }
-
 // String describes the injection for logs and reports.
 func (inj *Injection) String() string {
 	target := inj.Role
@@ -178,12 +175,6 @@ type Dispatcher struct {
 func (p *Plan) Wrap(role, name string, inner sysabi.Dispatcher) sysabi.Dispatcher {
 	return &Dispatcher{role: role, name: name, inner: inner, plan: p}
 }
-
-// Role returns the role this dispatcher was wrapped with.
-func (d *Dispatcher) Role() string { return d.role }
-
-// Proc returns the process name this dispatcher was wrapped with.
-func (d *Dispatcher) Proc() string { return d.name }
 
 // Invoke implements sysabi.Dispatcher: it checks the plan for a due
 // injection, applies at most one, and (except for errno faults, which

@@ -256,7 +256,7 @@ func TestProcTargetingSinglesOutOneProcess(t *testing.T) {
 	if got := plan.Injections[0].String(); !strings.Contains(got, "variant(r2#1@v1)") {
 		t.Fatalf("Injection.String = %q (proc target missing)", got)
 	}
-	if got, none := r2.(*Dispatcher).Proc(), anon.(*Dispatcher).Proc(); got != "r2#1@v1" || none != "" {
+	if got, none := r2.(*Dispatcher).name, anon.(*Dispatcher).name; got != "r2#1@v1" || none != "" {
 		t.Fatalf("Proc() = %q / %q", got, none)
 	}
 }

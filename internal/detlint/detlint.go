@@ -10,7 +10,8 @@
 // cannot be observed.
 //
 // A second sweep over the same type-checked packages (TestOnlyExports)
-// lists exported identifiers nothing but tests references.
+// lists the functions, methods and exported identifiers nothing but
+// tests references.
 package detlint
 
 import (
@@ -49,7 +50,16 @@ type Sweeper struct {
 	module string // module path prefix, e.g. "mvedsua"
 	fset   *token.FileSet
 	std    types.Importer
-	pkgs   map[string]*types.Package
+	pkgs   map[string]*loaded
+}
+
+// loaded is one type-checked package's non-test files. A module package
+// is checked once and every importer sees that instance, so its types
+// compare equal from whichever package they are reached.
+type loaded struct {
+	pkg   *types.Package
+	info  *types.Info // nil for a standard-library package
+	files []*ast.File
 }
 
 // NewSweeper returns a sweeper for the module rooted at root.
@@ -60,7 +70,7 @@ func NewSweeper(root, module string) *Sweeper {
 		module: module,
 		fset:   fset,
 		std:    importer.ForCompiler(fset, "source", nil),
-		pkgs:   map[string]*types.Package{},
+		pkgs:   map[string]*loaded{},
 	}
 }
 
@@ -70,34 +80,60 @@ func NewSweeper(root, module string) *Sweeper {
 // partially checked package still resolves most expression types, and
 // the sweep fails open on the rest.
 func (sw *Sweeper) Import(path string) (*types.Package, error) {
-	if p, ok := sw.pkgs[path]; ok {
-		return p, nil
+	l, err := sw.load(path)
+	if err != nil {
+		return nil, err
 	}
+	return l.pkg, nil
+}
+
+func (sw *Sweeper) load(path string) (*loaded, error) {
+	if l, ok := sw.pkgs[path]; ok {
+		return l, nil
+	}
+	l := &loaded{}
 	if path == sw.module || strings.HasPrefix(path, sw.module+"/") {
-		dir := filepath.Join(sw.root, strings.TrimPrefix(path, sw.module))
-		files, _, err := sw.parseDir(dir)
+		files, err := sw.parseDir(filepath.Join(sw.root, strings.TrimPrefix(path, sw.module)))
 		if err != nil {
 			return nil, err
 		}
-		pkg, _ := sw.check(path, files)
-		sw.pkgs[path] = pkg
-		return pkg, nil
+		l.files = files
+		l.info = &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		conf := types.Config{
+			Importer: sw,
+			Error:    func(error) {}, // tolerate; resolution is fail-open
+		}
+		l.pkg, _ = conf.Check(path, sw.fset, files, l.info)
+	} else {
+		p, err := sw.std.Import(path)
+		if err != nil {
+			return nil, err
+		}
+		l.pkg = p
 	}
-	p, err := sw.std.Import(path)
-	if err == nil {
-		sw.pkgs[path] = p
+	sw.pkgs[path] = l
+	return l, nil
+}
+
+// loadDir loads the package in the directory rel of the root.
+func (sw *Sweeper) loadDir(rel string) (*loaded, error) {
+	if rel == "." {
+		return sw.load(sw.module)
 	}
-	return p, err
+	return sw.load(sw.module + "/" + filepath.ToSlash(rel))
 }
 
 // parseDir parses a directory's non-test Go files with comments.
-func (sw *Sweeper) parseDir(dir string) ([]*ast.File, []string, error) {
+func (sw *Sweeper) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var files []*ast.File
-	var names []string
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -106,36 +142,21 @@ func (sw *Sweeper) parseDir(dir string) ([]*ast.File, []string, error) {
 		path := filepath.Join(dir, name)
 		f, err := parser.ParseFile(sw.fset, path, nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, fmt.Errorf("parse %s: %w", path, err)
+			return nil, fmt.Errorf("parse %s: %w", path, err)
 		}
 		files = append(files, f)
-		names = append(names, path)
 	}
-	sort.Strings(names)
-	return files, names, nil
-}
-
-// check type-checks files as package path, tolerating errors.
-func (sw *Sweeper) check(path string, files []*ast.File) (*types.Package, *types.Info) {
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
-	conf := types.Config{
-		Importer: sw,
-		Error:    func(error) {}, // tolerate; resolution is fail-open
-	}
-	pkg, _ := conf.Check(path, sw.fset, files, info)
-	return pkg, info
+	return files, nil
 }
 
 // SweepDir lints one package directory (non-test files) and returns the
 // unexplained map-range findings, ordered by position.
 func (sw *Sweeper) SweepDir(rel string) ([]Finding, error) {
-	dir := filepath.Join(sw.root, rel)
-	files, _, err := sw.parseDir(dir)
+	l, err := sw.loadDir(rel)
 	if err != nil {
 		return nil, err
 	}
-	importPath := sw.module + "/" + filepath.ToSlash(rel)
-	_, info := sw.check(importPath, files)
+	files, info := l.files, l.info
 
 	var findings []Finding
 	for _, f := range files {
@@ -225,7 +246,30 @@ func exprString(e ast.Expr) string {
 	return "<expr>"
 }
 
-// Export is one exported identifier no non-test file references.
+// PackageDirs lists, relative to the root and sorted, every directory
+// under rel that holds a non-test Go file.
+func (sw *Sweeper) PackageDirs(rel string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(filepath.Join(sw.root, rel), func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != sw.root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		for _, f := range files {
+			if !strings.HasSuffix(f, "_test.go") {
+				dirs = append(dirs, relPath(sw.root, dir))
+				break
+			}
+		}
+		return err
+	})
+	return dirs, err
+}
+
+// Export is one identifier no non-test file references.
 type Export struct {
 	Pos  string // file:line of the declaration
 	Name string // "mve.Monitor.RequestPromote", "core.FleetAborted"
@@ -233,57 +277,139 @@ type Export struct {
 
 func (e Export) String() string { return fmt.Sprintf("%s: %s", e.Pos, e.Name) }
 
-// TestOnlyExports lists the exported identifiers — functions, methods and
-// fields of exported types, types, constants, variables — declared in the
-// rels package directories that no non-test Go file under the root
-// references: production code kept alive by its own tests, or by nothing.
-// Every directory under the root is a user, nested modules included
-// (their imports of this module resolve against the tree); directories
-// whose name starts with "." or is "testdata" are skipped. Declarations
-// and uses are matched by source position, so an identifier counts as
-// used from its own package too. Resolution is fail-open like the map
-// sweep's: a use the checker cannot resolve marks nothing, which can
-// only add findings, never hide one — each is then settled by hand in
-// the caller's allowlist.
+// libraryCalled are the standard-library interfaces the library finds by
+// type assertion on a value it was handed as `any` (fmt's verbs,
+// encoding/json): no caller ever converts to them, so their
+// implementations count as called by the library. The universe's error
+// is added to them.
+var libraryCalled = [][2]string{
+	{"fmt", "Stringer"}, {"fmt", "GoStringer"}, {"fmt", "Formatter"},
+	{"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+	{"encoding", "TextMarshaler"}, {"encoding", "TextUnmarshaler"},
+}
+
+// TestOnlyExports lists the identifiers declared in the rels package
+// directories that no non-test Go file under the root references:
+// production code kept alive by its own tests, or by nothing. Swept are
+// every function and method, exported or not (main and init aside), the
+// methods interface types declare, and the exported types, constants,
+// variables and fields of exported struct types. Every directory under
+// the root is a user, nested modules included (their imports of this
+// module resolve against the tree); directories whose name starts with
+// "." or is "testdata" are skipped. A reference from the declaring
+// package counts like any other.
+//
+// A method nobody names still counts as used when it implements an
+// interface method a non-test file calls (or the library does, see
+// libraryCalled), or when a non-test file converts its receiver type to
+// an interface that has the method — the method is then what makes the
+// conversion compile, and the interface's own declaration of it is what
+// the sweep reports if nothing calls it. Values are not followed, so
+// this rule can keep a method whose type never reaches the call; every
+// other limit fails open like the map sweep's: a use or conversion the
+// checker cannot resolve marks nothing, which can only add findings,
+// never hide one — each is then settled by hand in the caller's
+// allowlist.
 func (sw *Sweeper) TestOnlyExports(rels []string) ([]Export, error) {
-	used := map[string]bool{}
-	err := filepath.WalkDir(sw.root, func(dir string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); dir != sw.root && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		files, _, err := sw.parseDir(dir)
-		if err != nil || len(files) == 0 {
-			return err
-		}
-		_, info := sw.check(sw.module+"/"+filepath.ToSlash(relPath(sw.root, dir)), files)
-		for _, obj := range info.Uses { // maporder: ok — fills a set
-			if obj.Pos().IsValid() {
-				used[sw.fset.Position(obj.Pos()).String()] = true
-			}
-		}
-		return nil
-	})
+	dirs, err := sw.PackageDirs(".")
 	if err != nil {
 		return nil, err
 	}
+	used := map[token.Pos]bool{}
+	called := map[string][]*types.Interface{} // by Func.Id: interfaces whose method of that name is called
+	converted := map[*types.TypeName][]*types.Interface{}
+	seen := map[*types.Func]bool{}
+	call := func(fn *types.Func) {
+		if seen[fn] {
+			return
+		}
+		seen[fn] = true
+		if iface, ok := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok {
+			called[fn.Id()] = append(called[fn.Id()], iface)
+		}
+	}
+	for _, dir := range dirs {
+		l, err := sw.loadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, obj := range l.info.Uses { // maporder: ok — fills sets
+			used[obj.Pos()] = true
+			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+				call(fn)
+			}
+		}
+		for _, f := range l.files {
+			conversions(l.info, f, func(from types.Type, to *types.Interface) {
+				if ptr, ok := from.(*types.Pointer); ok {
+					from = ptr.Elem()
+				}
+				if named, ok := from.(*types.Named); ok {
+					converted[named.Origin().Obj()] = append(converted[named.Origin().Obj()], to)
+				}
+			})
+		}
+	}
+	call(types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0))
+	for _, name := range libraryCalled {
+		l, err := sw.load(name[0])
+		if err != nil {
+			return nil, err
+		}
+		iface := l.pkg.Scope().Lookup(name[1]).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			call(iface.Method(i))
+		}
+	}
+	// implements reports whether fn is a method reached through an
+	// interface: one that has a called method of fn's name and that fn's
+	// receiver type implements, or one the receiver type is converted to.
+	// (An interface's own declaration of a method is neither.)
+	implements := func(fn *types.Func) bool {
+		recvVar := fn.Type().(*types.Signature).Recv()
+		if recvVar == nil {
+			return false
+		}
+		recv := recvVar.Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		for _, iface := range called[fn.Id()] {
+			if types.Implements(types.NewPointer(recv), iface) {
+				return true
+			}
+		}
+		if named, ok := recv.(*types.Named); ok {
+			for _, iface := range converted[named.Origin().Obj()] {
+				for i := 0; i < iface.NumMethods(); i++ {
+					if iface.Method(i).Id() == fn.Id() {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+
 	var out []Export
 	for _, rel := range rels {
-		files, _, err := sw.parseDir(filepath.Join(sw.root, rel))
+		l, err := sw.loadDir(rel)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", rel, err)
 		}
-		for _, f := range files {
-			for _, id := range exportedDecls(f) {
-				pos := sw.fset.Position(id.ident.Pos())
-				if !used[pos.String()] {
-					out = append(out, Export{
-						Pos:  fmt.Sprintf("%s:%d", relPath(sw.root, pos.Filename), pos.Line),
-						Name: f.Name.Name + "." + id.qualified,
-					})
+		for _, f := range l.files {
+			for _, id := range sweptDecls(f) {
+				if used[id.ident.Pos()] {
+					continue
 				}
+				if fn, ok := l.info.Defs[id.ident].(*types.Func); ok && implements(fn) {
+					continue
+				}
+				pos := sw.fset.Position(id.ident.Pos())
+				out = append(out, Export{
+					Pos:  fmt.Sprintf("%s:%d", relPath(sw.root, pos.Filename), pos.Line),
+					Name: f.Name.Name + "." + id.qualified,
+				})
 			}
 		}
 	}
@@ -291,52 +417,180 @@ func (sw *Sweeper) TestOnlyExports(rels []string) ([]Export, error) {
 	return out, nil
 }
 
-type exportedDecl struct {
+// conversions calls yield for every value of a non-interface type that f
+// turns into an interface with methods — explicitly, or by passing,
+// assigning, returning, sending it or placing it in a composite literal.
+func conversions(info *types.Info, f *ast.File, yield func(from types.Type, to *types.Interface)) {
+	emit := func(to types.Type, e ast.Expr) {
+		from := info.TypeOf(e)
+		if from == nil || to == nil || types.IsInterface(from) {
+			return
+		}
+		if iface, ok := to.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+			yield(from, iface)
+		}
+	}
+	// walk inspects root, whose return statements belong to a function of
+	// signature sig; a nested function is walked under its own.
+	var walk func(root ast.Node, sig *types.Signature)
+	walk = func(root ast.Node, sig *types.Signature) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					own, _ := info.TypeOf(n.Name).(*types.Signature)
+					walk(n.Body, own)
+				}
+				return false
+			case *ast.FuncLit:
+				own, _ := info.TypeOf(n).(*types.Signature)
+				walk(n.Body, own)
+				return false
+			case *ast.ReturnStmt:
+				if sig != nil && sig.Results().Len() == len(n.Results) {
+					for i, e := range n.Results {
+						emit(sig.Results().At(i).Type(), e)
+					}
+				}
+			case *ast.CallExpr:
+				tv := info.Types[n.Fun]
+				if tv.Type == nil {
+					break // unresolved callee: fail open
+				}
+				if tv.IsType() {
+					if len(n.Args) == 1 {
+						emit(tv.Type, n.Args[0])
+					}
+					break
+				}
+				callee, ok := tv.Type.Underlying().(*types.Signature)
+				if !ok || callee.Params().Len() == 0 {
+					break
+				}
+				last := callee.Params().Len() - 1
+				for i, arg := range n.Args {
+					param := callee.Params().At(min(i, last)).Type()
+					if elems, ok := param.(*types.Slice); ok && callee.Variadic() && i >= last && !n.Ellipsis.IsValid() {
+						param = elems.Elem()
+					}
+					emit(param, arg)
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+					for i, e := range n.Rhs {
+						emit(info.TypeOf(n.Lhs[i]), e)
+					}
+				}
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					for _, e := range n.Values {
+						emit(info.TypeOf(n.Type), e)
+					}
+				}
+			case *ast.SendStmt:
+				if t := info.TypeOf(n.Chan); t != nil {
+					if ch, ok := t.Underlying().(*types.Chan); ok {
+						emit(ch.Elem(), n.Value)
+					}
+				}
+			case *ast.CompositeLit:
+				t := info.TypeOf(n)
+				if t == nil {
+					break
+				}
+				for i, elt := range n.Elts {
+					kv, keyed := elt.(*ast.KeyValueExpr)
+					if keyed {
+						elt = kv.Value
+					}
+					switch u := t.Underlying().(type) {
+					case *types.Struct:
+						if !keyed {
+							if i < u.NumFields() {
+								emit(u.Field(i).Type(), elt)
+							}
+						} else if key, ok := kv.Key.(*ast.Ident); ok {
+							if field, ok := info.Uses[key].(*types.Var); ok {
+								emit(field.Type(), elt)
+							}
+						}
+					case *types.Slice:
+						emit(u.Elem(), elt)
+					case *types.Array:
+						emit(u.Elem(), elt)
+					case *types.Map:
+						emit(u.Elem(), elt)
+						if keyed {
+							emit(u.Key(), kv.Key)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	walk(f, nil)
+}
+
+type sweptDecl struct {
 	ident     *ast.Ident
 	qualified string // "Type.Method", "Type.Field" or the bare name
 }
 
-// exportedDecls collects a file's exported package-level identifiers and
-// the exported methods and fields of its exported types.
-func exportedDecls(f *ast.File) []exportedDecl {
-	var out []exportedDecl
-	add := func(id *ast.Ident, owner string) {
-		if id.IsExported() {
-			out = append(out, exportedDecl{id, owner + id.Name})
-		}
-	}
+// sweptDecls collects what TestOnlyExports holds a file to: its functions
+// and methods, the methods of its interface types, its exported
+// package-level identifiers and the exported fields of its exported
+// struct types.
+func sweptDecls(f *ast.File) []sweptDecl {
+	var out []sweptDecl
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			owner := ""
-			if d.Recv != nil && len(d.Recv.List) == 1 {
-				recv := d.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
+			if d.Recv == nil {
+				if name := d.Name.Name; name != "main" && name != "init" && name != "_" {
+					out = append(out, sweptDecl{ident: d.Name, qualified: name})
 				}
-				if idx, ok := recv.(*ast.IndexExpr); ok {
-					recv = idx.X
-				}
-				id, ok := recv.(*ast.Ident)
-				if !ok || !id.IsExported() {
-					continue
-				}
-				owner = id.Name + "."
+				continue
 			}
-			add(d.Name, owner)
+			recv := d.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if idx, ok := recv.(*ast.IndexExpr); ok {
+				recv = idx.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				out = append(out, sweptDecl{ident: d.Name, qualified: id.Name + "." + d.Name.Name})
+			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
-						add(id, "")
+						if id.IsExported() {
+							out = append(out, sweptDecl{ident: id, qualified: id.Name})
+						}
 					}
 				case *ast.TypeSpec:
-					add(s.Name, "")
-					if st, ok := s.Type.(*ast.StructType); ok && s.Name.IsExported() {
-						for _, field := range st.Fields.List {
-							for _, id := range field.Names {
-								add(id, s.Name.Name+".")
+					if s.Name.IsExported() {
+						out = append(out, sweptDecl{ident: s.Name, qualified: s.Name.Name})
+					}
+					var fields *ast.FieldList
+					switch t := s.Type.(type) {
+					case *ast.StructType:
+						if s.Name.IsExported() {
+							fields = t.Fields
+						}
+					case *ast.InterfaceType:
+						fields = t.Methods
+					}
+					if fields == nil {
+						continue
+					}
+					for _, field := range fields.List {
+						for _, id := range field.Names {
+							if _, iface := s.Type.(*ast.InterfaceType); iface || id.IsExported() {
+								out = append(out, sweptDecl{ident: id, qualified: s.Name.Name + "." + id.Name})
 							}
 						}
 					}

@@ -49,12 +49,6 @@ func (v Value) IsInt() bool { return v.kind == valInt }
 // IsBool reports whether the value is a boolean.
 func (v Value) IsBool() bool { return v.kind == valBool }
 
-// AsString returns a copy of the string payload (empty if not a string).
-func (v Value) AsString() string { return string(v.s) }
-
-// AsInt returns the integer payload (zero if not an int).
-func (v Value) AsInt() int64 { return v.i }
-
 // AsBool returns the boolean payload (false if not a bool).
 func (v Value) AsBool() bool { return v.kind == valBool && v.i != 0 }
 

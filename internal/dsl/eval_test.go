@@ -52,20 +52,20 @@ func mustEval(t *testing.T, expr string, env *Env) Value {
 }
 
 func TestEvalLiterals(t *testing.T) {
-	if v := mustEval(t, `"abc"`, nil); !v.IsString() || v.AsString() != "abc" {
+	if v := mustEval(t, `"abc"`, nil); !v.IsString() || string(v.s) != "abc" {
 		t.Errorf("string literal = %v", v)
 	}
-	if v := mustEval(t, `42`, nil); !v.IsInt() || v.AsInt() != 42 {
+	if v := mustEval(t, `42`, nil); !v.IsInt() || v.i != 42 {
 		t.Errorf("int literal = %v", v)
 	}
-	if v := mustEval(t, `-7`, nil); v.AsInt() != -7 {
+	if v := mustEval(t, `-7`, nil); v.i != -7 {
 		t.Errorf("negative literal = %v", v)
 	}
 }
 
 func TestEvalVariables(t *testing.T) {
 	env := bind("x", Int(3), "s", Str("hi"))
-	if v := mustEval(t, "x + 1", env); v.AsInt() != 4 {
+	if v := mustEval(t, "x + 1", env); v.i != 4 {
 		t.Errorf("x+1 = %v", v)
 	}
 	if v := mustEval(t, `s == "hi"`, env); !v.AsBool() {
@@ -204,14 +204,14 @@ func TestValueString(t *testing.T) {
 func TestPaperRule2Expressions(t *testing.T) {
 	env := bind("s", Str("PUT balance 100\r\n"), "n", Int(17))
 	s2 := mustEval(t, `replace(s, "PUT", "PUT-string")`, env)
-	if s2.AsString() != "PUT-string balance 100\r\n" {
-		t.Fatalf("rewritten = %q", s2.AsString())
+	if string(s2.s) != "PUT-string balance 100\r\n" {
+		t.Fatalf("rewritten = %q", s2.s)
 	}
 	n2 := mustEval(t, "n + 7", env)
-	if n2.AsInt() != 24 {
-		t.Fatalf("n+7 = %d", n2.AsInt())
+	if n2.i != 24 {
+		t.Fatalf("n+7 = %d", n2.i)
 	}
-	if int(n2.AsInt()) != len(s2.AsString()) {
+	if int(n2.i) != len(s2.s) {
 		t.Fatal("length bookkeeping does not line up")
 	}
 }

@@ -106,8 +106,8 @@ func TestBarrierRunsAtQuiescence(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(rt.Records()) != 0 {
-		t.Fatalf("barrier produced update records: %+v", rt.Records())
+	if len(rt.records) != 0 {
+		t.Fatalf("barrier produced update records: %+v", rt.records)
 	}
 }
 

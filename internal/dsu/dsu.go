@@ -100,7 +100,7 @@ type Decision int
 // Decisions.
 const (
 	Continue Decision = iota // keep running this version
-	Exit                     // unwind: the process updated (or is shutting down)
+	Exit                     // unwind: the process updated
 )
 
 // TakeAction is the verdict of the TakeUpdate consultation hook.
@@ -216,11 +216,9 @@ type Runtime struct {
 	nextUID  int
 	nextTID  int
 	gen      int // update generation, increments on each applied update
-	exiting  bool
 	quiesceQ sim.WaitQueue
 
-	attempt *attempt
-	queue   []*attempt // updates awaiting the in-flight attempt (FIFO train)
+	attempt *attempt // the one pending update or barrier; trains queue in core.Controller
 	records []UpdateRecord
 	sweeps  []*sim.Task // live lazy-migration sweep tasks
 }
@@ -260,14 +258,8 @@ func NewRuntime(sched *sim.Scheduler, app App, cfg Config) *Runtime {
 // App returns the currently-running application instance.
 func (rt *Runtime) App() App { return rt.app }
 
-// Scheduler returns the runtime's scheduler.
-func (rt *Runtime) Scheduler() *sim.Scheduler { return rt.sched }
-
 // Config returns the runtime's configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
-
-// Records returns the update attempt records, oldest first.
-func (rt *Runtime) Records() []UpdateRecord { return rt.records }
 
 // Generation returns how many updates have been applied in this process.
 func (rt *Runtime) Generation() int { return rt.gen }
@@ -293,19 +285,12 @@ func (rt *Runtime) StartForked(app App) *sim.Task {
 	return rt.launch(app, true)
 }
 
-// StartUpdatedFrom boots this runtime as a freshly-forked follower that
+// StartUpdatedFromAt boots this runtime as a freshly-forked follower that
 // immediately applies the pending update: it transforms old's state
 // (charging the transformation cost) and enters the new version's main
 // loop with Updating() == true. Returns the main thread's task.
 //
 // This is the follower half of MVEDSUA's fork-based update (§3.2, t1-t2).
-// The update record's RequestedAt is stamped now; callers that know when
-// the update was originally requested should use StartUpdatedFromAt.
-func (rt *Runtime) StartUpdatedFrom(old App, v *Version) *sim.Task {
-	return rt.StartUpdatedFromAt(old, v, rt.sched.Now())
-}
-
-// StartUpdatedFromAt is StartUpdatedFrom with an explicit request time:
 // requestedAt is when the update was requested on the forking process,
 // so the record's RequestedAt→DecidedAt gap reflects the real wait for
 // quiescence rather than collapsing to zero.
@@ -390,7 +375,7 @@ func (rt *Runtime) startLazySweep(app App) {
 	rec := rt.cfg.Rec
 	name := fmt.Sprintf("%s/lazy-sweep@%s", rt.cfg.Name, app.Version())
 	t := rt.sched.Go(name, func(task *sim.Task) {
-		for rt.app == app && !rt.exiting {
+		for rt.app == app {
 			n, cost := la.SweepLazy(batch)
 			if n > 0 {
 				rec.Add(obs.CDSUXformSwept, int64(n))
@@ -504,15 +489,6 @@ func (rt *Runtime) KillAll() {
 	rt.sweeps = nil
 }
 
-// Tasks returns the live thread tasks, keyed by logical thread id.
-func (rt *Runtime) Tasks() map[int]*sim.Task {
-	out := make(map[int]*sim.Task, len(rt.tasks))
-	for tid, t := range rt.tasks { // maporder: ok — map copy
-		out[tid] = t
-	}
-	return out
-}
-
 // SetUpdateHooks rebinds the runtime's update-time behaviour. MVEDSUA's
 // controller calls this when a follower runtime is promoted to leader:
 // its next update must fork (TakeUpdate) rather than apply in place, its
@@ -546,26 +522,6 @@ func (rt *Runtime) RequestUpdate(v *Version) bool {
 	return true
 }
 
-// EnqueueUpdate requests v like RequestUpdate, but queues it behind the
-// in-flight attempt (update or barrier) instead of rejecting it: the
-// queue drains FIFO, each hop armed as its predecessor resolves. The
-// enqueue time is preserved as the hop's RequestedAt. Returns how many
-// requests are ahead of v (0 = requested immediately).
-func (rt *Runtime) EnqueueUpdate(v *Version) int {
-	if rt.RequestUpdate(v) {
-		return 0
-	}
-	rt.queue = append(rt.queue, &attempt{v: v, requestedAt: rt.sched.Now()})
-	return len(rt.queue)
-}
-
-// QueuedUpdates returns how many updates wait behind the in-flight
-// attempt.
-func (rt *Runtime) QueuedUpdates() int { return len(rt.queue) }
-
-// UpdatePending reports whether an update is waiting for quiescence.
-func (rt *Runtime) UpdatePending() bool { return rt.attempt != nil }
-
 // PendingSince returns when the in-flight attempt was requested (false
 // if nothing is pending). MVEDSUA's controller threads this through to
 // the forked follower so its update record carries the real request
@@ -575,16 +531,6 @@ func (rt *Runtime) PendingSince() (time.Duration, bool) {
 		return 0, false
 	}
 	return rt.attempt.requestedAt, true
-}
-
-// clearAttempt retires the in-flight attempt and arms the next queued
-// one, keeping its original request time.
-func (rt *Runtime) clearAttempt() {
-	rt.attempt = nil
-	if len(rt.queue) > 0 {
-		rt.attempt = rt.queue[0]
-		rt.queue = rt.queue[1:]
-	}
 }
 
 // RequestBarrier schedules fn to run once all threads have quiesced at
@@ -612,22 +558,16 @@ type Env struct {
 	quiesced bool
 }
 
-// TID returns the thread's logical id (stable across versions).
-func (e *Env) TID() int { return e.tid }
-
 // Task returns the thread's sim task.
 func (e *Env) Task() *sim.Task { return e.task }
-
-// Runtime returns the owning runtime.
-func (e *Env) Runtime() *Runtime { return e.rt }
 
 // Updating reports whether Main was re-entered by a dynamic update and
 // should skip initialization (Kitsune's control migration flag).
 func (e *Env) Updating() bool { return e.updating }
 
-// Exiting reports whether the thread must unwind out of Main (an update
-// was applied, or the runtime is shutting down).
-func (e *Env) Exiting() bool { return e.exiting || e.rt.exiting }
+// Exiting reports whether the thread must unwind out of Main: an update
+// was applied.
+func (e *Env) Exiting() bool { return e.exiting }
 
 // Go spawns a sibling application thread with the next logical id.
 func (e *Env) Go(name string, fn func(*Env)) *sim.Task {
@@ -715,9 +655,8 @@ func (e *Env) Sys(c sysabi.Call) sysabi.Result {
 
 // UpdatePoint marks a place where this thread is quiescent and an update
 // may be applied (Kitsune's update points). It returns Exit when the
-// thread must unwind out of Main: either the process was updated in place
-// (a new main thread is already running the new version) or the runtime
-// is shutting down.
+// thread must unwind out of Main: the process was updated in place (a
+// new main thread is already running the new version).
 func (e *Env) UpdatePoint(name string) Decision {
 	rt := e.rt
 	if rt.cfg.Rec.SpansEnabled() {
@@ -726,8 +665,7 @@ func (e *Env) UpdatePoint(name string) Decision {
 	if rt.cfg.UpdateCheckCost > 0 {
 		e.task.Advance(rt.cfg.UpdateCheckCost)
 	}
-	if e.Exiting() {
-		e.exiting = true
+	if e.exiting {
 		return Exit
 	}
 	att := rt.attempt
@@ -762,7 +700,7 @@ func (e *Env) UpdatePoint(name string) Decision {
 				Version: att.v.Name, Outcome: OutcomeTimedOut,
 				RequestedAt: att.requestedAt, DecidedAt: rt.sched.Now(),
 			})
-			rt.clearAttempt()
+			rt.attempt = nil
 			rt.quiesceQ.WakeAll(rt.sched)
 			break
 		}
@@ -793,7 +731,7 @@ func (rt *Runtime) decide(e *Env, att *attempt) {
 		att.barrier(e.task)
 		att.decided = true
 		att.exit = false
-		rt.clearAttempt()
+		rt.attempt = nil
 		rt.quiesceQ.WakeAll(rt.sched)
 		return
 	}
@@ -810,7 +748,7 @@ func (rt *Runtime) decide(e *Env, att *attempt) {
 			Version: att.v.Name, Outcome: OutcomeForked,
 			RequestedAt: att.requestedAt, DecidedAt: rt.sched.Now(),
 		})
-		rt.clearAttempt()
+		rt.attempt = nil
 		if rt.cfg.OnAbort != nil {
 			rt.cfg.OnAbort(rt.app)
 		}
@@ -830,7 +768,7 @@ func (rt *Runtime) decide(e *Env, att *attempt) {
 			Version: att.v.Name, Outcome: OutcomeApplied,
 			RequestedAt: att.requestedAt, DecidedAt: rt.sched.Now(),
 		})
-		rt.clearAttempt()
+		rt.attempt = nil
 		// Control migration: relaunch main in the new version. The old
 		// threads unwind as they observe att.exit.
 		rt.launch(newApp, true)
@@ -838,11 +776,5 @@ func (rt *Runtime) decide(e *Env, att *attempt) {
 			rt.startLazySweep(newApp)
 		}
 	}
-	rt.quiesceQ.WakeAll(rt.sched)
-}
-
-// Shutdown asks all threads to unwind at their next update points.
-func (rt *Runtime) Shutdown() {
-	rt.exiting = true
 	rt.quiesceQ.WakeAll(rt.sched)
 }

@@ -161,7 +161,7 @@ func TestInPlaceUpdatePreservesState(t *testing.T) {
 	if rt.Generation() != 1 || rt.App().Version() != "v2" {
 		t.Fatalf("gen=%d version=%s", rt.Generation(), rt.App().Version())
 	}
-	recs := rt.Records()
+	recs := rt.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeApplied || recs[0].Version != "v2" {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -212,7 +212,7 @@ func TestParallelXformDoesNotStallClock(t *testing.T) {
 	}
 	// Replace Main: v2 app with started=true exits immediately on a
 	// closed fd read; simpler: override by making connFD invalid.
-	rt.StartUpdatedFrom(old, v)
+	rt.StartUpdatedFromAt(old, v, 0)
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -292,7 +292,7 @@ func TestTakeAbortRunsOnAbortAndContinuesOldVersion(t *testing.T) {
 	if aborted != 1 {
 		t.Fatalf("OnAbort ran %d times", aborted)
 	}
-	recs := rt.Records()
+	recs := rt.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeForked {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -378,12 +378,12 @@ func TestQuiescenceTimeoutIsTimingError(t *testing.T) {
 	if strings.Join(replies, ",") != "1,2,3" {
 		t.Fatalf("replies = %v", replies)
 	}
-	recs := rt.Records()
+	recs := rt.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeTimedOut {
 		t.Fatalf("records = %+v", recs)
 	}
 	// The runtime can retry afterwards.
-	if rt.UpdatePending() {
+	if _, pending := rt.PendingSince(); pending {
 		t.Fatal("attempt not cleared after timeout")
 	}
 }
@@ -406,6 +406,8 @@ func TestUpdateCheckCostCharged(t *testing.T) {
 	}
 }
 
+// Collision semantics: while an update is pending a second update and a
+// barrier are both rejected, and so is an update behind a barrier.
 func TestRequestUpdateRejectsConcurrent(t *testing.T) {
 	s := sim.New()
 	k := vos.NewKernel(s)
@@ -416,30 +418,38 @@ func TestRequestUpdateRejectsConcurrent(t *testing.T) {
 	if rt.RequestUpdate(v2From(nil, 0)) {
 		t.Fatal("second RequestUpdate should fail while pending")
 	}
-	_ = s
+	if rt.RequestBarrier(func(*sim.Task) {}) {
+		t.Fatal("RequestBarrier should be rejected while an update is pending")
+	}
+	if _, ok := rt.PendingSince(); !ok {
+		t.Fatal("PendingSince should report the armed attempt")
+	}
+	behind := NewRuntime(s, &counterApp{version: "v1"}, Config{Name: "ctr", Dispatcher: k})
+	if !behind.RequestBarrier(func(*sim.Task) {}) || behind.RequestUpdate(v2From(nil, 0)) {
+		t.Fatal("RequestUpdate should be rejected while a barrier is pending")
+	}
 }
 
+// A process is shut down (rollback, teardown) with KillAll: every thread
+// unwinds and deregisters, wherever it was parked.
 func TestShutdownUnwindsThreads(t *testing.T) {
 	s := sim.New()
 	k := vos.NewKernel(s)
-	rt := NewRuntime(s, &counterApp{version: "v1"}, Config{Name: "ctr", Dispatcher: k})
+	rt := NewRuntime(s, &counterApp{version: "v1", spawnWorkers: 2}, Config{Name: "ctr", Dispatcher: k})
 	rt.Start()
 	var replies []string
 	s.Go("client", func(tk *sim.Task) {
-		fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{9000, 0}}).Ret)
-		k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte("ping")})
-		r := k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{64, 0}})
-		replies = append(replies, string(r.Data))
-		rt.Shutdown()
-		k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte("ping")})
-		// Server answers this last request then unwinds at the update point.
-		k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{64, 0}})
+		driveClient(k, 1, &replies, 0)(tk)
+		if rt.LiveThreads() != 3 {
+			t.Errorf("LiveThreads = %d before KillAll, want 3", rt.LiveThreads())
+		}
+		rt.KillAll()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if rt.LiveThreads() != 0 {
-		t.Fatalf("LiveThreads = %d after shutdown", rt.LiveThreads())
+	if len(replies) != 1 || rt.LiveThreads() != 0 {
+		t.Fatalf("replies = %v, LiveThreads = %d after KillAll", replies, rt.LiveThreads())
 	}
 }
 
@@ -448,11 +458,11 @@ func TestStartUpdatedFromRecordsOutcome(t *testing.T) {
 	k := vos.NewKernel(s)
 	old := &counterApp{version: "v1", count: 7}
 	rt := NewRuntime(s, old, Config{Name: "f", Dispatcher: k, ParallelXform: true})
-	rt.StartUpdatedFrom(old, v2From(nil, 0))
+	rt.StartUpdatedFromAt(old, v2From(nil, 0), 0)
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	recs := rt.Records()
+	recs := rt.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeApplied {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -557,7 +567,7 @@ func TestForkedUpdateRecordsRealRequestTime(t *testing.T) {
 	if fRT == nil {
 		t.Fatal("TakeUpdate never ran")
 	}
-	recs := fRT.Records()
+	recs := fRT.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeApplied {
 		t.Fatalf("follower records = %+v", recs)
 	}
@@ -590,7 +600,7 @@ func TestForkedXformFailureRecordsOutcome(t *testing.T) {
 	if crashed {
 		t.Fatal("failed xform crashed the follower instead of recording OutcomeFailed")
 	}
-	recs := rt.Records()
+	recs := rt.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeFailed {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -607,155 +617,6 @@ func TestForkedXformFailureRecordsOutcome(t *testing.T) {
 	}
 	if rt.LiveThreads() != 0 {
 		t.Fatalf("LiveThreads = %d, want 0", rt.LiveThreads())
-	}
-}
-
-// vFrom builds a count-preserving update to an arbitrary version name
-// (the train tests chain several).
-func vFrom(name string) *Version {
-	return &Version{
-		Name: name,
-		New:  func() App { return &counterApp{version: name} },
-		Xform: func(old App) (App, error) {
-			o := old.(*counterApp)
-			return &counterApp{
-				version:  name,
-				listenFD: o.listenFD,
-				connFD:   o.connFD,
-				count:    o.count,
-			}, nil
-		},
-	}
-}
-
-// Collision semantics with a pending attempt: plain requests are
-// rejected, EnqueueUpdate queues behind it and reports the position.
-func TestRequestCollisionAndEnqueuePositions(t *testing.T) {
-	s := sim.New()
-	k := vos.NewKernel(s)
-	rt := NewRuntime(s, &counterApp{version: "v1"}, Config{Name: "ctr", Dispatcher: k})
-	if !rt.RequestUpdate(vFrom("v2")) {
-		t.Fatal("first RequestUpdate failed")
-	}
-	if rt.RequestUpdate(vFrom("v3")) {
-		t.Fatal("second RequestUpdate should be rejected while one is pending")
-	}
-	if rt.RequestBarrier(func(*sim.Task) {}) {
-		t.Fatal("RequestBarrier should be rejected while an update is pending")
-	}
-	if pos := rt.EnqueueUpdate(vFrom("v3")); pos != 1 {
-		t.Fatalf("EnqueueUpdate(v3) position = %d, want 1", pos)
-	}
-	if pos := rt.EnqueueUpdate(vFrom("v4")); pos != 2 {
-		t.Fatalf("EnqueueUpdate(v4) position = %d, want 2", pos)
-	}
-	if rt.QueuedUpdates() != 2 {
-		t.Fatalf("QueuedUpdates = %d, want 2", rt.QueuedUpdates())
-	}
-	if _, ok := rt.PendingSince(); !ok {
-		t.Fatal("PendingSince should report the armed attempt")
-	}
-}
-
-// An update train: both hops enqueued up front, drained FIFO under
-// traffic, each hop's record keeping its original request time.
-func TestUpdateTrainDrainsFIFO(t *testing.T) {
-	s := sim.New()
-	k := vos.NewKernel(s)
-	rt := NewRuntime(s, &counterApp{version: "v1"}, Config{Name: "ctr", Dispatcher: k})
-	rt.Start()
-	var replies []string
-	s.Go("client", func(tk *sim.Task) {
-		fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{9000, 0}}).Ret)
-		ping := func() {
-			k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte("ping")})
-			r := k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{64, 0}})
-			replies = append(replies, string(r.Data))
-		}
-		ping()
-		if pos := rt.EnqueueUpdate(vFrom("v2")); pos != 0 {
-			t.Errorf("EnqueueUpdate(v2) position = %d, want 0 (immediate)", pos)
-		}
-		if pos := rt.EnqueueUpdate(vFrom("v3")); pos != 1 {
-			t.Errorf("EnqueueUpdate(v3) position = %d, want 1", pos)
-		}
-		tk.Sleep(10 * time.Millisecond)
-		ping() // v1 answers, then v2 applies and v3 is armed
-		tk.Sleep(10 * time.Millisecond)
-		ping() // v2 answers, then v3 applies
-		ping()
-		k.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: fd})
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := "1,2,v2:3,v3:4"
-	if strings.Join(replies, ",") != want {
-		t.Fatalf("replies = %v, want %s", replies, want)
-	}
-	if rt.App().Version() != "v3" || rt.Generation() != 2 {
-		t.Fatalf("app=%s gen=%d", rt.App().Version(), rt.Generation())
-	}
-	recs := rt.Records()
-	if len(recs) != 2 || recs[0].Version != "v2" || recs[1].Version != "v3" ||
-		recs[0].Outcome != OutcomeApplied || recs[1].Outcome != OutcomeApplied {
-		t.Fatalf("records = %+v", recs)
-	}
-	// v3 was enqueued at t=0 but only decided after both hops' traffic:
-	// the queue preserved its original request time.
-	if recs[1].RequestedAt != 0 {
-		t.Fatalf("v3 RequestedAt = %v, want 0 (enqueue time)", recs[1].RequestedAt)
-	}
-	if recs[1].DecidedAt <= recs[0].DecidedAt || recs[1].DecidedAt < 20*time.Millisecond {
-		t.Fatalf("decide times: v2=%v v3=%v", recs[0].DecidedAt, recs[1].DecidedAt)
-	}
-	if rt.QueuedUpdates() != 0 || rt.UpdatePending() {
-		t.Fatal("train not fully drained")
-	}
-}
-
-// A barrier in flight queues a subsequent update behind it: the barrier
-// runs first, the update applies at the following update point.
-func TestBarrierThenQueuedUpdateOrdering(t *testing.T) {
-	s := sim.New()
-	k := vos.NewKernel(s)
-	var order []string
-	rt := NewRuntime(s, &counterApp{version: "v1"}, Config{
-		Name: "ctr", Dispatcher: k,
-		OnOutcome: func(r UpdateRecord) { order = append(order, "update:"+r.Outcome.String()) },
-	})
-	rt.Start()
-	var replies []string
-	s.Go("client", func(tk *sim.Task) {
-		fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{9000, 0}}).Ret)
-		ping := func() {
-			k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte("ping")})
-			r := k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{64, 0}})
-			replies = append(replies, string(r.Data))
-		}
-		ping()
-		if !rt.RequestBarrier(func(*sim.Task) { order = append(order, "barrier") }) {
-			t.Error("RequestBarrier failed while idle")
-		}
-		if rt.RequestUpdate(vFrom("v2")) {
-			t.Error("RequestUpdate should be rejected while a barrier is pending")
-		}
-		if pos := rt.EnqueueUpdate(vFrom("v2")); pos != 1 {
-			t.Errorf("EnqueueUpdate position = %d, want 1 (behind the barrier)", pos)
-		}
-		ping() // barrier runs at this update point, v2 armed after it
-		ping() // still v1; v2 applies at this update point
-		ping() // answered by v2
-		k.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: fd})
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if strings.Join(replies, ",") != "1,2,3,v2:4" {
-		t.Fatalf("replies = %v", replies)
-	}
-	if strings.Join(order, ",") != "barrier,update:applied" {
-		t.Fatalf("order = %v, want barrier before the queued update", order)
 	}
 }
 
@@ -903,7 +764,7 @@ func TestEnvTIDsSequential(t *testing.T) {
 		tk.Yield()
 		tids := map[int]bool{}
 		for _, env := range rt.threads {
-			tids[env.TID()] = true
+			tids[env.tid] = true
 		}
 		for want := 0; want < 4; want++ {
 			if !tids[want] {

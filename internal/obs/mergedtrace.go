@@ -25,25 +25,20 @@ type ShardTrace struct {
 	Rec   *Recorder // that shard's recorder; nil contributes nothing
 }
 
-// Flow is one cross-shard delivery rendered as a flow arc. From is the
-// source shard id, or -1 for an external Post (injected from outside
-// the simulation).
+// Flow is one cross-shard delivery rendered as a flow arc.
 type Flow struct {
 	ID        int64 // unique; the barrier merge order
-	From      int
+	From      int   // source shard id
 	To        int
 	Name      string
 	Sent      time.Duration // virtual time the message was sent
 	Delivered time.Duration // virtual time the target epoch began
 }
 
-// Merged-trace pid layout: pid 1 is the external world (Post sources),
-// shard i is pid i+2 — keeping every pid positive and stable however
-// many shards participate.
-const (
-	externalPid = 1
-	shardPidOff = 2
-)
+// Merged-trace pid layout: shard i is pid i+2 — positive, stable however
+// many shards participate, and clear of the single-scheduler export's
+// pid 1.
+const shardPidOff = 2
 
 // flowTrack is the per-process track that anchors flow endpoints: flow
 // events must bind to slices, so each send/recv gets a zero-width 'X'
@@ -154,17 +149,7 @@ func ExportMergedChromeTrace(shards []ShardTrace, flows []Flow) ([]byte, error) 
 	sort.SliceStable(sortedFlows, func(i, j int) bool { return sortedFlows[i].ID < sortedFlows[j].ID })
 	zero := 0.0
 	for _, f := range sortedFlows {
-		srcPid := externalPid
-		if f.From >= 0 {
-			srcPid = f.From + shardPidOff
-		}
-		if srcPid == externalPid {
-			pidNames[externalPid] = "external"
-			if _, ok := tracks[externalPid]; !ok {
-				// Register the pid so metadata is emitted for it.
-				tidFor(externalPid, flowTrack)
-			}
-		}
+		srcPid := f.From + shardPidOff
 		dstPid := f.To + shardPidOff
 		if _, ok := pidNames[dstPid]; !ok {
 			pidNames[dstPid] = fmt.Sprintf("shard%d", f.To)

@@ -104,14 +104,13 @@ func buildMergedFixture(t *testing.T) ([]ShardTrace, []Flow) {
 	}
 	flows := []Flow{
 		{ID: 1, From: 0, To: 1, Name: "g0-trigger", Sent: 3 * time.Millisecond, Delivered: 4 * time.Millisecond},
-		{ID: 2, From: -1, To: 0, Name: "inject", Sent: 5 * time.Millisecond, Delivered: 6 * time.Millisecond},
+		{ID: 2, From: 1, To: 0, Name: "g1-reply", Sent: 5 * time.Millisecond, Delivered: 6 * time.Millisecond},
 	}
 	return shards, flows
 }
 
 // TestMergedTraceStructure checks the merged export end to end: pid
-// layout, flow pairing, per-track timestamp monotonicity, and the
-// external-source pseudo-process.
+// layout, flow pairing and per-track timestamp monotonicity.
 func TestMergedTraceStructure(t *testing.T) {
 	shards, flows := buildMergedFixture(t)
 	data, err := ExportMergedChromeTrace(shards, flows)
@@ -146,7 +145,7 @@ func TestMergedTraceStructure(t *testing.T) {
 		last[key] = ev.Ts
 	}
 
-	want := map[int]string{externalPid: "external", shardPidOff: "shard0", shardPidOff + 1: "shard1"}
+	want := map[int]string{shardPidOff: "shard0", shardPidOff + 1: "shard1"}
 	for pid, name := range want { // maporder: ok — presence checks, order irrelevant
 		if procNames[pid] != name {
 			t.Errorf("pid %d named %q, want %q", pid, procNames[pid], name)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"time"
 )
 
@@ -143,23 +142,10 @@ func (g *Registry) TimeSeries(name string) *Series {
 	return g.series[name]
 }
 
-// SeriesNames returns the names with a recorded series, sorted.
-func (g *Registry) SeriesNames() []string {
-	if g == nil {
-		return nil
-	}
-	names := make([]string, 0, len(g.series))
-	for k := range g.series { // maporder: ok — names are sorted below
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func (g *Registry) seriesFor(name string, kind SeriesKind) *Series {
 	s, ok := g.series[name]
 	if !ok {
-		s = &Series{Name: name, Kind: kind, width: g.win.width, cap: g.win.retention}
+		s = &Series{Name: name, Kind: kind, cap: g.win.retention}
 		g.series[name] = s
 	}
 	return s
@@ -193,7 +179,7 @@ func (g *Registry) MergeInto(dst *Registry) {
 	for k, s := range g.series { // maporder: ok — series merge is commutative
 		ds, ok := dst.series[k]
 		if !ok {
-			ds = &Series{Name: s.Name, Kind: s.Kind, width: s.width, cap: s.cap}
+			ds = &Series{Name: s.Name, Kind: s.Kind, cap: s.cap}
 			dst.series[k] = ds
 		}
 		ds.merge(s)

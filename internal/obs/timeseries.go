@@ -56,15 +56,6 @@ func (p *SeriesPoint) Quantile(q float64) time.Duration {
 	return bucketQuantile(q, p.Count, p.Min, p.Max, p.Buckets)
 }
 
-// Mean returns the window's average observation (histogram series), or
-// the average delta (counter series); zero when empty.
-func (p *SeriesPoint) Mean() time.Duration {
-	if p == nil || p.Count == 0 {
-		return 0
-	}
-	return time.Duration(p.Sum / p.Count)
-}
-
 // Series is the bounded windowed timeline of one metric: a circular
 // buffer of per-window aggregates in ascending window order.
 type Series struct {
@@ -72,26 +63,9 @@ type Series struct {
 	Kind    SeriesKind
 	Dropped int64 // points evicted once retention filled
 
-	width  time.Duration
 	points []SeriesPoint
 	start  int // oldest slot once the buffer wrapped
 	cap    int
-}
-
-// Width returns the window width the series was bucketed with.
-func (s *Series) Width() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.width
-}
-
-// Len returns the number of retained points.
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.points)
 }
 
 // Points returns the retained per-window aggregates in ascending window
@@ -297,17 +271,6 @@ func (r *Recorder) EnableWindows(width time.Duration) {
 	}
 }
 
-// WindowsEnabled reports whether windowed series are being recorded.
-func (r *Recorder) WindowsEnabled() bool { return r != nil && r.win != nil }
-
-// WindowWidth returns the configured window width (zero when off).
-func (r *Recorder) WindowWidth() time.Duration {
-	if r == nil || r.win == nil {
-		return 0
-	}
-	return r.win.width
-}
-
 // OnWindowClose registers fn to run once per fully elapsed window, in
 // window order, the next time a sample (or CloseWindows) advances the
 // clock past it. Callbacks run synchronously on the recording task and
@@ -328,13 +291,4 @@ func (r *Recorder) CloseWindows() {
 		return
 	}
 	r.win.advance(r.now())
-}
-
-// WindowIndex returns the window containing virtual time at (zero when
-// windows are off).
-func (r *Recorder) WindowIndex(at time.Duration) int64 {
-	if r == nil || r.win == nil {
-		return 0
-	}
-	return r.win.indexOf(at)
 }

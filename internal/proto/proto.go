@@ -21,9 +21,6 @@ type LineBuffer struct {
 // Feed appends stream data.
 func (b *LineBuffer) Feed(data []byte) { b.buf.Write(data) }
 
-// Len returns the number of buffered bytes.
-func (b *LineBuffer) Len() int { return b.buf.Len() }
-
 // Next pops one complete line without its terminator, reporting whether
 // one was available.
 func (b *LineBuffer) Next() (string, bool) {
@@ -82,9 +79,6 @@ func WrongTypeReply() []byte {
 	return []byte("-WRONGTYPE Operation against a key holding the wrong kind of value\r\n")
 }
 
-// Integer encodes ":n\r\n".
-func Integer(n int64) []byte { return AppendInteger(nil, n) }
-
 // AppendInteger appends ":n\r\n" to dst.
 func AppendInteger(dst []byte, n int64) []byte {
 	dst = append(dst, ':')
@@ -122,11 +116,6 @@ func Array(items []*string) []byte {
 }
 
 // Memcached text protocol replies.
-
-// McValue encodes "VALUE <key> <flags> <len>\r\n<data>\r\nEND\r\n".
-func McValue(key string, flags int, data string) []byte {
-	return []byte(fmt.Sprintf("VALUE %s %d %d\r\n%s\r\nEND\r\n", key, flags, len(data), data))
-}
 
 // McValuePart encodes one VALUE block without the END terminator, for
 // multi-key gets.

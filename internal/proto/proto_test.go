@@ -83,7 +83,7 @@ func TestRESPEncoders(t *testing.T) {
 	}{
 		{SimpleString("OK"), "+OK\r\n"},
 		{ErrorReply("no such key"), "-ERR no such key\r\n"},
-		{Integer(42), ":42\r\n"},
+		{AppendInteger(nil, 42), ":42\r\n"},
 		{Bulk("hello"), "$5\r\nhello\r\n"},
 		{Bulk(""), "$0\r\n\r\n"},
 		{NullBulk(), "$-1\r\n"},
@@ -108,8 +108,8 @@ func TestRESPArray(t *testing.T) {
 }
 
 func TestMemcachedEncoders(t *testing.T) {
-	if string(McValue("k", 0, "abc")) != "VALUE k 0 3\r\nabc\r\nEND\r\n" {
-		t.Errorf("McValue = %q", McValue("k", 0, "abc"))
+	if string(McValuePart("k", 0, "abc")) != "VALUE k 0 3\r\nabc\r\n" {
+		t.Errorf("McValuePart = %q", McValuePart("k", 0, "abc"))
 	}
 	if string(McEnd()) != "END\r\n" || string(McStored()) != "STORED\r\n" ||
 		string(McNotStored()) != "NOT_STORED\r\n" || string(McDeleted()) != "DELETED\r\n" ||

@@ -91,9 +91,6 @@ func (mb *MultiBuffer) Closed() bool { return mb.closed }
 // NextSeq returns the sequence number the next recorded event will get.
 func (mb *MultiBuffer) NextSeq() uint64 { return mb.seq }
 
-// Cursors returns how many cursors are open.
-func (mb *MultiBuffer) Cursors() int { return len(mb.cursors) }
-
 // OpenCursor attaches a named cursor positioned at the next appended
 // entry: the new consumer sees only events recorded from now on, the
 // fork point of a freshly attached variant.
@@ -378,9 +375,6 @@ func (mb *MultiBuffer) Reset() {
 	mb.cursors = nil
 	mb.drained.WakeAll(mb.sched)
 }
-
-// Name returns the cursor's name.
-func (c *Cursor) Name() string { return c.name }
 
 // Lag returns how many appended entries this cursor has not consumed.
 // A closed cursor reports 0: it retains nothing and will read nothing.

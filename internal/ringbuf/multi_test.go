@@ -193,8 +193,8 @@ func driveMultiOps(tk *sim.Task, mb *MultiBuffer, ref *refMulti, rng *rand.Rand,
 		if mb.Dropped != ref.dropped {
 			return fmt.Errorf("%s: Dropped = %d, ref %d", op, mb.Dropped, ref.dropped)
 		}
-		if mb.Cursors() != len(ref.cursors) {
-			return fmt.Errorf("%s: Cursors = %d, ref %d", op, mb.Cursors(), len(ref.cursors))
+		if len(mb.cursors) != len(ref.cursors) {
+			return fmt.Errorf("%s: Cursors = %d, ref %d", op, len(mb.cursors), len(ref.cursors))
 		}
 		for name, c := range cursors {
 			if c.Lag() != ref.lag(name) {

@@ -162,7 +162,7 @@ func TestTakerOwnsWhatItTakes(t *testing.T) {
 	held := make([][]Entry, len(cursors))
 	for ci, c := range cursors {
 		ci, c := ci, c
-		s.Go(c.Name(), func(tk *sim.Task) {
+		s.Go(c.name, func(tk *sim.Task) {
 			for {
 				if ci == 1 {
 					tk.Yield() // lag behind, so the ring fills and slots are reused
@@ -190,15 +190,15 @@ func TestTakerOwnsWhatItTakes(t *testing.T) {
 	seen := map[*byte]string{}
 	for ci, c := range cursors[:2] {
 		if len(held[ci]) != entries {
-			t.Fatalf("%s took %d entries, want %d", c.Name(), len(held[ci]), entries)
+			t.Fatalf("%s took %d entries, want %d", c.name, len(held[ci]), entries)
 		}
 		for i, e := range held[ci] {
 			if !bytes.Equal(e.Event.Call.Buf, payload(i)) || !bytes.Equal(e.Event.Result.Data, payload(i+1)) ||
 				fmt.Sprint(e.Event.Result.Ready) != fmt.Sprint(ready(i)) {
-				t.Fatalf("%s entry %d changed while held: %v", c.Name(), i, e.Event)
+				t.Fatalf("%s entry %d changed while held: %v", c.name, i, e.Event)
 			}
 			for _, b := range [][]byte{e.Event.Call.Buf, e.Event.Result.Data} {
-				who := fmt.Sprintf("%s entry %d", c.Name(), i)
+				who := fmt.Sprintf("%s entry %d", c.name, i)
 				if prev, dup := seen[&b[0]]; dup {
 					t.Fatalf("%s shares storage with %s", who, prev)
 				}

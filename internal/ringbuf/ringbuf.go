@@ -147,11 +147,6 @@ func New(sched *sim.Scheduler, capacity int) *Buffer {
 	return &Buffer{MultiBuffer: mb, cur: mb.OpenCursor("consumer")}
 }
 
-// PutEvent is a convenience wrapper recording a syscall event.
-func (b *Buffer) PutEvent(t *sim.Task, ev sysabi.Event) bool {
-	return b.Put(t, Entry{Kind: KindSyscall, Event: ev})
-}
-
 // Get removes and returns the oldest entry; see Cursor.Get.
 func (b *Buffer) Get(t *sim.Task) (Entry, bool) { return b.cur.Get(t) }
 

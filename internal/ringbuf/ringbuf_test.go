@@ -17,13 +17,18 @@ func ev(op sysabi.Op, payload string) sysabi.Event {
 	}
 }
 
+// putEvent records a syscall event.
+func putEvent(b *Buffer, t *sim.Task, ev sysabi.Event) bool {
+	return b.Put(t, Entry{Kind: KindSyscall, Event: ev})
+}
+
 func TestPutGetOrder(t *testing.T) {
 	s := sim.New()
 	b := New(s, 4)
 	var got []string
 	s.Go("producer", func(tk *sim.Task) {
 		for _, p := range []string{"a", "b", "c"} {
-			b.PutEvent(tk, ev(sysabi.OpWrite, p))
+			putEvent(b, tk, ev(sysabi.OpWrite, p))
 		}
 	})
 	s.Go("consumer", func(tk *sim.Task) {
@@ -49,7 +54,7 @@ func TestSequenceNumbersAssigned(t *testing.T) {
 	b := New(s, 8)
 	s.Go("t", func(tk *sim.Task) {
 		for i := 0; i < 3; i++ {
-			b.PutEvent(tk, ev(sysabi.OpRead, "x"))
+			putEvent(b, tk, ev(sysabi.OpRead, "x"))
 		}
 		for want := uint64(0); want < 3; want++ {
 			e, _ := b.Get(tk)
@@ -69,7 +74,7 @@ func TestProducerBlocksWhenFull(t *testing.T) {
 	produced := 0
 	s.Go("producer", func(tk *sim.Task) {
 		for i := 0; i < 5; i++ {
-			b.PutEvent(tk, ev(sysabi.OpWrite, "x"))
+			putEvent(b, tk, ev(sysabi.OpWrite, "x"))
 			produced++
 		}
 	})
@@ -105,9 +110,9 @@ func TestProducerStaysBlockedUntilDrained(t *testing.T) {
 	b := New(s, 1)
 	var produced []string
 	s.Go("producer", func(tk *sim.Task) {
-		b.PutEvent(tk, ev(sysabi.OpWrite, "first"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "first"))
 		produced = append(produced, "first")
-		b.PutEvent(tk, ev(sysabi.OpWrite, "second")) // blocks: full
+		putEvent(b, tk, ev(sysabi.OpWrite, "second")) // blocks: full
 		produced = append(produced, "second")
 	})
 	var got []string
@@ -215,7 +220,7 @@ func TestConsumerBlocksWhenEmpty(t *testing.T) {
 	})
 	s.Go("producer", func(tk *sim.Task) {
 		order = append(order, "put")
-		b.PutEvent(tk, ev(sysabi.OpWrite, "z"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "z"))
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -251,8 +256,8 @@ func TestCloseUnblocksProducer(t *testing.T) {
 	var second bool
 	second = true
 	s.Go("producer", func(tk *sim.Task) {
-		b.PutEvent(tk, ev(sysabi.OpWrite, "a"))
-		second = b.PutEvent(tk, ev(sysabi.OpWrite, "b")) // blocks: full
+		putEvent(b, tk, ev(sysabi.OpWrite, "a"))
+		second = putEvent(b, tk, ev(sysabi.OpWrite, "b")) // blocks: full
 	})
 	s.Go("closer", func(tk *sim.Task) {
 		tk.Yield()
@@ -270,8 +275,8 @@ func TestDrainAfterClose(t *testing.T) {
 	s := sim.New()
 	b := New(s, 4)
 	s.Go("t", func(tk *sim.Task) {
-		b.PutEvent(tk, ev(sysabi.OpWrite, "a"))
-		b.PutEvent(tk, ev(sysabi.OpWrite, "b"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "a"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "b"))
 		b.Close()
 		e, ok := b.Get(tk)
 		if !ok || string(e.Event.Call.Buf) != "a" {
@@ -294,7 +299,7 @@ func TestPromoteEntryPassesThrough(t *testing.T) {
 	s := sim.New()
 	b := New(s, 4)
 	s.Go("t", func(tk *sim.Task) {
-		b.PutEvent(tk, ev(sysabi.OpWrite, "x"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "x"))
 		b.Put(tk, Entry{Kind: KindPromote})
 		e, _ := b.Get(tk)
 		if e.Kind != KindSyscall {
@@ -317,7 +322,7 @@ func TestPeek(t *testing.T) {
 		if _, ok := b.Peek(); ok {
 			t.Error("Peek on empty should fail")
 		}
-		b.PutEvent(tk, ev(sysabi.OpWrite, "x"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "x"))
 		e, ok := b.Peek()
 		if !ok || string(e.Event.Call.Buf) != "x" {
 			t.Errorf("Peek = %v %v", e, ok)
@@ -336,7 +341,7 @@ func TestHighWaterTracking(t *testing.T) {
 	b := New(s, 8)
 	s.Go("t", func(tk *sim.Task) {
 		for i := 0; i < 5; i++ {
-			b.PutEvent(tk, ev(sysabi.OpWrite, "x"))
+			putEvent(b, tk, ev(sysabi.OpWrite, "x"))
 		}
 		for i := 0; i < 5; i++ {
 			b.Get(tk)
@@ -354,13 +359,13 @@ func TestReset(t *testing.T) {
 	s := sim.New()
 	b := New(s, 2)
 	s.Go("t", func(tk *sim.Task) {
-		b.PutEvent(tk, ev(sysabi.OpWrite, "x"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "x"))
 		b.Close()
 		b.Reset()
 		if b.Closed() || !b.Empty() || b.NextSeq() != 0 {
 			t.Error("Reset did not restore a fresh buffer")
 		}
-		if !b.PutEvent(tk, ev(sysabi.OpWrite, "y")) {
+		if !putEvent(b, tk, ev(sysabi.OpWrite, "y")) {
 			t.Error("Put after Reset failed")
 		}
 		e, _ := b.Get(tk)
@@ -401,7 +406,7 @@ func TestFIFOProperty(t *testing.T) {
 		var got [][]byte
 		s.Go("producer", func(tk *sim.Task) {
 			for _, p := range payloads {
-				b.PutEvent(tk, sysabi.Event{Call: sysabi.Call{Op: sysabi.OpWrite, Buf: p}})
+				putEvent(b, tk, sysabi.Event{Call: sysabi.Call{Op: sysabi.OpWrite, Buf: p}})
 			}
 			b.Close()
 		})
@@ -442,7 +447,7 @@ func TestBoundedOccupancyProperty(t *testing.T) {
 		okAll := true
 		s.Go("producer", func(tk *sim.Task) {
 			for i := 0; i < count; i++ {
-				b.PutEvent(tk, ev(sysabi.OpWrite, "x"))
+				putEvent(b, tk, ev(sysabi.OpWrite, "x"))
 				if b.Len() > b.Cap() {
 					okAll = false
 				}
@@ -480,9 +485,9 @@ func TestResetWakesBlockedProducer(t *testing.T) {
 	b := New(s, 1)
 	var produced []uint64
 	s.Go("producer", func(tk *sim.Task) {
-		b.PutEvent(tk, ev(sysabi.OpWrite, "a"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "a"))
 		// Blocks: buffer full. Only the Reset below can free it.
-		if !b.PutEvent(tk, ev(sysabi.OpWrite, "b")) {
+		if !putEvent(b, tk, ev(sysabi.OpWrite, "b")) {
 			t.Error("Put after Reset reported closed")
 			return
 		}
@@ -530,7 +535,7 @@ func TestResetWakesBlockedConsumer(t *testing.T) {
 		b.Reset()
 		// The woken consumer sees the buffer still empty and parks again;
 		// this Put delivers the first renumbered entry.
-		b.PutEvent(tk, ev(sysabi.OpWrite, "x"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "x"))
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -547,7 +552,7 @@ func TestResetRenumbersMidStream(t *testing.T) {
 	b := New(s, 8)
 	s.Go("t", func(tk *sim.Task) {
 		for i := 0; i < 5; i++ {
-			b.PutEvent(tk, ev(sysabi.OpWrite, "x"))
+			putEvent(b, tk, ev(sysabi.OpWrite, "x"))
 		}
 		b.Get(tk)
 		b.Get(tk)
@@ -558,7 +563,7 @@ func TestResetRenumbersMidStream(t *testing.T) {
 		if b.NextSeq() != 0 || !b.Empty() {
 			t.Fatalf("after reset: NextSeq=%d Len=%d", b.NextSeq(), b.Len())
 		}
-		b.PutEvent(tk, ev(sysabi.OpWrite, "y"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "y"))
 		e, _ := b.Get(tk)
 		if e.Event.Seq != 0 {
 			t.Fatalf("first post-reset seq = %d, want 0", e.Event.Seq)
@@ -576,7 +581,7 @@ func TestPeekOnClosedDrainedBuffer(t *testing.T) {
 	s := sim.New()
 	b := New(s, 4)
 	s.Go("t", func(tk *sim.Task) {
-		b.PutEvent(tk, ev(sysabi.OpWrite, "x"))
+		putEvent(b, tk, ev(sysabi.OpWrite, "x"))
 		b.Close()
 		if e, ok := b.Peek(); !ok || string(e.Event.Call.Buf) != "x" {
 			t.Errorf("Peek on closed buffer with pending entry = %v %v", e, ok)
@@ -637,7 +642,7 @@ func TestRecorderMetricsFlow(t *testing.T) {
 	b.Rec = rec
 	s.Go("producer", func(tk *sim.Task) {
 		for i := 0; i < 4; i++ {
-			b.PutEvent(tk, ev(sysabi.OpWrite, "x"))
+			putEvent(b, tk, ev(sysabi.OpWrite, "x"))
 		}
 		b.TryAppend(Entry{Kind: KindSyscall, Event: ev(sysabi.OpWrite, "x")})
 	})

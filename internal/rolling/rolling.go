@@ -72,12 +72,8 @@ type Node struct {
 	rt  *dsu.Runtime
 	ctl *core.Controller
 
-	gen  int // restart generation; each restart binds a fresh port
-	down bool
+	gen int // restart generation; each restart binds a fresh port
 }
-
-// Down reports whether the node is currently unavailable.
-func (n *Node) Down() bool { return n.down }
 
 // Version returns the node's currently running version.
 func (n *Node) Version() string {
@@ -109,18 +105,14 @@ func NewCluster(k *vos.Kernel, n int, version string, strategy Strategy) *Cluste
 	for i := 0; i < n; i++ {
 		node := &Node{ID: i, Port: BasePort + int64(i)}
 		c.nodes = append(c.nodes, node)
-		c.startNode(node, kvstore.New(specForPort(version, node.Port)))
+		c.startNode(node, kvstore.New(kvstore.SpecFor(version, false)))
 	}
 	return c
 }
 
-// specForPort builds a node app spec; nodes are ordinary kvstore
-// servers, distinguished only by their listening port.
-func specForPort(version string, port int64) kvstore.Spec {
-	return kvstore.SpecFor(version, false)
-}
-
-// startNode boots app as the node's serving process on node.Port.
+// startNode boots app as the node's serving process on node.Port: nodes
+// are ordinary kvstore servers, distinguished only by their listening
+// port.
 func (c *Cluster) startNode(node *Node, app *kvstore.Server) {
 	app.ListenPort = node.Port
 	node.app = app
@@ -135,23 +127,14 @@ func (c *Cluster) startNode(node *Node, app *kvstore.Server) {
 		})
 		node.rt.Start()
 	}
-	node.down = false
 }
 
 // Nodes returns the cluster members.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// Shards returns the number of nodes (one shard each).
-func (c *Cluster) Shards() int { return len(c.nodes) }
-
 // PortFor returns the current port serving the shard for key.
 func (c *Cluster) PortFor(key string) int64 {
 	return c.nodes[shardOf(key, len(c.nodes))].Port
-}
-
-// NodeFor returns the node owning key's shard.
-func (c *Cluster) NodeFor(key string) *Node {
-	return c.nodes[shardOf(key, len(c.nodes))]
 }
 
 func shardOf(key string, n int) int {
@@ -194,7 +177,6 @@ func (c *Cluster) upgradeRestart(t *sim.Task, node *Node, to string) error {
 	old := node.app
 	// Drain & stop: the node disappears; in-flight clients see resets,
 	// as the dying process's descriptors are closed by the kernel.
-	node.down = true
 	node.rt.KillAll()
 	for _, fd := range old.NetworkFDs() {
 		c.kernel.Invoke(t, sysabi.Call{Op: sysabi.OpClose, FD: fd})
@@ -212,7 +194,7 @@ func (c *Cluster) upgradeRestart(t *sim.Task, node *Node, to string) error {
 
 	node.gen++
 	node.Port = BasePort + int64(node.ID) + 1000*int64(node.gen)
-	app := kvstore.New(specForPort(to, node.Port))
+	app := kvstore.New(kvstore.SpecFor(to, false))
 	if restored != nil {
 		app.AdoptState(restored)
 	}

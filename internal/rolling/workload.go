@@ -158,7 +158,7 @@ func compareOne(strategy Strategy, nodes, preload int, from, to string) (Compari
 	k := vos.NewKernel(s)
 	cluster := NewCluster(k, nodes, from, strategy)
 	for _, node := range cluster.Nodes() {
-		nodeApp(node).Preload(preload)
+		node.app.Preload(preload)
 	}
 	res := ComparisonResult{Strategy: strategy}
 	var upgradeErr error
@@ -193,14 +193,6 @@ func compareOne(strategy Strategy, nodes, preload int, from, to string) (Compari
 	}
 	return res, upgradeErr
 }
-
-// nodeApp returns the node's current kvstore instance.
-func nodeApp(n *Node) *appAccess { return &appAccess{n} }
-
-type appAccess struct{ n *Node }
-
-// Preload fills the node's store directly.
-func (a *appAccess) Preload(n int) { a.n.app.Preload(n) }
 
 // FormatComparison renders the strategy comparison.
 func FormatComparison(results []ComparisonResult) string {

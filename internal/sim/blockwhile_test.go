@@ -291,19 +291,19 @@ func TestKilledBlockWhileWaiterUnwinds(t *testing.T) {
 	s.Go("killer", func(tk *Task) {
 		q.WakeAll(s)
 		tk.Yield() // the waiter is settled back onto q here
-		if waiter.State() != StateBlocked || q.Len() != 1 {
-			t.Errorf("after an out-of-turn wake: state %v, %d on the queue", waiter.State(), q.Len())
+		if waiter.State() != StateBlocked || q.tasks.len() != 1 {
+			t.Errorf("after an out-of-turn wake: state %v, %d on the queue", waiter.State(), q.tasks.len())
 		}
 		waiter.Kill()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !unwound || returned || !waiter.Done() || waiter.Crashed() {
-		t.Fatalf("unwound=%v returned=%v done=%v crashed=%v", unwound, returned, waiter.Done(), waiter.Crashed())
+	if !unwound || returned || !waiter.Done() || waiter.crashed {
+		t.Fatalf("unwound=%v returned=%v done=%v crashed=%v", unwound, returned, waiter.Done(), waiter.crashed)
 	}
-	if s.Settled() != 1 || q.Len() != 0 {
-		t.Fatalf("Settled = %d, queue holds %d", s.Settled(), q.Len())
+	if s.Settled() != 1 || q.tasks.len() != 0 {
+		t.Fatalf("Settled = %d, queue holds %d", s.Settled(), q.tasks.len())
 	}
 }
 
@@ -366,8 +366,9 @@ func TestShardedBlockWhileRunTwice(t *testing.T) {
 		if err := ss.Run(); err != nil {
 			t.Fatal(err)
 		}
-		res := result{trace: ss.MergedTrace(), dispatches: ss.Dispatches(), settled: ss.Settled()}
+		res := result{trace: ss.MergedTrace(), dispatches: ss.Dispatches()}
 		for i := 0; i < 2; i++ {
+			res.settled += ss.Shard(i).Settled()
 			res.clocks = append(res.clocks, ss.Shard(i).Now())
 		}
 		return res

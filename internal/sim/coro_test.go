@@ -63,8 +63,8 @@ func TestGoexitInTaskEndsRunCaller(t *testing.T) {
 	if returned {
 		t.Error("Run returned to its caller after a task called runtime.Goexit")
 	}
-	if !quitter.Done() || quitter.Crashed() {
-		t.Errorf("quitter: done=%v crashed=%v, want a clean exit", quitter.Done(), quitter.Crashed())
+	if !quitter.Done() || quitter.crashed {
+		t.Errorf("quitter: done=%v crashed=%v, want a clean exit", quitter.Done(), quitter.crashed)
 	}
 }
 

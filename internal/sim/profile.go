@@ -38,9 +38,6 @@ type SliceProfiler interface {
 // exact schedule of a bare one.
 func (s *Scheduler) SetProfiler(p SliceProfiler) { s.profiler = p }
 
-// Profiler returns the attached slice profiler, or nil.
-func (s *Scheduler) Profiler() SliceProfiler { return s.profiler }
-
 // flushSegment closes the open CPU segment of the currently running
 // task at the present clock and starts the next one. Called by dispatch
 // at slice end and by PushLabel/PopLabel at label boundaries, so each

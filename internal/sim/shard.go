@@ -27,8 +27,8 @@ import (
 //
 // Epoch mechanics: all shards run concurrently for one quantum of
 // virtual time (RunFor to a shared boundary), then rendezvous. At the
-// barrier the coordinator — the goroutine that called Run or RunFor,
-// which also runs shard 0; shard i > 0 runs on a worker goroutine that
+// barrier the coordinator — the goroutine that called Run, which also
+// runs shard 0; shard i > 0 runs on a worker goroutine that
 // lives for that call and parks between epochs — collects each shard's
 // outbox, merges the messages into the total order, and
 // delivers each as a fresh task on its target shard. A message sent in
@@ -54,10 +54,8 @@ type ShardedScheduler struct {
 	shards   []*shardState
 	boundary time.Duration // virtual time all shards have reached
 	inflight []crossMsg    // merged messages awaiting delivery
-	postSeq  int64
-	running  bool
 
-	// Epoch barrier, live only inside a Run/RunFor call (startWorkers):
+	// Epoch barrier, live only inside a Run call (startWorkers):
 	// epochStart[i-1] hands shard i's worker the next boundary, epochDone
 	// counts the workers still running the current epoch.
 	epochStart []chan time.Duration
@@ -74,7 +72,7 @@ type ShardedScheduler struct {
 // order — the Seq values and the whole flow list are deterministic.
 type CrossFlow struct {
 	Seq       int64         // position in the global delivery order (1-based)
-	From      int           // source shard; -1 for Post
+	From      int           // source shard
 	To        int           // target shard
 	Name      string        // the delivered task's name
 	Sent      time.Duration // virtual send time on the source shard
@@ -107,7 +105,7 @@ type shardState struct {
 // the global order.
 type crossMsg struct {
 	when time.Duration // virtual send time on the source shard
-	from int           // source shard id; -1 for Post
+	from int           // source shard id
 	seq  int64         // per-source sequence number
 	to   int
 	name string
@@ -157,15 +155,10 @@ func (ss *ShardedScheduler) Go(i int, name string, fn func(*Task)) *Task {
 func (ss *ShardedScheduler) Now() time.Duration { return ss.boundary }
 
 // Dispatches returns the total context switches across all shards.
-func (ss *ShardedScheduler) Dispatches() int64 { return ss.sum((*Scheduler).Dispatches) }
-
-// Settled returns the total settled dispatches across all shards.
-func (ss *ShardedScheduler) Settled() int64 { return ss.sum((*Scheduler).Settled) }
-
-func (ss *ShardedScheduler) sum(count func(*Scheduler) int64) int64 {
+func (ss *ShardedScheduler) Dispatches() int64 {
 	var n int64
 	for _, sh := range ss.shards {
-		n += count(sh.sched)
+		n += sh.sched.Dispatches()
 	}
 	return n
 }
@@ -209,23 +202,6 @@ func (ss *ShardedScheduler) Send(tk *Task, to int, name string, fn func(*Task)) 
 	})
 }
 
-// Post injects a message from outside the runtime (setup code, test
-// drivers): fn runs as a fresh task on shard `to` at the first epoch
-// boundary at or after `at`. It must not be called while the runtime is
-// running an epoch.
-func (ss *ShardedScheduler) Post(to int, at time.Duration, name string, fn func(*Task)) {
-	if to < 0 || to >= len(ss.shards) {
-		panic(fmt.Sprintf("sim: Post to shard %d of %d", to, len(ss.shards)))
-	}
-	if ss.running {
-		panic("sim: Post while the sharded runtime is running")
-	}
-	ss.postSeq++
-	ss.inflight = append(ss.inflight, crossMsg{
-		when: at, from: -1, seq: ss.postSeq, to: to, name: name, fn: fn,
-	})
-}
-
 // Run executes epochs until every shard has drained (no live tasks) and
 // no cross-shard messages are pending. It returns a *DeadlockError —
 // with shard-qualified task names — when live tasks remain but no shard
@@ -233,42 +209,17 @@ func (ss *ShardedScheduler) Post(to int, at time.Duration, name string, fn func(
 func (ss *ShardedScheduler) Run() error {
 	defer ss.startWorkers()()
 	for {
-		_, done, err := ss.epoch(0)
+		done, err := ss.epoch()
 		if err != nil || done {
 			return err
 		}
 	}
 }
 
-// RunFor executes epochs until every shard's clock has reached the
-// current boundary plus d (or until all shards drain). Like
-// Scheduler.RunFor, tasks still live at the horizon stay parked and a
-// later Run/RunFor continues them.
-func (ss *ShardedScheduler) RunFor(d time.Duration) error {
-	defer ss.startWorkers()()
-	target := ss.boundary + d
-	for ss.boundary < target {
-		_, done, err := ss.epoch(target)
-		if err != nil {
-			return err
-		}
-		if done {
-			// Drained early: account the rest of the horizon so a
-			// subsequent RunFor continues from where Scheduler.RunFor
-			// would have.
-			ss.alignClocks(target)
-			ss.boundary = target
-			return nil
-		}
-	}
-	return nil
-}
-
 // epoch runs one lockstep step: deliver pending messages, pick the next
 // boundary, run all shards to it in parallel, then collect outboxes.
-// target caps the boundary when non-zero. It reports whether the
-// runtime advanced and whether it is fully drained.
-func (ss *ShardedScheduler) epoch(target time.Duration) (advanced, done bool, err error) {
+// It reports whether the runtime is fully drained.
+func (ss *ShardedScheduler) epoch() (done bool, err error) {
 	ss.deliver()
 
 	anyLive, anyRunnable := false, false
@@ -296,12 +247,12 @@ func (ss *ShardedScheduler) epoch(target time.Duration) (advanced, done bool, er
 		note(m.when)
 	}
 	if !anyLive && len(ss.inflight) == 0 {
-		return false, true, nil
+		return true, nil
 	}
 	if !anyRunnable && !haveEvent {
 		// Every live task is parked on a wait queue, no timer can fire,
 		// and nothing is in flight: no shard can ever make progress.
-		return false, false, ss.mergedDeadlock()
+		return false, ss.mergedDeadlock()
 	}
 
 	next := ss.boundary + ss.quantum
@@ -310,9 +261,6 @@ func (ss *ShardedScheduler) epoch(target time.Duration) (advanced, done bool, er
 		// anywhere; jump the whole fleet straight to it instead of
 		// stepping empty epochs.
 		next = earliest
-	}
-	if target > 0 && next > target {
-		next = target
 	}
 
 	ss.runEpoch(next)
@@ -333,7 +281,7 @@ func (ss *ShardedScheduler) epoch(target time.Duration) (advanced, done bool, er
 			} else {
 				err := sh.runErr
 				sh.runErr = nil
-				return true, false, err
+				return false, err
 			}
 		} else {
 			sh.stalled = false
@@ -343,11 +291,11 @@ func (ss *ShardedScheduler) epoch(target time.Duration) (advanced, done bool, er
 	}
 	ss.alignClocks(next)
 	ss.boundary = next
-	return true, false, nil
+	return false, nil
 }
 
 // startWorkers starts one goroutine per shard other than shard 0 for
-// the duration of a Run/RunFor call; each parks on its epochStart
+// the duration of a Run call; each parks on its epochStart
 // channel between epochs. The returned stop function ends them and
 // returns once they have exited, so a call leaves no goroutine behind
 // however it ends (a re-raised shard panic included).
@@ -394,14 +342,12 @@ func (ss *ShardedScheduler) startWorkers() (stop func()) {
 // is race-free by construction (and the property tests run under -race
 // to keep it that way).
 func (ss *ShardedScheduler) runEpoch(next time.Duration) {
-	ss.running = true
 	ss.epochDone.Add(len(ss.epochStart))
 	for _, start := range ss.epochStart {
 		start <- next
 	}
 	ss.shards[0].runTo(next)
 	ss.epochDone.Wait()
-	ss.running = false
 }
 
 // runTo runs the shard up to the epoch boundary, leaving a deadlock or
@@ -442,8 +388,9 @@ func (ss *ShardedScheduler) deliver() {
 	if len(ss.inflight) == 0 {
 		return
 	}
-	// Hold back messages scheduled past the boundary (Post with a future
-	// `at`); they deliver once the fleet reaches that time.
+	// Hold back messages stamped past the boundary (the sender had
+	// advanced its clock beyond it); they deliver once the fleet reaches
+	// that time.
 	var due, later []crossMsg
 	for _, m := range ss.inflight {
 		if m.when <= ss.boundary {
@@ -475,10 +422,6 @@ func (ss *ShardedScheduler) deliver() {
 		ss.shards[m.to].stalled = false
 	}
 }
-
-// pendingMessages reports messages not yet delivered (including Post
-// messages scheduled for a future boundary).
-func (ss *ShardedScheduler) pendingMessages() int { return len(ss.inflight) }
 
 // mergedDeadlock builds a DeadlockError covering every shard, with task
 // names qualified as "s<shard>/<task>".

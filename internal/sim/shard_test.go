@@ -130,52 +130,24 @@ func TestShardedDeadlockDetection(t *testing.T) {
 	}
 }
 
-// Post injects work from outside the runtime; a message dated in the
-// future holds the runtime open and fires at the first boundary at or
-// after its timestamp.
-func TestShardedPostFutureDelivery(t *testing.T) {
+// A message whose sender had advanced past the epoch boundary is dated
+// in the future: it holds the runtime open and fires at the first
+// boundary at or after its timestamp.
+func TestShardedSendFutureDelivery(t *testing.T) {
 	ss := NewSharded(2, time.Millisecond)
 	var at time.Duration
-	ss.Post(1, 5*time.Millisecond, "late", func(tk *Task) { at = tk.Now() })
+	ss.Go(0, "ahead", func(tk *Task) {
+		tk.Advance(5 * time.Millisecond)
+		ss.Send(tk, 1, "late", func(tk *Task) { at = tk.Now() })
+	})
 	if err := ss.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if at < 5*time.Millisecond {
-		t.Fatalf("posted task ran at %v, want >= 5ms", at)
+		t.Fatalf("sent task ran at %v, want >= 5ms", at)
 	}
 	if at > 6*time.Millisecond {
-		t.Fatalf("posted task ran at %v, want within a quantum of 5ms", at)
-	}
-}
-
-// RunFor stops at the horizon with tasks parked and a later Run
-// continues them, matching Scheduler.RunFor semantics.
-func TestShardedRunForResume(t *testing.T) {
-	ss := NewSharded(2, time.Millisecond)
-	ticks := [2]int{}
-	for i := 0; i < 2; i++ {
-		i := i
-		ss.Go(i, "ticker", func(tk *Task) {
-			for n := 0; n < 10; n++ {
-				tk.Sleep(time.Millisecond)
-				ticks[i]++ // shard-local: each element touched by one shard only
-			}
-		})
-	}
-	if err := ss.RunFor(4500 * time.Microsecond); err != nil {
-		t.Fatalf("runfor: %v", err)
-	}
-	if ss.Now() != 4500*time.Microsecond {
-		t.Fatalf("boundary %v, want 4.5ms", ss.Now())
-	}
-	if ticks[0] != 4 || ticks[1] != 4 {
-		t.Fatalf("ticks at horizon = %v, want 4 each", ticks)
-	}
-	if err := ss.Run(); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if ticks[0] != 10 || ticks[1] != 10 {
-		t.Fatalf("ticks after resume = %v, want 10 each", ticks)
+		t.Fatalf("sent task ran at %v, want within a quantum of 5ms", at)
 	}
 }
 

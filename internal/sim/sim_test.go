@@ -202,7 +202,7 @@ func TestKillBlockedTask(t *testing.T) {
 	if !victim.Done() {
 		t.Fatal("victim not done")
 	}
-	if victim.Crashed() {
+	if victim.crashed {
 		t.Fatal("kill should not count as a crash")
 	}
 }
@@ -399,108 +399,6 @@ func TestStaleTimerDoesNotEndALaterBlockTimeout(t *testing.T) {
 				t.Fatalf("second wait: woken=%v at %v, want woken=%v at %v", woken, end, tc.woken, tc.end)
 			}
 		})
-	}
-}
-
-func TestMutexMutualExclusion(t *testing.T) {
-	s := New()
-	var mu Mutex
-	inside := 0
-	maxInside := 0
-	for i := 0; i < 4; i++ {
-		s.Go("worker", func(tk *Task) {
-			for j := 0; j < 3; j++ {
-				mu.Lock(tk)
-				inside++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				tk.Yield() // try to expose races
-				inside--
-				mu.Unlock(tk)
-				tk.Yield()
-			}
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if maxInside != 1 {
-		t.Fatalf("maxInside = %d, want 1", maxInside)
-	}
-}
-
-func TestMutexTryLock(t *testing.T) {
-	s := New()
-	var mu Mutex
-	s.Go("a", func(tk *Task) {
-		if !mu.TryLock(tk) {
-			t.Error("first TryLock failed")
-		}
-		if mu.TryLock(tk) {
-			t.Error("second TryLock succeeded while held")
-		}
-		mu.Unlock(tk)
-		if !mu.TryLock(tk) {
-			t.Error("TryLock after Unlock failed")
-		}
-		mu.Unlock(tk)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-func TestMutexDeadlockDetected(t *testing.T) {
-	// The paper's timing-error shape: T1 holds the lock and blocks
-	// forever; T2 waits for the lock. The scheduler reports deadlock.
-	s := New()
-	var mu Mutex
-	var never WaitQueue
-	s.Go("t1", func(tk *Task) {
-		mu.Lock(tk)
-		tk.Block(&never) // simulates waiting for an update that can't happen
-	})
-	s.Go("t2", func(tk *Task) {
-		mu.Lock(tk)
-	})
-	err := s.Run()
-	var dl *DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("Run = %v, want deadlock", err)
-	}
-	if len(dl.Blocked) != 2 {
-		t.Fatalf("Blocked = %v, want 2 tasks", dl.Blocked)
-	}
-}
-
-func TestCondSignalAndBroadcast(t *testing.T) {
-	s := New()
-	var c Cond
-	done := 0
-	for i := 0; i < 3; i++ {
-		s.Go("w", func(tk *Task) {
-			c.Wait(tk)
-			done++
-		})
-	}
-	s.Go("sig", func(tk *Task) {
-		tk.Yield()
-		if c.Waiters() != 3 {
-			t.Errorf("Waiters = %d, want 3", c.Waiters())
-		}
-		c.Signal(s)
-		tk.Yield()
-		if done != 1 {
-			t.Errorf("after Signal done = %d, want 1", done)
-		}
-		c.Broadcast(s)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if done != 3 {
-		t.Fatalf("done = %d, want 3", done)
 	}
 }
 

@@ -54,12 +54,6 @@ func (t *Task) State() State { return t.state }
 // Done reports whether the task has exited.
 func (t *Task) Done() bool { return t.state == StateDone }
 
-// Crashed reports whether the task exited via panic.
-func (t *Task) Crashed() bool { return t.crashed }
-
-// Killed reports whether Kill has been called on the task.
-func (t *Task) Killed() bool { return t.killed }
-
 // Now returns the current virtual time.
 func (t *Task) Now() time.Duration { return t.s.clock }
 
@@ -223,9 +217,6 @@ func (t *Task) checkCurrent(op string) {
 type WaitQueue struct {
 	tasks taskFIFO
 }
-
-// Len returns the number of tasks parked on the queue.
-func (q *WaitQueue) Len() int { return q.tasks.len() }
 
 // WakeOne makes the oldest parked task runnable. It reports whether a task
 // was woken.

@@ -34,9 +34,9 @@ type Kernel struct {
 	pids    map[int]int64 // task id -> logical pid
 	nextPID int64
 
-	// activity is broadcast whenever socket state changes; epoll waiters
+	// activity is woken whenever socket state changes; epoll waiters
 	// re-poll on each wakeup.
-	activity sim.Cond
+	activity sim.WaitQueue
 
 	// BaseCost, if non-nil, returns the virtual CPU time a syscall costs.
 	// The benchmark harness installs the calibrated cost model here;
@@ -245,7 +245,7 @@ func (k *Kernel) connect(c sysabi.Call) sysabi.Result {
 	client.peer = server
 	l.pending = append(l.pending, server)
 	l.waiters.WakeOne(k.sched)
-	k.activity.Broadcast(k.sched)
+	k.activity.WakeAll(k.sched)
 	return sysabi.Result{Ret: int64(k.allocFD(client))}
 }
 
@@ -308,7 +308,7 @@ func (k *Kernel) write(c sysabi.Call) sysabi.Result {
 		ep.peer.reqID = c.ReqID
 	}
 	ep.peer.readers.WakeAll(k.sched)
-	k.activity.Broadcast(k.sched)
+	k.activity.WakeAll(k.sched)
 	return sysabi.Result{Ret: int64(len(c.Buf))}
 }
 
@@ -324,12 +324,12 @@ func (k *Kernel) closeFD(c sysabi.Call) sysabi.Result {
 		v.closed = true
 		v.readers.WakeAll(k.sched)
 		v.peer.readers.WakeAll(k.sched)
-		k.activity.Broadcast(k.sched)
+		k.activity.WakeAll(k.sched)
 	case *listener:
 		v.closed = true
 		delete(k.ports, v.port)
 		v.waiters.WakeAll(k.sched)
-		k.activity.Broadcast(k.sched)
+		k.activity.WakeAll(k.sched)
 	case *epoll, *openFile:
 		// nothing extra
 	}
@@ -512,9 +512,9 @@ func (k *Kernel) epollWait(t *sim.Task, c sysabi.Call) sysabi.Result {
 			if remaining <= 0 {
 				return sysabi.Result{Ret: 0} // timed out, nothing ready
 			}
-			t.BlockTimeout(k.activity.Queue(), remaining)
+			t.BlockTimeout(&k.activity, remaining)
 		} else {
-			t.Block(k.activity.Queue())
+			t.Block(&k.activity)
 		}
 	}
 }
@@ -526,15 +526,6 @@ func (k *Kernel) getPID(t *sim.Task) sysabi.Result {
 	k.nextPID++
 	k.pids[t.ID()] = k.nextPID
 	return sysabi.Result{Ret: k.nextPID}
-}
-
-// FileContents returns the contents of a virtual file, for tests.
-func (k *Kernel) FileContents(path string) ([]byte, bool) {
-	f, ok := k.fs[path]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), f.data...), true
 }
 
 // WriteFile creates or replaces a virtual file, for test setup.

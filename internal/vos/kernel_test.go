@@ -231,7 +231,7 @@ func TestOpenWriteTruncates(t *testing.T) {
 		r := call(k, tk, sysabi.Call{Op: sysabi.OpOpen, Path: "/f", Args: [2]int64{sysabi.OpenWrite, 0}})
 		fd := int(r.Ret)
 		call(k, tk, sysabi.Call{Op: sysabi.OpFWrite, FD: fd, Buf: []byte("new")})
-		data, _ := k.FileContents("/f")
+		data := k.fs["/f"].data
 		if string(data) != "new" {
 			t.Errorf("contents = %q, want new", data)
 		}
@@ -244,7 +244,7 @@ func TestOpenAppend(t *testing.T) {
 		r := call(k, tk, sysabi.Call{Op: sysabi.OpOpen, Path: "/f", Args: [2]int64{sysabi.OpenAppend, 0}})
 		fd := int(r.Ret)
 		call(k, tk, sysabi.Call{Op: sysabi.OpFWrite, FD: fd, Buf: []byte("def")})
-		data, _ := k.FileContents("/f")
+		data := k.fs["/f"].data
 		if string(data) != "abcdef" {
 			t.Errorf("contents = %q, want abcdef", data)
 		}
