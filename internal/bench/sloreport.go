@@ -24,11 +24,11 @@ import (
 //     busy follower lets the ring buffer fill (FullBlock backpressure),
 //     and the ledger attributes that pause to the update.
 //   - fault-and-recover: an injected follower stall parks the leader on
-//     the full ring until the watchdog's follower-liveness health rule
+//     the full ring until the watchdog's follower-liveness deadline
 //     rescues it by rolling the update back; MTTR is the rescue gap.
 //   - canary-rollback: a fleet canary stalls mid-window, pins the ring
-//     and parks the leader until the canary gate's ring-lag health rule
-//     rolls it back at window close.
+//     and parks the leader until the canary gate's ring-lag bound rolls
+//     it back at window close.
 //
 // Every run is deterministic virtual time, so BENCH_slo.json is a
 // byte-stable artifact `make check` diffs.
@@ -47,12 +47,12 @@ func sloOpts() obs.SLOOptions {
 	}
 }
 
-// sloSuccessFloor is the per-window success-rate floor the scenario's
-// health engine enforces on window close.
+// sloSuccessFloor is the per-window success-rate floor sloFloorRows
+// judges every closed window against.
 const sloSuccessFloor = 0.999
 
-// SLOVerdictRow is one health-engine violation, in the run's verdict
-// stream.
+// SLOVerdictRow is one tripped threshold in the run's verdict stream:
+// a success-rate floor row, or one of the controller's Violations.
 type SLOVerdictRow struct {
 	AtNS    int64  `json:"at_ns"`
 	Scope   string `json:"scope"`
@@ -101,8 +101,8 @@ type tracked struct {
 	name, desc string
 	cfg        core.FleetConfig
 	faults     []*chaos.Injection
-	// setup adds instruments beyond the tracker: spans, scoped
-	// registries, verdict streams.
+	// setup, if set, adds instruments beyond the tracker: spans, scoped
+	// registries.
 	setup func(w *apptest.World)
 	// load issues the run's requests through do, steers the lifecycle,
 	// and returns the row's outcome line.
@@ -114,15 +114,17 @@ type tracked struct {
 type doFunc func(cmd, want string, pause time.Duration)
 
 // run executes the scenario and calls row inside the driver, once the
-// load is done and the ledger's windows are closed: the figures must be
-// read before teardown mutates the world.
+// load is done: the figures must be read before teardown mutates the
+// world.
 func (t tracked) run(row func(w *apptest.World, tr *obs.SLOTracker, outcome string)) error {
 	var tr *obs.SLOTracker
 	_, _, err := scenario{
 		cfg: t.cfg, faults: t.faults,
 		setup: func(w *apptest.World) {
 			tr = obs.NewSLOTracker(w.Rec, sloOpts())
-			t.setup(w)
+			if t.setup != nil {
+				t.setup(w)
+			}
 		},
 		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 			outcome := t.load(w, func(cmd, want string, pause time.Duration) {
@@ -133,54 +135,54 @@ func (t tracked) run(row func(w *apptest.World, tr *obs.SLOTracker, outcome stri
 					tk.Sleep(pause)
 				}
 			})
-			w.Rec.CloseWindows()
 			row(w, tr, outcome)
 		},
 	}.run()
 	return err
 }
 
-// sloFloorEngine installs the success-rate floor rule on a scenario
-// recorder, evaluated against the slo.* windowed series every time a
-// timeline window closes. A window that saw no successful completion
-// at all scores 0.0 — a dark window is the floor violation, not a
-// skipped sample.
-func sloFloorEngine(rec *obs.Recorder) *core.HealthEngine {
-	eng := core.NewHealthEngine("slo", rec, []core.HealthRule{core.SuccessRateFloorRule(sloSuccessFloor)})
-	eng.EmitVerdicts(true)
-	rec.OnWindowClose(func(ws obs.WindowSpan) {
-		var ok, fail int64
-		if p := rec.TimeSeries(obs.CSLORequestsOK).PointAt(ws.Index); p != nil {
-			ok = p.Sum
-		}
-		if p := rec.TimeSeries(obs.CSLORequestsFail).PointAt(ws.Index); p != nil {
-			fail = p.Sum
-		}
-		rate := 0.0
-		if ok+fail > 0 {
-			rate = float64(ok) / float64(ok+fail)
-		}
-		eng.Evaluate(fmt.Sprintf("window[%d]", ws.Index), core.HealthSample{core.SignalSuccessRate: rate})
-	})
-	return eng
-}
-
-// sloVerdicts flattens the engines' violation logs into one stream
-// ordered by virtual time (ties broken by scope then subject).
-func sloVerdicts(engines ...*core.HealthEngine) []SLOVerdictRow {
+// sloFloorRows is the success-rate floor, judged at report time over a
+// ledger taken at virtual time end: every window closed between tracker
+// start and end whose success rate is below sloSuccessFloor yields a row
+// stamped at the window's end. A window no request completed in scores
+// 0 — a dark window is the floor violation, not a skipped sample. The
+// still-open window end falls in is not judged.
+func sloFloorRows(l obs.SLOReport, window, end time.Duration) []SLOVerdictRow {
 	var rows []SLOVerdictRow
-	for _, e := range engines {
-		for _, v := range e.Verdicts() {
+	tl := l.Timeline // ascending, every window at or after the start's
+	for w := int64((end - time.Duration(l.SpanNS)) / window); w < int64(end/window); w++ {
+		rate := 0.0
+		if len(tl) > 0 && tl[0].Window == w {
+			rate = tl[0].SuccessRate
+			tl = tl[1:]
+		}
+		if rate < sloSuccessFloor {
 			rows = append(rows, SLOVerdictRow{
-				AtNS:    int64(v.At),
-				Scope:   e.Scope(),
-				Subject: v.Subject,
-				Rule:    v.Rule,
-				Reason:  v.Reason,
+				AtNS:    int64(time.Duration(w+1) * window),
+				Scope:   "slo",
+				Subject: fmt.Sprintf("window[%d]", w),
+				Rule:    "success-rate-floor",
+				Reason:  fmt.Sprintf("success rate %.4f below floor %.4f", rate, sloSuccessFloor),
 			})
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
+	return rows
+}
+
+// sloVerdicts merges the floor rows with the controller's violations
+// into one stream ordered by virtual time (ties broken by scope then
+// subject).
+func sloVerdicts(rows []SLOVerdictRow, violations []core.Violation) []SLOVerdictRow {
+	for _, v := range violations {
+		rows = append(rows, SLOVerdictRow{
+			AtNS:    int64(v.At),
+			Scope:   v.Scope,
+			Subject: v.Subject,
+			Rule:    v.Rule,
+			Reason:  v.Reason,
+		})
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].AtNS != rows[j].AtNS {
 			return rows[i].AtNS < rows[j].AtNS
 		}
@@ -220,13 +222,12 @@ func sloScopeRows(rec *obs.Recorder) ([]SLOScopeRow, *SLOScopeRow) {
 }
 
 // sloScenarios lists the availability scenarios. A row's verdict stream
-// is the success-rate floor engine's plus the controller's own health
-// engine's (the watchdog's or the canary gate's, where one is armed).
+// is the success-rate floor's rows plus the controller's violations (the
+// watchdog's or the canary gate's, where one is armed).
 func sloScenarios() []tracked {
 	update := func(w *apptest.World, opts kvstore.UpdateOpts) {
 		w.C.Update(kvstore.Update("2.0.0", "2.0.1", opts))
 	}
-	emitVerdicts := func(w *apptest.World) { w.C.Health().EmitVerdicts(true) }
 	canary := fleetConfig(2)
 	canary.Canary.MaxLag = 64
 	canary.BufferEntries = 128
@@ -264,13 +265,12 @@ func sloScenarios() []tracked {
 		{
 			// MTTR through an injected follower stall mid-update: the leader
 			// parks on the full ring until the watchdog's follower-liveness
-			// health rule fires and the controller rolls the update back.
+			// deadline trips and the controller rolls the update back.
 			// The chaos fault milestone attributes the gap.
 			name:   "fault-and-recover",
 			desc:   "injected follower stall mid-update; watchdog health rule rolls back and frees the leader",
 			cfg:    duo(core.Config{BufferEntries: 16, WatchdogDeadline: 30 * time.Millisecond, Costs: MVECosts(ModeVaran2)}),
 			faults: []*chaos.Injection{{Role: "follower", Op: sysabi.OpWrite, AfterCalls: 40, Kind: chaos.KindStall}},
-			setup:  emitVerdicts,
 			load: func(w *apptest.World, do doFunc) string {
 				for i := 0; i < 400; i++ {
 					if i == 40 {
@@ -284,17 +284,14 @@ func sloScenarios() []tracked {
 		{
 			// A fleet canary failure: the canary stalls mid-window, pins the
 			// shared ring until backpressure parks the leader, and the
-			// canary gate's ring-lag health rule rolls it back at window
-			// close. Scoped registries are on, so the row also carries
-			// per-process metric summaries and their deterministic merge.
+			// canary gate's ring-lag bound rolls it back at window close.
+			// Scoped registries are on, so the row also carries per-process
+			// metric summaries and their deterministic merge.
 			name:   "canary-rollback",
 			desc:   "fleet canary stalls mid-window; the gate's ring-lag rule rolls it back at window close",
 			cfg:    canary,
 			faults: []*chaos.Injection{{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 8, Kind: chaos.KindStall}},
-			setup: func(w *apptest.World) {
-				w.Rec.EnableScopes()
-				emitVerdicts(w)
-			},
+			setup:  func(w *apptest.World) { w.Rec.EnableScopes() },
 			load: func(w *apptest.World, do doFunc) string {
 				for i := 0; i < 600; i++ {
 					if i == 30 {
@@ -315,12 +312,6 @@ func RunSLOReport() (SLOBenchReport, error) {
 	report := SLOBenchReport{Schema: SLOSchemaID, Floor: sloSuccessFloor}
 	for _, sc := range sloScenarios() {
 		row := SLORunRow{Name: sc.name, Description: sc.desc}
-		var floor *core.HealthEngine
-		instruments := sc.setup
-		sc.setup = func(w *apptest.World) {
-			instruments(w)
-			floor = sloFloorEngine(w.Rec)
-		}
 		err := sc.run(func(w *apptest.World, tr *obs.SLOTracker, outcome string) {
 			row.Outcome = outcome
 			row.Requests = w.Rec.Counter(obs.CSLORequestsOK) + w.Rec.Counter(obs.CSLORequestsFail)
@@ -330,7 +321,7 @@ func RunSLOReport() (SLOBenchReport, error) {
 			row.StallThresholdNS = int64(opts.StallThreshold)
 			row.BudgetP99NS = int64(opts.LatencyBudgetP99)
 			row.Ledger = tr.Report()
-			row.Verdicts = sloVerdicts(floor, w.C.Health())
+			row.Verdicts = sloVerdicts(sloFloorRows(row.Ledger, opts.Window, w.Rec.Now()), w.C.Violations())
 			row.Scopes, row.ScopesMerged = sloScopeRows(w.Rec)
 		})
 		if err != nil {

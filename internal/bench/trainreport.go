@@ -131,7 +131,6 @@ func trainSweepOne(keyspace int, lazy bool) (TrainSweepRow, error) {
 		}
 		// Snapshot the ledger before waiting out the cold-tail drain, so
 		// the drain wait is not misread as a request gap.
-		rec.CloseWindows()
 		ledger := tr.Report()
 		row.Requests = ledger.Requests
 		row.DowntimeNS = ledger.DowntimeNS

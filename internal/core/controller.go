@@ -91,6 +91,17 @@ type Event struct {
 	Note  string
 }
 
+// Violation is one tripped threshold, written where it was decided: the
+// canary gate at window close (subject "canary-gate") and the watchdog's
+// no-progress stall (subject the stalled proc, rule "follower-liveness").
+type Violation struct {
+	At      time.Duration
+	Scope   string // "core" on a duo, "fleet" on a gated controller
+	Subject string
+	Rule    string
+	Reason  string
+}
+
 // Config configures the controller.
 type Config struct {
 	// BufferEntries sizes the MVE ring buffer (the paper evaluates 2^10,
@@ -218,10 +229,10 @@ type Controller struct {
 	rearming bool
 	gateGen  int // invalidates stale gate timers
 
-	timeline []Event
-	rec      *obs.Recorder
-	scope    *obs.Registry // Config.Scope child; nil when unscoped
-	health   *HealthEngine // see Health
+	timeline   []Event
+	violations []Violation // see Violations
+	rec        *obs.Recorder
+	scope      *obs.Registry // Config.Scope child; nil when unscoped
 
 	// Open async spans (span mode only): the current stage's arc on the
 	// "controller" track, and the fork→promote update window.
@@ -244,12 +255,11 @@ type Controller struct {
 // gate (the paper's leader/follower duo) on the kernel's scheduler.
 func New(kernel *vos.Kernel, cfg Config) *Controller {
 	cfg.validate()
-	return newController(kernel, FleetConfig{Config: cfg}, "core")
+	return newController(kernel, FleetConfig{Config: cfg})
 }
 
-// newController builds the state machine for a validated config; scope
-// labels its health engines.
-func newController(kernel *vos.Kernel, cfg FleetConfig, scope string) *Controller {
+// newController builds the state machine for a validated config.
+func newController(kernel *vos.Kernel, cfg FleetConfig) *Controller {
 	if cfg.BufferEntries == 0 {
 		cfg.BufferEntries = 256
 	}
@@ -274,11 +284,6 @@ func newController(kernel *vos.Kernel, cfg FleetConfig, scope string) *Controlle
 	c.mon.SetRecorder(cfg.Recorder)
 	c.mon.Lockstep = cfg.Lockstep
 	c.mon.WatchdogDeadline = cfg.WatchdogDeadline
-	if cfg.WatchdogDeadline > 0 {
-		c.health = NewHealthEngine(scope, c.rec,
-			[]HealthRule{FollowerLivenessRule(cfg.WatchdogDeadline)})
-		c.mon.StallJudge = c.health.StallJudge()
-	}
 	c.mon.FullPolicy = cfg.BufferFullPolicy
 	c.mon.OnVerdict = func(v mve.Verdict) {
 		c.applyVerdict(v, "divergence: "+v.Div.Reason, "outdated follower diverged; committed "+v.Proc)
@@ -299,10 +304,21 @@ func newController(kernel *vos.Kernel, cfg FleetConfig, scope string) *Controlle
 // Monitor exposes the underlying MVE monitor.
 func (c *Controller) Monitor() *mve.Monitor { return c.mon }
 
-// Health exposes the controller's health engine: the canary gate's on a
-// gated controller, otherwise the follower-liveness watchdog's (nil
-// when none is armed). SLO scenarios enable verdict emission on it.
-func (c *Controller) Health() *HealthEngine { return c.health }
+// Violations returns every threshold the controller saw tripped, in
+// the order it decided them. It grows only on failures, so it is not
+// capped.
+func (c *Controller) Violations() []Violation { return c.violations }
+
+// violate records one tripped threshold at the current virtual time.
+func (c *Controller) violate(subject, rule, reason string) {
+	scope := "core"
+	if c.gated {
+		scope = "fleet"
+	}
+	c.violations = append(c.violations, Violation{
+		At: c.sched.Now(), Scope: scope, Subject: subject, Rule: rule, Reason: reason,
+	})
+}
 
 // Stage returns the current lifecycle stage.
 func (c *Controller) Stage() Stage { return c.stage }
@@ -840,7 +856,13 @@ func (c *Controller) requeueSuperseded() {
 // handleStall reacts to the monitor's liveness signals — a consumer hung
 // (watchdog) or hopelessly lagging (discard policy) is as unusable as
 // one that diverged or crashed — unless it is already failed or gone.
+// Every watchdog stall is a tripped follower-liveness deadline and is
+// recorded as one; a buffer-full stall trips no threshold.
 func (c *Controller) handleStall(st mve.Stall) {
+	if st.Reason == "no-progress" {
+		c.violate(st.Proc, "follower-liveness",
+			fmt.Sprintf("no progress for %v (deadline %v)", st.Stalled, c.cfg.WatchdogDeadline))
+	}
 	if p := c.mon.VariantByName(st.Proc); p != nil && !p.Failed() {
 		c.applyVerdict(c.mon.FailVariant(p, "stall"),
 			"stall: "+st.String(), "outdated follower stalled ("+st.Reason+"); committed")

@@ -936,6 +936,11 @@ func TestChaosStallRollsBackViaWatchdog(t *testing.T) {
 	if !found {
 		t.Fatalf("timeline missing stall rollback: %+v", h.c.Timeline())
 	}
+	vs := h.c.Violations()
+	if len(vs) != 1 || vs[0].Scope != "core" || vs[0].Rule != "follower-liveness" ||
+		!strings.HasPrefix(vs[0].Reason, "no progress for ") || !strings.HasSuffix(vs[0].Reason, "(deadline 40ms)") {
+		t.Fatalf("violations = %+v, want one core follower-liveness", vs)
+	}
 }
 
 // TestChaosStallWithDiscardPolicy covers the other full-buffer policy:
@@ -973,6 +978,9 @@ func TestChaosStallWithDiscardPolicy(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("timeline missing buffer-full rollback: %+v", h.c.Timeline())
+	}
+	if vs := h.c.Violations(); len(vs) != 0 {
+		t.Fatalf("violations = %+v; a buffer-full stall trips no threshold", vs)
 	}
 }
 

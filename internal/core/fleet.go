@@ -109,9 +109,7 @@ func (p FleetPhase) String() string {
 // the timed canary gate on the kernel's scheduler.
 func NewFleet(kernel *vos.Kernel, cfg FleetConfig) *Controller {
 	cfg.validate()
-	c := newController(kernel, cfg, "fleet")
-	c.health = NewHealthEngine("fleet", c.rec, cfg.Canary.Rules())
-	return c
+	return newController(kernel, cfg)
 }
 
 // Phase returns the current stage in fleet vocabulary.
@@ -130,24 +128,14 @@ func (c *Controller) LiveVariants() []string {
 // evaluateGate closes the observation window: promote on a clean gate,
 // roll the canary back otherwise. A stale generation means the canary
 // this timer was armed for is already gone (storm rollback, abort).
-// The thresholds live in the health engine (CanaryGate.Rules); the
-// validate-lag signal is only sampled when span tracing is on, which
-// keeps that check conditional.
 func (c *Controller) evaluateGate(gen int) {
 	if gen != c.gateGen || c.stage != StageOutdatedLeader || c.candidate == nil {
 		return
 	}
 	p := c.candidate.proc
 	divs, lag := p.VariantDivergences(), p.VariantLag()
-	sample := HealthSample{
-		SignalDivergences: float64(divs),
-		SignalRingLag:     float64(lag),
-	}
-	if c.cfg.Canary.MaxValidateLagP99 > 0 && c.rec.SpansEnabled() {
-		sample[SignalValidateLagP99] = float64(c.rec.Hist(obs.HReqValidateLag).Quantile(0.99))
-	}
-	if v := c.health.Evaluate("canary-gate", sample); v != nil {
-		c.Rollback("gate failed: " + v.Reason)
+	if reason := c.gateFailure(divs, lag); reason != "" {
+		c.Rollback("gate failed: " + reason)
 		return
 	}
 	c.transition(StagePromoting, fmt.Sprintf("gate passed (%d/%d divergences, lag %d); promoting at next barrier",
@@ -170,6 +158,34 @@ func (c *Controller) evaluateGate(gen int) {
 		}
 		c.mon.Promote(t, mve.PromoteRetire)
 	})
+}
+
+// gateFailure checks the canary's window against the gate — the
+// divergence budget, then the ring lag, then the validate-lag p99 (only
+// sampled with span tracing on) — strictly above each bound, with the
+// unset optional bounds skipped. Every tripped threshold is recorded;
+// the first one's reason is returned, "" on a clean gate.
+func (c *Controller) gateFailure(divs, lag int) string {
+	g := c.cfg.Canary
+	var first string
+	trip := func(rule, reason string) {
+		c.violate("canary-gate", rule, reason)
+		if first == "" {
+			first = reason
+		}
+	}
+	if divs > g.MaxDivergences {
+		trip("divergence-budget", fmt.Sprintf("%d divergences exceed budget %d", divs, g.MaxDivergences))
+	}
+	if g.MaxLag > 0 && lag > g.MaxLag {
+		trip("ring-lag", fmt.Sprintf("lag %d exceeds %d", lag, g.MaxLag))
+	}
+	if g.MaxValidateLagP99 > 0 && c.rec.SpansEnabled() {
+		if p99 := c.rec.Hist(obs.HReqValidateLag).Quantile(0.99); p99 > g.MaxValidateLagP99 {
+			trip("validate-lag-p99", fmt.Sprintf("validate-lag p99 %v exceeds %v", p99, g.MaxValidateLagP99))
+		}
+	}
+	return first
 }
 
 // applyVerdict is the one consequence path of every consumer failure:

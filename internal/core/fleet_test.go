@@ -445,3 +445,112 @@ func TestCanaryGateWithoutReplicas(t *testing.T) {
 		})
 	}
 }
+
+// gateHarness builds a fleet controller with the given gate whose
+// recorder holds one validate-lag observation of p99 (none when zero),
+// sampled only when spans is on.
+func gateHarness(gate CanaryGate, p99 time.Duration, spans bool) *fleetHarness {
+	cfg := fleetCfg()
+	cfg.Canary = gate
+	h := newFleetHarness(cfg)
+	if spans {
+		h.rec.EnableSpans()
+	}
+	if p99 > 0 {
+		h.rec.Observe(obs.HReqValidateLag, p99)
+	}
+	return h
+}
+
+// gateRules lists the recorded violations' rules, all of which must be
+// the canary gate's.
+func gateRules(t *testing.T, c *Controller) []string {
+	t.Helper()
+	var rules []string
+	for _, v := range c.Violations() {
+		if v.Scope != "fleet" || v.Subject != "canary-gate" {
+			t.Fatalf("violation %+v: want fleet/canary-gate", v)
+		}
+		rules = append(rules, v.Rule)
+	}
+	return rules
+}
+
+// TestCanaryGateRulesLegacyReasons pins the gate's boundaries and the
+// reason strings the golden artifacts embed: each bound trips strictly
+// above it, an unsampled p99 (spans off) is skipped, the first failure's
+// reason is the rollback's, and every failure is recorded.
+func TestCanaryGateRulesLegacyReasons(t *testing.T) {
+	gate := CanaryGate{Window: 150 * time.Millisecond, MaxDivergences: 2, MaxLag: 64, MaxValidateLagP99: 5 * time.Millisecond}
+	for _, tc := range []struct {
+		name      string
+		divs, lag int
+		p99       time.Duration // observed validate lag; 0 = none
+		spans     bool
+		want      string   // first failure's reason; "" = clean gate
+		rules     []string // every violation recorded, in order
+	}{
+		{"divergences-at-budget", 2, 0, 0, false, "", nil},
+		{"divergences-over", 3, 0, 0, false, "3 divergences exceed budget 2", []string{"divergence-budget"}},
+		{"lag-at-bound", 0, 64, 0, false, "", nil},
+		{"lag-over", 0, 65, 0, false, "lag 65 exceeds 64", []string{"ring-lag"}},
+		{"p99-over", 0, 0, 6 * time.Millisecond, true, "validate-lag p99 6ms exceeds 5ms", []string{"validate-lag-p99"}},
+		{"p99-absent-skipped", 0, 0, 6 * time.Millisecond, false, "", nil},
+		{"first-failure-wins", 9, 99, 6 * time.Millisecond, true, "9 divergences exceed budget 2",
+			[]string{"divergence-budget", "ring-lag", "validate-lag-p99"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := gateHarness(gate, tc.p99, tc.spans)
+			if got := h.fc.gateFailure(tc.divs, tc.lag); got != tc.want {
+				t.Fatalf("gate failure = %q, want %q", got, tc.want)
+			}
+			if rules := gateRules(t, h.fc); strings.Join(rules, ",") != strings.Join(tc.rules, ",") {
+				t.Fatalf("recorded rules = %v, want %v", rules, tc.rules)
+			}
+		})
+	}
+}
+
+// TestCanaryGateRulesConditional: unset optional bounds are never
+// checked, however far over them the canary is.
+func TestCanaryGateRulesConditional(t *testing.T) {
+	h := gateHarness(CanaryGate{Window: time.Second, MaxDivergences: 2}, time.Second, true)
+	if got := h.fc.gateFailure(0, 1000); got != "" {
+		t.Fatalf("gate failure = %q with only the divergence budget set", got)
+	}
+	if rules := gateRules(t, h.fc); len(rules) != 0 {
+		t.Fatalf("recorded rules = %v, want none", rules)
+	}
+}
+
+// TestFollowerLivenessRule: a fleet arms the same watchdog as a duo, so
+// a replica that stops consuming trips follower-liveness — recorded as a
+// fleet violation — and is ejected and respawned.
+func TestFollowerLivenessRule(t *testing.T) {
+	cfg := fleetCfg("r1", "r2")
+	cfg.WatchdogDeadline = 40 * time.Millisecond
+	plan := chaos.NewPlan(&chaos.Injection{
+		Proc: "r2#1@v1", Op: sysabi.OpWrite, AfterCalls: 2, Kind: chaos.KindStall,
+	})
+	cfg.WrapDispatcher = plan.Wrap
+	h := newFleetHarness(cfg)
+	h.fc.Start(&srv{version: "v1"})
+	h.client(10, nil)
+	// Shutdown, not run's runtime kill: armed watchdogs outlive runtimes.
+	shutdownAndDrain(t, h.s, h.fc, &h.done, 100*time.Millisecond)
+	if plan.Fired() != 1 {
+		t.Fatalf("chaos fired %d times", plan.Fired())
+	}
+	vs := h.fc.Violations()
+	if len(vs) != 1 {
+		t.Fatalf("violations = %+v, want one", vs)
+	}
+	v := vs[0]
+	if v.Scope != "fleet" || v.Subject != "r2#1@v1" || v.Rule != "follower-liveness" ||
+		!strings.HasPrefix(v.Reason, "no progress for ") || !strings.HasSuffix(v.Reason, "(deadline 40ms)") {
+		t.Fatalf("violation = %+v", v)
+	}
+	if !h.timelineHas("r2#1@v1 ejected (stall)") || !h.timelineHas("respawned variant r2#2@v1") {
+		t.Fatalf("timeline missing eject/respawn: %+v", h.fc.Timeline())
+	}
+}

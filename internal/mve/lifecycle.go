@@ -2,7 +2,6 @@ package mve
 
 import (
 	"slices"
-	"time"
 
 	"mvedsua/internal/dsl"
 	"mvedsua/internal/obs"
@@ -216,22 +215,12 @@ func (m *Monitor) startWatchdog(f *Proc) {
 				lastAt = t.Now()
 				continue
 			}
-			if stalled := t.Now() - lastAt; m.judgeStall(f.name, stalled, f.cursor.Len(), deadline) {
+			if stalled := t.Now() - lastAt; stalled >= deadline {
 				m.raiseStall(Stall{Proc: f.name, Reason: "no-progress", Stalled: stalled, Pending: f.cursor.Len()})
 				return
 			}
 		}
 	})
-}
-
-// judgeStall decides whether a follower's no-progress age warrants a
-// stall: the installed StallJudge when present, the deadline compare
-// otherwise.
-func (m *Monitor) judgeStall(proc string, stalledFor time.Duration, pending int, deadline time.Duration) bool {
-	if m.StallJudge != nil {
-		return m.StallJudge(proc, stalledFor, pending)
-	}
-	return stalledFor >= deadline
 }
 
 // raiseStall records and dispatches a follower stall.

@@ -228,15 +228,6 @@ type Monitor struct {
 	// merely-slow follower is mistaken for a hung one.
 	WatchdogDeadline time.Duration
 
-	// StallJudge, when set, replaces the watchdog's built-in
-	// stalled >= deadline comparison: each poll tick passes the
-	// follower's no-progress age and pending-entry count to the judge,
-	// and a true verdict raises the Stall. The core controllers install
-	// a health-engine-backed judge here whose follower-liveness rule
-	// reproduces the built-in comparison exactly, so the two paths are
-	// behaviorally identical; a custom judge can substitute any policy.
-	StallJudge func(proc string, stalledFor time.Duration, pending int) bool
-
 	// OnStall is invoked when the watchdog declares a follower hung or
 	// the discard policy hits a full buffer. The handler decides what to
 	// do (MVEDSUA's controller rolls the update back); with no handler

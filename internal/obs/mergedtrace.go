@@ -52,22 +52,43 @@ const flowTrack = "xshard"
 // deterministic. Safe with nil recorders and an empty shard list (the
 // result is a valid metadata-only trace).
 func ExportMergedChromeTrace(shards []ShardTrace, flows []Flow) ([]byte, error) {
+	sorted := append([]ShardTrace(nil), shards...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Shard < sorted[j].Shard })
+	procs := make([]traceProcess, 0, len(sorted))
+	for _, st := range sorted {
+		label := st.Label
+		if label == "" {
+			label = fmt.Sprintf("shard%d", st.Shard)
+		}
+		procs = append(procs, traceProcess{pid: st.Shard + shardPidOff, name: label, rec: st.Rec})
+	}
+	return exportTrace(procs, flows)
+}
+
+// traceProcess is one trace_event process: its pid, display name, and
+// the recorder whose spans and milestones fill its tracks (nil fills
+// none).
+type traceProcess struct {
+	pid  int
+	name string
+	rec  *Recorder
+}
+
+// exportTrace is the one span/milestone -> trace_event conversion both
+// exporters share. Processes are emitted in the given order, flows in
+// ascending ID; events sort stably by virtual time, so ties keep that
+// emission order.
+func exportTrace(procs []traceProcess, flows []Flow) ([]byte, error) {
 	trace := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 
 	type rawEvent struct {
-		at  time.Duration
-		seq int // emission order among equal timestamps
-		ev  chromeEvent
+		at time.Duration
+		ev chromeEvent
 	}
 	var raw []rawEvent
-	seq := 0
 	push := func(at time.Duration, ev chromeEvent) {
-		raw = append(raw, rawEvent{at: at, seq: seq, ev: ev})
-		seq++
+		raw = append(raw, rawEvent{at: at, ev: ev})
 	}
-
-	sorted := append([]ShardTrace(nil), shards...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Shard < sorted[j].Shard })
 
 	// Per-pid track tables, assigned in order of first appearance.
 	type pidTracks struct {
@@ -75,14 +96,12 @@ func ExportMergedChromeTrace(shards []ShardTrace, flows []Flow) ([]byte, error) 
 		order []string
 	}
 	tracks := map[int]*pidTracks{}
-	pids := []int{}
 	pidNames := map[int]string{}
 	tidFor := func(pid int, track string) int {
 		pt, ok := tracks[pid]
 		if !ok {
 			pt = &pidTracks{tids: map[string]int{}}
 			tracks[pid] = pt
-			pids = append(pids, pid)
 		}
 		if id, ok := pt.tids[track]; ok {
 			return id
@@ -93,23 +112,15 @@ func ExportMergedChromeTrace(shards []ShardTrace, flows []Flow) ([]byte, error) 
 		return id
 	}
 
-	for _, st := range sorted {
-		pid := st.Shard + shardPidOff
-		label := st.Label
-		if label == "" {
-			label = fmt.Sprintf("shard%d", st.Shard)
-		}
-		pidNames[pid] = label
-		if st.Rec == nil {
-			continue
-		}
-		for _, s := range st.Rec.Spans() {
+	for _, p := range procs {
+		pidNames[p.pid] = p.name
+		for _, s := range p.rec.Spans() {
 			ev := chromeEvent{
 				Name: s.Name,
 				Ph:   string(rune(s.Phase)),
 				Ts:   float64(s.At) / float64(time.Microsecond),
-				Pid:  pid,
-				Tid:  tidFor(pid, s.Track),
+				Pid:  p.pid,
+				Tid:  tidFor(p.pid, s.Track),
 			}
 			switch s.Phase {
 			case PhaseSlice:
@@ -126,13 +137,16 @@ func ExportMergedChromeTrace(shards []ShardTrace, flows []Flow) ([]byte, error) 
 			}
 			push(s.At, ev)
 		}
-		for _, m := range st.Rec.Milestones() {
+		// Milestones become instant events on a track per actor, so the
+		// lifecycle story (divergence, stall, fault, stage, role, ...)
+		// lines up against the spans it explains.
+		for _, m := range p.rec.Milestones() {
 			ev := chromeEvent{
 				Name: m.Kind.String(),
 				Ph:   "i",
 				Ts:   float64(m.At) / float64(time.Microsecond),
-				Pid:  pid,
-				Tid:  tidFor(pid, m.Actor),
+				Pid:  p.pid,
+				Tid:  tidFor(p.pid, m.Actor),
 				S:    "t",
 			}
 			if m.Detail != "" {
@@ -177,12 +191,7 @@ func ExportMergedChromeTrace(shards []ShardTrace, flows []Flow) ([]byte, error) 
 		})
 	}
 
-	sort.SliceStable(raw, func(i, j int) bool {
-		if raw[i].at != raw[j].at {
-			return raw[i].at < raw[j].at
-		}
-		return raw[i].seq < raw[j].seq
-	})
+	sort.SliceStable(raw, func(i, j int) bool { return raw[i].at < raw[j].at })
 
 	// Metadata first: process names in pid order, then thread names in
 	// first-appearance order within each pid.

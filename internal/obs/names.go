@@ -92,10 +92,6 @@ const (
 	CSLORequestsOK   = "slo.requests.ok"     // client requests completed successfully
 	CSLORequestsFail = "slo.requests.fail"   // client requests that errored
 	HSLOLatency      = "slo.request.latency" // client-observed request latency
-
-	// Health engine (emitted only when a core.HealthEngine has verdict
-	// emission enabled — slo runs and opt-in demos).
-	CHealthVerdicts = "health.verdicts" // rule violations recorded as verdict milestones
 )
 
 // CounterNames is the complete counter vocabulary. The golden schema
@@ -112,7 +108,7 @@ var CounterNames = []string{
 	CChaosFired,
 	CReqTracked, CDSUUpdatePoints, CDSUXformTouched, CDSUXformSwept,
 	CVOSNetBytes, CVOSFSBytes,
-	CSLORequestsOK, CSLORequestsFail, CHealthVerdicts,
+	CSLORequestsOK, CSLORequestsFail,
 }
 
 // GaugeNames is the complete gauge vocabulary.

@@ -170,30 +170,22 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil || h.Count == 0 {
 		return 0
 	}
-	return bucketQuantile(q, h.Count, h.Min, h.Max, h.Buckets[:])
-}
-
-// bucketQuantile is the shared interpolation behind Histogram.Quantile
-// and SeriesPoint.Quantile: linear interpolation inside the bucket
-// holding the q*count-th observation, clamped to the tracked [min,max]
-// extremes; the last slot is the overflow bucket and resolves to max.
-func bucketQuantile(q float64, count int64, min, max time.Duration, buckets []int64) time.Duration {
 	if q <= 0 {
-		return min
+		return h.Min
 	}
 	if q >= 1 {
-		return max
+		return h.Max
 	}
-	rank := q * float64(count)
+	rank := q * float64(h.Count)
 	var cum float64
-	for i := 0; i < len(buckets); i++ {
-		n := float64(buckets[i])
+	for i, b := range h.Buckets {
+		n := float64(b)
 		if n == 0 {
 			continue
 		}
 		if cum+n >= rank {
-			if i == len(buckets)-1 {
-				return max
+			if i == histBuckets {
+				return h.Max
 			}
 			lo := time.Duration(0)
 			if i > 0 {
@@ -201,17 +193,17 @@ func bucketQuantile(q float64, count int64, min, max time.Duration, buckets []in
 			}
 			hi := BucketBound(i)
 			v := lo + time.Duration((rank-cum)/n*float64(hi-lo))
-			if v < min {
-				v = min
+			if v < h.Min {
+				v = h.Min
 			}
-			if v > max {
-				v = max
+			if v > h.Max {
+				v = h.Max
 			}
 			return v
 		}
 		cum += n
 	}
-	return max
+	return h.Max
 }
 
 // Options sizes a Recorder.
@@ -239,8 +231,7 @@ type Recorder struct {
 	// scoped registries created by Child, keyed by scope.
 	root     *Registry
 	children map[string]*Registry
-	scopesOn bool         // set by EnableScopes; gates scoped mirroring
-	win      *windowState // set by EnableWindows; shared by all scopes
+	scopesOn bool // set by EnableScopes; gates scoped mirroring
 
 	hot      []Event // ring storage
 	hotCap   int
@@ -280,7 +271,7 @@ func New(now func() time.Duration, opts Options) *Recorder {
 	}
 	return &Recorder{
 		now:          now,
-		root:         newRegistry("", now, nil),
+		root:         NewRegistry(""),
 		hot:          make([]Event, 0, opts.TraceCapacity),
 		hotCap:       opts.TraceCapacity,
 		milestoneCap: opts.MilestoneCapacity,
@@ -364,19 +355,10 @@ func (r *Recorder) Root() *Registry {
 	return r.root
 }
 
-// TimeSeries returns the root registry's windowed series for name (nil
-// when windows are off or nothing was recorded).
-func (r *Recorder) TimeSeries(name string) *Series {
-	if r == nil {
-		return nil
-	}
-	return r.root.TimeSeries(name)
-}
-
 // Child returns the scoped registry for scope, creating it on first
-// use. Children share the recorder's clock and window configuration but
-// hold their own metrics; aggregate with Registry.MergeInto. Nil-safe
-// (a nil recorder yields a nil registry, itself safe to record into).
+// use. Children hold their own metrics; aggregate with
+// Registry.MergeInto. Nil-safe (a nil recorder yields a nil registry,
+// itself safe to record into).
 func (r *Recorder) Child(scope string) *Registry {
 	if r == nil {
 		return nil
@@ -387,7 +369,7 @@ func (r *Recorder) Child(scope string) *Registry {
 	if r.children == nil {
 		r.children = make(map[string]*Registry)
 	}
-	g := newRegistry(scope, r.now, r.win)
+	g := NewRegistry(scope)
 	r.children[scope] = g
 	return g
 }

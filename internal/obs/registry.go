@@ -4,51 +4,37 @@ import (
 	"time"
 )
 
-// Registry is one scope's metrics store: counters, gauges, histograms,
-// and (once windows are enabled) the per-metric time series derived
-// from them. The Recorder owns a root registry that all the existing
+// Registry is one scope's metrics store: counters, gauges and
+// histograms. The Recorder owns a root registry that all the existing
 // Recorder.Add/Observe instrumentation feeds; Child creates named
 // scoped registries (per process, per variant) that aggregate back into
 // a parent via MergeInto.
 //
 // MergeInto is deliberately built from commutative, associative
 // per-metric operations (counters sum, gauges take the max, histograms
-// add counts and widen extremes, series merge per window index), so
-// merging K scoped registries into an empty destination yields the same
-// result in any merge order — the property the sharded-runtime roadmap
-// item depends on, and one a test pins with a seeded shuffle.
+// add counts and widen extremes), so merging K scoped registries into an
+// empty destination yields the same result in any merge order — the
+// property the sharded-runtime roadmap item depends on, and one a test
+// pins with a seeded shuffle.
 //
 // Like the Recorder, every method is safe on a nil receiver, so
 // instrumentation sites can hold a nil *Registry when scoping is off.
 type Registry struct {
 	scope    string
-	now      func() time.Duration
 	counters map[string]int64
 	gauges   map[string]int64
 	hists    map[string]*Histogram
-	win      *windowState
-	series   map[string]*Series
 }
 
-func newRegistry(scope string, now func() time.Duration, win *windowState) *Registry {
-	if now == nil {
-		now = func() time.Duration { return 0 }
-	}
+// NewRegistry builds a registry: a recorder's root or child, or a
+// standalone merge destination for aggregation across scopes.
+func NewRegistry(scope string) *Registry {
 	return &Registry{
 		scope:    scope,
-		now:      now,
 		counters: make(map[string]int64),
 		gauges:   make(map[string]int64),
 		hists:    make(map[string]*Histogram),
-		win:      win,
-		series:   make(map[string]*Series),
 	}
-}
-
-// NewRegistry builds a standalone registry (no recorder, no windows) —
-// handy as a merge destination for aggregation across scopes.
-func NewRegistry(scope string) *Registry {
-	return newRegistry(scope, nil, nil)
 }
 
 // Scope returns the registry's scope label ("" for a recorder root).
@@ -65,10 +51,6 @@ func (g *Registry) Add(name string, delta int64) {
 		return
 	}
 	g.counters[name] += delta
-	if g.win != nil {
-		idx := g.win.advance(g.now())
-		g.seriesFor(name, SeriesCounter).add(idx, delta)
-	}
 }
 
 // Inc increments counter name by one.
@@ -119,10 +101,6 @@ func (g *Registry) Observe(name string, d time.Duration) {
 		g.hists[name] = h
 	}
 	h.observe(d)
-	if g.win != nil {
-		idx := g.win.advance(g.now())
-		g.seriesFor(name, SeriesHistogram).observe(idx, d)
-	}
 }
 
 // Hist returns the named histogram, or nil.
@@ -133,28 +111,9 @@ func (g *Registry) Hist(name string) *Histogram {
 	return g.hists[name]
 }
 
-// TimeSeries returns the windowed series derived from counter or
-// histogram name, or nil when windows are off or nothing was recorded.
-func (g *Registry) TimeSeries(name string) *Series {
-	if g == nil {
-		return nil
-	}
-	return g.series[name]
-}
-
-func (g *Registry) seriesFor(name string, kind SeriesKind) *Series {
-	s, ok := g.series[name]
-	if !ok {
-		s = &Series{Name: name, Kind: kind, cap: g.win.retention}
-		g.series[name] = s
-	}
-	return s
-}
-
 // MergeInto folds this registry's contents into dst. Counters sum,
 // gauges keep the maximum, histograms combine counts/sums/extremes and
-// add buckets elementwise, and series merge per window index. All
-// operations are commutative and associative, so the result is
+// add buckets elementwise. All operations are commutative and associative, so the result is
 // independent of merge order. The source is left unchanged.
 func (g *Registry) MergeInto(dst *Registry) {
 	if g == nil || dst == nil || g == dst {
@@ -175,14 +134,6 @@ func (g *Registry) MergeInto(dst *Registry) {
 			dst.hists[k] = dh
 		}
 		dh.merge(h)
-	}
-	for k, s := range g.series { // maporder: ok — series merge is commutative
-		ds, ok := dst.series[k]
-		if !ok {
-			ds = &Series{Name: s.Name, Kind: s.Kind, cap: s.cap}
-			dst.series[k] = ds
-		}
-		ds.merge(s)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // requireRegistriesEqual compares two registries over the given metric
-// names: counters, gauges, histogram aggregates (including interpolated
-// quantiles) and windowed series points.
+// names: counters, gauges and histogram aggregates (including
+// interpolated quantiles).
 func requireRegistriesEqual(t *testing.T, want, got *Registry, counters, gauges, hists []string) {
 	t.Helper()
 	for _, name := range counters {
@@ -41,15 +41,6 @@ func requireRegistriesEqual(t *testing.T, want, got *Registry, counters, gauges,
 			}
 		}
 	}
-	if w, g := len(want.series), len(got.series); w != g {
-		t.Fatalf("series recorded: %d vs %d", w, g)
-	}
-	for name := range want.series {
-		w, g := want.TimeSeries(name).Points(), got.TimeSeries(name).Points()
-		if !reflect.DeepEqual(w, g) {
-			t.Fatalf("series %q points: %+v vs %+v", name, w, g)
-		}
-	}
 }
 
 // TestMergeOrderInvarianceSeeded is the merge-semantics property test:
@@ -59,10 +50,8 @@ func requireRegistriesEqual(t *testing.T, want, got *Registry, counters, gauges,
 func TestMergeOrderInvarianceSeeded(t *testing.T) {
 	const K = 4
 	rng := rand.New(rand.NewSource(0xC0FFEE))
-	clock := &manualClock{}
-	r := New(clock.now, Options{})
+	r := New(nil, Options{})
 	r.EnableScopes()
-	r.EnableWindows(time.Millisecond)
 
 	counters := []string{"c.a", "c.b"}
 	gauges := []string{"g.max"}
@@ -72,7 +61,6 @@ func TestMergeOrderInvarianceSeeded(t *testing.T) {
 		children[i] = r.Child(fmt.Sprintf("child%d", i))
 	}
 	for op := 0; op < 2000; op++ {
-		clock.t += time.Duration(rng.Intn(200)) * time.Microsecond
 		g := children[rng.Intn(K)]
 		switch rng.Intn(4) {
 		case 0:
@@ -183,79 +171,5 @@ func TestScopedRegistries(t *testing.T) {
 	}
 	if a.Counter("c") != 1 || b.Counter("c") != 2 || r.Counter("c") != 1 {
 		t.Fatalf("scoped counters leaked: a=%d b=%d root=%d", a.Counter("c"), b.Counter("c"), r.Counter("c"))
-	}
-}
-
-// TestWindowedSeries covers bucketing, empty-window gaps, close
-// callbacks and retention eviction.
-func TestWindowedSeries(t *testing.T) {
-	clock := &manualClock{}
-	r := New(clock.now, Options{})
-	r.EnableWindows(time.Millisecond)
-	if r.win == nil || r.win.width != time.Millisecond {
-		t.Fatal("windows not enabled at requested width")
-	}
-	var closed []int64
-	r.OnWindowClose(func(ws WindowSpan) {
-		closed = append(closed, ws.Index)
-		if ws.Start != time.Duration(ws.Index)*time.Millisecond || ws.End != ws.Start+time.Millisecond {
-			t.Fatalf("window span %+v inconsistent", ws)
-		}
-	})
-
-	clock.t = 100 * time.Microsecond
-	r.Add("c", 1)
-	clock.t = 1500 * time.Microsecond
-	r.Add("c", 2)
-	clock.t = 3200 * time.Microsecond
-	r.Add("c", 3)
-	r.Observe("h", 250*time.Microsecond)
-	clock.t = 5100 * time.Microsecond
-	r.CloseWindows()
-
-	pts := r.TimeSeries("c").Points()
-	want := []struct{ win, count, sum int64 }{{0, 1, 1}, {1, 1, 2}, {3, 1, 3}}
-	if len(pts) != len(want) {
-		t.Fatalf("series points = %+v, want %d windows", pts, len(want))
-	}
-	for i, w := range want {
-		if pts[i].Window != w.win || pts[i].Count != w.count || pts[i].Sum != w.sum {
-			t.Fatalf("point %d = %+v, want %+v", i, pts[i], w)
-		}
-	}
-	hp := r.TimeSeries("h").PointAt(3)
-	if hp == nil || hp.Count != 1 || hp.Min != 250*time.Microsecond || hp.Max != 250*time.Microsecond {
-		t.Fatalf("histogram point = %+v", hp)
-	}
-	if q := hp.Quantile(0.5); q < hp.Min || q > hp.Max {
-		t.Fatalf("windowed quantile %v outside [%v, %v]", q, hp.Min, hp.Max)
-	}
-	if wantClosed := []int64{0, 1, 2, 3, 4}; !reflect.DeepEqual(closed, wantClosed) {
-		t.Fatalf("closed windows = %v, want %v", closed, wantClosed)
-	}
-}
-
-// TestSeriesRetentionEviction pins the bounded-retention contract:
-// older windows are evicted once the per-series cap fills, and the
-// eviction is counted.
-func TestSeriesRetentionEviction(t *testing.T) {
-	clock := &manualClock{}
-	r := New(clock.now, Options{})
-	r.EnableWindows(time.Millisecond)
-	const windows = defaultSeriesRetention + 5
-	for i := 0; i < windows; i++ {
-		clock.t = time.Duration(i)*time.Millisecond + 10*time.Microsecond
-		r.Add("c", 1)
-	}
-	s := r.TimeSeries("c")
-	if len(s.points) != defaultSeriesRetention {
-		t.Fatalf("retained = %d, want %d", len(s.points), defaultSeriesRetention)
-	}
-	if s.Dropped != 5 {
-		t.Fatalf("dropped = %d, want 5", s.Dropped)
-	}
-	pts := s.Points()
-	if pts[0].Window != 5 || pts[len(pts)-1].Window != windows-1 {
-		t.Fatalf("retained range [%d, %d], want [5, %d]", pts[0].Window, pts[len(pts)-1].Window, windows-1)
 	}
 }

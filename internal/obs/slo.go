@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"strings"
 	"time"
 )
@@ -21,9 +20,8 @@ import (
 
 // SLOOptions configures an SLOTracker.
 type SLOOptions struct {
-	// Window is the success-rate timeline bucket width; the tracker
-	// enables the recorder's windowed series at this width if they are
-	// not already on (default 10ms).
+	// Window is the success-rate timeline bucket width: completion at
+	// virtual time t lands in window t / Window (default 10ms).
 	Window time.Duration
 	// StallThreshold is the largest tolerated gap between successful
 	// completions; longer gaps are downtime windows (default 5ms).
@@ -39,10 +37,6 @@ type SLOOptions struct {
 	// backpressure parks it — so the fault instant lands shortly before
 	// the client-visible gap opens (default 5ms).
 	AttributionSlack time.Duration
-	// MaxCompletions bounds the retained completion log (default 1<<17;
-	// older completions are dropped from downtime detection but stay in
-	// the counters/histograms).
-	MaxCompletions int
 }
 
 type sloCompletion struct {
@@ -57,13 +51,12 @@ type SLOTracker struct {
 	opts        SLOOptions
 	started     time.Duration
 	completions []sloCompletion
-	droppedLog  int64
 }
 
 // NewSLOTracker attaches SLO accounting to a recorder. The tracker
-// records into the slo.* metric names and the recorder's windowed
-// series; construct it before load starts so the observation span
-// covers the whole run.
+// records into the slo.* metric names and keeps its own completion log;
+// construct it before load starts so the observation span covers the
+// whole run.
 func NewSLOTracker(rec *Recorder, opts SLOOptions) *SLOTracker {
 	if opts.Window <= 0 {
 		opts.Window = 10 * time.Millisecond
@@ -71,13 +64,9 @@ func NewSLOTracker(rec *Recorder, opts SLOOptions) *SLOTracker {
 	if opts.StallThreshold <= 0 {
 		opts.StallThreshold = 5 * time.Millisecond
 	}
-	if opts.MaxCompletions <= 0 {
-		opts.MaxCompletions = 1 << 17
-	}
 	if opts.AttributionSlack <= 0 {
 		opts.AttributionSlack = 5 * time.Millisecond
 	}
-	rec.EnableWindows(opts.Window)
 	return &SLOTracker{rec: rec, opts: opts, started: rec.Now()}
 }
 
@@ -93,10 +82,6 @@ func (t *SLOTracker) Request(ok bool, latency time.Duration) {
 		t.rec.Inc(CSLORequestsFail)
 	}
 	t.rec.Observe(HSLOLatency, latency)
-	if len(t.completions) >= t.opts.MaxCompletions {
-		t.droppedLog++
-		return
-	}
 	t.completions = append(t.completions, sloCompletion{at: t.rec.Now(), ok: ok, latency: latency})
 }
 
@@ -225,43 +210,33 @@ func (t *SLOTracker) Report() SLOReport {
 	return rep
 }
 
-// timeline folds the slo.* windowed series into per-window points.
+// timeline buckets the completion log by virtual time into windows of
+// opts.Window, in window order; a window no request completed in has
+// no point.
 func (t *SLOTracker) timeline() (pts []SLOWindowPoint, over, total int) {
-	okS := t.rec.TimeSeries(CSLORequestsOK)
-	failS := t.rec.TimeSeries(CSLORequestsFail)
-	latS := t.rec.TimeSeries(HSLOLatency)
-	idx := map[int64]*SLOWindowPoint{}
-	var order []int64
-	point := func(w int64) *SLOWindowPoint {
-		if p, ok := idx[w]; ok {
-			return p
+	var lat []Histogram // lat[i] holds pts[i]'s latencies
+	for _, c := range t.completions {
+		w := int64(c.at / t.opts.Window)
+		if n := len(pts); n == 0 || pts[n-1].Window != w {
+			pts = append(pts, SLOWindowPoint{Window: w})
+			lat = append(lat, Histogram{})
 		}
-		p := &SLOWindowPoint{Window: w}
-		idx[w] = p
-		order = append(order, w)
-		return p
-	}
-	for _, p := range okS.Points() {
-		point(p.Window).OK = p.Sum
-	}
-	for _, p := range failS.Points() {
-		point(p.Window).Fail = p.Sum
-	}
-	for _, p := range latS.Points() {
-		sp := p
-		point(p.Window).P99NS = int64(sp.Quantile(0.99))
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, w := range order {
-		p := idx[w]
-		if n := p.OK + p.Fail; n > 0 {
-			p.SuccessRate = float64(p.OK) / float64(n)
+		p := &pts[len(pts)-1]
+		if c.ok {
+			p.OK++
+		} else {
+			p.Fail++
 		}
+		lat[len(lat)-1].observe(c.latency)
+	}
+	for i := range pts {
+		p := &pts[i]
+		p.SuccessRate = float64(p.OK) / float64(p.OK+p.Fail)
+		p.P99NS = int64(lat[i].Quantile(0.99))
 		if t.opts.LatencyBudgetP99 > 0 && time.Duration(p.P99NS) > t.opts.LatencyBudgetP99 {
 			p.OverBudget = true
 			over++
 		}
-		pts = append(pts, *p)
 	}
 	return pts, over, len(pts)
 }

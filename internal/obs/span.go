@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-	"time"
-)
+import "time"
 
 // Span tracing: the causal tier above the flight recorder's point
 // events. Where the trace answers "what happened", spans answer "where
@@ -212,94 +207,9 @@ const chromePid = 1
 // track becomes a named thread; tids are assigned in order of first
 // appearance, so the export is fully deterministic. Safe on nil and on
 // a recorder without spans enabled (exports whatever is retained,
-// possibly just milestones).
+// possibly just milestones). The process metadata event is emitted
+// even then, so every export is a valid trace viewers and
+// ValidateChromeTrace accept.
 func (r *Recorder) ExportChromeTrace() ([]byte, error) {
-	// The process metadata event is emitted even for a nil recorder or an
-	// empty span store, so every export — including one taken before any
-	// spans were recorded — is a valid metadata-only trace that viewers
-	// and ValidateChromeTrace accept.
-	trace := chromeTrace{
-		TraceEvents: []chromeEvent{{
-			Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0,
-			Args: map[string]string{"name": "mvedsua"},
-		}},
-		DisplayTimeUnit: "ms",
-	}
-	if r == nil {
-		return json.MarshalIndent(trace, "", "  ")
-	}
-
-	type rawEvent struct {
-		at time.Duration
-		ev chromeEvent
-	}
-	var raw []rawEvent
-	tids := map[string]int{}
-	order := []string{}
-	tidFor := func(track string) int {
-		if id, ok := tids[track]; ok {
-			return id
-		}
-		id := len(tids) + 1
-		tids[track] = id
-		order = append(order, track)
-		return id
-	}
-
-	for _, s := range r.Spans() {
-		ev := chromeEvent{
-			Name: s.Name,
-			Ph:   string(rune(s.Phase)),
-			Ts:   float64(s.At) / float64(time.Microsecond),
-			Pid:  chromePid,
-			Tid:  tidFor(s.Track),
-		}
-		switch s.Phase {
-		case PhaseSlice:
-			d := float64(s.Dur) / float64(time.Microsecond)
-			ev.Dur = &d
-		case PhaseAsyncBegin, PhaseAsyncEnd:
-			ev.Cat = s.Track
-			ev.ID = fmt.Sprintf("0x%x", s.ID)
-		case PhaseInstant:
-			ev.S = "t"
-		}
-		if s.Detail != "" {
-			ev.Args = map[string]string{"detail": s.Detail}
-		}
-		raw = append(raw, rawEvent{at: s.At, ev: ev})
-	}
-
-	// Milestones become instant events on a track per actor, so the
-	// lifecycle story (divergence, stall, fault, stage, role, ...) lines
-	// up against the spans it explains.
-	for _, m := range r.Milestones() {
-		ev := chromeEvent{
-			Name: m.Kind.String(),
-			Ph:   "i",
-			Ts:   float64(m.At) / float64(time.Microsecond),
-			Pid:  chromePid,
-			Tid:  tidFor(m.Actor),
-			S:    "t",
-		}
-		if m.Detail != "" {
-			ev.Args = map[string]string{"detail": m.Detail}
-		}
-		raw = append(raw, rawEvent{at: m.At, ev: ev})
-	}
-
-	sort.SliceStable(raw, func(i, j int) bool { return raw[i].at < raw[j].at })
-
-	// Metadata first: the process name (already emitted above) plus one
-	// thread name per track.
-	for _, track := range order {
-		trace.TraceEvents = append(trace.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: tids[track],
-			Args: map[string]string{"name": track},
-		})
-	}
-	for _, re := range raw {
-		trace.TraceEvents = append(trace.TraceEvents, re.ev)
-	}
-	return json.MarshalIndent(trace, "", "  ")
+	return exportTrace([]traceProcess{{pid: chromePid, name: "mvedsua", rec: r}}, nil)
 }
