@@ -7,7 +7,7 @@ GO ?= go
 # compared).
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps lint-exports lines adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps lint-exports lines coverage-census adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
 
 all: check
 
@@ -60,6 +60,44 @@ lines:
 		t=$$(ls $$d/*_test.go 2>/dev/null | xargs -r cat | wc -l); \
 		printf '%-24s %8d %8d\n' $$d $$n $$t; \
 	done | awk '{ print; n += $$2; t += $$3 } END { printf "%-24s %8d %8d\n", "total", n, t }'
+
+# Production-coverage census, a report that `check` does not run (a few
+# minutes): per package of internal/, the statements `go test` executes
+# and how many of them no production entry point does. Every command,
+# example and the benchmark is built with -cover; each main package must
+# be in -coverpkg, or the binary silently writes no counter files. They
+# run the README's demos, `benchtool -experiment all` at its smallest
+# window and each benchmark workload for one traced second. The merged
+# counters are then compared block by block with the test profile.
+CENSUS := $(CURDIR)/.census
+coverage-census:
+	@rm -rf $(CENSUS) && mkdir -p $(CENSUS)/bin $(CENSUS)/cov
+	@for m in cmd/* examples/*; do \
+		$(GO) build -cover -coverpkg=mvedsua/internal/...,mvedsua/$$m -o $(CENSUS)/bin/ ./$$m || exit 1; \
+	done
+	@cd benchmark && $(GO) build -cover -coverpkg=mvedsua/internal/...,mvedsua/benchmark -o $(CENSUS)/bin/ .
+	@(set -e; export GOCOVERDIR=$(CENSUS)/cov; b=$(CENSUS)/bin; \
+	for e in quickstart kvupdate faulttolerance ftprules; do $$b/$$e; done; \
+	for a in tkv redis memcached vsftpd cluster; do $$b/mvedsua -app $$a; done; \
+	for f in newcode xform stall; do $$b/mvedsua -app redis -fault $$f; done; \
+	for f in xform timing; do $$b/mvedsua -app memcached -fault $$f; done; \
+	$$b/mvedsua -app redis -trace-all -metrics -perfetto $(CENSUS)/run.json -folded $(CENSUS)/run.folded -pprof $(CENSUS)/run.pprof; \
+	$$b/benchtool -experiment all -window 1ms; \
+	$$b/benchtool -experiment timeline -perfetto $(CENSUS)/timeline.json; \
+	for w in $$($$b/benchmark -list | awk '{ print $$1 }'); do \
+		$$b/benchmark --workload $$w --seconds 1 --trace $(CENSUS)/trace/$$w; \
+	done) >$(CENSUS)/runs.log 2>&1 || { echo "a production run failed: see $(CENSUS)/runs.log"; exit 1; }
+	@$(GO) tool covdata textfmt -i=$(CENSUS)/cov -o $(CENSUS)/prod.out
+	@$(GO) test -coverpkg=mvedsua/internal/... -coverprofile=$(CENSUS)/test.out ./... >$(CENSUS)/test.log
+	@awk 'FNR == 1 { next } \
+	FILENAME ~ /prod.out$$/ { if ($$3 > 0) prod[$$1] = 1; next } \
+	{ n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+	END { \
+		for (b in n) { p = b; sub(/\/[^\/]*$$/, "", p); sub(/^mvedsua\//, "", p); \
+			s[p] += n[b]; if (b in hit) t[p] += n[b]; if ((b in hit) && !(b in prod)) o[p] += n[b] } \
+		printf "%-24s %10s %10s %10s\n", "package", "statements", "tested", "test-only"; \
+		for (p in s) { printf "%-24s %10d %10d %10d\n", p, s[p], t[p], o[p] | "sort"; S += s[p]; T += t[p]; O += o[p] } \
+		close("sort"); printf "%-24s %10d %10d %10d\n", "total", S, T, O }' $(CENSUS)/prod.out $(CENSUS)/test.out
 
 # The frozen benchmark adapter (benchmark/adapter.go) is a nested module
 # `go build ./...` never sees: vet and test it here, so a rename that

@@ -384,7 +384,7 @@ func TestFleetUpdateKeepsReplicasInSync(t *testing.T) {
 		Canary:   core.CanaryGate{Window: 300 * time.Millisecond},
 	})
 	w.C.OnVerdict = func(v mve.Verdict) {
-		if v.Action != mve.VerdictRollbackCanary {
+		if v.Action != mve.VerdictRollbackCandidate {
 			t.Errorf("a replica failed: %v", v)
 		}
 	}

@@ -17,8 +17,8 @@ func TestNVariantScenariosTolerated(t *testing.T) {
 			t.Errorf("%s: %d client-visible failures", row.Name, row.ClientFailures)
 		}
 		if !row.Tolerated {
-			t.Errorf("%s: not tolerated (phase=%s leader=%s fleet=%d verdicts=%v)",
-				row.Name, row.FinalPhase, row.LeaderVersion, row.FleetSize, row.Verdicts)
+			t.Errorf("%s: not tolerated (stage=%s leader=%s fleet=%d verdicts=%v)",
+				row.Name, row.FinalStage, row.LeaderVersion, row.FleetSize, row.Verdicts)
 		}
 	}
 	// The overhead sweep covers K=1..3 and replay work scales with K.

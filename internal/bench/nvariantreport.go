@@ -48,7 +48,7 @@ type NVariantScenarioRow struct {
 	CanaryRollbacks  int64    `json:"canary_rollbacks"`
 	CanaryPromotions int64    `json:"canary_promotions"`
 	ClientFailures   int      `json:"client_failures"`
-	FinalPhase       string   `json:"final_phase"`
+	FinalStage       string   `json:"final_stage"`
 	LeaderVersion    string   `json:"leader_version"`
 	FleetSize        int      `json:"final_fleet_size"`
 	// Tolerated: the scenario reached its expected outcome with zero
@@ -98,7 +98,7 @@ func nvariantScenarios() []nvariantScenario {
 		return func(c *core.Controller) { c.Update(kvstore.Update("2.0.0", "2.0.1", opts)) }
 	}
 	steady := func(row NVariantScenarioRow) bool {
-		return row.FinalPhase == "steady" && row.LeaderVersion == "2.0.0"
+		return row.FinalStage == "single-leader" && row.LeaderVersion == "2.0.0"
 	}
 	return []nvariantScenario{
 		{
@@ -143,7 +143,7 @@ func nvariantScenarios() []nvariantScenario {
 				{Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
 			},
 			ok: func(r NVariantScenarioRow) bool {
-				return r.FinalPhase == "aborted" && r.LeaderVersion == "2.0.0" &&
+				return r.FinalStage == "aborted" && r.LeaderVersion == "2.0.0" &&
 					r.FleetSize == 0 && len(r.Verdicts) == 2 &&
 					strings.Contains(r.Verdicts[0], "eject") &&
 					strings.Contains(r.Verdicts[1], "abort")
@@ -167,7 +167,7 @@ func nvariantScenarios() []nvariantScenario {
 			name: "canary-clean-promote", requests: 40,
 			stage: update(kvstore.UpdateOpts{}),
 			ok: func(r NVariantScenarioRow) bool {
-				return r.FinalPhase == "steady" && r.LeaderVersion == "2.0.1" &&
+				return r.FinalStage == "single-leader" && r.LeaderVersion == "2.0.1" &&
 					r.CanaryPromotions == 1 && r.CanaryRollbacks == 0 && r.FleetSize == 3
 			},
 		},
@@ -183,7 +183,7 @@ func nvariantScenarios() []nvariantScenario {
 			ok: func(r NVariantScenarioRow) bool {
 				return steady(r) && r.CanaryRollbacks == 1 && r.CanaryPromotions == 0 &&
 					r.FleetSize == 3 && len(r.Verdicts) == 1 &&
-					strings.Contains(r.Verdicts[0], "rollback-canary")
+					strings.Contains(r.Verdicts[0], "rollback-candidate")
 			},
 		},
 		{
@@ -211,7 +211,7 @@ func nvariantScenarios() []nvariantScenario {
 			}},
 			stage: update(kvstore.UpdateOpts{}),
 			ok: func(r NVariantScenarioRow) bool {
-				return r.FinalPhase == "steady" && r.LeaderVersion == "2.0.1" &&
+				return r.FinalStage == "single-leader" && r.LeaderVersion == "2.0.1" &&
 					r.Ejects >= 1 && r.CanaryPromotions == 1 && r.FleetSize == 3
 			},
 		},
@@ -227,9 +227,9 @@ func nvariantScenarios() []nvariantScenario {
 				c.QueueUpdate(kvstore.Update("2.0.2", "2.0.3", kvstore.UpdateOpts{}))
 			},
 			ok: func(r NVariantScenarioRow) bool {
-				return r.FinalPhase == "steady" && r.LeaderVersion == "2.0.1" &&
+				return r.FinalStage == "single-leader" && r.LeaderVersion == "2.0.1" &&
 					r.CanaryPromotions == 1 && r.CanaryRollbacks == 1 && r.FleetSize == 3 &&
-					len(r.Verdicts) == 1 && strings.Contains(r.Verdicts[0], "canary#2@2.0.2 (divergence): rollback-canary")
+					len(r.Verdicts) == 1 && strings.Contains(r.Verdicts[0], "canary#2@2.0.2 (divergence): rollback-candidate")
 			},
 		},
 		{
@@ -268,15 +268,15 @@ func runNVariantScenario(sc nvariantScenario) (NVariantScenarioRow, error) {
 				tk.Sleep(10 * time.Millisecond)
 			}
 			// Let trailing verdicts/respawns land, then record the fleet
-			// state and counters before teardown's Shutdown (which ejects
-			// every variant and would inflate the eject counter).
+			// state and counters before teardown's Shutdown detaches every
+			// variant and leaves an empty fleet.
 			tk.Sleep(200 * time.Millisecond)
-			row.FinalPhase = w.C.Phase().String()
+			row.FinalStage = w.C.Stage().String()
 			row.LeaderVersion = w.C.LeaderRuntime().App().Version()
 			row.FleetSize = len(w.C.LiveVariants())
 			row.Ejects = w.Rec.Counter(obs.CFleetEjects)
 			row.Respawns = w.Rec.Counter(obs.CFleetRespawns)
-			row.CanaryRollbacks = w.Rec.Counter(obs.CCanaryRollbacks)
+			row.CanaryRollbacks = w.Rec.Counter(obs.CCoreRollbacks)
 			row.CanaryPromotions = w.Rec.Counter(obs.CCanaryPromotions)
 		},
 	}.run()
@@ -358,8 +358,8 @@ func FormatNVariantReport(report NVariantReport) string {
 		if !row.Tolerated {
 			status = "FAILED"
 		}
-		fmt.Fprintf(&b, "    %-28s K=%d  %-9s  phase=%s leader=%s fleet=%d failures=%d\n",
-			row.Name, row.K, status, row.FinalPhase, row.LeaderVersion, row.FleetSize, row.ClientFailures)
+		fmt.Fprintf(&b, "    %-28s K=%d  %-9s  stage=%s leader=%s fleet=%d failures=%d\n",
+			row.Name, row.K, status, row.FinalStage, row.LeaderVersion, row.FleetSize, row.ClientFailures)
 		for _, inj := range row.Injected {
 			fmt.Fprintf(&b, "      fault:   %s\n", inj)
 		}

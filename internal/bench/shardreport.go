@@ -276,12 +276,11 @@ func RunShardDetReport() (*ShardDetReport, error) {
 		TraceTail:  sw.SS.MergedTrace(),
 	}
 	for g, w := range sw.Worlds {
-		scope := fmt.Sprintf("shard%d", sw.ShardOf(g))
-		reg := w.Rec.Child(scope)
+		reg := w.Rec.Child(fmt.Sprintf("shard%d", sw.ShardOf(g)))
 		gr := ShardDetGroup{
 			Group:   g,
 			Shard:   sw.ShardOf(g),
-			Scope:   scope,
+			Scope:   reg.Scope(),
 			Outcome: fmt.Sprintf("%v leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version()),
 			Updates: reg.Counter(obs.CCoreUpdates),
 			Commits: reg.Counter(obs.CCoreCommits),

@@ -169,14 +169,14 @@ func sloFloorRows(l obs.SLOReport, window, end time.Duration) []SLOVerdictRow {
 	return rows
 }
 
-// sloVerdicts merges the floor rows with the controller's violations
-// into one stream ordered by virtual time (ties broken by scope then
-// subject).
+// sloVerdicts merges the floor rows (scope "slo") with the controller's
+// violations (scope "core") into one stream ordered by virtual time
+// (ties broken by scope then subject).
 func sloVerdicts(rows []SLOVerdictRow, violations []core.Violation) []SLOVerdictRow {
 	for _, v := range violations {
 		rows = append(rows, SLOVerdictRow{
 			AtNS:    int64(v.At),
-			Scope:   v.Scope,
+			Scope:   "core",
 			Subject: v.Subject,
 			Rule:    v.Rule,
 			Reason:  v.Reason,
@@ -299,8 +299,8 @@ func sloScenarios() []tracked {
 					}
 					do("INCR load", fmt.Sprintf(":%d\r\n", i+1), 300*time.Microsecond)
 				}
-				return fmt.Sprintf("phase=%s leader=%s rollbacks=%d",
-					w.C.Phase(), w.C.LeaderRuntime().App().Version(), w.Rec.Counter(obs.CCanaryRollbacks))
+				return fmt.Sprintf("stage=%s leader=%s rollbacks=%d",
+					w.C.Stage(), w.C.LeaderRuntime().App().Version(), w.Rec.Counter(obs.CCoreRollbacks))
 			},
 		},
 	}

@@ -34,7 +34,8 @@
 // divergence count, lag and validation latency pass, else rolled back;
 // the old leader retires, the promotion commits at once and K fresh
 // replicas respawn from the new leader. Everything else — attach, detach,
-// failure verdicts, trains, retries — is one path.
+// failure verdicts, trains, retries, and the stages, counters, notes and
+// spans that report them — is one path.
 package core
 
 import (
@@ -96,7 +97,6 @@ type Event struct {
 // no-progress stall (subject the stalled proc, rule "follower-liveness").
 type Violation struct {
 	At      time.Duration
-	Scope   string // "core" on a duo, "fleet" on a gated controller
 	Subject string
 	Rule    string
 	Reason  string
@@ -211,8 +211,10 @@ type Controller struct {
 
 	// gated is the one thing the constructor decides: NewFleet's timed
 	// canary gate, which retires the old leader, or New's operator gate,
-	// which demotes it. Besides the gate it selects presentation (names,
-	// notes, the fleet's counters), nothing else.
+	// which demotes it. Besides the gate (Promote's refusal, the window
+	// timer, handleCrash's missing failover) it selects only what the
+	// artifacts pin: the candidate's id, proc names, and whether the
+	// optional fleet counter group is published.
 	gated bool
 
 	stage     Stage
@@ -311,13 +313,7 @@ func (c *Controller) Violations() []Violation { return c.violations }
 
 // violate records one tripped threshold at the current virtual time.
 func (c *Controller) violate(subject, rule, reason string) {
-	scope := "core"
-	if c.gated {
-		scope = "fleet"
-	}
-	c.violations = append(c.violations, Violation{
-		At: c.sched.Now(), Scope: scope, Subject: subject, Rule: rule, Reason: reason,
-	})
+	c.violations = append(c.violations, Violation{At: c.sched.Now(), Subject: subject, Rule: rule, Reason: reason})
 }
 
 // Stage returns the current lifecycle stage.
@@ -344,12 +340,8 @@ func (c *Controller) transition(stage Stage, note string) {
 	c.timeline = append(c.timeline, ev)
 	c.rec.Inc(obs.CCoreTransitions)
 	c.scope.Inc(obs.CCoreTransitions)
-	name := stage.String()
-	if c.gated {
-		name = "fleet:" + FleetPhase(stage).String()
-	}
-	c.rec.Emit(obs.KindStage, name, note)
-	if c.spans() {
+	c.rec.Emit(obs.KindStage, stage.String(), note)
+	if c.rec.SpansEnabled() {
 		// Roll the Figure 2 stage machine's async arc over to the new
 		// stage, so the controller track shows each stage end to end.
 		if c.stageSpanID != 0 {
@@ -363,15 +355,10 @@ func (c *Controller) transition(stage Stage, note string) {
 	}
 }
 
-// spans reports whether the controller draws its own track in span
-// mode; a gated controller's story is told by its verdict and role
-// events instead.
-func (c *Controller) spans() bool { return !c.gated && c.rec.SpansEnabled() }
-
 // beginUpdateSpan opens the fork→promote window arc for version name
 // (span mode only).
 func (c *Controller) beginUpdateSpan(name string) {
-	if !c.spans() {
+	if !c.rec.SpansEnabled() {
 		return
 	}
 	c.endUpdateSpan()
@@ -380,9 +367,9 @@ func (c *Controller) beginUpdateSpan(name string) {
 }
 
 // endUpdateSpan closes the open fork→promote window arc, if any
-// (promotion completed, or the update rolled back first).
+// (promotion completed, or the update rolled back or aborted first).
 func (c *Controller) endUpdateSpan() {
-	if !c.spans() || c.updateSpanID == 0 {
+	if c.updateSpanID == 0 {
 		return
 	}
 	c.rec.EndAsync("controller", c.updateSpanName, c.updateSpanID)
@@ -616,7 +603,7 @@ func (c *Controller) attach(id, version string, rules *dsl.RuleSet, candidate bo
 		fv.proc = c.mon.AttachVariant(fv.name, rules)
 	}
 	c.live[fv.name] = fv
-	c.fleetSize(false)
+	c.fleetSize()
 	return fv
 }
 
@@ -624,20 +611,16 @@ func (c *Controller) attach(id, version string, rules *dsl.RuleSet, candidate bo
 // the caller kills the process.
 func (c *Controller) detach(p *mve.Proc, reason string) {
 	if c.mon.EjectVariant(p, reason) {
-		c.fleetSize(true)
+		c.fleetSize()
 	}
 }
 
-// fleetSize publishes the fleet's size after an attach, an eject (which
-// it counts) or a takeover.
-func (c *Controller) fleetSize(ejected bool) {
-	if !c.gated {
-		return
+// fleetSize publishes the fleet's size after an attach, a detach or a
+// takeover. The fleet counter group is optional, and duo artifacts omit it.
+func (c *Controller) fleetSize() {
+	if c.gated {
+		c.rec.SetGauge(obs.GFleetVariants, int64(len(c.mon.Variants())))
 	}
-	if ejected {
-		c.rec.Inc(obs.CFleetEjects)
-	}
-	c.rec.SetGauge(obs.GFleetVariants, int64(len(c.mon.Variants())))
 }
 
 // updateOutcome observes the leader runtime's update records to retry
@@ -754,7 +737,7 @@ func (c *Controller) handlePromoted(newLeader *mve.Proc) {
 	c.candidate = nil
 	stale := c.live
 	c.live = make(map[string]*variant)
-	c.fleetSize(false)
+	c.fleetSize()
 	c.rec.Inc(obs.CCanaryPromotions)
 	c.commit(newLeader.Name() + " promoted; respawning fleet")
 	c.sched.Go("reap-retired", func(t *sim.Task) {
@@ -804,14 +787,10 @@ func (c *Controller) Rollback(reason string) bool {
 	v := c.pending
 	c.pending = nil
 	c.gateGen++ // cancel any open window
-	counter, note := obs.CCoreRollbacks, "rolled back: "
-	if c.gated {
-		counter, note = obs.CCanaryRollbacks, "canary rolled back: "
-	}
-	c.rec.Inc(counter)
-	c.scope.Inc(counter)
+	c.rec.Inc(obs.CCoreRollbacks)
+	c.scope.Inc(obs.CCoreRollbacks)
 	c.endUpdateSpan()
-	c.transition(StageSingleLeader, note+reason)
+	c.transition(StageSingleLeader, "rolled back: "+reason)
 	c.flushTrain("rollback of " + v.Name)
 	if c.cfg.RetryOnRollback && c.retries < c.cfg.MaxRetries {
 		c.retries++

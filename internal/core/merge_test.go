@@ -157,7 +157,7 @@ func TestFleetTrainGateRollbackFlushes(t *testing.T) {
 	if got := strings.Join(versionsSeen(t, h.replies), ","); got != "v1" {
 		t.Fatalf("versions seen = %s (rollback was client-visible): %v", got, h.replies)
 	}
-	if !h.timelineHas("canary rolled back: divergence") || !h.timelineHas("update train flushed after rollback of v2 (1 queued hop(s) dropped)") {
+	if !h.timelineHas("rolled back: divergence: ") || !h.timelineHas("update train flushed after rollback of v2 (1 queued hop(s) dropped)") {
 		t.Fatalf("timeline missing rollback/flush: %+v", h.fc.Timeline())
 	}
 	if h.fc.Stage() != StageSingleLeader || h.fc.QueuedUpdates() != 0 || h.fc.pending != nil {
@@ -166,7 +166,7 @@ func TestFleetTrainGateRollbackFlushes(t *testing.T) {
 	if live := strings.Join(h.fc.LiveVariants(), ","); live != "r1#1@v1,r2#1@v1" {
 		t.Fatalf("live variants = %q, want the old fleet untouched", live)
 	}
-	if got := h.rec.Counter(obs.CCanaryRollbacks); got != 1 {
+	if got := h.rec.Counter(obs.CCoreRollbacks); got != 1 {
 		t.Fatalf("canary rollbacks = %d", got)
 	}
 }

@@ -150,7 +150,7 @@ func runRandomizedFleet(t *testing.T, k int, seed int64) {
 	version := h.fc.LeaderRuntime().App().Version()
 	t.Logf("%v on %s after %d requests: %d promotion(s), %d rollback(s), %d respawn(s), crash fired %d",
 		h.fc.Stage(), version, len(h.replies), h.rec.Counter(obs.CCanaryPromotions),
-		h.rec.Counter(obs.CCanaryRollbacks), h.rec.Counter(obs.CFleetRespawns), plan.Fired())
+		h.rec.Counter(obs.CCoreRollbacks), h.rec.Counter(obs.CFleetRespawns), plan.Fired())
 	if seen[len(seen)-1] != version {
 		t.Errorf("last reply from %s, leader on %s", seen[len(seen)-1], version)
 	}

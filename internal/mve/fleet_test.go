@@ -318,7 +318,7 @@ func TestCanaryDivergenceStormRollsBack(t *testing.T) {
 	var canaryTask *sim.Task
 	m.OnVerdict = func(v Verdict) {
 		verdicts = append(verdicts, v)
-		if v.Action == VerdictRollbackCanary {
+		if v.Action == VerdictRollbackCandidate {
 			m.EjectVariant(canary, "canary rollback")
 			canaryTask.Kill()
 		}
@@ -351,7 +351,7 @@ func TestCanaryDivergenceStormRollsBack(t *testing.T) {
 	v := verdicts[0]
 	// A canary failure never enters the quorum: the verdict is a rollback
 	// of the update, not an indictment of the leader.
-	if v.Action != VerdictRollbackCanary || v.Proc != "canary" {
+	if v.Action != VerdictRollbackCandidate || v.Proc != "canary" {
 		t.Fatalf("verdict = %+v", v)
 	}
 	if canary.VariantDivergences() != 2 {
@@ -586,7 +586,7 @@ func TestAttachVariantGuards(t *testing.T) {
 
 func TestVerdictStrings(t *testing.T) {
 	if VerdictEject.String() != "eject" || VerdictAbort.String() != "abort" ||
-		VerdictRollbackCanary.String() != "rollback-canary" {
+		VerdictRollbackCandidate.String() != "rollback-candidate" {
 		t.Fatal("VerdictAction.String mismatch")
 	}
 	if VerdictAction(9).String() != "action(9)" {

@@ -51,7 +51,7 @@ func runProtocolCell(t *testing.T, policy PromotePolicy, k int, fault string) {
 		}
 	}
 	apply := func(v Verdict) {
-		if v.Action != VerdictRollbackCanary {
+		if v.Action != VerdictRollbackCandidate {
 			t.Errorf("verdict = %v, want the candidate's", v)
 		}
 		if midPromotion := leader.Role() == RoleFollower || leader.Role() == RoleRetired; midPromotion != (fault == "diverge-in-tail") {

@@ -26,9 +26,9 @@ const (
 	// disagree with the leader, so the recorded stream itself is suspect
 	// and per-variant quarantine would eject the wrong side.
 	VerdictAbort
-	// VerdictRollbackCanary gives up on the candidate alone; consumers on
+	// VerdictRollbackCandidate gives up on the candidate alone; consumers on
 	// the leader's version keep validating.
-	VerdictRollbackCanary
+	VerdictRollbackCandidate
 )
 
 // String names the action.
@@ -38,8 +38,8 @@ func (a VerdictAction) String() string {
 		return "eject"
 	case VerdictAbort:
 		return "abort"
-	case VerdictRollbackCanary:
-		return "rollback-canary"
+	case VerdictRollbackCandidate:
+		return "rollback-candidate"
 	default:
 		return fmt.Sprintf("action(%d)", int(a))
 	}
@@ -77,7 +77,7 @@ func (m *Monitor) failVariant(p *Proc, cause string, d *Divergence) Verdict {
 	v := Verdict{Proc: p.name, Cause: cause, Failed: failed, Live: total - failed, Total: total, Div: d}
 	switch {
 	case p == m.candidate:
-		v.Action = VerdictRollbackCanary
+		v.Action = VerdictRollbackCandidate
 	case failed*2 > total:
 		v.Action = VerdictAbort
 	default:

@@ -33,7 +33,7 @@ const (
 	// MVE fleet mode (N-variant execution). Touched only when fleet
 	// variants are attached, so duo runs never export them and the
 	// golden duo artifacts stay byte-identical.
-	CFleetEjects        = "mve.fleet.ejects"                // variants quarantined by a minority verdict
+	CFleetEjects        = "mve.fleet.ejects"                // replicas quarantined by a minority (eject) verdict
 	CFleetAborts        = "mve.fleet.quorum_aborts"         // majority-failure fleet teardowns
 	CFleetDivsTolerated = "mve.fleet.divergences_tolerated" // canary divergences absorbed by the budget
 	GFleetVariants      = "mve.fleet.variants"              // currently attached variants
@@ -52,7 +52,6 @@ const (
 	// family above).
 	CFleetRespawns    = "core.fleet.respawns"    // ejected variants replaced at a leader barrier
 	CCanaryPromotions = "core.canary.promotions" // canary gates passed -> fleet promoted
-	CCanaryRollbacks  = "core.canary.rollbacks"  // canary gates failed -> canary rolled back
 
 	// Chaos layer.
 	CChaosFired = "chaos.fired"
@@ -104,7 +103,7 @@ var CounterNames = []string{
 	CFleetEjects, CFleetAborts, CFleetDivsTolerated,
 	CRuleHits,
 	CCoreTransitions, CCoreUpdates, CCoreCommits, CCoreRollbacks, CCoreRetries,
-	CFleetRespawns, CCanaryPromotions, CCanaryRollbacks,
+	CFleetRespawns, CCanaryPromotions,
 	CChaosFired,
 	CReqTracked, CDSUUpdatePoints, CDSUXformTouched, CDSUXformSwept,
 	CVOSNetBytes, CVOSFSBytes,

@@ -55,7 +55,7 @@ const (
 	KindStage                   // controller stage transition
 	KindRetry                   // controller scheduled a retry (with backoff)
 	KindFault                   // chaos injection fired
-	KindVerdict                 // fleet quorum verdict (eject/abort/canary-rollback)
+	KindVerdict                 // quorum verdict on a failed consumer (eject/abort/rollback-candidate)
 )
 
 var kindNames = map[Kind]string{

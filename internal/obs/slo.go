@@ -255,11 +255,11 @@ func (t *SLOTracker) faultTimes() []time.Duration {
 type interval struct{ start, end time.Duration }
 
 // updateIntervals derives "update activity" intervals from controller
-// stage milestones: a duo's controller is mid-update whenever its stage
-// is not single-leader, a fleet's whenever its phase is not
-// steady (an aborted canary also ends the update). Xform spans on the
-// dsu track (recorded when spans are enabled) are folded in as well, so
-// state-transfer pauses attribute even without a stage change.
+// stage milestones: a controller is mid-update whenever its stage is
+// neither single-leader nor aborted (an aborted canary also ends the
+// update). Xform spans on the dsu track (recorded when spans are
+// enabled) are folded in as well, so state-transfer pauses attribute
+// even without a stage change.
 func (t *SLOTracker) updateIntervals(end time.Duration) []interval {
 	var out []interval
 	var openAt time.Duration
@@ -268,8 +268,7 @@ func (t *SLOTracker) updateIntervals(end time.Duration) []interval {
 		if e.Kind != KindStage {
 			continue
 		}
-		actor := strings.TrimPrefix(e.Actor, "fleet:")
-		steady := actor == "single-leader" || actor == "steady" || actor == "aborted"
+		steady := e.Actor == "single-leader" || e.Actor == "aborted"
 		switch {
 		case !steady && !open:
 			open, openAt = true, e.At
