@@ -42,7 +42,7 @@ lint-maps:
 	$(GO) test -run TestMapRangeDeterminism ./internal/detlint/
 
 # Test-only code sweep: a function, method or exported identifier of any
-# package under internal/ (apptest, detlint and integration aside) that
+# package under internal/ (detlint and integration aside) that
 # no non-test file of the repo references — the nested benchmark module
 # included — and that implements no interface method production calls,
 # fails unless the allowlist in the test names it with a reason.
@@ -67,7 +67,8 @@ lines:
 # example and the benchmark is built with -cover; each main package must
 # be in -coverpkg, or the binary silently writes no counter files. They
 # run the README's demos, `benchtool -experiment all` at its smallest
-# window and each benchmark workload for one traced second. The merged
+# window, the artifact gate `check` runs (`benchtool -check .`) and each
+# benchmark workload for one traced second. The merged
 # counters are then compared block by block with the test profile.
 CENSUS := $(CURDIR)/.census
 coverage-census:
@@ -81,8 +82,9 @@ coverage-census:
 	for a in tkv redis memcached vsftpd cluster; do $$b/mvedsua -app $$a; done; \
 	for f in newcode xform stall; do $$b/mvedsua -app redis -fault $$f; done; \
 	for f in xform timing; do $$b/mvedsua -app memcached -fault $$f; done; \
-	$$b/mvedsua -app redis -trace-all -metrics -perfetto $(CENSUS)/run.json -folded $(CENSUS)/run.folded -pprof $(CENSUS)/run.pprof; \
+	$$b/mvedsua -app redis -report $(CENSUS)/report; \
 	$$b/benchtool -experiment all -window 1ms; \
+	$$b/benchtool -check .; \
 	$$b/benchtool -experiment timeline -perfetto $(CENSUS)/timeline.json; \
 	for w in $$($$b/benchmark -list | awk '{ print $$1 }'); do \
 		$$b/benchmark --workload $$w --seconds 1 --trace $(CENSUS)/trace/$$w; \

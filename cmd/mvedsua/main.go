@@ -1,7 +1,8 @@
 // Command mvedsua runs a scripted demonstration of one server under the
 // MVEDSUA controller: deploy, dynamically update, optionally inject one
-// of the paper's §6.2 faults, promote, commit — and print the controller
-// timeline and the MVE monitor's event log.
+// of the paper's §6.2 faults, promote, commit — and print the run's
+// lifecycle as the flight recorder saw it: stages, roles, divergences,
+// rule hits, stalls, verdicts, faults and retries.
 //
 //	mvedsua -app tkv                       # the paper's running example
 //	mvedsua -app redis                     # kvstore 2.0.0 -> 2.0.1
@@ -13,23 +14,24 @@
 //	mvedsua -app memcached -fault timing   # missing LibEvent reset -> retries
 //	mvedsua -app cluster                   # rolling upgrade vs MVEDSUA (§1.1)
 //
-// Observability (docs/OBSERVABILITY.md):
+// -report <dir> also writes the run's instruments into dir
+// (docs/OBSERVABILITY.md); stdout stays the same, since instruments
+// never advance virtual time:
 //
-//	mvedsua -app redis -trace              # update-lifecycle timeline
-//	mvedsua -app redis -trace-all          # full trace incl. per-syscall events
-//	mvedsua -app redis -metrics            # flight-recorder counters/histograms
-//	mvedsua -app redis -perfetto out.json  # Chrome trace_event export (load in
-//	                                       # https://ui.perfetto.dev)
-//	mvedsua -app redis -folded out.txt     # exact virtual-clock profile as
-//	                                       # folded flamegraph stacks
-//	mvedsua -app redis -pprof out.pb       # the same profile, pprof-encoded
-//	                                       # (go tool pprof out.pb)
+//	trace.txt       the full trace, per-syscall events included
+//	metrics.txt     counters, gauges and latency histograms
+//	trace.json      Chrome trace_event export (load in https://ui.perfetto.dev)
+//	profile.folded  exact virtual-clock profile as folded flamegraph stacks
+//	profile.pprof   the same profile, pprof-encoded (go tool pprof)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -46,144 +48,116 @@ import (
 	"mvedsua/internal/sim"
 )
 
-var (
-	traceFlag    = flag.Bool("trace", false, "print the flight-recorder lifecycle timeline (milestone events)")
-	traceAllFlag = flag.Bool("trace-all", false, "print the full flight-recorder trace, including per-syscall hot events")
-	metricsFlag  = flag.Bool("metrics", false, "print flight-recorder metrics (counters, gauges, latency histograms)")
-	perfettoFlag = flag.String("perfetto", "", "write a Chrome trace_event export of the run to this file (Perfetto-loadable)")
-	foldedFlag   = flag.String("folded", "", "write the exact virtual-clock profile to this file as folded flamegraph stacks")
-	pprofFlag    = flag.String("pprof", "", "write the exact virtual-clock profile to this file in pprof format")
-)
-
-// prof holds the run's virtual-clock profiler when -folded or -pprof
-// asked for one; nil otherwise (profiling stays fully dark).
-var prof *obs.Profiler
-
 func main() {
-	app := flag.String("app", "tkv", "tkv|redis|memcached|vsftpd|cluster")
-	fault := flag.String("fault", "", "''|newcode|xform|stall|timing")
-	flag.Parse()
-
-	var err error
-	switch *app {
-	case "tkv":
-		err = demoTKV()
-	case "redis":
-		err = demoRedis(*fault)
-	case "memcached":
-		err = demoMemcached(*fault)
-	case "vsftpd":
-		err = demoVsftpd()
-	case "cluster":
-		err = demoCluster()
-	default:
-		err = fmt.Errorf("unknown app %q", *app)
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mvedsua:", err)
 		os.Exit(1)
 	}
 }
 
-// setup applies the observability flags to a freshly built world:
-// span tracing is enabled only when the run will export a trace, so
-// flag-less demo output stays identical.
-func setup(w *apptest.World) *apptest.World {
-	w.C.Monitor().EnableEventLog(0) // report() prints the lifecycle log
-	if *perfettoFlag != "" {
-		w.EnableSpanTracing()
+// run parses args, runs the demo they name and prints its story to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("mvedsua", flag.ExitOnError)
+	app := fs.String("app", "tkv", "tkv|redis|memcached|vsftpd|cluster")
+	fault := fs.String("fault", "", "''|newcode|xform|stall|timing")
+	report := fs.String("report", "", "write the run's trace, metrics, Perfetto export and virtual-clock profile into this directory")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with the usage
+
+	d := &demo{out: out, report: *report}
+	switch *app {
+	case "tkv":
+		return d.tkv()
+	case "redis":
+		return d.redis(*fault)
+	case "memcached":
+		return d.memcached(*fault)
+	case "vsftpd":
+		return d.vsftpd()
+	case "cluster":
+		if d.report != "" {
+			return errors.New("-report: the cluster demo has no world to report")
+		}
+		return d.cluster()
 	}
-	if *foldedFlag != "" || *pprofFlag != "" {
-		prof = w.EnableProfiling()
+	return fmt.Errorf("unknown app %q", *app)
+}
+
+// demo is one run of a demonstration: where its story goes and, with
+// -report, where its instruments go.
+type demo struct {
+	out    io.Writer
+	report string        // -report's directory; "" leaves the instruments dark
+	prof   *obs.Profiler // the run's virtual-clock profiler, with report
+}
+
+// setup turns the instruments on for a freshly built world when the run
+// will report them.
+func (d *demo) setup(w *apptest.World) *apptest.World {
+	if d.report != "" {
+		w.EnableSpanTracing()
+		d.prof = w.EnableProfiling()
 	}
 	return w
 }
 
-func report(w *apptest.World) {
-	fmt.Println("\ncontroller timeline:")
-	for _, ev := range w.C.Timeline() {
-		fmt.Printf("  %8.3fs  %-16v %s\n", ev.At.Seconds(), ev.Stage, ev.Note)
+// finish prints the run's lifecycle and writes the report, if asked for.
+func (d *demo) finish(w *apptest.World) error {
+	fmt.Fprintln(d.out, "\nlifecycle:")
+	fmt.Fprintln(d.out, indent(w.Rec.FormatTimeline(true)))
+	if d.report == "" {
+		return nil
 	}
-	fmt.Println("\nmonitor log:")
-	for _, l := range w.C.Monitor().EventLog() {
-		fmt.Println("  " + l)
+	chrome, err := w.Rec.ExportChromeTrace()
+	if err != nil {
+		return fmt.Errorf("Chrome trace export: %w", err)
 	}
-	if d := w.C.Monitor().Divergences(); len(d) > 0 {
-		fmt.Println("\ndivergences:")
-		for _, dv := range d {
-			fmt.Println("  " + dv.String())
+	if err := os.MkdirAll(d.report, 0o755); err != nil {
+		return err
+	}
+	for name, data := range map[string][]byte{ // maporder: ok — independent files
+		"trace.txt":      []byte(w.Rec.FormatTimeline(false)),
+		"metrics.txt":    []byte(w.Rec.FormatMetrics()),
+		"trace.json":     chrome,
+		"profile.folded": []byte(d.prof.Folded()),
+		"profile.pprof":  d.prof.Pprof(),
+	} {
+		if err := os.WriteFile(filepath.Join(d.report, name), data, 0o644); err != nil {
+			return err
 		}
 	}
-	if *traceFlag || *traceAllFlag {
-		fmt.Println("\nflight recorder trace:")
-		fmt.Print(indent(w.Rec.FormatTimeline(!*traceAllFlag)))
-		fmt.Println()
-	}
-	if *metricsFlag {
-		fmt.Println("\nflight recorder metrics:")
-		fmt.Print(indent(w.Rec.FormatMetrics()))
-		fmt.Println()
-	}
-	if *perfettoFlag != "" {
-		data, err := w.Rec.ExportChromeTrace()
-		if err == nil {
-			err = os.WriteFile(*perfettoFlag, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mvedsua: perfetto export:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s (%d span events; open in https://ui.perfetto.dev)\n",
-			*perfettoFlag, len(w.Rec.Spans()))
-	}
-	if *foldedFlag != "" && prof != nil {
-		folded := prof.Folded()
-		if err := os.WriteFile(*foldedFlag, []byte(folded), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "mvedsua: folded export:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s (%d folded stacks; render with any flamegraph tool)\n",
-			*foldedFlag, strings.Count(folded, "\n"))
-	}
-	if *pprofFlag != "" && prof != nil {
-		if err := os.WriteFile(*pprofFlag, prof.Pprof(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "mvedsua: pprof export:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (inspect with `go tool pprof -top %s`)\n", *pprofFlag, *pprofFlag)
-	}
+	return nil
 }
 
-func demoTKV() error {
-	w := setup(apptest.NewWorld(core.Config{}))
+func (d *demo) tkv() error {
+	w := d.setup(apptest.NewWorld(core.Config{}))
 	w.C.Start(tkv.New("v1", false))
 	w.S.Go("client", func(tk *sim.Task) {
 		defer w.Finish()
 		c := apptest.Connect(w.K, tk, tkv.Port)
 		defer c.Close(tk)
 		say := func(cmd string) {
-			fmt.Printf("  > %-26s %s", cmd, c.Do(tk, cmd))
+			fmt.Fprintf(d.out, "  > %-26s %s", cmd, c.Do(tk, cmd))
 		}
-		fmt.Println("v1 serving:")
+		fmt.Fprintln(d.out, "v1 serving:")
 		say("PUT balance 1000")
 		say("GET balance")
-		fmt.Println("\ndynamic update v1 -> v2 (typed entries, Figure 1)...")
+		fmt.Fprintln(d.out, "\ndynamic update v1 -> v2 (typed entries, Figure 1)...")
 		w.C.Update(tkv.Update(tkv.UpdateOpts{}))
 		for i := 0; i < 3; i++ {
 			c.Do(tk, "GET balance")
 			tk.Sleep(10 * time.Millisecond)
 		}
-		fmt.Println("old version still leads; new commands rejected (Rule 1):")
+		fmt.Fprintln(d.out, "old version still leads; new commands rejected (Rule 1):")
 		say("PUT-number balance 1001")
 		say("TYPE balance")
 		tk.Sleep(20 * time.Millisecond)
-		fmt.Println("\npromoting the new version (t4)...")
+		fmt.Fprintln(d.out, "\npromoting the new version (t4)...")
 		w.C.Promote()
 		for i := 0; i < 3; i++ {
 			c.Do(tk, "GET balance")
 			tk.Sleep(10 * time.Millisecond)
 		}
-		fmt.Println("new interface live, state carried over:")
+		fmt.Fprintln(d.out, "new interface live, state carried over:")
 		say("TYPE balance")
 		say("PUT-number visits 42")
 		say("GET visits")
@@ -192,11 +166,10 @@ func demoTKV() error {
 	if err := w.Run(time.Hour); err != nil {
 		return err
 	}
-	report(w)
-	return nil
+	return d.finish(w)
 }
 
-func demoRedis(fault string) error {
+func (d *demo) redis(fault string) error {
 	opts := kvstore.UpdateOpts{PerEntryXform: time.Microsecond}
 	cfg := core.Config{}
 	var plan *chaos.Plan
@@ -218,7 +191,7 @@ func demoRedis(fault string) error {
 	default:
 		return fmt.Errorf("redis supports faults: newcode, xform, stall")
 	}
-	w := setup(apptest.NewWorld(cfg))
+	w := d.setup(apptest.NewWorld(cfg))
 	if plan != nil {
 		plan.Rec = w.Rec // injected faults join the flight-recorder timeline
 	}
@@ -227,20 +200,20 @@ func demoRedis(fault string) error {
 		defer w.Finish()
 		c := apptest.Connect(w.K, tk, kvstore.Port)
 		defer c.Close(tk)
-		fmt.Printf("  > SET plain value        %s", c.Do(tk, "SET plain value"))
-		fmt.Println("updating Redis 2.0.0 -> 2.0.1 (one DSL rule)...")
+		fmt.Fprintf(d.out, "  > SET plain value        %s", c.Do(tk, "SET plain value"))
+		fmt.Fprintln(d.out, "updating Redis 2.0.0 -> 2.0.1 (one DSL rule)...")
 		w.C.Update(kvstore.Update("2.0.0", "2.0.1", opts))
 		for i := 0; i < 5; i++ {
 			c.Do(tk, "INCR counter")
 			tk.Sleep(10 * time.Millisecond)
 		}
 		if fault == "newcode" {
-			fmt.Println("sending the bad HMGET (revision 7fb16bac's crash):")
-			fmt.Printf("  > HMGET plain f          %s", c.Do(tk, "HMGET plain f"))
+			fmt.Fprintln(d.out, "sending the bad HMGET (revision 7fb16bac's crash):")
+			fmt.Fprintf(d.out, "  > HMGET plain f          %s", c.Do(tk, "HMGET plain f"))
 			tk.Sleep(50 * time.Millisecond)
 		}
 		if fault == "stall" {
-			fmt.Println("follower is hung; serving on while the watchdog counts down...")
+			fmt.Fprintln(d.out, "follower is hung; serving on while the watchdog counts down...")
 			for i := 0; i < 8; i++ {
 				c.Do(tk, "INCR counter")
 				tk.Sleep(10 * time.Millisecond)
@@ -254,17 +227,16 @@ func demoRedis(fault string) error {
 			}
 			w.C.Commit()
 		}
-		fmt.Printf("  > GET plain              %s", c.Do(tk, "GET plain"))
-		fmt.Printf("final leader version: %s\n", w.C.LeaderRuntime().App().Version())
+		fmt.Fprintf(d.out, "  > GET plain              %s", c.Do(tk, "GET plain"))
+		fmt.Fprintf(d.out, "final leader version: %s\n", w.C.LeaderRuntime().App().Version())
 	})
 	if err := w.Run(time.Hour); err != nil {
 		return err
 	}
-	report(w)
-	return nil
+	return d.finish(w)
 }
 
-func demoMemcached(fault string) error {
+func (d *demo) memcached(fault string) error {
 	cfg := core.Config{DSU: dsu.Config{
 		EpollWaitIsUpdatePoint: true,
 		EpollUpdateInterval:    5 * time.Millisecond,
@@ -282,7 +254,7 @@ func demoMemcached(fault string) error {
 	default:
 		return fmt.Errorf("memcached supports faults: xform, timing")
 	}
-	w := setup(apptest.NewWorld(cfg))
+	w := d.setup(apptest.NewWorld(cfg))
 	w.C.Start(memcache.New(memcache.SpecFor("1.2.2", 1)))
 	w.S.Go("client", func(tk *sim.Task) {
 		defer w.Finish()
@@ -300,7 +272,7 @@ func demoMemcached(fault string) error {
 				a.RecvUntil(tk, "END\r\n")
 			}
 		}
-		fmt.Println("updating Memcached 1.2.2 -> 1.2.3 (no DSL rules needed)...")
+		fmt.Fprintln(d.out, "updating Memcached 1.2.2 -> 1.2.3 (no DSL rules needed)...")
 		w.C.Update(memcache.Update("1.2.2", "1.2.3", opts))
 		for round := 0; round < 40; round++ {
 			a.Send(tk, "get k\r\n")
@@ -329,25 +301,24 @@ func demoMemcached(fault string) error {
 			w.C.Commit()
 		}
 		a.Send(tk, "version\r\n")
-		fmt.Printf("final version reply: %s", a.RecvUntil(tk, "\r\n"))
+		fmt.Fprintf(d.out, "final version reply: %s", a.RecvUntil(tk, "\r\n"))
 		if fault == "timing" {
-			fmt.Printf("retries needed: %d (paper: max 8, median 2)\n", w.C.Retries())
+			fmt.Fprintf(d.out, "retries needed: %d (paper: max 8, median 2)\n", w.C.Retries())
 		}
 	})
 	if err := w.Run(time.Hour); err != nil {
 		return err
 	}
-	report(w)
-	return nil
+	return d.finish(w)
 }
 
-func demoVsftpd() error {
-	w := setup(apptest.NewWorld(core.Config{}))
+func (d *demo) vsftpd() error {
+	w := d.setup(apptest.NewWorld(core.Config{}))
 	w.K.WriteFile(ftpd.Root+"/readme.txt", []byte("welcome to the mvedsua ftp demo"))
 	w.C.Start(ftpd.New(ftpd.SpecFor("2.0.3")))
 	fwd, _ := ftpd.RulesFor("2.0.3", "2.0.4")
-	fmt.Println("generated forward rules for 2.0.3 -> 2.0.4:")
-	fmt.Println(indent(fwd.String()))
+	fmt.Fprintln(d.out, "generated forward rules for 2.0.3 -> 2.0.4:")
+	fmt.Fprintln(d.out, indent(fwd.String()))
 	w.S.Go("client", func(tk *sim.Task) {
 		defer w.Finish()
 		c := apptest.Connect(w.K, tk, ftpd.Port)
@@ -355,13 +326,13 @@ func demoVsftpd() error {
 		c.RecvUntil(tk, "\r\n")
 		c.Do(tk, "USER anonymous")
 		c.Do(tk, "PASS guest")
-		fmt.Println("updating Vsftpd 2.0.3 -> 2.0.4 (adds MDTM)...")
+		fmt.Fprintln(d.out, "updating Vsftpd 2.0.3 -> 2.0.4 (adds MDTM)...")
 		w.C.Update(ftpd.Update("2.0.3", "2.0.4"))
 		for i := 0; i < 4; i++ {
 			c.Do(tk, "NOOP")
 			tk.Sleep(10 * time.Millisecond)
 		}
-		fmt.Printf("  > MDTM readme.txt (old leads)  %s", c.Do(tk, "MDTM readme.txt"))
+		fmt.Fprintf(d.out, "  > MDTM readme.txt (old leads)  %s", c.Do(tk, "MDTM readme.txt"))
 		tk.Sleep(20 * time.Millisecond)
 		w.C.Promote()
 		for i := 0; i < 4; i++ {
@@ -369,23 +340,22 @@ func demoVsftpd() error {
 			tk.Sleep(10 * time.Millisecond)
 		}
 		w.C.Commit()
-		fmt.Printf("  > MDTM readme.txt (new leads)  %s", c.Do(tk, "MDTM readme.txt"))
+		fmt.Fprintf(d.out, "  > MDTM readme.txt (new leads)  %s", c.Do(tk, "MDTM readme.txt"))
 	})
 	if err := w.Run(time.Hour); err != nil {
 		return err
 	}
-	report(w)
-	return nil
+	return d.finish(w)
 }
 
-func demoCluster() error {
-	fmt.Println("upgrading a 4-node sharded cluster (20k entries/node) under live load,")
-	fmt.Println("with each strategy; what the clients experience:")
+func (d *demo) cluster() error {
+	fmt.Fprintln(d.out, "upgrading a 4-node sharded cluster (20k entries/node) under live load,")
+	fmt.Fprintln(d.out, "with each strategy; what the clients experience:")
 	results, err := rolling.Compare(4, 20000, "2.0.0", "2.0.1")
 	if err != nil {
 		return err
 	}
-	fmt.Println(rolling.FormatComparison(results))
+	fmt.Fprintln(d.out, rolling.FormatComparison(results))
 	return nil
 }
 

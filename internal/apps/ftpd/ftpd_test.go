@@ -14,7 +14,6 @@ import (
 func serve(t *testing.T, version string, driver func(w *apptest.World, tk *sim.Task)) *apptest.World {
 	t.Helper()
 	w := apptest.NewWorld(core.Config{})
-	w.C.Monitor().EnableEventLog(0) // failure messages print the lifecycle log
 	w.K.WriteFile(Root+"/hello.txt", []byte("hello"))
 	w.C.Start(New(SpecFor(version)))
 	w.S.Go("driver", func(tk *sim.Task) {
@@ -276,8 +275,7 @@ func TestAllPairsUpdateUnderMVEDSUA(t *testing.T) {
 				}
 				tk.Sleep(20 * time.Millisecond)
 				if w.C.Stage() != core.StageOutdatedLeader {
-					t.Fatalf("stage = %v; divergences: %v\nlog: %v",
-						w.C.Stage(), w.C.Monitor().Divergences(), w.C.Monitor().EventLog())
+					t.Fatalf("stage = %v; lifecycle:\n%s", w.C.Stage(), w.Rec.FormatTimeline(true))
 				}
 				// Promote and keep the mix flowing: reverse rules hold.
 				w.C.Promote()

@@ -98,9 +98,6 @@ func (w *World) EnableProfiling() *obs.Profiler {
 // runtime tasks so the scheduler can drain.
 func (w *World) Finish() { w.done = true }
 
-// Done reports whether Finish was called.
-func (w *World) Done() bool { return w.done }
-
 // Run executes the world until the driver calls Finish (or hard timeout
 // in virtual time), then shuts the service down. It returns any
 // scheduler error.

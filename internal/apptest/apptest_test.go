@@ -54,8 +54,8 @@ func TestWorldRunFinishesOnFinish(t *testing.T) {
 	if got != "hello\r\n" {
 		t.Fatalf("echo = %q", got)
 	}
-	if !w.Done() {
-		t.Fatal("Done not reported")
+	if !w.done {
+		t.Fatal("Finish not recorded")
 	}
 }
 

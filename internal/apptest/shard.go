@@ -59,24 +59,6 @@ func NewShardedWorld(shards, groups int, quantum time.Duration, mkcfg func(group
 // ShardOf returns the shard a group was placed on.
 func (sw *ShardedWorld) ShardOf(group int) int { return group % sw.SS.Shards() }
 
-// Finish marks every group's scenario complete from task tk. Groups on
-// tk's own shard flip directly; every other group is finished via a
-// cross-shard message, never a shared flag — a bool written on one
-// shard and polled on another would reintroduce the OS-interleaving
-// nondeterminism the barrier exists to exclude. Completion therefore
-// lands on remote shards within one quantum, at a deterministic virtual
-// time.
-func (sw *ShardedWorld) Finish(tk *sim.Task) {
-	for g, w := range sw.Worlds {
-		w := w
-		if sw.ShardOf(g) == tk.Scheduler().ShardID() {
-			w.Finish()
-		} else {
-			sw.SS.Send(tk, sw.ShardOf(g), "apptest/finish", func(*sim.Task) { w.Finish() })
-		}
-	}
-}
-
 // Run executes all groups until each has been finished (or the hard
 // virtual-time limit), installing the same teardown task World.Run
 // uses, one per group, then drives the sharded runtime to drain.
@@ -86,79 +68,6 @@ func (sw *ShardedWorld) Run(maxVirtual time.Duration) error {
 		w.S.Go(fmt.Sprintf("apptest/teardown%d", g), func(tk *sim.Task) { w.teardown(tk, maxVirtual) })
 	}
 	return sw.SS.Run()
-}
-
-// EnableProfiling opts every shard of the runtime into exact
-// virtual-clock profiling with a single shared profiler: each shard's
-// scheduler gets its own private accumulator (written only by that
-// shard's OS thread), and every group's recorder starts accepting
-// label pushes at the instrumentation chokepoints. Call before Run;
-// export the returned profiler after Run.
-func (sw *ShardedWorld) EnableProfiling() *obs.Profiler {
-	p := obs.NewProfiler()
-	for i := 0; i < sw.SS.Shards(); i++ {
-		s := sw.SS.Shard(i)
-		s.SetProfiler(p.ShardSink(i, s.Now))
-	}
-	for _, w := range sw.Worlds {
-		w.Rec.EnableProfiling()
-	}
-	return p
-}
-
-// EnableSpanTracing opts every group into causal span tracing and the
-// sharded runtime into cross-shard flow logging, so the run can be
-// exported as one merged timeline. Scheduler run slices land in the
-// first group's recorder on each shard (the per-shard track owner);
-// spans from all groups are keyed to their own recorders as usual.
-func (sw *ShardedWorld) EnableSpanTracing() {
-	sw.SS.SetFlowLog(true)
-	sliced := make(map[int]bool)
-	for g, w := range sw.Worlds {
-		w.Rec.EnableSpans()
-		w.K.Rec = w.Rec
-		shard := sw.ShardOf(g)
-		if sliced[shard] {
-			continue
-		}
-		sliced[shard] = true
-		rec, s := w.Rec, w.S
-		s.OnSlice = func(task string, start, end time.Duration) {
-			if end > start {
-				rec.Slice(task, "run", start, end)
-			}
-		}
-	}
-}
-
-// ExportMergedChromeTrace renders the whole sharded run as one
-// Perfetto/Chrome timeline: each shard's span track owner becomes a
-// trace process, and every cross-shard message delivered at an epoch
-// barrier becomes a flow arc from its virtual send to its delivery.
-// Requires EnableSpanTracing before the run.
-func (sw *ShardedWorld) ExportMergedChromeTrace() ([]byte, error) {
-	var shards []obs.ShardTrace
-	seen := make(map[int]bool)
-	for g, w := range sw.Worlds {
-		shard := sw.ShardOf(g)
-		if seen[shard] {
-			continue
-		}
-		seen[shard] = true
-		shards = append(shards, obs.ShardTrace{
-			Shard: shard,
-			Label: fmt.Sprintf("shard%d", shard),
-			Rec:   w.Rec,
-		})
-	}
-	var flows []obs.Flow
-	for _, f := range sw.SS.Flows() {
-		flows = append(flows, obs.Flow{
-			ID: f.Seq, From: f.From, To: f.To, Name: f.Name,
-			Sent: f.Sent, Delivered: f.Delivered,
-		})
-	}
-	return obs.ExportMergedChromeTrace(shards, flows)
 }
 
 // MergedMetrics folds every group's root registry into one aggregate,

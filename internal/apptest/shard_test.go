@@ -87,31 +87,3 @@ func TestShardedWorldMergeInvariantAcrossShardCounts(t *testing.T) {
 		}
 	}
 }
-
-// Finish from a coordinator task reaches remote shards via cross-shard
-// messages within one quantum, so a run with no per-group finishers
-// still drains.
-func TestShardedWorldFinishCrossShard(t *testing.T) {
-	sw := NewShardedWorld(2, 4, time.Millisecond, func(int) core.Config {
-		return core.Config{}
-	})
-	for _, w := range sw.Worlds {
-		w.C.Start(&echoServer{})
-	}
-	sw.SS.Go(0, "coordinator", func(tk *sim.Task) {
-		tk.Sleep(5 * time.Millisecond)
-		sw.Finish(tk)
-	})
-	start := time.Now()
-	if err := sw.Run(time.Hour); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatal("Run took implausibly long in wall-clock time")
-	}
-	for g, w := range sw.Worlds {
-		if !w.Done() {
-			t.Errorf("group %d never finished", g)
-		}
-	}
-}

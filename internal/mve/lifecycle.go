@@ -14,7 +14,6 @@ import (
 func (m *Monitor) StartSingleLeader(name string) *Proc {
 	p := newProc(m, name, RoleSingleLeader)
 	m.leader = p
-	m.logf("%s started as single leader", name)
 	m.rec.Emit(obs.KindRole, name, "started as single leader")
 	p.setRoleSpan("single-leader")
 	return p
@@ -40,7 +39,6 @@ func (m *Monitor) AttachVariant(name string, rules *dsl.RuleSet) *Proc {
 	p.kstate = m.leader.kstate.Clone()
 	p.follow()
 	m.variants = append(m.variants, p)
-	m.logf("%s attached as follower of %s (%d attached, buffer %d entries)", name, m.leader.name, len(m.variants), m.ring.Cap())
 	m.rec.Emitf(obs.KindRole, name, "attached as follower of %s (%d attached, buffer %d entries)", m.leader.name, len(m.variants), m.ring.Cap())
 	if first {
 		m.leader.setRoleSpan("leader")
@@ -63,7 +61,6 @@ func (m *Monitor) AttachCandidate(name string, rules *dsl.RuleSet, budget int) *
 	p.budget = budget
 	p.canary = len(m.variants) > 1
 	m.candidate = p
-	m.logf("%s is the candidate (divergence budget %d)", name, budget)
 	return p
 }
 
@@ -132,7 +129,6 @@ func (m *Monitor) EjectVariant(p *Proc, reason string) bool {
 	if !m.leave(p) {
 		return false
 	}
-	m.logf("%s ejected (%s); %d remain", p.name, reason, len(m.variants))
 	m.rec.Emitf(obs.KindRole, p.name, "ejected (%s); %d remain (%d events dropped by discard policy)", reason, len(m.variants), m.ring.Dropped)
 	p.endRoleSpan()
 	l := m.leader
@@ -226,7 +222,6 @@ func (m *Monitor) startWatchdog(f *Proc) {
 // raiseStall records and dispatches a follower stall.
 func (m *Monitor) raiseStall(st Stall) {
 	m.Stats.Stalls++
-	m.logf("%s", st)
 	m.rec.Inc(obs.CMVEStalls)
 	m.rec.Emit(obs.KindStall, st.Proc, st.String())
 	if m.OnStall != nil {
@@ -283,7 +278,6 @@ func (m *Monitor) Promote(t *sim.Task, policy PromotePolicy) bool {
 	if policy == PromoteDemote {
 		old.follow()
 	}
-	m.logf("promotion event injected for %s", m.candidate.name)
 	return true
 }
 
@@ -294,7 +288,6 @@ func (m *Monitor) Promote(t *sim.Task, policy PromotePolicy) bool {
 // set as the new candidate.
 func (p *Proc) becomeLeader() {
 	m := p.m
-	m.logf("%s promoted to leader", p.name)
 	m.rec.Inc(obs.CMVEPromotions)
 	m.rec.Emit(obs.KindRole, p.name, "promoted to leader")
 	old := m.leader

@@ -231,7 +231,7 @@ type Monitor struct {
 	// OnStall is invoked when the watchdog declares a follower hung or
 	// the discard policy hits a full buffer. The handler decides what to
 	// do (MVEDSUA's controller rolls the update back); with no handler
-	// the stall is only logged and counted.
+	// the stall is only recorded and counted.
 	OnStall func(Stall)
 
 	// OnPromoted is invoked when a promotion completes: the candidate
@@ -244,21 +244,10 @@ type Monitor struct {
 	// FailVariant at the caller's request instead, since their detection
 	// reaches the monitor from outside. The handler owns the consequences
 	// (rollback or commit, eject-and-respawn, fleet abort); with no
-	// handler the verdict is only logged.
+	// handler the divergence is only recorded.
 	OnVerdict func(Verdict)
 
 	divergences []Divergence
-
-	// Coarse monitor event log. Disabled by default: logf formats (and
-	// retains) nothing unless EnableEventLog was called, mirroring the
-	// obs.Recorder.Enabled gate, so hot paths that narrate (divergences,
-	// promotions, rule hits) don't pay fmt.Sprintf for a log nobody
-	// reads. When enabled, retention is bounded: the newest logCap lines
-	// are kept.
-	logEnabled  bool
-	logCap      int
-	events      []string // circular once len == logCap
-	eventsStart int      // index of the oldest retained line
 
 	// Stats aggregates monitor activity for reporting.
 	Stats Stats
@@ -302,49 +291,6 @@ func (m *Monitor) SetRecorder(rec *obs.Recorder) {
 
 // Divergences returns the divergences observed so far.
 func (m *Monitor) Divergences() []Divergence { return m.divergences }
-
-// DefaultEventLogCap bounds the event log when EnableEventLog is called
-// with capacity <= 0.
-const DefaultEventLogCap = 512
-
-// EnableEventLog turns the coarse monitor event log on, retaining at
-// most capacity lines (DefaultEventLogCap when <= 0). When the log
-// overflows, the oldest lines are discarded; EventLog always returns the
-// newest tail. Call before starting procs to capture the
-// full lifecycle.
-func (m *Monitor) EnableEventLog(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultEventLogCap
-	}
-	m.logEnabled = true
-	m.logCap = capacity
-}
-
-// EventLog returns the retained tail of the monitor event log, oldest
-// first.
-func (m *Monitor) EventLog() []string {
-	if len(m.events) < m.logCap || m.eventsStart == 0 {
-		return m.events
-	}
-	out := make([]string, 0, len(m.events))
-	out = append(out, m.events[m.eventsStart:]...)
-	out = append(out, m.events[:m.eventsStart]...)
-	return out
-}
-
-func (m *Monitor) logf(format string, args ...interface{}) {
-	if !m.logEnabled {
-		return
-	}
-	line := fmt.Sprintf("[%8.3fs] ", m.sched.Now().Seconds()) + fmt.Sprintf(format, args...)
-	if len(m.events) < m.logCap {
-		m.events = append(m.events, line)
-		return
-	}
-	// Overwrite the oldest line, keeping the newest logCap.
-	m.events[m.eventsStart] = line
-	m.eventsStart = (m.eventsStart + 1) % m.logCap
-}
 
 // Proc is one version instance's view of the system: it implements
 // sysabi.Dispatcher and routes syscalls according to its current role.

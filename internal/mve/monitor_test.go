@@ -639,20 +639,22 @@ func TestCompareMatrix(t *testing.T) {
 	}
 }
 
+// The flight recorder is the monitor's lifecycle log: a start, an attach
+// and an eject each leave a role milestone.
 func TestEventLogRecordsLifecycle(t *testing.T) {
-	s, k, m := world(8, Costs{})
-	m.EnableEventLog(0)
-	leader := m.StartSingleLeader("v0")
-	follower := m.AttachCandidate("v1", nil, 0)
-	_ = leader
-	_ = k
-	_ = follower
+	s, _, m := world(8, Costs{})
+	rec := obs.New(s.Now, obs.Options{})
+	m.SetRecorder(rec)
+	m.StartSingleLeader("v0")
+	m.AttachCandidate("v1", nil, 0)
 	ejectAll(m, "dropped")
-	_ = s
-	log := strings.Join(m.EventLog(), "\n")
+	var log []string
+	for _, e := range rec.Milestones() {
+		log = append(log, e.String())
+	}
 	for _, want := range []string{"single leader", "attached as follower", "dropped"} {
-		if !strings.Contains(log, want) {
-			t.Errorf("event log missing %q:\n%s", want, log)
+		if !strings.Contains(strings.Join(log, "\n"), want) {
+			t.Errorf("lifecycle milestones missing %q:\n%s", want, strings.Join(log, "\n"))
 		}
 	}
 }
@@ -723,7 +725,8 @@ func TestDemotedLeaderCursorOpensPastPromotion(t *testing.T) {
 
 	t.Run("leader-crash", func(t *testing.T) {
 		s, k, m := world(64, Costs{})
-		m.EnableEventLog(0)
+		rec := obs.New(s.Now, obs.Options{})
+		m.SetRecorder(rec)
 		leader := m.StartSingleLeader("v0")
 		follower := m.AttachCandidate("v1", nil, 0)
 		var replies []string
@@ -778,7 +781,7 @@ func TestDemotedLeaderCursorOpensPastPromotion(t *testing.T) {
 		if strings.Join(replies, "") != "1234" || m.Leader() != follower || len(m.Divergences()) != 0 {
 			t.Fatalf("replies = %v, leader = %s, divergences = %v", replies, m.Leader().Name(), m.Divergences())
 		}
-		if log := strings.Join(m.EventLog(), "\n"); !strings.Contains(log, "crashed leader's stream truncated") {
+		if log := rec.FormatTimeline(true); !strings.Contains(log, "crashed leader's stream truncated") {
 			t.Fatalf("the garbage tail was never discarded; scenario incomplete:\n%s", log)
 		}
 	})

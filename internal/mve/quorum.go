@@ -83,7 +83,6 @@ func (m *Monitor) failVariant(p *Proc, cause string, d *Divergence) Verdict {
 	default:
 		v.Action = VerdictEject
 	}
-	m.logf("%s", v)
 	return v
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mvedsua/internal/obs"
 	"mvedsua/internal/ringbuf"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
@@ -98,7 +99,8 @@ func TestOutOfTurnThreadsSettleInScheduler(t *testing.T) {
 // re-issue its call natively.
 func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 	s, _, m := world(64, Costs{})
-	m.EnableEventLog(0)
+	rec := obs.New(s.Now, obs.Options{})
+	m.SetRecorder(rec)
 	leader := m.StartSingleLeader("v0")
 	follower := m.AttachCandidate("v1", nil, 0)
 	var leaderOrder, followerOrder []string
@@ -120,7 +122,7 @@ func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 	if m.Leader() != follower || len(m.Divergences()) != 0 {
 		t.Fatalf("leader = %s, divergences = %v", m.Leader().Name(), m.Divergences())
 	}
-	if log := strings.Join(m.EventLog(), "\n"); !strings.Contains(log, "crashed leader's stream truncated") {
+	if log := rec.FormatTimeline(true); !strings.Contains(log, "crashed leader's stream truncated") {
 		t.Fatalf("the garbage tail was never discarded:\n%s", log)
 	}
 	// Round 0 in the leader's order; round 1 natively, thread 3 (which

@@ -89,7 +89,7 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 			// the crash point, and this mismatch is where the truncation
 			// bites. Discard the garbage tail, complete the promotion, and
 			// re-dispatch the in-flight call natively.
-			p.m.logf("%s: crashed leader's stream truncated at #%d (%s); promoting", p.name, exp.Seq, reason)
+			p.m.rec.Emitf(obs.KindRole, p.name, "crashed leader's stream truncated at #%d (%s); promoting", exp.Seq, reason)
 			p.discardTail(t, st)
 			if p.role == RoleFollower {
 				p.becomeLeader()
@@ -101,7 +101,6 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 		d := Divergence{Proc: p.name, Seq: exp.Seq, Got: call.Clone(), Reason: reason,
 			Expected: sysabi.Event{Seq: exp.Seq, Call: exp.Call.Clone(), Result: exp.Result.Clone()}}
 		p.m.divergences = append(p.m.divergences, d)
-		p.m.logf("%s diverged: %s", p.name, d)
 		p.m.rec.Inc(obs.CMVEDivergences)
 		p.m.rec.Emit(obs.KindDivergence, p.name, d.String())
 		p.scoped().Inc(obs.CMVEDivergences)
@@ -112,7 +111,6 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 		p.divergeCount++
 		if p == p.m.candidate && p.divergeCount <= p.budget {
 			p.m.rec.Inc(obs.CFleetDivsTolerated)
-			p.m.logf("%s: divergence %d/%d absorbed by candidate budget", p.name, p.divergeCount, p.budget)
 		} else {
 			p.diverged = true
 			v := p.m.failVariant(p, "divergence", &d)
@@ -256,9 +254,6 @@ func (p *Proc) transform(tid int, st *tidStream, raw []sysabi.Event) {
 			carryReqIDs(raw[:consumed], expected)
 		}
 		p.m.Stats.Rewritten++
-		if p.m.logEnabled {
-			p.m.logf("rule %q rewrote %d event(s) into %d for tid %d", fired.Name, consumed, len(expected), tid)
-		}
 		p.m.rec.Inc(obs.CRuleHits)
 		if rec := p.m.rec; rec.Enabled() {
 			rec.Emitf(obs.KindRuleHit, p.name, "rule %q rewrote %d event(s) into %d for tid %d",

@@ -597,7 +597,8 @@ func (r *Recorder) FormatMetrics() string {
 
 // FormatTimeline renders the merged trace as a human-readable timeline.
 // When onlyMilestones is true, hot events (per-syscall, per-entry) are
-// omitted, leaving the update-lifecycle story.
+// omitted, leaving the update-lifecycle story. Either way the view ends
+// by saying what its bounded stores dropped.
 func (r *Recorder) FormatTimeline(onlyMilestones bool) string {
 	if r == nil {
 		return "(no recorder attached)\n"
@@ -612,7 +613,10 @@ func (r *Recorder) FormatTimeline(onlyMilestones bool) string {
 		b.WriteByte('\n')
 	}
 	if r.dropped > 0 && !onlyMilestones {
-		fmt.Fprintf(&b, "(%d older hot events evicted; milestones fully retained)\n", r.dropped)
+		fmt.Fprintf(&b, "(%d older hot events evicted)\n", r.dropped)
+	}
+	if r.milestonesDropped > 0 {
+		fmt.Fprintf(&b, "(%d lifecycle events dropped at capacity)\n", r.milestonesDropped)
 	}
 	return b.String()
 }

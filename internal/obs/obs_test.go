@@ -156,6 +156,21 @@ func TestFormatTimeline(t *testing.T) {
 	}
 }
 
+// A lifecycle view past MilestoneCapacity says so: the milestones are
+// kept first-come, so what is lost is the end of the story.
+func TestFormatTimelineReportsDroppedMilestones(t *testing.T) {
+	r := New(nil, Options{MilestoneCapacity: 2})
+	for _, d := range []string{"deployed", "updating", "committed"} {
+		r.Emit(KindStage, "ctl", d)
+	}
+	for _, onlyMilestones := range []bool{true, false} {
+		out := r.FormatTimeline(onlyMilestones)
+		if strings.Contains(out, "committed") || !strings.Contains(out, "(1 lifecycle events dropped at capacity)") {
+			t.Errorf("FormatTimeline(%v) hides the dropped milestone:\n%s", onlyMilestones, out)
+		}
+	}
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := New(nil, Options{})
 	r.Inc("a.count")

@@ -60,33 +60,6 @@ type ShardedScheduler struct {
 	// counts the workers still running the current epoch.
 	epochStart []chan time.Duration
 	epochDone  sync.WaitGroup
-
-	flowLog bool        // set by SetFlowLog; records cross-shard deliveries
-	flows   []CrossFlow // delivery-ordered flow records
-}
-
-// CrossFlow records one cross-shard delivery for timeline export: the
-// message's identity in the barrier merge order plus the virtual send
-// and delivery instants. Because deliver() sequences messages by
-// (virtual send time, source shard, sequence) — an OS-independent total
-// order — the Seq values and the whole flow list are deterministic.
-type CrossFlow struct {
-	Seq       int64         // position in the global delivery order (1-based)
-	From      int           // source shard
-	To        int           // target shard
-	Name      string        // the delivered task's name
-	Sent      time.Duration // virtual send time on the source shard
-	Delivered time.Duration // boundary at which the target received it
-}
-
-// SetFlowLog enables recording of cross-shard deliveries (see Flows).
-// Pure observation: it changes no scheduling decision and costs one
-// append per delivery, only when enabled.
-func (ss *ShardedScheduler) SetFlowLog(on bool) { ss.flowLog = on }
-
-// Flows returns the recorded cross-shard deliveries in delivery order.
-func (ss *ShardedScheduler) Flows() []CrossFlow {
-	return append([]CrossFlow(nil), ss.flows...)
 }
 
 // shardState is the coordinator's bookkeeping for one shard.
@@ -411,14 +384,7 @@ func (ss *ShardedScheduler) deliver() {
 		return a.seq < b.seq
 	})
 	for _, m := range due {
-		fn := m.fn
-		if ss.flowLog {
-			ss.flows = append(ss.flows, CrossFlow{
-				Seq: int64(len(ss.flows) + 1), From: m.from, To: m.to,
-				Name: m.name, Sent: m.when, Delivered: ss.boundary,
-			})
-		}
-		ss.shards[m.to].sched.Go(m.name, fn)
+		ss.shards[m.to].sched.Go(m.name, m.fn)
 		ss.shards[m.to].stalled = false
 	}
 }
