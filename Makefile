@@ -4,7 +4,7 @@ GO ?= go
 
 # The committed BENCH_<name>.json artifacts, one benchtool experiment
 # each (`benchtool -list` says which, bench.Catalogue how each is
-# compared).
+# validated).
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 
 .PHONY: all build test vet fmt-check check lint-maps lint-exports lines coverage-census adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
@@ -32,7 +32,7 @@ test:
 # artifact gate.
 check: vet fmt-check lint-maps lint-exports adapter-compat
 	$(GO) test -race ./...
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/sim/ ./internal/ringbuf/ ./internal/mve/ ./internal/dsl/ ./internal/vos/ ./internal/apps/kvstore/
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/sim/ ./internal/ringbuf/ ./internal/mve/ ./internal/dsl/ ./internal/vos/ ./internal/apps/kvstore/ ./internal/bench/
 	$(GO) run ./cmd/benchtool -check .
 
 # Map-iteration determinism sweep: flag `for range` over maps in the
@@ -111,9 +111,8 @@ adapter-compat:
 # The artifact gate (bench.Experiment.Check, also tier-1's
 # TestCommittedArtifacts): every experiment with a report is run in
 # deterministic virtual time and must reproduce its committed
-# BENCH_<name>.json — byte for byte, except perf's runner-dependent
-# wall-clock columns; metrics is also validated against the golden
-# schema and timeline's Chrome trace export must parse and be
+# BENCH_<name>.json byte for byte; metrics is also validated against
+# the golden schema and timeline's Chrome trace export must parse and be
 # time-ordered per track. The duo experiments double as the K=1
 # byte-identity gate for fleet and ring refactors. sharddet commits
 # nothing: its two parallel-shard lifecycles with a cross-shard trigger
@@ -167,11 +166,12 @@ bench-fork:
 	$(GO) test -bench 'Fork|Preload|Store' -benchmem -run '^$$' ./internal/apps/kvstore/
 
 # Scheduler hot-path microbenchmarks: dispatch, enqueue, task
-# spawn/exit, timer fire,
-# plus the sharded epoch barrier and cross-shard send
-# (docs/PERFORMANCE.md "Sharded runtime").
+# spawn/exit, timer fire, plus the sharded epoch barrier, cross-shard
+# send and the perf experiment's shard sweep on the wall clock
+# (docs/PERFORMANCE.md "Sharded runtime"; pass -count 3 or more to
+# compare shard counts).
 bench-sched:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/ ./internal/bench/
 
 # One testing.B bench per paper table/figure, plus ablations.
 bench:

@@ -13,15 +13,12 @@
 //
 // -check is the artifact gate `make check` and tier-1's
 // TestCommittedArtifacts share: every selected experiment with a report
-// is run and must reproduce the file committed under the given root —
-// byte for byte, except perf, whose wall-clock columns are
-// runner-dependent and not compared (what -perfdiff does for two files
-// by hand), and sharddet, which commits nothing and is compared with a
-// second run of itself:
+// is run and must reproduce the file committed under the given root byte
+// for byte; sharddet commits nothing and is compared with a second run
+// of itself:
 //
 //	benchtool -check .
 //	benchtool -check . -experiment slo
-//	benchtool -perfdiff BENCH_perf.json fresh.json
 //
 // The timeline experiment also exports the traced run as Chrome
 // trace_event JSON (Perfetto-loadable) with -perfetto:
@@ -74,7 +71,6 @@ func main() {
 	list := flag.Bool("list", false, "list the experiments with description and artifact, and exit")
 	jsonOut := flag.String("json", "", "write the selected experiment's report as JSON to this file")
 	check := flag.String("check", "", "run the selected experiments' artifact gate against the repo at this root and exit")
-	perfdiff := flag.Bool("perfdiff", false, "compare two perf-report JSON files (args) on deterministic fields and exit")
 	flag.Parse()
 
 	if *list {
@@ -82,26 +78,6 @@ func main() {
 			fmt.Printf("  %-10s %-20s %s\n", e.Name, e.Artifact, e.Desc)
 		}
 		fmt.Printf("  %-10s %-20s %s\n", "all", "", "every experiment above, in order")
-		return
-	}
-
-	if *perfdiff {
-		args := flag.Args()
-		if len(args) != 2 {
-			fail(fmt.Errorf("-perfdiff needs exactly two report files, got %d", len(args)))
-		}
-		a, err := os.ReadFile(args[0])
-		if err != nil {
-			fail(err)
-		}
-		b, err := os.ReadFile(args[1])
-		if err != nil {
-			fail(err)
-		}
-		if err := bench.ComparePerfReports(a, b); err != nil {
-			fail(fmt.Errorf("%s vs %s: %w", args[0], args[1], err))
-		}
-		fmt.Printf("%s and %s agree on all deterministic perf fields\n", args[0], args[1])
 		return
 	}
 

@@ -36,22 +36,14 @@ type ShardedWorld struct {
 	Worlds []*World
 }
 
-// NewShardedWorld builds `groups` worlds over `shards` shards with the
-// given epoch quantum (<= 0 selects sim.DefaultQuantum). mkcfg supplies
-// each group's controller config; when it leaves Scope empty the group
-// is scoped to its shard ("shard0", "shard1", …), so per-shard metric
-// ledgers fall out of the controller's scoped counters without the
-// scenario doing anything.
-func NewShardedWorld(shards, groups int, quantum time.Duration, mkcfg func(group int) core.Config) *ShardedWorld {
-	ss := sim.NewSharded(shards, quantum)
+// NewShardedWorld builds `groups` default-configured worlds over
+// `shards` shards with sim.DefaultQuantum epochs. Each world owns its
+// recorder, so its counters are its group's ledger.
+func NewShardedWorld(shards, groups int) *ShardedWorld {
+	ss := sim.NewSharded(shards, sim.DefaultQuantum)
 	sw := &ShardedWorld{SS: ss}
 	for g := 0; g < groups; g++ {
-		cfg := mkcfg(g)
-		shard := g % ss.Shards()
-		if cfg.Scope == "" {
-			cfg.Scope = fmt.Sprintf("shard%d", shard)
-		}
-		sw.Worlds = append(sw.Worlds, NewWorldOn(ss.Shard(shard), cfg))
+		sw.Worlds = append(sw.Worlds, NewWorldOn(ss.Shard(g%ss.Shards()), core.Config{}))
 	}
 	return sw
 }

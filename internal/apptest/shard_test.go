@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mvedsua/internal/core"
 	"mvedsua/internal/sim"
 )
 
@@ -16,9 +15,7 @@ import (
 // replies — indexed by group, written only from that group's shard.
 func buildEchoGroups(shards, groups, ops int) (*ShardedWorld, []int) {
 	replies := make([]int, groups)
-	sw := NewShardedWorld(shards, groups, time.Millisecond, func(int) core.Config {
-		return core.Config{}
-	})
+	sw := NewShardedWorld(shards, groups)
 	for g, w := range sw.Worlds {
 		g, w := g, w
 		w.C.Start(&echoServer{})
@@ -47,14 +44,10 @@ func TestShardedWorldEchoAcrossShards(t *testing.T) {
 			t.Errorf("group %d: %d/%d replies", g, n, ops)
 		}
 	}
-	// Placement is round-robin and scoping defaults to the shard label.
-	for g, w := range sw.Worlds {
+	// Placement is round-robin.
+	for g := range sw.Worlds {
 		if want := g % 2; sw.ShardOf(g) != want {
 			t.Errorf("ShardOf(%d) = %d, want %d", g, sw.ShardOf(g), want)
-		}
-		kids := w.Rec.Children()
-		if len(kids) != 1 || kids[0].Scope() != fmt.Sprintf("shard%d", g%2) {
-			t.Errorf("group %d scoped registries = %v", g, kids)
 		}
 	}
 }

@@ -35,12 +35,10 @@ type Experiment struct {
 	// Artifact is the committed file, relative to the repo root, that a
 	// fresh report must reproduce (regenerate with `make bench-<Name>`).
 	// A row with a Schema and no Artifact commits nothing and is checked
-	// against a second run of itself.
+	// against a second run of itself. Either way the bytes must be
+	// identical.
 	Artifact string
-	// Same compares the pinned bytes with a fresh run's; nil means they
-	// must be byte-identical.
-	Same func(pinned, fresh []byte) error
-	// Valid, if set, checks a fresh report beyond what Same compares.
+	// Valid, if set, checks a fresh report beyond its bytes.
 	Valid func(report any, fresh []byte) error
 }
 
@@ -100,9 +98,9 @@ var Catalogue = []Experiment{
 			}
 			return nil
 		}},
-	{Name: "perf", Desc: "perf-trajectory baseline + shard speedup curve (wall-clock columns not compared)",
+	{Name: "perf", Desc: "perf-trajectory baseline + virtual shard speedup curve",
 		Run:    reporting(RunPerfReport, FormatPerfReport),
-		Schema: PerfSchemaID, Artifact: "BENCH_perf.json", Same: ComparePerfReports},
+		Schema: PerfSchemaID, Artifact: "BENCH_perf.json"},
 	{Name: "timeline", Desc: "span tracing + request latency attribution; validates its Chrome trace",
 		Run:    reporting(RunTimelineReport, FormatTimelineReport),
 		Schema: TimelineSchemaID, Artifact: "BENCH_timeline.json",
@@ -169,16 +167,12 @@ func (e Experiment) verify(root string, report any, fresh []byte) error {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 	}
-	same := e.Same
-	if same == nil {
-		same = sameBytes
-	}
 	if e.Artifact == "" {
 		_, again, err := e.encoded()
 		if err != nil {
 			return err
 		}
-		if err := same(fresh, again); err != nil {
+		if err := sameBytes(fresh, again); err != nil {
 			return fmt.Errorf("%s is nondeterministic across runs: %w", e.Name, err)
 		}
 		return nil
@@ -187,7 +181,7 @@ func (e Experiment) verify(root string, report any, fresh []byte) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.Name, err)
 	}
-	if err := same(pinned, fresh); err != nil {
+	if err := sameBytes(pinned, fresh); err != nil {
 		return fmt.Errorf("%s is stale; run 'make bench-%s' to regenerate: %w", e.Artifact, e.Name, err)
 	}
 	return nil

@@ -127,8 +127,10 @@ type Fig6Result struct {
 }
 
 // Fig6Config scales the experiment. The paper runs 360s with the update
-// at 120s, promotion at 180s and commit at 240s; Scale compresses that
-// schedule (Scale=10 -> 36s total) without changing its structure.
+// at 120s, promotion at 180s and commit at 240s. Total keeps that
+// structure at any length (update at Total/3, promotion at Total/2,
+// commit at 2·Total/3), and Buckets is how many throughput samples cover
+// it.
 type Fig6Config struct {
 	Total   time.Duration
 	Buckets int

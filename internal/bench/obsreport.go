@@ -217,7 +217,7 @@ func ValidateMetricsReport(data []byte, schemaJSON []byte) error {
 			known[k] = true
 		}
 		var unknown []string
-		for k := range got {
+		for k := range got { // maporder: ok — unknown is sorted before it is reported
 			if !known[k] {
 				unknown = append(unknown, k)
 			}
@@ -238,7 +238,7 @@ func ValidateMetricsReport(data []byte, schemaJSON []byte) error {
 	}
 	return check("histogram", emitted(func(s obs.Snapshot) []string {
 		keys := make([]string, 0, len(s.Histograms))
-		for k := range s.Histograms {
+		for k := range s.Histograms { // maporder: ok — the caller folds keys into a set
 			keys = append(keys, k)
 		}
 		return keys
@@ -247,7 +247,7 @@ func ValidateMetricsReport(data []byte, schemaJSON []byte) error {
 
 func mapKeys(m map[string]int64) []string {
 	keys := make([]string, 0, len(m))
-	for k := range m {
+	for k := range m { // maporder: ok — callers fold keys into a set or sort them
 		keys = append(keys, k)
 	}
 	return keys

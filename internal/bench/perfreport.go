@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"reflect"
 	"strings"
 	"time"
 
@@ -56,11 +54,8 @@ type PerfScenario struct {
 	DispatchesPer1kSyscalls int64 `json:"dispatches_per_1k_syscalls"`
 }
 
-// PerfReport is the serialized artifact (BENCH_perf.json). Scenarios
-// are fully deterministic (virtual-time quantities only); Speedup mixes
-// deterministic workload accounting with measured wall-clock columns,
-// which is why its catalogue row compares artifacts with
-// ComparePerfReports instead of a byte diff.
+// PerfReport is the serialized artifact (BENCH_perf.json): virtual-time
+// quantities only, so it is pinned byte for byte like every other.
 type PerfReport struct {
 	Schema    string         `json:"schema"`
 	Scenarios []PerfScenario `json:"scenarios"`
@@ -110,45 +105,6 @@ func RunPerfReport() (*PerfReport, error) {
 	}
 	report.Speedup = curve
 	return report, nil
-}
-
-// ComparePerfReports checks two serialized perf reports for semantic
-// equality: schema, every scenario field, and the speedup sweep's
-// deterministic columns must match exactly, while the measured
-// wall-clock fields (WallMS, WallOpsPerSec, SpeedupX, MaxProcs) are
-// ignored — they differ run to run and machine to machine by design.
-// It is the perf catalogue row's Same.
-func ComparePerfReports(a, b []byte) error {
-	parse := func(data []byte) (*PerfReport, error) {
-		var r PerfReport
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, err
-		}
-		if r.Speedup != nil {
-			r.Speedup.MaxProcs = 0
-			for i := range r.Speedup.Points {
-				p := &r.Speedup.Points[i]
-				p.WallMS, p.WallOpsPerSec, p.SpeedupX = 0, 0, 0
-			}
-		}
-		return &r, nil
-	}
-	ra, err := parse(a)
-	if err != nil {
-		return fmt.Errorf("first report: %w", err)
-	}
-	rb, err := parse(b)
-	if err != nil {
-		return fmt.Errorf("second report: %w", err)
-	}
-	if reflect.DeepEqual(ra, rb) {
-		return nil
-	}
-	// Re-serialize the stripped reports so the failure shows exactly the
-	// deterministic content that diverged.
-	ja, _ := json.MarshalIndent(ra, "", "  ")
-	jb, _ := json.MarshalIndent(rb, "", "  ")
-	return fmt.Errorf("perf reports differ on deterministic fields:\n--- first\n%s\n--- second\n%s", ja, jb)
 }
 
 // perfCounterNames are the window-delta counters each scenario samples.

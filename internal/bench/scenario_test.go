@@ -156,11 +156,12 @@ func TestBaselinesCostWhatTheControllerCosts(t *testing.T) {
 		s := sim.New()
 		k := vos.NewKernel(s)
 		k.BaseCost = KernelCost
-		cfg := core.Config{BufferEntries: 256, Costs: MVECosts(mode), DSU: target.DSU, Lockstep: mode == ModeLockstep}
+		cfg := core.Config{BufferEntries: 256, Costs: MVECosts(mode), DSU: target.DSU}
 		ctl := core.New(k, cfg)
 		if mode != ModeVaran1 {
 			ctl = core.NewFleet(k, core.FleetConfig{Config: cfg, Variants: []string{"follower"}, Canary: core.CanaryGate{Window: time.Second}})
 		}
+		ctl.Monitor().Lockstep = mode == ModeLockstep
 		ctl.Start(target.MakeApp())
 		return &world{s: s, k: k, target: target, mode: mode, ctl: ctl}
 	}

@@ -2,13 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
 	"mvedsua/internal/apps/kvstore"
 	"mvedsua/internal/apptest"
-	"mvedsua/internal/core"
 	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 )
@@ -19,48 +17,34 @@ import (
 // sharddet` determinism smoke that the artifact gate runs twice and
 // compares byte for byte.
 
-// SpeedupPoint is one shard count's measurement of the fixed workload.
-// The deterministic fields depend only on virtual time and seeds — two
-// runs at the same shard count produce identical values on any machine,
-// which the run-twice tests and benchtool -perfdiff pin. TotalOps is
-// additionally shard-count invariant (every sweep point executes the
-// same bounded workload). VirtualUS is not: a shard is a simulated
-// core, its clock advances only for its own groups' work, so the
-// virtual makespan shrinks as the fixed workload spreads over more
-// shards — VirtualSpeedupX is that ratio, a speedup curve that is
-// bit-reproducible even on a single-core runner. The measured fields
-// (WallMS, WallOpsPerSec, SpeedupX) are wall-clock readings of the
-// runner and are excluded from artifact comparison.
+// SpeedupPoint is one shard count's accounting of the fixed workload.
+// Every field depends only on virtual time and seeds — two runs at the
+// same shard count produce identical values on any machine, which the
+// run-twice test and the artifact gate pin. TotalOps is additionally
+// shard-count invariant (every sweep point executes the same bounded
+// workload). VirtualUS is not: a shard is a simulated core, its clock
+// advances only for its own groups' work, so the virtual makespan
+// shrinks as the fixed workload spreads over more shards —
+// VirtualSpeedupX is that ratio, a speedup curve that is bit-reproducible
+// even on a single-core runner. The wall-clock curve is
+// BenchmarkShardSpeedup's.
 type SpeedupPoint struct {
-	Shards int `json:"shards"`
-
-	// Deterministic workload accounting.
+	Shards          int     `json:"shards"`
 	TotalOps        int64   `json:"total_ops"`
 	Syscalls        int64   `json:"syscalls"`
 	Dispatches      int64   `json:"dispatches"`
 	VirtualUS       int64   `json:"virtual_us"`
 	VirtualSpeedupX float64 `json:"virtual_speedup_x"`
-
-	// Measured wall-clock results (runner-dependent).
-	WallMS        float64 `json:"wall_ms"`
-	WallOpsPerSec float64 `json:"wall_ops_per_sec"`
-	SpeedupX      float64 `json:"speedup_x"`
 }
 
 // SpeedupCurve is the sweep: the same G-group workload executed at
-// increasing shard counts, with shard 1 as the baseline for both
-// speedup columns.
+// increasing shard counts, with shard 1 as the speedup baseline.
 type SpeedupCurve struct {
-	Groups          int   `json:"groups"`
-	ClientsPerGroup int   `json:"clients_per_group"`
-	OpsPerClient    int   `json:"ops_per_client"`
-	QuantumUS       int64 `json:"quantum_us"`
-	// MaxProcs records the runner's GOMAXPROCS — measured context, not
-	// part of the deterministic contract. On a single-core runner the
-	// speedup column is flat at ~1x; regenerate on a multi-core machine
-	// to see the curve.
-	MaxProcs int            `json:"maxprocs"`
-	Points   []SpeedupPoint `json:"points"`
+	Groups          int            `json:"groups"`
+	ClientsPerGroup int            `json:"clients_per_group"`
+	OpsPerClient    int            `json:"ops_per_client"`
+	QuantumUS       int64          `json:"quantum_us"`
+	Points          []SpeedupPoint `json:"points"`
 }
 
 // Speedup sweep sizing: 8 groups so the 8-shard point places exactly
@@ -81,7 +65,6 @@ func RunSpeedupCurve() (*SpeedupCurve, error) {
 		ClientsPerGroup: speedupClients,
 		OpsPerClient:    speedupOps,
 		QuantumUS:       int64(speedupQuantum / time.Microsecond),
-		MaxProcs:        runtime.GOMAXPROCS(0),
 	}
 	for shards := 1; shards <= speedupShardMax; shards *= 2 {
 		p, err := runSpeedupPoint(shards)
@@ -89,15 +72,10 @@ func RunSpeedupCurve() (*SpeedupCurve, error) {
 			return nil, fmt.Errorf("speedup point shards=%d: %w", shards, err)
 		}
 		if len(curve.Points) > 0 {
-			base := curve.Points[0]
-			if base.WallMS > 0 && p.WallMS > 0 {
-				p.SpeedupX = base.WallMS / p.WallMS
-			}
-			if base.VirtualUS > 0 && p.VirtualUS > 0 {
+			if base := curve.Points[0]; base.VirtualUS > 0 && p.VirtualUS > 0 {
 				p.VirtualSpeedupX = float64(base.VirtualUS) / float64(p.VirtualUS)
 			}
 		} else {
-			p.SpeedupX = 1
 			p.VirtualSpeedupX = 1
 		}
 		curve.Points = append(curve.Points, p)
@@ -152,16 +130,12 @@ func placeGroups(ss *sim.ShardedScheduler, groups, clients, ops int, instrument 
 	return out
 }
 
-// runSpeedupPoint executes the fixed workload at one shard count; the
-// deterministic fields must come out identical at every shard count.
+// runSpeedupPoint executes the fixed workload at one shard count;
+// TotalOps must come out identical at every shard count.
 func runSpeedupPoint(shards int) (SpeedupPoint, error) {
 	ss := sim.NewSharded(shards, speedupQuantum)
 	groups := placeGroups(ss, speedupGroups, speedupClients, speedupOps, nil)
-
-	start := time.Now()
-	err := ss.Run()
-	wall := time.Since(start)
-	if err != nil {
+	if err := ss.Run(); err != nil {
 		return SpeedupPoint{}, err
 	}
 
@@ -169,7 +143,6 @@ func runSpeedupPoint(shards int) (SpeedupPoint, error) {
 		Shards:     shards,
 		Dispatches: ss.Dispatches(),
 		VirtualUS:  int64(ss.Now() / time.Microsecond),
-		WallMS:     float64(wall.Microseconds()) / 1000,
 	}
 	merged := obs.NewRegistry("speedup")
 	for _, gr := range groups {
@@ -179,9 +152,6 @@ func runSpeedupPoint(shards int) (SpeedupPoint, error) {
 	p.Syscalls = merged.Counter(obs.CSyscallsSingle) +
 		merged.Counter(obs.CSyscallsLeader) +
 		merged.Counter(obs.CSyscallsFollower)
-	if wall > 0 {
-		p.WallOpsPerSec = float64(p.TotalOps) / wall.Seconds()
-	}
 	return p, nil
 }
 
@@ -189,8 +159,8 @@ func runSpeedupPoint(shards int) (SpeedupPoint, error) {
 const ShardDetSchemaID = "mvedsua-sharddet/v1"
 
 // ShardDetGroup is one connection group's outcome in the determinism
-// smoke: its placement, final stage, scoped lifecycle counters, and
-// milestone timeline.
+// smoke: its placement, final stage, lifecycle counters, and milestone
+// timeline.
 type ShardDetGroup struct {
 	Group    int      `json:"group"`
 	Shard    int      `json:"shard"`
@@ -203,8 +173,8 @@ type ShardDetGroup struct {
 
 // ShardDetReport is the `benchtool -experiment sharddet` artifact. It
 // exercises every determinism-critical path at once — parallel shards,
-// a cross-shard Send steering a remote update, scoped registries merged
-// into one aggregate, and the merged scheduling trace — and is
+// a cross-shard Send steering a remote update, per-group registries
+// merged into one aggregate, and the merged scheduling trace — and is
 // byte-identical across runs; the artifact gate runs it twice and compares.
 type ShardDetReport struct {
 	Schema     string          `json:"schema"`
@@ -224,9 +194,7 @@ type ShardDetReport struct {
 // by OS thread interleaving.
 func RunShardDetReport() (*ShardDetReport, error) {
 	const shards, groups = 2, 2
-	sw := apptest.NewShardedWorld(shards, groups, sim.DefaultQuantum, func(int) core.Config {
-		return core.Config{}
-	})
+	sw := apptest.NewShardedWorld(shards, groups)
 	sw.SS.SetTracing(true)
 	sw.SS.SetTraceCapacity(64)
 
@@ -276,14 +244,13 @@ func RunShardDetReport() (*ShardDetReport, error) {
 		TraceTail:  sw.SS.MergedTrace(),
 	}
 	for g, w := range sw.Worlds {
-		reg := w.Rec.Child(fmt.Sprintf("shard%d", sw.ShardOf(g)))
 		gr := ShardDetGroup{
 			Group:   g,
 			Shard:   sw.ShardOf(g),
-			Scope:   reg.Scope(),
+			Scope:   fmt.Sprintf("shard%d", sw.ShardOf(g)),
 			Outcome: fmt.Sprintf("%v leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version()),
-			Updates: reg.Counter(obs.CCoreUpdates),
-			Commits: reg.Counter(obs.CCoreCommits),
+			Updates: w.Rec.Counter(obs.CCoreUpdates),
+			Commits: w.Rec.Counter(obs.CCoreCommits),
 		}
 		for _, e := range w.Rec.Milestones() {
 			gr.Timeline = append(gr.Timeline, e.String())
@@ -296,15 +263,14 @@ func RunShardDetReport() (*ShardDetReport, error) {
 // FormatSpeedupCurve renders the sweep as text.
 func FormatSpeedupCurve(c *SpeedupCurve) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Shard speedup sweep: %d groups x %d clients x %d ops, quantum %dus, GOMAXPROCS=%d\n",
-		c.Groups, c.ClientsPerGroup, c.OpsPerClient, c.QuantumUS, c.MaxProcs)
-	b.WriteString("  Shards  TotalOps  Syscalls  Dispatches  Virtual-us  V-speedup    Wall-ms   Ops/wall-sec  Speedup\n")
+	fmt.Fprintf(&b, "Shard speedup sweep: %d groups x %d clients x %d ops, quantum %dus\n",
+		c.Groups, c.ClientsPerGroup, c.OpsPerClient, c.QuantumUS)
+	b.WriteString("  Shards  TotalOps  Syscalls  Dispatches  Virtual-us  V-speedup\n")
 	for _, p := range c.Points {
-		fmt.Fprintf(&b, "  %6d  %8d  %8d  %10d  %10d  %8.2fx  %9.1f  %13.0f  %6.2fx\n",
-			p.Shards, p.TotalOps, p.Syscalls, p.Dispatches, p.VirtualUS,
-			p.VirtualSpeedupX, p.WallMS, p.WallOpsPerSec, p.SpeedupX)
+		fmt.Fprintf(&b, "  %6d  %8d  %8d  %10d  %10d  %8.2fx\n",
+			p.Shards, p.TotalOps, p.Syscalls, p.Dispatches, p.VirtualUS, p.VirtualSpeedupX)
 	}
-	b.WriteString("  (virtual columns are deterministic; wall columns depend on the runner's cores)\n")
+	b.WriteString("  (virtual time; the wall-clock sweep is `go test -bench ShardSpeedup ./internal/bench/`)\n")
 	return b.String()
 }
 

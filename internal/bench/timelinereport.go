@@ -235,7 +235,7 @@ func FormatTimelineReport(report TimelineReport) string {
 		fmt.Fprintf(&b, "\n  %s (%.2fs virtual, %d tagged requests, %d spans) -> %s\n",
 			run.Name, run.VirtualSeconds, run.Requests, run.Spans, run.Outcome)
 		keys := make([]string, 0, len(run.Components))
-		for k := range run.Components {
+		for k := range run.Components { // maporder: ok — keys are sorted below
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)

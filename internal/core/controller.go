@@ -130,9 +130,6 @@ type Config struct {
 	// such as the LibEvent dispatch-order mismatch of §6.2; deterministic
 	// failures should be fixed and resubmitted instead).
 	RetryOnRollback bool
-	// Lockstep switches the monitor to the MUC/Mx lockstep model
-	// (comparison baseline only).
-	Lockstep bool
 	// WatchdogDeadline arms the monitor's follower-liveness watchdog: a
 	// follower that consumes no ring-buffer event for this much virtual
 	// time while work is pending raises a stall, which the controller
@@ -155,14 +152,6 @@ type Config struct {
 	// metrics and trace events into. Nil disables observation at the
 	// cost of one pointer check per instrumented operation.
 	Recorder *obs.Recorder
-	// Scope, if non-empty, additionally mirrors the controller's
-	// lifecycle counters (transitions, updates, commits, rollbacks,
-	// retries) into Recorder.Child(Scope). The sharded runtime places
-	// one controller per connection group and labels each with its
-	// shard ("shard0", "shard1", …), so per-shard ledgers can be
-	// reported next to the obs.Registry.MergeInto aggregate. Empty —
-	// the default, and every golden run — records nothing extra.
-	Scope string
 }
 
 // validate panics on configurations that cannot mean what the caller
@@ -234,7 +223,6 @@ type Controller struct {
 	timeline   []Event
 	violations []Violation // see Violations
 	rec        *obs.Recorder
-	scope      *obs.Registry // Config.Scope child; nil when unscoped
 
 	// Open async spans (span mode only): the current stage's arc on the
 	// "controller" track, and the fork→promote update window.
@@ -243,9 +231,6 @@ type Controller struct {
 	updateSpanID   uint64
 	updateSpanName string
 
-	// OnCrash, if non-nil, observes crashes the controller already
-	// handled (rollbacks/promotions/verdicts) as well as unhandled ones.
-	OnCrash func(sim.CrashInfo, bool)
 	// OnStage, if non-nil, observes every timeline entry as written.
 	OnStage func(Event)
 	// OnVerdict, if non-nil, observes every verdict after the controller
@@ -280,11 +265,7 @@ func newController(kernel *vos.Kernel, cfg FleetConfig) *Controller {
 		spawned: make(map[string]int),
 		rec:     cfg.Recorder,
 	}
-	if cfg.Scope != "" {
-		c.scope = cfg.Recorder.Child(cfg.Scope)
-	}
 	c.mon.SetRecorder(cfg.Recorder)
-	c.mon.Lockstep = cfg.Lockstep
 	c.mon.WatchdogDeadline = cfg.WatchdogDeadline
 	c.mon.FullPolicy = cfg.BufferFullPolicy
 	c.mon.OnVerdict = func(v mve.Verdict) {
@@ -339,7 +320,6 @@ func (c *Controller) transition(stage Stage, note string) {
 	ev := Event{At: c.sched.Now(), Stage: stage, Note: note}
 	c.timeline = append(c.timeline, ev)
 	c.rec.Inc(obs.CCoreTransitions)
-	c.scope.Inc(obs.CCoreTransitions)
 	c.rec.Emit(obs.KindStage, stage.String(), note)
 	if c.rec.SpansEnabled() {
 		// Roll the Figure 2 stage machine's async arc over to the new
@@ -464,7 +444,6 @@ func (c *Controller) arm(v *dsu.Version) {
 	c.pending = v
 	c.retries = 0
 	c.rec.Inc(obs.CCoreUpdates)
-	c.scope.Inc(obs.CCoreUpdates)
 	c.requestUpdate(v)
 }
 
@@ -667,7 +646,6 @@ func (c *Controller) retryDelay(n int) time.Duration {
 func (c *Controller) scheduleRetry(v *dsu.Version, n int, why string) {
 	delay := c.retryDelay(n)
 	c.rec.Inc(obs.CCoreRetries)
-	c.scope.Inc(obs.CCoreRetries)
 	c.rec.Emitf(obs.KindRetry, v.Name, "%s; retry %d scheduled with %v backoff", why, n, delay)
 	c.transition(c.stage, fmt.Sprintf("%s; retry %d of %s in %v", why, n, v.Name, delay))
 	c.sched.Go(fmt.Sprintf("retry%d@%s", n, v.Name), func(t *sim.Task) {
@@ -767,7 +745,6 @@ func (c *Controller) commit(note string) {
 	c.dropCandidate(note)
 	c.pending = nil
 	c.rec.Inc(obs.CCoreCommits)
-	c.scope.Inc(obs.CCoreCommits)
 	// The promoted runtime now leads: future updates must fork again.
 	c.leaderRT.SetUpdateHooks(c.takeUpdate, c.updateOutcome, false)
 	c.transition(StageSingleLeader, note)
@@ -788,7 +765,6 @@ func (c *Controller) Rollback(reason string) bool {
 	c.pending = nil
 	c.gateGen++ // cancel any open window
 	c.rec.Inc(obs.CCoreRollbacks)
-	c.scope.Inc(obs.CCoreRollbacks)
 	c.endUpdateSpan()
 	c.transition(StageSingleLeader, "rolled back: "+reason)
 	c.flushTrain("rollback of " + v.Name)
@@ -855,7 +831,6 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 	if !mine {
 		return false
 	}
-	handled := false
 	switch {
 	case fv != nil:
 		// A replica: the quorum decides. The candidate before promotion
@@ -865,7 +840,6 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 			c.applyVerdict(c.mon.FailVariant(fv.proc, "crash"),
 				fmt.Sprintf("follower crashed: %v", info.Value), "outdated follower crashed; committed")
 		}
-		handled = true
 	case c.gated:
 		c.transition(c.stage, fmt.Sprintf("leader crashed (%v); fleet leader failover not implemented", info.Value))
 	case c.stage == StageOutdatedLeader:
@@ -875,7 +849,6 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 		// be truncated mid-request; the monitor must not read the cut as
 		// a divergence and roll back to a corpse.
 		c.promoteOnCrash("promote-on-crash", fmt.Sprintf("leader crashed (%v); promoting follower", info.Value))
-		handled = true
 	case c.stage == StageUpdatedLeader:
 		// The new version crashed while leading, before the operator
 		// committed: the outdated follower is still warm and in sync,
@@ -886,10 +859,6 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 		// from the crashed version's state shape.
 		c.flushTrain("new-leader crash")
 		c.promoteOnCrash("revert-on-crash", fmt.Sprintf("new leader crashed (%v); reverting to old version", info.Value))
-		handled = true
-	}
-	if c.OnCrash != nil {
-		c.OnCrash(info, handled)
 	}
 	return true
 }

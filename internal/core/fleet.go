@@ -26,10 +26,6 @@ type CanaryGate struct {
 	// than this many recorded events unconsumed at window close — a
 	// canary too slow to keep up would stall the fleet after promotion.
 	MaxLag int
-	// MaxValidateLagP99, if > 0, fails the gate when the p99 of the
-	// request validate-lag histogram (drain → validation, span mode
-	// only) exceeds this bound at window close.
-	MaxValidateLagP99 time.Duration
 }
 
 // FleetConfig configures a controller with the canary gate and K
@@ -70,9 +66,6 @@ func (cfg FleetConfig) validate() {
 	}
 	if cfg.Canary.MaxLag < 0 {
 		panic(fmt.Sprintf("core.FleetConfig: Canary.MaxLag = %d; must be >= 0", cfg.Canary.MaxLag))
-	}
-	if cfg.Canary.MaxValidateLagP99 < 0 {
-		panic(fmt.Sprintf("core.FleetConfig: Canary.MaxValidateLagP99 = %v; must be >= 0", cfg.Canary.MaxValidateLagP99))
 	}
 }
 
@@ -153,10 +146,11 @@ func (c *Controller) evaluateGate(gen int) {
 }
 
 // gateFailure checks the canary's window against the gate — the
-// divergence budget, then the ring lag, then the validate-lag p99 (only
-// sampled with span tracing on) — strictly above each bound, with the
-// unset optional bounds skipped. Every tripped threshold is recorded;
-// the first one's reason is returned, "" on a clean gate.
+// divergence budget, then the ring lag — strictly above each bound, with
+// an unset lag bound skipped. It reads only the canary's own counts,
+// never the recorder, so tracing cannot change the decision. Every
+// tripped threshold is recorded; the first one's reason is returned, ""
+// on a clean gate.
 func (c *Controller) gateFailure(divs, lag int) string {
 	g := c.cfg.Canary
 	var first string
@@ -171,11 +165,6 @@ func (c *Controller) gateFailure(divs, lag int) string {
 	}
 	if g.MaxLag > 0 && lag > g.MaxLag {
 		trip("ring-lag", fmt.Sprintf("lag %d exceeds %d", lag, g.MaxLag))
-	}
-	if g.MaxValidateLagP99 > 0 && c.rec.SpansEnabled() {
-		if p99 := c.rec.Hist(obs.HReqValidateLag).Quantile(0.99); p99 > g.MaxValidateLagP99 {
-			trip("validate-lag-p99", fmt.Sprintf("validate-lag p99 %v exceeds %v", p99, g.MaxValidateLagP99))
-		}
 	}
 	return first
 }

@@ -18,6 +18,14 @@ var sweptPackages = []string{
 	"internal/core",
 	"internal/vos",
 	"internal/obs",
+	"internal/rolling",
+	"internal/bench",
+	"internal/apptest",
+	"internal/chaos",
+	"internal/ringbuf",
+	"internal/dsl",
+	"internal/sysabi",
+	"internal/proto",
 	"internal/apps/ftpd",
 	"internal/apps/kvstore",
 	"internal/apps/libevent",

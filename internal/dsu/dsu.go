@@ -186,13 +186,6 @@ type Config struct {
 	// it is written. MVEDSUA's controller uses it to retry timing
 	// errors.
 	OnOutcome func(UpdateRecord)
-	// LazySweepBatch bounds how many entries the background sweep of a
-	// LazyXform update migrates per burst. Default 64 — small enough
-	// that an in-place sweep burst stays far below typical client
-	// latency budgets regardless of keyspace size.
-	LazySweepBatch int
-	// LazySweepInterval is the pause between sweep bursts. Default 1ms.
-	LazySweepInterval time.Duration
 	// Rec, if non-nil, receives update-point counters, quiescence-wait
 	// and state-transfer histograms, and spans. Duration histograms for
 	// state transfer (and lazy-migration counters) are recorded whenever
@@ -363,20 +356,12 @@ func (rt *Runtime) startLazySweep(app App) {
 	if !ok {
 		return
 	}
-	batch := rt.cfg.LazySweepBatch
-	if batch <= 0 {
-		batch = 64
-	}
-	interval := rt.cfg.LazySweepInterval
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
 	parallel := rt.cfg.ParallelXform
 	rec := rt.cfg.Rec
 	name := fmt.Sprintf("%s/lazy-sweep@%s", rt.cfg.Name, app.Version())
 	t := rt.sched.Go(name, func(task *sim.Task) {
 		for rt.app == app {
-			n, cost := la.SweepLazy(batch)
+			n, cost := la.SweepLazy(lazySweepBatch)
 			if n > 0 {
 				rec.Add(obs.CDSUXformSwept, int64(n))
 				rec.SetGauge(obs.GDSUXformPending, int64(la.PendingLazy()))
@@ -402,11 +387,20 @@ func (rt *Runtime) startLazySweep(app App) {
 			if la.PendingLazy() == 0 {
 				return
 			}
-			task.Sleep(interval)
+			task.Sleep(lazySweepInterval)
 		}
 	})
 	rt.sweeps = append(rt.sweeps, t)
 }
+
+// A lazy sweep migrates at most lazySweepBatch entries per burst — small
+// enough that an in-place burst stays far below typical client latency
+// budgets regardless of keyspace size — and pauses lazySweepInterval
+// between bursts.
+const (
+	lazySweepBatch    = 64
+	lazySweepInterval = time.Millisecond
+)
 
 func (rt *Runtime) chargeXform(task *sim.Task, old App, v *Version) {
 	if v.XformCost == nil {

@@ -677,12 +677,9 @@ func TestLazySweepDrainsColdTail(t *testing.T) {
 	s := sim.New()
 	k := vos.NewKernel(s)
 	rec := obs.New(s.Now, obs.Options{})
-	rt := NewRuntime(s, &counterApp{version: "v1"}, Config{
-		Name: "ctr", Dispatcher: k, Rec: rec,
-		LazySweepBatch:    10,
-		LazySweepInterval: time.Millisecond,
-	})
+	rt := NewRuntime(s, &counterApp{version: "v1"}, Config{Name: "ctr", Dispatcher: k, Rec: rec})
 	rt.Start()
+	const pending = 2*lazySweepBatch + 5
 	var replies []string
 	s.Go("client", func(tk *sim.Task) {
 		fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{9000, 0}}).Ret)
@@ -692,7 +689,7 @@ func TestLazySweepDrainsColdTail(t *testing.T) {
 			replies = append(replies, string(r.Data))
 		}
 		ping()
-		rt.RequestUpdate(lazyV2(25))
+		rt.RequestUpdate(lazyV2(pending))
 		ping() // update applies; the sweep task starts
 		tk.Sleep(5 * time.Millisecond)
 		ping()
@@ -708,12 +705,12 @@ func TestLazySweepDrainsColdTail(t *testing.T) {
 	if app.pendingN != 0 {
 		t.Fatalf("pending = %d after sweep window, want 0", app.pendingN)
 	}
-	// 25 entries, batch 10: bursts of 10, 10, 5.
-	if fmt.Sprint(app.bursts) != "[10 10 5]" {
-		t.Fatalf("sweep bursts = %v, want [10 10 5]", app.bursts)
+	// Two full batches, then the remainder.
+	if want := fmt.Sprint([]int{lazySweepBatch, lazySweepBatch, 5}); fmt.Sprint(app.bursts) != want {
+		t.Fatalf("sweep bursts = %v, want %s", app.bursts, want)
 	}
-	if got := rec.Counter(obs.CDSUXformSwept); got != 25 {
-		t.Fatalf("swept counter = %d, want 25", got)
+	if got := rec.Counter(obs.CDSUXformSwept); got != pending {
+		t.Fatalf("swept counter = %d, want %d", got, pending)
 	}
 	if got := rec.Gauge(obs.GDSUXformPending); got != 0 {
 		t.Fatalf("pending gauge = %d, want 0", got)

@@ -208,17 +208,19 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 
 // Options sizes a Recorder.
 type Options struct {
-	// TraceCapacity bounds the hot-event ring (default 8192).
-	TraceCapacity int
-	// MilestoneCapacity bounds the lifecycle-event list (default 4096).
-	MilestoneCapacity int
 	// SpanCapacity bounds the span-event store used once EnableSpans is
 	// called (default 16384; a circular tail with a dropped count).
 	SpanCapacity int
 }
 
-// defaultSpanCap is the span store bound when Options left it unset.
-const defaultSpanCap = 16384
+const (
+	// defaultSpanCap is the span store bound when Options left it unset.
+	defaultSpanCap = 16384
+	// traceCap bounds the hot-event ring, milestoneCap the
+	// lifecycle-event list.
+	traceCap     = 8192
+	milestoneCap = 4096
+)
 
 // Recorder is the flight recorder: a metrics registry (counters, gauges,
 // histograms) plus the bounded structured trace. The zero value is not
@@ -234,13 +236,11 @@ type Recorder struct {
 	scopesOn bool // set by EnableScopes; gates scoped mirroring
 
 	hot      []Event // ring storage
-	hotCap   int
-	hotStart int   // index of the oldest event once the ring wrapped
-	dropped  int64 // hot events evicted from the ring
+	hotStart int     // index of the oldest event once the ring wrapped
+	dropped  int64   // hot events evicted from the ring
 
 	milestones        []Event
 	milestonesDropped int64
-	milestoneCap      int
 
 	profilingOn bool // set by EnableProfiling; gates profiler chokepoints
 
@@ -263,19 +263,11 @@ func New(now func() time.Duration, opts Options) *Recorder {
 	if now == nil {
 		now = func() time.Duration { return 0 }
 	}
-	if opts.TraceCapacity <= 0 {
-		opts.TraceCapacity = 8192
-	}
-	if opts.MilestoneCapacity <= 0 {
-		opts.MilestoneCapacity = 4096
-	}
 	return &Recorder{
-		now:          now,
-		root:         NewRegistry(""),
-		hot:          make([]Event, 0, opts.TraceCapacity),
-		hotCap:       opts.TraceCapacity,
-		milestoneCap: opts.MilestoneCapacity,
-		spanCap:      opts.SpanCapacity,
+		now:     now,
+		root:    NewRegistry(""),
+		hot:     make([]Event, 0, traceCap),
+		spanCap: opts.SpanCapacity,
 	}
 }
 
@@ -433,7 +425,7 @@ func (r *Recorder) Emit(kind Kind, actor, detail string) {
 		r.emitHot(e)
 		return
 	}
-	if len(r.milestones) >= r.milestoneCap {
+	if len(r.milestones) >= milestoneCap {
 		r.milestonesDropped++
 		return
 	}
@@ -455,13 +447,13 @@ func (r *Recorder) Emitf(kind Kind, actor, format string, args ...interface{}) {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 func (r *Recorder) emitHot(e Event) {
-	if len(r.hot) < r.hotCap {
+	if len(r.hot) < traceCap {
 		r.hot = append(r.hot, e)
 		return
 	}
 	// Overwrite the oldest slot.
 	r.hot[r.hotStart] = e
-	r.hotStart = (r.hotStart + 1) % r.hotCap
+	r.hotStart = (r.hotStart + 1) % traceCap
 	r.dropped++
 }
 

@@ -85,18 +85,18 @@ func TestCountersGaugesHistograms(t *testing.T) {
 
 func TestHotRingEvictionAndMilestoneRetention(t *testing.T) {
 	clk := &manualClock{}
-	r := New(clk.now, Options{TraceCapacity: 4, MilestoneCapacity: 3})
-	for i := 0; i < 10; i++ {
+	r := New(clk.now, Options{})
+	for i := 0; i < traceCap+6; i++ {
 		clk.t = time.Duration(i) * time.Second
-		r.Emitf(KindSyscall, "p", "call %d", i)
+		r.Emit(KindSyscall, "p", "call")
 	}
 	if r.TraceDropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", r.TraceDropped())
 	}
-	// The surviving window is the most recent 4, in time order.
+	// The surviving window is the most recent traceCap, in time order.
 	trace := r.Trace()
-	if len(trace) != 4 {
-		t.Fatalf("trace len = %d, want 4", len(trace))
+	if len(trace) != traceCap {
+		t.Fatalf("trace len = %d, want %d", len(trace), traceCap)
 	}
 	for i, e := range trace {
 		want := time.Duration(6+i) * time.Second
@@ -106,11 +106,11 @@ func TestHotRingEvictionAndMilestoneRetention(t *testing.T) {
 	}
 	// Milestones have separate bounded retention: hot flooding above did
 	// not touch them, and their own cap counts overflow.
-	for i := 0; i < 5; i++ {
-		r.Emitf(KindStage, "ctl", "stage %d", i)
+	for i := 0; i < milestoneCap+2; i++ {
+		r.Emit(KindStage, "ctl", "stage")
 	}
-	if got := len(r.Milestones()); got != 3 {
-		t.Fatalf("milestones = %d, want 3", got)
+	if got := len(r.Milestones()); got != milestoneCap {
+		t.Fatalf("milestones = %d, want %d", got, milestoneCap)
 	}
 	if r.Snapshot().MilestonesDropped != 2 {
 		t.Fatalf("milestonesDropped = %d, want 2", r.Snapshot().MilestonesDropped)
@@ -156,13 +156,14 @@ func TestFormatTimeline(t *testing.T) {
 	}
 }
 
-// A lifecycle view past MilestoneCapacity says so: the milestones are
-// kept first-come, so what is lost is the end of the story.
+// A lifecycle view past milestoneCap says so: the milestones are kept
+// first-come, so what is lost is the end of the story.
 func TestFormatTimelineReportsDroppedMilestones(t *testing.T) {
-	r := New(nil, Options{MilestoneCapacity: 2})
-	for _, d := range []string{"deployed", "updating", "committed"} {
-		r.Emit(KindStage, "ctl", d)
+	r := New(nil, Options{})
+	for i := 0; i < milestoneCap; i++ {
+		r.Emit(KindStage, "ctl", "updating")
 	}
+	r.Emit(KindStage, "ctl", "committed")
 	for _, onlyMilestones := range []bool{true, false} {
 		out := r.FormatTimeline(onlyMilestones)
 		if strings.Contains(out, "committed") || !strings.Contains(out, "(1 lifecycle events dropped at capacity)") {
@@ -204,13 +205,14 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 func TestFormatMetrics(t *testing.T) {
-	r := New(nil, Options{TraceCapacity: 1})
+	r := New(nil, Options{})
 	r.Inc("z.last")
 	r.Inc("a.first")
 	r.SetGauge("g", 3)
 	r.Observe("h", time.Millisecond)
-	r.Emit(KindSyscall, "p", "1")
-	r.Emit(KindSyscall, "p", "2") // evicts
+	for i := 0; i <= traceCap; i++ { // the last one evicts
+		r.Emit(KindSyscall, "p", "call")
+	}
 	out := r.FormatMetrics()
 	if strings.Index(out, "a.first") > strings.Index(out, "z.last") {
 		t.Fatalf("counters not sorted:\n%s", out)

@@ -3,6 +3,7 @@ package rolling
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -120,10 +121,16 @@ func (cl *Client) Step(tk *sim.Task, keys int) {
 	}
 }
 
-// Close shuts all connections.
+// Close shuts all connections, in port order: each close is a syscall
+// the simulation schedules.
 func (cl *Client) Close(tk *sim.Task) {
-	for port, fd := range cl.conns {
-		cl.kernel.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: fd})
+	ports := make([]int64, 0, len(cl.conns))
+	for port := range cl.conns { // maporder: ok — ports are sorted below
+		ports = append(ports, port)
+	}
+	slices.Sort(ports)
+	for _, port := range ports {
+		cl.kernel.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: cl.conns[port]})
 		delete(cl.conns, port)
 	}
 }
