@@ -137,7 +137,8 @@ bench-ring:
 
 # Record/replay microbenchmarks: one leader syscall recorded and
 # validated by every follower, plus the per-thread event queue under a
-# backlog; the B/op and allocs/op columns are the point
+# backlog and one round trip with a flight recorder attached (the
+# recorder's tax); the B/op and allocs/op columns are the point
 # (docs/PERFORMANCE.md "Record/replay path").
 bench-replay:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/mve/

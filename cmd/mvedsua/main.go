@@ -2,7 +2,8 @@
 // MVEDSUA controller: deploy, dynamically update, optionally inject one
 // of the paper's §6.2 faults, promote, commit — and print the run's
 // lifecycle as the flight recorder saw it: stages, roles, divergences,
-// rule hits, stalls, verdicts, faults and retries.
+// each rule's first hit per process, stalls, verdicts, faults and
+// retries.
 //
 //	mvedsua -app tkv                       # the paper's running example
 //	mvedsua -app redis                     # kvstore 2.0.0 -> 2.0.1
@@ -18,7 +19,6 @@
 // (docs/OBSERVABILITY.md); stdout stays the same, since instruments
 // never advance virtual time:
 //
-//	trace.txt       the full trace, per-syscall events included
 //	metrics.txt     counters, gauges and latency histograms
 //	trace.json      Chrome trace_event export (load in https://ui.perfetto.dev)
 //	profile.folded  exact virtual-clock profile as folded flamegraph stacks
@@ -60,7 +60,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mvedsua", flag.ExitOnError)
 	app := fs.String("app", "tkv", "tkv|redis|memcached|vsftpd|cluster")
 	fault := fs.String("fault", "", "''|newcode|xform|stall|timing")
-	report := fs.String("report", "", "write the run's trace, metrics, Perfetto export and virtual-clock profile into this directory")
+	report := fs.String("report", "", "write the run's metrics, Perfetto export and virtual-clock profile into this directory")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits with the usage
 
 	d := &demo{out: out, report: *report}
@@ -103,7 +103,7 @@ func (d *demo) setup(w *apptest.World) *apptest.World {
 // finish prints the run's lifecycle and writes the report, if asked for.
 func (d *demo) finish(w *apptest.World) error {
 	fmt.Fprintln(d.out, "\nlifecycle:")
-	fmt.Fprintln(d.out, indent(w.Rec.FormatTimeline(true)))
+	fmt.Fprintln(d.out, indent(w.Rec.FormatTimeline()))
 	if d.report == "" {
 		return nil
 	}
@@ -115,7 +115,6 @@ func (d *demo) finish(w *apptest.World) error {
 		return err
 	}
 	for name, data := range map[string][]byte{ // maporder: ok — independent files
-		"trace.txt":      []byte(w.Rec.FormatTimeline(false)),
 		"metrics.txt":    []byte(w.Rec.FormatMetrics()),
 		"trace.json":     chrome,
 		"profile.folded": []byte(d.prof.Folded()),

@@ -10,7 +10,7 @@ import (
 	"mvedsua/internal/bench"
 )
 
-// -report writes the run's five instrument files, and turning it on
+// -report writes the run's four instrument files, and turning it on
 // changes nothing the run prints: instruments never advance virtual time.
 func TestReportWritesBundleAndLeavesStdoutAlone(t *testing.T) {
 	for _, fault := range []string{"", "stall"} {
@@ -28,7 +28,10 @@ func TestReportWritesBundleAndLeavesStdoutAlone(t *testing.T) {
 		if bare.String() != reported.String() {
 			t.Errorf("fault %q: stdout differs with -report:\n%s\nwithout:\n%s", fault, reported.String(), bare.String())
 		}
-		for _, name := range []string{"trace.txt", "metrics.txt", "trace.json", "profile.folded", "profile.pprof"} {
+		if files, err := os.ReadDir(dir); err != nil || len(files) != 4 {
+			t.Errorf("fault %q: report holds %d files (%v), want 4", fault, len(files), err)
+		}
+		for _, name := range []string{"metrics.txt", "trace.json", "profile.folded", "profile.pprof"} {
 			data, err := os.ReadFile(filepath.Join(dir, name))
 			if err != nil || len(data) == 0 {
 				t.Errorf("fault %q: %s: %d bytes, %v", fault, name, len(data), err)

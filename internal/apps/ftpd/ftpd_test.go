@@ -275,7 +275,7 @@ func TestAllPairsUpdateUnderMVEDSUA(t *testing.T) {
 				}
 				tk.Sleep(20 * time.Millisecond)
 				if w.C.Stage() != core.StageOutdatedLeader {
-					t.Fatalf("stage = %v; lifecycle:\n%s", w.C.Stage(), w.Rec.FormatTimeline(true))
+					t.Fatalf("stage = %v; lifecycle:\n%s", w.C.Stage(), w.Rec.FormatTimeline())
 				}
 				// Promote and keep the mix flowing: reverse rules hold.
 				w.C.Promote()

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,6 +126,48 @@ func TestScenarioRunReturnsSchedulerError(t *testing.T) {
 	var deadlock *sim.DeadlockError
 	if !errors.As(err, &deadlock) {
 		t.Fatalf("err = %v, want a *sim.DeadlockError", err)
+	}
+}
+
+// TestRuleHitsDoNotFloodTheLifecycle: 4 200 INCRs validated in the
+// outdated-leader stage of kvstore 2.0.0 -> 2.0.1 each fire the pair's
+// rule. Every hit is counted, but only the first is a milestone, so the
+// lifecycle list keeps the commit; one milestone per hit would fill it
+// and drop the end of the story.
+func TestRuleHitsDoNotFloodTheLifecycle(t *testing.T) {
+	const requests = 4200
+	w, _, err := scenario{drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+		w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+		for i := 0; i < requests; i++ {
+			c.Do(tk, "INCR counter")
+		}
+		w.C.Promote()
+		incr(tk, c, 5)
+		w.C.Commit()
+	}}.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := w.Rec.Counter(obs.CRuleHits); hits < requests {
+		t.Errorf("%s = %d, want every one of the %d rewritten requests counted", obs.CRuleHits, hits, requests)
+	}
+	ruleHits := map[string]int{}
+	for _, e := range w.Rec.Milestones() {
+		if e.Kind == obs.KindRuleHit {
+			ruleHits[e.Actor]++
+		}
+	}
+	timeline := w.Rec.FormatTimeline()
+	if w.Rec.TraceDropped() != 0 || !strings.Contains(timeline, "update committed") {
+		t.Fatalf("%d lifecycle events dropped; the story lost its commit:\n%.2000s", w.Rec.TraceDropped(), timeline)
+	}
+	for actor, n := range ruleHits { // maporder: ok — each entry is checked alone
+		if n != 1 {
+			t.Errorf("%s has %d rule.hit milestones, want its first hit only", actor, n)
+		}
+	}
+	if len(ruleHits) != 2 {
+		t.Errorf("rule.hit milestones from %v, want the follower's forward and the demoted leader's reverse rule", ruleHits)
 	}
 }
 

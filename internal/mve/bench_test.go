@@ -7,6 +7,7 @@ import (
 
 	"mvedsua/internal/apps/kvstore"
 	"mvedsua/internal/dsl"
+	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
 	"mvedsua/internal/vos"
@@ -54,13 +55,14 @@ const rigFile, rigFileSize = "/bulk", 8 << 20
 // checks what it gets. With descending set the leader's threads record
 // every round in descending TID order, and a follower's start on it only
 // then, in ascending order (step releases them): all but one of them are
-// out of turn at once.
+// out of turn at once. With recorded set the monitor has a flight
+// recorder attached.
 type rigSpec struct {
-	followers, threads int
-	round, replay      []sysabi.Call
-	rules              *dsl.RuleSet
-	offer              int
-	descending         bool
+	followers, threads   int
+	round, replay        []sysabi.Call
+	rules                *dsl.RuleSet
+	offer                int
+	descending, recorded bool
 }
 
 // oneCall is the spec of a rule-less rig whose round is one call.
@@ -82,6 +84,12 @@ func rewritten(followers int, reverse bool, reply sysabi.Call) rigSpec {
 	return rigSpec{followers: followers, threads: 1, round: old, replay: updated, rules: fwd}
 }
 
+// recorded is spec with a flight recorder attached.
+func recorded(spec rigSpec) rigSpec {
+	spec.recorded = true
+	return spec
+}
+
 func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 	tb.Helper()
 	s := sim.New()
@@ -96,6 +104,9 @@ func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 		}
 	}
 	r := &replayRig{s: s, m: New(k, 256, Costs{})}
+	if spec.recorded {
+		r.m.SetRecorder(obs.New(s.Now, obs.Options{}))
+	}
 	r.procs = []*Proc{r.m.StartSingleLeader("leader")}
 	if spec.descending {
 		r.gates = make([]sim.WaitQueue, spec.threads)
@@ -205,6 +216,12 @@ func BenchmarkRecordReplayClock(b *testing.B) {
 }
 func BenchmarkRecordReplayWrite64(b *testing.B) {
 	benchRecordReplay(b, oneCall(1, 1, writeCall(64), 0))
+}
+
+// BenchmarkRecordReplayWrite64Recorded is Write64 with a flight recorder
+// attached: the difference is the recorder's per-event tax.
+func BenchmarkRecordReplayWrite64Recorded(b *testing.B) {
+	benchRecordReplay(b, recorded(oneCall(1, 1, writeCall(64), 0)))
 }
 func BenchmarkRecordReplayBulk4K(b *testing.B) {
 	benchRecordReplay(b, oneCall(1, 1, writeCall(4096), 0))

@@ -651,7 +651,7 @@ func TestFleetDiscardPolicyLeavesATrace(t *testing.T) {
 		}
 	}
 	if discards != 1 {
-		t.Fatalf("timeline has %d ring.discard milestones, want 1:\n%s", discards, rec.FormatTimeline(true))
+		t.Fatalf("timeline has %d ring.discard milestones, want 1:\n%s", discards, rec.FormatTimeline())
 	}
 	if strings.Join(replies, "") != "pqrs" {
 		t.Fatalf("replies = %v", replies)

@@ -359,6 +359,10 @@ type Proc struct {
 	// drains.
 	drain []ringbuf.Entry
 
+	// rulesHit holds the rules whose first hit in this process is already
+	// a rule.hit milestone (recorder attached only).
+	rulesHit map[*dsl.Rule]bool
+
 	// Per-request latency attribution (span mode only — every use is
 	// gated on obs.Recorder.SpansEnabled): reqDrainAt maps a tagged
 	// response event's request id to the instant the follower drained it

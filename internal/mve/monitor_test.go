@@ -1,7 +1,6 @@
 package mve
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -38,13 +37,17 @@ func ejectAll(m *Monitor, reason string) {
 // quiescence.
 type atBarrier struct {
 	*Proc
-	policy *PromotePolicy
+	policy    *PromotePolicy
+	onPromote func(*sim.Task) // if set, runs on the leader's task right after the promotion
 }
 
 func (b *atBarrier) Invoke(t *sim.Task, c sysabi.Call) sysabi.Result {
 	if b.policy != nil {
 		b.m.Promote(t, *b.policy)
 		b.policy = nil
+		if b.onPromote != nil {
+			b.onPromote(t)
+		}
 	}
 	return b.Proc.Invoke(t, c)
 }
@@ -667,14 +670,32 @@ func TestEventLogRecordsLifecycle(t *testing.T) {
 func TestDemotedLeaderCursorOpensPastPromotion(t *testing.T) {
 	t.Run("at the barrier", func(t *testing.T) {
 		s, k, m := world(64, Costs{})
-		rec := obs.New(s.Now, obs.Options{})
-		m.SetRecorder(rec)
 		leader := m.StartSingleLeader("v0")
 		follower := m.AttachCandidate("v1", nil, 0)
 		var replies []string
 		var gate sim.WaitQueue
 		atGate := false
+		peeked := false
 		barrier := &atBarrier{Proc: leader}
+		// At the promotion the demoted process's cursor must be empty with
+		// a backlog behind it; the process is then held until the new
+		// leader records, so the first entry its cursor yields can be read.
+		barrier.onPromote = func(tk *sim.Task) {
+			if lag := leader.cursor.Lag(); lag != 0 {
+				t.Errorf("demoted leader's cursor opened %d entries behind the stream's end", lag)
+			}
+			if n := m.Buffer().Len(); n < 2 {
+				t.Errorf("ring holds %d entries at t4; scenario needs a backlog behind the promotion entry", n)
+			}
+			promoSeq := m.Buffer().NextSeq()
+			for leader.cursor.Lag() == 0 && !leader.cursor.Closed() {
+				tk.Sleep(time.Millisecond)
+			}
+			if e, ok := leader.cursor.Peek(); !ok || e.Kind != ringbuf.KindSyscall || e.Event.Seq != promoSeq {
+				t.Errorf("demoted leader's next entry = %+v (ok=%v); want the new leader's first event #%d", e, ok, promoSeq)
+			}
+			peeked = true
+		}
 		s.Go("old", leaderEcho(k, barrier, 4))
 		s.Go("new", variantEcho(follower, 4, 2*time.Millisecond)) // lags the leader
 		s.Go("client", gatedClient(k, []string{"1", "2"}, []string{"3", "4"}, &replies, &gate, &atGate))
@@ -692,34 +713,8 @@ func TestDemotedLeaderCursorOpensPastPromotion(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if strings.Join(replies, "") != "1234" || m.Leader() != follower || len(m.Divergences()) != 0 {
-			t.Fatalf("replies = %v, leader = %s, divergences = %v", replies, m.Leader().Name(), m.Divergences())
-		}
-		// Replay the ring's own trace: promoSeq counts the syscall entries
-		// appended before the promotion entry; the demoted process ("old")
-		// may only ever take entries numbered from there on.
-		promoSeq, promoted, taken := uint64(0), false, 0
-		for _, e := range rec.Trace() {
-			switch {
-			case e.Kind == obs.KindRingPut && e.Actor == "promote":
-				promoted = true
-				var backlog int
-				fmt.Sscanf(e.Detail, "promote (occ %d/", &backlog)
-				if backlog < 2 {
-					t.Fatalf("no backlog behind the promotion entry (%q): scenario does not exercise the window", e.Detail)
-				}
-			case e.Kind == obs.KindRingPut && !promoted:
-				promoSeq++
-			case e.Kind == obs.KindRingGet && e.Actor == "old":
-				taken++
-				var seq uint64
-				if n, _ := fmt.Sscanf(e.Detail, "#%d ", &seq); n != 1 || seq < promoSeq {
-					t.Errorf("demoted leader took %q; want only syscall entries from #%d on", e.Detail, promoSeq)
-				}
-			}
-		}
-		if !promoted || taken == 0 {
-			t.Fatalf("promoted = %v, demoted leader took %d entries; scenario incomplete", promoted, taken)
+		if strings.Join(replies, "") != "1234" || m.Leader() != follower || len(m.Divergences()) != 0 || !peeked {
+			t.Fatalf("replies = %v, leader = %s, divergences = %v, cursor read = %v", replies, m.Leader().Name(), m.Divergences(), peeked)
 		}
 	})
 
@@ -781,7 +776,7 @@ func TestDemotedLeaderCursorOpensPastPromotion(t *testing.T) {
 		if strings.Join(replies, "") != "1234" || m.Leader() != follower || len(m.Divergences()) != 0 {
 			t.Fatalf("replies = %v, leader = %s, divergences = %v", replies, m.Leader().Name(), m.Divergences())
 		}
-		if log := rec.FormatTimeline(true); !strings.Contains(log, "crashed leader's stream truncated") {
+		if log := rec.FormatTimeline(); !strings.Contains(log, "crashed leader's stream truncated") {
 			t.Fatalf("the garbage tail was never discarded; scenario incomplete:\n%s", log)
 		}
 	})

@@ -86,7 +86,6 @@ func (p *Proc) invokeSingle(t *sim.Task, call sysabi.Call) sysabi.Result {
 			sc.Inc(obs.CSyscallsSingle)
 			sc.Observe(obs.HSyscallSingle, t.Now()-start)
 		}
-		rec.Emitf(obs.KindSyscall, p.name, "%s = %d/%v", call, res.Ret, res.Err)
 		p.trackKernelState(call, res)
 		if rec.SpansEnabled() {
 			p.trackRequest(t, call, res, nil)
@@ -114,7 +113,6 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 	if rec.Enabled() {
 		rec.Inc(obs.CSyscallsLeader)
 		rec.Observe(obs.HSyscallLeader, t.Now()-start)
-		rec.Emitf(obs.KindSyscall, p.name, "%s = %d/%v", call, res.Ret, res.Err)
 		if sc := p.scoped(); sc != nil {
 			sc.Inc(obs.CSyscallsLeader)
 			sc.Observe(obs.HSyscallLeader, t.Now()-start)

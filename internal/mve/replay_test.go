@@ -50,6 +50,11 @@ func TestReplayZeroAllocs(t *testing.T) {
 		{name: "rewritten-reverse/write64", spec: rewritten(1, true, writeCall(64))},
 		{name: "K3/rewritten/write64", spec: rewritten(3, false, writeCall(64))},
 		{name: "K3/rewritten-reverse/write4K", spec: rewritten(3, true, writeCall(4096))},
+		// A flight recorder counts every event and traces none, and a
+		// rule's hits after its first are not milestones.
+		{name: "recorded/write64", spec: recorded(oneCall(1, 1, writeCall(64), 0))},
+		{name: "recorded/K3/fread4K", spec: recorded(oneCall(3, 1, freadCall(4096), 4096))},
+		{name: "recorded/rewritten/write64", spec: recorded(rewritten(1, false, writeCall(64)))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

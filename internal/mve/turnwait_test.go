@@ -122,7 +122,7 @@ func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 	if m.Leader() != follower || len(m.Divergences()) != 0 {
 		t.Fatalf("leader = %s, divergences = %v", m.Leader().Name(), m.Divergences())
 	}
-	if log := rec.FormatTimeline(true); !strings.Contains(log, "crashed leader's stream truncated") {
+	if log := rec.FormatTimeline(); !strings.Contains(log, "crashed leader's stream truncated") {
 		t.Fatalf("the garbage tail was never discarded:\n%s", log)
 	}
 	// Round 0 in the leader's order; round 1 natively, thread 3 (which

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mvedsua/internal/dsl"
 	"mvedsua/internal/obs"
 	"mvedsua/internal/ringbuf"
 	"mvedsua/internal/sim"
@@ -70,7 +71,6 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 		if rec := p.m.rec; rec.Enabled() {
 			rec.Inc(obs.CMVEReplayed)
 			rec.Inc(obs.CSyscallsFollower)
-			rec.Emitf(obs.KindValidate, p.name, "#%d expect %s, got %s", exp.Seq, exp.Call, call)
 			if sc := p.scoped(); sc != nil {
 				sc.Inc(obs.CMVEReplayed)
 				sc.Inc(obs.CSyscallsFollower)
@@ -255,7 +255,13 @@ func (p *Proc) transform(tid int, st *tidStream, raw []sysabi.Event) {
 		}
 		p.m.Stats.Rewritten++
 		p.m.rec.Inc(obs.CRuleHits)
-		if rec := p.m.rec; rec.Enabled() {
+		// Every hit is counted; only a rule's first in this process is a
+		// milestone, so steady-state rewriting cannot flood the lifecycle.
+		if rec := p.m.rec; rec.Enabled() && !p.rulesHit[fired] {
+			if p.rulesHit == nil {
+				p.rulesHit = make(map[*dsl.Rule]bool)
+			}
+			p.rulesHit[fired] = true
 			rec.Emitf(obs.KindRuleHit, p.name, "rule %q rewrote %d event(s) into %d for tid %d",
 				fired.Name, consumed, len(expected), tid)
 		}

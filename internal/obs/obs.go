@@ -1,6 +1,6 @@
 // Package obs is the flight recorder for the MVEDSUA pipeline: a
 // zero-dependency (stdlib-only) metrics registry plus a bounded
-// structured trace of typed events.
+// structured trace of typed lifecycle events.
 //
 // The paper's whole evaluation (§6, Tables 2-4, Figures 6-7) is a story
 // told from measurements — interception overhead, buffer occupancy,
@@ -18,13 +18,12 @@
 // and never advances it, which keeps instrumented runs bit-identical to
 // uninstrumented ones.
 //
-// Trace events are split into two retention classes. Low-frequency
-// lifecycle milestones (stage transitions, role changes, rule hits,
-// divergences, stalls, retries, faults, resets) are kept in a separate
-// bounded list so a long run cannot evict the story of its own update;
-// high-frequency events (syscall issue/validate, ring-buffer traffic)
-// go to a fixed-capacity ring that keeps the most recent window and
-// counts what it dropped.
+// The trace is the update's lifecycle: stage transitions, role changes,
+// a rule's first hit in each process, divergences, stalls, retries,
+// faults and ring-buffer block/discard/reset milestones, kept first-come
+// in a bounded list that counts what it dropped. Per-event traffic
+// (syscalls, validations, ring puts and gets) is only counted, in the
+// counters and histograms, so steady state formats nothing.
 package obs
 
 import (
@@ -38,17 +37,12 @@ import (
 // Kind types a trace event.
 type Kind int
 
-// Event kinds. Hot kinds (per-syscall, per-entry) go to the bounded
-// ring; the rest are lifecycle milestones with their own retention.
+// Event kinds, every one a lifecycle milestone.
 const (
-	KindSyscall     Kind = iota // a syscall dispatched (leader/single-leader)
-	KindValidate                // a follower validated one expected event
-	KindRingPut                 // ring buffer append
-	KindRingGet                 // ring buffer consume
-	KindRingBlock               // producer parked on a full ring buffer
+	KindRingBlock   Kind = iota // producer parked on a full ring buffer
 	KindRingDiscard             // entry dropped by the non-blocking append
 	KindRingReset               // ring buffer reset (rollback/retry reuse)
-	KindRuleHit                 // DSL rewrite rule fired (rule attribution)
+	KindRuleHit                 // a DSL rewrite rule's first hit in a process (rule attribution)
 	KindDivergence              // follower mismatched the recorded stream
 	KindStall                   // watchdog / buffer-full stall verdict
 	KindRole                    // process role change (attach/promote/drop)
@@ -59,10 +53,6 @@ const (
 )
 
 var kindNames = map[Kind]string{
-	KindSyscall:     "syscall",
-	KindValidate:    "validate",
-	KindRingPut:     "ring.put",
-	KindRingGet:     "ring.get",
 	KindRingBlock:   "ring.block",
 	KindRingDiscard: "ring.discard",
 	KindRingReset:   "ring.reset",
@@ -82,17 +72,6 @@ func (k Kind) String() string {
 		return n
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// Hot reports whether the kind is high-frequency (per syscall or per
-// ring-buffer entry) and therefore ring-buffered rather than retained as
-// a lifecycle milestone.
-func (k Kind) Hot() bool {
-	switch k {
-	case KindSyscall, KindValidate, KindRingPut, KindRingGet:
-		return true
-	}
-	return false
 }
 
 // Event is one trace entry.
@@ -216,9 +195,7 @@ type Options struct {
 const (
 	// defaultSpanCap is the span store bound when Options left it unset.
 	defaultSpanCap = 16384
-	// traceCap bounds the hot-event ring, milestoneCap the
-	// lifecycle-event list.
-	traceCap     = 8192
+	// milestoneCap bounds the lifecycle-event list.
 	milestoneCap = 4096
 )
 
@@ -235,12 +212,8 @@ type Recorder struct {
 	children map[string]*Registry
 	scopesOn bool // set by EnableScopes; gates scoped mirroring
 
-	hot      []Event // ring storage
-	hotStart int     // index of the oldest event once the ring wrapped
-	dropped  int64   // hot events evicted from the ring
-
 	milestones        []Event
-	milestonesDropped int64
+	milestonesDropped int64 // lifecycle events refused at milestoneCap
 
 	profilingOn bool // set by EnableProfiling; gates profiler chokepoints
 
@@ -266,7 +239,6 @@ func New(now func() time.Duration, opts Options) *Recorder {
 	return &Recorder{
 		now:     now,
 		root:    NewRegistry(""),
-		hot:     make([]Event, 0, traceCap),
 		spanCap: opts.SpanCapacity,
 	}
 }
@@ -415,26 +387,22 @@ func (r *Recorder) SetTraceDropSource(src TraceDropSource) {
 	r.schedDrops = src
 }
 
-// Emit appends a trace event stamped at the current virtual time.
+// Emit appends a lifecycle event stamped at the current virtual time,
+// or counts it dropped once milestoneCap events are kept.
 func (r *Recorder) Emit(kind Kind, actor, detail string) {
 	if r == nil {
-		return
-	}
-	e := Event{At: r.now(), Kind: kind, Actor: actor, Detail: detail}
-	if kind.Hot() {
-		r.emitHot(e)
 		return
 	}
 	if len(r.milestones) >= milestoneCap {
 		r.milestonesDropped++
 		return
 	}
-	r.milestones = append(r.milestones, e)
+	r.milestones = append(r.milestones, Event{At: r.now(), Kind: kind, Actor: actor, Detail: detail})
 }
 
-// Emitf is Emit with a formatted detail string. Callers on hot paths
-// should gate on Enabled first so the formatting cost is only paid when
-// a recorder is attached.
+// Emitf is Emit with a formatted detail string. It formats on every
+// call, so it belongs on lifecycle paths only: per-event traffic is
+// counted, never traced.
 func (r *Recorder) Emitf(kind Kind, actor, format string, args ...interface{}) {
 	if r == nil {
 		return
@@ -446,42 +414,17 @@ func (r *Recorder) Emitf(kind Kind, actor, format string, args ...interface{}) {
 // construction on hot paths).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-func (r *Recorder) emitHot(e Event) {
-	if len(r.hot) < traceCap {
-		r.hot = append(r.hot, e)
-		return
-	}
-	// Overwrite the oldest slot.
-	r.hot[r.hotStart] = e
-	r.hotStart = (r.hotStart + 1) % traceCap
-	r.dropped++
-}
-
-// TraceDropped returns how many hot events the ring evicted.
+// TraceDropped returns how many lifecycle events were dropped at
+// capacity.
 func (r *Recorder) TraceDropped() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.dropped
+	return r.milestonesDropped
 }
 
-// Trace returns every retained event — milestones and the surviving hot
-// window — merged in virtual-time order.
-func (r *Recorder) Trace() []Event {
-	if r == nil {
-		return nil
-	}
-	out := make([]Event, 0, len(r.milestones)+len(r.hot))
-	out = append(out, r.milestones...)
-	for i := 0; i < len(r.hot); i++ {
-		out = append(out, r.hot[(r.hotStart+i)%len(r.hot)])
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// Milestones returns only the lifecycle events (stage, role, rule,
-// divergence, stall, retry, fault, reset), in emission order.
+// Milestones returns the lifecycle events (stage, role, rule, divergence,
+// stall, retry, fault, ring block/discard/reset), in emission order.
 func (r *Recorder) Milestones() []Event {
 	if r == nil {
 		return nil
@@ -502,12 +445,11 @@ type HistogramSnapshot struct {
 // Snapshot is a point-in-time export of the whole registry,
 // JSON-serializable for the benchtool's machine-readable output.
 type Snapshot struct {
-	Counters          map[string]int64             `json:"counters"`
-	Gauges            map[string]int64             `json:"gauges"`
-	Histograms        map[string]HistogramSnapshot `json:"histograms"`
-	TraceDropped      int64                        `json:"trace_dropped"`
-	MilestonesDropped int64                        `json:"milestones_dropped"`
-	TraceLen          int                          `json:"trace_len"`
+	Counters     map[string]int64             `json:"counters"`
+	Gauges       map[string]int64             `json:"gauges"`
+	Histograms   map[string]HistogramSnapshot `json:"histograms"`
+	TraceDropped int64                        `json:"trace_dropped"` // lifecycle events dropped at capacity
+	TraceLen     int                          `json:"trace_len"`     // lifecycle events kept
 }
 
 // Snapshot exports the registry. Safe on nil (returns empty maps).
@@ -521,9 +463,8 @@ func (r *Recorder) Snapshot() Snapshot {
 		return s
 	}
 	r.root.snapshotInto(&s)
-	s.TraceDropped = r.dropped
-	s.MilestonesDropped = r.milestonesDropped
-	s.TraceLen = len(r.milestones) + len(r.hot)
+	s.TraceDropped = r.milestonesDropped
+	s.TraceLen = len(r.milestones)
 	return s
 }
 
@@ -570,9 +511,6 @@ func (r *Recorder) FormatMetrics() string {
 				k, h.Count, h.Mean(), h.Min, h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max)
 		}
 	}
-	if r.dropped > 0 {
-		fmt.Fprintf(&b, "trace: %d hot events evicted from the ring\n", r.dropped)
-	}
 	if r.milestonesDropped > 0 {
 		fmt.Fprintf(&b, "milestones: %d lifecycle events dropped at capacity\n", r.milestonesDropped)
 	}
@@ -587,25 +525,16 @@ func (r *Recorder) FormatMetrics() string {
 	return b.String()
 }
 
-// FormatTimeline renders the merged trace as a human-readable timeline.
-// When onlyMilestones is true, hot events (per-syscall, per-entry) are
-// omitted, leaving the update-lifecycle story. Either way the view ends
-// by saying what its bounded stores dropped.
-func (r *Recorder) FormatTimeline(onlyMilestones bool) string {
+// FormatTimeline renders the lifecycle events as a human-readable
+// timeline, ending with how many were dropped at capacity.
+func (r *Recorder) FormatTimeline() string {
 	if r == nil {
 		return "(no recorder attached)\n"
 	}
 	var b strings.Builder
-	events := r.Trace()
-	for _, e := range events {
-		if onlyMilestones && e.Kind.Hot() {
-			continue
-		}
+	for _, e := range r.milestones {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
-	}
-	if r.dropped > 0 && !onlyMilestones {
-		fmt.Fprintf(&b, "(%d older hot events evicted)\n", r.dropped)
 	}
 	if r.milestonesDropped > 0 {
 		fmt.Fprintf(&b, "(%d lifecycle events dropped at capacity)\n", r.milestonesDropped)

@@ -20,7 +20,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.MaxGauge("g", 2)
 	r.Observe("h", time.Second)
 	r.Emit(KindStage, "a", "d")
-	r.Emitf(KindSyscall, "a", "%d", 1)
+	r.Emitf(KindStage, "a", "%d", 1)
 	if r.Enabled() {
 		t.Fatal("nil recorder reports Enabled")
 	}
@@ -30,7 +30,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Now() != 0 || r.TraceDropped() != 0 {
 		t.Fatal("nil recorder returned non-zero time/dropped")
 	}
-	if r.Trace() != nil || r.Milestones() != nil {
+	if r.Milestones() != nil {
 		t.Fatal("nil recorder returned events")
 	}
 	s := r.Snapshot()
@@ -38,7 +38,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Fatal("nil snapshot not empty")
 	}
 	if !strings.Contains(r.FormatMetrics(), "no recorder") ||
-		!strings.Contains(r.FormatTimeline(false), "no recorder") {
+		!strings.Contains(r.FormatTimeline(), "no recorder") {
 		t.Fatal("nil formatters missing placeholder")
 	}
 }
@@ -83,49 +83,32 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	}
 }
 
-func TestHotRingEvictionAndMilestoneRetention(t *testing.T) {
+// Lifecycle events are kept first-come: past milestoneCap the newest are
+// refused and counted, so the start of the story survives.
+func TestMilestoneRetention(t *testing.T) {
 	clk := &manualClock{}
 	r := New(clk.now, Options{})
-	for i := 0; i < traceCap+6; i++ {
-		clk.t = time.Duration(i) * time.Second
-		r.Emit(KindSyscall, "p", "call")
-	}
-	if r.TraceDropped() != 6 {
-		t.Fatalf("dropped = %d, want 6", r.TraceDropped())
-	}
-	// The surviving window is the most recent traceCap, in time order.
-	trace := r.Trace()
-	if len(trace) != traceCap {
-		t.Fatalf("trace len = %d, want %d", len(trace), traceCap)
-	}
-	for i, e := range trace {
-		want := time.Duration(6+i) * time.Second
-		if e.At != want {
-			t.Fatalf("trace[%d].At = %v, want %v", i, e.At, want)
-		}
-	}
-	// Milestones have separate bounded retention: hot flooding above did
-	// not touch them, and their own cap counts overflow.
 	for i := 0; i < milestoneCap+2; i++ {
+		clk.t = time.Duration(i) * time.Second
 		r.Emit(KindStage, "ctl", "stage")
 	}
-	if got := len(r.Milestones()); got != milestoneCap {
-		t.Fatalf("milestones = %d, want %d", got, milestoneCap)
+	ms := r.Milestones()
+	if len(ms) != milestoneCap || ms[0].At != 0 || ms[milestoneCap-1].At != time.Duration(milestoneCap-1)*time.Second {
+		t.Fatalf("kept %d milestones from %v to %v, want the first %d", len(ms), ms[0].At, ms[len(ms)-1].At, milestoneCap)
 	}
-	if r.Snapshot().MilestonesDropped != 2 {
-		t.Fatalf("milestonesDropped = %d, want 2", r.Snapshot().MilestonesDropped)
+	if r.TraceDropped() != 2 || r.Snapshot().TraceDropped != 2 || r.Snapshot().TraceLen != milestoneCap {
+		t.Fatalf("dropped = %d, snapshot = %+v; want 2 dropped, %d kept", r.TraceDropped(), r.Snapshot(), milestoneCap)
 	}
 }
 
-func TestKindHotPartition(t *testing.T) {
-	hot := map[Kind]bool{KindSyscall: true, KindValidate: true, KindRingPut: true, KindRingGet: true}
-	for k := KindSyscall; k <= KindFault; k++ {
-		if k.Hot() != hot[k] {
-			t.Fatalf("%v.Hot() = %v", k, k.Hot())
-		}
+func TestEveryKindIsNamed(t *testing.T) {
+	for k := KindRingBlock; k <= KindVerdict; k++ {
 		if strings.HasPrefix(k.String(), "kind(") {
 			t.Fatalf("%d has no name", int(k))
 		}
+	}
+	if len(kindNames) != int(KindVerdict)+1 {
+		t.Fatalf("%d names for %d kinds", len(kindNames), int(KindVerdict)+1)
 	}
 }
 
@@ -133,26 +116,17 @@ func TestFormatTimeline(t *testing.T) {
 	clk := &manualClock{}
 	r := New(clk.now, Options{})
 	r.Emit(KindStage, "ctl", "deployed v1")
-	clk.t = time.Second
-	r.Emit(KindSyscall, "proc1", "write(1) = 5")
 	clk.t = 2 * time.Second
 	r.Emit(KindRuleHit, "proc2", `rule "r1" rewrote 2 events`)
-	full := r.FormatTimeline(false)
-	for _, want := range []string{"deployed v1", "write(1) = 5", `rule "r1"`} {
-		if !strings.Contains(full, want) {
-			t.Fatalf("full timeline missing %q:\n%s", want, full)
+	story := r.FormatTimeline()
+	for _, want := range []string{"[  0.000000s] stage        ctl", "deployed v1", "[  2.000000s] rule.hit", `rule "r1"`} {
+		if !strings.Contains(story, want) {
+			t.Fatalf("timeline missing %q:\n%s", want, story)
 		}
 	}
-	story := r.FormatTimeline(true)
-	if strings.Contains(story, "write(1)") {
-		t.Fatalf("milestone timeline contains hot event:\n%s", story)
-	}
-	if !strings.Contains(story, "deployed v1") || !strings.Contains(story, `rule "r1"`) {
-		t.Fatalf("milestone timeline missing milestones:\n%s", story)
-	}
-	// Events are ordered by virtual time.
-	if strings.Index(full, "deployed") > strings.Index(full, "rule") {
-		t.Fatalf("timeline out of order:\n%s", full)
+	// Events are in emission order, which is virtual-time order.
+	if strings.Index(story, "deployed") > strings.Index(story, "rule") {
+		t.Fatalf("timeline out of order:\n%s", story)
 	}
 }
 
@@ -164,11 +138,8 @@ func TestFormatTimelineReportsDroppedMilestones(t *testing.T) {
 		r.Emit(KindStage, "ctl", "updating")
 	}
 	r.Emit(KindStage, "ctl", "committed")
-	for _, onlyMilestones := range []bool{true, false} {
-		out := r.FormatTimeline(onlyMilestones)
-		if strings.Contains(out, "committed") || !strings.Contains(out, "(1 lifecycle events dropped at capacity)") {
-			t.Errorf("FormatTimeline(%v) hides the dropped milestone:\n%s", onlyMilestones, out)
-		}
+	if out := r.FormatTimeline(); strings.Contains(out, "committed") || !strings.Contains(out, "(1 lifecycle events dropped at capacity)") {
+		t.Errorf("FormatTimeline hides the dropped milestone:\n%s", out)
 	}
 }
 
@@ -178,7 +149,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.SetGauge("a.gauge", 9)
 	r.Observe("a.hist", 5*time.Microsecond)
 	r.Emit(KindStage, "ctl", "x")
-	r.Emit(KindSyscall, "p", "y")
+	r.Emit(KindRuleHit, "p", "y")
 	data, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -210,14 +181,14 @@ func TestFormatMetrics(t *testing.T) {
 	r.Inc("a.first")
 	r.SetGauge("g", 3)
 	r.Observe("h", time.Millisecond)
-	for i := 0; i <= traceCap; i++ { // the last one evicts
-		r.Emit(KindSyscall, "p", "call")
+	for i := 0; i <= milestoneCap; i++ { // the last one is dropped
+		r.Emit(KindStage, "ctl", "stage")
 	}
 	out := r.FormatMetrics()
 	if strings.Index(out, "a.first") > strings.Index(out, "z.last") {
 		t.Fatalf("counters not sorted:\n%s", out)
 	}
-	for _, want := range []string{"counters:", "gauges:", "histograms:", "1 hot events evicted"} {
+	for _, want := range []string{"counters:", "gauges:", "histograms:", "milestones: 1 lifecycle events dropped at capacity"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("FormatMetrics missing %q:\n%s", want, out)
 		}

@@ -82,7 +82,7 @@ func (r *Recorder) emitSpan(e SpanEvent) {
 		r.spans = append(r.spans, e)
 		return
 	}
-	// Overwrite the oldest slot (circular tail, like the hot ring).
+	// Overwrite the oldest slot (a circular tail).
 	r.spans[r.spanStart] = e
 	r.spanStart = (r.spanStart + 1) % r.spanCap
 	r.spansDropped++

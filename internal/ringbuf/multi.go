@@ -211,7 +211,6 @@ func (mb *MultiBuffer) append(e Entry) {
 		mb.Rec.Inc(obs.CRingPut)
 		mb.Rec.SetGauge(obs.GRingOccupancy, int64(occ))
 		mb.Rec.MaxGauge(obs.GRingHighWater, int64(mb.HighWater))
-		mb.Rec.Emitf(obs.KindRingPut, e.Kind.String(), "%s (occ %d/%d)", entryDetail(e), occ, mb.capacity)
 	}
 	// empty→non-empty per cursor: the only edge a consumer can be parked
 	// behind, so only cursors that were waiting for exactly this entry
@@ -423,7 +422,7 @@ func (c *Cursor) Close() {
 // share. The taker owns what it takes: the last cursor to take an entry
 // receives the ring's own payload buffers, an earlier one a copy, so the
 // returned entry never aliases storage the producer will write again.
-func (c *Cursor) take(t *sim.Task) Entry {
+func (c *Cursor) take() Entry {
 	mb := c.mb
 	s := mb.slot(c.pos)
 	e := *s
@@ -438,7 +437,6 @@ func (c *Cursor) take(t *sim.Task) Entry {
 	}
 	if mb.Rec.Enabled() {
 		mb.Rec.Inc(obs.CRingGet)
-		mb.Rec.Emitf(obs.KindRingGet, t.Name(), "%s (occ %d/%d)", entryDetail(e), mb.Len(), mb.capacity)
 	}
 	return e
 }
@@ -470,7 +468,7 @@ func (c *Cursor) Get(t *sim.Task) (Entry, bool) {
 	if c.closed {
 		return Entry{}, false
 	}
-	return c.take(t), true
+	return c.take(), true
 }
 
 // Peek returns the cursor's oldest pending entry without consuming it,
@@ -505,7 +503,7 @@ func (c *Cursor) DrainUpTo(t *sim.Task, dst []Entry, max int) []Entry {
 		n = max
 	}
 	for i := 0; i < n; i++ {
-		dst = append(dst, c.take(t))
+		dst = append(dst, c.take())
 	}
 	return dst
 }

@@ -117,7 +117,7 @@ type Scheduler struct {
 
 // DefaultTraceCap bounds the scheduling trace unless SetTraceCapacity
 // chose another cap: the newest window survives and evictions are
-// counted, mirroring the recorder's hot ring.
+// counted, like the recorder's span store.
 const DefaultTraceCap = 1 << 16
 
 // goschedEvery is how many dispatches pass between runtime.Gosched
