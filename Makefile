@@ -78,8 +78,8 @@ coverage-census:
 	done
 	@cd benchmark && $(GO) build -cover -coverpkg=mvedsua/internal/...,mvedsua/benchmark -o $(CENSUS)/bin/ .
 	@(set -e; export GOCOVERDIR=$(CENSUS)/cov; b=$(CENSUS)/bin; \
-	for e in quickstart kvupdate faulttolerance ftprules; do $$b/$$e; done; \
-	for a in tkv redis memcached vsftpd cluster; do $$b/mvedsua -app $$a; done; \
+	for e in quickstart; do $$b/$$e; done; \
+	for a in tkv redis memcached vsftpd; do $$b/mvedsua -app $$a; done; \
 	for f in newcode xform stall; do $$b/mvedsua -app redis -fault $$f; done; \
 	for f in xform timing; do $$b/mvedsua -app memcached -fault $$f; done; \
 	$$b/mvedsua -app redis -report $(CENSUS)/report; \
@@ -184,9 +184,6 @@ experiments:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/kvupdate
-	$(GO) run ./examples/faulttolerance
-	$(GO) run ./examples/ftprules
 
 clean:
 	$(GO) clean -testcache

@@ -22,6 +22,7 @@
 // regenerates every table and figure (internal/bench, cmd/benchtool).
 //
 // Start with DESIGN.md for the system inventory and the per-experiment
-// index, examples/quickstart for the API walkthrough, and EXPERIMENTS.md
-// for paper-vs-measured results.
+// index, examples/quickstart for the API walkthrough, cmd/mvedsua for
+// scripted update demos (its §6.2 fault demos run internal/bench's
+// experiment rows), and EXPERIMENTS.md for paper-vs-measured results.
 package mvedsua

@@ -300,21 +300,28 @@ func TestTimingErrorLibEventReset(t *testing.T) {
 			single()
 		}
 		w.C.Update(v)
-		sawDivergence := false
-		for round := 0; round < 60; round++ {
+		// Installed means the retried fork validated a simultaneous pair:
+		// the stage holds at outdated-leader across two checks, since a
+		// fork that disagrees diverges in the very instant of one check.
+		sawDivergence, held := false, 0
+		for round := 0; round < 60 && held < 2; round++ {
 			pair()
 			tk.Sleep(20 * time.Millisecond)
-			if len(w.C.Monitor().Divergences()) > 0 {
+			if !sawDivergence && len(w.C.Monitor().Divergences()) > 0 {
 				sawDivergence = true
+				// A lone request realigns the leader's offset for the
+				// retry; under pairs alone every retry would diverge.
+				single()
 			}
-			if w.C.Stage() == core.StageOutdatedLeader && sawDivergence {
-				break
+			held++
+			if !sawDivergence || w.C.Stage() != core.StageOutdatedLeader {
+				held = 0
 			}
 		}
 		if !sawDivergence {
 			t.Error("no spurious divergence: the timing error never manifested")
 		}
-		if w.C.Stage() != core.StageOutdatedLeader {
+		if held < 2 {
 			t.Errorf("stage = %v; update never installed after %d retries\ntimeline: %+v",
 				w.C.Stage(), w.C.Retries(), w.C.Timeline())
 		}

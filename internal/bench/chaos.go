@@ -82,7 +82,8 @@ func ChaosMatrix() []ChaosScenario {
 func ChaosSweep() []ChaosResult {
 	var out []ChaosResult
 	for _, sc := range ChaosMatrix() {
-		out = append(out, ChaosRun(sc))
+		r, _ := ChaosRun(sc, nil)
+		out = append(out, r)
 	}
 	return out
 }
@@ -181,8 +182,11 @@ func chaosAppFor(name string) chaosApp {
 }
 
 // ChaosRun executes one scenario: prime, inject per the seeded plan,
-// drive traffic across the update, and classify the outcome.
-func ChaosRun(sc ChaosScenario) ChaosResult {
+// drive traffic across the update, and classify the outcome. setup, if
+// non-nil, runs on the world after the run's own hook, before the server
+// starts; the world comes back with the verdict (nil for an unknown
+// kind).
+func ChaosRun(sc ChaosScenario, setup func(*apptest.World)) (ChaosResult, *apptest.World) {
 	app := chaosAppFor(sc.App)
 	res := ChaosResult{ChaosScenario: sc}
 	rng := chaos.Rand(sc.Seed)
@@ -237,12 +241,17 @@ func ChaosRun(sc ChaosScenario) ChaosResult {
 		// no syscall-level injection.
 	default:
 		res.Detail = "unknown fault kind"
-		return res
+		return res, nil
 	}
 
 	w, plan, err := scenario{
 		cfg: duo(cfg), faults: faults, app: app.makeApp(), port: app.port,
-		setup: func(w *apptest.World) { ctl = w.C },
+		setup: func(w *apptest.World) {
+			ctl = w.C
+			if setup != nil {
+				setup(w)
+			}
+		},
 		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 			if app.prime != nil && !app.prime(tk, c) {
 				res.Failures++
@@ -270,7 +279,7 @@ func ChaosRun(sc ChaosScenario) ChaosResult {
 	}.run()
 	if err != nil {
 		res.Detail = "scheduler: " + err.Error()
-		return res
+		return res, w
 	}
 
 	has := func(sub string) bool {
@@ -319,5 +328,5 @@ func ChaosRun(sc ChaosScenario) ChaosResult {
 		res.Detail = fmt.Sprintf("stage=%v leader=%s fired=%v failures=%d/%d timeline=%v",
 			stage, leaderVer, fired, res.Failures, res.Requests, notes)
 	}
-	return res
+	return res, w
 }

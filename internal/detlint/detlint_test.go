@@ -276,8 +276,8 @@ var testOnlyAllowed = map[string]string{
 
 // TestNoTestOnlyExports is the `make lint-exports` gate: a function,
 // method or exported identifier of the swept packages must be referenced
-// from some non-test file of the repo (the cmd/ and examples/ programs,
-// the root package and the nested benchmark module included) or be
+// from some non-test file of the repo (the cmd/ programs, the one
+// example, the root package and the nested benchmark module included) or be
 // reached through an interface, or be allowlisted with a reason.
 func TestNoTestOnlyExports(t *testing.T) {
 	sw := NewSweeper(repoRoot(t), "mvedsua")

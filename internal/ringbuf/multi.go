@@ -50,6 +50,10 @@ type MultiBuffer struct {
 	// Rec, if non-nil, receives ring-buffer metrics and trace events
 	// (the flight recorder). Nil costs one pointer check per operation.
 	Rec *obs.Recorder
+	// blocking is set by a producer park and cleared by a put that did
+	// not park: one ring.block milestone per backpressure episode, not
+	// per park. Kept only while Rec is on.
+	blocking bool
 }
 
 // Cursor is one consumer's position in a MultiBuffer's stream.
@@ -223,9 +227,13 @@ func (mb *MultiBuffer) append(e Entry) {
 }
 
 // blockUntilNotFull parks the producer until retention frees a slot, a
-// cursor closes, or the buffer closes, charging the per-episode
-// accounting Put and PutBatch share. It reports false if closed.
+// cursor closes, or the buffer closes, charging the per-park accounting
+// Put and PutBatch share; the first park of a backpressure episode also
+// leaves a milestone. It reports false if closed.
 func (mb *MultiBuffer) blockUntilNotFull(t *sim.Task) bool {
+	if mb.Rec.Enabled() && !mb.Full() {
+		mb.blocking = false
+	}
 	for mb.Full() {
 		if mb.closed {
 			return false
@@ -233,7 +241,10 @@ func (mb *MultiBuffer) blockUntilNotFull(t *sim.Task) bool {
 		mb.ProducerBlocked++
 		mb.Rec.Inc(obs.CRingBlocked)
 		if mb.Rec.Enabled() {
-			mb.Rec.Emitf(obs.KindRingBlock, t.Name(), "buffer full (%d/%d)", mb.Len(), mb.capacity)
+			if !mb.blocking {
+				mb.blocking = true
+				mb.Rec.Emitf(obs.KindRingBlock, t.Name(), "buffer full (%d/%d)", mb.Len(), mb.capacity)
+			}
 			blockedAt := t.Now()
 			t.Block(&mb.notFull)
 			mb.Rec.Observe(obs.HRingBlockWait, t.Now()-blockedAt)

@@ -673,3 +673,47 @@ func TestRecorderMetricsFlow(t *testing.T) {
 		t.Fatalf("block wait histogram = %+v", h)
 	}
 }
+
+// A stalled consumer that frees one slot at a time parks the producer on
+// every put: one backpressure episode. The lifecycle gets one ring.block
+// milestone for it, while the counter and the wait histogram still see
+// every park.
+func TestRingBlockIsOneMilestonePerEpisode(t *testing.T) {
+	const parks = 6
+	s := sim.New()
+	rec := obs.New(s.Now, obs.Options{})
+	mb := NewMulti(s, 2)
+	mb.Rec = rec
+	cur := mb.OpenCursor("consumer")
+	s.Go("producer", func(tk *sim.Task) {
+		for i := 0; i < mb.Cap()+parks; i++ {
+			mb.Put(tk, Entry{Kind: KindSyscall, Event: ev(sysabi.OpWrite, "x")})
+		}
+	})
+	s.Go("consumer", func(tk *sim.Task) {
+		for i := 0; i < mb.Cap()+parks; i++ {
+			tk.Sleep(time.Second)
+			cur.Get(tk)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if mb.ProducerBlocked != parks {
+		t.Fatalf("ProducerBlocked = %d, want %d", mb.ProducerBlocked, parks)
+	}
+	snap := rec.Snapshot()
+	if snap.Counters[obs.CRingBlocked] != parks || snap.Histograms[obs.HRingBlockWait].Count != parks {
+		t.Errorf("blocked counter %d, wait histogram count %d, want %d each",
+			snap.Counters[obs.CRingBlocked], snap.Histograms[obs.HRingBlockWait].Count, parks)
+	}
+	blocks := 0
+	for _, m := range rec.Milestones() {
+		if m.Kind == obs.KindRingBlock {
+			blocks++
+		}
+	}
+	if blocks != 1 {
+		t.Errorf("%d ring.block milestones for one episode of %d parks, want 1:\n%s", blocks, parks, rec.FormatTimeline())
+	}
+}
