@@ -32,7 +32,7 @@ test:
 # artifact gate.
 check: vet fmt-check lint-maps lint-exports adapter-compat
 	$(GO) test -race ./...
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/sim/ ./internal/ringbuf/ ./internal/mve/ ./internal/dsl/ ./internal/vos/ ./internal/apps/kvstore/ ./internal/bench/
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/sim/ ./internal/ringbuf/ ./internal/mve/ ./internal/dsl/ ./internal/vos/ ./internal/apps/kvstore/ ./internal/apps/memcache/ ./internal/bench/
 	$(GO) run ./cmd/benchtool -check .
 
 # Map-iteration determinism sweep: flag `for range` over maps in the
@@ -153,11 +153,12 @@ bench-rules:
 	$(GO) test -bench RecordReplayRewritten -benchmem -run '^$$' ./internal/mve/
 
 # Syscall-floor microbenchmarks: one intercepted call (echo, file chunk,
-# epoll_wait) and one kvstore request under a single-leader monitor over
-# a real kernel; the B/op and allocs/op columns are the point
-# (docs/PERFORMANCE.md "Syscall floor").
+# epoll_wait), one kvstore request and one memcache request on a worker
+# thread under a single-leader monitor over a real kernel; the B/op and
+# allocs/op columns are the point (docs/PERFORMANCE.md "Syscall floor",
+# "Request path").
 bench-floor:
-	$(GO) test -bench SyscallFloor -benchmem -run '^$$' ./internal/vos/ ./internal/apps/kvstore/
+	$(GO) test -bench SyscallFloor -benchmem -run '^$$' ./internal/vos/ ./internal/apps/kvstore/ ./internal/apps/memcache/
 
 # kvstore's store at 5 k, 50 k and 500 k keys: Fork must read flat down
 # the column in time and bytes; Get, PutNew and Preload are what the

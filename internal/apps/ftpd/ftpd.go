@@ -251,7 +251,7 @@ func (s *Server) serveConn(env *dsu.Env, fd int) {
 		if !ok {
 			break
 		}
-		if quit := s.execute(env, fd, sess, line); quit {
+		if quit := s.execute(env, fd, sess, string(line)); quit {
 			s.closeConn(env, fd)
 			return
 		}

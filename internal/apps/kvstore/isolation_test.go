@@ -21,7 +21,7 @@ const (
 
 func run(s *Server, now time.Duration, cmds ...string) *Server {
 	for _, c := range cmds {
-		s.executeAt(now, c)
+		s.executeAt(now, []byte(c))
 	}
 	return s
 }
@@ -73,7 +73,7 @@ func probe(s *Server) string {
 		"HGET h f1", "HGET h f2", "HMGET h f1 f2 f9", "TYPE h", "HGET newhash f",
 		"DBSIZE",
 	} {
-		fmt.Fprintf(&out, "%s -> %q", c, s.executeAt(isoNow, c))
+		fmt.Fprintf(&out, "%s -> %q", c, s.executeAt(isoNow, []byte(c)))
 		if s.lazy != nil {
 			fmt.Fprintf(&out, " [pending %d cursor %d steps %d]", s.lazy.pending, s.lazy.cursor, s.lazy.chargeSteps)
 		}

@@ -126,11 +126,12 @@ type Server struct {
 	db       store
 
 	// Per-request scratch — the buffer offered to read, the command's
-	// tokens, the encoded reply — reused by every request. Each instance
-	// has its own (Fork copies none of it): a leader parked in a write on
-	// a full ring still has the reply in here when its fork starts serving.
+	// tokens (views of its line), the encoded reply — reused by every
+	// request. Each instance has its own (Fork copies none of it): a leader
+	// parked in a write on a full ring still has the reply in here when its
+	// fork starts serving.
 	rbuf  [4096]byte
-	args  []string
+	args  [][]byte
 	reply []byte
 
 	// xformGen counts the lazy version hops this instance has absorbed;
@@ -490,7 +491,7 @@ func (s *Server) respond(env *dsu.Env, fd int, reply []byte) {
 }
 
 // execute runs one command line with no time context (pre-2.1.0).
-func (s *Server) execute(line string) []byte { return s.executeAt(0, line) }
+func (s *Server) execute(line []byte) []byte { return s.executeAt(0, line) }
 
 // live returns key's entry for reading, nil if there is none — deleting
 // it first if it expired as of now (the 2.1.0 expiry semantics; now==0
@@ -535,8 +536,11 @@ func (s *Server) integer(n int64) []byte {
 }
 
 // executeAt runs one command line and returns the encoded reply; now is
-// the pre-sampled clock for expiry decisions (0 before 2.1.0).
-func (s *Server) executeAt(now time.Duration, line string) []byte {
+// the pre-sampled clock for expiry decisions (0 before 2.1.0). The tokens
+// are views of line: a key is looked up as a string that does not escape,
+// and only what the store keeps — a value, a key it does not hold yet —
+// is copied.
+func (s *Server) executeAt(now time.Duration, line []byte) []byte {
 	s.Ops++
 	s.args = proto.AppendFields(s.args[:0], line)
 	args := s.args
@@ -544,20 +548,20 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		return proto.ErrorReply("empty command")
 	}
 	cmd := args[0]
-	switch cmd {
+	switch string(cmd) {
 	case "PING", "ping":
 		return proto.SimpleString("PONG")
 	case "SET", "set":
 		if len(args) < 3 {
 			return proto.ErrorReply("wrong number of arguments for 'set' command")
 		}
-		s.put(args[1], entry{typ: typeString, str: args[2]})
+		s.put(s.db.keyFor(args[1]), entry{typ: typeString, str: string(args[2])})
 		return replyOK
 	case "GET", "get":
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'get' command")
 		}
-		e := s.lookup(now, args[1])
+		e := s.lookup(now, string(args[1]))
 		if e == nil {
 			return replyNull
 		}
@@ -572,8 +576,8 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		n := int64(0)
 		for _, k := range args[1:] {
 			// Not lookup: a lagging entry's debt dies with it, unpaid.
-			if e := s.live(now, k); e != nil {
-				s.drop(k, e)
+			if e := s.live(now, string(k)); e != nil {
+				s.drop(string(k), e)
 				n++
 			}
 		}
@@ -582,7 +586,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'exists' command")
 		}
-		if s.lookup(now, args[1]) != nil {
+		if s.lookup(now, string(args[1])) != nil {
 			return s.integer(1)
 		}
 		return s.integer(0)
@@ -590,9 +594,9 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'incr' command")
 		}
-		e := s.lookup(now, args[1])
+		e := s.lookup(now, string(args[1]))
 		if e == nil {
-			e = s.put(args[1], entry{typ: typeString, str: "0"})
+			e = s.put(string(args[1]), entry{typ: typeString, str: "0"})
 		}
 		if e.typ != typeString {
 			return proto.WrongTypeReply()
@@ -602,21 +606,21 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 			return proto.ErrorReply("value is not an integer or out of range")
 		}
 		n++
-		s.db.mut(args[1]).str = strconv.FormatInt(n, 10)
+		s.db.mut(string(args[1])).str = strconv.FormatInt(n, 10)
 		return s.integer(n)
 	case "HSET", "hset":
 		if len(args) != 4 {
 			return proto.ErrorReply("wrong number of arguments for 'hset' command")
 		}
-		e := s.lookup(now, args[1])
+		e := s.lookup(now, string(args[1]))
 		if e == nil {
-			e = s.put(args[1], entry{typ: typeHash, hash: make(map[string]string)})
+			e = s.put(string(args[1]), entry{typ: typeHash, hash: make(map[string]string)})
 		}
 		if e.typ != typeHash {
 			return proto.WrongTypeReply()
 		}
-		_, existed := e.hash[args[2]]
-		s.db.mut(args[1]).hash[args[2]] = args[3]
+		_, existed := e.hash[string(args[2])]
+		s.db.mut(string(args[1])).hash[string(args[2])] = string(args[3])
 		if existed {
 			return s.integer(0)
 		}
@@ -625,14 +629,14 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 3 {
 			return proto.ErrorReply("wrong number of arguments for 'hget' command")
 		}
-		e := s.lookup(now, args[1])
+		e := s.lookup(now, string(args[1]))
 		if e == nil {
 			return replyNull
 		}
 		if e.typ != typeHash {
 			return proto.WrongTypeReply()
 		}
-		v, ok := e.hash[args[2]]
+		v, ok := e.hash[string(args[2])]
 		if !ok {
 			return replyNull
 		}
@@ -641,7 +645,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) < 3 {
 			return proto.ErrorReply("wrong number of arguments for 'hmget' command")
 		}
-		e := s.lookup(now, args[1])
+		e := s.lookup(now, string(args[1]))
 		if e != nil && e.typ != typeHash {
 			if s.spec.BugHMGET {
 				// Revision 7fb16bac: the wrong-type check is missing and
@@ -654,7 +658,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		items := make([]*string, 0, len(args)-2)
 		for _, f := range args[2:] {
 			if e != nil {
-				if v, has := e.hash[f]; has {
+				if v, has := e.hash[string(f)]; has {
 					v := v
 					items = append(items, &v)
 					continue
@@ -667,7 +671,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'type' command")
 		}
-		e := s.lookup(now, args[1])
+		e := s.lookup(now, string(args[1]))
 		if e == nil {
 			return proto.SimpleString("none")
 		}
@@ -699,15 +703,15 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 3 {
 			return proto.ErrorReply("wrong number of arguments for 'append' command")
 		}
-		e := s.lookup(now, args[1])
+		e := s.lookup(now, string(args[1]))
 		if e == nil {
-			e = s.put(args[1], entry{typ: typeString})
+			e = s.put(string(args[1]), entry{typ: typeString})
 		}
 		if e.typ != typeString {
 			return proto.WrongTypeReply()
 		}
-		e = s.db.mut(args[1])
-		e.str += args[2]
+		e = s.db.mut(string(args[1]))
+		e.str += string(args[2])
 		return s.integer(int64(len(e.str)))
 	case "GETSET", "getset":
 		if !s.spec.HasGetSet {
@@ -717,13 +721,13 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 			return proto.ErrorReply("wrong number of arguments for 'getset' command")
 		}
 		old := replyNull
-		if e := s.lookup(now, args[1]); e != nil {
+		if e := s.lookup(now, string(args[1])); e != nil {
 			if e.typ != typeString {
 				return proto.WrongTypeReply()
 			}
 			old = s.bulk(e.str)
 		}
-		s.put(args[1], entry{typ: typeString, str: args[2]})
+		s.put(s.db.keyFor(args[1]), entry{typ: typeString, str: string(args[2])})
 		return old
 	case "EXPIRE", "expire":
 		if !s.spec.HasExpire {
@@ -732,14 +736,14 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 3 {
 			return proto.ErrorReply("wrong number of arguments for 'expire' command")
 		}
-		secs, err := strconv.ParseInt(args[2], 10, 64)
+		secs, err := strconv.ParseInt(string(args[2]), 10, 64)
 		if err != nil || secs < 0 {
 			return proto.ErrorReply("value is not an integer or out of range")
 		}
-		if s.lookup(now, args[1]) == nil {
+		if s.lookup(now, string(args[1])) == nil {
 			return s.integer(0)
 		}
-		s.db.mut(args[1]).expireAt = now + time.Duration(secs)*time.Second
+		s.db.mut(string(args[1])).expireAt = now + time.Duration(secs)*time.Second
 		return s.integer(1)
 	case "PERSIST", "persist":
 		if !s.spec.HasExpire {
@@ -748,10 +752,10 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'persist' command")
 		}
-		if e := s.lookup(now, args[1]); e == nil || e.expireAt == 0 {
+		if e := s.lookup(now, string(args[1])); e == nil || e.expireAt == 0 {
 			return s.integer(0)
 		}
-		s.db.mut(args[1]).expireAt = 0
+		s.db.mut(string(args[1])).expireAt = 0
 		return s.integer(1)
 	case "TTL", "ttl":
 		if !s.spec.HasExpire {
@@ -760,7 +764,7 @@ func (s *Server) executeAt(now time.Duration, line string) []byte {
 		if len(args) != 2 {
 			return proto.ErrorReply("wrong number of arguments for 'ttl' command")
 		}
-		e := s.lookup(now, args[1])
+		e := s.lookup(now, string(args[1]))
 		if e == nil {
 			return s.integer(-2)
 		}

@@ -439,7 +439,7 @@ func TestLazyUpdateMigratesOnTouchAndSweep(t *testing.T) {
 	}
 	// First touch migrates the entry and accrues the charge for the
 	// requesting command.
-	if got := string(n.executeAt(0, "GET key:00000001")); got != "$12\r\nval:00000001\r\n" {
+	if got := string(n.executeAt(0, []byte("GET key:00000001"))); got != "$12\r\nval:00000001\r\n" {
 		t.Fatalf("GET = %q", got)
 	}
 	if n.PendingLazy() != 5 {
@@ -475,7 +475,7 @@ func TestLazyGenerationsStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := a1.(*Server)
-	s1.executeAt(0, "GET key:00000001") // this entry reaches gen 1
+	s1.executeAt(0, []byte("GET key:00000001")) // this entry reaches gen 1
 	s1.lazy.chargeSteps, s1.lazy.chargeCost = 0, 0
 	hop2 := Update("2.0.2", "2.0.3", UpdateOpts{Lazy: true, PerEntryXform: time.Microsecond})
 	a2, err := hop2.Xform(s1)
@@ -490,12 +490,12 @@ func TestLazyGenerationsStack(t *testing.T) {
 		t.Fatalf("PendingLazy = %d, want 4 (everything lags again)", s2.PendingLazy())
 	}
 	// Untouched across both hops: owes 2 steps at once.
-	s2.executeAt(0, "GET key:00000002")
+	s2.executeAt(0, []byte("GET key:00000002"))
 	if s2.lazy.chargeSteps != 2 || s2.lazy.chargeCost != 2*time.Microsecond {
 		t.Fatalf("stacked charge = %d steps %v, want 2 steps 2µs", s2.lazy.chargeSteps, s2.lazy.chargeCost)
 	}
 	// Touched during hop 1: owes only the second hop.
-	s2.executeAt(0, "GET key:00000001")
+	s2.executeAt(0, []byte("GET key:00000001"))
 	if s2.lazy.chargeSteps != 3 {
 		t.Fatalf("charge after second touch = %d steps, want 3", s2.lazy.chargeSteps)
 	}
@@ -544,15 +544,15 @@ func TestLazyDebtDiesWithDeletedEntries(t *testing.T) {
 	v := Update("2.0.1", "2.0.2", UpdateOpts{Lazy: true, PerEntryXform: time.Microsecond})
 	na, _ := v.Xform(old)
 	n := na.(*Server)
-	n.executeAt(0, "DEL key:00000000")
+	n.executeAt(0, []byte("DEL key:00000000"))
 	if n.PendingLazy() != 2 || n.lazy.chargeSteps != 0 {
 		t.Fatalf("after DEL: pending=%d charge=%d", n.PendingLazy(), n.lazy.chargeSteps)
 	}
-	n.executeAt(0, "SET key:00000001 fresh")
+	n.executeAt(0, []byte("SET key:00000001 fresh"))
 	if n.PendingLazy() != 1 || n.lazy.chargeSteps != 0 {
 		t.Fatalf("after SET: pending=%d charge=%d", n.PendingLazy(), n.lazy.chargeSteps)
 	}
-	n.executeAt(0, "FLUSHDB")
+	n.executeAt(0, []byte("FLUSHDB"))
 	if n.PendingLazy() != 0 {
 		t.Fatalf("after FLUSHDB: pending=%d", n.PendingLazy())
 	}

@@ -137,6 +137,16 @@ func (s *store) fork() store {
 // get returns key's entry for reading, nil if absent.
 func (s *store) get(key string) *entry { return s.find(hashKey(key), key) }
 
+// keyFor returns the string s stores key under, or a copy of key when s
+// holds no such key: a writer that keeps a key it was handed as a view
+// copies it only when it is new.
+func (s *store) keyFor(key []byte) string {
+	if l := s.leafOf(hashKey(string(key)), string(key)); l != nil {
+		return l.key
+	}
+	return string(key)
+}
+
 // mut returns key's entry for writing, unshared first (nil if absent).
 func (s *store) mut(key string) *entry { return s.edit(hashKey(key), key) }
 
@@ -173,9 +183,18 @@ func (n *node) each(fn func(key string, e *entry)) {
 
 // find, edit, set and remove are get, mut, put and del with the hash
 // supplied by the caller, so that tests can drive the trie with a
-// degenerate one.
+// degenerate one. Only set keeps the key it is handed: the others only
+// compare it, so a caller may pass a string that lives on its stack.
 
 func (s *store) find(h uint64, key string) *entry {
+	if l := s.leafOf(h, key); l != nil {
+		return &l.val
+	}
+	return nil
+}
+
+// leafOf is find's walk: key's leaf, nil if absent.
+func (s *store) leafOf(h uint64, key string) *leaf {
 	if s.root == nil {
 		return nil
 	}
@@ -184,7 +203,7 @@ func (s *store) find(h uint64, key string) *entry {
 	for n, shift := rs.n, uint(rootBits); n != nil; shift += nodeBits {
 		if shift >= hashBits {
 			if i := n.listIndex(key); i >= 0 {
-				return &n.leaves[i].val
+				return n.leaves[i]
 			}
 			return nil
 		}
@@ -199,26 +218,26 @@ func (s *store) find(h uint64, key string) *entry {
 		n = n.nodes[rank(n.nodemap, bit)]
 	}
 	if l != nil && l.is(h, key) {
-		return &l.val
+		return l
 	}
 	return nil
 }
 
 func (s *store) edit(h uint64, key string) *entry {
-	pl := s.place(h, key, false)
+	pl := s.place(h, key, nil)
 	if pl == nil {
 		return nil
 	}
 	l := *pl
 	if l.owner != s.tok {
-		*pl = s.newLeaf(h, l.key) // l's key, not the caller's, which may pin a whole request line
+		*pl = s.newLeaf(h, l.key) // l's key: the caller's may live on its stack
 		(*pl).val = cloneEntry(l.val)
 	}
 	return &(*pl).val
 }
 
 func (s *store) set(h uint64, key string, e entry) *entry {
-	pl := s.place(h, key, true)
+	pl := s.place(h, key, &key)
 	if l := *pl; l.owner != s.tok {
 		*pl = s.newLeaf(h, l.key)
 	}
@@ -228,22 +247,22 @@ func (s *store) set(h uint64, key string, e entry) *entry {
 
 // place returns the pointer to key's leaf inside a root or node this
 // store owns, unsharing the path down to it on the way; the leaf itself
-// may still be shared. A missing key yields nil, or with create a fresh
-// leaf linked in.
-func (s *store) place(h uint64, key string, create bool) **leaf {
+// may still be shared. A missing key yields nil, or with create (which
+// points at key) a fresh leaf linked in. key itself is only compared.
+func (s *store) place(h uint64, key string, create *string) **leaf {
 	rs := s.ownRoot().slot(h)
 	if rs.n == nil {
 		switch {
 		case rs.l == nil:
-			if !create {
+			if create == nil {
 				return nil
 			}
-			rs.l = s.newLeaf(h, key)
+			rs.l = s.newLeaf(h, *create)
 			s.n++
 			return &rs.l
 		case rs.l.is(h, key):
 			return &rs.l
-		case !create:
+		case create == nil:
 			return nil
 		}
 		rs.n, rs.l = s.pushDown(rs.l, rootBits), nil
@@ -255,10 +274,10 @@ func (s *store) place(h uint64, key string, create bool) **leaf {
 			if i := n.listIndex(key); i >= 0 {
 				return &n.leaves[i]
 			}
-			if !create {
+			if create == nil {
 				return nil
 			}
-			n.leaves = append(n.leaves, s.newLeaf(h, key))
+			n.leaves = append(n.leaves, s.newLeaf(h, *create))
 			s.n++
 			return &n.leaves[len(n.leaves)-1]
 		}
@@ -269,10 +288,10 @@ func (s *store) place(h uint64, key string, create bool) **leaf {
 		}
 		i := rank(n.leafmap, bit)
 		if n.leafmap&bit == 0 {
-			if !create {
+			if create == nil {
 				return nil
 			}
-			n.leaves = slices.Insert(n.leaves, i, s.newLeaf(h, key))
+			n.leaves = slices.Insert(n.leaves, i, s.newLeaf(h, *create))
 			n.leafmap |= bit
 			s.n++
 			return &n.leaves[i]
@@ -280,7 +299,7 @@ func (s *store) place(h uint64, key string, create bool) **leaf {
 		if n.leaves[i].is(h, key) {
 			return &n.leaves[i]
 		}
-		if !create {
+		if create == nil {
 			return nil
 		}
 		// Another key lives in this slot: move it one level down and

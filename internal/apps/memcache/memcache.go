@@ -68,36 +68,57 @@ type item struct {
 
 type mcConn struct {
 	in *proto.LineBuffer
-	// pendingSet holds the header of a storage command awaiting its
-	// data line.
-	pendingSet *setHeader
+	// pending is the header of a storage command awaiting its data line;
+	// its verb is empty while none is.
+	pending setHeader
 }
 
 type setHeader struct {
-	verb  string
+	verb  string // one of storageVerbs, or invalidVerb for a malformed header
 	key   string
 	flags int
 	bytes int
 }
 
-func (c *mcConn) clone() *mcConn {
-	out := &mcConn{in: c.in.Clone()}
-	if c.pendingSet != nil {
-		cp := *c.pendingSet
-		out.pendingSet = &cp
-	}
-	return out
+// storageVerbs spell the commands whose data block follows on the next
+// line: a pending header refers to one of them instead of copying its
+// verb out of the command line.
+var storageVerbs = [...]string{"set", "add", "replace", "append", "prepend"}
+
+// invalidVerb marks a header whose data line is swallowed and answered
+// with an error.
+const invalidVerb = "__invalid__"
+
+func (c *mcConn) clone() *mcConn { return &mcConn{in: c.in.Clone(), pending: c.pending} }
+
+// reply is one write of a command's answer: fixed bytes, or — with key
+// set — a get hit's VALUE block, encoded into the worker's scratch just
+// before it is written, from the item as the lookup found it. The key is
+// a view of the command line.
+type reply struct {
+	fixed []byte
+	key   []byte
+	it    item
 }
 
 type worker struct {
 	base  *libevent.Base
 	conns map[int]*mcConn
 
-	// Per-request scratch: the buffer offered to read and the command's
-	// tokens. It belongs to this worker's thread — a sibling may be parked
-	// mid-request — and clone copies none of it.
-	rbuf [4096]byte
-	args []string
+	// Per-request scratch: the buffer offered to read, the command's
+	// tokens (views of its line), its replies and the VALUE block being
+	// written. It belongs to this worker's thread — a sibling may be
+	// parked mid-request — and clone copies none of it.
+	rbuf    [4096]byte
+	args    [][]byte
+	replies []reply
+	value   []byte
+}
+
+// say makes b the command's one reply.
+func (w *worker) say(b []byte) []reply {
+	w.replies = append(w.replies[:0], reply{fixed: b})
+	return w.replies
 }
 
 func (w *worker) clone() *worker {
@@ -275,174 +296,206 @@ func (s *Server) handleConn(env *dsu.Env, w *worker, fd int) {
 		if !ok {
 			break
 		}
-		for _, reply := range s.executeLine(env, w, conn, line) {
-			env.Sys(sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: reply})
+		for _, rep := range s.executeLine(env, w, conn, line) {
+			b := rep.fixed
+			if rep.key != nil {
+				w.value = proto.AppendMcValue(w.value[:0], rep.key, rep.it.flags, rep.it.data)
+				b = w.value
+			}
+			env.Sys(sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: b})
 		}
 	}
 }
 
-// executeLine consumes one protocol line; storage commands span two
-// lines (header + data block).
-func (s *Server) executeLine(env *dsu.Env, w *worker, conn *mcConn, line string) [][]byte {
-	if conn.pendingSet != nil {
-		h := conn.pendingSet
-		conn.pendingSet = nil
-		return [][]byte{s.store(h, line)}
+// Replies that never vary are encoded once; nobody writes to them.
+var (
+	replyEnd        = proto.McEnd()
+	replyStored     = proto.McStored()
+	replyNotStored  = proto.McNotStored()
+	replyDeleted    = proto.McDeleted()
+	replyNotFound   = proto.McNotFound()
+	replyError      = proto.McError()
+	replyOK         = []byte("OK\r\n")
+	replyBadFormat  = proto.McClientError("bad command line format")
+	replyBadChunk   = proto.McClientError("bad data chunk")
+	replyBadDelta   = proto.McClientError("invalid numeric delta argument")
+	replyNonNumeric = proto.McClientError("cannot increment or decrement non-numeric value")
+)
+
+// executeLine consumes one protocol line and returns its replies, in the
+// worker's scratch: they are valid until its next line. Storage commands
+// span two lines (header + data block). The tokens are views of line: a
+// key is looked up without a copy, and only what a store keeps — the
+// key and the data — is copied.
+func (s *Server) executeLine(env *dsu.Env, w *worker, conn *mcConn, line []byte) []reply {
+	if h := conn.pending; h.verb != "" {
+		conn.pending = setHeader{}
+		return w.say(s.store(h, line))
 	}
 	w.args = proto.AppendFields(w.args[:0], line)
 	args := w.args
 	if len(args) == 0 {
-		return [][]byte{proto.McError()}
+		return w.say(replyError)
 	}
 	s.Ops++
 	if s.CmdCPU > 0 {
 		env.Task().Advance(s.CmdCPU)
 	}
-	switch args[0] {
+	switch string(args[0]) {
 	case "get", "gets":
 		if len(args) < 2 {
-			return [][]byte{proto.McError()}
+			return w.say(replyError)
 		}
-		var out [][]byte
+		w.replies = w.replies[:0]
 		for _, key := range args[1:] {
 			if rep, bad := s.checkKey(key); bad {
-				return [][]byte{rep}
+				return w.say(rep)
 			}
 			s.cmdGet++
-			if it, ok := s.db[key]; ok {
+			if it, ok := s.db[string(key)]; ok {
 				s.getHits++
-				out = append(out, proto.McValuePart(key, it.flags, it.data))
+				w.replies = append(w.replies, reply{key: key, it: it})
 			} else {
 				s.getMisses++
 			}
 		}
-		out = append(out, proto.McEnd())
-		return out
+		w.replies = append(w.replies, reply{fixed: replyEnd})
+		return w.replies
 	case "set", "add", "replace", "append", "prepend":
 		if len(args) != 5 {
-			return [][]byte{proto.McError()}
+			return w.say(replyError)
 		}
 		if rep, bad := s.checkKey(args[1]); bad {
-			return [][]byte{rep}
+			return w.say(rep)
 		}
-		flags, err1 := strconv.Atoi(args[2])
-		bytes, err2 := strconv.Atoi(args[4])
+		flags, err1 := strconv.Atoi(string(args[2]))
+		bytes, err2 := strconv.Atoi(string(args[4]))
 		if err1 != nil || err2 != nil || bytes < 0 {
 			// Swallow the upcoming data line, then report the error.
-			conn.pendingSet = &setHeader{verb: "__invalid__"}
+			conn.pending = setHeader{verb: invalidVerb}
 			return nil
 		}
-		conn.pendingSet = &setHeader{verb: args[0], key: args[1], flags: flags, bytes: bytes}
+		conn.pending = setHeader{verb: storageVerb(args[0]), key: string(args[1]), flags: flags, bytes: bytes}
 		return nil
 	case "delete":
 		if len(args) < 2 {
-			return [][]byte{proto.McError()}
+			return w.say(replyError)
 		}
 		if rep, bad := s.checkKey(args[1]); bad {
-			return [][]byte{rep}
+			return w.say(rep)
 		}
-		if _, ok := s.db[args[1]]; ok {
-			delete(s.db, args[1])
-			return [][]byte{proto.McDeleted()}
+		if _, ok := s.db[string(args[1])]; ok {
+			delete(s.db, string(args[1]))
+			return w.say(replyDeleted)
 		}
-		return [][]byte{proto.McNotFound()}
+		return w.say(replyNotFound)
 	case "incr", "decr":
 		if len(args) != 3 {
-			return [][]byte{proto.McError()}
+			return w.say(replyError)
 		}
-		return [][]byte{s.incrDecr(args[0], args[1], args[2])}
+		return w.say(s.incrDecr(args[0], args[1], args[2]))
 	case "stats":
-		return s.statsReply(env)
+		return s.statsReply(env, w)
 	case "version":
-		return [][]byte{[]byte("VERSION " + s.spec.Version + "\r\n")}
+		return w.say([]byte("VERSION " + s.spec.Version + "\r\n"))
 	case "flush_all":
 		s.db = make(map[string]item)
-		return [][]byte{[]byte("OK\r\n")}
+		return w.say(replyOK)
 	case "verbosity":
-		return [][]byte{[]byte("OK\r\n")}
+		return w.say(replyOK)
 	default:
-		return [][]byte{proto.McError()}
+		return w.say(replyError)
 	}
 }
 
+// storageVerb returns the storageVerbs entry b spells.
+func storageVerb(b []byte) string {
+	for _, v := range storageVerbs {
+		if string(b) == v {
+			return v
+		}
+	}
+	return invalidVerb
+}
+
 // checkKey enforces the protocol key limit; 1.2.2 crashes on violation.
-func (s *Server) checkKey(key string) ([]byte, bool) {
+func (s *Server) checkKey(key []byte) ([]byte, bool) {
 	if len(key) <= MaxKeyLen {
 		return nil, false
 	}
 	if s.spec.OversizedKeyCrash {
 		panic(fmt.Sprintf("memcached %s: buffer overflow on %d-byte key", s.spec.Version, len(key)))
 	}
-	return proto.McClientError("bad command line format"), true
+	return replyBadFormat, true
 }
 
-func (s *Server) store(h *setHeader, data string) []byte {
-	if h.verb == "__invalid__" {
-		return proto.McClientError("bad command line format")
+func (s *Server) store(h setHeader, data []byte) []byte {
+	if h.verb == invalidVerb {
+		return replyBadFormat
 	}
 	if len(data) != h.bytes {
-		return proto.McClientError("bad data chunk")
+		return replyBadChunk
 	}
 	_, exists := s.db[h.key]
 	switch h.verb {
 	case "add":
 		if exists {
-			return proto.McNotStored()
+			return replyNotStored
 		}
 	case "replace":
 		if !exists {
-			return proto.McNotStored()
+			return replyNotStored
 		}
 	case "append":
 		if !exists {
-			return proto.McNotStored()
+			return replyNotStored
 		}
 		it := s.db[h.key]
-		it.data += data
+		it.data += string(data)
 		s.db[h.key] = it
 		s.cmdSet++
-		return proto.McStored()
+		return replyStored
 	case "prepend":
 		if !exists {
-			return proto.McNotStored()
+			return replyNotStored
 		}
 		it := s.db[h.key]
-		it.data = data + it.data
+		it.data = string(data) + it.data
 		s.db[h.key] = it
 		s.cmdSet++
-		return proto.McStored()
+		return replyStored
 	}
-	s.db[h.key] = item{flags: h.flags, data: data}
+	s.db[h.key] = item{flags: h.flags, data: string(data)}
 	s.cmdSet++
-	return proto.McStored()
+	return replyStored
 }
 
-func (s *Server) incrDecr(verb, key, deltaStr string) []byte {
-	delta, err := strconv.ParseUint(deltaStr, 10, 64)
+func (s *Server) incrDecr(verb, key, delta []byte) []byte {
+	d, err := strconv.ParseUint(string(delta), 10, 64)
 	if err != nil {
-		return proto.McClientError("invalid numeric delta argument")
+		return replyBadDelta
 	}
-	it, ok := s.db[key]
+	it, ok := s.db[string(key)]
 	if !ok {
-		return proto.McNotFound()
+		return replyNotFound
 	}
 	cur, err := strconv.ParseUint(it.data, 10, 64)
 	if err != nil {
-		return proto.McClientError("cannot increment or decrement non-numeric value")
+		return replyNonNumeric
 	}
-	if verb == "incr" {
-		cur += delta
-	} else if delta > cur {
+	if string(verb) == "incr" {
+		cur += d
+	} else if d > cur {
 		cur = 0
 	} else {
-		cur -= delta
+		cur -= d
 	}
 	it.data = strconv.FormatUint(cur, 10)
-	s.db[key] = it
+	s.db[string(key)] = it
 	return []byte(it.data + "\r\n")
 }
 
-func (s *Server) statsReply(env *dsu.Env) [][]byte {
+func (s *Server) statsReply(env *dsu.Env, w *worker) []reply {
 	// Uptime goes through the clock syscall, so leader and follower see
 	// the same value via MVE replay.
 	r := env.Sys(sysabi.Call{Op: sysabi.OpClock})
@@ -456,10 +509,10 @@ func (s *Server) statsReply(env *dsu.Env) [][]byte {
 		fmt.Sprintf("STAT get_misses %d", s.getMisses),
 		fmt.Sprintf("STAT threads %d", s.spec.Workers),
 	}
-	out := make([][]byte, 0, len(lines)+1)
+	w.replies = w.replies[:0]
 	for _, l := range lines {
-		out = append(out, []byte(l+"\r\n"))
+		w.replies = append(w.replies, reply{fixed: []byte(l + "\r\n")})
 	}
-	out = append(out, proto.McEnd())
-	return out
+	w.replies = append(w.replies, reply{fixed: replyEnd})
+	return w.replies
 }

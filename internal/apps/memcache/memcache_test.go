@@ -82,6 +82,21 @@ func TestProtocolBasics(t *testing.T) {
 	})
 }
 
+// A data block's last byte may be a \r: only the \r\n after it ends the
+// block.
+func TestDataEndingInCarriageReturn(t *testing.T) {
+	serve(t, SpecFor("1.2.3", 1), mcConfig(), func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+		c.Send(tk, "set k 0 0 2\r\na\r\r\n")
+		if got := c.RecvUntil(tk, "\r\n"); got != "STORED\r\n" {
+			t.Fatalf("set = %q, want STORED", got)
+		}
+		c.Send(tk, "get k\r\n")
+		if got, want := c.RecvUntil(tk, "END\r\n"), "VALUE k 0 2\r\na\r\r\nEND\r\n"; got != want {
+			t.Errorf("get = %q, want %q", got, want)
+		}
+	})
+}
+
 func TestMultiKeyGet(t *testing.T) {
 	serve(t, SpecFor("1.2.3", 1), mcConfig(), func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 		c.Send(tk, "set a 0 0 1\r\nA\r\n")

@@ -14,9 +14,10 @@ import (
 
 // TestWorkersOwnTheirScratch: four connections keep the four worker
 // threads of the leader and of each replica busy at once, and every
-// worker overwrites its read buffer as soon as a write returns. Scratch
-// is per worker — a sibling may be parked mid-request on the full ring —
-// so nothing changes.
+// worker overwrites its read buffer and the VALUE block it encoded as
+// soon as a write returns. Scratch is per worker — a sibling may be
+// parked mid-request on the full ring — and a two-key get encodes its
+// second block only after the first is written, so nothing changes.
 func TestWorkersOwnTheirScratch(t *testing.T) {
 	const conns, rounds = 4, 60
 	err := apptest.CheckOwnership(
@@ -25,7 +26,8 @@ func TestWorkersOwnTheirScratch(t *testing.T) {
 			if tid == 0 {
 				return nil // the main thread only accepts
 			}
-			return [][]byte{app.(*Server).workers[tid-1].rbuf[:]}
+			w := app.(*Server).workers[tid-1]
+			return [][]byte{w.rbuf[:], w.value}
 		},
 		nil,
 		func(k *vos.Kernel, tk *sim.Task) string {
@@ -70,8 +72,9 @@ func TestWorkersOwnTheirScratch(t *testing.T) {
 // TestWorkerCloneSharesNoScratch pins what the test above relies on for
 // a forked follower: clone builds the copy field by field.
 func TestWorkerCloneSharesNoScratch(t *testing.T) {
-	w := &worker{conns: map[int]*mcConn{}, args: []string{"get", "k"}}
-	if c := w.clone(); c.args != nil {
-		t.Errorf("clone carries the token scratch: %q", c.args)
+	w := &worker{conns: map[int]*mcConn{}, args: [][]byte{[]byte("get"), []byte("k")},
+		replies: []reply{{fixed: replyEnd}}, value: []byte("VALUE k 0 1\r\nv\r\n")}
+	if c := w.clone(); c.args != nil || c.replies != nil || c.value != nil {
+		t.Errorf("clone carries scratch: tokens %q, replies %v, value %q", c.args, c.replies, c.value)
 	}
 }

@@ -38,7 +38,7 @@ func TestServerOwnsItsReadBuffer(t *testing.T) {
 // TestForkSharesNoScratch pins that Fork leaves the token scratch out.
 func TestForkSharesNoScratch(t *testing.T) {
 	s := New("v1", false)
-	s.execute("PUT k v")
+	s.execute([]byte("PUT k v"))
 	if f := s.Fork().(*Server); cap(s.args) == 0 || f.args != nil {
 		t.Errorf("scratch cap %d, fork's %q", cap(s.args), f.args)
 	}

@@ -15,8 +15,8 @@
 package tkv
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 	"time"
 
 	"mvedsua/internal/dsl"
@@ -46,9 +46,10 @@ type Server struct {
 	table    map[string]entry
 
 	// Per-request scratch: the buffer offered to read and the command's
-	// tokens. Each instance has its own (Fork copies none of it).
+	// tokens, views of its line. Each instance has its own (Fork copies
+	// none of it).
 	rbuf [1024]byte
-	args []string
+	args [][]byte
 
 	// Ops counts executed commands.
 	Ops int64
@@ -119,20 +120,21 @@ func (s *Server) Main(env *dsu.Env) {
 	}
 }
 
-func (s *Server) execute(line string) string {
+// execute runs one command line. The tokens are views of line; a
+// handler takes strings, copies of what it stores.
+func (s *Server) execute(line []byte) string {
 	s.Ops++
 	s.args = proto.AppendFields(s.args[:0], line)
 	args := s.args
 	if len(args) == 0 {
 		return "ERR bad command"
 	}
-	cmd := args[0]
-	typed := ""
-	if i := strings.IndexByte(cmd, '-'); i >= 0 {
+	cmd, typed := args[0], []byte(nil)
+	if i := bytes.IndexByte(cmd, '-'); i >= 0 {
 		cmd, typed = cmd[:i], cmd[i+1:]
 	}
 	switch {
-	case cmd == "PUT" && typed == "" && len(args) == 3:
+	case string(cmd) == "PUT" && len(typed) == 0 && len(args) == 3:
 		if s.version == "v2" && s.strict {
 			// The paper's Rule 2 scenario: v2-strict dropped plain PUT.
 			return "ERR bad command"
@@ -141,25 +143,25 @@ func (s *Server) execute(line string) string {
 		if s.version == "v2" {
 			typ = "string" // outdated requests get the default type
 		}
-		s.table[args[1]] = entry{Val: args[2], Type: typ}
+		s.table[string(args[1])] = entry{Val: string(args[2]), Type: typ}
 		return "OK"
-	case cmd == "PUT" && typed != "" && len(args) == 3:
+	case string(cmd) == "PUT" && len(typed) > 0 && len(args) == 3:
 		if s.version != "v2" || !validType(typed) {
 			return "ERR bad command"
 		}
-		s.table[args[1]] = entry{Val: args[2], Type: typed}
+		s.table[string(args[1])] = entry{Val: string(args[2]), Type: string(typed)}
 		return "OK"
-	case cmd == "GET" && len(args) == 2:
-		e, ok := s.table[args[1]]
+	case string(cmd) == "GET" && len(args) == 2:
+		e, ok := s.table[string(args[1])]
 		if !ok {
 			return "NOT-FOUND"
 		}
 		return "VAL " + e.Val
-	case cmd == "TYPE" && len(args) == 2:
+	case string(cmd) == "TYPE" && len(args) == 2:
 		if s.version != "v2" {
 			return "ERR bad command"
 		}
-		e, ok := s.table[args[1]]
+		e, ok := s.table[string(args[1])]
 		if !ok {
 			return "NOT-FOUND"
 		}
@@ -169,8 +171,8 @@ func (s *Server) execute(line string) string {
 	}
 }
 
-func validType(t string) bool {
-	return t == "string" || t == "number" || t == "date"
+func validType(t []byte) bool {
+	return string(t) == "string" || string(t) == "number" || string(t) == "date"
 }
 
 // Rules1 is the paper's Figure 4 Rule 1 (plus the analogous rule for the

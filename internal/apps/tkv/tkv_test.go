@@ -286,7 +286,7 @@ func TestStateRelationCommutesProperty(t *testing.T) {
 		// Path A: apply commands to v1, then transform.
 		a := New("v1", false)
 		for _, o := range ops {
-			a.execute(cmdFor(o.Key, o.Val))
+			a.execute([]byte(cmdFor(o.Key, o.Val)))
 		}
 		xa, err := v.Xform(a)
 		if err != nil {
@@ -302,7 +302,7 @@ func TestStateRelationCommutesProperty(t *testing.T) {
 		}
 		b := xbApp.(*Server)
 		for _, o := range ops {
-			b.execute(cmdFor(o.Key, o.Val))
+			b.execute([]byte(cmdFor(o.Key, o.Val)))
 		}
 		// The two states must be identical.
 		ta, tb := xa.(*Server).table, b.table
@@ -371,7 +371,7 @@ func TestUninitializedTypeBugEscapesMVE(t *testing.T) {
 func TestCommutingSquareCatchesUninitializedType(t *testing.T) {
 	v := Update(UpdateOpts{UninitializedType: true})
 	old := New("v1", false)
-	old.execute("PUT k 1")
+	old.execute([]byte("PUT k 1"))
 	xa, err := v.Xform(old)
 	if err != nil {
 		t.Fatalf("Xform: %v", err)
@@ -380,7 +380,7 @@ func TestCommutingSquareCatchesUninitializedType(t *testing.T) {
 	// version (old-mapped plain PUT gets the "string" default).
 	emptyX, _ := v.Xform(New("v1", false))
 	b := emptyX.(*Server)
-	b.execute("PUT k 1")
+	b.execute([]byte("PUT k 1"))
 	typA, typB := xa.(*Server).table["k"].Type, b.table["k"].Type
 	if typA == typB {
 		t.Fatalf("square commutes (%q == %q): bug injection broken", typA, typB)

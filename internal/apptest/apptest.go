@@ -208,10 +208,14 @@ func (c *Client) Close(tk *sim.Task) {
 // its own the moment a write returns: it overwrites every buffer scratch
 // names for the issuing thread (the read buffer is dead by then — every
 // server feeds a line buffer, or writes the chunk out, before its next
-// syscall — and so is the reply just written). Nobody may diverge, every
-// instance must write the same bytes to its sockets, as many as the
+// syscall — and so is the reply just written), and when a thread issues
+// an epoll_wait it overwrites the Ready list its last one returned, whose
+// storage the new wait refills (sysabi.Result.Ready). Nobody may diverge,
+// every instance must write the same bytes to its sockets, as many as the
 // clients read, and the overwriting run must be indistinguishable from
-// the one that leaves the buffers alone.
+// the one that leaves the buffers alone: nothing keeps a ready list past
+// its thread's next wait, and nothing hands one out that another event
+// still refers to.
 func CheckOwnership(
 	newApp func() dsu.App,
 	scratch func(app dsu.App, tid int) [][]byte,
@@ -306,7 +310,7 @@ func runOwnership(
 	var rts []*dsu.Runtime
 	var taps []*scribbler
 	for i, p := range procs {
-		tap := &scribbler{inner: p, app: apps[i], scratch: scratch, scribble: scribble}
+		tap := &scribbler{inner: p, app: apps[i], scratch: scratch, scribble: scribble, ready: map[int][]int{}}
 		taps = append(taps, tap)
 		rt := dsu.NewRuntime(s, apps[i], dsu.Config{Name: p.Name(), Dispatcher: tap})
 		rt.Start()
@@ -334,13 +338,15 @@ func runOwnership(
 
 // scribbler sits between an application and its monitor process: it
 // keeps what the application writes to sockets and, when scribbling,
-// overwrites the issuing thread's scratch after every write returns.
+// overwrites the issuing thread's scratch after every write returns, and
+// its last ready list when it waits again.
 type scribbler struct {
 	inner    sysabi.Dispatcher
 	app      dsu.App
 	scratch  func(app dsu.App, tid int) [][]byte
 	scribble bool
 	written  []byte
+	ready    map[int][]int // per TID: what the thread's last epoll_wait returned
 }
 
 // Invoke implements sysabi.Dispatcher.
@@ -348,7 +354,15 @@ func (d *scribbler) Invoke(t *sim.Task, c sysabi.Call) sysabi.Result {
 	if c.Op == sysabi.OpWrite {
 		d.written = append(d.written, c.Buf...)
 	}
+	if d.scribble && c.Op == sysabi.OpEpollWait {
+		for i := range d.ready[c.TID] {
+			d.ready[c.TID][i] = -1
+		}
+	}
 	r := d.inner.Invoke(t, c)
+	if c.Op == sysabi.OpEpollWait {
+		d.ready[c.TID] = r.Ready
+	}
 	if d.scribble && c.HasOutput() {
 		for _, b := range d.scratch(d.app, c.TID) {
 			b = b[:cap(b)]

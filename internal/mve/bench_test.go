@@ -2,6 +2,7 @@ package mve
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ type replayRig struct {
 	procs []*Proc // leader first
 	tasks []*sim.Task
 	gates []sim.WaitQueue // per TID: follower threads held until the next step (rigSpec.descending)
-	short int             // OpFRead results that were not a full, intact chunk
+	short int             // OpFRead results that were not a full, intact chunk, OpEpollWait ones not the watched set
 }
 
 // rigTick is the leader application's think time between calls; RunFor
@@ -45,6 +46,10 @@ const rigTick = time.Microsecond
 // 4 KiB reads before EOF, each chunk filled with its own byte.
 const rigFile, rigFileSize = "/bulk", 8 << 20
 
+// rigWatched is the file an OpEpollWait rig opens once per watched
+// descriptor: an open file is always ready.
+const rigWatched = "/watched"
+
 // rigSpec says what a replay rig runs. followers == 1 attaches the duo
 // follower, more attach that many fleet variants. Each of threads logical
 // threads per process loops for ever, through buffers of its own, on
@@ -52,7 +57,9 @@ const rigFile, rigFileSize = "/bulk", 8 << 20
 // same calls as another version orders them, which rules reconcile. An
 // OpFRead call first opens rigFile and reads from that descriptor, into a
 // buffer of offer bytes the thread offers (none for offer == 0), and
-// checks what it gets. With descending set the leader's threads record
+// checks what it gets. An OpEpollWait call first creates an epoll
+// descriptor watching Args[0] descriptors of rigWatched, waits on it, and
+// checks that it gets them all. With descending set the leader's threads record
 // every round in descending TID order, and a follower's start on it only
 // then, in ascending order (step releases them): all but one of them are
 // out of turn at once. With recorded set the monitor has a flight
@@ -95,12 +102,15 @@ func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 	s := sim.New()
 	k := vos.NewKernel(s)
 	for _, call := range spec.round {
-		if call.Op == sysabi.OpFRead {
+		switch call.Op {
+		case sysabi.OpFRead:
 			file := make([]byte, rigFileSize)
 			for i := range file {
 				file[i] = byte(i / int(call.Args[0]))
 			}
 			k.WriteFile(rigFile, file)
+		case sysabi.OpEpollWait:
+			k.WriteFile(rigWatched, nil)
 		}
 	}
 	r := &replayRig{s: s, m: New(k, 256, Costs{})}
@@ -130,13 +140,22 @@ func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 			}
 			r.tasks = append(r.tasks, s.Go(fmt.Sprintf("%s/t%d", p.Name(), tid), func(tk *sim.Task) {
 				calls := make([]sysabi.Call, len(round))
+				var watched []int
 				for i, call := range round {
 					c := call.Clone()
 					c.TID = tid
-					if c.Op == sysabi.OpFRead {
+					switch c.Op {
+					case sysabi.OpFRead:
 						c.FD = int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpOpen, Path: rigFile, TID: tid}).Ret)
 						if spec.offer > 0 {
 							c.Buf = make([]byte, 0, spec.offer)
+						}
+					case sysabi.OpEpollWait:
+						c.FD = int(p.Invoke(tk, sysabi.Call{Op: sysabi.OpEpollCreate, TID: tid}).Ret)
+						for j := int64(0); j < c.Args[0]; j++ {
+							fd := p.Invoke(tk, sysabi.Call{Op: sysabi.OpOpen, Path: rigWatched, TID: tid}).Ret
+							p.Invoke(tk, sysabi.Call{Op: sysabi.OpEpollCtl, FD: c.FD, Args: [2]int64{fd, 1}, TID: tid})
+							watched = append(watched, int(fd))
 						}
 					}
 					calls[i] = c
@@ -144,9 +163,15 @@ func newReplayRig(tb testing.TB, spec rigSpec) *replayRig {
 				for n := 0; ; n++ {
 					for _, c := range calls {
 						res := p.Invoke(tk, c)
-						if d := res.Data; c.Op == sysabi.OpFRead &&
-							(int64(len(d)) != c.Args[0] || d[0] != byte(n) || d[len(d)-1] != byte(n)) {
-							r.short++
+						switch d := res.Data; c.Op {
+						case sysabi.OpFRead:
+							if int64(len(d)) != c.Args[0] || d[0] != byte(n) || d[len(d)-1] != byte(n) {
+								r.short++
+							}
+						case sysabi.OpEpollWait:
+							if !slices.Equal(res.Ready, watched) {
+								r.short++
+							}
 						}
 					}
 					if pi == 0 {
@@ -192,6 +217,11 @@ func writeCall(size int) sysabi.Call {
 
 func freadCall(size int64) sysabi.Call {
 	return sysabi.Call{Op: sysabi.OpFRead, Args: [2]int64{size, 0}}
+}
+
+// epollWaitCall is an epoll_wait that finds ready descriptors ready.
+func epollWaitCall(ready int64) sysabi.Call {
+	return sysabi.Call{Op: sysabi.OpEpollWait, Args: [2]int64{ready, 0}}
 }
 
 func benchRecordReplay(b *testing.B, spec rigSpec) {

@@ -121,7 +121,9 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 	p.trackKernelState(call, res)
 	// The entry shares the live call's and result's payloads: the ring
 	// copies them when (and only when) it really appends, so nothing is
-	// copied for an event it refuses.
+	// copied for an event it refuses. Put may park first; an epoll_wait's
+	// Ready stays intact meanwhile, because only this thread waits on its
+	// epoll fd again (sysabi.Result.Ready).
 	e := ringbuf.Entry{Kind: ringbuf.KindSyscall, Event: sysabi.Event{Call: call, Result: res}}
 	if rec.SpansEnabled() {
 		// Stamps the recorded event's call with the request id (the live

@@ -16,8 +16,9 @@ import (
 // TestReplayZeroAllocs pins the record/replay path's allocation budget
 // without timing anything: a recorded-and-replayed call whose payload is
 // only compared allocates nothing, and neither does a read into a buffer
-// the application offers; a read that offers none, or too little,
-// allocates exactly the buffers the applications end up owning.
+// the application offers, nor an epoll_wait; a read that offers none, or
+// too little, allocates exactly the buffers the applications end up
+// owning.
 func TestReplayZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -42,6 +43,10 @@ func TestReplayZeroAllocs(t *testing.T) {
 		{name: "K3/fread4K/no-offer", spec: oneCall(3, 1, freadCall(4096), 0), want: 4},
 		{name: "K3/fread4K/small-offer", spec: oneCall(3, 1, freadCall(4096), 1024), want: 4},
 		{name: "threaded/write64", spec: oneCall(1, 4, writeCall(64), 0)},
+		// The kernel fills the epoll instance's ready list, each follower's
+		// monitor the thread's own, and the ring's copy goes back to the pool.
+		{name: "epoll_wait", spec: oneCall(1, 1, epollWaitCall(1), 0)},
+		{name: "K3/epoll_wait", spec: oneCall(3, 1, epollWaitCall(1), 0)},
 		// Every event pair rewritten: the rule binds the reply as a view,
 		// the emitted write takes the recorded buffer, and retiring it
 		// gives that buffer back to the ring.
@@ -142,6 +147,33 @@ func TestReplayedReadsRecycleRingBuffers(t *testing.T) {
 			// One buffer each would be 4 MiB and more.
 			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 				t.Errorf("%d replayed reads allocated %d bytes: the ring's buffers are not recycled", reads*followers, got)
+			}
+		})
+	}
+}
+
+// TestReplayedReadyListsRecycleRingBuffers: the same for a thousand
+// replayed epoll_waits that find 64 descriptors ready. Before a follower
+// copied the recorded list into storage of its thread, its application
+// kept the ring's copy, and every wait allocated a new one.
+func TestReplayedReadyListsRecycleRingBuffers(t *testing.T) {
+	for _, followers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("K%d", followers), func(t *testing.T) {
+			r := newReplayRig(t, oneCall(followers, 1, epollWaitCall(64), 0))
+			const waits = 1000
+			replayed := r.m.Stats.Replayed
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < waits; i++ {
+				r.step(t)
+			}
+			runtime.ReadMemStats(&after)
+			if n := r.m.Stats.Replayed - replayed; n != int64(waits*followers) || r.short != 0 {
+				t.Fatalf("replayed %d waits, %d of them wrong; want %d and none", n, r.short, waits*followers)
+			}
+			// One list each would be 512 KiB and more.
+			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+				t.Errorf("%d replayed waits allocated %d bytes: the ring's lists are not recycled", waits*followers, got)
 			}
 		})
 	}

@@ -70,6 +70,10 @@ type tidStream struct {
 	seqs queue[uint64]       // the extra sequence numbers of exp's groups
 	wait sim.WaitQueue       // the thread, awaiting its events or its turn
 	req  reqOpen             // while serving: the thread's open tagged request (span mode only)
+
+	// ready is the Result.Ready the thread's last replayed epoll_wait
+	// returned: a copy of the recorded list, refilled by its next one.
+	ready []int
 }
 
 // stream returns tid's stream, creating it on first use. Logical TIDs are

@@ -142,12 +142,19 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 	// the buffer the application offered (sysabi.Call.Buf) — a follower's
 	// read(2) fills the follower's own memory. With no offer, or one too
 	// small for what the leader read, the data passes to the application
-	// as it is.
+	// as it is. An epoll_wait's ready list is copied into the thread's
+	// storage, which its next epoll_wait refills (sysabi.Result.Ready), and
+	// goes back too.
 	p.m.ring.RecycleBytes(exp.Call.Buf)
 	if d := exp.Result.Data; len(d) > 0 && cap(call.Buf) >= len(d) &&
 		(call.Op == sysabi.OpRead || call.Op == sysabi.OpFRead) {
 		exp.Result.Data = append(call.Buf[:0], d...)
 		p.m.ring.RecycleBytes(d)
+	}
+	if r := exp.Result.Ready; len(r) > 0 {
+		st.ready = append(st.ready[:0], r...)
+		exp.Result.Ready = st.ready
+		p.m.ring.RecycleReady(r)
 	}
 	return exp.Result, false
 }

@@ -15,22 +15,31 @@ import (
 // lines on its own fast path, anything else through the fallback — and
 // leaves what dst already held alone.
 func FuzzFields(f *testing.F) {
-	f.Fuzz(func(t *testing.T, line string) {
-		want := strings.Fields(line)
-		if got := AppendFields(nil, line); !slices.Equal(got, want) {
+	f.Fuzz(func(t *testing.T, line []byte) {
+		want := strings.Fields(string(line))
+		if got := strs(AppendFields(nil, line)); !slices.Equal(got, want) {
 			t.Fatalf("AppendFields(nil, %q) = %q, want %q", line, got, want)
 		}
 		// Into a reused slice, behind a token that must survive.
-		got := AppendFields(append(make([]string, 0, 8), "kept"), line)
+		got := strs(AppendFields(append(make([][]byte, 0, 8), []byte("kept")), line))
 		if got[0] != "kept" || !slices.Equal(got[1:], want) {
 			t.Fatalf("AppendFields([kept], %q) = %q, want kept + %q", line, got, want)
 		}
 	})
 }
 
+func strs(fields [][]byte) []string {
+	out := make([]string, len(fields))
+	for i, f := range fields {
+		out[i] = string(f)
+	}
+	return out
+}
+
 // FuzzLineBuffer: however a stream is cut into Feed calls, Next yields
-// the lines of the whole stream, and what follows the last newline stays
-// buffered. cuts[i] is the length of the i-th piece.
+// the lines of the whole stream, each less its \n and at most one \r
+// before it, and what follows the last newline stays buffered. cuts[i]
+// is the length of the i-th piece.
 func FuzzLineBuffer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
 		var want []string
@@ -40,7 +49,7 @@ func FuzzLineBuffer(f *testing.F) {
 			if i < 0 {
 				break
 			}
-			want = append(want, strings.TrimRight(string(rest[:i]), "\r"))
+			want = append(want, strings.TrimSuffix(string(rest[:i]), "\r"))
 			rest = rest[i+1:]
 		}
 		var b LineBuffer
@@ -51,7 +60,7 @@ func FuzzLineBuffer(f *testing.F) {
 				if !ok {
 					return
 				}
-				got = append(got, line)
+				got = append(got, string(line))
 			}
 		}
 		fed := stream
@@ -72,9 +81,9 @@ func FuzzLineBuffer(f *testing.F) {
 	})
 }
 
-// FuzzAppendBulk: AppendBulk and AppendInteger produce what the
-// fmt-based encoders they replaced produced, after whatever dst holds,
-// and Bulk is the same bytes.
+// FuzzAppendBulk: AppendBulk, AppendInteger and AppendMcValue produce
+// what the fmt-based encoders they replaced produced, after whatever dst
+// holds, and Bulk is the same bytes.
 func FuzzAppendBulk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prefix []byte, s string, n int64) {
 		want := fmt.Sprintf("%s$%d\r\n%s\r\n", prefix, len(s), s)
@@ -87,6 +96,11 @@ func FuzzAppendBulk(f *testing.F) {
 		want = fmt.Sprintf("%s:%d\r\n", prefix, n)
 		if got := AppendInteger(append([]byte(nil), prefix...), n); string(got) != want {
 			t.Fatalf("AppendInteger(%q, %d) = %q, want %q", prefix, n, got, want)
+		}
+		// The prefix doubles as the key.
+		want = fmt.Sprintf("%sVALUE %s %d %d\r\n%s\r\n", prefix, prefix, int(n), len(s), s)
+		if got := AppendMcValue(append([]byte(nil), prefix...), prefix, int(n), s); string(got) != want {
+			t.Fatalf("AppendMcValue(%q, %q, %d, %q) = %q, want %q", prefix, prefix, int(n), s, got, want)
 		}
 	})
 }

@@ -21,17 +21,21 @@ type LineBuffer struct {
 // Feed appends stream data.
 func (b *LineBuffer) Feed(data []byte) { b.buf.Write(data) }
 
-// Next pops one complete line without its terminator, reporting whether
-// one was available.
-func (b *LineBuffer) Next() (string, bool) {
+// Next pops one complete line without its terminator — the \n and at
+// most one \r before it — reporting whether one was available. The line
+// is a view of the buffer's storage, valid until the next Feed or Next:
+// a caller copies what it keeps.
+func (b *LineBuffer) Next() ([]byte, bool) {
 	data := b.buf.Bytes()
 	i := bytes.IndexByte(data, '\n')
 	if i < 0 {
-		return "", false
+		return nil, false
 	}
-	line := string(data[:i])
 	b.buf.Next(i + 1)
-	return strings.TrimRight(line, "\r"), true
+	if i > 0 && data[i-1] == '\r' {
+		i--
+	}
+	return data[:i:i], true
 }
 
 // Clone deep-copies the buffer (for application forks).
@@ -42,18 +46,18 @@ func (b *LineBuffer) Clone() *LineBuffer {
 }
 
 // AppendFields appends the whitespace-separated tokens of a command line
-// to dst — strings.Fields into a slice the caller reuses. The tokens are
-// substrings of line. Lines with a byte outside ASCII go through
-// strings.Fields itself, so Unicode white space splits as it does there.
-func AppendFields(dst []string, line string) []string {
+// to dst — bytes.Fields into a slice the caller reuses. The tokens are
+// views of line. Lines with a byte outside ASCII go through bytes.Fields
+// itself, so Unicode white space splits as it does there.
+func AppendFields(dst [][]byte, line []byte) [][]byte {
 	base, start := len(dst), -1
 	for i := 0; i < len(line); i++ {
 		switch c := line[i]; {
 		case c >= 0x80:
-			return append(dst[:base], strings.Fields(line)...)
+			return append(dst[:base], bytes.Fields(line)...)
 		case c == ' ' || '\t' <= c && c <= '\r':
 			if start >= 0 {
-				dst = append(dst, line[start:i])
+				dst = append(dst, line[start:i:i])
 				start = -1
 			}
 		case start < 0:
@@ -61,7 +65,7 @@ func AppendFields(dst []string, line string) []string {
 		}
 	}
 	if start >= 0 {
-		dst = append(dst, line[start:])
+		dst = append(dst, line[start:len(line):len(line)])
 	}
 	return dst
 }
@@ -117,10 +121,14 @@ func Array(items []*string) []byte {
 
 // Memcached text protocol replies.
 
-// McValuePart encodes one VALUE block without the END terminator, for
-// multi-key gets.
-func McValuePart(key string, flags int, data string) []byte {
-	return []byte(fmt.Sprintf("VALUE %s %d %d\r\n%s\r\n", key, flags, len(data), data))
+// AppendMcValue appends one VALUE block, without the END terminator that
+// follows a get's last one, to dst.
+func AppendMcValue(dst, key []byte, flags int, data string) []byte {
+	dst = append(append(dst, "VALUE "...), key...)
+	dst = strconv.AppendInt(append(dst, ' '), int64(flags), 10)
+	dst = strconv.AppendInt(append(dst, ' '), int64(len(data)), 10)
+	dst = append(append(dst, '\r', '\n'), data...)
+	return append(dst, '\r', '\n')
 }
 
 // McEnd encodes the bare miss reply "END\r\n".

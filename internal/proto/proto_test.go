@@ -10,7 +10,7 @@ func TestLineBufferSplitsLines(t *testing.T) {
 	var b LineBuffer
 	b.Feed([]byte("GET a\r\nSET b"))
 	line, ok := b.Next()
-	if !ok || line != "GET a" {
+	if !ok || string(line) != "GET a" {
 		t.Fatalf("first = %q %v", line, ok)
 	}
 	if _, ok := b.Next(); ok {
@@ -18,7 +18,7 @@ func TestLineBufferSplitsLines(t *testing.T) {
 	}
 	b.Feed([]byte(" 1\r\n"))
 	line, ok = b.Next()
-	if !ok || line != "SET b 1" {
+	if !ok || string(line) != "SET b 1" {
 		t.Fatalf("second = %q %v", line, ok)
 	}
 }
@@ -27,8 +27,20 @@ func TestLineBufferBareNewline(t *testing.T) {
 	var b LineBuffer
 	b.Feed([]byte("PING\n"))
 	line, ok := b.Next()
-	if !ok || line != "PING" {
+	if !ok || string(line) != "PING" {
 		t.Fatalf("line = %q %v", line, ok)
+	}
+}
+
+// A line's last byte may itself be a \r: only the one before the \n is
+// part of the terminator.
+func TestLineBufferStripsOneCarriageReturn(t *testing.T) {
+	var b LineBuffer
+	b.Feed([]byte("a\r\r\n\r\n\r\r\r\n"))
+	for _, want := range []string{"a\r", "", "\r\r"} {
+		if line, ok := b.Next(); !ok || string(line) != want {
+			t.Fatalf("line = %q %v, want %q", line, ok, want)
+		}
 	}
 }
 
@@ -41,7 +53,7 @@ func TestLineBufferCloneIsIndependent(t *testing.T) {
 		t.Fatal("original saw the clone's data")
 	}
 	line, ok := c.Next()
-	if !ok || line != "partial done" {
+	if !ok || string(line) != "partial done" {
 		t.Fatalf("clone = %q %v", line, ok)
 	}
 }
@@ -64,7 +76,7 @@ func TestLineBufferManyLinesProperty(t *testing.T) {
 		}
 		for _, want := range clean {
 			got, ok := b.Next()
-			if !ok || got != want {
+			if !ok || string(got) != want {
 				return false
 			}
 		}
@@ -108,8 +120,8 @@ func TestRESPArray(t *testing.T) {
 }
 
 func TestMemcachedEncoders(t *testing.T) {
-	if string(McValuePart("k", 0, "abc")) != "VALUE k 0 3\r\nabc\r\n" {
-		t.Errorf("McValuePart = %q", McValuePart("k", 0, "abc"))
+	if got := AppendMcValue([]byte("kept"), []byte("k"), 7, "abc"); string(got) != "keptVALUE k 7 3\r\nabc\r\n" {
+		t.Errorf("AppendMcValue = %q", got)
 	}
 	if string(McEnd()) != "END\r\n" || string(McStored()) != "STORED\r\n" ||
 		string(McNotStored()) != "NOT_STORED\r\n" || string(McDeleted()) != "DELETED\r\n" ||
@@ -147,8 +159,8 @@ func TestParseFTPCommand(t *testing.T) {
 }
 
 func TestFields(t *testing.T) {
-	got := AppendFields(nil, "SET  key   value")
-	if len(got) != 3 || got[0] != "SET" || got[1] != "key" || got[2] != "value" {
+	got := AppendFields(nil, []byte("SET  key   value"))
+	if len(got) != 3 || string(got[0]) != "SET" || string(got[1]) != "key" || string(got[2]) != "value" {
 		t.Fatalf("Fields = %v", got)
 	}
 }

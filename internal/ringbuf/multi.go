@@ -318,6 +318,11 @@ func (mb *MultiBuffer) Recycle(ev *sysabi.Event) { mb.pool.recycle(ev) }
 // its application offered; data nobody offered room for it hands over).
 func (mb *MultiBuffer) RecycleBytes(b []byte) { mb.pool.bytes.put(b) }
 
+// RecycleReady is RecycleBytes for an epoll_wait's Result.Ready, which a
+// follower copies into storage of the issuing thread before giving the
+// ring's back.
+func (mb *MultiBuffer) RecycleReady(r []int) { mb.pool.ints.put(r) }
+
 // WaitDrained blocks until every open cursor has consumed every
 // appended entry, or the buffer closed. The lockstep leader uses this to
 // wait for its consumers after each recorded event without burning a

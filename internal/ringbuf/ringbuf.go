@@ -37,8 +37,8 @@
 //     themselves, an earlier one a copy; either way nothing the ring will
 //     write again is aliased, however long the entry is held. (Peek does
 //     alias the slot, until the entry is taken.)
-//   - Giving buffers back is explicit and optional: Recycle/RecycleBytes,
-//     called by a taker that holds the only reference. A forgotten buffer
+//   - Giving buffers back is explicit and optional: Recycle/RecycleBytes/
+//     RecycleReady, called by a taker that holds the only reference. A forgotten buffer
 //     costs a later allocation, never a corruption. Entries nobody will
 //     take (their cursor closed, the ring was reset) recycle themselves.
 //

@@ -166,9 +166,15 @@ type Call struct {
 
 // Result is the kernel's (or, for a follower, the ring buffer's) answer.
 type Result struct {
-	Ret   int64  // primary return value: fd, byte count, size, time
-	Data  []byte // returned data for reads, accept peer info, etc.
-	Ready []int  // ready fds for epoll_wait
+	Ret  int64  // primary return value: fd, byte count, size, time
+	Data []byte // returned data for reads, accept peer info, etc.
+	// Ready lists an epoll_wait's ready fds. It is not the caller's: it
+	// is valid until the next epoll_wait on the same epoll fd, which
+	// refills the same storage (the kernel's for the epoll instance; a
+	// follower's monitor's for the issuing thread). So one thread drives
+	// each epoll instance, as every shipped app does, and a caller that
+	// keeps the list past its next wait copies it.
+	Ready []int
 	Err   Errno
 
 	// ReqID carries the request id of the inbound payload a read

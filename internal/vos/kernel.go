@@ -8,9 +8,10 @@
 // destination as Call.Buf[:0] — capacity is the offer, length stays 0 —
 // and the kernel fills it and returns it as Result.Data. A call that
 // offers nothing, or less than the bytes available, gets a fresh slice it
-// owns. File descriptors are never reused: the table is a slice indexed
-// by fd that only grows, and an epoll set is a sorted slice of fds, so
-// nothing on the per-call path touches a map.
+// owns. An epoll_wait's Ready list is storage of the epoll instance,
+// refilled by the next wait on it. File descriptors are never reused:
+// the table is a slice indexed by fd that only grows, and an epoll set is
+// a sorted slice of fds, so nothing on the per-call path touches a map.
 package vos
 
 import (
@@ -112,6 +113,7 @@ func (*openFile) isObject() {}
 
 type epoll struct {
 	watched []int // ascending
+	ready   []int // what the last epoll_wait returned as Ready, refilled by the next
 }
 
 func (*epoll) isObject() {}
@@ -481,31 +483,22 @@ func (k *Kernel) epollWait(t *sim.Task, c sysabi.Call) sysabi.Result {
 	timeout := time.Duration(c.Args[1])
 	deadline := k.sched.Now() + timeout
 	for {
-		// One ascending walk drops the fds closed while watched and counts
-		// the ready ones, so Ready — the first max of them, in fd order — is
-		// the only allocation.
-		live, n := ep.watched[:0], 0
+		// One ascending walk drops the fds closed while watched and
+		// collects Ready — the first max ready ones, in fd order — into the
+		// instance's own storage (see sysabi.Result.Ready).
+		live, fds := ep.watched[:0], ep.ready[:0]
 		for _, fd := range ep.watched {
 			if k.fds[fd] == nil {
 				continue
 			}
 			live = append(live, fd)
-			if n < max && k.ready(fd) {
-				n++
+			if len(fds) < max && k.ready(fd) {
+				fds = append(fds, fd)
 			}
 		}
-		ep.watched = live
-		if n > 0 {
-			fds := make([]int, 0, n)
-			for _, fd := range live {
-				if len(fds) == n {
-					break
-				}
-				if k.ready(fd) {
-					fds = append(fds, fd)
-				}
-			}
-			return sysabi.Result{Ret: int64(n), Ready: fds}
+		ep.watched, ep.ready = live, fds
+		if len(fds) > 0 {
+			return sysabi.Result{Ret: int64(len(fds)), Ready: fds}
 		}
 		if timeout > 0 {
 			remaining := deadline - k.sched.Now()
