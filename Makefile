@@ -7,7 +7,7 @@ GO ?= go
 # validated).
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps lint-exports lines coverage-census adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps lint-exports lint-verdicts lines coverage-census adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
 
 all: check
 
@@ -30,7 +30,7 @@ test:
 # runtime's parallel epoch paths (shards run on real OS threads; the
 # run-twice property tests execute under -race here) — then the
 # artifact gate.
-check: vet fmt-check lint-maps lint-exports adapter-compat
+check: vet fmt-check lint-maps lint-exports lint-verdicts adapter-compat
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/sim/ ./internal/ringbuf/ ./internal/mve/ ./internal/dsl/ ./internal/vos/ ./internal/apps/kvstore/ ./internal/apps/memcache/ ./internal/bench/
 	$(GO) run ./cmd/benchtool -check .
@@ -48,6 +48,14 @@ lint-maps:
 # fails unless the allowlist in the test names it with a reason.
 lint-exports:
 	$(GO) test -run TestNoTestOnlyExports ./internal/detlint/
+
+# One judge for every fault run: a row of the faults, chaos or nvariant
+# experiment declares its outcome and apptest.World.Judge decides it, so
+# reading the controller's timeline or matching text in these files
+# could only be a second verdict check.
+lint-verdicts:
+	@if grep -nE 'Timeline\(\)|strings\.(Contains|HasPrefix)' internal/bench/chaos.go internal/bench/faults.go internal/bench/nvariantreport.go; then \
+		echo "a verdict check outside the judge (apptest.World.Judge)"; exit 1; fi
 
 # Non-test and test lines of Go per package directory: the table a
 # simplicity PR quotes before and after. Reads benchmark/, changes

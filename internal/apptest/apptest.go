@@ -1,6 +1,7 @@
 // Package apptest provides shared scaffolding for application-level
 // tests and benchmarks: a simulated world (scheduler + kernel + MVEDSUA
-// controller) and a blocking text-protocol client.
+// controller), a blocking text-protocol client, and the judge of a
+// finished run (judge.go).
 package apptest
 
 import (
@@ -34,6 +35,17 @@ type World struct {
 	// post-run fleet state is the scenario's true outcome. Zero (duo
 	// worlds) tears down at once.
 	settle time.Duration
+
+	// What Judge reads: the never-updated twin and the verdicts (Start),
+	// the clients' steps (Connect), and the state teardown leaves. The
+	// twin runs under the world's runtime template, so its event loop
+	// wakes as the run's did.
+	dsu        dsu.Config
+	twin       dsu.App
+	verdicts   []mve.Verdict
+	transcript []Exchange
+	conns      int
+	final      Final
 }
 
 // NewWorld builds a fresh world with the given controller config. Unless
@@ -52,7 +64,7 @@ func NewFleetWorld(cfg core.FleetConfig) *World {
 	s := sim.New()
 	k := vos.NewKernel(s)
 	cfg.Recorder = wireRecorder(s, cfg.Recorder)
-	return &World{S: s, K: k, C: core.NewFleet(k, cfg), Rec: cfg.Recorder, settle: 100 * time.Millisecond}
+	return &World{S: s, K: k, C: core.NewFleet(k, cfg), Rec: cfg.Recorder, settle: 100 * time.Millisecond, dsu: cfg.DSU}
 }
 
 // wireRecorder returns rec — or, when nil, a fresh flight recorder on
@@ -94,8 +106,39 @@ func (w *World) EnableProfiling() *obs.Profiler {
 	return p
 }
 
-// Finish marks the scenario complete; the teardown task then reaps all
-// runtime tasks so the scheduler can drain.
+// Start deploys app as the controller's leader, as C.Start does, for a
+// run that is to be judged: a fork of app taken before it runs is kept as
+// the never-updated twin Judge replays the transcript on, and every
+// verdict the controller acts on is recorded for the Final state, so the
+// caller must not set C.OnVerdict.
+func (w *World) Start(app dsu.App) {
+	w.twin = app.Fork()
+	w.C.OnVerdict = func(v mve.Verdict) { w.verdicts = append(w.verdicts, v) }
+	w.C.Start(app)
+}
+
+// Connect dials port like the package-level Connect, and records every
+// step the client takes in the world's transcript. It must run inside a
+// sim task.
+func (w *World) Connect(tk *sim.Task, port int64) *Client {
+	c := Connect(w.K, tk, port)
+	c.w, c.conn = w, w.conns
+	w.conns++
+	c.step(Exchange{Op: sysabi.OpConnect, Port: port})
+	return c
+}
+
+// Transcript returns every step the world's clients took, in order.
+func (w *World) Transcript() []Exchange { return w.transcript }
+
+// Final returns the state the run ended in: what teardown saw just
+// before it shut the service down.
+func (w *World) Final() Final { return w.final }
+
+// Finish marks the scenario complete; the teardown task then takes the
+// Final state and shuts the service down, so the scheduler can drain.
+// What the run ended in is read from Final after Run returns, not by the
+// driver before it finishes.
 func (w *World) Finish() { w.done = true }
 
 // Run executes the world until the driver calls Finish (or hard timeout
@@ -106,7 +149,10 @@ func (w *World) Run(maxVirtual time.Duration) error {
 	return w.S.Run()
 }
 
-// teardown is the body of the world's teardown task.
+// teardown is the body of the world's teardown task: once the scenario
+// finished (or the deadline passed) and a fleet has settled, it takes the
+// Final state, then shuts the service down, which detaches every variant
+// and kills every process.
 func (w *World) teardown(tk *sim.Task, maxVirtual time.Duration) {
 	if maxVirtual <= 0 {
 		maxVirtual = time.Hour
@@ -118,6 +164,7 @@ func (w *World) teardown(tk *sim.Task, maxVirtual time.Duration) {
 	if w.settle > 0 {
 		tk.Sleep(w.settle)
 	}
+	w.final = w.snapshot()
 	w.C.Shutdown()
 }
 
@@ -126,6 +173,21 @@ func (w *World) teardown(tk *sim.Task, maxVirtual time.Duration) {
 type Client struct {
 	k  *vos.Kernel
 	fd int
+	// w is the world whose transcript keeps the client's steps, nil for a
+	// kernel-only client; conn numbers the connection, at indexes its
+	// latest step.
+	w        *World
+	conn, at int
+}
+
+// step appends e, a step of this connection, to the world's transcript.
+func (c *Client) step(e Exchange) {
+	if c.w == nil {
+		return
+	}
+	e.Conn = c.conn
+	c.at = len(c.w.transcript)
+	c.w.transcript = append(c.w.transcript, e)
 }
 
 // Connect dials the port. It must run inside a sim task.
@@ -142,17 +204,23 @@ func (c *Client) FD() int { return c.fd }
 
 // Send writes raw bytes on the connection.
 func (c *Client) Send(tk *sim.Task, data string) {
-	c.k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: c.fd, Buf: []byte(data)})
+	c.SendTagged(tk, 0, data)
 }
 
 // Recv reads one burst (up to 64KiB) and returns it as a string. It
 // blocks until data or EOF.
 func (c *Client) Recv(tk *sim.Task) string {
 	r := c.k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: c.fd, Args: [2]int64{65536, 0}})
-	if !r.OK() {
-		return ""
+	var got string
+	if r.OK() {
+		got = string(r.Data)
 	}
-	return string(r.Data)
+	if c.w != nil {
+		e := &c.w.transcript[c.at]
+		e.Read = true
+		e.Reply += got
+	}
+	return got
 }
 
 // Do sends one CRLF-terminated command line and returns the reply burst.
@@ -164,11 +232,12 @@ func (c *Client) Do(tk *sim.Task, cmd string) string {
 // SendTagged writes raw bytes tagged with a request id for latency
 // attribution: the kernel threads the id to the server's read, and the
 // MVE layer closes the request's timeline when the follower validates
-// the response. Requires a non-zero reqID.
+// the response. A zero reqID tags nothing.
 func (c *Client) SendTagged(tk *sim.Task, reqID uint64, data string) {
 	c.k.Invoke(tk, sysabi.Call{
 		Op: sysabi.OpWrite, FD: c.fd, Buf: []byte(data), ReqID: reqID,
 	})
+	c.step(Exchange{Op: sysabi.OpWrite, Sent: data})
 }
 
 // DoTagged sends one tagged command line and returns the reply burst.
@@ -196,6 +265,7 @@ func (c *Client) RecvUntil(tk *sim.Task, marker string) string {
 // Close shuts the connection.
 func (c *Client) Close(tk *sim.Task) {
 	c.k.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: c.fd})
+	c.step(Exchange{Op: sysabi.OpClose})
 }
 
 // CheckOwnership runs the buffer-ownership scenario of an application

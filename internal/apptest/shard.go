@@ -24,7 +24,7 @@ import (
 func NewWorldOn(s *sim.Scheduler, cfg core.Config) *World {
 	k := vos.NewKernel(s)
 	cfg.Recorder = wireRecorder(s, cfg.Recorder)
-	return &World{S: s, K: k, C: core.New(k, cfg), Rec: cfg.Recorder}
+	return &World{S: s, K: k, C: core.New(k, cfg), Rec: cfg.Recorder, dsu: cfg.DSU}
 }
 
 // ShardedWorld runs G connection groups — each a full World — across

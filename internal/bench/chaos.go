@@ -12,6 +12,7 @@ import (
 	"mvedsua/internal/core"
 	"mvedsua/internal/dsu"
 	"mvedsua/internal/mve"
+	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
 )
@@ -51,15 +52,17 @@ func (sc ChaosScenario) Name() string {
 // ChaosResult is the verdict for one scenario.
 type ChaosResult struct {
 	ChaosScenario
-	// Tolerated means the fault fired, no request failed client-side,
-	// and the controller timeline records the expected outcome.
+	// Tolerated means the judge found no breach: the fault fired, the
+	// run ended in the outcome its kind declares, and every reply the
+	// client read is the one a never-updated twin gives.
 	Tolerated bool
-	// Requests / Failures count the driver's requests and how many came
-	// back missing or malformed (the client-visible failures — must be
+	// Requests / Failures count the driver's requests and the replies
+	// that differ from the twin's (the client-visible failures — must be
 	// zero).
 	Requests int
 	Failures int
-	// Outcome names the recovery path taken.
+	// Outcome names the recovery path the kind declares; Detail lists
+	// the breaches.
 	Outcome string
 	Detail  string
 }
@@ -122,11 +125,9 @@ type chaosApp struct {
 	dsu                    dsu.Config
 	makeApp                func() dsu.App
 	makeUpdate             func(breakXform bool) *dsu.Version
-	// prime issues setup requests; it reports client-visible success.
-	prime func(tk *sim.Task, c *apptest.Client) bool
-	// request issues the n-th (1-based) request and reports the reply
-	// and whether it is exactly what a fault-free server would send.
-	request func(tk *sim.Task, c *apptest.Client, n int) (string, bool)
+	// prime, if set, issues setup requests; request issues one request of
+	// the traffic.
+	prime, request func(tk *sim.Task, c *apptest.Client)
 }
 
 func chaosAppFor(name string) chaosApp {
@@ -140,13 +141,9 @@ func chaosAppFor(name string) chaosApp {
 			makeUpdate: func(breakXform bool) *dsu.Version {
 				return kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{BreakXform: breakXform})
 			},
-			request: func(tk *sim.Task, c *apptest.Client, n int) (string, bool) {
-				// INCR gives a deterministic expected reply for every
-				// request, so silent corruption or a lost request is
-				// indistinguishable from a failure.
-				got := c.Do(tk, "INCR chaos")
-				return got, got == fmt.Sprintf(":%d\r\n", n)
-			},
+			// INCR's reply changes with every request, so a lost or
+			// repeated request changes every reply after it.
+			request: func(tk *sim.Task, c *apptest.Client) { c.Do(tk, "INCR chaos") },
 		}
 	case "Memcached":
 		return chaosApp{
@@ -166,14 +163,13 @@ func chaosAppFor(name string) chaosApp {
 			makeUpdate: func(breakXform bool) *dsu.Version {
 				return memcache.Update("1.2.2", "1.2.3", memcache.UpdateOpts{BreakXform: breakXform})
 			},
-			prime: func(tk *sim.Task, c *apptest.Client) bool {
+			prime: func(tk *sim.Task, c *apptest.Client) {
 				c.Send(tk, "set warm 0 0 1\r\nx\r\n")
-				return strings.Contains(c.RecvUntil(tk, "\r\n"), "STORED")
+				c.RecvUntil(tk, "\r\n")
 			},
-			request: func(tk *sim.Task, c *apptest.Client, n int) (string, bool) {
+			request: func(tk *sim.Task, c *apptest.Client) {
 				c.Send(tk, "get warm\r\n")
-				got := c.RecvUntil(tk, "END\r\n")
-				return got, strings.Contains(got, "VALUE warm 0 1\r\nx\r\n")
+				c.RecvUntil(tk, "END\r\n")
 			},
 		}
 	default:
@@ -181,15 +177,33 @@ func chaosAppFor(name string) chaosApp {
 	}
 }
 
+// The sweep's traffic: requests before the update, then after it. The
+// priming requests are setup, not counted.
+const chaosBefore, chaosAfter = 3, 40
+
 // ChaosRun executes one scenario: prime, inject per the seeded plan,
-// drive traffic across the update, and classify the outcome. setup, if
-// non-nil, runs on the world after the run's own hook, before the server
-// starts; the world comes back with the verdict (nil for an unknown
-// kind).
-func ChaosRun(sc ChaosScenario, setup func(*apptest.World)) (ChaosResult, *apptest.World) {
-	app := chaosAppFor(sc.App)
-	res := ChaosResult{ChaosScenario: sc}
-	rng := chaos.Rand(sc.Seed)
+// drive traffic across the update, and judge the run against the outcome
+// its kind declares. setup, if non-nil, runs on the world after the run's
+// own hook, before the server starts; the world comes back with the
+// verdict.
+func ChaosRun(cs ChaosScenario, setup func(*apptest.World)) (ChaosResult, *apptest.World) {
+	sc := chaosCell(cs, setup)
+	w, _, breaches := sc.run()
+	res := ChaosResult{ChaosScenario: cs, Tolerated: len(breaches) == 0,
+		Requests: chaosBefore + chaosAfter, Outcome: sc.label, Detail: summary(breaches)}
+	for _, b := range breaches {
+		if b.Exchange >= 0 {
+			res.Failures++
+		}
+	}
+	return res, w
+}
+
+// chaosCell builds one cell's run: the seeded fault plan, the traffic,
+// and the outcome the cell's kind declares.
+func chaosCell(cs ChaosScenario, setup func(*apptest.World)) scenario {
+	app := chaosAppFor(cs.App)
+	rng := chaos.Rand(cs.Seed)
 
 	// Leader-targeted faults are armed only once the update is live:
 	// a leader crash before the follower exists has nothing to recover
@@ -200,133 +214,91 @@ func ChaosRun(sc ChaosScenario, setup func(*apptest.World)) (ChaosResult, *appte
 	cfg := core.Config{DSU: app.dsu}
 	errnos := []sysabi.Errno{sysabi.EAGAIN, sysabi.EPIPE, sysabi.ECONNRESET}
 	delay := time.Duration(20+rng.Intn(41)) * time.Millisecond
-	var faults []*chaos.Injection
-	switch sc.Kind {
+	// A rolled-back update leaves the old version leading alone, after the
+	// candidate's verdict if one was rendered; an absorbed fault leaves
+	// the duo validating.
+	rollback := func(verdicts ...string) *apptest.Outcome {
+		want := &apptest.Outcome{Leader: app.oldVersion, Counters: map[string]int64{obs.CCoreRollbacks: 1}}
+		for _, cause := range verdicts {
+			want.Verdicts = append(want.Verdicts, apptest.Verdict{Cause: cause, Action: mve.VerdictRollbackCandidate})
+		}
+		return want
+	}
+	absorbed := &apptest.Outcome{Stage: core.StageOutdatedLeader, Leader: app.oldVersion, Fleet: 1}
+	sc := scenario{name: cs.Name(), app: app.makeApp(), port: app.port}
+	switch cs.Kind {
 	case "follower-errno":
-		faults = []*chaos.Injection{{
+		sc.faults = []*chaos.Injection{{
 			Role: "follower", Op: sysabi.OpWrite, AfterCalls: 1 + rng.Intn(5),
 			Kind: chaos.KindErrno, Errno: errnos[rng.Intn(len(errnos))],
 		}}
+		sc.want, sc.label = rollback("divergence"), "divergence detected; rolled back"
 	case "follower-crash":
-		faults = []*chaos.Injection{{
+		sc.faults = []*chaos.Injection{{
 			Role: "follower", AfterCalls: 2 + rng.Intn(10), Kind: chaos.KindCrash,
 		}}
+		sc.want, sc.label = rollback("crash"), "follower crash; rolled back"
 	case "follower-stall":
 		cfg.WatchdogDeadline = 60 * time.Millisecond
-		faults = []*chaos.Injection{{
+		sc.faults = []*chaos.Injection{{
 			Role: "follower", AfterCalls: 1 + rng.Intn(8), Kind: chaos.KindStall,
 		}}
+		sc.want, sc.label = rollback("stall"), "watchdog caught the stall; rolled back"
+		sc.want.Violations = []string{"follower-liveness"}
 	case "follower-stall-discard":
+		// No watchdog: the stall can only be the ring's buffer-full one.
 		cfg.BufferEntries = 8
 		cfg.BufferFullPolicy = mve.FullDiscard
-		faults = []*chaos.Injection{{
+		sc.faults = []*chaos.Injection{{
 			Role: "follower", AfterCalls: 1 + rng.Intn(4), Kind: chaos.KindStall,
 		}}
+		sc.want, sc.label = rollback("stall"), "lagging follower discarded; leader never blocked"
+		sc.want.Counters[obs.CRingBlocked] = 0
 	case "follower-delay":
-		faults = []*chaos.Injection{{
+		sc.faults = []*chaos.Injection{{
 			Role: "follower", AfterCalls: 1 + rng.Intn(8), Kind: chaos.KindDelay, Delay: delay,
 		}}
+		sc.want, sc.label = absorbed, "latency absorbed; duo healthy"
 	case "leader-crash":
-		faults = []*chaos.Injection{{
+		sc.faults = []*chaos.Injection{{
 			Role: "leader", Op: sysabi.OpWrite, AfterCalls: 1 + rng.Intn(5),
 			When: duringUpdate, Kind: chaos.KindCrash,
 		}}
+		sc.want = &apptest.Outcome{Leader: app.newVersion, Counters: map[string]int64{obs.CCoreCommits: 1}}
+		sc.label = "old leader crashed; follower promoted"
 	case "leader-delay":
-		faults = []*chaos.Injection{{
+		sc.faults = []*chaos.Injection{{
 			Role: "leader", Op: sysabi.OpWrite, AfterCalls: 1 + rng.Intn(5),
 			When: duringUpdate, Kind: chaos.KindDelay, Delay: delay,
 		}}
+		sc.want, sc.label = absorbed, "latency absorbed; duo healthy"
 	case "xform-error":
 		// The fault lives in the update itself (broken transformation);
 		// no syscall-level injection.
+		sc.want, sc.label = rollback(), "state-transform failure; rolled back"
 	default:
-		res.Detail = "unknown fault kind"
-		return res, nil
+		panic("chaos: unknown fault kind " + cs.Kind)
 	}
-
-	w, plan, err := scenario{
-		cfg: duo(cfg), faults: faults, app: app.makeApp(), port: app.port,
-		setup: func(w *apptest.World) {
-			ctl = w.C
-			if setup != nil {
-				setup(w)
-			}
-		},
-		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-			if app.prime != nil && !app.prime(tk, c) {
-				res.Failures++
-			}
-			n := 0
-			do := func() {
-				n++
-				res.Requests++
-				if got, ok := app.request(tk, c, n); !ok {
-					res.Failures++
-					if res.Detail == "" {
-						res.Detail = fmt.Sprintf("request %d got %q", n, got)
-					}
-				}
+	sc.cfg = duo(cfg)
+	sc.setup = func(w *apptest.World) {
+		ctl = w.C
+		if setup != nil {
+			setup(w)
+		}
+	}
+	sc.drive = func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+		if app.prime != nil {
+			app.prime(tk, c)
+		}
+		traffic := func(n int) {
+			for i := 0; i < n; i++ {
+				app.request(tk, c)
 				tk.Sleep(10 * time.Millisecond)
 			}
-			for i := 0; i < 3; i++ {
-				do()
-			}
-			w.C.Update(app.makeUpdate(sc.Kind == "xform-error"))
-			for i := 0; i < 40; i++ {
-				do()
-			}
-		},
-	}.run()
-	if err != nil {
-		res.Detail = "scheduler: " + err.Error()
-		return res, w
-	}
-
-	has := func(sub string) bool {
-		for _, ev := range w.C.Timeline() {
-			if strings.Contains(ev.Note, sub) {
-				return true
-			}
 		}
-		return false
+		traffic(chaosBefore)
+		w.C.Update(app.makeUpdate(cs.Kind == "xform-error"))
+		traffic(chaosAfter)
 	}
-	stage := w.C.Stage()
-	leaderVer := w.C.LeaderRuntime().App().Version()
-	rolledBack := func(marker, outcome string) bool {
-		res.Outcome = outcome
-		return has(marker) && stage == core.StageSingleLeader && leaderVer == app.oldVersion
-	}
-	var outcomeOK bool
-	switch sc.Kind {
-	case "follower-errno":
-		outcomeOK = rolledBack("rolled back: divergence", "divergence detected; rolled back")
-	case "follower-crash":
-		outcomeOK = rolledBack("rolled back: follower crashed", "follower crash; rolled back")
-	case "xform-error":
-		outcomeOK = rolledBack("rolled back: state transformation", "state-transform failure; rolled back")
-	case "follower-stall":
-		outcomeOK = rolledBack("rolled back: stall", "watchdog caught the stall; rolled back") &&
-			has("no progress")
-	case "follower-stall-discard":
-		outcomeOK = rolledBack("rolled back: stall", "lagging follower discarded; leader never blocked") &&
-			has("ring buffer full") && w.C.Monitor().Buffer().ProducerBlocked == 0
-	case "follower-delay", "leader-delay":
-		res.Outcome = "latency absorbed; duo healthy"
-		outcomeOK = has("forked follower") && stage == core.StageOutdatedLeader &&
-			len(w.C.Monitor().Divergences()) == 0
-	case "leader-crash":
-		res.Outcome = "old leader crashed; follower promoted"
-		outcomeOK = has("promoting follower") && leaderVer == app.newVersion
-	}
-	fired := plan.Fired() == len(faults)
-	res.Tolerated = outcomeOK && fired && res.Failures == 0
-	if !res.Tolerated && res.Detail == "" {
-		var notes []string
-		for _, ev := range w.C.Timeline() {
-			notes = append(notes, ev.Note)
-		}
-		res.Detail = fmt.Sprintf("stage=%v leader=%s fired=%v failures=%d/%d timeline=%v",
-			stage, leaderVer, fired, res.Failures, res.Requests, notes)
-	}
-	return res, w
+	return sc
 }

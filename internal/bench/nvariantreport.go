@@ -47,12 +47,13 @@ type NVariantScenarioRow struct {
 	Respawns         int64    `json:"respawns"`
 	CanaryRollbacks  int64    `json:"canary_rollbacks"`
 	CanaryPromotions int64    `json:"canary_promotions"`
-	ClientFailures   int      `json:"client_failures"`
+	ClientFailures   int      `json:"client_failures"` // replies that differ from the twin's
 	FinalStage       string   `json:"final_stage"`
 	LeaderVersion    string   `json:"leader_version"`
 	FleetSize        int      `json:"final_fleet_size"`
-	// Tolerated: the scenario reached its expected outcome with zero
-	// client-visible failures.
+	// Tolerated: the judge found no breach — every fault fired, the
+	// scenario ended in its declared outcome, and no client-visible
+	// failure.
 	Tolerated bool `json:"tolerated"`
 }
 
@@ -62,19 +63,6 @@ type NVariantReport struct {
 	Schema    string                `json:"schema"`
 	Overhead  []NVariantOverheadRow `json:"overhead"`
 	Scenarios []NVariantScenarioRow `json:"scenarios"`
-}
-
-// nvariantScenario is one fleet run's fault plan, staged update and
-// outcome check; every run is a 3-replica fleet under the calibrated
-// Varan-2 cost model.
-type nvariantScenario struct {
-	name     string
-	faults   []*chaos.Injection
-	requests int
-	// stage, if set, runs before request nvariantStageAt.
-	stage func(c *core.Controller)
-	// ok judges the finished row (failures are checked separately).
-	ok func(row NVariantScenarioRow) bool
 }
 
 const nvariantStageAt = 5
@@ -93,209 +81,195 @@ func fleetConfig(k int) core.FleetConfig {
 	return cfg
 }
 
-func nvariantScenarios() []nvariantScenario {
+// session is a fleet scenario's client: requests INCRs 10ms apart, with
+// stage, if set, run before request nvariantStageAt. Trailing verdicts
+// and respawns land in the fleet world's settle delay, before teardown
+// takes the final state.
+func session(requests int, stage func(c *core.Controller)) func(*apptest.World, *sim.Task, *apptest.Client) {
+	return func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+		for i := 0; i < requests; i++ {
+			if i == nvariantStageAt && stage != nil {
+				stage(w.C)
+			}
+			c.Do(tk, "INCR nv")
+			tk.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// nvariantScenarios are the fleet runs, each with its fault plan, staged
+// update and declared outcome; every run is a 3-replica fleet under the
+// calibrated Varan-2 cost model.
+func nvariantScenarios() []scenario {
 	update := func(opts kvstore.UpdateOpts) func(c *core.Controller) {
 		return func(c *core.Controller) { c.Update(kvstore.Update("2.0.0", "2.0.1", opts)) }
 	}
-	steady := func(row NVariantScenarioRow) bool {
-		return row.FinalStage == "single-leader" && row.LeaderVersion == "2.0.0"
+	// Every outcome names the fleet's four counters.
+	fleet := func(ejects, respawns, rollbacks, promotions int64) map[string]int64 {
+		return map[string]int64{obs.CFleetEjects: ejects, obs.CFleetRespawns: respawns,
+			obs.CCoreRollbacks: rollbacks, obs.CCanaryPromotions: promotions}
 	}
-	return []nvariantScenario{
+	// steady: 2.0.0 still leads a full fleet.
+	steady := func(counters map[string]int64, verdicts ...apptest.Verdict) *apptest.Outcome {
+		return &apptest.Outcome{Leader: "2.0.0", Fleet: 3, Verdicts: verdicts, Counters: counters}
+	}
+	verdict := func(cause string, action mve.VerdictAction) apptest.Verdict {
+		return apptest.Verdict{Cause: cause, Action: action}
+	}
+	eject := func(cause string) apptest.Verdict { return verdict(cause, mve.VerdictEject) }
+	rollback := func(cause string) apptest.Verdict { return verdict(cause, mve.VerdictRollbackCandidate) }
+	scenarios := []scenario{
 		{
 			// Baseline: leader + 3 replicas validate a whole session.
-			name: "steady-state", requests: 15,
-			ok: func(r NVariantScenarioRow) bool {
-				return steady(r) && r.Ejects == 0 && r.FleetSize == 3
-			},
+			name: "steady-state", drive: session(15, nil),
+			want: steady(fleet(0, 0, 0, 0)),
 		},
 		{
 			// A replica crashes mid-run: the 1/3 minority verdict ejects
 			// it and the slot respawns from the leader at quiescence.
-			name: "crash-minority", requests: 25,
+			name: "crash-minority", drive: session(25, nil),
 			faults: []*chaos.Injection{{
 				Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindCrash,
 			}},
-			ok: func(r NVariantScenarioRow) bool {
-				return steady(r) && r.Ejects == 1 && r.Respawns == 1 && r.FleetSize == 3 &&
-					len(r.Verdicts) == 1 && strings.Contains(r.Verdicts[0], "eject")
-			},
+			want: steady(fleet(1, 1, 0, 0), eject("crash")),
 		},
 		{
 			// A replica's write is corrupted by an injected errno: its
 			// results stop matching the leader's recorded stream and the
 			// divergence goes to the quorum — still a minority.
-			name: "diverge-minority", requests: 25,
+			name: "diverge-minority", drive: session(25, nil),
 			faults: []*chaos.Injection{{
 				Proc: "r3#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5,
 				Kind: chaos.KindErrno, Errno: sysabi.EPIPE,
 			}},
-			ok: func(r NVariantScenarioRow) bool {
-				return steady(r) && r.Ejects == 1 && r.Respawns == 1 && r.FleetSize == 3
-			},
+			want: steady(fleet(1, 1, 0, 0), eject("divergence")),
 		},
 		{
 			// Two of three replicas fail: after the first eject the second
 			// failure is a majority (1 of 2) — the fleet aborts and the
 			// leader serves solo rather than trusting a minority quorum.
-			name: "diverge-majority-abort", requests: 25,
+			name: "diverge-majority-abort", drive: session(25, nil),
 			faults: []*chaos.Injection{
 				{Proc: "r1#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
 				{Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
 			},
-			ok: func(r NVariantScenarioRow) bool {
-				return r.FinalStage == "aborted" && r.LeaderVersion == "2.0.0" &&
-					r.FleetSize == 0 && len(r.Verdicts) == 2 &&
-					strings.Contains(r.Verdicts[0], "eject") &&
-					strings.Contains(r.Verdicts[1], "abort")
-			},
+			want: &apptest.Outcome{Stage: core.StageAborted, Leader: "2.0.0", Counters: fleet(1, 0, 0, 0),
+				Verdicts: []apptest.Verdict{eject("divergence"), verdict("divergence", mve.VerdictAbort)}},
 		},
 		{
 			// A staged update whose state transformation loses the store:
 			// the canary's replies diverge on every request, blow the
 			// divergence budget mid-window, and only the canary dies.
-			name: "canary-storm-rollback", requests: 30,
-			stage: update(kvstore.UpdateOpts{ForgetTable: true}),
-			ok: func(r NVariantScenarioRow) bool {
-				return steady(r) && r.CanaryRollbacks == 1 && r.CanaryPromotions == 0 &&
-					r.FleetSize == 3
-			},
+			name: "canary-storm-rollback", drive: session(30, update(kvstore.UpdateOpts{ForgetTable: true})),
+			want: steady(fleet(0, 0, 1, 0), rollback("divergence")),
 		},
 		{
 			// A clean staged update: the canary validates through the
 			// window, the gate passes, the fleet promotes and respawns at
 			// full strength from the new leader.
-			name: "canary-clean-promote", requests: 40,
-			stage: update(kvstore.UpdateOpts{}),
-			ok: func(r NVariantScenarioRow) bool {
-				return r.FinalStage == "single-leader" && r.LeaderVersion == "2.0.1" &&
-					r.CanaryPromotions == 1 && r.CanaryRollbacks == 0 && r.FleetSize == 3
-			},
+			name: "canary-clean-promote", drive: session(40, update(kvstore.UpdateOpts{})),
+			want: &apptest.Outcome{Leader: "2.0.1", Fleet: 3, Counters: fleet(0, 3, 0, 1)},
 		},
 		{
 			// Canary-phase chaos: the canary itself crashes mid-window.
 			// Canary failures bypass the quorum — the verdict is always
 			// rollback, and the old-version fleet is untouched.
-			name: "canary-crash", requests: 30,
+			name: "canary-crash", drive: session(30, update(kvstore.UpdateOpts{})),
 			faults: []*chaos.Injection{{
 				Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 4, Kind: chaos.KindCrash,
 			}},
-			stage: update(kvstore.UpdateOpts{}),
-			ok: func(r NVariantScenarioRow) bool {
-				return steady(r) && r.CanaryRollbacks == 1 && r.CanaryPromotions == 0 &&
-					r.FleetSize == 3 && len(r.Verdicts) == 1 &&
-					strings.Contains(r.Verdicts[0], "rollback-candidate")
-			},
+			want: steady(fleet(0, 0, 1, 0), rollback("crash")),
 		},
 		{
 			// Canary-phase chaos: repeated injected errnos desynchronize
 			// the canary past its divergence budget — a chaos-driven storm
 			// instead of a transformation bug.
-			name: "canary-divergence-storm", requests: 30,
+			name: "canary-divergence-storm", drive: session(30, update(kvstore.UpdateOpts{})),
 			faults: []*chaos.Injection{
 				{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 2, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
 				{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 4, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
-				{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 6, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
 			},
-			stage: update(kvstore.UpdateOpts{}),
-			ok: func(r NVariantScenarioRow) bool {
-				return steady(r) && r.CanaryRollbacks == 1 && r.FleetSize == 3
-			},
+			want: steady(fleet(0, 0, 1, 0), rollback("divergence")),
 		},
 		{
 			// A replica crashes while the canary window is open: the eject
 			// and respawn proceed under the in-flight update, and the
 			// canary still promotes on a clean gate.
-			name: "replica-crash-during-canary", requests: 40,
+			name: "replica-crash-during-canary", drive: session(40, update(kvstore.UpdateOpts{})),
 			faults: []*chaos.Injection{{
 				Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 10, Kind: chaos.KindCrash,
 			}},
-			stage: update(kvstore.UpdateOpts{}),
-			ok: func(r NVariantScenarioRow) bool {
-				return r.FinalStage == "single-leader" && r.LeaderVersion == "2.0.1" &&
-					r.Ejects >= 1 && r.CanaryPromotions == 1 && r.FleetSize == 3
-			},
+			want: &apptest.Outcome{Leader: "2.0.1", Fleet: 3, Counters: fleet(1, 4, 0, 1),
+				Verdicts: []apptest.Verdict{eject("crash")}},
 		},
 		{
 			// A train through the fleet: the first hop promotes on a clean
 			// gate, the second loses the store and storms its window, and
 			// its rollback flushes the third — the fleet stays on 2.0.1 at
 			// full strength.
-			name: "canary-train-midchain-rollback", requests: 80,
-			stage: func(c *core.Controller) {
+			name: "canary-train-midchain-rollback",
+			drive: session(80, func(c *core.Controller) {
 				c.QueueUpdate(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
 				c.QueueUpdate(kvstore.Update("2.0.1", "2.0.2", kvstore.UpdateOpts{ForgetTable: true}))
 				c.QueueUpdate(kvstore.Update("2.0.2", "2.0.3", kvstore.UpdateOpts{}))
-			},
-			ok: func(r NVariantScenarioRow) bool {
-				return r.FinalStage == "single-leader" && r.LeaderVersion == "2.0.1" &&
-					r.CanaryPromotions == 1 && r.CanaryRollbacks == 1 && r.FleetSize == 3 &&
-					len(r.Verdicts) == 1 && strings.Contains(r.Verdicts[0], "canary#2@2.0.2 (divergence): rollback-candidate")
-			},
+			}),
+			want: &apptest.Outcome{Leader: "2.0.1", Fleet: 3, Counters: fleet(0, 3, 1, 1),
+				Verdicts: []apptest.Verdict{rollback("divergence")}},
 		},
 		{
 			// Fault during respawn: the respawned incarnation of a crashed
 			// slot crashes too; the quorum ejects it again and the slot
 			// respawns a third time. Clients never notice either failure.
-			name: "respawn-crashes-again", requests: 30,
+			name: "respawn-crashes-again", drive: session(30, nil),
 			faults: []*chaos.Injection{
 				{Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindCrash},
 				{Proc: "r2#2@2.0.0", Op: sysabi.OpWrite, AfterCalls: 3, Kind: chaos.KindCrash},
 			},
-			ok: func(r NVariantScenarioRow) bool {
-				return steady(r) && r.Ejects == 2 && r.Respawns == 2 && r.FleetSize == 3
-			},
+			want: steady(fleet(2, 2, 0, 0), eject("crash"), eject("crash")),
 		},
 	}
+	for i := range scenarios {
+		scenarios[i].cfg = fleetConfig(3)
+	}
+	return scenarios
 }
 
-// runNVariantScenario executes one fleet scenario and scores it.
-func runNVariantScenario(sc nvariantScenario) (NVariantScenarioRow, error) {
-	cfg := fleetConfig(3)
-	row := NVariantScenarioRow{Name: sc.name, K: len(cfg.Variants)}
-	_, plan, err := scenario{
-		cfg: cfg, faults: sc.faults,
-		setup: func(w *apptest.World) {
-			w.C.OnVerdict = func(v mve.Verdict) { row.Verdicts = append(row.Verdicts, v.String()) }
-		},
-		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-			for i := 0; i < sc.requests; i++ {
-				if i == nvariantStageAt && sc.stage != nil {
-					sc.stage(w.C)
-				}
-				if got := c.Do(tk, "INCR nv"); got != fmt.Sprintf(":%d\r\n", i+1) {
-					row.ClientFailures++
-				}
-				tk.Sleep(10 * time.Millisecond)
-			}
-			// Let trailing verdicts/respawns land, then record the fleet
-			// state and counters before teardown's Shutdown detaches every
-			// variant and leaves an empty fleet.
-			tk.Sleep(200 * time.Millisecond)
-			row.FinalStage = w.C.Stage().String()
-			row.LeaderVersion = w.C.LeaderRuntime().App().Version()
-			row.FleetSize = len(w.C.LiveVariants())
-			row.Ejects = w.Rec.Counter(obs.CFleetEjects)
-			row.Respawns = w.Rec.Counter(obs.CFleetRespawns)
-			row.CanaryRollbacks = w.Rec.Counter(obs.CCoreRollbacks)
-			row.CanaryPromotions = w.Rec.Counter(obs.CCanaryPromotions)
-		},
-	}.run()
-	if err != nil {
-		return row, err
+// runNVariantScenario executes one fleet scenario and reports what the
+// judge found and the state the fleet ended in.
+func runNVariantScenario(sc scenario) NVariantScenarioRow {
+	w, plan, breaches := sc.run()
+	f := w.Final()
+	row := NVariantScenarioRow{
+		Name:             sc.name,
+		K:                len(sc.cfg.Variants),
+		Ejects:           f.Counters[obs.CFleetEjects],
+		Respawns:         f.Counters[obs.CFleetRespawns],
+		CanaryRollbacks:  f.Counters[obs.CCoreRollbacks],
+		CanaryPromotions: f.Counters[obs.CCanaryPromotions],
+		FinalStage:       f.Stage.String(),
+		LeaderVersion:    f.Leader,
+		FleetSize:        len(f.Variants),
+		Tolerated:        len(breaches) == 0,
 	}
 	for _, rec := range plan.Log {
 		row.Injected = append(row.Injected, rec.Inj)
 	}
-	row.Tolerated = row.ClientFailures == 0 && sc.ok(row) &&
-		(len(sc.faults) == 0 || plan.Fired() >= 1)
-	return row, nil
+	for _, v := range f.Verdicts {
+		row.Verdicts = append(row.Verdicts, v.String())
+	}
+	for _, b := range breaches {
+		if b.Exchange >= 0 {
+			row.ClientFailures++
+		}
+	}
+	return row
 }
 
 // runNVariantOverhead measures a closed-loop kvstore session with K
 // replica variants attached, under the calibrated Varan-2 cost model and
 // kernel cost.
 func runNVariantOverhead(k, requests int) (NVariantOverheadRow, error) {
-	w, _, err := scenario{
+	w, _, breaches := scenario{
 		cfg:   fleetConfig(k),
 		setup: func(w *apptest.World) { w.K.BaseCost = KernelCost },
 		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
@@ -303,8 +277,9 @@ func runNVariantOverhead(k, requests int) (NVariantOverheadRow, error) {
 				c.Do(tk, "INCR nv")
 			}
 		},
+		want: &apptest.Outcome{Leader: "2.0.0", Fleet: k},
 	}.run()
-	if err != nil {
+	if err := failed(breaches); err != nil {
 		return NVariantOverheadRow{}, err
 	}
 	elapsed := w.S.Now()
@@ -333,11 +308,7 @@ func RunNVariantReport() (NVariantReport, error) {
 		report.Overhead = append(report.Overhead, row)
 	}
 	for _, sc := range nvariantScenarios() {
-		row, err := runNVariantScenario(sc)
-		if err != nil {
-			return report, fmt.Errorf("nvariant %s: %w", sc.name, err)
-		}
-		report.Scenarios = append(report.Scenarios, row)
+		report.Scenarios = append(report.Scenarios, runNVariantScenario(sc))
 	}
 	return report, nil
 }

@@ -60,8 +60,8 @@ type MetricsReport struct {
 func RunMetricsReport() (MetricsReport, error) {
 	report := MetricsReport{Schema: MetricsSchemaID}
 	for _, sc := range metricsScenarios() {
-		w, _, err := sc.run()
-		if err != nil {
+		w, _, breaches := sc.run()
+		if err := failed(breaches); err != nil {
 			return report, fmt.Errorf("metrics %s: %w", sc.name, err)
 		}
 		run := MetricsRun{

@@ -183,11 +183,14 @@ func runProfileDuo(name string, mode Mode) (ProfileScenario, error) {
 
 // runProfileFleet profiles a K-replica kvstore fleet session; when
 // updateAt >= 0 a canary-staged update is installed before that
-// request (and must promote cleanly).
+// request, and must promote cleanly.
 func runProfileFleet(name string, k, requests, updateAt int) (ProfileScenario, error) {
 	var prof *obs.Profiler
-	var runErr error
-	_, _, err := scenario{
+	want := &apptest.Outcome{Leader: "2.0.0", Fleet: k}
+	if updateAt >= 0 {
+		want = &apptest.Outcome{Leader: "2.0.1", Fleet: k, Counters: map[string]int64{obs.CCanaryPromotions: 1}}
+	}
+	_, _, breaches := scenario{
 		cfg: fleetConfig(k),
 		setup: func(w *apptest.World) {
 			w.K.BaseCost = KernelCost
@@ -202,16 +205,11 @@ func runProfileFleet(name string, k, requests, updateAt int) (ProfileScenario, e
 				tk.Sleep(5 * time.Millisecond)
 			}
 			tk.Sleep(200 * time.Millisecond)
-			if updateAt >= 0 && w.Rec.Counter(obs.CCanaryPromotions) != 1 {
-				runErr = fmt.Errorf("fleet %s: canary did not promote", name)
-			}
 		},
+		want: want,
 	}.run()
-	if err == nil {
-		err = runErr
-	}
-	if err != nil {
-		return ProfileScenario{}, err
+	if err := failed(breaches); err != nil {
+		return ProfileScenario{}, fmt.Errorf("fleet %s: %w", name, err)
 	}
 	sc := profileScenario(name, prof)
 	sc.K = k

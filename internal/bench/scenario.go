@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"time"
 
 	"mvedsua/internal/apps/kvstore"
@@ -33,11 +36,15 @@ type scenario struct {
 	// setup runs on the built world before the server starts: kernel
 	// cost, instruments, and When gates that need the controller.
 	setup func(w *apptest.World)
-	// drive runs in the driver task with a connected client. Whatever
-	// the run reports must be read here, not after run returns: teardown
-	// shuts the controller down, which ejects every variant and keeps
-	// the ledgers counting.
+	// drive runs in the driver task with a connected client. It only
+	// steers: what the run ended in is the world's Final state, which
+	// teardown takes after drive returns.
 	drive func(w *apptest.World, tk *sim.Task, c *apptest.Client)
+	// want, if set, is the outcome the run declares, and run judges the
+	// run against it; a run without one is a measurement. label is what
+	// the run's report prints when the run keeps its outcome.
+	want  *apptest.Outcome
+	label string
 }
 
 // duo lifts a duo controller configuration into a scenario's cfg.
@@ -45,9 +52,11 @@ func duo(cfg core.Config) core.FleetConfig { return core.FleetConfig{Config: cfg
 
 // run builds the world, binds the fault plan to it, deploys the server,
 // drives it to completion and tears it down. The world and the plan come
-// back for whatever is legitimately read after teardown (final stage,
-// registry snapshot, which faults fired).
-func (sc scenario) run() (*apptest.World, *chaos.Plan, error) {
+// back for whatever is read after teardown (the Final state, the registry,
+// which faults fired), with the run's breaches: a scheduler error and,
+// for a run that declares an outcome, every injection that never fired
+// and every breach the judge finds (apptest.World.Judge).
+func (sc scenario) run() (*apptest.World, *chaos.Plan, []apptest.Breach) {
 	cfg := sc.cfg
 	plan := chaos.NewPlan(sc.faults...)
 	cfg.WrapDispatcher = plan.Wrap
@@ -65,14 +74,42 @@ func (sc scenario) run() (*apptest.World, *chaos.Plan, error) {
 	if app == nil {
 		app, port = redis(), kvstore.Port
 	}
-	w.C.Start(app)
+	w.Start(app)
 	w.S.Go("driver", func(tk *sim.Task) {
 		defer w.Finish()
-		c := apptest.Connect(w.K, tk, port)
+		c := w.Connect(tk, port)
 		defer c.Close(tk)
 		sc.drive(w, tk, c)
 	})
-	return w, plan, w.Run(time.Hour)
+	if err := w.Run(time.Hour); err != nil {
+		return w, plan, []apptest.Breach{{Exchange: -1, Detail: "scheduler: " + err.Error()}}
+	}
+	if sc.want == nil {
+		return w, plan, nil
+	}
+	var breaches []apptest.Breach
+	if fired := plan.Fired(); fired < len(sc.faults) {
+		breaches = append(breaches, apptest.Breach{Exchange: -1,
+			Detail: fmt.Sprintf("%d of %d injections never fired", len(sc.faults)-fired, len(sc.faults))})
+	}
+	return w, plan, append(breaches, w.Judge(*sc.want)...)
+}
+
+// summary joins the breaches' details.
+func summary(breaches []apptest.Breach) string {
+	var details []string
+	for _, b := range breaches {
+		details = append(details, b.Detail)
+	}
+	return strings.Join(details, "; ")
+}
+
+// failed is the breaches as one error, nil when there are none.
+func failed(breaches []apptest.Breach) error {
+	if len(breaches) == 0 {
+		return nil
+	}
+	return errors.New(summary(breaches))
 }
 
 // incr issues n INCR requests 10ms apart — the light background traffic

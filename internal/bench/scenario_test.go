@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -36,9 +35,9 @@ func TestScenarioRunBindsThePlan(t *testing.T) {
 			drive:  func(w *apptest.World, tk *sim.Task, c *apptest.Client) { incr(tk, c, 6) },
 		},
 	} {
-		w, plan, err := sc.run()
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
+		w, plan, breaches := sc.run()
+		if breaches != nil {
+			t.Fatalf("%s: %v", sc.name, breaches)
 		}
 		if plan.Fired() != 1 || len(plan.Log) != 1 {
 			t.Errorf("%s: fired %d, log %v; want the one injection", sc.name, plan.Fired(), plan.Log)
@@ -74,9 +73,9 @@ func TestScenarioRunOrder(t *testing.T) {
 			doneAt = tk.Now()
 		},
 	}
-	w, plan, err := sc.run()
-	if err != nil {
-		t.Fatal(err)
+	w, plan, breaches := sc.run()
+	if breaches != nil {
+		t.Fatal(breaches)
 	}
 	if startedAtSetup {
 		t.Error("setup ran after the server started")
@@ -103,8 +102,8 @@ func TestScenarioRunOrder(t *testing.T) {
 		incr(tk, c, 2)
 		doneAt = tk.Now()
 	}}
-	if w, _, err = sc.run(); err != nil {
-		t.Fatal(err)
+	if w, _, breaches = sc.run(); breaches != nil {
+		t.Fatal(breaches)
 	}
 	if tail := w.S.Now() - doneAt; tail < settle {
 		t.Errorf("fleet world tore down %v after the driver, want >= the %v settle delay", tail, settle)
@@ -112,9 +111,10 @@ func TestScenarioRunOrder(t *testing.T) {
 }
 
 // TestScenarioRunReturnsSchedulerError: a task left blocked forever
-// deadlocks the drained scheduler, and run hands the error back.
+// deadlocks the drained scheduler, and run hands the error back as the
+// run's one breach.
 func TestScenarioRunReturnsSchedulerError(t *testing.T) {
-	_, _, err := scenario{
+	_, _, breaches := scenario{
 		setup: func(w *apptest.World) {
 			w.S.Go("stuck", func(tk *sim.Task) {
 				var q sim.WaitQueue
@@ -123,9 +123,8 @@ func TestScenarioRunReturnsSchedulerError(t *testing.T) {
 		},
 		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) { incr(tk, c, 1) },
 	}.run()
-	var deadlock *sim.DeadlockError
-	if !errors.As(err, &deadlock) {
-		t.Fatalf("err = %v, want a *sim.DeadlockError", err)
+	if len(breaches) != 1 || !strings.HasPrefix(breaches[0].Detail, "scheduler: sim: deadlock") {
+		t.Fatalf("breaches = %v, want the scheduler's deadlock alone", breaches)
 	}
 }
 
@@ -136,7 +135,7 @@ func TestScenarioRunReturnsSchedulerError(t *testing.T) {
 // and drop the end of the story.
 func TestRuleHitsDoNotFloodTheLifecycle(t *testing.T) {
 	const requests = 4200
-	w, _, err := scenario{drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+	w, _, breaches := scenario{drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 		w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
 		for i := 0; i < requests; i++ {
 			c.Do(tk, "INCR counter")
@@ -145,8 +144,8 @@ func TestRuleHitsDoNotFloodTheLifecycle(t *testing.T) {
 		incr(tk, c, 5)
 		w.C.Commit()
 	}}.run()
-	if err != nil {
-		t.Fatal(err)
+	if breaches != nil {
+		t.Fatal(breaches)
 	}
 	if hits := w.Rec.Counter(obs.CRuleHits); hits < requests {
 		t.Errorf("%s = %d, want every one of the %d rewritten requests counted", obs.CRuleHits, hits, requests)

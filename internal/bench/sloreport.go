@@ -118,7 +118,7 @@ type doFunc func(cmd, want string, pause time.Duration)
 // world.
 func (t tracked) run(row func(w *apptest.World, tr *obs.SLOTracker, outcome string)) error {
 	var tr *obs.SLOTracker
-	_, _, err := scenario{
+	_, _, breaches := scenario{
 		cfg: t.cfg, faults: t.faults,
 		setup: func(w *apptest.World) {
 			tr = obs.NewSLOTracker(w.Rec, sloOpts())
@@ -138,7 +138,7 @@ func (t tracked) run(row func(w *apptest.World, tr *obs.SLOTracker, outcome stri
 			row(w, tr, outcome)
 		},
 	}.run()
-	return err
+	return failed(breaches)
 }
 
 // sloFloorRows is the success-rate floor, judged at report time over a

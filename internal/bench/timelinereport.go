@@ -134,8 +134,8 @@ func timelineScenarios() []scenario {
 func RunTimelineReport() (TimelineReport, error) {
 	report := TimelineReport{Schema: TimelineSchemaID}
 	for _, sc := range timelineScenarios() {
-		w, _, err := sc.run()
-		if err != nil {
+		w, _, breaches := sc.run()
+		if err := failed(breaches); err != nil {
 			return report, fmt.Errorf("timeline %s: %w", sc.name, err)
 		}
 		run := TimelineRun{
@@ -163,6 +163,7 @@ func RunTimelineReport() (TimelineReport, error) {
 			}
 		}
 		report.Runs = append(report.Runs, run)
+		var err error
 		if report.ChromeTrace, err = w.Rec.ExportChromeTrace(); err != nil {
 			return report, fmt.Errorf("timeline %s: %w", sc.name, err)
 		}

@@ -267,8 +267,9 @@ var testOnlyAllowed = map[string]string{
 	"ringbuf.Buffer.DrainUpTo": "as ringbuf.Buffer.Peek",
 	"ringbuf.Buffer.Reset":     "as ringbuf.Buffer.Peek",
 
-	"apptest.CheckOwnership": "cross-package test harness: the ownership tests of kvstore, memcache, tkv and ftpd run their apps through it",
-	"apptest.Client.FD":      "observation point: bench's scenario test closes the runner's client a second time to prove the runner closed it",
+	"apptest.CheckOwnership":   "cross-package test harness: the ownership tests of kvstore, memcache, tkv and ftpd run their apps through it",
+	"apptest.Client.FD":        "observation point: bench's scenario test closes the runner's client a second time to prove the runner closed it",
+	"apptest.World.Transcript": "observation point: integration's determinism test compares two runs' transcripts, and its expected-breach test reads back the steps the judge names",
 
 	"dsl.Expr.isExpr":     "marker method: seals the interface, called by nobody by design",
 	"vos.object.isObject": "marker method: seals the interface, called by nobody by design",
