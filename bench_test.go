@@ -51,20 +51,20 @@ func BenchmarkTable2SteadyState(b *testing.B) {
 		for _, mode := range bench.Modes {
 			target, mode := target, mode
 			b.Run(target.Name+"/"+mode.String(), func(b *testing.B) {
-				var res bench.SteadyStateResult
+				var opsPerSec float64
 				var err error
 				for i := 0; i < b.N; i++ {
-					res, err = bench.RunSteadyState(target, mode, warmup, window)
+					opsPerSec, err = bench.RunSteadyState(target, mode, warmup, window)
 					if err != nil {
 						b.Fatal(err)
 					}
 				}
 				if mode == bench.ModeNative {
-					native = res.OpsPerSec
+					native = opsPerSec
 				}
-				b.ReportMetric(res.OpsPerSec, "vops/s")
+				b.ReportMetric(opsPerSec, "vops/s")
 				if native > 0 {
-					b.ReportMetric((1-res.OpsPerSec/native)*100, "overhead%")
+					b.ReportMetric((1-opsPerSec/native)*100, "overhead%")
 				}
 			})
 		}
@@ -147,15 +147,15 @@ func BenchmarkAblationLockstep(b *testing.B) {
 	for _, mode := range []bench.Mode{bench.ModeNative, bench.ModeMvedsua2, bench.ModeLockstep} {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
-			var res bench.SteadyStateResult
+			var opsPerSec float64
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = bench.RunSteadyState(target, mode, warmup, window)
+				opsPerSec, err = bench.RunSteadyState(target, mode, warmup, window)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(res.OpsPerSec, "vops/s")
+			b.ReportMetric(opsPerSec, "vops/s")
 		})
 	}
 }

@@ -176,7 +176,7 @@ func (d *demo) tkv() error {
 		say("GET visits")
 		w.C.Commit()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		return err
 	}
 	return d.finish(w)
@@ -206,7 +206,7 @@ func (d *demo) redis() error {
 		fmt.Fprintf(d.out, "  > GET plain              %s", c.Do(tk, "GET plain"))
 		fmt.Fprintf(d.out, "final leader version: %s\n", w.C.LeaderRuntime().App().Version())
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		return err
 	}
 	return d.finish(w)
@@ -250,7 +250,7 @@ func (d *demo) memcached() error {
 		a.Send(tk, "version\r\n")
 		fmt.Fprintf(d.out, "final version reply: %s", a.RecvUntil(tk, "\r\n"))
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		return err
 	}
 	return d.finish(w)
@@ -295,7 +295,7 @@ func (d *demo) vsftpd() error {
 		fmt.Fprintf(d.out, "  > RETR stou.0001                     %q\n", c.RecvUntil(tk, "226 Transfer complete.\r\n"))
 		w.C.Commit()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		return err
 	}
 	return d.finish(w)

@@ -76,7 +76,7 @@ func main() {
 		do("TYPE visits")
 	})
 
-	if err := world.Run(time.Hour); err != nil {
+	if err := world.Run(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -20,7 +20,7 @@ func serve(t *testing.T, version string, driver func(w *apptest.World, tk *sim.T
 		driver(w, tk)
 		w.Finish()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return w

@@ -73,7 +73,7 @@ func TestRetrReadFailureIs451(t *testing.T) {
 					t.Errorf("%d fds open after the session, want 2", n)
 				}
 			})
-			if err := w.Run(time.Hour); err != nil {
+			if err := w.Run(); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			wantFired, wantStage := 1, core.StageSingleLeader
@@ -107,7 +107,7 @@ func TestStorWriteFailureIs451(t *testing.T) {
 			t.Errorf("%d fds open after the session, want 2", n)
 		}
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }

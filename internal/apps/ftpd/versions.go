@@ -211,7 +211,6 @@ func Update(from, to string) *dsu.Version {
 	fwd, rev := RulesFor(from, to)
 	return &dsu.Version{
 		Name: to,
-		New:  func() dsu.App { return New(SpecFor(to)) },
 		Xform: func(old dsu.App) (dsu.App, error) {
 			o, ok := old.(*Server)
 			if !ok {

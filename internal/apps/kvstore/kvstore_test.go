@@ -24,7 +24,7 @@ func serve(t *testing.T, spec Spec, cfg core.Config, driver func(w *apptest.Worl
 		c.Close(tk)
 		w.Finish()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return w
@@ -128,7 +128,7 @@ func TestMultipleClients(t *testing.T) {
 			}
 		})
 	}
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if results[0] != "$2\r\nvx\r\n" || results[1] != "$2\r\nvy\r\n" {

@@ -150,7 +150,6 @@ func Update(from, to string, opts UpdateOpts) *dsu.Version {
 	fwd, rev := RulesFor(from, to)
 	return &dsu.Version{
 		Name: to,
-		New:  func() dsu.App { return New(SpecFor(to, opts.BugHMGET)) },
 		Xform: func(old dsu.App) (dsu.App, error) {
 			if opts.BreakXform {
 				return nil, fmt.Errorf("xform %s->%s: freed LibEvent-style state still referenced", from, to)

@@ -47,9 +47,6 @@ type Base struct {
 	corrupted bool
 
 	dispatch DispatchFunc
-
-	// Dispatched counts handler invocations, for tests.
-	Dispatched int
 }
 
 // NewBase returns an uninitialized Base; call Init before use.
@@ -152,7 +149,6 @@ func (b *Base) LoopOnce(env *dsu.Env) bool {
 		if !ok {
 			continue
 		}
-		b.Dispatched++
 		b.rrOffset++
 		if b.dispatch != nil {
 			b.dispatch(env, class, fd)

@@ -36,7 +36,7 @@ func serve(t *testing.T, spec Spec, cfg core.Config, driver func(w *apptest.Worl
 		c.Close(tk)
 		w.Finish()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return w
@@ -158,7 +158,7 @@ func TestMultipleWorkersServeClients(t *testing.T) {
 			}
 		})
 	}
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	// All four workers own at least one connection (round-robin).
@@ -274,7 +274,7 @@ func TestUseAfterFreeXformTolerated(t *testing.T) {
 		}
 		w.Finish()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }
@@ -347,7 +347,7 @@ func TestTimingErrorLibEventReset(t *testing.T) {
 		b.Close(tk)
 		w.Finish()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }
@@ -387,7 +387,7 @@ func TestLibEventResetPreventsTimingError(t *testing.T) {
 		b.Close(tk)
 		w.Finish()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }
@@ -433,7 +433,7 @@ func TestFleetUpdateKeepsReplicasInSync(t *testing.T) {
 		b.Close(tk)
 		w.Finish()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }

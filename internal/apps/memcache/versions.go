@@ -45,7 +45,6 @@ func Update(from, to string, opts UpdateOpts) *dsu.Version {
 	}
 	return &dsu.Version{
 		Name: to,
-		New:  func() dsu.App { return New(SpecFor(to, 0)) },
 		Xform: func(old dsu.App) (dsu.App, error) {
 			if opts.BreakXform {
 				return nil, fmt.Errorf("xform %s->%s: event base relocation failed", from, to)

@@ -238,7 +238,6 @@ func Update(opts UpdateOpts) *dsu.Version {
 	}
 	return &dsu.Version{
 		Name: "v2",
-		New:  func() dsu.App { return New("v2", opts.Strict) },
 		Xform: func(old dsu.App) (dsu.App, error) {
 			o, ok := old.(*Server)
 			if !ok {

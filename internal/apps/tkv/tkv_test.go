@@ -20,7 +20,7 @@ func serve(t *testing.T, version string, strict bool, driver func(w *apptest.Wor
 		c.Close(tk)
 		w.Finish()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return w
@@ -263,7 +263,7 @@ func TestReconnectAfterClose(t *testing.T) {
 		c2.Close(tk)
 		w.Finish()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }

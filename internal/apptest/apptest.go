@@ -141,11 +141,15 @@ func (w *World) Final() Final { return w.final }
 // driver before it finishes.
 func (w *World) Finish() { w.done = true }
 
-// Run executes the world until the driver calls Finish (or hard timeout
-// in virtual time), then shuts the service down. It returns any
+// runDeadline bounds a world's run in virtual time: a driver that never
+// calls Finish ends there instead of hanging.
+const runDeadline = time.Hour
+
+// Run executes the world until the driver calls Finish (or runDeadline
+// passes in virtual time), then shuts the service down. It returns any
 // scheduler error.
-func (w *World) Run(maxVirtual time.Duration) error {
-	w.S.Go("apptest/teardown", func(tk *sim.Task) { w.teardown(tk, maxVirtual) })
+func (w *World) Run() error {
+	w.S.Go("apptest/teardown", w.teardown)
 	return w.S.Run()
 }
 
@@ -153,11 +157,8 @@ func (w *World) Run(maxVirtual time.Duration) error {
 // finished (or the deadline passed) and a fleet has settled, it takes the
 // Final state, then shuts the service down, which detaches every variant
 // and kills every process.
-func (w *World) teardown(tk *sim.Task, maxVirtual time.Duration) {
-	if maxVirtual <= 0 {
-		maxVirtual = time.Hour
-	}
-	deadline := tk.Now() + maxVirtual
+func (w *World) teardown(tk *sim.Task) {
+	deadline := tk.Now() + runDeadline
 	for !w.done && tk.Now() < deadline {
 		tk.Sleep(20 * time.Millisecond)
 	}

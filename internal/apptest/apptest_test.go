@@ -48,7 +48,7 @@ func TestWorldRunFinishesOnFinish(t *testing.T) {
 		c.Close(tk)
 		w.Finish()
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if got != "hello\r\n" {
@@ -65,7 +65,7 @@ func TestWorldRunTimesOutWithoutFinish(t *testing.T) {
 	// No client ever calls Finish; the world must still drain at the
 	// virtual deadline instead of hanging.
 	start := time.Now()
-	if err := w.Run(200 * time.Millisecond); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if time.Since(start) > 10*time.Second {
@@ -90,7 +90,7 @@ func TestClientSendRecvUntil(t *testing.T) {
 			t.Errorf("FD = %d", c.FD())
 		}
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }
@@ -108,7 +108,7 @@ func TestConnectPanicsOnDeadPort(t *testing.T) {
 		}()
 		Connect(w.K, tk, 59999)
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !crashed {

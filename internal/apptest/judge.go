@@ -172,7 +172,7 @@ func (w *World) replayOnTwin() []Breach {
 			}
 		}
 	})
-	if err := tw.Run(time.Hour); err != nil {
+	if err := tw.Run(); err != nil {
 		out = append(out, Breach{Exchange: -1, Detail: "twin: " + err.Error()})
 	}
 	return out

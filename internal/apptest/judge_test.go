@@ -2,7 +2,6 @@ package apptest
 
 import (
 	"testing"
-	"time"
 
 	"mvedsua/internal/core"
 	"mvedsua/internal/sim"
@@ -22,7 +21,7 @@ func TestJudgeReplaysTheTranscriptOnTheTwin(t *testing.T) {
 			c.Do(tk, line)
 		}
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := Outcome{Leader: "v1"}

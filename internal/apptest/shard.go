@@ -2,7 +2,6 @@ package apptest
 
 import (
 	"fmt"
-	"time"
 
 	"mvedsua/internal/core"
 	"mvedsua/internal/obs"
@@ -51,13 +50,12 @@ func NewShardedWorld(shards, groups int) *ShardedWorld {
 // ShardOf returns the shard a group was placed on.
 func (sw *ShardedWorld) ShardOf(group int) int { return group % sw.SS.Shards() }
 
-// Run executes all groups until each has been finished (or the hard
-// virtual-time limit), installing the same teardown task World.Run
-// uses, one per group, then drives the sharded runtime to drain.
-func (sw *ShardedWorld) Run(maxVirtual time.Duration) error {
+// Run executes all groups until each has been finished (or runDeadline
+// passes), installing the same teardown task World.Run uses, one per
+// group, then drives the sharded runtime to drain.
+func (sw *ShardedWorld) Run() error {
 	for g, w := range sw.Worlds {
-		w := w
-		w.S.Go(fmt.Sprintf("apptest/teardown%d", g), func(tk *sim.Task) { w.teardown(tk, maxVirtual) })
+		w.S.Go(fmt.Sprintf("apptest/teardown%d", g), w.teardown)
 	}
 	return sw.SS.Run()
 }

@@ -3,7 +3,6 @@ package apptest
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"mvedsua/internal/sim"
 )
@@ -36,7 +35,7 @@ func buildEchoGroups(shards, groups, ops int) (*ShardedWorld, []int) {
 func TestShardedWorldEchoAcrossShards(t *testing.T) {
 	const groups, ops = 4, 16
 	sw, replies := buildEchoGroups(2, groups, ops)
-	if err := sw.Run(time.Hour); err != nil {
+	if err := sw.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for g, n := range replies {
@@ -59,7 +58,7 @@ func TestShardedWorldMergeInvariantAcrossShardCounts(t *testing.T) {
 	var base map[string]int64
 	for _, shards := range []int{1, 2, 4} {
 		sw, _ := buildEchoGroups(shards, groups, ops)
-		if err := sw.Run(time.Hour); err != nil {
+		if err := sw.Run(); err != nil {
 			t.Fatalf("shards=%d Run: %v", shards, err)
 		}
 		got := sw.MergedMetrics().Snapshot().Counters

@@ -19,12 +19,12 @@ func redisCell(t *testing.T, mode Mode) float64 {
 	if ops, ok := redisCells[mode]; ok {
 		return ops
 	}
-	res, err := RunSteadyState(RedisTarget(), mode, smokeCfg.Warmup, smokeCfg.Window)
+	opsPerSec, err := RunSteadyState(RedisTarget(), mode, smokeCfg.Warmup, smokeCfg.Window)
 	if err != nil {
 		t.Fatalf("%v: %v", mode, err)
 	}
-	redisCells[mode] = res.OpsPerSec
-	return res.OpsPerSec
+	redisCells[mode] = opsPerSec
+	return opsPerSec
 }
 
 func TestSteadyStateAllModesRedis(t *testing.T) {
@@ -64,11 +64,11 @@ func TestSteadyStateOverheadOrdering(t *testing.T) {
 
 func TestSteadyStateMemcachedDuo(t *testing.T) {
 	target := MemcachedTarget()
-	res, err := RunSteadyState(target, ModeMvedsua2, smokeCfg.Warmup, smokeCfg.Window)
+	opsPerSec, err := RunSteadyState(target, ModeMvedsua2, smokeCfg.Warmup, smokeCfg.Window)
 	if err != nil {
 		t.Fatalf("Mvedsua-2: %v", err)
 	}
-	if res.OpsPerSec <= 0 {
+	if opsPerSec <= 0 {
 		t.Fatal("zero throughput")
 	}
 }
@@ -76,11 +76,11 @@ func TestSteadyStateMemcachedDuo(t *testing.T) {
 func TestSteadyStateVsftpdSmall(t *testing.T) {
 	target := VsftpdTarget("small", 5)
 	for _, mode := range []Mode{ModeNative, ModeVaran2} {
-		res, err := RunSteadyState(target, mode, smokeCfg.Warmup, smokeCfg.Window)
+		opsPerSec, err := RunSteadyState(target, mode, smokeCfg.Warmup, smokeCfg.Window)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if res.OpsPerSec <= 0 {
+		if opsPerSec <= 0 {
 			t.Fatalf("%v: zero throughput", mode)
 		}
 	}

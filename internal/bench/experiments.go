@@ -75,16 +75,16 @@ func Table2(cfg Table2Config) ([]Table2Cell, error) {
 	for _, target := range Table2Targets() {
 		native := 0.0
 		for _, mode := range Modes {
-			res, err := RunSteadyState(target, mode, cfg.Warmup, cfg.Window)
+			opsPerSec, err := RunSteadyState(target, mode, cfg.Warmup, cfg.Window)
 			if err != nil {
 				return cells, fmt.Errorf("%s/%v: %w", target.Name, mode, err)
 			}
-			cell := Table2Cell{Target: target.Name, Mode: mode, OpsPerSec: res.OpsPerSec}
+			cell := Table2Cell{Target: target.Name, Mode: mode, OpsPerSec: opsPerSec}
 			if mode == ModeNative {
-				native = res.OpsPerSec
+				native = opsPerSec
 			}
 			if native > 0 {
-				cell.Overhead = 1 - res.OpsPerSec/native
+				cell.Overhead = 1 - opsPerSec/native
 			}
 			cells = append(cells, cell)
 		}

@@ -251,9 +251,7 @@ func runNVariantScenario(sc scenario) NVariantScenarioRow {
 		FleetSize:        len(f.Variants),
 		Tolerated:        len(breaches) == 0,
 	}
-	for _, rec := range plan.Log {
-		row.Injected = append(row.Injected, rec.Inj)
-	}
+	row.Injected = append(row.Injected, plan.Log...)
 	for _, v := range f.Verdicts {
 		row.Verdicts = append(row.Verdicts, v.String())
 	}
@@ -296,12 +294,15 @@ func runNVariantOverhead(k, requests int) (NVariantOverheadRow, error) {
 	return row, nil
 }
 
+// nvariantRequests is how many requests each overhead row's fleet serves.
+const nvariantRequests = 300
+
 // RunNVariantReport executes the overhead sweep and every fleet
 // scenario and assembles the report.
 func RunNVariantReport() (NVariantReport, error) {
 	report := NVariantReport{Schema: NVariantSchemaID}
 	for _, k := range []int{1, 2, 3} {
-		row, err := runNVariantOverhead(k, 300)
+		row, err := runNVariantOverhead(k, nvariantRequests)
 		if err != nil {
 			return report, fmt.Errorf("nvariant overhead K=%d: %w", k, err)
 		}
@@ -317,7 +318,7 @@ func RunNVariantReport() (NVariantReport, error) {
 func FormatNVariantReport(report NVariantReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "N-variant fleet (%s)\n\n", report.Schema)
-	fmt.Fprintf(&b, "  Steady-state overhead vs fleet size (kvstore, %d requests):\n", 300)
+	fmt.Fprintf(&b, "  Steady-state overhead vs fleet size (kvstore, %d requests):\n", nvariantRequests)
 	fmt.Fprintf(&b, "    %2s  %12s  %12s  %10s  %8s\n", "K", "virtual ms", "req/s", "replayed", "blocks")
 	for _, row := range report.Overhead {
 		fmt.Fprintf(&b, "    %2d  %12.2f  %12.0f  %10d  %8d\n",

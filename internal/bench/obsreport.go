@@ -67,7 +67,7 @@ func RunMetricsReport() (MetricsReport, error) {
 		run := MetricsRun{
 			Name:           sc.name,
 			Target:         "Redis",
-			Outcome:        fmt.Sprintf("%v leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version()),
+			Outcome:        fmt.Sprintf("%v leader=%s", w.Final().Stage, w.Final().Leader),
 			VirtualSeconds: w.S.Now().Seconds(),
 			Metrics:        w.Rec.Snapshot(),
 		}

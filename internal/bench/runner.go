@@ -19,7 +19,6 @@ import (
 // Target describes one benchmarked server (a Table 2 column).
 type Target struct {
 	Name    string
-	Port    int64
 	Clients int
 	// MakeApp builds the cold application with the cost model applied.
 	MakeApp func() dsu.App
@@ -47,7 +46,6 @@ func redis() *kvstore.Server {
 func RedisTarget() Target {
 	return Target{
 		Name:    "Redis",
-		Port:    kvstore.Port,
 		Clients: 2,
 		MakeApp: func() dsu.App { return redis() },
 		MakeUpdate: func() *dsu.Version {
@@ -63,7 +61,6 @@ func RedisTarget() Target {
 func MemcachedTarget() Target {
 	return Target{
 		Name:    "Memcached",
-		Port:    memcache.Port,
 		Clients: 8,
 		MakeApp: func() dsu.App {
 			s := memcache.New(memcache.SpecFor("1.2.2", 4))
@@ -91,7 +88,6 @@ func VsftpdTarget(label string, fileSize int) Target {
 	file := fmt.Sprintf("bench-%d.bin", fileSize)
 	return Target{
 		Name:    "Vsftpd " + label,
-		Port:    ftpd.Port,
 		Clients: 2,
 		MakeApp: func() dsu.App {
 			s := ftpd.New(ftpd.SpecFor("2.0.5"))
@@ -274,18 +270,11 @@ func (w *world) validating(otherwise string) error {
 		w.target.Name, w.mode, otherwise, w.ctl.Stage(), w.ctl.Monitor().Divergences())
 }
 
-// SteadyStateResult is one Table 2 cell.
-type SteadyStateResult struct {
-	Target string
-	Mode   Mode
-	// OpsPerSec is the measured steady-state throughput.
-	OpsPerSec float64
-}
-
-// RunSteadyState measures a target in a mode: warmup (see warmUp), then
-// a measurement window.
-func RunSteadyState(target Target, mode Mode, warmup, window time.Duration) (SteadyStateResult, error) {
-	res := SteadyStateResult{Target: target.Name, Mode: mode}
+// RunSteadyState measures a target in a mode — warmup (see warmUp), then
+// a measurement window — and returns its steady-state throughput in
+// operations per second: one Table 2 cell.
+func RunSteadyState(target Target, mode Mode, warmup, window time.Duration) (float64, error) {
+	var opsPerSec float64
 	m := NewMetrics(0)
 	err := measure(sim.New(), target, mode, 0, nil, m, func(w *world, tk *sim.Task) error {
 		if err := w.warmUp(tk, warmup); err != nil {
@@ -293,8 +282,8 @@ func RunSteadyState(target Target, mode Mode, warmup, window time.Duration) (Ste
 		}
 		m.Reset(tk.Now())
 		tk.Sleep(window)
-		res.OpsPerSec = m.Throughput(window)
+		opsPerSec = m.Throughput(window)
 		return w.validating("duo did not survive the window")
 	})
-	return res, err
+	return opsPerSec, err
 }

@@ -53,9 +53,9 @@ func duo(cfg core.Config) core.FleetConfig { return core.FleetConfig{Config: cfg
 // run builds the world, binds the fault plan to it, deploys the server,
 // drives it to completion and tears it down. The world and the plan come
 // back for whatever is read after teardown (the Final state, the registry,
-// which faults fired), with the run's breaches: a scheduler error and,
-// for a run that declares an outcome, every injection that never fired
-// and every breach the judge finds (apptest.World.Judge).
+// which faults fired), with the run's breaches: a scheduler error, every
+// injection that never fired and, for a run that declares an outcome,
+// every breach the judge finds (apptest.World.Judge).
 func (sc scenario) run() (*apptest.World, *chaos.Plan, []apptest.Breach) {
 	cfg := sc.cfg
 	plan := chaos.NewPlan(sc.faults...)
@@ -81,16 +81,16 @@ func (sc scenario) run() (*apptest.World, *chaos.Plan, []apptest.Breach) {
 		defer c.Close(tk)
 		sc.drive(w, tk, c)
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		return w, plan, []apptest.Breach{{Exchange: -1, Detail: "scheduler: " + err.Error()}}
-	}
-	if sc.want == nil {
-		return w, plan, nil
 	}
 	var breaches []apptest.Breach
 	if fired := plan.Fired(); fired < len(sc.faults) {
 		breaches = append(breaches, apptest.Breach{Exchange: -1,
 			Detail: fmt.Sprintf("%d of %d injections never fired", len(sc.faults)-fired, len(sc.faults))})
+	}
+	if sc.want == nil {
+		return w, plan, breaches
 	}
 	return w, plan, append(breaches, w.Judge(*sc.want)...)
 }

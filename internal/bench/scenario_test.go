@@ -80,8 +80,14 @@ func TestScenarioRunOrder(t *testing.T) {
 	if startedAtSetup {
 		t.Error("setup ran after the server started")
 	}
-	if plan.Fired() != 1 || plan.Log[0].At < updatedAt {
-		t.Errorf("When gate bound in setup did not hold the fault until the update (log %v, update at %v)", plan.Log, updatedAt)
+	var faults []time.Duration
+	for _, e := range w.Rec.Milestones() {
+		if e.Kind == obs.KindFault {
+			faults = append(faults, e.At)
+		}
+	}
+	if plan.Fired() != 1 || len(faults) != 1 || faults[0] < updatedAt {
+		t.Errorf("When gate bound in setup did not hold the fault until the update (faults at %v, update at %v)", faults, updatedAt)
 	}
 	var again sysabi.Result
 	w.S.Go("probe", func(tk *sim.Task) {

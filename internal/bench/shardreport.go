@@ -230,7 +230,7 @@ func RunShardDetReport() (*ShardDetReport, error) {
 		sw.SS.Send(tk, 1, "g0-trigger", func(*sim.Task) { triggered = true })
 	})
 
-	if err := sw.Run(time.Hour); err != nil {
+	if err := sw.Run(); err != nil {
 		return nil, err
 	}
 
@@ -248,7 +248,7 @@ func RunShardDetReport() (*ShardDetReport, error) {
 			Group:   g,
 			Shard:   sw.ShardOf(g),
 			Scope:   fmt.Sprintf("shard%d", sw.ShardOf(g)),
-			Outcome: fmt.Sprintf("%v leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version()),
+			Outcome: fmt.Sprintf("%v leader=%s", w.Final().Stage, w.Final().Leader),
 			Updates: w.Rec.Counter(obs.CCoreUpdates),
 			Commits: w.Rec.Counter(obs.CCoreCommits),
 		}

@@ -163,7 +163,7 @@ func TestSpanTracingDoesNotPerturbSchedule(t *testing.T) {
 				w.C.Commit()
 			}
 		})
-		if err := w.Run(time.Hour); err != nil {
+		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if traced && len(w.Rec.Spans()) == 0 {

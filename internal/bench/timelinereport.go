@@ -140,7 +140,7 @@ func RunTimelineReport() (TimelineReport, error) {
 		}
 		run := TimelineRun{
 			Name:           sc.name,
-			Outcome:        fmt.Sprintf("%v leader=%s", w.C.Stage(), w.C.LeaderRuntime().App().Version()),
+			Outcome:        fmt.Sprintf("%v leader=%s", w.Final().Stage, w.Final().Leader),
 			VirtualSeconds: w.S.Now().Seconds(),
 			Requests:       w.Rec.Counter(obs.CReqTracked),
 			Components:     map[string]LatencyComponent{},

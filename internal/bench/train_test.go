@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ func TestTrainSweepLazyBoundedEagerGrows(t *testing.T) {
 	}
 	cell := map[string]TrainSweepRow{}
 	for _, r := range report.Sweep {
-		cell[r.Mode+":"+itoa(r.Keyspace)] = r
+		cell[r.Mode+":"+strconv.Itoa(r.Keyspace)] = r
 	}
 	eSmall, eBig := cell["eager:400"], cell["eager:4000"]
 	lSmall, lBig := cell["lazy:400"], cell["lazy:4000"]
@@ -104,16 +105,4 @@ func TestTrainRunsOutcomes(t *testing.T) {
 		!strings.Contains(udu.Outcome, "second_queued_at=1") {
 		t.Errorf("update-during-update outcome = %q", udu.Outcome)
 	}
-}
-
-func itoa(n int) string {
-	var b []byte
-	if n == 0 {
-		return "0"
-	}
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }

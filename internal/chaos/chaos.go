@@ -113,20 +113,14 @@ func (inj *Injection) String() string {
 	}
 }
 
-// FiredRecord is one triggered fault, for reporting.
-type FiredRecord struct {
-	At   time.Duration
-	Role string
-	Call string
-	Inj  string
-}
-
 // Plan is the fault schedule one run executes. A plan is shared by all
 // the run's wrapped dispatchers; each injection fires at most once.
 type Plan struct {
 	Injections []*Injection
-	// Log accumulates the faults that actually fired, in order.
-	Log []FiredRecord
+	// Log accumulates the injections that actually fired, in order, as
+	// Injection.String renders them. Rec's fault milestones say when each
+	// fired, in which role and at which call.
+	Log []string
 	// Rec, if non-nil, receives a KindFault trace event for every fault
 	// that fires, so injected chaos is auditable end-to-end in the same
 	// timeline as the recovery it provokes.
@@ -207,9 +201,7 @@ func (d *Dispatcher) Invoke(t *sim.Task, call sysabi.Call) sysabi.Result {
 			continue
 		}
 		inj.fired = true
-		d.plan.Log = append(d.plan.Log, FiredRecord{
-			At: t.Now(), Role: d.role, Call: call.String(), Inj: inj.String(),
-		})
+		d.plan.Log = append(d.plan.Log, inj.String())
 		d.plan.Rec.Inc(obs.CChaosFired)
 		d.plan.Rec.Emitf(obs.KindFault, d.role, "injected %s at %s", inj, call)
 		switch inj.Kind {

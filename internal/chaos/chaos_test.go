@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
 )
@@ -35,6 +36,7 @@ func TestErrnoInjectionFiltersRoleOpAndCount(t *testing.T) {
 		Role: "follower", Op: sysabi.OpWrite, AfterCalls: 2,
 		Kind: KindErrno, Errno: sysabi.EAGAIN,
 	})
+	plan.Rec = obs.New(nil, obs.Options{})
 	leader := plan.Wrap("leader", "", inner)
 	follower := plan.Wrap("follower", "", inner)
 
@@ -72,9 +74,10 @@ func TestErrnoInjectionFiltersRoleOpAndCount(t *testing.T) {
 	if plan.Fired() != 1 || len(plan.Log) != 1 {
 		t.Fatalf("Fired = %d, Log = %v", plan.Fired(), plan.Log)
 	}
-	if rec := plan.Log[0]; rec.Role != "follower" || !strings.Contains(rec.Inj, "EAGAIN") &&
-		!strings.Contains(rec.Inj, "resource temporarily unavailable") {
-		t.Fatalf("Log[0] = %+v", rec)
+	if ms := plan.Rec.Milestones(); len(ms) != 1 || ms[0].Kind != obs.KindFault || ms[0].Actor != "follower" ||
+		!strings.Contains(ms[0].Detail, plan.Log[0]) || !strings.Contains(ms[0].Detail, "EAGAIN") &&
+		!strings.Contains(ms[0].Detail, "resource temporarily unavailable") {
+		t.Fatalf("fault milestones = %v, log %q", ms, plan.Log)
 	}
 }
 

@@ -99,7 +99,6 @@ func (a *srv) Main(env *dsu.Env) {
 func upgrade(xformErr error, mutate func(*srv)) *dsu.Version {
 	return &dsu.Version{
 		Name: "v2",
-		New:  func() dsu.App { return &srv{version: "v2"} },
 		Rules: dsl.MustParse(`
 rule "v1-to-v2-reply" {
     match write(fd, s, n) {
@@ -309,7 +308,6 @@ func TestStateXformErrorRollsBack(t *testing.T) {
 func upgradeFromV2(name string) *dsu.Version {
 	return &dsu.Version{
 		Name: name,
-		New:  func() dsu.App { return &srv{version: name} },
 		Rules: dsl.MustParse(`
 rule "v2-to-next-reply" {
     match write(fd, s, n) where prefix(s, "v2:") {

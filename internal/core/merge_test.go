@@ -28,7 +28,6 @@ func hop(from, to string, mutate func(*srv)) *dsu.Version {
 	}
 	return &dsu.Version{
 		Name: to,
-		New:  func() dsu.App { return &srv{version: to} },
 		Rules: dsl.MustParse(fmt.Sprintf(`
 rule "%s-to-%s-reply" {
     match write(fd, s, n)%s {

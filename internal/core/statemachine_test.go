@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -171,8 +172,8 @@ func runRandomized(t *testing.T, seed int64) {
 			count++
 			// The reply's counter component must be exactly count,
 			// whichever version answers.
-			want1 := itoa(count)
-			want2 := "v2:" + itoa(count)
+			want1 := strconv.Itoa(count)
+			want2 := "v2:" + strconv.Itoa(count)
 			if reply != want1 && reply != want2 {
 				t.Errorf("seed %d: reply %q, want %q or %q", seed, reply, want1, want2)
 			}
@@ -189,7 +190,6 @@ func runRandomized(t *testing.T, seed int64) {
 				if h.c.LeaderRuntime().App().Version() == "v2" {
 					v = &dsu.Version{
 						Name: "v2",
-						New:  func() dsu.App { return &srv{version: "v2"} },
 						Xform: func(old dsu.App) (dsu.App, error) {
 							return old.Fork(), nil
 						},
@@ -250,16 +250,4 @@ func doSrv(h *harness, tk *sim.Task, fd int, msg string) string {
 	h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte(msg)})
 	r := h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{64, 0}})
 	return string(r.Data)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var digits []byte
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
 }

@@ -11,7 +11,8 @@
 //
 // A second sweep over the same type-checked packages (TestOnlyExports)
 // lists the functions, methods and exported identifiers nothing but
-// tests references.
+// tests references, and a third (UnreadFields) the struct fields that
+// production code writes but never reads.
 package detlint
 
 import (
@@ -99,9 +100,10 @@ func (sw *Sweeper) load(path string) (*loaded, error) {
 		}
 		l.files = files
 		l.info = &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{
 			Importer: sw,
@@ -599,4 +601,117 @@ func sweptDecls(f *ast.File) []sweptDecl {
 		}
 	}
 	return out
+}
+
+// UnreadFields lists the fields of the struct types declared at package
+// level in the rels package directories — and of the anonymous structs
+// nested in them — that no non-test Go file under the root reads. Every
+// directory under the root is a reader, nested modules included, as for
+// TestOnlyExports. A use of a field is a read unless it is the left side
+// of an assignment (compound ones too), the operand of ++ or --, or a key
+// in a composite literal. A field with a struct tag is never reported:
+// encoding/json and its kind read it by reflection. An embedded field
+// counts as read where a promoted selector goes through it, and a field
+// of a generic type where any instantiation reads it.
+func (sw *Sweeper) UnreadFields(rels []string) ([]Export, error) {
+	dirs, err := sw.PackageDirs(".")
+	if err != nil {
+		return nil, err
+	}
+	read := map[token.Pos]bool{}
+	for _, dir := range dirs {
+		l, err := sw.loadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		fieldReads(l.info, l.files, func(v *types.Var) { read[v.Origin().Pos()] = true })
+	}
+	var out []Export
+	var sweep func(owner string, st *types.Struct)
+	sweep = func(owner string, st *types.Struct) {
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if inner, ok := f.Type().(*types.Struct); ok {
+				sweep(owner+"."+f.Name(), inner)
+			}
+			if st.Tag(i) == "" && f.Name() != "_" && !read[f.Pos()] {
+				pos := sw.fset.Position(f.Pos())
+				out = append(out, Export{
+					Pos:  fmt.Sprintf("%s:%d", relPath(sw.root, pos.Filename), pos.Line),
+					Name: owner + "." + f.Name(),
+				})
+			}
+		}
+	}
+	for _, rel := range rels {
+		l, err := sw.loadDir(rel)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", rel, err)
+		}
+		for _, name := range l.pkg.Scope().Names() {
+			if tn, ok := l.pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					sweep(l.pkg.Name()+"."+name, st)
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
+}
+
+// fieldReads calls read for every field a package's files read, by name
+// or as an embedded field a promoted selector passes through. info is
+// the package's, which records the uses of all its files.
+func fieldReads(info *types.Info, files []*ast.File, read func(*types.Var)) {
+	written := map[*ast.Ident]bool{}
+	write := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[sel.Sel] = true
+		}
+	}
+	inspect := func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				write(lhs)
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						written[key] = true
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil {
+				break
+			}
+			t, path := sel.Recv(), sel.Index()
+			for _, i := range path[:len(path)-1] {
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break // fail open
+				}
+				read(st.Field(i))
+				t = st.Field(i).Type()
+			}
+		}
+		return true
+	}
+	for _, f := range files {
+		ast.Inspect(f, inspect)
+	}
+	for id, obj := range info.Uses { // maporder: ok — fills a set
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			read(v)
+		}
+	}
 }

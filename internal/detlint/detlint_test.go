@@ -300,6 +300,112 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// unreadAllowed are the struct fields of the swept packages that no
+// non-test file reads and that stay anyway, each with the reason.
+var unreadAllowed = map[string]string{
+	"dsu.UpdateRecord.RequestedAt": "observation point: dsu's TestForkedUpdateRecordsRealRequestTime reads the request-to-decision gap to prove a forked follower's record carries the leader's request time",
+	"dsu.UpdateRecord.DecidedAt":   "as dsu.UpdateRecord.RequestedAt",
+}
+
+// TestNoUnreadFields is the other half of the `make lint-exports` gate: a
+// struct field of the swept packages must be read by some non-test file
+// of the repo (the nested benchmark module included), or be allowlisted
+// with a reason. A field nothing reads is state kept for nobody.
+func TestNoUnreadFields(t *testing.T) {
+	sw := NewSweeper(repoRoot(t), "mvedsua")
+	findings, err := sw.UnreadFields(exportSweptPackages(t, sw))
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	found := map[string]bool{}
+	for _, f := range findings {
+		found[f.Name] = true
+		if unreadAllowed[f.Name] == "" {
+			t.Errorf("%s — no non-test file reads it: delete it with its writes, or allowlist it with a reason", f)
+		}
+	}
+	for name, reason := range unreadAllowed {
+		if reason == "" || !found[name] {
+			t.Errorf("allowlist entry %q (%q) is stale or has no reason", name, reason)
+		}
+	}
+}
+
+// The field sweep flags a field that is only written — assigned, stepped,
+// set in a literal — or read only by a test, and not one that is read, one
+// with a struct tag, an embedded field reached only through promoted
+// selectors, or a generic type's field read through an instantiation.
+func TestUnreadFieldsFindsWriteOnlyFields(t *testing.T) {
+	dir := t.TempDir()
+	for path, src := range map[string]string{
+		"go.mod": "module example\n",
+		"p/p.go": `package p
+
+type T struct {
+	Assigned int
+	Stepped  int
+	Literal  int
+	TestRead int
+	Read     int
+	Nested   int
+	Tagged   int ` + "`json:\"tagged\"`" + `
+	Inner
+	sub struct{ deep int }
+	_   int
+}
+
+type Inner struct{ Promoted int }
+
+type ring[E any] struct{ buf []E }
+
+func (r *ring[E]) put(e E) { r.buf = []E{e} }
+
+func F(t *T) int {
+	t.Assigned = 1
+	(t.Assigned), t.Read = 2, t.Read
+	t.Stepped++
+	t.Stepped += 2
+	t.sub.deep = 3
+	_ = T{Literal: 1}
+	var r ring[int]
+	r.put(1)
+	return len(r.buf) + t.Promoted
+}
+`,
+		"p/p_test.go": `package p
+
+func read(t *T) int { return t.TestRead }
+`,
+		"bench/go.mod": "module example/bench\n",
+		"bench/main.go": `package main
+
+import "example/p"
+
+func main() { _ = (&p.T{}).Nested }
+`,
+	} {
+		full := filepath.Join(dir, path)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := NewSweeper(dir, "example").UnreadFields([]string{"p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range findings {
+		names = append(names, f.Name)
+	}
+	want := "p.T.Assigned p.T.Literal p.T.Stepped p.T.TestRead p.T.sub.deep"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("findings = %q, want %q", got, want)
+	}
+}
+
 // Code the checker cannot resolve adds findings at most; it never stops
 // the sweep.
 func TestTestOnlyExportsToleratesUnresolvedCode(t *testing.T) {

@@ -148,14 +148,11 @@ type IntLit struct{ Value int64 }
 // VarRef references a variable bound by a pattern.
 type VarRef struct{ Name string }
 
-// BinOp is a binary operation: == != && || + - < <= > >=.
+// BinOp is a binary operation: == != && || + -.
 type BinOp struct {
 	Op   string
 	L, R Expr
 }
-
-// NotOp is logical negation.
-type NotOp struct{ X Expr }
 
 // CallFn invokes a builtin function.
 type CallFn struct {
@@ -167,7 +164,6 @@ func (*StringLit) isExpr() {}
 func (*IntLit) isExpr()    {}
 func (*VarRef) isExpr()    {}
 func (*BinOp) isExpr()     {}
-func (*NotOp) isExpr()     {}
 func (*CallFn) isExpr()    {}
 
 // String renders the literal with DSL escaping.
@@ -183,9 +179,6 @@ func (e *VarRef) String() string { return e.Name }
 func (e *BinOp) String() string {
 	return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R)
 }
-
-// String renders the negation.
-func (e *NotOp) String() string { return fmt.Sprintf("!%s", e.X) }
 
 // String renders the call.
 func (e *CallFn) String() string {
@@ -342,8 +335,6 @@ func checkExpr(rule string, e Expr, bound map[string]bool) error {
 			return err
 		}
 		return checkExpr(rule, v.R, bound)
-	case *NotOp:
-		return checkExpr(rule, v.X, bound)
 	case *CallFn:
 		if _, bad := checkCall(v); bad != "" {
 			return fmt.Errorf("rule %q: %s", rule, bad)

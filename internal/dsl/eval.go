@@ -102,15 +102,6 @@ func Eval(e Expr, env *Env) (Value, error) {
 			}
 		}
 		return Value{}, evalErrf("unbound variable %q", v.Name)
-	case *NotOp:
-		x, err := Eval(v.X, env)
-		if err != nil {
-			return Value{}, err
-		}
-		if !x.IsBool() {
-			return Value{}, evalErrf("! applied to non-bool %s", x)
-		}
-		return Bool(!x.AsBool()), nil
 	case *BinOp:
 		return evalBinOp(v, env)
 	case *CallFn:
@@ -179,21 +170,6 @@ func evalBinOp(v *BinOp, env *Env) (Value, error) {
 			return Int(l.i - r.i), nil
 		}
 		return Value{}, evalErrf("cannot subtract %s and %s", l, r)
-	case "<", "<=", ">", ">=":
-		if !l.IsInt() || !r.IsInt() {
-			return Value{}, evalErrf("cannot order %s and %s", l, r)
-		}
-		a, b := l.i, r.i
-		switch v.Op {
-		case "<":
-			return Bool(a < b), nil
-		case "<=":
-			return Bool(a <= b), nil
-		case ">":
-			return Bool(a > b), nil
-		default:
-			return Bool(a >= b), nil
-		}
 	default:
 		return Value{}, evalErrf("unknown operator %q", v.Op)
 	}
@@ -208,8 +184,7 @@ type builtin struct {
 // builtins is the DSL's function library. Text-processing helpers mirror
 // the paper's examples: parse-like accessors (cmd, arg, typ) plus general
 // string surgery. The accessors and predicates return views of their
-// arguments; only what builds new text (replace, concat, upper, lower)
-// allocates.
+// arguments; only what builds new text (replace, concat) allocates.
 var builtins = map[string]builtin{
 	"prefix": {2, func(a []Value) (Value, error) {
 		if err := wantStrings(a, "prefix"); err != nil {
@@ -222,12 +197,6 @@ var builtins = map[string]builtin{
 			return Value{}, err
 		}
 		return Bool(bytes.HasSuffix(a[0].s, a[1].s)), nil
-	}},
-	"contains": {2, func(a []Value) (Value, error) {
-		if err := wantStrings(a, "contains"); err != nil {
-			return Value{}, err
-		}
-		return Bool(bytes.Contains(a[0].s, a[1].s)), nil
 	}},
 	// cmd returns the first whitespace-delimited token with trailing
 	// CR/LF stripped: cmd("PUT k v\r\n") == "PUT".
@@ -303,24 +272,6 @@ var builtins = map[string]builtin{
 			return Value{}, evalErrf("sub bounds [%d:%d] out of range for %d bytes", i, j, len(s))
 		}
 		return view(s[i:j]), nil
-	}},
-	"upper": {1, func(a []Value) (Value, error) {
-		if err := wantStrings(a, "upper"); err != nil {
-			return Value{}, err
-		}
-		return view(bytes.ToUpper(a[0].s)), nil
-	}},
-	"lower": {1, func(a []Value) (Value, error) {
-		if err := wantStrings(a, "lower"); err != nil {
-			return Value{}, err
-		}
-		return view(bytes.ToLower(a[0].s)), nil
-	}},
-	"trim": {1, func(a []Value) (Value, error) {
-		if err := wantStrings(a, "trim"); err != nil {
-			return Value{}, err
-		}
-		return view(bytes.TrimSpace(a[0].s)), nil
 	}},
 }
 

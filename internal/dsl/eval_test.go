@@ -81,10 +81,6 @@ func TestEvalArithmeticAndComparison(t *testing.T) {
 		"1 + 2":      Int(3),
 		"5 - 2":      Int(3),
 		"1 + 2 - 4":  Int(-1),
-		"2 < 3":      Bool(true),
-		"3 <= 3":     Bool(true),
-		"4 > 5":      Bool(false),
-		"5 >= 5":     Bool(true),
 		"1 == 1":     Bool(true),
 		"1 != 1":     Bool(false),
 		`"a" + "b"`:  Str("ab"),
@@ -113,20 +109,11 @@ func TestEvalLogicShortCircuit(t *testing.T) {
 	}
 }
 
-func TestEvalNot(t *testing.T) {
-	if v := mustEval(t, `!(1 == 2)`, nil); !v.AsBool() {
-		t.Error("!(false) should be true")
-	}
-	if _, err := evalExpr(t, `!5`, nil); err == nil {
-		t.Error("!int should error")
-	}
-}
-
 func TestEvalTypeErrors(t *testing.T) {
 	bad := []string{
 		`"a" + 1`,
 		`"a" - "b"`,
-		`"a" < "b"`,
+		`"a" != 1`,
 		`1 == "a"`,
 		`1 && 2`,
 	}
@@ -142,7 +129,6 @@ func TestBuiltinStringFunctions(t *testing.T) {
 		`prefix("hello", "he")`:                   Bool(true),
 		`prefix("hello", "lo")`:                   Bool(false),
 		`suffix("hello", "lo")`:                   Bool(true),
-		`contains("hello", "ell")`:                Bool(true),
 		`cmd("PUT balance 100\r\n")`:              Str("PUT"),
 		`cmd("")`:                                 Str(""),
 		`arg("PUT balance 100", 1)`:               Str("balance"),
@@ -156,9 +142,6 @@ func TestBuiltinStringFunctions(t *testing.T) {
 		`concat("a", "b", "c")`:                   Str("abc"),
 		`len("abcd")`:                             Int(4),
 		`sub("abcdef", 1, 4)`:                     Str("bcd"),
-		`upper("abc")`:                            Str("ABC"),
-		`lower("ABC")`:                            Str("abc"),
-		`trim("  x  ")`:                           Str("x"),
 	}
 	for expr, want := range cases {
 		got := mustEval(t, expr, nil)

@@ -36,7 +36,7 @@ func genExpr(r *rand.Rand, depth int, strVars, intVars []string, want string) Ex
 		case 0:
 			return &CallFn{Name: "concat", Args: []Expr{sub("string"), sub("string")}}
 		case 1:
-			return &CallFn{Name: "upper", Args: []Expr{sub("string")}}
+			return &CallFn{Name: "base", Args: []Expr{sub("string")}}
 		case 2:
 			return &CallFn{Name: "replace", Args: []Expr{sub("string"), sub("string"), sub("string")}}
 		default:
@@ -58,12 +58,11 @@ func genExpr(r *rand.Rand, depth int, strVars, intVars []string, want string) Ex
 		case 1:
 			return &BinOp{Op: "||", L: sub("bool"), R: sub("bool")}
 		case 2:
-			return &NotOp{X: sub("bool")}
+			return &BinOp{Op: []string{"==", "!="}[r.Intn(2)], L: sub("string"), R: sub("string")}
 		case 3:
 			return &CallFn{Name: "prefix", Args: []Expr{sub("string"), sub("string")}}
 		default:
-			op := []string{"==", "!=", "<", "<=", ">", ">="}[r.Intn(6)]
-			return &BinOp{Op: op, L: sub("int"), R: sub("int")}
+			return &BinOp{Op: []string{"==", "!="}[r.Intn(2)], L: sub("int"), R: sub("int")}
 		}
 	}
 }

@@ -23,13 +23,8 @@ const (
 	tokNeq   // !=
 	tokAnd   // &&
 	tokOr    // ||
-	tokNot   // !
 	tokPlus  // +
 	tokMinus // -
-	tokLt    // <
-	tokLe    // <=
-	tokGt    // >
-	tokGe    // >=
 )
 
 func (k tokKind) String() string {
@@ -62,20 +57,10 @@ func (k tokKind) String() string {
 		return "'&&'"
 	case tokOr:
 		return "'||'"
-	case tokNot:
-		return "'!'"
 	case tokPlus:
 		return "'+'"
 	case tokMinus:
 		return "'-'"
-	case tokLt:
-		return "'<'"
-	case tokLe:
-		return "'<='"
-	case tokGt:
-		return "'>'"
-	case tokGe:
-		return "'>='"
 	default:
 		return fmt.Sprintf("tok(%d)", int(k))
 	}
@@ -174,12 +159,6 @@ scan:
 	case "||":
 		l.pos += 2
 		return token{kind: tokOr, text: two, line: l.line}, nil
-	case "<=":
-		l.pos += 2
-		return token{kind: tokLe, text: two, line: l.line}, nil
-	case ">=":
-		l.pos += 2
-		return token{kind: tokGe, text: two, line: l.line}, nil
 	}
 	l.pos++
 	switch c {
@@ -195,16 +174,10 @@ scan:
 		return token{kind: tokComma, text: ",", line: l.line}, nil
 	case ';':
 		return token{kind: tokSemi, text: ";", line: l.line}, nil
-	case '!':
-		return token{kind: tokNot, text: "!", line: l.line}, nil
 	case '+':
 		return token{kind: tokPlus, text: "+", line: l.line}, nil
 	case '-':
 		return token{kind: tokMinus, text: "-", line: l.line}, nil
-	case '<':
-		return token{kind: tokLt, text: "<", line: l.line}, nil
-	case '>':
-		return token{kind: tokGt, text: ">", line: l.line}, nil
 	default:
 		return token{}, l.errf("unexpected character %q", string(c))
 	}

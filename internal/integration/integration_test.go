@@ -55,7 +55,7 @@ func judged(t *testing.T, w *apptest.World, want apptest.Outcome, drive func(tk 
 		defer c.Close(tk)
 		drive(tk, c)
 	})
-	if err := w.Run(time.Hour); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return w.Judge(want)

@@ -126,8 +126,8 @@ func TestFleetMinorityDivergenceEjected(t *testing.T) {
 	if v.Proc != "r2" || v.Cause != "divergence" || v.Action != VerdictEject {
 		t.Fatalf("verdict = %+v", v)
 	}
-	if v.Failed != 1 || v.Total != 3 || v.Live != 2 {
-		t.Fatalf("quorum counts = %d failed / %d live / %d total", v.Failed, v.Live, v.Total)
+	if v.Failed != 1 || v.Total != 3 {
+		t.Fatalf("quorum counts = %d failed / %d total", v.Failed, v.Total)
 	}
 	if v.Div == nil || !strings.Contains(v.Div.Reason, "output mismatch") {
 		t.Fatalf("verdict divergence = %+v", v.Div)
@@ -592,7 +592,7 @@ func TestVerdictStrings(t *testing.T) {
 	if VerdictAction(9).String() != "action(9)" {
 		t.Fatal("unknown action formatting")
 	}
-	v := Verdict{Proc: "r2", Cause: "crash", Failed: 1, Live: 2, Total: 3, Action: VerdictEject}
+	v := Verdict{Proc: "r2", Cause: "crash", Failed: 1, Total: 3, Action: VerdictEject}
 	if got := v.String(); !strings.Contains(got, "r2") || !strings.Contains(got, "eject") ||
 		!strings.Contains(got, "1/3") {
 		t.Fatalf("Verdict.String = %q", got)

@@ -380,9 +380,6 @@ type Proc struct {
 	// dispatch/replay/divergence counters so per-variant timelines and
 	// cross-scope merges are possible without touching the shared root.
 	scope *obs.Registry
-
-	// Syscalls counts calls dispatched through this proc.
-	Syscalls int
 }
 
 func newProc(m *Monitor, name string, role Role) *Proc {
@@ -406,7 +403,6 @@ func (p *Proc) Name() string { return p.name }
 
 // Invoke implements sysabi.Dispatcher, routing by role.
 func (p *Proc) Invoke(t *sim.Task, call sysabi.Call) sysabi.Result {
-	p.Syscalls++
 	for {
 		switch p.role {
 		case RoleSingleLeader:

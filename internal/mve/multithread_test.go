@@ -167,12 +167,12 @@ func TestCrossThreadMismatchDetected(t *testing.T) {
 }
 
 // TestPerThreadRuleApplication: rules rewrite each thread's stream
-// independently (thread 1's writes are upper-cased by the new version).
+// independently (the new version capitalises every thread's writes).
 func TestPerThreadRuleApplication(t *testing.T) {
 	rules := mustRules(t, `
-rule "upper-t" {
+rule "capital-w" {
     match write(fd, s, n) where prefix(s, "w") {
-        emit write(fd, upper(s), n);
+        emit write(fd, replace(s, "w", "W"), n);
     }
 }
 `)
@@ -204,7 +204,7 @@ rule "upper-t" {
 			tid := tid
 			s.Go(fmt.Sprintf("f-t%d", tid), func(tk2 *sim.Task) {
 				for i := 0; i < 3; i++ {
-					// The new version upper-cases its output.
+					// The new version capitalises its output.
 					follower.Invoke(tk2, sysabi.Call{Op: sysabi.OpWrite, FD: jfd,
 						Buf: []byte(fmt.Sprintf("W%d.%d;", tid, i)), TID: tid})
 				}

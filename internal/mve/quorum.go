@@ -50,7 +50,6 @@ type Verdict struct {
 	Proc   string // the failed consumer
 	Cause  string // "divergence", "crash" or "stall"
 	Failed int    // failed consumers at decision time, this one included
-	Live   int    // still-healthy attached consumers
 	Total  int    // attached consumers at decision time
 	Action VerdictAction
 	// Div carries the triggering divergence for divergence verdicts.
@@ -74,7 +73,7 @@ func (m *Monitor) failVariant(p *Proc, cause string, d *Divergence) Verdict {
 		}
 	}
 	total := len(m.variants)
-	v := Verdict{Proc: p.name, Cause: cause, Failed: failed, Live: total - failed, Total: total, Div: d}
+	v := Verdict{Proc: p.name, Cause: cause, Failed: failed, Total: total, Div: d}
 	switch {
 	case p == m.candidate:
 		v.Action = VerdictRollbackCandidate

@@ -100,6 +100,7 @@ func TestOutOfTurnThreadsSettleInScheduler(t *testing.T) {
 func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 	s, _, m := world(64, Costs{})
 	rec := obs.New(s.Now, obs.Options{})
+	rec.EnableScopes()
 	m.SetRecorder(rec)
 	leader := m.StartSingleLeader("v0")
 	follower := m.AttachCandidate("v1", nil, 0)
@@ -130,8 +131,11 @@ func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 	if got, want := strings.Join(followerOrder, ","), "3.0,2.0,1.0,0.0,3.1,0.1,1.1,2.1"; got != want {
 		t.Fatalf("follower threads completed %s, want %s", got, want)
 	}
-	if follower.Syscalls != 4+4 || s.Settled() == 0 {
-		t.Fatalf("new leader made %d syscalls, %d dispatches settled", follower.Syscalls, s.Settled())
+	// Round 0's four calls and thread 3's round-1 call meet the stream —
+	// the last where the tail is truncated — and round 1's four run natively.
+	v1 := rec.Child("proc:v1")
+	if f, l := v1.Counter(obs.CSyscallsFollower), v1.Counter(obs.CSyscallsLeader); f != 4+1 || l != 4 || s.Settled() == 0 {
+		t.Fatalf("new leader made %d validated and %d native syscalls, %d dispatches settled", f, l, s.Settled())
 	}
 }
 

@@ -66,8 +66,7 @@ func (r *Recorder) ProfilingEnabled() bool { return r != nil && r.profilingOn }
 // merge happens at export, under sorted keys, which is what makes the
 // folded output byte-stable across 1/2/4-shard placements.
 type ProfilerShard struct {
-	shard int
-	now   func() time.Duration
+	now func() time.Duration
 
 	cpu  map[string]time.Duration // stack key -> on-CPU time
 	off  map[string]time.Duration // stack key -> off-CPU time
@@ -138,10 +137,9 @@ func (p *Profiler) ShardSink(shard int, now func() time.Duration) *ProfilerShard
 		return ps
 	}
 	ps := &ProfilerShard{
-		shard: shard,
-		now:   now,
-		cpu:   map[string]time.Duration{},
-		off:   map[string]time.Duration{},
+		now: now,
+		cpu: map[string]time.Duration{},
+		off: map[string]time.Duration{},
 	}
 	p.shards[shard] = ps
 	return ps

@@ -89,9 +89,6 @@ type Cluster struct {
 	kernel   *vos.Kernel
 	strategy Strategy
 	nodes    []*Node
-
-	// Upgrades counts completed node upgrades.
-	Upgrades int
 }
 
 // BasePort is node 0's first port; node i generation g listens on
@@ -199,7 +196,6 @@ func (c *Cluster) upgradeRestart(t *sim.Task, node *Node, to string) error {
 		app.AdoptState(restored)
 	}
 	c.startNode(node, app)
-	c.Upgrades++
 	return nil
 }
 
@@ -228,7 +224,6 @@ func (c *Cluster) upgradeMVEDSUA(t *sim.Task, node *Node, from, to string) error
 	}
 	t.Sleep(50 * time.Millisecond)
 	node.ctl.Commit()
-	c.Upgrades++
 	return nil
 }
 

@@ -68,7 +68,6 @@ type shardState struct {
 	sched    *Scheduler
 	outbox   []crossMsg // appended by tasks during an epoch, drained at the barrier
 	sendSeq  int64
-	stalled  bool // last epoch ended with blocked tasks and no timers
 	runErr   error
 	runPanic interface{}
 }
@@ -249,15 +248,12 @@ func (ss *ShardedScheduler) epoch() (done bool, err error) {
 				// The shard is blocked with no timers — possibly waiting
 				// on a cross-shard message. Global deadlock is decided
 				// above, once no shard can move and nothing is in flight.
-				sh.stalled = true
 				sh.runErr = nil
 			} else {
 				err := sh.runErr
 				sh.runErr = nil
 				return false, err
 			}
-		} else {
-			sh.stalled = false
 		}
 		ss.inflight = append(ss.inflight, sh.outbox...)
 		sh.outbox = nil
@@ -385,7 +381,6 @@ func (ss *ShardedScheduler) deliver() {
 	})
 	for _, m := range due {
 		ss.shards[m.to].sched.Go(m.name, m.fn)
-		ss.shards[m.to].stalled = false
 	}
 }
 

@@ -98,7 +98,6 @@ type endpoint struct {
 func (*endpoint) isObject() {}
 
 type file struct {
-	name string
 	data []byte
 }
 
@@ -344,7 +343,7 @@ func (k *Kernel) open(c sysabi.Call) sysabi.Result {
 	case !ok && c.Args[0] == sysabi.OpenRead:
 		return sysabi.Result{Err: sysabi.ENOENT}
 	case !ok:
-		f = &file{name: c.Path}
+		f = &file{}
 		k.fs[c.Path] = f
 	case c.Args[0] == sysabi.OpenWrite:
 		f.data = nil // truncate
@@ -523,7 +522,7 @@ func (k *Kernel) getPID(t *sim.Task) sysabi.Result {
 
 // WriteFile creates or replaces a virtual file, for test setup.
 func (k *Kernel) WriteFile(path string, data []byte) {
-	k.fs[path] = &file{name: path, data: append([]byte(nil), data...)}
+	k.fs[path] = &file{data: append([]byte(nil), data...)}
 }
 
 // OpenFDs returns the number of live file descriptors, for leak tests.
