@@ -178,7 +178,8 @@ bench-fork:
 	$(GO) test -bench 'Fork|Preload|Store' -benchmem -run '^$$' ./internal/apps/kvstore/
 
 # Scheduler hot-path microbenchmarks: dispatch, enqueue, task
-# spawn/exit, timer fire, plus the sharded epoch barrier, cross-shard
+# spawn/exit, timer fire, a timed wait woken early (Memcached's bounded
+# epoll_wait), plus the sharded epoch barrier, cross-shard
 # send and the perf experiment's shard sweep on the wall clock
 # (docs/PERFORMANCE.md "Sharded runtime"; pass -count 3 or more to
 # compare shard counts).

@@ -125,6 +125,40 @@ func BenchmarkTimerFireContended(b *testing.B) {
 	}
 }
 
+// BenchmarkTimedWaitWokenEarly is Memcached's bounded epoll_wait: 64
+// tasks loop on BlockTimeout(10ms) and a waker WakeAlls them every
+// 10ms/8 of virtual time, so every wait ends early. Were a woken wait's
+// timer left behind until its deadline, the heap would carry about
+// eight rounds of them (~500, mc_duo's size). One iteration is one
+// early-woken wait.
+func BenchmarkTimedWaitWokenEarly(b *testing.B) {
+	s := New()
+	const waiters, timeout = 64, 10 * time.Millisecond
+	rounds := (b.N + waiters - 1) / waiters
+	var q WaitQueue
+	for i := 0; i < waiters; i++ {
+		s.Go("waiter", func(tk *Task) {
+			for n := 0; n < rounds; n++ {
+				tk.BlockTimeout(&q, timeout)
+			}
+		})
+	}
+	s.Go("waker", func(tk *Task) {
+		for n := 0; n < rounds; n++ {
+			tk.Advance(timeout / 8)
+			if q.WakeAll(s) != waiters {
+				b.Error("a waiter timed out")
+			}
+			tk.Yield()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkShardedEpoch measures pure epoch-coordination overhead: two
 // shards, one task each sleeping through every quantum, so each
 // iteration is one barrier with minimal shard-local work.

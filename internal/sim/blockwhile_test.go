@@ -52,6 +52,7 @@ type programRun struct {
 	Clock      time.Duration
 	Deadlock   []string // DeadlockError.Blocked of the first Run, if it deadlocked
 	settled    int64    // not compared: the loop never settles
+	heapErr    error    // first breach of checkTimerHeap after a step, if any
 }
 
 const (
@@ -131,6 +132,9 @@ func runProgram(script []byte, wait func(*Task, *WaitQueue, Waiter)) programRun 
 					counters[arg%3]++
 				}
 				res.Steps = append(res.Steps, fmt.Sprintf("%s#%d k%d %s @%d", name, pc, kind, saw, s.Now()))
+				if err := checkTimerHeap(s); err != nil && res.heapErr == nil {
+					res.heapErr = fmt.Errorf("after %s#%d: %w", name, pc, err)
+				}
 			}
 		})
 	}
@@ -157,6 +161,9 @@ func runProgram(script []byte, wait func(*Task, *WaitQueue, Waiter)) programRun 
 	if err != nil {
 		panic(fmt.Sprintf("program did not drain: %v", err))
 	}
+	if err := checkTimerHeap(s); err != nil && res.heapErr == nil {
+		res.heapErr = fmt.Errorf("after the run: %w", err)
+	}
 	res.Trace = s.Trace()
 	res.Segments = prof.segs
 	res.Dispatches = s.Dispatches()
@@ -173,6 +180,11 @@ func checkBlockWhileMatchesLoop(t *testing.T, script []byte) programRun {
 	want := runProgram(script, blockLoop)
 	if want.settled != 0 {
 		t.Fatalf("the reference loop settled %d dispatches", want.settled)
+	}
+	for _, r := range []programRun{got, want} {
+		if r.heapErr != nil {
+			t.Fatalf("timer heap (script %q): %v", script, r.heapErr)
+		}
 	}
 	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 	for i := 0; i < gv.NumField(); i++ {

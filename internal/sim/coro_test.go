@@ -103,7 +103,7 @@ func TestDispatchZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(goschedEvery+1, func() { q.WakeOne(s); step() }); n != 0 {
 		t.Errorf("Block/WakeOne round trip: %v allocs, want 0", n)
 	}
-	if n := testing.AllocsPerRun(goschedEvery+1, func() { s.fireNextTimer(); step() }); n != 0 {
+	if n := testing.AllocsPerRun(goschedEvery+1, func() { s.advanceTo(s.timers[0].when); step() }); n != 0 {
 		t.Errorf("Sleep/timer round trip: %v allocs, want 0", n)
 	}
 

@@ -76,14 +76,24 @@ func TestTaskFIFOMatchesReference(t *testing.T) {
 }
 
 // TestTimerHeapPopsInWhenSeqOrder checks the hand-written heap against
-// a sort: interleaved pushes and pops must come out by (when, seq),
-// equal deadlines in arming order.
+// a sort: interleaved pushes, pops and removes from the middle must
+// pop by (when, seq), equal deadlines in arming order, and remove
+// exactly the timer asked for. After every step each task's timerIdx
+// points at its own timer, and a timer taken out has timerIdx 0.
 func TestTimerHeapPopsInWhenSeqOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var h timerHeap
 	var ref []timer
 	var seq int64
-	popAndCheck := func() {
+	taken := func(step int, got, want timer) {
+		if got != want {
+			t.Fatalf("step %d: took (%v, %d), want (%v, %d)", step, got.when, got.seq, want.when, want.seq)
+		}
+		if got.task.timerIdx != 0 {
+			t.Fatalf("step %d: a timer out of the heap kept timerIdx %d", step, got.task.timerIdx)
+		}
+	}
+	popAndCheck := func(step int) {
 		sort.Slice(ref, func(i, j int) bool {
 			if ref[i].when != ref[j].when {
 				return ref[i].when < ref[j].when
@@ -92,22 +102,34 @@ func TestTimerHeapPopsInWhenSeqOrder(t *testing.T) {
 		})
 		want := ref[0]
 		ref = ref[1:]
-		if got := h.pop(); got != want {
-			t.Fatalf("pop = (%v, %d), want (%v, %d)", got.when, got.seq, want.when, want.seq)
-		}
+		taken(step, h.pop(), want)
 	}
 	for step := 0; step < 5000; step++ {
-		if len(ref) == 0 || rng.Intn(5) < 3 {
+		switch r := rng.Intn(10); {
+		case len(ref) == 0 || r < 5:
 			seq++
-			tm := timer{when: time.Duration(rng.Intn(50)), seq: seq}
+			tm := timer{when: time.Duration(rng.Intn(50)), seq: seq, task: &Task{id: int(seq)}}
 			h.push(tm)
 			ref = append(ref, tm)
-		} else {
-			popAndCheck()
+		case r < 8:
+			popAndCheck(step)
+		default:
+			k := rng.Intn(len(ref))
+			want := ref[k]
+			ref = append(ref[:k:k], ref[k+1:]...)
+			taken(step, h.remove(want.task.timerIdx-1), want)
+		}
+		if len(h) != len(ref) {
+			t.Fatalf("step %d: heap holds %d timers, reference %d", step, len(h), len(ref))
+		}
+		for i, tm := range h {
+			if tm.task.timerIdx != i+1 {
+				t.Fatalf("step %d: slot %d's task has timerIdx %d", step, i, tm.task.timerIdx)
+			}
 		}
 	}
-	for len(ref) > 0 {
-		popAndCheck()
+	for step := 5000; len(ref) > 0; step++ {
+		popAndCheck(step)
 	}
 	if len(h) != 0 {
 		t.Fatalf("%d timers left in the heap", len(h))

@@ -60,6 +60,28 @@ func TestRunForTimerJustPastHorizon(t *testing.T) {
 	}
 }
 
+// A wait woken early takes its timer with it, so RunFor's next deadline
+// is a real one: a BlockTimeout(1ms) woken at 0 followed by Sleep(10ms)
+// leaves RunFor(5ms) at 5 ms with the sleeper still asleep, not at the
+// sleep's 10 ms.
+func TestRunForStopsAtDeadlineAfterEarlyWake(t *testing.T) {
+	s := New()
+	var q WaitQueue
+	a := s.Go("a", func(tk *Task) {
+		if !tk.BlockTimeout(&q, time.Millisecond) {
+			t.Error("BlockTimeout timed out, want woken at 0")
+		}
+		tk.Sleep(10 * time.Millisecond)
+	})
+	s.Go("waker", func(tk *Task) { q.WakeOne(s) })
+	if err := s.RunFor(5 * time.Millisecond); err != nil {
+		t.Fatalf("runfor: %v", err)
+	}
+	if s.Now() != 5*time.Millisecond || a.State() != StateSleeping {
+		t.Fatalf("clock %v, a %v; want 5ms with a sleeping", s.Now(), a.State())
+	}
+}
+
 // A zero-duration RunFor is a no-op even with runnable tasks queued:
 // nothing executes, the clock does not move, and no deadlock is
 // reported.

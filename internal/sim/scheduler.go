@@ -238,7 +238,7 @@ func (s *Scheduler) Run() error {
 			if len(s.timers) == 0 {
 				return s.deadlock()
 			}
-			s.fireNextTimer()
+			s.advanceTo(s.timers[0].when)
 			continue
 		}
 		t := s.runq.pop()
@@ -260,11 +260,12 @@ func (s *Scheduler) RunFor(d time.Duration) error {
 			if len(s.timers) == 0 {
 				return s.deadlock()
 			}
-			if s.timers[0].when > deadline {
+			when := s.timers[0].when
+			if when > deadline {
 				s.clock = deadline
 				return nil
 			}
-			s.fireNextTimer()
+			s.advanceTo(when)
 			continue
 		}
 		t := s.runq.pop()
@@ -306,9 +307,9 @@ func (s *Scheduler) blockedNames() []string {
 // missing — which is what the sharded epoch loop needs.
 func (s *Scheduler) hasRunnable() bool { return s.runq.len() > 0 }
 
-// nextTimer returns the earliest pending timer deadline. Stale timers
-// (task killed or woken early) are included, so the returned time is a
-// lower bound on the next real event.
+// nextTimer returns the earliest pending timer deadline: exactly when
+// the next sleeper wakes, since the heap holds one timer per sleeping
+// task and nothing else.
 func (s *Scheduler) nextTimer() (time.Duration, bool) {
 	if len(s.timers) == 0 {
 		return 0, false
@@ -345,8 +346,8 @@ func (s *Scheduler) dispatch(t *Task) {
 		s.settled++
 		t.waitOn(t.whileQ)
 	} else if _, parked := t.next(); !parked {
-		// The task is done. Stale timers can keep the Task reachable;
-		// they must not keep its coroutine and stack with it.
+		// The task is done. Whoever holds its handle (Go's result) keeps
+		// the Task reachable; that must not keep its coroutine and stack.
 		t.next, t.yield = nil, nil
 	}
 	if s.profiler != nil {
@@ -367,55 +368,32 @@ func (s *Scheduler) dispatch(t *Task) {
 	}
 }
 
-// advanceTo moves the clock forward and fires all timers that are due.
+// advanceTo moves the clock forward and fires all timers that are due,
+// in (when, seq) order, so timers sharing an instant wake in arming order.
 func (s *Scheduler) advanceTo(when time.Duration) {
 	if when > s.clock {
 		s.clock = when
 	}
 	for len(s.timers) > 0 && s.timers[0].when <= s.clock {
-		if tm := s.timers.pop(); tm.live() {
-			s.enqueue(tm.task)
-		}
+		s.enqueue(s.timers.pop().task)
 	}
 }
 
-func (s *Scheduler) fireNextTimer() {
-	// Discard stale timers (task killed or woken early) without advancing
-	// the clock: a dead task's deadline must not distort the timeline.
-	for len(s.timers) > 0 && !s.timers[0].live() {
-		s.timers.pop()
-	}
-	if len(s.timers) == 0 {
-		return
-	}
-	tm := s.timers.pop()
-	if tm.when > s.clock {
-		s.clock = tm.when
-	}
-	s.enqueue(tm.task)
-	// Also release any other timers that share this instant so FIFO order
-	// among equal deadlines is preserved by seq ordering in the heap.
-	for len(s.timers) > 0 && s.timers[0].when <= s.clock {
-		if next := s.timers.pop(); next.live() {
-			s.enqueue(next.task)
-		}
-	}
-}
-
+// timer is a sleeping task's wake-up. A task that stops sleeping any
+// other way — woken early from BlockTimeout, or killed — takes its
+// timer out of the heap (Task.disarm), so every timer is live.
 type timer struct {
 	when time.Duration
 	seq  int64
 	task *Task
 }
 
-// live reports whether tm is the timer its task sleeps on: a task killed
-// or woken early leaves a stale one behind, even once it sleeps again.
-func (tm timer) live() bool { return tm.task.state == StateSleeping && tm.task.timerSeq == tm.seq }
-
 // timerHeap is a binary min-heap of timers by (when, seq), held by
 // value: arming a timer writes a slot of the backing array and boxes
 // nothing. seq is unique, so the order is total and any correct heap
-// pops the same sequence.
+// pops the same sequence. Each timer's task records the timer's slot
+// plus one in timerIdx, which every move keeps current, so a timer is
+// removed from the middle in O(log n).
 type timerHeap []timer
 
 func (h timerHeap) less(i, j int) bool {
@@ -425,43 +403,70 @@ func (h timerHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-// push adds tm and sifts it up to its place.
-func (h *timerHeap) push(tm timer) {
-	*h = append(*h, tm)
-	a := *h
-	for i := len(a) - 1; i > 0; {
+// swap exchanges two slots and tells both tasks where their timers went.
+func (h timerHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].task.timerIdx = i + 1
+	h[j].task.timerIdx = j + 1
+}
+
+// up sifts slot i toward the root.
+func (h timerHeap) up(i int) {
+	for i > 0 {
 		parent := (i - 1) / 2
-		if !a.less(i, parent) {
-			break
+		if !h.less(i, parent) {
+			return
 		}
-		a[i], a[parent] = a[parent], a[i]
+		h.swap(i, parent)
 		i = parent
 	}
 }
 
-// pop removes and returns the earliest timer; the heap must not be
-// empty.
-func (h *timerHeap) pop() timer {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = timer{} // do not keep the task reachable from the spare slot
-	a = a[:n]
-	*h = a
-	for i := 0; ; {
+// down sifts slot i toward the leaves and reports whether it moved.
+func (h timerHeap) down(i int) bool {
+	start, n := i, len(h)
+	for {
 		least := i
-		if l := 2*i + 1; l < n && a.less(l, least) {
+		if l := 2*i + 1; l < n && h.less(l, least) {
 			least = l
 		}
-		if r := 2*i + 2; r < n && a.less(r, least) {
+		if r := 2*i + 2; r < n && h.less(r, least) {
 			least = r
 		}
 		if least == i {
-			break
+			return i > start
 		}
-		a[i], a[least] = a[least], a[i]
+		h.swap(i, least)
 		i = least
 	}
-	return top
+}
+
+// push adds tm and sifts it up to its place.
+func (h *timerHeap) push(tm timer) {
+	*h = append(*h, tm)
+	tm.task.timerIdx = len(*h)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest timer; the heap must not be
+// empty.
+func (h *timerHeap) pop() timer { return h.remove(0) }
+
+// remove takes the timer in slot i out of the heap and returns it, its
+// task's timerIdx cleared.
+func (h *timerHeap) remove(i int) timer {
+	a := *h
+	n := len(a) - 1
+	if i != n {
+		a.swap(i, n)
+	}
+	tm := a[n]
+	a[n] = timer{} // do not keep the task reachable from the spare slot
+	a = a[:n]
+	*h = a
+	if i < n && !a.down(i) {
+		a.up(i)
+	}
+	tm.task.timerIdx = 0
+	return tm
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -335,9 +336,69 @@ func TestBlockTimeoutWoken(t *testing.T) {
 	}
 }
 
-// TestStaleTimerDoesNotEndALaterSleep: a BlockTimeout woken early leaves
-// its timer in the heap. That deadline belongs to a wait that is over; it
-// must not end whatever the task sleeps on next.
+// checkTimerHeap checks the heap's invariant: exactly one timer per
+// sleeping task, each task's timerIdx pointing at its own timer, and no
+// timerIdx on a task that is not asleep.
+func checkTimerHeap(s *Scheduler) error {
+	sleeping := 0
+	for _, tk := range s.tasks {
+		i := tk.timerIdx - 1
+		switch {
+		case tk.state != StateSleeping:
+			if tk.timerIdx != 0 {
+				return fmt.Errorf("%s is %v with timerIdx %d", tk.name, tk.state, tk.timerIdx)
+			}
+			continue
+		case i < 0 || i >= len(s.timers) || s.timers[i].task != tk:
+			return fmt.Errorf("sleeping %s has timerIdx %d, not its own timer", tk.name, tk.timerIdx)
+		}
+		sleeping++
+	}
+	if len(s.timers) != sleeping {
+		return fmt.Errorf("heap holds %d timers for %d sleeping tasks", len(s.timers), sleeping)
+	}
+	return nil
+}
+
+// TestEarlyWakeLeavesNoTimer: 1 000 BlockTimeout waiters woken by
+// WakeAll and a killed sleeper take their timers out of the heap, which
+// is left holding the one task still asleep.
+func TestEarlyWakeLeavesNoTimer(t *testing.T) {
+	s := New()
+	var q WaitQueue
+	const waiters = 1000
+	for i := 0; i < waiters; i++ {
+		s.Go("waiter", func(tk *Task) {
+			if !tk.BlockTimeout(&q, time.Second) {
+				t.Error("a waiter timed out")
+			}
+		})
+	}
+	victim := s.Go("victim", func(tk *Task) { tk.Sleep(time.Hour) })
+	s.Go("sleeper", func(tk *Task) { tk.Sleep(time.Hour) })
+	s.Go("waker", func(tk *Task) {
+		if n := q.WakeAll(s); n != waiters {
+			t.Errorf("WakeAll woke %d, want %d", n, waiters)
+		}
+		victim.Kill()
+		if err := checkTimerHeap(s); err != nil {
+			t.Error(err)
+		}
+		if len(s.timers) != 1 {
+			t.Errorf("heap holds %d timers after the wakes, want 1", len(s.timers))
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if s.Now() != time.Hour {
+		t.Fatalf("clock %v, want the sleeper's hour", s.Now())
+	}
+}
+
+// TestStaleTimerDoesNotEndALaterSleep: a BlockTimeout woken early has its
+// timer removed with the wake. That deadline belongs to a wait that is
+// over; it must not end whatever the task sleeps on next.
 func TestStaleTimerDoesNotEndALaterSleep(t *testing.T) {
 	s := New()
 	var q WaitQueue

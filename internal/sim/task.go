@@ -32,7 +32,7 @@ type Task struct {
 	// queue the task is currently blocked on, for removal on Kill.
 	waitingOn *WaitQueue
 	joiners   WaitQueue
-	timerSeq  int64 // the timer the task sleeps on; any other of its timers is stale
+	timerIdx  int // while sleeping, 1 + its timer's slot in s.timers; 0 otherwise
 
 	// labels is the profiling attribution stack (see PushLabel). Always
 	// empty unless a SliceProfiler is attached to the scheduler.
@@ -118,8 +118,15 @@ func (t *Task) Sleep(d time.Duration) {
 func (t *Task) arm(d time.Duration) {
 	t.state = StateSleeping
 	t.s.nextSeq++
-	t.timerSeq = t.s.nextSeq
-	t.s.timers.push(timer{when: t.s.clock + d, seq: t.timerSeq, task: t})
+	t.s.timers.push(timer{when: t.s.clock + d, seq: t.s.nextSeq, task: t})
+}
+
+// disarm takes the task's timer, if it has one, out of the heap: a
+// sleeper woken or killed before its deadline leaves nothing behind.
+func (t *Task) disarm() {
+	if t.timerIdx != 0 {
+		t.s.timers.remove(t.timerIdx - 1)
+	}
 }
 
 // Block parks the task on q until another task wakes it. The caller must
@@ -191,8 +198,8 @@ func (t *Task) Kill() {
 	t.killed = true
 	switch t.state {
 	case StateBlocked, StateSleeping:
-		// A sleeper's timer stays in the heap: it will find the task not
-		// sleeping and do nothing. Schedule the task now.
+		// Schedule the task now; a sleeper's timer goes with it.
+		t.disarm()
 		if t.waitingOn != nil {
 			t.waitingOn.tasks.remove(t)
 			t.waitingOn = nil
@@ -219,12 +226,13 @@ type WaitQueue struct {
 }
 
 // WakeOne makes the oldest parked task runnable. It reports whether a task
-// was woken.
+// was woken. A BlockTimeout waiter's timer is removed with the wake.
 func (q *WaitQueue) WakeOne(s *Scheduler) bool {
 	for q.tasks.len() > 0 {
 		t := q.tasks.pop()
 		if t.state == StateBlocked || t.state == StateSleeping {
 			t.waitingOn = nil
+			t.disarm()
 			s.enqueue(t)
 			return true
 		}
