@@ -54,10 +54,14 @@ lint-exports:
 # One judge for every fault run: a row of the faults, chaos or nvariant
 # experiment declares its outcome and apptest.World.Judge decides it, so
 # reading the controller's timeline or matching text in these files
-# could only be a second verdict check.
+# could only be a second verdict check. And one typed lifecycle record:
+# non-test code tells timeline entries apart by core.Event.Kind, never by
+# matching their note text (printing a note is fine).
 lint-verdicts:
 	@if grep -nE 'Timeline\(\)|strings\.(Contains|HasPrefix)' internal/bench/chaos.go internal/bench/faults.go internal/bench/nvariantreport.go; then \
 		echo "a verdict check outside the judge (apptest.World.Judge)"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' 'strings\.(Contains|HasPrefix|HasSuffix|Index)\([^)]*\.Note\b' internal cmd examples; then \
+		echo "timeline entries classified by note text: read core.Event.Kind"; exit 1; fi
 
 # Non-test and test lines of Go per package directory: the table a
 # simplicity PR quotes before and after. Reads benchmark/, changes

@@ -36,13 +36,12 @@ type World struct {
 	// worlds) tears down at once.
 	settle time.Duration
 
-	// What Judge reads: the never-updated twin and the verdicts (Start),
-	// the clients' steps (Connect), and the state teardown leaves. The
-	// twin runs under the world's runtime template, so its event loop
-	// wakes as the run's did.
+	// What Judge reads: the never-updated twin (Start), the clients'
+	// steps (Connect), and the state teardown leaves. The twin runs under
+	// the world's runtime template, so its event loop wakes as the run's
+	// did.
 	dsu        dsu.Config
 	twin       dsu.App
-	verdicts   []mve.Verdict
 	transcript []Exchange
 	conns      int
 	final      Final
@@ -108,12 +107,9 @@ func (w *World) EnableProfiling() *obs.Profiler {
 
 // Start deploys app as the controller's leader, as C.Start does, for a
 // run that is to be judged: a fork of app taken before it runs is kept as
-// the never-updated twin Judge replays the transcript on, and every
-// verdict the controller acts on is recorded for the Final state, so the
-// caller must not set C.OnVerdict.
+// the never-updated twin Judge replays the transcript on.
 func (w *World) Start(app dsu.App) {
 	w.twin = app.Fork()
-	w.C.OnVerdict = func(v mve.Verdict) { w.verdicts = append(w.verdicts, v) }
 	w.C.Start(app)
 }
 

@@ -37,8 +37,7 @@ type Final struct {
 	Stage    core.Stage
 	Leader   string   // the leading version
 	Variants []string // the live replicas and candidate
-	// Verdicts are every verdict the controller acted on, in order; a
-	// world records them only when Start deployed the server.
+	// Verdicts are every verdict the controller acted on, in order.
 	Verdicts   []mve.Verdict
 	Violations []string // the rule of every tripped threshold, in order
 	Counters   map[string]int64
@@ -50,15 +49,19 @@ func (w *World) snapshot() Final {
 	f := Final{
 		Stage:    w.C.Stage(),
 		Variants: w.C.LiveVariants(),
-		Verdicts: w.verdicts,
 		Counters: w.Rec.Snapshot().Counters,
 		Retries:  w.C.Retries(),
 	}
 	if rt := w.C.LeaderRuntime(); rt != nil {
 		f.Leader = rt.App().Version()
 	}
-	for _, v := range w.C.Violations() {
-		f.Violations = append(f.Violations, v.Rule)
+	for _, ev := range w.C.Timeline() {
+		switch ev.Kind {
+		case core.KindVerdict:
+			f.Verdicts = append(f.Verdicts, ev.Verdict)
+		case core.KindViolation:
+			f.Violations = append(f.Violations, ev.Rule)
+		}
 	}
 	return f
 }

@@ -39,8 +39,8 @@ func TestScenarioRunBindsThePlan(t *testing.T) {
 		if breaches != nil {
 			t.Fatalf("%s: %v", sc.name, breaches)
 		}
-		if plan.Fired() != 1 || len(plan.Log) != 1 {
-			t.Errorf("%s: fired %d, log %v; want the one injection", sc.name, plan.Fired(), plan.Log)
+		if plan.Fired() != 1 {
+			t.Errorf("%s: log %v; want the one injection", sc.name, plan.Log)
 		}
 		if plan.Rec != w.Rec || w.Rec.Counter(obs.CChaosFired) != 1 {
 			t.Errorf("%s: plan.Rec is not the world's recorder (chaos.fired = %d)", sc.name, w.Rec.Counter(obs.CChaosFired))

@@ -52,7 +52,7 @@ func sloOpts() obs.SLOOptions {
 const sloSuccessFloor = 0.999
 
 // SLOVerdictRow is one tripped threshold in the run's verdict stream:
-// a success-rate floor row, or one of the controller's Violations.
+// a success-rate floor row, or a violation on the controller's timeline.
 type SLOVerdictRow struct {
 	AtNS    int64  `json:"at_ns"`
 	Scope   string `json:"scope"`
@@ -169,17 +169,20 @@ func sloFloorRows(l obs.SLOReport, window, end time.Duration) []SLOVerdictRow {
 	return rows
 }
 
-// sloVerdicts merges the floor rows (scope "slo") with the controller's
-// violations (scope "core") into one stream ordered by virtual time
-// (ties broken by scope then subject).
-func sloVerdicts(rows []SLOVerdictRow, violations []core.Violation) []SLOVerdictRow {
-	for _, v := range violations {
+// sloVerdicts merges the floor rows (scope "slo") with the violations
+// on the controller's timeline (scope "core") into one stream ordered by
+// virtual time (ties broken by scope then subject).
+func sloVerdicts(rows []SLOVerdictRow, timeline []core.Event) []SLOVerdictRow {
+	for _, ev := range timeline {
+		if ev.Kind != core.KindViolation {
+			continue
+		}
 		rows = append(rows, SLOVerdictRow{
-			AtNS:    int64(v.At),
+			AtNS:    int64(ev.At),
 			Scope:   "core",
-			Subject: v.Subject,
-			Rule:    v.Rule,
-			Reason:  v.Reason,
+			Subject: ev.Subject,
+			Rule:    ev.Rule,
+			Reason:  ev.Note,
 		})
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
@@ -321,7 +324,7 @@ func RunSLOReport() (SLOBenchReport, error) {
 			row.StallThresholdNS = int64(opts.StallThreshold)
 			row.BudgetP99NS = int64(opts.LatencyBudgetP99)
 			row.Ledger = tr.Report()
-			row.Verdicts = sloVerdicts(sloFloorRows(row.Ledger, opts.Window, w.Rec.Now()), w.C.Violations())
+			row.Verdicts = sloVerdicts(sloFloorRows(row.Ledger, opts.Window, w.Rec.Now()), w.C.Timeline())
 			row.Scopes, row.ScopesMerged = sloScopeRows(w.Rec)
 		})
 		if err != nil {

@@ -4,6 +4,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mvedsua/internal/apps/kvstore"
+	"mvedsua/internal/apptest"
+	"mvedsua/internal/chaos"
+	"mvedsua/internal/core"
+	"mvedsua/internal/sim"
 )
 
 // TestTrainSweepLazyBoundedEagerGrows is the tentpole's acceptance
@@ -91,9 +97,7 @@ func TestTrainRunsOutcomes(t *testing.T) {
 	}
 	flushed := false
 	for _, ev := range rb.Events {
-		if strings.Contains(ev.Note, "update train flushed") {
-			flushed = true
-		}
+		flushed = flushed || ev.Note == "update train flushed after rollback of 2.0.2 (1 queued hop(s) dropped)"
 	}
 	if !flushed {
 		t.Errorf("train-rollback: no flush event in %+v", rb.Events)
@@ -104,5 +108,39 @@ func TestTrainRunsOutcomes(t *testing.T) {
 		!strings.Contains(udu.Outcome, "second_rejected=true") ||
 		!strings.Contains(udu.Outcome, "second_queued_at=1") {
 		t.Errorf("update-during-update outcome = %q", udu.Outcome)
+	}
+}
+
+// TestTrainRowsKeepImplicitCommits: a hop that §3.2's old-version error
+// rule commits — the demoted 2.0.0 crashes in updated-leader — is a
+// commit row like the operator's, right before the next hop's request.
+func TestTrainRowsKeepImplicitCommits(t *testing.T) {
+	crash := &chaos.Injection{Role: "leader", Kind: chaos.KindCrash}
+	w, _, breaches := scenario{
+		cfg:    duo(core.Config{}),
+		faults: []*chaos.Injection{crash},
+		setup: func(w *apptest.World) {
+			crash.When = func() bool { return w.C.Stage() == core.StageUpdatedLeader }
+		},
+		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+			w.C.QueueUpdate(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+			w.C.QueueUpdate(kvstore.Update("2.0.1", "2.0.2", kvstore.UpdateOpts{}))
+			lingered := 0
+			for i := 0; i < 60; i++ {
+				trainStep(w.C, &lingered)
+				incr(tk, c, 1)
+			}
+		},
+	}.run()
+	if breaches != nil {
+		t.Fatal(breaches)
+	}
+	var notes []string
+	for _, ev := range trainEvents(w.C.Timeline()) {
+		notes = append(notes, ev.Note)
+	}
+	got := strings.Join(notes, "\n")
+	if want := "outdated follower crashed; committed\ntrain: requesting 2.0.2 (0 more queued)"; !strings.Contains(got, want) {
+		t.Fatalf("train rows:\n%s\nwant the implicit commit before the next hop:\n%s", got, want)
 	}
 }

@@ -171,14 +171,12 @@ func trainSweepOne(keyspace int, lazy bool) (TrainSweepRow, error) {
 }
 
 // trainEvents filters a controller timeline down to the train-relevant
-// notes (queueing, arming, flushing, commits, rollbacks).
+// entries (queueing, arming, flushing, commits, rollbacks).
 func trainEvents(timeline []core.Event) []TrainEventRow {
 	var out []TrainEventRow
 	for _, ev := range timeline {
-		if strings.Contains(ev.Note, "train") ||
-			strings.Contains(ev.Note, "queued update") ||
-			strings.Contains(ev.Note, "update committed") ||
-			strings.Contains(ev.Note, "rolled back") {
+		switch ev.Kind {
+		case core.KindTrain, core.KindCommit, core.KindRollback:
 			out = append(out, TrainEventRow{AtNS: int64(ev.At), Note: ev.Note})
 		}
 	}

@@ -133,15 +133,7 @@ func NewPlan(injections ...*Injection) *Plan {
 }
 
 // Fired returns how many injections have triggered.
-func (p *Plan) Fired() int {
-	n := 0
-	for _, inj := range p.Injections {
-		if inj.fired {
-			n++
-		}
-	}
-	return n
-}
+func (p *Plan) Fired() int { return len(p.Log) }
 
 // Rand returns a deterministic generator for seed, for building seeded
 // plans (trigger offsets, errno choices, delays).

@@ -71,8 +71,8 @@ func TestErrnoInjectionFiltersRoleOpAndCount(t *testing.T) {
 	if len(inner.calls) != 8 {
 		t.Fatalf("inner saw %d calls, want 8", len(inner.calls))
 	}
-	if plan.Fired() != 1 || len(plan.Log) != 1 {
-		t.Fatalf("Fired = %d, Log = %v", plan.Fired(), plan.Log)
+	if plan.Fired() != 1 {
+		t.Fatalf("Log = %v, want the one injection", plan.Log)
 	}
 	if ms := plan.Rec.Milestones(); len(ms) != 1 || ms[0].Kind != obs.KindFault || ms[0].Actor != "follower" ||
 		!strings.Contains(ms[0].Detail, plan.Log[0]) || !strings.Contains(ms[0].Detail, "EAGAIN") &&

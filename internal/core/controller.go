@@ -83,23 +83,33 @@ func (s Stage) String() string {
 	}
 }
 
-// Event is one entry of the controller's timeline (stage changes,
-// rollbacks, retries, ejects, respawns); the Figure 6 experiment
-// annotates throughput curves with these.
-type Event struct {
-	At    time.Duration
-	Stage Stage
-	Note  string
-}
+// Kind says what a timeline entry records; only the kinds some reader
+// tells apart have one. Stage, train, commit and rollback entries are
+// transitions: each bumps core.transitions and emits a stage milestone.
+type Kind int
 
-// Violation is one tripped threshold, written where it was decided: the
-// canary gate at window close (subject "canary-gate") and the watchdog's
-// no-progress stall (subject the stalled proc, rule "follower-liveness").
-type Violation struct {
+// Kinds.
+const (
+	KindStage     Kind = iota // any other transition: deploy, fork, promotion, retry, abandon, crash, eject, respawn, abort
+	KindTrain                 // a train hop queued or requested, or the train flushed
+	KindCommit                // an update committed, by the operator or a §3.2 error rule
+	KindRollback              // an update rolled back
+	KindViolation             // a tripped threshold, with the reason as Note
+	KindVerdict               // a failure verdict, recorded before the controller acts on it
+)
+
+// Event is one entry of the controller's timeline: the one typed record
+// of a run's lifecycle, in the order the controller decided it. The
+// Figure 6 experiment annotates throughput curves with these. Note is
+// the operator's wording; readers tell entries apart by Kind.
+type Event struct {
 	At      time.Duration
-	Subject string
-	Rule    string
-	Reason  string
+	Stage   Stage
+	Kind    Kind
+	Note    string
+	Subject string      // a violation's: "canary-gate" or the stalled proc
+	Rule    string      // a violation's threshold, e.g. "follower-liveness"
+	Verdict mve.Verdict // a verdict entry's
 }
 
 // Config configures the controller.
@@ -220,9 +230,8 @@ type Controller struct {
 	rearming bool
 	gateGen  int // invalidates stale gate timers
 
-	timeline   []Event
-	violations []Violation // see Violations
-	rec        *obs.Recorder
+	timeline []Event
+	rec      *obs.Recorder
 
 	// Open async spans (span mode only): the current stage's arc on the
 	// "controller" track, and the fork→promote update window.
@@ -231,7 +240,8 @@ type Controller struct {
 	updateSpanID   uint64
 	updateSpanName string
 
-	// OnStage, if non-nil, observes every timeline entry as written.
+	// OnStage, if non-nil, observes every timeline entry as written,
+	// violations and verdicts included.
 	OnStage func(Event)
 	// OnVerdict, if non-nil, observes every verdict after the controller
 	// has acted on it.
@@ -287,16 +297,6 @@ func newController(kernel *vos.Kernel, cfg FleetConfig) *Controller {
 // Monitor exposes the underlying MVE monitor.
 func (c *Controller) Monitor() *mve.Monitor { return c.mon }
 
-// Violations returns every threshold the controller saw tripped, in
-// the order it decided them. It grows only on failures, so it is not
-// capped.
-func (c *Controller) Violations() []Violation { return c.violations }
-
-// violate records one tripped threshold at the current virtual time.
-func (c *Controller) violate(subject, rule, reason string) {
-	c.violations = append(c.violations, Violation{At: c.sched.Now(), Subject: subject, Rule: rule, Reason: reason})
-}
-
 // Stage returns the current lifecycle stage.
 func (c *Controller) Stage() Stage { return c.stage }
 
@@ -315,10 +315,18 @@ func (c *Controller) FollowerRuntime() *dsu.Runtime {
 // Timeline returns the controller's history.
 func (c *Controller) Timeline() []Event { return c.timeline }
 
-func (c *Controller) transition(stage Stage, note string) {
-	c.stage = stage
-	ev := Event{At: c.sched.Now(), Stage: stage, Note: note}
+// record appends ev to the timeline at the current time and stage.
+func (c *Controller) record(ev Event) {
+	ev.At, ev.Stage = c.sched.Now(), c.stage
 	c.timeline = append(c.timeline, ev)
+	if c.OnStage != nil {
+		c.OnStage(ev)
+	}
+}
+
+// transition moves to stage and records the step as a kind entry.
+func (c *Controller) transition(stage Stage, kind Kind, note string) {
+	c.stage = stage
 	c.rec.Inc(obs.CCoreTransitions)
 	c.rec.Emit(obs.KindStage, stage.String(), note)
 	if c.rec.SpansEnabled() {
@@ -330,9 +338,7 @@ func (c *Controller) transition(stage Stage, note string) {
 		c.stageSpanName = "stage:" + stage.String()
 		c.stageSpanID = c.rec.BeginAsync("controller", c.stageSpanName, note)
 	}
-	if c.OnStage != nil {
-		c.OnStage(ev)
-	}
+	c.record(Event{Kind: kind, Note: note})
 }
 
 // beginUpdateSpan opens the fork→promote window arc for version name
@@ -422,7 +428,7 @@ func (c *Controller) Start(app dsu.App) *dsu.Runtime {
 	if k := len(replicas); k > 0 {
 		note += fmt.Sprintf(" with %d variants", k)
 	}
-	c.transition(StageSingleLeader, note)
+	c.transition(StageSingleLeader, KindStage, note)
 	return c.leaderRT
 }
 
@@ -489,7 +495,7 @@ func (c *Controller) QueueUpdate(v *dsu.Version) int {
 		return -1
 	}
 	c.queued = append(c.queued, v)
-	c.transition(c.stage, fmt.Sprintf("queued update %s (train depth %d)", v.Name, len(c.queued)))
+	c.transition(c.stage, KindTrain, fmt.Sprintf("queued update %s (train depth %d)", v.Name, len(c.queued)))
 	return len(c.queued)
 }
 
@@ -505,7 +511,7 @@ func (c *Controller) armNext() {
 	}
 	v := c.queued[0]
 	c.queued = c.queued[1:]
-	c.transition(c.stage, fmt.Sprintf("train: requesting %s (%d more queued)", v.Name, len(c.queued)))
+	c.transition(c.stage, KindTrain, fmt.Sprintf("train: requesting %s (%d more queued)", v.Name, len(c.queued)))
 	c.arm(v)
 }
 
@@ -518,7 +524,7 @@ func (c *Controller) flushTrain(why string) {
 	}
 	n := len(c.queued)
 	c.queued = nil
-	c.transition(c.stage, fmt.Sprintf("update train flushed after %s (%d queued hop(s) dropped)", why, n))
+	c.transition(c.stage, KindTrain, fmt.Sprintf("update train flushed after %s (%d queued hop(s) dropped)", why, n))
 }
 
 // takeUpdate is the leader's DSU consultation hook: fork and abort.
@@ -558,9 +564,9 @@ func (c *Controller) takeUpdate(t *sim.Task, rt *dsu.Runtime, v *dsu.Version) ds
 	fv.rt.StartUpdatedFromAt(forked, v, reqAt)
 	c.candidate = fv
 	if !c.gated {
-		c.transition(StageOutdatedLeader, "forked follower for "+v.Name)
+		c.transition(StageOutdatedLeader, KindStage, "forked follower for "+v.Name)
 	} else {
-		c.transition(StageOutdatedLeader, fmt.Sprintf("canary %s forked; observing for %v", fv.name, c.cfg.Canary.Window))
+		c.transition(StageOutdatedLeader, KindStage, fmt.Sprintf("canary %s forked; observing for %v", fv.name, c.cfg.Canary.Window))
 		c.gateGen++
 		gen := c.gateGen
 		c.sched.Go("canary-gate@"+v.Name, func(t *sim.Task) {
@@ -611,7 +617,7 @@ func (c *Controller) updateOutcome(rec dsu.UpdateRecord) {
 	v := c.pending
 	if v == nil || c.cfg.RetryInterval <= 0 || c.retries >= c.cfg.MaxRetries {
 		c.pending = nil
-		c.transition(c.stage, "update "+rec.Version+" abandoned after timeout")
+		c.transition(c.stage, KindStage, "update "+rec.Version+" abandoned after timeout")
 		c.flushTrain("abandoning " + rec.Version)
 		return
 	}
@@ -647,7 +653,7 @@ func (c *Controller) scheduleRetry(v *dsu.Version, n int, why string) {
 	delay := c.retryDelay(n)
 	c.rec.Inc(obs.CCoreRetries)
 	c.rec.Emitf(obs.KindRetry, v.Name, "%s; retry %d scheduled with %v backoff", why, n, delay)
-	c.transition(c.stage, fmt.Sprintf("%s; retry %d of %s in %v", why, n, v.Name, delay))
+	c.transition(c.stage, KindStage, fmt.Sprintf("%s; retry %d of %s in %v", why, n, v.Name, delay))
 	c.sched.Go(fmt.Sprintf("retry%d@%s", n, v.Name), func(t *sim.Task) {
 		t.Sleep(delay)
 		if c.closed || c.stage != StageSingleLeader {
@@ -681,7 +687,7 @@ func (c *Controller) Promote() bool {
 	}) {
 		return false
 	}
-	c.transition(StagePromoting, "promotion requested")
+	c.transition(StagePromoting, KindStage, "promotion requested")
 	return true
 }
 
@@ -703,7 +709,7 @@ func (c *Controller) handlePromoted(newLeader *mve.Proc) {
 	if old := c.mon.Candidate(); old != nil {
 		c.candidate = &variant{name: old.Name(), proc: old, rt: retired}
 		c.live[old.Name()] = c.candidate
-		c.transition(StageUpdatedLeader, newLeader.Name()+" now leads")
+		c.transition(StageUpdatedLeader, KindStage, newLeader.Name()+" now leads")
 		// If the demoted process is already dead (promotion after an
 		// old-version crash), there is nothing left to validate against:
 		// commit immediately so the buffer does not fill up unconsumed.
@@ -747,7 +753,7 @@ func (c *Controller) commit(note string) {
 	c.rec.Inc(obs.CCoreCommits)
 	// The promoted runtime now leads: future updates must fork again.
 	c.leaderRT.SetUpdateHooks(c.takeUpdate, c.updateOutcome, false)
-	c.transition(StageSingleLeader, note)
+	c.transition(StageSingleLeader, KindCommit, note)
 	c.armNext()
 }
 
@@ -766,7 +772,7 @@ func (c *Controller) Rollback(reason string) bool {
 	c.gateGen++ // cancel any open window
 	c.rec.Inc(obs.CCoreRollbacks)
 	c.endUpdateSpan()
-	c.transition(StageSingleLeader, "rolled back: "+reason)
+	c.transition(StageSingleLeader, KindRollback, "rolled back: "+reason)
 	c.flushTrain("rollback of " + v.Name)
 	if c.cfg.RetryOnRollback && c.retries < c.cfg.MaxRetries {
 		c.retries++
@@ -815,8 +821,8 @@ func (c *Controller) requeueSuperseded() {
 // recorded as one; a buffer-full stall trips no threshold.
 func (c *Controller) handleStall(st mve.Stall) {
 	if st.Reason == "no-progress" {
-		c.violate(st.Proc, "follower-liveness",
-			fmt.Sprintf("no progress for %v (deadline %v)", st.Stalled, c.cfg.WatchdogDeadline))
+		c.record(Event{Kind: KindViolation, Subject: st.Proc, Rule: "follower-liveness",
+			Note: fmt.Sprintf("no progress for %v (deadline %v)", st.Stalled, c.cfg.WatchdogDeadline)})
 	}
 	if p := c.mon.VariantByName(st.Proc); p != nil && !p.Failed() {
 		c.applyVerdict(c.mon.FailVariant(p, "stall"),
@@ -841,7 +847,7 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 				fmt.Sprintf("follower crashed: %v", info.Value), "outdated follower crashed; committed")
 		}
 	case c.gated:
-		c.transition(c.stage, fmt.Sprintf("leader crashed (%v); fleet leader failover not implemented", info.Value))
+		c.transition(c.stage, KindStage, fmt.Sprintf("leader crashed (%v); fleet leader failover not implemented", info.Value))
 	case c.stage == StageOutdatedLeader:
 		// The old version crashed while leading — likely an old-version
 		// bug fixed by the update: promote the new version (§3.2
@@ -881,7 +887,7 @@ func (c *Controller) promoteOnCrash(task, note string) {
 			c.Commit()
 		}
 	})
-	c.transition(StagePromoting, note)
+	c.transition(StagePromoting, KindStage, note)
 }
 
 // reap kills rt and waits until it is really empty: killed tasks unwind

@@ -182,6 +182,40 @@ func (h *harness) run(t *testing.T) {
 
 func (h *harness) clientDone() bool { return h.done }
 
+// entries returns c's timeline entries of kind k.
+func entries(c *Controller, k Kind) []Event {
+	var out []Event
+	for _, ev := range c.Timeline() {
+		if ev.Kind == k {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// decision returns the n timeline entries that start at the first entry
+// of kind first, which must all share its instant.
+func decision(t *testing.T, c *Controller, first Kind, n int) []Event {
+	t.Helper()
+	tl := c.Timeline()
+	for i, ev := range tl {
+		if ev.Kind != first {
+			continue
+		}
+		if i+n > len(tl) {
+			t.Fatalf("%d entries from %+v, want %d", len(tl)-i, ev, n)
+		}
+		for _, e := range tl[i : i+n] {
+			if e.At != ev.At {
+				t.Fatalf("decision spans two instants: %+v", tl[i:i+n])
+			}
+		}
+		return tl[i : i+n]
+	}
+	t.Fatalf("no entry of kind %d: %+v", first, tl)
+	return nil
+}
+
 func TestFullUpdateLifecycle(t *testing.T) {
 	h := newHarness(Config{})
 	h.c.Start(&srv{version: "v1"})
@@ -257,13 +291,7 @@ func TestSemanticDivergenceRollsBack(t *testing.T) {
 	if h.c.LeaderRuntime().App().Version() != "v1" {
 		t.Fatalf("leader version = %s", h.c.LeaderRuntime().App().Version())
 	}
-	found := false
-	for _, ev := range h.c.Timeline() {
-		if strings.Contains(ev.Note, "rolled back") {
-			found = true
-		}
-	}
-	if !found {
+	if len(entries(h.c, KindRollback)) == 0 {
 		t.Fatalf("timeline has no rollback: %+v", h.c.Timeline())
 	}
 }
@@ -278,17 +306,11 @@ func TestStateXformErrorRollsBack(t *testing.T) {
 		2: func(tk *sim.Task) { h.c.Update(v2) },
 	})
 	h.run(t)
-	found := false
-	for _, ev := range h.c.Timeline() {
-		if strings.Contains(ev.Note, "crashed") {
-			t.Fatalf("xform error surfaced as a crash instead of a failed-update rollback: %q", ev.Note)
-		}
-		if strings.Contains(ev.Note, "rolled back: state transformation to v2 failed") &&
-			strings.Contains(ev.Note, "freed memory still in use") {
-			found = true
-		}
+	if vs := entries(h.c, KindVerdict); len(vs) != 0 {
+		t.Fatalf("xform error surfaced as a verdict instead of a failed-update rollback: %+v", vs)
 	}
-	if !found {
+	if rb := entries(h.c, KindRollback); len(rb) != 1 || !strings.Contains(rb[0].Note, "freed memory still in use") ||
+		!strings.HasPrefix(rb[0].Note, "rolled back: state transformation to v2 failed") {
 		t.Fatalf("no graceful rollback in timeline: %v", h.c.Timeline())
 	}
 	want := []string{"1", "2", "3", "4", "5", "6"}
@@ -421,13 +443,7 @@ func TestRollbackMidTrainFlushesQueuedHops(t *testing.T) {
 	if h.c.QueuedUpdates() != 0 {
 		t.Fatalf("QueuedUpdates = %d after rollback, want 0 (flushed)", h.c.QueuedUpdates())
 	}
-	flushed := false
-	for _, ev := range h.c.Timeline() {
-		if strings.Contains(ev.Note, "update train flushed") {
-			flushed = true
-		}
-	}
-	if !flushed {
+	if tr := entries(h.c, KindTrain); tr[len(tr)-1].Note != "update train flushed after rollback of v2 (1 queued hop(s) dropped)" {
 		t.Fatalf("timeline has no train flush: %+v", h.c.Timeline())
 	}
 }
@@ -922,19 +938,21 @@ func TestChaosStallRollsBackViaWatchdog(t *testing.T) {
 	if h.c.Monitor().Stats.Stalls != 1 {
 		t.Fatalf("Stalls = %d", h.c.Monitor().Stats.Stalls)
 	}
-	found := false
-	for _, ev := range h.c.Timeline() {
-		if strings.Contains(ev.Note, "rolled back: stall: ") && strings.Contains(ev.Note, "no progress") {
-			found = true
-		}
+	// The watchdog's decision, in order at one instant: the tripped
+	// deadline, the stall verdict, the rollback it causes.
+	if vs := entries(h.c, KindViolation); len(vs) != 1 {
+		t.Fatalf("violations = %+v, want one", vs)
 	}
-	if !found {
-		t.Fatalf("timeline missing stall rollback: %+v", h.c.Timeline())
+	d := decision(t, h.c, KindViolation, 3)
+	if d[0].Rule != "follower-liveness" ||
+		!strings.HasPrefix(d[0].Note, "no progress for ") || !strings.HasSuffix(d[0].Note, "(deadline 40ms)") {
+		t.Fatalf("violation = %+v, want follower-liveness", d[0])
 	}
-	vs := h.c.Violations()
-	if len(vs) != 1 || vs[0].Rule != "follower-liveness" ||
-		!strings.HasPrefix(vs[0].Reason, "no progress for ") || !strings.HasSuffix(vs[0].Reason, "(deadline 40ms)") {
-		t.Fatalf("violations = %+v, want one core follower-liveness", vs)
+	if d[1].Kind != KindVerdict || d[1].Verdict.Cause != "stall" || d[1].Verdict.Action != mve.VerdictRollbackCandidate {
+		t.Fatalf("after the violation %+v, want the stall verdict", d[1])
+	}
+	if d[2].Kind != KindRollback || !strings.HasPrefix(d[2].Note, "rolled back: stall: ") || !strings.Contains(d[2].Note, "no progress") {
+		t.Fatalf("after the verdict %+v, want the stall rollback", d[2])
 	}
 }
 
@@ -965,16 +983,11 @@ func TestChaosStallWithDiscardPolicy(t *testing.T) {
 	if h.c.Monitor().Buffer().ProducerBlocked != 0 {
 		t.Fatalf("ProducerBlocked = %d, want 0 under FullDiscard", h.c.Monitor().Buffer().ProducerBlocked)
 	}
-	found := false
-	for _, ev := range h.c.Timeline() {
-		if strings.Contains(ev.Note, "rolled back: stall: ") && strings.Contains(ev.Note, "ring buffer full") {
-			found = true
-		}
-	}
-	if !found {
+	if rb := entries(h.c, KindRollback); len(rb) != 1 ||
+		!strings.HasPrefix(rb[0].Note, "rolled back: stall: ") || !strings.Contains(rb[0].Note, "ring buffer full") {
 		t.Fatalf("timeline missing buffer-full rollback: %+v", h.c.Timeline())
 	}
-	if vs := h.c.Violations(); len(vs) != 0 {
+	if vs := entries(h.c, KindViolation); len(vs) != 0 {
 		t.Fatalf("violations = %+v; a buffer-full stall trips no threshold", vs)
 	}
 }

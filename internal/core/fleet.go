@@ -123,7 +123,7 @@ func (c *Controller) evaluateGate(gen int) {
 		c.Rollback("gate failed: " + reason)
 		return
 	}
-	c.transition(StagePromoting, fmt.Sprintf("gate passed (%d/%d divergences, lag %d); promoting at next barrier",
+	c.transition(StagePromoting, KindStage, fmt.Sprintf("gate passed (%d/%d divergences, lag %d); promoting at next barrier",
 		divs, c.cfg.Canary.MaxDivergences, lag))
 	c.atBarrier("promote@"+c.candidate.name, func(t *sim.Task) {
 		if c.stage != StagePromoting {
@@ -155,7 +155,7 @@ func (c *Controller) gateFailure(divs, lag int) string {
 	g := c.cfg.Canary
 	var first string
 	trip := func(rule, reason string) {
-		c.violate("canary-gate", rule, reason)
+		c.record(Event{Kind: KindViolation, Subject: "canary-gate", Rule: rule, Note: reason})
 		if first == "" {
 			first = reason
 		}
@@ -174,10 +174,12 @@ func (c *Controller) gateFailure(divs, lag int) string {
 // the controller asks it for. What a failed candidate means depends on
 // the stage (§3.2's pair of error rules): a failing updated version is
 // dropped; a failing outdated one leaves the update nothing to validate
-// against, so it commits. The two notes word those outcomes on the
-// operator's timeline.
+// against, so it commits. The verdict is recorded before its
+// consequence, and the two notes word those outcomes on the operator's
+// timeline.
 func (c *Controller) applyVerdict(v mve.Verdict, rollbackNote, commitNote string) {
 	c.rec.Emit(obs.KindVerdict, v.Proc, v.String())
+	c.record(Event{Kind: KindVerdict, Note: v.String(), Verdict: v})
 	switch v.Action {
 	case mve.VerdictEject:
 		c.ejectAndQueue(v)
@@ -207,7 +209,7 @@ func (c *Controller) ejectAndQueue(v mve.Verdict) {
 		return
 	}
 	c.rec.Inc(obs.CFleetEjects)
-	c.transition(c.stage, fmt.Sprintf("variant %s ejected (%s); respawn queued", fv.name, v.Cause))
+	c.transition(c.stage, KindStage, fmt.Sprintf("variant %s ejected (%s); respawn queued", fv.name, v.Cause))
 	c.sched.Go("eject:"+fv.name, func(t *sim.Task) {
 		if c.live[fv.name] != fv {
 			return // an abort, promotion or Shutdown already swept it up
@@ -235,7 +237,7 @@ func (c *Controller) abortFleet(v mve.Verdict) {
 	c.gateGen++
 	c.rec.Inc(obs.CFleetAborts)
 	c.endUpdateSpan()
-	c.transition(StageAborted, "fleet aborted: "+v.String())
+	c.transition(StageAborted, KindStage, "fleet aborted: "+v.String())
 	c.flushTrain("fleet abort")
 }
 
@@ -265,6 +267,6 @@ func (c *Controller) respawnQueued() {
 		fv.rt = c.newRuntime("variant", fv.proc, c.leaderRT.App().Fork(), false)
 		fv.rt.StartForked(fv.rt.App())
 		c.rec.Inc(obs.CFleetRespawns)
-		c.transition(c.stage, "respawned variant "+fv.name)
+		c.transition(c.stage, KindStage, "respawned variant "+fv.name)
 	}
 }

@@ -374,7 +374,7 @@ func TestCanaryFailsAfterPromotionBarrierLeaderResumes(t *testing.T) {
 	h.fc.Start(&srv{version: "v1"})
 	var atRollback []string
 	h.fc.OnStage = func(ev Event) {
-		if strings.HasPrefix(ev.Note, "rolled back: ") {
+		if ev.Kind == KindRollback {
 			atRollback = append(atRollback, fmt.Sprintf("%v after %v: leader %v",
 				ev.Note, h.fc.Timeline()[len(h.fc.Timeline())-2].Stage, h.fc.Monitor().Leader().Role()))
 		}
@@ -466,7 +466,7 @@ func gateHarness(gate CanaryGate, p99 time.Duration, spans bool) *fleetHarness {
 func gateRules(t *testing.T, c *Controller) []string {
 	t.Helper()
 	var rules []string
-	for _, v := range c.Violations() {
+	for _, v := range entries(c, KindViolation) {
 		if v.Subject != "canary-gate" {
 			t.Fatalf("violation %+v: want fleet/canary-gate", v)
 		}
@@ -522,6 +522,41 @@ func TestCanaryGateRulesConditional(t *testing.T) {
 	}
 }
 
+// TestGateDecisionOrder: a window close that trips both bounds records
+// both violations, in the gate's order, then the rollback with the first
+// one's reason, at one instant. mve storms a canary the moment it passes
+// its budget, so no real window closes over it; the test lowers the
+// gate's budget after the canary absorbed its one divergence and then
+// stalled, which reaches that close.
+func TestGateDecisionOrder(t *testing.T) {
+	cfg := fleetCfg("r1")
+	cfg.Canary = CanaryGate{Window: 50 * time.Millisecond, MaxDivergences: 1, MaxLag: 1}
+	plan := chaos.NewPlan(&chaos.Injection{
+		Proc: "canary#1@v2", Op: sysabi.OpWrite, AfterCalls: 2, Kind: chaos.KindStall,
+	})
+	cfg.WrapDispatcher = plan.Wrap
+	h := newFleetHarness(cfg)
+	h.fc.Start(&srv{version: "v1"})
+	// The canary's first reply is garbage; its second write stalls.
+	v2 := upgrade(nil, func(n *srv) { n.misformatAfter = n.count })
+	h.client(10, map[int]func(*sim.Task){
+		2: func(tk *sim.Task) { h.fc.Update(v2) },
+		4: func(tk *sim.Task) { h.fc.cfg.Canary.MaxDivergences = 0 },
+	})
+	h.run(t)
+	if plan.Fired() != 1 {
+		t.Fatalf("chaos fired %d times", plan.Fired())
+	}
+	d := decision(t, h.fc, KindViolation, 3)
+	if d[0].Rule != "divergence-budget" || d[0].Note != "1 divergences exceed budget 0" ||
+		d[1].Kind != KindViolation || d[1].Rule != "ring-lag" {
+		t.Fatalf("violations = %+v, want divergence-budget then ring-lag", d[:2])
+	}
+	if d[2].Kind != KindRollback || d[2].Note != "rolled back: gate failed: "+d[0].Note {
+		t.Fatalf("after the violations %+v, want the gate's rollback", d[2])
+	}
+}
+
 // TestFollowerLivenessRule: a fleet arms the same watchdog as a duo, so
 // a replica that stops consuming trips follower-liveness — recorded as a
 // fleet violation — and is ejected and respawned.
@@ -540,13 +575,13 @@ func TestFollowerLivenessRule(t *testing.T) {
 	if plan.Fired() != 1 {
 		t.Fatalf("chaos fired %d times", plan.Fired())
 	}
-	vs := h.fc.Violations()
+	vs := entries(h.fc, KindViolation)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %+v, want one", vs)
 	}
 	v := vs[0]
 	if v.Subject != "r2#1@v1" || v.Rule != "follower-liveness" ||
-		!strings.HasPrefix(v.Reason, "no progress for ") || !strings.HasSuffix(v.Reason, "(deadline 40ms)") {
+		!strings.HasPrefix(v.Note, "no progress for ") || !strings.HasSuffix(v.Note, "(deadline 40ms)") {
 		t.Fatalf("violation = %+v", v)
 	}
 	if !h.timelineHas("r2#1@v1 ejected (stall)") || !h.timelineHas("respawned variant r2#2@v1") {

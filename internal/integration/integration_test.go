@@ -165,6 +165,25 @@ func TestRollbackDuringPromoting(t *testing.T) {
 	})
 }
 
+// TestVerdictsSurviveACallersHook: a caller that observes verdicts
+// through C.OnVerdict after Start takes nothing from the Final state the
+// judge reads: the diverging update's verdict is in both.
+func TestVerdictsSurviveACallersHook(t *testing.T) {
+	w := apptest.NewWorld(core.Config{})
+	want := apptest.Outcome{Leader: "2.0.0", Counters: map[string]int64{obs.CCoreRollbacks: 1},
+		Verdicts: []apptest.Verdict{{Cause: "divergence", Action: mve.VerdictRollbackCandidate}}}
+	var hooked []mve.Verdict
+	judge(t, w, want, func(tk *sim.Task, c *apptest.Client) {
+		w.C.OnVerdict = func(v mve.Verdict) { hooked = append(hooked, v) }
+		c.Do(tk, "SET precious data")
+		w.C.Update(update(kvstore.UpdateOpts{ForgetTable: true}))
+		traffic(tk, c, "GET precious", 3)
+	})
+	if !reflect.DeepEqual(hooked, w.Final().Verdicts) {
+		t.Errorf("the caller's hook saw %v, the Final state holds %v", hooked, w.Final().Verdicts)
+	}
+}
+
 // TestForgottenTableEscapesMVE documents a bug MVE cannot catch, like
 // tkv's TestUninitializedTypeBugEscapesMVE: 2.0.1's transformation loses
 // the store, and the promotion completes before any request reads it.
