@@ -66,13 +66,12 @@ func NewFleetWorld(cfg core.FleetConfig) *World {
 	return &World{S: s, K: k, C: core.NewFleet(k, cfg), Rec: cfg.Recorder, settle: 100 * time.Millisecond, dsu: cfg.DSU}
 }
 
-// wireRecorder returns rec — or, when nil, a fresh flight recorder on
-// s's clock — reporting s's trace drops.
+// wireRecorder returns rec or, when nil, a fresh flight recorder on s's
+// clock.
 func wireRecorder(s *sim.Scheduler, rec *obs.Recorder) *obs.Recorder {
 	if rec == nil {
 		rec = obs.New(s.Now, obs.Options{})
 	}
-	rec.SetTraceDropSource(s)
 	return rec
 }
 

@@ -217,14 +217,11 @@ func chaosCell(cs ChaosScenario, setup func(*apptest.World)) scenario {
 	// A rolled-back update leaves the old version leading alone, after the
 	// candidate's verdict if one was rendered; an absorbed fault leaves
 	// the duo validating.
-	rollback := func(verdicts ...string) *apptest.Outcome {
-		want := &apptest.Outcome{Leader: app.oldVersion, Counters: map[string]int64{obs.CCoreRollbacks: 1}}
-		for _, cause := range verdicts {
-			want.Verdicts = append(want.Verdicts, apptest.Verdict{Cause: cause, Action: mve.VerdictRollbackCandidate})
-		}
-		return want
+	rollback := func(verdicts ...string) apptest.Outcome {
+		return apptest.Outcome{Leader: app.oldVersion, Verdicts: candidateRollbacks(verdicts...),
+			Counters: map[string]int64{obs.CCoreRollbacks: 1}}
 	}
-	absorbed := &apptest.Outcome{Stage: core.StageOutdatedLeader, Leader: app.oldVersion, Fleet: 1}
+	absorbed := apptest.Outcome{Stage: core.StageOutdatedLeader, Leader: app.oldVersion, Fleet: 1}
 	sc := scenario{name: cs.Name(), app: app.makeApp(), port: app.port}
 	switch cs.Kind {
 	case "follower-errno":
@@ -264,7 +261,7 @@ func chaosCell(cs ChaosScenario, setup func(*apptest.World)) scenario {
 			Role: "leader", Op: sysabi.OpWrite, AfterCalls: 1 + rng.Intn(5),
 			When: duringUpdate, Kind: chaos.KindCrash,
 		}}
-		sc.want = &apptest.Outcome{Leader: app.newVersion, Counters: map[string]int64{obs.CCoreCommits: 1}}
+		sc.want = apptest.Outcome{Leader: app.newVersion, Counters: map[string]int64{obs.CCoreCommits: 1}}
 		sc.label = "old leader crashed; follower promoted"
 	case "leader-delay":
 		sc.faults = []*chaos.Injection{{

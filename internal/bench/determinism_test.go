@@ -1,25 +1,69 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"mvedsua/internal/sim"
 )
 
+// dispatched is one dispatch as OnSlice reports it: when the task's
+// slice started, and the task.
+type dispatched struct {
+	at   time.Duration
+	task string
+}
+
+func (d dispatched) String() string { return fmt.Sprintf("%v:%s", d.at, d.task) }
+
+// schedule is every dispatch a scheduler made, in order, uncapped.
+type schedule []dispatched
+
+// recordSchedule appends each dispatch s makes from now on to the
+// returned schedule, after calling the OnSlice hook already installed,
+// if any, which keeps working.
+func recordSchedule(s *sim.Scheduler) *schedule {
+	sched := new(schedule)
+	prev := s.OnSlice
+	s.OnSlice = func(task string, start, end time.Duration) {
+		if prev != nil {
+			prev(task, start, end)
+		}
+		*sched = append(*sched, dispatched{start, task})
+	}
+	return sched
+}
+
+// sameSchedule fails t at the first dispatch where a and b differ,
+// logging the dispatches around it.
+func sameSchedule(t *testing.T, aName string, a schedule, bName string, b schedule) {
+	t.Helper()
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] == b[i] {
+			continue
+		}
+		for j := max(0, i-6); j <= i+6 && j < len(a) && j < len(b); j++ {
+			t.Logf("%7d  %-30v  %-30v", j, a[j], b[j])
+		}
+		t.Fatalf("first divergence at dispatch %d: %s %v vs %s %v", i, aName, a[i], bName, b[i])
+	}
+	if len(a) != len(b) {
+		t.Fatalf("schedule lengths differ: %s %d vs %s %d", aName, len(a), bName, len(b))
+	}
+}
+
 // TestMemcachedDuoSchedulingDeterministic runs the most
 // interleaving-sensitive configuration in the suite — Memcached (four
-// worker threads) under Varan-2 — twice and requires byte-identical
-// scheduling traces. This pins the wakeAllTIDs ordering fix: group
-// retirement used to wake validator threads in Go's randomized map
-// order, which let duo-mode benchmark results jitter run to run.
+// worker threads) under Varan-2 — twice and requires identical
+// schedules: every dispatch, its start and its task. This pins the
+// wakeAllTIDs ordering fix: group retirement used to wake validator
+// threads in Go's randomized map order, which let duo-mode benchmark
+// results jitter run to run.
 func TestMemcachedDuoSchedulingDeterministic(t *testing.T) {
-	run := func() []string {
+	run := func() schedule {
 		s := sim.New()
-		// This run produces ~308k dispatches; raise the trace cap so the
-		// full interleaving stays pinned, not just the newest window.
-		s.SetTraceCapacity(1 << 19)
-		s.SetTracing(true)
+		sched := recordSchedule(s)
 		err := measure(s, MemcachedTarget(), ModeVaran2, 0, nil, NewMetrics(0), func(_ *world, tk *sim.Task) error {
 			tk.Sleep(250 * time.Millisecond)
 			return nil
@@ -27,26 +71,12 @@ func TestMemcachedDuoSchedulingDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Trace()
+		return *sched
 	}
 	a := run()
 	b := run()
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			lo := i - 6
-			if lo < 0 {
-				lo = 0
-			}
-			for j := lo; j <= i+6 && j < len(a); j++ {
-				t.Logf("%7d  %-30s  %-30s", j, a[j], b[j])
-			}
-			t.Fatalf("first divergence at trace index %d: %q vs %q", i, a[i], b[i])
-		}
-	}
-	t.Logf("traces identical for %d entries", len(a))
+	sameSchedule(t, "first run", a, "second run", b)
+	t.Logf("schedules identical for %d dispatches", len(a))
 }
 
 // TestMemcachedDuoSettledShare pins the census behind ROADMAP item 7:

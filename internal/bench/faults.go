@@ -114,10 +114,10 @@ func runFault(sc scenario, setup func(*apptest.World)) (FaultResult, *apptest.Wo
 
 // rolledBack is the outcome of an update its candidate's crash rolled
 // back: version leads alone again.
-func rolledBack(version string) *apptest.Outcome {
-	return &apptest.Outcome{
+func rolledBack(version string) apptest.Outcome {
+	return apptest.Outcome{
 		Leader:   version,
-		Verdicts: []apptest.Verdict{{Cause: "crash", Action: mve.VerdictRollbackCandidate}},
+		Verdicts: candidateRollbacks("crash"),
 		Counters: map[string]int64{obs.CCoreRollbacks: 1},
 	}
 }
@@ -200,7 +200,7 @@ func faultTiming() scenario {
 		RetryMaxInterval: 500 * time.Millisecond,
 	}, nil) // no OnAbort: the injected timing error
 	sc.name = "timing error"
-	sc.want = &apptest.Outcome{
+	sc.want = apptest.Outcome{
 		Stage: core.StageOutdatedLeader, Leader: "1.2.2", Fleet: 1,
 		Verdicts: []apptest.Verdict{{Cause: "divergence", Action: mve.VerdictRollbackCandidate}},
 		Counters: map[string]int64{obs.CCoreRollbacks: 1},

@@ -110,8 +110,8 @@ func nvariantScenarios() []scenario {
 			obs.CCoreRollbacks: rollbacks, obs.CCanaryPromotions: promotions}
 	}
 	// steady: 2.0.0 still leads a full fleet.
-	steady := func(counters map[string]int64, verdicts ...apptest.Verdict) *apptest.Outcome {
-		return &apptest.Outcome{Leader: "2.0.0", Fleet: 3, Verdicts: verdicts, Counters: counters}
+	steady := func(counters map[string]int64, verdicts ...apptest.Verdict) apptest.Outcome {
+		return apptest.Outcome{Leader: "2.0.0", Fleet: 3, Verdicts: verdicts, Counters: counters}
 	}
 	verdict := func(cause string, action mve.VerdictAction) apptest.Verdict {
 		return apptest.Verdict{Cause: cause, Action: action}
@@ -153,7 +153,7 @@ func nvariantScenarios() []scenario {
 				{Proc: "r1#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
 				{Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 5, Kind: chaos.KindErrno, Errno: sysabi.EPIPE},
 			},
-			want: &apptest.Outcome{Stage: core.StageAborted, Leader: "2.0.0", Counters: fleet(1, 0, 0, 0),
+			want: apptest.Outcome{Stage: core.StageAborted, Leader: "2.0.0", Counters: fleet(1, 0, 0, 0),
 				Verdicts: []apptest.Verdict{eject("divergence"), verdict("divergence", mve.VerdictAbort)}},
 		},
 		{
@@ -168,7 +168,7 @@ func nvariantScenarios() []scenario {
 			// window, the gate passes, the fleet promotes and respawns at
 			// full strength from the new leader.
 			name: "canary-clean-promote", drive: session(40, update(kvstore.UpdateOpts{})),
-			want: &apptest.Outcome{Leader: "2.0.1", Fleet: 3, Counters: fleet(0, 3, 0, 1)},
+			want: apptest.Outcome{Leader: "2.0.1", Fleet: 3, Counters: fleet(0, 3, 0, 1)},
 		},
 		{
 			// Canary-phase chaos: the canary itself crashes mid-window.
@@ -199,7 +199,7 @@ func nvariantScenarios() []scenario {
 			faults: []*chaos.Injection{{
 				Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 10, Kind: chaos.KindCrash,
 			}},
-			want: &apptest.Outcome{Leader: "2.0.1", Fleet: 3, Counters: fleet(1, 4, 0, 1),
+			want: apptest.Outcome{Leader: "2.0.1", Fleet: 3, Counters: fleet(1, 4, 0, 1),
 				Verdicts: []apptest.Verdict{eject("crash")}},
 		},
 		{
@@ -213,7 +213,7 @@ func nvariantScenarios() []scenario {
 				c.QueueUpdate(kvstore.Update("2.0.1", "2.0.2", kvstore.UpdateOpts{ForgetTable: true}))
 				c.QueueUpdate(kvstore.Update("2.0.2", "2.0.3", kvstore.UpdateOpts{}))
 			}),
-			want: &apptest.Outcome{Leader: "2.0.1", Fleet: 3, Counters: fleet(0, 3, 1, 1),
+			want: apptest.Outcome{Leader: "2.0.1", Fleet: 3, Counters: fleet(0, 3, 1, 1),
 				Verdicts: []apptest.Verdict{rollback("divergence")}},
 		},
 		{
@@ -275,7 +275,7 @@ func runNVariantOverhead(k, requests int) (NVariantOverheadRow, error) {
 				c.Do(tk, "INCR nv")
 			}
 		},
-		want: &apptest.Outcome{Leader: "2.0.0", Fleet: k},
+		want: apptest.Outcome{Leader: "2.0.0", Fleet: k},
 	}.run()
 	if err := failed(breaches); err != nil {
 		return NVariantOverheadRow{}, err

@@ -89,6 +89,7 @@ func metricsScenarios() []scenario {
 		{
 			// The Figure 6 story: update, validate, promote, commit.
 			name: "lifecycle",
+			want: apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 				lifecycle(w.C, func(n int) { incr(tk, c, n) })
 			},
@@ -97,6 +98,8 @@ func metricsScenarios() []scenario {
 			// §6.2's timing-error shape: a silent follower hang caught by
 			// the liveness watchdog, rolled back, and retried to success.
 			name: "stall-watchdog-retry",
+			want: apptest.Outcome{Leader: "2.0.1", Verdicts: candidateRollbacks("stall"),
+				Violations: []string{"follower-liveness"}, Retries: 1, Counters: tally(1, 1)},
 			cfg: duo(core.Config{
 				WatchdogDeadline: 50 * time.Millisecond,
 				RetryOnRollback:  true,
@@ -119,6 +122,7 @@ func metricsScenarios() []scenario {
 			// An injected syscall error desynchronizes the follower; the
 			// monitor reports the divergence and the controller rolls back.
 			name: "divergence-rollback",
+			want: apptest.Outcome{Leader: "2.0.0", Verdicts: candidateRollbacks("divergence"), Counters: tally(0, 1)},
 			faults: []*chaos.Injection{{
 				Role: "follower", Op: sysabi.OpWrite, AfterCalls: 2,
 				Kind: chaos.KindErrno, Errno: sysabi.EPIPE,
@@ -133,6 +137,7 @@ func metricsScenarios() []scenario {
 			// policy: the leader parks on the full ring (Figure 7's pause)
 			// and the block-wait histogram records how long.
 			name: "backpressure-block",
+			want: apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
 			cfg:  duo(core.Config{BufferEntries: 8}),
 			faults: []*chaos.Injection{{
 				Role: "follower", AfterCalls: 2,
@@ -152,6 +157,7 @@ func metricsScenarios() []scenario {
 			// blocks, drops events past the lagging follower, and the
 			// buffer-full stall sacrifices the follower instead.
 			name: "discard-follower",
+			want: apptest.Outcome{Leader: "2.0.0", Verdicts: candidateRollbacks("stall"), Counters: tally(0, 1)},
 			cfg: duo(core.Config{
 				BufferEntries:    8,
 				BufferFullPolicy: mve.FullDiscard,

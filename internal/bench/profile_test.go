@@ -78,9 +78,9 @@ func TestProfileSweepDeterministic(t *testing.T) {
 // contract behind every golden artifact: enabling the profiler must
 // not change a single scheduling decision. The same run is executed
 // bare and profiled; dispatch count, final virtual time, and the full
-// scheduling trace must match entry for entry.
+// schedule must match dispatch for dispatch.
 func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
-	run := func(profiled bool) (trace []string, dispatches int64, end time.Duration) {
+	run := func(profiled bool) (sched schedule, dispatches int64, end time.Duration) {
 		s := sim.New()
 		rec := obs.New(s.Now, obs.Options{})
 		if profiled {
@@ -88,8 +88,7 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 			prof := obs.NewProfiler()
 			s.SetProfiler(prof.ShardSink(0, s.Now))
 		}
-		s.SetTraceCapacity(1 << 18)
-		s.SetTracing(true)
+		rs := recordSchedule(s)
 		err := measure(s, RedisTarget(), ModeVaran2, 256, rec, NewMetrics(0), func(_ *world, tk *sim.Task) error {
 			tk.Sleep(100 * time.Millisecond)
 			return nil
@@ -97,10 +96,10 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Trace(), s.Dispatches(), s.Now()
+		return *rs, s.Dispatches(), s.Now()
 	}
-	bareTrace, bareDisp, bareEnd := run(false)
-	profTrace, profDisp, profEnd := run(true)
+	bareSched, bareDisp, bareEnd := run(false)
+	profSched, profDisp, profEnd := run(true)
 
 	if bareDisp != profDisp {
 		t.Errorf("dispatch counts differ: bare %d vs profiled %d", bareDisp, profDisp)
@@ -108,14 +107,7 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 	if bareEnd != profEnd {
 		t.Errorf("final virtual times differ: bare %v vs profiled %v", bareEnd, profEnd)
 	}
-	if len(bareTrace) != len(profTrace) {
-		t.Fatalf("trace lengths differ: bare %d vs profiled %d", len(bareTrace), len(profTrace))
-	}
-	for i := range bareTrace {
-		if bareTrace[i] != profTrace[i] {
-			t.Fatalf("first divergence at trace index %d: bare %q vs profiled %q", i, bareTrace[i], profTrace[i])
-		}
-	}
+	sameSchedule(t, "bare", bareSched, "profiled", profSched)
 }
 
 // TestProfileReportClaims spot-checks the claims the profile experiment

@@ -186,9 +186,9 @@ func runProfileDuo(name string, mode Mode) (ProfileScenario, error) {
 // request, and must promote cleanly.
 func runProfileFleet(name string, k, requests, updateAt int) (ProfileScenario, error) {
 	var prof *obs.Profiler
-	want := &apptest.Outcome{Leader: "2.0.0", Fleet: k}
+	want := apptest.Outcome{Leader: "2.0.0", Fleet: k}
 	if updateAt >= 0 {
-		want = &apptest.Outcome{Leader: "2.0.1", Fleet: k, Counters: map[string]int64{obs.CCanaryPromotions: 1}}
+		want = apptest.Outcome{Leader: "2.0.1", Fleet: k, Counters: map[string]int64{obs.CCanaryPromotions: 1}}
 	}
 	_, _, breaches := scenario{
 		cfg: fleetConfig(k),

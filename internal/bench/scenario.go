@@ -11,6 +11,8 @@ import (
 	"mvedsua/internal/chaos"
 	"mvedsua/internal/core"
 	"mvedsua/internal/dsu"
+	"mvedsua/internal/mve"
+	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 )
 
@@ -40,11 +42,26 @@ type scenario struct {
 	// steers: what the run ended in is the world's Final state, which
 	// teardown takes after drive returns.
 	drive func(w *apptest.World, tk *sim.Task, c *apptest.Client)
-	// want, if set, is the outcome the run declares, and run judges the
-	// run against it; a run without one is a measurement. label is what
-	// the run's report prints when the run keeps its outcome.
-	want  *apptest.Outcome
+	// want is the outcome the run declares, and run judges the run
+	// against it. label is what the run's report prints when the run
+	// keeps its outcome.
+	want  apptest.Outcome
 	label string
+}
+
+// candidateRollbacks declares one rollback-candidate verdict per cause,
+// in order.
+func candidateRollbacks(causes ...string) []apptest.Verdict {
+	var verdicts []apptest.Verdict
+	for _, cause := range causes {
+		verdicts = append(verdicts, apptest.Verdict{Cause: cause, Action: mve.VerdictRollbackCandidate})
+	}
+	return verdicts
+}
+
+// tally declares how many updates a run commits and rolls back.
+func tally(commits, rollbacks int64) map[string]int64 {
+	return map[string]int64{obs.CCoreCommits: commits, obs.CCoreRollbacks: rollbacks}
 }
 
 // duo lifts a duo controller configuration into a scenario's cfg.
@@ -54,8 +71,8 @@ func duo(cfg core.Config) core.FleetConfig { return core.FleetConfig{Config: cfg
 // drives it to completion and tears it down. The world and the plan come
 // back for whatever is read after teardown (the Final state, the registry,
 // which faults fired), with the run's breaches: a scheduler error, every
-// injection that never fired and, for a run that declares an outcome,
-// every breach the judge finds (apptest.World.Judge).
+// injection that never fired and every breach the judge finds
+// (apptest.World.Judge).
 func (sc scenario) run() (*apptest.World, *chaos.Plan, []apptest.Breach) {
 	cfg := sc.cfg
 	plan := chaos.NewPlan(sc.faults...)
@@ -89,10 +106,7 @@ func (sc scenario) run() (*apptest.World, *chaos.Plan, []apptest.Breach) {
 		breaches = append(breaches, apptest.Breach{Exchange: -1,
 			Detail: fmt.Sprintf("%d of %d injections never fired", len(sc.faults)-fired, len(sc.faults))})
 	}
-	if sc.want == nil {
-		return w, plan, breaches
-	}
-	return w, plan, append(breaches, w.Judge(*sc.want)...)
+	return w, plan, append(breaches, w.Judge(sc.want)...)
 }
 
 // summary joins the breaches' details.

@@ -9,6 +9,7 @@ import (
 	"mvedsua/internal/apptest"
 	"mvedsua/internal/chaos"
 	"mvedsua/internal/core"
+	"mvedsua/internal/mve"
 	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
@@ -22,6 +23,7 @@ func TestScenarioRunBindsThePlan(t *testing.T) {
 	for _, sc := range []scenario{
 		{
 			name:   "role-only",
+			want:   apptest.Outcome{Leader: "2.0.0", Verdicts: candidateRollbacks("divergence"), Counters: tally(0, 1)},
 			faults: []*chaos.Injection{{Role: "follower", Op: sysabi.OpWrite, AfterCalls: 2, Kind: chaos.KindErrno, Errno: sysabi.EPIPE}},
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 				w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
@@ -29,8 +31,10 @@ func TestScenarioRunBindsThePlan(t *testing.T) {
 			},
 		},
 		{
-			name:   "proc-only",
-			cfg:    fleetConfig(2),
+			name: "proc-only",
+			cfg:  fleetConfig(2),
+			want: apptest.Outcome{Leader: "2.0.0", Fleet: 2, Counters: tally(0, 0),
+				Verdicts: []apptest.Verdict{{Cause: "crash", Action: mve.VerdictEject}}},
 			faults: []*chaos.Injection{{Proc: "r2#1@2.0.0", Op: sysabi.OpWrite, AfterCalls: 3, Kind: chaos.KindCrash}},
 			drive:  func(w *apptest.World, tk *sim.Task, c *apptest.Client) { incr(tk, c, 6) },
 		},
@@ -60,6 +64,7 @@ func TestScenarioRunOrder(t *testing.T) {
 	var client *apptest.Client
 	sc := scenario{
 		faults: []*chaos.Injection{gated},
+		want:   apptest.Outcome{Stage: core.StageOutdatedLeader, Leader: "2.0.0", Fleet: 1},
 		setup: func(w *apptest.World) {
 			startedAtSetup = w.C.LeaderRuntime() != nil
 			gated.When = func() bool { return w.C.Stage() == core.StageOutdatedLeader }
@@ -104,10 +109,11 @@ func TestScenarioRunOrder(t *testing.T) {
 		t.Errorf("duo world waited %v after the driver; only fleets settle", tail)
 	}
 
-	sc = scenario{cfg: fleetConfig(1), drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-		incr(tk, c, 2)
-		doneAt = tk.Now()
-	}}
+	sc = scenario{cfg: fleetConfig(1), want: apptest.Outcome{Leader: "2.0.0", Fleet: 1},
+		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+			incr(tk, c, 2)
+			doneAt = tk.Now()
+		}}
 	if w, _, breaches = sc.run(); breaches != nil {
 		t.Fatal(breaches)
 	}
@@ -141,15 +147,16 @@ func TestScenarioRunReturnsSchedulerError(t *testing.T) {
 // and drop the end of the story.
 func TestRuleHitsDoNotFloodTheLifecycle(t *testing.T) {
 	const requests = 4200
-	w, _, breaches := scenario{drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-		w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
-		for i := 0; i < requests; i++ {
-			c.Do(tk, "INCR counter")
-		}
-		w.C.Promote()
-		incr(tk, c, 5)
-		w.C.Commit()
-	}}.run()
+	w, _, breaches := scenario{want: apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
+		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+			w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+			for i := 0; i < requests; i++ {
+				c.Do(tk, "INCR counter")
+			}
+			w.C.Promote()
+			incr(tk, c, 5)
+			w.C.Commit()
+		}}.run()
 	if breaches != nil {
 		t.Fatal(breaches)
 	}

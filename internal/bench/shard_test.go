@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"mvedsua/internal/sim"
 )
@@ -116,5 +117,61 @@ func TestShardDetReportOutcomes(t *testing.T) {
 	}
 	if len(r.TraceTail) == 0 {
 		t.Error("merged trace tail is empty")
+	}
+}
+
+// The sharddet trace tail is one timeline: every line reads
+// "s<shard>|<µs>:<task>", time never goes backwards across the merge,
+// and no shard contributes more than its last traceTailLen dispatches.
+// The report's two shards happen to end at different times, so the
+// merge is also checked on two shards whose dispatches interleave.
+func TestShardDetTraceTailOrdered(t *testing.T) {
+	r := decodeFresh[ShardDetReport](t, "sharddet")
+	checkTraceTail(t, r.TraceTail, r.Shards)
+
+	ss := sim.NewSharded(2, time.Millisecond)
+	tail := recordTraceTail(ss)
+	for sh := 0; sh < 2; sh++ {
+		ss.Go(sh, fmt.Sprintf("ticker%d", sh), func(tk *sim.Task) {
+			for i := 0; i < 2*traceTailLen; i++ {
+				tk.Sleep(time.Duration(300+70*sh) * time.Microsecond)
+			}
+		})
+	}
+	if err := ss.Run(); err != nil {
+		t.Fatal(err)
+	}
+	lines := tail()
+	if len(lines) != 2*traceTailLen {
+		t.Fatalf("tail has %d lines, want %d", len(lines), 2*traceTailLen)
+	}
+	checkTraceTail(t, lines, 2)
+}
+
+// checkTraceTail checks one merged trace tail of a run on shards shards.
+func checkTraceTail(t *testing.T, lines []string, shards int) {
+	t.Helper()
+	perShard := map[int]int{}
+	last := int64(-1)
+	for _, line := range lines {
+		var shard int
+		var us int64
+		var task string
+		if _, err := fmt.Sscanf(line, "s%d|%d:%s", &shard, &us, &task); err != nil {
+			t.Fatalf("unparseable trace tail line %q: %v", line, err)
+		}
+		if us < last {
+			t.Fatalf("trace tail went backwards at %q (prev %dus)", line, last)
+		}
+		last = us
+		perShard[shard]++
+	}
+	for shard, n := range perShard { // maporder: ok — each entry is checked alone
+		if n > traceTailLen {
+			t.Errorf("shard %d has %d tail lines, want at most %d", shard, n, traceTailLen)
+		}
+	}
+	if len(perShard) != shards {
+		t.Errorf("tail covers %d of %d shards", len(perShard), shards)
 	}
 }

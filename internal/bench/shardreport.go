@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -174,7 +175,7 @@ type ShardDetGroup struct {
 // ShardDetReport is the `benchtool -experiment sharddet` artifact. It
 // exercises every determinism-critical path at once — parallel shards,
 // a cross-shard Send steering a remote update, per-group registries
-// merged into one aggregate, and the merged scheduling trace — and is
+// merged into one aggregate, and the merged dispatch tail — and is
 // byte-identical across runs; the artifact gate runs it twice and compares.
 type ShardDetReport struct {
 	Schema     string          `json:"schema"`
@@ -195,8 +196,7 @@ type ShardDetReport struct {
 func RunShardDetReport() (*ShardDetReport, error) {
 	const shards, groups = 2, 2
 	sw := apptest.NewShardedWorld(shards, groups)
-	sw.SS.SetTracing(true)
-	sw.SS.SetTraceCapacity(64)
+	traceTail := recordTraceTail(sw.SS)
 
 	for _, w := range sw.Worlds {
 		w.C.Start(redis())
@@ -241,7 +241,7 @@ func RunShardDetReport() (*ShardDetReport, error) {
 		VirtualMS:  int64(sw.SS.Now() / time.Millisecond),
 		Dispatches: sw.SS.Dispatches(),
 		Merged:     sw.MergedMetrics().Snapshot(),
-		TraceTail:  sw.SS.MergedTrace(),
+		TraceTail:  traceTail(),
 	}
 	for g, w := range sw.Worlds {
 		gr := ShardDetGroup{
@@ -258,6 +258,47 @@ func RunShardDetReport() (*ShardDetReport, error) {
 		report.Groups = append(report.Groups, gr)
 	}
 	return report, nil
+}
+
+// traceTailLen is how many of each shard's last dispatches the sharddet
+// report's trace tail keeps.
+const traceTailLen = 64
+
+// recordTraceTail observes every shard's dispatches through OnSlice and
+// returns the trace tail: each shard's last traceTailLen dispatches,
+// merged into one timeline ordered by (virtual µs, shard, dispatch
+// order) and written "s<shard>|<µs>:<task>". The order depends on
+// virtual time alone, so two runs give the same tail.
+func recordTraceTail(ss *sim.ShardedScheduler) func() []string {
+	type dispatch struct {
+		us    int64
+		shard int
+		task  string
+	}
+	shards := make([][]dispatch, ss.Shards())
+	for i := range shards {
+		sh := ss.Shard(i)
+		prev := sh.OnSlice
+		sh.OnSlice = func(task string, start, end time.Duration) {
+			if prev != nil {
+				prev(task, start, end)
+			}
+			shards[i] = append(shards[i], dispatch{int64(start / time.Microsecond), i, task})
+		}
+	}
+	return func() []string {
+		var tail []dispatch
+		for _, d := range shards {
+			tail = append(tail, d[max(0, len(d)-traceTailLen):]...)
+		}
+		// Stable: ties keep shard order, then each shard's own order.
+		sort.SliceStable(tail, func(a, b int) bool { return tail[a].us < tail[b].us })
+		lines := make([]string, len(tail))
+		for j, d := range tail {
+			lines[j] = fmt.Sprintf("s%d|%d:%s", d.shard, d.us, d.task)
+		}
+		return lines
+	}
 }
 
 // FormatSpeedupCurve renders the sweep as text.

@@ -107,6 +107,8 @@ type tracked struct {
 	// load issues the run's requests through do, steers the lifecycle,
 	// and returns the row's outcome line.
 	load func(w *apptest.World, do doFunc) string
+	// want is the outcome the run declares (scenario.want).
+	want apptest.Outcome
 }
 
 // doFunc issues one tracked request — a round trip scored against the
@@ -119,7 +121,7 @@ type doFunc func(cmd, want string, pause time.Duration)
 func (t tracked) run(row func(w *apptest.World, tr *obs.SLOTracker, outcome string)) error {
 	var tr *obs.SLOTracker
 	_, _, breaches := scenario{
-		cfg: t.cfg, faults: t.faults,
+		cfg: t.cfg, faults: t.faults, want: t.want,
 		setup: func(w *apptest.World) {
 			tr = obs.NewSLOTracker(w.Rec, sloOpts())
 			if t.setup != nil {
@@ -242,6 +244,7 @@ func sloScenarios() []tracked {
 			// backpressure parks it, and the resulting gap is attributed to
 			// the update via stage milestones and the xform span.
 			name:  "update-under-load",
+			want:  apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
 			desc:  "staged update with a 150us-per-entry state transformation under closed-loop load",
 			cfg:   duo(core.Config{BufferEntries: 64, Costs: MVECosts(ModeVaran2)}),
 			setup: (*apptest.World).EnableSpanTracing, // xform spans feed the ledger's update attribution
@@ -270,7 +273,9 @@ func sloScenarios() []tracked {
 			// parks on the full ring until the watchdog's follower-liveness
 			// deadline trips and the controller rolls the update back.
 			// The chaos fault milestone attributes the gap.
-			name:   "fault-and-recover",
+			name: "fault-and-recover",
+			want: apptest.Outcome{Leader: "2.0.0", Verdicts: candidateRollbacks("stall"),
+				Violations: []string{"follower-liveness"}, Counters: tally(0, 1)},
 			desc:   "injected follower stall mid-update; watchdog health rule rolls back and frees the leader",
 			cfg:    duo(core.Config{BufferEntries: 16, WatchdogDeadline: 30 * time.Millisecond, Costs: MVECosts(ModeVaran2)}),
 			faults: []*chaos.Injection{{Role: "follower", Op: sysabi.OpWrite, AfterCalls: 40, Kind: chaos.KindStall}},
@@ -291,6 +296,7 @@ func sloScenarios() []tracked {
 			// Scoped registries are on, so the row also carries per-process
 			// metric summaries and their deterministic merge.
 			name:   "canary-rollback",
+			want:   apptest.Outcome{Leader: "2.0.0", Fleet: 2, Violations: []string{"ring-lag"}, Counters: tally(0, 1)},
 			desc:   "fleet canary stalls mid-window; the gate's ring-lag rule rolls it back at window close",
 			cfg:    canary,
 			faults: []*chaos.Injection{{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 8, Kind: chaos.KindStall}},

@@ -124,16 +124,16 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 // must be byte-identical. Tracing observes; it never advances the
 // clock or reorders a wakeup.
 func TestSpanTracingDoesNotPerturbSchedule(t *testing.T) {
-	run := func(traced bool) ([]string, time.Duration) {
+	run := func(traced bool) (schedule, time.Duration) {
 		w := apptest.NewWorld(core.Config{DSU: dsu.Config{
 			EpollWaitIsUpdatePoint: true,
 			EpollUpdateInterval:    5 * time.Millisecond,
 			OnAbort:                memcache.AbortReset,
 		}})
-		w.S.SetTracing(true)
 		if traced {
 			w.EnableSpanTracing()
 		}
+		sched := recordSchedule(w.S) // wraps the span hook, if any
 		w.C.Start(memcache.New(memcache.SpecFor("1.2.2", 1)))
 		w.S.Go("driver", func(tk *sim.Task) {
 			defer w.Finish()
@@ -169,20 +169,13 @@ func TestSpanTracingDoesNotPerturbSchedule(t *testing.T) {
 		if traced && len(w.Rec.Spans()) == 0 {
 			t.Fatal("traced run recorded no spans")
 		}
-		return w.S.Trace(), w.S.Now()
+		return *sched, w.S.Now()
 	}
-	bareTrace, bareClock := run(false)
-	spanTrace, spanClock := run(true)
+	bareSched, bareClock := run(false)
+	spanSched, spanClock := run(true)
 	if bareClock != spanClock {
 		t.Fatalf("final clock differs: bare %v vs traced %v", bareClock, spanClock)
 	}
-	if len(bareTrace) != len(spanTrace) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(bareTrace), len(spanTrace))
-	}
-	for i := range bareTrace {
-		if bareTrace[i] != spanTrace[i] {
-			t.Fatalf("first schedule divergence at %d: %q vs %q", i, bareTrace[i], spanTrace[i])
-		}
-	}
-	t.Logf("schedules identical for %d dispatches (final clock %v)", len(bareTrace), bareClock)
+	sameSchedule(t, "bare", bareSched, "traced", spanSched)
+	t.Logf("schedules identical for %d dispatches (final clock %v)", len(bareSched), bareClock)
 }

@@ -87,6 +87,7 @@ func timelineScenarios() []scenario {
 			// request histograms cover all three decomposition
 			// components.
 			name:  "lifecycle",
+			want:  apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
 			setup: (*apptest.World).EnableSpanTracing,
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 				lifecycle(w.C, tagged(tk, c))
@@ -100,6 +101,8 @@ func timelineScenarios() []scenario {
 			// whose Chrome trace export carries the fault, stall and
 			// divergence instants.
 			name: "chaos-recovery",
+			want: apptest.Outcome{Leader: "2.0.1", Verdicts: candidateRollbacks("stall", "divergence"),
+				Violations: []string{"follower-liveness"}, Retries: 2, Counters: tally(1, 2)},
 			cfg: duo(core.Config{
 				WatchdogDeadline: 50 * time.Millisecond,
 				RetryOnRollback:  true,

@@ -119,6 +119,7 @@ func TestTrainRowsKeepImplicitCommits(t *testing.T) {
 	w, _, breaches := scenario{
 		cfg:    duo(core.Config{}),
 		faults: []*chaos.Injection{crash},
+		want:   apptest.Outcome{Leader: "2.0.2", Verdicts: candidateRollbacks("crash"), Counters: tally(2, 0)},
 		setup: func(w *apptest.World) {
 			crash.When = func() bool { return w.C.Stage() == core.StageUpdatedLeader }
 		},

@@ -220,6 +220,7 @@ func trainScenarios() []tracked {
 			// The whole lineage 2.0.0 -> 2.1.0 queued up front and drained
 			// hop by hop under sustained traffic, every hop lazy.
 			name: "train-chain",
+			want: apptest.Outcome{Leader: "2.1.0", Counters: tally(4, 0)},
 			desc: "four lazy hops 2.0.0 -> 2.1.0 queued up front, drained FIFO under load",
 			load: func(w *apptest.World, do doFunc) string {
 				for i := 0; i < 40; i++ {
@@ -244,6 +245,7 @@ func trainScenarios() []tracked {
 			// the queued remainder with it — the last committed version
 			// keeps leading.
 			name: "train-rollback",
+			want: apptest.Outcome{Leader: "2.0.1", Verdicts: candidateRollbacks("divergence"), Counters: tally(1, 1)},
 			desc: "mid-chain divergence rolls the hop back and flushes the queued remainder",
 			load: func(w *apptest.World, do doFunc) string {
 				do("SET balance 1000", "+OK\r\n", 0)
@@ -273,6 +275,7 @@ func trainScenarios() []tracked {
 			// plain request is rejected, the queued one waits its turn, and
 			// both end up committed.
 			name: "update-during-update",
+			want: apptest.Outcome{Leader: "2.0.2", Counters: tally(2, 0)},
 			desc: "a second update mid-flight queues instead of being dropped; both commit",
 			load: func(w *apptest.World, do doFunc) string {
 				rejected, queuedAt := false, -1

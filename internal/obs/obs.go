@@ -217,11 +217,6 @@ type Recorder struct {
 
 	profilingOn bool // set by EnableProfiling; gates profiler chokepoints
 
-	// schedDrops, if set (SetTraceDropSource), surfaces the scheduler's
-	// own bounded-trace evictions in FormatMetrics alongside the
-	// recorder's, so truncated observability is never silent.
-	schedDrops TraceDropSource
-
 	spansOn      bool // set by EnableSpans; gates all span recording
 	spans        []SpanEvent
 	spanCap      int
@@ -369,23 +364,9 @@ func (r *Recorder) EnableScopes() {
 // ScopesEnabled reports whether scoped mirroring is on.
 func (r *Recorder) ScopesEnabled() bool { return r != nil && r.scopesOn }
 
-// TraceDropSource supplies an external bounded-trace eviction count.
-// sim.Scheduler satisfies it structurally (TraceDropped), so apptest
-// can wire the scheduler in without obs importing sim.
-type TraceDropSource interface {
-	TraceDropped() int64
-}
-
-// SetTraceDropSource attaches the scheduler (or any drop counter) whose
-// evictions FormatMetrics should surface. Purely presentational: it
-// changes no recorded data and nothing in Snapshot, so golden artifacts
-// are unaffected.
-func (r *Recorder) SetTraceDropSource(src TraceDropSource) {
-	if r == nil {
-		return
-	}
-	r.schedDrops = src
-}
+// SetTraceDropSource does nothing: the scheduler keeps no trace that
+// could drop. It stays for the benchmark adapter, which calls it.
+func (r *Recorder) SetTraceDropSource(any) {}
 
 // Emit appends a lifecycle event stamped at the current virtual time,
 // or counts it dropped once milestoneCap events are kept.
@@ -516,11 +497,6 @@ func (r *Recorder) FormatMetrics() string {
 	}
 	if r.spansDropped > 0 {
 		fmt.Fprintf(&b, "spans.dropped: %d span events evicted from the store\n", r.spansDropped)
-	}
-	if r.schedDrops != nil {
-		if n := r.schedDrops.TraceDropped(); n > 0 {
-			fmt.Fprintf(&b, "scheduler.trace_dropped: %d scheduling trace lines evicted\n", n)
-		}
 	}
 	return b.String()
 }

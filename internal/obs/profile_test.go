@@ -237,21 +237,15 @@ func sampleValue(t *testing.T, body []byte) int64 {
 	return 0
 }
 
-// fakeDropSource stubs a scheduler's TraceDropped counter.
-type fakeDropSource struct{ n int64 }
-
-func (f fakeDropSource) TraceDropped() int64 { return f.n }
-
 // TestFormatMetricsDroppedLines is the drops-visibility regression
-// test: spans.dropped and scheduler.trace_dropped must surface in
-// FormatMetrics when (and only when) events were actually lost.
+// test: spans.dropped must surface in FormatMetrics when (and only
+// when) span events were actually lost.
 func TestFormatMetricsDroppedLines(t *testing.T) {
 	clk := &manualClock{}
 	r := New(clk.now, Options{SpanCapacity: 2})
 	r.EnableSpans()
 
-	if out := r.FormatMetrics(); strings.Contains(out, "spans.dropped") ||
-		strings.Contains(out, "scheduler.trace_dropped") {
+	if out := r.FormatMetrics(); strings.Contains(out, "spans.dropped") {
 		t.Fatalf("drop lines present before any drop:\n%s", out)
 	}
 
@@ -259,20 +253,9 @@ func TestFormatMetricsDroppedLines(t *testing.T) {
 		clk.t = time.Duration(i) * time.Millisecond
 		r.InstantSpan("tr", "mark", "")
 	}
-	r.SetTraceDropSource(fakeDropSource{n: 7})
 
 	out := r.FormatMetrics()
 	if !strings.Contains(out, "spans.dropped: 3 span events evicted") {
 		t.Errorf("missing spans.dropped line:\n%s", out)
-	}
-	if !strings.Contains(out, "scheduler.trace_dropped: 7 scheduling trace lines evicted") {
-		t.Errorf("missing scheduler.trace_dropped line:\n%s", out)
-	}
-
-	// A zero-count source stays silent.
-	r2 := New(clk.now, Options{})
-	r2.SetTraceDropSource(fakeDropSource{n: 0})
-	if out := r2.FormatMetrics(); strings.Contains(out, "scheduler.trace_dropped") {
-		t.Errorf("zero drop count surfaced:\n%s", out)
 	}
 }

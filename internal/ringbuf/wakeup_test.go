@@ -1,8 +1,8 @@
 package ringbuf
 
 import (
-	"strings"
 	"testing"
+	"time"
 
 	"mvedsua/internal/sim"
 )
@@ -13,17 +13,13 @@ import (
 // circular implementation) Reset wakes everything parked on either
 // queue. WaitDrained waiters are covered by the same edges.
 
-// countDispatches returns how many trace entries dispatched the named
-// task at or after the first entry matching `from`.
-func countDispatches(trace []string, task, from string) int {
-	started := from == ""
-	n := 0
-	for _, line := range trace {
-		if !started && strings.HasSuffix(line, ":"+from) {
-			started = true
-		}
-		if started && strings.HasSuffix(line, ":"+task) {
-			n++
+// countDispatches counts, from now on, every dispatch of the named task
+// s makes.
+func countDispatches(s *sim.Scheduler, task string) *int {
+	n := new(int)
+	s.OnSlice = func(name string, _, _ time.Duration) {
+		if name == task {
+			*n++
 		}
 	}
 	return n
@@ -37,11 +33,12 @@ func TestTransitionWakeupConsumer(t *testing.T) {
 	s := sim.New()
 	buf := New(s, 8)
 	var got []Entry
+	var woken *int
 	s.Go("consumer", func(tk *sim.Task) {
 		got = buf.DrainInto(tk, nil) // parks: ring is empty
 	})
 	s.Go("producer", func(tk *sim.Task) {
-		s.SetTracing(true)
+		woken = countDispatches(s, "consumer")
 		batch := []Entry{{Kind: KindSyscall}, {Kind: KindSyscall}, {Kind: KindSyscall}}
 		if n, ok := buf.PutBatch(tk, batch); n != 3 || !ok {
 			t.Errorf("PutBatch = (%d,%v), want (3,true)", n, ok)
@@ -54,8 +51,8 @@ func TestTransitionWakeupConsumer(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("consumer drained %d entries, want 3", len(got))
 	}
-	if n := countDispatches(s.Trace(), "consumer", ""); n != 1 {
-		t.Errorf("consumer dispatched %d times after parking, want 1 (transition-only wake)\ntrace: %v", n, s.Trace())
+	if *woken != 1 {
+		t.Errorf("consumer dispatched %d times after parking, want 1 (transition-only wake)", *woken)
 	}
 }
 
@@ -67,6 +64,7 @@ func TestTransitionWakeupProducer(t *testing.T) {
 	s := sim.New()
 	buf := New(s, 2)
 	produced := 0
+	var woken *int
 	s.Go("producer", func(tk *sim.Task) {
 		for i := 0; i < 3; i++ {
 			buf.Put(tk, Entry{Kind: KindSyscall}) // third Put parks: ring full
@@ -74,7 +72,7 @@ func TestTransitionWakeupProducer(t *testing.T) {
 		}
 	})
 	s.Go("consumer", func(tk *sim.Task) {
-		s.SetTracing(true)
+		woken = countDispatches(s, "producer")
 		if got := buf.DrainInto(tk, nil); len(got) != 2 {
 			t.Errorf("drained %d entries, want 2", len(got))
 		}
@@ -88,8 +86,8 @@ func TestTransitionWakeupProducer(t *testing.T) {
 	if buf.ProducerBlocked != 1 {
 		t.Errorf("ProducerBlocked = %d, want 1", buf.ProducerBlocked)
 	}
-	if n := countDispatches(s.Trace(), "producer", ""); n != 1 {
-		t.Errorf("producer dispatched %d times after parking, want 1 (transition-only wake)\ntrace: %v", n, s.Trace())
+	if *woken != 1 {
+		t.Errorf("producer dispatched %d times after parking, want 1 (transition-only wake)", *woken)
 	}
 }
 

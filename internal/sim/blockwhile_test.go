@@ -44,8 +44,7 @@ func (l *segmentLog) ProfileWait(task string, labels []string, wait string, star
 
 // programRun is everything observable about one run of a program.
 type programRun struct {
-	Trace      []string
-	Slices     []string // the OnSlice sequence
+	Slices     []string // the OnSlice sequence: every dispatch, task and interval
 	Segments   []string // the profiler's segments
 	Steps      []string // what each task saw after each of its steps
 	Dispatches int64
@@ -82,7 +81,6 @@ func runProgram(script []byte, wait func(*Task, *WaitQueue, Waiter)) programRun 
 	}
 
 	s := New()
-	s.SetTracing(true)
 	var res programRun
 	s.OnSlice = func(task string, start, end time.Duration) {
 		res.Slices = append(res.Slices, fmt.Sprintf("%s [%d,%d)", task, start, end))
@@ -164,7 +162,6 @@ func runProgram(script []byte, wait func(*Task, *WaitQueue, Waiter)) programRun 
 	if err := checkTimerHeap(s); err != nil && res.heapErr == nil {
 		res.heapErr = fmt.Errorf("after the run: %w", err)
 	}
-	res.Trace = s.Trace()
 	res.Segments = prof.segs
 	res.Dispatches = s.Dispatches()
 	res.Clock = s.Now()
@@ -241,10 +238,9 @@ func TestBlockWhileMatchesLoop(t *testing.T) {
 
 // TestBlockWhileSettlesInDispatch: a waiter woken with its predicate
 // still true is parked again by the scheduler, never resumed — and the
-// dispatch is still counted, traced and reported as an empty slice.
+// dispatch is still counted and reported as an empty slice.
 func TestBlockWhileSettlesInDispatch(t *testing.T) {
 	s := New()
-	s.SetTracing(true)
 	var q WaitQueue
 	turn := 1
 	resumed := 0
@@ -279,12 +275,12 @@ func TestBlockWhileSettlesInDispatch(t *testing.T) {
 	if got, want := s.Settled(), int64(3); got != want {
 		t.Errorf("Settled = %d, want %d", got, want)
 	}
-	wantTrace := []string{"0:waiter", "0:waker", "1:waiter", "1:waker", "2:waiter", "2:waker", "3:waiter", "3:waker", "3:waiter"}
-	if got := s.Trace(); !reflect.DeepEqual(got, wantTrace) {
-		t.Errorf("trace = %v, want %v", got, wantTrace)
-	}
-	if len(slices) != 9 || slices[2] != "waiter [1,1)" {
-		t.Errorf("slices = %v, want 9 with an empty settled slice third", slices)
+	// Each settled wake is an empty waiter slice between two of the
+	// waker's.
+	wantSlices := []string{"waiter [0,0)", "waker [0,1)", "waiter [1,1)", "waker [1,2)",
+		"waiter [2,2)", "waker [2,3)", "waiter [3,3)", "waker [3,3)", "waiter [3,3)"}
+	if !reflect.DeepEqual(slices, wantSlices) {
+		t.Errorf("slices = %v, want %v", slices, wantSlices)
 	}
 }
 
@@ -342,14 +338,14 @@ func TestDeadlockNamesSettledWaiter(t *testing.T) {
 // cross-shard message, serialise identically twice.
 func TestShardedBlockWhileRunTwice(t *testing.T) {
 	type result struct {
-		trace      []string
+		schedules  []*schedule
 		dispatches int64
 		settled    int64
 		clocks     []time.Duration
 	}
 	run := func() result {
 		ss := NewSharded(2, 100*time.Microsecond)
-		ss.SetTracing(true)
+		schedules := recordShards(ss)
 		for sh := 0; sh < 2; sh++ {
 			sh := sh
 			// Everything below is touched only by tasks of shard sh.
@@ -378,7 +374,7 @@ func TestShardedBlockWhileRunTwice(t *testing.T) {
 		if err := ss.Run(); err != nil {
 			t.Fatal(err)
 		}
-		res := result{trace: ss.MergedTrace(), dispatches: ss.Dispatches()}
+		res := result{schedules: schedules, dispatches: ss.Dispatches()}
 		for i := 0; i < 2; i++ {
 			res.settled += ss.Shard(i).Settled()
 			res.clocks = append(res.clocks, ss.Shard(i).Now())

@@ -158,14 +158,14 @@ func TestRunForSplitMatchesRun(t *testing.T) {
 		}
 	}
 	whole := New()
-	whole.SetTracing(true)
+	wholeSched := recordSchedule(whole)
 	build(whole)
 	if err := whole.Run(); err != nil {
 		t.Fatalf("whole: %v", err)
 	}
 
 	split := New()
-	split.SetTracing(true)
+	splitSched := recordSchedule(split)
 	build(split)
 	for i := 0; i < 10; i++ {
 		if err := split.RunFor(3 * time.Millisecond); err != nil {
@@ -175,7 +175,7 @@ func TestRunForSplitMatchesRun(t *testing.T) {
 	if err := split.Run(); err != nil {
 		t.Fatalf("split tail: %v", err)
 	}
-	if !reflect.DeepEqual(whole.Trace(), split.Trace()) {
-		t.Fatalf("split trace diverged:\nwhole %v\nsplit %v", whole.Trace(), split.Trace())
+	if !reflect.DeepEqual(wholeSched, splitSched) {
+		t.Fatalf("split schedule diverged:\nwhole %v\nsplit %v", *wholeSched, *splitSched)
 	}
 }

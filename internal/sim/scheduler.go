@@ -105,20 +105,10 @@ type Scheduler struct {
 	profiler SliceProfiler
 	segStart time.Duration
 
-	crashes      []CrashInfo
-	tracing      bool
-	trace        []string
-	traceCap     int
-	traceStart   int   // oldest slot once the trace wrapped
-	traceDropped int64 // trace lines evicted from the circular tail
-	dispatches   int64
-	settled      int64 // dispatches that re-parked a BlockWhile waiter
+	crashes    []CrashInfo
+	dispatches int64
+	settled    int64 // dispatches that re-parked a BlockWhile waiter
 }
-
-// DefaultTraceCap bounds the scheduling trace unless SetTraceCapacity
-// chose another cap: the newest window survives and evictions are
-// counted, like the recorder's span store.
-const DefaultTraceCap = 1 << 16
 
 // goschedEvery is how many dispatches pass between runtime.Gosched
 // calls in dispatch. A coroutine switch never enters the Go scheduler,
@@ -155,46 +145,6 @@ func (s *Scheduler) Dispatches() int64 { return s.dispatches }
 // Settled returns how many of those dispatches found a BlockWhile waiter
 // whose predicate still held and parked it again without resuming it.
 func (s *Scheduler) Settled() int64 { return s.settled }
-
-// SetTracing enables or disables recording of a scheduling trace, useful in
-// tests that assert deterministic interleavings. The trace is bounded (the
-// newest DefaultTraceCap entries unless SetTraceCapacity was called); use
-// TraceDropped to detect truncation.
-func (s *Scheduler) SetTracing(on bool) {
-	s.tracing = on
-	if s.traceCap <= 0 {
-		s.traceCap = DefaultTraceCap
-	}
-}
-
-// SetTraceCapacity bounds the scheduling trace to the newest n entries
-// (n <= 0 restores the default). Changing the capacity clears any
-// already-recorded trace so the circular tail restarts cleanly.
-func (s *Scheduler) SetTraceCapacity(n int) {
-	if n <= 0 {
-		n = DefaultTraceCap
-	}
-	s.traceCap = n
-	s.trace = nil
-	s.traceStart = 0
-	s.traceDropped = 0
-}
-
-// Trace returns the recorded scheduling trace, oldest surviving entry
-// first.
-func (s *Scheduler) Trace() []string {
-	if len(s.trace) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(s.trace))
-	for i := 0; i < len(s.trace); i++ {
-		out = append(out, s.trace[(s.traceStart+i)%len(s.trace)])
-	}
-	return out
-}
-
-// TraceDropped returns how many trace entries the bounded store evicted.
-func (s *Scheduler) TraceDropped() int64 { return s.traceDropped }
 
 // Go creates and starts a new task running fn. The task is appended to the
 // run queue; it first executes when the scheduler reaches it. Go may be
@@ -327,16 +277,6 @@ func (s *Scheduler) dispatch(t *Task) {
 	}
 	s.current = t
 	t.state = StateRunning
-	if s.tracing {
-		line := fmt.Sprintf("%d:%s", s.clock/time.Microsecond, t.name)
-		if len(s.trace) < s.traceCap {
-			s.trace = append(s.trace, line)
-		} else {
-			s.trace[s.traceStart] = line
-			s.traceStart = (s.traceStart + 1) % s.traceCap
-			s.traceDropped++
-		}
-	}
 	sliceStart := s.clock
 	if s.profiler != nil {
 		s.segStart = sliceStart

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -22,8 +20,9 @@ import (
 // sequence) total order before delivery. Because that order depends
 // only on virtual time and per-shard deterministic state, never on OS
 // thread interleaving, a sharded run is bit-for-bit reproducible: the
-// run-twice property tests diff merged traces and metrics across runs
-// (including under the race detector) to pin this down.
+// run-twice property tests diff every shard's dispatch sequence and
+// metrics across runs (including under the race detector) to pin this
+// down.
 //
 // Epoch mechanics: all shards run concurrently for one quantum of
 // virtual time (RunFor to a shared boundary), then rendezvous. At the
@@ -40,8 +39,8 @@ import (
 //
 // Virtual clocks stay aligned at barriers: every shard's clock is
 // advanced to the epoch boundary before the next epoch starts, so
-// timestamps from different shards are comparable and the merged trace
-// (MergedTrace) is a globally ordered timeline.
+// timestamps from different shards are comparable: the shards' OnSlice
+// observations merge into one globally ordered timeline.
 
 // DefaultQuantum is the epoch length used when NewSharded is given a
 // non-positive quantum.
@@ -133,20 +132,6 @@ func (ss *ShardedScheduler) Dispatches() int64 {
 		n += sh.sched.Dispatches()
 	}
 	return n
-}
-
-// SetTracing enables or disables the scheduling trace on every shard.
-func (ss *ShardedScheduler) SetTracing(on bool) {
-	for _, sh := range ss.shards {
-		sh.sched.SetTracing(on)
-	}
-}
-
-// SetTraceCapacity bounds every shard's scheduling trace.
-func (ss *ShardedScheduler) SetTraceCapacity(n int) {
-	for _, sh := range ss.shards {
-		sh.sched.SetTraceCapacity(n)
-	}
 }
 
 // Send schedules fn to run as a fresh task named name on shard `to`.
@@ -394,47 +379,4 @@ func (ss *ShardedScheduler) mergedDeadlock() error {
 		}
 	}
 	return &DeadlockError{Blocked: names}
-}
-
-// MergedTrace merges the per-shard scheduling traces (SetTracing must
-// be on) into one deterministic global timeline ordered by
-// (virtual time, shard id, per-shard order). Entries are the shard's
-// trace lines prefixed "s<shard>|". Because per-shard traces are
-// deterministic and the merge key is OS-independent, two runs of the
-// same sharded workload produce byte-identical merged traces — the
-// run-twice property tests are built on this.
-func (ss *ShardedScheduler) MergedTrace() []string {
-	type entry struct {
-		at    time.Duration
-		shard int
-		idx   int
-		line  string
-	}
-	var all []entry
-	for _, sh := range ss.shards {
-		for i, line := range sh.sched.Trace() {
-			at := time.Duration(0)
-			if c := strings.IndexByte(line, ':'); c > 0 {
-				if us, err := strconv.ParseInt(line[:c], 10, 64); err == nil {
-					at = time.Duration(us) * time.Microsecond
-				}
-			}
-			all = append(all, entry{at: at, shard: sh.id, idx: i, line: line})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.shard != b.shard {
-			return a.shard < b.shard
-		}
-		return a.idx < b.idx
-	})
-	out := make([]string, 0, len(all))
-	for _, e := range all {
-		out = append(out, fmt.Sprintf("s%d|%s", e.shard, e.line))
-	}
-	return out
 }

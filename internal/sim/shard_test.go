@@ -11,7 +11,7 @@ import (
 
 // shardedRunEquality runs the same single-shard workload on a plain
 // Scheduler and on a 1-shard ShardedScheduler: the N=1 path must be the
-// same machine, so the scheduling traces match line for line.
+// same machine, so the two schedules match dispatch for dispatch.
 func TestShardedSingleShardMatchesScheduler(t *testing.T) {
 	workload := func(s *Scheduler) {
 		for i := 0; i < 3; i++ {
@@ -27,21 +27,21 @@ func TestShardedSingleShardMatchesScheduler(t *testing.T) {
 	}
 
 	plain := New()
-	plain.SetTracing(true)
+	want := recordSchedule(plain)
 	workload(plain)
 	if err := plain.Run(); err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
 
 	ss := NewSharded(1, time.Millisecond)
-	ss.SetTracing(true)
+	got := recordSchedule(ss.Shard(0))
 	workload(ss.Shard(0))
 	if err := ss.Run(); err != nil {
 		t.Fatalf("sharded run: %v", err)
 	}
 
-	if got, want := ss.Shard(0).Trace(), plain.Trace(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("1-shard trace diverged from plain scheduler:\n got %v\nwant %v", got, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("1-shard schedule diverged from plain scheduler:\n got %v\nwant %v", *got, *want)
 	}
 	if got, want := ss.Shard(0).Dispatches(), plain.Dispatches(); got != want {
 		t.Fatalf("dispatches: sharded %d, plain %d", got, want)
@@ -223,15 +223,15 @@ func genShardedScript(seed int64, shards, tasksPerShard, steps int) shardedScrip
 }
 
 type shardedRunResult struct {
-	trace      []string
-	logs       [][]string // per-shard message arrival logs
+	schedules  []*schedule // per shard
+	logs       [][]string  // per-shard message arrival logs
 	clocks     []time.Duration
 	dispatches int64
 }
 
 func runShardedScript(sc shardedScript) (shardedRunResult, error) {
 	ss := NewSharded(sc.shards, sc.quantum)
-	ss.SetTracing(true)
+	schedules := recordShards(ss)
 	logs := make([][]string, sc.shards)
 	for ti, st := range sc.tasks {
 		st := st
@@ -258,7 +258,7 @@ func runShardedScript(sc shardedScript) (shardedRunResult, error) {
 		})
 	}
 	err := ss.Run()
-	res := shardedRunResult{trace: ss.MergedTrace(), logs: logs, dispatches: ss.Dispatches()}
+	res := shardedRunResult{schedules: schedules, logs: logs, dispatches: ss.Dispatches()}
 	for i := 0; i < sc.shards; i++ {
 		res.clocks = append(res.clocks, ss.Shard(i).Now())
 	}
@@ -267,9 +267,9 @@ func runShardedScript(sc shardedScript) (shardedRunResult, error) {
 
 // The tentpole property: a sharded run is bit-for-bit reproducible.
 // The same seeded workload — shard-local compute, timers, yields, and
-// cross-shard messages — is run twice on real parallel OS threads; the
-// merged traces, per-shard message logs, clocks and dispatch counts
-// must be identical. `make check` runs this under -race, which also
+// cross-shard messages — is run twice on real parallel OS threads; every
+// shard's schedule, the per-shard message logs, clocks and dispatch
+// counts must be identical. `make check` runs this under -race, which also
 // proves the epoch barrier is the only cross-thread interaction.
 func TestShardedRunTwiceDeterministic(t *testing.T) {
 	for _, shards := range []int{2, 4} {
@@ -280,9 +280,11 @@ func TestShardedRunTwiceDeterministic(t *testing.T) {
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("shards=%d seed=%d: error mismatch: %v vs %v", shards, seed, errA, errB)
 			}
-			if !reflect.DeepEqual(a.trace, b.trace) {
-				t.Fatalf("shards=%d seed=%d: merged traces differ (len %d vs %d)",
-					shards, seed, len(a.trace), len(b.trace))
+			for i := range a.schedules {
+				if !reflect.DeepEqual(a.schedules[i], b.schedules[i]) {
+					t.Fatalf("shards=%d seed=%d: shard %d's schedules differ (len %d vs %d)",
+						shards, seed, i, len(*a.schedules[i]), len(*b.schedules[i]))
+				}
 			}
 			if !reflect.DeepEqual(a.logs, b.logs) {
 				t.Fatalf("shards=%d seed=%d: cross-shard delivery logs differ:\n%v\nvs\n%v",
@@ -295,31 +297,13 @@ func TestShardedRunTwiceDeterministic(t *testing.T) {
 				t.Fatalf("shards=%d seed=%d: dispatches differ: %d vs %d",
 					shards, seed, a.dispatches, b.dispatches)
 			}
-			if len(a.trace) == 0 {
-				t.Fatalf("shards=%d seed=%d: empty merged trace", shards, seed)
+			recorded := 0
+			for _, sched := range a.schedules {
+				recorded += len(*sched)
+			}
+			if recorded == 0 || int64(recorded) != a.dispatches {
+				t.Fatalf("shards=%d seed=%d: %d dispatches recorded of %d", shards, seed, recorded, a.dispatches)
 			}
 		}
-	}
-}
-
-// The merged trace is globally time-ordered and tagged per shard.
-func TestShardedMergedTraceOrdered(t *testing.T) {
-	sc := genShardedScript(7, 3, 2, 30)
-	res, err := runShardedScript(sc)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	last := int64(-1)
-	for _, line := range res.trace {
-		var shard int
-		var us int64
-		var rest string
-		if _, err := fmt.Sscanf(line, "s%d|%d:%s", &shard, &us, &rest); err != nil {
-			t.Fatalf("unparseable merged trace line %q: %v", line, err)
-		}
-		if us < last {
-			t.Fatalf("merged trace went backwards at %q (prev %dus)", line, last)
-		}
-		last = us
 	}
 }

@@ -464,9 +464,9 @@ func TestStaleTimerDoesNotEndALaterBlockTimeout(t *testing.T) {
 }
 
 func TestDeterministicTrace(t *testing.T) {
-	run := func() []string {
+	run := func() schedule {
 		s := New()
-		s.SetTracing(true)
+		sched := recordSchedule(s)
 		var q WaitQueue
 		s.Go("a", func(tk *Task) {
 			tk.Advance(time.Millisecond)
@@ -480,15 +480,15 @@ func TestDeterministicTrace(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return s.Trace()
+		return *sched
 	}
 	a, b := run(), run()
 	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+		t.Fatalf("schedule lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("traces diverge at %d: %q vs %q", i, a[i], b[i])
+			t.Fatalf("schedules diverge at %d: %q vs %q", i, a[i], b[i])
 		}
 	}
 }

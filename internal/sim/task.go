@@ -155,8 +155,8 @@ type Waiter interface {
 // false: dispatch for dispatch the schedule of
 // `for { t.Block(q); if !w.StillWaiting() { break } }`, but a wake that
 // finds it true is settled by Scheduler.dispatch, which puts the task
-// back on q itself — counted, traced, profiled and reported to OnSlice as
-// the loop's empty slice would be, without the two coroutine switches.
+// back on q itself — counted, profiled and reported to OnSlice as the
+// loop's empty slice would be, without the two coroutine switches.
 // A kill always resumes the task, which unwinds through its defers.
 func (t *Task) BlockWhile(q *WaitQueue, w Waiter) {
 	t.checkCurrent("BlockWhile")

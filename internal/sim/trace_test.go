@@ -6,74 +6,40 @@ import (
 	"time"
 )
 
-// TestTraceCapCircularTail pins the fix for unbounded trace growth:
-// once the cap is hit, the trace becomes a circular tail that keeps the
-// newest entries and counts what it evicted.
-func TestTraceCapCircularTail(t *testing.T) {
-	s := New()
-	s.SetTraceCapacity(4)
-	s.SetTracing(true)
-	s.Go("worker", func(tk *Task) {
-		for i := 0; i < 10; i++ {
-			tk.Advance(time.Microsecond)
-			tk.Yield()
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	trace := s.Trace()
-	if len(trace) != 4 {
-		t.Fatalf("trace length %d, want capacity 4\ntrace: %v", len(trace), trace)
-	}
-	total := s.Dispatches()
-	if want := total - 4; s.TraceDropped() != want {
-		t.Errorf("TraceDropped = %d, want %d (of %d dispatches)", s.TraceDropped(), want, total)
-	}
-	// The surviving window must be the newest dispatches in order: the
-	// worker yields every 1µs, so timestamps are strictly increasing and
-	// the last entry is the final dispatch.
-	for i := 1; i < len(trace); i++ {
-		if trace[i-1] >= trace[i] && len(trace[i-1]) == len(trace[i]) {
-			t.Errorf("trace not in dispatch order at %d: %q then %q", i, trace[i-1], trace[i])
-		}
-	}
-	// The final dispatch is the one that resumes the worker after its
-	// last Yield, at the final clock value.
-	last := fmt.Sprintf("%d:worker", s.Now()/time.Microsecond)
-	if trace[len(trace)-1] != last {
-		t.Errorf("newest trace entry %q, want %q", trace[len(trace)-1], last)
-	}
+// dispatched is one dispatch as OnSlice reports it: when the task's
+// slice started, and the task.
+type dispatched struct {
+	at   time.Duration
+	task string
 }
 
-// TestTraceDefaultCapBounded verifies SetTracing alone cannot grow the
-// trace past DefaultTraceCap (the regression this PR fixes: it used to
-// append forever).
-func TestTraceDefaultCapBounded(t *testing.T) {
-	s := New()
-	s.SetTracing(true)
-	if s.traceCap != DefaultTraceCap {
-		t.Fatalf("traceCap = %d after SetTracing, want DefaultTraceCap %d", s.traceCap, DefaultTraceCap)
+func (d dispatched) String() string { return fmt.Sprintf("%v:%s", d.at, d.task) }
+
+// schedule is every dispatch a scheduler made, in order, uncapped.
+type schedule []dispatched
+
+// recordSchedule appends each dispatch s makes from now on to the
+// returned schedule, after calling the OnSlice hook already installed,
+// if any, which keeps working.
+func recordSchedule(s *Scheduler) *schedule {
+	sched := new(schedule)
+	prev := s.OnSlice
+	s.OnSlice = func(task string, start, end time.Duration) {
+		if prev != nil {
+			prev(task, start, end)
+		}
+		*sched = append(*sched, dispatched{start, task})
 	}
+	return sched
 }
 
-// TestSetTraceCapacityClears documents that resizing restarts the tail.
-func TestSetTraceCapacityClears(t *testing.T) {
-	s := New()
-	s.SetTraceCapacity(2)
-	s.SetTracing(true)
-	s.Go("a", func(tk *Task) {
-		for i := 0; i < 5; i++ {
-			tk.Yield()
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+// recordShards records every shard of ss, in shard order.
+func recordShards(ss *ShardedScheduler) []*schedule {
+	out := make([]*schedule, ss.Shards())
+	for i := range out {
+		out[i] = recordSchedule(ss.Shard(i))
 	}
-	s.SetTraceCapacity(8)
-	if len(s.Trace()) != 0 || s.TraceDropped() != 0 {
-		t.Fatalf("trace not cleared by SetTraceCapacity: len=%d dropped=%d", len(s.Trace()), s.TraceDropped())
-	}
+	return out
 }
 
 // TestOnSliceObservesDispatches checks the dispatch hook sees every run
