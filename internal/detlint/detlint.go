@@ -607,9 +607,13 @@ func sweptDecls(f *ast.File) []sweptDecl {
 // level in the rels package directories — and of the anonymous structs
 // nested in them — that no non-test Go file under the root reads. Every
 // directory under the root is a reader, nested modules included, as for
-// TestOnlyExports. A use of a field is a read unless it is the left side
-// of an assignment (compound ones too), the operand of ++ or --, or a key
-// in a composite literal. A field with a struct tag is never reported:
+// TestOnlyExports. A use of a field is a read unless it writes: the left
+// side of an assignment (compound ones too) or the operand of ++ or --,
+// either itself or as the base of an index (x.f[k] = v, x.f[k]++); the
+// first argument of delete; the x.f in x.f = append(x.f, …); a key in a
+// composite literal; or any use inside a method named Clone or clone,
+// which copies state but reads none of it for anybody. A field with a
+// struct tag is never reported:
 // encoding/json and its kind read it by reflection. An embedded field
 // counts as read where a promoted selector goes through it, and a field
 // of a generic type where any instantiation reads it.
@@ -665,19 +669,44 @@ func (sw *Sweeper) UnreadFields(rels []string) ([]Export, error) {
 // the package's, which records the uses of all its files.
 func fieldReads(info *types.Info, files []*ast.File, read func(*types.Var)) {
 	written := map[*ast.Ident]bool{}
+	// write marks the field e names, or indexes into, as written.
 	write := func(e ast.Expr) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		e = ast.Unparen(e)
+		for ix, ok := e.(*ast.IndexExpr); ok; ix, ok = e.(*ast.IndexExpr) {
+			e = ast.Unparen(ix.X)
+		}
+		if sel, ok := e.(*ast.SelectorExpr); ok {
 			written[sel.Sel] = true
 		}
 	}
+	builtin := func(call *ast.CallExpr, name string) bool {
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		b, ok := info.Uses[id].(*types.Builtin)
+		return ok && b.Name() == name
+	}
+	inClone := false
 	inspect := func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
+			for i, lhs := range n.Lhs {
 				write(lhs)
+				if len(n.Rhs) != len(n.Lhs) {
+					continue
+				}
+				if call, ok := n.Rhs[i].(*ast.CallExpr); ok && builtin(call, "append") && len(call.Args) > 0 &&
+					types.ExprString(ast.Unparen(call.Args[0])) == types.ExprString(ast.Unparen(lhs)) {
+					write(call.Args[0])
+				}
 			}
 		case *ast.IncDecStmt:
 			write(n.X)
+		case *ast.CallExpr:
+			if builtin(n, "delete") && len(n.Args) > 0 {
+				write(n.Args[0])
+			}
 		case *ast.CompositeLit:
 			for _, elt := range n.Elts {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
@@ -687,6 +716,10 @@ func fieldReads(info *types.Info, files []*ast.File, read func(*types.Var)) {
 				}
 			}
 		case *ast.SelectorExpr:
+			if inClone {
+				written[n.Sel] = true
+				break
+			}
 			sel := info.Selections[n]
 			if sel == nil {
 				break
@@ -707,7 +740,11 @@ func fieldReads(info *types.Info, files []*ast.File, read func(*types.Var)) {
 		return true
 	}
 	for _, f := range files {
-		ast.Inspect(f, inspect)
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			inClone = ok && fn.Recv != nil && (fn.Name.Name == "Clone" || fn.Name.Name == "clone")
+			ast.Inspect(d, inspect)
+		}
 	}
 	for id, obj := range info.Uses { // maporder: ok — fills a set
 		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {

@@ -303,8 +303,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 // unreadAllowed are the struct fields of the swept packages that no
 // non-test file reads and that stay anyway, each with the reason.
 var unreadAllowed = map[string]string{
-	"dsu.UpdateRecord.RequestedAt": "observation point: dsu's TestForkedUpdateRecordsRealRequestTime reads the request-to-decision gap to prove a forked follower's record carries the leader's request time",
-	"dsu.UpdateRecord.DecidedAt":   "as dsu.UpdateRecord.RequestedAt",
+	"dsu.UpdateRecord.RequestedAt":      "observation point: dsu's TestForkedUpdateRecordsRealRequestTime reads the request-to-decision gap to prove a forked follower's record carries the leader's request time",
+	"dsu.UpdateRecord.DecidedAt":        "as dsu.UpdateRecord.RequestedAt",
+	"rolling.ComparisonResult.Versions": "observation point: rolling's TestStatelessRestartLosesState and TestMVEDSUAUpgradeLosesNothingAndNeverPauses read each node's final version to prove the upgrade landed everywhere; UpgradeAll ignores Commit's result, so no production check makes theirs redundant",
 }
 
 // TestNoUnreadFields is the other half of the `make lint-exports` gate: a
@@ -332,9 +333,12 @@ func TestNoUnreadFields(t *testing.T) {
 }
 
 // The field sweep flags a field that is only written — assigned, stepped,
-// set in a literal — or read only by a test, and not one that is read, one
-// with a struct tag, an embedded field reached only through promoted
-// selectors, or a generic type's field read through an instantiation.
+// set in a literal, stored into by index, deleted from, appended to
+// itself, copied by a Clone method — or read only by a test, and not one
+// that is read (by index, by len, by a range outside Clone, as the source
+// of an append into another field), one with a struct tag, an embedded
+// field reached only through promoted selectors, or a generic type's
+// field read through an instantiation.
 func TestUnreadFieldsFindsWriteOnlyFields(t *testing.T) {
 	dir := t.TempDir()
 	for path, src := range map[string]string{
@@ -352,6 +356,24 @@ type T struct {
 	Inner
 	sub struct{ deep int }
 	_   int
+
+	Indexed  map[int]int
+	Deleted  map[int]bool
+	Appended []int
+	Cloned   int
+	MapRead  map[int]int
+	Counted  []int
+	Ranged   map[int]bool
+	Source   []int
+	Dest     []int
+}
+
+func (t *T) Clone() *T {
+	c := &T{Cloned: t.Cloned, Ranged: map[int]bool{}}
+	for k := range t.Ranged {
+		c.Ranged[k] = true
+	}
+	return c
 }
 
 type Inner struct{ Promoted int }
@@ -367,9 +389,19 @@ func F(t *T) int {
 	t.Stepped += 2
 	t.sub.deep = 3
 	_ = T{Literal: 1}
+	t.Indexed[1] = 1
+	(t.Indexed)[2]++
+	delete(t.Deleted, 1)
+	t.Appended = append(t.Appended, 1)
+	t.MapRead[1] = t.MapRead[0]
+	t.Counted = append(t.Counted, len(t.Counted))
+	for k := range t.Ranged {
+		delete(t.Ranged, k)
+	}
+	t.Dest = append(t.Source, 1)
 	var r ring[int]
 	r.put(1)
-	return len(r.buf) + t.Promoted
+	return len(r.buf) + t.Promoted + len(t.Dest)
 }
 `,
 		"p/p_test.go": `package p
@@ -400,7 +432,7 @@ func main() { _ = (&p.T{}).Nested }
 	for _, f := range findings {
 		names = append(names, f.Name)
 	}
-	want := "p.T.Assigned p.T.Literal p.T.Stepped p.T.TestRead p.T.sub.deep"
+	want := "p.T.Appended p.T.Assigned p.T.Cloned p.T.Deleted p.T.Indexed p.T.Literal p.T.Stepped p.T.TestRead p.T.sub.deep"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("findings = %q, want %q", got, want)
 	}

@@ -74,11 +74,13 @@ func TestBarrierRunsAtQuiescence(t *testing.T) {
 	s := sim.New()
 	k := vos.NewKernel(s)
 	app := &loopApp{version: "v1", conns: map[int]bool{}}
+	var recs []UpdateRecord
 	rt := NewRuntime(s, app, Config{
 		Name:                   "lp",
 		Dispatcher:             k,
 		EpollWaitIsUpdatePoint: true,
 		EpollUpdateInterval:    5 * time.Millisecond,
+		OnOutcome:              func(r UpdateRecord) { recs = append(recs, r) },
 	})
 	rt.Start()
 	ran := 0
@@ -106,8 +108,8 @@ func TestBarrierRunsAtQuiescence(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(rt.records) != 0 {
-		t.Fatalf("barrier produced update records: %+v", rt.records)
+	if len(recs) != 0 {
+		t.Fatalf("barrier produced update records: %+v", recs)
 	}
 }
 

@@ -209,8 +209,7 @@ type Runtime struct {
 	gen      int // update generation, increments on each applied update
 	quiesceQ sim.WaitQueue
 
-	attempt *attempt // the one pending update or barrier; trains queue in core.Controller
-	records []UpdateRecord
+	attempt *attempt    // the one pending update or barrier; trains queue in core.Controller
 	sweeps  []*sim.Task // live lazy-migration sweep tasks
 }
 
@@ -496,9 +495,9 @@ func (rt *Runtime) SetUpdateHooks(
 	rt.cfg.ParallelXform = parallelXform
 }
 
-// record appends an update record and notifies the OnOutcome observer.
+// record hands an update record to the OnOutcome observer, its one
+// reader; the runtime keeps none.
 func (rt *Runtime) record(r UpdateRecord) {
-	rt.records = append(rt.records, r)
 	if rt.cfg.OnOutcome != nil {
 		rt.cfg.OnOutcome(r)
 	}

@@ -132,7 +132,11 @@ func TestColdStartServesRequests(t *testing.T) {
 func TestInPlaceUpdatePreservesState(t *testing.T) {
 	s := sim.New()
 	k := vos.NewKernel(s)
-	rt := NewRuntime(s, &counterApp{version: "v1"}, Config{Name: "ctr", Dispatcher: k})
+	var recs []UpdateRecord
+	rt := NewRuntime(s, &counterApp{version: "v1"}, Config{
+		Name: "ctr", Dispatcher: k,
+		OnOutcome: func(r UpdateRecord) { recs = append(recs, r) },
+	})
 	rt.Start()
 	var replies []string
 	s.Go("client", func(tk *sim.Task) {
@@ -160,7 +164,6 @@ func TestInPlaceUpdatePreservesState(t *testing.T) {
 	if rt.Generation() != 1 || rt.App().Version() != "v2" {
 		t.Fatalf("gen=%d version=%s", rt.Generation(), rt.App().Version())
 	}
-	recs := rt.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeApplied || recs[0].Version != "v2" {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -258,13 +261,15 @@ func TestTakeAbortRunsOnAbortAndContinuesOldVersion(t *testing.T) {
 	s := sim.New()
 	k := vos.NewKernel(s)
 	aborted := 0
+	var recs []UpdateRecord
 	rt := NewRuntime(s, &counterApp{version: "v1"}, Config{
 		Name:       "ctr",
 		Dispatcher: k,
 		TakeUpdate: func(tk *sim.Task, rt *Runtime, v *Version) TakeAction {
 			return TakeAbort
 		},
-		OnAbort: func(app App) { aborted++ },
+		OnAbort:   func(app App) { aborted++ },
+		OnOutcome: func(r UpdateRecord) { recs = append(recs, r) },
 	})
 	rt.Start()
 	var replies []string
@@ -291,7 +296,6 @@ func TestTakeAbortRunsOnAbortAndContinuesOldVersion(t *testing.T) {
 	if aborted != 1 {
 		t.Fatalf("OnAbort ran %d times", aborted)
 	}
-	recs := rt.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeForked {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -334,10 +338,12 @@ func TestQuiescenceTimeoutIsTimingError(t *testing.T) {
 	// One worker never reaches an update point: it blocks forever on a
 	// lock-like queue, reproducing the paper's timing-error shape.
 	app := &counterApp{version: "v1"}
+	var recs []UpdateRecord
 	rt := NewRuntime(s, app, Config{
 		Name:           "ctr",
 		Dispatcher:     k,
 		QuiesceTimeout: 100 * time.Millisecond,
+		OnOutcome:      func(r UpdateRecord) { recs = append(recs, r) },
 	})
 	rt.Start()
 	var stuck sim.WaitQueue
@@ -377,7 +383,6 @@ func TestQuiescenceTimeoutIsTimingError(t *testing.T) {
 	if strings.Join(replies, ",") != "1,2,3" {
 		t.Fatalf("replies = %v", replies)
 	}
-	recs := rt.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeTimedOut {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -456,12 +461,15 @@ func TestStartUpdatedFromRecordsOutcome(t *testing.T) {
 	s := sim.New()
 	k := vos.NewKernel(s)
 	old := &counterApp{version: "v1", count: 7}
-	rt := NewRuntime(s, old, Config{Name: "f", Dispatcher: k, ParallelXform: true})
+	var recs []UpdateRecord
+	rt := NewRuntime(s, old, Config{
+		Name: "f", Dispatcher: k, ParallelXform: true,
+		OnOutcome: func(r UpdateRecord) { recs = append(recs, r) },
+	})
 	rt.StartUpdatedFromAt(old, v2From(nil, 0), 0)
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	recs := rt.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeApplied {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -528,6 +536,7 @@ func TestForkedUpdateRecordsRealRequestTime(t *testing.T) {
 	s := sim.New()
 	k := vos.NewKernel(s)
 	var fRT *Runtime
+	var recs []UpdateRecord
 	rt := NewRuntime(s, &counterApp{version: "v1"}, Config{
 		Name:       "ldr",
 		Dispatcher: k,
@@ -539,7 +548,10 @@ func TestForkedUpdateRecordsRealRequestTime(t *testing.T) {
 			// Bogus fds: the forked follower's main exits at once, leaving
 			// only its update record behind.
 			old := &counterApp{version: "v1", listenFD: 98, connFD: 99}
-			fRT = NewRuntime(s, old, Config{Name: "flw", Dispatcher: k, ParallelXform: true})
+			fRT = NewRuntime(s, old, Config{
+				Name: "flw", Dispatcher: k, ParallelXform: true,
+				OnOutcome: func(r UpdateRecord) { recs = append(recs, r) },
+			})
 			fRT.StartUpdatedFromAt(old, v, reqAt)
 			return TakeAbort
 		},
@@ -566,7 +578,6 @@ func TestForkedUpdateRecordsRealRequestTime(t *testing.T) {
 	if fRT == nil {
 		t.Fatal("TakeUpdate never ran")
 	}
-	recs := fRT.records
 	if len(recs) != 1 || recs[0].Outcome != OutcomeApplied {
 		t.Fatalf("follower records = %+v", recs)
 	}
@@ -599,15 +610,11 @@ func TestForkedXformFailureRecordsOutcome(t *testing.T) {
 	if crashed {
 		t.Fatal("failed xform crashed the follower instead of recording OutcomeFailed")
 	}
-	recs := rt.records
-	if len(recs) != 1 || recs[0].Outcome != OutcomeFailed {
-		t.Fatalf("records = %+v", recs)
-	}
-	if recs[0].Err == nil || !strings.Contains(recs[0].Err.Error(), "uninitialized field") {
-		t.Fatalf("record error = %v", recs[0].Err)
-	}
 	if len(seen) != 1 || seen[0].Outcome != OutcomeFailed {
 		t.Fatalf("OnOutcome saw %+v", seen)
+	}
+	if seen[0].Err == nil || !strings.Contains(seen[0].Err.Error(), "uninitialized field") {
+		t.Fatalf("record error = %v", seen[0].Err)
 	}
 	// The failed follower never took over: old app, old generation, no
 	// live threads.

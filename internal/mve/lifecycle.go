@@ -22,9 +22,10 @@ func (m *Monitor) StartSingleLeader(name string) *Proc {
 // AttachVariant adds a validating consumer. The first one in switches
 // the leader from single-leader interception to recording, on a freshly
 // reset ring; each consumer gets a private cursor positioned at the
-// stream's current end, a clone of the leader's tracked kernel state (as
-// a forked process would) and its own liveness watchdog. rules may be
-// nil for identity validation (same-version replicas).
+// stream's current end and its own liveness watchdog. It inherits no
+// kernel state: its application forked from the leader's and shares the
+// virtual OS's fd table. rules may be nil for identity validation
+// (same-version replicas).
 func (m *Monitor) AttachVariant(name string, rules *dsl.RuleSet) *Proc {
 	if m.leader == nil {
 		panic("mve: attach without a leader")
@@ -36,7 +37,6 @@ func (m *Monitor) AttachVariant(name string, rules *dsl.RuleSet) *Proc {
 	}
 	p := newProc(m, name, RoleFollower)
 	p.engine = dsl.NewEngine(rules)
-	p.kstate = m.leader.kstate.Clone()
 	p.follow()
 	m.variants = append(m.variants, p)
 	m.rec.Emitf(obs.KindRole, name, "attached as follower of %s (%d attached, buffer %d entries)", m.leader.name, len(m.variants), m.ring.Cap())

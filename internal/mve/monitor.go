@@ -8,9 +8,10 @@
 //
 //   - With the set empty the leader runs against the virtual OS with
 //     lightweight interception (single-leader mode): every syscall is
-//     observed (and charged an interception cost) and kernel state
-//     relevant to a later fork is tracked, but nothing is recorded and
-//     the ring is closed.
+//     observed and charged Varan's interception cost, but nothing is
+//     recorded and the ring is closed. No kernel-state shadow is kept
+//     for a later fork: a follower is an App.Fork copy that shares the
+//     virtual OS's fd table.
 //
 //   - The first consumer attached (AttachVariant, AttachCandidate) resets
 //     the ring and switches the leader to recording (call, result) events
@@ -92,8 +93,9 @@ func (r Role) String() string {
 // benchmark harness installs constants calibrated against the paper's
 // Table 2 (see internal/bench).
 type Costs struct {
-	// Intercept is charged to every syscall in single-leader mode
-	// (Varan's binary-rewriting interception and kernel-state tracking).
+	// Intercept is charged to every syscall in single-leader mode: the
+	// price of Varan's binary-rewriting interception and kernel-state
+	// tracking. The simulation tracks nothing; it only charges the cost.
 	Intercept time.Duration
 	// Record is charged to every leader syscall in leader/follower mode
 	// (interception + ring-buffer registration + cross-core signalling).
@@ -323,7 +325,6 @@ type Proc struct {
 	crashPromote bool
 
 	diverged bool
-	kstate   KernelState
 
 	// cursor is this proc's position in the ring while it follows,
 	// opened whenever the proc enters RoleFollower. Closing it (eject,
@@ -387,7 +388,6 @@ func newProc(m *Monitor, name string, role Role) *Proc {
 		m:          m,
 		name:       name,
 		role:       role,
-		kstate:     newKernelState(),
 		reqDrainAt: make(map[uint64]time.Duration),
 	}
 }

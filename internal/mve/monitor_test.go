@@ -93,47 +93,6 @@ func TestSingleLeaderInterceptCostCharged(t *testing.T) {
 	}
 }
 
-func TestKernelStateTracking(t *testing.T) {
-	s, _, m := world(16, Costs{})
-	p := m.StartSingleLeader("v0")
-	s.Go("app", func(tk *sim.Task) {
-		inv(p, tk, sysabi.Call{Op: sysabi.OpGetPID})
-		lfd := int(inv(p, tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{80, 0}}).Ret)
-		efd := int(inv(p, tk, sysabi.Call{Op: sysabi.OpEpollCreate}).Ret)
-		ks := p.kstate
-		if ks.LogicalPID == 0 {
-			t.Error("pid not tracked")
-		}
-		if !ks.OpenFDs[lfd] || !ks.OpenFDs[efd] {
-			t.Error("fds not tracked")
-		}
-		if !ks.EpollFDs[efd] {
-			t.Error("epoll fd not tracked")
-		}
-		if ks.Listeners[lfd] != 80 {
-			t.Errorf("listener port = %d", ks.Listeners[lfd])
-		}
-		inv(p, tk, sysabi.Call{Op: sysabi.OpClose, FD: efd})
-		ks = p.kstate
-		if ks.OpenFDs[efd] || ks.EpollFDs[efd] {
-			t.Error("close not tracked")
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-func TestKernelStateCloneIsDeep(t *testing.T) {
-	ks := newKernelState()
-	ks.OpenFDs[3] = true
-	c := ks.Clone()
-	c.OpenFDs[4] = true
-	if ks.OpenFDs[4] {
-		t.Fatal("Clone shares maps")
-	}
-}
-
 // leaderEcho runs a tiny echo server loop through proc p: accept once,
 // then read/write n times.
 func leaderEcho(k *vos.Kernel, p sysabi.Dispatcher, iterations int) func(*sim.Task) {

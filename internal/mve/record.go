@@ -7,65 +7,6 @@ import (
 	"mvedsua/internal/sysabi"
 )
 
-// KernelState is the kernel-side state Varan tracks during single-leader
-// mode so that a follower can be attached later (§4: logical PIDs,
-// event-poll descriptors, and the fd table).
-type KernelState struct {
-	LogicalPID int64
-	OpenFDs    map[int]bool
-	EpollFDs   map[int]bool
-	Listeners  map[int]int64 // fd -> port
-}
-
-// Clone deep-copies the tracked kernel state (given to a fork).
-func (ks KernelState) Clone() KernelState {
-	// maporder: ok — map-to-map copies; the result is order-independent.
-	out := KernelState{LogicalPID: ks.LogicalPID}
-	out.OpenFDs = make(map[int]bool, len(ks.OpenFDs))
-	for fd := range ks.OpenFDs { // maporder: ok — map copy
-		out.OpenFDs[fd] = true
-	}
-	out.EpollFDs = make(map[int]bool, len(ks.EpollFDs))
-	for fd := range ks.EpollFDs { // maporder: ok — map copy
-		out.EpollFDs[fd] = true
-	}
-	out.Listeners = make(map[int]int64, len(ks.Listeners))
-	for fd, port := range ks.Listeners { // maporder: ok — map copy
-		out.Listeners[fd] = port
-	}
-	return out
-}
-
-func newKernelState() KernelState {
-	return KernelState{
-		OpenFDs:   make(map[int]bool),
-		EpollFDs:  make(map[int]bool),
-		Listeners: make(map[int]int64),
-	}
-}
-
-func (p *Proc) trackKernelState(call sysabi.Call, res sysabi.Result) {
-	if !res.OK() {
-		return
-	}
-	switch call.Op {
-	case sysabi.OpGetPID:
-		p.kstate.LogicalPID = res.Ret
-	case sysabi.OpSocket:
-		p.kstate.OpenFDs[int(res.Ret)] = true
-		p.kstate.Listeners[int(res.Ret)] = call.Args[0]
-	case sysabi.OpAccept, sysabi.OpConnect, sysabi.OpOpen:
-		p.kstate.OpenFDs[int(res.Ret)] = true
-	case sysabi.OpEpollCreate:
-		p.kstate.OpenFDs[int(res.Ret)] = true
-		p.kstate.EpollFDs[int(res.Ret)] = true
-	case sysabi.OpClose:
-		delete(p.kstate.OpenFDs, call.FD)
-		delete(p.kstate.EpollFDs, call.FD)
-		delete(p.kstate.Listeners, call.FD)
-	}
-}
-
 func (p *Proc) invokeSingle(t *sim.Task, call sysabi.Call) sysabi.Result {
 	if p.profiling() {
 		t.PushLabel(obs.LblLeader)
@@ -86,15 +27,12 @@ func (p *Proc) invokeSingle(t *sim.Task, call sysabi.Call) sysabi.Result {
 			sc.Inc(obs.CSyscallsSingle)
 			sc.Observe(obs.HSyscallSingle, t.Now()-start)
 		}
-		p.trackKernelState(call, res)
 		if rec.SpansEnabled() {
 			p.trackRequest(t, call, res, nil)
 		}
 		return res
 	}
-	res := p.m.kernel.Invoke(t, call)
-	p.trackKernelState(call, res)
-	return res
+	return p.m.kernel.Invoke(t, call)
 }
 
 func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
@@ -118,7 +56,6 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 			sc.Observe(obs.HSyscallLeader, t.Now()-start)
 		}
 	}
-	p.trackKernelState(call, res)
 	// The entry shares the live call's and result's payloads: the ring
 	// copies them when (and only when) it really appends, so nothing is
 	// copied for an event it refuses. Put may park first; an epoll_wait's

@@ -18,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -182,11 +183,31 @@ func (s *Scheduler) forget(t *Task) {
 
 // Run executes tasks until none remain, returning nil, or until no task can
 // make progress, returning a *DeadlockError.
-func (s *Scheduler) Run() error {
-	for len(s.tasks) > 0 {
+func (s *Scheduler) Run() error { return s.run(math.MaxInt64) }
+
+// RunFor executes tasks until the virtual clock passes deadline or no tasks
+// remain. Tasks still live at the deadline stay parked; Run or RunFor can be
+// called again to continue. It returns a *DeadlockError on deadlock.
+func (s *Scheduler) RunFor(d time.Duration) error {
+	deadline := s.clock + d
+	if err := s.run(deadline); err != nil {
+		return err
+	}
+	// The window ends at deadline even when its work ran out sooner.
+	s.clock = max(s.clock, deadline)
+	return nil
+}
+
+// run dispatches tasks until none remain, the clock reaches deadline or
+// the next timer lies beyond it.
+func (s *Scheduler) run(deadline time.Duration) error {
+	for len(s.tasks) > 0 && s.clock < deadline {
 		if s.runq.len() == 0 {
 			if len(s.timers) == 0 {
 				return s.deadlock()
+			}
+			if s.timers[0].when > deadline {
+				return nil
 			}
 			s.advanceTo(s.timers[0].when)
 			continue
@@ -196,36 +217,6 @@ func (s *Scheduler) Run() error {
 			continue
 		}
 		s.dispatch(t)
-	}
-	return nil
-}
-
-// RunFor executes tasks until the virtual clock passes deadline or no tasks
-// remain. Tasks still live at the deadline stay parked; Run or RunFor can be
-// called again to continue. It returns a *DeadlockError on deadlock.
-func (s *Scheduler) RunFor(d time.Duration) error {
-	deadline := s.clock + d
-	for len(s.tasks) > 0 && s.clock < deadline {
-		if s.runq.len() == 0 {
-			if len(s.timers) == 0 {
-				return s.deadlock()
-			}
-			when := s.timers[0].when
-			if when > deadline {
-				s.clock = deadline
-				return nil
-			}
-			s.advanceTo(when)
-			continue
-		}
-		t := s.runq.pop()
-		if t.state == StateDone {
-			continue
-		}
-		s.dispatch(t)
-	}
-	if s.clock < deadline && len(s.tasks) == 0 {
-		s.clock = deadline
 	}
 	return nil
 }
