@@ -90,15 +90,15 @@ func (w *World) EnableSpanTracing() {
 	}
 }
 
-// EnableProfiling opts the world into exact virtual-clock profiling:
-// the recorder starts accepting label pushes at the instrumentation
-// chokepoints and every scheduler slice is charged to the running
-// task's label stack. Profiling observes but never advances virtual
-// time, so a profiled run stays bit-identical to a bare one. The
-// returned profiler owns the accumulated time shares; export it after
-// Run with Folded, Pprof or Rows.
+// EnableProfiling opts the world into exact virtual-clock profiling by
+// attaching a profiler sink to its scheduler, the profiler's one switch:
+// the instrumentation chokepoints' label pushes take effect and every
+// scheduler slice is charged to the running task's label stack.
+// Profiling observes but never advances virtual time, so a profiled run
+// stays bit-identical to a bare one. The returned profiler owns the
+// accumulated time shares; export it after Run with Folded, Pprof or
+// Rows.
 func (w *World) EnableProfiling() *obs.Profiler {
-	w.Rec.EnableProfiling()
 	p := obs.NewProfiler()
 	w.S.SetProfiler(p.ShardSink(w.S.ShardID(), w.S.Now))
 	return p

@@ -84,7 +84,6 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 		s := sim.New()
 		rec := obs.New(s.Now, obs.Options{})
 		if profiled {
-			rec.EnableProfiling()
 			prof := obs.NewProfiler()
 			s.SetProfiler(prof.ShardSink(0, s.Now))
 		}
@@ -108,6 +107,28 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 		t.Errorf("final virtual times differ: bare %v vs profiled %v", bareEnd, profEnd)
 	}
 	sameSchedule(t, "bare", bareSched, "profiled", profSched)
+}
+
+// TestProfilerSinkIsTheSwitch: attaching a sink to the scheduler is all
+// profiling takes. With no recorder at all, the mve chokepoints still
+// label the leader's service and the follower's validation.
+func TestProfilerSinkIsTheSwitch(t *testing.T) {
+	s := sim.New()
+	prof := obs.NewProfiler()
+	s.SetProfiler(prof.ShardSink(0, s.Now))
+	err := measure(s, RedisTarget(), ModeVaran2, 256, nil, NewMetrics(0), func(_ *world, tk *sim.Task) error {
+		tk.Sleep(20 * time.Millisecond)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := prof.Folded()
+	for _, want := range []string{";leader;service", ";follower;validate"} {
+		if !strings.Contains(folded, want) {
+			t.Errorf("folded output has no %q stack:\n%s", want, folded)
+		}
+	}
 }
 
 // TestProfileReportClaims spot-checks the claims the profile experiment

@@ -163,7 +163,6 @@ const (
 func runProfileDuo(name string, mode Mode) (ProfileScenario, error) {
 	s := sim.New()
 	rec := obs.New(s.Now, obs.Options{})
-	rec.EnableProfiling()
 	prof := obs.NewProfiler()
 	s.SetProfiler(prof.ShardSink(0, s.Now))
 	err := measure(s, MemcachedTarget(), mode, 256, rec, NewMetrics(0), func(w *world, tk *sim.Task) error {
@@ -234,7 +233,7 @@ func runProfileSweep(shards int) (ProfileScenario, *obs.Profiler, error) {
 		sh := ss.Shard(i)
 		sh.SetProfiler(prof.ShardSink(i, sh.Now))
 	}
-	placeGroups(ss, profileSweepGroups, profileSweepClients, profileSweepOps, (*obs.Recorder).EnableProfiling)
+	placeGroups(ss, profileSweepGroups, profileSweepClients, profileSweepOps)
 	if err := ss.Run(); err != nil {
 		return ProfileScenario{}, nil, err
 	}

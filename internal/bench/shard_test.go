@@ -75,7 +75,7 @@ func BenchmarkShardSpeedup(b *testing.B) {
 			var ops int64
 			for i := 0; i < b.N; i++ {
 				ss := sim.NewSharded(shards, speedupQuantum)
-				groups := placeGroups(ss, speedupGroups, speedupClients, speedupOps, nil)
+				groups := placeGroups(ss, speedupGroups, speedupClients, speedupOps)
 				b.StartTimer()
 				err := ss.Run()
 				b.StopTimer()

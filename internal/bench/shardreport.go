@@ -98,17 +98,13 @@ type shardGroup struct {
 // placed round-robin on ss's shards, each loaded by clients bounded
 // closed-loop clients of ops operations and torn down by its own driver
 // once they finish. Groups never interact, so a sweep measures pure
-// shard-parallel throughput. instrument, if non-nil, prepares each
-// group's recorder before its world is built.
-func placeGroups(ss *sim.ShardedScheduler, groups, clients, ops int, instrument func(*obs.Recorder)) []*shardGroup {
+// shard-parallel throughput.
+func placeGroups(ss *sim.ShardedScheduler, groups, clients, ops int) []*shardGroup {
 	target := RedisTarget()
 	out := make([]*shardGroup, groups)
 	for g := range out {
 		s := ss.Shard(g % ss.Shards())
 		gr := &shardGroup{rec: obs.New(s.Now, obs.Options{}), m: NewMetrics(0)}
-		if instrument != nil {
-			instrument(gr.rec)
-		}
 		gr.w = buildOn(s, target, ModeVaran2, 256, gr.rec)
 		out[g] = gr
 		// left is only touched from this shard's scheduler, so the
@@ -135,7 +131,7 @@ func placeGroups(ss *sim.ShardedScheduler, groups, clients, ops int, instrument 
 // TotalOps must come out identical at every shard count.
 func runSpeedupPoint(shards int) (SpeedupPoint, error) {
 	ss := sim.NewSharded(shards, speedupQuantum)
-	groups := placeGroups(ss, speedupGroups, speedupClients, speedupOps, nil)
+	groups := placeGroups(ss, speedupGroups, speedupClients, speedupOps)
 	if err := ss.Run(); err != nil {
 		return SpeedupPoint{}, err
 	}

@@ -535,12 +535,10 @@ func (c *Controller) takeUpdate(t *sim.Task, rt *dsu.Runtime, v *dsu.Version) ds
 		return dsu.TakeAbort
 	}
 	// Runs in the leader's task at quiescence: the fork + candidate
-	// launch is the update's in-band moment, so attribute it to the
-	// xform dimension when profiling is on.
-	if c.rec.ProfilingEnabled() {
-		t.PushLabel(obs.LblXform)
-		defer t.PopLabel()
-	}
+	// launch is the update's in-band moment, so a profiler attributes it
+	// to the xform dimension.
+	t.PushLabel(obs.LblXform)
+	defer t.PopLabel()
 	// The update was requested when the leader runtime armed it, not
 	// when quiescence finally decided it here; thread the real request
 	// time into the candidate's update record.

@@ -326,11 +326,9 @@ func (rt *Runtime) applyXform(task *sim.Task, old App, v *Version) (App, error) 
 	if traced {
 		rec.BeginSpan(track, "xform:"+v.Name, "state transfer")
 	}
-	if rec.ProfilingEnabled() {
-		task.PushLabel(obs.LblXform)
-		defer task.PopLabel()
+	if v.XformCost != nil {
+		rt.spendXform(task, v.XformCost(old))
 	}
-	rt.chargeXform(task, old, v)
 	newApp, err := v.Xform(old)
 	rec.Observe(obs.HDSUXform, rt.sched.Now()-start)
 	if traced {
@@ -341,19 +339,17 @@ func (rt *Runtime) applyXform(task *sim.Task, old App, v *Version) (App, error) 
 
 // startLazySweep spawns the background migration task for a LazyXform
 // update just applied as app: it drains the cold tail in bounded
-// batches, pausing between bursts so service traffic interleaves. The
-// sweep charges batch cost like the runtime charges Xform cost —
-// in-place (Advance) normally, parallel (Sleep) in follower mode — and
-// exits when the tail is drained or the app is superseded by another
-// update. The task is not a registered app thread: it never counts
-// toward quiescence, so a queued next update is not blocked by its own
-// predecessor's cleanup.
+// batches, pausing between bursts so service traffic interleaves. Each
+// burst's cost is spent like Xform cost (spendXform), in whatever mode
+// the runtime is in at that burst, and the task exits when the tail is
+// drained or the app is superseded by another update. The task is not a
+// registered app thread: it never counts toward quiescence, so a queued
+// next update is not blocked by its own predecessor's cleanup.
 func (rt *Runtime) startLazySweep(app App) {
 	la, ok := app.(LazyApp)
 	if !ok {
 		return
 	}
-	parallel := rt.cfg.ParallelXform
 	rec := rt.cfg.Rec
 	name := fmt.Sprintf("%s/lazy-sweep@%s", rt.cfg.Name, app.Version())
 	t := rt.sched.Go(name, func(task *sim.Task) {
@@ -362,24 +358,7 @@ func (rt *Runtime) startLazySweep(app App) {
 			if n > 0 {
 				rec.Add(obs.CDSUXformSwept, int64(n))
 				rec.SetGauge(obs.GDSUXformPending, int64(la.PendingLazy()))
-				if cost > 0 {
-					prof := rec.ProfilingEnabled()
-					if prof {
-						task.PushLabel(obs.LblXform)
-					}
-					if parallel {
-						start := task.Now()
-						task.Sleep(cost)
-						if prof {
-							task.ChargeWait(obs.LblXform, start)
-						}
-					} else {
-						task.Advance(cost)
-					}
-					if prof {
-						task.PopLabel()
-					}
-				}
+				rt.spendXform(task, cost)
 			}
 			if la.PendingLazy() == 0 {
 				return
@@ -399,27 +378,26 @@ const (
 	lazySweepInterval = time.Millisecond
 )
 
-func (rt *Runtime) chargeXform(task *sim.Task, old App, v *Version) {
-	if v.XformCost == nil {
-		return
-	}
-	d := v.XformCost(old)
+// spendXform spends d of state-transformation work on task under the
+// xform profiling label. In follower mode (ParallelXform) the work runs
+// on its own core: it sleeps, stalling no one, and a profiler charges it
+// to the off-CPU xform dimension. Otherwise it runs in place and service
+// pauses (the Kitsune pause). The mode is read per call, so a runtime
+// that SetUpdateHooks switches back to in-place — a promoted leader —
+// stalls service from its next charge on, lazy sweep bursts included.
+func (rt *Runtime) spendXform(task *sim.Task, d time.Duration) {
 	if d <= 0 {
 		return
 	}
+	task.PushLabel(obs.LblXform)
 	if rt.cfg.ParallelXform {
-		if rt.cfg.Rec.ProfilingEnabled() {
-			// Parallel transfer is sleep-modeled work on another core:
-			// charge it to the off-CPU xform dimension.
-			start := task.Now()
-			task.Sleep(d)
-			task.ChargeWait(obs.LblXform, start)
-		} else {
-			task.Sleep(d) // own core: elapses without stalling the leader
-		}
+		start := task.Now()
+		task.Sleep(d)
+		task.ChargeWait(obs.LblXform, start)
 	} else {
-		task.Advance(d) // in-place: service pauses (the Kitsune pause)
+		task.Advance(d)
 	}
+	task.PopLabel()
 }
 
 // launch spawns the main thread for app.
@@ -598,24 +576,7 @@ func (e *Env) ChargeLazyXform(steps int, d time.Duration) {
 		rec.InstantSpan("dsu:"+rt.cfg.Name, "xform:touch",
 			fmt.Sprintf("%d lazy migration step(s) on access", steps))
 	}
-	if d > 0 {
-		prof := rec.ProfilingEnabled()
-		if prof {
-			e.task.PushLabel(obs.LblXform)
-		}
-		if rt.cfg.ParallelXform {
-			start := e.task.Now()
-			e.task.Sleep(d)
-			if prof {
-				e.task.ChargeWait(obs.LblXform, start)
-			}
-		} else {
-			e.task.Advance(d)
-		}
-		if prof {
-			e.task.PopLabel()
-		}
-	}
+	rt.spendXform(e.task, d)
 }
 
 // Sys issues a virtual system call on behalf of this thread. If the

@@ -779,3 +779,133 @@ func TestEnvTIDsSequential(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 }
+
+// profCharge is one charge a chargeLog received: a cpu segment
+// (ProfileSlice, wait empty) or an off-CPU wait (ProfileWait).
+type profCharge struct {
+	kind   string // "cpu" or "off"
+	task   string
+	labels string // the label stack, ';'-joined
+	wait   string
+	d      time.Duration
+}
+
+// chargeLog is a sim.SliceProfiler that keeps every call it receives.
+type chargeLog struct{ charges []profCharge }
+
+func (l *chargeLog) ProfileSlice(task string, labels []string, start, end time.Duration) {
+	l.charges = append(l.charges, profCharge{"cpu", task, strings.Join(labels, ";"), "", end - start})
+}
+
+func (l *chargeLog) ProfileWait(task string, labels []string, wait string, start, end time.Duration) {
+	l.charges = append(l.charges, profCharge{"off", task, strings.Join(labels, ";"), wait, end - start})
+}
+
+// xform returns the charges of the given kind made under the xform
+// label by task.
+func (l *chargeLog) xform(kind, task string) []profCharge {
+	var out []profCharge
+	for _, c := range l.charges {
+		if c.kind == kind && c.task == task && c.labels == obs.LblXform {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// Every transformation charge — an eager update's Xform cost and a lazy
+// on-access touch — goes through one helper: in follower mode it is one
+// off-CPU wait with an xform leaf, in place one cpu segment under xform,
+// each exactly as wide as the charged cost, and attaching the profiler
+// moves the clock not at all.
+func TestXformChargedByOneHelper(t *testing.T) {
+	const cost = 3 * time.Millisecond
+	eager := func(parallel bool, prof sim.SliceProfiler) (string, time.Duration) {
+		s := sim.New()
+		if prof != nil {
+			s.SetProfiler(prof)
+		}
+		old := &counterApp{version: "v1", listenFD: 3, connFD: 4}
+		rt := NewRuntime(s, old, Config{Name: "f", Dispatcher: vos.NewKernel(s), ParallelXform: parallel})
+		task := rt.StartUpdatedFromAt(old, v2From(nil, cost), 0)
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return task.Name(), s.Now()
+	}
+	touch := func(parallel bool, prof sim.SliceProfiler) (string, time.Duration) {
+		s := sim.New()
+		if prof != nil {
+			s.SetProfiler(prof)
+		}
+		rt := NewRuntime(s, &counterApp{version: "v1"}, Config{Name: "f", Dispatcher: vos.NewKernel(s), ParallelXform: parallel})
+		var charged time.Duration
+		s.Go("driver", func(tk *sim.Task) {
+			env := rt.register(tk, false)
+			before := tk.Now()
+			env.ChargeLazyXform(1, cost)
+			charged = tk.Now() - before
+			rt.deregister(env)
+		})
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return "driver", charged
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(parallel bool, prof sim.SliceProfiler) (string, time.Duration)
+	}{{"eager", eager}, {"lazy-touch", touch}} {
+		for _, parallel := range []bool{true, false} {
+			name := fmt.Sprintf("%s/parallel=%v", tc.name, parallel)
+			log := &chargeLog{}
+			task, profiled := tc.run(parallel, log)
+			_, bare := tc.run(parallel, nil)
+			if profiled != bare {
+				t.Errorf("%s: clock moved %v profiled, %v bare", name, profiled, bare)
+			}
+			dim, other, leaf := "cpu", "off", ""
+			if parallel {
+				dim, other, leaf = "off", "cpu", obs.LblXform
+			}
+			got := log.xform(dim, task)
+			if len(got) != 1 || got[0].d != cost || got[0].wait != leaf || len(log.xform(other, task)) != 0 {
+				t.Errorf("%s: xform charges %+v, want one %s charge of %v with leaf %q and no %s charge",
+					name, log.charges, dim, cost, leaf, other)
+			}
+		}
+	}
+}
+
+// A follower runtime's lazy sweep runs on its own core; once promotion
+// switches the runtime back to in-place (SetUpdateHooks), the bursts
+// still owed hold the CPU, stalling service like any leader
+// transformation.
+func TestPromotedLeaderSweepsInPlace(t *testing.T) {
+	s := sim.New()
+	const sweep = "f/lazy-sweep@v2"
+	var onCPU time.Duration
+	s.OnSlice = func(task string, start, end time.Duration) {
+		if task == sweep {
+			onCPU += end - start
+		}
+	}
+	old := &counterApp{version: "v1", listenFD: 3, connFD: 4}
+	rt := NewRuntime(s, old, Config{Name: "f", Dispatcher: vos.NewKernel(s), ParallelXform: true})
+	// Four bursts of lazySweepBatch µs each, lazySweepInterval apart from
+	// t=50µs; promotion lands between the second and the third.
+	rt.StartUpdatedFromAt(old, lazyV2(4*lazySweepBatch), 0)
+	s.Go("controller", func(tk *sim.Task) {
+		tk.Sleep(lazySweepInterval + lazySweepInterval/2)
+		rt.SetUpdateHooks(nil, nil, false)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if pending := rt.App().(*lazyCounterApp).pendingN; pending != 0 {
+		t.Fatalf("pending = %d after the sweep, want 0", pending)
+	}
+	if want := 2 * lazySweepBatch * time.Microsecond; onCPU != want {
+		t.Fatalf("sweep held the CPU for %v, want %v (the two bursts after promotion, in place)", onCPU, want)
+	}
+}

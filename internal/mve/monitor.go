@@ -439,10 +439,6 @@ func (p *Proc) scoped() *obs.Registry {
 	return p.scope
 }
 
-// profiling reports whether profiler chokepoints are live (nil-safe,
-// off by default: golden runs never reach the label pushes below).
-func (p *Proc) profiling() bool { return p.m.rec.ProfilingEnabled() }
-
 // roleLabel maps the proc onto the profiler's role vocabulary.
 func (p *Proc) roleLabel() string {
 	switch p.role {

@@ -8,7 +8,7 @@ import (
 )
 
 func (p *Proc) invokeSingle(t *sim.Task, call sysabi.Call) sysabi.Result {
-	if p.profiling() {
+	if t.Profiled() {
 		t.PushLabel(obs.LblLeader)
 		t.PushLabel(obs.LblService)
 		defer t.PopLabel()
@@ -36,7 +36,7 @@ func (p *Proc) invokeSingle(t *sim.Task, call sysabi.Call) sysabi.Result {
 }
 
 func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
-	if p.profiling() {
+	if t.Profiled() {
 		t.PushLabel(obs.LblLeader)
 		t.PushLabel(obs.LblService)
 		defer t.PopLabel()

@@ -14,7 +14,7 @@ import (
 // invokeFollower validates one follower syscall. The second return value
 // requests re-dispatch after a role change (promotion).
 func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, bool) {
-	if p.profiling() {
+	if t.Profiled() {
 		t.PushLabel(p.roleLabel())
 		t.PushLabel(obs.LblValidate)
 		defer t.PopLabel()
@@ -31,18 +31,14 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 			return sysabi.Result{}, true
 		}
 	}
-	// Model the follower's per-event processing as parallel work. With
-	// profiling on, the sleep-modeled interval is charged to the off-CPU
-	// validate dimension — this is the per-event cost that scales with
-	// the variant count K in fleet profiles.
+	// Model the follower's per-event processing as parallel work. A
+	// profiler charges the sleep-modeled interval to the off-CPU validate
+	// dimension — this is the per-event cost that scales with the variant
+	// count K in fleet profiles.
 	if p.m.costs.Replay > 0 {
-		if p.profiling() {
-			start := t.Now()
-			t.Sleep(p.m.costs.Replay)
-			t.ChargeWait(obs.LblValidate, start)
-		} else {
-			t.Sleep(p.m.costs.Replay)
-		}
+		start := t.Now()
+		t.Sleep(p.m.costs.Replay)
+		t.ChargeWait(obs.LblValidate, start)
 	}
 	st := p.stream(call.TID)
 	var exp sysabi.Event

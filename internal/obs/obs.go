@@ -215,8 +215,6 @@ type Recorder struct {
 	milestones        []Event
 	milestonesDropped int64 // lifecycle events refused at milestoneCap
 
-	profilingOn bool // set by EnableProfiling; gates profiler chokepoints
-
 	spansOn      bool // set by EnableSpans; gates all span recording
 	spans        []SpanEvent
 	spanCap      int

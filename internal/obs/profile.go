@@ -24,10 +24,11 @@ import (
 //     replay, parallel state transformation). These overlap other
 //     tasks' cpu time and are excluded from the makespan identity.
 //
-// Like spans, profiling is double-gated: every chokepoint checks
-// Recorder.ProfilingEnabled() (nil-safe, false by default), and the
-// scheduler charges nothing until a sink is attached. Golden runs never
-// enable it, so the committed artifacts stay byte-identical.
+// Profiling has one switch: the sink attached with
+// sim.Scheduler.SetProfiler. Chokepoints push labels and charge waits
+// through sim.Task, which does nothing while no sink is attached, so
+// golden runs (which attach none) keep the committed artifacts
+// byte-identical.
 
 // Profiling label vocabulary. Roles name who held the CPU; activities
 // name what for. Chokepoints across sysabi/ringbuf/mve/dsu push these
@@ -46,19 +47,10 @@ const (
 	LblIdle         = "idle"
 )
 
-// EnableProfiling turns on profiler gating: instrumentation sites that
-// push labels or charge waits check ProfilingEnabled first, so until
-// this is called (and a Profiler sink is attached to the scheduler) the
-// whole subsystem is dark and runs are byte-identical to bare ones.
-func (r *Recorder) EnableProfiling() {
-	if r == nil {
-		return
-	}
-	r.profilingOn = true
-}
-
-// ProfilingEnabled reports whether profiling instrumentation is on.
-func (r *Recorder) ProfilingEnabled() bool { return r != nil && r.profilingOn }
+// EnableProfiling does nothing: the scheduler's sink is the profiler's
+// only switch (sim.Scheduler.SetProfiler). It stays for the benchmark
+// adapter, which calls it.
+func (r *Recorder) EnableProfiling() {}
 
 // ProfilerShard accumulates attribution for one scheduler (one shard).
 // During a sharded run's parallel epochs each shard's OS thread writes

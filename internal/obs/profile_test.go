@@ -6,25 +6,6 @@ import (
 	"time"
 )
 
-// TestProfilingDoubleGate pins the off-by-default contract: nil and
-// un-enabled recorders both report profiling off, so every chokepoint's
-// ProfilingEnabled() check keeps golden runs dark.
-func TestProfilingDoubleGate(t *testing.T) {
-	var nilRec *Recorder
-	nilRec.EnableProfiling() // must not panic
-	if nilRec.ProfilingEnabled() {
-		t.Fatal("nil recorder reports profiling enabled")
-	}
-	r := New(nil, Options{})
-	if r.ProfilingEnabled() {
-		t.Fatal("profiling enabled without EnableProfiling")
-	}
-	r.EnableProfiling()
-	if !r.ProfilingEnabled() {
-		t.Fatal("EnableProfiling did not take")
-	}
-}
-
 // TestProfilerSliceAccounting charges a few slices and checks the cpu
 // books: stack keys, busy total, and the synthesized idle row closing
 // the makespan identity.

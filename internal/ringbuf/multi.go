@@ -240,20 +240,14 @@ func (mb *MultiBuffer) blockUntilNotFull(t *sim.Task) bool {
 		}
 		mb.ProducerBlocked++
 		mb.Rec.Inc(obs.CRingBlocked)
-		if mb.Rec.Enabled() {
-			if !mb.blocking {
-				mb.blocking = true
-				mb.Rec.Emitf(obs.KindRingBlock, t.Name(), "buffer full (%d/%d)", mb.Len(), mb.capacity)
-			}
-			blockedAt := t.Now()
-			t.Block(&mb.notFull)
-			mb.Rec.Observe(obs.HRingBlockWait, t.Now()-blockedAt)
-			if mb.Rec.ProfilingEnabled() {
-				t.ChargeWait(obs.LblRingWait, blockedAt)
-			}
-		} else {
-			t.Block(&mb.notFull)
+		if mb.Rec.Enabled() && !mb.blocking {
+			mb.blocking = true
+			mb.Rec.Emitf(obs.KindRingBlock, t.Name(), "buffer full (%d/%d)", mb.Len(), mb.capacity)
 		}
+		blockedAt := t.Now()
+		t.Block(&mb.notFull)
+		mb.Rec.Observe(obs.HRingBlockWait, t.Now()-blockedAt)
+		t.ChargeWait(obs.LblRingWait, blockedAt)
 	}
 	return !mb.closed
 }
@@ -328,17 +322,11 @@ func (mb *MultiBuffer) RecycleReady(r []int) { mb.pool.ints.put(r) }
 // wait for its consumers after each recorded event without burning a
 // scheduler dispatch per poll.
 func (mb *MultiBuffer) WaitDrained(t *sim.Task) {
-	if mb.Rec.ProfilingEnabled() && mb.Len() > 0 && !mb.closed {
-		blockedAt := t.Now()
-		for mb.Len() > 0 && !mb.closed {
-			t.Block(&mb.drained)
-		}
-		t.ChargeWait(obs.LblLockstepWait, blockedAt)
-		return
-	}
+	blockedAt := t.Now()
 	for mb.Len() > 0 && !mb.closed {
 		t.Block(&mb.drained)
 	}
+	t.ChargeWait(obs.LblLockstepWait, blockedAt)
 }
 
 // Close marks the buffer closed and wakes all waiters: cursor consumers,
@@ -458,17 +446,12 @@ func (c *Cursor) take() Entry {
 }
 
 // blockEmpty parks a consumer on the cursor's empty view, attributing
-// the blocked interval to the ring_wait profiling dimension when
-// profiling is on (one episode per park, charged under the task's
-// current label stack).
+// the blocked interval to the ring_wait profiling dimension (one episode
+// per park, charged under the task's current label stack).
 func (c *Cursor) blockEmpty(t *sim.Task) {
-	if c.mb.Rec.ProfilingEnabled() {
-		blockedAt := t.Now()
-		t.Block(&c.notEmpty)
-		t.ChargeWait(obs.LblRingWait, blockedAt)
-	} else {
-		t.Block(&c.notEmpty)
-	}
+	blockedAt := t.Now()
+	t.Block(&c.notEmpty)
+	t.ChargeWait(obs.LblRingWait, blockedAt)
 }
 
 // Get removes and returns the cursor's oldest pending entry, blocking

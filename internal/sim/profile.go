@@ -32,11 +32,19 @@ type SliceProfiler interface {
 	ProfileWait(task string, labels []string, wait string, start, end time.Duration)
 }
 
-// SetProfiler attaches (or, with nil, detaches) a slice profiler. Like
-// OnSlice it is observation-only: attaching a profiler changes neither
-// the clock nor any scheduling decision, so a profiled run replays the
-// exact schedule of a bare one.
+// SetProfiler attaches (or, with nil, detaches) a slice profiler. It is
+// the profiler's one switch: PushLabel, PopLabel and ChargeWait do
+// nothing until a sink is attached, so chokepoints call them
+// unconditionally. Like OnSlice it is observation-only: attaching a
+// profiler changes neither the clock nor any scheduling decision, so a
+// profiled run replays the exact schedule of a bare one.
 func (s *Scheduler) SetProfiler(p SliceProfiler) { s.profiler = p }
+
+// Profiled reports whether the task's scheduler has a profiler attached.
+// Only per-syscall chokepoints need it, to skip their label pushes on
+// the unprofiled hot path; everything else calls the label methods
+// unconditionally.
+func (t *Task) Profiled() bool { return t.s.profiler != nil }
 
 // flushSegment closes the open CPU segment of the currently running
 // task at the present clock and starts the next one. Called by dispatch

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mvedsua/internal/mve"
+	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
 	"mvedsua/internal/vos"
@@ -25,9 +26,14 @@ import (
 // application keeps the listener, an accepted connection and its client
 // end, and an epoll descriptor watching watched connections of which only
 // that one ever has data. The client's end is driven by the same task,
-// through the same monitor.
-func benchFloor(b *testing.B, watched int, body func(p sysabi.Dispatcher, tk *sim.Task, efd, cfd, sfd int)) {
+// through the same monitor. profiled attaches a virtual-clock profiler
+// sink to the world's scheduler, so the twin of a floor prices the
+// profiler's wall-clock tax.
+func benchFloor(b *testing.B, watched int, profiled bool, body func(p sysabi.Dispatcher, tk *sim.Task, efd, cfd, sfd int)) {
 	s := sim.New()
+	if profiled {
+		s.SetProfiler(obs.NewProfiler().ShardSink(0, s.Now))
+	}
 	k := vos.NewKernel(s)
 	k.WriteFile("/bulk", make([]byte, 1<<20))
 	p := mve.New(k, 16, mve.Costs{}).StartSingleLeader("leader")
@@ -49,8 +55,15 @@ func benchFloor(b *testing.B, watched int, body func(p sysabi.Dispatcher, tk *si
 
 // BenchmarkSyscallFloorEcho64 is a 64-byte request read into the
 // application's buffer and echoed back.
-func BenchmarkSyscallFloorEcho64(b *testing.B) {
-	benchFloor(b, 1, func(p sysabi.Dispatcher, tk *sim.Task, _, cfd, sfd int) {
+func BenchmarkSyscallFloorEcho64(b *testing.B) { benchEcho64(b, false) }
+
+// BenchmarkSyscallFloorEcho64Profiled is the same echo with a profiler
+// sink attached: the difference to BenchmarkSyscallFloorEcho64 is what
+// profiling costs per four intercepted calls.
+func BenchmarkSyscallFloorEcho64Profiled(b *testing.B) { benchEcho64(b, true) }
+
+func benchEcho64(b *testing.B, profiled bool) {
+	benchFloor(b, 1, profiled, func(p sysabi.Dispatcher, tk *sim.Task, _, cfd, sfd int) {
 		msg, buf, reply := make([]byte, 64), make([]byte, 4096), make([]byte, 4096)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -69,7 +82,7 @@ func BenchmarkSyscallFloorEcho64(b *testing.B) {
 // read from the file into the application's buffer, written to the
 // socket (and drained on the client's side).
 func BenchmarkSyscallFloorFRead4K(b *testing.B) {
-	benchFloor(b, 1, func(p sysabi.Dispatcher, tk *sim.Task, _, cfd, sfd int) {
+	benchFloor(b, 1, false, func(p sysabi.Dispatcher, tk *sim.Task, _, cfd, sfd int) {
 		buf, sink := make([]byte, 4096), make([]byte, 4096)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -93,7 +106,7 @@ func BenchmarkSyscallFloorFRead4K(b *testing.B) {
 // BenchmarkSyscallFloorEpollWait1of64 is an epoll_wait over 64 watched
 // connections of which one is ready.
 func BenchmarkSyscallFloorEpollWait1of64(b *testing.B) {
-	benchFloor(b, 64, func(p sysabi.Dispatcher, tk *sim.Task, efd, cfd, sfd int) {
+	benchFloor(b, 64, false, func(p sysabi.Dispatcher, tk *sim.Task, efd, cfd, sfd int) {
 		p.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: cfd, Buf: make([]byte, 64)})
 		b.ReportAllocs()
 		b.ResetTimer()
