@@ -84,6 +84,8 @@ lines:
 # window, the artifact gate `check` runs (`benchtool -check .`) and each
 # benchmark workload for one traced second. The merged
 # counters are then compared block by block with the test profile.
+# .census/testonly.txt is the worklist: every test-only block as
+# `file:start-end statements`, then each file's total, largest first.
 CENSUS := $(CURDIR)/.census
 coverage-census:
 	@rm -rf $(CENSUS) && mkdir -p $(CENSUS)/bin $(CENSUS)/cov
@@ -105,15 +107,22 @@ coverage-census:
 	done) >$(CENSUS)/runs.log 2>&1 || { echo "a production run failed: see $(CENSUS)/runs.log"; exit 1; }
 	@$(GO) tool covdata textfmt -i=$(CENSUS)/cov -o $(CENSUS)/prod.out
 	@$(GO) test -coverpkg=mvedsua/internal/... -coverprofile=$(CENSUS)/test.out ./... >$(CENSUS)/test.log
-	@awk 'FNR == 1 { next } \
+	@awk -v list=$(CENSUS)/testonly.txt 'FNR == 1 { next } \
 	FILENAME ~ /prod.out$$/ { if ($$3 > 0) prod[$$1] = 1; next } \
 	{ n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
 	END { \
+		blocks = "sort -t: -k1,1 -k2,2n >" list; files = "sort -k2,2nr -k1,1 >>" list; \
 		for (b in n) { p = b; sub(/\/[^\/]*$$/, "", p); sub(/^mvedsua\//, "", p); \
-			s[p] += n[b]; if (b in hit) t[p] += n[b]; if ((b in hit) && !(b in prod)) o[p] += n[b] } \
+			s[p] += n[b]; if (b in hit) t[p] += n[b]; if (!(b in hit) || (b in prod)) continue; \
+			o[p] += n[b]; f = b; sub(/:.*/, "", f); sub(/^mvedsua\//, "", f); \
+			r = b; sub(/^[^:]*:/, "", r); split(r, q, /[.,]/); \
+			printf "%s:%d-%d %d\n", f, q[1], q[3], n[b] | blocks; ft[f] += n[b] } \
+		close(blocks); printf "\nper-file totals\n" >>list; close(list); \
+		for (f in ft) printf "%s %d\n", f, ft[f] | files; close(files); \
 		printf "%-24s %10s %10s %10s\n", "package", "statements", "tested", "test-only"; \
 		for (p in s) { printf "%-24s %10d %10d %10d\n", p, s[p], t[p], o[p] | "sort"; S += s[p]; T += t[p]; O += o[p] } \
-		close("sort"); printf "%-24s %10d %10d %10d\n", "total", S, T, O }' $(CENSUS)/prod.out $(CENSUS)/test.out
+		close("sort"); printf "%-24s %10d %10d %10d\n", "total", S, T, O; \
+		print "test-only blocks, per file: " list }' $(CENSUS)/prod.out $(CENSUS)/test.out
 
 # The frozen benchmark adapter (benchmark/adapter.go) is a nested module
 # `go build ./...` never sees: vet and test it here, so a rename that
@@ -126,7 +135,7 @@ adapter-compat:
 # TestCommittedArtifacts): every experiment with a report is run in
 # deterministic virtual time and must reproduce its committed
 # BENCH_<name>.json byte for byte; metrics is also validated against
-# the golden schema and timeline's Chrome trace export must parse and be
+# obs's metric vocabulary and timeline's Chrome trace export must parse and be
 # time-ordered per track. The duo experiments double as the K=1
 # byte-identity gate for fleet and ring refactors. sharddet commits
 # nothing: its two parallel-shard lifecycles with a cross-shard trigger

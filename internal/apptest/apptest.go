@@ -243,7 +243,9 @@ func (c *Client) DoTagged(tk *sim.Task, reqID uint64, cmd string) string {
 }
 
 // RecvUntil keeps reading until the accumulated reply contains the
-// marker (for multi-part replies such as FTP transfers).
+// marker (for multi-part replies such as FTP transfers). Each burst is
+// searched from len(marker)-1 bytes before its start, so a marker split
+// across two reads is found and a long reply is scanned once.
 func (c *Client) RecvUntil(tk *sim.Task, marker string) string {
 	var b strings.Builder
 	for {
@@ -251,8 +253,9 @@ func (c *Client) RecvUntil(tk *sim.Task, marker string) string {
 		if part == "" {
 			return b.String()
 		}
+		from := max(0, b.Len()-len(marker)+1)
 		b.WriteString(part)
-		if strings.Contains(b.String(), marker) {
+		if strings.Contains(b.String()[from:], marker) {
 			return b.String()
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"mvedsua/internal/dsu"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
+	"mvedsua/internal/vos"
 )
 
 // echoServer is a trivial dsu.App used to exercise the client helpers.
@@ -113,5 +114,37 @@ func TestConnectPanicsOnDeadPort(t *testing.T) {
 	}
 	if !crashed {
 		t.Fatal("Connect to a dead port did not panic")
+	}
+}
+
+// TestRecvUntilMarkerStraddlesReads: the server sends the marker split
+// across two bursts, all but its last byte in the first, then a tail.
+// RecvUntil must find the marker in the second burst's read and return
+// without reading the tail.
+func TestRecvUntilMarkerStraddlesReads(t *testing.T) {
+	s := sim.New()
+	k := vos.NewKernel(s)
+	bursts := []string{"150 data\r\n226 Transfer complet", "e\r\n", "tail"}
+	s.Go("server", func(tk *sim.Task) {
+		lfd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{21, 0}}).Ret)
+		fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
+		for _, b := range bursts {
+			k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte(b)})
+			tk.Sleep(time.Millisecond)
+		}
+	})
+	var got string
+	var reads int
+	s.Go("client", func(tk *sim.Task) {
+		c := Connect(k, tk, 21)
+		before := k.Stats[sysabi.OpRead]
+		got = c.RecvUntil(tk, "226 Transfer complete")
+		reads = k.Stats[sysabi.OpRead] - before
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := bursts[0] + bursts[1]; got != want || reads != 2 {
+		t.Fatalf("RecvUntil = %q in %d reads, want %q in 2", got, reads, want)
 	}
 }

@@ -66,7 +66,7 @@ func (sw *ShardedWorld) Run() error {
 // identical at any shard count for the same workload — the property the
 // perf experiment's TotalOps/Syscalls invariants lean on.
 func (sw *ShardedWorld) MergedMetrics() *obs.Registry {
-	dst := obs.NewRegistry("merged")
+	dst := obs.NewRegistry("")
 	for _, w := range sw.Worlds {
 		w.Rec.Root().MergeInto(dst)
 	}

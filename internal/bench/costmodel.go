@@ -60,14 +60,6 @@ func (m Mode) String() string {
 const (
 	// SyscallBase is the native cost of any virtual syscall.
 	SyscallBase = 1300 * time.Nanosecond
-	// PerByte is the additional kernel cost per payload byte moved. As
-	// written it is 0: `200 * time.Nanosecond / 1000` is integer division
-	// in whole nanoseconds, so payload bytes are free in this model and
-	// every syscall costs SyscallBase whatever it carries. It stays 0
-	// because Table 2's large-file Vsftpd rows are calibrated on it (the
-	// frozen benchmark adapter, which charges picoseconds per byte
-	// instead, notes the same).
-	PerByte = 200 * time.Nanosecond / 1000
 
 	// InterceptCost is Varan's per-syscall single-leader overhead.
 	InterceptCost = 100 * time.Nanosecond
@@ -96,14 +88,11 @@ const (
 )
 
 // KernelCost is the vos.Kernel BaseCost hook: native per-syscall cost.
-// Payload bytes are charged on the writing side (every byte that moves
-// through a stream is written exactly once).
-func KernelCost(c sysabi.Call) time.Duration {
-	d := SyscallBase
-	if n := len(c.Buf); n > 0 {
-		d += time.Duration(n) * PerByte
-	}
-	return d
+// Every syscall costs SyscallBase whatever it carries. Payload bytes are
+// free because Table 2's large-file Vsftpd rows are calibrated without
+// a per-byte term; adding one would move every byte-heavy figure.
+func KernelCost(sysabi.Call) time.Duration {
+	return SyscallBase
 }
 
 // MVECosts returns the monitor cost set for a mode.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	_ "embed"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -23,15 +22,10 @@ import (
 // the kvstore, each chosen to light up a different region of the metric
 // vocabulary — the clean lifecycle, a watchdog stall with retry, a
 // divergence rollback, blocking backpressure on a tiny ring buffer, and
-// the discard-follower policy. Together the runs cover every counter,
-// gauge and histogram in internal/obs/names.go, which is what the
-// golden schema (testdata/metrics_schema.json) asserts.
-
-// MetricsSchemaJSON is the golden schema metrics reports are checked
-// against (the catalogue row's Valid). A test keeps it in sync with obs's name vocabulary.
-//
-//go:embed testdata/metrics_schema.json
-var MetricsSchemaJSON []byte
+// the discard-follower policy. ValidateMetricsReport holds the report
+// to obs's metric vocabulary: every name a run exports is one of
+// obs.CounterNames, GaugeNames or HistogramNames, and between them the
+// runs light up every name of metricsRequired.
 
 // MetricsSchemaID is the report format identifier.
 const MetricsSchemaID = "mvedsua-metrics/v1"
@@ -77,6 +71,22 @@ func RunMetricsReport() (MetricsReport, error) {
 		report.Runs = append(report.Runs, run)
 	}
 	return report, nil
+}
+
+// metricsRequired are the names of the obs vocabulary that some metrics
+// scenario must export. The rest record only where no scenario here
+// goes: fleet mode, span mode, lazy transformation, the SLO tracker.
+var metricsRequired = struct{ counters, gauges, histograms []string }{
+	counters: []string{
+		obs.CSyscallsSingle, obs.CSyscallsLeader, obs.CSyscallsFollower,
+		obs.CRingPut, obs.CRingGet, obs.CRingBlocked, obs.CRingDropped, obs.CRingResets,
+		obs.CMVERecorded, obs.CMVEReplayed, obs.CMVEPromotions, obs.CMVEStalls, obs.CMVEDivergences,
+		obs.CRuleHits,
+		obs.CCoreTransitions, obs.CCoreUpdates, obs.CCoreCommits, obs.CCoreRollbacks, obs.CCoreRetries,
+		obs.CChaosFired,
+	},
+	gauges:     []string{obs.GRingOccupancy, obs.GRingHighWater},
+	histograms: []string{obs.HSyscallSingle, obs.HSyscallLeader, obs.HRingBlockWait},
 }
 
 // metricsScenarios lists the observed runs. Each driver issues client
@@ -171,33 +181,18 @@ func metricsScenarios() []scenario {
 	}
 }
 
-// metricsSchema is the golden schema's JSON shape.
-type metricsSchema struct {
-	Schema             string   `json:"schema"`
-	RequiredCounters   []string `json:"required_counters"`
-	OptionalCounters   []string `json:"optional_counters"`
-	RequiredGauges     []string `json:"required_gauges"`
-	OptionalGauges     []string `json:"optional_gauges"`
-	RequiredHistograms []string `json:"required_histograms"`
-	OptionalHistograms []string `json:"optional_histograms"`
-}
-
-// ValidateMetricsReport checks a report against the golden schema: the
-// schema id must match, every required metric name must appear in at
-// least one run, and no run may emit a name outside the schema's
-// vocabulary (so renaming a metric without updating the schema fails in
-// both directions).
-func ValidateMetricsReport(data []byte, schemaJSON []byte) error {
-	var schema metricsSchema
-	if err := json.Unmarshal(schemaJSON, &schema); err != nil {
-		return fmt.Errorf("schema: %w", err)
-	}
+// ValidateMetricsReport checks a report against obs's vocabulary: the
+// schema id must match, every name of metricsRequired must appear in at
+// least one run, and no run may emit a name outside obs.CounterNames,
+// GaugeNames or HistogramNames (so a metric renamed on one side only
+// fails in both directions).
+func ValidateMetricsReport(data []byte) error {
 	var report MetricsReport
 	if err := json.Unmarshal(data, &report); err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
-	if report.Schema != schema.Schema {
-		return fmt.Errorf("schema id %q, want %q", report.Schema, schema.Schema)
+	if report.Schema != MetricsSchemaID {
+		return fmt.Errorf("schema id %q, want %q", report.Schema, MetricsSchemaID)
 	}
 	if len(report.Runs) == 0 {
 		return fmt.Errorf("report has no runs")
@@ -211,15 +206,14 @@ func ValidateMetricsReport(data []byte, schemaJSON []byte) error {
 		}
 		return set
 	}
-	check := func(class string, got map[string]bool, required, optional []string) error {
-		known := map[string]bool{}
+	check := func(class string, got map[string]bool, required, vocabulary []string) error {
 		for _, k := range required {
-			known[k] = true
 			if !got[k] {
-				return fmt.Errorf("%s %q required by the schema but absent from every run", class, k)
+				return fmt.Errorf("%s %q required but absent from every run", class, k)
 			}
 		}
-		for _, k := range optional {
+		known := map[string]bool{}
+		for _, k := range vocabulary {
 			known[k] = true
 		}
 		var unknown []string
@@ -230,16 +224,16 @@ func ValidateMetricsReport(data []byte, schemaJSON []byte) error {
 		}
 		if len(unknown) > 0 {
 			sort.Strings(unknown)
-			return fmt.Errorf("%s %v not in the schema vocabulary (rename? update testdata/metrics_schema.json)", class, unknown)
+			return fmt.Errorf("%s %v not in the obs vocabulary (rename? see internal/obs/names.go)", class, unknown)
 		}
 		return nil
 	}
 	if err := check("counter", emitted(func(s obs.Snapshot) []string { return mapKeys(s.Counters) }),
-		schema.RequiredCounters, schema.OptionalCounters); err != nil {
+		metricsRequired.counters, obs.CounterNames); err != nil {
 		return err
 	}
 	if err := check("gauge", emitted(func(s obs.Snapshot) []string { return mapKeys(s.Gauges) }),
-		schema.RequiredGauges, schema.OptionalGauges); err != nil {
+		metricsRequired.gauges, obs.GaugeNames); err != nil {
 		return err
 	}
 	return check("histogram", emitted(func(s obs.Snapshot) []string {
@@ -248,7 +242,7 @@ func ValidateMetricsReport(data []byte, schemaJSON []byte) error {
 			keys = append(keys, k)
 		}
 		return keys
-	}), schema.RequiredHistograms, schema.OptionalHistograms)
+	}), metricsRequired.histograms, obs.HistogramNames)
 }
 
 func mapKeys(m map[string]int64) []string {

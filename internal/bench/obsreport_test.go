@@ -2,45 +2,18 @@ package bench
 
 import (
 	"encoding/json"
-	"sort"
 	"strings"
 	"testing"
 
 	"mvedsua/internal/obs"
 )
 
-// TestSchemaMatchesObsVocabulary keeps the golden schema and the obs
-// name constants in lockstep: every name in internal/obs/names.go must
-// appear in the schema (required or optional) and vice versa, so a
-// rename on either side fails here before it fails in CI's smoke run.
-func TestSchemaMatchesObsVocabulary(t *testing.T) {
-	var schema metricsSchema
-	if err := json.Unmarshal(MetricsSchemaJSON, &schema); err != nil {
-		t.Fatalf("schema: %v", err)
-	}
-	if schema.Schema != MetricsSchemaID {
-		t.Fatalf("schema id %q, want %q", schema.Schema, MetricsSchemaID)
-	}
-	check := func(class string, schemaNames, obsNames []string) {
-		a := append([]string(nil), schemaNames...)
-		b := append([]string(nil), obsNames...)
-		sort.Strings(a)
-		sort.Strings(b)
-		if strings.Join(a, ",") != strings.Join(b, ",") {
-			t.Errorf("%s vocabulary mismatch:\n  schema: %v\n  obs:    %v", class, a, b)
-		}
-	}
-	check("counter", append(schema.RequiredCounters, schema.OptionalCounters...), obs.CounterNames)
-	check("gauge", append(schema.RequiredGauges, schema.OptionalGauges...), obs.GaugeNames)
-	check("histogram", append(schema.RequiredHistograms, schema.OptionalHistograms...), obs.HistogramNames)
-}
-
 // TestMetricsReportValidates checks the observed-scenario suite's report
-// against the golden schema — what the catalogue row's Valid does in the
+// against obs's vocabulary — what the catalogue row's Valid does in the
 // artifact gate — and that every scenario told its story.
 func TestMetricsReportValidates(t *testing.T) {
 	_, data := fresh(t, "metrics")
-	if err := ValidateMetricsReport(data, MetricsSchemaJSON); err != nil {
+	if err := ValidateMetricsReport(data); err != nil {
 		t.Fatal(err)
 	}
 	report := decodeFresh[MetricsReport](t, "metrics")
@@ -95,10 +68,10 @@ func TestValidateMetricsReportRejects(t *testing.T) {
 	}
 	bad := report
 	bad.Schema = "mvedsua-metrics/v0"
-	if err := ValidateMetricsReport(marshal(bad), MetricsSchemaJSON); err == nil {
+	if err := ValidateMetricsReport(marshal(bad)); err == nil {
 		t.Error("wrong schema id accepted")
 	}
-	if err := ValidateMetricsReport(marshal(MetricsReport{Schema: MetricsSchemaID}), MetricsSchemaJSON); err == nil {
+	if err := ValidateMetricsReport(marshal(MetricsReport{Schema: MetricsSchemaID})); err == nil {
 		t.Error("empty report accepted")
 	}
 	// Simulate a rename: move one counter to an unknown name everywhere.
@@ -112,7 +85,7 @@ func TestValidateMetricsReportRejects(t *testing.T) {
 			run.Metrics.Counters["ringbuf.puts"] = v
 		}
 	}
-	err := ValidateMetricsReport(marshal(renamed), MetricsSchemaJSON)
+	err := ValidateMetricsReport(marshal(renamed))
 	if err == nil {
 		t.Error("renamed counter accepted")
 	} else if !strings.Contains(err.Error(), "ringbuf.put") {

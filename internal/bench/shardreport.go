@@ -141,7 +141,7 @@ func runSpeedupPoint(shards int) (SpeedupPoint, error) {
 		Dispatches: ss.Dispatches(),
 		VirtualUS:  int64(ss.Now() / time.Microsecond),
 	}
-	merged := obs.NewRegistry("speedup")
+	merged := obs.NewRegistry("")
 	for _, gr := range groups {
 		p.TotalOps += gr.m.Ops
 		gr.rec.Root().MergeInto(merged)

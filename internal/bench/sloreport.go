@@ -61,17 +61,7 @@ type SLOVerdictRow struct {
 	Reason  string `json:"reason"`
 }
 
-// SLOScopeRow summarizes one scoped registry (per-process metrics) or
-// the deterministic merge of all of them.
-type SLOScopeRow struct {
-	Scope       string `json:"scope"`
-	Syscalls    int64  `json:"syscalls"`
-	Replayed    int64  `json:"replayed"`
-	Divergences int64  `json:"divergences"`
-}
-
-// SLORunRow is one scenario's availability ledger plus its verdict
-// stream and (for scoped runs) per-process metric summaries.
+// SLORunRow is one scenario's availability ledger plus its verdict stream.
 type SLORunRow struct {
 	Name             string          `json:"name"`
 	Description      string          `json:"description"`
@@ -83,8 +73,6 @@ type SLORunRow struct {
 	BudgetP99NS      int64           `json:"budget_p99_ns"`
 	Ledger           obs.SLOReport   `json:"ledger"`
 	Verdicts         []SLOVerdictRow `json:"verdicts"`
-	Scopes           []SLOScopeRow   `json:"scopes,omitempty"`
-	ScopesMerged     *SLOScopeRow    `json:"scopes_merged,omitempty"`
 }
 
 // SLOBenchReport is the benchtool's machine-readable SLO artifact
@@ -101,8 +89,7 @@ type tracked struct {
 	name, desc string
 	cfg        core.FleetConfig
 	faults     []*chaos.Injection
-	// setup, if set, adds instruments beyond the tracker: spans, scoped
-	// registries.
+	// setup, if set, adds instruments beyond the tracker (span tracing).
 	setup func(w *apptest.World)
 	// load issues the run's requests through do, steers the lifecycle,
 	// and returns the row's outcome line.
@@ -199,33 +186,6 @@ func sloVerdicts(rows []SLOVerdictRow, timeline []core.Event) []SLOVerdictRow {
 	return rows
 }
 
-// sloScopeRows summarizes every scoped registry plus their merge into
-// one fresh registry (exercising the deterministic MergeInto path on
-// real per-process metrics).
-func sloScopeRows(rec *obs.Recorder) ([]SLOScopeRow, *SLOScopeRow) {
-	children := rec.Children()
-	if len(children) == 0 {
-		return nil, nil
-	}
-	summarize := func(g *obs.Registry) SLOScopeRow {
-		return SLOScopeRow{
-			Scope: g.Scope(),
-			Syscalls: g.Counter(obs.CSyscallsSingle) + g.Counter(obs.CSyscallsLeader) +
-				g.Counter(obs.CSyscallsFollower),
-			Replayed:    g.Counter(obs.CMVEReplayed),
-			Divergences: g.Counter(obs.CMVEDivergences),
-		}
-	}
-	var rows []SLOScopeRow
-	merged := obs.NewRegistry("merged")
-	for _, child := range children {
-		rows = append(rows, summarize(child))
-		child.MergeInto(merged)
-	}
-	m := summarize(merged)
-	return rows, &m
-}
-
 // sloScenarios lists the availability scenarios. A row's verdict stream
 // is the success-rate floor's rows plus the controller's violations (the
 // watchdog's or the canary gate's, where one is armed).
@@ -293,14 +253,11 @@ func sloScenarios() []tracked {
 			// A fleet canary failure: the canary stalls mid-window, pins the
 			// shared ring until backpressure parks the leader, and the
 			// canary gate's ring-lag bound rolls it back at window close.
-			// Scoped registries are on, so the row also carries per-process
-			// metric summaries and their deterministic merge.
 			name:   "canary-rollback",
 			want:   apptest.Outcome{Leader: "2.0.0", Fleet: 2, Violations: []string{"ring-lag"}, Counters: tally(0, 1)},
 			desc:   "fleet canary stalls mid-window; the gate's ring-lag rule rolls it back at window close",
 			cfg:    canary,
 			faults: []*chaos.Injection{{Proc: "canary#1@2.0.1", Op: sysabi.OpWrite, AfterCalls: 8, Kind: chaos.KindStall}},
-			setup:  func(w *apptest.World) { w.Rec.EnableScopes() },
 			load: func(w *apptest.World, do doFunc) string {
 				for i := 0; i < 600; i++ {
 					if i == 30 {
@@ -331,7 +288,6 @@ func RunSLOReport() (SLOBenchReport, error) {
 			row.BudgetP99NS = int64(opts.LatencyBudgetP99)
 			row.Ledger = tr.Report()
 			row.Verdicts = sloVerdicts(sloFloorRows(row.Ledger, opts.Window, w.Rec.Now()), w.C.Timeline())
-			row.Scopes, row.ScopesMerged = sloScopeRows(w.Rec)
 		})
 		if err != nil {
 			return report, fmt.Errorf("slo %s: %w", row.Name, err)
@@ -365,15 +321,6 @@ func FormatSLOReport(report SLOBenchReport) string {
 		}
 		for _, v := range row.Verdicts {
 			fmt.Fprintf(&b, "      verdict [%s] %s: %s\n", v.Scope, v.Subject, v.Reason)
-		}
-		for _, s := range row.Scopes {
-			fmt.Fprintf(&b, "      scope %-24s syscalls=%d replayed=%d divergences=%d\n",
-				s.Scope, s.Syscalls, s.Replayed, s.Divergences)
-		}
-		if row.ScopesMerged != nil {
-			s := row.ScopesMerged
-			fmt.Fprintf(&b, "      scope %-24s syscalls=%d replayed=%d divergences=%d\n",
-				"(merged)", s.Syscalls, s.Replayed, s.Divergences)
 		}
 	}
 	return b.String()

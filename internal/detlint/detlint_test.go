@@ -256,10 +256,6 @@ var testOnlyAllowed = map[string]string{
 	"sim.Task.Join":         "test primitive of other packages: mve's turn-wait tests join the follower threads before teardown, and the dispatch counts they pin include the joiner's wakes",
 	"vos.Kernel.OpenFDs":    "observation point: the descriptor-leak tests of ftpd and vos count live descriptors; production publishes the same number as a gauge",
 
-	"obs.CounterNames":   "the vocabulary bench's schema-sync test holds the golden schema to",
-	"obs.GaugeNames":     "as obs.CounterNames",
-	"obs.HistogramNames": "as obs.CounterNames",
-
 	"bench.Fig7Point":          "entry point of the root package's BenchmarkAblation* (bench_test.go)",
 	"bench.Fig7PointImmediate": "as bench.Fig7Point",
 

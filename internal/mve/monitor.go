@@ -375,12 +375,6 @@ type Proc struct {
 	// span (span mode only).
 	roleSpanID   uint64
 	roleSpanName string
-
-	// scope is this proc's per-process registry (scope mode only —
-	// every use is gated on obs.Recorder.ScopesEnabled), mirroring the
-	// dispatch/replay/divergence counters so per-variant timelines and
-	// cross-scope merges are possible without touching the shared root.
-	scope *obs.Registry
 }
 
 func newProc(m *Monitor, name string, role Role) *Proc {
@@ -424,19 +418,6 @@ func (p *Proc) Invoke(t *sim.Task, call sysabi.Call) sysabi.Result {
 			panic("mve: bad role")
 		}
 	}
-}
-
-// scoped returns this proc's per-process registry when scope mirroring
-// is on (nil otherwise — itself safe to record into). The registry is
-// created lazily under the scope "proc:<name>".
-func (p *Proc) scoped() *obs.Registry {
-	if !p.m.rec.ScopesEnabled() {
-		return nil
-	}
-	if p.scope == nil {
-		p.scope = p.m.rec.Child("proc:" + p.name)
-	}
-	return p.scope
 }
 
 // roleLabel maps the proc onto the profiler's role vocabulary.

@@ -23,10 +23,6 @@ func (p *Proc) invokeSingle(t *sim.Task, call sysabi.Call) sysabi.Result {
 		start := t.Now()
 		res := p.m.kernel.Invoke(t, call)
 		rec.Observe(obs.HSyscallSingle, t.Now()-start)
-		if sc := p.scoped(); sc != nil {
-			sc.Inc(obs.CSyscallsSingle)
-			sc.Observe(obs.HSyscallSingle, t.Now()-start)
-		}
 		if rec.SpansEnabled() {
 			p.trackRequest(t, call, res, nil)
 		}
@@ -51,10 +47,6 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 	if rec.Enabled() {
 		rec.Inc(obs.CSyscallsLeader)
 		rec.Observe(obs.HSyscallLeader, t.Now()-start)
-		if sc := p.scoped(); sc != nil {
-			sc.Inc(obs.CSyscallsLeader)
-			sc.Observe(obs.HSyscallLeader, t.Now()-start)
-		}
 	}
 	// The entry shares the live call's and result's payloads: the ring
 	// copies them when (and only when) it really appends, so nothing is

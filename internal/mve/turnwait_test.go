@@ -100,7 +100,6 @@ func TestOutOfTurnThreadsSettleInScheduler(t *testing.T) {
 func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 	s, _, m := world(64, Costs{})
 	rec := obs.New(s.Now, obs.Options{})
-	rec.EnableScopes()
 	m.SetRecorder(rec)
 	leader := m.StartSingleLeader("v0")
 	follower := m.AttachCandidate("v1", nil, 0)
@@ -132,9 +131,13 @@ func TestCrashPromotionReleasesTurnWaiters(t *testing.T) {
 		t.Fatalf("follower threads completed %s, want %s", got, want)
 	}
 	// Round 0's four calls and thread 3's round-1 call meet the stream —
-	// the last where the tail is truncated — and round 1's four run natively.
-	v1 := rec.Child("proc:v1")
-	if f, l := v1.Counter(obs.CSyscallsFollower), v1.Counter(obs.CSyscallsLeader); f != 4+1 || l != 4 || s.Settled() == 0 {
+	// the last where the tail is truncated — and round 1's four run
+	// natively. v1 is the only follower; the root's leader-role calls are
+	// the old leader's eight (four writes, the getpid, three writes) plus
+	// the new leader's native ones.
+	const oldLeaderCalls = 4 + 1 + 3
+	f, l := rec.Counter(obs.CSyscallsFollower), rec.Counter(obs.CSyscallsLeader)-oldLeaderCalls
+	if f != 4+1 || l != 4 || s.Settled() == 0 {
 		t.Fatalf("new leader made %d validated and %d native syscalls, %d dispatches settled", f, l, s.Settled())
 	}
 }

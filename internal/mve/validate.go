@@ -67,10 +67,6 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 		if rec := p.m.rec; rec.Enabled() {
 			rec.Inc(obs.CMVEReplayed)
 			rec.Inc(obs.CSyscallsFollower)
-			if sc := p.scoped(); sc != nil {
-				sc.Inc(obs.CMVEReplayed)
-				sc.Inc(obs.CSyscallsFollower)
-			}
 		}
 		if g.idx >= g.n {
 			p.retire(st, g)
@@ -99,7 +95,6 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 		p.m.divergences = append(p.m.divergences, d)
 		p.m.rec.Inc(obs.CMVEDivergences)
 		p.m.rec.Emit(obs.KindDivergence, p.name, d.String())
-		p.scoped().Inc(obs.CMVEDivergences)
 		// Count it, and let a candidate inside its budget absorb the
 		// mismatch — it adopts the leader's recorded result below and keeps
 		// validating, so the gate can measure a divergence *rate* instead of

@@ -1,10 +1,9 @@
 package obs
 
-// Canonical metric names. Instrumentation sites use these constants so
-// the vocabulary is defined in one place; the benchtool's golden-schema
-// check (internal/bench/testdata/metrics_schema.json) pins the same
-// names on the wire, so renaming one here without updating the schema
-// fails `make check`.
+// Canonical metric names. Instrumentation sites use these constants and
+// the lists below name each one once, so this file is the whole
+// vocabulary: the metrics artifact's validator
+// (bench.ValidateMetricsReport) rejects any exported name missing here.
 const (
 	// sysabi dispatch (mve.Proc chokepoint).
 	CSyscallsSingle   = "sysabi.calls.single"   // single-leader-mode syscalls
@@ -80,7 +79,7 @@ const (
 	GDSUXformPending = "dsu.xform.pending" // entries still awaiting lazy migration
 	HDSUXformTouch   = "dsu.xform.touch"   // per-request on-access migration charge
 
-	// Virtual OS (span mode only).
+	// Virtual OS (only where a kernel has a recorder: span-traced runs).
 	CVOSNetBytes = "vos.net.bytes" // bytes moved through stream sockets
 	CVOSFSBytes  = "vos.fs.bytes"  // bytes moved through the in-memory fs
 	GVOSOpenFDs  = "vos.open_fds"  // open descriptors after the last syscall
@@ -93,9 +92,7 @@ const (
 	HSLOLatency      = "slo.request.latency" // client-observed request latency
 )
 
-// CounterNames is the complete counter vocabulary. The golden schema
-// (internal/bench/testdata/metrics_schema.json) must cover exactly this
-// set; a test keeps the two in sync.
+// CounterNames is the complete counter vocabulary.
 var CounterNames = []string{
 	CSyscallsSingle, CSyscallsLeader, CSyscallsFollower,
 	CRingPut, CRingGet, CRingBlocked, CRingDropped, CRingResets,

@@ -27,7 +27,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -205,12 +204,9 @@ const (
 type Recorder struct {
 	now func() time.Duration
 
-	// root holds the recorder's own metrics; the legacy
-	// Add/Observe/Counter methods delegate to it. children are the
-	// scoped registries created by Child, keyed by scope.
-	root     *Registry
-	children map[string]*Registry
-	scopesOn bool // set by EnableScopes; gates scoped mirroring
+	// root holds the recorder's metrics; Add/Observe/Counter and the
+	// rest delegate to it.
+	root *Registry
 
 	milestones        []Event
 	milestonesDropped int64 // lifecycle events refused at milestoneCap
@@ -304,63 +300,13 @@ func (r *Recorder) Hist(name string) *Histogram {
 	return r.root.Hist(name)
 }
 
-// Root returns the recorder's own (unscoped) registry.
+// Root returns the recorder's registry.
 func (r *Recorder) Root() *Registry {
 	if r == nil {
 		return nil
 	}
 	return r.root
 }
-
-// Child returns the scoped registry for scope, creating it on first
-// use. Children hold their own metrics; aggregate with
-// Registry.MergeInto. Nil-safe (a nil recorder yields a nil registry,
-// itself safe to record into).
-func (r *Recorder) Child(scope string) *Registry {
-	if r == nil {
-		return nil
-	}
-	if g, ok := r.children[scope]; ok {
-		return g
-	}
-	if r.children == nil {
-		r.children = make(map[string]*Registry)
-	}
-	g := NewRegistry(scope)
-	r.children[scope] = g
-	return g
-}
-
-// Children returns the scoped registries sorted by scope name.
-func (r *Recorder) Children() []*Registry {
-	if r == nil || len(r.children) == 0 {
-		return nil
-	}
-	scopes := make([]string, 0, len(r.children))
-	for s := range r.children { // maporder: ok — scopes are sorted below
-		scopes = append(scopes, s)
-	}
-	sort.Strings(scopes)
-	out := make([]*Registry, 0, len(scopes))
-	for _, s := range scopes {
-		out = append(out, r.children[s])
-	}
-	return out
-}
-
-// EnableScopes turns on per-scope mirroring at instrumentation sites
-// that support it (mve per-process registries). Off by default so the
-// default pipelines do no extra map work and the golden artifacts are
-// recorded exactly as before.
-func (r *Recorder) EnableScopes() {
-	if r == nil {
-		return
-	}
-	r.scopesOn = true
-}
-
-// ScopesEnabled reports whether scoped mirroring is on.
-func (r *Recorder) ScopesEnabled() bool { return r != nil && r.scopesOn }
 
 // SetTraceDropSource does nothing: the scheduler keeps no trace that
 // could drop. It stays for the benchmark adapter, which calls it.
@@ -445,14 +391,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	s.TraceDropped = r.milestonesDropped
 	s.TraceLen = len(r.milestones)
 	return s
-}
-
-// MarshalJSON gives Snapshot deterministic output (encoding/json already
-// sorts map keys, so the default marshalling is stable; this method
-// exists to pin that contract for golden-schema validation).
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	type alias Snapshot // avoid recursion
-	return json.Marshal(alias(s))
 }
 
 // FormatMetrics renders the registry as a human-readable table.

@@ -4,45 +4,35 @@ import (
 	"time"
 )
 
-// Registry is one scope's metrics store: counters, gauges and
-// histograms. The Recorder owns a root registry that all the existing
-// Recorder.Add/Observe instrumentation feeds; Child creates named
-// scoped registries (per process, per variant) that aggregate back into
-// a parent via MergeInto.
+// Registry is a metrics store: counters, gauges and histograms. Each
+// Recorder owns one, its root, which all Recorder.Add/Observe
+// instrumentation feeds. A run over several recorders (one per fleet
+// group or shard) aggregates their roots into a fresh registry with
+// MergeInto.
 //
 // MergeInto is deliberately built from commutative, associative
 // per-metric operations (counters sum, gauges take the max, histograms
-// add counts and widen extremes), so merging K scoped registries into an
-// empty destination yields the same result in any merge order — the
-// property the sharded-runtime roadmap item depends on, and one a test
-// pins with a seeded shuffle.
+// add counts and widen extremes), so merging K roots into an empty
+// destination yields the same result in any merge order — the property
+// the sharded runtime depends on, and one a test pins with a seeded
+// shuffle.
 //
-// Like the Recorder, every method is safe on a nil receiver, so
-// instrumentation sites can hold a nil *Registry when scoping is off.
+// Like the Recorder, every method is safe on a nil receiver.
 type Registry struct {
-	scope    string
 	counters map[string]int64
 	gauges   map[string]int64
 	hists    map[string]*Histogram
 }
 
-// NewRegistry builds a registry: a recorder's root or child, or a
-// standalone merge destination for aggregation across scopes.
-func NewRegistry(scope string) *Registry {
+// NewRegistry builds an empty registry: a recorder's root or a merge
+// destination. The label is ignored; the parameter stays because the
+// benchmark adapter passes one.
+func NewRegistry(string) *Registry {
 	return &Registry{
-		scope:    scope,
 		counters: make(map[string]int64),
 		gauges:   make(map[string]int64),
 		hists:    make(map[string]*Histogram),
 	}
-}
-
-// Scope returns the registry's scope label ("" for a recorder root).
-func (g *Registry) Scope() string {
-	if g == nil {
-		return ""
-	}
-	return g.scope
 }
 
 // Add increments counter name by delta.
@@ -52,9 +42,6 @@ func (g *Registry) Add(name string, delta int64) {
 	}
 	g.counters[name] += delta
 }
-
-// Inc increments counter name by one.
-func (g *Registry) Inc(name string) { g.Add(name, 1) }
 
 // Counter returns the current value of a counter.
 func (g *Registry) Counter(name string) int64 {

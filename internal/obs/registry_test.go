@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -44,21 +43,19 @@ func requireRegistriesEqual(t *testing.T, want, got *Registry, counters, gauges,
 }
 
 // TestMergeOrderInvarianceSeeded is the merge-semantics property test:
-// a seeded random workload lands on K scoped registries, and MergeInto
+// a seeded random workload lands on K registries, and MergeInto
 // must produce identical aggregates regardless of merge order. With
 // K=1 the merge must be the identity.
 func TestMergeOrderInvarianceSeeded(t *testing.T) {
 	const K = 4
 	rng := rand.New(rand.NewSource(0xC0FFEE))
-	r := New(nil, Options{})
-	r.EnableScopes()
 
 	counters := []string{"c.a", "c.b"}
 	gauges := []string{"g.max"}
 	hists := []string{"h.a", "h.b"}
 	children := make([]*Registry, K)
 	for i := range children {
-		children[i] = r.Child(fmt.Sprintf("child%d", i))
+		children[i] = NewRegistry("")
 	}
 	for op := 0; op < 2000; op++ {
 		g := children[rng.Intn(K)]
@@ -66,7 +63,7 @@ func TestMergeOrderInvarianceSeeded(t *testing.T) {
 		case 0:
 			g.Add(counters[rng.Intn(len(counters))], int64(rng.Intn(5)+1))
 		case 1:
-			g.Inc(counters[rng.Intn(len(counters))])
+			g.Add(counters[rng.Intn(len(counters))], 1)
 		case 2:
 			g.MaxGauge(gauges[0], int64(rng.Intn(1000)))
 		case 3:
@@ -146,30 +143,5 @@ func TestFormatMetricsIncludesP90(t *testing.T) {
 	out := r.FormatMetrics()
 	if !strings.Contains(out, "p90=") {
 		t.Fatalf("FormatMetrics missing p90 column:\n%s", out)
-	}
-}
-
-// TestScopedRegistries covers child creation, scope listing and the
-// root's independence from scoped recording.
-func TestScopedRegistries(t *testing.T) {
-	r := New(nil, Options{})
-	if r.ScopesEnabled() {
-		t.Fatal("scopes on by default")
-	}
-	r.EnableScopes()
-	b := r.Child("proc:b")
-	a := r.Child("proc:a")
-	if r.Child("proc:a") != a {
-		t.Fatal("Child not idempotent")
-	}
-	a.Inc("c")
-	b.Add("c", 2)
-	r.Inc("c") // root is separate
-	kids := r.Children()
-	if len(kids) != 2 || kids[0].Scope() != "proc:a" || kids[1].Scope() != "proc:b" {
-		t.Fatalf("Children() = %v", kids)
-	}
-	if a.Counter("c") != 1 || b.Counter("c") != 2 || r.Counter("c") != 1 {
-		t.Fatalf("scoped counters leaked: a=%d b=%d root=%d", a.Counter("c"), b.Counter("c"), r.Counter("c"))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
 )
@@ -480,6 +481,33 @@ func TestFDLeakAccounting(t *testing.T) {
 			t.Fatal("close did not remove the fd")
 		}
 	})
+}
+
+// TestKernelRecIsTheSwitch: attaching a recorder is what turns the
+// kernel's traffic metrics on. With Rec set and spans never enabled, a
+// four-byte echo counts its 16 bytes (two writes, two reads) and the
+// open-descriptor gauge follows the last call.
+func TestKernelRecIsTheSwitch(t *testing.T) {
+	rec := obs.New(nil, obs.Options{})
+	run(t, func(k *Kernel, tk *sim.Task) {
+		k.Rec = rec
+		lfd := int(call(k, tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{1, 0}}).Ret)
+		cfd := int(call(k, tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{1, 0}}).Ret)
+		sfd := int(call(k, tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
+		call(k, tk, sysabi.Call{Op: sysabi.OpWrite, FD: cfd, Buf: []byte("ping")})
+		r := call(k, tk, sysabi.Call{Op: sysabi.OpRead, FD: sfd, Args: [2]int64{64, 0}})
+		call(k, tk, sysabi.Call{Op: sysabi.OpWrite, FD: sfd, Buf: r.Data})
+		call(k, tk, sysabi.Call{Op: sysabi.OpRead, FD: cfd, Args: [2]int64{64, 0}})
+	})
+	if rec.SpansEnabled() {
+		t.Fatal("spans on without EnableSpans")
+	}
+	if got := rec.Counter(obs.CVOSNetBytes); got != 16 {
+		t.Errorf("%s = %d, want 16", obs.CVOSNetBytes, got)
+	}
+	if got := rec.Gauge(obs.GVOSOpenFDs); got != 3 {
+		t.Errorf("%s = %d, want 3 (listener, client, server)", obs.GVOSOpenFDs, got)
+	}
 }
 
 // TestSyscallFloorAllocations pins the kernel's allocation budget without
