@@ -56,12 +56,18 @@ lint-exports:
 # reading the controller's timeline or matching text in these files
 # could only be a second verdict check. And one typed lifecycle record:
 # non-test code tells timeline entries apart by core.Event.Kind, never by
-# matching their note text (printing a note is fine).
+# matching their note text (printing a note is fine), and reads no stage
+# or verdict out of a flight-recorder milestone's Actor or Detail text:
+# no comparison with a non-empty literal on either side, no strings.*
+# call on the field, no switch on it. A field first copied into a local
+# variable, or matched with regexp, is not caught.
 lint-verdicts:
 	@if grep -nE 'Timeline\(\)|strings\.(Contains|HasPrefix)' internal/bench/chaos.go internal/bench/faults.go internal/bench/nvariantreport.go; then \
 		echo "a verdict check outside the judge (apptest.World.Judge)"; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' 'strings\.(Contains|HasPrefix|HasSuffix|Index)\([^)]*\.Note\b' internal cmd examples; then \
 		echo "timeline entries classified by note text: read core.Event.Kind"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.(Actor|Detail) *(==|!=) *"[^"]|[^"]" *(==|!=) *[][A-Za-z0-9_.()]*\.(Actor|Detail)\b|strings\.[A-Za-z]+\([^)]*\.(Actor|Detail)\b|switch [^{]*\.(Actor|Detail)\b[^{]*\{' internal cmd examples; then \
+		echo "a milestone's text compared with a literal: the lifecycle is core.Controller.Timeline"; exit 1; fi
 
 # Non-test and test lines of Go per package directory: the table a
 # simplicity PR quotes before and after. Reads benchmark/, changes

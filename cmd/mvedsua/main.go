@@ -1,8 +1,9 @@
 // Command mvedsua runs a scripted demonstration of one server under the
 // MVEDSUA controller — deploy, dynamically update, promote, commit — and
-// prints the run's lifecycle as the flight recorder saw it: stages,
-// roles, divergences, each rule's first hit per process, stalls,
-// verdicts, faults and retries.
+// prints the run's lifecycle: the controller's timeline (stages,
+// verdicts, violations and retries), then the flight recorder's
+// mechanism milestones (roles, each rule's first hit per process,
+// divergences, stalls, faults and ring resets).
 //
 //	mvedsua -app tkv                       # the paper's running example
 //	mvedsua -app redis                     # kvstore 2.0.0 -> 2.0.1
@@ -12,7 +13,7 @@
 // With -fault the demo is one of the paper's §6.2 faults, run as the row
 // of `benchtool -experiment faults` or the cell of `-experiment chaos`
 // that tells it (bench.Story); it prints that row's verdict, then the
-// lifecycle:
+// lifecycle and milestones:
 //
 //	mvedsua -app redis -fault newcode      # HMGET crash -> rollback
 //	mvedsua -app redis -fault xform        # broken transformation -> rollback
@@ -101,9 +102,14 @@ func (d *demo) setup(w *apptest.World) {
 	}
 }
 
-// finish prints the run's lifecycle and writes the report, if asked for.
+// finish prints the run's lifecycle — the controller's timeline — and
+// the recorder's milestones, and writes the report, if asked for.
 func (d *demo) finish(w *apptest.World) error {
 	fmt.Fprintln(d.out, "\nlifecycle:")
+	for _, ev := range w.C.Timeline() {
+		fmt.Fprintf(d.out, "  %v\n", ev)
+	}
+	fmt.Fprintln(d.out, "\nmilestones:")
 	fmt.Fprintln(d.out, indent(w.Rec.FormatTimeline()))
 	if d.report == "" {
 		return nil
@@ -227,14 +233,14 @@ func (d *demo) memcached() error {
 		defer a.Close(tk)
 		defer b.Close(tk)
 		a.Send(tk, "set k 0 0 5\r\nhello\r\n")
-		a.RecvUntil(tk, "STORED\r\n")
+		a.DrainUntil(tk, "STORED\r\n")
 		fmt.Fprintln(d.out, "updating Memcached 1.2.2 -> 1.2.3 (no DSL rules needed)...")
 		w.C.Update(memcache.Update("1.2.2", "1.2.3", memcache.UpdateOpts{PerItemXform: time.Microsecond}))
 		for round := 0; round < 40; round++ {
 			a.Send(tk, "get k\r\n")
 			b.Send(tk, "get k\r\n")
-			a.RecvUntil(tk, "END\r\n")
-			b.RecvUntil(tk, "END\r\n")
+			a.DrainUntil(tk, "END\r\n")
+			b.DrainUntil(tk, "END\r\n")
 			tk.Sleep(15 * time.Millisecond)
 			if w.C.Stage() == core.StageOutdatedLeader {
 				break
@@ -243,7 +249,7 @@ func (d *demo) memcached() error {
 		w.C.Promote()
 		for i := 0; i < 5; i++ {
 			a.Send(tk, "get k\r\n")
-			a.RecvUntil(tk, "END\r\n")
+			a.DrainUntil(tk, "END\r\n")
 			tk.Sleep(15 * time.Millisecond)
 		}
 		w.C.Commit()
@@ -273,7 +279,7 @@ func (d *demo) vsftpd() error {
 		defer w.Finish()
 		c := apptest.Connect(w.K, tk, ftpd.Port)
 		defer c.Close(tk)
-		c.RecvUntil(tk, "\r\n")
+		c.DrainUntil(tk, "\r\n")
 		c.Do(tk, "USER anonymous")
 		c.Do(tk, "PASS guest")
 		fmt.Fprintln(d.out, "updating Vsftpd 1.1.3 -> 1.2.0 (adds STOU)...")

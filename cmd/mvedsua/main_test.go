@@ -8,10 +8,11 @@ import (
 	"testing"
 
 	"mvedsua/internal/bench"
+	"mvedsua/internal/core"
 )
 
-// faultDemos are every -app/-fault pair, each with the note its
-// lifecycle's last stage milestone must hold: how the run recovered.
+// faultDemos are every -app/-fault pair, each with the note the last
+// entry of its controller's timeline must hold: how the run recovered.
 var faultDemos = []struct{ app, fault, recovery string }{
 	{"redis", "newcode", "rolled back: follower crashed"},
 	{"redis", "xform", "rolled back: state transformation"},
@@ -21,15 +22,20 @@ var faultDemos = []struct{ app, fault, recovery string }{
 }
 
 // Every fault demo is its bench row: the run succeeds, the row's verdict
-// says the fault was tolerated, and the lifecycle ends in the row's
-// recovery. The timing demo's update must still be installed at the end,
-// after the retry the divergence forced.
+// says the fault was tolerated, and the controller's timeline — the
+// row's own, every entry of it printed in the lifecycle section — ends
+// in the row's recovery. The timing demo's update must still be
+// installed at the end, after the one retry the divergence forced.
 func TestFaultDemosTellTheirRows(t *testing.T) {
 	for _, tc := range faultDemos {
 		t.Run(tc.app+"/"+tc.fault, func(t *testing.T) {
 			var out bytes.Buffer
 			if err := run([]string{"-app", tc.app, "-fault", tc.fault}, &out); err != nil {
 				t.Fatalf("%v\n%s", err, out.String())
+			}
+			_, w, err := bench.Story(tc.app+"/"+tc.fault, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
 			story, lifecycle, ok := strings.Cut(out.String(), "\nlifecycle:\n")
 			if !ok {
@@ -38,17 +44,25 @@ func TestFaultDemosTellTheirRows(t *testing.T) {
 			if !strings.Contains(story, " TOLERATED ") {
 				t.Errorf("verdict does not read TOLERATED:\n%s", story)
 			}
-			last := ""
-			for _, line := range strings.Split(lifecycle, "\n") {
-				if strings.Contains(line, "] stage ") {
-					last = line
+			timeline := w.C.Timeline()
+			retries := 0
+			for _, ev := range timeline {
+				if line := "  " + ev.String() + "\n"; !strings.Contains(lifecycle, line) {
+					t.Errorf("lifecycle lacks %q:\n%s", line, lifecycle)
+				}
+				if ev.Kind == core.KindRetry {
+					retries++
 				}
 			}
-			if !strings.Contains(last, tc.recovery) {
-				t.Errorf("last stage milestone %q lacks %q:\n%s", last, tc.recovery, lifecycle)
+			if last := timeline[len(timeline)-1]; !strings.Contains(last.Note, tc.recovery) {
+				t.Errorf("last timeline entry %q lacks %q:\n%s", last.Note, tc.recovery, lifecycle)
 			}
-			if tc.fault == "timing" && !strings.Contains(lifecycle, "retry 1 scheduled") {
-				t.Errorf("no retry in the timing story:\n%s", lifecycle)
+			want := 0
+			if tc.fault == "timing" {
+				want = 1
+			}
+			if retries != want {
+				t.Errorf("%d retry entries, want %d:\n%s", retries, want, lifecycle)
 			}
 		})
 	}
@@ -95,17 +109,27 @@ func TestReportWritesBundleAndLeavesStdoutAlone(t *testing.T) {
 	}
 }
 
-// The stall demo's one lifecycle section tells the whole story: the fault,
-// the stall past the chaos cell's 60ms deadline, the verdict and the
-// rollback.
+// The stall demo tells the whole story: its lifecycle section the
+// violation past the chaos cell's 60ms deadline, the verdict and the
+// rollback, its milestones the fault and the stall.
 func TestLifecycleTellsTheStallStory(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-app", "redis", "-fault", "stall"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"injected follower", "no progress for 60ms", "rollback-candidate", "rolled back: stall"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("lifecycle lacks %q:\n%s", want, out.String())
+	_, sections, _ := strings.Cut(out.String(), "\nlifecycle:\n")
+	lifecycle, milestones, ok := strings.Cut(sections, "\nmilestones:\n")
+	if !ok {
+		t.Fatalf("no lifecycle and milestones sections:\n%s", out.String())
+	}
+	for _, want := range []string{"no progress for 60ms", "rollback-candidate", "rolled back: stall"} {
+		if !strings.Contains(lifecycle, want) {
+			t.Errorf("lifecycle lacks %q:\n%s", want, lifecycle)
+		}
+	}
+	for _, want := range []string{"] fault ", "injected follower", "] stall ", "no progress for 60ms"} {
+		if !strings.Contains(milestones, want) {
+			t.Errorf("milestones lack %q:\n%s", want, milestones)
 		}
 	}
 }

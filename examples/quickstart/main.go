@@ -82,6 +82,6 @@ func main() {
 
 	fmt.Println("\ntimeline:")
 	for _, ev := range world.C.Timeline() {
-		fmt.Printf("  %8.3fs  %-16v %s\n", ev.At.Seconds(), ev.Stage, ev.Note)
+		fmt.Printf("  %v\n", ev)
 	}
 }

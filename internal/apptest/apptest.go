@@ -243,22 +243,36 @@ func (c *Client) DoTagged(tk *sim.Task, reqID uint64, cmd string) string {
 }
 
 // RecvUntil keeps reading until the accumulated reply contains the
-// marker (for multi-part replies such as FTP transfers). Each burst is
-// searched from len(marker)-1 bytes before its start, so a marker split
-// across two reads is found and a long reply is scanned once.
+// marker (for multi-part replies such as FTP transfers) and returns it.
 func (c *Client) RecvUntil(tk *sim.Task, marker string) string {
 	var b strings.Builder
-	for {
+	c.readUntil(tk, marker, &b)
+	return b.String()
+}
+
+// DrainUntil reads like RecvUntil but keeps none of the reply, so a long
+// transfer is never held whole. It returns the bytes read; 0 means the
+// connection ended first.
+func (c *Client) DrainUntil(tk *sim.Task, marker string) int { return c.readUntil(tk, marker, nil) }
+
+// readUntil reads bursts until the reply contains marker or the
+// connection ends, appending each to keep unless keep is nil, and
+// returns the bytes read. Only the reply's last len(marker)-1 bytes are
+// carried into the next burst's search, so a marker split across reads
+// is found and a long reply is scanned once.
+func (c *Client) readUntil(tk *sim.Task, marker string, keep *strings.Builder) (n int) {
+	for tail := ""; !strings.Contains(tail, marker); {
 		part := c.Recv(tk)
 		if part == "" {
-			return b.String()
+			break
 		}
-		from := max(0, b.Len()-len(marker)+1)
-		b.WriteString(part)
-		if strings.Contains(b.String()[from:], marker) {
-			return b.String()
+		n += len(part)
+		if keep != nil {
+			keep.WriteString(part)
 		}
+		tail = tail[max(0, len(tail)-len(marker)+1):] + part
 	}
+	return n
 }
 
 // Close shuts the connection.

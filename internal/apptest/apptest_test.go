@@ -120,31 +120,39 @@ func TestConnectPanicsOnDeadPort(t *testing.T) {
 // TestRecvUntilMarkerStraddlesReads: the server sends the marker split
 // across two bursts, all but its last byte in the first, then a tail.
 // RecvUntil must find the marker in the second burst's read and return
-// without reading the tail.
+// without reading the tail; DrainUntil, the same scan keeping nothing,
+// must stop at the same read and count the same bytes.
 func TestRecvUntilMarkerStraddlesReads(t *testing.T) {
-	s := sim.New()
-	k := vos.NewKernel(s)
 	bursts := []string{"150 data\r\n226 Transfer complet", "e\r\n", "tail"}
-	s.Go("server", func(tk *sim.Task) {
-		lfd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{21, 0}}).Ret)
-		fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
-		for _, b := range bursts {
-			k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte(b)})
-			tk.Sleep(time.Millisecond)
+	want := bursts[0] + bursts[1]
+	read := func(recv func(c *Client, tk *sim.Task)) (reads int) {
+		s := sim.New()
+		k := vos.NewKernel(s)
+		s.Go("server", func(tk *sim.Task) {
+			lfd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{21, 0}}).Ret)
+			fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
+			for _, b := range bursts {
+				k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte(b)})
+				tk.Sleep(time.Millisecond)
+			}
+		})
+		s.Go("client", func(tk *sim.Task) {
+			c := Connect(k, tk, 21)
+			before := k.Stats[sysabi.OpRead]
+			recv(c, tk)
+			reads = k.Stats[sysabi.OpRead] - before
+		})
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
 		}
-	})
-	var got string
-	var reads int
-	s.Go("client", func(tk *sim.Task) {
-		c := Connect(k, tk, 21)
-		before := k.Stats[sysabi.OpRead]
-		got = c.RecvUntil(tk, "226 Transfer complete")
-		reads = k.Stats[sysabi.OpRead] - before
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+		return reads
 	}
-	if want := bursts[0] + bursts[1]; got != want || reads != 2 {
-		t.Fatalf("RecvUntil = %q in %d reads, want %q in 2", got, reads, want)
+	var got string
+	if reads := read(func(c *Client, tk *sim.Task) { got = c.RecvUntil(tk, "226 Transfer complete") }); got != want || reads != 2 {
+		t.Errorf("RecvUntil = %q in %d reads, want %q in 2", got, reads, want)
+	}
+	var n int
+	if reads := read(func(c *Client, tk *sim.Task) { n = c.DrainUntil(tk, "226 Transfer complete") }); n != len(want) || reads != 2 {
+		t.Errorf("DrainUntil = %d bytes in %d reads, want %d in 2", n, reads, len(want))
 	}
 }

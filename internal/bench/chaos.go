@@ -165,11 +165,11 @@ func chaosAppFor(name string) chaosApp {
 			},
 			prime: func(tk *sim.Task, c *apptest.Client) {
 				c.Send(tk, "set warm 0 0 1\r\nx\r\n")
-				c.RecvUntil(tk, "\r\n")
+				c.DrainUntil(tk, "\r\n")
 			},
 			request: func(tk *sim.Task, c *apptest.Client) {
 				c.Send(tk, "get warm\r\n")
-				c.RecvUntil(tk, "END\r\n")
+				c.DrainUntil(tk, "END\r\n")
 			},
 		}
 	default:

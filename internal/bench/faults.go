@@ -171,18 +171,18 @@ func faultStateXform() scenario {
 				defer clients[i].Close(tk)
 			}
 			clients[i].Send(tk, "set warm 0 0 1\r\nx\r\n")
-			clients[i].RecvUntil(tk, "\r\n")
+			clients[i].DrainUntil(tk, "\r\n")
 		}
 		w.C.Update(memcache.Update("1.2.2", "1.2.3", memcache.UpdateOpts{UseAfterFree: true}))
 		for round := 0; round < 20; round++ {
 			for _, c := range clients {
 				c.Send(tk, "get warm\r\n")
-				c.RecvUntil(tk, "END\r\n")
+				c.DrainUntil(tk, "END\r\n")
 			}
 			tk.Sleep(15 * time.Millisecond)
 		}
 		c.Send(tk, "get warm\r\n")
-		c.RecvUntil(tk, "END\r\n")
+		c.DrainUntil(tk, "END\r\n")
 	}
 	return sc
 }
@@ -212,7 +212,7 @@ func faultTiming() scenario {
 		defer b.Close(tk)
 		single := func() {
 			a.Send(tk, "get j\r\n")
-			a.RecvUntil(tk, "END\r\n")
+			a.DrainUntil(tk, "END\r\n")
 		}
 		for w.C.LeaderRuntime().App().(*memcache.Server).WorkerBases()[0].RROffset()%2 == 0 {
 			single()
@@ -226,8 +226,8 @@ func faultTiming() scenario {
 		for round := 0; round < 80 && held < 2; round++ {
 			a.Send(tk, "get j\r\n")
 			b.Send(tk, "get j\r\n")
-			a.RecvUntil(tk, "END\r\n")
-			b.RecvUntil(tk, "END\r\n")
+			a.DrainUntil(tk, "END\r\n")
+			b.DrainUntil(tk, "END\r\n")
 			tk.Sleep(20 * time.Millisecond)
 			if !sawDivergence && len(w.C.Monitor().Divergences()) > 0 {
 				sawDivergence = true

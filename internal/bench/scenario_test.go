@@ -143,8 +143,10 @@ func TestScenarioRunReturnsSchedulerError(t *testing.T) {
 // TestRuleHitsDoNotFloodTheLifecycle: 4 200 INCRs validated in the
 // outdated-leader stage of kvstore 2.0.0 -> 2.0.1 each fire the pair's
 // rule. Every hit is counted, but only the first is a milestone, so the
-// lifecycle list keeps the commit; one milestone per hit would fill it
-// and drop the end of the story.
+// milestone list keeps its last entry, the old leader's ejection at the
+// commit; one milestone per hit would fill it and drop the end of the
+// story. The controller's timeline, which holds no rule hits, ends in
+// the commit itself.
 func TestRuleHitsDoNotFloodTheLifecycle(t *testing.T) {
 	const requests = 4200
 	w, _, breaches := scenario{want: apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
@@ -163,15 +165,19 @@ func TestRuleHitsDoNotFloodTheLifecycle(t *testing.T) {
 	if hits := w.Rec.Counter(obs.CRuleHits); hits < requests {
 		t.Errorf("%s = %d, want every one of the %d rewritten requests counted", obs.CRuleHits, hits, requests)
 	}
+	ms := w.Rec.Milestones()
 	ruleHits := map[string]int{}
-	for _, e := range w.Rec.Milestones() {
+	for _, e := range ms {
 		if e.Kind == obs.KindRuleHit {
 			ruleHits[e.Actor]++
 		}
 	}
-	timeline := w.Rec.FormatTimeline()
-	if w.Rec.TraceDropped() != 0 || !strings.Contains(timeline, "update committed") {
-		t.Fatalf("%d lifecycle events dropped; the story lost its commit:\n%.2000s", w.Rec.TraceDropped(), timeline)
+	if last := ms[len(ms)-1]; w.Rec.TraceDropped() != 0 || last.Kind != obs.KindRole || !strings.HasPrefix(last.Detail, "ejected (update committed)") {
+		t.Fatalf("%d milestones dropped; the last, %v, is not the commit's ejection:\n%.2000s", w.Rec.TraceDropped(), last, w.Rec.FormatTimeline())
+	}
+	tl := w.C.Timeline()
+	if last := tl[len(tl)-1]; last.Kind != core.KindCommit {
+		t.Fatalf("the controller's timeline ends in %v, not the commit", last)
 	}
 	for actor, n := range ruleHits { // maporder: ok — each entry is checked alone
 		if n != 1 {

@@ -156,16 +156,18 @@ func runSpeedupPoint(shards int) (SpeedupPoint, error) {
 const ShardDetSchemaID = "mvedsua-sharddet/v1"
 
 // ShardDetGroup is one connection group's outcome in the determinism
-// smoke: its placement, final stage, lifecycle counters, and milestone
-// timeline.
+// smoke: its placement, final stage, lifecycle counters, the
+// controller's timeline (Lifecycle, each entry's µs time, stage, kind
+// and note) and the recorder's milestones (Timeline).
 type ShardDetGroup struct {
-	Group    int      `json:"group"`
-	Shard    int      `json:"shard"`
-	Scope    string   `json:"scope"`
-	Outcome  string   `json:"outcome"`
-	Updates  int64    `json:"updates"`
-	Commits  int64    `json:"commits"`
-	Timeline []string `json:"timeline"`
+	Group     int      `json:"group"`
+	Shard     int      `json:"shard"`
+	Scope     string   `json:"scope"`
+	Outcome   string   `json:"outcome"`
+	Updates   int64    `json:"updates"`
+	Commits   int64    `json:"commits"`
+	Lifecycle []string `json:"lifecycle"`
+	Timeline  []string `json:"timeline"`
 }
 
 // ShardDetReport is the `benchtool -experiment sharddet` artifact. It
@@ -248,6 +250,9 @@ func RunShardDetReport() (*ShardDetReport, error) {
 			Updates: w.Rec.Counter(obs.CCoreUpdates),
 			Commits: w.Rec.Counter(obs.CCoreCommits),
 		}
+		for _, e := range w.C.Timeline() {
+			gr.Lifecycle = append(gr.Lifecycle, fmt.Sprintf("[%10.6fs] %-16v kind=%d %s", e.At.Seconds(), e.Stage, e.Kind, e.Note))
+		}
 		for _, e := range w.Rec.Milestones() {
 			gr.Timeline = append(gr.Timeline, e.String())
 		}
@@ -319,6 +324,9 @@ func FormatShardDetReport(r *ShardDetReport) string {
 	for _, g := range r.Groups {
 		fmt.Fprintf(&b, "  group %d on shard %d (%s): %s  updates=%d commits=%d\n",
 			g.Group, g.Shard, g.Scope, g.Outcome, g.Updates, g.Commits)
+		for _, line := range g.Lifecycle {
+			b.WriteString("    " + line + "\n")
+		}
 		for _, line := range g.Timeline {
 			b.WriteString("    " + line + "\n")
 		}

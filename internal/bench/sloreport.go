@@ -103,9 +103,10 @@ type tracked struct {
 type doFunc func(cmd, want string, pause time.Duration)
 
 // run executes the scenario and calls row inside the driver, once the
-// load is done: the figures must be read before teardown mutates the
-// world.
-func (t tracked) run(row func(w *apptest.World, tr *obs.SLOTracker, outcome string)) error {
+// load is done, with the run's ledger: the figures must be read before
+// teardown mutates the world. The ledger's update activity is the
+// controller's timeline, read by updateWindows.
+func (t tracked) run(row func(w *apptest.World, ledger obs.SLOReport, outcome string)) error {
 	var tr *obs.SLOTracker
 	_, _, breaches := scenario{
 		cfg: t.cfg, faults: t.faults, want: t.want,
@@ -124,10 +125,30 @@ func (t tracked) run(row func(w *apptest.World, tr *obs.SLOTracker, outcome stri
 					tk.Sleep(pause)
 				}
 			})
-			row(w, tr, outcome)
+			row(w, tr.Report(updateWindows(w.C.Timeline(), w.Rec.Now())), outcome)
 		},
 	}.run()
 	return failed(breaches)
+}
+
+// updateWindows reads a controller's timeline as the ledger's update
+// activity: a window opens at the first entry whose stage is neither
+// single-leader nor aborted (an aborted canary also ends the update)
+// and closes at the next entry back in one of those. A run that ends
+// mid-update closes its window at end.
+func updateWindows(timeline []core.Event, end time.Duration) []obs.UpdateWindow {
+	var out []obs.UpdateWindow
+	open := false
+	for _, ev := range timeline {
+		busy := ev.Stage != core.StageSingleLeader && ev.Stage != core.StageAborted
+		if busy && !open {
+			out = append(out, obs.UpdateWindow{Start: ev.At, End: end})
+		} else if !busy && open {
+			out[len(out)-1].End = ev.At
+		}
+		open = busy
+	}
+	return out
 }
 
 // sloFloorRows is the success-rate floor, judged at report time over a
@@ -202,7 +223,7 @@ func sloScenarios() []tracked {
 			// fill the ring: the leader serves in parallel with the
 			// transformation (MVEDSUA's core win) until FullBlock
 			// backpressure parks it, and the resulting gap is attributed to
-			// the update via stage milestones and the xform span.
+			// the update via the controller's timeline and the xform span.
 			name:  "update-under-load",
 			want:  apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
 			desc:  "staged update with a 150us-per-entry state transformation under closed-loop load",
@@ -278,15 +299,15 @@ func RunSLOReport() (SLOBenchReport, error) {
 	report := SLOBenchReport{Schema: SLOSchemaID, Floor: sloSuccessFloor}
 	for _, sc := range sloScenarios() {
 		row := SLORunRow{Name: sc.name, Description: sc.desc}
-		err := sc.run(func(w *apptest.World, tr *obs.SLOTracker, outcome string) {
+		err := sc.run(func(w *apptest.World, ledger obs.SLOReport, outcome string) {
+			opts := sloOpts()
 			row.Outcome = outcome
-			row.Requests = w.Rec.Counter(obs.CSLORequestsOK) + w.Rec.Counter(obs.CSLORequestsFail)
+			row.Requests = ledger.Requests
 			row.VirtualMillis = float64(w.Rec.Now()) / float64(time.Millisecond)
-			opts := tr.Options()
 			row.WindowNS = int64(opts.Window)
 			row.StallThresholdNS = int64(opts.StallThreshold)
 			row.BudgetP99NS = int64(opts.LatencyBudgetP99)
-			row.Ledger = tr.Report()
+			row.Ledger = ledger
 			row.Verdicts = sloVerdicts(sloFloorRows(row.Ledger, opts.Window, w.Rec.Now()), w.C.Timeline())
 		})
 		if err != nil {

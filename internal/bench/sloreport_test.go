@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mvedsua/internal/core"
 	"mvedsua/internal/obs"
 )
 
@@ -111,7 +112,63 @@ func TestSLOFloorRows(t *testing.T) {
 		floor("window[2]", 30*ms, "0.0000"),
 		floor("window[3]", 40*ms, "0.5000"),
 	}
-	if got := sloFloorRows(tr.Report(), 10*ms, now); !reflect.DeepEqual(got, want) {
+	if got := sloFloorRows(tr.Report(nil), 10*ms, now); !reflect.DeepEqual(got, want) {
 		t.Fatalf("floor rows = %+v, want %+v", got, want)
+	}
+}
+
+// TestUpdateWindows pins how a controller's timeline becomes the
+// ledger's update activity: a window is open while the stage is neither
+// single-leader nor aborted, entries that keep the stage (a verdict, a
+// violation, a retry) do not reopen or split it, a stage change between
+// two busy stages keeps it open, and a run that ends mid-update closes
+// it at end.
+func TestUpdateWindows(t *testing.T) {
+	ms := time.Millisecond
+	ev := func(at int, stage core.Stage, kind core.Kind) core.Event {
+		return core.Event{At: time.Duration(at) * ms, Stage: stage, Kind: kind}
+	}
+	win := func(start, end int) obs.UpdateWindow {
+		return obs.UpdateWindow{Start: time.Duration(start) * ms, End: time.Duration(end) * ms}
+	}
+	for _, tc := range []struct {
+		name     string
+		timeline []core.Event
+		want     []obs.UpdateWindow
+	}{
+		{"steady run", []core.Event{
+			ev(0, core.StageSingleLeader, core.KindStage),
+		}, nil},
+		{"verdict and violation inside outdated-leader", []core.Event{
+			ev(0, core.StageSingleLeader, core.KindStage),
+			ev(10, core.StageOutdatedLeader, core.KindStage),
+			ev(20, core.StageOutdatedLeader, core.KindViolation),
+			ev(20, core.StageOutdatedLeader, core.KindVerdict),
+			ev(20, core.StageSingleLeader, core.KindRollback),
+			ev(25, core.StageSingleLeader, core.KindRetry),
+		}, []obs.UpdateWindow{win(10, 20)}},
+		{"promoting to updated-leader stays open", []core.Event{
+			ev(0, core.StageSingleLeader, core.KindStage),
+			ev(10, core.StageOutdatedLeader, core.KindStage),
+			ev(30, core.StagePromoting, core.KindStage),
+			ev(31, core.StageUpdatedLeader, core.KindStage),
+			ev(40, core.StageSingleLeader, core.KindCommit),
+		}, []obs.UpdateWindow{win(10, 40)}},
+		{"aborted closes it", []core.Event{
+			ev(0, core.StageSingleLeader, core.KindStage),
+			ev(10, core.StageOutdatedLeader, core.KindStage),
+			ev(15, core.StageOutdatedLeader, core.KindVerdict),
+			ev(15, core.StageAborted, core.KindStage),
+		}, []obs.UpdateWindow{win(10, 15)}},
+		{"run ends mid-update", []core.Event{
+			ev(0, core.StageSingleLeader, core.KindStage),
+			ev(10, core.StageOutdatedLeader, core.KindStage),
+			ev(20, core.StageSingleLeader, core.KindRollback),
+			ev(30, core.StageOutdatedLeader, core.KindStage),
+		}, []obs.UpdateWindow{win(10, 20), win(30, 50)}},
+	} {
+		if got := updateWindows(tc.timeline, 50*ms); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: windows = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -130,8 +130,9 @@ func trainSweepOne(keyspace int, lazy bool) (TrainSweepRow, error) {
 			tk.Sleep(100 * time.Microsecond)
 		}
 		// Snapshot the ledger before waiting out the cold-tail drain, so
-		// the drain wait is not misread as a request gap.
-		ledger := tr.Report()
+		// the drain wait is not misread as a request gap. A bare runtime
+		// has no controller, so only its xform span marks the update.
+		ledger := tr.Report(nil)
 		row.Requests = ledger.Requests
 		row.DowntimeNS = ledger.DowntimeNS
 		row.LongestPauseNS = ledger.LongestPauseNS
@@ -321,11 +322,11 @@ func RunTrainReport() (TrainBenchReport, error) {
 		sc.cfg = duo(core.Config{BufferEntries: 128, Costs: MVECosts(ModeVaran2)})
 		sc.setup = (*apptest.World).EnableSpanTracing
 		row := TrainRunRow{Name: sc.name, Description: sc.desc}
-		err := sc.run(func(w *apptest.World, tr *obs.SLOTracker, outcome string) {
+		err := sc.run(func(w *apptest.World, ledger obs.SLOReport, outcome string) {
 			row.Outcome = outcome
-			row.Requests = w.Rec.Counter(obs.CSLORequestsOK) + w.Rec.Counter(obs.CSLORequestsFail)
+			row.Requests = ledger.Requests
 			row.VirtualMillis = float64(w.Rec.Now()) / float64(time.Millisecond)
-			row.Ledger = tr.Report()
+			row.Ledger = ledger
 			row.Events = trainEvents(w.C.Timeline())
 		})
 		if err != nil {

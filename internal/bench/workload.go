@@ -117,7 +117,7 @@ func (wl KVWorkload) Run(k *vos.Kernel, tk *sim.Task, m *Metrics, stop *bool) {
 			switch wl.Flavor {
 			case FlavorMemcached:
 				c.Send(tk, "get "+key+"\r\n")
-				c.RecvUntil(tk, "END\r\n")
+				c.DrainUntil(tk, "END\r\n")
 			default:
 				c.Send(tk, "GET "+key+"\r\n")
 				c.Recv(tk)
@@ -126,7 +126,7 @@ func (wl KVWorkload) Run(k *vos.Kernel, tk *sim.Task, m *Metrics, stop *bool) {
 			switch wl.Flavor {
 			case FlavorMemcached:
 				c.Send(tk, fmt.Sprintf("set %s 0 0 %d\r\n%s\r\n", key, kvValueLen, value))
-				c.RecvUntil(tk, "\r\n")
+				c.DrainUntil(tk, "\r\n")
 			default:
 				c.Send(tk, fmt.Sprintf("SET %s %s\r\n", key, value))
 				c.Recv(tk)
@@ -147,14 +147,13 @@ type FTPWorkload struct {
 func (wl FTPWorkload) Run(k *vos.Kernel, tk *sim.Task, m *Metrics, stop *bool) {
 	c := apptest.Connect(k, tk, wl.Port)
 	defer c.Close(tk)
-	c.RecvUntil(tk, "\r\n") // banner
+	c.DrainUntil(tk, "\r\n") // banner
 	c.Do(tk, "USER anonymous")
 	c.Do(tk, "PASS guest")
 	for !*stop {
 		start := tk.Now()
 		c.Send(tk, "RETR "+wl.File+"\r\n")
-		got := c.RecvUntil(tk, "226 Transfer complete.\r\n")
-		if got == "" {
+		if c.DrainUntil(tk, "226 Transfer complete.\r\n") == 0 {
 			return
 		}
 		m.Record(start, tk.Now())

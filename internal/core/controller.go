@@ -84,13 +84,14 @@ func (s Stage) String() string {
 }
 
 // Kind says what a timeline entry records; only the kinds some reader
-// tells apart have one. Stage, train, commit and rollback entries are
-// transitions: each bumps core.transitions and emits a stage milestone.
+// tells apart have one. Stage, retry, train, commit and rollback entries
+// are transitions: each bumps core.transitions.
 type Kind int
 
 // Kinds.
 const (
-	KindStage     Kind = iota // any other transition: deploy, fork, promotion, retry, abandon, crash, eject, respawn, abort
+	KindStage     Kind = iota // any other transition: deploy, fork, promotion, abandon, crash, eject, respawn, abort
+	KindRetry                 // a retry scheduled, with its backoff delay in the note
 	KindTrain                 // a train hop queued or requested, or the train flushed
 	KindCommit                // an update committed, by the operator or a §3.2 error rule
 	KindRollback              // an update rolled back
@@ -110,6 +111,11 @@ type Event struct {
 	Subject string      // a violation's: "canary-gate" or the stalled proc
 	Rule    string      // a violation's threshold, e.g. "follower-liveness"
 	Verdict mve.Verdict // a verdict entry's
+}
+
+// String is the entry as a lifecycle line: its time, stage and note.
+func (e Event) String() string {
+	return fmt.Sprintf("%8.3fs  %-16v %s", e.At.Seconds(), e.Stage, e.Note)
 }
 
 // Config configures the controller.
@@ -159,8 +165,9 @@ type Config struct {
 	WrapDispatcher func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher
 	// Recorder, if non-nil, is the flight recorder every layer of this
 	// controller's pipeline (monitor, ring buffer, stage machine) emits
-	// metrics and trace events into. Nil disables observation at the
-	// cost of one pointer check per instrumented operation.
+	// metrics, milestones and spans into; the stage machine's own
+	// record is the timeline. Nil disables observation at the cost of
+	// one pointer check per instrumented operation.
 	Recorder *obs.Recorder
 }
 
@@ -328,7 +335,6 @@ func (c *Controller) record(ev Event) {
 func (c *Controller) transition(stage Stage, kind Kind, note string) {
 	c.stage = stage
 	c.rec.Inc(obs.CCoreTransitions)
-	c.rec.Emit(obs.KindStage, stage.String(), note)
 	if c.rec.SpansEnabled() {
 		// Roll the Figure 2 stage machine's async arc over to the new
 		// stage, so the controller track shows each stage end to end.
@@ -650,8 +656,7 @@ func (c *Controller) retryDelay(n int) time.Duration {
 func (c *Controller) scheduleRetry(v *dsu.Version, n int, why string) {
 	delay := c.retryDelay(n)
 	c.rec.Inc(obs.CCoreRetries)
-	c.rec.Emitf(obs.KindRetry, v.Name, "%s; retry %d scheduled with %v backoff", why, n, delay)
-	c.transition(c.stage, KindStage, fmt.Sprintf("%s; retry %d of %s in %v", why, n, v.Name, delay))
+	c.transition(c.stage, KindRetry, fmt.Sprintf("%s; retry %d of %s in %v", why, n, v.Name, delay))
 	c.sched.Go(fmt.Sprintf("retry%d@%s", n, v.Name), func(t *sim.Task) {
 		t.Sleep(delay)
 		if c.closed || c.stage != StageSingleLeader {

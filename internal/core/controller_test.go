@@ -883,11 +883,10 @@ func TestBackoffRetrySchedule(t *testing.T) {
 	}
 	var delays []string
 	var failedAt []time.Duration
-	for _, ev := range h.c.Timeline() {
-		if i := strings.Index(ev.Note, " in "); i >= 0 && strings.Contains(ev.Note, "retry ") {
-			delays = append(delays, ev.Note[i+4:])
-			failedAt = append(failedAt, ev.At)
-		}
+	for _, ev := range entries(h.c, KindRetry) {
+		_, delay, _ := strings.Cut(ev.Note, " in ")
+		delays = append(delays, delay)
+		failedAt = append(failedAt, ev.At)
 	}
 	wantDelays := []string{"100ms", "200ms", "400ms", "400ms"}
 	if len(delays) < len(wantDelays) {

@@ -178,7 +178,6 @@ func (c *Controller) gateFailure(divs, lag int) string {
 // consequence, and the two notes word those outcomes on the operator's
 // timeline.
 func (c *Controller) applyVerdict(v mve.Verdict, rollbackNote, commitNote string) {
-	c.rec.Emit(obs.KindVerdict, v.Proc, v.String())
 	c.record(Event{Kind: KindVerdict, Note: v.String(), Verdict: v})
 	switch v.Action {
 	case mve.VerdictEject:

@@ -219,7 +219,7 @@ func TestForgottenTableEscapesMVE(t *testing.T) {
 }
 
 // TestDeterministicLifecycle: the same scenario run twice produces
-// identical transcripts and lifecycles.
+// identical transcripts, controller timelines and recorder milestones.
 func TestDeterministicLifecycle(t *testing.T) {
 	run := func() *apptest.World {
 		w := apptest.NewWorld(core.Config{})
@@ -237,8 +237,11 @@ func TestDeterministicLifecycle(t *testing.T) {
 	if !reflect.DeepEqual(a.Transcript(), b.Transcript()) {
 		t.Errorf("transcripts differ:\n%+v\n%+v", a.Transcript(), b.Transcript())
 	}
+	if ta, tb := a.C.Timeline(), b.C.Timeline(); !reflect.DeepEqual(ta, tb) {
+		t.Errorf("lifecycles differ:\n%v\n%v", ta, tb)
+	}
 	if ta, tb := a.Rec.FormatTimeline(), b.Rec.FormatTimeline(); ta != tb {
-		t.Errorf("lifecycles differ:\n%s\n%s", ta, tb)
+		t.Errorf("milestones differ:\n%s\n%s", ta, tb)
 	}
 }
 

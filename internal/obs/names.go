@@ -83,13 +83,6 @@ const (
 	CVOSNetBytes = "vos.net.bytes" // bytes moved through stream sockets
 	CVOSFSBytes  = "vos.fs.bytes"  // bytes moved through the in-memory fs
 	GVOSOpenFDs  = "vos.open_fds"  // open descriptors after the last syscall
-
-	// SLO accounting (recorded only through SLOTracker, which the slo
-	// benchmark scenarios attach; default runs never touch them, so the
-	// golden artifacts are unchanged).
-	CSLORequestsOK   = "slo.requests.ok"     // client requests completed successfully
-	CSLORequestsFail = "slo.requests.fail"   // client requests that errored
-	HSLOLatency      = "slo.request.latency" // client-observed request latency
 )
 
 // CounterNames is the complete counter vocabulary.
@@ -104,7 +97,6 @@ var CounterNames = []string{
 	CChaosFired,
 	CReqTracked, CDSUUpdatePoints, CDSUXformTouched, CDSUXformSwept,
 	CVOSNetBytes, CVOSFSBytes,
-	CSLORequestsOK, CSLORequestsFail,
 }
 
 // GaugeNames is the complete gauge vocabulary.
@@ -115,5 +107,4 @@ var HistogramNames = []string{
 	HSyscallSingle, HSyscallLeader, HRingBlockWait,
 	HReqService, HReqRingWait, HReqValidateLag,
 	HDSUQuiesce, HDSUXform, HDSUXformTouch,
-	HSLOLatency,
 }

@@ -1,6 +1,6 @@
 // Package obs is the flight recorder for the MVEDSUA pipeline: a
 // zero-dependency (stdlib-only) metrics registry plus a bounded
-// structured trace of typed lifecycle events.
+// structured trace of typed mechanism milestones.
 //
 // The paper's whole evaluation (§6, Tables 2-4, Figures 6-7) is a story
 // told from measurements — interception overhead, buffer occupancy,
@@ -8,8 +8,8 @@
 // layer of the reproduction a first-class way to report those
 // measurements: sysabi dispatch, the ring buffer, the MVE monitor, the
 // update controller, and the chaos layer all emit into one Recorder, so
-// a single timeline explains *why* a run recovered, not just that it
-// did.
+// its milestones beside the controller's timeline explain *why* a run
+// recovered, not just that it did.
 //
 // Everything is instrumented behind a nil check: all Recorder methods
 // are safe on a nil receiver and return immediately, so a disabled
@@ -18,12 +18,15 @@
 // and never advances it, which keeps instrumented runs bit-identical to
 // uninstrumented ones.
 //
-// The trace is the update's lifecycle: stage transitions, role changes,
-// a rule's first hit in each process, divergences, stalls, retries,
-// faults and ring-buffer block/discard/reset milestones, kept first-come
-// in a bounded list that counts what it dropped. Per-event traffic
-// (syscalls, validations, ring puts and gets) is only counted, in the
-// counters and histograms, so steady state formats nothing.
+// The trace holds the update's mechanism milestones: role changes, a
+// rule's first hit in each process, divergences, stalls, faults and
+// ring-buffer block/discard/reset, kept first-come in a bounded list
+// that counts what it dropped. The Figure 2 stage machine — its
+// transitions, verdicts and retries — is recorded once, in the
+// controller's typed timeline (core.Controller.Timeline), never here.
+// Per-event traffic (syscalls, validations, ring puts and gets) is only
+// counted, in the counters and histograms, so steady state formats
+// nothing.
 package obs
 
 import (
@@ -36,7 +39,8 @@ import (
 // Kind types a trace event.
 type Kind int
 
-// Event kinds, every one a lifecycle milestone.
+// Event kinds, every one a mechanism milestone: the stage machine is
+// recorded in the controller's timeline instead.
 const (
 	KindRingBlock   Kind = iota // producer parked on a full ring buffer
 	KindRingDiscard             // entry dropped by the non-blocking append
@@ -45,10 +49,7 @@ const (
 	KindDivergence              // follower mismatched the recorded stream
 	KindStall                   // watchdog / buffer-full stall verdict
 	KindRole                    // process role change (attach/promote/drop)
-	KindStage                   // controller stage transition
-	KindRetry                   // controller scheduled a retry (with backoff)
 	KindFault                   // chaos injection fired
-	KindVerdict                 // quorum verdict on a failed consumer (eject/abort/rollback-candidate)
 )
 
 var kindNames = map[Kind]string{
@@ -59,10 +60,7 @@ var kindNames = map[Kind]string{
 	KindDivergence:  "divergence",
 	KindStall:       "stall",
 	KindRole:        "role",
-	KindStage:       "stage",
-	KindRetry:       "retry",
 	KindFault:       "fault",
-	KindVerdict:     "verdict",
 }
 
 // String returns the kind's timeline label.
@@ -312,7 +310,7 @@ func (r *Recorder) Root() *Registry {
 // could drop. It stays for the benchmark adapter, which calls it.
 func (r *Recorder) SetTraceDropSource(any) {}
 
-// Emit appends a lifecycle event stamped at the current virtual time,
+// Emit appends a milestone stamped at the current virtual time,
 // or counts it dropped once milestoneCap events are kept.
 func (r *Recorder) Emit(kind Kind, actor, detail string) {
 	if r == nil {
@@ -348,8 +346,8 @@ func (r *Recorder) TraceDropped() int64 {
 	return r.milestonesDropped
 }
 
-// Milestones returns the lifecycle events (stage, role, rule, divergence,
-// stall, retry, fault, ring block/discard/reset), in emission order.
+// Milestones returns the milestones (role, rule, divergence, stall,
+// fault, ring block/discard/reset), in emission order.
 func (r *Recorder) Milestones() []Event {
 	if r == nil {
 		return nil
@@ -437,8 +435,8 @@ func (r *Recorder) FormatMetrics() string {
 	return b.String()
 }
 
-// FormatTimeline renders the lifecycle events as a human-readable
-// timeline, ending with how many were dropped at capacity.
+// FormatTimeline renders the milestones as a human-readable timeline,
+// ending with how many were dropped at capacity.
 func (r *Recorder) FormatTimeline() string {
 	if r == nil {
 		return "(no recorder attached)\n"

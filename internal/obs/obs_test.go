@@ -19,8 +19,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.SetGauge("g", 1)
 	r.MaxGauge("g", 2)
 	r.Observe("h", time.Second)
-	r.Emit(KindStage, "a", "d")
-	r.Emitf(KindStage, "a", "%d", 1)
+	r.Emit(KindRole, "a", "d")
+	r.Emitf(KindRole, "a", "%d", 1)
 	if r.Enabled() {
 		t.Fatal("nil recorder reports Enabled")
 	}
@@ -90,7 +90,7 @@ func TestMilestoneRetention(t *testing.T) {
 	r := New(clk.now, Options{})
 	for i := 0; i < milestoneCap+2; i++ {
 		clk.t = time.Duration(i) * time.Second
-		r.Emit(KindStage, "ctl", "stage")
+		r.Emit(KindRole, "proc1", "role")
 	}
 	ms := r.Milestones()
 	if len(ms) != milestoneCap || ms[0].At != 0 || ms[milestoneCap-1].At != time.Duration(milestoneCap-1)*time.Second {
@@ -102,30 +102,30 @@ func TestMilestoneRetention(t *testing.T) {
 }
 
 func TestEveryKindIsNamed(t *testing.T) {
-	for k := KindRingBlock; k <= KindVerdict; k++ {
+	for k := KindRingBlock; k <= KindFault; k++ {
 		if strings.HasPrefix(k.String(), "kind(") {
 			t.Fatalf("%d has no name", int(k))
 		}
 	}
-	if len(kindNames) != int(KindVerdict)+1 {
-		t.Fatalf("%d names for %d kinds", len(kindNames), int(KindVerdict)+1)
+	if len(kindNames) != int(KindFault)+1 {
+		t.Fatalf("%d names for %d kinds", len(kindNames), int(KindFault)+1)
 	}
 }
 
 func TestFormatTimeline(t *testing.T) {
 	clk := &manualClock{}
 	r := New(clk.now, Options{})
-	r.Emit(KindStage, "ctl", "deployed v1")
+	r.Emit(KindRole, "proc1", "started as single leader")
 	clk.t = 2 * time.Second
 	r.Emit(KindRuleHit, "proc2", `rule "r1" rewrote 2 events`)
 	story := r.FormatTimeline()
-	for _, want := range []string{"[  0.000000s] stage        ctl", "deployed v1", "[  2.000000s] rule.hit", `rule "r1"`} {
+	for _, want := range []string{"[  0.000000s] role         proc1", "started as single leader", "[  2.000000s] rule.hit", `rule "r1"`} {
 		if !strings.Contains(story, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, story)
 		}
 	}
 	// Events are in emission order, which is virtual-time order.
-	if strings.Index(story, "deployed") > strings.Index(story, "rule") {
+	if strings.Index(story, "started") > strings.Index(story, "rule") {
 		t.Fatalf("timeline out of order:\n%s", story)
 	}
 }
@@ -135,10 +135,10 @@ func TestFormatTimeline(t *testing.T) {
 func TestFormatTimelineReportsDroppedMilestones(t *testing.T) {
 	r := New(nil, Options{})
 	for i := 0; i < milestoneCap; i++ {
-		r.Emit(KindStage, "ctl", "updating")
+		r.Emit(KindRole, "proc1", "promoted to leader")
 	}
-	r.Emit(KindStage, "ctl", "committed")
-	if out := r.FormatTimeline(); strings.Contains(out, "committed") || !strings.Contains(out, "(1 lifecycle events dropped at capacity)") {
+	r.Emit(KindRole, "proc1", "ejected")
+	if out := r.FormatTimeline(); strings.Contains(out, "ejected") || !strings.Contains(out, "(1 lifecycle events dropped at capacity)") {
 		t.Errorf("FormatTimeline hides the dropped milestone:\n%s", out)
 	}
 }
@@ -148,7 +148,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Inc("a.count")
 	r.SetGauge("a.gauge", 9)
 	r.Observe("a.hist", 5*time.Microsecond)
-	r.Emit(KindStage, "ctl", "x")
+	r.Emit(KindRole, "proc1", "x")
 	r.Emit(KindRuleHit, "p", "y")
 	data, err := json.Marshal(r.Snapshot())
 	if err != nil {
@@ -182,7 +182,7 @@ func TestFormatMetrics(t *testing.T) {
 	r.SetGauge("g", 3)
 	r.Observe("h", time.Millisecond)
 	for i := 0; i <= milestoneCap; i++ { // the last one is dropped
-		r.Emit(KindStage, "ctl", "stage")
+		r.Emit(KindRole, "proc1", "role")
 	}
 	out := r.FormatMetrics()
 	if strings.Index(out, "a.first") > strings.Index(out, "z.last") {

@@ -12,8 +12,8 @@ import (
 // run: a per-window success-rate timeline, downtime windows (gaps
 // between successful completions above a stall threshold), MTTR,
 // recovery time after injected faults, p99 latency-budget burn, and
-// attribution of each degraded window to the update lifecycle (stage
-// milestones, dsu xform spans) or to an injected fault.
+// attribution of each degraded window to the update lifecycle (the
+// caller's update windows, dsu xform spans) or to an injected fault.
 //
 // Nothing here runs unless a scenario constructs a tracker, so the
 // default pipelines and the committed golden artifacts are untouched.
@@ -30,14 +30,15 @@ type SLOOptions struct {
 	// whose observed p99 exceeds it burn budget. Zero disables burn
 	// accounting.
 	LatencyBudgetP99 time.Duration
-	// AttributionSlack widens the fault check when attributing a
-	// downtime window: a fault that fired up to this long before the
-	// window began still explains it. A faulted follower does not stop
-	// the leader instantly — the leader keeps serving until ring
-	// backpressure parks it — so the fault instant lands shortly before
-	// the client-visible gap opens (default 5ms).
-	AttributionSlack time.Duration
 }
+
+// attributionSlack widens the fault check when attributing a downtime
+// window: a fault that fired up to this long before the window began
+// still explains it. A faulted follower does not stop the leader
+// instantly — the leader keeps serving until ring backpressure parks
+// it — so the fault instant lands shortly before the client-visible gap
+// opens.
+const attributionSlack = 5 * time.Millisecond
 
 type sloCompletion struct {
 	at      time.Duration
@@ -53,19 +54,16 @@ type SLOTracker struct {
 	completions []sloCompletion
 }
 
-// NewSLOTracker attaches SLO accounting to a recorder. The tracker
-// records into the slo.* metric names and keeps its own completion log;
-// construct it before load starts so the observation span covers the
-// whole run.
+// NewSLOTracker attaches SLO accounting to a recorder, whose clock
+// stamps completions and whose fault milestones and xform spans the
+// report reads. The tracker keeps its own completion log; construct it
+// before load starts so the observation span covers the whole run.
 func NewSLOTracker(rec *Recorder, opts SLOOptions) *SLOTracker {
 	if opts.Window <= 0 {
 		opts.Window = 10 * time.Millisecond
 	}
 	if opts.StallThreshold <= 0 {
 		opts.StallThreshold = 5 * time.Millisecond
-	}
-	if opts.AttributionSlack <= 0 {
-		opts.AttributionSlack = 5 * time.Millisecond
 	}
 	return &SLOTracker{rec: rec, opts: opts, started: rec.Now()}
 }
@@ -76,21 +74,7 @@ func (t *SLOTracker) Request(ok bool, latency time.Duration) {
 	if t == nil {
 		return
 	}
-	if ok {
-		t.rec.Inc(CSLORequestsOK)
-	} else {
-		t.rec.Inc(CSLORequestsFail)
-	}
-	t.rec.Observe(HSLOLatency, latency)
 	t.completions = append(t.completions, sloCompletion{at: t.rec.Now(), ok: ok, latency: latency})
-}
-
-// Options returns the tracker's effective configuration.
-func (t *SLOTracker) Options() SLOOptions {
-	if t == nil {
-		return SLOOptions{}
-	}
-	return t.opts
 }
 
 // DowntimeWindow is one detected outage: a gap between successful
@@ -131,26 +115,28 @@ type SLOReport struct {
 	Timeline        []SLOWindowPoint `json:"timeline"`
 }
 
+// UpdateWindow is one interval of update activity, [Start, End] in
+// virtual time: the caller knows when its controller was mid-update.
+type UpdateWindow struct{ Start, End time.Duration }
+
 // Report computes the ledger at the current virtual time. Downtime is
 // the union of gaps between successful completions (including the lead
 // from tracker start to the first success and the tail to report time)
 // that exceed the stall threshold; each window is attributed to an
-// injected fault if one fired inside it, else to update activity
-// (controller stage milestones away from steady state, dsu xform
-// spans), else left unattributed.
-func (t *SLOTracker) Report() SLOReport {
+// injected fault if one fired inside it, else to update activity (one
+// of updates, or a dsu xform span), else left unattributed.
+func (t *SLOTracker) Report(updates []UpdateWindow) SLOReport {
 	var rep SLOReport
 	if t == nil {
 		return rep
 	}
 	end := t.rec.Now()
 	rep.SpanNS = int64(end - t.started)
-	rep.Requests = t.rec.Counter(CSLORequestsOK) + t.rec.Counter(CSLORequestsFail)
-	rep.Failed = t.rec.Counter(CSLORequestsFail)
+	rep.Requests = int64(len(t.completions))
 
 	// Downtime windows: walk successful completions in time order.
 	faults := t.faultTimes()
-	updates := t.updateIntervals(end)
+	updates = append(t.xformWindows(), updates...)
 	prev := t.started
 	var totalDown, longest time.Duration
 	flushGap := func(from, to time.Duration) {
@@ -162,7 +148,7 @@ func (t *SLOTracker) Report() SLOReport {
 			StartNS:    int64(from),
 			EndNS:      int64(to),
 			DurationNS: int64(gap),
-			Cause:      attributeWindow(from, to, t.opts.AttributionSlack, faults, updates),
+			Cause:      attributeWindow(from, to, faults, updates),
 		}
 		rep.Downtime = append(rep.Downtime, w)
 		totalDown += gap
@@ -172,6 +158,7 @@ func (t *SLOTracker) Report() SLOReport {
 	}
 	for _, c := range t.completions {
 		if !c.ok {
+			rep.Failed++
 			continue
 		}
 		flushGap(prev, c.at)
@@ -252,40 +239,17 @@ func (t *SLOTracker) faultTimes() []time.Duration {
 	return out
 }
 
-type interval struct{ start, end time.Duration }
-
-// updateIntervals derives "update activity" intervals from controller
-// stage milestones: a controller is mid-update whenever its stage is
-// neither single-leader nor aborted (an aborted canary also ends the
-// update). Xform spans on the dsu track (recorded when spans are
-// enabled) are folded in as well, so state-transfer pauses attribute
-// even without a stage change.
-func (t *SLOTracker) updateIntervals(end time.Duration) []interval {
-	var out []interval
-	var openAt time.Duration
-	open := false
-	for _, e := range t.rec.Milestones() {
-		if e.Kind != KindStage {
-			continue
-		}
-		steady := e.Actor == "single-leader" || e.Actor == "aborted"
-		switch {
-		case !steady && !open:
-			open, openAt = true, e.At
-		case steady && open:
-			out = append(out, interval{openAt, e.At})
-			open = false
-		}
-	}
-	if open {
-		out = append(out, interval{openAt, end})
-	}
+// xformWindows returns the state transformations on the dsu tracks
+// (recorded when spans are enabled) as update activity, so
+// state-transfer pauses attribute even where no controller runs.
+func (t *SLOTracker) xformWindows() []UpdateWindow {
+	var out []UpdateWindow
 	for _, s := range t.rec.Spans() {
 		if s.Phase == PhaseBegin && strings.HasPrefix(s.Track, "dsu:") && strings.HasPrefix(s.Name, "xform:") {
 			// Pair with the next matching end on the same track.
 			for _, e := range t.rec.Spans() {
 				if e.Phase == PhaseEnd && e.Track == s.Track && e.At >= s.At {
-					out = append(out, interval{s.At, e.At})
+					out = append(out, UpdateWindow{s.At, e.At})
 					break
 				}
 			}
@@ -294,14 +258,14 @@ func (t *SLOTracker) updateIntervals(end time.Duration) []interval {
 	return out
 }
 
-func attributeWindow(from, to, slack time.Duration, faults []time.Duration, updates []interval) string {
+func attributeWindow(from, to time.Duration, faults []time.Duration, updates []UpdateWindow) string {
 	for _, f := range faults {
-		if f >= from-slack && f <= to {
+		if f >= from-attributionSlack && f <= to {
 			return "fault"
 		}
 	}
 	for _, u := range updates {
-		if u.start <= to && u.end >= from {
+		if u.Start <= to && u.End >= from {
 			return "update"
 		}
 	}

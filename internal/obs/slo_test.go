@@ -12,10 +12,12 @@ import (
 //	t=5..15ms  gap (downtime, cause fault)
 //	t=15ms     recovery request (slow: 3ms latency, over budget)
 //	t=16..21ms healthy requests
-//	t=20ms     stage leaves single-leader (update opens)
+//	t=20..29ms update window (the caller's, passed to Report)
 //	t=21..28ms gap (downtime, cause update)
-//	t=28,29ms  healthy requests; stage returns to single-leader
-func sloScript(t *testing.T) (*manualClock, *SLOTracker, *Recorder) {
+//	t=28,29ms  healthy requests
+//
+// It returns the tracker and the update window its report takes.
+func sloScript(t *testing.T) (*SLOTracker, []UpdateWindow) {
 	t.Helper()
 	clock := &manualClock{}
 	r := New(clock.now, Options{})
@@ -23,7 +25,6 @@ func sloScript(t *testing.T) (*manualClock, *SLOTracker, *Recorder) {
 		Window:           10 * time.Millisecond,
 		StallThreshold:   2 * time.Millisecond,
 		LatencyBudgetP99: time.Millisecond,
-		AttributionSlack: time.Millisecond,
 	})
 	for ms := 1; ms <= 5; ms++ {
 		clock.t = time.Duration(ms) * time.Millisecond
@@ -37,19 +38,16 @@ func sloScript(t *testing.T) (*manualClock, *SLOTracker, *Recorder) {
 		clock.t = time.Duration(ms) * time.Millisecond
 		tr.Request(true, 100*time.Microsecond)
 	}
-	clock.t = 20 * time.Millisecond
-	r.Emit(KindStage, "outdated-leader", "update started")
 	clock.t = 28 * time.Millisecond
 	tr.Request(true, 100*time.Microsecond)
 	clock.t = 29 * time.Millisecond
-	r.Emit(KindStage, "single-leader", "update rolled back")
 	tr.Request(true, 100*time.Microsecond)
-	return clock, tr, r
+	return tr, []UpdateWindow{{Start: 20 * time.Millisecond, End: 29 * time.Millisecond}}
 }
 
 func TestSLODowntimeDetectionAndAttribution(t *testing.T) {
-	_, tr, _ := sloScript(t)
-	rep := tr.Report()
+	tr, updates := sloScript(t)
+	rep := tr.Report(updates)
 
 	if rep.Requests != 14 || rep.Failed != 0 {
 		t.Fatalf("requests = %d failed = %d, want 14/0", rep.Requests, rep.Failed)
@@ -69,6 +67,9 @@ func TestSLODowntimeDetectionAndAttribution(t *testing.T) {
 	}
 	if second.Cause != "update" {
 		t.Fatalf("second cause = %q, want update", second.Cause)
+	}
+	if got := tr.Report(nil).Downtime[1].Cause; got != "unattributed" {
+		t.Fatalf("second cause without the update window = %q, want unattributed", got)
 	}
 
 	wantDown := 10*time.Millisecond + 7*time.Millisecond
@@ -96,8 +97,8 @@ func TestSLODowntimeDetectionAndAttribution(t *testing.T) {
 }
 
 func TestSLOTimelineAndBudgetBurn(t *testing.T) {
-	_, tr, _ := sloScript(t)
-	rep := tr.Report()
+	tr, updates := sloScript(t)
+	rep := tr.Report(updates)
 
 	// Completions land in windows 0 (1..5ms), 1 (15..19ms) and 2 (20..29ms).
 	if rep.WindowsTotal != 3 {
@@ -124,37 +125,39 @@ func TestSLOTimelineAndBudgetBurn(t *testing.T) {
 }
 
 // TestSLOAttributionSlack pins the slack semantics: a fault that fired
-// shortly before the gap opened still explains it, but one further back
-// does not.
+// up to attributionSlack before the gap opened still explains it, but
+// one further back does not.
 func TestSLOAttributionSlack(t *testing.T) {
+	const gapAt = 20 * time.Millisecond
 	for _, tc := range []struct {
 		name      string
 		faultAt   time.Duration
 		wantCause string
 	}{
-		{"fault-within-slack", 4200 * time.Microsecond, "fault"},
-		{"fault-too-early", 3500 * time.Microsecond, "unattributed"},
+		{"fault-within-slack", gapAt - attributionSlack, "fault"},
+		{"fault-too-early", gapAt - attributionSlack - time.Microsecond, "unattributed"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := &manualClock{}
 			r := New(clock.now, Options{})
 			tr := NewSLOTracker(r, SLOOptions{
-				Window:           10 * time.Millisecond,
-				StallThreshold:   2 * time.Millisecond,
-				AttributionSlack: time.Millisecond,
+				Window:         10 * time.Millisecond,
+				StallThreshold: 2 * time.Millisecond,
 			})
-			clock.t = tc.faultAt
+			clock.t = tc.faultAt // the ledger reads fault times, not their order
 			r.Emit(KindFault, "follower", "injected stall")
-			clock.t = 5 * time.Millisecond
-			tr.Request(true, 100*time.Microsecond)
-			clock.t = 12 * time.Millisecond
-			tr.Request(true, 100*time.Microsecond)
-			rep := tr.Report()
-			// Two gaps: lead-in 0->5ms (fault inside) and 5->12ms.
-			if len(rep.Downtime) != 2 {
-				t.Fatalf("downtime = %+v, want 2 windows", rep.Downtime)
+			for at := time.Millisecond; at <= gapAt; at += time.Millisecond {
+				clock.t = at
+				tr.Request(true, 100*time.Microsecond)
 			}
-			if got := rep.Downtime[1].Cause; got != tc.wantCause {
+			clock.t = gapAt + 7*time.Millisecond
+			tr.Request(true, 100*time.Microsecond)
+			rep := tr.Report(nil)
+			// One gap, 20->27ms; the requests before it leave none.
+			if len(rep.Downtime) != 1 {
+				t.Fatalf("downtime = %+v, want 1 window", rep.Downtime)
+			}
+			if got := rep.Downtime[0].Cause; got != tc.wantCause {
 				t.Fatalf("cause = %q, want %q", got, tc.wantCause)
 			}
 		})
@@ -162,7 +165,8 @@ func TestSLOAttributionSlack(t *testing.T) {
 }
 
 // TestSLOXformSpanAttribution checks that a dsu xform span explains a
-// gap even without stage milestones (the parallel-transformation path).
+// gap even when the caller passes no update window (a bare runtime with
+// no controller).
 func TestSLOXformSpanAttribution(t *testing.T) {
 	clock := &manualClock{}
 	r := New(clock.now, Options{})
@@ -179,7 +183,7 @@ func TestSLOXformSpanAttribution(t *testing.T) {
 	r.EndSpan("dsu:proc1", "xform:kvstore-2.0.1")
 	clock.t = 10 * time.Millisecond
 	tr.Request(true, 100*time.Microsecond)
-	rep := tr.Report()
+	rep := tr.Report(nil)
 	if len(rep.Downtime) != 1 {
 		t.Fatalf("downtime = %+v, want 1 window", rep.Downtime)
 	}
@@ -191,10 +195,7 @@ func TestSLOXformSpanAttribution(t *testing.T) {
 func TestSLOTrackerNilSafe(t *testing.T) {
 	var tr *SLOTracker
 	tr.Request(true, time.Millisecond)
-	if rep := tr.Report(); rep.Requests != 0 || len(rep.Downtime) != 0 {
+	if rep := tr.Report(nil); rep.Requests != 0 || len(rep.Downtime) != 0 {
 		t.Fatalf("nil tracker report = %+v", rep)
-	}
-	if opts := tr.Options(); opts.Window != 0 {
-		t.Fatalf("nil tracker options = %+v", opts)
 	}
 }
