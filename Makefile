@@ -60,7 +60,10 @@ lint-exports:
 # or verdict out of a flight-recorder milestone's Actor or Detail text:
 # no comparison with a non-empty literal on either side, no strings.*
 # call on the field, no switch on it. A field first copied into a local
-# variable, or matched with regexp, is not caught.
+# variable, or matched with regexp, is not caught. And spans are output:
+# non-test code reads Recorder.Spans() only in the exporter
+# (obs/mergedtrace.go) and for the timeline report's span count, so no
+# figure can depend on whether span tracing was on.
 lint-verdicts:
 	@if grep -nE 'Timeline\(\)|strings\.(Contains|HasPrefix)' internal/bench/chaos.go internal/bench/faults.go internal/bench/nvariantreport.go; then \
 		echo "a verdict check outside the judge (apptest.World.Judge)"; exit 1; fi
@@ -68,6 +71,8 @@ lint-verdicts:
 		echo "timeline entries classified by note text: read core.Event.Kind"; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.(Actor|Detail) *(==|!=) *"[^"]|[^"]" *(==|!=) *[][A-Za-z0-9_.()]*\.(Actor|Detail)\b|strings\.[A-Za-z]+\([^)]*\.(Actor|Detail)\b|switch [^{]*\.(Actor|Detail)\b[^{]*\{' internal cmd examples; then \
 		echo "a milestone's text compared with a literal: the lifecycle is core.Controller.Timeline"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.Spans\(\)' internal cmd examples | grep -vE '^internal/(obs/mergedtrace|bench/timelinereport)\.go:'; then \
+		echo "spans read back as input: only the exporter and the timeline's span count read Recorder.Spans"; exit 1; fi
 
 # Non-test and test lines of Go per package directory: the table a
 # simplicity PR quotes before and after. Reads benchmark/, changes

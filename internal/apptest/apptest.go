@@ -49,9 +49,10 @@ type World struct {
 
 // NewWorld builds a fresh world with the given controller config. Unless
 // cfg.Recorder is already set, a flight recorder bound to the world's
-// virtual clock is created and wired through the controller into the
-// monitor and ring buffer. The recorder observes but never advances
-// virtual time, so instrumented runs stay bit-identical to bare ones.
+// virtual clock is created and wired into the kernel and, through the
+// controller, the monitor and ring buffer. The recorder observes but
+// never advances virtual time, so instrumented runs stay bit-identical
+// to bare ones.
 func NewWorld(cfg core.Config) *World {
 	return NewWorldOn(sim.New(), cfg)
 }
@@ -60,29 +61,34 @@ func NewWorld(cfg core.Config) *World {
 // (core.NewFleet), creating and wiring a flight recorder exactly like
 // NewWorld.
 func NewFleetWorld(cfg core.FleetConfig) *World {
-	s := sim.New()
-	k := vos.NewKernel(s)
-	cfg.Recorder = wireRecorder(s, cfg.Recorder)
-	return &World{S: s, K: k, C: core.NewFleet(k, cfg), Rec: cfg.Recorder, settle: 100 * time.Millisecond, dsu: cfg.DSU}
+	w := newWorld(sim.New(), cfg.Config, func(k *vos.Kernel, c core.Config) *core.Controller {
+		cfg.Config = c
+		return core.NewFleet(k, cfg)
+	})
+	w.settle = 100 * time.Millisecond
+	return w
 }
 
-// wireRecorder returns rec or, when nil, a fresh flight recorder on s's
-// clock.
-func wireRecorder(s *sim.Scheduler, rec *obs.Recorder) *obs.Recorder {
-	if rec == nil {
-		rec = obs.New(s.Now, obs.Options{})
+// newWorld builds a world on s: a fresh kernel, the flight recorder —
+// cfg.Recorder, or a new one on s's clock — attached to that kernel, and
+// the controller build makes from the kernel and the wired config.
+func newWorld(s *sim.Scheduler, cfg core.Config, build func(*vos.Kernel, core.Config) *core.Controller) *World {
+	k := vos.NewKernel(s)
+	if cfg.Recorder == nil {
+		cfg.Recorder = obs.New(s.Now, obs.Options{})
 	}
-	return rec
+	k.Rec = cfg.Recorder
+	return &World{S: s, K: k, C: build(k, cfg), Rec: cfg.Recorder, dsu: cfg.DSU}
 }
 
 // EnableSpanTracing opts the world into causal span tracing: the
-// recorder starts accepting spans, the kernel reports I/O metrics, and
-// every scheduler dispatch becomes a run slice on the task's track.
-// Tracing observes but never advances virtual time, so a traced run
-// stays bit-identical to a bare one.
+// recorder starts accepting spans and every scheduler dispatch becomes a
+// run slice on the task's track. It adds spans and nothing else — every
+// metric records whether or not it is called. Tracing observes but never
+// advances virtual time, so a traced run stays bit-identical to a bare
+// one.
 func (w *World) EnableSpanTracing() {
 	w.Rec.EnableSpans()
-	w.K.Rec = w.Rec
 	w.S.OnSlice = func(task string, start, end time.Duration) {
 		if end > start {
 			w.Rec.Slice(task, "run", start, end)

@@ -6,7 +6,6 @@ import (
 	"mvedsua/internal/core"
 	"mvedsua/internal/obs"
 	"mvedsua/internal/sim"
-	"mvedsua/internal/vos"
 )
 
 // This file is the application-level face of the sharded runtime: it
@@ -21,9 +20,7 @@ import (
 // each gets its own kernel, controller and — unless cfg.Recorder is set
 // — its own flight recorder bound to that scheduler's clock.
 func NewWorldOn(s *sim.Scheduler, cfg core.Config) *World {
-	k := vos.NewKernel(s)
-	cfg.Recorder = wireRecorder(s, cfg.Recorder)
-	return &World{S: s, K: k, C: core.New(k, cfg), Rec: cfg.Recorder, dsu: cfg.DSU}
+	return newWorld(s, cfg, core.New)
 }
 
 // ShardedWorld runs G connection groups — each a full World — across

@@ -75,18 +75,19 @@ func RunMetricsReport() (MetricsReport, error) {
 
 // metricsRequired are the names of the obs vocabulary that some metrics
 // scenario must export. The rest record only where no scenario here
-// goes: fleet mode, span mode, lazy transformation, the SLO tracker.
+// goes: fleet mode, tagged requests, file I/O, lazy transformation, the
+// SLO tracker.
 var metricsRequired = struct{ counters, gauges, histograms []string }{
 	counters: []string{
 		obs.CSyscallsSingle, obs.CSyscallsLeader, obs.CSyscallsFollower,
 		obs.CRingPut, obs.CRingGet, obs.CRingBlocked, obs.CRingDropped, obs.CRingResets,
 		obs.CMVERecorded, obs.CMVEReplayed, obs.CMVEPromotions, obs.CMVEStalls, obs.CMVEDivergences,
-		obs.CRuleHits,
+		obs.CRuleHits, obs.CDSUUpdatePoints, obs.CVOSNetBytes,
 		obs.CCoreTransitions, obs.CCoreUpdates, obs.CCoreCommits, obs.CCoreRollbacks, obs.CCoreRetries,
 		obs.CChaosFired,
 	},
-	gauges:     []string{obs.GRingOccupancy, obs.GRingHighWater},
-	histograms: []string{obs.HSyscallSingle, obs.HSyscallLeader, obs.HRingBlockWait},
+	gauges:     []string{obs.GRingOccupancy, obs.GRingHighWater, obs.GVOSOpenFDs},
+	histograms: []string{obs.HSyscallSingle, obs.HSyscallLeader, obs.HRingBlockWait, obs.HDSUQuiesce},
 }
 
 // metricsScenarios lists the observed runs. Each driver issues client

@@ -36,17 +36,6 @@ import (
 // SLOSchemaID is the report format identifier.
 const SLOSchemaID = "mvedsua-slo/v1"
 
-// sloOpts is the shared tracker configuration: 20ms timeline windows,
-// a 2ms stall threshold (any client-visible gap past 2ms is downtime),
-// and a 1ms per-window p99 latency budget.
-func sloOpts() obs.SLOOptions {
-	return obs.SLOOptions{
-		Window:           20 * time.Millisecond,
-		StallThreshold:   2 * time.Millisecond,
-		LatencyBudgetP99: time.Millisecond,
-	}
-}
-
 // sloSuccessFloor is the per-window success-rate floor sloFloorRows
 // judges every closed window against.
 const sloSuccessFloor = 0.999
@@ -89,8 +78,6 @@ type tracked struct {
 	name, desc string
 	cfg        core.FleetConfig
 	faults     []*chaos.Injection
-	// setup, if set, adds instruments beyond the tracker (span tracing).
-	setup func(w *apptest.World)
 	// load issues the run's requests through do, steers the lifecycle,
 	// and returns the row's outcome line.
 	load func(w *apptest.World, do doFunc) string
@@ -110,12 +97,7 @@ func (t tracked) run(row func(w *apptest.World, ledger obs.SLOReport, outcome st
 	var tr *obs.SLOTracker
 	_, _, breaches := scenario{
 		cfg: t.cfg, faults: t.faults, want: t.want,
-		setup: func(w *apptest.World) {
-			tr = obs.NewSLOTracker(w.Rec, sloOpts())
-			if t.setup != nil {
-				t.setup(w)
-			}
-		},
+		setup: func(w *apptest.World) { tr = obs.NewSLOTracker(w.Rec) },
 		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 			outcome := t.load(w, func(cmd, want string, pause time.Duration) {
 				start := tk.Now()
@@ -152,15 +134,16 @@ func updateWindows(timeline []core.Event, end time.Duration) []obs.UpdateWindow 
 }
 
 // sloFloorRows is the success-rate floor, judged at report time over a
-// ledger taken at virtual time end: every window closed between tracker
-// start and end whose success rate is below sloSuccessFloor yields a row
-// stamped at the window's end. A window no request completed in scores
-// 0 — a dark window is the floor violation, not a skipped sample. The
-// still-open window end falls in is not judged.
-func sloFloorRows(l obs.SLOReport, window, end time.Duration) []SLOVerdictRow {
+// ledger taken at virtual time end: every window (obs.SLOWindow wide)
+// closed between tracker start and end whose success rate is below
+// sloSuccessFloor yields a row stamped at the window's end. A window no
+// request completed in scores 0 — a dark window is the floor violation,
+// not a skipped sample. The still-open window end falls in is not
+// judged.
+func sloFloorRows(l obs.SLOReport, end time.Duration) []SLOVerdictRow {
 	var rows []SLOVerdictRow
 	tl := l.Timeline // ascending, every window at or after the start's
-	for w := int64((end - time.Duration(l.SpanNS)) / window); w < int64(end/window); w++ {
+	for w := int64((end - time.Duration(l.SpanNS)) / obs.SLOWindow); w < int64(end/obs.SLOWindow); w++ {
 		rate := 0.0
 		if len(tl) > 0 && tl[0].Window == w {
 			rate = tl[0].SuccessRate
@@ -168,7 +151,7 @@ func sloFloorRows(l obs.SLOReport, window, end time.Duration) []SLOVerdictRow {
 		}
 		if rate < sloSuccessFloor {
 			rows = append(rows, SLOVerdictRow{
-				AtNS:    int64(time.Duration(w+1) * window),
+				AtNS:    int64(time.Duration(w+1) * obs.SLOWindow),
 				Scope:   "slo",
 				Subject: fmt.Sprintf("window[%d]", w),
 				Rule:    "success-rate-floor",
@@ -223,12 +206,11 @@ func sloScenarios() []tracked {
 			// fill the ring: the leader serves in parallel with the
 			// transformation (MVEDSUA's core win) until FullBlock
 			// backpressure parks it, and the resulting gap is attributed to
-			// the update via the controller's timeline and the xform span.
-			name:  "update-under-load",
-			want:  apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
-			desc:  "staged update with a 150us-per-entry state transformation under closed-loop load",
-			cfg:   duo(core.Config{BufferEntries: 64, Costs: MVECosts(ModeVaran2)}),
-			setup: (*apptest.World).EnableSpanTracing, // xform spans feed the ledger's update attribution
+			// the update via the controller's timeline.
+			name: "update-under-load",
+			want: apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
+			desc: "staged update with a 150us-per-entry state transformation under closed-loop load",
+			cfg:  duo(core.Config{BufferEntries: 64, Costs: MVECosts(ModeVaran2)}),
 			load: func(w *apptest.World, do doFunc) string {
 				// Seed the table so the per-entry transformation has real work.
 				for i := 0; i < 150; i++ {
@@ -300,15 +282,14 @@ func RunSLOReport() (SLOBenchReport, error) {
 	for _, sc := range sloScenarios() {
 		row := SLORunRow{Name: sc.name, Description: sc.desc}
 		err := sc.run(func(w *apptest.World, ledger obs.SLOReport, outcome string) {
-			opts := sloOpts()
 			row.Outcome = outcome
 			row.Requests = ledger.Requests
 			row.VirtualMillis = float64(w.Rec.Now()) / float64(time.Millisecond)
-			row.WindowNS = int64(opts.Window)
-			row.StallThresholdNS = int64(opts.StallThreshold)
-			row.BudgetP99NS = int64(opts.LatencyBudgetP99)
+			row.WindowNS = int64(obs.SLOWindow)
+			row.StallThresholdNS = int64(obs.SLOStallThreshold)
+			row.BudgetP99NS = int64(obs.SLOLatencyBudgetP99)
 			row.Ledger = ledger
-			row.Verdicts = sloVerdicts(sloFloorRows(row.Ledger, opts.Window, w.Rec.Now()), w.C.Timeline())
+			row.Verdicts = sloVerdicts(sloFloorRows(row.Ledger, w.Rec.Now()), w.C.Timeline())
 		})
 		if err != nil {
 			return report, fmt.Errorf("slo %s: %w", row.Name, err)

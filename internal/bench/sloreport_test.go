@@ -87,32 +87,32 @@ func TestSLOReportFigures(t *testing.T) {
 // window exactly at the floor, the window before the tracker started and
 // the still-open window yield none.
 func TestSLOFloorRows(t *testing.T) {
-	const ms = time.Millisecond
-	now := 10 * ms
+	const ms = time.Millisecond // obs.SLOWindow is 20ms
+	now := 20 * ms
 	rec := obs.New(func() time.Duration { return now }, obs.Options{})
-	tr := obs.NewSLOTracker(rec, obs.SLOOptions{Window: 10 * ms})
+	tr := obs.NewSLOTracker(rec)
 	request := func(at time.Duration, ok bool) {
 		now = at
 		tr.Request(ok, time.Microsecond)
 	}
 	for i := 0; i < 1000; i++ { // window 1: 999 of 1000, exactly the floor
-		request(10*ms+time.Duration(i)*time.Microsecond, i != 0)
+		request(20*ms+time.Duration(i)*time.Microsecond, i != 0)
 	}
 	// window 2: dark
-	request(35*ms, true) // window 3: one of two
-	request(36*ms, false)
-	request(43*ms, false) // window 4: still open at report time
-	now = 45 * ms
+	request(65*ms, true) // window 3: one of two
+	request(66*ms, false)
+	request(83*ms, false) // window 4: still open at report time
+	now = 85 * ms
 
 	floor := func(subject string, at time.Duration, rate string) SLOVerdictRow {
 		return SLOVerdictRow{AtNS: int64(at), Scope: "slo", Subject: subject, Rule: "success-rate-floor",
 			Reason: "success rate " + rate + " below floor 0.9990"}
 	}
 	want := []SLOVerdictRow{
-		floor("window[2]", 30*ms, "0.0000"),
-		floor("window[3]", 40*ms, "0.5000"),
+		floor("window[2]", 60*ms, "0.0000"),
+		floor("window[3]", 80*ms, "0.5000"),
 	}
-	if got := sloFloorRows(tr.Report(nil), 10*ms, now); !reflect.DeepEqual(got, want) {
+	if got := sloFloorRows(tr.Report(nil), now); !reflect.DeepEqual(got, want) {
 		t.Fatalf("floor rows = %+v, want %+v", got, want)
 	}
 }

@@ -104,12 +104,18 @@ func trainSweepOne(keyspace int, lazy bool) (TrainSweepRow, error) {
 	k := vos.NewKernel(s)
 	k.BaseCost = KernelCost
 	rec := obs.New(s.Now, obs.Options{})
-	rec.EnableSpans() // xform spans feed the ledger's update attribution
-	tr := obs.NewSLOTracker(rec, sloOpts())
+	tr := obs.NewSLOTracker(rec)
 
 	srv := redis()
 	srv.Preload(keyspace)
-	rt := dsu.NewRuntime(s, srv, dsu.Config{Name: "kitsune", Dispatcher: k, Rec: rec})
+	// A bare runtime has no controller: its update record, requested to
+	// decided (which encloses the state transformation), is the ledger's
+	// update activity.
+	var updates []obs.UpdateWindow
+	rt := dsu.NewRuntime(s, srv, dsu.Config{Name: "kitsune", Dispatcher: k, Rec: rec,
+		OnOutcome: func(r dsu.UpdateRecord) {
+			updates = append(updates, obs.UpdateWindow{Start: r.RequestedAt, End: r.DecidedAt})
+		}})
 	rt.Start()
 
 	s.Go("driver", func(tk *sim.Task) {
@@ -130,9 +136,8 @@ func trainSweepOne(keyspace int, lazy bool) (TrainSweepRow, error) {
 			tk.Sleep(100 * time.Microsecond)
 		}
 		// Snapshot the ledger before waiting out the cold-tail drain, so
-		// the drain wait is not misread as a request gap. A bare runtime
-		// has no controller, so only its xform span marks the update.
-		ledger := tr.Report(nil)
+		// the drain wait is not misread as a request gap.
+		ledger := tr.Report(updates)
 		row.Requests = ledger.Requests
 		row.DowntimeNS = ledger.DowntimeNS
 		row.LongestPauseNS = ledger.LongestPauseNS
@@ -206,7 +211,7 @@ func trainStep(c *core.Controller, lingered *int) {
 }
 
 // trainScenarios lists the controller scenarios; RunTrainReport runs
-// each on the same 128-entry-ring duo with span tracing on.
+// each on the same 128-entry-ring duo.
 func trainScenarios() []tracked {
 	const pause = 500 * time.Microsecond
 	hop := func(from, to string, opts kvstore.UpdateOpts) *dsu.Version {
@@ -307,7 +312,7 @@ func RunTrainReport() (TrainBenchReport, error) {
 		Schema:          TrainSchemaID,
 		PerEntryXformNS: int64(kvstore.DefaultPerEntryXform),
 		LazyInstallNS:   int64(kvstore.LazyInstallCost),
-		StallThreshNS:   int64(sloOpts().StallThreshold),
+		StallThreshNS:   int64(obs.SLOStallThreshold),
 	}
 	for _, n := range trainKeyspaces {
 		for _, lazy := range []bool{false, true} {
@@ -320,7 +325,6 @@ func RunTrainReport() (TrainBenchReport, error) {
 	}
 	for _, sc := range trainScenarios() {
 		sc.cfg = duo(core.Config{BufferEntries: 128, Costs: MVECosts(ModeVaran2)})
-		sc.setup = (*apptest.World).EnableSpanTracing
 		row := TrainRunRow{Name: sc.name, Description: sc.desc}
 		err := sc.run(func(w *apptest.World, ledger obs.SLOReport, outcome string) {
 			row.Outcome = outcome

@@ -299,8 +299,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 // unreadAllowed are the struct fields of the swept packages that no
 // non-test file reads and that stay anyway, each with the reason.
 var unreadAllowed = map[string]string{
-	"dsu.UpdateRecord.RequestedAt":      "observation point: dsu's TestForkedUpdateRecordsRealRequestTime reads the request-to-decision gap to prove a forked follower's record carries the leader's request time",
-	"dsu.UpdateRecord.DecidedAt":        "as dsu.UpdateRecord.RequestedAt",
 	"rolling.ComparisonResult.Versions": "observation point: rolling's TestStatelessRestartLosesState and TestMVEDSUAUpgradeLosesNothingAndNeverPauses read each node's final version to prove the upgrade landed everywhere; UpgradeAll ignores Commit's result, so no production check makes theirs redundant",
 }
 

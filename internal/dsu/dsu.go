@@ -185,10 +185,9 @@ type Config struct {
 	// errors.
 	OnOutcome func(UpdateRecord)
 	// Rec, if non-nil, receives update-point counters, quiescence-wait
-	// and state-transfer histograms, and spans. Duration histograms for
-	// state transfer (and lazy-migration counters) are recorded whenever
-	// a recorder is attached; update-point counters, the quiescence-wait
-	// histogram and spans additionally require Rec.SpansEnabled().
+	// and state-transfer histograms, lazy-migration counters, and
+	// spans. Every metric records whenever a recorder is attached;
+	// spans additionally require Rec.SpansEnabled().
 	Rec *obs.Recorder
 }
 
@@ -316,8 +315,8 @@ func (rt *Runtime) StartUpdatedFromAt(old App, v *Version, requestedAt time.Dura
 
 // applyXform charges the transformation cost and runs v's state
 // transformer on old. The transfer duration lands in the HDSUXform
-// histogram whenever a recorder is attached; the surrounding span
-// additionally requires span tracing.
+// histogram whenever a recorder is attached; only span tracing adds the
+// surrounding span.
 func (rt *Runtime) applyXform(task *sim.Task, old App, v *Version) (App, error) {
 	rec := rt.cfg.Rec
 	traced := rec.SpansEnabled()
@@ -609,9 +608,7 @@ func (e *Env) Sys(c sysabi.Call) sysabi.Result {
 // new main thread is already running the new version).
 func (e *Env) UpdatePoint(name string) Decision {
 	rt := e.rt
-	if rt.cfg.Rec.SpansEnabled() {
-		rt.cfg.Rec.Inc(obs.CDSUUpdatePoints)
-	}
+	rt.cfg.Rec.Inc(obs.CDSUUpdatePoints)
 	if rt.cfg.UpdateCheckCost > 0 {
 		e.task.Advance(rt.cfg.UpdateCheckCost)
 	}
@@ -665,11 +662,9 @@ func (e *Env) UpdatePoint(name string) Decision {
 
 // observeQuiesce records how long the attempt waited from the update
 // request to the quiescence decision (the paper's wait-for-quiescence
-// window). Gated on span tracing like the rest of the dsu metrics.
+// window).
 func (rt *Runtime) observeQuiesce(att *attempt) {
-	if rt.cfg.Rec.SpansEnabled() {
-		rt.cfg.Rec.Observe(obs.HDSUQuiesce, rt.sched.Now()-att.requestedAt)
-	}
+	rt.cfg.Rec.Observe(obs.HDSUQuiesce, rt.sched.Now()-att.requestedAt)
 }
 
 // decide runs once per attempt, in the context of the last thread to

@@ -486,10 +486,10 @@ func TestOutcomeString(t *testing.T) {
 	}
 }
 
-// The state-transfer histogram is plain metrics, not tracing: it must
-// record with a recorder attached even when spans are off, while the
-// span-only instruments (update-point counter, quiescence histogram)
-// stay silent.
+// The dsu metrics are plain metrics, not tracing: the state-transfer
+// histogram, the update-point counter and the quiescence-wait histogram
+// all record with a recorder attached even when spans are off, and no
+// span is recorded.
 func TestXformHistogramRecordedWithoutSpans(t *testing.T) {
 	s := sim.New()
 	k := vos.NewKernel(s)
@@ -520,12 +520,14 @@ func TestXformHistogramRecordedWithoutSpans(t *testing.T) {
 	if h == nil || h.Count != 1 || h.Sum < 3*time.Millisecond {
 		t.Fatalf("xform histogram = %+v, want 1 observation >= 3ms", h)
 	}
-	// Span-gated instruments stay quiet without span tracing.
-	if got := rec.Counter(obs.CDSUUpdatePoints); got != 0 {
-		t.Fatalf("update-point counter = %d without spans, want 0", got)
+	if got := rec.Counter(obs.CDSUUpdatePoints); got == 0 {
+		t.Fatal("update-point counter = 0 without spans, want every update point counted")
 	}
-	if q := rec.Hist(obs.HDSUQuiesce); q != nil && q.Count != 0 {
-		t.Fatalf("quiesce histogram = %+v without spans, want empty", q)
+	if q := rec.Hist(obs.HDSUQuiesce); q == nil || q.Count != 1 {
+		t.Fatalf("quiesce histogram = %+v without spans, want the one attempt's wait", q)
+	}
+	if n := len(rec.Spans()); n != 0 {
+		t.Fatalf("%d spans recorded without span tracing, want none", n)
 	}
 }
 

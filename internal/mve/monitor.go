@@ -364,11 +364,11 @@ type Proc struct {
 	// a rule.hit milestone (recorder attached only).
 	rulesHit map[*dsl.Rule]bool
 
-	// Per-request latency attribution (span mode only — every use is
-	// gated on obs.Recorder.SpansEnabled): reqDrainAt maps a tagged
-	// response event's request id to the instant the follower drained it
-	// from the ring. (The in-flight request a serving thread has open is
-	// in its tidStream.)
+	// Per-request latency attribution (every use is gated on
+	// obs.Recorder.Enabled): reqDrainAt maps a tagged response event's
+	// request id to the instant the follower drained it from the ring.
+	// (The in-flight request a serving thread has open is in its
+	// tidStream.)
 	reqDrainAt map[uint64]time.Duration
 
 	// roleSpanID/roleSpanName track this proc's open role-epoch async

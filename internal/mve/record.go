@@ -23,9 +23,7 @@ func (p *Proc) invokeSingle(t *sim.Task, call sysabi.Call) sysabi.Result {
 		start := t.Now()
 		res := p.m.kernel.Invoke(t, call)
 		rec.Observe(obs.HSyscallSingle, t.Now()-start)
-		if rec.SpansEnabled() {
-			p.trackRequest(t, call, res, nil)
-		}
+		p.trackRequest(t, call, res, nil)
 		return res
 	}
 	return p.m.kernel.Invoke(t, call)
@@ -54,7 +52,7 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 	// Ready stays intact meanwhile, because only this thread waits on its
 	// epoll fd again (sysabi.Result.Ready).
 	e := ringbuf.Entry{Kind: ringbuf.KindSyscall, Event: sysabi.Event{Call: call, Result: res}}
-	if rec.SpansEnabled() {
+	if rec.Enabled() {
 		// Stamps the recorded event's call with the request id (the live
 		// call is untouched, so validation semantics cannot change).
 		p.trackRequest(t, call, res, &e.Event)

@@ -69,7 +69,7 @@ type tidStream struct {
 	evs  queue[sysabi.Event] // the expected events of exp's groups, each owning its payloads
 	seqs queue[uint64]       // the extra sequence numbers of exp's groups
 	wait sim.WaitQueue       // the thread, awaiting its events or its turn
-	req  reqOpen             // while serving: the thread's open tagged request (span mode only)
+	req  reqOpen             // while serving: the thread's open tagged request (recorder attached only)
 
 	// ready is the Result.Ready the thread's last replayed epoll_wait
 	// returned: a copy of the recorded list, refilled by its next one.

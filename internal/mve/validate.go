@@ -111,7 +111,7 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 			p.parkForever(t)
 		}
 	}
-	if rec := p.m.rec; rec.SpansEnabled() && exp.Call.ReqID != 0 {
+	if rec := p.m.rec; rec.Enabled() && exp.Call.ReqID != 0 {
 		// Validation-lag component, and the end of the request's async
 		// span: the follower has now confirmed the response the client
 		// already received.
@@ -224,7 +224,7 @@ func (p *Proc) fillExpected(t *sim.Task, tid int, st *tidStream) bool {
 				p.parkForever(t)
 			default:
 				etid := e.Event.Call.TID
-				if rec := p.m.rec; rec.SpansEnabled() && e.Event.Call.ReqID != 0 {
+				if rec := p.m.rec; rec.Enabled() && e.Event.Call.ReqID != 0 {
 					// Ring-queueing component: append instant -> this drain.
 					rec.Observe(obs.HReqRingWait, t.Now()-e.PutAt)
 					p.reqDrainAt[e.Event.Call.ReqID] = t.Now()
@@ -248,7 +248,7 @@ func (p *Proc) transform(tid int, st *tidStream, raw []sysabi.Event) {
 	expected, consumed, fired := p.engine.Transform(raw)
 	g := expGroup{seq: raw[0].Seq, n: len(expected), more: consumed - 1}
 	if fired != nil {
-		if p.m.rec.SpansEnabled() {
+		if p.m.rec.Enabled() {
 			carryReqIDs(raw[:consumed], expected)
 		}
 		p.m.Stats.Rewritten++
@@ -326,8 +326,8 @@ func (p *Proc) discardTail(t *sim.Task, st *tidStream) {
 }
 
 // reqOpen tracks an in-flight tagged client request on one logical
-// thread of the serving leader (span mode only). Request ids are never
-// zero, so the zero value means no request is open.
+// thread of the serving leader (recorder attached only). Request ids
+// are never zero, so the zero value means no request is open.
 type reqOpen struct {
 	id uint64
 	at time.Duration
@@ -358,10 +358,10 @@ func carryReqIDs(raw, expected []sysabi.Event) {
 }
 
 // trackRequest attributes per-request latency. Callers gate on
-// rec.SpansEnabled. A tagged inbound read opens the request on the
-// reading thread and begins its async span (the request id is the span
-// id); the thread's next response write closes the leader-service
-// component. In leader mode the *recorded* response event is stamped
+// rec.Enabled; the async span additionally needs span mode. A tagged
+// inbound read opens the request on the reading thread and begins its
+// async span (the request id is the span id); the thread's next
+// response write closes the leader-service component. In leader mode the *recorded* response event is stamped
 // with the request id — the live call is never modified — so the
 // follower's validation path can later observe ring wait and
 // validation lag and close the span. In single-leader mode (ev == nil)

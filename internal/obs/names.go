@@ -55,19 +55,16 @@ const (
 	// Chaos layer.
 	CChaosFired = "chaos.fired"
 
-	// Per-request latency attribution (span mode only: these are emitted
-	// behind Recorder.SpansEnabled, so default benchmark runs never
-	// record them and the golden artifacts stay byte-identical).
+	// Per-request latency attribution: recorded for tagged client
+	// requests (apptest.Client.DoTagged) under a monitor with a recorder
+	// attached.
 	CReqTracked     = "request.tracked"      // tagged client requests attributed end-to-end
 	HReqService     = "request.service"      // leader service time: tagged read -> response write
 	HReqRingWait    = "request.ring_wait"    // response event's wait in the ring buffer
 	HReqValidateLag = "request.validate_lag" // drain -> follower validation of the response
 
-	// DSU runtime. The xform histogram and the lazy-migration group
-	// record whenever a recorder is attached (the golden duo runs attach
-	// none to the dsu config, so the artifacts are unchanged); the
-	// update-point counter and quiescence histogram are span mode only.
-	CDSUUpdatePoints = "dsu.update_points" // update-point hits while an update is live
+	// DSU runtime: recorded whenever dsu.Config.Rec is set.
+	CDSUUpdatePoints = "dsu.update_points" // update points reached, an update pending or not
 	HDSUQuiesce      = "dsu.quiesce_wait"  // update requested -> quiescence decided
 	HDSUXform        = "dsu.xform"         // state-transfer (Xform) duration per version step
 
@@ -79,7 +76,8 @@ const (
 	GDSUXformPending = "dsu.xform.pending" // entries still awaiting lazy migration
 	HDSUXformTouch   = "dsu.xform.touch"   // per-request on-access migration charge
 
-	// Virtual OS (only where a kernel has a recorder: span-traced runs).
+	// Virtual OS (only where a kernel has a recorder: every apptest
+	// world, the benchmark's traced runs).
 	CVOSNetBytes = "vos.net.bytes" // bytes moved through stream sockets
 	CVOSFSBytes  = "vos.fs.bytes"  // bytes moved through the in-memory fs
 	GVOSOpenFDs  = "vos.open_fds"  // open descriptors after the last syscall

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strings"
-	"time"
-)
+import "time"
 
 // SLO accounting: the availability ledger the paper's headline claim
 // needs measured directly. An SLOTracker observes client-visible
@@ -13,24 +10,25 @@ import (
 // between successful completions above a stall threshold), MTTR,
 // recovery time after injected faults, p99 latency-budget burn, and
 // attribution of each degraded window to the update lifecycle (the
-// caller's update windows, dsu xform spans) or to an injected fault.
+// caller's update windows) or to an injected fault. The ledger reads
+// the recorder's fault milestones and no spans, so span tracing cannot
+// change a figure of it.
 //
 // Nothing here runs unless a scenario constructs a tracker, so the
 // default pipelines and the committed golden artifacts are untouched.
 
-// SLOOptions configures an SLOTracker.
-type SLOOptions struct {
-	// Window is the success-rate timeline bucket width: completion at
-	// virtual time t lands in window t / Window (default 10ms).
-	Window time.Duration
-	// StallThreshold is the largest tolerated gap between successful
-	// completions; longer gaps are downtime windows (default 5ms).
-	StallThreshold time.Duration
-	// LatencyBudgetP99 is the per-window p99 latency budget; windows
-	// whose observed p99 exceeds it burn budget. Zero disables burn
-	// accounting.
-	LatencyBudgetP99 time.Duration
-}
+// The ledger's thresholds: one value each, the same for every run.
+const (
+	// SLOWindow is the success-rate timeline bucket width: a completion
+	// at virtual time t lands in window t / SLOWindow.
+	SLOWindow = 20 * time.Millisecond
+	// SLOStallThreshold is the largest tolerated gap between successful
+	// completions; any client-visible gap past it is a downtime window.
+	SLOStallThreshold = 2 * time.Millisecond
+	// SLOLatencyBudgetP99 is the per-window p99 latency budget; windows
+	// whose observed p99 exceeds it burn budget.
+	SLOLatencyBudgetP99 = time.Millisecond
+)
 
 // attributionSlack widens the fault check when attributing a downtime
 // window: a fault that fired up to this long before the window began
@@ -49,23 +47,16 @@ type sloCompletion struct {
 // SLOTracker accumulates request completions for one run.
 type SLOTracker struct {
 	rec         *Recorder
-	opts        SLOOptions
 	started     time.Duration
 	completions []sloCompletion
 }
 
 // NewSLOTracker attaches SLO accounting to a recorder, whose clock
-// stamps completions and whose fault milestones and xform spans the
-// report reads. The tracker keeps its own completion log; construct it
-// before load starts so the observation span covers the whole run.
-func NewSLOTracker(rec *Recorder, opts SLOOptions) *SLOTracker {
-	if opts.Window <= 0 {
-		opts.Window = 10 * time.Millisecond
-	}
-	if opts.StallThreshold <= 0 {
-		opts.StallThreshold = 5 * time.Millisecond
-	}
-	return &SLOTracker{rec: rec, opts: opts, started: rec.Now()}
+// stamps completions and whose fault milestones the report reads. The
+// tracker keeps its own completion log; construct it before load starts
+// so the observation span covers the whole run.
+func NewSLOTracker(rec *Recorder) *SLOTracker {
+	return &SLOTracker{rec: rec, started: rec.Now()}
 }
 
 // Request records one client-observed completion at the current
@@ -116,7 +107,8 @@ type SLOReport struct {
 }
 
 // UpdateWindow is one interval of update activity, [Start, End] in
-// virtual time: the caller knows when its controller was mid-update.
+// virtual time: the caller knows when its controller, or its bare
+// runtime's update record, was mid-update.
 type UpdateWindow struct{ Start, End time.Duration }
 
 // Report computes the ledger at the current virtual time. Downtime is
@@ -124,7 +116,7 @@ type UpdateWindow struct{ Start, End time.Duration }
 // from tracker start to the first success and the tail to report time)
 // that exceed the stall threshold; each window is attributed to an
 // injected fault if one fired inside it, else to update activity (one
-// of updates, or a dsu xform span), else left unattributed.
+// of updates), else left unattributed.
 func (t *SLOTracker) Report(updates []UpdateWindow) SLOReport {
 	var rep SLOReport
 	if t == nil {
@@ -136,12 +128,11 @@ func (t *SLOTracker) Report(updates []UpdateWindow) SLOReport {
 
 	// Downtime windows: walk successful completions in time order.
 	faults := t.faultTimes()
-	updates = append(t.xformWindows(), updates...)
 	prev := t.started
 	var totalDown, longest time.Duration
 	flushGap := func(from, to time.Duration) {
 		gap := to - from
-		if gap <= t.opts.StallThreshold {
+		if gap <= SLOStallThreshold {
 			return
 		}
 		w := DowntimeWindow{
@@ -191,19 +182,19 @@ func (t *SLOTracker) Report(updates []UpdateWindow) SLOReport {
 	}
 
 	rep.Timeline, rep.WindowsOver, rep.WindowsTotal = t.timeline()
-	if rep.WindowsTotal > 0 && t.opts.LatencyBudgetP99 > 0 {
+	if rep.WindowsTotal > 0 {
 		rep.BudgetBurnPct = 100 * float64(rep.WindowsOver) / float64(rep.WindowsTotal)
 	}
 	return rep
 }
 
 // timeline buckets the completion log by virtual time into windows of
-// opts.Window, in window order; a window no request completed in has
+// SLOWindow, in window order; a window no request completed in has
 // no point.
 func (t *SLOTracker) timeline() (pts []SLOWindowPoint, over, total int) {
 	var lat []Histogram // lat[i] holds pts[i]'s latencies
 	for _, c := range t.completions {
-		w := int64(c.at / t.opts.Window)
+		w := int64(c.at / SLOWindow)
 		if n := len(pts); n == 0 || pts[n-1].Window != w {
 			pts = append(pts, SLOWindowPoint{Window: w})
 			lat = append(lat, Histogram{})
@@ -220,7 +211,7 @@ func (t *SLOTracker) timeline() (pts []SLOWindowPoint, over, total int) {
 		p := &pts[i]
 		p.SuccessRate = float64(p.OK) / float64(p.OK+p.Fail)
 		p.P99NS = int64(lat[i].Quantile(0.99))
-		if t.opts.LatencyBudgetP99 > 0 && time.Duration(p.P99NS) > t.opts.LatencyBudgetP99 {
+		if time.Duration(p.P99NS) > SLOLatencyBudgetP99 {
 			p.OverBudget = true
 			over++
 		}
@@ -234,25 +225,6 @@ func (t *SLOTracker) faultTimes() []time.Duration {
 	for _, e := range t.rec.Milestones() {
 		if e.Kind == KindFault {
 			out = append(out, e.At)
-		}
-	}
-	return out
-}
-
-// xformWindows returns the state transformations on the dsu tracks
-// (recorded when spans are enabled) as update activity, so
-// state-transfer pauses attribute even where no controller runs.
-func (t *SLOTracker) xformWindows() []UpdateWindow {
-	var out []UpdateWindow
-	for _, s := range t.rec.Spans() {
-		if s.Phase == PhaseBegin && strings.HasPrefix(s.Track, "dsu:") && strings.HasPrefix(s.Name, "xform:") {
-			// Pair with the next matching end on the same track.
-			for _, e := range t.rec.Spans() {
-				if e.Phase == PhaseEnd && e.Track == s.Track && e.At >= s.At {
-					out = append(out, UpdateWindow{s.At, e.At})
-					break
-				}
-			}
 		}
 	}
 	return out

@@ -5,44 +5,41 @@ import (
 	"time"
 )
 
-// sloScript drives a hand-written availability story through a tracker:
+// sloScript drives a hand-written availability story through a tracker
+// (SLOWindow 20ms, SLOStallThreshold 2ms, SLOLatencyBudgetP99 1ms):
 //
 //	t=1..5ms   healthy requests every 1ms
 //	t=6ms      injected fault milestone
-//	t=5..15ms  gap (downtime, cause fault)
-//	t=15ms     recovery request (slow: 3ms latency, over budget)
-//	t=16..21ms healthy requests
-//	t=20..29ms update window (the caller's, passed to Report)
-//	t=21..28ms gap (downtime, cause update)
-//	t=28,29ms  healthy requests
+//	t=5..35ms  gap (downtime, cause fault)
+//	t=35ms     recovery request (slow: 3ms latency, over budget)
+//	t=36..41ms healthy requests
+//	t=40..49ms update window (the caller's, passed to Report)
+//	t=41..48ms gap (downtime, cause update)
+//	t=48,49ms  healthy requests
 //
 // It returns the tracker and the update window its report takes.
 func sloScript(t *testing.T) (*SLOTracker, []UpdateWindow) {
 	t.Helper()
 	clock := &manualClock{}
 	r := New(clock.now, Options{})
-	tr := NewSLOTracker(r, SLOOptions{
-		Window:           10 * time.Millisecond,
-		StallThreshold:   2 * time.Millisecond,
-		LatencyBudgetP99: time.Millisecond,
-	})
+	tr := NewSLOTracker(r)
 	for ms := 1; ms <= 5; ms++ {
 		clock.t = time.Duration(ms) * time.Millisecond
 		tr.Request(true, 100*time.Microsecond)
 	}
 	clock.t = 6 * time.Millisecond
 	r.Emit(KindFault, "follower", "injected stall")
-	clock.t = 15 * time.Millisecond
+	clock.t = 35 * time.Millisecond
 	tr.Request(true, 3*time.Millisecond)
-	for ms := 16; ms <= 21; ms++ {
+	for ms := 36; ms <= 41; ms++ {
 		clock.t = time.Duration(ms) * time.Millisecond
 		tr.Request(true, 100*time.Microsecond)
 	}
-	clock.t = 28 * time.Millisecond
+	clock.t = 48 * time.Millisecond
 	tr.Request(true, 100*time.Microsecond)
-	clock.t = 29 * time.Millisecond
+	clock.t = 49 * time.Millisecond
 	tr.Request(true, 100*time.Microsecond)
-	return tr, []UpdateWindow{{Start: 20 * time.Millisecond, End: 29 * time.Millisecond}}
+	return tr, []UpdateWindow{{Start: 40 * time.Millisecond, End: 49 * time.Millisecond}}
 }
 
 func TestSLODowntimeDetectionAndAttribution(t *testing.T) {
@@ -56,13 +53,13 @@ func TestSLODowntimeDetectionAndAttribution(t *testing.T) {
 		t.Fatalf("downtime windows = %+v, want 2", rep.Downtime)
 	}
 	first, second := rep.Downtime[0], rep.Downtime[1]
-	if first.StartNS != int64(5*time.Millisecond) || first.EndNS != int64(15*time.Millisecond) {
+	if first.StartNS != int64(5*time.Millisecond) || first.EndNS != int64(35*time.Millisecond) {
 		t.Fatalf("first window = %+v", first)
 	}
 	if first.Cause != "fault" {
 		t.Fatalf("first cause = %q, want fault", first.Cause)
 	}
-	if second.StartNS != int64(21*time.Millisecond) || second.EndNS != int64(28*time.Millisecond) {
+	if second.StartNS != int64(41*time.Millisecond) || second.EndNS != int64(48*time.Millisecond) {
 		t.Fatalf("second window = %+v", second)
 	}
 	if second.Cause != "update" {
@@ -72,27 +69,27 @@ func TestSLODowntimeDetectionAndAttribution(t *testing.T) {
 		t.Fatalf("second cause without the update window = %q, want unattributed", got)
 	}
 
-	wantDown := 10*time.Millisecond + 7*time.Millisecond
+	wantDown := 30*time.Millisecond + 7*time.Millisecond
 	if rep.DowntimeNS != int64(wantDown) {
 		t.Fatalf("downtime = %v, want %v", time.Duration(rep.DowntimeNS), wantDown)
 	}
-	if rep.LongestPauseNS != int64(10*time.Millisecond) {
-		t.Fatalf("longest = %v, want 10ms", time.Duration(rep.LongestPauseNS))
+	if rep.LongestPauseNS != int64(30*time.Millisecond) {
+		t.Fatalf("longest = %v, want 30ms", time.Duration(rep.LongestPauseNS))
 	}
 	if rep.MTTRNS != int64(wantDown)/2 {
 		t.Fatalf("MTTR = %v, want %v", time.Duration(rep.MTTRNS), wantDown/2)
 	}
-	// Span is tracker start (0) to report time (29ms).
-	if rep.SpanNS != int64(29*time.Millisecond) {
+	// Span is tracker start (0) to report time (49ms).
+	if rep.SpanNS != int64(49*time.Millisecond) {
 		t.Fatalf("span = %v", time.Duration(rep.SpanNS))
 	}
-	wantAvail := 100 * (1 - float64(wantDown)/float64(29*time.Millisecond))
+	wantAvail := 100 * (1 - float64(wantDown)/float64(49*time.Millisecond))
 	if diff := rep.AvailabilityPct - wantAvail; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("availability = %v, want %v", rep.AvailabilityPct, wantAvail)
 	}
-	// Fault at 6ms, next success at 15ms.
-	if rep.FaultRecoveryNS != int64(9*time.Millisecond) {
-		t.Fatalf("fault recovery = %v, want 9ms", time.Duration(rep.FaultRecoveryNS))
+	// Fault at 6ms, next success at 35ms.
+	if rep.FaultRecoveryNS != int64(29*time.Millisecond) {
+		t.Fatalf("fault recovery = %v, want 29ms", time.Duration(rep.FaultRecoveryNS))
 	}
 }
 
@@ -100,7 +97,7 @@ func TestSLOTimelineAndBudgetBurn(t *testing.T) {
 	tr, updates := sloScript(t)
 	rep := tr.Report(updates)
 
-	// Completions land in windows 0 (1..5ms), 1 (15..19ms) and 2 (20..29ms).
+	// Completions land in windows 0 (1..5ms), 1 (35..39ms) and 2 (40..49ms).
 	if rep.WindowsTotal != 3 {
 		t.Fatalf("timeline = %+v, want 3 windows", rep.Timeline)
 	}
@@ -140,10 +137,7 @@ func TestSLOAttributionSlack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := &manualClock{}
 			r := New(clock.now, Options{})
-			tr := NewSLOTracker(r, SLOOptions{
-				Window:         10 * time.Millisecond,
-				StallThreshold: 2 * time.Millisecond,
-			})
+			tr := NewSLOTracker(r)
 			clock.t = tc.faultAt // the ledger reads fault times, not their order
 			r.Emit(KindFault, "follower", "injected stall")
 			for at := time.Millisecond; at <= gapAt; at += time.Millisecond {
@@ -161,34 +155,6 @@ func TestSLOAttributionSlack(t *testing.T) {
 				t.Fatalf("cause = %q, want %q", got, tc.wantCause)
 			}
 		})
-	}
-}
-
-// TestSLOXformSpanAttribution checks that a dsu xform span explains a
-// gap even when the caller passes no update window (a bare runtime with
-// no controller).
-func TestSLOXformSpanAttribution(t *testing.T) {
-	clock := &manualClock{}
-	r := New(clock.now, Options{})
-	r.EnableSpans()
-	tr := NewSLOTracker(r, SLOOptions{
-		Window:         10 * time.Millisecond,
-		StallThreshold: 2 * time.Millisecond,
-	})
-	clock.t = time.Millisecond
-	tr.Request(true, 100*time.Microsecond)
-	clock.t = 2 * time.Millisecond
-	r.BeginSpan("dsu:proc1", "xform:kvstore-2.0.1", "state transformation")
-	clock.t = 9 * time.Millisecond
-	r.EndSpan("dsu:proc1", "xform:kvstore-2.0.1")
-	clock.t = 10 * time.Millisecond
-	tr.Request(true, 100*time.Microsecond)
-	rep := tr.Report(nil)
-	if len(rep.Downtime) != 1 {
-		t.Fatalf("downtime = %+v, want 1 window", rep.Downtime)
-	}
-	if rep.Downtime[0].Cause != "update" {
-		t.Fatalf("cause = %q, want update (xform span)", rep.Downtime[0].Cause)
 	}
 }
 

@@ -8,13 +8,14 @@ import "time"
 // track, exportable as Chrome trace_event JSON that loads directly in
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 //
-// Spans are gated twice: a nil recorder costs one pointer comparison
-// (as everywhere in obs), and an attached recorder records spans only
-// after EnableSpans. The default benchmark scenarios never enable
-// spans, which is what keeps the committed golden artifacts
-// (BENCH_metrics.json, BENCH_perf.json, table2/fig7) byte-identical —
-// span instrumentation throughout the pipeline checks SpansEnabled
-// before doing any work.
+// The span switch means one thing: an attached recorder records spans
+// only after EnableSpans, and a span method is a no-op until then (a
+// nil recorder costs one pointer comparison, as everywhere in obs). It
+// decides no metric — every counter, gauge and histogram records
+// whenever a recorder is attached — and spans are output: only the
+// Chrome trace exporter and the timeline report's span count read
+// Recorder.Spans. Call sites check SpansEnabled only to skip building
+// span arguments.
 //
 // The taxonomy follows the trace_event format:
 //
@@ -59,10 +60,7 @@ type SpanEvent struct {
 const asyncSeqBase = uint64(1) << 32
 
 // EnableSpans turns on span recording. Until it is called every span
-// method is a no-op after one boolean check, and all span-gated
-// instrumentation across the pipeline (dsu, vos, request attribution)
-// stays dark — which is what keeps un-spanned runs byte-identical to
-// the committed golden artifacts.
+// method is a no-op after one boolean check; metrics record either way.
 func (r *Recorder) EnableSpans() {
 	if r == nil {
 		return

@@ -48,9 +48,9 @@ type Kernel struct {
 	Stats [sysabi.OpExit + 1]int
 
 	// Rec, if non-nil, receives kernel-level observability (byte traffic
-	// and the open-fd gauge). Only span-traced runs attach one
-	// (apptest.World.EnableSpanTracing, the benchmark's traced runs), so
-	// an untraced run pays one nil check per syscall.
+	// and the open-fd gauge). An apptest world attaches its recorder when
+	// it is built, the benchmark only in its traced runs; without one a
+	// syscall pays one nil check.
 	Rec *obs.Recorder
 }
 
