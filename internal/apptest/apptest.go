@@ -5,6 +5,7 @@
 package apptest
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -177,9 +178,11 @@ type Client struct {
 	fd int
 	// w is the world whose transcript keeps the client's steps, nil for a
 	// kernel-only client; conn numbers the connection, at indexes its
-	// latest step.
+	// latest step, and reply holds what the client read since it, the
+	// step's Reply.
 	w        *World
 	conn, at int
+	reply    strings.Builder
 }
 
 // step appends e, a step of this connection, to the world's transcript.
@@ -190,6 +193,7 @@ func (c *Client) step(e Exchange) {
 	e.Conn = c.conn
 	c.at = len(c.w.transcript)
 	c.w.transcript = append(c.w.transcript, e)
+	c.reply.Reset()
 }
 
 // Connect dials the port. It must run inside a sim task.
@@ -212,17 +216,32 @@ func (c *Client) Send(tk *sim.Task, data string) {
 // Recv reads one burst (up to 64KiB) and returns it as a string. It
 // blocks until data or EOF.
 func (c *Client) Recv(tk *sim.Task) string {
+	got := c.recv(tk)
+	if c.w == nil {
+		return string(got)
+	}
+	reply := c.w.transcript[c.at].Reply
+	return reply[len(reply)-len(got):]
+}
+
+// recv reads one burst (up to 64KiB), nil at EOF or on an error, and adds
+// it to the reply of the connection's latest step. The burst is a view
+// the kernel lends (sysabi.Call.Buf), valid until the connection's next
+// read; the step's Reply grows in c.reply, which never moves the bytes
+// it already handed out, so the steps of a long reply cost no more than
+// its length.
+func (c *Client) recv(tk *sim.Task) []byte {
 	r := c.k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: c.fd, Args: [2]int64{65536, 0}})
-	var got string
-	if r.OK() {
-		got = string(r.Data)
+	if !r.OK() {
+		r.Data = nil
 	}
 	if c.w != nil {
 		e := &c.w.transcript[c.at]
 		e.Read = true
-		e.Reply += got
+		c.reply.Write(r.Data)
+		e.Reply = c.reply.String()
 	}
-	return got
+	return r.Data
 }
 
 // Do sends one CRLF-terminated command line and returns the reply burst.
@@ -263,22 +282,32 @@ func (c *Client) DrainUntil(tk *sim.Task, marker string) int { return c.readUnti
 
 // readUntil reads bursts until the reply contains marker or the
 // connection ends, appending each to keep unless keep is nil, and
-// returns the bytes read. Only the reply's last len(marker)-1 bytes are
-// carried into the next burst's search, so a marker split across reads
-// is found and a long reply is scanned once.
+// returns the bytes read. A marker split across reads starts in the last
+// len(marker)-1 bytes before a burst and ends in the burst's first
+// len(marker)-1, so only that window and the burst itself are searched,
+// and a long reply is scanned once.
 func (c *Client) readUntil(tk *sim.Task, marker string, keep *strings.Builder) (n int) {
-	for tail := ""; !strings.Contains(tail, marker); {
-		part := c.Recv(tk)
-		if part == "" {
-			break
+	m, span := []byte(marker), len(marker)-1
+	var window []byte // the window, then the last span bytes read
+	for {
+		part := c.recv(tk)
+		if len(part) == 0 {
+			return n
 		}
 		n += len(part)
 		if keep != nil {
-			keep.WriteString(part)
+			keep.Write(part)
 		}
-		tail = tail[max(0, len(tail)-len(marker)+1):] + part
+		window = append(window, part[:min(len(part), span)]...)
+		if bytes.Contains(window, m) || bytes.Contains(part, m) {
+			return n
+		}
+		last := window[max(0, len(window)-span):]
+		if len(part) >= span {
+			last = part[len(part)-span:]
+		}
+		window = append(window[:0], last...)
 	}
-	return n
 }
 
 // Close shuts the connection.

@@ -9,7 +9,6 @@ import (
 	"mvedsua/internal/dsu"
 	"mvedsua/internal/sim"
 	"mvedsua/internal/sysabi"
-	"mvedsua/internal/vos"
 )
 
 // echoServer is a trivial dsu.App used to exercise the client helpers.
@@ -118,41 +117,53 @@ func TestConnectPanicsOnDeadPort(t *testing.T) {
 }
 
 // TestRecvUntilMarkerStraddlesReads: the server sends the marker split
-// across two bursts, all but its last byte in the first, then a tail.
-// RecvUntil must find the marker in the second burst's read and return
-// without reading the tail; DrainUntil, the same scan keeping nothing,
-// must stop at the same read and count the same bytes.
+// across bursts — all but its last byte in the first, over three bursts
+// with a middle one shorter than the marker, one byte at a time at its
+// start, or whole — then a tail. RecvUntil must find the marker in the
+// read that completes it and return without reading the tail; DrainUntil,
+// the same scan keeping nothing, must stop at the same read and count the
+// same bytes; and a world client's transcript keeps every byte read as
+// its step's reply.
 func TestRecvUntilMarkerStraddlesReads(t *testing.T) {
-	bursts := []string{"150 data\r\n226 Transfer complet", "e\r\n", "tail"}
-	want := bursts[0] + bursts[1]
-	read := func(recv func(c *Client, tk *sim.Task)) (reads int) {
-		s := sim.New()
-		k := vos.NewKernel(s)
-		s.Go("server", func(tk *sim.Task) {
-			lfd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{21, 0}}).Ret)
-			fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
-			for _, b := range bursts {
-				k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte(b)})
-				tk.Sleep(time.Millisecond)
+	for _, bursts := range [][]string{
+		{"150 data\r\n226 Transfer complet", "e\r\n", "tail"},
+		{"150 data\r\n226 Tr", "ans", "fer complete\r\n", "tail"},
+		{"150 ", "2", "2", "6 Transfer comp", "lete", "tail"},
+		{"226 Transfer complete\r\n", "tail"},
+	} {
+		want := strings.Join(bursts[:len(bursts)-1], "")
+		read := func(recv func(c *Client, tk *sim.Task)) (reads int) {
+			w := NewWorld(core.Config{})
+			w.S.Go("server", func(tk *sim.Task) {
+				lfd := int(w.K.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{21, 0}}).Ret)
+				fd := int(w.K.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
+				for _, b := range bursts {
+					w.K.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte(b)})
+					tk.Sleep(time.Millisecond)
+				}
+			})
+			w.S.Go("client", func(tk *sim.Task) {
+				defer w.Finish()
+				c := w.Connect(tk, 21)
+				before := w.K.Stats[sysabi.OpRead]
+				recv(c, tk)
+				reads = w.K.Stats[sysabi.OpRead] - before
+			})
+			if err := w.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
 			}
-		})
-		s.Go("client", func(tk *sim.Task) {
-			c := Connect(k, tk, 21)
-			before := k.Stats[sysabi.OpRead]
-			recv(c, tk)
-			reads = k.Stats[sysabi.OpRead] - before
-		})
-		if err := s.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
+			if steps := w.Transcript(); len(steps) != 1 || steps[0].Reply != want {
+				t.Errorf("%q: transcript %+v, want one step replying %q", bursts, steps, want)
+			}
+			return reads
 		}
-		return reads
-	}
-	var got string
-	if reads := read(func(c *Client, tk *sim.Task) { got = c.RecvUntil(tk, "226 Transfer complete") }); got != want || reads != 2 {
-		t.Errorf("RecvUntil = %q in %d reads, want %q in 2", got, reads, want)
-	}
-	var n int
-	if reads := read(func(c *Client, tk *sim.Task) { n = c.DrainUntil(tk, "226 Transfer complete") }); n != len(want) || reads != 2 {
-		t.Errorf("DrainUntil = %d bytes in %d reads, want %d in 2", n, reads, len(want))
+		var got string
+		if reads := read(func(c *Client, tk *sim.Task) { got = c.RecvUntil(tk, "226 Transfer complete") }); got != want || reads != len(bursts)-1 {
+			t.Errorf("RecvUntil = %q in %d reads, want %q in %d", got, reads, want, len(bursts)-1)
+		}
+		var n int
+		if reads := read(func(c *Client, tk *sim.Task) { n = c.DrainUntil(tk, "226 Transfer complete") }); n != len(want) || reads != len(bursts)-1 {
+			t.Errorf("DrainUntil = %d bytes in %d reads, want %d in %d", n, reads, len(want), len(bursts)-1)
+		}
 	}
 }

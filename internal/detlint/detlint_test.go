@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -45,12 +46,26 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
+// repo is the one sweeper of the repository the tests share: each
+// package, the standard library's included, is type-checked once for
+// every sweep.
+var repo struct {
+	once sync.Once
+	sw   *Sweeper
+}
+
+func repoSweeper(t *testing.T) *Sweeper {
+	t.Helper()
+	root := repoRoot(t)
+	repo.once.Do(func() { repo.sw = NewSweeper(root, "mvedsua") })
+	return repo.sw
+}
+
 // TestMapRangeDeterminism is the `make lint-maps` gate: every map range
 // in the swept packages must be allowlisted with a `maporder:` comment
 // justifying it.
 func TestMapRangeDeterminism(t *testing.T) {
-	sw := NewSweeper(repoRoot(t), "mvedsua")
-	findings, err := sw.Sweep(sweptPackages)
+	findings, err := repoSweeper(t).Sweep(sweptPackages)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -277,7 +292,7 @@ var testOnlyAllowed = map[string]string{
 // example, the root package and the nested benchmark module included) or be
 // reached through an interface, or be allowlisted with a reason.
 func TestNoTestOnlyExports(t *testing.T) {
-	sw := NewSweeper(repoRoot(t), "mvedsua")
+	sw := repoSweeper(t)
 	findings, err := sw.TestOnlyExports(exportSweptPackages(t, sw))
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
@@ -307,7 +322,7 @@ var unreadAllowed = map[string]string{
 // of the repo (the nested benchmark module included), or be allowlisted
 // with a reason. A field nothing reads is state kept for nobody.
 func TestNoUnreadFields(t *testing.T) {
-	sw := NewSweeper(repoRoot(t), "mvedsua")
+	sw := repoSweeper(t)
 	findings, err := sw.UnreadFields(exportSweptPackages(t, sw))
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
@@ -461,7 +476,7 @@ func F() int {
 func TestExportSweepCoversInternal(t *testing.T) {
 	root := repoRoot(t)
 	swept := map[string]bool{}
-	for _, dir := range exportSweptPackages(t, NewSweeper(root, "mvedsua")) {
+	for _, dir := range exportSweptPackages(t, repoSweeper(t)) {
 		swept[dir] = true
 	}
 	n := 0

@@ -498,6 +498,66 @@ func TestLeaderBlocksOnFullBufferUntilDrained(t *testing.T) {
 	}
 }
 
+// TestLentReadSurvivesLeaderParkInFullRing: a leader's read that offers
+// no buffer is lent a view of the inbox, and the leader may park in a
+// full ring's Put before the ring copies it. The peer writing into the
+// drained inbox meanwhile must not reach the view: the leader's
+// application, the recorded event and the follower's replayed read all
+// hold what the kernel returned.
+func TestLentReadSurvivesLeaderParkInFullRing(t *testing.T) {
+	s, k, m := world(2, Costs{})
+	leader := m.StartSingleLeader("v0")
+	follower := m.AttachCandidate("v1", nil, 0)
+	var leaderSaw, followerSaw []string
+	var fTask *sim.Task
+	s.Go("leader", func(tk *sim.Task) {
+		lfd := int(leader.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{7, 0}}).Ret)
+		fd := int(leader.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
+		for i := 0; i < 2; i++ {
+			blocked := m.Buffer().ProducerBlocked
+			r := leader.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{128, 0}})
+			if i == 0 && m.Buffer().ProducerBlocked == blocked {
+				t.Error("the leader's first read did not park in Put")
+			}
+			leaderSaw = append(leaderSaw, string(r.Data))
+		}
+	})
+	fTask = s.Go("follower", func(tk *sim.Task) {
+		tk.Sleep(50 * time.Millisecond) // the ring fills: socket, accept
+		lfd := int(follower.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{7, 0}}).Ret)
+		fd := int(follower.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
+		for i := 0; i < 2; i++ {
+			r := follower.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{128, 0}})
+			followerSaw = append(followerSaw, string(r.Data))
+		}
+	})
+	s.Go("peer", func(tk *sim.Task) {
+		fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{7, 0}}).Ret)
+		k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte("first")})
+		tk.Sleep(10 * time.Millisecond) // the leader has read it and parked
+		k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte("SECOND")})
+	})
+	s.Go("orchestrator", func(tk *sim.Task) {
+		for len(followerSaw) < 2 {
+			tk.Sleep(time.Millisecond)
+		}
+		ejectAll(m, "dropped")
+		fTask.Kill()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := strings.Join(leaderSaw, " "); got != "first SECOND" {
+		t.Errorf("the leader read %q, want \"first SECOND\"", got)
+	}
+	if got := strings.Join(followerSaw, " "); got != "first SECOND" {
+		t.Errorf("the follower replayed %q, want \"first SECOND\"", got)
+	}
+	if m.Stats.Recorded < 4 || len(m.Divergences()) != 0 {
+		t.Errorf("recorded %d events, divergences %v", m.Stats.Recorded, m.Divergences())
+	}
+}
+
 func TestRecordCostCharged(t *testing.T) {
 	s, k, m := world(64, Costs{Record: time.Microsecond})
 	leader := m.StartSingleLeader("v0")

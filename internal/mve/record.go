@@ -50,7 +50,9 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 	// copies them when (and only when) it really appends, so nothing is
 	// copied for an event it refuses. Put may park first; an epoll_wait's
 	// Ready stays intact meanwhile, because only this thread waits on its
-	// epoll fd again (sysabi.Result.Ready).
+	// epoll fd again (sysabi.Result.Ready), and so does the data the
+	// kernel lent a read that offered no buffer, because only this thread
+	// reads its fd next (sysabi.Call.Buf).
 	e := ringbuf.Entry{Kind: ringbuf.KindSyscall, Event: sysabi.Event{Call: call, Result: res}}
 	if rec.Enabled() {
 		// Stamps the recorded event's call with the request id (the live

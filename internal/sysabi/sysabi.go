@@ -140,9 +140,13 @@ type Call struct {
 	// must stay 0 — the ring copies, the cost model charges and Equal
 	// compares len(Buf) bytes, and the kernel answers EINVAL otherwise.
 	// Whoever executes the call (the kernel; a follower's monitor, from
-	// the recorded bytes) fills the offer and returns it as Result.Data;
-	// with no offer, or one too small, Result.Data is a fresh slice. Either
-	// way the caller owns Result.Data once the call returns.
+	// the recorded bytes) fills the offer and returns it as Result.Data.
+	// With no offer, or one too small, the kernel lends Result.Data
+	// instead: a read-only view of its own bytes, capacity-clipped so
+	// that an append copies, and valid until the next read or close of
+	// the fd by any task — so one thread reads each fd, and a caller that
+	// keeps the data past that copies it. (A follower's monitor hands
+	// over the ring's copy, which the follower owns.)
 	Buf  []byte
 	Args [2]int64 // numeric arguments (port, max bytes, flags, ...)
 	Path string   // for file ops

@@ -7,11 +7,16 @@
 // Reads have read(2) semantics: a read or fread may offer its
 // destination as Call.Buf[:0] — capacity is the offer, length stays 0 —
 // and the kernel fills it and returns it as Result.Data. A call that
-// offers nothing, or less than the bytes available, gets a fresh slice it
-// owns. An epoll_wait's Ready list is storage of the epoll instance,
-// refilled by the next wait on it. File descriptors are never reused:
-// the table is a slice indexed by fd that only grows, and an epoll set is
-// a sorted slice of fds, so nothing on the per-call path touches a map.
+// offers nothing, or less than the bytes available, is lent a read-only
+// view of the kernel's own bytes instead, capacity-clipped so that an
+// append by the holder cannot reach them, and valid until the next read
+// or close of that fd: a socket's inbox writes after the lent bytes, or
+// starts over in a spare array, and a file copies its array before an
+// fwrite over lent bytes. An epoll_wait's Ready list is storage of the
+// epoll instance, refilled by the next wait on it. File descriptors are
+// never reused: the table is a slice indexed by fd that only grows, and
+// an epoll set is a sorted slice of fds, so nothing on the per-call path
+// touches a map.
 package vos
 
 import (
@@ -83,7 +88,7 @@ func (*listener) isObject() {}
 // endpoint is one side of a connection. A connection is a pair of peered
 // endpoints, each with its own inbox (full duplex).
 type endpoint struct {
-	inbox   bytes.Buffer // data waiting to be read by this side
+	inbox   inbox // data waiting to be read by this side
 	readers sim.WaitQueue
 	closed  bool // this side closed (no more reads/writes from here)
 	peer    *endpoint
@@ -96,8 +101,55 @@ type endpoint struct {
 
 func (*endpoint) isObject() {}
 
+// inbox holds the bytes waiting to be read by one side of a connection,
+// buf[r:]. A read that offers no buffer is lent a view of them (filled),
+// and lent stays set until the side's next read. Writes only ever append
+// after the unread bytes, so a lent view is never overwritten: a write
+// that finds the inbox drained starts over at the front of buf unless
+// buf's bytes are lent, in which case it starts over in spare, and the
+// two arrays trade places; a write that needs room keeps only the unread
+// bytes, moving them to the front in place unless that is where the lent
+// ones are. In steady state nothing is allocated.
+type inbox struct {
+	buf   []byte
+	r     int
+	lent  bool
+	spare []byte
+}
+
+// len returns the number of unread bytes.
+func (b *inbox) len() int { return len(b.buf) - b.r }
+
+// next consumes and returns the next n unread bytes.
+func (b *inbox) next(n int) []byte {
+	b.r += n
+	return b.buf[b.r-n : b.r]
+}
+
+// write appends p to the unread bytes.
+func (b *inbox) write(p []byte) {
+	switch {
+	case b.r == len(b.buf) && b.lent:
+		b.buf, b.spare = b.spare[:0], b.buf
+		b.r, b.lent = 0, false
+	case b.r == len(b.buf):
+		b.buf, b.r = b.buf[:0], 0
+	case len(b.buf)+len(p) > cap(b.buf) && b.r > 0:
+		unread := b.buf[b.r:]
+		if b.lent {
+			b.buf = make([]byte, 0, 2*(len(unread)+len(p)))
+			b.lent = false
+		}
+		b.buf, b.r = append(b.buf[:0], unread...), 0
+	}
+	b.buf = append(b.buf, p...)
+}
+
 type file struct {
 	data []byte
+	// lent is set when a bufferless fread lends a view of data; an fwrite
+	// over data's bytes then copies the array first.
+	lent bool
 }
 
 // openFile is an fd referring to a file with a cursor.
@@ -250,16 +302,15 @@ func (k *Kernel) connect(c sysabi.Call) sysabi.Result {
 }
 
 // filled returns a read's data, src, in the buffer the caller offered
-// (see sysabi.Call.Buf) when that holds it, in a fresh slice the caller
-// comes to own otherwise (make then copy, so that the runtime does not
-// zero what the copy is about to overwrite).
-func filled(c sysabi.Call, src []byte) []byte {
+// (see sysabi.Call.Buf) when that holds it. Otherwise it lends src, the
+// kernel's own bytes, capacity-clipped so that the holder's append copies
+// them, and reports that it did: the kernel then keeps those bytes intact
+// until the next read or close of the fd.
+func filled(c sysabi.Call, src []byte) (data []byte, lent bool) {
 	if cap(c.Buf) >= len(src) {
-		return append(c.Buf[:0], src...)
+		return append(c.Buf[:0], src...), false
 	}
-	data := make([]byte, len(src))
-	copy(data, src)
-	return data
+	return src[:len(src):len(src)], true
 }
 
 func (k *Kernel) read(t *sim.Task, c sysabi.Call) sysabi.Result {
@@ -271,7 +322,7 @@ func (k *Kernel) read(t *sim.Task, c sysabi.Call) sysabi.Result {
 	if max <= 0 || len(c.Buf) != 0 {
 		return sysabi.Result{Err: sysabi.EINVAL}
 	}
-	for ep.inbox.Len() == 0 {
+	for ep.inbox.len() == 0 {
 		if ep.closed {
 			return sysabi.Result{Err: sysabi.ECONNRESET}
 		}
@@ -280,14 +331,9 @@ func (k *Kernel) read(t *sim.Task, c sysabi.Call) sysabi.Result {
 		}
 		t.Block(&ep.readers)
 	}
-	n := ep.inbox.Len()
-	if n > max {
-		n = max
-	}
-	res := sysabi.Result{Ret: int64(n), Data: filled(c, ep.inbox.Next(n)), ReqID: ep.reqID}
-	if ep.inbox.Len() == 0 {
-		ep.inbox.Reset() // as Buffer.Read does: the next write starts at the front
-	}
+	n := min(ep.inbox.len(), max)
+	res := sysabi.Result{Ret: int64(n), ReqID: ep.reqID}
+	res.Data, ep.inbox.lent = filled(c, ep.inbox.next(n))
 	ep.reqID = 0
 	return res
 }
@@ -303,7 +349,7 @@ func (k *Kernel) write(c sysabi.Call) sysabi.Result {
 	if ep.peer.closed {
 		return sysabi.Result{Err: sysabi.EPIPE}
 	}
-	ep.peer.inbox.Write(c.Buf)
+	ep.peer.inbox.write(c.Buf)
 	if c.ReqID != 0 {
 		ep.peer.reqID = c.ReqID
 	}
@@ -345,7 +391,7 @@ func (k *Kernel) open(c sysabi.Call) sysabi.Result {
 		f = &file{}
 		k.fs[c.Path] = f
 	case c.Args[0] == sysabi.OpenWrite:
-		f.data = nil // truncate
+		f.data, f.lent = nil, false // truncate: lent views keep the old array
 	}
 	of := &openFile{f: f, flags: c.Args[0]}
 	if c.Args[0] == sysabi.OpenAppend {
@@ -367,12 +413,11 @@ func (k *Kernel) fread(c sysabi.Call) sysabi.Result {
 	if rem <= 0 {
 		return sysabi.Result{Ret: 0} // EOF
 	}
-	n := rem
-	if n > max {
-		n = max
-	}
-	data := filled(c, of.f.data[of.offset:of.offset+n])
-	of.offset += n
+	n := min(rem, max)
+	end := of.offset + n
+	data, lent := filled(c, of.f.data[of.offset:end])
+	of.f.lent = of.f.lent || lent
+	of.offset = end
 	return sysabi.Result{Ret: int64(n), Data: data}
 }
 
@@ -384,12 +429,13 @@ func (k *Kernel) fwrite(c sysabi.Call) sysabi.Result {
 	if of.flags == sysabi.OpenRead {
 		return sysabi.Result{Err: sysabi.EINVAL}
 	}
-	// Write at cursor, extending as needed.
+	// Write at cursor, extending as needed, into a copy of the array if
+	// a bufferless fread lent its bytes.
 	end := of.offset + len(c.Buf)
-	if end > len(of.f.data) {
-		grown := make([]byte, end)
+	if end > len(of.f.data) || (of.f.lent && of.offset < len(of.f.data)) {
+		grown := make([]byte, max(end, len(of.f.data)))
 		copy(grown, of.f.data)
-		of.f.data = grown
+		of.f.data, of.f.lent = grown, false
 	}
 	copy(of.f.data[of.offset:], c.Buf)
 	of.offset = end
@@ -457,7 +503,7 @@ func (k *Kernel) epollCtl(c sysabi.Call) sysabi.Result {
 func (k *Kernel) ready(fd int) bool {
 	switch v := k.object(fd).(type) {
 	case *endpoint:
-		return v.inbox.Len() > 0 || v.peer.closed || v.closed
+		return v.inbox.len() > 0 || v.peer.closed || v.closed
 	case *listener:
 		return len(v.pending) > 0
 	case *openFile:

@@ -188,28 +188,33 @@ func TestEpollWaitTimeout(t *testing.T) {
 	}
 }
 
-// refKernel is the reference model of the descriptor table and the epoll
-// sets: maps keyed by fd and a sort of the ready list, the way the kernel
-// kept them before it moved to slices. It models what a script can
-// observe without blocking.
+// refKernel is the reference model of the descriptor table, the epoll
+// sets and the files: maps keyed by fd and a sort of the ready list, the
+// way the kernel kept them before it moved to slices, and every read's
+// data a copy of its own. It models what a script can observe without
+// blocking.
 type refKernel struct {
 	fds    map[int]*refObj
 	nextFD int
 	ports  map[int64]*refObj
+	files  map[string]*[]byte
 }
 
 type refObj struct {
-	kind    byte         // 'l'istener, 'e'ndpoint, e'p'oll
+	kind    byte         // 'l'istener, 'e'ndpoint, e'p'oll, 'f'ile
 	port    int64        // listener
 	pending []*refObj    // listener: connections awaiting accept
 	inbox   []byte       // endpoint
 	closed  bool         // endpoint, listener
 	peer    *refObj      // endpoint
 	watched map[int]bool // epoll
+	data    *[]byte      // file: its contents
+	offset  int          // file
+	flags   int64        // file
 }
 
 func newRefKernel() *refKernel {
-	return &refKernel{fds: map[int]*refObj{}, nextFD: 3, ports: map[int64]*refObj{}}
+	return &refKernel{fds: map[int]*refObj{}, nextFD: 3, ports: map[int64]*refObj{}, files: map[string]*[]byte{}}
 }
 
 func (m *refKernel) alloc(o *refObj) int64 {
@@ -227,6 +232,8 @@ func (m *refKernel) ready(fd int) bool {
 		return len(o.inbox) > 0 || o.peer.closed || o.closed
 	case o.kind == 'l':
 		return len(o.pending) > 0
+	case o.kind == 'f':
+		return true
 	}
 	return false
 }
@@ -297,6 +304,48 @@ func (m *refKernel) invoke(c sysabi.Call) sysabi.Result {
 		data := append([]byte(nil), o.inbox[:n]...)
 		o.inbox = o.inbox[n:]
 		return sysabi.Result{Ret: int64(n), Data: data}
+	case sysabi.OpOpen:
+		data := m.files[c.Path]
+		switch {
+		case data == nil && c.Args[0] == sysabi.OpenRead:
+			return sysabi.Result{Err: sysabi.ENOENT}
+		case data == nil:
+			data = new([]byte)
+			m.files[c.Path] = data
+		case c.Args[0] == sysabi.OpenWrite:
+			*data = nil
+		}
+		f := &refObj{kind: 'f', data: data, flags: c.Args[0]}
+		if c.Args[0] == sysabi.OpenAppend {
+			f.offset = len(*data)
+		}
+		return sysabi.Result{Ret: m.alloc(f)}
+	case sysabi.OpFRead:
+		if o == nil || o.kind != 'f' {
+			return bad
+		}
+		if c.Args[0] <= 0 {
+			return sysabi.Result{Err: sysabi.EINVAL}
+		}
+		n := min(len(*o.data)-o.offset, int(c.Args[0]))
+		if n <= 0 {
+			return sysabi.Result{} // EOF
+		}
+		data := append([]byte(nil), (*o.data)[o.offset:o.offset+n]...)
+		o.offset += n
+		return sysabi.Result{Ret: int64(n), Data: data}
+	case sysabi.OpFWrite:
+		if o == nil || o.kind != 'f' {
+			return bad
+		}
+		if o.flags == sysabi.OpenRead {
+			return sysabi.Result{Err: sysabi.EINVAL}
+		}
+		if end := o.offset + len(c.Buf); end > len(*o.data) {
+			*o.data = append(*o.data, make([]byte, end-len(*o.data))...)
+		}
+		o.offset += copy((*o.data)[o.offset:], c.Buf)
+		return sysabi.Result{Ret: int64(len(c.Buf))}
 	case sysabi.OpClose:
 		if o == nil {
 			return bad
@@ -351,12 +400,16 @@ func (m *refKernel) invoke(c sysabi.Call) sysabi.Result {
 	return sysabi.Result{Err: sysabi.EINVAL}
 }
 
-// Model-based test of the descriptor table and the epoll sets: random
-// scripts run against the kernel and against refKernel, and every step
-// must agree on the result — fd numbers, errnos, data, the Ready list
-// with its order and max truncation — and on the number of open fds.
-// Scripts reach double adds, dels of unwatched fds, fds closed while
-// watched, negative and out-of-range fds, and ops outside the table.
+// Model-based test of the descriptor table, the epoll sets and the
+// files: random scripts run against the kernel and against refKernel, and
+// every step must agree on the result — fd numbers, errnos, data, the
+// Ready list with its order and max truncation — and on the number of
+// open fds. Scripts reach double adds, dels of unwatched fds, fds closed
+// while watched, negative and out-of-range fds, ops outside the table,
+// and fwrites over bytes another fd has read. Half the reads and freads
+// offer no buffer and are lent a view of the kernel's bytes, to which the
+// script sometimes appends; at the fd's next read or close the view must
+// still hold what the model read.
 func TestDescriptorTablesMatchReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -366,11 +419,15 @@ func TestDescriptorTablesMatchReferenceModel(t *testing.T) {
 		var trace []string
 		s.Go("script", func(tk *sim.Task) {
 			offer := make([]byte, 0, 64)
+			// views holds, per fd, the last view a read of it was lent
+			// and the bytes the model read then.
+			type view struct{ got, want []byte }
+			views := map[int]view{}
 			// anyFD is mostly a descriptor the script has seen — open,
 			// closed or of the wrong kind — and sometimes one that never
 			// existed; epollFD and sockFD aim at the kind an op wants, so
 			// the sets fill up and several fds are ready at once.
-			var epolls, socks []int
+			var epolls, socks, files []int
 			anyFD := func() int {
 				if rng.Intn(8) == 0 {
 					return []int{-1, 0, 2, ref.nextFD, ref.nextFD + 7, 1 << 40, -1 << 40}[rng.Intn(7)]
@@ -383,9 +440,10 @@ func TestDescriptorTablesMatchReferenceModel(t *testing.T) {
 				}
 				return fds[rng.Intn(len(fds))]
 			}
+			path := func() string { return []string{"/a", "/b"}[rng.Intn(2)] }
 			for step := 0; step < 600; step++ {
 				var c sysabi.Call
-				switch rng.Intn(16) {
+				switch rng.Intn(20) {
 				case 0:
 					c = sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{int64(1 + rng.Intn(3)), 0}}
 				case 1, 2:
@@ -411,9 +469,29 @@ func TestDescriptorTablesMatchReferenceModel(t *testing.T) {
 					c = sysabi.Call{Op: sysabi.OpEpollWait, FD: oneOf(epolls), Args: [2]int64{int64(rng.Intn(6) - 1), 1}}
 				case 15:
 					c = sysabi.Call{Op: []sysabi.Op{-1, sysabi.OpExit + 1, 1 << 30, sysabi.OpInvalid}[rng.Intn(4)], FD: anyFD()}
+				case 16:
+					c = sysabi.Call{Op: sysabi.OpOpen, Path: path(), Args: [2]int64{int64(rng.Intn(3)), 0}}
+				case 17, 18:
+					c = sysabi.Call{Op: sysabi.OpFRead, FD: oneOf(files), Args: [2]int64{int64(rng.Intn(50) - 2), 0}}
+					if rng.Intn(2) == 0 {
+						c.Buf = offer
+					}
+				case 19:
+					buf := make([]byte, 1+rng.Intn(40))
+					rng.Read(buf)
+					c = sysabi.Call{Op: sysabi.OpFWrite, FD: oneOf(files), Buf: buf}
 				}
 				if ref.wouldBlock(c) {
 					continue
+				}
+				trace = append(trace, fmt.Sprintf("%v fd=%d args=%v", c.Op, c.FD, c.Args))
+				if v, ok := views[c.FD]; ok && (c.Op == sysabi.OpRead || c.Op == sysabi.OpFRead || c.Op == sysabi.OpClose) {
+					if !bytes.Equal(v.got, v.want) {
+						t.Errorf("seed %d step %d: before %s, the view its last read was lent reads %q, the model read %q\nscript: %v",
+							seed, step, trace[len(trace)-1], v.got, v.want, trace)
+						return
+					}
+					delete(views, c.FD)
 				}
 				want, got := ref.invoke(c), k.Invoke(tk, c)
 				switch {
@@ -422,8 +500,14 @@ func TestDescriptorTablesMatchReferenceModel(t *testing.T) {
 					epolls = append(epolls, int(want.Ret))
 				case c.Op == sysabi.OpSocket || c.Op == sysabi.OpConnect || c.Op == sysabi.OpAccept:
 					socks = append(socks, int(want.Ret))
+				case c.Op == sysabi.OpOpen:
+					files = append(files, int(want.Ret))
+				case (c.Op == sysabi.OpRead || c.Op == sysabi.OpFRead) && c.Buf == nil && got.Ret > 0:
+					views[c.FD] = view{got.Data, want.Data}
+					if rng.Intn(2) == 0 {
+						_ = append(got.Data, "appended by the holder"...)
+					}
 				}
-				trace = append(trace, fmt.Sprintf("%v fd=%d args=%v", c.Op, c.FD, c.Args))
 				if got.Ret != want.Ret || got.Err != want.Err || !bytes.Equal(got.Data, want.Data) ||
 					(got.Data == nil) != (want.Data == nil) || !reflect.DeepEqual(got.Ready, want.Ready) || k.OpenFDs() != len(ref.fds) {
 					t.Errorf("seed %d step %d: %s = %+v with %d fds open, the model says %+v with %d\nscript: %v",

@@ -511,10 +511,10 @@ func TestKernelRecIsTheSwitch(t *testing.T) {
 }
 
 // TestSyscallFloorAllocations pins the kernel's allocation budget without
-// timing anything: a read fills the buffer its caller offers, epoll_wait
-// the epoll instance's own ready list, and the tables behind every call
-// are slices, so the only allocations left are the ones a caller comes
-// to own.
+// timing anything: a read fills the buffer its caller offers or lends a
+// view of the kernel's bytes, epoll_wait fills the epoll instance's own
+// ready list, and the tables behind every call are slices, so nothing is
+// allocated at all.
 func TestSyscallFloorAllocations(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s)
@@ -546,14 +546,15 @@ func TestSyscallFloorAllocations(t *testing.T) {
 			{"fread4K-offered", 0, func() {
 				check("fread", k.Invoke(tk, sysabi.Call{Op: sysabi.OpFRead, FD: file, Buf: buf[:0], Args: [2]int64{4096, 0}}), 4096, true)
 			}},
-			// Today's behaviour for a caller that offers nothing (the frozen
-			// benchmark client, apptest, rolling): a fresh slice it owns.
-			{"write64+read-no-offer", 1, func() {
+			// A caller that offers nothing (the frozen benchmark client,
+			// apptest, rolling) is lent a view of the inbox, and the next
+			// write starts over in the inbox's spare array.
+			{"write64+read-no-offer", 0, func() {
 				k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: cfd, Buf: msg})
 				check("read", k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: sfd, Args: [2]int64{4096, 0}}), 64, false)
 			}},
-			// An offer smaller than what is there is no offer.
-			{"write64+read-small-offer", 1, func() {
+			// An offer smaller than what is there is no offer: a view too.
+			{"write64+read-small-offer", 0, func() {
 				k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: cfd, Buf: msg})
 				check("read", k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: sfd, Buf: buf[:0:32], Args: [2]int64{4096, 0}}), 64, false)
 			}},
