@@ -63,7 +63,14 @@ lint-exports:
 # variable, or matched with regexp, is not caught. And spans are output:
 # non-test code reads Recorder.Spans() only in the exporter
 # (obs/mergedtrace.go) and for the timeline report's span count, so no
-# figure can depend on whether span tracing was on.
+# figure can depend on whether span tracing was on. Milestones are output
+# too: non-test code reads Recorder.Milestones() only where it prints
+# them (the exporter, the metrics and sharddet reports, the CLI), since
+# the bounded list drops entries past its cap; a fault's time comes from
+# chaos.Plan's firings. And identity travels by reference: non-test code
+# never compares or prefix-matches a task name (CrashInfo.Task, or any
+# Name() result; detlint's go/types names aside), so a crash finds its
+# process by CrashInfo.Owner and a stall or verdict carries its *mve.Proc.
 lint-verdicts:
 	@if grep -nE 'Timeline\(\)|strings\.(Contains|HasPrefix)' internal/bench/chaos.go internal/bench/faults.go internal/bench/nvariantreport.go; then \
 		echo "a verdict check outside the judge (apptest.World.Judge)"; exit 1; fi
@@ -73,6 +80,10 @@ lint-verdicts:
 		echo "a milestone's text compared with a literal: the lifecycle is core.Controller.Timeline"; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.Spans\(\)' internal cmd examples | grep -vE '^internal/(obs/mergedtrace|bench/timelinereport)\.go:'; then \
 		echo "spans read back as input: only the exporter and the timeline's span count read Recorder.Spans"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.Milestones\(\)' internal cmd examples | grep -vE '^(internal/(obs/mergedtrace|bench/obsreport|bench/shardreport)\.go|cmd/[a-z]+/[a-z_]+\.go):'; then \
+		echo "milestones read back as input: only the exporter, the metrics and sharddet reports and the CLI read Recorder.Milestones"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.(Task|Name\(\)) *(==|!=)|(==|!=) *[][A-Za-z0-9_.()]*\.(Task\b|Name\(\))|strings\.[A-Za-z]+\([^)]*\.(Task\b|Name\(\))|switch [^{]*\.(Task\b|Name\(\))' internal cmd examples | grep -v '^internal/detlint/'; then \
+		echo "a task name compared: names are display-only; a crash's process is CrashInfo.Owner"; exit 1; fi
 
 # Non-test and test lines of Go per package directory: the table a
 # simplicity PR quotes before and after. Reads benchmark/, changes

@@ -71,7 +71,7 @@ func TestFaultDemosTellTheirRows(t *testing.T) {
 // -report writes the run's four instrument files, and turning it on
 // changes nothing the run prints: instruments never advance virtual time.
 func TestReportWritesBundleAndLeavesStdoutAlone(t *testing.T) {
-	runs := [][]string{{"-app", "redis"}}
+	runs := [][]string{{"-app", "redis"}, {"-app", "tkv"}, {"-app", "memcached"}, {"-app", "vsftpd"}}
 	for _, tc := range faultDemos {
 		runs = append(runs, []string{"-app", tc.app, "-fault", tc.fault})
 	}

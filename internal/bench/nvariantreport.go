@@ -251,7 +251,9 @@ func runNVariantScenario(sc scenario) NVariantScenarioRow {
 		FleetSize:        len(f.Variants),
 		Tolerated:        len(breaches) == 0,
 	}
-	row.Injected = append(row.Injected, plan.Log...)
+	for _, f := range plan.Firings {
+		row.Injected = append(row.Injected, f.Injection.String())
+	}
 	for _, v := range f.Verdicts {
 		row.Verdicts = append(row.Verdicts, v.String())
 	}

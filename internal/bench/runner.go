@@ -129,6 +129,7 @@ type world struct {
 	ctl     *core.Controller
 	leader  *dsu.Runtime
 	follow  *dsu.Runtime
+	fproc   *mve.Proc // follow's proc
 	clients []*sim.Task
 	stop    bool
 }
@@ -175,14 +176,14 @@ func buildOn(s *sim.Scheduler, target Target, mode Mode, bufCap int, rec *obs.Re
 		w.mon.SetRecorder(rec)
 		w.mon.Lockstep = mode == ModeLockstep
 		lproc := w.mon.StartSingleLeader("v0")
-		fproc := w.mon.AttachVariant("v0-follower", nil)
+		w.fproc = w.mon.AttachVariant("v0-follower", nil)
 		dsuCfg.Name = "leader"
 		dsuCfg.Dispatcher = lproc
 		w.leader = dsu.NewRuntime(s, app, dsuCfg)
 		w.leader.Start()
 		fcfg := dsuCfg
 		fcfg.Name = "follower"
-		fcfg.Dispatcher = fproc
+		fcfg.Dispatcher = w.fproc
 		w.follow = dsu.NewRuntime(s, app.Fork(), fcfg)
 		w.follow.Start()
 	case ModeMvedsua1, ModeMvedsua2:
@@ -209,7 +210,7 @@ func (w *world) teardown() {
 	}
 	if w.follow != nil {
 		w.follow.KillAll()
-		w.mon.EjectVariant(w.mon.VariantByName("v0-follower"), "teardown")
+		w.mon.EjectVariant(w.fproc, "teardown")
 	}
 	if w.leader != nil {
 		w.leader.KillAll()

@@ -31,6 +31,9 @@ type scenario struct {
 	// N-variant fleet world, without them the duo world of cfg.Config.
 	cfg    core.FleetConfig
 	faults []*chaos.Injection
+	// plan, if non-nil, is the fault plan the run binds in place of
+	// one over faults, for a driver that reads its firings.
+	plan *chaos.Plan
 	// app and port name the server to deploy and where the driver's
 	// client connects; a nil app deploys redis() on kvstore.Port.
 	app  dsu.App
@@ -75,7 +78,10 @@ func duo(cfg core.Config) core.FleetConfig { return core.FleetConfig{Config: cfg
 // (apptest.World.Judge).
 func (sc scenario) run() (*apptest.World, *chaos.Plan, []apptest.Breach) {
 	cfg := sc.cfg
-	plan := chaos.NewPlan(sc.faults...)
+	plan := sc.plan
+	if plan == nil {
+		plan = chaos.NewPlan(sc.faults...)
+	}
 	cfg.WrapDispatcher = plan.Wrap
 	var w *apptest.World
 	if len(cfg.Variants) > 0 {
@@ -102,9 +108,9 @@ func (sc scenario) run() (*apptest.World, *chaos.Plan, []apptest.Breach) {
 		return w, plan, []apptest.Breach{{Exchange: -1, Detail: "scheduler: " + err.Error()}}
 	}
 	var breaches []apptest.Breach
-	if fired := plan.Fired(); fired < len(sc.faults) {
+	if fired, n := plan.Fired(), len(plan.Injections); fired < n {
 		breaches = append(breaches, apptest.Breach{Exchange: -1,
-			Detail: fmt.Sprintf("%d of %d injections never fired", len(sc.faults)-fired, len(sc.faults))})
+			Detail: fmt.Sprintf("%d of %d injections never fired", n-fired, n)})
 	}
 	return w, plan, append(breaches, w.Judge(sc.want)...)
 }

@@ -44,7 +44,7 @@ func TestScenarioRunBindsThePlan(t *testing.T) {
 			t.Fatalf("%s: %v", sc.name, breaches)
 		}
 		if plan.Fired() != 1 {
-			t.Errorf("%s: log %v; want the one injection", sc.name, plan.Log)
+			t.Errorf("%s: firings %+v; want the one injection", sc.name, plan.Firings)
 		}
 		if plan.Rec != w.Rec || w.Rec.Counter(obs.CChaosFired) != 1 {
 			t.Errorf("%s: plan.Rec is not the world's recorder (chaos.fired = %d)", sc.name, w.Rec.Counter(obs.CChaosFired))

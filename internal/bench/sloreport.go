@@ -92,11 +92,13 @@ type doFunc func(cmd, want string, pause time.Duration)
 // run executes the scenario and calls row inside the driver, once the
 // load is done, with the run's ledger: the figures must be read before
 // teardown mutates the world. The ledger's update activity is the
-// controller's timeline, read by updateWindows.
+// controller's timeline, read by updateWindows, and its faults are the
+// plan's firings.
 func (t tracked) run(row func(w *apptest.World, ledger obs.SLOReport, outcome string)) error {
 	var tr *obs.SLOTracker
+	plan := chaos.NewPlan(t.faults...)
 	_, _, breaches := scenario{
-		cfg: t.cfg, faults: t.faults, want: t.want,
+		cfg: t.cfg, plan: plan, want: t.want,
 		setup: func(w *apptest.World) { tr = obs.NewSLOTracker(w.Rec) },
 		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 			outcome := t.load(w, func(cmd, want string, pause time.Duration) {
@@ -107,7 +109,7 @@ func (t tracked) run(row func(w *apptest.World, ledger obs.SLOReport, outcome st
 					tk.Sleep(pause)
 				}
 			})
-			row(w, tr.Report(updateWindows(w.C.Timeline(), w.Rec.Now())), outcome)
+			row(w, tr.Report(updateWindows(w.C.Timeline(), w.Rec.Now()), plan.FaultTimes()), outcome)
 		},
 	}.run()
 	return failed(breaches)

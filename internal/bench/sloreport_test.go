@@ -112,7 +112,7 @@ func TestSLOFloorRows(t *testing.T) {
 		floor("window[2]", 60*ms, "0.0000"),
 		floor("window[3]", 80*ms, "0.5000"),
 	}
-	if got := sloFloorRows(tr.Report(nil), now); !reflect.DeepEqual(got, want) {
+	if got := sloFloorRows(tr.Report(nil, nil), now); !reflect.DeepEqual(got, want) {
 		t.Fatalf("floor rows = %+v, want %+v", got, want)
 	}
 }

@@ -137,7 +137,7 @@ func trainSweepOne(keyspace int, lazy bool) (TrainSweepRow, error) {
 		}
 		// Snapshot the ledger before waiting out the cold-tail drain, so
 		// the drain wait is not misread as a request gap.
-		ledger := tr.Report(updates)
+		ledger := tr.Report(updates, nil)
 		row.Requests = ledger.Requests
 		row.DowntimeNS = ledger.DowntimeNS
 		row.LongestPauseNS = ledger.LongestPauseNS

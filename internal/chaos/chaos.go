@@ -117,14 +117,21 @@ func (inj *Injection) String() string {
 // the run's wrapped dispatchers; each injection fires at most once.
 type Plan struct {
 	Injections []*Injection
-	// Log accumulates the injections that actually fired, in order, as
-	// Injection.String renders them. Rec's fault milestones say when each
-	// fired, in which role and at which call.
-	Log []string
+	// Firings records the injections that actually fired, in order.
+	Firings []Firing
 	// Rec, if non-nil, receives a KindFault trace event for every fault
 	// that fires, so injected chaos is auditable end-to-end in the same
 	// timeline as the recovery it provokes.
 	Rec *obs.Recorder
+}
+
+// Firing is the record of one injection firing: when, which injection,
+// in the dispatcher of which role, at which call.
+type Firing struct {
+	At        time.Duration
+	Injection *Injection
+	Role      string
+	Call      sysabi.Call
 }
 
 // NewPlan builds a plan over the given injections.
@@ -133,7 +140,17 @@ func NewPlan(injections ...*Injection) *Plan {
 }
 
 // Fired returns how many injections have triggered.
-func (p *Plan) Fired() int { return len(p.Log) }
+func (p *Plan) Fired() int { return len(p.Firings) }
+
+// FaultTimes returns the virtual time of every firing, in order: the
+// fault instants obs.SLOTracker.Report attributes downtime to.
+func (p *Plan) FaultTimes() []time.Duration {
+	var out []time.Duration
+	for _, f := range p.Firings {
+		out = append(out, f.At)
+	}
+	return out
+}
 
 // Rand returns a deterministic generator for seed, for building seeded
 // plans (trigger offsets, errno choices, delays).
@@ -193,9 +210,10 @@ func (d *Dispatcher) Invoke(t *sim.Task, call sysabi.Call) sysabi.Result {
 			continue
 		}
 		inj.fired = true
-		d.plan.Log = append(d.plan.Log, inj.String())
+		f := Firing{At: t.Now(), Injection: inj, Role: d.role, Call: call}
+		d.plan.Firings = append(d.plan.Firings, f)
 		d.plan.Rec.Inc(obs.CChaosFired)
-		d.plan.Rec.Emitf(obs.KindFault, d.role, "injected %s at %s", inj, call)
+		d.plan.Rec.Emitf(obs.KindFault, f.Role, "injected %s at %s", f.Injection, f.Call)
 		switch inj.Kind {
 		case KindErrno:
 			return sysabi.Result{Err: inj.Errno}

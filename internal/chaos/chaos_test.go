@@ -71,13 +71,13 @@ func TestErrnoInjectionFiltersRoleOpAndCount(t *testing.T) {
 	if len(inner.calls) != 8 {
 		t.Fatalf("inner saw %d calls, want 8", len(inner.calls))
 	}
-	if plan.Fired() != 1 {
-		t.Fatalf("Log = %v, want the one injection", plan.Log)
+	if f := plan.Firings; len(f) != 1 || f[0].Injection != plan.Injections[0] || f[0].Role != "follower" || f[0].Call.Op != sysabi.OpWrite {
+		t.Fatalf("firings = %+v, want the one injection", f)
 	}
-	if ms := plan.Rec.Milestones(); len(ms) != 1 || ms[0].Kind != obs.KindFault || ms[0].Actor != "follower" ||
-		!strings.Contains(ms[0].Detail, plan.Log[0]) || !strings.Contains(ms[0].Detail, "EAGAIN") &&
+	if ms := plan.Rec.Milestones(); len(ms) != 1 || ms[0].Kind != obs.KindFault || ms[0].Actor != "follower" || ms[0].At != plan.Firings[0].At ||
+		!strings.Contains(ms[0].Detail, plan.Injections[0].String()) || !strings.Contains(ms[0].Detail, "EAGAIN") &&
 		!strings.Contains(ms[0].Detail, "resource temporarily unavailable") {
-		t.Fatalf("fault milestones = %v, log %q", ms, plan.Log)
+		t.Fatalf("fault milestones = %v, firings %+v", ms, plan.Firings)
 	}
 }
 
@@ -261,5 +261,40 @@ func TestProcTargetingSinglesOutOneProcess(t *testing.T) {
 	}
 	if got, none := r2.(*Dispatcher).name, anon.(*Dispatcher).name; got != "r2#1@v1" || none != "" {
 		t.Fatalf("Proc() = %q / %q", got, none)
+	}
+}
+
+// The availability ledger attributes an outage to the fault that caused
+// it from the plan's firings, so a flight recorder whose bounded
+// milestone list filled up before the fault fired changes nothing.
+func TestFaultAttributedWithTheMilestoneListFull(t *testing.T) {
+	s := sim.New()
+	rec := obs.New(s.Now, obs.Options{})
+	for rec.TraceDropped() == 0 {
+		rec.Emit(obs.KindRole, "filler", "kept before the fault")
+	}
+	plan := NewPlan(&Injection{AfterCalls: 6, Kind: KindDelay, Delay: 20 * time.Millisecond})
+	plan.Rec = rec
+	d := plan.Wrap("leader", "", &fakeDispatcher{})
+	tr := obs.NewSLOTracker(rec)
+	s.Go("client", func(tk *sim.Task) {
+		for i := 0; i < 10; i++ {
+			tk.Sleep(time.Millisecond)
+			start := tk.Now()
+			d.Invoke(tk, sysabi.Call{Op: sysabi.OpGetPID})
+			tr.Request(true, tk.Now()-start)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, m := range rec.Milestones() {
+		if m.Kind == obs.KindFault {
+			t.Fatalf("the recorder kept the fault milestone: the list was not full")
+		}
+	}
+	rep := tr.Report(nil, plan.FaultTimes())
+	if len(rep.Downtime) != 1 || rep.Downtime[0].Cause != "fault" {
+		t.Fatalf("downtime = %+v, want one window caused by the fault", rep.Downtime)
 	}
 }

@@ -40,8 +40,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"mvedsua/internal/dsl"
@@ -203,9 +203,8 @@ func (cfg Config) validate() {
 
 // variant is the bookkeeping of one replica or of the candidate.
 type variant struct {
-	id   string // respawn slot (config id), or the candidate's role
-	name string // unique proc name ("r1#2@2.0.0", "proc2@2.0.1")
-	proc *mve.Proc
+	id   string    // respawn slot (config id), or the candidate's role
+	proc *mve.Proc // named uniquely ("r1#2@2.0.0", "proc2@2.0.1")
 	rt   *dsu.Runtime
 }
 
@@ -224,9 +223,9 @@ type Controller struct {
 	gated bool
 
 	stage     Stage
-	leaderRT  *dsu.Runtime        // runtime of the process currently leading
-	live      map[string]*variant // attached replicas and candidate, by proc name
-	candidate *variant            // the one process on the other version, or nil
+	leaderRT  *dsu.Runtime           // runtime of the process currently leading
+	live      map[*mve.Proc]*variant // attached replicas and candidate
+	candidate *variant               // the one process on the other version, or nil
 	pending   *dsu.Version
 	queued    []*dsu.Version // update train: hops waiting behind pending
 	retries   int
@@ -278,7 +277,7 @@ func newController(kernel *vos.Kernel, cfg FleetConfig) *Controller {
 		cfg:     cfg,
 		mon:     mve.New(kernel, cfg.BufferEntries, cfg.Costs),
 		gated:   cfg.Canary.Window > 0,
-		live:    make(map[string]*variant),
+		live:    make(map[*mve.Proc]*variant),
 		spawned: make(map[string]int),
 		rec:     cfg.Recorder,
 	}
@@ -286,12 +285,14 @@ func newController(kernel *vos.Kernel, cfg FleetConfig) *Controller {
 	c.mon.WatchdogDeadline = cfg.WatchdogDeadline
 	c.mon.FullPolicy = cfg.BufferFullPolicy
 	c.mon.OnVerdict = func(v mve.Verdict) {
-		c.applyVerdict(v, "divergence: "+v.Div.Reason, "outdated follower diverged; committed "+v.Proc)
+		c.applyVerdict(v, "divergence: "+v.Div.Reason, "outdated follower diverged; committed "+v.Proc.Name())
 	}
 	c.mon.OnPromoted = c.handlePromoted
 	c.mon.OnStall = c.handleStall
-	// Chain with any previously installed crash handler so several
-	// controllers can share one scheduler (e.g. one per cluster node).
+	// Several controllers may share one scheduler (one per cluster node):
+	// each chains to the handler installed before it, so a crash passes
+	// from the newest controller back until the one whose runtime spawned
+	// the crashed task (CrashInfo.Owner) claims it.
 	prev := c.sched.OnCrash
 	c.sched.OnCrash = func(info sim.CrashInfo) {
 		if !c.handleCrash(info) && prev != nil {
@@ -382,8 +383,9 @@ func (c *Controller) procName(id, version string) string {
 // dispatcher wrapped by the configured hook (chaos layer) with the
 // process's role at creation time, which a later promotion does not
 // change, and no update hooks (the leading runtime gets SetUpdateHooks).
-// Task names and crash ownership hang off the runtime's name: the role,
-// or the proc name for roles several processes hold at once.
+// The runtime's name, shown in its task names, is the role, or the proc
+// name for roles several processes hold at once; crash ownership is the
+// runtime itself (handleCrash).
 func (c *Controller) newRuntime(role string, proc *mve.Proc, app dsu.App, parallelXform bool) *dsu.Runtime {
 	cfg := c.cfg.DSU
 	cfg.Name = role
@@ -570,7 +572,7 @@ func (c *Controller) takeUpdate(t *sim.Task, rt *dsu.Runtime, v *dsu.Version) ds
 	if !c.gated {
 		c.transition(StageOutdatedLeader, KindStage, "forked follower for "+v.Name)
 	} else {
-		c.transition(StageOutdatedLeader, KindStage, fmt.Sprintf("canary %s forked; observing for %v", fv.name, c.cfg.Canary.Window))
+		c.transition(StageOutdatedLeader, KindStage, fmt.Sprintf("canary %s forked; observing for %v", fv.proc.Name(), c.cfg.Canary.Window))
 		c.gateGen++
 		gen := c.gateGen
 		c.sched.Go("canary-gate@"+v.Name, func(t *sim.Task) {
@@ -585,13 +587,13 @@ func (c *Controller) takeUpdate(t *sim.Task, rt *dsu.Runtime, v *dsu.Version) ds
 // same-version replica, or the candidate that will run the update with
 // its adaptation rules; the caller forks and starts the process.
 func (c *Controller) attach(id, version string, rules *dsl.RuleSet, candidate bool) *variant {
-	fv := &variant{id: id, name: c.procName(id, version)}
+	fv, name := &variant{id: id}, c.procName(id, version)
 	if candidate {
-		fv.proc = c.mon.AttachCandidate(fv.name, rules, c.cfg.Canary.MaxDivergences)
+		fv.proc = c.mon.AttachCandidate(name, rules, c.cfg.Canary.MaxDivergences)
 	} else {
-		fv.proc = c.mon.AttachVariant(fv.name, rules)
+		fv.proc = c.mon.AttachVariant(name, rules)
 	}
-	c.live[fv.name] = fv
+	c.live[fv.proc] = fv
 	c.fleetSize()
 	return fv
 }
@@ -707,11 +709,11 @@ func (c *Controller) handlePromoted(newLeader *mve.Proc) {
 	}
 	retired := c.leaderRT
 	c.leaderRT = fv.rt
-	delete(c.live, fv.name)
+	delete(c.live, fv.proc)
 	c.endUpdateSpan()
 	if old := c.mon.Candidate(); old != nil {
-		c.candidate = &variant{name: old.Name(), proc: old, rt: retired}
-		c.live[old.Name()] = c.candidate
+		c.candidate = &variant{proc: old, rt: retired}
+		c.live[old] = c.candidate
 		c.transition(StageUpdatedLeader, KindStage, newLeader.Name()+" now leads")
 		// If the demoted process is already dead (promotion after an
 		// old-version crash), there is nothing left to validate against:
@@ -723,7 +725,7 @@ func (c *Controller) handlePromoted(newLeader *mve.Proc) {
 	}
 	c.candidate = nil
 	stale := c.live
-	c.live = make(map[string]*variant)
+	c.live = make(map[*mve.Proc]*variant)
 	c.fleetSize()
 	c.rec.Inc(obs.CCanaryPromotions)
 	c.commit(newLeader.Name() + " promoted; respawning fleet")
@@ -793,7 +795,7 @@ func (c *Controller) dropCandidate(reason string) {
 		return
 	}
 	c.candidate = nil
-	delete(c.live, fv.name)
+	delete(c.live, fv.proc)
 	fv.rt.KillAll()
 	c.detach(fv.proc, reason)
 }
@@ -802,33 +804,30 @@ func (c *Controller) dropCandidate(reason string) {
 // its barrier, when the candidate then failed before taking over, and
 // queues their slots for the leader that carries on.
 func (c *Controller) requeueSuperseded() {
-	var names []string
-	for name := range c.live { // maporder: ok — names are sorted below
-		if c.mon.VariantByName(name) == nil {
-			names = append(names, name)
+	attached := c.mon.Variants()
+	for _, fv := range byName(c.live) {
+		if !slices.Contains(attached, fv.proc) {
+			fv.rt.KillAll()
+			c.respawnQ = append(c.respawnQ, fv.id)
+			delete(c.live, fv.proc)
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c.live[name].rt.KillAll()
-		c.respawnQ = append(c.respawnQ, c.live[name].id)
-		delete(c.live, name)
 	}
 	c.armRespawn()
 }
 
 // handleStall reacts to the monitor's liveness signals — a consumer hung
 // (watchdog) or hopelessly lagging (discard policy) is as unusable as
-// one that diverged or crashed — unless it is already failed or gone.
-// Every watchdog stall is a tripped follower-liveness deadline and is
-// recorded as one; a buffer-full stall trips no threshold.
+// one that diverged or crashed — unless it is already failed. The
+// monitor raises a stall only for an attached consumer. Every watchdog
+// stall is a tripped follower-liveness deadline and is recorded as one;
+// a buffer-full stall trips no threshold.
 func (c *Controller) handleStall(st mve.Stall) {
 	if st.Reason == "no-progress" {
-		c.record(Event{Kind: KindViolation, Subject: st.Proc, Rule: "follower-liveness",
+		c.record(Event{Kind: KindViolation, Subject: st.Proc.Name(), Rule: "follower-liveness",
 			Note: fmt.Sprintf("no progress for %v (deadline %v)", st.Stalled, c.cfg.WatchdogDeadline)})
 	}
-	if p := c.mon.VariantByName(st.Proc); p != nil && !p.Failed() {
-		c.applyVerdict(c.mon.FailVariant(p, "stall"),
+	if !st.Proc.Failed() {
+		c.applyVerdict(c.mon.FailVariant(st.Proc, "stall"),
 			"stall: "+st.String(), "outdated follower stalled ("+st.Reason+"); committed")
 	}
 }
@@ -902,25 +901,18 @@ func reap(t *sim.Task, rt *dsu.Runtime) {
 	}
 }
 
-// owner finds the attached process a crashed task belonged to: a live
-// variant (the candidate is one), or — nil, true — the leader.
+// owner finds the attached process a crashed task belonged to — the
+// runtime that spawned it (CrashInfo.Owner): a live variant (the
+// candidate is one), or — nil, true — the leader.
 func (c *Controller) owner(info sim.CrashInfo) (*variant, bool) {
-	// maporder: ok — at most one variant owns the crashed task, so the
-	// search result does not depend on iteration order.
+	// maporder: ok — runtimes are distinct, so at most one variant owns
+	// the crashed task and the result does not depend on iteration order.
 	for _, fv := range c.live {
-		if runtimeOwns(fv.rt, info) {
+		if info.Owner == fv.rt {
 			return fv, true
 		}
 	}
-	return nil, runtimeOwns(c.leaderRT, info)
-}
-
-// runtimeOwns reports whether a crashed task belongs to rt. Runtime
-// tasks are named "<cfgname>/<thread>@<version>"; crashed tasks are
-// matched by name prefix since the task may already be deregistered by
-// the time the crash is reported.
-func runtimeOwns(rt *dsu.Runtime, info sim.CrashInfo) bool {
-	return rt != nil && strings.HasPrefix(info.Task, rt.Config().Name+"/")
+	return nil, info.Owner == c.leaderRT
 }
 
 // Shutdown tears the service down for harness teardown: replicas and
@@ -940,24 +932,30 @@ func (c *Controller) Shutdown() {
 	}
 	killAll(c.live)
 	c.candidate = nil
-	c.live = make(map[string]*variant)
+	c.live = make(map[*mve.Proc]*variant)
 	if c.leaderRT != nil {
 		c.leaderRT.KillAll()
 	}
 }
 
-// killAll kills the runtimes of vars in name order. Kill moves blocked
-// tasks straight onto the run queue, so any loop that kills runtimes
-// must iterate deterministically — killing in map-iteration order would
-// make the post-teardown dispatch order differ run to run (the same
-// discipline as dsu.Runtime.KillAll).
-func killAll(vars map[string]*variant) {
-	names := make([]string, 0, len(vars))
-	for name := range vars { // maporder: ok — names are sorted below
-		names = append(names, name)
+// killAll kills the runtimes of vars in proc-name order. Kill moves
+// blocked tasks straight onto the run queue, so any loop that kills
+// runtimes must iterate deterministically — killing in map-iteration
+// order would make the post-teardown dispatch order differ run to run
+// (the same discipline as dsu.Runtime.KillAll).
+func killAll(vars map[*mve.Proc]*variant) {
+	for _, fv := range byName(vars) {
+		fv.rt.KillAll()
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		vars[name].rt.KillAll()
+}
+
+// byName returns vars sorted by proc name, the order every loop that
+// kills runtimes takes.
+func byName(vars map[*mve.Proc]*variant) []*variant {
+	out := make([]*variant, 0, len(vars))
+	for _, fv := range vars { // maporder: ok — sorted below
+		out = append(out, fv)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].proc.Name() < out[j].proc.Name() })
+	return out
 }

@@ -165,13 +165,12 @@ func (h *harness) client(n int, hooks map[int]func(tk *sim.Task)) {
 func (h *harness) run(t *testing.T) {
 	t.Helper()
 	// Tear everything down at the end so Run terminates: kill remaining
-	// runtime tasks once the client is done.
+	// runtime tasks once the client is done. A client still waiting
+	// after 60 s is wedged: tear down anyway, and Run reports it as the
+	// deadlock it is.
 	h.s.Go("teardown", func(tk *sim.Task) {
-		for {
+		for i := 0; !h.clientDone() && i < 1200; i++ {
 			tk.Sleep(50 * time.Millisecond)
-			if h.clientDone() {
-				break
-			}
 		}
 		h.c.Shutdown()
 	})
@@ -520,6 +519,70 @@ func TestNewLeaderCrashRevertsToOldVersion(t *testing.T) {
 	}
 	if !reverted {
 		t.Fatalf("timeline missing revert: %+v", h.c.Timeline())
+	}
+}
+
+// After one committed update the leader's runtime and the next
+// candidate's were both created in the follower role, and their task
+// names start alike; a crash is still the leader's. v2 crashes serving
+// #9 while v3 validates it: v3 is promoted, answers #9 and the rest.
+func TestLeaderCrashAfterCommittedUpdatePromotesNextCandidate(t *testing.T) {
+	h := newHarness(Config{})
+	h.c.Start(&srv{version: "v1"})
+	v2 := upgrade(nil, func(n *srv) { n.crashOn = 9 })
+	h.client(12, map[int]func(*sim.Task){
+		1: func(tk *sim.Task) { h.c.Update(v2) },
+		3: func(tk *sim.Task) { h.c.Promote() },
+		5: func(tk *sim.Task) { h.c.Commit() },
+		6: func(tk *sim.Task) { h.c.Update(upgradeFromV2("v3")) },
+	})
+	h.run(t)
+	want := []string{"1", "2", "3", "4", "v2:5", "v2:6", "v2:7", "v2:8", "v3:9", "v3:10", "v3:11", "v3:12"}
+	if strings.Join(h.replies, ",") != strings.Join(want, ",") {
+		t.Fatalf("replies = %v\nwant %v\ntimeline: %+v", h.replies, want, h.c.Timeline())
+	}
+	if got := h.c.LeaderRuntime().App().Version(); got != "v3" || h.c.Stage() != StageSingleLeader {
+		t.Fatalf("leader version = %s in %v, want v3 in single-leader", got, h.c.Stage())
+	}
+}
+
+// Two controllers share one scheduler, each over its own kernel, as one
+// per cluster node does. A's leader crashes during A's update: A
+// promotes its follower, and B — built last, so its handler sees the
+// crash first — passes it on and records nothing.
+func TestCrashReachesItsOwnControllerOnASharedScheduler(t *testing.T) {
+	a := newHarness(Config{})
+	b := &harness{s: a.s, k: vos.NewKernel(a.s)}
+	b.c = New(b.k, Config{})
+	a.c.Start(&srv{version: "v1", crashOn: 5})
+	b.c.Start(&srv{version: "v1"})
+	a.client(8, map[int]func(*sim.Task){
+		2: func(tk *sim.Task) { a.c.Update(upgrade(nil, nil)) },
+	})
+	b.client(8, nil)
+	bEntries := len(b.c.Timeline())
+	a.s.Go("teardown", func(tk *sim.Task) {
+		for i := 0; !(a.done && b.done) && i < 1200; i++ {
+			tk.Sleep(50 * time.Millisecond)
+		}
+		a.c.Shutdown()
+		b.c.Shutdown()
+	})
+	if err := a.s.Run(); err != nil {
+		t.Fatalf("Run: %v\nA's timeline: %+v", err, a.c.Timeline())
+	}
+	want := []string{"1", "2", "3", "4", "v2:5", "v2:6", "v2:7", "v2:8"}
+	if strings.Join(a.replies, ",") != strings.Join(want, ",") {
+		t.Fatalf("A's replies = %v\nwant %v", a.replies, want)
+	}
+	if got := a.c.LeaderRuntime().App().Version(); got != "v2" {
+		t.Fatalf("A's leader version = %s, want v2", got)
+	}
+	if got := strings.Join(b.replies, ","); got != "1,2,3,4,5,6,7,8" {
+		t.Fatalf("B's replies = %s", got)
+	}
+	if tl := b.c.Timeline(); len(tl) != bEntries {
+		t.Fatalf("B's timeline gained %+v", tl[bEntries:])
 	}
 }
 
@@ -925,7 +988,7 @@ func TestChaosStallRollsBackViaWatchdog(t *testing.T) {
 	})
 	h.run(t)
 	if plan.Fired() != 1 {
-		t.Fatalf("plan fired %d injections, want 1 (%v)", plan.Fired(), plan.Log)
+		t.Fatalf("plan fired %d injections, want 1 (%+v)", plan.Fired(), plan.Firings)
 	}
 	want := "1,2,3,4,5,6,7,8,9,10"
 	if strings.Join(h.replies, ",") != want {

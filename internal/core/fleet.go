@@ -125,7 +125,7 @@ func (c *Controller) evaluateGate(gen int) {
 	}
 	c.transition(StagePromoting, KindStage, fmt.Sprintf("gate passed (%d/%d divergences, lag %d); promoting at next barrier",
 		divs, c.cfg.Canary.MaxDivergences, lag))
-	c.atBarrier("promote@"+c.candidate.name, func(t *sim.Task) {
+	c.atBarrier("promote@"+c.candidate.proc.Name(), func(t *sim.Task) {
 		if c.stage != StagePromoting {
 			return
 		}
@@ -207,15 +207,16 @@ func (c *Controller) ejectAndQueue(v mve.Verdict) {
 	if fv == nil {
 		return
 	}
+	name := v.Proc.Name()
 	c.rec.Inc(obs.CFleetEjects)
-	c.transition(c.stage, KindStage, fmt.Sprintf("variant %s ejected (%s); respawn queued", fv.name, v.Cause))
-	c.sched.Go("eject:"+fv.name, func(t *sim.Task) {
-		if c.live[fv.name] != fv {
+	c.transition(c.stage, KindStage, fmt.Sprintf("variant %s ejected (%s); respawn queued", name, v.Cause))
+	c.sched.Go("eject:"+name, func(t *sim.Task) {
+		if c.live[fv.proc] != fv {
 			return // an abort, promotion or Shutdown already swept it up
 		}
 		c.detach(fv.proc, v.Cause)
 		fv.rt.KillAll()
-		delete(c.live, fv.name)
+		delete(c.live, fv.proc)
 		c.respawnQ = append(c.respawnQ, fv.id)
 		c.armRespawn()
 	})
@@ -229,7 +230,7 @@ func (c *Controller) abortFleet(v mve.Verdict) {
 	for _, p := range c.mon.Variants() {
 		c.detach(p, "fleet abort")
 	}
-	c.live = make(map[string]*variant)
+	c.live = make(map[*mve.Proc]*variant)
 	c.candidate = nil
 	c.pending = nil
 	c.respawnQ = nil
@@ -266,6 +267,6 @@ func (c *Controller) respawnQueued() {
 		fv.rt = c.newRuntime("variant", fv.proc, c.leaderRT.App().Fork(), false)
 		fv.rt.StartForked(fv.rt.App())
 		c.rec.Inc(obs.CFleetRespawns)
-		c.transition(c.stage, KindStage, "respawned variant "+fv.name)
+		c.transition(c.stage, KindStage, "respawned variant "+fv.proc.Name())
 	}
 }

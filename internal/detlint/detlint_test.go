@@ -61,6 +61,15 @@ func repoSweeper(t *testing.T) *Sweeper {
 	return repo.sw
 }
 
+// fixtureSweeper is a sweeper of the throwaway module "example" at dir
+// that borrows the repository sweeper's file set and standard-library
+// importer, so the fixtures type-check no standard package twice.
+func fixtureSweeper(t *testing.T, dir string) *Sweeper {
+	sw := NewSweeper(dir, "example")
+	sw.fset, sw.std = repoSweeper(t).fset, repoSweeper(t).std
+	return sw
+}
+
 // TestMapRangeDeterminism is the `make lint-maps` gate: every map range
 // in the swept packages must be allowlisted with a `maporder:` comment
 // justifying it.
@@ -89,7 +98,7 @@ func writeTestPkg(t *testing.T, src string) (*Sweeper, string) {
 	if err := os.WriteFile(filepath.Join(pkgDir, "p.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return NewSweeper(dir, "example"), "p"
+	return fixtureSweeper(t, dir), "p"
 }
 
 func TestFlagsUnannotatedMapRange(t *testing.T) {
@@ -225,7 +234,7 @@ func f() int {
 			t.Fatal(err)
 		}
 	}
-	sw := NewSweeper(dir, "example")
+	sw := fixtureSweeper(t, dir)
 	findings, err := sw.SweepDir("p")
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +442,7 @@ func main() { _ = (&p.T{}).Nested }
 			t.Fatal(err)
 		}
 	}
-	findings, err := NewSweeper(dir, "example").UnreadFields([]string{"p"})
+	findings, err := fixtureSweeper(t, dir).UnreadFields([]string{"p"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +528,7 @@ func TestPackageDirsWalksTheTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dirs, err := NewSweeper(dir, "example").PackageDirs(".")
+	dirs, err := fixtureSweeper(t, dir).PackageDirs(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +633,7 @@ func main() { _ = p.Nested() }
 			t.Fatal(err)
 		}
 	}
-	findings, err := NewSweeper(dir, "example").TestOnlyExports([]string{"p"})
+	findings, err := fixtureSweeper(t, dir).TestOnlyExports([]string{"p"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,9 +247,6 @@ func NewRuntime(sched *sim.Scheduler, app App, cfg Config) *Runtime {
 // App returns the currently-running application instance.
 func (rt *Runtime) App() App { return rt.app }
 
-// Config returns the runtime's configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
 // Generation returns how many updates have been applied in this process.
 func (rt *Runtime) Generation() int { return rt.gen }
 
@@ -289,8 +286,7 @@ func (rt *Runtime) StartForked(app App) *sim.Task {
 // loop never starts — the MVE layer sees a failed follower and rolls
 // the update back (§3.2 "handling new-version errors").
 func (rt *Runtime) StartUpdatedFromAt(old App, v *Version, requestedAt time.Duration) *sim.Task {
-	name := fmt.Sprintf("%s/main@%s", rt.cfg.Name, v.Name)
-	t := rt.sched.Go(name, func(task *sim.Task) {
+	return rt.spawn("main", v.Name, func(task *sim.Task) {
 		newApp, err := rt.applyXform(task, old, v)
 		if err != nil {
 			rt.record(UpdateRecord{
@@ -310,7 +306,6 @@ func (rt *Runtime) StartUpdatedFromAt(old App, v *Version, requestedAt time.Dura
 		}
 		rt.runMain(task, newApp, true)
 	})
-	return t
 }
 
 // applyXform charges the transformation cost and runs v's state
@@ -350,8 +345,7 @@ func (rt *Runtime) startLazySweep(app App) {
 		return
 	}
 	rec := rt.cfg.Rec
-	name := fmt.Sprintf("%s/lazy-sweep@%s", rt.cfg.Name, app.Version())
-	t := rt.sched.Go(name, func(task *sim.Task) {
+	t := rt.spawn("lazy-sweep", app.Version(), func(task *sim.Task) {
 		for rt.app == app {
 			n, cost := la.SweepLazy(lazySweepBatch)
 			if n > 0 {
@@ -401,10 +395,18 @@ func (rt *Runtime) spendXform(task *sim.Task, d time.Duration) {
 
 // launch spawns the main thread for app.
 func (rt *Runtime) launch(app App, updating bool) *sim.Task {
-	name := fmt.Sprintf("%s/main@%s", rt.cfg.Name, app.Version())
-	return rt.sched.Go(name, func(task *sim.Task) {
+	return rt.spawn("main", app.Version(), func(task *sim.Task) {
 		rt.runMain(task, app, updating)
 	})
+}
+
+// spawn starts one of the runtime's tasks, named
+// "<runtime>/<thread>@<version>" for display and owned by rt, so a crash
+// of it reports rt as its owner.
+func (rt *Runtime) spawn(thread, version string, fn func(*sim.Task)) *sim.Task {
+	t := rt.sched.Go(rt.cfg.Name+"/"+thread+"@"+version, fn)
+	t.SetOwner(rt)
+	return t
 }
 
 // runMain registers the calling task as logical thread 0 and runs Main.
@@ -542,15 +544,13 @@ func (e *Env) Go(name string, fn func(*Env)) *sim.Task {
 	rt.nextTID++
 	rt.nextUID++
 	uid := rt.nextUID
-	taskName := fmt.Sprintf("%s/%s@%s", rt.cfg.Name, name, rt.app.Version())
-	t := rt.sched.Go(taskName, func(task *sim.Task) {
+	return rt.spawn(name, rt.app.Version(), func(task *sim.Task) {
 		env := &Env{rt: rt, task: task, tid: tid, uid: uid, updating: e.updating}
 		rt.threads[uid] = env
 		rt.tasks[uid] = task
 		defer rt.deregister(env)
 		fn(env)
 	})
-	return t
 }
 
 // ChargeLazyXform bills steps generations of on-access state migration,

@@ -86,12 +86,11 @@ func TestFleetMinorityDivergenceEjected(t *testing.T) {
 	good2 := m.AttachVariant("r3", nil)
 
 	var verdicts []Verdict
-	tasks := map[string]*sim.Task{}
+	tasks := map[*Proc]*sim.Task{}
 	m.OnVerdict = func(v Verdict) {
 		verdicts = append(verdicts, v)
 		if v.Action == VerdictEject {
-			p := m.VariantByName(v.Proc)
-			m.EjectVariant(p, v.Cause)
+			m.EjectVariant(v.Proc, v.Cause)
 			tasks[v.Proc].Kill()
 		}
 	}
@@ -101,12 +100,12 @@ func TestFleetMinorityDivergenceEjected(t *testing.T) {
 	s.Go("leader", leaderEcho(k, leader, 3))
 	for _, v := range []*Proc{good1, good2} {
 		v := v
-		tasks[v.Name()] = s.Go(v.Name(), func(tk *sim.Task) {
+		tasks[v] = s.Go(v.Name(), func(tk *sim.Task) {
 			followerEcho(v, 3)(tk)
 			done++
 		})
 	}
-	tasks["r2"] = s.Go("r2", leaderEchoLike(bad, 3, func(b []byte) []byte {
+	tasks[bad] = s.Go("r2", leaderEchoLike(bad, 3, func(b []byte) []byte {
 		return []byte("WRONG")
 	}))
 	s.Go("client", client(k, []string{"a", "b", "c"}, &replies))
@@ -123,7 +122,7 @@ func TestFleetMinorityDivergenceEjected(t *testing.T) {
 		t.Fatalf("verdicts = %v", verdicts)
 	}
 	v := verdicts[0]
-	if v.Proc != "r2" || v.Cause != "divergence" || v.Action != VerdictEject {
+	if v.Proc != bad || v.Cause != "divergence" || v.Action != VerdictEject {
 		t.Fatalf("verdict = %+v", v)
 	}
 	if v.Failed != 1 || v.Total != 3 {
@@ -144,7 +143,7 @@ func TestFleetMinorityDivergenceEjected(t *testing.T) {
 func TestFleetMajorityDivergenceAborts(t *testing.T) {
 	s, k, m := world(256, Costs{})
 	leader := m.StartSingleLeader("v0")
-	m.AttachVariant("r1", nil)
+	good := m.AttachVariant("r1", nil)
 	bad1 := m.AttachVariant("r2", nil)
 	bad2 := m.AttachVariant("r3", nil)
 
@@ -167,7 +166,7 @@ func TestFleetMajorityDivergenceAborts(t *testing.T) {
 
 	var replies []string
 	s.Go("leader", leaderEcho(k, leader, 3))
-	goodTask = s.Go("r1", followerEcho(m.VariantByName("r1"), 3))
+	goodTask = s.Go("r1", followerEcho(good, 3))
 	for _, v := range []*Proc{bad1, bad2} {
 		v := v
 		badTasks = append(badTasks, s.Go(v.Name(), leaderEchoLike(v, 3, func(b []byte) []byte {
@@ -351,7 +350,7 @@ func TestCanaryDivergenceStormRollsBack(t *testing.T) {
 	v := verdicts[0]
 	// A canary failure never enters the quorum: the verdict is a rollback
 	// of the update, not an indictment of the leader.
-	if v.Action != VerdictRollbackCandidate || v.Proc != "canary" {
+	if v.Action != VerdictRollbackCandidate || v.Proc != canary {
 		t.Fatalf("verdict = %+v", v)
 	}
 	if canary.VariantDivergences() != 2 {
@@ -449,7 +448,7 @@ func TestPromoteRefusesFailedOrMissingCandidate(t *testing.T) {
 
 // TestFleetWatchdogIsolatesStalledVariant is the regression test for
 // per-variant stall detection: two variants drain the same recorded
-// stream at very different rates. The hung one must be flagged by name;
+// stream at very different rates. The hung one must be the one flagged;
 // the slow-but-progressing one must not, because every partial drain
 // resets its own timer.
 func TestFleetWatchdogIsolatesStalledVariant(t *testing.T) {
@@ -458,20 +457,18 @@ func TestFleetWatchdogIsolatesStalledVariant(t *testing.T) {
 	leader := m.StartSingleLeader("v0")
 
 	var stalls []Stall
-	tasks := map[string]*sim.Task{}
+	tasks := map[*Proc]*sim.Task{}
 	m.OnStall = func(st Stall) {
 		stalls = append(stalls, st)
-		if v := m.VariantByName(st.Proc); v != nil {
-			m.FailVariant(v, "stall")
-			m.EjectVariant(v, "stall")
-			tasks[st.Proc].Kill()
-		}
+		m.FailVariant(st.Proc, "stall")
+		m.EjectVariant(st.Proc, "stall")
+		tasks[st.Proc].Kill()
 	}
 	slow := m.AttachVariant("slow", nil)
 	hung := m.AttachVariant("hung", nil)
 
 	slowDone := false
-	tasks["slow"] = s.Go("slow", func(tk *sim.Task) {
+	tasks[slow] = s.Go("slow", func(tk *sim.Task) {
 		// 20ms per exchange: far behind the leader, but each drain ticks
 		// its progress counter, so the watchdog timer keeps resetting.
 		variantEcho(slow, 6, 20*time.Millisecond)(tk)
@@ -479,7 +476,7 @@ func TestFleetWatchdogIsolatesStalledVariant(t *testing.T) {
 	})
 	// Hangs after 4 calls (socket, accept, first read+write) with the
 	// rest of the stream pending — the classic between-syscalls hang.
-	tasks["hung"] = s.Go("hung", stallingFollower(hung, 4))
+	tasks[hung] = s.Go("hung", stallingFollower(hung, 4))
 
 	var replies []string
 	s.Go("leader", leaderEcho(k, leader, 6))
@@ -505,7 +502,7 @@ func TestFleetWatchdogIsolatesStalledVariant(t *testing.T) {
 	if len(stalls) != 1 {
 		t.Fatalf("stalls = %v", stalls)
 	}
-	if stalls[0].Proc != "hung" || stalls[0].Reason != "no-progress" {
+	if stalls[0].Proc != hung || stalls[0].Reason != "no-progress" {
 		t.Fatalf("stall = %+v", stalls[0])
 	}
 	// The slow variant was never flagged and finished the whole stream.
@@ -592,7 +589,7 @@ func TestVerdictStrings(t *testing.T) {
 	if VerdictAction(9).String() != "action(9)" {
 		t.Fatal("unknown action formatting")
 	}
-	v := Verdict{Proc: "r2", Cause: "crash", Failed: 1, Total: 3, Action: VerdictEject}
+	v := Verdict{Proc: &Proc{name: "r2"}, Cause: "crash", Failed: 1, Total: 3, Action: VerdictEject}
 	if got := v.String(); !strings.Contains(got, "r2") || !strings.Contains(got, "eject") ||
 		!strings.Contains(got, "1/3") {
 		t.Fatalf("Verdict.String = %q", got)
@@ -632,7 +629,7 @@ func TestFleetDiscardPolicyLeavesATrace(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if stall.Reason != "buffer-full" || stall.Proc != "r1" || stall.Pending != 2 || stall.Dropped != 1 {
+	if stall.Reason != "buffer-full" || stall.Proc != stuck || stall.Pending != 2 || stall.Dropped != 1 {
 		t.Fatalf("stall = %+v; want buffer-full for r1 with 2 pending, 1 dropped", stall)
 	}
 	if b := m.Buffer(); b.Dropped != 1 || b.ProducerBlocked != 0 {

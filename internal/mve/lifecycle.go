@@ -85,17 +85,6 @@ func (m *Monitor) Variants() []*Proc {
 	return append([]*Proc(nil), m.variants...)
 }
 
-// VariantByName returns the attached consumer with the given proc name,
-// or nil.
-func (m *Monitor) VariantByName(name string) *Proc {
-	for _, v := range m.variants {
-		if v.name == name {
-			return v
-		}
-	}
-	return nil
-}
-
 // MultiBuffer always returns nil: Buffer() is the monitor's one ring.
 // The stub remains only for the frozen benchmark adapter, which adds
 // MultiBuffer()'s counters to Buffer()'s — returning the ring from both
@@ -212,7 +201,7 @@ func (m *Monitor) startWatchdog(f *Proc) {
 				continue
 			}
 			if stalled := t.Now() - lastAt; stalled >= deadline {
-				m.raiseStall(Stall{Proc: f.name, Reason: "no-progress", Stalled: stalled, Pending: f.cursor.Len()})
+				m.raiseStall(Stall{Proc: f, Reason: "no-progress", Stalled: stalled, Pending: f.cursor.Len()})
 				return
 			}
 		}
@@ -223,7 +212,7 @@ func (m *Monitor) startWatchdog(f *Proc) {
 func (m *Monitor) raiseStall(st Stall) {
 	m.Stats.Stalls++
 	m.rec.Inc(obs.CMVEStalls)
-	m.rec.Emit(obs.KindStall, st.Proc, st.String())
+	m.rec.Emit(obs.KindStall, st.Proc.name, st.String())
 	if m.OnStall != nil {
 		m.OnStall(st)
 	}

@@ -145,7 +145,7 @@ func (p FullPolicy) String() string {
 // timeout-based detection catches where divergence checking cannot
 // (§3.3, §6.2 "some DSU errors cause the program to hang").
 type Stall struct {
-	Proc   string
+	Proc   *Proc  // the stalled consumer
 	Reason string // "no-progress" (watchdog) or "buffer-full" (discard policy)
 	// Stalled is how long the follower made no progress (no-progress
 	// stalls; zero for buffer-full).
@@ -161,9 +161,9 @@ type Stall struct {
 // String formats the stall for logs.
 func (st Stall) String() string {
 	if st.Reason == "buffer-full" {
-		return fmt.Sprintf("stall in %s: ring buffer full (%d pending, %d dropped)", st.Proc, st.Pending, st.Dropped)
+		return fmt.Sprintf("stall in %s: ring buffer full (%d pending, %d dropped)", st.Proc.name, st.Pending, st.Dropped)
 	}
-	return fmt.Sprintf("stall in %s: no progress for %v (%d pending)", st.Proc, st.Stalled, st.Pending)
+	return fmt.Sprintf("stall in %s: no progress for %v (%d pending)", st.Proc.name, st.Stalled, st.Pending)
 }
 
 // Divergence describes a follower syscall that did not match the

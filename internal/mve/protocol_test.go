@@ -40,7 +40,7 @@ func runProtocolCell(t *testing.T, policy PromotePolicy, k int, fault string) {
 	}
 	cand := m.AttachCandidate("v1", nil, 0)
 
-	tasks := map[string]*sim.Task{}
+	tasks := map[*Proc]*sim.Task{}
 	// supersede is the policy owner's half of a retiring promotion: the
 	// replicas validated the old version and do not see the new one.
 	supersede := func() {
@@ -57,13 +57,13 @@ func runProtocolCell(t *testing.T, policy PromotePolicy, k int, fault string) {
 		if midPromotion := leader.Role() == RoleFollower || leader.Role() == RoleRetired; midPromotion != (fault == "diverge-in-tail") {
 			t.Errorf("verdict with the leader %v: the scenario missed its window", leader.Role())
 		}
-		m.EjectVariant(m.VariantByName(v.Proc), v.Cause)
+		m.EjectVariant(v.Proc, v.Cause)
 		tasks[v.Proc].Kill()
 	}
 	m.OnVerdict = apply
 	m.OnStall = func(st Stall) {
-		if p := m.VariantByName(st.Proc); p != nil && !p.Failed() {
-			apply(m.FailVariant(p, "stall"))
+		if !st.Proc.Failed() {
+			apply(m.FailVariant(st.Proc, "stall"))
 		}
 	}
 	s.OnCrash = func(sim.CrashInfo) {
@@ -79,14 +79,14 @@ func runProtocolCell(t *testing.T, policy PromotePolicy, k int, fault string) {
 	// reply in the others — at once, or (paced behind the leader) only
 	// after the promotion entry is in the ring.
 	n := 0
-	tasks["v0"] = s.Go("v0", leaderEchoLike(barrier, 4, func(b []byte) []byte {
+	tasks[leader] = s.Go("v0", leaderEchoLike(barrier, 4, func(b []byte) []byte {
 		if n++; fault == "crash-truncate" && n > 2 {
 			panic("old-version bug")
 		}
 		return b
 	}))
 	for _, r := range replicas {
-		tasks[r.Name()] = s.Go(r.Name(), followerEcho(r, 4))
+		tasks[r] = s.Go(r.Name(), followerEcho(r, 4))
 	}
 	wrongSecond, sent := func(b []byte) []byte {
 		if string(b) == "2" {
@@ -96,11 +96,11 @@ func runProtocolCell(t *testing.T, policy PromotePolicy, k int, fault string) {
 	}, 0
 	switch fault {
 	case "diverge":
-		tasks["v1"] = s.Go("v1", leaderEchoLike(cand, 4, wrongSecond))
+		tasks[cand] = s.Go("v1", leaderEchoLike(cand, 4, wrongSecond))
 	case "stall":
-		tasks["v1"] = s.Go("v1", stallingFollower(cand, 4))
+		tasks[cand] = s.Go("v1", stallingFollower(cand, 4))
 	case "diverge-in-tail":
-		tasks["v1"] = s.Go("v1", func(tk *sim.Task) {
+		tasks[cand] = s.Go("v1", func(tk *sim.Task) {
 			leaderEchoLike(cand, 4, func(b []byte) []byte {
 				if sent++; sent == 2 {
 					tk.Sleep(10 * time.Millisecond)
@@ -109,7 +109,7 @@ func runProtocolCell(t *testing.T, policy PromotePolicy, k int, fault string) {
 			})(tk)
 		})
 	default:
-		tasks["v1"] = s.Go("v1", leaderEchoLike(cand, 4, nil))
+		tasks[cand] = s.Go("v1", leaderEchoLike(cand, 4, nil))
 	}
 
 	var replies []string
@@ -147,7 +147,7 @@ func runProtocolCell(t *testing.T, policy PromotePolicy, k int, fault string) {
 		}
 		ejectAll(m, "test teardown")
 		for _, p := range append([]*Proc{leader, cand}, replicas...) {
-			tasks[p.Name()].Kill()
+			tasks[p].Kill()
 		}
 	})
 	if err := s.Run(); err != nil {

@@ -47,7 +47,7 @@ func (a VerdictAction) String() string {
 
 // Verdict is the quorum's judgement of one consumer failure.
 type Verdict struct {
-	Proc   string // the failed consumer
+	Proc   *Proc  // the failed consumer
 	Cause  string // "divergence", "crash" or "stall"
 	Failed int    // failed consumers at decision time, this one included
 	Total  int    // attached consumers at decision time
@@ -58,7 +58,7 @@ type Verdict struct {
 
 // String formats the verdict for logs.
 func (v Verdict) String() string {
-	return fmt.Sprintf("verdict for %s (%s): %s [%d/%d failed]", v.Proc, v.Cause, v.Action, v.Failed, v.Total)
+	return fmt.Sprintf("verdict for %s (%s): %s [%d/%d failed]", v.Proc.name, v.Cause, v.Action, v.Failed, v.Total)
 }
 
 // failVariant marks p failed and renders the quorum verdict: the
@@ -73,7 +73,7 @@ func (m *Monitor) failVariant(p *Proc, cause string, d *Divergence) Verdict {
 		}
 	}
 	total := len(m.variants)
-	v := Verdict{Proc: p.name, Cause: cause, Failed: failed, Total: total, Div: d}
+	v := Verdict{Proc: p, Cause: cause, Failed: failed, Total: total, Div: d}
 	switch {
 	case p == m.candidate:
 		v.Action = VerdictRollbackCandidate

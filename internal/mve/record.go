@@ -68,7 +68,7 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 			// handler (controller) to fail. The leader proceeds with its
 			// result regardless.
 			if lag := p.m.laggiest(); lag != nil && !ring.Closed() {
-				p.m.raiseStall(Stall{Proc: lag.name, Reason: "buffer-full",
+				p.m.raiseStall(Stall{Proc: lag, Reason: "buffer-full",
 					Pending: ring.Len(), Dropped: ring.Dropped})
 			}
 			return res

@@ -189,11 +189,11 @@ func TestRefusedAppendCopiesNothing(t *testing.T) {
 	rec := obs.New(s.Now, obs.Options{})
 	m.FullPolicy = FullDiscard
 	leader := m.StartSingleLeader("v0")
-	m.AttachCandidate("v1", nil, 0) // never consumes
+	cand := m.AttachCandidate("v1", nil, 0) // never consumes
 	stalls := 0
 	m.OnStall = func(st Stall) {
 		stalls++
-		if st.Reason != "buffer-full" || st.Proc != "v1" || st.Pending != 2 || st.Dropped != stalls {
+		if st.Reason != "buffer-full" || st.Proc != cand || st.Pending != 2 || st.Dropped != stalls {
 			t.Errorf("stall %d = %+v", stalls, st)
 		}
 	}

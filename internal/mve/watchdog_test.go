@@ -72,7 +72,7 @@ func TestWatchdogDetectsStalledFollower(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if stall.Proc != "v1" || stall.Reason != "no-progress" {
+	if stall.Proc != follower || stall.Reason != "no-progress" {
 		t.Fatalf("stall = %+v", stall)
 	}
 	if stall.Stalled < m.WatchdogDeadline {
@@ -154,7 +154,7 @@ func TestDiscardPolicyDropsLaggingFollower(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if stall.Reason != "buffer-full" || stall.Proc != "v1" {
+	if stall.Reason != "buffer-full" || stall.Proc != follower {
 		t.Fatalf("stall = %+v", stall)
 	}
 	if stall.Pending != 2 {
@@ -240,11 +240,11 @@ func TestFullPolicyAndStallStrings(t *testing.T) {
 		FullPolicy(7).String() != "policy(7)" {
 		t.Fatal("FullPolicy.String mismatch")
 	}
-	np := Stall{Proc: "f", Reason: "no-progress", Stalled: time.Second, Pending: 3}
+	np := Stall{Proc: &Proc{name: "f"}, Reason: "no-progress", Stalled: time.Second, Pending: 3}
 	if !strings.Contains(np.String(), "no progress for 1s") {
 		t.Fatalf("String = %q", np.String())
 	}
-	bf := Stall{Proc: "f", Reason: "buffer-full", Pending: 8, Dropped: 2}
+	bf := Stall{Proc: &Proc{name: "f"}, Reason: "buffer-full", Pending: 8, Dropped: 2}
 	if !strings.Contains(bf.String(), "ring buffer full (8 pending, 2 dropped)") {
 		t.Fatalf("String = %q", bf.String())
 	}

@@ -9,10 +9,10 @@ import "time"
 // run: a per-window success-rate timeline, downtime windows (gaps
 // between successful completions above a stall threshold), MTTR,
 // recovery time after injected faults, p99 latency-budget burn, and
-// attribution of each degraded window to the update lifecycle (the
-// caller's update windows) or to an injected fault. The ledger reads
-// the recorder's fault milestones and no spans, so span tracing cannot
-// change a figure of it.
+// attribution of each degraded window to the update lifecycle or to an
+// injected fault, both as the caller passes them to Report. The ledger
+// reads no milestone and no span, so neither the bounded trace nor span
+// tracing can change a figure of it.
 //
 // Nothing here runs unless a scenario constructs a tracker, so the
 // default pipelines and the committed golden artifacts are untouched.
@@ -52,9 +52,9 @@ type SLOTracker struct {
 }
 
 // NewSLOTracker attaches SLO accounting to a recorder, whose clock
-// stamps completions and whose fault milestones the report reads. The
-// tracker keeps its own completion log; construct it before load starts
-// so the observation span covers the whole run.
+// stamps completions. The tracker keeps its own completion log;
+// construct it before load starts so the observation span covers the
+// whole run.
 func NewSLOTracker(rec *Recorder) *SLOTracker {
 	return &SLOTracker{rec: rec, started: rec.Now()}
 }
@@ -96,8 +96,8 @@ type SLOReport struct {
 	DowntimeNS      int64   `json:"downtime_ns"`
 	LongestPauseNS  int64   `json:"longest_pause_ns"`
 	MTTRNS          int64   `json:"mttr_ns"` // mean downtime-window duration
-	// FaultRecoveryNS is the mean time from an injected fault milestone
-	// to the next successful completion (0 when no faults fired).
+	// FaultRecoveryNS is the mean time from an injected fault to the
+	// next successful completion (0 when no faults fired).
 	FaultRecoveryNS int64            `json:"fault_recovery_ns"`
 	BudgetBurnPct   float64          `json:"budget_burn_pct"` // % of windows over the p99 budget
 	WindowsOver     int              `json:"windows_over_budget"`
@@ -115,9 +115,10 @@ type UpdateWindow struct{ Start, End time.Duration }
 // the union of gaps between successful completions (including the lead
 // from tracker start to the first success and the tail to report time)
 // that exceed the stall threshold; each window is attributed to an
-// injected fault if one fired inside it, else to update activity (one
-// of updates), else left unattributed.
-func (t *SLOTracker) Report(updates []UpdateWindow) SLOReport {
+// injected fault if one of faults (the instants injections fired) lies
+// inside it, else to update activity (one of updates), else left
+// unattributed.
+func (t *SLOTracker) Report(updates []UpdateWindow, faults []time.Duration) SLOReport {
 	var rep SLOReport
 	if t == nil {
 		return rep
@@ -127,7 +128,6 @@ func (t *SLOTracker) Report(updates []UpdateWindow) SLOReport {
 	rep.Requests = int64(len(t.completions))
 
 	// Downtime windows: walk successful completions in time order.
-	faults := t.faultTimes()
 	prev := t.started
 	var totalDown, longest time.Duration
 	flushGap := func(from, to time.Duration) {
@@ -165,7 +165,7 @@ func (t *SLOTracker) Report(updates []UpdateWindow) SLOReport {
 		rep.AvailabilityPct = 100 * (1 - float64(totalDown)/float64(rep.SpanNS))
 	}
 
-	// Fault recovery: fault milestone -> next successful completion.
+	// Fault recovery: fault -> next successful completion.
 	var recSum time.Duration
 	var recN int64
 	for _, f := range faults {
@@ -217,17 +217,6 @@ func (t *SLOTracker) timeline() (pts []SLOWindowPoint, over, total int) {
 		}
 	}
 	return pts, over, len(pts)
-}
-
-// faultTimes returns the virtual times of injected-fault milestones.
-func (t *SLOTracker) faultTimes() []time.Duration {
-	var out []time.Duration
-	for _, e := range t.rec.Milestones() {
-		if e.Kind == KindFault {
-			out = append(out, e.At)
-		}
-	}
-	return out
 }
 
 func attributeWindow(from, to time.Duration, faults []time.Duration, updates []UpdateWindow) string {

@@ -9,7 +9,7 @@ import (
 // (SLOWindow 20ms, SLOStallThreshold 2ms, SLOLatencyBudgetP99 1ms):
 //
 //	t=1..5ms   healthy requests every 1ms
-//	t=6ms      injected fault milestone
+//	t=6ms      injected fault (the caller's, passed to Report)
 //	t=5..35ms  gap (downtime, cause fault)
 //	t=35ms     recovery request (slow: 3ms latency, over budget)
 //	t=36..41ms healthy requests
@@ -17,8 +17,9 @@ import (
 //	t=41..48ms gap (downtime, cause update)
 //	t=48,49ms  healthy requests
 //
-// It returns the tracker and the update window its report takes.
-func sloScript(t *testing.T) (*SLOTracker, []UpdateWindow) {
+// It returns the tracker and the update window and fault its report
+// takes.
+func sloScript(t *testing.T) (*SLOTracker, []UpdateWindow, []time.Duration) {
 	t.Helper()
 	clock := &manualClock{}
 	r := New(clock.now, Options{})
@@ -27,8 +28,6 @@ func sloScript(t *testing.T) (*SLOTracker, []UpdateWindow) {
 		clock.t = time.Duration(ms) * time.Millisecond
 		tr.Request(true, 100*time.Microsecond)
 	}
-	clock.t = 6 * time.Millisecond
-	r.Emit(KindFault, "follower", "injected stall")
 	clock.t = 35 * time.Millisecond
 	tr.Request(true, 3*time.Millisecond)
 	for ms := 36; ms <= 41; ms++ {
@@ -39,12 +38,12 @@ func sloScript(t *testing.T) (*SLOTracker, []UpdateWindow) {
 	tr.Request(true, 100*time.Microsecond)
 	clock.t = 49 * time.Millisecond
 	tr.Request(true, 100*time.Microsecond)
-	return tr, []UpdateWindow{{Start: 40 * time.Millisecond, End: 49 * time.Millisecond}}
+	return tr, []UpdateWindow{{Start: 40 * time.Millisecond, End: 49 * time.Millisecond}}, []time.Duration{6 * time.Millisecond}
 }
 
 func TestSLODowntimeDetectionAndAttribution(t *testing.T) {
-	tr, updates := sloScript(t)
-	rep := tr.Report(updates)
+	tr, updates, faults := sloScript(t)
+	rep := tr.Report(updates, faults)
 
 	if rep.Requests != 14 || rep.Failed != 0 {
 		t.Fatalf("requests = %d failed = %d, want 14/0", rep.Requests, rep.Failed)
@@ -65,7 +64,7 @@ func TestSLODowntimeDetectionAndAttribution(t *testing.T) {
 	if second.Cause != "update" {
 		t.Fatalf("second cause = %q, want update", second.Cause)
 	}
-	if got := tr.Report(nil).Downtime[1].Cause; got != "unattributed" {
+	if got := tr.Report(nil, faults).Downtime[1].Cause; got != "unattributed" {
 		t.Fatalf("second cause without the update window = %q, want unattributed", got)
 	}
 
@@ -94,8 +93,8 @@ func TestSLODowntimeDetectionAndAttribution(t *testing.T) {
 }
 
 func TestSLOTimelineAndBudgetBurn(t *testing.T) {
-	tr, updates := sloScript(t)
-	rep := tr.Report(updates)
+	tr, updates, faults := sloScript(t)
+	rep := tr.Report(updates, faults)
 
 	// Completions land in windows 0 (1..5ms), 1 (35..39ms) and 2 (40..49ms).
 	if rep.WindowsTotal != 3 {
@@ -138,15 +137,13 @@ func TestSLOAttributionSlack(t *testing.T) {
 			clock := &manualClock{}
 			r := New(clock.now, Options{})
 			tr := NewSLOTracker(r)
-			clock.t = tc.faultAt // the ledger reads fault times, not their order
-			r.Emit(KindFault, "follower", "injected stall")
 			for at := time.Millisecond; at <= gapAt; at += time.Millisecond {
 				clock.t = at
 				tr.Request(true, 100*time.Microsecond)
 			}
 			clock.t = gapAt + 7*time.Millisecond
 			tr.Request(true, 100*time.Microsecond)
-			rep := tr.Report(nil)
+			rep := tr.Report(nil, []time.Duration{tc.faultAt})
 			// One gap, 20->27ms; the requests before it leave none.
 			if len(rep.Downtime) != 1 {
 				t.Fatalf("downtime = %+v, want 1 window", rep.Downtime)
@@ -161,7 +158,7 @@ func TestSLOAttributionSlack(t *testing.T) {
 func TestSLOTrackerNilSafe(t *testing.T) {
 	var tr *SLOTracker
 	tr.Request(true, time.Millisecond)
-	if rep := tr.Report(nil); rep.Requests != 0 || len(rep.Downtime) != 0 {
+	if rep := tr.Report(nil, nil); rep.Requests != 0 || len(rep.Downtime) != 0 {
 		t.Fatalf("nil tracker report = %+v", rep)
 	}
 }

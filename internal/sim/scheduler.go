@@ -73,7 +73,8 @@ func (e *DeadlockError) Error() string {
 // application panics into CrashInfo values instead of crashing the host
 // process; MVEDSUA's fault-tolerance experiments observe crashes this way.
 type CrashInfo struct {
-	Task  string      // task name
+	Task  string      // task name, for display
+	Owner any         // the task's owner (Task.SetOwner), or nil
 	Value interface{} // the recovered panic value
 }
 
@@ -204,7 +205,7 @@ func (s *Scheduler) run(deadline time.Duration) error {
 	for len(s.tasks) > 0 && s.clock < deadline {
 		if s.runq.len() == 0 {
 			if len(s.timers) == 0 {
-				return s.deadlock()
+				return &DeadlockError{Blocked: s.blockedNames()}
 			}
 			if s.timers[0].when > deadline {
 				return nil
@@ -219,10 +220,6 @@ func (s *Scheduler) run(deadline time.Duration) error {
 		s.dispatch(t)
 	}
 	return nil
-}
-
-func (s *Scheduler) deadlock() error {
-	return &DeadlockError{Blocked: s.blockedNames()}
 }
 
 // blockedNames returns the names of the tasks parked on wait queues,
@@ -258,9 +255,6 @@ func (s *Scheduler) nextTimer() (time.Duration, bool) {
 	return s.timers[0].when, true
 }
 
-// liveTasks returns the number of tasks not yet done.
-func (s *Scheduler) liveTasks() int { return len(s.tasks) }
-
 func (s *Scheduler) dispatch(t *Task) {
 	s.dispatches++
 	if s.dispatches%goschedEvery == 0 {
@@ -289,7 +283,7 @@ func (s *Scheduler) dispatch(t *Task) {
 		s.OnSlice(t.name, sliceStart, s.clock)
 	}
 	if t.state == StateDone && t.crashed {
-		info := CrashInfo{Task: t.name, Value: t.crashVal}
+		info := CrashInfo{Task: t.name, Owner: t.owner, Value: t.crashVal}
 		s.crashes = append(s.crashes, info)
 		if s.OnCrash != nil {
 			s.OnCrash(info)

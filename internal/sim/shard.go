@@ -189,7 +189,7 @@ func (ss *ShardedScheduler) epoch() (done bool, err error) {
 		haveEvent = true
 	}
 	for _, sh := range ss.shards {
-		if sh.sched.liveTasks() > 0 {
+		if len(sh.sched.tasks) > 0 {
 			anyLive = true
 		}
 		if sh.sched.hasRunnable() {

@@ -13,6 +13,7 @@ type killedPanic struct{}
 type Task struct {
 	id    int
 	name  string
+	owner any // who the task works for: a crash report carries it
 	s     *Scheduler
 	state State
 	slot  int // index in s.tasks while the task is live
@@ -41,6 +42,10 @@ type Task struct {
 
 // Name returns the task's name, as passed to Scheduler.Go.
 func (t *Task) Name() string { return t.name }
+
+// SetOwner records who t works for — a process runtime, say — so that
+// a crash of t reaches its handler with CrashInfo.Owner set to owner.
+func (t *Task) SetOwner(owner any) { t.owner = owner }
 
 // ID returns the task's unique id within its scheduler.
 func (t *Task) ID() int { return t.id }

@@ -429,13 +429,15 @@ func (k *Kernel) fwrite(c sysabi.Call) sysabi.Result {
 	if of.flags == sysabi.OpenRead {
 		return sysabi.Result{Err: sysabi.EINVAL}
 	}
-	// Write at cursor, extending as needed, into a copy of the array if
-	// a bufferless fread lent its bytes.
+	// Write at cursor, into a copy of the array if the write overwrites
+	// bytes a bufferless fread may have lent, extending by append: lent
+	// views are capacity-clipped, so nothing past len is lent.
 	end := of.offset + len(c.Buf)
-	if end > len(of.f.data) || (of.f.lent && of.offset < len(of.f.data)) {
-		grown := make([]byte, max(end, len(of.f.data)))
-		copy(grown, of.f.data)
-		of.f.data, of.f.lent = grown, false
+	if of.f.lent && of.offset < len(of.f.data) {
+		of.f.data, of.f.lent = bytes.Clone(of.f.data), false
+	}
+	if end > len(of.f.data) {
+		of.f.data = append(of.f.data, make([]byte, end-len(of.f.data))...)
 	}
 	copy(of.f.data[of.offset:], c.Buf)
 	of.offset = end

@@ -1,6 +1,7 @@
 package vos
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -137,4 +138,30 @@ func TestFReadViewSurvivesFWriteAndTruncation(t *testing.T) {
 			t.Errorf("after a truncation and WriteFile the view reads %q, want XXXXYY6789", view)
 		}
 	})
+}
+
+// TestFWriteGrowsAFileByAppending: a file built in chunks grows by
+// append, not by copying the whole file on every fwrite that extends it
+// (quadratic: 256 writes of 4 KiB allocated 129 MiB). Amortised growth
+// allocates a few times the 1 MiB file in all.
+func TestFWriteGrowsAFileByAppending(t *testing.T) {
+	const chunks, chunk = 256, 4 << 10
+	buf := make([]byte, chunk)
+	var before, after runtime.MemStats
+	run(t, func(k *Kernel, tk *sim.Task) {
+		fd := int(k.Invoke(tk, sysabi.Call{Op: sysabi.OpOpen, Path: "/f", Args: [2]int64{sysabi.OpenWrite, 0}}).Ret)
+		runtime.ReadMemStats(&before)
+		for i := 0; i < chunks; i++ {
+			buf[0] = byte(i)
+			k.Invoke(tk, sysabi.Call{Op: sysabi.OpFWrite, FD: fd, Buf: buf})
+		}
+		runtime.ReadMemStats(&after)
+		data := k.fs["/f"].data
+		if len(data) != chunks*chunk || data[(chunks-1)*chunk] != chunks-1 {
+			t.Errorf("file holds %d bytes, want %d", len(data), chunks*chunk)
+		}
+	})
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("%d fwrites of %d bytes allocated %d KiB, want at most 8 MiB", chunks, chunk, got>>10)
+	}
 }
