@@ -7,7 +7,7 @@ GO ?= go
 # validated).
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps lint-exports lint-verdicts lines coverage-census adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism bench $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps lint-exports lint-verdicts lines coverage-census adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
 
 all: check
 
@@ -32,7 +32,7 @@ test:
 # artifact gate.
 check: vet fmt-check lint-maps lint-exports lint-verdicts adapter-compat
 	$(GO) test -race ./...
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/sim/ ./internal/ringbuf/ ./internal/mve/ ./internal/dsl/ ./internal/vos/ ./internal/apps/kvstore/ ./internal/apps/memcache/ ./internal/bench/
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) run ./cmd/benchtool -check .
 
 # Map-iteration determinism sweep: flag `for range` over maps in the
@@ -220,10 +220,6 @@ bench-fork:
 # compare shard counts).
 bench-sched:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/ ./internal/bench/
-
-# One testing.B bench per paper table/figure, plus ablations.
-bench:
-	$(GO) test -bench=. -benchmem .
 
 # Regenerate the paper's evaluation artifacts (see EXPERIMENTS.md).
 experiments:

@@ -13,33 +13,10 @@ import (
 // essentially stateless (§6.1 footnote 10), so the pause is tiny.
 const BaseXformCost = 2 * time.Millisecond
 
-// quote renders s as a DSL string literal.
-func quote(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
-}
-
 // rewriteRule builds a rule mapping an exact old reply to the new one.
 func rewriteRule(name, oldText, newText string) string {
 	o, n := oldText+"\r\n", newText+"\r\n"
+	quote := func(s string) string { return (&dsl.StringLit{Value: s}).String() }
 	return fmt.Sprintf(`
 rule %s {
     match write(fd, s, x) where s == %s {

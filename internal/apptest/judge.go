@@ -193,11 +193,11 @@ func (c *Client) recvFor(tk *sim.Task, n int) string {
 		if c.k.Invoke(tk, wait).Ret == 0 {
 			break
 		}
-		part := c.Recv(tk)
-		if part == "" {
+		part := c.recv(tk)
+		if len(part) == 0 {
 			break
 		}
-		b.WriteString(part)
+		b.Write(part)
 	}
 	return b.String()
 }

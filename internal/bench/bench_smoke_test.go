@@ -45,21 +45,29 @@ func TestSteadyStateAllModesRedis(t *testing.T) {
 
 func TestSteadyStateOverheadOrdering(t *testing.T) {
 	// The structural ordering the paper's Table 2 shows: duo modes cost
-	// more than single-leader modes, which cost more than native.
+	// more than single-leader modes, which cost more than native. And
+	// the ablation of §7: a leader that waits for its follower after
+	// every syscall (the MUC/Mx lockstep model) costs more than the ring.
 	native := redisCell(t, ModeNative)
 	m1 := redisCell(t, ModeMvedsua1)
 	m2 := redisCell(t, ModeMvedsua2)
-	if !(native > m1 && m1 > m2) {
-		t.Fatalf("ordering broken: native %.0f, mvedsua-1 %.0f, mvedsua-2 %.0f", native, m1, m2)
+	lockstep := redisCell(t, ModeLockstep)
+	if !(native > m1 && m1 > m2 && m2 > lockstep) {
+		t.Fatalf("ordering broken: native %.0f, mvedsua-1 %.0f, mvedsua-2 %.0f, lockstep %.0f", native, m1, m2, lockstep)
 	}
 	ov1 := 1 - m1/native
 	ov2 := 1 - m2/native
+	ovLock := 1 - lockstep/native
 	if ov1 < 0.01 || ov1 > 0.15 {
 		t.Errorf("Mvedsua-1 overhead %.1f%%, want in the paper's 3-9%% band (loosely)", ov1*100)
 	}
 	if ov2 < 0.15 || ov2 > 0.60 {
 		t.Errorf("Mvedsua-2 overhead %.1f%%, want in the paper's 25-52%% band (loosely)", ov2*100)
 	}
+	if ovLock < 0.23 || ovLock > 0.87 {
+		t.Errorf("lockstep overhead %.1f%%, want in MUC's 23-87%% band", ovLock*100)
+	}
+	t.Logf("native %.0f, mvedsua-2 %.0f, lockstep %.0f ops/s: overheads %.1f%% and %.1f%%", native, m2, lockstep, ov2*100, ovLock*100)
 }
 
 func TestSteadyStateMemcachedDuo(t *testing.T) {
@@ -136,33 +144,44 @@ func TestFig6Small(t *testing.T) {
 }
 
 func TestFig7Small(t *testing.T) {
-	// 20k entries -> ~124ms transformation; buffers scaled accordingly.
-	// Every pause asserted on happens in the first 150ms after the update.
+	// 20k entries -> ~124ms transformation; buffers scaled accordingly,
+	// the middle one to the entry count as in Fig7's own row. Every
+	// pause asserted on happens in the first 150ms after the update.
 	cfg := Fig7Config{Entries: 20000, PostUpdate: 600 * time.Millisecond}
-	kitsune, err := fig7One("kitsune", ModeKitsune, 0, true, false, cfg)
-	if err != nil {
-		t.Fatalf("kitsune: %v", err)
+	run := func(name string, mode Mode, bufCap int, immediate bool) time.Duration {
+		t.Helper()
+		r, err := fig7One(name, mode, bufCap, true, immediate, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return r.MaxLatency
 	}
-	tiny, err := fig7One("tiny", ModeMvedsua2, 1<<10, true, false, cfg)
-	if err != nil {
-		t.Fatalf("tiny: %v", err)
-	}
-	big, err := fig7One("big", ModeMvedsua2, 1<<22, true, false, cfg)
-	if err != nil {
-		t.Fatalf("big: %v", err)
-	}
+	kitsune := run("kitsune", ModeKitsune, 0, false)
+	tiny := run("tiny", ModeMvedsua2, 1<<10, false)
+	medium := run("medium", ModeMvedsua2, cfg.Entries, false)
+	big := run("big", ModeMvedsua2, 1<<22, false)
+	immediate := run("immediate", ModeMvedsua2, 1<<22, true)
 	// Kitsune pauses for at least the transformation time.
-	if kitsune.MaxLatency < 100*time.Millisecond {
-		t.Errorf("kitsune pause = %v, want >= xform time (~124ms)", kitsune.MaxLatency)
+	if kitsune < 100*time.Millisecond {
+		t.Errorf("kitsune pause = %v, want >= xform time (~124ms)", kitsune)
 	}
-	// A tiny buffer cannot mask the pause; a big one masks it well.
-	if tiny.MaxLatency < kitsune.MaxLatency/2 {
-		t.Errorf("tiny buffer pause = %v, implausibly small vs kitsune %v", tiny.MaxLatency, kitsune.MaxLatency)
+	// A tiny buffer cannot mask the pause; a big one masks it well; a
+	// bigger buffer never pauses longer.
+	if tiny < kitsune/2 {
+		t.Errorf("tiny buffer pause = %v, implausibly small vs kitsune %v", tiny, kitsune)
 	}
-	if big.MaxLatency >= tiny.MaxLatency/2 {
-		t.Errorf("big buffer pause = %v, want well under tiny %v", big.MaxLatency, tiny.MaxLatency)
+	if big >= tiny/2 {
+		t.Errorf("big buffer pause = %v, want well under tiny %v", big, tiny)
 	}
-	t.Logf("kitsune %v, 2^10 %v, 2^22 %v", kitsune.MaxLatency, tiny.MaxLatency, big.MaxLatency)
+	if medium > tiny || big > medium {
+		t.Errorf("pause rose with the buffer: 2^10 %v, %d entries %v, 2^22 %v", tiny, cfg.Entries, medium, big)
+	}
+	// Promoting before the backlog drains (§6.1) drains it while nobody
+	// serves: a longer pause than the outdated-leader stage's.
+	if immediate <= big {
+		t.Errorf("immediate promotion pause = %v, want longer than the drain's %v", immediate, big)
+	}
+	t.Logf("kitsune %v, 2^10 %v, %d entries %v, 2^22 %v, 2^22 immediate %v", kitsune, tiny, cfg.Entries, medium, big, immediate)
 }
 
 func TestModeStrings(t *testing.T) {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,22 +36,23 @@ func recordSchedule(s *sim.Scheduler) *schedule {
 	return sched
 }
 
-// sameSchedule fails t at the first dispatch where a and b differ,
-// logging the dispatches around it.
-func sameSchedule(t *testing.T, aName string, a schedule, bName string, b schedule) {
-	t.Helper()
+// scheduleDiff describes the first dispatch where a and b differ, with
+// the dispatches around it, "" if they are the same.
+func scheduleDiff(a, b schedule) string {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] == b[i] {
 			continue
 		}
+		var around strings.Builder
 		for j := max(0, i-6); j <= i+6 && j < len(a) && j < len(b); j++ {
-			t.Logf("%7d  %-30v  %-30v", j, a[j], b[j])
+			fmt.Fprintf(&around, "\n%7d  %-30v  %-30v", j, a[j], b[j])
 		}
-		t.Fatalf("first divergence at dispatch %d: %s %v vs %s %v", i, aName, a[i], bName, b[i])
+		return fmt.Sprintf("first divergence at dispatch %d: %v vs %v%s", i, a[i], b[i], around.String())
 	}
 	if len(a) != len(b) {
-		t.Fatalf("schedule lengths differ: %s %d vs %s %d", aName, len(a), bName, len(b))
+		return fmt.Sprintf("lengths differ: %d vs %d dispatches", len(a), len(b))
 	}
+	return ""
 }
 
 // TestMemcachedDuoSchedulingDeterministic runs the most
@@ -75,7 +77,9 @@ func TestMemcachedDuoSchedulingDeterministic(t *testing.T) {
 	}
 	a := run()
 	b := run()
-	sameSchedule(t, "first run", a, "second run", b)
+	if d := scheduleDiff(a, b); d != "" {
+		t.Fatal("first run against second: " + d)
+	}
 	t.Logf("schedules identical for %d dispatches", len(a))
 }
 

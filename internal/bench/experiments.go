@@ -281,18 +281,6 @@ func Fig7(cfg Fig7Config) ([]Fig7Result, error) {
 	return out, nil
 }
 
-// Fig7Point measures a single (mode, buffer size) update-pause point,
-// for buffer-size sweeps beyond the paper's three (ablation).
-func Fig7Point(mode Mode, bufCap int, cfg Fig7Config) (Fig7Result, error) {
-	return fig7One(fmt.Sprintf("%v buf=%d", mode, bufCap), mode, bufCap, mode != ModeNative, false, cfg)
-}
-
-// Fig7PointImmediate measures the update pause with or without the
-// outdated-leader drain stage (the §6.1 immediate-promotion ablation).
-func Fig7PointImmediate(bufCap int, cfg Fig7Config, immediate bool) (Fig7Result, error) {
-	return fig7One(fmt.Sprintf("immediate=%v", immediate), ModeMvedsua2, bufCap, true, immediate, cfg)
-}
-
 func fig7One(name string, mode Mode, bufCap int, update, immediate bool, cfg Fig7Config) (Fig7Result, error) {
 	target := RedisTarget()
 	target.MakeApp = func() dsu.App {

@@ -265,33 +265,44 @@ func runNVariantScenario(sc scenario) NVariantScenarioRow {
 	return row
 }
 
-// runNVariantOverhead measures a closed-loop kvstore session with K
-// replica variants attached, under the calibrated Varan-2 cost model and
-// kernel cost.
-func runNVariantOverhead(k, requests int) (NVariantOverheadRow, error) {
-	w, _, breaches := scenario{
-		cfg:   fleetConfig(k),
-		setup: func(w *apptest.World) { w.K.BaseCost = KernelCost },
-		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-			for i := 0; i < requests; i++ {
-				c.Do(tk, "INCR nv")
-			}
-		},
-		want: apptest.Outcome{Leader: "2.0.0", Fleet: k},
-	}.run()
+// nvariantOverheadScenarios are the overhead sweep's runs: a
+// closed-loop kvstore session of nvariantRequests requests with K = 1, 2
+// and 3 replica variants attached, under the calibrated Varan-2 cost
+// model and kernel cost.
+func nvariantOverheadScenarios() []scenario {
+	var out []scenario
+	for k := 1; k <= 3; k++ {
+		out = append(out, scenario{
+			name:  fmt.Sprintf("overhead-k%d", k),
+			cfg:   fleetConfig(k),
+			setup: func(w *apptest.World) { w.K.BaseCost = KernelCost },
+			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+				for i := 0; i < nvariantRequests; i++ {
+					c.Do(tk, "INCR nv")
+				}
+			},
+			want: apptest.Outcome{Leader: "2.0.0", Fleet: k},
+		})
+	}
+	return out
+}
+
+// runNVariantOverhead measures one overhead run.
+func runNVariantOverhead(sc scenario) (NVariantOverheadRow, error) {
+	w, _, breaches := sc.run()
 	if err := failed(breaches); err != nil {
 		return NVariantOverheadRow{}, err
 	}
 	elapsed := w.S.Now()
 	row := NVariantOverheadRow{
-		K:              k,
-		Requests:       requests,
+		K:              len(sc.cfg.Variants),
+		Requests:       nvariantRequests,
 		VirtualMillis:  float64(elapsed) / float64(time.Millisecond),
 		ReplayedEvents: w.C.Monitor().Stats.Replayed,
 		ProducerBlocks: w.Rec.Counter(obs.CRingBlocked),
 	}
 	if elapsed > 0 {
-		row.ThroughputRPS = float64(requests) / elapsed.Seconds()
+		row.ThroughputRPS = float64(nvariantRequests) / elapsed.Seconds()
 	}
 	return row, nil
 }
@@ -303,10 +314,10 @@ const nvariantRequests = 300
 // scenario and assembles the report.
 func RunNVariantReport() (NVariantReport, error) {
 	report := NVariantReport{Schema: NVariantSchemaID}
-	for _, k := range []int{1, 2, 3} {
-		row, err := runNVariantOverhead(k, nvariantRequests)
+	for _, sc := range nvariantOverheadScenarios() {
+		row, err := runNVariantOverhead(sc)
 		if err != nil {
-			return report, fmt.Errorf("nvariant overhead K=%d: %w", k, err)
+			return report, fmt.Errorf("nvariant %s: %w", sc.name, err)
 		}
 		report.Overhead = append(report.Overhead, row)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"mvedsua/internal/apptest"
 	"mvedsua/internal/obs"
 )
 
@@ -91,55 +90,5 @@ func TestValidateMetricsReportRejects(t *testing.T) {
 		t.Error("renamed counter accepted")
 	} else if !strings.Contains(err.Error(), "ringbuf.put") {
 		t.Errorf("rename error does not identify the metric: %v", err)
-	}
-}
-
-// TestSpanModeOnlyAddsSpans pins what the span switch means: spans get
-// recorded, and nothing else. Every metrics row, and timeline's
-// lifecycle row with its tagged requests, runs with and without
-// apptest.World.EnableSpanTracing; the two metric snapshots must be
-// equal, and only the traced run may hold spans. Each side builds its
-// table afresh: injections carry their fired state, so a reused table
-// would silently run the second side without its faults.
-func TestSpanModeOnlyAddsSpans(t *testing.T) {
-	rows := func(traced bool) []scenario {
-		scs := metricsScenarios()
-		for _, sc := range timelineScenarios() {
-			if sc.name == "lifecycle" {
-				sc.setup = nil // its one instrument is span tracing
-				scs = append(scs, sc)
-			}
-		}
-		for i := 0; traced && i < len(scs); i++ {
-			setup := scs[i].setup
-			scs[i].setup = func(w *apptest.World) {
-				if setup != nil {
-					setup(w)
-				}
-				w.EnableSpanTracing()
-			}
-		}
-		return scs
-	}
-	run := func(sc scenario) (obs.Snapshot, int) {
-		t.Helper()
-		w, _, breaches := sc.run()
-		if err := failed(breaches); err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		return w.Rec.Snapshot(), len(w.Rec.Spans())
-	}
-	traced := rows(true)
-	for i, bare := range rows(false) {
-		want, bareSpans := run(bare)
-		got, spans := run(traced[i])
-		if bareSpans != 0 || spans == 0 {
-			t.Errorf("%s: %d spans untraced, %d traced; want none, then some", bare.name, bareSpans, spans)
-		}
-		w, _ := json.Marshal(want)
-		g, _ := json.Marshal(got)
-		if string(w) != string(g) {
-			t.Errorf("%s: span tracing changed the metrics\nuntraced: %s\ntraced:   %s", bare.name, w, g)
-		}
 	}
 }

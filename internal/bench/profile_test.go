@@ -74,41 +74,6 @@ func TestProfileSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestProfilingDoesNotPerturbSchedule pins the observer-effect
-// contract behind every golden artifact: enabling the profiler must
-// not change a single scheduling decision. The same run is executed
-// bare and profiled; dispatch count, final virtual time, and the full
-// schedule must match dispatch for dispatch.
-func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
-	run := func(profiled bool) (sched schedule, dispatches int64, end time.Duration) {
-		s := sim.New()
-		rec := obs.New(s.Now, obs.Options{})
-		if profiled {
-			prof := obs.NewProfiler()
-			s.SetProfiler(prof.ShardSink(0, s.Now))
-		}
-		rs := recordSchedule(s)
-		err := measure(s, RedisTarget(), ModeVaran2, 256, rec, NewMetrics(0), func(_ *world, tk *sim.Task) error {
-			tk.Sleep(100 * time.Millisecond)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return *rs, s.Dispatches(), s.Now()
-	}
-	bareSched, bareDisp, bareEnd := run(false)
-	profSched, profDisp, profEnd := run(true)
-
-	if bareDisp != profDisp {
-		t.Errorf("dispatch counts differ: bare %d vs profiled %d", bareDisp, profDisp)
-	}
-	if bareEnd != profEnd {
-		t.Errorf("final virtual times differ: bare %v vs profiled %v", bareEnd, profEnd)
-	}
-	sameSchedule(t, "bare", bareSched, "profiled", profSched)
-}
-
 // TestProfilerSinkIsTheSwitch: attaching a sink to the scheduler is all
 // profiling takes. With no recorder at all, the mve chokepoints still
 // label the leader's service and the follower's validation.

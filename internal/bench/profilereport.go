@@ -180,39 +180,46 @@ func runProfileDuo(name string, mode Mode) (ProfileScenario, error) {
 	return sc, nil
 }
 
-// runProfileFleet profiles a K-replica kvstore fleet session; when
-// updateAt >= 0 a canary-staged update is installed before that
-// request, and must promote cleanly.
-func runProfileFleet(name string, k, requests, updateAt int) (ProfileScenario, error) {
-	var prof *obs.Profiler
-	want := apptest.Outcome{Leader: "2.0.0", Fleet: k}
-	if updateAt >= 0 {
-		want = apptest.Outcome{Leader: "2.0.1", Fleet: k, Counters: map[string]int64{obs.CCanaryPromotions: 1}}
-	}
-	_, _, breaches := scenario{
-		cfg: fleetConfig(k),
-		setup: func(w *apptest.World) {
-			w.K.BaseCost = KernelCost
-			prof = w.EnableProfiling()
-		},
-		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
-			for i := 0; i < requests; i++ {
-				if i == updateAt {
-					w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+// profileFleetScenarios are the profile experiment's fleet runs: a
+// K-replica kvstore session of 60 requests at K = 1, 2 and 3, and one at
+// K = 3 with a canary-staged update installed before request 10, which
+// must promote cleanly.
+func profileFleetScenarios() []scenario {
+	fleet := func(name string, k, updateAt int) scenario {
+		want := apptest.Outcome{Leader: "2.0.0", Fleet: k}
+		if updateAt >= 0 {
+			want = apptest.Outcome{Leader: "2.0.1", Fleet: k, Counters: map[string]int64{obs.CCanaryPromotions: 1}}
+		}
+		return scenario{
+			name:  name,
+			cfg:   fleetConfig(k),
+			setup: func(w *apptest.World) { w.K.BaseCost = KernelCost },
+			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
+				for i := 0; i < 60; i++ {
+					if i == updateAt {
+						w.C.Update(kvstore.Update("2.0.0", "2.0.1", kvstore.UpdateOpts{}))
+					}
+					c.Do(tk, "INCR prof")
+					tk.Sleep(5 * time.Millisecond)
 				}
-				c.Do(tk, "INCR prof")
-				tk.Sleep(5 * time.Millisecond)
-			}
-			tk.Sleep(200 * time.Millisecond)
-		},
-		want: want,
-	}.run()
-	if err := failed(breaches); err != nil {
-		return ProfileScenario{}, fmt.Errorf("fleet %s: %w", name, err)
+				tk.Sleep(200 * time.Millisecond)
+			},
+			want: want,
+		}
 	}
-	sc := profileScenario(name, prof)
-	sc.K = k
-	return sc, nil
+	return []scenario{fleet("fleet-k1", 1, -1), fleet("fleet-k2", 2, -1), fleet("fleet-k3", 3, -1), fleet("fleet-k3-canary", 3, 10)}
+}
+
+// runProfileFleet profiles one fleet run.
+func runProfileFleet(sc scenario) (ProfileScenario, error) {
+	var prof *obs.Profiler
+	_, _, breaches := sc.with(func(w *apptest.World) { prof = w.EnableProfiling() }).run()
+	if err := failed(breaches); err != nil {
+		return ProfileScenario{}, err
+	}
+	ps := profileScenario(sc.name, prof)
+	ps.K = len(sc.cfg.Variants)
+	return ps, nil
 }
 
 // Sweep sizing: 4 groups so the 4-shard point places one group per
@@ -264,18 +271,13 @@ func RunProfileReport() (*ProfileReport, error) {
 		report.Duo = append(report.Duo, sc)
 	}
 
-	for _, k := range []int{1, 2, 3} {
-		sc, err := runProfileFleet(fmt.Sprintf("fleet-k%d", k), k, 60, -1)
+	for _, fleet := range profileFleetScenarios() {
+		sc, err := runProfileFleet(fleet)
 		if err != nil {
-			return nil, fmt.Errorf("profile fleet k=%d: %w", k, err)
+			return nil, fmt.Errorf("profile %s: %w", fleet.name, err)
 		}
 		report.Fleet = append(report.Fleet, sc)
 	}
-	sc, err := runProfileFleet("fleet-k3-canary", 3, 60, 10)
-	if err != nil {
-		return nil, fmt.Errorf("profile fleet canary: %w", err)
-	}
-	report.Fleet = append(report.Fleet, sc)
 
 	var baseFold string
 	report.FoldedCPUInvariant = true

@@ -70,6 +70,18 @@ func tally(commits, rollbacks int64) map[string]int64 {
 // duo lifts a duo controller configuration into a scenario's cfg.
 func duo(cfg core.Config) core.FleetConfig { return core.FleetConfig{Config: cfg} }
 
+// with returns sc with f also run on its world, after sc's own setup.
+func (sc scenario) with(f func(w *apptest.World)) scenario {
+	setup := sc.setup
+	sc.setup = func(w *apptest.World) {
+		if setup != nil {
+			setup(w)
+		}
+		f(w)
+	}
+	return sc
+}
+
 // run builds the world, binds the fault plan to it, deploys the server,
 // drives it to completion and tears it down. The world and the plan come
 // back for whatever is read after teardown (the Final state, the registry,

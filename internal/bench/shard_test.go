@@ -8,40 +8,28 @@ import (
 	"mvedsua/internal/sim"
 )
 
-// The strong-scaling contract: every sweep point completes the same
-// bounded workload (TotalOps invariant), and because a shard's clock
+// The speedup curve of the shared perf run is strong scaling: every
+// point completes the same bounded workload, and because a shard's clock
 // only advances for its own groups' work, the virtual makespan strictly
-// shrinks as the fixed workload spreads over more shards — the
-// deterministic speedup curve.
-func TestSpeedupPointInvariantAcrossShardCounts(t *testing.T) {
+// shrinks as the workload spreads over more shards. Which of the
+// workload's other figures must not move with placement is the
+// relation table's shard row, TestShardCountDoesNotChangeWorkloads.
+func TestSpeedupCurveScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup sweep is a full workload run")
 	}
-	base, err := runSpeedupPoint(1)
-	if err != nil {
-		t.Fatalf("shards=1: %v", err)
+	c := decodeFresh[PerfReport](t, "perf").Speedup
+	if c == nil || len(c.Points) < 2 {
+		t.Fatalf("speedup curve %+v, want two points or more", c)
 	}
-	if base.TotalOps != int64(speedupGroups*speedupClients*speedupOps) {
-		t.Fatalf("TotalOps = %d, want %d (bounded clients must run to completion)",
-			base.TotalOps, speedupGroups*speedupClients*speedupOps)
-	}
-	if base.Syscalls == 0 || base.Dispatches == 0 || base.VirtualUS == 0 {
-		t.Fatalf("empty accounting: %+v", base)
-	}
-	prevVirtual := base.VirtualUS
-	for _, shards := range []int{2, 4} {
-		p, err := runSpeedupPoint(shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+	want := int64(c.Groups * c.ClientsPerGroup * c.OpsPerClient)
+	for i, p := range c.Points {
+		if p.TotalOps != want {
+			t.Errorf("%d shards: TotalOps = %d, want %d (bounded clients must run to completion)", p.Shards, p.TotalOps, want)
 		}
-		if p.TotalOps != base.TotalOps {
-			t.Errorf("shards=%d TotalOps = %d, want %d", shards, p.TotalOps, base.TotalOps)
+		if i > 0 && p.VirtualUS >= c.Points[i-1].VirtualUS {
+			t.Errorf("%d shards: virtual makespan %dus did not shrink (previous %dus)", p.Shards, p.VirtualUS, c.Points[i-1].VirtualUS)
 		}
-		if p.VirtualUS >= prevVirtual {
-			t.Errorf("shards=%d virtual makespan %dus did not shrink (previous %dus)",
-				shards, p.VirtualUS, prevVirtual)
-		}
-		prevVirtual = p.VirtualUS
 	}
 }
 

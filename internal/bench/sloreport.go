@@ -89,16 +89,16 @@ type tracked struct {
 // exact reply want — then pauses.
 type doFunc func(cmd, want string, pause time.Duration)
 
-// run executes the scenario and calls row inside the driver, once the
+// scenario is the run of t: it calls row inside the driver, once the
 // load is done, with the run's ledger: the figures must be read before
 // teardown mutates the world. The ledger's update activity is the
 // controller's timeline, read by updateWindows, and its faults are the
 // plan's firings.
-func (t tracked) run(row func(w *apptest.World, ledger obs.SLOReport, outcome string)) error {
+func (t tracked) scenario(row func(w *apptest.World, ledger obs.SLOReport, outcome string)) scenario {
 	var tr *obs.SLOTracker
 	plan := chaos.NewPlan(t.faults...)
-	_, _, breaches := scenario{
-		cfg: t.cfg, plan: plan, want: t.want,
+	return scenario{
+		name: t.name, cfg: t.cfg, plan: plan, want: t.want,
 		setup: func(w *apptest.World) { tr = obs.NewSLOTracker(w.Rec) },
 		drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 			outcome := t.load(w, func(cmd, want string, pause time.Duration) {
@@ -111,7 +111,13 @@ func (t tracked) run(row func(w *apptest.World, ledger obs.SLOReport, outcome st
 			})
 			row(w, tr.Report(updateWindows(w.C.Timeline(), w.Rec.Now()), plan.FaultTimes()), outcome)
 		},
-	}.run()
+	}
+}
+
+// run executes t's scenario with row and returns its breaches as one
+// error.
+func (t tracked) run(row func(w *apptest.World, ledger obs.SLOReport, outcome string)) error {
+	_, _, breaches := t.scenario(row).run()
 	return failed(breaches)
 }
 

@@ -3,14 +3,8 @@ package bench
 import (
 	"encoding/json"
 	"testing"
-	"time"
 
-	"mvedsua/internal/apps/memcache"
-	"mvedsua/internal/apptest"
-	"mvedsua/internal/core"
-	"mvedsua/internal/dsu"
 	"mvedsua/internal/obs"
-	"mvedsua/internal/sim"
 )
 
 // TestTimelineReportDeterministic runs the traced scenarios again and
@@ -114,68 +108,4 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 	if err := ValidateChromeTrace(ok); err != nil {
 		t.Fatalf("independent tracks rejected: %v", err)
 	}
-}
-
-// TestSpanTracingDoesNotPerturbSchedule is the observer-effect guard:
-// the Memcached duo update — the most interleaving-sensitive
-// configuration in the suite — runs once bare and once with span
-// tracing fully enabled (spans, kernel I/O metrics, per-dispatch run
-// slices, tagged requests on the wire), and the virtual-time schedule
-// must be byte-identical. Tracing observes; it never advances the
-// clock or reorders a wakeup.
-func TestSpanTracingDoesNotPerturbSchedule(t *testing.T) {
-	run := func(traced bool) (schedule, time.Duration) {
-		w := apptest.NewWorld(core.Config{DSU: dsu.Config{
-			EpollWaitIsUpdatePoint: true,
-			EpollUpdateInterval:    5 * time.Millisecond,
-			OnAbort:                memcache.AbortReset,
-		}})
-		if traced {
-			w.EnableSpanTracing()
-		}
-		sched := recordSchedule(w.S) // wraps the span hook, if any
-		w.C.Start(memcache.New(memcache.SpecFor("1.2.2", 1)))
-		w.S.Go("driver", func(tk *sim.Task) {
-			defer w.Finish()
-			a := apptest.Connect(w.K, tk, memcache.Port)
-			defer a.Close(tk)
-			a.SendTagged(tk, 1, "set k 0 0 5\r\nhello\r\n")
-			a.RecvUntil(tk, "STORED\r\n")
-			w.C.Update(memcache.Update("1.2.2", "1.2.3", memcache.UpdateOpts{}))
-			reqID := uint64(2)
-			for round := 0; round < 40; round++ {
-				a.SendTagged(tk, reqID, "get k\r\n")
-				reqID++
-				a.RecvUntil(tk, "END\r\n")
-				tk.Sleep(15 * time.Millisecond)
-				if w.C.Stage() == core.StageOutdatedLeader {
-					break
-				}
-			}
-			if w.C.Stage() == core.StageOutdatedLeader {
-				w.C.Promote()
-				for i := 0; i < 5; i++ {
-					a.SendTagged(tk, reqID, "get k\r\n")
-					reqID++
-					a.RecvUntil(tk, "END\r\n")
-					tk.Sleep(15 * time.Millisecond)
-				}
-				w.C.Commit()
-			}
-		})
-		if err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if traced && len(w.Rec.Spans()) == 0 {
-			t.Fatal("traced run recorded no spans")
-		}
-		return *sched, w.S.Now()
-	}
-	bareSched, bareClock := run(false)
-	spanSched, spanClock := run(true)
-	if bareClock != spanClock {
-		t.Fatalf("final clock differs: bare %v vs traced %v", bareClock, spanClock)
-	}
-	sameSchedule(t, "bare", bareSched, "traced", spanSched)
-	t.Logf("schedules identical for %d dispatches (final clock %v)", len(bareSched), bareClock)
 }

@@ -62,8 +62,8 @@ type TimelineReport struct {
 	ChromeTrace []byte `json:"-"`
 }
 
-// timelineScenarios lists the traced runs: span tracing on, every client
-// request tagged, counting up from 1.
+// timelineScenarios lists the runs RunTimelineReport traces: every
+// client request tagged, counting up from 1.
 func timelineScenarios() []scenario {
 	// tagged returns the run's traffic source: n tagged INCRs 10ms apart.
 	tagged := func(tk *sim.Task, c *apptest.Client) func(n int) {
@@ -86,9 +86,8 @@ func timelineScenarios() []scenario {
 			// single-leader, duo validation, promotion, commit. The
 			// request histograms cover all three decomposition
 			// components.
-			name:  "lifecycle",
-			want:  apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
-			setup: (*apptest.World).EnableSpanTracing,
+			name: "lifecycle",
+			want: apptest.Outcome{Leader: "2.0.1", Counters: tally(1, 0)},
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
 				lifecycle(w.C, tagged(tk, c))
 			},
@@ -114,7 +113,6 @@ func timelineScenarios() []scenario {
 				afterRetry,
 			},
 			setup: func(w *apptest.World) {
-				w.EnableSpanTracing()
 				afterRetry.When = func() bool { return w.C.Retries() > 0 }
 			},
 			drive: func(w *apptest.World, tk *sim.Task, c *apptest.Client) {
@@ -132,12 +130,12 @@ func timelineScenarios() []scenario {
 	}
 }
 
-// RunTimelineReport executes every traced scenario and summarizes each
-// run's request decomposition.
+// RunTimelineReport executes every timeline scenario with span tracing
+// on and summarizes each run's request decomposition.
 func RunTimelineReport() (TimelineReport, error) {
 	report := TimelineReport{Schema: TimelineSchemaID}
 	for _, sc := range timelineScenarios() {
-		w, _, breaches := sc.run()
+		w, _, breaches := sc.with((*apptest.World).EnableSpanTracing).run()
 		if err := failed(breaches); err != nil {
 			return report, fmt.Errorf("timeline %s: %w", sc.name, err)
 		}

@@ -127,23 +127,17 @@ rule "v2-to-v1-reply" {
 	}
 }
 
-// harness wires a controller plus a gated client and runs the scenario.
-type harness struct {
+// pinger is a test world's client side: the scheduler and kernel it
+// runs on, the replies it read and whether it finished.
+type pinger struct {
 	s       *sim.Scheduler
 	k       *vos.Kernel
-	c       *Controller
 	replies []string
 	done    bool
 }
 
-func newHarness(cfg Config) *harness {
-	s := sim.New()
-	k := vos.NewKernel(s)
-	return &harness{s: s, k: k, c: New(k, cfg)}
-}
-
 // client sends pings, invoking hooks[i] before message i (nil = none).
-func (h *harness) client(n int, hooks map[int]func(tk *sim.Task)) {
+func (h *pinger) client(n int, hooks map[int]func(tk *sim.Task)) {
 	h.s.Go("client", func(tk *sim.Task) {
 		fd := int(h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{9000, 0}}).Ret)
 		for i := 0; i < n; i++ {
@@ -160,6 +154,18 @@ func (h *harness) client(n int, hooks map[int]func(tk *sim.Task)) {
 		h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: fd})
 		h.done = true
 	})
+}
+
+// harness wires a controller plus a gated client and runs the scenario.
+type harness struct {
+	pinger
+	c *Controller
+}
+
+func newHarness(cfg Config) *harness {
+	s := sim.New()
+	k := vos.NewKernel(s)
+	return &harness{pinger: pinger{s: s, k: k}, c: New(k, cfg)}
 }
 
 func (h *harness) run(t *testing.T) {
@@ -552,7 +558,7 @@ func TestLeaderCrashAfterCommittedUpdatePromotesNextCandidate(t *testing.T) {
 // crash first — passes it on and records nothing.
 func TestCrashReachesItsOwnControllerOnASharedScheduler(t *testing.T) {
 	a := newHarness(Config{})
-	b := &harness{s: a.s, k: vos.NewKernel(a.s)}
+	b := &harness{pinger: pinger{s: a.s, k: vos.NewKernel(a.s)}}
 	b.c = New(b.k, Config{})
 	a.c.Start(&srv{version: "v1", crashOn: 5})
 	b.c.Start(&srv{version: "v1"})

@@ -65,12 +65,9 @@ func TestFleetConfigValidate(t *testing.T) {
 
 // fleetHarness wires a fleet controller plus a gated client.
 type fleetHarness struct {
-	s       *sim.Scheduler
-	k       *vos.Kernel
-	fc      *FleetController
-	rec     *obs.Recorder
-	replies []string
-	done    bool
+	pinger
+	fc  *FleetController
+	rec *obs.Recorder
 }
 
 func newFleetHarness(cfg FleetConfig) *fleetHarness {
@@ -78,24 +75,7 @@ func newFleetHarness(cfg FleetConfig) *fleetHarness {
 	k := vos.NewKernel(s)
 	rec := obs.New(s.Now, obs.Options{})
 	cfg.Recorder = rec
-	return &fleetHarness{s: s, k: k, rec: rec, fc: NewFleet(k, cfg)}
-}
-
-func (h *fleetHarness) client(n int, hooks map[int]func(tk *sim.Task)) {
-	h.s.Go("client", func(tk *sim.Task) {
-		fd := int(h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{9000, 0}}).Ret)
-		for i := 0; i < n; i++ {
-			if hook := hooks[i]; hook != nil {
-				hook(tk)
-			}
-			h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte("ping")})
-			r := h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: fd, Args: [2]int64{64, 0}})
-			h.replies = append(h.replies, string(r.Data))
-			tk.Sleep(10 * time.Millisecond)
-		}
-		h.k.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: fd})
-		h.done = true
-	})
+	return &fleetHarness{pinger: pinger{s: s, k: k}, rec: rec, fc: NewFleet(k, cfg)}
 }
 
 func (h *fleetHarness) run(t *testing.T) {

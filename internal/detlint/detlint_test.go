@@ -280,9 +280,6 @@ var testOnlyAllowed = map[string]string{
 	"sim.Task.Join":         "test primitive of other packages: mve's turn-wait tests join the follower threads before teardown, and the dispatch counts they pin include the joiner's wakes",
 	"vos.Kernel.OpenFDs":    "observation point: the descriptor-leak tests of ftpd and vos count live descriptors; production publishes the same number as a gauge",
 
-	"bench.Fig7Point":          "entry point of the root package's BenchmarkAblation* (bench_test.go)",
-	"bench.Fig7PointImmediate": "as bench.Fig7Point",
-
 	"ringbuf.Buffer.Peek":      "K = 1 reference view: Buffer presents the whole consumer side of one Cursor, and ringbuf's property tests hold MultiBuffer to it; the benchmark adapter drives the other forwarders",
 	"ringbuf.Buffer.DrainUpTo": "as ringbuf.Buffer.Peek",
 	"ringbuf.Buffer.Reset":     "as ringbuf.Buffer.Peek",
