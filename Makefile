@@ -7,7 +7,7 @@ GO ?= go
 # validated).
 ARTIFACTS := metrics perf timeline nvariant slo train profile
 
-.PHONY: all build test vet fmt-check check lint-maps lint-exports lint-verdicts lines coverage-census adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
+.PHONY: all build test vet fmt-check check lint-maps lint-exports lint-verdicts lines fuzz coverage-census adapter-compat $(ARTIFACTS:%=%-smoke) shard-determinism $(ARTIFACTS:%=bench-%) bench-all bench-ring bench-replay bench-rules bench-sched bench-floor bench-fork experiments examples clean
 
 all: check
 
@@ -96,6 +96,20 @@ lines:
 		t=$$(ls $$d/*_test.go 2>/dev/null | xargs -r cat | wc -l); \
 		printf '%-24s %8d %8d\n' $$d $$n $$t; \
 	done | awk '{ print; n += $$2; t += $$3 } END { printf "%-24s %8d %8d\n", "total", n, t }'
+
+# Fuzzing, which `check` does not run (plain `go test` only replays each
+# target's seed corpus): every Fuzz* target in the tree, found per package
+# with `go test -list`, fuzzed for FUZZTIME each. A failing input lands in
+# the package's testdata/fuzz/<target>, where plain `go test` replays it;
+# the sweep goes on through the other targets and then fails.
+FUZZTIME ?= 30s
+fuzz:
+	@fail=0; for p in $$($(GO) list ./...); do \
+		for f in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
+			echo "== $$p $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$p || fail=1; \
+		done; \
+	done; exit $$fail
 
 # Production-coverage census, a report that `check` does not run (a few
 # minutes): per package of internal/, the statements `go test` executes

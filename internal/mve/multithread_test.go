@@ -228,3 +228,115 @@ rule "capital-w" {
 		t.Fatalf("divergences with per-thread rules: %v", m.Divergences())
 	}
 }
+
+// TestRewriteChangesEventCountAcrossThreads drives rules that change how
+// many events a thread issues through a two-thread follower: the new
+// version reads the clock twice where the old read it once, and writes in
+// one call what the old wrote in two. Thread 0's pair of writes straddles
+// thread 1's events in the leader's interleaving, and the follower's
+// thread 0 starts late, so each rewrite lands on a queue with a backlog
+// behind it and other threads' events recorded between.
+func TestRewriteChangesEventCountAcrossThreads(t *testing.T) {
+	rules := mustRules(t, `
+rule "clock-twice" {
+    match clock(ts) {
+        emit clock(ts), clock(ts);
+    }
+}
+rule "join-writes" {
+    match write(fd, a, n), write(fd2, b, m) where prefix(a, "a") && prefix(b, "b") {
+        emit write(fd, concat(a, b), n + m);
+    }
+}
+`)
+	const rounds = 4
+	s := sim.New()
+	k := vos.NewKernel(s)
+	m := New(k, 64, Costs{})
+	leader := m.StartSingleLeader("v0")
+	follower := m.AttachCandidate("v1", rules, 0)
+	var jfd int
+	var leaderClocks, followerClocks [2][]int64
+	done := 0
+	// The old version: thread 0 reads the clock and writes "a<i>;" and
+	// "b<i>;" a millisecond apart; thread 1 writes "x<i>;" and reads the
+	// clock every 3 ms, sometimes between a thread-0 pair, sometimes not.
+	s.Go("leader", func(tk *sim.Task) {
+		lfd := int(leader.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{9, 0}}).Ret)
+		jfd = int(leader.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: lfd}).Ret)
+		s.Go("l-t0", func(tk *sim.Task) {
+			for i := 0; i < rounds; i++ {
+				leaderClocks[0] = append(leaderClocks[0], leader.Invoke(tk, sysabi.Call{Op: sysabi.OpClock, TID: 0}).Ret)
+				leader.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: jfd, Buf: []byte(fmt.Sprintf("a%d;", i)), TID: 0})
+				tk.Sleep(time.Millisecond)
+				leader.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: jfd, Buf: []byte(fmt.Sprintf("b%d;", i)), TID: 0})
+				tk.Sleep(time.Millisecond)
+			}
+		})
+		s.Go("l-t1", func(tk *sim.Task) {
+			tk.Sleep(500 * time.Microsecond)
+			for i := 0; i < rounds; i++ {
+				leader.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: jfd, Buf: []byte(fmt.Sprintf("x%d;", i)), TID: 1})
+				leaderClocks[1] = append(leaderClocks[1], leader.Invoke(tk, sysabi.Call{Op: sysabi.OpClock, TID: 1}).Ret)
+				tk.Sleep(3 * time.Millisecond)
+			}
+		})
+	})
+	// The new version: two clock reads for each of the old one, one write
+	// for thread 0's pair.
+	s.Go("follower", func(tk *sim.Task) {
+		flfd := int(follower.Invoke(tk, sysabi.Call{Op: sysabi.OpSocket, Args: [2]int64{9, 0}}).Ret)
+		follower.Invoke(tk, sysabi.Call{Op: sysabi.OpAccept, FD: flfd})
+		clocks := func(tk *sim.Task, tid int) {
+			for j := 0; j < 2; j++ {
+				followerClocks[tid] = append(followerClocks[tid], follower.Invoke(tk, sysabi.Call{Op: sysabi.OpClock, TID: tid}).Ret)
+			}
+		}
+		s.Go("f-t0", func(tk *sim.Task) {
+			tk.Sleep(20 * time.Millisecond)
+			for i := 0; i < rounds; i++ {
+				clocks(tk, 0)
+				follower.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: jfd, Buf: []byte(fmt.Sprintf("a%d;b%d;", i, i)), TID: 0})
+			}
+			done++
+		})
+		s.Go("f-t1", func(tk *sim.Task) {
+			for i := 0; i < rounds; i++ {
+				follower.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: jfd, Buf: []byte(fmt.Sprintf("x%d;", i)), TID: 1})
+				clocks(tk, 1)
+			}
+			done++
+		})
+	})
+	s.Go("client", func(tk *sim.Task) {
+		k.Invoke(tk, sysabi.Call{Op: sysabi.OpConnect, Args: [2]int64{9, 0}})
+	})
+	s.Go("teardown", func(tk *sim.Task) {
+		for done < 2 && tk.Now() < 5*time.Second {
+			tk.Sleep(time.Millisecond)
+		}
+		ejectAll(m, "dropped")
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(m.Divergences()) != 0 {
+		t.Fatalf("divergences: %v", m.Divergences())
+	}
+	if done != 2 {
+		t.Fatalf("%d of 2 follower threads finished", done)
+	}
+	// Every clock read and every write pair was rewritten.
+	if want := int64(3 * rounds); m.Stats.Rewritten != want {
+		t.Errorf("%d rule hits, want %d", m.Stats.Rewritten, want)
+	}
+	for tid := range leaderClocks {
+		var want []int64
+		for _, ts := range leaderClocks[tid] {
+			want = append(want, ts, ts)
+		}
+		if fmt.Sprint(followerClocks[tid]) != fmt.Sprint(want) {
+			t.Errorf("thread %d's follower clocks = %v, want each of the leader's %v twice", tid, followerClocks[tid], leaderClocks[tid])
+		}
+	}
+}

@@ -20,7 +20,7 @@ type queue[T any] struct {
 func (q *queue[T]) len() int { return len(q.buf) - q.head }
 
 // window returns the pending entries, oldest first. It aliases the
-// queue's storage and is invalidated by the next push or pop.
+// queue's storage and is invalidated by the next push, pop or replace.
 func (q *queue[T]) window() []T { return q.buf[q.head:] }
 
 // front returns the oldest pending entry, under window's aliasing rule.
@@ -44,17 +44,29 @@ func (q *queue[T]) pop(n int) {
 	}
 }
 
-// expGroup is the result of one transformation of the front of a thread's
-// raw window: a rule's rewrite, or the identity pass-through of one event
-// when no rule fired. The events the follower is expected to issue and the
-// raw sequence numbers consumed besides the first (used for global-order
-// retirement; only a multi-event rule match has any) wait in the stream's
-// evs and seqs queues, in group order; the group holds the counts.
+// replace puts with in place of the n oldest entries (n <= len), which
+// the caller has done with. Growing into the dead prefix costs nothing;
+// only when that is too short are the entries behind shifted up to open
+// the gap, and only then can the backing array grow.
+func (q *queue[T]) replace(n int, with []T) {
+	if gap := len(with) - n - q.head; gap > 0 {
+		q.buf = append(q.buf, make([]T, gap)...)
+		copy(q.buf[q.head+n+gap:], q.buf[q.head+n:])
+		q.head += gap
+	}
+	h := q.head + n - len(with)
+	clear(q.buf[q.head:max(q.head, h)])
+	copy(q.buf[h:], with)
+	q.head = h
+}
+
+// expGroup is what a thread validates next: the events at the front of
+// its queue that one transformation of the queue's front produced — a
+// rule's rewrite, or, when no rule fired, the front event itself.
 type expGroup struct {
-	seq  uint64 // first raw sequence number consumed
-	n    int    // events expected, at the front of evs once this group is the oldest
-	more int    // other raw sequence numbers consumed, likewise in seqs
-	idx  int    // events validated so far
+	seq uint64 // first raw sequence number consumed
+	n   int    // events expected, at the front of the queue; 0: no group
+	idx int    // events validated so far
 }
 
 // tidStream is one logical thread's share of a proc's state. While the
@@ -64,10 +76,9 @@ type expGroup struct {
 // programs.
 type tidStream struct {
 	p    *Proc               // the proc the stream belongs to
-	raw  queue[sysabi.Event] // pulled from the ring, pre-rewrite
-	exp  queue[expGroup]     // rewritten, awaiting validation
-	evs  queue[sysabi.Event] // the expected events of exp's groups, each owning its payloads
-	seqs queue[uint64]       // the extra sequence numbers of exp's groups
+	q    queue[sysabi.Event] // the group's unvalidated events, then what the ring delivered since
+	grp  expGroup            // the group at q's front
+	more []uint64            // the group's other raw sequence numbers (a multi-event rule match only)
 	wait sim.WaitQueue       // the thread, awaiting its events or its turn
 	req  reqOpen             // while serving: the thread's open tagged request (recorder attached only)
 
@@ -94,11 +105,8 @@ func (p *Proc) stream(tid int) *tidStream {
 // sim.Waiter: false on the thread's turn and on anything else — a role
 // change, a stream dropQueued emptied — that the thread must wake to see.
 func (st *tidStream) StillWaiting() bool {
-	if st.p.role != RoleFollower || st.exp.len() == 0 {
-		return false
-	}
-	g := st.exp.front()
-	return g.idx == 0 && g.seq != st.p.globalNext
+	g := &st.grp
+	return st.p.role == RoleFollower && g.n > 0 && g.idx == 0 && g.seq != st.p.globalNext
 }
 
 // wakeAllTIDs wakes every thread parked on its stream, in ascending TID
@@ -115,23 +123,22 @@ func (p *Proc) wakeAllTIDs() {
 
 func (p *Proc) queuesEmpty() bool {
 	for _, st := range p.streams {
-		if st != nil && (st.raw.len() > 0 || st.exp.len() > 0) {
+		if st != nil && st.q.len() > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// retire marks every raw event g, the oldest group of st, consumed as
-// validated and advances globalNext over them. A group starts only once
-// its first sequence number is globalNext, so that one retires in order;
-// only a multi-event rule match can reach ahead, past other threads'
-// events, and those sequence numbers wait in p.ahead until globalNext
-// catches up.
-func (p *Proc) retire(st *tidStream, g *expGroup) {
-	p.globalNext = g.seq + 1
-	p.ahead = append(p.ahead, st.seqs.window()[:g.more]...)
-	st.seqs.pop(g.more)
+// retire marks every raw event st's group consumed as validated, advances
+// globalNext over them and ends the group. A group starts only once its
+// first sequence number is globalNext, so that one retires in order; only
+// a multi-event rule match can reach ahead, past other threads' events,
+// and those sequence numbers wait in p.ahead until globalNext catches up.
+func (p *Proc) retire(st *tidStream) {
+	p.globalNext = st.grp.seq + 1
+	p.ahead = append(p.ahead, st.more...)
+	st.grp, st.more = expGroup{}, st.more[:0]
 	for i := 0; i < len(p.ahead); {
 		if p.ahead[i] != p.globalNext {
 			i++
@@ -149,21 +156,16 @@ func (p *Proc) retire(st *tidStream, g *expGroup) {
 // payloads no application ever saw back to the ring. Parked threads stay
 // parked on their streams.
 func (p *Proc) dropQueued() {
-	drop := func(q *queue[sysabi.Event]) {
-		evs := q.window()
-		for i := range evs {
-			p.m.ring.Recycle(&evs[i])
-		}
-		q.pop(len(evs))
-	}
 	for _, st := range p.streams {
 		if st == nil {
 			continue
 		}
-		drop(&st.raw)
-		drop(&st.evs)
-		st.exp.pop(st.exp.len())
-		st.seqs.pop(st.seqs.len())
+		evs := st.q.window()
+		for i := range evs {
+			p.m.ring.Recycle(&evs[i])
+		}
+		st.q.pop(len(evs))
+		st.grp, st.more = expGroup{}, st.more[:0]
 	}
 	p.ahead = p.ahead[:0]
 }

@@ -35,6 +35,18 @@ func (m *queueModel) pop(n int) {
 	m.ref = m.ref[n:]
 }
 
+// replace puts k fresh events in place of the n oldest.
+func (m *queueModel) replace(n, k int) {
+	n = min(n, len(m.ref))
+	with := make([]sysabi.Event, k)
+	for i := range with {
+		m.next++
+		with[i] = sysabi.Event{Seq: m.next, Call: sysabi.Call{Op: sysabi.OpWrite, Buf: []byte{byte(m.next)}}}
+	}
+	m.q.replace(n, with)
+	m.ref = append(with, m.ref[n:]...)
+}
+
 // check compares the implementation with the reference. The full window
 // and slot scan is O(backlog), so long runs call it with full=false most
 // of the time and compare only the ends.
@@ -104,7 +116,10 @@ func (m *queueModel) runScript(script []byte) error {
 // TestEventQueueMatchesReference holds a backlog of 1 to 4 096 events
 // through several times its own length of push-one/pop-one traffic with
 // random bursts mixed in — across growth, compaction and the reset on
-// empty — and then drains it.
+// empty — and then drains it. Then it replaces the oldest one or three
+// events by fewer, as many and more, behind no dead prefix, a dead prefix
+// shorter than the gap and one long enough to take it; the last must not
+// touch the backing array's capacity.
 func TestEventQueueMatchesReference(t *testing.T) {
 	for _, backlog := range []int{1, 2, 7, 64, 1000, 4096} {
 		t.Run(fmt.Sprintf("backlog%d", backlog), func(t *testing.T) {
@@ -136,6 +151,23 @@ func TestEventQueueMatchesReference(t *testing.T) {
 			}
 			if m.q.head != 0 || len(m.q.buf) != 0 {
 				t.Fatalf("drained queue not reset: head %d len %d", m.q.head, len(m.q.buf))
+			}
+			for _, dead := range []int{0, 1, 4} {
+				for _, n := range []int{1, 3} {
+					for k := max(1, n-2); k <= n+3; k++ {
+						m.push(backlog + dead)
+						m.pop(dead)
+						before := cap(m.q.buf)
+						m.replace(n, k)
+						if err := m.check(true); err != nil {
+							t.Fatalf("replace %d by %d behind %d dead: %v", n, k, dead, err)
+						}
+						if k-min(n, backlog) <= dead && cap(m.q.buf) != before {
+							t.Fatalf("replace %d by %d behind %d dead: capacity %d -> %d", n, k, dead, before, cap(m.q.buf))
+						}
+						m.pop(len(m.ref))
+					}
+				}
 			}
 		})
 	}
@@ -220,18 +252,16 @@ func TestRetireCatchesUpWithSeqsRetiredAhead(t *testing.T) {
 		{7, nil, 10},
 		{10, []uint64{11}, 12},
 	} {
-		// As transform queues a group: its extra sequence numbers go onto
-		// the stream's queue, the group keeps their count.
-		for _, seq := range step.more {
-			st.seqs.push(seq)
-		}
-		g := expGroup{seq: step.seq, n: 1, more: len(step.more)}
-		p.retire(st, &g)
+		// As transform makes a group: its first sequence number goes into
+		// the group, the others onto the stream.
+		st.grp = expGroup{seq: step.seq, n: 1}
+		st.more = append(st.more, step.more...)
+		p.retire(st)
 		if p.globalNext != step.next {
 			t.Fatalf("after retiring #%d%v: globalNext = %d, want %d", step.seq, step.more, p.globalNext, step.next)
 		}
-		if st.seqs.len() != 0 {
-			t.Fatalf("after retiring #%d: %d sequence numbers left on the stream", step.seq, st.seqs.len())
+		if len(st.more) != 0 {
+			t.Fatalf("after retiring #%d: %d sequence numbers left on the stream", step.seq, len(st.more))
 		}
 	}
 	if len(p.ahead) != 0 {

@@ -206,7 +206,7 @@ func TestTurnWaitPredicate(t *testing.T) {
 	if st.StillWaiting() {
 		t.Error("waiting on an empty stream (dropQueued emptied it)")
 	}
-	st.exp.push(expGroup{seq: 9, n: 2})
+	st.grp = expGroup{seq: 9, n: 2}
 	if !st.StillWaiting() {
 		t.Error("not waiting with the group's first event out of turn")
 	}
@@ -215,11 +215,11 @@ func TestTurnWaitPredicate(t *testing.T) {
 		t.Error("waiting after a role change")
 	}
 	p.role = RoleFollower
-	st.exp.front().idx = 1
+	st.grp.idx = 1
 	if st.StillWaiting() {
 		t.Error("waiting inside a started group")
 	}
-	st.exp.front().idx = 0
+	st.grp.idx = 0
 	p.globalNext = 9
 	if st.StillWaiting() {
 		t.Error("waiting on its own turn")

@@ -43,12 +43,12 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 	st := p.stream(call.TID)
 	var exp sysabi.Event
 	for {
-		for st.exp.len() == 0 {
+		for st.grp.n == 0 {
 			if roleChanged := p.fillExpected(t, call.TID, st); roleChanged || p.role != RoleFollower {
 				return sysabi.Result{}, true
 			}
 		}
-		g := st.exp.front()
+		g := &st.grp
 		// Honour the leader's global interleaving: a new group may only
 		// start when its first raw event is the oldest unretired one. Every
 		// retirement wakes every thread; sim settles those still out of turn.
@@ -59,8 +59,8 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 			}
 			continue
 		}
-		exp = *st.evs.front()
-		st.evs.pop(1)
+		exp = *st.q.front()
+		st.q.pop(1)
 		g.idx++
 		p.m.Stats.Replayed++
 		p.progress++
@@ -69,8 +69,7 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 			rec.Inc(obs.CSyscallsFollower)
 		}
 		if g.idx >= g.n {
-			p.retire(st, g)
-			st.exp.pop(1)
+			p.retire(st)
 			p.wakeAllTIDs()
 		}
 		break
@@ -150,7 +149,7 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 	return exp.Result, false
 }
 
-// fillExpected makes progress towards having an expected event for tid
+// fillExpected makes progress towards having an expected group for tid
 // (whose stream is st): it transforms buffered raw events or pulls more
 // entries from the ring buffer (demultiplexing them to the owning
 // threads). It reports true if the proc's role changed (promotion
@@ -165,12 +164,12 @@ func (p *Proc) fillExpected(t *sim.Task, tid int, st *tidStream) bool {
 			p.becomeLeader()
 			return true
 		}
-		// Transform this thread's raw stream if we have enough of it.
+		// Group the front of this thread's queue if we have enough of it.
 		need := 1
-		if raw := st.raw.window(); len(raw) > 0 {
-			need = p.engine.NeedsLookahead(raw[0].Call.Op)
-			if len(raw) >= need || p.promoteSeen {
-				p.transform(tid, st, raw)
+		if n := st.q.len(); n > 0 {
+			need = p.engine.NeedsLookahead(st.q.front().Call.Op)
+			if n >= need || p.promoteSeen {
+				p.transform(tid, st)
 				return false
 			}
 		}
@@ -193,7 +192,7 @@ func (p *Proc) fillExpected(t *sim.Task, tid int, st *tidStream) bool {
 			continue
 		}
 		want := 1
-		if n := st.raw.len(); n > 0 {
+		if n := st.q.len(); n > 0 {
 			want = need - n
 		}
 		p.pulling = true
@@ -230,7 +229,7 @@ func (p *Proc) fillExpected(t *sim.Task, tid int, st *tidStream) bool {
 					p.reqDrainAt[e.Event.Call.ReqID] = t.Now()
 				}
 				est := p.stream(etid)
-				est.raw.push(e.Event)
+				est.q.push(e.Event)
 				if etid != tid {
 					est.wait.WakeAll(p.m.sched)
 				}
@@ -239,14 +238,15 @@ func (p *Proc) fillExpected(t *sim.Task, tid int, st *tidStream) bool {
 	}
 }
 
-// transform rewrites the front of tid's raw window (non-empty, and long
-// enough for every rule that could start there) into one expected group.
-// The engine's result is good until its next call, so the events move to
-// the stream's queue here; with no rule fired that is the raw event as it
-// is, payloads and all.
-func (p *Proc) transform(tid int, st *tidStream, raw []sysabi.Event) {
+// transform makes the front of tid's queue (non-empty, groupless, and
+// long enough for every rule that could start there) its group. With no
+// rule fired that is the front event as it lies, payloads and all; a
+// rule's emitted events, good only until the engine's next call, take
+// the place of the events it consumed.
+func (p *Proc) transform(tid int, st *tidStream) {
+	raw := st.q.window()
 	expected, consumed, fired := p.engine.Transform(raw)
-	g := expGroup{seq: raw[0].Seq, n: len(expected), more: consumed - 1}
+	st.grp = expGroup{seq: raw[0].Seq, n: len(expected)}
 	if fired != nil {
 		if p.m.rec.Enabled() {
 			carryReqIDs(raw[:consumed], expected)
@@ -264,23 +264,19 @@ func (p *Proc) transform(tid int, st *tidStream, raw []sysabi.Event) {
 				fired.Name, consumed, len(expected), tid)
 		}
 		for i := range expected {
-			expected[i].Seq = g.seq
+			expected[i].Seq = st.grp.seq
 		}
 		// What the rule forwarded has moved to the emitted events; what it
 		// read, dropped or copied no application will see, and goes back
 		// to the ring.
 		for i := 0; i < consumed; i++ {
+			if i > 0 {
+				st.more = append(st.more, raw[i].Seq)
+			}
 			p.m.ring.Recycle(&raw[i])
 		}
+		st.q.replace(consumed, expected)
 	}
-	for i := range expected {
-		st.evs.push(expected[i])
-	}
-	for i := 1; i < consumed; i++ {
-		st.seqs.push(raw[i].Seq)
-	}
-	st.raw.pop(consumed)
-	st.exp.push(g)
 }
 
 // discardTail drops everything still queued for validation and then
@@ -305,7 +301,7 @@ func (p *Proc) discardTail(t *sim.Task, st *tidStream) {
 		// one-at-a-time loop would (consecutive non-blocking pulls never
 		// yield between entries).
 		p.pulling = true
-		p.drain = p.cursor.DrainInto(t, p.drain[:0])
+		p.drain = p.cursor.DrainUpTo(t, p.drain[:0], 0)
 		p.pulling = false
 		if len(p.drain) == 0 {
 			// Buffer closed underneath us: rollback/teardown won the race.

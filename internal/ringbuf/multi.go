@@ -507,11 +507,6 @@ func (c *Cursor) DrainUpTo(t *sim.Task, dst []Entry, max int) []Entry {
 	return dst
 }
 
-// DrainInto removes every pending entry in one call; see DrainUpTo.
-func (c *Cursor) DrainInto(t *sim.Task, dst []Entry) []Entry {
-	return c.DrainUpTo(t, dst, 0)
-}
-
 // String describes the cursor for logs.
 func (c *Cursor) String() string {
 	return fmt.Sprintf("cursor %s@#%d (lag %d)", c.name, c.pos, c.Lag())

@@ -319,7 +319,7 @@ func TestMultiLaggingCursorRetention(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			mb.Put(tk, Entry{Kind: KindSyscall, Event: sysabi.Event{Call: sysabi.Call{Op: sysabi.OpWrite, TID: i + 1}}})
 		}
-		got := fast.DrainInto(tk, nil)
+		got := fast.DrainUpTo(tk, nil, 0)
 		if len(got) != 6 {
 			t.Errorf("fast drained %d entries, want 6", len(got))
 		}
@@ -332,7 +332,7 @@ func TestMultiLaggingCursorRetention(t *testing.T) {
 			t.Errorf("slow cursor lag = %d, want 6", slow.Lag())
 		}
 		// The lagging cursor still reads the full stream, in order.
-		got = slow.DrainInto(tk, nil)
+		got = slow.DrainUpTo(tk, nil, 0)
 		if len(got) != 6 {
 			t.Fatalf("slow drained %d entries, want 6", len(got))
 		}
@@ -363,7 +363,7 @@ func TestMultiCursorReleaseUnblocksProducer(t *testing.T) {
 		stuck := mb.OpenCursor("stuck")
 		s.Go("live-consumer", func(ct *sim.Task) {
 			for {
-				got := live.DrainInto(ct, nil)
+				got := live.DrainUpTo(ct, nil, 0)
 				if len(got) == 0 {
 					return // cursor or buffer closed
 				}
@@ -409,7 +409,7 @@ func TestMultiCursorClosedMidDrainObservesTeardown(t *testing.T) {
 	c := mb.OpenCursor("victim")
 	drainReturned := false
 	s.Go("consumer", func(tk *sim.Task) {
-		got := c.DrainInto(tk, nil) // parks: nothing appended yet
+		got := c.DrainUpTo(tk, nil, 0) // parks: nothing appended yet
 		if len(got) != 0 {
 			t.Errorf("drain returned %d entries after eject, want 0", len(got))
 		}
@@ -423,7 +423,7 @@ func TestMultiCursorClosedMidDrainObservesTeardown(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !drainReturned {
-		t.Error("consumer never returned from DrainInto after cursor close")
+		t.Error("consumer never returned from DrainUpTo after cursor close")
 	}
 	if !c.Closed() {
 		t.Error("cursor not Closed after Close")

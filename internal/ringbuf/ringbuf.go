@@ -160,7 +160,7 @@ func (b *Buffer) DrainUpTo(t *sim.Task, dst []Entry, max int) []Entry {
 
 // DrainInto removes every pending entry; see Cursor.DrainUpTo.
 func (b *Buffer) DrainInto(t *sim.Task, dst []Entry) []Entry {
-	return b.cur.DrainInto(t, dst)
+	return b.cur.DrainUpTo(t, dst, 0)
 }
 
 // Reset discards all pending entries, reopens the buffer and restarts
