@@ -42,7 +42,7 @@ lint-maps:
 	$(GO) test -run TestMapRangeDeterminism ./internal/detlint/
 
 # Test-only code sweep: a function, method or exported identifier of any
-# package under internal/ (detlint and integration aside) that
+# package under internal/ (detlint aside) that
 # no non-test file of the repo references — the nested benchmark module
 # included — and that implements no interface method production calls,
 # fails unless the allowlist in the test names it with a reason. So does
@@ -101,15 +101,27 @@ lines:
 # target's seed corpus): every Fuzz* target in the tree, found per package
 # with `go test -list`, fuzzed for FUZZTIME each. A failing input lands in
 # the package's testdata/fuzz/<target>, where plain `go test` replays it;
-# the sweep goes on through the other targets and then fails.
+# the sweep goes on through the other targets and then fails. After each
+# target a "stall:" line gives its final exec count and the longest
+# stretch of its progress lines in which that count did not rise (the
+# count, not the rate field, which can read 0/s while the count rises):
+# a target whose stretch nears FUZZTIME has stopped fuzzing.
 FUZZTIME ?= 30s
 fuzz:
-	@fail=0; for p in $$($(GO) list ./...); do \
+	@fail=0; out=$$(mktemp); for p in $$($(GO) list ./...); do \
 		for f in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
 			echo "== $$p $$f"; \
-			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$p || fail=1; \
+			{ $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$p 2>&1 || echo fail >$$out.fail; } | tee $$out; \
+			[ -e $$out.fail ] && fail=1; rm -f $$out.fail; \
+			awk -v f=$$f '/^fuzz: elapsed: .*, execs: / { \
+				t = $$3; sub(/,$$/, "", t); s = 0; \
+				if (t ~ /m/) { split(t, hm, "m"); s = hm[1] * 60; t = hm[2] } \
+				s += t + 0; n = $$5 + 0; \
+				if (!seen || n > last) { last = n; since = s; seen = 1 } \
+				else if (s - since > stall) stall = s - since } \
+				END { printf "stall: %s execs %d, longest stretch without a new exec %ds\n", f, last, stall }' $$out; \
 		done; \
-	done; exit $$fail
+	done; rm -f $$out; exit $$fail
 
 # Production-coverage census, a report that `check` does not run (a few
 # minutes): per package of internal/, the statements `go test` executes
@@ -174,14 +186,17 @@ adapter-compat:
 # obs's metric vocabulary and timeline's Chrome trace export must parse and be
 # time-ordered per track. The duo experiments double as the K=1
 # byte-identity gate for fleet and ring refactors. sharddet commits
-# nothing: its two parallel-shard lifecycles with a cross-shard trigger
-# are run twice and must serialize identically, the
-# OS-interleaving-independence gate for the parallel runtime. `check`
-# runs the whole gate once; these are its per-experiment aliases.
+# nothing and is only run here. `check` runs the whole gate once; these
+# are its per-experiment aliases. shard-determinism is the relation
+# table's GOMAXPROCS row (internal/bench/relations_test.go): the sharded
+# runs, sharddet's two parallel-shard lifecycles with a cross-shard
+# trigger among them, must give the same facts under one OS thread as
+# under the host's, the OS-interleaving-independence gate for the
+# parallel runtime.
 $(ARTIFACTS:%=%-smoke): %-smoke:
 	$(GO) run ./cmd/benchtool -check . -experiment $*
 shard-determinism:
-	$(GO) run ./cmd/benchtool -check . -experiment sharddet
+	$(GO) test -count=1 -run TestGOMAXPROCSDoesNotChangeShardedRuns ./internal/bench/
 
 # Regenerate one committed BENCH_<name>.json artifact (bench-metrics,
 # bench-perf, ...), or every one in a single sweep.

@@ -14,8 +14,7 @@
 // -check is the artifact gate `make check` and tier-1's
 // TestCommittedArtifacts share: every selected experiment with a report
 // is run and must reproduce the file committed under the given root byte
-// for byte; sharddet commits nothing and is compared with a second run
-// of itself:
+// for byte; sharddet commits nothing and is only run:
 //
 //	benchtool -check .
 //	benchtool -check . -experiment slo

@@ -3,6 +3,9 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,8 +21,9 @@ import (
 // what must not change under it: the harness checks its own instruments
 // the way MVEDSUA checks an update, by comparing two executions that must
 // agree. Each relation row is one test below, run by checkRelation on
-// every run the catalogue's experiments build from a scenario table, plus
-// two worlds; the shard row runs on whole sharded workloads.
+// every run the catalogue's experiments build from a scenario table, the
+// integration stories and three worlds; the shard and GOMAXPROCS rows run
+// on whole sharded workloads.
 
 // probe is what the variant side of a relation changes about a run; the
 // bare side is the zero probe.
@@ -37,16 +41,21 @@ type relation struct {
 	check   func(bare, variant observed) string
 }
 
-// The rows over single runs. The two span rows share a variant: one holds
-// the schedule fixed, the other every other observable, with spans on the
-// traced side only. The capacity row applies to runs whose ring neither
-// blocked nor dropped, since a ring that filled can tell a bigger one
-// apart.
+// The rows over single runs. The identity row builds both sides bare: a
+// run that differs there is nondeterministic. The two span rows share a
+// variant: one holds the schedule fixed, the other every other
+// observable, with spans on the traced side only. The capacity row
+// applies to runs whose ring neither blocked nor dropped, since a ring
+// that filled can tell a bigger one apart, and leaves out the milestones,
+// which name the capacity.
 var (
+	identityRelation = relation{"identity", probe{}, observed.diff}
 	profilerRelation = relation{"profiler", probe{profiled: true}, observed.diff}
 	spanRelation     = relation{"span", probe{traced: true}, sameSchedule}
 	spansRelation    = relation{"spans", probe{traced: true}, onlyAddsSpans}
-	capacityRelation = relation{"capacity", probe{ringX: 16}, observed.diff}
+	capacityRelation = relation{"capacity", probe{ringX: 16}, func(bare, bigger observed) string {
+		return bare.without("milestones").diff(bigger.without("milestones"))
+	}}
 )
 
 // relationExceptions are where a relation is known not to hold, keyed
@@ -90,8 +99,8 @@ func factsDiff(a, b []fact) string {
 
 // observed is what a relation compares between the two sides of a run:
 // the schedule, then the facts (final clock, client transcript, final
-// state with the judge's breaches, metrics); and the spans recorded and
-// whether the ring blocked or dropped.
+// state with the judge's breaches, controller timeline, milestones,
+// metrics); and the spans recorded and whether the ring blocked or dropped.
 type observed struct {
 	sched  schedule
 	facts  []fact
@@ -99,17 +108,31 @@ type observed struct {
 	filled bool
 }
 
-// newObserved takes a finished run's observables, its metrics and spans
-// from rec.
-func newObserved(sched schedule, clock time.Duration, transcript, final string, rec *obs.Recorder) observed {
+// newObserved takes a finished run's observables, its milestones,
+// metrics and spans from rec.
+func newObserved(sched schedule, clock time.Duration, transcript, final, timeline string, rec *obs.Recorder) observed {
 	m := rec.Snapshot()
 	return observed{
 		sched: sched,
 		facts: []fact{{"final clock", clock.String()}, {"client transcript", transcript},
-			{"final state", final}, {"metrics", fmt.Sprintf("%+v", m)}},
+			{"final state", final}, {"controller timeline", timeline}, {"milestones", rec.FormatTimeline()},
+			{"metrics", fmt.Sprintf("%+v", m)}},
 		spans:  len(rec.Spans()),
 		filled: m.Counters[obs.CRingBlocked] > 0 || m.Counters[obs.CRingDropped] > 0,
 	}
+}
+
+// timelineOf renders c's timeline, every field of each entry.
+func timelineOf(c *core.Controller) string {
+	var b strings.Builder
+	for _, e := range c.Timeline() {
+		verdict := ""
+		if e.Verdict.Proc != nil {
+			verdict = fmt.Sprintf("%v %v", e.Verdict, e.Verdict.Div)
+		}
+		fmt.Fprintf(&b, "%v kind=%d subject=%q rule=%q %s\n", e, e.Kind, e.Subject, e.Rule, verdict)
+	}
+	return b.String()
 }
 
 // diff names the first observable where a and b differ, "" if none.
@@ -118,6 +141,12 @@ func (a observed) diff(b observed) string {
 		return d
 	}
 	return factsDiff(a.facts, b.facts)
+}
+
+// without is o with the named fact left out.
+func (o observed) without(name string) observed {
+	o.facts = slices.DeleteFunc(slices.Clone(o.facts), func(f fact) bool { return f.name == name })
+	return o
 }
 
 // sameSchedule names the first dispatch where a and b part, "" if none.
@@ -157,10 +186,10 @@ func each[T any](xs []T, f func(T) scenario) []scenario {
 }
 
 // relationRuns is every run the catalogue's experiments build from a
-// scenario table, plus two worlds at the sizes earlier pair tests used:
-// the Memcached 1.2.2 → 1.2.3 update, its requests tagged, and Redis
-// under Varan-2 for 100ms.
-func relationRuns() []relationRun {
+// scenario table, the integration stories (steps checked on t), and three
+// worlds: the Memcached 1.2.2 → 1.2.3 update, its requests tagged, and
+// Redis and Memcached under Varan-2 for 100ms.
+func relationRuns(t testing.TB) []relationRun {
 	unreported := func(t tracked) scenario {
 		return t.scenario(func(*apptest.World, obs.SLOReport, string) {})
 	}
@@ -179,6 +208,9 @@ func relationRuns() []relationRun {
 		{"train", func() []scenario { return each(trainScenarios(), unreported) }},
 		{"profile", profileFleetScenarios},
 		{"world", func() []scenario { return []scenario{memcachedUpdate()} }},
+		{"integration", func() []scenario {
+			return each(integrationStories(t), func(s integrationStory) scenario { return s.sc })
+		}},
 	}
 	var runs []relationRun
 	for _, table := range tables {
@@ -188,7 +220,10 @@ func relationRuns() []relationRun {
 			}})
 		}
 	}
-	return append(runs, relationRun{"world/varan2-redis", varan2Redis})
+	for _, target := range []Target{RedisTarget(), MemcachedTarget()} {
+		runs = append(runs, relationRun{"world/varan2-" + strings.ToLower(target.Name), varan2(target)})
+	}
+	return runs
 }
 
 // observe runs sc with p applied.
@@ -210,7 +245,7 @@ func observe(sc scenario, p probe) observed {
 		sched = recordSchedule(w.S) // last: it wraps the span hook
 	}).run()
 	return newObserved(*sched, w.S.Now(), fmt.Sprintf("%+v", w.Transcript()),
-		fmt.Sprintf("%+v; breaches: %s", w.Final(), summary(breaches)), w.Rec)
+		fmt.Sprintf("%+v; breaches: %s", w.Final(), summary(breaches)), timelineOf(w.C), w.Rec)
 }
 
 // memcachedUpdate is the Memcached 1.2.2 → 1.2.3 duo update with every
@@ -240,23 +275,25 @@ func memcachedUpdate() scenario {
 	return sc
 }
 
-// varan2Redis runs Redis under Varan-2 on a 256-entry ring for 100ms.
-func varan2Redis(p probe) (observed, error) {
-	if p.traced {
-		return observed{}, errNoSpanSwitch
+// varan2 runs target under Varan-2 on a 256-entry ring for 100ms.
+func varan2(target Target) func(p probe) (observed, error) {
+	return func(p probe) (observed, error) {
+		if p.traced {
+			return observed{}, errNoSpanSwitch
+		}
+		s := sim.New()
+		rec := obs.New(s.Now, obs.Options{})
+		if p.profiled {
+			s.SetProfiler(obs.NewProfiler().ShardSink(0, s.Now))
+		}
+		sched := recordSchedule(s)
+		m := NewMetrics(0)
+		err := measure(s, target, ModeVaran2, 256*max(p.ringX, 1), rec, m, func(_ *world, tk *sim.Task) error {
+			tk.Sleep(100 * time.Millisecond)
+			return nil
+		})
+		return newObserved(*sched, s.Now(), "", fmt.Sprintf("ops %d, max latency %v", m.Ops, m.MaxLatency), "", rec), err
 	}
-	s := sim.New()
-	rec := obs.New(s.Now, obs.Options{})
-	if p.profiled {
-		s.SetProfiler(obs.NewProfiler().ShardSink(0, s.Now))
-	}
-	sched := recordSchedule(s)
-	m := NewMetrics(0)
-	err := measure(s, RedisTarget(), ModeVaran2, 256*max(p.ringX, 1), rec, m, func(_ *world, tk *sim.Task) error {
-		tk.Sleep(100 * time.Millisecond)
-		return nil
-	})
-	return newObserved(*sched, s.Now(), "", fmt.Sprintf("ops %d, max latency %v", m.Ops, m.MaxLatency), rec), err
 }
 
 // shardWorkloads are the shard row's runs: shard-local groups whose
@@ -333,6 +370,51 @@ func controllerGroupsFacts(shards int) ([]fact, error) {
 	return append(facts, fact{"cpu fold", prof.FoldedCPU()}), nil
 }
 
+// parallelRuns are the GOMAXPROCS row's runs, rendered as facts: the shard
+// row's workloads at 4 shards, the profile sweep's full folds, sharddet's
+// cross-shard trigger, and a fan-in of cross-shard messages.
+func parallelRuns(t *testing.T) (names []string, runs []func() ([]fact, error)) {
+	for _, wl := range shardWorkloads {
+		names = append(names, wl.name+"@4")
+		runs = append(runs, func() ([]fact, error) { return wl.run(4) })
+	}
+	for _, shards := range []int{1, 2, 4} {
+		names = append(names, fmt.Sprintf("profile-sweep@%d", shards))
+		runs = append(runs, func() ([]fact, error) {
+			_, prof, err := runProfileSweep(shards)
+			if err != nil {
+				return nil, err
+			}
+			return []fact{{"fold", prof.Folded()}}, nil
+		})
+	}
+	sharddet := experiment(t, "sharddet")
+	runs = append(runs, func() ([]fact, error) {
+		_, data, err := sharddet.encoded()
+		return []fact{{"report", string(data)}}, err
+	})
+	return append(names, "sharddet", "fan-in"), append(runs, fanInFacts)
+}
+
+// fanInFacts has a task on each of 4 shards send shard 0 a message at the
+// same virtual instant, every millisecond for 20ms: shard 0 runs them in
+// the order the epoch barrier merges the shards' outboxes in.
+func fanInFacts() ([]fact, error) {
+	ss := sim.NewSharded(4, time.Millisecond)
+	var ran []string // touched on shard 0 only
+	for i := 0; i < 4; i++ {
+		ss.Shard(i).Go("sender", func(tk *sim.Task) {
+			for round := 0; round < 20; round++ {
+				tk.Sleep(time.Millisecond)
+				name := fmt.Sprintf("s%d-%d", i, round)
+				ss.Send(tk, 0, name, func(*sim.Task) { ran = append(ran, name) })
+			}
+		})
+	}
+	err := ss.Run()
+	return []fact{{"arrival order", strings.Join(ran, " ")}}, err
+}
+
 // relationVerdict fails the test on d, the difference found at key,
 // unless relationExceptions lists key; a listed key where nothing differs
 // fails too.
@@ -352,7 +434,7 @@ func relationVerdict(t *testing.T, key, d string) {
 // checkRelation runs every run of relationRuns bare and under rel's
 // variant, each side built afresh, and passes each pair to rel.check.
 func checkRelation(t *testing.T, rel relation) {
-	runs := relationRuns()
+	runs := relationRuns(t)
 	checked, skipped := 0, 0
 	for _, r := range runs {
 		bare, err := r.run(probe{})
@@ -378,6 +460,10 @@ func checkRelation(t *testing.T, rel relation) {
 	}
 	t.Logf("%s: %d of %d runs checked, %d not applicable", rel.name, checked, len(runs), skipped)
 }
+
+// Two bare builds of a run agree on every dispatch, clock, client byte,
+// final state, lifecycle entry, milestone and metric.
+func TestEveryRunIsDeterministic(t *testing.T) { checkRelation(t, identityRelation) }
 
 // A profiler sink on the scheduler changes no dispatch, clock, client
 // byte, final state or metric.
@@ -419,4 +505,28 @@ func TestShardCountDoesNotChangeWorkloads(t *testing.T) {
 		}
 	}
 	t.Logf("shard: %d facts of %d workloads checked at 2 and 4 shards against 1", facts, len(shardWorkloads))
+}
+
+// The GOMAXPROCS row: every fact of each parallel run is the same when one
+// OS thread steps the shards in turn as when the host's threads step them
+// at once, the one place OS thread interleaving could reach a result.
+func TestGOMAXPROCSDoesNotChangeShardedRuns(t *testing.T) {
+	host := runtime.GOMAXPROCS(0)
+	names, runs := parallelRuns(t)
+	under := func(procs, i int) []fact {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		facts, err := runs[i]()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %s at %d: %v", names[i], procs, err)
+		}
+		return facts
+	}
+	for i := range runs {
+		d := factsDiff(under(1, i), under(host, i))
+		if d != "" {
+			d = fmt.Sprintf("GOMAXPROCS %d against 1: %s", host, d)
+		}
+		relationVerdict(t, "GOMAXPROCS "+names[i], d)
+	}
+	t.Logf("GOMAXPROCS: %d runs checked at %d against 1", len(runs), host)
 }

@@ -15,15 +15,14 @@ import (
 // This file is the sharded-runtime side of the perf experiment: a
 // strong-scaling speedup sweep over sim.ShardedScheduler (the curve in
 // BENCH_perf.json's "speedup" section) and the `benchtool -experiment
-// sharddet` determinism smoke that the artifact gate runs twice and
-// compares byte for byte.
+// sharddet` determinism smoke, which the relation table's GOMAXPROCS row
+// compares across OS thread counts.
 
 // SpeedupPoint is one shard count's accounting of the fixed workload.
 // Every field depends only on virtual time and seeds — two runs at the
 // same shard count produce identical values on any machine, which the
-// run-twice test and the artifact gate pin. TotalOps is additionally
-// shard-count invariant (every sweep point executes the same bounded
-// workload). VirtualUS is not: a shard is a simulated core, its clock
+// artifact gate pins. TotalOps is additionally shard-count invariant
+// (every sweep point executes the same bounded workload). VirtualUS is not: a shard is a simulated core, its clock
 // advances only for its own groups' work, so the virtual makespan
 // shrinks as the fixed workload spreads over more shards —
 // VirtualSpeedupX is that ratio, a speedup curve that is bit-reproducible
@@ -174,7 +173,7 @@ type ShardDetGroup struct {
 // exercises every determinism-critical path at once — parallel shards,
 // a cross-shard Send steering a remote update, per-group registries
 // merged into one aggregate, and the merged dispatch tail — and is
-// byte-identical across runs; the artifact gate runs it twice and compares.
+// byte-identical across runs, whatever the OS interleaving of its shards.
 type ShardDetReport struct {
 	Schema     string          `json:"schema"`
 	Shards     int             `json:"shards"`

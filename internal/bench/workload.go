@@ -108,27 +108,36 @@ type KVWorkload struct {
 func (wl KVWorkload) Run(k *vos.Kernel, tk *sim.Task, m *Metrics, stop *bool) {
 	rng := rand.New(rand.NewSource(wl.Seed))
 	value := strings.Repeat("x", kvValueLen)
+	mcSet, respSet := fmt.Sprintf(" 0 0 %d\r\n%s\r\n", kvValueLen, value), " "+value+"\r\n"
 	c := apptest.Connect(k, tk, wl.Port)
 	defer c.Close(tk)
+	var cmd []byte // the request being sent; its array is reused
+	send := func(verb string, key int, tail string) {
+		cmd = append(append(cmd[:0], verb...), "memtier-"...)
+		for d := 10_000_000; d > 0; d /= 10 { // the key, zero-padded to eight digits
+			cmd = append(cmd, byte('0'+key/d%10))
+		}
+		c.Send(tk, string(append(cmd, tail...)))
+	}
 	for n := 0; !*stop && (wl.MaxOps <= 0 || n < wl.MaxOps); n++ {
-		key := fmt.Sprintf("memtier-%08d", rng.Intn(kvKeys))
+		key := rng.Intn(kvKeys)
 		start := tk.Now()
 		if rng.Intn(100) < kvReadPct {
 			switch wl.Flavor {
 			case FlavorMemcached:
-				c.Send(tk, "get "+key+"\r\n")
+				send("get ", key, "\r\n")
 				c.DrainUntil(tk, "END\r\n")
 			default:
-				c.Send(tk, "GET "+key+"\r\n")
+				send("GET ", key, "\r\n")
 				c.Recv(tk)
 			}
 		} else {
 			switch wl.Flavor {
 			case FlavorMemcached:
-				c.Send(tk, fmt.Sprintf("set %s 0 0 %d\r\n%s\r\n", key, kvValueLen, value))
+				send("set ", key, mcSet)
 				c.DrainUntil(tk, "\r\n")
 			default:
-				c.Send(tk, fmt.Sprintf("SET %s %s\r\n", key, value))
+				send("SET ", key, respSet)
 				c.Recv(tk)
 			}
 		}

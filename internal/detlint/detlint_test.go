@@ -248,8 +248,7 @@ func f() int {
 // TestNoTestOnlyExports leaves out, each with the reason. Every other
 // directory there is swept: the list is walked, not kept.
 var exportExempt = map[string]string{
-	"internal/detlint":     "the sweeps' API: its caller is this test",
-	"internal/integration": "tests only",
+	"internal/detlint": "the sweeps' API: its caller is this test",
 }
 
 // exportSweptPackages are the directories held to "no code that only
@@ -286,7 +285,7 @@ var testOnlyAllowed = map[string]string{
 
 	"apptest.CheckOwnership":   "cross-package test harness: the ownership tests of kvstore, memcache, tkv and ftpd run their apps through it",
 	"apptest.Client.FD":        "observation point: bench's scenario test closes the runner's client a second time to prove the runner closed it",
-	"apptest.World.Transcript": "observation point: integration's determinism test compares two runs' transcripts, and its expected-breach test reads back the steps the judge names",
+	"apptest.World.Transcript": "observation point: bench's relation table compares two runs' transcripts, and its forgotten-table story reads back the steps the judge names",
 
 	"dsl.Expr.isExpr":     "marker method: seals the interface, called by nobody by design",
 	"vos.object.isObject": "marker method: seals the interface, called by nobody by design",

@@ -51,6 +51,16 @@ func (m *queueModel) replace(n, k int) {
 // and slot scan is O(backlog), so long runs call it with full=false most
 // of the time and compare only the ends.
 func (m *queueModel) check(full bool) error {
+	if full {
+		return m.checkSpan(0, 0, cap(m.q.buf))
+	}
+	return m.checkSpan(len(m.ref), 0, 0)
+}
+
+// checkSpan compares the length and the window's ends with the
+// reference, then the window from entry from on, and requires every slot
+// of the backing array in [lo, hi) outside the window to be zero.
+func (m *queueModel) checkSpan(from, lo, hi int) error {
 	if m.q.len() != len(m.ref) {
 		return fmt.Errorf("len = %d, reference %d", m.q.len(), len(m.ref))
 	}
@@ -75,16 +85,13 @@ func (m *queueModel) check(full bool) error {
 			return err
 		}
 	}
-	if !full {
-		return nil
-	}
-	for i := range w {
+	for i := from; i < len(w); i++ {
 		if err := same(i); err != nil {
 			return err
 		}
 	}
 	all := m.q.buf[:cap(m.q.buf)]
-	for i := range all {
+	for i := lo; i < hi; i++ {
 		live := i >= m.q.head && i < len(m.q.buf)
 		if !live && (all[i].Seq != 0 || all[i].Call.Buf != nil) {
 			return fmt.Errorf("slot %d outside the window still holds #%d", i, all[i].Seq)
@@ -93,24 +100,36 @@ func (m *queueModel) check(full bool) error {
 	return nil
 }
 
+// scriptBacklog caps runScript's backlog above every committed seed's
+// (256) so that no input allocates hundreds of megabytes, which stalled
+// the fuzzer; a push past it pushes fewer events.
+const scriptBacklog = 4096
+
 // runScript interprets an op script, one byte per op: the low two bits
 // choose push (0, 1), pop (2) or pop-everything (3), the rest the count.
-// The fuzz target and the seed corpus share it.
+// The fuzz target and the seed corpus share it. Each op is checked where
+// it touched the queue, or whole when it moved the window (a growth or a
+// compaction), so a script costs its ops' work, not their backlog's square.
 func (m *queueModel) runScript(script []byte) error {
 	for i, b := range script {
+		head, capacity, before := m.q.head, cap(m.q.buf), len(m.ref)
 		switch n := int(b >> 2); b & 3 {
 		case 0, 1:
-			m.push(n + 1)
+			m.push(min(n+1, scriptBacklog-len(m.ref)))
 		case 2:
 			m.pop(n)
 		default:
 			m.pop(len(m.ref))
 		}
-		if err := m.check(true); err != nil {
+		from, lo, hi := before, head, head+max(0, before-len(m.ref))
+		if cap(m.q.buf) != capacity || (m.q.head < head && m.q.len() > 0) {
+			from, lo, hi = 0, 0, cap(m.q.buf)
+		}
+		if err := m.checkSpan(from, lo, hi); err != nil {
 			return fmt.Errorf("op %d (%#02x): %v", i, b, err)
 		}
 	}
-	return nil
+	return m.check(true)
 }
 
 // TestEventQueueMatchesReference holds a backlog of 1 to 4 096 events
