@@ -55,6 +55,34 @@ func scheduleDiff(a, b schedule) string {
 	return ""
 }
 
+// TestMemcachedDuoSchedulingDeterministic runs the most
+// interleaving-sensitive configuration in the suite — Memcached (four
+// worker threads) under Varan-2 — twice and requires identical
+// schedules: every dispatch, its start and its task. This pins the
+// wakeAllTIDs ordering fix: group retirement used to wake validator
+// threads in Go's randomized map order, which let duo-mode benchmark
+// results jitter run to run.
+func TestMemcachedDuoSchedulingDeterministic(t *testing.T) {
+	run := func() schedule {
+		s := sim.New()
+		sched := recordSchedule(s)
+		err := measure(s, MemcachedTarget(), ModeVaran2, 0, nil, NewMetrics(0), func(_ *world, tk *sim.Task) error {
+			tk.Sleep(250 * time.Millisecond)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *sched
+	}
+	a := run()
+	b := run()
+	if d := scheduleDiff(a, b); d != "" {
+		t.Fatal("first run against second: " + d)
+	}
+	t.Logf("schedules identical for %d dispatches", len(a))
+}
+
 // TestMemcachedDuoSettledShare pins the census behind ROADMAP item 7:
 // of every 100 scheduler dispatches the 4-worker Memcached duo makes in
 // the outdated-leader stage (Table 2's Mvedsua-2 row, the benchmark's

@@ -274,3 +274,32 @@ func TestIntegrationStories(t *testing.T) {
 		})
 	}
 }
+
+// TestDeterministicLifecycle: the clean lifecycle, each run on a fresh
+// app, produces identical transcripts, controller timelines and recorder
+// milestones.
+func TestDeterministicLifecycle(t *testing.T) {
+	run := func() *apptest.World {
+		for _, st := range integrationStories(t) {
+			if st.sc.name == "clean-lifecycle" {
+				w, _, breaches := st.sc.run()
+				if breaches != nil {
+					t.Error(summary(breaches))
+				}
+				return w
+			}
+		}
+		t.Fatal("no clean-lifecycle story")
+		return nil
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a.Transcript(), b.Transcript()) {
+		t.Errorf("transcripts differ:\n%+v\n%+v", a.Transcript(), b.Transcript())
+	}
+	if ta, tb := a.C.Timeline(), b.C.Timeline(); !reflect.DeepEqual(ta, tb) {
+		t.Errorf("lifecycles differ:\n%v\n%v", ta, tb)
+	}
+	if ta, tb := a.Rec.FormatTimeline(), b.Rec.FormatTimeline(); ta != tb {
+		t.Errorf("milestones differ:\n%s\n%s", ta, tb)
+	}
+}

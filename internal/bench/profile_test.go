@@ -44,6 +44,36 @@ func TestValidateChromeTraceFlowPairing(t *testing.T) {
 	}
 }
 
+// TestProfileSweepDeterministic is the profiler determinism gate: at
+// every shard placement the full folded output is byte-identical run
+// to run, and the cpu-only fold is byte-identical ACROSS placements
+// (the off-CPU dimension measures elapsed wait including preemption,
+// so it legitimately varies with placement; cpu charges must not).
+func TestProfileSweepDeterministic(t *testing.T) {
+	var baseCPU string
+	for _, shards := range []int{1, 2, 4} {
+		_, profA, err := runProfileSweep(shards)
+		if err != nil {
+			t.Fatalf("sweep shards=%d: %v", shards, err)
+		}
+		_, profB, err := runProfileSweep(shards)
+		if err != nil {
+			t.Fatalf("sweep shards=%d rerun: %v", shards, err)
+		}
+		a, b := profA.Folded(), profB.Folded()
+		if a != b {
+			t.Errorf("shards=%d: folded output differs between identical runs:\n--- run A\n%s\n--- run B\n%s", shards, a, b)
+		}
+		cpu := profA.FoldedCPU()
+		if baseCPU == "" {
+			baseCPU = cpu
+		} else if cpu != baseCPU {
+			t.Errorf("shards=%d: cpu fold differs from 1-shard placement:\n--- 1 shard\n%s\n--- %d shards\n%s",
+				shards, baseCPU, shards, cpu)
+		}
+	}
+}
+
 // TestProfilerSinkIsTheSwitch: attaching a sink to the scheduler is all
 // profiling takes. With no recorder at all, the mve chokepoints still
 // label the leader's service and the follower's validation.

@@ -33,6 +33,25 @@ func TestSpeedupCurveScales(t *testing.T) {
 	}
 }
 
+// Run-twice determinism for one multi-shard point: parallel execution
+// must not leak OS scheduling into the accounting.
+func TestSpeedupPointRunTwiceDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("speedup sweep is a full workload run")
+	}
+	a, err := runSpeedupPoint(2)
+	if err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	b, err := runSpeedupPoint(2)
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if a != b {
+		t.Errorf("two runs diverged: %+v vs %+v", a, b)
+	}
+}
+
 // BenchmarkShardSpeedup is the speedup sweep on the wall clock: the
 // perf experiment's fixed workload at each shard count, timing ss.Run
 // alone. One pass is noise; compare shard counts at -count 3 or more.
