@@ -161,6 +161,9 @@ type Server struct {
 	// the session's line buffer, and a file chunk written out, before the
 	// next one. Each instance has its own (Fork does not copy it).
 	rbuf [ChunkSize]byte
+	// out is the scratch every reply line is built in, reused as soon as
+	// its write returns; Fork leaves it out too.
+	out []byte
 
 	// Ops counts executed commands, for benchmarks.
 	Ops int64
@@ -264,8 +267,14 @@ func (s *Server) closeConn(env *dsu.Env, fd int) {
 	delete(s.sessions, fd)
 }
 
-func (s *Server) reply(env *dsu.Env, fd int, text string) {
-	env.Sys(sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: []byte(text + "\r\n")})
+// reply writes the concatenation of parts and CRLF, built in s.out.
+func (s *Server) reply(env *dsu.Env, fd int, parts ...string) {
+	s.out = s.out[:0]
+	for _, p := range parts {
+		s.out = append(s.out, p...)
+	}
+	s.out = append(s.out, "\r\n"...)
+	env.Sys(sysabi.Call{Op: sysabi.OpWrite, FD: fd, Buf: s.out})
 }
 
 // execute runs one control command; it reports whether the session ends.
@@ -300,9 +309,9 @@ func (s *Server) execute(env *dsu.Env, fd int, sess *session, line string) bool 
 		}
 		sess.xferType = mode
 		if s.spec.TypeStyle == 0 {
-			s.reply(env, fd, fmt.Sprintf("200 Switching to %s mode.", mode))
+			s.reply(env, fd, "200 Switching to ", mode, " mode.")
 		} else {
-			s.reply(env, fd, fmt.Sprintf("200 Mode set to %s.", mode))
+			s.reply(env, fd, "200 Mode set to ", mode, ".")
 		}
 	case "PWD":
 		s.reply(env, fd, fmt.Sprintf("257 %q%s", sess.cwd, s.spec.PwdSuffix))
@@ -409,7 +418,7 @@ func (s *Server) retr(env *dsu.Env, fd int, sess *session, name string) {
 		return
 	}
 	file := int(r.Ret)
-	s.reply(env, fd, fmt.Sprintf("150 Opening %s mode data connection for %s.", sess.xferType, name))
+	s.reply(env, fd, "150 Opening ", sess.xferType, " mode data connection for ", name, ".")
 	for {
 		r = env.Sys(sysabi.Call{Op: sysabi.OpFRead, FD: file, Buf: s.rbuf[:0], Args: [2]int64{ChunkSize, 0}})
 		if !r.OK() || r.Ret == 0 {
@@ -458,7 +467,7 @@ func (s *Server) stor(env *dsu.Env, fd int, sess *session, arg string, unique bo
 		return
 	}
 	if unique {
-		s.reply(env, fd, fmt.Sprintf("226 Transfer complete. Unique file: %s", name))
+		s.reply(env, fd, "226 Transfer complete. Unique file: ", name)
 	} else {
 		s.reply(env, fd, "226 Transfer complete.")
 	}

@@ -112,22 +112,22 @@ func TestStorWriteFailureIs451(t *testing.T) {
 	}
 }
 
-// TestServerOwnsItsReadBuffer: the leader and each replica overwrite the
-// read buffer as soon as a write returns — after a control line was fed
-// to the session, and after every chunk of a transfer went out — and
-// nothing changes.
-func TestServerOwnsItsReadBuffer(t *testing.T) {
+// TestServerOwnsItsScratch: the leader and each replica overwrite the
+// read buffer and the reply scratch as soon as a write returns — after a
+// control line was fed to the session, after every reply, and after
+// every chunk of a transfer went out — and nothing changes.
+func TestServerOwnsItsScratch(t *testing.T) {
 	data := fileOf(6*ChunkSize + 123)
 	var read string
 	err := apptest.CheckOwnership(
 		func() dsu.App { return New(SpecFor("2.0.5")) },
-		func(app dsu.App, tid int) [][]byte { return [][]byte{app.(*Server).rbuf[:]} },
+		serverScratch,
 		func(k *vos.Kernel) { k.WriteFile(Root+"/big.bin", data) },
 		func(k *vos.Kernel, tk *sim.Task) string {
 			var seen strings.Builder
 			c := apptest.Connect(k, tk, Port)
 			seen.WriteString(c.RecvUntil(tk, "\r\n"))
-			for _, cmd := range []string{"USER anonymous", "PASS guest", "SYST", "STOR up.txt some-payload", "PWD"} {
+			for _, cmd := range []string{"USER anonymous", "PASS guest", "SYST", "TYPE I", "STOR up.txt some-payload", "PWD"} {
 				seen.WriteString(c.Do(tk, cmd))
 			}
 			for i := 0; i < 3; i++ {
@@ -145,5 +145,37 @@ func TestServerOwnsItsReadBuffer(t *testing.T) {
 	}
 	if n := strings.Count(read, string(data)); n != 3 {
 		t.Fatalf("the client received the file intact %d times, want 3", n)
+	}
+}
+
+func serverScratch(app dsu.App, tid int) [][]byte {
+	s := app.(*Server)
+	return [][]byte{s.rbuf[:], s.out[:cap(s.out)]}
+}
+
+// TestForkSharesNoScratch pins what the test above relies on: Fork
+// builds the copy field by field and leaves the reply scratch out.
+func TestForkSharesNoScratch(t *testing.T) {
+	w := apptest.NewWorld(core.Config{})
+	s := New(SpecFor("2.0.5"))
+	w.C.Start(s)
+	w.S.Go("driver", func(tk *sim.Task) {
+		defer w.Finish()
+		c := login(w, tk)
+		c.Do(tk, "TYPE I")
+		c.Close(tk)
+	})
+	if err := w.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if cap(s.out) == 0 {
+		t.Fatal("replying left no scratch behind")
+	}
+	f := s.Fork().(*Server)
+	if f.out != nil {
+		t.Errorf("fork carries the reply scratch: cap %d", cap(f.out))
+	}
+	if f.spec != s.spec || f.listenFD != s.listenFD || f.epollFD != s.epollFD {
+		t.Errorf("fork lost the server: %+v", f.spec)
 	}
 }

@@ -185,3 +185,22 @@ func BenchmarkStorePutNew(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkWriteAfterFork: one op is a fork and 1 000 first writes to
+// keys it shares, the copy-on-write an update pays for.
+func BenchmarkWriteAfterFork(b *testing.B) {
+	const writes = 1000
+	benchSizes(b, func(b *testing.B, n int) {
+		s := preloaded(n)
+		keys := make([]string, 0, n)
+		s.db.each(func(k string, _ *entry) { keys = append(keys, k) })
+		rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := s.Fork().(*Server)
+			for j := 0; j < writes; j++ {
+				c.db.mut(keys[(i*writes+j)%n]).str = "written"
+			}
+		}
+	})
+}
