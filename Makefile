@@ -29,11 +29,19 @@ test:
 # — which exercises the watchdog/monitor task interplay AND the sharded
 # runtime's parallel epoch paths (shards run on real OS threads; the
 # run-twice property tests execute under -race here) — then the
-# artifact gate.
+# artifact gate. It ends with the race run's package times, slowest
+# first (a cached package reads "(cached)"), and fails if that run did,
+# without going on to the benchmarks and the gate.
 check: vet fmt-check lint-maps lint-exports lint-verdicts adapter-compat
-	$(GO) test -race ./...
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-	$(GO) run ./cmd/benchtool -check .
+	@log=$$(mktemp); fail=0; \
+	{ $(GO) test -race ./... || echo fail >$$log.fail; } | tee $$log; \
+	if [ -e $$log.fail ]; then fail=1; else \
+		$(GO) test -run '^$$' -bench . -benchtime=1x ./... && \
+		$(GO) run ./cmd/benchtool -check . || fail=1; \
+	fi; \
+	echo "package times of go test -race, slowest first:"; \
+	awk '$$1 == "ok" || $$1 == "FAIL" && NF >= 3 { printf "%10s  %-4s %s\n", $$3, $$1, $$2 }' $$log | sort -k1,1 -rn; \
+	rm -f $$log $$log.fail; exit $$fail
 
 # Map-iteration determinism sweep: flag `for range` over maps in the
 # determinism-critical packages unless the site carries a `maporder:`

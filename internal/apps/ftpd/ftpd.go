@@ -13,8 +13,8 @@
 package ftpd
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 	"time"
 
 	"mvedsua/internal/dsu"
@@ -164,6 +164,10 @@ type Server struct {
 	// out is the scratch every reply line is built in, reused as soon as
 	// its write returns; Fork leaves it out too.
 	out []byte
+	// strs holds what a session keeps of a command line — the user, the
+	// directory — and the paths resolved from it. Fork gives the copy a
+	// fresh one (see proto.Arena).
+	strs proto.Arena
 
 	// Ops counts executed commands, for benchmarks.
 	Ops int64
@@ -254,7 +258,7 @@ func (s *Server) serveConn(env *dsu.Env, fd int) {
 		if !ok {
 			break
 		}
-		if quit := s.execute(env, fd, sess, string(line)); quit {
+		if quit := s.execute(env, fd, sess, line); quit {
 			s.closeConn(env, fd)
 			return
 		}
@@ -278,15 +282,17 @@ func (s *Server) reply(env *dsu.Env, fd int, parts ...string) {
 }
 
 // execute runs one control command; it reports whether the session ends.
-func (s *Server) execute(env *dsu.Env, fd int, sess *session, line string) bool {
+// The line is a view: what the session keeps of it is cut from s.strs.
+func (s *Server) execute(env *dsu.Env, fd int, sess *session, line []byte) bool {
 	s.Ops++
 	if s.CmdCPU > 0 {
 		env.Task().Advance(s.CmdCPU)
 	}
-	verb, arg := proto.ParseFTPCommand(line)
-	switch verb {
+	var upper [8]byte
+	verb, arg := proto.ParseFTPCommand(upper[:0], line)
+	switch string(verb) {
 	case "USER":
-		sess.user = arg
+		sess.user = s.strs.Copy(arg)
 		s.reply(env, fd, "331 Please specify the password.")
 	case "PASS":
 		if sess.user == "" {
@@ -304,7 +310,7 @@ func (s *Server) execute(env *dsu.Env, fd int, sess *session, line string) bool 
 		s.reply(env, fd, s.spec.NoopReply)
 	case "TYPE":
 		mode := "ASCII"
-		if strings.EqualFold(arg, "I") {
+		if bytes.EqualFold(arg, []byte("I")) {
 			mode = "BINARY"
 		}
 		sess.xferType = mode
@@ -319,15 +325,11 @@ func (s *Server) execute(env *dsu.Env, fd int, sess *session, line string) bool 
 		if !s.requireLogin(env, fd, sess) {
 			return false
 		}
-		if arg == "" {
+		if len(arg) == 0 {
 			s.reply(env, fd, "550 Failed to change directory.")
 			return false
 		}
-		if strings.HasPrefix(arg, "/") {
-			sess.cwd = arg
-		} else {
-			sess.cwd = sess.cwd + "/" + arg
-		}
+		sess.cwd = s.resolve(sess, arg)
 		s.reply(env, fd, "250 Directory successfully changed.")
 	case "LIST":
 		if !s.requireLogin(env, fd, sess) {
@@ -398,20 +400,27 @@ func (s *Server) requireLogin(env *dsu.Env, fd int, sess *session) bool {
 	return true
 }
 
-func (s *Server) resolve(sess *session, name string) string {
-	if strings.HasPrefix(name, "/") {
-		return name
+// resolve returns the path name names from the session's directory, cut
+// from s.strs. The path ends in name.
+func (s *Server) resolve(sess *session, name []byte) string {
+	if bytes.HasPrefix(name, []byte("/")) {
+		return s.strs.Copy(name)
 	}
-	return sess.cwd + "/" + name
+	s.strs.Grow(len(sess.cwd) + 1 + len(name))
+	s.strs.WriteString(sess.cwd)
+	s.strs.WriteString("/")
+	s.strs.Write(name)
+	return s.strs.Cut()
 }
 
 // retr streams a file to the client in ChunkSize pieces.
-func (s *Server) retr(env *dsu.Env, fd int, sess *session, name string) {
-	if name == "" {
+func (s *Server) retr(env *dsu.Env, fd int, sess *session, arg []byte) {
+	if len(arg) == 0 {
 		s.reply(env, fd, "550 Failed to open file.")
 		return
 	}
-	path := s.resolve(sess, name)
+	path := s.resolve(sess, arg)
+	name := path[len(path)-len(arg):]
 	r := env.Sys(sysabi.Call{Op: sysabi.OpOpen, Path: path, Args: [2]int64{sysabi.OpenRead, 0}})
 	if !r.OK() {
 		s.reply(env, fd, "550 Failed to open file.")
@@ -435,20 +444,15 @@ func (s *Server) retr(env *dsu.Env, fd int, sess *session, name string) {
 }
 
 // stor writes the inline payload to a file; unique names for STOU.
-func (s *Server) stor(env *dsu.Env, fd int, sess *session, arg string, unique bool) {
-	var name, content string
+func (s *Server) stor(env *dsu.Env, fd int, sess *session, arg []byte, unique bool) {
+	var name, content []byte
 	if unique {
 		s.stouCounter++
-		name = fmt.Sprintf("stou.%04d", s.stouCounter)
+		name = fmt.Appendf(nil, "stou.%04d", s.stouCounter)
 		content = arg
 	} else {
-		i := strings.IndexByte(arg, ' ')
-		if i < 0 {
-			name, content = arg, ""
-		} else {
-			name, content = arg[:i], arg[i+1:]
-		}
-		if name == "" {
+		name, content, _ = bytes.Cut(arg, []byte(" "))
+		if len(name) == 0 {
 			s.reply(env, fd, "553 Could not create file.")
 			return
 		}
@@ -460,14 +464,14 @@ func (s *Server) stor(env *dsu.Env, fd int, sess *session, arg string, unique bo
 		return
 	}
 	file := int(r.Ret)
-	r = env.Sys(sysabi.Call{Op: sysabi.OpFWrite, FD: file, Buf: []byte(content)})
+	r = env.Sys(sysabi.Call{Op: sysabi.OpFWrite, FD: file, Buf: content})
 	env.Sys(sysabi.Call{Op: sysabi.OpClose, FD: file})
 	if !r.OK() {
 		s.reply(env, fd, "451 Failure writing to local file.")
 		return
 	}
 	if unique {
-		s.reply(env, fd, "226 Transfer complete. Unique file: ", name)
+		s.reply(env, fd, "226 Transfer complete. Unique file: ", path[len(path)-len(name):])
 	} else {
 		s.reply(env, fd, "226 Transfer complete.")
 	}

@@ -179,3 +179,55 @@ func TestForkSharesNoScratch(t *testing.T) {
 		t.Errorf("fork lost the server: %+v", f.spec)
 	}
 }
+
+// pathRecorder notes the path of every open that reaches the kernel.
+type pathRecorder struct {
+	inner sysabi.Dispatcher
+	paths []string
+}
+
+func (p *pathRecorder) Invoke(t *sim.Task, c sysabi.Call) sysabi.Result {
+	if c.Op == sysabi.OpOpen {
+		p.paths = append(p.paths, c.Path)
+	}
+	return p.inner.Invoke(t, c)
+}
+
+// TestKeptStringsOutliveTheRequest: what a session keeps of a command
+// line — the directory, the path a RETR or STOR resolves — is copied out
+// of the line, which the next command overwrites: after the session,
+// every path the kernel was handed still reads as it did.
+func TestKeptStringsOutliveTheRequest(t *testing.T) {
+	rec := &pathRecorder{}
+	w := apptest.NewWorld(core.Config{WrapDispatcher: func(role, name string, d sysabi.Dispatcher) sysabi.Dispatcher {
+		rec.inner = d
+		return rec
+	}})
+	w.K.WriteFile(Root+"/sub/a.txt", []byte("a"))
+	w.K.WriteFile(Root+"/b.txt", []byte("b"))
+	w.C.Start(New(SpecFor("2.0.5")))
+	w.S.Go("driver", func(tk *sim.Task) {
+		defer w.Finish()
+		c := login(w, tk)
+		c.Do(tk, "CWD sub")
+		c.Send(tk, "RETR a.txt\r\n")
+		c.RecvUntil(tk, "226 Transfer complete.\r\n")
+		c.Do(tk, "STOR up.txt xyz")
+		c.Send(tk, "RETR "+Root+"/b.txt\r\n")
+		c.RecvUntil(tk, "226 Transfer complete.\r\n")
+		for i := 0; i < 4; i++ {
+			c.Do(tk, "NOOP ######################################")
+		}
+		if got, want := c.Do(tk, "PWD"), "257 \""+Root+"/sub\" is the current directory\r\n"; got != want {
+			t.Errorf("PWD = %q, want %q", got, want)
+		}
+		c.Close(tk)
+	})
+	if err := w.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []string{Root + "/sub/a.txt", Root + "/sub/up.txt", Root + "/b.txt"}
+	if fmt.Sprint(rec.paths) != fmt.Sprint(want) {
+		t.Errorf("opened %q, want %q", rec.paths, want)
+	}
+}

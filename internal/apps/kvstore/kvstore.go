@@ -227,10 +227,11 @@ func (s *Server) ResetSessions() {
 }
 
 // AdoptState takes ownership of another instance's store contents (a
-// checkpoint restore).
+// checkpoint restore). The arena stays behind: a used one cannot be
+// copied, and the strings cut from it need nothing more of it.
 func (s *Server) AdoptState(from *Server) {
-	s.db = from.db
-	from.db = store{}
+	s.db, from.db = from.db, store{}
+	s.db.strs = proto.Arena{}
 }
 
 // Fork implements dsu.App. What is per-process is copied; the store is
@@ -539,7 +540,7 @@ func (s *Server) integer(n int64) []byte {
 // the pre-sampled clock for expiry decisions (0 before 2.1.0). The tokens
 // are views of line: a key is looked up as a string that does not escape,
 // and only what the store keeps — a value, a key it does not hold yet —
-// is copied.
+// is copied, into the store's arena.
 func (s *Server) executeAt(now time.Duration, line []byte) []byte {
 	s.Ops++
 	s.args = proto.AppendFields(s.args[:0], line)
@@ -555,7 +556,7 @@ func (s *Server) executeAt(now time.Duration, line []byte) []byte {
 		if len(args) < 3 {
 			return proto.ErrorReply("wrong number of arguments for 'set' command")
 		}
-		s.put(s.db.keyFor(args[1]), entry{typ: typeString, str: string(args[2])})
+		s.put(s.db.keyFor(args[1]), entry{typ: typeString, str: s.db.strs.Copy(args[2])})
 		return replyOK
 	case "GET", "get":
 		if len(args) != 2 {
@@ -596,7 +597,7 @@ func (s *Server) executeAt(now time.Duration, line []byte) []byte {
 		}
 		e := s.lookup(now, string(args[1]))
 		if e == nil {
-			e = s.put(string(args[1]), entry{typ: typeString, str: "0"})
+			e = s.put(s.db.keyFor(args[1]), entry{typ: typeString, str: "0"})
 		}
 		if e.typ != typeString {
 			return proto.WrongTypeReply()
@@ -606,7 +607,8 @@ func (s *Server) executeAt(now time.Duration, line []byte) []byte {
 			return proto.ErrorReply("value is not an integer or out of range")
 		}
 		n++
-		s.db.mut(string(args[1])).str = strconv.FormatInt(n, 10)
+		var digits [20]byte
+		s.db.mut(string(args[1])).str = s.db.strs.Copy(strconv.AppendInt(digits[:0], n, 10))
 		return s.integer(n)
 	case "HSET", "hset":
 		if len(args) != 4 {
@@ -614,13 +616,13 @@ func (s *Server) executeAt(now time.Duration, line []byte) []byte {
 		}
 		e := s.lookup(now, string(args[1]))
 		if e == nil {
-			e = s.put(string(args[1]), entry{typ: typeHash, hash: make(map[string]string)})
+			e = s.put(s.db.keyFor(args[1]), entry{typ: typeHash, hash: make(map[string]string)})
 		}
 		if e.typ != typeHash {
 			return proto.WrongTypeReply()
 		}
 		_, existed := e.hash[string(args[2])]
-		s.db.mut(string(args[1])).hash[string(args[2])] = string(args[3])
+		s.db.mut(string(args[1])).hash[s.db.strs.Copy(args[2])] = s.db.strs.Copy(args[3])
 		if existed {
 			return s.integer(0)
 		}
@@ -705,13 +707,16 @@ func (s *Server) executeAt(now time.Duration, line []byte) []byte {
 		}
 		e := s.lookup(now, string(args[1]))
 		if e == nil {
-			e = s.put(string(args[1]), entry{typ: typeString})
+			e = s.put(s.db.keyFor(args[1]), entry{typ: typeString})
 		}
 		if e.typ != typeString {
 			return proto.WrongTypeReply()
 		}
 		e = s.db.mut(string(args[1]))
-		e.str += string(args[2])
+		s.db.strs.Grow(len(e.str) + len(args[2]))
+		s.db.strs.WriteString(e.str)
+		s.db.strs.Write(args[2])
+		e.str = s.db.strs.Cut()
 		return s.integer(int64(len(e.str)))
 	case "GETSET", "getset":
 		if !s.spec.HasGetSet {
@@ -727,7 +732,7 @@ func (s *Server) executeAt(now time.Duration, line []byte) []byte {
 			}
 			old = s.bulk(e.str)
 		}
-		s.put(s.db.keyFor(args[1]), entry{typ: typeString, str: string(args[2])})
+		s.put(s.db.keyFor(args[1]), entry{typ: typeString, str: s.db.strs.Copy(args[2])})
 		return old
 	case "EXPIRE", "expire":
 		if !s.spec.HasExpire {

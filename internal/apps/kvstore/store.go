@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"slices"
 	"unsafe"
+
+	"mvedsua/internal/proto"
 )
 
 // A store is the server's key table: a persistent hash trie that a
@@ -31,7 +33,10 @@ import (
 // that node alone, and its spare capacity is written only while the
 // node's store owns it: a node reachable from a fork is copied, into
 // regions of the copier's own, before anybody writes it. fork gives the
-// child no slab.
+// child no slab. The keys and values a request hands over as views are
+// cut from the store's string arena (proto.Arena), and fork gives the
+// child a fresh one: the strings are shared, their chunks written only
+// by the store that cut them.
 //
 // A *entry from get is read-only and dies at the next write to its key
 // (the unshared leaf is a different object); writers go through mut or
@@ -47,6 +52,9 @@ type store struct {
 	nodeSlab    slab[node]
 	leafPtrSlab slab[*leaf]
 	nodePtrSlab slab[*node]
+
+	// strs holds the keys and values copied out of requests.
+	strs proto.Arena
 }
 
 const (
@@ -152,15 +160,10 @@ func (s *store) fork() store {
 // get returns key's entry for reading, nil if absent.
 func (s *store) get(key string) *entry { return s.find(hashKey(key), key) }
 
-// keyFor returns the string s stores key under, or a copy of key when s
-// holds no such key: a writer that keeps a key it was handed as a view
-// copies it only when it is new.
-func (s *store) keyFor(key []byte) string {
-	if l := s.leafOf(hashKey(string(key)), string(key)); l != nil {
-		return l.key
-	}
-	return string(key)
-}
+// keyFor returns the string s stores key under, or a copy of key cut
+// from s's arena when s holds no such key: a writer that keeps a key it
+// was handed as a view copies it only when it is new.
+func (s *store) keyFor(key []byte) string { return s.keyAt(hashKey(string(key)), key) }
 
 // mut returns key's entry for writing, unshared first (nil if absent).
 func (s *store) mut(key string) *entry { return s.edit(hashKey(key), key) }
@@ -196,10 +199,17 @@ func (n *node) each(fn func(key string, e *entry)) {
 	}
 }
 
-// find, edit, set and remove are get, mut, put and del with the hash
-// supplied by the caller, so that tests can drive the trie with a
-// degenerate one. Only set keeps the key it is handed: the others only
-// compare it, so a caller may pass a string that lives on its stack.
+// find, edit, set, remove and keyAt are get, mut, put, del and keyFor
+// with the hash supplied by the caller, so that tests can drive the trie
+// with a degenerate one. Only set keeps the key it is handed: the others
+// only compare it, so a caller may pass a string that lives on its stack.
+
+func (s *store) keyAt(h uint64, key []byte) string {
+	if l := s.leafOf(h, string(key)); l != nil {
+		return l.key
+	}
+	return s.strs.Copy(key)
+}
 
 func (s *store) find(h uint64, key string) *entry {
 	if l := s.leafOf(h, key); l != nil {

@@ -37,6 +37,10 @@ type storeModel struct {
 	hash    func(string) uint64
 	holders []*holder
 	step    int
+	// req is the request a put arrives in, key and value side by side,
+	// as a view the store must copy what it keeps out of: every op
+	// overwrites it.
+	req []byte
 }
 
 const maxHolders = 6
@@ -73,17 +77,22 @@ func (m *storeModel) do(op, hi, id int) error {
 	k := modelKey(id)
 	hk := m.hash(k)
 	want, present := h.ref[k]
+	for i := range m.req {
+		m.req[i] = '#'
+	}
 	switch op % opCount {
 	case opPut:
-		v := fmt.Sprintf("v%d", m.step)
+		m.req = fmt.Appendf(append(m.req[:0], k...), "v%d", m.step)
+		key, val := m.req[:len(k)], m.req[len(k):]
+		v := h.s.strs.Copy(val)
 		e := entry{typ: typeString, str: v}
 		if id%2 == 1 {
 			e = entry{typ: typeHash, hash: map[string]string{"v": v}}
 		}
-		if got := value(h.s.set(hk, k, e)); got != v {
+		if got := value(h.s.set(hk, h.s.keyAt(hk, key), e)); got != string(val) {
 			return fmt.Errorf("put %s returned an entry holding %q", k, got)
 		}
-		h.ref[k] = v
+		h.ref[k] = string(val)
 	case opMutate:
 		e := h.s.edit(hk, k)
 		if (e != nil) != present {
@@ -309,10 +318,17 @@ func TestStoreHashSpreadsPreloadKeys(t *testing.T) {
 // TestForksRunOnDifferentThreads: a leader and its variants may be
 // dispatched by different OS threads (the sharded runtime). Each reads
 // everything and writes its own share while the parent does the same;
-// `go test -race` is the judge, the final comparison the witness.
+// every holder also reads the values the parent SET before the forks,
+// which sit in the parent's arena chunk, while each SETs on from one
+// reused line buffer — the parent into that same chunk, the forks into
+// arenas of their own. `go test -race` is the judge, the final
+// comparison the witness.
 func TestForksRunOnDifferentThreads(t *testing.T) {
-	const keys, forks = 2000, 4
+	const keys, forks, sets = 2000, 4, 200
 	parent := preloaded(keys)
+	for i := 0; i < sets; i++ {
+		parent.execute(fmt.Appendf(nil, "SET set:%d early%d", i, i))
+	}
 	var wg sync.WaitGroup
 	work := func(s *Server, id int) {
 		defer wg.Done()
@@ -330,6 +346,14 @@ func TestForksRunOnDifferentThreads(t *testing.T) {
 				s.db.del(k)
 			}
 		}
+		var line []byte
+		for i := 0; i < sets; i++ {
+			if e := s.db.get(fmt.Sprintf("set:%d", i)); e == nil || e.str != fmt.Sprintf("early%d", i) {
+				t.Errorf("holder %d: set:%d = %v", id, i, e)
+			}
+			line = fmt.Appendf(line[:0], "SET late:%d late%d-%d", i, id, i)
+			s.execute(line)
+		}
 		s.Fork() // retire the token mid-flight, as an update would
 		s.db.put("mine", entry{str: fmt.Sprint(id)})
 	}
@@ -343,8 +367,13 @@ func TestForksRunOnDifferentThreads(t *testing.T) {
 	}
 	wg.Wait()
 	for id, s := range all {
-		if got, want := s.DBSize(), keys-keys/5+1; got != want {
+		if got, want := s.DBSize(), keys-keys/5+1+2*sets; got != want {
 			t.Errorf("holder %d: %d keys, want %d", id, got, want)
+		}
+		for i := 0; i < sets; i++ {
+			if e := s.db.get(fmt.Sprintf("late:%d", i)); e == nil || e.str != fmt.Sprintf("late%d-%d", id, i) {
+				t.Fatalf("holder %d: late:%d = %v", id, i, e)
+			}
 		}
 		for i := 0; i < keys; i++ {
 			e := s.db.get(fmt.Sprintf("key:%08d", i))

@@ -16,6 +16,7 @@
 package memcache
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"time"
@@ -74,8 +75,11 @@ type mcConn struct {
 }
 
 type setHeader struct {
-	verb  string // one of storageVerbs, or invalidVerb for a malformed header
-	key   string
+	verb string // one of storageVerbs, or invalidVerb for a malformed header
+	// key is the connection's own copy of the header's key: the line it
+	// came in may be gone when the data line arrives. Its array is reused
+	// by the connection's next header.
+	key   []byte
 	flags int
 	bytes int
 }
@@ -89,7 +93,11 @@ var storageVerbs = [...]string{"set", "add", "replace", "append", "prepend"}
 // with an error.
 const invalidVerb = "__invalid__"
 
-func (c *mcConn) clone() *mcConn { return &mcConn{in: c.in.Clone(), pending: c.pending} }
+func (c *mcConn) clone() *mcConn {
+	out := &mcConn{in: c.in.Clone(), pending: c.pending}
+	out.pending.key = bytes.Clone(c.pending.key)
+	return out
+}
 
 // reply is one write of a command's answer: fixed bytes, or — with key
 // set — a get hit's VALUE block, encoded into the worker's scratch just
@@ -139,6 +147,9 @@ type Server struct {
 	nextWorker int
 
 	db map[string]item
+	// strs holds the keys and data copied out of requests; Fork gives the
+	// copy a fresh one (see proto.Arena).
+	strs proto.Arena
 
 	// stats counters (identical semantics across versions).
 	cmdGet, cmdSet, getHits, getMisses int64
@@ -325,12 +336,14 @@ var (
 // executeLine consumes one protocol line and returns its replies, in the
 // worker's scratch: they are valid until its next line. Storage commands
 // span two lines (header + data block). The tokens are views of line: a
-// key is looked up without a copy, and only what a store keeps — the
-// key and the data — is copied.
+// key is looked up without a copy, a pending header's key waits in the
+// connection's scratch, and only what a store keeps — the key and the
+// data — is copied, into the server's arena.
 func (s *Server) executeLine(env *dsu.Env, w *worker, conn *mcConn, line []byte) []reply {
-	if h := conn.pending; h.verb != "" {
-		conn.pending = setHeader{}
-		return w.say(s.store(h, line))
+	if h := &conn.pending; h.verb != "" {
+		rep := s.store(*h, line)
+		h.verb = ""
+		return w.say(rep)
 	}
 	w.args = proto.AppendFields(w.args[:0], line)
 	args := w.args
@@ -369,13 +382,14 @@ func (s *Server) executeLine(env *dsu.Env, w *worker, conn *mcConn, line []byte)
 			return w.say(rep)
 		}
 		flags, err1 := strconv.Atoi(string(args[2]))
-		bytes, err2 := strconv.Atoi(string(args[4]))
-		if err1 != nil || err2 != nil || bytes < 0 {
+		n, err2 := strconv.Atoi(string(args[4]))
+		h := &conn.pending
+		h.key = append(h.key[:0], args[1]...)
+		h.verb, h.flags, h.bytes = storageVerb(args[0]), flags, n
+		if err1 != nil || err2 != nil || n < 0 {
 			// Swallow the upcoming data line, then report the error.
-			conn.pending = setHeader{verb: invalidVerb}
-			return nil
+			h.verb = invalidVerb
 		}
-		conn.pending = setHeader{verb: storageVerb(args[0]), key: string(args[1]), flags: flags, bytes: bytes}
 		return nil
 	case "delete":
 		if len(args) < 2 {
@@ -436,36 +450,33 @@ func (s *Server) store(h setHeader, data []byte) []byte {
 	if len(data) != h.bytes {
 		return replyBadChunk
 	}
-	_, exists := s.db[h.key]
+	it, exists := s.db[string(h.key)]
 	switch h.verb {
 	case "add":
 		if exists {
 			return replyNotStored
 		}
-	case "replace":
+	case "replace", "append", "prepend":
 		if !exists {
 			return replyNotStored
 		}
-	case "append":
-		if !exists {
-			return replyNotStored
-		}
-		it := s.db[h.key]
-		it.data += string(data)
-		s.db[h.key] = it
-		s.cmdSet++
-		return replyStored
-	case "prepend":
-		if !exists {
-			return replyNotStored
-		}
-		it := s.db[h.key]
-		it.data = string(data) + it.data
-		s.db[h.key] = it
-		s.cmdSet++
-		return replyStored
 	}
-	s.db[h.key] = item{flags: h.flags, data: string(data)}
+	switch h.verb {
+	case "append":
+		s.strs.Grow(len(it.data) + len(data))
+		s.strs.WriteString(it.data)
+		s.strs.Write(data)
+	case "prepend":
+		s.strs.Grow(len(data) + len(it.data))
+		s.strs.Write(data)
+		s.strs.WriteString(it.data)
+	default:
+		it.flags = h.flags
+		s.strs.Grow(len(data))
+		s.strs.Write(data)
+	}
+	it.data = s.strs.Cut()
+	s.db[s.strs.Copy(h.key)] = it
 	s.cmdSet++
 	return replyStored
 }
@@ -491,7 +502,7 @@ func (s *Server) incrDecr(verb, key, delta []byte) []byte {
 		cur -= d
 	}
 	it.data = strconv.FormatUint(cur, 10)
-	s.db[string(key)] = it
+	s.db[s.strs.Copy(key)] = it
 	return []byte(it.data + "\r\n")
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // LineBuffer accumulates stream bytes and yields complete lines
@@ -162,12 +163,100 @@ func FTPReply(code int, text string) []byte {
 // FTPUnknown is the 500 reply for unrecognized commands.
 func FTPUnknown() []byte { return FTPReply(500, "Unknown command") }
 
-// ParseFTPCommand splits an FTP command line into verb and argument.
-func ParseFTPCommand(line string) (verb, arg string) {
-	line = strings.TrimSpace(line)
-	i := strings.IndexByte(line, ' ')
-	if i < 0 {
-		return strings.ToUpper(line), ""
+// ParseFTPCommand splits an FTP command line into verb and argument. The
+// verb is appended to dst upper-cased, as strings.ToUpper would do it;
+// the argument, trimmed of white space, is a view of line.
+func ParseFTPCommand(dst, line []byte) (verb, arg []byte) {
+	line = bytes.TrimSpace(line)
+	verb = line
+	if i := bytes.IndexByte(line, ' '); i >= 0 {
+		verb, arg = line[:i], bytes.TrimSpace(line[i+1:])
 	}
-	return strings.ToUpper(line[:i]), strings.TrimSpace(line[i+1:])
+	base := len(dst)
+	for _, c := range verb {
+		if c >= utf8.RuneSelf {
+			return append(dst[:base], strings.ToUpper(string(verb))...), arg
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst, arg
+}
+
+// arenaChunk is the size of the chunks an Arena cuts strings from.
+const arenaChunk = 2048
+
+// Arena copies the request bytes a server keeps — a key, a value, a
+// path — into chunks of its own and hands out strings cut from them, so
+// that keeping a short string costs a share of a chunk rather than an
+// allocation. Its rules:
+//
+//   - a chunk's bytes are written once, before the string that holds
+//     them is handed out, and never again: an arena only appends;
+//   - a fork's child never writes its parent's chunk: it starts with a
+//     fresh arena (the zero Arena), so parent and child may run on
+//     different OS threads while both read strings cut from the parent's
+//     chunks;
+//   - a chunk lives as long as any string cut from it: those strings are
+//     what keep it, and nothing is freed or reused by hand;
+//   - a string over a quarter chunk is allocated on its own, so a large
+//     value neither retires a chunk early nor needs a larger one.
+//
+// A chunk is a strings.Builder, which gives the first three rules
+// without unsafe; its copy check also panics if a used arena is copied
+// by value and then written. A string is cut in three steps — Grow, then
+// Write and WriteString, then Cut — or in one, by Copy. The zero Arena is
+// ready to use.
+type Arena struct {
+	chunk strings.Builder
+	start int             // where in chunk the string being cut begins
+	own   strings.Builder // the string being cut, when it is over a quarter chunk
+	long  bool            // whether the string being cut is in own
+}
+
+// Grow starts a string of n bytes, to be written by Write and
+// WriteString and returned by Cut.
+func (a *Arena) Grow(n int) {
+	a.long = n > arenaChunk/4
+	if a.long {
+		a.own = strings.Builder{}
+		a.own.Grow(n)
+		return
+	}
+	if a.chunk.Cap()-a.chunk.Len() < n {
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(arenaChunk)
+	}
+	a.start = a.chunk.Len()
+}
+
+// builder is where the string being cut is written.
+func (a *Arena) builder() *strings.Builder {
+	if a.long {
+		return &a.own
+	}
+	return &a.chunk
+}
+
+// Write appends b to the string being cut.
+func (a *Arena) Write(b []byte) { a.builder().Write(b) }
+
+// WriteString appends s to the string being cut.
+func (a *Arena) WriteString(s string) { a.builder().WriteString(s) }
+
+// Cut returns the string written since Grow.
+func (a *Arena) Cut() string {
+	if a.long {
+		return a.own.String()
+	}
+	return a.chunk.String()[a.start:]
+}
+
+// Copy returns a string holding b's bytes.
+func (a *Arena) Copy(b []byte) string {
+	a.Grow(len(b))
+	a.Write(b)
+	return a.Cut()
 }

@@ -149,13 +149,80 @@ func TestParseFTPCommand(t *testing.T) {
 		{"retr  file.txt ", "RETR", "file.txt"},
 		{"STOU", "STOU", ""},
 		{"  noop  ", "NOOP", ""},
+		{"uſer x", "USER", "x"}, // upper-cased as strings.ToUpper does
 	}
 	for _, tc := range cases {
-		v, a := ParseFTPCommand(tc.in)
-		if v != tc.verb || a != tc.arg {
+		v, a := ParseFTPCommand(nil, []byte(tc.in))
+		if string(v) != tc.verb || string(a) != tc.arg {
 			t.Errorf("ParseFTPCommand(%q) = %q %q, want %q %q", tc.in, v, a, tc.verb, tc.arg)
 		}
 	}
+}
+
+// TestArenaStringsOutliveTheirSource: strings cut from an arena hold
+// their bytes after the view they were copied from is overwritten and
+// after the arena moves on to new chunks, short and long alike.
+func TestArenaStringsOutliveTheirSource(t *testing.T) {
+	var a Arena
+	src := make([]byte, 0, 2*arenaChunk)
+	var got, want []string
+	for i := 0; i < 500; i++ {
+		n := i * 7 % (arenaChunk / 3)
+		if i%50 == 0 {
+			n = arenaChunk/4 + i // allocated on its own
+		}
+		src = src[:n]
+		for j := range src {
+			src[j] = byte('a' + (i+j)%26)
+		}
+		want = append(want, string(src))
+		if i%3 == 0 {
+			a.Grow(n + 1)
+			a.WriteString("/")
+			a.Write(src)
+			got = append(got, a.Cut()[1:])
+		} else {
+			got = append(got, a.Copy(src))
+		}
+		clear(src)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("string %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestArenaAmortisesItsChunks: a short copy costs a share of a chunk, a
+// long one exactly one allocation, and a long one does not retire the
+// chunk the short ones are cut from.
+func TestArenaAmortisesItsChunks(t *testing.T) {
+	var a Arena
+	short, long := []byte("key:00000042"), make([]byte, arenaChunk/4+1)
+	if got := testing.AllocsPerRun(1000, func() { a.Copy(short) }); got != 0 {
+		t.Errorf("short copy: %v allocations, want 0 amortised", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() { a.Copy(long) }); got != 1 {
+		t.Errorf("long copy: %v allocations, want 1", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() { a.Copy(short); a.Copy(long) }); got != 1 {
+		t.Errorf("short and long copies in turn: %v allocations a pair, want 1", got)
+	}
+}
+
+// TestArenaCopiedByValuePanics: a used arena copied by value — a fork
+// handed its parent's arena — panics at its first write instead of
+// writing the parent's chunk.
+func TestArenaCopiedByValuePanics(t *testing.T) {
+	var a Arena
+	a.Copy([]byte("parent"))
+	defer func() {
+		if recover() == nil {
+			t.Error("a copied arena wrote its parent's chunk")
+		}
+	}()
+	b := a
+	b.Copy([]byte("child"))
 }
 
 func TestFields(t *testing.T) {

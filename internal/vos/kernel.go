@@ -40,6 +40,11 @@ type Kernel struct {
 	pids    map[int]int64 // task id -> logical pid
 	nextPID int64
 
+	// openFiles is the rest of the chunk open carves its records from. A
+	// record is never reused: its fd is not, and close wipes it so that
+	// the chunk keeps no file alive.
+	openFiles []openFile
+
 	// activity is woken whenever socket state changes; epoll waiters
 	// re-poll on each wakeup.
 	activity sim.WaitQueue
@@ -151,6 +156,9 @@ type file struct {
 	// over data's bytes then copies the array first.
 	lent bool
 }
+
+// openFileChunk is how many records open carves from one allocation.
+const openFileChunk = 64
 
 // openFile is an fd referring to a file with a cursor.
 type openFile struct {
@@ -376,7 +384,9 @@ func (k *Kernel) closeFD(c sysabi.Call) sysabi.Result {
 		delete(k.ports, v.port)
 		v.waiters.WakeAll(k.sched)
 		k.activity.WakeAll(k.sched)
-	case *epoll, *openFile:
+	case *openFile:
+		*v = openFile{}
+	case *epoll:
 		// nothing extra
 	}
 	return sysabi.Result{}
@@ -393,7 +403,12 @@ func (k *Kernel) open(c sysabi.Call) sysabi.Result {
 	case c.Args[0] == sysabi.OpenWrite:
 		f.data, f.lent = nil, false // truncate: lent views keep the old array
 	}
-	of := &openFile{f: f, flags: c.Args[0]}
+	if len(k.openFiles) == 0 {
+		k.openFiles = make([]openFile, openFileChunk)
+	}
+	of := &k.openFiles[0]
+	k.openFiles = k.openFiles[1:]
+	of.f, of.flags = f, c.Args[0]
 	if c.Args[0] == sysabi.OpenAppend {
 		of.offset = len(f.data)
 	}

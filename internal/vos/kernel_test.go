@@ -217,6 +217,41 @@ func TestFileRoundTrip(t *testing.T) {
 	})
 }
 
+// TestOpenFilesKeepTheirOwnRecords: open carves its records from
+// chunks, and a live fd's record is nobody else's — across chunk
+// boundaries and with closes in between, every fd reads its own file
+// from its own cursor — while a closed fd's record is wiped, so that its
+// chunk keeps no file alive.
+func TestOpenFilesKeepTheirOwnRecords(t *testing.T) {
+	run(t, func(k *Kernel, tk *sim.Task) {
+		const files = 2*openFileChunk + 3
+		var live []int
+		for i := 0; i < files; i++ {
+			path := fmt.Sprintf("/f%d", i)
+			k.WriteFile(path, []byte(fmt.Sprintf("%c%c", 'a'+i%26, 'A'+i%26)))
+			fd := int(call(k, tk, sysabi.Call{Op: sysabi.OpOpen, Path: path, Args: [2]int64{sysabi.OpenRead, 0}}).Ret)
+			if i%3 != 2 {
+				live = append(live, i, fd)
+				continue
+			}
+			of := k.fds[fd].(*openFile)
+			call(k, tk, sysabi.Call{Op: sysabi.OpClose, FD: fd})
+			if *of != (openFile{}) {
+				t.Fatalf("closed fd %d keeps its record: %+v", fd, *of)
+			}
+		}
+		for round, base := 0, byte('a'); round < 2; round, base = round+1, 'A' {
+			for j := 0; j < len(live); j += 2 {
+				i, fd := live[j], live[j+1]
+				r := call(k, tk, sysabi.Call{Op: sysabi.OpFRead, FD: fd, Args: [2]int64{1, 0}})
+				if want := base + byte(i%26); r.Ret != 1 || r.Data[0] != want {
+					t.Fatalf("round %d: fd %d of /f%d read %q, want %q", round, fd, i, r.Data, want)
+				}
+			}
+		}
+	})
+}
+
 func TestOpenReadMissingFile(t *testing.T) {
 	run(t, func(k *Kernel, tk *sim.Task) {
 		r := call(k, tk, sysabi.Call{Op: sysabi.OpOpen, Path: "/nope", Args: [2]int64{sysabi.OpenRead, 0}})
@@ -513,8 +548,8 @@ func TestKernelRecIsTheSwitch(t *testing.T) {
 // TestSyscallFloorAllocations pins the kernel's allocation budget without
 // timing anything: a read fills the buffer its caller offers or lends a
 // view of the kernel's bytes, epoll_wait fills the epoll instance's own
-// ready list, and the tables behind every call are slices, so nothing is
-// allocated at all.
+// ready list, open carves its record from a chunk, and the tables behind
+// every call are slices, so nothing is allocated at all.
 func TestSyscallFloorAllocations(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s)
@@ -557,6 +592,11 @@ func TestSyscallFloorAllocations(t *testing.T) {
 			{"write64+read-small-offer", 0, func() {
 				k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: cfd, Buf: msg})
 				check("read", k.Invoke(tk, sysabi.Call{Op: sysabi.OpRead, FD: sfd, Buf: buf[:0:32], Args: [2]int64{4096, 0}}), 64, false)
+			}},
+			// open carves its record from a chunk: refills amortise to 0.
+			{"open+close", 0, func() {
+				fd := k.Invoke(tk, sysabi.Call{Op: sysabi.OpOpen, Path: "/bulk"}).Ret
+				k.Invoke(tk, sysabi.Call{Op: sysabi.OpClose, FD: int(fd)})
 			}},
 			{"epoll_wait-1-ready", 0, func() {
 				k.Invoke(tk, sysabi.Call{Op: sysabi.OpWrite, FD: cfd, Buf: msg})
